@@ -580,7 +580,7 @@ class AmEndpoint:
                and self.epoch == my_epoch
                and self._peers_by_node.get(peer.node) is peer):
             yield from self._send_hello(peer, TYPE_HELLO)
-            yield self.sim.timeout(self.config.hello_retry_us)
+            yield self.config.hello_retry_us
 
     def _send_hello(self, peer: _PeerState, ptype: int) -> Generator:
         # ack carries this side's receive horizon: the next sequence
@@ -724,7 +724,7 @@ class AmEndpoint:
         """Epoch-stamped keepalives + silent-peer detection (opt-in)."""
         cfg = self.config
         while self._running:
-            yield self.sim.timeout(cfg.heartbeat_us)
+            yield cfg.heartbeat_us
             if not self._running:
                 break
             if self._crashed:
@@ -946,7 +946,7 @@ class AmEndpoint:
         travel on an explicit ACK.
         """
         while self._running:
-            yield self.sim.timeout(self.config.credit_update_us)
+            yield self.config.credit_update_us
             if not self._running:
                 break
             for peer in list(self._peers_by_node.values()):
@@ -975,7 +975,7 @@ class AmEndpoint:
             message = yield from self.user.recv()
             if self._crashed:
                 continue  # a dead process neither dispatches nor acks
-            yield self.sim.timeout(self.config.dispatch_overhead_us)
+            yield self.config.dispatch_overhead_us
             if self._crashed:
                 continue
             try:
@@ -1239,7 +1239,7 @@ class AmEndpoint:
             self.sim.process(self._delayed_ack(peer), name=f"am{self.node}.dack")
 
     def _delayed_ack(self, peer: _PeerState) -> Generator:
-        yield self.sim.timeout(self.config.ack_delay_us)
+        yield self.config.ack_delay_us
         if peer.pending_ack and self._running:
             yield from self._send_ack(peer)
 
@@ -1266,7 +1266,7 @@ class AmEndpoint:
     def _retransmit_timer(self, peer: _PeerState) -> Generator:
         while peer.unacked and self._running:
             timeout = self._current_rto(peer)
-            yield self.sim.timeout(timeout / 2)
+            yield timeout / 2
             if not peer.unacked or not self._running:
                 break
             if self._crashed or not peer.alive:

@@ -160,14 +160,14 @@ class UNetAtmBackend(UNetBackend):
 
     def kick(self, endpoint: Endpoint) -> Generator:
         """Host side: the doorbell store into NI memory."""
-        yield self.sim.timeout(self.timings.host_doorbell_us)
+        yield self.timings.host_doorbell_us
         if not self._tx_pending.get(endpoint.id):
             self._tx_pending[endpoint.id] = True
             self._tx_doorbell.try_put(endpoint)
 
     def _step(self, category: str, label: str, duration: float, begin: bool = False) -> Generator:
         start = self.sim.now
-        yield self.sim.timeout(duration)
+        yield duration
         self.trace.record(start, duration, category, label, begin=begin)
 
     def _timed_dma(self, category: str, label: str, nbytes: int) -> Generator:
@@ -202,7 +202,7 @@ class UNetAtmBackend(UNetBackend):
                 cells = aal5_segment(payload, vci=binding.tag.tx_vci)
                 segment_start = self.sim.now
                 for cell in cells:
-                    yield self.sim.timeout(t.tx_per_cell_us)
+                    yield t.tx_per_cell_us
                     if self.tx_link is not None:
                         self.tx_link.submit(cell)
                 self.trace.record(segment_start, self.sim.now - segment_start, ATM_TX_TRACE,
@@ -302,7 +302,7 @@ class UNetAtmBackend(UNetBackend):
             yield from self._step(ATM_TX_TRACE, "collective engine send",
                                   t.collective_op_us)
             for cell in aal5_segment(payload, vci=vci):
-                yield self.sim.timeout(t.tx_per_cell_us)
+                yield t.tx_per_cell_us
                 if self.tx_link is not None:
                     self.tx_link.submit(cell)
 

@@ -283,7 +283,7 @@ class NicCollectiveEngine:
     def barrier(self) -> Generator:
         """Host side of one barrier; completes when the root released it."""
         self._check_usable()
-        yield self.sim.timeout(self.config.doorbell_us)
+        yield self.config.doorbell_us
         self._check_usable()
         gen = self._barrier_gen
         self._barrier_gen = next_gen(gen)
@@ -302,7 +302,7 @@ class NicCollectiveEngine:
     def broadcast(self, data: Optional[bytes] = None) -> Generator:
         """Host side of one broadcast; returns the payload everywhere."""
         self._check_usable()
-        yield self.sim.timeout(self.config.doorbell_us)
+        yield self.config.doorbell_us
         self._check_usable()
         gen = self._bcast_gen
         self._bcast_gen = next_gen(gen)
@@ -328,7 +328,7 @@ class NicCollectiveEngine:
     def allreduce(self, data: bytes, op: str = "sum", dtype: str = "i") -> Generator:
         """Host side of one allreduce; returns the combined payload."""
         self._check_usable()
-        yield self.sim.timeout(self.config.doorbell_us)
+        yield self.config.doorbell_us
         self._check_usable()
         if op not in REDUCE_OPS:
             raise CollectiveError(f"unknown reduce op {op!r} (use {REDUCE_OPS})")

@@ -382,7 +382,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
                 aborted.append(str(exc))
                 return sim.now
             while case.lifecycle and not settled():
-                yield sim.timeout(200.0)
+                yield 200.0
             return sim.now
 
         process = sim.process(traffic(), name="conformance.traffic")

@@ -119,12 +119,12 @@ class UserEndpoint:
         lookup_channel(self.endpoint, channel_id)  # protection check
         self._reclaim_completed()
         buffers = yield from self._compose_buffers(payload)
-        yield self.sim.timeout(self.host.cpu.copy_time(len(payload)))
+        yield self.host.cpu.copy_time(len(payload))
         descriptor = SendDescriptor(
             channel_id=channel_id,
             segments=[(buf.index, length) for buf, length in buffers],
         )
-        yield self.sim.timeout(DESCRIPTOR_PUSH_US)
+        yield DESCRIPTOR_PUSH_US
         while self.endpoint.send_queue.is_full:
             # backpressure: wait for the NI/kernel to drain the queue
             yield self.endpoint.wait_send_queue_space()
@@ -203,10 +203,10 @@ class UserEndpoint:
             blocked = self.endpoint.recv_queue.is_empty
             yield self.endpoint.wait_receive()
             if blocked:
-                yield self.sim.timeout(SELECT_WAKEUP_US)
+                yield SELECT_WAKEUP_US
             descriptor = self.endpoint.poll_receive()
             if descriptor is not None:
-                yield self.sim.timeout(DESCRIPTOR_POP_US)
+                yield DESCRIPTOR_POP_US
                 return self._consume(descriptor)
 
     def recv_all(self) -> List[ReceivedMessage]:

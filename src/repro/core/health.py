@@ -349,7 +349,7 @@ class HealthMonitor:
 
     def _watchdog(self) -> Generator:
         while not self._stopped:
-            yield self.sim.timeout(self.config.check_period_us)
+            yield self.config.check_period_us
             self.step()
         self._running = False
 

@@ -133,14 +133,14 @@ class Dc21140:
                 if was_full and self.on_tx_space is not None:
                     self.on_tx_space()
                 t0 = self.sim.now
-                yield self.sim.timeout(t.tx_descriptor_fetch_us)
+                yield t.tx_descriptor_fetch_us
                 self._span("fetch TX descriptor", t0)
                 # DMA the kernel header buffer + the user data buffer
                 frame_bytes = ETH_HEADER_SIZE + len(descriptor.frame.payload)
                 t0 = self.sim.now
                 yield self.sim.process(self.dma.transfer(frame_bytes))
                 self._span("DMA frame into FIFO", t0)
-                yield self.sim.timeout(t.tx_fifo_threshold_us)
+                yield t.tx_fifo_threshold_us
                 # the frame now sits in the chip FIFO: the host buffers are
                 # no longer needed even though the wire may lag behind
                 descriptor.completed = True
@@ -182,7 +182,7 @@ class Dc21140:
     # a small on-controller engine consumes and originates collective
     # packets without touching host memory.  See DESIGN.md.
     def _rx_collective(self, frame: EthernetFrame):
-        yield self.sim.timeout(self.timings.collective_op_us)
+        yield self.timings.collective_op_us
         self.collective_rx(frame.payload)
 
     def send_collective(self, frame: EthernetFrame) -> None:
@@ -191,7 +191,7 @@ class Dc21140:
         self.sim.process(self._tx_collective(frame), name=f"{self.name}.colltx")
 
     def _tx_collective(self, frame: EthernetFrame):
-        yield self.sim.timeout(self.timings.collective_op_us)
+        yield self.timings.collective_op_us
         yield self._tx_fifo.put(TxRingDescriptor(frame=frame, completed=True))
 
     def _rx_frame(self, frame: EthernetFrame):
@@ -200,7 +200,7 @@ class Dc21140:
             self.rx_overflow_drops += 1
             return
         t0 = self.sim.now
-        yield self.sim.timeout(t.rx_dma_start_us)
+        yield t.rx_dma_start_us
         yield self.sim.process(self.dma.transfer(ETH_HEADER_SIZE + len(frame.payload)))
         self._span("DMA frame into host ring buffer", t0)
         if not self.rx_ring.try_push(RxRingBuffer(frame=frame)):
@@ -208,7 +208,7 @@ class Dc21140:
             return
         self.frames_received += 1
         t0 = self.sim.now
-        yield self.sim.timeout(t.rx_interrupt_delay_us)
+        yield t.rx_interrupt_delay_us
         self._span("raise receive interrupt", t0)
         if self.interrupt is not None:
             self.interrupt()

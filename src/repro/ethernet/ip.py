@@ -211,7 +211,7 @@ class IpRouter:
     def _forwarding_engine(self):
         while True:
             frame = yield self._work.get()
-            yield self.sim.timeout(self.forward_us)
+            yield self.forward_us
             try:
                 _src, dst_ip, _sp, _dp, _ttl, _payload = parse_ipv4_udp(frame.payload)
             except IpHeaderError:

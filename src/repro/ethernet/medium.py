@@ -123,7 +123,7 @@ class SharedMedium:
             # carrier sense, then wait the inter-frame gap
             while self.busy and not self._in_blind_window():
                 yield self._wait_idle()
-            yield self.sim.timeout(IFG_US)
+            yield IFG_US
             if self.busy and not self._in_blind_window():
                 continue
             tx = _ActiveTx(station, self.sim.event(name="collision"), self.sim.now)
@@ -139,13 +139,13 @@ class SharedMedium:
             if tx.collision.triggered:
                 self._active.remove(tx)
                 self._gone_idle()
-                yield self.sim.timeout(JAM_US)
+                yield JAM_US
                 attempts += 1
                 if attempts >= MAX_ATTEMPTS:
                     self.drops_excessive_collisions += 1
                     raise ExcessiveCollisions(f"frame dropped after {attempts} attempts")
                 backoff_slots = self.rng.randrange(0, 2 ** min(attempts, 10))
-                yield self.sim.timeout(backoff_slots * SLOT_TIME_US)
+                yield backoff_slots * SLOT_TIME_US
                 continue
             # success: broadcast to every other station
             self._active.remove(tx)

@@ -194,7 +194,7 @@ class UNetFeBackend(UNetBackend):
         yield self.kernel_cpu.acquire()
         try:
             start = self.sim.now
-            yield self.sim.timeout(self.cpu.trap_entry_us)
+            yield self.cpu.trap_entry_us
             self.trace.record(start, self.cpu.trap_entry_us, TX_TRACE, "trap entry overhead", begin=True)
             serviced = 0
             while True:
@@ -273,7 +273,7 @@ class UNetFeBackend(UNetBackend):
 
     def _step(self, category: str, label: str, duration: float) -> Generator:
         start = self.sim.now
-        yield self.sim.timeout(duration)
+        yield duration
         self.trace.record(start, duration, category, label)
 
     # -------------------------------------------------------------- receive

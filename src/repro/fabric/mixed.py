@@ -152,6 +152,6 @@ class MixedFabric:
             out_channel = mapping.get(message.channel_id)
             if out_channel is None:
                 continue  # not a spliced channel (stray or misdirected)
-            yield self.sim.timeout(self.relay_forward_us)
+            yield self.relay_forward_us
             yield from dst.send(out_channel, message.data)
             self.relayed_messages += 1

@@ -283,26 +283,26 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                     and len(ledger.crash_times) >= scenario.crashes
                     and not am1.crashed):
                 break
-            yield sim.timeout(200.0)
+            yield 200.0
         return sim.now
 
     def chaos():
         for kill, target in enumerate(scenario.crash_targets()):
             while sum(ledger.delivery_counts.values()) < target:
-                yield sim.timeout(200.0)
+                yield 200.0
             # space the kills: the previous recovery must be complete
             # (the sender saw the new incarnation's HELLO) before the
             # next one arms, or a fast stream that outruns its first
             # trigger would kill the fresh incarnation in the same
             # timestep as its restart — before the HELLO loop ever ran
             while len(ledger.recovery_times) < kill:
-                yield sim.timeout(200.0)
+                yield 200.0
             ledger.crash_times.append(sim.now)
             am1.crash()
             if progress is not None:
                 progress(f"{scenario.name}: kill #{len(ledger.crash_times)} "
                          f"at t={sim.now:.0f}us ({target} dispatched)")
-            yield sim.timeout(scenario.downtime_us)
+            yield scenario.downtime_us
             am1.restart()
 
     process = sim.process(traffic(), name="crashsoak.traffic")

@@ -278,7 +278,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
                     abort_at[node] = sim.now
                     return
                 rnd += 1
-                yield sim.timeout(scenario.round_gap_us)
+                yield scenario.round_gap_us
         else:
             for rnd in range(scenario.rounds):
                 try:
@@ -288,12 +288,12 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
                     return
                 except CollectiveError:
                     return  # own engine crashed: the host call dies with it
-                yield sim.timeout(scenario.round_gap_us)
+                yield scenario.round_gap_us
 
     def post_driver(node: int):
         for k in range(scenario.post_rounds):
             yield from round_once(node, _POST_ROUND_BASE + k)
-            yield sim.timeout(scenario.round_gap_us)
+            yield scenario.round_gap_us
 
     processes = {n: sim.process(driver(n), name=f"fabricsoak.n{n}")
                  for n in range(nodes)}
@@ -303,13 +303,13 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
     if scenario.crash_node is not None:
         def chaos():
             victim = engines[scenario.crash_node]
-            yield sim.timeout(scenario.crash_at_us)
+            yield scenario.crash_at_us
             # kill mid-collective: liveness evidence is send-driven, so a
             # victim that dies idle would only be noticed at the next
             # packet addressed to it — the interesting (and guaranteed
             # detectable) case is silence with traffic in flight
             while not victim._reduce_state and not victim._barrier_state:
-                yield sim.timeout(5.0)
+                yield 5.0
             victim.crash()
             crash_time.append(sim.now)
             if progress is not None:
@@ -332,9 +332,9 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
 
         def coordinator():
             while not group.aborted:
-                yield sim.timeout(100.0)
+                yield 100.0
             while len(abort_at) < nodes:
-                yield sim.timeout(100.0)
+                yield 100.0
             # every member saw the typed abort; the cut must also be
             # visible to signaling and to the partition monitor
             try:
@@ -364,7 +364,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
                 progress(f"{scenario.name}: all {nodes} members aborted by "
                          f"t={sim.now:.0f}us")
             while sim.now < scenario.resume_at_us:
-                yield sim.timeout(200.0)
+                yield 200.0
             live = group.resume()
             feed_monitor()
             if monitor.mode(hosts[0].name) != "normal":

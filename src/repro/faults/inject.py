@@ -156,7 +156,7 @@ class PerturbationPipeline:
                       lambda p, d=0.0: self._feed(index + 1, p, delay + d, deliver))
 
     def _deliver_later(self, pdu, delay: float, deliver) -> Generator:
-        yield self.sim.timeout(delay)
+        yield delay
         self.delivered += 1
         deliver(pdu)
 

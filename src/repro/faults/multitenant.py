@@ -457,7 +457,7 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
         for period in range(scenario.periods):
             delay = period * scenario.send_period_us - sim.now
             if delay > 0:
-                yield sim.timeout(delay)
+                yield delay
             for t in tens:
                 for _k in range(scenario.burst):
                     payload = _payload(t.index, t.sent, sim.now,
@@ -466,12 +466,12 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
                     t.sent += 1
             poll_echoes(tens)
         while sim.now < t_end:
-            yield sim.timeout(scenario.drain_period_us)
+            yield scenario.drain_period_us
             poll_echoes(tens)
 
     def drain(host: _HostState):
         while True:
-            yield sim.timeout(scenario.drain_period_us)
+            yield scenario.drain_period_us
             echoes: List[Tuple[_Tenant, bytes]] = []
             _drain_pass(scenario, host, sim.now, echoes)
             for t, data in echoes:
@@ -483,12 +483,12 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     def churn():
         for when, kind, tenant in events:
             if when > sim.now:
-                yield sim.timeout(when - sim.now)
+                yield when - sim.now
             _apply_churn_event(kind, tenant, sim.now, aggregator)
 
     def controller():
         while True:
-            yield sim.timeout(scenario.poll_period_us)
+            yield scenario.poll_period_us
             aggregator.poll()
 
     for idx, tens in sorted(by_sender.items()):

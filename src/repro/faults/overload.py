@@ -309,8 +309,7 @@ def run_overload(
                     yield from user.send(channel, payload)
                     if scenario.blaster_gap_us > 0.0:
                         # jitter de-phases the blasters
-                        yield sim.timeout(scenario.blaster_gap_us
-                                          * (0.9 + 0.2 * gap_rng.random()))
+                        yield scenario.blaster_gap_us * (0.9 + 0.2 * gap_rng.random())
 
             sim.process(blaster(), name=f"overload.blaster{j}")
 

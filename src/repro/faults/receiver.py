@@ -164,11 +164,11 @@ class SlowReceiver(ReceiverFault):
         return hooks
 
     def _recycle_later(self, original_recycle, descriptor) -> Generator:
-        yield self.sim.timeout(self.recycle_delay_us)
+        yield self.recycle_delay_us
         original_recycle(descriptor)
 
     def _fire_at(self, event, ready_at: float) -> Generator:
-        yield self.sim.timeout(max(0.0, ready_at - self.sim.now))
+        yield max(0.0, ready_at - self.sim.now)
         event.succeed()
 
     def stats(self) -> dict:
@@ -277,7 +277,7 @@ class MisbehavingSender:
         """Process: fire ``count`` invalid operations, ``gap_us`` apart."""
         for i in range(count):
             self.abuse_once(self.ABUSES[i % len(self.ABUSES)])
-            yield self.user.sim.timeout(gap_us)
+            yield gap_us
 
     def abuse_once(self, kind: Optional[str] = None) -> bool:
         """Post one invalid operation; True if a typed error contained it."""

@@ -79,7 +79,7 @@ class DmaEngine:
         """Process: acquire the bus and move ``nbytes`` across it."""
         yield self._bus_resource.acquire()
         try:
-            yield self.sim.timeout(self.bus.transfer_time(nbytes))
+            yield self.bus.transfer_time(nbytes)
             self.bytes_transferred += max(0, nbytes)
             self.transfers += 1
         finally:

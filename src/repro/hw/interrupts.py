@@ -62,7 +62,7 @@ class InterruptController:
         self.sim.process(self._dispatch(), name=f"{self.name}-dispatch")
 
     def _dispatch(self) -> Generator:
-        yield self.sim.timeout(self.cpu.interrupt_entry_us)
+        yield self.cpu.interrupt_entry_us
         self._pending = False
         self._running = True
         while True:
@@ -71,5 +71,5 @@ class InterruptController:
             yield self.sim.process(self.handler_factory(), name=f"{self.name}-handler")
             if not self._rerun:
                 break
-        yield self.sim.timeout(self.cpu.interrupt_return_us)
+        yield self.cpu.interrupt_return_us
         self._running = False

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout
+from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout, _Callback
 
 __all__ = ["Simulator", "EmptySchedule"]
 
@@ -21,28 +21,12 @@ class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
 
 
-class _Callback:
-    """A bare deferred function call on the timeline (see ``call_in``).
-
-    Device hot paths (cell/frame forwarding, link delivery) used to spawn
-    a full :class:`Process` — generator + init event + timeout event — per
-    PDU.  A ``_Callback`` is one heap entry and one function call, which
-    is what makes 256-node collective sweeps finish in seconds.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        self.fn = fn
-        self.args = args
-
-
 class Simulator:
     """Owns the event queue and the simulation clock.
 
     >>> sim = Simulator()
     >>> def pinger():
-    ...     yield sim.timeout(5.0)
+    ...     yield 5.0
     ...     return "done"
     >>> proc = sim.process(pinger())
     >>> sim.run()
@@ -88,11 +72,7 @@ class Simulator:
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling (internal) ----------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
+    # -- scheduling ----------------------------------------------------------
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule a bare callback ``delay`` microseconds from now.
 
@@ -102,6 +82,8 @@ class Simulator:
         ordinary events at the same instant follows the usual FIFO
         scheduling order (NORMAL tier).
         """
+        if delay < 0:
+            raise ValueError(f"negative call_in delay: {delay}")
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, _Callback(fn, args)))
 
@@ -127,7 +109,7 @@ class Simulator:
         if callbacks:
             for callback in callbacks:
                 callback(event)
-        if not event.ok and not callbacks and not getattr(event, "_defused", False):
+        if not event._ok and not callbacks:
             # An unhandled failure (e.g. a crashed process nobody waits on)
             # must not pass silently.
             raise event._value
@@ -163,7 +145,7 @@ class Simulator:
             if callbacks:
                 for callback in callbacks:
                     callback(event)
-            elif not event._ok and not getattr(event, "_defused", False):
+            elif not event._ok:
                 raise event._value
         if until is not None and self._now < until:
             self._now = until
@@ -176,7 +158,7 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
-        while not process.triggered:
+        while not process._triggered:
             if not queue:
                 raise RuntimeError(f"schedule drained before process {process.name!r} completed")
             if queue[0][0] > limit:
@@ -192,8 +174,8 @@ class Simulator:
             if callbacks:
                 for callback in callbacks:
                     callback(event)
-            elif not event._ok and not getattr(event, "_defused", False):
+            elif not event._ok:
                 raise event._value
-        if not process.ok:
+        if not process._ok:
             raise process._value
-        return process.value
+        return process._value

@@ -9,7 +9,8 @@ the ``yield``) or an exception (raised at the ``yield`` site).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .engine import Simulator
@@ -49,6 +50,26 @@ class StopProcess(Exception):
     @property
     def value(self) -> Any:
         return self.args[0] if self.args else None
+
+
+class _Callback:
+    """A bare deferred function call on the timeline: one heap entry, no Event.
+
+    ``Simulator.call_in`` allocates one per call (device hot paths: cell and
+    frame forwarding, link delivery).  Every :class:`Process` owns one, built
+    once, that starts its generator and wakes it from each ``yield delay`` —
+    the commonest wait in the model, so it allocates nothing.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
+        self.fn = fn
+        self.args = args
+
+
+def _orphaned(*_args: Any) -> None:
+    """What a heap entry calls once the process it would have woken was interrupted."""
 
 
 class Event:
@@ -99,7 +120,9 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, priority, sim._seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -111,33 +134,45 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, priority, sim._seq, self))
         return self
-
-    def _mark_processed(self) -> None:
-        self._processed = True
-        self.callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or self.__class__.__name__
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
-        return f"<{label} {state} at t={self.sim.now:.3f}>"
+        return f"<{label} {state} at t={self.sim._now:.3f}>"
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after its creation."""
+    """An event that fires ``delay`` time units after its creation.
+
+    A process that only sleeps should ``yield delay`` instead, which costs
+    a heap entry and no object; a ``Timeout`` is for a wait that is stored,
+    combined (``any_of``) or carries a value.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative Timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
+        # Event.__init__ flattened, born triggered: this runs once per wait.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay, priority=priority)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self.delay = delay
+        sim._seq += 1
+        heappush(sim._queue, (sim._now + delay, priority, sim._seq, self))
+
+    @property
+    def name(self) -> str:
+        """Built on demand (shadows the slot): no run reads it."""
+        return f"Timeout({self.delay})"
 
 
 class Process(Event):
@@ -145,23 +180,23 @@ class Process(Event):
 
     The process is itself an event which fires when the generator returns
     (with the generator's return value) or raises (failing the event).
+    The generator yields an :class:`Event` to wait for it, or a plain
+    number to sleep that many microseconds.
     """
 
-    __slots__ = ("generator", "_target", "_alive")
+    __slots__ = ("generator", "_target", "_alive", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: Optional[str] = None) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._target: Optional[Event] = None
+        self._target: Any = None
         self._alive = True
-        # Kick off the generator at the current time.
-        init = Event(sim, name="process-init")
-        init._triggered = True
-        init._ok = True
-        sim._schedule(init, delay=0.0, priority=URGENT)
-        init.callbacks.append(self._resume)
+        # Kick off the generator at the current time, ahead of NORMAL events.
+        self._wake = _Callback(self._resume, ())
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, self._wake))
 
     @property
     def is_alive(self) -> bool:
@@ -171,9 +206,15 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if not self._alive:
             return
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if type(target) is _Callback:
+            # Asleep on a bare delay: the heap entry cannot be removed, so it
+            # keeps its place (and its count) but wakes nobody.
+            target.fn = _orphaned
+            self._wake = _Callback(self._resume, ())
+        elif target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         interrupt_event = Event(self.sim, name="interrupt")
@@ -182,54 +223,60 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         # Interrupts do not propagate as process failures; they are thrown in.
         interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, delay=0.0, priority=URGENT)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, interrupt_event))
 
     # -- generator driving -----------------------------------------------
-    def _resume(self, trigger: Event) -> None:
+    def _resume(self, trigger: Optional[Event] = None) -> None:
+        """Advance the generator: ``trigger`` is the event it waited on, or
+        ``None`` when the wake record fires (start, or end of a bare delay)."""
         self._target = None
-        gen = self.generator
-        event: Any
         try:
-            if trigger.ok:
-                event = gen.send(trigger.value)
+            if trigger is None:
+                event = self.generator.send(None)
+            elif trigger._ok:
+                event = self.generator.send(trigger._value)
             else:
-                event = gen.throw(trigger.value)
-        except StopIteration as stop:
+                event = self.generator.throw(trigger._value)
+        except (StopIteration, StopProcess) as stop:
             self._alive = False
-            self.succeed(stop.value)
-            return
-        except StopProcess as stop:
-            self._alive = False
+            self._wake = None  # the record holds a bound method of self: drop the cycle
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._alive = False
-            self.fail(exc)
+            self._die(exc)
             return
 
-        if isinstance(event, (int, float)):
-            event = Timeout(self.sim, float(event))
-        if not isinstance(event, Event):
-            self._alive = False
-            self.fail(TypeError(f"process {self.name!r} yielded non-event {event!r}"))
+        sim = self.sim
+        if type(event) is not float:
+            if isinstance(event, Event):
+                if event.sim is not sim:
+                    self._die(RuntimeError("yielded event belongs to a different simulator"))
+                elif event.callbacks is None:
+                    # Already processed: resume at the current instant, ahead of NORMAL events.
+                    self._target = ghost = _Callback(self._resume, (event,))
+                    sim._seq += 1
+                    heappush(sim._queue, (sim._now, URGENT, sim._seq, ghost))
+                else:
+                    event.callbacks.append(self._resume)
+                    self._target = event
+                return
+            if not isinstance(event, (int, float)):
+                self._die(TypeError(f"process {self.name!r} yielded non-event {event!r}"))
+                return
+        # A bare delay, the commonest wait: one heap entry reusing the wake record.
+        if event < 0:
+            self._die(ValueError(f"negative Timeout delay: {event}"))
             return
-        if event.sim is not self.sim:
-            self._alive = False
-            self.fail(RuntimeError("yielded event belongs to a different simulator"))
-            return
+        self._target = self._wake
+        sim._seq += 1
+        heappush(sim._queue, (sim._now + event, NORMAL, sim._seq, self._wake))
 
-        if event.callbacks is None:
-            # Already processed: resume immediately at the current time.
-            ghost = Event(self.sim, name="ghost")
-            ghost._triggered = True
-            ghost._ok = event.ok
-            ghost._value = event._value
-            ghost.callbacks.append(self._resume)
-            self.sim._schedule(ghost, delay=0.0, priority=URGENT)
-            self._target = ghost
-        else:
-            event.callbacks.append(self._resume)
-            self._target = event
+    def _die(self, exc: BaseException) -> None:
+        self._alive = False
+        self._wake = None
+        self.fail(exc)
 
 
 class Condition(Event):
@@ -265,12 +312,12 @@ class Condition(Event):
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
+        if not event._ok:
             self.fail(event._value)
             return
         self._count += 1
         if self._evaluate(self._events, self._count):
-            self.succeed({e: e._value for e in self._events if e.processed and e.ok})
+            self.succeed({e: e._value for e in self._events if e._processed and e._ok})
 
 
 class AllOf(Condition):

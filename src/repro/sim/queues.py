@@ -36,6 +36,7 @@ class Store(Generic[T]):
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._put_name, self._get_name = f"{name}.put", f"{name}.get"  # built once, not per event
         self._items: Deque[T] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[Tuple[Event, T]] = deque()
@@ -49,7 +50,7 @@ class Store(Generic[T]):
 
     def put(self, item: T) -> Event:
         """Event that fires once ``item`` has been deposited."""
-        event = self.sim.event(name=f"{self.name}.put")
+        event = Event(self.sim, self._put_name)
         if not self.is_full:
             self._deposit(item)
             event.succeed()
@@ -66,7 +67,7 @@ class Store(Generic[T]):
 
     def get(self) -> Event:
         """Event that fires with the next item."""
-        event = self.sim.event(name=f"{self.name}.get")
+        event = Event(self.sim, self._get_name)
         if self._items:
             event.succeed(self._items.popleft())
             self._admit_putter()
@@ -205,6 +206,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._acquire_name = f"{name}.acquire"
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
@@ -217,7 +219,7 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = self.sim.event(name=f"{self.name}.acquire")
+        event = Event(self.sim, self._acquire_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()

@@ -100,7 +100,7 @@ class SplitCRuntime:
         """Process: charge local computation time."""
         duration = us + self.cpu.int_op_time(int_ops) + self.cpu.flop_time(flops)
         self.compute_time += duration
-        yield self.sim.timeout(duration)
+        yield duration
 
     def _comm(self, gen: Generator) -> Generator:
         """Run a communication step, attributing its time to 'net'."""
@@ -133,7 +133,7 @@ class SplitCRuntime:
 
     def _h_store(self, ctx: RequestContext) -> Generator:
         name_id, byte_offset, _a2, _a3 = ctx.args
-        yield self.sim.timeout(self.cpu.copy_time(len(ctx.data)))
+        yield self.cpu.copy_time(len(ctx.data))
         self.heap.write_bytes(name_id, byte_offset, ctx.data)
         self._count_store(ctx.src_node)
 
@@ -143,7 +143,7 @@ class SplitCRuntime:
         name_id, elem_offset, op_code, _a3 = ctx.args
         op = self._REDUCE_OPS[op_code] if op_code < len(self._REDUCE_OPS) else "sum"
         elements = len(ctx.data) // 8
-        yield self.sim.timeout(self.cpu.int_op_time(2 * max(1, elements)))
+        yield self.cpu.int_op_time(2 * max(1, elements))
         self.heap.combine_bytes(name_id, elem_offset, ctx.data, op=op)
         self._count_store(ctx.src_node)
 
@@ -224,7 +224,7 @@ class SplitCRuntime:
         )
 
     def _serve_fetch(self, requester: int, dst_name_id: int, tag: int, data: bytes) -> Generator:
-        yield self.sim.timeout(self.cpu.copy_time(len(data)))
+        yield self.cpu.copy_time(len(data))
         max_data = self.am.max_data
         for offset in range(0, max(1, len(data)), max_data):
             chunk = data[offset : offset + max_data]

@@ -7,7 +7,8 @@ byte-identical telemetry; (2) a lint pass over ``src/repro`` banning
 the ambient-nondeterminism primitives (wall clocks, the module-level
 ``random`` API) from simulation code — randomness must flow through the
 named-stream :class:`~repro.sim.rng.RngRegistry` and time through the
-simulator clock.
+simulator clock.  The same AST walk keeps ``src/repro`` to one idiom for
+a plain sleep (``yield delay``, never a directly yielded ``.timeout()``).
 """
 
 import ast
@@ -206,3 +207,45 @@ def test_wall_time_is_confined_to_boundary_modules():
     assert not importers, (
         "wall time or readiness-wait imported outside a declared "
         "boundary module:\n  " + "\n  ".join(importers))
+
+
+# ------------------------------------------------------- one idiom for a sleep
+def _directly_yielded_timeouts_in(path: pathlib.Path, source=None):
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        call = node.value if isinstance(node, ast.Yield) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "timeout"):
+            yield f"{path.name}:{node.lineno}: yield ....timeout(...)"
+
+
+def test_a_plain_sleep_is_a_yielded_delay():
+    """``yield sim.timeout(d)`` builds an Event only to wait on it at
+    once; ``yield d`` is the same wait (same heap entry, same order) with
+    no object, and ``src/repro`` uses that one idiom.  A timeout that is
+    stored, combined with ``any_of`` or returned stays legal."""
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        rel = path.relative_to(SRC_ROOT)
+        offenders.extend(f"{rel.parent / o}"
+                         for o in _directly_yielded_timeouts_in(path))
+    assert not offenders, (
+        "directly yielded timeout (write `yield delay`):\n  "
+        + "\n  ".join(offenders))
+
+
+def test_sleep_lint_catches_a_planted_offender_and_spares_stored_timeouts():
+    planted = (
+        "def f(self, sim):\n"
+        "    yield self.sim.timeout(\n"
+        "        self.gap_us)\n"
+        "    finish = sim.timeout(3.0)\n"
+        "    yield sim.any_of([finish, sim.timeout(9.0)])\n"
+        "    yield finish\n"
+        "    yield 2.0\n"
+        "    return sim.timeout(0.0)\n"
+    )
+    hits = list(_directly_yielded_timeouts_in(pathlib.Path("planted.py"),
+                                              source=planted))
+    assert hits == ["planted.py:2: yield ....timeout(...)"]
