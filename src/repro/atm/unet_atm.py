@@ -229,11 +229,13 @@ class UNetAtmBackend(UNetBackend):
             is_first = self._reassembly.get(cell.vci) is None
             yield from self._step(ATM_RX_TRACE, "pop cell, VCI table lookup", t.rx_per_cell_us,
                                   begin=is_first)
+            # reserved VCIs first: a collective cell is not an unknown tag
+            handler = self._collective_vcis.get(cell.vci)
+            if handler is not None:
+                yield from self._rx_collective(cell, handler)
+                continue
             target = self.demux.lookup(cell.vci)
             if target is None:
-                handler = self._collective_vcis.get(cell.vci)
-                if handler is not None:
-                    yield from self._rx_collective(cell, handler)
                 continue
             endpoint, channel_id = target
             if endpoint.quarantined:
@@ -283,7 +285,7 @@ class UNetAtmBackend(UNetBackend):
         Cells arriving on it are reassembled and consumed inside the
         firmware — no buffer allocation, no DMA, no host interrupt.
         """
-        if self.demux.lookup(vci) is not None:
+        if vci in self.demux:
             raise ChannelError(f"VCI {vci} already demultiplexes to an endpoint")
         self._collective_vcis[vci] = handler
 

@@ -48,6 +48,11 @@ class DemuxTable:
     def __len__(self) -> int:
         return len(self._table)
 
+    def __contains__(self, rx_tag: Any) -> bool:
+        """Membership probe for control paths: unlike :meth:`lookup`, a
+        miss is not an arriving PDU and books no drop."""
+        return rx_tag in self._table
+
     def register(self, rx_tag: Any, endpoint: Endpoint, channel_id: int) -> None:
         if rx_tag in self._table:
             raise KeyError(f"{self.name}: tag {rx_tag!r} already registered")
@@ -132,6 +137,9 @@ class ShardedDemux(DemuxTable):
     # ----------------------------------------------------------- table API
     def __len__(self) -> int:
         return self._size
+
+    def __contains__(self, rx_tag: Any) -> bool:
+        return rx_tag in self._shard_of(rx_tag)
 
     def register(self, rx_tag: Any, endpoint: Endpoint, channel_id: int) -> None:
         shard = self._shard_of(rx_tag)

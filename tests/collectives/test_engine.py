@@ -168,3 +168,19 @@ def test_interleaved_collectives_do_not_cross_talk(substrate):
     assert all(engine.barriers_completed == 2 for engine in engines)
     # stop-and-wait edges, no loss: nothing should have retransmitted
     assert all(engine.retransmissions == 0 for engine in engines)
+
+
+def test_atm_collective_cells_are_not_unknown_tags():
+    """Reserved VCIs are checked before the demux table, so a lossless
+    NIC barrier books no ``unknown_tag_drops`` (it used to book one per
+    collective cell, and one per VCI registered)."""
+    sim, engines = build("atm", 16, fanout=4)
+
+    def program(engine):
+        yield from engine.barrier()
+
+    run_on_all(sim, engines, program)
+    assert all(engine.barriers_completed == 1 for engine in engines)
+    drops = [engine.adapter.backend.drop_stats()["unknown_tag_drops"]
+             for engine in engines]
+    assert drops == [0] * 16
