@@ -1,11 +1,12 @@
 """The AM reliability spec, as executable predicates.
 
-Two implementations now exist of the Active Messages state machine —
-the simulated :class:`~repro.am.am.AmEndpoint` (generator processes)
-and the wall-clock :class:`~repro.live.am.LiveAm` (synchronous
-polling).  The decisions the differential checker cares most about are
-exactly the ones that have historically gone off by one, so they live
-here, once, and both endpoints call them:
+The Active Messages state machine (:mod:`repro.am.core`) runs under two
+drivers — the simulated :class:`~repro.am.am.AmEndpoint` (generator
+processes) and the wall-clock :class:`~repro.live.am.LiveAm`
+(synchronous polling).  The decisions the differential checker cares
+most about are exactly the ones that have historically gone off by one,
+so they live here as plain functions of their inputs, and the core
+reaches each through a named seam method:
 
 * the **credit gate**: a sender with zero known remote credit must
   stall (``<= 0``, not ``< 0`` — the classic injected bug);
@@ -38,9 +39,11 @@ here, once, and both endpoints call them:
   again until the cumulative ack passes the window edge recorded at
   that backoff (RFC-3168 shape).
 
-Keeping these shared means a fix (or a bug) lands in both substrates at
-once, and the conformance bug library can patch each implementation's
-seam knowing the healthy behavior is identical by construction.
+Keeping them out of the state machine means a fix lands on every
+substrate at once, the reference model (``conformance/model.py``) can
+use the SACK/ECN ones without importing any endpoint code, and the
+conformance bug library can replace one seam on the core knowing the
+healthy behavior is these functions, verbatim.
 """
 
 from __future__ import annotations

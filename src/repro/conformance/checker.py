@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..am import AmEndpoint
-from ..am.am import _PeerState  # typing/introspection only
+from ..am.core import AmCore
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..core.substrates import get_substrate, register_substrate
@@ -89,69 +89,20 @@ class CaseReport:
 
 
 # --------------------------------------------------------------- bug library
-def _buggy_credit_gate(self, peer: _PeerState) -> Generator:
+# Every patch replaces one spec seam of the protocol core, so a single
+# entry breaks the simulated and the live driver alike.
+def _buggy_credit_blocked(self, peer) -> bool:
     """The classic off-by-one: sends while remote credit is exactly 0."""
-    while True:
-        if len(peer.unacked) >= self._effective_window(peer):
-            event = self.sim.event(name=f"am{self.node}.window")
-            peer.window_waiters.append(event)
-            yield event
-            continue
-        if (self.config.credit_flow and peer.remote_credit is not None
-                and peer.remote_credit < 0):  # BUG: spec says <= 0
-            peer.credit_stalls += 1
-            self._observe("credit_stall", peer, remote_credit=peer.remote_credit)
-            event = self.sim.event(name=f"am{self.node}.credit")
-            peer.credit_waiters.append(event)
-            yield event
-            continue
-        self._observe("grant", peer, unacked=len(peer.unacked),
-                      window=self._effective_window(peer),
-                      remote_credit=peer.remote_credit)
-        return
+    return (self.config.credit_flow and peer.remote_credit is not None
+            and peer.remote_credit < 0)  # BUG: spec says <= 0
 
 
-def _buggy_ack_horizon(self, peer: _PeerState, ack: int) -> None:
+def _buggy_acked_seqs(self, peer, ack: int):
     """Cumulative-ack fencepost: also acks the packet the receiver is
     still *waiting for*, so a dropped packet is never retransmitted."""
     from ..am.protocol import seq_add, seq_lt
 
-    cfg = self.config
-    acked = [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG: < ack
-    if not acked:
-        if cfg.fast_retransmit and peer.unacked:
-            if peer.last_ack is None or peer.last_ack != ack:
-                peer.last_ack = ack
-                peer.dup_acks = 0
-            else:
-                peer.dup_acks += 1
-                if peer.dup_acks == cfg.dup_ack_threshold:
-                    self._fast_retransmit(peer)
-        return
-    peer.last_ack = ack
-    peer.dup_acks = 0
-    if cfg.adaptive_rto:
-        sample = None
-        for seq in acked:
-            sent = peer.sent_at.pop(seq, None)
-            if sent is not None and seq not in peer.rexmit_seqs:
-                sample = self.sim.now - sent
-            peer.rexmit_seqs.discard(seq)
-        if sample is not None:
-            self._update_rto(peer, sample)
-        peer.backoff = 0
-    else:
-        for seq in acked:
-            peer.sent_at.pop(seq, None)
-            peer.rexmit_seqs.discard(seq)
-    if cfg.adaptive_window:
-        peer.cwnd = min(float(cfg.window),
-                        peer.cwnd + len(acked) / max(peer.cwnd, 1.0))
-    for seq in acked:
-        del peer.unacked[seq]
-    peer.last_progress = self.sim.now
-    while peer.window_waiters and len(peer.unacked) < self._effective_window(peer):
-        peer.window_waiters.pop(0).succeed()
+    return [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG: < ack
 
 
 def _buggy_epoch_fence(self, claimed, current) -> bool:
@@ -203,14 +154,14 @@ BUGS: Dict[str, dict] = {
     "credit-gate": {
         "description": "send admitted while remote credit is exactly 0 "
                        "(gate tests < 0 instead of <= 0)",
-        "patches": {"_acquire_window": _buggy_credit_gate},
+        "patches": {"_credit_blocked": _buggy_credit_blocked},
         "configs": ("credit",),
     },
     "ack-horizon": {
         "description": "cumulative ack off by one: the packet the receiver "
                        "is waiting for is treated as acknowledged, so a "
                        "dropped packet is never retransmitted",
-        "patches": {"_process_ack": _buggy_ack_horizon},
+        "patches": {"_acked_seqs": _buggy_acked_seqs},
         "configs": ("fixed", "adaptive", "credit"),
     },
     "epoch-fence": {
@@ -247,21 +198,22 @@ BUGS: Dict[str, dict] = {
 
 @contextmanager
 def inject_bug(name: Optional[str]):
-    """Temporarily install a named bug into :class:`AmEndpoint`."""
+    """Temporarily install a named bug into the protocol core, and so
+    into every driver built on it (simulated and live)."""
     if name is None:
         yield
         return
     if name not in BUGS:
         raise ValueError(f"unknown bug {name!r}; choose from {sorted(BUGS)}")
     patches = BUGS[name]["patches"]
-    saved = {attr: getattr(AmEndpoint, attr) for attr in patches}
+    saved = {attr: getattr(AmCore, attr) for attr in patches}
     try:
         for attr, fn in patches.items():
-            setattr(AmEndpoint, attr, fn)
+            setattr(AmCore, attr, fn)
         yield
     finally:
         for attr, fn in saved.items():
-            setattr(AmEndpoint, attr, fn)
+            setattr(AmCore, attr, fn)
 
 
 # ------------------------------------------------------------------- running

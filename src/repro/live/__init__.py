@@ -37,7 +37,7 @@ from .backend import (
 )
 from .bufpool import BufferPool, PooledSlice, PoolExhausted
 from .clock import WallClock
-from .conform import LIVE_BUGS, inject_live_bug, register_live_substrates, run_live_case
+from .conform import register_live_substrates, run_live_case
 from .doorbell import DEFAULT_DOORBELL_MODE, DOORBELL_MODES, EventDoorbell
 from .mmsg import mmsg_available, mmsg_path
 from .transport import (
@@ -68,8 +68,6 @@ __all__ = [
     "available_transport_kinds",
     "make_transport",
     "run_live_case",
-    "inject_live_bug",
-    "LIVE_BUGS",
     "register_live_substrates",
     "FRAME_HEADER",
     "FRAME_HEADER_SIZE",

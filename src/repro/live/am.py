@@ -1,73 +1,31 @@
-"""Active Messages over U-Net/OS: the wall-clock state machine.
+"""Active Messages over U-Net/OS: the wall-clock, polled driver.
 
-:class:`LiveAm` is the synchronous twin of the simulated
-:class:`~repro.am.am.AmEndpoint`.  Same wire format
-(:mod:`repro.am.protocol`), same go-back-N + cumulative-ack
-reliability, same opt-in adaptive RTO / AIMD / fast-retransmit and
-receiver-credit machinery, the same crash-recovery extension
-(incarnation epochs, the HELLO reconnect handshake, the ack-starvation
-liveness detector), the same loss-resilient transport extensions
-(SACK scoreboard + bounded reorder buffer, ECN mark-echo backoff), and
-the same observable-event vocabulary
-(``grant``, ``credit_stall``, ``tx``, ``rexmit``, ``timeout``,
-``dispatch``, ``reply``, ``dup_rx``, ``ecn_mark``, ``ecn_echo``,
-``ecn_backoff``, plus the recovery kinds
-``reconnect``, ``reconnected``, ``stale_epoch``, ``abandon``,
-``peer_dead``, ``peer_alive``, ``peer_restart``) — which is what lets
-one :class:`~repro.conformance.observe.ObservationProbe` check the same
-online invariants against either implementation.
+:class:`LiveAm` runs the same protocol core as the simulated
+:class:`~repro.am.am.AmEndpoint` (:mod:`repro.am.core`: one wire format,
+one state machine, one observable-event vocabulary, one set of spec
+seams for the conformance bug library) — which is what lets one
+:class:`~repro.conformance.observe.ObservationProbe` check the same
+online invariants against either.
 
-The difference is purely structural: where the simulated endpoint
-blocks generator processes on events, LiveAm is *polled*.
-``start_request`` returns ``None`` instead of blocking when the window
-or credit gate refuses admission; :meth:`service` does one pass of
-ingress dispatch, delayed-ack deadlines, retransmission timers, and
-credit refresh against the injected :class:`~repro.core.clock.Clock`.
-Spec-critical decisions (the credit gate, the cumulative-ack horizon,
-the epoch fence, the at-most-once reconnect split) are delegated to
-:mod:`repro.am.spec` — shared with the simulated endpoint — through the
-``_credit_blocked`` / ``_acked_seqs`` / ``_epoch_stale`` /
-``_reconnect_plan`` seams the conformance bug library patches.
+What differs is purely mechanical: where the simulated endpoint blocks
+generator processes on events, LiveAm is *polled*.  ``start_request``
+returns ``None`` instead of blocking when the window, the credit gate or
+a reconnect handshake refuses admission; :meth:`service` does one pass
+of ingress dispatch, then scans the delayed-ack, retransmission, HELLO,
+heartbeat and credit-refresh deadlines against the injected
+:class:`~repro.core.clock.Clock`.  Handlers are plain calls, a packet
+reaches U-Net through a bounded busy-retry, and an rpc completes by
+appearing in ``rpc_results``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..am.am import AmConfig, AmError
-from ..am.protocol import (
-    CREDIT_SIZE,
-    EPOCH_MOD,
-    EPOCH_SIZE,
-    HEADER_SIZE,
-    SACK_SIZE,
-    SEQ_MOD,
-    TYPE_ACK,
-    TYPE_HELLO,
-    TYPE_HELLO_ACK,
-    TYPE_REPLY,
-    TYPE_REQUEST,
-    Packet,
-    decode,
-    encode,
-    seq_add,
-    seq_lt,
-)
-from ..am.spec import (
-    ack_epoch_applies,
-    credit_gate_blocks,
-    cumulative_acked,
-    ecn_backoff_allowed,
-    effective_epoch,
-    epoch_advances,
-    epoch_is_stale,
-    reconnect_plan,
-    reorder_admit,
-    sack_block,
-    sack_retransmit_plan,
-)
-from ..core.errors import EndpointError, PeerUnavailableError, StaleEpochError
+from ..am.core import AmConfig, AmCore, AmError, PeerState, RequestContext
+from ..am.protocol import TYPE_ACK, TYPE_HELLO, TYPE_REPLY, TYPE_REQUEST, Packet
+from ..core.errors import EndpointError, PeerUnavailableError
 from .backend import LiveUserEndpoint
 
 __all__ = ["LiveAm", "LiveRequestContext"]
@@ -76,407 +34,98 @@ __all__ = ["LiveAm", "LiveRequestContext"]
 _SEND_RETRIES = 400
 _SEND_RETRY_SLEEP_US = 25.0
 
+#: live handlers get the core's context; ``reply`` sends synchronously
+LiveRequestContext = RequestContext
 
-class _LivePeer:
-    """Per-connection reliability state (no simulator events)."""
 
-    __slots__ = (
-        "node", "channel", "next_seq", "unacked", "expected_seq",
-        "ack_deadline", "deliveries_since_ack", "last_progress",
-        "retransmissions", "duplicates", "ooo_held", "stalled",
-        # adaptive reliability
-        "srtt", "rttvar", "rto_us", "backoff", "sent_at", "rexmit_seqs",
-        "cwnd", "last_ack", "dup_acks", "fast_done_seq", "timeouts",
-        "fast_retransmits", "rtt_samples",
-        # selective acknowledgment
-        "sacked", "sack_rexmitted",
-        # ECN-style congestion signaling
-        "pending_echoes", "ecn_round_end", "ecn_marks", "ecn_echoes",
-        "ecn_backoffs",
-        # receiver-credit backpressure
-        "remote_credit", "credit_stalls", "last_advertised",
-        # crash recovery
-        "remote_epoch", "alive", "starved_timeouts", "reconnecting",
-        "next_hello_at", "abandoned", "last_heard",
-    )
+class _LivePeer(PeerState):
+    """Per-connection state plus what a polled sender must remember."""
+
+    __slots__ = ("stalled", "next_hello_at")
 
     def __init__(self, node: int, channel: int, window: int, now: float) -> None:
-        self.node = node
-        self.channel = channel
-        self.next_seq = 0
-        self.unacked: Dict[int, Packet] = {}
-        self.expected_seq = 0
-        #: wall deadline of the pending delayed ack (None = none pending)
-        self.ack_deadline: Optional[float] = None
-        self.deliveries_since_ack = 0
-        self.last_progress = now
-        self.retransmissions = 0
-        self.duplicates = 0
-        self.ooo_held: Dict[int, Packet] = {}
+        super().__init__(node, channel, window, now)
         #: in a credit-stall episode (count one stall per episode, not
         #: one per poll of a gated sender)
         self.stalled = False
-        self.srtt: Optional[float] = None
-        self.rttvar = 0.0
-        self.rto_us = 0.0
-        self.backoff = 0
-        self.sent_at: Dict[int, float] = {}
-        self.rexmit_seqs = set()
-        self.cwnd = float(window)
-        self.last_ack: Optional[int] = None
-        self.dup_acks = 0
-        self.fast_done_seq: Optional[int] = None
-        self.timeouts = 0
-        self.fast_retransmits = 0
-        self.rtt_samples = 0
-        #: outstanding seqs a SACK block reported the receiver holds
-        self.sacked = set()
-        #: holes already selectively retransmitted this round
-        self.sack_rexmitted = set()
-        #: congestion marks accepted but not yet echoed to the peer
-        self.pending_echoes = 0
-        #: window edge recorded at the last ECN backoff (one per round)
-        self.ecn_round_end: Optional[int] = None
-        self.ecn_marks = 0
-        self.ecn_echoes = 0
-        self.ecn_backoffs = 0
-        self.remote_credit: Optional[int] = None
-        self.credit_stalls = 0
-        self.last_advertised: Optional[int] = None
-        #: last incarnation epoch seen from (or HELLO'd by) the peer
-        self.remote_epoch = 0
-        #: any valid packet from the peer (usually its HELLO) revives it
-        self.alive = True
-        #: consecutive retransmission timeouts without cumulative-ack progress
-        self.starved_timeouts = 0
-        #: True between restart() and the peer's HELLO-ACK; new sends
-        #: are refused admission until the channel is re-established
-        self.reconnecting = False
         #: wall deadline of the next HELLO retransmit (reconnecting only)
         self.next_hello_at = now
-        #: sends abandoned under the at-most-once contract
-        self.abandoned = 0
-        self.last_heard = now
 
 
-class LiveRequestContext:
-    """Handed to request handlers; ``reply`` sends synchronously."""
-
-    __slots__ = ("am", "src_node", "args", "data", "_req_seq", "replied")
-
-    def __init__(self, am: "LiveAm", src_node: int, args, data: bytes, req_seq: int) -> None:
-        self.am = am
-        self.src_node = src_node
-        self.args = args
-        self.data = data
-        self._req_seq = req_seq
-        self.replied = False
-
-    def reply(self, args=(), data: bytes = b"") -> None:
-        self.replied = True
-        self.am._send_reply(self.src_node, self._req_seq, args, data)
-
-
-#: live handler signature: fn(ctx) -> None (synchronous)
-Handler = Callable[[LiveRequestContext], None]
-
-
-class LiveAm:
+class LiveAm(AmCore):
     """An Active Messages endpoint bound to one live U-Net endpoint."""
 
     def __init__(self, node_id: int, user: LiveUserEndpoint,
                  config: Optional[AmConfig] = None,
                  rng: Optional[random.Random] = None) -> None:
-        self.node = node_id
-        self.user = user
+        super().__init__(node_id, user, user.backend, config, rng)
         self.clock = user.backend.clock
-        self.config = config or AmConfig()
-        self._rng = rng or random.Random(0x5EED ^ node_id)
-        self._peers_by_node: Dict[int, _LivePeer] = {}
-        self._peers_by_channel: Dict[int, _LivePeer] = {}
-        self._handlers: Dict[int, Handler] = {}
+        #: the core's time hook, bound straight to the injected clock
+        self._now = self.clock.now_us
         #: completed rpc replies keyed by (peer node, request seq)
         self.rpc_results: Dict[Tuple[int, int], Tuple[tuple, bytes]] = {}
-        self._rpc_outstanding: set = set()
-        self.requests_sent = 0
-        self.replies_sent = 0
-        self.acks_sent = 0
-        self.requests_delivered = 0
-        #: same hook contract as the simulated endpoint:
-        #: ``observer(kind, fields)`` with kinds grant, credit_stall, tx,
-        #: rexmit, timeout, dispatch, reply, dup_rx
-        self.observer: Optional[Callable[[str, Dict], None]] = None
-        self._running = True
-        self._next_credit_refresh = (
-            self.clock.now_us() + self.config.credit_update_us)
-        #: current incarnation (stamped into every packet when the
-        #: recovery extension is on; restarts increment it)
-        self.epoch = self.config.epoch
-        self._crashed = False
-        self.restarts = 0
-        #: sends abandoned under the at-most-once contract, all peers
-        self.abandoned_sends = 0
-        #: rpc keys whose request was abandoned; polled out as
+        #: why an rpc's request was abandoned; polled out as
         #: PeerUnavailableError by rpc_result
         self._rpc_failed: Dict[Tuple[int, int], str] = {}
+        now = self._now()
+        self._next_credit_refresh = now + self.config.credit_update_us
         self._next_heartbeat = (
-            self.clock.now_us() + self.config.heartbeat_us
+            now + self.config.heartbeat_us
             if self.config.recovery and self.config.heartbeat_us > 0 else None)
-        #: optional :class:`~repro.core.health.HealthMonitor` (manual
-        #: mode); same verdict feed as the simulated AM endpoint
-        self.health = None
 
-    # ------------------------------------------------------------- set-up
-    @property
-    def max_data(self) -> int:
-        overhead = (HEADER_SIZE
-                    + (CREDIT_SIZE if self.config.credit_flow else 0)
-                    + (EPOCH_SIZE if self.config.recovery else 0)
-                    + (SACK_SIZE if self.config.ack_mode == "sack" else 0))
-        return self.user.backend.max_pdu - overhead
+    # -------------------------------------------------------- driver hooks
+    def _new_peer(self, node_id: int, channel_id: int) -> _LivePeer:
+        return _LivePeer(node_id, channel_id, self.config.window, self._now())
 
-    def connect_peer(self, node_id: int, channel_id: int) -> None:
-        if node_id in self._peers_by_node:
-            raise AmError(f"peer {node_id} already connected")
-        peer = _LivePeer(node_id, channel_id, self.config.window,
-                         self.clock.now_us())
-        self._peers_by_node[node_id] = peer
-        self._peers_by_channel[channel_id] = peer
-
-    def register_handler(self, handler_id: int, fn: Handler) -> None:
-        if not 0 <= handler_id <= 0xFF:
-            raise AmError("handler id must fit one byte")
-        self._handlers[handler_id] = fn
-
-    def shutdown(self) -> None:
-        self._running = False
-
-    def attach_health(self, monitor) -> None:
-        """Feed liveness and incarnation verdicts into a (manual-mode)
-        :class:`~repro.core.health.HealthMonitor` — the same contract
-        :meth:`repro.am.am.AmEndpoint.attach_health` provides on the
-        simulated substrates."""
-        self.health = monitor
-        monitor.watch(self.user.endpoint)
-
-    # ------------------------------------------------------ crash recovery
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    def crash(self) -> None:
-        """The process dies abruptly: all AM state is gone.
-
-        The live endpoint object survives (so the test/soak harness can
-        restart it) but nothing is sent, processed, or acknowledged
-        until :meth:`restart`; ingress is consumed and discarded, as the
-        kernel does for a process that is no longer reading.
-        """
-        if not self.config.recovery:
-            raise AmError("crash()/restart() require AmConfig.recovery")
-        if self._crashed:
-            return
-        self._crashed = True
-        for peer in self._peers_by_node.values():
-            peer.unacked.clear()
-            peer.sent_at.clear()
-            peer.rexmit_seqs.clear()
-            peer.ooo_held.clear()
-        for key in list(self._rpc_outstanding):
-            self._rpc_outstanding.discard(key)
-            self._rpc_failed[key] = (
-                f"incarnation {self.epoch} of node {self.node} crashed")
-
-    def restart(self) -> int:
-        """Come back as a fresh incarnation: epoch+1, empty state.
-
-        Per-peer go-back-N state is rebuilt from scratch (a restarted
-        process remembers nothing) and a HELLO handshake announces the
-        new epoch on each channel; sends attempted before the peer's
-        HELLO-ACK arrives are refused admission (``start_request``
-        returns None).  Returns the new epoch.
-        """
-        if not self.config.recovery:
-            raise AmError("crash()/restart() require AmConfig.recovery")
-        self.epoch = (self.epoch + 1) % EPOCH_MOD
-        self.restarts += 1
-        self._crashed = False
-        if self.health is not None:
-            # local restart event: a quarantine latch earned by the dead
-            # incarnation converts back into a live evaluation
-            self.health.note_epoch_advance(self.user.endpoint)
-        now = self.clock.now_us()
-        for node, old in list(self._peers_by_node.items()):
-            fresh = _LivePeer(old.node, old.channel, self.config.window, now)
-            fresh.reconnecting = True
-            self._peers_by_node[node] = fresh
-            self._peers_by_channel[old.channel] = fresh
-            self._observe("reconnect", fresh, epoch=self.epoch)
-            self._send_hello(fresh, TYPE_HELLO)
-            fresh.next_hello_at = now + self.config.hello_retry_us
-        return self.epoch
-
-    def _send_hello(self, peer: _LivePeer, ptype: int) -> None:
-        # _transmit stamps the epoch pair and the receive horizon (ack)
+    def _send_now(self, peer: _LivePeer, ptype: int) -> None:
         self._transmit(peer, Packet(type=ptype), track=False)
 
-    def _abandon(self, peer: _LivePeer, seqs, reason: str) -> None:
-        """Give the listed in-flight sends their ``abandoned`` fate."""
-        for seq in list(seqs):
-            peer.unacked.pop(seq, None)
-            peer.sent_at.pop(seq, None)
-            peer.rexmit_seqs.discard(seq)
-            peer.abandoned += 1
-            self.abandoned_sends += 1
-            self.user.endpoint.note_drop("peer_dead_drops")
-            self._observe("abandon", peer, seq=seq, reason=reason)
-            key = (peer.node, seq)
-            if key in self._rpc_outstanding:
-                self._rpc_outstanding.discard(key)
-                self._rpc_failed[key] = (
-                    f"send seq {seq} to node {peer.node} abandoned: {reason}")
+    def _retransmit_now(self, peer: _LivePeer, seq: Optional[int] = None) -> None:
+        wire = self._rexmit_wire(peer, seq)
+        if wire is not None:
+            self._push_wire(peer, wire)
 
-    def _declare_peer_dead(self, peer: _LivePeer, reason: str) -> None:
-        if not peer.alive:
-            return
-        peer.alive = False
-        self._observe("peer_dead", peer, reason=reason)
-        self._abandon(peer, list(peer.unacked), reason)
-        if self.health is not None:
-            self.health.report_peer_dead(self.user.endpoint, peer.node)
+    def _start_hello(self, peer: _LivePeer) -> None:
+        self._send_now(peer, TYPE_HELLO)
+        peer.next_hello_at = self._now() + self.config.hello_retry_us
 
-    def _mark_alive(self, peer: _LivePeer) -> None:
-        peer.last_heard = self.clock.now_us()
-        peer.starved_timeouts = 0
-        if not peer.alive:
-            peer.alive = True
-            self._observe("peer_alive", peer)
-            if self.health is not None:
-                self.health.report_peer_alive(self.user.endpoint, peer.node)
+    def _credit_opened(self, peer: _LivePeer) -> None:
+        peer.stalled = False
 
-    def _epoch_stale(self, claimed: Optional[int], current: int) -> bool:
-        """Seam for the epoch fence; healthy = :func:`epoch_is_stale`."""
-        return epoch_is_stale(claimed, current)
+    def _rpc_complete(self, key, _token, reply) -> None:
+        self.rpc_results[key] = reply
 
-    def _reconnect_plan(self, peer: _LivePeer, horizon: int, restarted: bool):
-        """Seam for the at-most-once reconnect split; healthy =
-        :func:`reconnect_plan`.  Whatever lands in neither list stays in
-        ``unacked`` and is replayed."""
-        return reconnect_plan(peer.unacked, horizon, restarted)
+    def _rpc_fail(self, key, _token, exc: Exception) -> None:
+        self._rpc_failed[key] = str(exc)
 
-    def _peer_restarted(self, peer: _LivePeer, new_epoch: int,
-                        horizon: int) -> None:
-        """The peer came back as incarnation ``new_epoch``: apply the
-        reconnect plan to our in-flight sends and rebuild both
-        directions of the channel."""
-        completed, abandoned = self._reconnect_plan(peer, horizon, True)
-        for seq in completed:
-            peer.unacked.pop(seq, None)
-            peer.sent_at.pop(seq, None)
-            peer.rexmit_seqs.discard(seq)
-        self._abandon(peer, abandoned,
-                      f"peer restarted as epoch {new_epoch}")
-        remaining = list(peer.unacked)
-        peer.next_seq = seq_add(remaining[-1], 1) if remaining else 0
-        peer.expected_seq = 0
-        peer.ooo_held.clear()
-        peer.ack_deadline = None
-        peer.deliveries_since_ack = 0
-        peer.last_ack = None
-        peer.dup_acks = 0
-        peer.fast_done_seq = None
-        peer.backoff = 0
-        peer.remote_credit = None
-        peer.remote_epoch = new_epoch
-        if self.health is not None:
-            # a fresh incarnation is talking: re-evaluate any latch the
-            # dead one earned (the watchdog re-latches if still bad)
-            self.health.note_epoch_advance(self.user.endpoint)
-        self._observe("peer_restart", peer, epoch=new_epoch, horizon=horizon)
-
-    def _check_incarnation(self) -> None:
-        if self._crashed:
-            raise StaleEpochError(
-                f"node {self.node} epoch {self.epoch} has crashed; "
-                f"restart() before sending")
-
-    # ------------------------------------------------------- introspection
-    def _observe(self, kind: str, peer: _LivePeer, **fields) -> None:
-        if self.observer is not None:
-            fields["node"] = self.node
-            fields["peer"] = peer.node
-            fields["t"] = self.clock.now_us()
-            self.observer(kind, fields)
-
-    def snapshot(self) -> Dict[int, Dict]:
-        """Same introspection shape as the simulated endpoint."""
-        out: Dict[int, Dict] = {}
-        for node, p in self._peers_by_node.items():
-            out[node] = {
-                "next_seq": p.next_seq,
-                "expected_seq": p.expected_seq,
-                "unacked": len(p.unacked),
-                "window": self._effective_window(p),
-                "cwnd": p.cwnd,
-                "remote_credit": p.remote_credit,
-                "last_advertised": p.last_advertised,
-                "retransmissions": p.retransmissions,
-                "timeouts": p.timeouts,
-                "fast_retransmits": p.fast_retransmits,
-                "duplicates": p.duplicates,
-                "credit_stalls": p.credit_stalls,
-                "rtt_samples": p.rtt_samples,
-                "sacked": len(p.sacked),
-                "ooo_held": len(p.ooo_held),
-                "ecn_marks": p.ecn_marks,
-                "ecn_echoes": p.ecn_echoes,
-                "ecn_backoffs": p.ecn_backoffs,
-                "srtt_us": p.srtt,
-                "epoch": self.epoch,
-                "remote_epoch": p.remote_epoch,
-                "alive": p.alive,
-                "reconnecting": p.reconnecting,
-                "abandoned": p.abandoned,
-            }
-        return out
-
-    @property
-    def credit_stalls(self) -> int:
-        return sum(p.credit_stalls for p in self._peers_by_node.values())
-
+    # ------------------------------------------------------------- sending
     @property
     def idle(self) -> bool:
         """Nothing in flight: every peer fully acknowledged."""
         return all(not p.unacked for p in self._peers_by_node.values())
 
-    # ------------------------------------------------------------- sending
     def start_request(self, dest: int, handler: int, args=(),
                       data: bytes = b"") -> Optional[int]:
         """Try to admit and transmit one request.
 
-        Returns the assigned sequence number, or None when the window
-        or credit gate refuses admission — the caller services the
-        world and retries (the polled analogue of blocking).
+        Returns the assigned sequence number, or None when the window,
+        the credit gate or a reconnect handshake refuses admission — the
+        caller services the world and retries (the polled analogue of
+        blocking).
         """
-        if self.config.recovery:
-            self._check_incarnation()
+        self._check_incarnation()
         peer = self._peer(dest)
         if len(data) > self.max_data:
             raise AmError(f"data block of {len(data)} bytes exceeds "
                           f"packet maximum {self.max_data}")
-        if self.config.recovery:
-            if not peer.alive:
-                raise PeerUnavailableError(
-                    f"node {peer.node} is dead (liveness detector)",
-                    peer=peer.node)
-            if peer.reconnecting:
-                return None  # queue behind the HELLO handshake
-        if not self._admit(peer):
+        why = self._gate(peer)
+        if why is not None:
+            if why == "credit" and not peer.stalled:
+                peer.stalled = True
+                self._note_credit_stall(peer)
             return None
-        packet = Packet(type=TYPE_REQUEST, handler=handler, seq=peer.next_seq,
-                        args=tuple(args), data=data)
-        peer.next_seq = seq_add(peer.next_seq, 1)
-        self.requests_sent += 1
+        peer.stalled = False
+        packet = self._sequenced(peer, TYPE_REQUEST, handler, 0, args, data)
         self._transmit(peer, packet, track=True)
         return packet.seq
 
@@ -488,15 +137,16 @@ class LiveAm:
         """
         seq = self.start_request(dest, handler, args=args, data=data)
         if seq is not None:
-            self._rpc_outstanding.add((dest, seq))
+            self._rpc_pending[(dest, seq)] = True
         return seq
 
     def rpc_result(self, dest: int, seq: int) -> Optional[Tuple[tuple, bytes]]:
         """The reply for request ``seq``, consumed, or None if pending.
 
         Raises :class:`PeerUnavailableError` when the request was
-        abandoned (peer declared dead or restarted) — the polled
-        analogue of the simulated endpoint failing the rpc waiter.
+        abandoned (peer declared dead or restarted, or this endpoint
+        crashed) — the polled analogue of the simulated endpoint failing
+        the rpc waiter.
         """
         reason = self._rpc_failed.pop((dest, seq), None)
         if reason is not None:
@@ -507,148 +157,49 @@ class LiveAm:
                 pump: Optional[Callable[[], None]] = None,
                 limit_us: float = 5_000_000.0) -> int:
         """Blocking convenience: poll until the request is admitted."""
-        deadline = self.clock.now_us() + limit_us
-        while True:
-            seq = self.start_request(dest, handler, args=args, data=data)
-            if seq is not None:
-                return seq
-            if self.clock.now_us() >= deadline:
-                raise AmError(f"request to node {dest} not admitted "
-                              f"within {limit_us:.0f}us")
-            self._pump(pump)
+        return self._poll(
+            lambda: self.start_request(dest, handler, args=args, data=data),
+            pump, self._now() + limit_us,
+            "request to node %d not admitted within %.0fus", dest, limit_us)
 
     def rpc(self, dest: int, handler: int, args=(), data: bytes = b"",
             pump: Optional[Callable[[], None]] = None,
             limit_us: float = 5_000_000.0) -> Tuple[tuple, bytes]:
         """Blocking convenience: request + wait for the matching reply."""
-        deadline = self.clock.now_us() + limit_us
+        deadline = self._now() + limit_us
+        seq = self._poll(
+            lambda: self.start_rpc(dest, handler, args=args, data=data),
+            pump, deadline,
+            "rpc to node %d not admitted within %.0fus", dest, limit_us)
+        return self._poll(
+            lambda: self.rpc_result(dest, seq), pump, deadline,
+            "rpc %d to node %d got no reply within %.0fus", seq, dest, limit_us)
+
+    def _poll(self, attempt: Callable[[], Any], pump: Optional[Callable[[], None]],
+              deadline: float, timed_out: str, *details):
+        """Retry ``attempt``, servicing the world in between, until it
+        returns something; :class:`AmError` once ``deadline`` passes."""
         while True:
-            seq = self.start_rpc(dest, handler, args=args, data=data)
-            if seq is not None:
-                break
-            if self.clock.now_us() >= deadline:
-                raise AmError(f"rpc to node {dest} not admitted "
-                              f"within {limit_us:.0f}us")
-            self._pump(pump)
-        while True:
-            result = self.rpc_result(dest, seq)
+            result = attempt()
             if result is not None:
                 return result
-            if self.clock.now_us() >= deadline:
-                raise AmError(f"rpc {seq} to node {dest} got no reply "
-                              f"within {limit_us:.0f}us")
-            self._pump(pump)
-
-    def _pump(self, pump: Optional[Callable[[], None]]) -> None:
-        if pump is not None:
-            pump()
-        else:
-            self.user.backend.service()
-            self.service()
-
-    # -- admission (the gates the conformance probe watches) ---------------
-    def _admit(self, peer: _LivePeer) -> bool:
-        if len(peer.unacked) >= self._effective_window(peer):
-            return False
-        if self._credit_blocked(peer):
-            if not peer.stalled:
-                peer.stalled = True
-                peer.credit_stalls += 1
-                self._observe("credit_stall", peer,
-                              remote_credit=peer.remote_credit)
-            return False
-        peer.stalled = False
-        self._observe("grant", peer, unacked=len(peer.unacked),
-                      window=self._effective_window(peer),
-                      remote_credit=peer.remote_credit)
-        return True
-
-    def _credit_blocked(self, peer: _LivePeer) -> bool:
-        """Spec seam: the conformance bug library patches this."""
-        return self.config.credit_flow and credit_gate_blocks(peer.remote_credit)
-
-    def _acked_seqs(self, peer: _LivePeer, ack: int) -> List[int]:
-        """Spec seam: the conformance bug library patches this."""
-        return cumulative_acked(peer.unacked, ack)
-
-    def _sack_block(self, peer: _LivePeer) -> int:
-        """The SACK bitmap this receiver advertises; healthy =
-        :func:`repro.am.spec.sack_block` over the reorder buffer."""
-        return sack_block(peer.expected_seq, peer.ooo_held,
-                          self.config.sack_horizon)
-
-    def _sack_plan(self, outstanding, ack: int, bits: int):
-        """Seam for scoreboard interpretation of a SACK block; healthy =
-        :func:`repro.am.spec.sack_retransmit_plan`.  The
-        ``sack-bitmap-shift`` injected bug reads bit *i* as ``ack + i``
-        instead of ``ack + 1 + i``."""
-        return sack_retransmit_plan(outstanding, ack, bits)
-
-    def _ecn_echo(self, peer: _LivePeer) -> bool:
-        """Seam for the congestion-mark echo; healthy: drain one pending
-        echo onto this outbound packet.  The ``ecn-echo-drop`` injected
-        bug swallows it."""
-        if peer.pending_echoes <= 0:
-            return False
-        peer.pending_echoes -= 1
-        peer.ecn_echoes += 1
-        self._observe("ecn_echo", peer, pending=peer.pending_echoes)
-        return True
-
-    def _effective_window(self, peer: _LivePeer) -> int:
-        if not self.config.adaptive_window:
-            return self.config.window
-        return max(self.config.min_window,
-                   min(self.config.window, int(peer.cwnd)))
-
-    def _local_credit(self) -> int:
-        endpoint = self.user.endpoint
-        room = min(
-            endpoint.recv_queue.capacity - len(endpoint.recv_queue),
-            len(endpoint.free_queue),
-        )
-        return room // max(1, len(self._peers_by_node))
+            if self._now() >= deadline:
+                raise AmError(timed_out % details)
+            if pump is not None:
+                pump()
+            else:
+                self._backend.service()
+                self.service()
 
     def _send_reply(self, dest: int, req_seq: int, args, data: bytes) -> None:
         # replies bypass the request window (deadlock avoidance) but are
         # still sequenced, tracked, and retransmitted
         peer = self._peer(dest)
-        packet = Packet(type=TYPE_REPLY, seq=peer.next_seq, req_seq=req_seq,
-                        args=tuple(args), data=data)
-        peer.next_seq = seq_add(peer.next_seq, 1)
-        self.replies_sent += 1
-        self._transmit(peer, packet, track=True)
-
-    def _send_ack(self, peer: _LivePeer) -> None:
-        self.acks_sent += 1
-        self._transmit(peer, Packet(type=TYPE_ACK), track=False)
+        self._transmit(peer, self._sequenced(peer, TYPE_REPLY, 0, req_seq, args, data),
+                       track=True)
 
     def _transmit(self, peer: _LivePeer, packet: Packet, track: bool) -> None:
-        packet.ack = peer.expected_seq
-        if self.config.recovery:
-            packet.epoch = self.epoch
-            packet.peer_epoch = peer.remote_epoch
-        if self.config.credit_flow:
-            advertised = self._local_credit()
-            packet.credit = advertised
-            peer.last_advertised = advertised
-        if self.config.ack_mode == "sack":
-            packet.sack_bits = self._sack_block(peer)
-        if self.config.congestion == "ecn":
-            packet.ece = self._ecn_echo(peer)
-        peer.ack_deadline = None
-        peer.deliveries_since_ack = 0
-        if track:
-            peer.unacked[packet.seq] = packet
-            peer.sent_at[packet.seq] = self.clock.now_us()
-            peer.last_progress = self.clock.now_us()
-            self._observe("tx", peer, seq=packet.seq, ptype=packet.type,
-                          unacked=len(peer.unacked),
-                          window=self._effective_window(peer),
-                          remote_credit=peer.remote_credit)
-            if self.config.credit_flow and peer.remote_credit is not None:
-                peer.remote_credit -= 1
-        self._push_wire(peer, encode(packet))
+        self._push_wire(peer, self._prepare(peer, packet, track))
 
     def _push_wire(self, peer: _LivePeer, wire: bytes) -> None:
         """Hand one encoded packet to U-Net, riding out backpressure.
@@ -658,28 +209,21 @@ class LiveAm:
         retry budget is the live stand-in for the simulated endpoint's
         wait on send-queue space.
         """
-        if self.user.backend.closed:
+        backend = self._backend
+        if backend.closed:
             return  # teardown race: an armed timer fired after close()
         for attempt in range(_SEND_RETRIES):
             try:
                 # batched backends defer the doorbell: the packet rides
                 # the next service pass's sendmmsg flush with its peers
-                self.user.send(peer.channel, wire,
-                               kick=not self.user.backend.defer_kick)
+                self.user.send(peer.channel, wire, kick=not backend.defer_kick)
                 return
             except EndpointError:
-                self.user.backend.kick(self.user.endpoint)
+                backend.kick(self.user.endpoint)
                 self.clock.sleep_us(_SEND_RETRY_SLEEP_US)
         raise AmError(
             f"node {self.node}: transport backpressure did not clear after "
             f"{_SEND_RETRIES} retries sending to node {peer.node}")
-
-    def _peer(self, node: int) -> _LivePeer:
-        try:
-            return self._peers_by_node[node]
-        except KeyError:
-            raise AmError(f"node {node} is not a connected peer "
-                          f"of node {self.node}") from None
 
     # ------------------------------------------------------------ receiving
     def service(self, max_messages: int = 64) -> int:
@@ -688,7 +232,7 @@ class LiveAm:
         Returns the number of AM packets consumed.  Call this (plus the
         backend's ``service``) from the application's doorbell loop.
         """
-        if self.user.backend.closed:
+        if self._backend.closed:
             return 0  # teardown: never touch a closed transport
         consumed = 0
         for _ in range(max_messages):
@@ -704,335 +248,40 @@ class LiveAm:
             # never engages
             if self.config.dispatch_overhead_us > 1.0:
                 self.clock.sleep_us(self.config.dispatch_overhead_us)
-            self._handle(message.channel_id, message.data)
+            arrival = self._receive(message.channel_id, message.data)
+            if arrival is not None:
+                peer, packet = arrival
+                # deliver it, then any buffered successors it unblocked
+                while packet is not None:
+                    self._accept(peer, packet)
+                    packet = peer.ooo_held.pop(peer.expected_seq, None)
+                self._note_delivery(peer)
         self._run_timers()
         return consumed
 
-    def _handle(self, channel_id: int, raw: bytes) -> None:
-        try:
-            packet = decode(raw)
-        except ValueError:
-            return  # malformed: reliability will retransmit
-        peer = self._peers_by_channel.get(channel_id)
-        if peer is None:
-            return
-        if self.config.recovery and not self._fence(peer, packet):
-            return
-        if ack_epoch_applies(packet.epoch, peer.remote_epoch):
-            self._process_ack(peer, packet.ack)
-            if (self.config.ack_mode == "sack"
-                    and packet.sack_bits is not None):
-                self._process_sack(peer, packet.ack, packet.sack_bits)
-            if self.config.congestion == "ecn" and packet.ece:
-                self._ecn_backoff(peer, packet.ack)
-        if packet.credit is not None and self.config.credit_flow:
-            # absolute advertisement, charged with what it cannot know about
-            peer.remote_credit = packet.credit - len(peer.unacked)
-            if peer.remote_credit > 0:
-                peer.stalled = False
-        if packet.type == TYPE_HELLO:
-            # answer every HELLO (idempotent): the HELLO-ACK may be
-            # lost and the retransmitted HELLO must be re-answered
-            self._send_hello(peer, TYPE_HELLO_ACK)
-            return
-        if packet.type == TYPE_HELLO_ACK:
-            if peer.reconnecting:
-                peer.reconnecting = False
-                self._observe("reconnected", peer,
-                              peer_epoch=peer.remote_epoch)
-            return
-        if packet.type == TYPE_ACK:
-            return
-        if packet.seq != peer.expected_seq:
-            if self.config.ack_mode == "sack":
-                verdict = reorder_admit(peer.expected_seq, packet.seq,
-                                        self.config.sack_horizon)
-                if verdict == "hold" and packet.seq not in peer.ooo_held:
-                    peer.ooo_held[packet.seq] = packet
-                    self._note_ce(peer, packet)
-                else:
-                    peer.duplicates += 1
-                    self._observe("dup_rx", peer, seq=packet.seq,
-                                  expected=peer.expected_seq)
-            else:
-                in_window = seq_lt(peer.expected_seq, packet.seq) and (
-                    (packet.seq - peer.expected_seq) % SEQ_MOD <= self.config.window * 2
-                )
-                if self.config.ooo_buffering and in_window:
-                    peer.ooo_held.setdefault(packet.seq, packet)
-                else:
-                    peer.duplicates += 1
-                    self._observe("dup_rx", peer, seq=packet.seq,
-                                  expected=peer.expected_seq)
-            self._note_delivery(peer, out_of_order=True)
-            return
-        self._note_ce(peer, packet)
-        self._deliver_in_order(peer, packet)
-        while peer.ooo_held:
-            held = peer.ooo_held.pop(peer.expected_seq, None)
-            if held is None:
-                break
-            self._deliver_in_order(peer, held)
-        self._note_delivery(peer)
-
-    def _fence(self, peer: _LivePeer, packet: Packet) -> bool:
-        """Epoch fence + restart detection.  False = packet fenced.
-
-        Both halves of the epoch field are checked through the
-        ``_epoch_stale`` seam: the sender half against our memory of the
-        peer, and (except for HELLO traffic, whose sender cannot yet
-        know our epoch) the destination echo against our own epoch.
-        """
-        if self._epoch_stale(packet.epoch, peer.remote_epoch):
-            self.user.endpoint.note_drop("stale_epoch_drops")
-            self._observe("stale_epoch", peer, seq=packet.seq,
-                          ptype=packet.type,
-                          epoch=effective_epoch(packet.epoch))
-            return False
-        if (packet.type not in (TYPE_HELLO, TYPE_HELLO_ACK)
-                and self._epoch_stale(packet.peer_epoch, self.epoch)):
-            self.user.endpoint.note_drop("stale_epoch_drops")
-            self._observe("stale_epoch", peer, seq=packet.seq,
-                          ptype=packet.type,
-                          epoch=effective_epoch(packet.peer_epoch), echo=1)
-            return False
-        if epoch_advances(packet.epoch, peer.remote_epoch):
-            # the peer restarted; its ack field is its fresh receive
-            # horizon (its HELLO says so explicitly; data says it too)
-            self._peer_restarted(peer, effective_epoch(packet.epoch),
-                                 packet.ack)
-        self._mark_alive(peer)
-        return True
-
-    def _deliver_in_order(self, peer: _LivePeer, packet: Packet) -> None:
-        peer.expected_seq = seq_add(peer.expected_seq, 1)
-        if packet.type == TYPE_REQUEST:
-            self.requests_delivered += 1
-            self._observe("dispatch", peer, seq=packet.seq,
-                          handler=packet.handler, msg=packet.args[0])
-            fn = self._handlers.get(packet.handler)
-            if fn is not None:
-                fn(LiveRequestContext(self, peer.node, packet.args,
-                                      packet.data, packet.seq))
-        elif packet.type == TYPE_REPLY:
-            self._observe("reply", peer, seq=packet.seq, req_seq=packet.req_seq)
-            key = (peer.node, packet.req_seq)
-            if key in self._rpc_outstanding:
-                self._rpc_outstanding.discard(key)
-                self.rpc_results[key] = (packet.args, packet.data)
-
-    def _process_ack(self, peer: _LivePeer, ack: int) -> None:
-        cfg = self.config
-        acked = self._acked_seqs(peer, ack)
-        if not acked:
-            if cfg.fast_retransmit and peer.unacked:
-                if peer.last_ack is None or peer.last_ack != ack:
-                    peer.last_ack = ack
-                    peer.dup_acks = 0
-                else:
-                    peer.dup_acks += 1
-                    if peer.dup_acks == cfg.dup_ack_threshold:
-                        self._fast_retransmit(peer)
-            return
-        peer.last_ack = ack
-        peer.dup_acks = 0
-        now = self.clock.now_us()
-        if cfg.adaptive_rto:
-            sample = None
-            for seq in acked:
-                sent = peer.sent_at.pop(seq, None)
-                if sent is not None and seq not in peer.rexmit_seqs:
-                    sample = now - sent
-                peer.rexmit_seqs.discard(seq)
-            if sample is not None:
-                self._update_rto(peer, sample)
-            peer.backoff = 0
-        else:
-            for seq in acked:
-                peer.sent_at.pop(seq, None)
-                peer.rexmit_seqs.discard(seq)
-        if cfg.adaptive_window:
-            peer.cwnd = min(float(cfg.window),
-                            peer.cwnd + len(acked) / max(peer.cwnd, 1.0))
-        for seq in acked:
-            peer.unacked.pop(seq, None)
-            peer.sacked.discard(seq)
-            peer.sack_rexmitted.discard(seq)
-        peer.last_progress = now
-        peer.starved_timeouts = 0  # forward progress: not a corpse
-
-    def _process_sack(self, peer: _LivePeer, ack: int, bits: int) -> None:
-        """Scoreboard update + selective retransmit of the holes, the
-        synchronous mirror of the simulated endpoint's method."""
-        sacked, holes = self._sack_plan(peer.unacked, ack, bits)
-        for seq in sacked:
-            peer.sacked.add(seq)
-        for seq in holes:
-            if seq in peer.sack_rexmitted or seq in peer.sacked:
-                continue
-            peer.sack_rexmitted.add(seq)
-            self._retransmit_seq(peer, seq)
-
-    def _note_ce(self, peer: _LivePeer, packet: Packet) -> None:
-        """Account an accepted data packet's congestion mark (echoed on
-        the next outbound packets, one echo per mark)."""
-        if self.config.congestion != "ecn" or not packet.ce:
-            return
-        peer.ecn_marks += 1
-        peer.pending_echoes += 1
-        self._observe("ecn_mark", peer, seq=packet.seq)
-
-    def _ecn_backoff(self, peer: _LivePeer, ack: int) -> None:
-        """Congestion echo: halve the AIMD window at most once per round
-        trip (:func:`repro.am.spec.ecn_backoff_allowed`)."""
-        if not ecn_backoff_allowed(ack, peer.ecn_round_end):
-            return
-        peer.ecn_round_end = peer.next_seq
-        peer.ecn_backoffs += 1
-        peer.cwnd = max(float(self.config.min_window), peer.cwnd / 2.0)
-        self._observe("ecn_backoff", peer, cwnd=peer.cwnd)
-
-    def _update_rto(self, peer: _LivePeer, rtt: float) -> None:
-        cfg = self.config
-        if peer.srtt is None:
-            peer.srtt = rtt
-            peer.rttvar = rtt / 2.0
-        else:
-            peer.rttvar = 0.75 * peer.rttvar + 0.25 * abs(peer.srtt - rtt)
-            peer.srtt = 0.875 * peer.srtt + 0.125 * rtt
-        peer.rtt_samples += 1
-        peer.rto_us = min(max(peer.srtt + 4.0 * peer.rttvar, cfg.rto_min_us),
-                          cfg.rto_max_us)
-
-    def _fast_retransmit(self, peer: _LivePeer) -> None:
-        head_seq = next(iter(peer.unacked), None)
-        if head_seq is None or head_seq == peer.fast_done_seq:
-            return
-        peer.fast_done_seq = head_seq
-        peer.fast_retransmits += 1
-        if self.config.adaptive_window:
-            peer.cwnd = max(float(self.config.min_window), peer.cwnd / 2.0)
-        self._retransmit_head(peer)
-
-    def _note_delivery(self, peer: _LivePeer, out_of_order: bool = False) -> None:
-        peer.deliveries_since_ack += 1
-        if out_of_order and (self.config.fast_retransmit
-                             or self.config.ack_mode == "sack"):
-            # ack holes immediately: the dup-ack counter (fast
-            # retransmit) or the SACK bitmap (selective retransmit)
-            # must reach the sender before the arrival stream dries up
-            self._send_ack(peer)
-            return
-        if peer.deliveries_since_ack >= self.config.ack_every:
-            self._send_ack(peer)
-            return
-        if peer.ack_deadline is None:
-            peer.ack_deadline = self.clock.now_us() + self.config.ack_delay_us
-
-    # ---------------------------------------------------------- timers
-    def _current_rto(self, peer: _LivePeer) -> float:
-        cfg = self.config
-        if not cfg.adaptive_rto:
-            return cfg.retransmit_timeout_us
-        rto = peer.rto_us if peer.srtt is not None else cfg.retransmit_timeout_us
-        if peer.backoff:
-            rto *= cfg.backoff_factor ** peer.backoff
-            if cfg.backoff_jitter > 0.0:
-                rto *= 1.0 + cfg.backoff_jitter * self._rng.random()
-        return min(max(rto, cfg.rto_min_us), cfg.rto_max_us)
-
     def _run_timers(self) -> None:
+        """Scan every deadline a simulated endpoint would have a process
+        sleeping on."""
         if not self._running or self._crashed:
             return
-        now = self.clock.now_us()
+        now = self._now()
         cfg = self.config
         for peer in self._peers_by_node.values():
             if cfg.recovery and peer.reconnecting and now >= peer.next_hello_at:
-                self._send_hello(peer, TYPE_HELLO)
-                peer.next_hello_at = now + cfg.hello_retry_us
+                self._start_hello(peer)
             if cfg.recovery and not peer.alive:
                 continue  # no acks, no retransmits toward a corpse
             if peer.ack_deadline is not None and now >= peer.ack_deadline:
-                self._send_ack(peer)
-            if peer.unacked and now - peer.last_progress >= self._current_rto(peer):
-                peer.timeouts += 1
-                self._observe("timeout", peer, rto_us=self._current_rto(peer))
-                if cfg.recovery:
-                    peer.starved_timeouts += 1
-                    if peer.starved_timeouts >= cfg.dead_after_timeouts:
-                        self._declare_peer_dead(
-                            peer, f"ack starvation: {peer.starved_timeouts} "
-                                  f"consecutive retransmission timeouts")
-                        continue
-                if cfg.adaptive_rto:
-                    peer.backoff += 1
-                if cfg.adaptive_window:
-                    peer.cwnd = max(float(cfg.min_window), peer.cwnd / 2.0)
-                # a timeout opens a new selective-retransmit round
-                peer.sack_rexmitted.clear()
-                self._retransmit_head(peer)
-        if (self._next_heartbeat is not None and now >= self._next_heartbeat):
+                self._send_now(peer, TYPE_ACK)
+            if peer.unacked:
+                rto = self._current_rto(peer)
+                if now - peer.last_progress >= rto and self._rto_expired(peer, rto):
+                    self._retransmit_now(peer)
+        if self._next_heartbeat is not None and now >= self._next_heartbeat:
             self._next_heartbeat = now + cfg.heartbeat_us
+            self._heartbeat()
+        if cfg.credit_flow and now >= self._next_credit_refresh:
+            self._next_credit_refresh = now + cfg.credit_update_us
             for peer in self._peers_by_node.values():
-                if not peer.alive:
-                    continue
-                silent = now - peer.last_heard
-                if silent >= cfg.heartbeat_misses * cfg.heartbeat_us:
-                    self._declare_peer_dead(
-                        peer, f"heartbeat: silent for {silent:.0f}us")
-                elif not peer.reconnecting:
-                    self._send_ack(peer)
-        if self.config.credit_flow and now >= self._next_credit_refresh:
-            self._next_credit_refresh = now + self.config.credit_update_us
-            for peer in self._peers_by_node.values():
-                if peer.last_advertised is None:
-                    continue  # never talked to them; nothing to refresh
-                if self._local_credit() != peer.last_advertised:
-                    self._send_ack(peer)
-
-    def _restamp(self, peer: _LivePeer, packet: Packet) -> None:
-        """Refresh the piggybacked fields on a retransmission (ack,
-        epoch pair, credit, SACK block, congestion echo) to *now*."""
-        packet.ack = peer.expected_seq
-        if self.config.recovery:
-            packet.epoch = self.epoch
-            packet.peer_epoch = peer.remote_epoch
-        if self.config.credit_flow:
-            packet.credit = self._local_credit()
-            peer.last_advertised = packet.credit
-        if self.config.ack_mode == "sack":
-            packet.sack_bits = self._sack_block(peer)
-        if self.config.congestion == "ecn":
-            packet.ece = self._ecn_echo(peer)
-
-    def _retransmit_head(self, peer: _LivePeer) -> None:
-        # head-of-window only, exactly as the simulated endpoint; under
-        # SACK the head is the first unSACKed packet (plain head when
-        # everything outstanding is SACKed — the cumulative ack itself
-        # may have been lost, and liveness beats elegance)
-        head_seq = next((s for s in peer.unacked if s not in peer.sacked),
-                        None)
-        if head_seq is None:
-            head_seq = next(iter(peer.unacked), None)
-        if head_seq is None:
-            return
-        head = peer.unacked[head_seq]
-        peer.retransmissions += 1
-        self._observe("rexmit", peer, seq=head_seq)
-        peer.rexmit_seqs.add(head_seq)
-        peer.last_progress = self.clock.now_us()
-        self._restamp(peer, head)
-        self._push_wire(peer, encode(head))
-
-    def _retransmit_seq(self, peer: _LivePeer, seq: int) -> None:
-        """Selective retransmit of one scoreboard hole (SACK mode),
-        Karn-safe like the simulated endpoint's."""
-        packet = peer.unacked.get(seq)
-        if packet is None or seq in peer.sacked:
-            return
-        peer.retransmissions += 1
-        self._observe("rexmit", peer, seq=seq, selective=1)
-        peer.rexmit_seqs.add(seq)
-        peer.last_progress = self.clock.now_us()
-        self._restamp(peer, packet)
-        self._push_wire(peer, encode(packet))
+                if self._credit_stale(peer):
+                    self._send_now(peer, TYPE_ACK)

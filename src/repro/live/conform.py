@@ -15,19 +15,18 @@ order, reply sets, drop classes, occurrence-0 fault hits, the online
 window/credit/continuity invariants — is compared exactly; that is the
 point of the exercise.
 
-``inject_live_bug`` mirrors the checker's bug library onto
-:class:`~repro.live.am.LiveAm`'s spec seams, proving the harness
-catches the same semantic regressions on a wall-clock execution.
+The checker's bug library patches the protocol core's spec seams, so
+``bug=`` injects the very same broken variant here as on the simulated
+substrates, proving the harness catches the same semantic regressions
+on a wall-clock execution.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import List, Optional
 
 from ..am.am import AmError
-from ..am.protocol import EPOCH_MOD, seq_add, seq_lt
-from ..am.spec import epoch_is_stale
+from ..conformance.checker import inject_bug
 from ..conformance.observe import ObservationProbe, ObservedTrace
 from ..conformance.schedule import ConformanceCase
 from ..core import EndpointConfig
@@ -41,77 +40,12 @@ from .clock import WallClock
 from .doorbell import DEFAULT_DOORBELL_MODE
 from .transport import available_transport_kinds, make_transport, transport_available
 
-__all__ = ["run_live_case", "inject_live_bug", "LIVE_BUGS",
-           "WALL_LIMIT_US", "register_live_substrates"]
+__all__ = ["run_live_case", "WALL_LIMIT_US", "register_live_substrates"]
 
 #: hard wall-clock ceiling per live execution, whatever the case says
 WALL_LIMIT_US = 8_000_000.0
 #: wall-clock drain after the workload, so tail acks settle
 _DRAIN_US = 500_000.0
-
-
-# --------------------------------------------------------------- bug library
-def _buggy_credit_blocked(self, peer) -> bool:
-    """The classic off-by-one: sends while remote credit is exactly 0."""
-    return (self.config.credit_flow and peer.remote_credit is not None
-            and peer.remote_credit < 0)  # BUG: spec says <= 0
-
-
-def _buggy_acked_seqs(self, peer, ack: int):
-    """Cumulative-ack fencepost: also acks the packet the receiver is
-    still waiting for, so a dropped packet is never retransmitted."""
-    return [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG
-
-
-def _buggy_epoch_stale(self, claimed, current) -> bool:
-    """Epoch fence off by one incarnation: traffic stamped with the
-    immediately previous epoch is admitted instead of fenced."""
-    if claimed is not None and (current - claimed) % EPOCH_MOD == 1:
-        return False  # BUG: one-stale traffic admitted
-    return epoch_is_stale(claimed, current)
-
-
-def _buggy_reconnect_plan(self, peer, horizon, restarted):
-    """Reconnect ignores the restart flag: nothing is abandoned, so the
-    old window replays into the fresh incarnation."""
-    return [], []  # BUG: spec abandons everything when the peer restarted
-
-
-# the SACK/ECN seams take only plain arguments, so the simulated
-# checker's patch functions apply to LiveAm verbatim — one bug, both
-# engines, by construction
-from ..conformance.checker import _buggy_ecn_echo, _buggy_sack_plan  # noqa: E402
-
-#: same bug names as ``repro.conformance.checker.BUGS``, patched onto
-#: the live endpoint's spec seams
-LIVE_BUGS = {
-    "credit-gate": {"_credit_blocked": _buggy_credit_blocked},
-    "ack-horizon": {"_acked_seqs": _buggy_acked_seqs},
-    "epoch-fence": {"_epoch_stale": _buggy_epoch_stale},
-    "replay-horizon": {"_reconnect_plan": _buggy_reconnect_plan},
-    "sack-bitmap-shift": {"_sack_plan": _buggy_sack_plan},
-    "ecn-echo-drop": {"_ecn_echo": _buggy_ecn_echo},
-}
-
-
-@contextmanager
-def inject_live_bug(name: Optional[str]):
-    """Temporarily install a named bug into :class:`LiveAm`."""
-    if name is None:
-        yield
-        return
-    if name not in LIVE_BUGS:
-        raise ValueError(f"bug {name!r} has no live patch; "
-                         f"choose from {sorted(LIVE_BUGS)}")
-    patches = LIVE_BUGS[name]
-    saved = {attr: getattr(LiveAm, attr) for attr in patches}
-    try:
-        for attr, fn in patches.items():
-            setattr(LiveAm, attr, fn)
-        yield
-    finally:
-        for attr, fn in saved.items():
-            setattr(LiveAm, attr, fn)
 
 
 # ------------------------------------------------------------------- running
@@ -133,7 +67,7 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
     """
     clock = WallClock()
     limit_us = min(case.time_limit_us, WALL_LIMIT_US)
-    with inject_live_bug(bug), LiveCluster(
+    with inject_bug(bug), LiveCluster(
             lambda name: make_transport(transport_kind, name), clock,
             doorbell_mode=doorbell_mode) as cluster:
         n0 = cluster.add_node("n0")

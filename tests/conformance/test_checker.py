@@ -78,10 +78,10 @@ def test_bugs_do_not_leak_out_of_the_context():
     from repro.am import AmEndpoint
     from repro.conformance.checker import inject_bug
 
-    original = AmEndpoint._acquire_window
+    original = AmEndpoint._credit_blocked
     with inject_bug("credit-gate"):
-        assert AmEndpoint._acquire_window is not original
-    assert AmEndpoint._acquire_window is original
+        assert AmEndpoint._credit_blocked is not original
+    assert AmEndpoint._credit_blocked is original
     with pytest.raises(ValueError):
         with inject_bug("nonesuch"):
             pass  # pragma: no cover

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.conformance import generate_case, load_artifact_meta, run_case
+from repro.conformance import BUGS, generate_case, inject_bug, load_artifact_meta, run_case
 from repro.core.substrates import (
     SubstrateUnavailable,
     available_substrates,
@@ -15,7 +15,6 @@ from repro.core.substrates import (
 )
 from repro.faults.scripted import DatagramScriptedStage, ScheduledFault
 from repro.live import FRAME_HEADER_SIZE, run_live_case
-from repro.live.conform import LIVE_BUGS, inject_live_bug
 
 from .conftest import require
 
@@ -63,15 +62,23 @@ def test_injected_credit_gate_bug_is_caught_on_live():
     assert "credit-gate" in kinds or "invariant" in kinds or kinds
 
 
-def test_live_bug_patches_restore_cleanly():
+def test_the_one_bug_registry_reaches_the_live_driver():
+    """Bugs patch the protocol core's seams, so the live driver sees
+    every registered AM bug without a patch table of its own."""
+    from repro.am import AmEndpoint
     from repro.live import LiveAm
 
-    original = LiveAm._credit_blocked
-    with inject_live_bug("credit-gate"):
-        assert LiveAm._credit_blocked is LIVE_BUGS["credit-gate"]["_credit_blocked"]
-    assert LiveAm._credit_blocked is original
+    for name, entry in BUGS.items():
+        for seam, broken in entry["patches"].items():
+            assert seam not in vars(LiveAm) and seam not in vars(AmEndpoint), (
+                f"a driver overrides seam {seam}: bug {name} cannot reach it")
+            original = getattr(LiveAm, seam)
+            with inject_bug(name):
+                assert getattr(LiveAm, seam) is broken
+                assert getattr(AmEndpoint, seam) is broken
+            assert getattr(LiveAm, seam) is original
     with pytest.raises(ValueError):
-        with inject_live_bug("no-such-bug"):
+        with inject_bug("no-such-bug"):
             pass
 
 

@@ -165,3 +165,74 @@ def test_credit_refresh_advertises_when_local_room_changes():
         assert am1.acks_sent == acks + 1
     finally:
         cluster.close()
+
+
+# -- drift the one-core merge fixed on the live driver (the simulated
+# -- endpoint's order was the reference: its artifacts are byte-pinned) --
+def test_a_peer_restart_clears_the_ecn_and_sack_state_of_the_dead_conversation():
+    clock = ManualClock()
+    config = AmConfig(recovery=True, adaptive_window=True, congestion="ecn")
+    cluster, am0, am1, pump = _pair(clock, config=config)
+    try:
+        peer = am0._peers_by_node[1]
+        peer.pending_echoes, peer.ecn_round_end = 3, 5
+        peer.sacked.update({1, 2})
+        peer.sack_rexmitted.add(0)
+        am1.crash()
+        assert am1.restart() == 1        # its HELLO announces epoch 1
+        for _ in range(3):
+            pump()
+        assert peer.remote_epoch == 1    # am0 saw the restart ...
+        assert peer.pending_echoes == 0 and peer.ecn_round_end is None
+        assert not peer.sacked and not peer.sack_rexmitted
+    finally:
+        cluster.close()
+
+
+class _CountingRandom:
+    def __init__(self):
+        self.draws = []
+
+    def random(self):
+        self.draws.append(0.25 * (len(self.draws) + 1))
+        return self.draws[-1]
+
+
+def test_an_rto_expiry_computes_its_timeout_once():
+    clock = ManualClock()
+    config = AmConfig(adaptive_rto=True, backoff_jitter=0.5)
+    cluster, am0, am1, pump = _pair(clock, config=config)
+    try:
+        am0._rng = rng = _CountingRandom()
+        timeouts = []
+        am0.observer = lambda kind, f: kind == "timeout" and timeouts.append(f["rto_us"])
+        assert am0.start_request(1, 1, args=(0,)) is not None
+        am0._peers_by_node[1].backoff = 1     # jitter only applies backed off
+        clock.advance(config.rto_max_us)
+        am0.service()                         # the receiver never acked
+        assert len(rng.draws) == 1            # one draw per expiry, not two
+        # ... and the observation reports the very threshold that expired
+        expected = config.retransmit_timeout_us * config.backoff_factor * (
+            1.0 + config.backoff_jitter * rng.draws[0])
+        assert timeouts == [expected]
+    finally:
+        cluster.close()
+
+
+def test_expiry_backs_off_and_halves_the_window_before_the_starvation_verdict():
+    clock = ManualClock()
+    config = AmConfig(recovery=True, adaptive_rto=True, adaptive_window=True,
+                      backoff_jitter=0.0, dead_after_timeouts=1)
+    cluster, am0, am1, pump = _pair(clock, config=config)
+    try:
+        assert am0.start_request(1, 1, args=(0,)) is not None
+        peer = am0._peers_by_node[1]
+        clock.advance(config.retransmit_timeout_us + 1.0)
+        am0.service()
+        assert not peer.alive and peer.abandoned == 1
+        # same order as the simulated endpoint: the estimator state is
+        # updated even by the timeout that ends in the verdict
+        assert peer.backoff == 1
+        assert peer.cwnd == config.window / 2.0
+    finally:
+        cluster.close()

@@ -249,3 +249,96 @@ def test_sleep_lint_catches_a_planted_offender_and_spares_stored_timeouts():
     hits = list(_directly_yielded_timeouts_in(pathlib.Path("planted.py"),
                                               source=planted))
     assert hits == ["planted.py:2: yield ....timeout(...)"]
+
+
+# ------------------------------------------- one AM protocol core, two drivers
+#: The only method names the simulated and the live Active Message driver
+#: may *both* define: the public API and the hook set through which
+#: ``am/core.py`` reaches its driver.  Everything else the two substrates
+#: share lives once, in the core — a name showing up on both drivers
+#: outside this list is a transport feature being written twice.
+DRIVER_MIRROR_ALLOWLIST = {
+    # public API (blocking generator vs. polled call)
+    "__init__", "request", "rpc",
+    # the hand-off to U-Net (``yield from user.send`` vs. busy-retry)
+    "_transmit", "_send_reply",
+    # the core's hooks
+    "_now", "_new_peer", "_send_now", "_retransmit_now", "_start_hello",
+    "_credit_opened", "_rpc_complete", "_rpc_fail",
+}
+
+
+def _methods_of(source: str, class_name: str) -> set:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return {item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    raise AssertionError(f"class {class_name} not found")
+
+
+def _mirrored(sim_source: str, live_source: str) -> set:
+    """Method names both drivers define, outside the allowlist."""
+    both = (_methods_of(sim_source, "AmEndpoint")
+            & _methods_of(live_source, "LiveAm"))
+    return both - DRIVER_MIRROR_ALLOWLIST
+
+
+def test_am_drivers_share_only_the_hook_set():
+    sim_source = (SRC_ROOT / "am" / "am.py").read_text(encoding="utf-8")
+    live_source = (SRC_ROOT / "live" / "am.py").read_text(encoding="utf-8")
+    assert len(DRIVER_MIRROR_ALLOWLIST) <= 15
+    assert not _mirrored(sim_source, live_source), (
+        "defined on both AmEndpoint and LiveAm — move the shared logic "
+        "into am/core.py (or, for a new hook, extend the allowlist): "
+        f"{sorted(_mirrored(sim_source, live_source))}")
+    # no stale entries: each allowlisted name is still a driver's
+    defined = (_methods_of(sim_source, "AmEndpoint")
+               | _methods_of(live_source, "LiveAm"))
+    assert DRIVER_MIRROR_ALLOWLIST <= defined
+
+
+def test_mirror_lint_catches_a_planted_twin_and_spares_the_hooks():
+    sim = ("class AmEndpoint:\n"
+           "    def request(self): pass\n"
+           "    def _process_ack(self, peer, ack): pass\n"
+           "    def _dispatch_loop(self): pass\n")
+    live = ("class LiveAm:\n"
+            "    def request(self): pass\n"
+            "    def _process_ack(self, peer, ack): pass\n"
+            "    def service(self): pass\n")
+    assert _mirrored(sim, live) == {"_process_ack"}
+    assert not _mirrored(sim, live.replace("_process_ack", "_run_timers"))
+
+
+#: what ``am/core.py`` may never import: it is the sans-I/O half, so no
+#: wall time, no sockets, no simulator
+_CORE_FORBIDDEN_MODULES = _BLOCKING_MODULES | {"socket", "threading", "asyncio"}
+
+
+def _io_imports_in(path: pathlib.Path, source=None):
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] in _CORE_FORBIDDEN_MODULES or "sim" in parts or "live" in parts:
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_the_am_core_is_free_of_io():
+    """The core sits inside the ``am`` determinism boundary (the ambient
+    bans above already cover it) and additionally may not reach a
+    simulator, a socket or the live package: drivers bring those."""
+    core = SRC_ROOT / "am" / "core.py"
+    assert not list(_io_imports_in(core))
+    assert "am" not in DETERMINISM_BOUNDARIES
+    planted = ("import socket\nfrom ..sim import Simulator\n"
+               "from ..live.clock import WallClock\nimport random\n")
+    hits = list(_io_imports_in(pathlib.Path("planted.py"), source=planted))
+    assert [h.split(": ")[1] for h in hits] == ["socket", "sim", "live.clock"]
