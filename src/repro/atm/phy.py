@@ -77,6 +77,11 @@ class CellLink:
     schedules a single delivery callback.  The late-bound ``deliver``
     attribute is read at fire time, so fault pipelines and link-flap
     stages that swap it keep working.
+
+    A switch, whose forwarding latency is fixed, submits a cell *as of*
+    the instant it leaves the fabric (``when``): hop and egress wire are
+    one heap entry.  A link has one feeder, so as-of instants arrive in
+    order like ``sim.now`` does.
     """
 
     def __init__(
@@ -95,31 +100,39 @@ class CellLink:
         #: finite output buffering (switch egress ports): cells beyond
         #: this queue depth are dropped, as in a real switch under incast
         self.buffer_cells = buffer_cells
+        self._cell_time_us = phy.cell_time_us  # two property hops, once instead of per cell
         self._busy_until = 0.0
         self._pending = 0
         self.cells_carried = 0
         self.cells_dropped = 0
 
-    def submit(self, cell: Cell) -> None:
-        """Queue a cell for transmission (sender side, non-blocking).
+    def submit(self, cell: Cell, when: Optional[float] = None) -> None:
+        """Queue a cell for transmission (sender side, non-blocking),
+        reaching the link now or at the later instant ``when``.
 
         Drops (and counts) the cell when the output buffer is full: one
         cell may be serializing onto the wire plus ``buffer_cells``
         queued behind it, matching a real switch egress port under
         incast.  A queue slot frees when its cell finishes serializing.
         """
-        if self.buffer_cells is not None and self._pending > self.buffer_cells:
-            self.cells_dropped += 1
-            return
         sim = self.sim
-        now = sim.now
+        if self.buffer_cells is not None:
+            if when is not None:
+                # how full a finite buffer is at ``when`` is known only then
+                sim.call_at(when, self.submit, cell)
+                return
+            if self._pending > self.buffer_cells:
+                self.cells_dropped += 1
+                return
+        # the sums a plain submit at ``when`` evaluates: same floats either way
+        now = sim.now if when is None else when
         start = self._busy_until if self._busy_until > now else now
-        end = start + self.phy.cell_time_us
+        end = start + self._cell_time_us
         self._busy_until = end
         if self.buffer_cells is not None:
             self._pending += 1
             sim.call_in(end - now, self._serialized_one)
-        sim.call_in(end + self.propagation_us + self.phy.framer_latency_us - now,
+        sim.call_at(now + (end + self.propagation_us + self.phy.framer_latency_us - now),
                     self._deliver_one, cell)
 
     @property

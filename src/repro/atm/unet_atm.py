@@ -24,8 +24,9 @@ bandwidth ceiling.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Deque, Dict, Generator, List, Optional
 
 from ..core.base import UNetBackend
 from ..core.descriptors import RecvDescriptor
@@ -33,7 +34,7 @@ from ..core.endpoint import Endpoint
 from ..core.errors import ChannelError
 from ..core.mux import ShardedDemux
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
-from ..sim import Simulator, Store, TraceRecorder
+from ..sim import Event, Simulator, Store, TraceRecorder
 from .cells import (
     AAL5_MAX_PDU,
     SINGLE_CELL_MAX_PAYLOAD,
@@ -135,7 +136,9 @@ class UNetAtmBackend(UNetBackend):
         self._tx_doorbell: Store[Endpoint] = Store(sim, name=f"{name}.doorbell")
         self._tx_pending: Dict[int, bool] = {}
         self._reassembly: Dict[int, _Reassembly] = {}
-        self._rx_cells: Store[Cell] = Store(sim, name=f"{name}.rxcells")
+        #: receive cell FIFO, and the event the RX firmware sleeps on while it is empty
+        self._rx_fifo: Deque[Cell] = deque()
+        self._rx_idle: Optional[Event] = None
         # statistics
         self.pdus_sent = 0
         self.pdus_received = 0
@@ -172,7 +175,7 @@ class UNetAtmBackend(UNetBackend):
 
     def _timed_dma(self, category: str, label: str, nbytes: int) -> Generator:
         start = self.sim.now
-        yield self.sim.process(self.dma.transfer(nbytes))
+        yield from self.dma.transfer(nbytes)
         self.trace.record(start, self.sim.now - start, category, label)
 
     # ------------------------------------------------------------- transmit
@@ -220,15 +223,25 @@ class UNetAtmBackend(UNetBackend):
     # -------------------------------------------------------------- receive
     def on_cell(self, cell: Cell) -> None:
         """Ingress callback wired to the switch-egress CellLink."""
-        self._rx_cells.try_put(cell)
+        self._rx_fifo.append(cell)
+        if self._rx_idle is not None:
+            idle, self._rx_idle = self._rx_idle, None
+            idle.succeed()
 
     def _rx_firmware(self) -> Generator:
+        # per-cell waits are yielded here, not through _step/_timed_dma: one frame per wake
         t = self.timings
+        sim, fifo = self.sim, self._rx_fifo
         while True:
-            cell = yield self._rx_cells.get()
+            if not fifo:
+                self._rx_idle = sim.event()
+                yield self._rx_idle
+            cell = fifo.popleft()
             is_first = self._reassembly.get(cell.vci) is None
-            yield from self._step(ATM_RX_TRACE, "pop cell, VCI table lookup", t.rx_per_cell_us,
-                                  begin=is_first)
+            start = sim.now
+            yield t.rx_per_cell_us
+            self.trace.record(start, t.rx_per_cell_us, ATM_RX_TRACE, "pop cell, VCI table lookup",
+                              begin=is_first)
             # reserved VCIs first: a collective cell is not an unknown tag
             handler = self._collective_vcis.get(cell.vci)
             if handler is not None:
@@ -271,8 +284,10 @@ class UNetAtmBackend(UNetBackend):
                 # cells are DMAed into the host buffer in 96-byte PCI
                 # bursts (Section 4.2.2), i.e. two cells per transfer
                 if len(state.cells) % 2 == 0 or cell.last:
-                    yield from self._timed_dma(ATM_RX_TRACE, "DMA cell burst into buffer",
-                                               2 * len(cell.payload))
+                    start = sim.now
+                    yield from self.dma.transfer(2 * len(cell.payload))
+                    self.trace.record(start, sim.now - start, ATM_RX_TRACE,
+                                      "DMA cell burst into buffer")
             if cell.last:
                 del self._reassembly[cell.vci]
                 if not state.dropping:

@@ -138,7 +138,7 @@ class Dc21140:
                 # DMA the kernel header buffer + the user data buffer
                 frame_bytes = ETH_HEADER_SIZE + len(descriptor.frame.payload)
                 t0 = self.sim.now
-                yield self.sim.process(self.dma.transfer(frame_bytes))
+                yield from self.dma.transfer(frame_bytes)
                 self._span("DMA frame into FIFO", t0)
                 yield t.tx_fifo_threshold_us
                 # the frame now sits in the chip FIFO: the host buffers are
@@ -158,7 +158,9 @@ class Dc21140:
             descriptor = yield self._tx_fifo.get()
             try:
                 t0 = self.sim.now
-                yield self.sim.process(self.attachment.transmit(descriptor.frame))
+                yield from self.attachment.transmit(descriptor.frame)
+                if self.sim.peek() <= self.sim.now:
+                    yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
                 self._span("serialize frame onto the wire", t0)
                 self.frames_sent += 1
             except ExcessiveCollisions:
@@ -201,7 +203,7 @@ class Dc21140:
             return
         t0 = self.sim.now
         yield t.rx_dma_start_us
-        yield self.sim.process(self.dma.transfer(ETH_HEADER_SIZE + len(frame.payload)))
+        yield from self.dma.transfer(ETH_HEADER_SIZE + len(frame.payload))
         self._span("DMA frame into host ring buffer", t0)
         if not self.rx_ring.try_push(RxRingBuffer(frame=frame)):
             self.rx_overflow_drops += 1

@@ -236,4 +236,6 @@ class IpRouter:
             )
             self.packets_forwarded += 1
             link = self._links[egress_port]
-            yield self.sim.process(link.transmit(out))
+            yield from link.transmit(out)
+            if self.sim.peek() <= self.sim.now:
+                yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)

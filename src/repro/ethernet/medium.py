@@ -176,10 +176,13 @@ class SimplexChannel:
 
     Like :class:`~repro.atm.phy.CellLink` this is analytic: ``submit``
     computes the serialization window from a running busy-until clock
-    and schedules the delivery callback and completion event directly —
-    no pump process, no store, a fraction of the kernel events per
-    frame.  The late-bound ``deliver`` attribute is read at fire time so
-    fault pipelines can interpose.
+    and schedules the delivery callback directly — no pump process, no
+    store, a fraction of the kernel events per frame.  The late-bound
+    ``deliver`` attribute is read at fire time so fault pipelines can
+    interpose.  A switch, whose lookup latency is fixed, submits a frame
+    *as of* the instant the lookup ends (``when``): hop and egress wire
+    are one heap entry.  A channel has one feeder, so as-of instants
+    arrive in order like ``sim.now`` does.
     """
 
     def __init__(
@@ -210,18 +213,27 @@ class SimplexChannel:
         self.frames_carried = 0
         self.frames_dropped = 0
 
-    def submit(self, frame: EthernetFrame) -> Event:
-        """Queue ``frame``; the returned event fires when it has fully
-        serialized onto the wire (immediately, if the buffer drops it).
+    def submit(self, frame: EthernetFrame, when: Optional[float] = None) -> float:
+        """Queue ``frame``, reaching the channel now or at the later
+        instant ``when``; returns the instant it has fully serialized
+        onto the wire (the arrival instant, if the buffer drops it).
+        Only a sender that must hold off its next frame waits for that;
+        a switch does not.
 
         One frame may be serializing plus ``buffer_frames`` queued
         behind it; a queue slot frees at that frame's end-of-wire time.
         """
         sim = self.sim
-        if self.buffer_frames is not None and self._pending > self.buffer_frames:
-            self.frames_dropped += 1
-            return sim.timeout(0.0)  # dropped: the sender's wire time is over
-        now = sim.now
+        now = sim.now if when is None else when
+        if self.buffer_frames is not None:
+            if when is not None:
+                # how full a finite buffer is at ``when`` is known only then
+                sim.call_at(when, self.submit, frame)
+                return when
+            if self._pending > self.buffer_frames:
+                self.frames_dropped += 1
+                return now  # dropped: the sender's wire time is over
+        # the sums a plain submit at ``when`` evaluates: same floats either way
         start = self._busy_until if self._busy_until > now else now
         total = wire_time_us(frame, self.rate_mbps)
         end = start + total
@@ -231,8 +243,8 @@ class SimplexChannel:
             sim.call_in(end - now, self._serialized_one)
         deliver_at = (start + min(self._header_time, total)
                       if self.deliver_at_header else end)
-        sim.call_in(deliver_at + self.propagation_us - now, self._deliver_one, frame)
-        return sim.timeout(end - now)
+        sim.call_at(now + (deliver_at + self.propagation_us - now), self._deliver_one, frame)
+        return end
 
     @property
     def queued(self) -> int:
@@ -274,7 +286,7 @@ class DuplexLink(Attachment):
 
     def transmit(self, frame: EthernetFrame):
         # full duplex: the only wait is our own uplink serialization
-        yield self.uplink.submit(frame)
+        yield self.uplink.submit(frame) - self.sim.now
 
     def set_receiver(self, receive: Callable[[EthernetFrame], None]) -> None:
         self.downlink.deliver = receive

@@ -153,22 +153,18 @@ class EthernetSwitch:
                 self.unknown_mac_drops += 1
                 return
             # unknown destination: flood every other port
-            self.sim.call_in(self.model.latency_us, self._flood, frame, ingress_port)
+            self.frames_flooded += 1
+            leaves_at = self.sim.now + self.model.latency_us
+            for port, link in self._links.items():
+                if port != ingress_port:
+                    link.downlink.submit(frame, leaves_at)
             return
         # cut-through switches receive the frame at header time (the
         # ingress channel is configured to deliver early); store-and-
         # forward switches receive it at end-of-frame.  Either way the
         # address lookup costs the model's latency before the egress
-        # port starts serializing.  One bare callback per frame — no
-        # forwarding process — keeps big fabrics cheap.
-        self.sim.call_in(self.model.latency_us, self._forward, frame, egress_port)
-
-    def _flood(self, frame: EthernetFrame, ingress_port: int) -> None:
-        self.frames_flooded += 1
-        for port, link in self._links.items():
-            if port != ingress_port:
-                link.downlink.submit(frame)
-
-    def _forward(self, frame: EthernetFrame, egress_port: int) -> None:
+        # port starts serializing.  That latency is fixed, so the egress
+        # channel takes the frame as of the instant the lookup ends: hop
+        # and egress wire are one heap entry, which keeps big fabrics cheap.
         self.frames_forwarded += 1
-        self._links[egress_port].downlink.submit(frame)
+        self._links[egress_port].downlink.submit(frame, self.sim.now + self.model.latency_us)

@@ -191,7 +191,8 @@ class UNetFeBackend(UNetBackend):
     def kick(self, endpoint: Endpoint) -> Generator:
         """The fast trap: service the endpoint's entire send queue."""
         t = self.timings
-        yield self.kernel_cpu.acquire()
+        if not self.kernel_cpu.try_acquire():
+            yield self.kernel_cpu.acquire()
         try:
             start = self.sim.now
             yield self.cpu.trap_entry_us
@@ -283,7 +284,8 @@ class UNetFeBackend(UNetBackend):
     def _rx_handler(self) -> Generator:
         """The kernel receive interrupt routine (Figure 4)."""
         t = self.timings
-        yield self.kernel_cpu.acquire()
+        if not self.kernel_cpu.try_acquire():
+            yield self.kernel_cpu.acquire()
         try:
             self.trace.record(self.sim.now - self.cpu.interrupt_entry_us, self.cpu.interrupt_entry_us,
                               RX_TRACE, "interrupt handler entry", begin=True)

@@ -76,11 +76,20 @@ class DmaEngine:
         return self._bus_resource
 
     def transfer(self, nbytes: int):
-        """Process: acquire the bus and move ``nbytes`` across it."""
-        yield self._bus_resource.acquire()
+        """Sub-step (enter with ``yield from``): acquire the bus and move
+        ``nbytes`` across it.  An idle bus costs the one heap entry of the
+        transfer itself; only a contended one waits on an Event."""
+        if not self._bus_resource.try_acquire():
+            yield self._bus_resource.acquire()
         try:
             yield self.bus.transfer_time(nbytes)
             self.bytes_transferred += max(0, nbytes)
             self.transfers += 1
         finally:
             self._bus_resource.release()
+        # A sub-step that used to be a nested Process resumed its caller one
+        # zero-delay hop after its last wake, i.e. behind whatever else was
+        # already due at that instant.  The hop can order nothing when the
+        # instant is otherwise empty, so it is taken only when it is not.
+        if self.sim.peek() <= self.sim.now:
+            yield 0.0

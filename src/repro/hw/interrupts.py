@@ -19,11 +19,11 @@ __all__ = ["InterruptController"]
 
 
 class InterruptController:
-    """Delivers device interrupts to a kernel handler process.
+    """Delivers device interrupts to a kernel handler routine.
 
     ``handler_factory`` returns a fresh generator for each handler
-    invocation; the generator runs with the interrupt-entry latency
-    already charged.  Devices call :meth:`assert_irq`.
+    invocation; it runs inside the dispatch process with the interrupt-
+    entry latency already charged.  Devices call :meth:`assert_irq`.
     """
 
     def __init__(
@@ -68,7 +68,9 @@ class InterruptController:
         while True:
             self._rerun = False
             self.handler_runs += 1
-            yield self.sim.process(self.handler_factory(), name=f"{self.name}-handler")
+            yield from self.handler_factory()
+            if self.sim.peek() <= self.sim.now:
+                yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
             if not self._rerun:
                 break
         yield self.cpu.interrupt_return_us

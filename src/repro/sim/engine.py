@@ -87,6 +87,15 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, _Callback(fn, args)))
 
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`call_in` at an absolute instant: a device that folds
+        several delays into one heap entry (switch hop plus egress wire)
+        evaluates the very sums the unfused chain would, and lands here."""
+        if when < self._now:
+            raise ValueError(f"call_at in the past: {when} < {self._now}")
+        self._seq += 1
+        heapq.heappush(self._queue, (when, NORMAL, self._seq, _Callback(fn, args)))
+
     # -- execution ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

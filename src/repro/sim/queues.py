@@ -218,10 +218,16 @@ class Resource:
     def queued(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        event = Event(self.sim, self._acquire_name)
+    def try_acquire(self) -> bool:
+        """Take a free unit on the spot (no Event, no heap entry); False when none is free."""
         if self._in_use < self.capacity:
             self._in_use += 1
+            return True
+        return False
+
+    def acquire(self) -> Event:
+        event = Event(self.sim, self._acquire_name)
+        if self.try_acquire():
             event.succeed()
         else:
             self._waiters.append(event)

@@ -140,3 +140,95 @@ def test_switch_preserves_cell_order_per_vci():
     sim.run()
     assert seen[-1] is True
     assert all(flag is False for flag in seen[:-1])
+
+
+# ------------------------------------------------- the fused switch hop
+# A switch hands a cell to its egress link *as of* now + forward_us
+# (one heap entry for hop and wire).  The reference is the unfused hop it
+# replaced: a callback at that instant which then submits.  Instants are
+# compared with ==, not approx: the fusion must land on the same floats.
+
+CT = OC3_SONET.cell_time_us
+
+
+def _egress_instants(arrivals, fused, buffer_cells=None, forward_us=ASX200_FORWARD_US):
+    sim = Simulator()
+    link = CellLink(sim, OC3_SONET, propagation_us=0.5, buffer_cells=buffer_cells)
+    delivered = []
+    link.deliver = lambda cell: delivered.append((cell.vci, sim.now))
+
+    def arrive(index):
+        cell = _cell(vci=index)
+        if fused:
+            link.submit(cell, sim.now + forward_us)
+        else:
+            sim.call_in(forward_us, link.submit, cell)
+
+    for index, at in enumerate(arrivals):
+        sim.call_at(at, arrive, index)
+    sim.run()
+    return delivered, link.cells_dropped, link.cells_carried, sim.events_processed
+
+
+def _back_to_back(n):
+    at, out = 0.3, []
+    for _ in range(n):
+        out.append(at)
+        at = at + CT  # the running sum an upstream link produces
+    return out
+
+
+@pytest.mark.parametrize("arrivals", [
+    _back_to_back(40),
+    [0.0] * 6 + [1.0] * 6,                                   # same-instant bursts
+    [i * 3.7 + (i % 3) * 0.11 for i in range(30)],           # gaps shorter and longer than a cell
+    [0.1, 0.2, 50.0, 50.1, 50.1 + CT, 200.0, 200.0 + 2 * CT],  # idle gaps
+], ids=["back-to-back", "bursts", "irregular", "idle-gaps"])
+@pytest.mark.parametrize("buffer_cells", [None, 2], ids=["unbounded", "finite"])
+def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(arrivals, buffer_cells):
+    fused = _egress_instants(arrivals, True, buffer_cells)
+    unfused = _egress_instants(arrivals, False, buffer_cells)
+    assert fused[:3] == unfused[:3]
+    if buffer_cells is None:
+        assert fused[3] == unfused[3] - len(arrivals)  # the point: a heap entry less per cell
+
+
+def test_fused_hop_into_a_finite_buffer_drops_what_the_unfused_hop_drops():
+    # one cell on the wire plus two queued: each burst of six overflows
+    bursts = [0.0] * 6 + [1.0] * 6 + [40.0] * 6
+    fused = _egress_instants(bursts, True, buffer_cells=2)
+    assert fused[:3] == _egress_instants(bursts, False, buffer_cells=2)[:3]
+    assert (fused[1], fused[2]) == (3 + 6 + 3, 6)
+
+
+def test_switch_hop_is_one_heap_entry_and_lands_on_the_unfused_floats():
+    sim = Simulator()
+    switch, out0, _ = _switch_with_two_ports(sim)
+    switch.program_route(100, 0)
+    arrivals = []
+    out0.deliver = lambda c: arrivals.append(sim.now)
+    sim.run(until=1.3)
+    before = sim.events_processed
+    for _ in range(3):
+        switch.on_cell(_cell(vci=100))
+    sim.run()
+    assert sim.events_processed - before == 3
+    leaves = 1.3 + ASX200_FORWARD_US
+    expected, busy = [], leaves
+    for _ in range(3):
+        busy = busy + TAXI_140.cell_time_us
+        expected.append(leaves + (busy + 0.0 + TAXI_140.framer_latency_us - leaves))
+    assert arrivals == expected
+
+
+def test_deliver_swapped_mid_flight_is_honoured_at_fire_time():
+    """A trunk blackholed (or a fault stage attached) while the cell is
+    still inside the fused hop must still catch it."""
+    sim = Simulator()
+    link = CellLink(sim, OC3_SONET, propagation_us=0.5)
+    link.deliver = lambda cell: pytest.fail("the fibre was yanked before delivery")
+    link.submit(_cell(), sim.now + ASX200_FORWARD_US)
+    blackholed = []
+    sim.call_in(ASX200_FORWARD_US / 2, setattr, link, "deliver", blackholed.append)
+    sim.run()
+    assert len(blackholed) == 1 and link.cells_carried == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ethernet import EthernetFrame, SharedMedium, SimplexChannel, wire_time_us
+from repro.ethernet import DuplexLink, EthernetFrame, SharedMedium, SimplexChannel, wire_time_us
 from repro.sim import RngRegistry, Simulator
 
 
@@ -116,19 +116,53 @@ def test_simplex_channel_orders_and_delays():
     assert seen[1][1] == pytest.approx(2 * wire_time_us(f1) + 1.0)
 
 
-def test_simplex_submit_completion_event():
+def test_simplex_submit_returns_end_of_wire_and_schedules_no_wait():
+    """``submit`` hands back the end-of-wire instant instead of building
+    a Timeout nobody but a sending NIC wants: one heap entry per frame."""
     sim = Simulator()
     chan = SimplexChannel(sim)
     chan.deliver = lambda f: None
+    sim.run(until=5.0)
+    first = chan.submit(_frame())
+    assert first == pytest.approx(5.0 + wire_time_us(_frame()))
+    assert chan.submit(_frame()) == pytest.approx(first + wire_time_us(_frame()))
+    sim.run()
+    assert sim.events_processed == 2  # the two deliveries, nothing else
+
+
+def test_duplex_transmit_sleeps_until_end_of_wire():
+    sim = Simulator()
+    link = DuplexLink(sim)
+    link.uplink.deliver = lambda f: None
     times = []
 
     def tx():
-        yield chan.submit(_frame())
-        times.append(sim.now)
+        yield 3.0
+        for _ in range(2):
+            yield from link.transmit(_frame())
+            times.append(sim.now)
 
     sim.process(tx())
     sim.run()
-    assert times == [pytest.approx(wire_time_us(_frame()))]
+    wire = wire_time_us(_frame())
+    assert times == [pytest.approx(3.0 + wire), pytest.approx(3.0 + 2 * wire)]
+
+
+def test_dropped_frame_costs_the_sender_no_wire_time():
+    sim = Simulator()
+    link = DuplexLink(sim)
+    link.uplink.buffer_frames = 0
+    link.uplink.deliver = lambda f: None
+    link.uplink.submit(_frame(b"x" * 1400))   # on the wire; no slot behind it
+    done = []
+
+    def tx():
+        yield from link.transmit(_frame())
+        done.append(sim.now)
+
+    sim.process(tx())
+    sim.run()
+    assert link.uplink.frames_dropped == 1 and done == [0.0]
 
 
 def test_deliver_at_header_mode():
@@ -137,9 +171,62 @@ def test_deliver_at_header_mode():
     arrivals = []
     chan.deliver = lambda f: arrivals.append(sim.now)
     big = _frame(b"x" * 1400)
-    chan.submit(big)
+    end_of_wire = chan.submit(big)
     sim.run()
     header_time = (8 + 14) * 8 / 100.0
     assert arrivals == [pytest.approx(header_time)]
     # the channel itself stayed busy for the full frame
-    assert sim.now == pytest.approx(wire_time_us(big))
+    assert end_of_wire == pytest.approx(wire_time_us(big))
+    assert chan.submit(big) == pytest.approx(2 * wire_time_us(big))
+
+
+# ------------------------------------------------- the fused switch hop
+# Same contract as the ATM one (tests/atm/test_phy_switch.py): a frame
+# submitted *as of* now + latency is delivered at the very float the
+# unfused hop — a callback at that instant which then submits — reached.
+
+def _egress_instants(arrivals, fused, latency_us=4.0, **channel):
+    sim = Simulator()
+    chan = SimplexChannel(sim, propagation_us=0.5, **channel)
+    delivered = []
+    chan.deliver = lambda frame: delivered.append((len(frame.payload), sim.now))
+
+    def arrive(size):
+        frame = _frame(b"x" * size)
+        if fused:
+            chan.submit(frame, sim.now + latency_us)
+        else:
+            sim.call_in(latency_us, chan.submit, frame)
+
+    for at, size in arrivals:
+        sim.call_at(at, arrive, size)
+    sim.run()
+    return delivered, chan.frames_dropped, chan.frames_carried, sim.events_processed
+
+
+@pytest.mark.parametrize("channel", [
+    {}, {"deliver_at_header": True}, {"buffer_frames": 1},
+], ids=["store-and-forward", "cut-through", "finite"])
+def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(channel):
+    wire = wire_time_us(_frame(b"x" * 40))
+    arrivals = ([(0.3 + i * wire, 40) for i in range(12)]          # back to back
+                + [(400.0, 1400)] * 4                              # a same-instant burst
+                + [(900.0 + i * 7.3, 40 + 90 * (i % 4)) for i in range(12)])  # gaps, mixed sizes
+    fused = _egress_instants(arrivals, True, **channel)
+    unfused = _egress_instants(arrivals, False, **channel)
+    assert fused[:3] == unfused[:3]
+    if "buffer_frames" in channel:
+        assert fused[1] >= 2  # the burst of four overflows one on the wire plus one queued
+    else:
+        assert fused[3] == unfused[3] - len(arrivals)  # a heap entry less per frame
+
+
+def test_channel_deliver_swapped_mid_flight_is_honoured_at_fire_time():
+    sim = Simulator()
+    chan = SimplexChannel(sim)
+    chan.deliver = lambda frame: pytest.fail("the trunk went down before delivery")
+    chan.submit(_frame(), sim.now + 4.0)
+    blackholed = []
+    sim.call_in(2.0, setattr, chan, "deliver", blackholed.append)
+    sim.run()
+    assert len(blackholed) == 1 and chan.frames_carried == 1

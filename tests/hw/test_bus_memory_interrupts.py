@@ -58,6 +58,62 @@ def test_dma_engines_share_bus_resource():
     assert order[1][1] == pytest.approx(2 * PCI_BUS.transfer_time(960))
 
 
+def test_uncontended_dma_inline_is_one_heap_entry():
+    sim = Simulator()
+    dma = DmaEngine(sim, PCI_BUS)
+    done = []
+
+    def firmware():
+        yield 1.0
+        before = sim.events_processed
+        yield from dma.transfer(960)
+        done.append((sim.now, sim.events_processed - before))
+
+    sim.process(firmware())
+    sim.run()
+    assert done == [(1.0 + PCI_BUS.transfer_time(960), 1)]
+
+
+def test_contended_dma_inline_waits_its_turn():
+    sim = Simulator()
+    dma = DmaEngine(sim, PCI_BUS)
+    done = []
+
+    def firmware(tag, start):
+        yield start
+        yield from dma.transfer(960)
+        done.append((tag, sim.now))
+
+    sim.process(firmware("rx", 0.0))
+    sim.process(firmware("tx", 1.0))  # the bus is busy until t_single
+    sim.run()
+    t_single = PCI_BUS.transfer_time(960)
+    assert done == [("rx", t_single), ("tx", t_single + t_single)]
+    assert dma.bus_resource.in_use == 0
+
+
+def test_dma_caller_resumes_behind_peers_due_at_the_same_instant():
+    """The nested Process this sub-step replaced resumed its caller one
+    hop later, behind entries already due at that instant; inlined, it
+    keeps that order — and pays the hop only when there is such a peer."""
+    for peer_due_at_the_end, expected in ((True, ["peer", "dma"]), (False, ["dma"])):
+        sim = Simulator()
+        dma = DmaEngine(sim, PCI_BUS)
+        order = []
+
+        def firmware():
+            yield from dma.transfer(960)
+            order.append("dma")
+
+        sim.process(firmware())
+        sim.run(until=0.0)  # the transfer's one entry is on the heap...
+        if peer_due_at_the_end:  # ...and this one, for the same instant, behind it
+            sim.call_in(PCI_BUS.transfer_time(960), order.append, "peer")
+        sim.run()
+        assert order == expected
+        assert sim.events_processed == (5 if peer_due_at_the_end else 3)
+
+
 # ---------------------------------------------------------------- memory
 
 

@@ -103,6 +103,30 @@ def test_call_in_rejects_negative_delay():
         sim.step()  # nothing was scheduled
 
 
+def test_call_at_is_call_in_at_an_absolute_instant():
+    """Same tier and same FIFO order among equal instants as ``call_in``;
+    the callback fires at the very float the caller passed."""
+    sim = Simulator()
+    order = []
+    sim.run(until=0.1)
+    when = 0.1 + 0.7
+    sim.call_in(0.7, order.append, "in")
+    sim.call_at(when, order.append, "at")
+    sim.call_at(when, lambda: order.append(sim.now))
+    sim.run()
+    assert order == ["in", "at", when] and sim.events_processed == 3
+
+
+def test_call_at_rejects_the_past():
+    sim = Simulator()
+    sim.run(until=5.0)
+    with pytest.raises(ValueError):
+        sim.call_at(4.0, lambda: None)
+    sim.call_at(5.0, lambda: None)  # now itself is fine
+    sim.run()
+    assert sim.events_processed == 1
+
+
 def test_processed_event_resumes_now_ahead_of_normal_events():
     sim = Simulator()
     order = []

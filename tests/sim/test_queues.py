@@ -206,6 +206,20 @@ def test_resource_capacity_two():
     assert entered == [("a", 0.0), ("b", 0.0), ("c", 10.0)]
 
 
+def test_resource_try_acquire_takes_a_free_unit_without_an_event():
+    sim = Simulator()
+    bus = Resource(sim, capacity=1)
+    assert bus.try_acquire() and bus.in_use == 1
+    assert not bus.try_acquire()          # busy: the caller falls back to acquire()
+    waiter = bus.acquire()
+    bus.release()                         # handed straight to the waiter
+    assert not bus.try_acquire() and bus.in_use == 1
+    sim.run()
+    assert waiter.processed and sim.events_processed == 1  # only the waiter's event
+    bus.release()
+    assert bus.try_acquire()
+
+
 def test_resource_release_idle_raises():
     sim = Simulator()
     res = Resource(sim)

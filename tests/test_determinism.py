@@ -8,7 +8,9 @@ the ambient-nondeterminism primitives (wall clocks, the module-level
 ``random`` API) from simulation code — randomness must flow through the
 named-stream :class:`~repro.sim.rng.RngRegistry` and time through the
 simulator clock.  The same AST walk keeps ``src/repro`` to one idiom for
-a plain sleep (``yield delay``, never a directly yielded ``.timeout()``).
+a plain sleep (``yield delay``, never a directly yielded ``.timeout()``)
+and the device packages to one idiom for a blocking sub-step
+(``yield from step()``, never a directly yielded ``sim.process(...)``).
 """
 
 import ast
@@ -249,6 +251,69 @@ def test_sleep_lint_catches_a_planted_offender_and_spares_stored_timeouts():
     hits = list(_directly_yielded_timeouts_in(pathlib.Path("planted.py"),
                                               source=planted))
     assert hits == ["planted.py:2: yield ....timeout(...)"]
+
+
+# ------------------------------- a sub-step is a sub-generator, not a Process
+#: Device packages whose per-cell / per-frame paths the rule covers.
+SUBSTEP_LINT_PACKAGES = ("hw", "atm", "ethernet", "core")
+
+#: ``"file.py:function"`` -> the one-line reason its nested process is
+#: load-bearing (it must be interruptible on its own, or waited on by
+#: more than its caller).  Empty since PR 15: every former site — the
+#: three DMA transfers, the wire transmit, the interrupt handler, the
+#: router's egress — blocks only its caller and is entered with
+#: ``yield from``.
+NESTED_PROCESS_ALLOWLIST = {}
+
+
+def _yielded_nested_processes_in(path: pathlib.Path, source=None):
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            call = node.value if isinstance(node, ast.Yield) else None
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "process"):
+                yield f"{path.name}:{fn.name}"
+
+
+def test_a_blocking_sub_step_is_entered_with_yield_from():
+    """``yield sim.process(step())`` makes a Process, a wake record and a
+    completion Event, and three heap entries, only to block the caller
+    until ``step()`` is done; ``yield from step()`` is the same wait on
+    the caller's own frame.  ``sim.process(...)`` is for concurrency: a
+    frame handler that overlaps the next frame, a firmware loop."""
+    offenders = []
+    for package in SUBSTEP_LINT_PACKAGES:
+        for path in sorted((SRC_ROOT / package).rglob("*.py")):
+            offenders.extend(f"{package}/{site}"
+                             for site in _yielded_nested_processes_in(path)
+                             if site not in NESTED_PROCESS_ALLOWLIST)
+    assert not offenders, (
+        "sub-step run as a nested Process (write `yield from step()`, or "
+        "allowlist it with a reason):\n  " + "\n  ".join(offenders))
+    assert all(reason.strip() for reason in NESTED_PROCESS_ALLOWLIST.values())
+
+
+def test_sub_step_lint_catches_a_planted_offender_and_spares_concurrency():
+    planted = (
+        "class Nic:\n"
+        "    def _tx(self, sim):\n"
+        "        yield self.sim.process(\n"
+        "            self.dma.transfer(64))\n"
+        "        yield sim.process(self.wire(frame), name='w')\n"
+        "    def _ok(self, sim):\n"
+        "        yield from self.dma.transfer(64)\n"
+        "        self.sim.process(self._rx_frame(frame))\n"
+        "        handler = sim.process(self.handler())\n"
+        "        yield sim.any_of([handler, sim.timeout(9.0)])\n"
+        "        yield 2.0\n"
+    )
+    hits = list(_yielded_nested_processes_in(pathlib.Path("planted.py"),
+                                             source=planted))
+    assert hits == ["planted.py:_tx", "planted.py:_tx"]
 
 
 # ------------------------------------------- one AM protocol core, two drivers
