@@ -20,6 +20,7 @@ def backend_stats(backend: Any) -> Dict[str, Any]:
     for attr in (
         "pdus_sent",
         "pdus_received",
+        "collective_cells_received",
         "crc_errors",
         "no_buffer_drops",
         "recv_queue_drops",
@@ -36,6 +37,7 @@ def backend_stats(backend: Any) -> Dict[str, Any]:
         stats["nic"] = {
             "frames_sent": nic.frames_sent,
             "frames_received": nic.frames_received,
+            "collective_frames_received": nic.collective_frames_received,
             "rx_overflow_drops": nic.rx_overflow_drops,
             "rx_crc_drops": nic.rx_crc_drops,
             "tx_collision_drops": nic.tx_collision_drops,

@@ -132,7 +132,8 @@ class UNetAtmBackend(UNetBackend):
         #: reserved VCIs owned by the NIC-resident collective engine
         self._collective_vcis: Dict[int, "Callable[[bytes], None]"] = {}
         self._collective_reasm: Dict[int, List[Cell]] = {}
-        self._collective_txq: Optional[Store] = None
+        self._collective_txq: Deque[tuple] = deque()  # collective packets yet to be sent
+        self._collective_tx_busy = False
         self._tx_doorbell: Store[Endpoint] = Store(sim, name=f"{name}.doorbell")
         self._tx_pending: Dict[int, bool] = {}
         self._reassembly: Dict[int, _Reassembly] = {}
@@ -142,6 +143,7 @@ class UNetAtmBackend(UNetBackend):
         # statistics
         self.pdus_sent = 0
         self.pdus_received = 0
+        self.collective_cells_received = 0  # consumed by the collective engine, never an endpoint's
         self.crc_errors = 0
         self.no_buffer_drops = 0
         self.recv_queue_drops = 0
@@ -306,26 +308,36 @@ class UNetAtmBackend(UNetBackend):
 
     def send_collective(self, vci: int, payload: bytes) -> None:
         """Firmware-originated send: segment and transmit, no host at all."""
-        if self._collective_txq is None:
-            self._collective_txq = Store(self.sim, name=f"{self.name}.colltx")
-            self.sim.process(self._collective_tx_firmware(),
-                             name=f"{self.name}.i960-coll")
-        self._collective_txq.try_put((vci, payload))
+        self._collective_txq.append((vci, payload))
+        if not self._collective_tx_busy:
+            self._collective_tx_next()
 
-    def _collective_tx_firmware(self) -> Generator:
+    def _collective_tx_next(self) -> None:
+        """One ``call_in`` per i960 delay: nobody waits, and ``tx_link`` is shared cell by cell."""
+        self._collective_tx_busy = bool(self._collective_txq)
+        if self._collective_tx_busy:
+            vci, payload = self._collective_txq.popleft()
+            self.sim.call_in(self.timings.collective_op_us, self._collective_tx_segment,
+                             self.sim.now, aal5_segment(payload, vci=vci))
+
+    def _collective_tx_segment(self, op_start: float, cells: List[Cell]) -> None:
         t = self.timings
-        while True:
-            vci, payload = yield self._collective_txq.get()
-            yield from self._step(ATM_TX_TRACE, "collective engine send",
-                                  t.collective_op_us)
-            for cell in aal5_segment(payload, vci=vci):
-                yield t.tx_per_cell_us
-                if self.tx_link is not None:
-                    self.tx_link.submit(cell)
+        self.trace.record(op_start, t.collective_op_us, ATM_TX_TRACE, "collective engine send",
+                          begin=False)
+        self.sim.call_in(t.tx_per_cell_us, self._collective_tx_cell, cells, 0)
+
+    def _collective_tx_cell(self, cells: List[Cell], index: int) -> None:
+        if self.tx_link is not None:
+            self.tx_link.submit(cells[index])
+        if index + 1 < len(cells):
+            self.sim.call_in(self.timings.tx_per_cell_us, self._collective_tx_cell, cells, index + 1)
+        else:
+            self._collective_tx_next()
 
     def _rx_collective(self, cell: Cell, handler: Callable[[bytes], None]) -> Generator:
         cells = self._collective_reasm.setdefault(cell.vci, [])
         cells.append(cell)
+        self.collective_cells_received += 1
         if not cell.last:
             return
         del self._collective_reasm[cell.vci]

@@ -98,6 +98,7 @@ class Dc21140:
         self._tx_fifo: Store[TxRingDescriptor] = Store(sim, capacity=2, name=f"{name}.txfifo")
         self.frames_sent = 0
         self.frames_received = 0
+        self.collective_frames_received = 0  # consumed by the collective engine, never the host ring
         self.rx_overflow_drops = 0
         self.rx_crc_drops = 0
         self.tx_collision_drops = 0
@@ -175,26 +176,29 @@ class Dc21140:
             self.rx_crc_drops += 1
             return
         if self.collective_rx is not None and frame.dst_port == COLLECTIVE_PORT:
-            self.sim.process(self._rx_collective(frame), name=f"{self.name}.collrx")
+            self.collective_frames_received += 1
+            self.sim.call_in(self.timings.collective_op_us, self._collective_deliver, frame)
             return
         self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
 
     # ---------------------------------------------------- collective engine
     # A what-if extension (the DC21140 itself has no programmable core):
     # a small on-controller engine consumes and originates collective
-    # packets without touching host memory.  See DESIGN.md.
-    def _rx_collective(self, frame: EthernetFrame):
-        yield self.timings.collective_op_us
-        self.collective_rx(frame.payload)
+    # packets without touching host memory.  See DESIGN.md.  One packet
+    # is one ``collective_op_us`` step nobody waits on: one ``call_in``.
+    def _collective_deliver(self, frame: EthernetFrame) -> None:
+        if self.collective_rx is not None:  # read now: a handler swapped or cleared meanwhile is honoured
+            self.collective_rx(frame.payload)
 
     def send_collective(self, frame: EthernetFrame) -> None:
         """Collective engine TX: the controller originates the frame —
         no trap, no descriptor ring, no host DMA."""
-        self.sim.process(self._tx_collective(frame), name=f"{self.name}.colltx")
+        self.sim.call_in(self.timings.collective_op_us, self._collective_stage,
+                         TxRingDescriptor(frame=frame, completed=True))
 
-    def _tx_collective(self, frame: EthernetFrame):
-        yield self.timings.collective_op_us
-        yield self._tx_fifo.put(TxRingDescriptor(frame=frame, completed=True))
+    def _collective_stage(self, descriptor: TxRingDescriptor) -> None:
+        if not self._tx_fifo.try_put(descriptor):
+            self._tx_fifo.put(descriptor)  # full: queue behind the frames already waiting
 
     def _rx_frame(self, frame: EthernetFrame):
         t = self.timings

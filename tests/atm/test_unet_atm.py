@@ -5,7 +5,9 @@ import pytest
 from repro.atm import AtmNetwork, Cell, SINGLE_CELL_MAX_PAYLOAD, TAXI_140
 from repro.core import EndpointConfig, MessageTooLarge
 from repro.hw import SPARCSTATION_20
-from repro.sim import Simulator
+from repro.atm.unet_atm import ATM_TX_TRACE
+from repro.sim import Simulator, TraceRecorder
+from tests.heap_census import heap_census
 
 
 def build_pair(phy=None, rx_buffers=16, config=None):
@@ -270,3 +272,64 @@ def test_recv_queue_overflow_drops_and_recycles():
     # dropped messages' buffers were recycled, 2 are still held by the
     # queued (unconsumed) messages
     assert len(ep2.endpoint.free_queue) == 16 - 2
+
+
+# ------------------------------------------------------ collective engine
+
+
+def _collective_pair():
+    sim = Simulator()
+    net = AtmNetwork(sim)
+    a = net.add_host("a", SPARCSTATION_20).backend
+    b = net.add_host("b", SPARCSTATION_20).backend
+    vci_ab, _vci_ba = net.connect_collective(a, b)
+    a.trace = TraceRecorder()
+    return sim, a, b, vci_ab
+
+
+def test_collective_sends_are_serialised_through_the_i960():
+    """Three packets handed over at once leave one after the other: each
+    pays ``collective_op_us`` then ``tx_per_cell_us`` per cell, traced at
+    the instants the firmware loop traced them, and arrive in order."""
+    sim, a, b, vci = _collective_pair()
+    got = []
+    b.register_collective_vci(vci, lambda payload: got.append((sim.now, payload)))
+    payloads = [b"one", b"2" * 100, b"three"]  # 1, 3 and 1 cells
+    sim.run()  # firmware loops park
+    start = sim.now
+    with heap_census(sim) as census:
+        for payload in payloads:
+            a.send_collective(vci, payload)
+        sim.run()
+    t = a.timings
+    begins = [start,
+              start + t.collective_op_us + t.tx_per_cell_us,
+              start + 2 * t.collective_op_us + 4 * t.tx_per_cell_us]
+    steps = [(r.start, r.duration, r.step) for r in a.trace.by_category(ATM_TX_TRACE)]
+    assert [step for _s, _d, step in steps] == ["collective engine send"] * 3
+    assert [s for s, _d, _step in steps] == pytest.approx(begins)
+    assert {d for _s, d, _step in steps} == {t.collective_op_us}
+    assert [payload for _when, payload in got] == payloads
+    assert b.collective_cells_received == 5 and b.pdus_received == 0
+    # one heap entry per op and per cell on the sender, none that models no delay
+    assert census.entries["call:UNetAtmBackend._collective_tx_segment"] == 3
+    assert census.entries["call:UNetAtmBackend._collective_tx_cell"] == 5
+    assert not [kind for kind in census.entries if kind.startswith(("start:", "done:"))]
+    assert "event:colltx.get" not in census.entries
+    assert not a._collective_tx_busy and not a._collective_txq
+
+
+def test_collective_send_shares_the_uplink_with_host_traffic():
+    """The engine and ``_tx_firmware`` interleave cell by cell on
+    ``tx_link``: a host message sent while a collective packet is going
+    out is neither lost nor reordered within its own VC."""
+    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+    a, b = ep1.host.backend, ep2.host.backend
+    vci, _back = net.connect_collective(a, b)
+    got = []
+    b.register_collective_vci(vci, got.append)
+    a.send_collective(vci, b"c" * 400)
+    msg = transfer(sim, ep1, ep2, ch1, b"h" * 400)
+    sim.run()
+    assert msg.data == b"h" * 400
+    assert got == [b"c" * 400]

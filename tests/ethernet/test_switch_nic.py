@@ -12,7 +12,9 @@ from repro.ethernet import (
     TxRingDescriptor,
     wire_time_us,
 )
+from repro.ethernet.frames import COLLECTIVE_PORT
 from repro.sim import Simulator
+from tests.heap_census import heap_census
 
 
 def _frame(dst, src, payload=b"x" * 40):
@@ -197,3 +199,74 @@ def test_nic_pipelines_dma_with_wire():
     wire = wire_time_us(_frame(2, 1, big)) + 0.96  # + IFG wait
     # steady-state inter-frame gap stays within 15% of pure wire time
     assert sum(gaps[2:]) / len(gaps[2:]) < wire * 1.15
+
+
+# ------------------------------------------------ DC21140 collective engine
+
+
+def _collective_frame(dst, src, payload=b"c" * 16):
+    return EthernetFrame(dst_mac=dst, src_mac=src, dst_port=COLLECTIVE_PORT,
+                         src_port=COLLECTIVE_PORT, payload=payload)
+
+
+def test_collective_frame_costs_one_heap_entry_per_modelled_delay():
+    """Send side: the engine's op, then the wire (the FIFO wake-up of
+    ``_tx_wire`` is the one survivor that models no delay).  Receive
+    side: the switch's delivery and the engine's op.  No process is
+    born or completed per frame."""
+    sim = Simulator()
+    switch = EthernetSwitch(sim, BAY_28115)
+    nic1, nic2 = Dc21140(sim, mac=1, name="nic1"), Dc21140(sim, mac=2, name="nic2")
+    nic1.attach(switch.attach(mac=1))
+    nic2.attach(switch.attach(mac=2))
+    got = []
+    nic2.collective_rx = got.append
+    sim.run()  # the TX engines park on their stores
+    with heap_census(sim) as census:
+        nic1.send_collective(_collective_frame(dst=2, src=1))
+        sim.run()
+    assert got == [b"c" * 16]
+    assert not [kind for kind in census.entries if kind.startswith(("start:", "done:"))]
+    assert census.entries["call:Dc21140._collective_stage"] == 1
+    assert census.entries["call:Dc21140._collective_deliver"] == 1
+    assert dict(census.zero_delay) == {"event:txfifo.get": 1}
+
+
+def test_full_tx_fifo_still_back_pressures_collective_sends():
+    """Five frames at once into a two-deep FIFO: the third onward wait
+    in the store's putter queue, and every frame still leaves in order,
+    one wire time apart."""
+    sim = Simulator()
+    nic1, nic2 = _nic_pair_on_hub(sim)
+    arrivals = []
+    nic2.collective_rx = lambda payload: arrivals.append((sim.now, payload))
+    for i in range(5):
+        nic1.send_collective(_collective_frame(dst=2, src=1, payload=bytes([i]) * 16))
+    sim.run(until=nic1.timings.collective_op_us)
+    # one on the wire, two staged, two held back by the full FIFO
+    assert len(nic1._tx_fifo) == 2 and nic1._tx_fifo.is_full
+    assert len(nic1._tx_fifo._putters) == 2
+    sim.run()
+    assert [payload[0] for _when, payload in arrivals] == [0, 1, 2, 3, 4]
+    gaps = [b - a for (a, _), (b, _) in zip(arrivals, arrivals[1:])]
+    assert min(gaps) >= wire_time_us(_collective_frame(2, 1))
+    assert nic1.frames_sent == 5 and nic2.collective_frames_received == 5
+    assert nic2.frames_received == 0  # consumed on the controller, never the host ring
+
+
+def test_collective_handler_is_read_when_the_engine_fires():
+    """A handler swapped during the ``collective_op_us`` delay gets the
+    frame; one cleared during it gets nothing, and nothing raises."""
+    sim = Simulator()
+    nic1, nic2 = _nic_pair_on_hub(sim)
+    first, second = [], []
+    nic2.collective_rx = first.append
+    nic2._on_frame(_collective_frame(dst=2, src=1, payload=b"swap"))
+    nic2.collective_rx = second.append
+    sim.run()
+    assert (first, second) == ([], [b"swap"])
+    nic2._on_frame(_collective_frame(dst=2, src=1, payload=b"gone"))
+    nic2.collective_rx = None
+    sim.run()
+    assert (first, second) == ([], [b"swap"])
+    assert nic2.collective_frames_received == 2

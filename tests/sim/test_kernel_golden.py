@@ -15,7 +15,12 @@ they are deliberately not one tuple:
   ``Process``, a switch hop folded into its egress link): fewer heap
   entries for the same modelled delays.  They were re-recorded once, in
   PR 15 (from 9806 / 4806 / 13661 / 1115), and a change that moves one
-  re-records it here, lower, and says which entry it removed.  A
+  re-records it here, lower, and says which entry it removed.  PR 16
+  moved the NIC barrier alone, 831 -> 558: gone are the start and the
+  completion entry of the per-frame ``Dc21140._rx_collective`` /
+  ``_tx_collective`` processes (a ``call_in`` each now) and the
+  ``txfifo.put`` event of every collective frame that found room in the
+  FIFO.  A
   *kernel* change that adds, drops or reorders an entry moves a count
   and usually a clock, and fails here in seconds instead of at artifact
   regeneration.
@@ -61,7 +66,7 @@ GOLDEN = {
     "fig5-hub-40B-x100": (lambda: _ping_pong("hub", 40, 100), 5695.6363636363685, 7606),
     "fig5-atm-40B-x100": (lambda: _ping_pong("atm", 40, 100), 9034.660450660354, 3406),
     "fig6-atm-1498B-x50": (lambda: _stream("atm", 1498, 50), 4921.147629870065, 7924),
-    "fe-clos-16-nic-barrier": (_nic_barrier, 182.09999999999997, 831),
+    "fe-clos-16-nic-barrier": (_nic_barrier, 182.09999999999997, 558),
 }
 
 

@@ -10,7 +10,9 @@ named-stream :class:`~repro.sim.rng.RngRegistry` and time through the
 simulator clock.  The same AST walk keeps ``src/repro`` to one idiom for
 a plain sleep (``yield delay``, never a directly yielded ``.timeout()``)
 and the device packages to one idiom for a blocking sub-step
-(``yield from step()``, never a directly yielded ``sim.process(...)``).
+(``yield from step()``, never a directly yielded ``sim.process(...)``)
+and one for a single delay nobody waits on (``sim.call_in``, never a
+dropped ``sim.process(...)`` of a one-``yield`` generator).
 """
 
 import ast
@@ -314,6 +316,107 @@ def test_sub_step_lint_catches_a_planted_offender_and_spares_concurrency():
     hits = list(_yielded_nested_processes_in(pathlib.Path("planted.py"),
                                              source=planted))
     assert hits == ["planted.py:_tx", "planted.py:_tx"]
+
+
+# --------------------------- one delay and no waiter is a call_in, not a Process
+#: ``"file.py:generator"`` -> why it must stay a process although it
+#: sleeps once and nobody waits on it.  Empty since PR 16: the two sites,
+#: ``Dc21140._rx_collective`` and ``_tx_collective``, became callbacks.
+#: (``faults/`` has two generators of the same shape; the rule covers
+#: the device packages, whose paths run per cell and per frame.)
+FIRE_AND_FORGET_ALLOWLIST = {}
+
+
+def _single_delay_generators(tree):
+    """Generator functions that sleep once — one yielded non-call outside
+    any loop — and otherwise at most ``yield store.put(...)``."""
+    names = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        if any(isinstance(n, (ast.YieldFrom, ast.For, ast.While)) for n in nodes):
+            continue
+        yields = [n.value for n in nodes if isinstance(n, ast.Yield)]
+        delays = [v for v in yields if not isinstance(v, ast.Call)]
+        puts = [v for v in yields if isinstance(v, ast.Call)
+                and isinstance(v.func, ast.Attribute) and v.func.attr == "put"]
+        if len(delays) == 1 and len(delays) + len(puts) == len(yields):
+            names.add(fn.name)
+    return names
+
+
+def _fire_and_forget_single_delays_in(path: pathlib.Path, source=None):
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    single = _single_delay_generators(tree)
+    for node in ast.walk(tree):
+        # an expression statement: the Process is dropped, so nobody waits on it
+        call = node.value if isinstance(node, ast.Expr) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "process" and call.args):
+            continue
+        started = call.args[0]
+        if (isinstance(started, ast.Call) and isinstance(started.func, ast.Attribute)
+                and started.func.attr in single):
+            yield f"{path.name}:{started.func.attr}"
+
+
+def test_a_single_delay_fire_and_forget_is_a_call_in():
+    """``sim.process(self.step(x))`` dropped on the floor, where ``step``
+    is ``yield delay`` and then plain code, is a start entry, the delay
+    and a completion event — three heap entries and a generator for one
+    modelled delay.  ``sim.call_in(delay, self.step_done, x)`` is the one
+    entry; a trailing ``yield store.put(...)`` becomes ``try_put`` with
+    the blocking ``put`` (unyielded: the store queues it) only when the
+    store is full."""
+    offenders = []
+    for package in SUBSTEP_LINT_PACKAGES:
+        for path in sorted((SRC_ROOT / package).rglob("*.py")):
+            offenders.extend(f"{package}/{site}"
+                             for site in _fire_and_forget_single_delays_in(path)
+                             if site not in FIRE_AND_FORGET_ALLOWLIST)
+    assert not offenders, (
+        "single-delay process nobody waits on (write `sim.call_in(delay, "
+        "fn, ...)`, or allowlist it with a reason):\n  " + "\n  ".join(offenders))
+    assert all(reason.strip() for reason in FIRE_AND_FORGET_ALLOWLIST.values())
+
+
+def test_fire_and_forget_lint_catches_planted_offenders_and_spares_real_processes():
+    planted = (
+        "class Nic:\n"
+        "    def _on_frame(self, frame):\n"
+        "        self.sim.process(self._rx_collective(frame), name='collrx')\n"
+        "        self.sim.process(self._tx_collective(frame))\n"
+        "        self.sim.process(self._rx_frame(frame))\n"
+        "        self.sim.process(self._ticker())\n"
+        "        self.sim.process(self._two_waits())\n"
+        "        waited = self.sim.process(self._rx_collective(frame))\n"
+        "        return waited\n"
+        "    def _rx_collective(self, frame):\n"
+        "        yield self.timings.collective_op_us\n"
+        "        self.collective_rx(frame.payload)\n"
+        "    def _tx_collective(self, frame):\n"
+        "        yield 2.0\n"
+        "        yield self._tx_fifo.put(frame)\n"
+        "    def _rx_frame(self, frame):\n"
+        "        yield self.timings.rx_dma_start_us\n"
+        "        yield from self.dma.transfer(64)\n"
+        "    def _ticker(self):\n"
+        "        while True:\n"
+        "            yield self.period_us\n"
+        "    def _two_waits(self):\n"
+        "        yield 1.0\n"
+        "        yield self.done_event()\n"
+    )
+    hits = list(_fire_and_forget_single_delays_in(pathlib.Path("planted.py"),
+                                                  source=planted))
+    assert hits == ["planted.py:_rx_collective", "planted.py:_tx_collective"]
+    # the other direction: the same generators, waited on or looping, pass
+    spared = planted.replace("        self.sim.process(self._rx_collective(frame), name='collrx')\n", "")
+    spared = spared.replace("        self.sim.process(self._tx_collective(frame))\n", "")
+    assert not list(_fire_and_forget_single_delays_in(pathlib.Path("planted.py"),
+                                                      source=spared))
 
 
 # ------------------------------------------- one AM protocol core, two drivers

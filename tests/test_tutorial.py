@@ -41,6 +41,7 @@ def test_tutorial_outputs_match_prose():
         outputs.append(buffer.getvalue())
     assert "done" in outputs[0] and "5.0" in outputs[0]
     assert outputs[1].strip() == "[('dma done', 8.25), ('delivered', 18.75)] 4"
-    assert outputs[2].strip().startswith("9")  # ~91 us on FN100
-    assert "42" in outputs[3]
-    assert "[4000, 4000, 4000, 4000]" in outputs[4]
+    assert outputs[2].strip() == "2 frame0 2"  # try_put, then put only when full
+    assert outputs[3].strip().startswith("9")  # ~91 us on FN100
+    assert "42" in outputs[4]
+    assert "[4000, 4000, 4000, 4000]" in outputs[5]
