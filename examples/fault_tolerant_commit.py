@@ -13,9 +13,9 @@ Run:  python examples/fault_tolerant_commit.py
 """
 
 from repro.am import AmConfig, AmEndpoint
-from repro.analysis import FrameFaultInjector
 from repro.core import EndpointConfig
 from repro.ethernet import SwitchedNetwork
+from repro.faults import FrameFaultInjector
 from repro.atm import AtmNetwork
 from repro.hw import PENTIUM_120
 from repro.sim import RngRegistry, Simulator

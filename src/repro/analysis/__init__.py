@@ -21,7 +21,6 @@ from .benchcmp import (
     render_compare,
 )
 from .report import ascii_plot, format_comparison, format_table
-from .faults import CellFaultInjector, FrameFaultInjector
 from .stats import am_stats, backend_stats, cluster_stats, network_stats, render_stats
 from .splitc_bench import (
     BENCHMARKS,
@@ -61,8 +60,6 @@ __all__ = [
     "network_stats",
     "cluster_stats",
     "render_stats",
-    "FrameFaultInjector",
-    "CellFaultInjector",
     "Claim",
     "MetricDelta",
     "compare_bench",

@@ -1,33 +1,29 @@
 """Benchmark snapshot comparison: catch regressions before they land.
 
 ``python -m repro bench --compare BASELINE.json CANDIDATE.json`` diffs
-two committed BENCH snapshots and exits nonzero when any *headline*
-metric regressed by more than the threshold (15% by default).  The
-headline set is format-dispatched, so the same command guards both the
-wall-clock rig (``repro-bench-live/2``: p50 latency per size, goodput
-per size, incast goodput, and the batched fast path's throughput,
-syscalls-per-message, and speedup), the deterministic transport
-ablation (``repro-bench-transport/1``: goodput per scenario and mode),
-the collective-latency sweep (``repro-bench-collectives/1``: mean
-barrier/reduce latency per substrate, mode, and node count, plus the
-host-vs-NIC speedup ratios), and the fabric fault-tolerance soak
-(``repro-bench-fabric/1``: recovery time and post-recovery round
-latency per fault scenario).
+two BENCH snapshots and exits nonzero when any *headline* metric
+regressed by more than the threshold (15% by default).  Which metrics
+are headlines is the artifact's own business: the comparison looks the
+snapshot's ``format`` up among the declared artifacts
+(:func:`repro.suite.artifacts`) and asks that
+:class:`~repro.artifact.Artifact` — this module knows no format.
 
 Direction matters: latency regresses *up*, goodput regresses *down*.
 Improvements of any size and regressions inside the threshold are
 reported but never fail the comparison — wall-clock numbers wobble,
 and the threshold is the contract for how much wobble CI tolerates.
-The transport snapshot is deterministic, so any drift there is a real
-behaviour change; CI additionally byte-diffs it, and this comparison
-is the human-readable explanation of what moved.
+A simulated snapshot is deterministic, so any drift there is a real
+behaviour change; CI gates those with ``diff``, and this comparison,
+run first, is the human-readable explanation of what moved.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+from ..artifact import Headline
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -65,89 +61,16 @@ class MetricDelta:
         return self.change_frac > threshold
 
 
-def _live_headlines(payload: dict) -> List[Tuple[str, str, float]]:
-    metrics: List[Tuple[str, str, float]] = []
-    for row in payload["round_trip"]:
-        metrics.append((f"rtt[{row['size']}B].p50_us", "lower", row["p50_us"]))
-    for row in payload["bandwidth"]:
-        metrics.append((f"bandwidth[{row['size']}B].goodput_mbps", "higher",
-                        row["goodput_mbps"]))
-    metrics.append(("incast.goodput_mbps", "higher",
-                    payload["incast"]["goodput_mbps"]))
-    return metrics
-
-
-def _live_v2_headlines(payload: dict) -> List[Tuple[str, str, float]]:
-    """live/1 plus the burst fast path: the batched throughput and its
-    syscalls-per-message ratio are first-class regression gates, as is
-    the speedup over the per-syscall baseline."""
-    metrics = _live_headlines(payload)
-    burst = payload["burst"]
-    metrics.append(("burst.batched.msgs_per_sec", "higher",
-                    burst["batched"]["msgs_per_sec"]))
-    metrics.append(("burst.batched.syscalls_per_message", "lower",
-                    burst["batched"]["syscalls_per_message"]))
-    metrics.append(("burst.speedup", "higher", burst["speedup"]))
-    return metrics
-
-
-def _transport_headlines(payload: dict) -> List[Tuple[str, str, float]]:
-    metrics: List[Tuple[str, str, float]] = []
-    for entry in payload["scenarios"]:
-        for mode, row in sorted(entry["modes"].items()):
-            metrics.append((f"{entry['scenario']}[{mode}].goodput_mbps",
-                            "higher", row["goodput_mbps"]))
-    return metrics
-
-
-def _collectives_headlines(payload: dict) -> List[Tuple[str, str, float]]:
-    """Every measured latency cell, plus the host/nic speedup ratios.
-
-    All values are simulated time, so they are deterministic and any
-    drift is a real behaviour change.  The ``engine`` events/sec
-    snapshot is deliberately *not* a headline — it is wall-clock and
-    machine-dependent."""
-    metrics: List[Tuple[str, str, float]] = []
-    for p in payload["points"]:
-        metrics.append((f"{p['op']}[{p['substrate']},{p['mode']},"
-                        f"n{p['nodes']}].mean_us", "lower", p["mean_us"]))
-    for s in payload["speedups"]:
-        metrics.append((f"speedup[{s['substrate']},n{s['nodes']}].{s['op']}",
-                        "higher", s["speedup"]))
-    return metrics
-
-
-def _fabric_headlines(payload: dict) -> List[Tuple[str, str, float]]:
-    """Recovery time and steady-state round latency per fault scenario.
-
-    Both are simulated time — deterministic, so any drift is a real
-    behaviour change; CI additionally byte-diffs the snapshot."""
-    metrics: List[Tuple[str, str, float]] = []
-    for entry in payload["scenarios"]:
-        row = entry["row"]
-        metrics.append((f"{entry['scenario']}.recovery_us", "lower",
-                        row["recovery_us"]))
-        metrics.append((f"{entry['scenario']}.post_recovery_mean_us", "lower",
-                        row["post_recovery_mean_us"]))
-    return metrics
-
-
-_HEADLINES = {
-    "repro-bench-live/1": _live_headlines,
-    "repro-bench-live/2": _live_v2_headlines,
-    "repro-bench-transport/1": _transport_headlines,
-    "repro-bench-collectives/1": _collectives_headlines,
-    "repro-bench-fabric/1": _fabric_headlines,
-}
-
-
-def headline_metrics(payload: dict) -> List[Tuple[str, str, float]]:
+def headline_metrics(payload: dict) -> List[Headline]:
     """``(name, better-direction, value)`` triples for one snapshot."""
+    from ..suite import artifacts
+
+    comparable = {a.format: a.headlines for a in artifacts() if a.headlines}
     fmt = payload.get("format")
-    if fmt not in _HEADLINES:
+    if fmt not in comparable:
         raise ValueError(f"no headline metrics defined for format {fmt!r}; "
-                         f"known: {sorted(_HEADLINES)}")
-    return _HEADLINES[fmt](payload)
+                         f"known: {sorted(comparable)}")
+    return comparable[fmt](payload)
 
 
 def compare_bench(baseline: dict, candidate: dict,

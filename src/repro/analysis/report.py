@@ -7,20 +7,11 @@ from typing import Dict, List, Sequence, Tuple
 __all__ = ["engine_rate_line", "format_table", "ascii_plot", "format_comparison"]
 
 
-def engine_rate_line(results: Sequence) -> str:
-    """One-line sim-engine throughput summary for the soak tables.
-
-    Sums ``sim_events``/``wall_s`` over ``results`` (results without the
-    attributes — e.g. live-wire runs with no simulator — contribute
-    nothing) and reports events per wall-clock second, the metric the
-    kernel fast path moves.  Empty string when nothing was simulated.
-    """
-    events = sum(getattr(r, "sim_events", 0) or 0 for r in results)
-    wall = sum(getattr(r, "wall_s", 0.0) or 0.0 for r in results)
-    if events <= 0 or wall <= 0.0:
-        return ""
-    return (f"sim engine: {events:,} events in {wall:.2f} s wall "
-            f"({events / wall:,.0f} events/s)")
+def engine_rate_line(sim_events: int, wall_s: float) -> str:
+    """Sim-engine throughput: an exact event count over measured wall
+    time.  Printed by the CLI, never serialised into an artifact."""
+    return (f"  sim engine: {sim_events:,} events in {wall_s:.2f} s wall "
+            f"({sim_events / wall_s:,.0f} events/s)")
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:

@@ -268,236 +268,62 @@ def _cmd_splitc(args) -> int:
 
 
 def _cmd_soak(args) -> int:
+    """The one soak driver: every suite is a record in ``repro.suite``."""
     import dataclasses
 
-    from .faults import (
-        SCENARIOS,
-        adaptive_config,
-        compare_reliability,
-        fixed_config,
-        render_comparison,
-        render_soak_table,
-        run_scenario,
-    )
+    from .analysis.report import engine_rate_line
+    from .live.clock import WallClock
+    from .suite import DEFAULT_SEED, OVERRIDES, load_suite
 
-    if args.suite == "overload":
-        return _cmd_soak_overload(args)
-    if args.suite == "crash":
-        return _cmd_soak_crash(args)
-    if args.suite == "multitenant":
-        return _cmd_soak_multitenant(args)
-    if args.suite == "transport":
-        return _cmd_soak_transport(args)
-    if args.suite == "fabric":
-        return _cmd_soak_fabric(args)
-    names = args.scenario or [n for n in SCENARIOS if n != "bursty-atm"]
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s) {unknown}; choose from {sorted(SCENARIOS)}", file=sys.stderr)
+    suite = load_suite(args.suite)
+    refused = [flag for flag in OVERRIDES
+               if getattr(args, flag) is not None and not suite.honours(flag)]
+    if refused:
+        print(f"the {args.suite} suite does not honour "
+              f"{', '.join('--' + flag for flag in refused)}", file=sys.stderr)
         return 2
-    scenarios = [SCENARIOS[n] for n in names]
-    if args.messages is not None:
-        if args.messages <= 0:
-            print("--messages must be positive", file=sys.stderr)
-            return 2
-        scenarios = [dataclasses.replace(s, messages=args.messages) for s in scenarios]
-    if args.mode == "compare":
-        results = compare_reliability(scenarios, seed=args.seed)
-        print(render_comparison(results))
-    else:
-        config = adaptive_config() if args.mode == "adaptive" else fixed_config()
-        results = [run_scenario(s, config=config, seed=args.seed, mode=args.mode)
-                   for s in scenarios]
-        print(render_soak_table(results))
-        for r in results:
-            for violation in r.violations:
-                print(f"  !! {r.scenario}: {violation}")
-    if args.stats:
-        from .analysis import render_stats
-
-        for r in results:
-            print(f"\n{r.scenario} [{r.mode}] fault pipeline:")
-            print(render_stats(r.fault_stats, indent=1))
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_soak_overload(args) -> int:
-    import dataclasses
-
-    from .faults import (
-        OVERLOAD_SCENARIOS,
-        compare_credit,
-        compare_policies,
-        render_endpoint_table,
-        render_overload_table,
-        run_overload,
-    )
-
-    names = args.scenario or list(OVERLOAD_SCENARIOS)
-    unknown = [n for n in names if n not in OVERLOAD_SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s) {unknown}; choose from {sorted(OVERLOAD_SCENARIOS)}",
-              file=sys.stderr)
-        return 2
-    scenarios = [OVERLOAD_SCENARIOS[n] for n in names]
-    if args.messages is not None:
-        if args.messages <= 0:
-            print("--messages must be positive", file=sys.stderr)
-            return 2
-        scenarios = [dataclasses.replace(s, messages=args.messages) for s in scenarios]
-    results = []
-    for scenario in scenarios:
-        if scenario.shared_receiver:
-            # the incast shape is the fixed-vs-credit demonstration
-            results.extend(compare_credit(scenario, seed=args.seed))
-        elif args.policy == "compare":
-            results.extend(compare_policies(scenario, seed=args.seed))
-        else:
-            results.append(run_overload(scenario, policy=args.policy,
-                                        credit=args.credit, seed=args.seed))
-    print(render_overload_table(results))
-    if args.stats:
-        for r in results:
-            print()
-            print(render_endpoint_table(r))
-    # the status-quo baselines (drop policy, fixed senders) are allowed to
-    # suffer — that is the demonstration; the harness fails only when a
-    # containment run breaks a delivery invariant
-    contained = [r for r in results if r.policy != "drop" or r.credit]
-    return 0 if all(r.ok for r in (contained or results)) else 1
-
-
-def _cmd_soak_crash(args) -> int:
-    import dataclasses
-
-    from .faults.crashsoak import (
-        CRASH_SCENARIOS,
-        render_crash_table,
-        run_crash_scenario,
-        write_crash_report,
-    )
-
-    names = args.scenario or list(CRASH_SCENARIOS)
-    unknown = [n for n in names if n not in CRASH_SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s) {unknown}; choose from {sorted(CRASH_SCENARIOS)}",
-              file=sys.stderr)
-        return 2
-    scenarios = [CRASH_SCENARIOS[n] for n in names]
-    if args.messages is not None:
-        if args.messages <= 0:
-            print("--messages must be positive", file=sys.stderr)
-            return 2
-        scenarios = [dataclasses.replace(s, messages=args.messages) for s in scenarios]
-    results = [run_crash_scenario(s, seed=args.seed,
-                                  progress=lambda m: print(f"  {m}"))
-               for s in scenarios]
-    print(render_crash_table(results))
-    for r in results:
-        for violation in r.violations:
-            print(f"  !! {r.scenario}: {violation}")
-    if args.output:
-        write_crash_report(args.output, results)
-        print(f"wrote {args.output}")
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_soak_multitenant(args) -> int:
-    from .faults.multitenant import (
-        MULTITENANT_SCENARIOS,
-        render_multitenant_table,
-        run_multitenant,
-        write_multitenant_report,
-    )
-
-    names = args.scenario or [n for n in MULTITENANT_SCENARIOS if n != "churn-bench"]
-    unknown = [n for n in names if n not in MULTITENANT_SCENARIOS]
+    names = args.scenario or [n for n in suite.scenarios
+                              if n not in suite.skipped_by_default]
+    unknown = [n for n in names if n not in suite.scenarios]
     if unknown:
         print(f"unknown scenario(s) {unknown}; choose from "
-              f"{sorted(MULTITENANT_SCENARIOS)}", file=sys.stderr)
+              f"{sorted(suite.scenarios)}", file=sys.stderr)
         return 2
-    results = []
-    for name in names:
-        scenario = MULTITENANT_SCENARIOS[name]
-        if scenario.substrate == "live":
-            from .live import available_transport_kinds
-
-            if not available_transport_kinds():
-                print(f"  {name}: skipped (no live transport on this machine)")
-                continue
-        print(f"  {name}: {scenario.tenants} tenants on {scenario.substrate} ...")
-        results.append(run_multitenant(scenario, seed=args.seed))
+    scenarios = [suite.scenarios[n] for n in names]
+    if args.messages is not None:
+        if args.messages <= 0:
+            print("--messages must be positive", file=sys.stderr)
+            return 2
+        scenarios = [dataclasses.replace(s, messages=args.messages) for s in scenarios]
+    options = {flag: getattr(args, flag)
+               for flag in ("mode", "policy", "credit", "seed")
+               if getattr(args, flag) is not None}
+    clock = WallClock()
+    results, sim_wall_us = [], 0.0
+    for scenario in scenarios:
+        started = clock.now_us()
+        batch = suite.run(scenario, lambda m: print(f"  {m}"), **options)
+        if any(r.sim_events for r in batch):  # live runs have no engine to rate
+            sim_wall_us += clock.now_us() - started
+        results.extend(batch)
     if not results:
         print("no scenarios ran", file=sys.stderr)
         return 2
-    print(render_multitenant_table(results))
-    if args.stats:
-        for r in results:
-            print(f"\n{r.scenario} hosts:")
-            for host in r.hosts:
-                print(f"  {host}")
-    if args.output:
-        write_multitenant_report(args.output, results)
-        print(f"wrote {args.output}")
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_soak_transport(args) -> int:
-    from .faults.transport import (
-        TRANSPORT_SCENARIOS,
-        render_transport_table,
-        run_transport_suite,
-        write_transport_report,
-    )
-
-    names = args.scenario or list(TRANSPORT_SCENARIOS)
-    unknown = [n for n in names if n not in TRANSPORT_SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s) {unknown}; choose from "
-              f"{sorted(TRANSPORT_SCENARIOS)}", file=sys.stderr)
-        return 2
-    results = run_transport_suite(seed=args.seed, scenarios=names,
-                                  progress=lambda m: print(f"  {m}"))
-    print(render_transport_table(results))
+    print(suite.render(results))
+    if sim_wall_us > 0.0:
+        print(engine_rate_line(sum(r.sim_events for r in results),
+                               sim_wall_us / 1e6))
     for r in results:
+        mode = getattr(r, "mode", None)
         for violation in r.violations:
-            print(f"  !! {r.scenario}[{r.mode}]: {violation}")
+            print(f"  !! {r.scenario}{f'[{mode}]' if mode else ''}: {violation}")
     if args.stats:
-        from .analysis import render_stats
-
-        for r in results:
-            print(f"\n{r.scenario} [{r.mode}] fault pipeline:")
-            print(render_stats(r.fault_stats, indent=1))
+        print(suite.stats(results))
     if args.output:
-        write_transport_report(args.output, results, seed=args.seed)
+        suite.artifact.write(
+            args.output, suite.payload(results, options.get("seed", DEFAULT_SEED)))
         print(f"wrote {args.output}")
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_soak_fabric(args) -> int:
-    from .faults.fabricsoak import (
-        FABRIC_SCENARIOS,
-        render_fabric_table,
-        run_fabric_suite,
-        write_fabric_report,
-    )
-
-    names = args.scenario or list(FABRIC_SCENARIOS)
-    unknown = [n for n in names if n not in FABRIC_SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s) {unknown}; choose from "
-              f"{sorted(FABRIC_SCENARIOS)}", file=sys.stderr)
-        return 2
-    results = run_fabric_suite(seed=args.seed, scenarios=names,
-                               progress=lambda m: print(f"  {m}"))
-    print(render_fabric_table(results))
-    for r in results:
-        for violation in r.violations:
-            print(f"  !! {r.scenario}: {violation}")
-    if args.output:
-        write_fabric_report(args.output, results, seed=args.seed)
-        print(f"wrote {args.output}")
-    return 0 if all(r.ok for r in results) else 1
+    return 0 if suite.passed(results) else 1
 
 
 def _cmd_bench(args) -> int:
@@ -510,62 +336,66 @@ def _cmd_bench(args) -> int:
         print(render_compare(deltas, problems, threshold=args.threshold))
         return 0 if not problems else 1
     if args.collectives:
+        from .analysis.report import engine_rate_line
         from .collectives.bench import (
-            NODE_COUNTS, render_collectives_bench, run_collectives_bench,
-            write_collectives_bench,
+            ARTIFACT, NODE_COUNTS, render_collectives_bench, run_collectives_bench,
         )
+        from .live.clock import WallClock
 
+        clock = WallClock()
         payload = run_collectives_bench(
             node_counts=tuple(args.nodes) if args.nodes else NODE_COUNTS,
             progress=lambda m: print(f"  {m}"),
         )
+        wall_s = clock.now_us() / 1e6
         print(render_collectives_bench(payload))
-        output = args.output
-        if output == "BENCH_live.json":  # the live rig's default, not ours
-            output = "BENCH_collectives.json"
-        if output:
-            write_collectives_bench(output, payload)
-            print(f"wrote {output}")
-        return 0
-    if not args.live:
+        print(engine_rate_line(sum(e["sim_events"] for e in payload["engine"]),
+                               wall_s))
+        output = "BENCH_collectives.json"
+    elif not args.live:
         print("the simulated figures live under `fig5` / `fig6`; pass --live "
               "to run the wall-clock rig on real sockets", file=sys.stderr)
         return 2
-    from .live import available_transport_kinds, render_bench, run_bench, write_bench
+    else:
+        from .live import available_transport_kinds, render_bench, run_bench
+        from .live.bench import ARTIFACT
 
-    kinds = available_transport_kinds()
-    kind = args.transport if args.transport != "auto" else (kinds[0] if kinds else None)
-    if kind is None or kind not in kinds:
-        msg = (f"live transport {args.transport!r} is not available on this "
-               f"machine (available: {list(kinds) or 'none'})")
-        if args.skip_missing:
-            print(f"skipped: {msg}")
-            return 0
-        print(msg, file=sys.stderr)
-        return 2
-    payload = run_bench(
-        kind,
-        rtt_samples=args.rtt_samples,
-        bw_messages=args.bw_messages,
-        incast_senders=args.senders,
-        incast_messages=args.incast_messages,
-        burst_messages=args.burst_messages,
-        burst_size=args.burst_size,
-        doorbell_mode=args.doorbell,
-        progress=lambda m: print(f"  {m}"),
-    )
-    print(render_bench(payload))
-    if args.output:
-        write_bench(args.output, payload)
-        print(f"wrote {args.output}")
+        kinds = available_transport_kinds()
+        kind = args.transport if args.transport != "auto" else (kinds[0] if kinds else None)
+        if kind is None or kind not in kinds:
+            msg = (f"live transport {args.transport!r} is not available on this "
+                   f"machine (available: {list(kinds) or 'none'})")
+            if args.skip_missing:
+                print(f"skipped: {msg}")
+                return 0
+            print(msg, file=sys.stderr)
+            return 2
+        payload = run_bench(
+            kind,
+            rtt_samples=args.rtt_samples,
+            bw_messages=args.bw_messages,
+            incast_senders=args.senders,
+            incast_messages=args.incast_messages,
+            burst_messages=args.burst_messages,
+            burst_size=args.burst_size,
+            doorbell_mode=args.doorbell,
+            progress=lambda m: print(f"  {m}"),
+        )
+        print(render_bench(payload))
+        output = "BENCH_live.json"
+    if args.output is not None:
+        output = args.output
+    if output:
+        ARTIFACT.write(output, payload)
+        print(f"wrote {output}")
     return 0
 
 
 def _cmd_conformance(args) -> int:
     """Differential conformance sweep / single-case replay."""
     from .conformance import (
-        BUGS, FABRIC_BUGS, generate_case, load_artifact_meta, render_fabric_case,
-        render_report, run_case, run_fabric_case, save_artifact, shrink_case,
+        BUGS, FABRIC_BUGS, REPRODUCER, generate_case, load_artifact_meta,
+        render_fabric_case, render_report, run_case, run_fabric_case, shrink_case,
     )
     from .core.substrates import SubstrateUnavailable, ensure_available
 
@@ -638,7 +468,7 @@ def _cmd_conformance(args) -> int:
                       f"{', '.join(result.kinds)}")
                 print(render_report(result.report))
                 if args.artifact:
-                    save_artifact(args.artifact, result)
+                    REPRODUCER.write(args.artifact, result.to_payload())
                     print(f"  reproducer written to {args.artifact} "
                           f"(replay: python -m repro conformance --replay {args.artifact})")
             if args.fail_fast:
@@ -756,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stats", action="store_true", help="dump simulation counters")
     ps.set_defaults(func=_cmd_splitc)
     pk = sub.add_parser("soak", help=_EXPERIMENTS["soak"])
-    pk.add_argument("--suite", default="chaos",
-                    choices=("chaos", "overload", "crash", "multitenant",
-                             "transport", "fabric"),
+    from .suite import SUITES
+
+    pk.add_argument("--suite", default="chaos", choices=tuple(SUITES),
                     help="chaos soaks the wire; overload soaks the receiver's "
                          "service capacity (incast, sick endpoints); crash "
                          "kills and restarts the receiver mid-stream; "
@@ -770,30 +600,32 @@ def build_parser() -> argparse.ArgumentParser:
                          "fabrics under NIC-resident collectives")
     pk.add_argument("--scenario", action="append",
                     help="scenario name (repeatable; default: every scenario of the suite)")
-    pk.add_argument("--mode", default="compare", choices=("compare", "adaptive", "fixed"),
-                    help="chaos suite: compare runs each scenario under both reliability stacks")
-    pk.add_argument("--policy", default="compare",
-                    choices=("compare", "drop", "backpressure", "quarantine"),
-                    help="overload suite: containment policy (compare runs all three)")
-    pk.add_argument("--credit", action="store_true",
+    # every override defaults to None, so the driver can tell "given" from
+    # "absent" and refuse the ones the chosen suite does not honour
+    pk.add_argument("--mode", choices=("compare", "adaptive", "fixed"),
+                    help="chaos suite: compare (the default) runs each scenario "
+                         "under both reliability stacks")
+    pk.add_argument("--policy", choices=("compare", "drop", "backpressure", "quarantine"),
+                    help="overload suite: containment policy (compare, the "
+                         "default, runs all three)")
+    pk.add_argument("--credit", action="store_true", default=None,
                     help="overload suite: AM receiver-credit flow on single-policy runs")
-    pk.add_argument("--messages", type=int, default=None,
+    pk.add_argument("--messages", type=int,
                     help="override messages per scenario (default: each scenario's own)")
-    pk.add_argument("--seed", type=int, default=0xC0FFEE, help="fault-pattern master seed")
-    pk.add_argument("--stats", action="store_true",
+    pk.add_argument("--seed", type=int, help="fault-pattern master seed (default 0xC0FFEE)")
+    pk.add_argument("--stats", action="store_true", default=None,
                     help="dump fault-pipeline / per-endpoint telemetry")
-    pk.add_argument("--output", metavar="FILE", default=None,
-                    help="crash/multitenant/transport suites: write the JSON "
-                         "artifact here")
+    pk.add_argument("--output", metavar="FILE",
+                    help="write the suite's JSON artifact here")
     pk.set_defaults(func=_cmd_soak)
     pn = sub.add_parser("bench", help=_EXPERIMENTS["bench"])
     pn.add_argument("--live", action="store_true",
                     help="run on real OS sockets and the wall clock")
     pn.add_argument("--transport", default="auto", choices=("auto", "unix", "udp"),
                     help="live transport (auto prefers AF_UNIX when available)")
-    pn.add_argument("--output", metavar="FILE", default="BENCH_live.json",
-                    help="write the schema-validated JSON payload here "
-                         "('' to skip)")
+    pn.add_argument("--output", metavar="FILE",
+                    help="write the schema-validated JSON payload here (default: "
+                         "BENCH_live.json or BENCH_collectives.json; '' to skip)")
     pn.add_argument("--rtt-samples", type=int, default=40,
                     help="measured round trips per message size")
     pn.add_argument("--bw-messages", type=int, default=200,
@@ -816,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--collectives", action="store_true",
                     help="run the deterministic collective-latency sweep "
                          "(host vs NIC trees on fat-tree clusters) instead "
-                         "of the live rig; writes BENCH_collectives.json")
+                         "of the live rig")
     pn.add_argument("--nodes", type=int, nargs="+", default=None,
                     help="node counts for --collectives (default 8 32 128 256)")
     pn.add_argument("--compare", nargs=2, metavar=("BASELINE", "CANDIDATE"),

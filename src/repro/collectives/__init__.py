@@ -9,13 +9,7 @@ runtime selects between this and its host-coordinated node-0 scheme
 with the one-flag ``collectives="nic" | "host"`` ablation.
 """
 
-from .bench import (
-    COLLECTIVES_BENCH_FORMAT,
-    render_collectives_bench,
-    run_collectives_bench,
-    validate_collectives_bench,
-    write_collectives_bench,
-)
+from .bench import render_collectives_bench, run_collectives_bench
 from .adapters import (
     AtmCollectiveAdapter,
     FeCollectiveAdapter,
@@ -49,9 +43,6 @@ __all__ = [
     "FeCollectiveAdapter",
     "wire_atm_collectives",
     "wire_fe_collectives",
-    "COLLECTIVES_BENCH_FORMAT",
     "run_collectives_bench",
-    "validate_collectives_bench",
-    "write_collectives_bench",
     "render_collectives_bench",
 ]

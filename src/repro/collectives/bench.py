@@ -4,11 +4,12 @@ The ablation behind the scale-out story: the same SPMD program runs a
 barrier phase and an all-reduce phase on fat-tree clusters of 8 to 256
 nodes, once with Split-C's host-coordinated collectives (every node
 talks to node 0) and once with the NIC-resident k-ary trees.  All
-latencies are *simulated* time, so the snapshot is deterministic and
-CI can byte-compare it; the wall-clock side of the story — how fast
-the event kernel chews through a 256-node sweep — rides along in the
-``engine`` section as events/sec, which is informational and never a
-headline metric.
+latencies are *simulated* time and the ``engine`` section records only
+the exact event count of each grid point, so the snapshot is
+deterministic and CI gates it with ``diff``.  How fast the event kernel
+chews through the sweep is wall-clock: the CLI prints it, perfbench's
+``clos-collectives`` workload records it (``sim.events_per_s``), and no
+artifact carries it.
 
 Two cells of the grid are impossible by construction, and the bench
 records *why* instead of silently shrinking the sweep:
@@ -23,30 +24,27 @@ records *why* instead of silently shrinking the sweep:
   that this storm disappears; the bench documents the cliff at small N
   and does not burn minutes proving the same asymptote at large N.
 
-The output is one JSON document (``BENCH_collectives.json``),
-schema-checked by :func:`validate_collectives_bench` before it is
-written, with headline metrics gated by ``bench --compare``.
+The output is one JSON document (``BENCH_collectives.json``), described
+and schema-checked by :data:`ARTIFACT`; ``bench --compare`` explains a
+``diff`` failure headline by headline.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..artifact import Artifact, Headline
+
 __all__ = [
-    "COLLECTIVES_BENCH_FORMAT",
+    "ARTIFACT",
     "NODE_COUNTS",
     "SUBSTRATES",
     "MODES",
     "run_collectives_bench",
-    "validate_collectives_bench",
-    "write_collectives_bench",
     "render_collectives_bench",
 ]
-
-COLLECTIVES_BENCH_FORMAT = "repro-bench-collectives/1"
 
 NODE_COUNTS = (8, 32, 128, 256)
 SUBSTRATES = ("atm-clos", "fe-clos")
@@ -104,21 +102,15 @@ def _sweep_program(nodes: int, barrier_iters: int, reduce_iters: int) -> Callabl
 
 def _run_point(substrate: str, mode: str, nodes: int,
                barrier_iters: int, reduce_iters: int) -> Dict:
-    from ..live.clock import WallClock
     from ..splitc.cluster import Cluster
 
-    wall_clock = WallClock()
     cluster = Cluster(nodes, substrate=substrate, collectives=mode)
     results = cluster.run(_sweep_program(nodes, barrier_iters, reduce_iters),
                           limit=5e9)
-    wall = wall_clock.now_us() / 1e6
-    events = cluster.sim.events_processed
     return {
         "barrier_us": results[0]["barrier_us"],
         "reduce_us": results[0]["reduce_us"],
-        "wall_s": wall,
-        "sim_events": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
+        "sim_events": cluster.sim.events_processed,
     }
 
 
@@ -129,13 +121,10 @@ def run_collectives_bench(node_counts: Sequence[int] = NODE_COUNTS,
                           progress: Optional[Callable[[str], None]] = None,
                           ) -> Dict:
     """Run the sweep and assemble the ``BENCH_collectives.json`` payload."""
-    from ..live.clock import WallClock
-
     say = progress or (lambda message: None)
     points: List[Dict] = []
     skipped: List[Dict] = []
     engine: List[Dict] = []
-    wall_clock = WallClock()
     for substrate in substrates:
         for nodes in node_counts:
             for mode in MODES:
@@ -165,18 +154,16 @@ def run_collectives_bench(node_counts: Sequence[int] = NODE_COUNTS,
                                    "iterations": r_iters,
                                    "mean_us": record["reduce_us"]})
                 engine.append({"substrate": substrate, "mode": mode,
-                               "nodes": nodes, "wall_s": record["wall_s"],
-                               "sim_events": record["sim_events"],
-                               "events_per_sec": record["events_per_sec"]})
+                               "nodes": nodes,
+                               "sim_events": record["sim_events"]})
                 say(f"{substrate} n={nodes} {mode}: "
                     f"barrier {record['barrier_us']:.1f}us"
                     + (f", reduce {record['reduce_us']:.1f}us"
                        if record["reduce_us"] is not None else "")
-                    + f" ({record['events_per_sec']:,.0f} ev/s)")
+                    + f" ({record['sim_events']:,} events)")
     speedups = _speedups(points)
     return {
-        "format": COLLECTIVES_BENCH_FORMAT,
-        "elapsed_s": wall_clock.now_us() / 1e6,
+        "format": ARTIFACT.format,
         "node_counts": list(node_counts),
         "substrates": list(substrates),
         "points": points,
@@ -209,69 +196,38 @@ _POINT = {"substrate": str, "mode": str, "nodes": int, "op": str,
 _SKIP = {"substrate": str, "mode": str, "nodes": int, "op": str, "reason": str}
 _SPEEDUP = {"substrate": str, "nodes": int, "op": str,
             "host_us": float, "nic_us": float, "speedup": float}
-_ENGINE = {"substrate": str, "mode": str, "nodes": int,
-           "wall_s": float, "sim_events": int, "events_per_sec": float}
-
-COLLECTIVES_BENCH_SCHEMA = {
-    "format": str,
-    "elapsed_s": float,
-    "node_counts": [int],
-    "substrates": [str],
-    "points": [_POINT],
-    "skipped": [_SKIP],
-    "speedups": [_SPEEDUP],
-    "engine": [_ENGINE],
-}
+_ENGINE = {"substrate": str, "mode": str, "nodes": int, "sim_events": int}
 
 
-def _check(value, spec, path: str, errors: List[str]) -> None:
-    if isinstance(spec, list):
-        if not isinstance(value, list):
-            errors.append(f"{path}: expected a list")
-            return
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]", errors)
-    elif isinstance(spec, dict):
-        if not isinstance(value, dict):
-            errors.append(f"{path}: expected an object")
-            return
-        for key, sub in spec.items():
-            if key not in value:
-                errors.append(f"{path}.{key}: missing")
-            else:
-                _check(value[key], sub, f"{path}.{key}", errors)
-    elif spec is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{path}: expected a number, got {type(value).__name__}")
-    elif not isinstance(value, spec) or (isinstance(value, bool) and spec is int):
-        errors.append(f"{path}: expected {spec.__name__}, got {type(value).__name__}")
+def _headlines(payload: Dict) -> List[Headline]:
+    """Every measured latency cell, plus the host/nic speedup ratios."""
+    return (
+        [(f"{p['op']}[{p['substrate']},{p['mode']},n{p['nodes']}].mean_us",
+          "lower", p["mean_us"]) for p in payload["points"]]
+        + [(f"speedup[{s['substrate']},n{s['nodes']}].{s['op']}", "higher",
+            s["speedup"]) for s in payload["speedups"]])
 
 
-def validate_collectives_bench(payload: Dict) -> List[str]:
-    """Schema-check a BENCH_collectives payload; empty list means valid."""
-    errors: List[str] = []
-    _check(payload, COLLECTIVES_BENCH_SCHEMA, "$", errors)
-    if not errors and payload["format"] != COLLECTIVES_BENCH_FORMAT:
-        errors.append(f"$.format: {payload['format']!r} != "
-                      f"{COLLECTIVES_BENCH_FORMAT!r}")
-    if not errors and not payload["points"]:
-        errors.append("$.points: empty sweep")
-    return errors
-
-
-def write_collectives_bench(path: str, payload: Dict) -> None:
-    """Validate, then write ``BENCH_collectives.json``."""
-    errors = validate_collectives_bench(payload)
-    if errors:
-        raise ValueError("refusing to write an invalid benchmark payload:\n  "
-                         + "\n  ".join(errors))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: ``BENCH_collectives.json``: every value is simulated time or an exact
+#: count — no wall-clock field — so CI regenerates it and gates it with
+#: ``diff`` like the other simulated artifacts
+ARTIFACT = Artifact(
+    format="repro-bench-collectives/2",
+    schema={
+        "node_counts": [int],
+        "substrates": [str],
+        "points": [_POINT],
+        "skipped": [_SKIP],
+        "speedups": [_SPEEDUP],
+        "engine": [_ENGINE],
+    },
+    headlines=_headlines,
+    non_empty=("points",),
+)
 
 
 def render_collectives_bench(payload: Dict) -> str:
-    """Terminal summary: latency grid, speedups, engine throughput."""
+    """Terminal summary: latency grid, speedups, unsupported cells."""
     from ..analysis.report import format_table
 
     index = {(p["substrate"], p["mode"], p["nodes"], p["op"]): p["mean_us"]
@@ -299,11 +255,6 @@ def render_collectives_bench(payload: Dict) -> str:
         lines.append(f"  {entry['op']}[{entry['substrate']},n{entry['nodes']}]: "
                      f"nic is {entry['speedup']:.2f}x the host scheme "
                      f"({entry['host_us']:.1f} -> {entry['nic_us']:.1f} us)")
-    total_events = sum(e["sim_events"] for e in payload["engine"])
-    total_wall = sum(e["wall_s"] for e in payload["engine"])
-    if total_wall > 0:
-        lines.append(f"  engine: {total_events:,} events in {total_wall:.1f}s "
-                     f"wall ({total_events / total_wall:,.0f} events/sec)")
     reasons = {s["reason"] for s in payload["skipped"]}
     for reason in sorted(reasons):
         lines.append(f"  unsupported cells: {reason}")

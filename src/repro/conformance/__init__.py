@@ -34,10 +34,10 @@ from .model import RefTrace, run_reference
 from .observe import ObservationProbe, ObservedTrace
 from .schedule import CONFIG_PRESETS, ConformanceCase, Message, generate_case
 from .shrink import (
+    REPRODUCER,
     ShrinkResult,
     load_artifact,
     load_artifact_meta,
-    save_artifact,
     shrink_case,
 )
 
@@ -66,7 +66,7 @@ __all__ = [
     "render_report",
     "ShrinkResult",
     "shrink_case",
-    "save_artifact",
+    "REPRODUCER",
     "load_artifact",
     "load_artifact_meta",
 ]

@@ -21,8 +21,9 @@ lexicographic measure (event count, receiver capacity, workload
 complexity), which both guarantees termination and lets same-size
 simplifications through.
 
-The result is emitted as a replayable JSON artifact that
-``python -m repro conformance --replay <file>`` re-runs bit-for-bit.
+The result is emitted as a replayable JSON artifact
+(:data:`REPRODUCER`) that ``python -m repro conformance --replay
+<file>`` re-runs bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
+from ..artifact import Artifact
 from .checker import SUBSTRATES, CaseReport, run_case
 from .schedule import ConformanceCase, Message
 
-__all__ = ["ShrinkResult", "shrink_case", "save_artifact", "load_artifact",
+__all__ = ["REPRODUCER", "ShrinkResult", "shrink_case", "load_artifact",
            "load_artifact_meta"]
 
 #: stop exploring after this many candidate executions (each candidate
@@ -56,6 +58,24 @@ class ShrinkResult:
     @property
     def kinds(self) -> List[str]:
         return sorted({d.kind for d in self.report.divergences})
+
+    def to_payload(self) -> dict:
+        """The :data:`REPRODUCER` document for this result."""
+        return {
+            "format": REPRODUCER.format,
+            "case": self.case.to_dict(),
+            "bug": self.report.bug,
+            #: the exact substrate set the divergence was observed against —
+            #: replay must run these, or fail loudly, never silently verify
+            #: on whatever subset happens to be available
+            "substrates": list(self.report.substrates),
+            "divergence_kinds": self.kinds,
+            "divergences": [str(d) for d in self.report.divergences],
+            "original_size": self.original_size,
+            "shrunk_size": self.case.size,
+            "attempts": self.attempts,
+            "trail": self.trail,
+        }
 
 
 def _divergence_kinds(report: CaseReport) -> set:
@@ -198,35 +218,26 @@ def shrink_case(report: CaseReport,
 
 
 # ---------------------------------------------------------------- artifacts
-def save_artifact(path: str, result: ShrinkResult) -> None:
-    """Write a replayable reproducer for ``repro conformance --replay``."""
-    payload = {
-        "format": "repro-conformance-case/1",
-        "case": result.case.to_dict(),
-        "bug": result.report.bug,
-        #: the exact substrate set the divergence was observed against —
-        #: replay must run these, or fail loudly, never silently verify
-        #: on whatever subset happens to be available
-        "substrates": list(result.report.substrates),
-        "divergence_kinds": result.kinds,
-        "divergences": [str(d) for d in result.report.divergences],
-        "original_size": result.original_size,
-        "shrunk_size": result.case.size,
-        "attempts": result.attempts,
-        "trail": result.trail,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: a replayable reproducer for ``repro conformance --replay``
+REPRODUCER = Artifact(
+    format="repro-conformance-case/1",
+    schema={
+        "case": dict,
+        "bug": (str, None),
+        "substrates": [str],
+        "divergence_kinds": [str],
+        "divergences": [str],
+        "original_size": int,
+        "shrunk_size": int,
+        "attempts": int,
+        "trail": [str],
+    },
+)
 
 
 def load_artifact(path: str) -> ConformanceCase:
     """Load the case out of a reproducer artifact (or a bare case dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "case" in payload:
-        payload = payload["case"]
-    return ConformanceCase.from_dict(payload)
+    return load_artifact_meta(path)["case"]
 
 
 def load_artifact_meta(path: str) -> dict:

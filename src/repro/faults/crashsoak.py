@@ -27,33 +27,31 @@ Recovery time is measured per kill: from the moment the old
 incarnation dies to the moment the *sender* has processed the new
 incarnation's HELLO (``peer_restart``) and can make progress again.
 
-Results serialize to a JSON artifact (``write_crash_report``) so CI
-can archive the message-fate accounting of every soak run.
+Results serialize to a JSON artifact (:data:`CRASH_ARTIFACT`) so CI can
+archive the message-fate accounting of every soak run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..am import AmConfig, AmEndpoint
-from ..core import EndpointConfig
+from ..am import AmConfig
+from ..artifact import Artifact
 from ..core.errors import UNetError
 from ..sim import Simulator
-from .soak import _build_network
+from ..suite import Suite
+from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
 
 __all__ = [
+    "CRASH_ARTIFACT",
     "CrashScenario",
     "CrashSoakResult",
     "CRASH_SCENARIOS",
+    "crash_payload",
     "run_crash_scenario",
     "render_crash_table",
-    "write_crash_report",
 ]
-
-_ENDPOINT_CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
-                                  send_queue_depth=64, recv_queue_depth=128)
 
 #: ack-per-dispatch so an ack *implies* dispatch: the abandoned set is
 #: then exactly the sends whose delivery the sender cannot prove
@@ -79,7 +77,7 @@ class CrashScenario:
     time_limit_us: float = 60_000_000.0
 
     def crash_targets(self) -> List[int]:
-        """Dispatch counts at which each kill triggers."""
+        """How far through the stream (messages fated) each kill triggers."""
         return [self.messages * (c + 1) // (self.crashes + 1)
                 for c in range(self.crashes)]
 
@@ -102,10 +100,9 @@ class CrashSoakResult:
     peer_dead_drops: int = 0
     retransmissions: int = 0
     completion_time_us: float = 0.0
-    #: engine throughput: simulator events processed and wall seconds
-    #: (zero for the live/sigkill substrates, which have no simulator)
+    #: events the simulator processed (zero for the live/sigkill
+    #: substrates, which have no simulator)
     sim_events: int = 0
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -157,10 +154,6 @@ CRASH_SCENARIOS: Dict[str, CrashScenario] = {
 }
 
 
-def _payload(i: int, size: int) -> bytes:
-    return bytes((i + j) % 256 for j in range(size))
-
-
 class _FateLedger:
     """Shared fate bookkeeping: seq->id mapping at the sender, delivery
     counting at the receiver, abandon/recovery events off the sender's
@@ -189,8 +182,14 @@ class _FateLedger:
 
     def deliver(self, i: int, data: bytes, expected_size: int) -> None:
         self.delivery_counts[i] = self.delivery_counts.get(i, 0) + 1
-        if data != _payload(i, len(data)) or len(data) != expected_size:
+        if data != stream_payload(i, len(data)) or len(data) != expected_size:
             self.integrity_failures.append(i)
+
+    def fated(self) -> int:
+        """Progress through the stream: ids dispatched or abandoned.  A
+        kill abandons up to a window of admitted sends that are never
+        dispatched, so dispatches alone may never reach a late target."""
+        return len(set(self.delivery_counts) | set(self.abandoned_ids))
 
     # -- verdicts ----------------------------------------------------------
     def duplicates(self) -> List[int]:
@@ -222,8 +221,42 @@ class _FateLedger:
         return out
 
 
+def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
+                  sent_ids: Sequence[int], completed: bool, limit: str,
+                  sender, restarts: int, drop_sources: Sequence,
+                  completion_us: float, sim_events: int = 0) -> CrashSoakResult:
+    """The verdict and accounting of a finished run, on any substrate."""
+    violations = ledger.violations(sent_ids, scenario.crashes)
+    if not completed:
+        violations.insert(0, f"termination: soak incomplete at {limit}")
+    if len(sent_ids) < scenario.messages:
+        violations.append(f"admission: only {len(sent_ids)} of "
+                          f"{scenario.messages} sends were admitted")
+    drops: Dict[str, int] = {}
+    for source in drop_sources:
+        for key, value in source.drop_stats().items():
+            drops[key] = drops.get(key, 0) + value
+    return CrashSoakResult(
+        scenario=scenario.name,
+        substrate=substrate,
+        completed=completed,
+        violations=violations,
+        sent=len(sent_ids),
+        delivered=len(ledger.delivery_counts),
+        duplicated=len(ledger.duplicates()),
+        abandoned=len(set(ledger.abandoned_ids)),
+        restarts=restarts,
+        recovery_times_us=list(ledger.recovery_times),
+        stale_epoch_drops=drops.get("stale_epoch_drops", 0),
+        peer_dead_drops=drops.get("peer_dead_drops", 0),
+        retransmissions=sender.snapshot().get(1, {}).get("retransmissions", 0),
+        completion_time_us=completion_us,
+        sim_events=sim_events,
+    )
+
+
 # ------------------------------------------------------------ sim substrates
-def run_crash_scenario(scenario: CrashScenario, seed: int = 0xC0FFEE,
+def run_crash_scenario(scenario: CrashScenario,
                        progress=None) -> CrashSoakResult:
     """Run one kill/restart soak and account for every message's fate."""
     if scenario.substrate == "live":
@@ -234,22 +267,10 @@ def run_crash_scenario(scenario: CrashScenario, seed: int = 0xC0FFEE,
 
 
 def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
-    from ..hw import PENTIUM_120
-    from ..live.clock import WallClock
-
-    wall_clock = WallClock()
     sim = Simulator()
-    net = _build_network(scenario.substrate, sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    config = AmConfig(**_SIM_CONFIG)
-    am0 = AmEndpoint(0, ep0, config=config)
-    am1 = AmEndpoint(1, ep1, config=config)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
+    (h0, h1), (am0, am1) = build_am_star(
+        sim, scenario.substrate, ("n0", "n1"), sink=1,
+        config=AmConfig(**_SIM_CONFIG))
 
     ledger = _FateLedger()
     am0.observer = ledger.on_sender_event
@@ -264,7 +285,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     def traffic():
         try:
             for i in range(scenario.messages):
-                data = _payload(i, scenario.payload_bytes)
+                data = stream_payload(i, scenario.payload_bytes)
                 seq = yield from am0.request(1, 1, args=(i,), data=data)
                 ledger.seq_to_id[seq] = i
                 sent_ids.append(i)
@@ -288,7 +309,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
 
     def chaos():
         for kill, target in enumerate(scenario.crash_targets()):
-            while sum(ledger.delivery_counts.values()) < target:
+            while ledger.fated() < target:
                 yield 200.0
             # space the kills: the previous recovery must be complete
             # (the sender saw the new incarnation's HELLO) before the
@@ -301,7 +322,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
             am1.crash()
             if progress is not None:
                 progress(f"{scenario.name}: kill #{len(ledger.crash_times)} "
-                         f"at t={sim.now:.0f}us ({target} dispatched)")
+                         f"at t={sim.now:.0f}us ({target} fated)")
             yield scenario.downtime_us
             am1.restart()
 
@@ -311,47 +332,21 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     completed = bool(process.triggered) and process.ok
     completion = process.value if completed else scenario.time_limit_us
 
-    violations = ledger.violations(sent_ids, scenario.crashes)
-    if not completed:
-        violations.insert(0, f"termination: soak incomplete at "
-                             f"t={scenario.time_limit_us:.0f}us")
-    if len(sent_ids) < scenario.messages:
-        violations.append(f"admission: only {len(sent_ids)} of "
-                          f"{scenario.messages} sends were admitted")
-
-    drops: Dict[str, int] = {}
-    for source in (ep0.endpoint, ep1.endpoint, h0.backend, h1.backend):
-        for key, value in source.drop_stats().items():
-            drops[key] = drops.get(key, 0) + value
-    return CrashSoakResult(
-        scenario=scenario.name,
-        substrate=scenario.substrate,
-        completed=completed,
-        violations=violations,
-        sent=len(sent_ids),
-        delivered=len(ledger.delivery_counts),
-        duplicated=len(ledger.duplicates()),
-        abandoned=len(set(ledger.abandoned_ids)),
-        restarts=am1.restarts,
-        recovery_times_us=list(ledger.recovery_times),
-        stale_epoch_drops=drops.get("stale_epoch_drops", 0),
-        peer_dead_drops=drops.get("peer_dead_drops", 0),
-        retransmissions=am0._peers_by_node[1].retransmissions,
-        completion_time_us=completion,
-        sim_events=sim.events_processed,
-        wall_s=wall_clock.now_us() / 1e6,
-    )
+    return _crash_result(
+        scenario, scenario.substrate, ledger, sent_ids, completed,
+        f"t={scenario.time_limit_us:.0f}us", am0, am1.restarts,
+        (am0.user.endpoint, am1.user.endpoint, h0.backend, h1.backend),
+        completion, sim.events_processed)
 
 
 # ----------------------------------------------------------- live (sockets)
-def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = None,
-                    progress=None) -> CrashSoakResult:
+def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     from ..live.am import LiveAm
     from ..live.backend import LiveCluster
     from ..live.clock import WallClock
     from ..live.transport import available_transport_kinds, make_transport
 
-    kind = transport_kind or (available_transport_kinds() or ["udp"])[0]
+    kind = (available_transport_kinds() or ["udp"])[0]
     clock = WallClock()
     config = AmConfig(recovery=True, window=4, ack_every=1,
                       retransmit_timeout_us=20_000.0, dead_after_timeouts=6,
@@ -363,8 +358,8 @@ def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = Non
     with LiveCluster(lambda name: make_transport(kind, name), clock) as cluster:
         n0 = cluster.add_node("n0")
         n1 = cluster.add_node("n1")
-        ep0 = n0.create_user_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-        ep1 = n1.create_user_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
+        ep0 = n0.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
+        ep1 = n1.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
         ch0, ch1 = cluster.connect(ep0, ep1)
         am0 = LiveAm(0, ep0, config=config)
         am1 = LiveAm(1, ep1, config=config)
@@ -388,14 +383,14 @@ def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = Non
                     am1.restart()
             elif state["crash_idx"] < scenario.crashes:
                 target = targets[state["crash_idx"]]
-                if sum(ledger.delivery_counts.values()) >= target:
+                if ledger.fated() >= target:
                     state["crash_idx"] += 1
                     ledger.crash_times.append(clock.now_us())
                     am1.crash()
                     state["restart_at"] = clock.now_us() + scenario.downtime_us
                     if progress is not None:
                         progress(f"{scenario.name}: kill #{state['crash_idx']} "
-                                 f"({target} dispatched)")
+                                 f"({target} fated)")
 
         deadline = clock.now_us() + scenario.time_limit_us
         completed = True
@@ -405,7 +400,7 @@ def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = Non
                 if remaining <= 0:
                     completed = False
                     break
-                data = _payload(i, scenario.payload_bytes)
+                data = stream_payload(i, scenario.payload_bytes)
                 seq = am0.request(1, 1, args=(i,), data=data,
                                   pump=pump, limit_us=remaining)
                 ledger.seq_to_id[seq] = i
@@ -429,34 +424,10 @@ def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = Non
         am0.shutdown()
         am1.shutdown()
 
-        violations = ledger.violations(sent_ids, scenario.crashes)
-        if not completed:
-            violations.insert(0, "termination: soak incomplete at the "
-                                 "wall-clock limit")
-        if len(sent_ids) < scenario.messages:
-            violations.append(f"admission: only {len(sent_ids)} of "
-                              f"{scenario.messages} sends were admitted")
-        drops: Dict[str, int] = {}
-        for source in (ep0.endpoint, ep1.endpoint, n0, n1):
-            for key, value in source.drop_stats().items():
-                drops[key] = drops.get(key, 0) + value
-        snap = am0.snapshot().get(1, {})
-        return CrashSoakResult(
-            scenario=scenario.name,
-            substrate=f"live-{kind}",
-            completed=completed,
-            violations=violations,
-            sent=len(sent_ids),
-            delivered=len(ledger.delivery_counts),
-            duplicated=len(ledger.duplicates()),
-            abandoned=len(set(ledger.abandoned_ids)),
-            restarts=am1.restarts,
-            recovery_times_us=list(ledger.recovery_times),
-            stale_epoch_drops=drops.get("stale_epoch_drops", 0),
-            peer_dead_drops=drops.get("peer_dead_drops", 0),
-            retransmissions=snap.get("retransmissions", 0),
-            completion_time_us=completion,
-        )
+        return _crash_result(
+            scenario, f"live-{kind}", ledger, sent_ids, completed,
+            "the wall-clock limit", am0, am1.restarts,
+            (ep0.endpoint, ep1.endpoint, n0, n1), completion)
 
 
 # --------------------------------------------------------- real peer process
@@ -481,7 +452,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     clock = WallClock()
     backend = LiveBackend(UdpLoopbackTransport(name="crashsoak-parent"), clock,
                           node_id=0, node_name="parent")
-    user = backend.create_user_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
+    user = backend.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
     config = peer_am_config(retransmit_timeout_us=15_000.0,
                             dead_after_timeouts=3, hello_retry_us=10_000.0)
     ledger = _FateLedger()
@@ -523,7 +494,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                 if progress is not None:
                     progress(f"{scenario.name}: SIGKILL #{crash_idx} "
                              f"(pid reaped) before id {i}")
-            data = _payload(i, scenario.payload_bytes)
+            data = stream_payload(i, scenario.payload_bytes)
             sent_ids.append(i)
             try:
                 args, echoed = am.rpc(1, 1, args=(i,), data=data, pump=pump,
@@ -544,31 +515,10 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
             wait_alive()
         completion = clock.now_us() if completed else scenario.time_limit_us
         am.shutdown()
-        drops = {}
-        for source in (user.endpoint, backend):
-            for key, value in source.drop_stats().items():
-                drops[key] = drops.get(key, 0) + value
-        snap = am.snapshot().get(1, {})
-        violations = ledger.violations(sent_ids, scenario.crashes)
-        if not completed:
-            violations.insert(0, "termination: soak incomplete at the "
-                                 "wall-clock limit")
-        result = CrashSoakResult(
-            scenario=scenario.name,
-            substrate="sigkill-udp",
-            completed=completed,
-            violations=violations,
-            sent=len(sent_ids),
-            delivered=len(ledger.delivery_counts),
-            duplicated=len(ledger.duplicates()),
-            abandoned=len(set(ledger.abandoned_ids)),
-            restarts=peer.kills,
-            recovery_times_us=list(ledger.recovery_times),
-            stale_epoch_drops=drops.get("stale_epoch_drops", 0),
-            peer_dead_drops=drops.get("peer_dead_drops", 0),
-            retransmissions=snap.get("retransmissions", 0),
-            completion_time_us=completion,
-        )
+        result = _crash_result(
+            scenario, "sigkill-udp", ledger, sent_ids, completed,
+            "the wall-clock limit", am, peer.kills, (user.endpoint, backend),
+            completion)
     backend.close()
     return result
 
@@ -589,11 +539,6 @@ def render_crash_table(results: Sequence[CrashSoakResult]) -> str:
             f"{r.scenario:<12} {r.substrate:<10} {r.sent:>5} {r.delivered:>6} "
             f"{r.duplicated:>4} {r.abandoned:>6} {r.restarts:>6} {rec:>14} "
             f"{r.stale_epoch_drops:>6} {'yes' if r.ok else 'NO':>4}")
-    from ..analysis.report import engine_rate_line
-
-    rate = engine_rate_line(results)
-    if rate:
-        lines.append(f"  {rate}")
     for r in results:
         if r.recovery_times_us:
             lines.append(
@@ -616,14 +561,43 @@ def _recovery_snapshot(results: Sequence[CrashSoakResult]) -> dict:
     }
 
 
-def write_crash_report(path: str, results: Sequence[CrashSoakResult]) -> None:
-    """The CI artifact: every run's message-fate accounting, as JSON."""
-    payload = {
-        "format": "repro-crash-soak/1",
+def crash_payload(results: Sequence[CrashSoakResult]) -> dict:
+    """The CI artifact: every run's message-fate accounting."""
+    return {
+        "format": CRASH_ARTIFACT.format,
         "ok": all(r.ok for r in results),
         "recovery": _recovery_snapshot(results),
         "results": [r.to_dict() for r in results],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+#: CI telemetry, uploaded on success and failure; the live and sigkill
+#: runs are wall-clock, so it is archived, never committed or compared
+CRASH_ARTIFACT = Artifact(
+    format="repro-crash-soak/1",
+    schema={
+        "ok": bool,
+        "recovery": {"restarts": int, "min_us": float, "mean_us": float,
+                     "max_us": float},
+        "results": [{
+            "scenario": str, "substrate": str, "completed": bool,
+            "violations": [str],
+            "fates": {"sent": int, "delivered": int, "duplicated": int,
+                      "abandoned": int},
+            "restarts": int, "recovery_times_us": [float],
+            "mean_recovery_us": (float, None),
+            "stale_epoch_drops": int, "peer_dead_drops": int,
+            "retransmissions": int, "completion_time_us": float, "ok": bool,
+        }],
+    },
+    non_empty=("results",),
+)
+
+SUITE = Suite(
+    scenarios=CRASH_SCENARIOS,
+    run=lambda scenario, progress: [run_crash_scenario(scenario, progress)],
+    render=render_crash_table,
+    overrides=frozenset({"messages"}),
+    artifact=CRASH_ARTIFACT,
+    payload=lambda results, seed: crash_payload(results),
+)

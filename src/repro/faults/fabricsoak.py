@@ -40,28 +40,24 @@ recovery metrics.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..artifact import Artifact, Headline
 from ..sim import Simulator
+from ..suite import DEFAULT_SEED, Suite
 from .fabric import FabricFaultInjector, Partition, SpineFailure, TrunkFlap
 
 __all__ = [
-    "FABRIC_FORMAT",
+    "FABRIC_ARTIFACT",
     "FABRIC_SCENARIOS",
     "FabricScenario",
     "FabricSoakResult",
     "run_fabric_scenario",
-    "run_fabric_suite",
     "fabric_payload",
-    "validate_fabric",
-    "write_fabric_report",
     "render_fabric_table",
 ]
-
-FABRIC_FORMAT = "repro-bench-fabric/1"
 
 #: post-resume rounds log under this offset so their expected values
 #: never collide with drifted pre-abort generation indices
@@ -128,9 +124,8 @@ class FabricSoakResult:
     aborts: int
     epoch: int
     transitions_applied: int = 0
-    #: engine throughput: simulator events processed and wall seconds
+    #: events the simulator processed (exact; the driver times the run)
     sim_events: int = 0
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -240,7 +235,7 @@ def _build(scenario: FabricScenario, sim: Simulator):
     return fabric, hosts, engines, group
 
 
-def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
+def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
                         progress=None) -> FabricSoakResult:
     """Run one fabric-fault soak and verify the fault-tolerance contract."""
     from ..collectives import CollectiveAborted
@@ -248,9 +243,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
     from ..core.cluster import (MODE_DEGRADED, MODE_ISOLATED,
                                 ClusterPartitionMonitor)
     from ..core.errors import ClusterPartitionError, NoPathError
-    from ..live.clock import WallClock
 
-    wall_clock = WallClock()
     sim = Simulator()
     fabric, hosts, engines, group = _build(scenario, sim)
     injector = FabricFaultInjector(sim, fabric, scenario.stages())
@@ -483,7 +476,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
         epoch=group.epoch,
         transitions_applied=injector.transitions_applied,
         sim_events=sim.events_processed,
-        wall_s=wall_clock.now_us() / 1e6,
     )
     if scenario.expect_abort and monitor_snapshot.get("recoveries"):
         # the monitor's own recovery view must agree with the group's
@@ -494,19 +486,10 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = 0xC0FFEE,
     return result
 
 
-def run_fabric_suite(seed: int = 0xC0FFEE,
-                     scenarios: Optional[Sequence[str]] = None,
-                     progress: Optional[Callable[[str], None]] = None,
-                     ) -> List[FabricSoakResult]:
-    """Run every (or the named) fabric scenarios with one master seed."""
-    names = list(scenarios or FABRIC_SCENARIOS)
-    results: List[FabricSoakResult] = []
-    for name in names:
-        if progress is not None:
-            progress(f"{name}...")
-        results.append(run_fabric_scenario(FABRIC_SCENARIOS[name], seed=seed,
-                                           progress=progress))
-    return results
+def _run_suite(scenario: FabricScenario, progress,
+               seed: int = DEFAULT_SEED) -> List[FabricSoakResult]:
+    progress(f"{scenario.name}...")
+    return [run_fabric_scenario(scenario, seed=seed, progress=progress)]
 
 
 # ------------------------------------------------------------------ report
@@ -517,29 +500,32 @@ _ROW_SCHEMA = {
     "aborts": int, "epoch": int, "transitions_applied": int,
     "violations": int,
 }
-FABRIC_SCHEMA = {
-    "format": str,
-    "seed": int,
-    "scenarios": [{
-        "scenario": str,
-        "description": str,
-        "fabric": str,
-        "nodes": int,
-        "row": _ROW_SCHEMA,
-    }],
-}
 
 
-def validate_fabric(payload: dict) -> List[str]:
-    """Schema-check one fabric artifact; returns a list of problems."""
-    from .transport import _check
+def _headlines(payload: dict) -> List[Headline]:
+    """Recovery time and steady-state round latency per fault scenario."""
+    return [(f"{entry['scenario']}.{key}", "lower", entry["row"][key])
+            for entry in payload["scenarios"]
+            for key in ("recovery_us", "post_recovery_mean_us")]
 
-    errors: List[str] = []
-    _check(payload, FABRIC_SCHEMA, "$", errors)
-    if not errors and payload["format"] != FABRIC_FORMAT:
-        errors.append(f"$.format: expected {FABRIC_FORMAT!r}, "
-                      f"got {payload['format']!r}")
-    return errors
+
+#: ``BENCH_fabric.json``: simulated and seeded, so CI regenerates it and
+#: gates it with ``diff``
+FABRIC_ARTIFACT = Artifact(
+    format="repro-bench-fabric/1",
+    schema={
+        "seed": int,
+        "scenarios": [{
+            "scenario": str,
+            "description": str,
+            "fabric": str,
+            "nodes": int,
+            "row": _ROW_SCHEMA,
+        }],
+    },
+    headlines=_headlines,
+    non_empty=("scenarios",),
+)
 
 
 def fabric_payload(results: Sequence[FabricSoakResult], seed: int) -> dict:
@@ -554,26 +540,13 @@ def fabric_payload(results: Sequence[FabricSoakResult], seed: int) -> dict:
             "nodes": r.nodes,
             "row": r.to_row(),
         })
-    return {"format": FABRIC_FORMAT, "seed": seed, "scenarios": scenarios}
-
-
-def write_fabric_report(path: str, results: Sequence[FabricSoakResult],
-                        seed: int) -> dict:
-    """Validate and write ``BENCH_fabric.json`` (refuses bad payloads)."""
-    payload = fabric_payload(results, seed)
-    errors = validate_fabric(payload)
-    if errors:
-        raise ValueError("refusing to write invalid fabric report:\n  "
-                         + "\n  ".join(errors))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return {"format": FABRIC_ARTIFACT.format, "seed": seed,
+            "scenarios": scenarios}
 
 
 def render_fabric_table(results: Sequence[FabricSoakResult]) -> str:
     """One row per scenario plus the recovery headline."""
-    from ..analysis.report import engine_rate_line, format_table
+    from ..analysis.report import format_table
 
     rows = []
     for r in results:
@@ -585,14 +558,20 @@ def render_fabric_table(results: Sequence[FabricSoakResult]) -> str:
             f"{r.post_recovery_mean_us / 1000.0:.2f}",
             r.reroutes, r.heals, r.aborts, r.retransmissions,
         ])
-    lines = [format_table(
+    return format_table(
         ("scenario", "fabric", "nodes", "invariants", "rounds",
          "recovery_ms", "post_round_ms", "reroutes", "heals", "aborts",
          "rexmit"),
         rows,
         title="Fabric fault tolerance: failover, healing trees, partitions",
-    )]
-    rate = engine_rate_line(results)
-    if rate:
-        lines.append(f"  {rate}")
-    return "\n".join(lines)
+    )
+
+
+SUITE = Suite(
+    scenarios=FABRIC_SCENARIOS,
+    run=_run_suite,
+    render=render_fabric_table,
+    overrides=frozenset({"seed"}),
+    artifact=FABRIC_ARTIFACT,
+    payload=fabric_payload,
+)

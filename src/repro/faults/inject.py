@@ -216,8 +216,8 @@ class _LegacyInjector:
 
     One RNG roll per PDU decides its fate (``roll < drop_rate`` drops,
     ``roll < drop_rate + corrupt_rate`` corrupts) — kept bit-for-bit so
-    seeded tests written against the old ``analysis.faults`` module see
-    identical fault patterns.
+    seeded tests written against the original injectors see identical
+    fault patterns.
     """
 
     _corrupter = None

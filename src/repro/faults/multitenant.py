@@ -31,7 +31,7 @@ Churn events:
 
 The run emits per-tenant SLO telemetry (goodput, p99 echo RTT,
 quarantine time) as a schema-validated JSON artifact
-(:func:`write_multitenant_report`), and checks the isolation invariants:
+(:data:`MULTITENANT_ARTIFACT`), and checks the isolation invariants:
 drop conservation per host (no tenant's drops attributed to another),
 healthy tenants never latched and never shed a message, misbehaving
 tenants contained, crashed tenants released, gold goodput at least
@@ -46,6 +46,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..artifact import Artifact
 from ..core import EndpointConfig
 from ..core.cluster import ClusterHealthAggregator
 from ..core.errors import AdmissionRejected, EndpointError
@@ -65,20 +66,20 @@ from ..core.tenancy import (
     qos_class,
 )
 from ..sim import RngRegistry, Simulator
-from .soak import _build_network
+from ..suite import DEFAULT_SEED, Suite
+from .stream import build_network
 
 __all__ = [
-    "MULTITENANT_FORMAT",
+    "MULTITENANT_ARTIFACT",
     "MULTITENANT_SCENARIOS",
     "MultitenantScenario",
     "MultitenantResult",
+    "multitenant_payload",
     "run_multitenant",
     "render_multitenant_table",
-    "validate_multitenant",
-    "write_multitenant_report",
 ]
 
-MULTITENANT_FORMAT = "repro-multitenant-soak/1"
+_FORMAT = "repro-multitenant-soak/1"
 
 FATE_HEALTHY = "healthy"
 FATE_MISBEHAVED = "misbehaved"
@@ -242,10 +243,8 @@ class _Outcome:
     duration_us: float
     now: float
     completed: bool
-    #: engine throughput: simulator events processed and wall seconds
-    #: (zero for live runs, which have no simulator)
+    #: events the simulator processed (zero for live runs)
     sim_events: int = 0
-    wall_s: float = 0.0
 
     def delivered_bytes(self) -> int:
         return sum(t.delivered_bytes for t in self.tenants)
@@ -385,12 +384,10 @@ def _record_echo(t: _Tenant, data: bytes, now: float) -> None:
 # ------------------------------------------------------------------ simulation
 def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     from ..hw import PENTIUM_120
-    from ..live.clock import WallClock
 
-    wall_clock = WallClock()
     sim = Simulator()
     registry = RngRegistry(seed)
-    net = _build_network("atm" if scenario.substrate == "atm" else "ethernet", sim)
+    net = build_network(scenario.substrate, sim)
     aggregator = ClusterHealthAggregator(
         quorum=scenario.quorum,
         escalate_shed_after=scenario.escalate_shed_after)
@@ -502,18 +499,16 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     sim.run(until=t_end)
     return _Outcome(tenants=tenants, hosts=hosts, aggregator=aggregator,
                     duration_us=t_end, now=sim.now, completed=True,
-                    sim_events=sim.events_processed,
-                    wall_s=wall_clock.now_us() / 1e6)
+                    sim_events=sim.events_processed)
 
 
 # ------------------------------------------------------------------ live
-def _run_live(scenario: MultitenantScenario, seed: int,
-              transport_kind: Optional[str] = None) -> _Outcome:
+def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
     from ..live.backend import LiveCluster
     from ..live.clock import WallClock
     from ..live.transport import available_transport_kinds, make_transport
 
-    kind = transport_kind or (available_transport_kinds() or ["udp"])[0]
+    kind = (available_transport_kinds() or ["udp"])[0]
     clock = WallClock()
     registry = RngRegistry(seed)
     aggregator = ClusterHealthAggregator(
@@ -665,9 +660,8 @@ class MultitenantResult:
     recovery: dict
     hosts: List[dict]
     tenant_rows: List[dict]
-    #: engine throughput (main run only; the quiet baseline is excluded)
+    #: events the simulator processed, quiet baseline run included
     sim_events: int = 0
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -675,7 +669,7 @@ class MultitenantResult:
 
     def to_payload(self) -> dict:
         return {
-            "format": MULTITENANT_FORMAT,
+            "format": _FORMAT,
             "scenario": self.scenario,
             "substrate": self.substrate,
             "seed": self.seed,
@@ -695,7 +689,8 @@ class MultitenantResult:
 
 
 def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
-              baseline_bytes: Optional[int]) -> MultitenantResult:
+              baseline: Optional[_Outcome]) -> MultitenantResult:
+    baseline_bytes = baseline.delivered_bytes() if baseline else None
     tenants = outcome.tenants
     duration = outcome.duration_us
     violations: List[str] = []
@@ -873,8 +868,7 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
         hosts=[dict(host.admission.stats(), host=host.name)
                for host in outcome.hosts],
         tenant_rows=rows,
-        sim_events=outcome.sim_events,
-        wall_s=outcome.wall_s,
+        sim_events=outcome.sim_events + (baseline.sim_events if baseline else 0),
     )
 
 
@@ -884,22 +878,22 @@ def _run_once(scenario: MultitenantScenario, seed: int) -> _Outcome:
     return _run_sim(scenario, seed)
 
 
-def run_multitenant(scenario: MultitenantScenario, seed: int = 0xC0FFEE,
+def run_multitenant(scenario: MultitenantScenario, seed: int = DEFAULT_SEED,
                     baseline: bool = True) -> MultitenantResult:
     """Run ``scenario`` (plus, by default, the same schedule with churn
     disabled as the goodput baseline) and evaluate every invariant."""
-    baseline_bytes = None
+    quiet = None
     if baseline and (scenario.misbehave_frac or scenario.crash_frac):
-        quiet = replace(scenario, misbehave_frac=0.0, crash_frac=0.0)
-        baseline_bytes = _run_once(quiet, seed).delivered_bytes()
+        quiet = _run_once(replace(scenario, misbehave_frac=0.0, crash_frac=0.0),
+                          seed)
     outcome = _run_once(scenario, seed)
-    return _finalize(scenario, seed, outcome, baseline_bytes)
+    return _finalize(scenario, seed, outcome, quiet)
 
 
 # ------------------------------------------------------------------ reporting
 def render_multitenant_table(results: Sequence[MultitenantResult]) -> str:
     """Per-class SLO summary for each run, plus violations."""
-    from ..analysis.report import engine_rate_line, format_table
+    from ..analysis.report import format_table
 
     rows = []
     for r in results:
@@ -924,9 +918,6 @@ def render_multitenant_table(results: Sequence[MultitenantResult]) -> str:
         title="Multi-tenant churn soak",
     )
     lines = [table]
-    rate = engine_rate_line(results)
-    if rate:
-        lines.append(f"  {rate}")
     for r in results:
         rec = r.recovery
         if rec.get("crashed"):
@@ -934,9 +925,6 @@ def render_multitenant_table(results: Sequence[MultitenantResult]) -> str:
                 f"  {r.scenario}: recovery {rec['recovered']}/{rec['crashed']}"
                 f" crashed tenants in {rec['min_us']:.0f}-{rec['max_us']:.0f}us"
                 f" (mean {rec['mean_us']:.0f}us)")
-    for r in results:
-        for violation in r.violations:
-            lines.append(f"  !! {r.scenario}: {violation}")
     return "\n".join(lines)
 
 
@@ -958,8 +946,8 @@ _ROW_HOST = {
     "rejected": int, "rejected_by_class": dict, "tenants": int,
 }
 
-MULTITENANT_SCHEMA = {
-    "format": str,
+_RUN_SCHEMA = {
+    "format": _FORMAT,
     "scenario": str,
     "substrate": str,
     "seed": int,
@@ -994,69 +982,46 @@ MULTITENANT_SCHEMA = {
 }
 
 
-def _check(value, spec, path: str, errors: List[str]) -> None:
-    if spec is float:
-        # ints are acceptable floats, bools are not acceptable anything
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{path}: expected number, got {type(value).__name__}")
-        return
-    if spec is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{path}: expected int, got {type(value).__name__}")
-        return
-    if spec is str:
-        if not isinstance(value, str):
-            errors.append(f"{path}: expected str, got {type(value).__name__}")
-        return
-    if spec is dict:
-        if not isinstance(value, dict):
-            errors.append(f"{path}: expected object, got {type(value).__name__}")
-        return
-    if isinstance(spec, list):
-        if not isinstance(value, list):
-            errors.append(f"{path}: expected list, got {type(value).__name__}")
-            return
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]", errors)
-        return
-    # nested object spec
-    if not isinstance(value, dict):
-        errors.append(f"{path}: expected object, got {type(value).__name__}")
-        return
-    for key, sub in spec.items():
-        if key not in value:
-            errors.append(f"{path}.{key}: missing")
-            continue
-        _check(value[key], sub, f"{path}.{key}", errors)
-    for key in value:
-        if key not in spec:
-            errors.append(f"{path}.{key}: unexpected key")
+#: CI telemetry for full runs; the ``churn-bench`` run at seed 7 is
+#: committed as ``BENCH_multitenant.json`` and gated with ``diff``
+MULTITENANT_ARTIFACT = Artifact(
+    format=_FORMAT,
+    schema={"runs": [_RUN_SCHEMA]},
+    non_empty=("runs",),
+)
 
 
-def validate_multitenant(payload: dict) -> List[str]:
-    """Schema-check one soak artifact; returns a list of problems."""
-    errors: List[str] = []
-    _check(payload, MULTITENANT_SCHEMA, "$", errors)
-    if not errors and payload["format"] != MULTITENANT_FORMAT:
-        errors.append(f"$.format: expected {MULTITENANT_FORMAT!r}, "
-                      f"got {payload['format']!r}")
-    return errors
+def multitenant_payload(results: Sequence[MultitenantResult]) -> dict:
+    """One artifact document: every run's self-describing payload."""
+    return {"format": _FORMAT, "runs": [r.to_payload() for r in results]}
 
 
-def write_multitenant_report(path: str, results: Sequence[MultitenantResult]) -> dict:
-    """Validate and write the soak artifact (refuses invalid payloads)."""
-    import json
+def _run_suite(scenario: MultitenantScenario, progress,
+               seed: int = DEFAULT_SEED) -> List[MultitenantResult]:
+    if scenario.substrate == "live":
+        from ..live import available_transport_kinds
 
-    payload = {"format": MULTITENANT_FORMAT, "runs": []}
-    problems: List[str] = []
-    for r in results:
-        run = r.to_payload()
-        problems.extend(f"{r.scenario}: {e}" for e in validate_multitenant(run))
-        payload["runs"].append(run)
-    if problems:
-        raise ValueError("refusing to write invalid multitenant report: "
-                         + "; ".join(problems[:5]))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+        if not available_transport_kinds():
+            progress(f"{scenario.name}: skipped (no live transport on this machine)")
+            return []
+    progress(f"{scenario.name}: {scenario.tenants} tenants on "
+             f"{scenario.substrate} ...")
+    return [run_multitenant(scenario, seed=seed)]
+
+
+def _render_hosts(results: Sequence[MultitenantResult]) -> str:
+    return "\n".join(f"\n{r.scenario} hosts:\n"
+                     + "\n".join(f"  {host}" for host in r.hosts)
+                     for r in results)
+
+
+SUITE = Suite(
+    scenarios=MULTITENANT_SCENARIOS,
+    run=_run_suite,
+    render=render_multitenant_table,
+    stats=_render_hosts,
+    overrides=frozenset({"seed"}),
+    artifact=MULTITENANT_ARTIFACT,
+    payload=lambda results, seed: multitenant_payload(results),
+    skipped_by_default=("churn-bench",),
+)

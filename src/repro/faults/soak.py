@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..am import AmConfig, AmEndpoint
-from ..core import EndpointConfig
+from ..am import AmConfig
 from ..sim import RngRegistry, Simulator
+from ..suite import DEFAULT_SEED, Suite
 from .inject import attach_pipeline
 from .perturb import (
     DelayJitter,
@@ -35,6 +35,12 @@ from .perturb import (
     LinkPerturbation,
     NicStall,
     Reorder,
+)
+from .stream import (
+    build_am_star,
+    check_delivery,
+    render_fault_stats,
+    stream_payload,
 )
 
 __all__ = [
@@ -46,9 +52,6 @@ __all__ = [
     "render_soak_table",
     "render_comparison",
 ]
-
-_ENDPOINT_CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
-                                  send_queue_depth=64, recv_queue_depth=128)
 
 
 @dataclass
@@ -86,10 +89,8 @@ class SoakResult:
     rtt_samples: int
     srtt_us: Optional[float]
     fault_stats: Dict[str, dict] = field(default_factory=dict)
-    #: engine throughput: events the simulator processed and the
-    #: wall-clock seconds the run took (events/s is the fast-path metric)
+    #: events the simulator processed (exact; the driver times the run)
     sim_events: int = 0
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -140,38 +141,16 @@ SCENARIOS: Dict[str, SoakScenario] = {
 }
 
 
-def _build_network(substrate: str, sim: Simulator):
-    if substrate == "atm":
-        from ..atm import AtmNetwork
-
-        return AtmNetwork(sim)
-    from ..ethernet import SwitchedNetwork
-
-    return SwitchedNetwork(sim)
-
-
 def run_scenario(
     scenario: SoakScenario,
     config: Optional[AmConfig] = None,
-    seed: int = 0xC0FFEE,
+    seed: int = DEFAULT_SEED,
     mode: str = "fixed",
 ) -> SoakResult:
     """Run ``scenario`` once under ``config`` and check every invariant."""
-    from ..hw import PENTIUM_120
-    from ..live.clock import WallClock
-
-    wall_clock = WallClock()
     sim = Simulator()
-    net = _build_network(scenario.substrate, sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    am0 = AmEndpoint(0, ep0, config=config)
-    am1 = AmEndpoint(1, ep1, config=config)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
+    (h0, h1), (am0, am1) = build_am_star(sim, scenario.substrate,
+                                         ("n0", "n1"), sink=1, config=config)
 
     registry = RngRegistry(seed)
     pipelines = []
@@ -189,15 +168,12 @@ def run_scenario(
     def handler(ctx) -> None:
         i = ctx.args[0]
         delivered.append(i)
-        if ctx.data != _payload(i, scenario.payload_bytes):
+        if ctx.data != stream_payload(i, scenario.payload_bytes):
             integrity_failures.append(i)
 
     def rpc_handler(ctx):
-        i = ctx.args[0]
-        delivered.append(i)
-        if ctx.data != _payload(i, scenario.payload_bytes):
-            integrity_failures.append(i)
-        yield from ctx.reply(args=(i * 2 + 1,))
+        handler(ctx)
+        yield from ctx.reply(args=(ctx.args[0] * 2 + 1,))
 
     am1.register_handler(1, handler)
     am1.register_handler(2, rpc_handler)
@@ -206,7 +182,7 @@ def run_scenario(
 
     def traffic():
         for i in range(scenario.messages):
-            data = _payload(i, scenario.payload_bytes)
+            data = stream_payload(i, scenario.payload_bytes)
             if scenario.rpc_every and i % scenario.rpc_every == scenario.rpc_every - 1:
                 args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
                 if args[0] != i * 2 + 1:
@@ -225,25 +201,8 @@ def run_scenario(
         am1.shutdown()
         sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
 
-    violations: List[str] = []
-    if not completed:
-        violations.append(f"termination: stream incomplete at t={scenario.time_limit_us:.0f}us "
-                          f"({len(delivered)}/{scenario.messages} delivered)")
-    expected = list(range(scenario.messages))
-    if completed and delivered != expected:
-        if sorted(delivered) != expected:
-            seen = set()
-            dupes = sorted({i for i in delivered if i in seen or seen.add(i)})
-            missing = sorted(set(expected) - set(delivered))
-            if dupes:
-                violations.append(f"exactly-once: duplicate dispatch of ids {dupes[:8]}")
-            if missing:
-                violations.append(f"exactly-once: ids never dispatched {missing[:8]}")
-        else:
-            violations.append("fifo: dispatch order differs from send order")
-    if integrity_failures:
-        violations.append(f"integrity: corrupted payload reached handler for ids "
-                          f"{integrity_failures[:8]}")
+    violations = check_delivery({0: delivered}, scenario.messages, completed,
+                                scenario.time_limit_us, integrity_failures)
     violations.extend(rpc_errors)
 
     peer = am0._peers_by_node[1]
@@ -265,12 +224,7 @@ def run_scenario(
         srtt_us=peer.srtt,
         fault_stats=fault_stats,
         sim_events=sim.events_processed,
-        wall_s=wall_clock.now_us() / 1e6,
     )
-
-
-def _payload(i: int, size: int) -> bytes:
-    return bytes((i + j) % 256 for j in range(size))
 
 
 def fixed_config() -> AmConfig:
@@ -283,9 +237,18 @@ def adaptive_config() -> AmConfig:
     return AmConfig.adaptive()
 
 
+_CONFIGS = {"fixed": fixed_config, "adaptive": adaptive_config}
+
+
+def _run_suite(scenario: SoakScenario, progress=None, mode: str = "compare",
+               seed: int = DEFAULT_SEED) -> List[SoakResult]:
+    return [run_scenario(scenario, config=_CONFIGS[m](), seed=seed, mode=m)
+            for m in (_CONFIGS if mode == "compare" else (mode,))]
+
+
 def compare_reliability(
     scenarios: Sequence[SoakScenario],
-    seed: int = 0xC0FFEE,
+    seed: int = DEFAULT_SEED,
 ) -> List[SoakResult]:
     """Run each scenario under the fixed baseline and the adaptive stack.
 
@@ -293,11 +256,7 @@ def compare_reliability(
     byte-identical fault patterns (until their own behaviour diverges
     the arrival sequence, which is the point of the comparison).
     """
-    results: List[SoakResult] = []
-    for scenario in scenarios:
-        results.append(run_scenario(scenario, config=fixed_config(), seed=seed, mode="fixed"))
-        results.append(run_scenario(scenario, config=adaptive_config(), seed=seed, mode="adaptive"))
-    return results
+    return [r for scenario in scenarios for r in _run_suite(scenario, seed=seed)]
 
 
 def wins(fixed: SoakResult, adaptive: SoakResult) -> List[str]:
@@ -319,7 +278,7 @@ def wins(fixed: SoakResult, adaptive: SoakResult) -> List[str]:
 
 def render_soak_table(results: Sequence[SoakResult]) -> str:
     """One row per run, via the standard report table."""
-    from ..analysis.report import engine_rate_line, format_table
+    from ..analysis.report import format_table
 
     rows = []
     for r in results:
@@ -334,14 +293,12 @@ def render_soak_table(results: Sequence[SoakResult]) -> str:
             r.duplicates,
             f"{r.srtt_us:.0f}" if r.srtt_us is not None else "-",
         ])
-    table = format_table(
+    return format_table(
         ("scenario", "mode", "invariants", "time_ms", "rexmit", "rto_fire", "fast_rx",
          "dup_rx", "srtt_us"),
         rows,
         title="Chaos soak report",
     )
-    rate = engine_rate_line(results)
-    return f"{table}\n  {rate}" if rate else table
 
 
 def render_comparison(results: Sequence[SoakResult]) -> str:
@@ -356,7 +313,14 @@ def render_comparison(results: Sequence[SoakResult]) -> str:
         won = wins(fixed, adaptive)
         verdict = "; ".join(won) if won else "no metric improved"
         lines.append(f"  {name}: adaptive vs fixed -> {verdict}")
-        for r in (fixed, adaptive):
-            for violation in r.violations:
-                lines.append(f"    !! {r.mode}: {violation}")
     return "\n".join(lines)
+
+
+SUITE = Suite(
+    scenarios=SCENARIOS,
+    run=_run_suite,
+    render=render_comparison,
+    stats=render_fault_stats,
+    overrides=frozenset({"messages", "mode", "seed"}),
+    skipped_by_default=("bursty-atm",),
+)

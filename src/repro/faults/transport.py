@@ -32,35 +32,33 @@ every run: a transport that wins goodput by breaking delivery loses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..am import AmConfig, AmEndpoint
-from ..core import EndpointConfig
+from ..artifact import Artifact, Headline
 from ..sim import RngRegistry, Simulator
+from ..suite import DEFAULT_SEED, Suite
 from .inject import attach_pipeline
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
+from .stream import (
+    build_am_star,
+    check_delivery,
+    render_fault_stats,
+    stream_payload,
+)
 
 __all__ = [
-    "TRANSPORT_FORMAT",
+    "TRANSPORT_ARTIFACT",
     "TRANSPORT_MODES",
     "TRANSPORT_SCENARIOS",
     "TransportScenario",
     "TransportResult",
     "mark_frame",
     "run_transport",
-    "run_transport_suite",
     "transport_payload",
-    "validate_transport",
-    "write_transport_report",
     "render_transport_table",
 ]
-
-TRANSPORT_FORMAT = "repro-bench-transport/1"
-
-_ENDPOINT_CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
-                                  send_queue_depth=64, recv_queue_depth=128)
 
 
 def mark_frame(frame):
@@ -200,9 +198,8 @@ class TransportResult:
     queue_marked: int = 0
     queue_dropped: int = 0
     fault_stats: Dict[str, dict] = field(default_factory=dict)
-    #: engine throughput: simulator events processed and wall seconds
+    #: events the simulator processed (exact; the driver times the run)
     sim_events: int = 0
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -228,48 +225,27 @@ class TransportResult:
         }
 
 
-def _payload(sender: int, i: int, size: int) -> bytes:
-    return bytes((sender * 37 + i + j) % 256 for j in range(size))
-
-
 def run_transport(scenario: TransportScenario, mode: str,
-                  seed: int = 0xC0FFEE) -> TransportResult:
+                  seed: int = DEFAULT_SEED) -> TransportResult:
     """Run ``scenario`` once under transport ``mode``, invariants checked."""
-    from ..ethernet import SwitchedNetwork
-    from ..hw import PENTIUM_120
-
     if mode not in TRANSPORT_MODES:
         raise ValueError(f"unknown transport mode {mode!r}; "
                          f"choose from {sorted(TRANSPORT_MODES)}")
-    from ..live.clock import WallClock
-
-    config = TRANSPORT_MODES[mode]()
-    wall_clock = WallClock()
     sim = Simulator()
-    net = SwitchedNetwork(sim)
-    sink_host = net.add_host("sink", PENTIUM_120)
-    sink_ep = sink_host.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-    sink_am = AmEndpoint(0, sink_ep, config=config)
+    names = ["sink"] + [f"src{s}" for s in range(scenario.senders)]
+    (sink_host, *sender_hosts), (sink_am, *sender_ams) = build_am_star(
+        sim, "ethernet", names, sink=0, config=TRANSPORT_MODES[mode]())
 
-    sender_ams: List[AmEndpoint] = []
     registry = RngRegistry(seed)
-    pipelines = []
-    for s in range(scenario.senders):
-        host = net.add_host(f"src{s}", PENTIUM_120)
-        ep = host.create_endpoint(config=_ENDPOINT_CONFIG, rx_buffers=48)
-        ch_sink, ch_src = net.connect(sink_ep, ep)
-        sink_am.connect_peer(s + 1, ch_sink)
-        am = AmEndpoint(s + 1, ep, config=config)
-        am.connect_peer(0, ch_src)
-        sender_ams.append(am)
-        if scenario.rev_stages is not None:
-            pipelines.append(attach_pipeline(host.backend, scenario.rev_stages(),
-                                             rng=registry, prefix=f"faults.rev{s}"))
     # one forward pipeline at the sink: with several senders it *is*
     # the shared uplink, which is the whole point of the incast shape
     fwd = attach_pipeline(sink_host.backend, scenario.fwd_stages(),
                           rng=registry, prefix="faults.fwd")
-    pipelines.insert(0, fwd)
+    pipelines = [fwd]
+    if scenario.rev_stages is not None:
+        pipelines += [attach_pipeline(host.backend, scenario.rev_stages(),
+                                      rng=registry, prefix=f"faults.rev{s}")
+                      for s, host in enumerate(sender_hosts)]
 
     delivered: Dict[int, List[int]] = {s: [] for s in range(scenario.senders)}
     integrity_failures: List[tuple] = []
@@ -279,7 +255,7 @@ def run_transport(scenario: TransportScenario, mode: str,
         s, i = ctx.args[0], ctx.args[1]
         delivered[s].append(i)
         delivery_times.append(sim.now)
-        if ctx.data != _payload(s, i, scenario.payload_bytes):
+        if ctx.data != stream_payload(i, scenario.payload_bytes, sender=s):
             integrity_failures.append((s, i))
 
     sink_am.register_handler(1, handler)
@@ -288,8 +264,8 @@ def run_transport(scenario: TransportScenario, mode: str,
 
     def traffic(s: int, am: AmEndpoint):
         for i in range(scenario.messages):
-            yield from am.request(0, 1, args=(s, i),
-                                  data=_payload(s, i, scenario.payload_bytes))
+            yield from am.request(0, 1, args=(s, i), data=stream_payload(
+                i, scenario.payload_bytes, sender=s))
         done_at.append(sim.now)
 
     processes = [sim.process(traffic(s, am), name=f"transport.src{s}")
@@ -306,30 +282,8 @@ def run_transport(scenario: TransportScenario, mode: str,
 
     total = scenario.senders * scenario.messages
     got = sum(len(ids) for ids in delivered.values())
-    violations: List[str] = []
-    if not completed:
-        violations.append(f"termination: {got}/{total} delivered at "
-                          f"t={scenario.time_limit_us:.0f}us")
-    expected = list(range(scenario.messages))
-    for s in range(scenario.senders):
-        ids = delivered[s]
-        if completed and ids != expected:
-            if sorted(ids) == expected:
-                violations.append(f"fifo: sender {s} dispatch order differs "
-                                  f"from send order")
-            else:
-                seen: set = set()
-                dupes = sorted({i for i in ids if i in seen or seen.add(i)})
-                missing = sorted(set(expected) - set(ids))
-                if dupes:
-                    violations.append(f"exactly-once: sender {s} ids "
-                                      f"dispatched twice {dupes[:8]}")
-                if missing:
-                    violations.append(f"exactly-once: sender {s} ids never "
-                                      f"dispatched {missing[:8]}")
-    if integrity_failures:
-        violations.append(f"integrity: corrupted payload reached the handler "
-                          f"for {integrity_failures[:8]}")
+    violations = check_delivery(delivered, scenario.messages, completed,
+                                scenario.time_limit_us, integrity_failures)
 
     sender_snaps = [am.snapshot()[0] for am in sender_ams]
     sink_snaps = sink_am.snapshot()
@@ -368,27 +322,18 @@ def run_transport(scenario: TransportScenario, mode: str,
         queue_dropped=queue_dropped,
         fault_stats=fault_stats,
         sim_events=sim.events_processed,
-        wall_s=wall_clock.now_us() / 1e6,
     )
 
 
-def run_transport_suite(seed: int = 0xC0FFEE,
-                        scenarios: Optional[Sequence[str]] = None,
-                        modes: Optional[Sequence[str]] = None,
-                        progress: Optional[Callable[[str], None]] = None,
-                        ) -> List[TransportResult]:
-    """Every (scenario, mode) pair, identical seeds per scenario so the
-    three transports face byte-identical fault patterns (until their own
-    behaviour diverges the arrival sequence — the point of the test)."""
-    names = list(scenarios or TRANSPORT_SCENARIOS)
-    mode_names = list(modes or TRANSPORT_MODES)
+def _run_suite(scenario: TransportScenario, progress,
+               seed: int = DEFAULT_SEED) -> List[TransportResult]:
+    """Every mode on one seed, so the three transports face byte-identical
+    fault patterns (until their own behaviour diverges the arrival
+    sequence — the point of the test)."""
     results: List[TransportResult] = []
-    for name in names:
-        scenario = TRANSPORT_SCENARIOS[name]
-        for mode in mode_names:
-            if progress is not None:
-                progress(f"{name} under {mode}...")
-            results.append(run_transport(scenario, mode, seed=seed))
+    for mode in TRANSPORT_MODES:
+        progress(f"{scenario.name} under {mode}...")
+        results.append(run_transport(scenario, mode, seed=seed))
     return results
 
 
@@ -401,63 +346,33 @@ _ROW_SCHEMA = {
     "ecn_backoffs": int, "queue_marked": int, "queue_dropped": int,
     "violations": int,
 }
-TRANSPORT_SCHEMA = {
-    "format": str,
-    "seed": int,
-    "scenarios": [{
-        "scenario": str,
-        "description": str,
-        "senders": int,
-        "messages_per_sender": int,
-        "payload_bytes": int,
-        "modes": {"gbn": _ROW_SCHEMA, "sack": _ROW_SCHEMA, "ecn": _ROW_SCHEMA},
-    }],
-}
 
 
-def _check(value, spec, path: str, errors: List[str]) -> None:
-    if spec is float:
-        # ints are acceptable floats, bools are not acceptable anything
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{path}: expected number, got {type(value).__name__}")
-        return
-    if spec is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{path}: expected int, got {type(value).__name__}")
-        return
-    if spec in (str, bool):
-        if not isinstance(value, spec):
-            errors.append(f"{path}: expected {spec.__name__}, "
-                          f"got {type(value).__name__}")
-        return
-    if isinstance(spec, list):
-        if not isinstance(value, list) or not value:
-            errors.append(f"{path}: expected non-empty list")
-            return
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]", errors)
-        return
-    if not isinstance(value, dict):
-        errors.append(f"{path}: expected object, got {type(value).__name__}")
-        return
-    for key, sub in spec.items():
-        if key not in value:
-            errors.append(f"{path}.{key}: missing")
-            continue
-        _check(value[key], sub, f"{path}.{key}", errors)
-    for key in value:
-        if key not in spec:
-            errors.append(f"{path}.{key}: unexpected key")
+def _headlines(payload: dict) -> List[Headline]:
+    return [(f"{entry['scenario']}[{mode}].goodput_mbps", "higher",
+             row["goodput_mbps"])
+            for entry in payload["scenarios"]
+            for mode, row in sorted(entry["modes"].items())]
 
 
-def validate_transport(payload: dict) -> List[str]:
-    """Schema-check one transport artifact; returns a list of problems."""
-    errors: List[str] = []
-    _check(payload, TRANSPORT_SCHEMA, "$", errors)
-    if not errors and payload["format"] != TRANSPORT_FORMAT:
-        errors.append(f"$.format: expected {TRANSPORT_FORMAT!r}, "
-                      f"got {payload['format']!r}")
-    return errors
+#: ``BENCH_transport.json``: simulated and seeded, so CI regenerates it
+#: and gates it with ``diff``
+TRANSPORT_ARTIFACT = Artifact(
+    format="repro-bench-transport/1",
+    schema={
+        "seed": int,
+        "scenarios": [{
+            "scenario": str,
+            "description": str,
+            "senders": int,
+            "messages_per_sender": int,
+            "payload_bytes": int,
+            "modes": {mode: _ROW_SCHEMA for mode in ("gbn", "sack", "ecn")},
+        }],
+    },
+    headlines=_headlines,
+    non_empty=("scenarios",),
+)
 
 
 def transport_payload(results: Sequence[TransportResult], seed: int) -> dict:
@@ -480,26 +395,13 @@ def transport_payload(results: Sequence[TransportResult], seed: int) -> dict:
             "payload_bytes": scenario.payload_bytes,
             "modes": {mode: modes[mode].to_row() for mode in TRANSPORT_MODES},
         })
-    return {"format": TRANSPORT_FORMAT, "seed": seed, "scenarios": scenarios}
-
-
-def write_transport_report(path: str, results: Sequence[TransportResult],
-                           seed: int) -> dict:
-    """Validate and write ``BENCH_transport.json`` (refuses bad payloads)."""
-    payload = transport_payload(results, seed)
-    errors = validate_transport(payload)
-    if errors:
-        raise ValueError("refusing to write invalid transport report:\n  "
-                         + "\n  ".join(errors))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return {"format": TRANSPORT_ARTIFACT.format, "seed": seed,
+            "scenarios": scenarios}
 
 
 def render_transport_table(results: Sequence[TransportResult]) -> str:
     """One row per (scenario, mode) plus the per-scenario verdicts."""
-    from ..analysis.report import engine_rate_line, format_table
+    from ..analysis.report import format_table
 
     rows = []
     for r in results:
@@ -518,9 +420,6 @@ def render_transport_table(results: Sequence[TransportResult]) -> str:
         rows,
         title="Transport ablation: go-back-N vs SACK vs ECN",
     )]
-    rate = engine_rate_line(results)
-    if rate:
-        lines.append(f"  {rate}")
     by_key = {(r.scenario, r.mode): r for r in results}
     for name in dict.fromkeys(r.scenario for r in results):
         gbn = by_key.get((name, "gbn"))
@@ -537,3 +436,14 @@ def render_transport_table(results: Sequence[TransportResult]) -> str:
                          f"{ecn.queue_dropped} queue drops "
                          f"(gbn dropped {gbn.queue_dropped})")
     return "\n".join(lines)
+
+
+SUITE = Suite(
+    scenarios=TRANSPORT_SCENARIOS,
+    run=_run_suite,
+    render=render_transport_table,
+    stats=render_fault_stats,
+    overrides=frozenset({"seed"}),
+    artifact=TRANSPORT_ARTIFACT,
+    payload=transport_payload,
+)

@@ -16,15 +16,11 @@ and CLI can name them without special-casing.
 
 from .am import LiveAm, LiveRequestContext
 from .bench import (
-    BENCH_FORMAT,
-    BENCH_SCHEMA,
     bench_bandwidth,
     bench_incast,
     bench_round_trip,
     render_bench,
     run_bench,
-    validate_bench,
-    write_bench,
 )
 from .backend import (
     DEFAULT_MAX_PDU,
@@ -80,15 +76,11 @@ __all__ = [
     "EventDoorbell",
     "mmsg_available",
     "mmsg_path",
-    "BENCH_FORMAT",
-    "BENCH_SCHEMA",
     "bench_round_trip",
     "bench_bandwidth",
     "bench_incast",
     "run_bench",
     "render_bench",
-    "validate_bench",
-    "write_bench",
 ]
 
 register_live_substrates()

@@ -14,17 +14,17 @@ the OS-level cost metric that corresponds to the paper's obsession
 with traps and doorbells (U-Net's whole point was getting syscalls out
 of the fast path; U-Net/OS pays them and shows the bill).
 
-The output is one JSON document (``BENCH_live.json``), schema-checked
-by :func:`validate_bench` before it is written so downstream tooling
-can trust its shape.
+The output is one JSON document (``BENCH_live.json``), described and
+schema-checked by :data:`ARTIFACT` so downstream tooling can trust its
+shape.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..am.am import AmConfig
+from ..artifact import Artifact, Headline
 from ..core import EndpointConfig
 from .am import LiveAm
 from .backend import LiveCluster
@@ -33,8 +33,7 @@ from .doorbell import DEFAULT_DOORBELL_MODE
 from .transport import make_transport
 
 __all__ = [
-    "BENCH_FORMAT",
-    "BENCH_SCHEMA",
+    "ARTIFACT",
     "RTT_SIZES",
     "BANDWIDTH_SIZES",
     "bench_round_trip",
@@ -42,13 +41,9 @@ __all__ = [
     "bench_incast",
     "bench_burst",
     "run_bench",
-    "validate_bench",
-    "write_bench",
     "render_bench",
     "percentile",
 ]
-
-BENCH_FORMAT = "repro-bench-live/2"
 
 #: Figure 5's sweep, minus nothing: the live rig walks the same sizes
 RTT_SIZES = (0, 8, 16, 32, 40, 64, 128, 256, 512, 1024, 1498)
@@ -420,8 +415,8 @@ def run_bench(transport_kind: str = "unix", rtt_samples: int = 40,
          f"per-syscall vs batched)...")
     burst = bench_burst(transport_kind, messages=burst_messages,
                         size=burst_size)
-    payload = {
-        "format": BENCH_FORMAT,
+    return {
+        "format": ARTIFACT.format,
         "transport": transport_kind,
         "doorbell_mode": doorbell_mode,
         "elapsed_s": (clock.now_us() - t0) / 1e6,
@@ -430,11 +425,6 @@ def run_bench(transport_kind: str = "unix", rtt_samples: int = 40,
         "incast": incast,
         "burst": burst,
     }
-    errors = validate_bench(payload)
-    if errors:  # pragma: no cover - a rig bug, not an input condition
-        raise ValueError("benchmark payload failed its own schema:\n  "
-                         + "\n  ".join(errors))
-    return payload
 
 
 # ------------------------------------------------------------------- schema
@@ -454,59 +444,42 @@ _ROW_BURST_SIDE = {"msgs_per_sec": float, "syscalls_per_message": float,
 _ROW_BURST = {"messages": int, "size": int, "baseline": _ROW_BURST_SIDE,
               "batched": _ROW_BURST_SIDE, "speedup": float,
               "batch_path": str}
-BENCH_SCHEMA = {
-    "format": str,
-    "transport": str,
-    "doorbell_mode": str,
-    "elapsed_s": float,
-    "round_trip": [_ROW_RTT],
-    "bandwidth": [_ROW_BW],
-    "incast": _ROW_INCAST,
-    "burst": _ROW_BURST,
-}
 
 
-def _check(value, spec, path: str, errors: List[str]) -> None:
-    if isinstance(spec, list):
-        if not isinstance(value, list) or not value:
-            errors.append(f"{path}: expected a non-empty list")
-            return
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]", errors)
-    elif isinstance(spec, dict):
-        if not isinstance(value, dict):
-            errors.append(f"{path}: expected an object")
-            return
-        for key, sub in spec.items():
-            if key not in value:
-                errors.append(f"{path}.{key}: missing")
-            else:
-                _check(value[key], sub, f"{path}.{key}", errors)
-    elif spec is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{path}: expected a number, got {type(value).__name__}")
-    elif not isinstance(value, spec) or isinstance(value, bool) and spec is int:
-        errors.append(f"{path}: expected {spec.__name__}, got {type(value).__name__}")
+def _headlines(payload: Dict) -> List[Headline]:
+    """p50 latency and goodput per size, incast goodput, and the burst
+    fast path: batched throughput, its syscalls per message and the
+    speedup over the per-syscall baseline."""
+    burst = payload["burst"]
+    return (
+        [(f"rtt[{row['size']}B].p50_us", "lower", row["p50_us"])
+         for row in payload["round_trip"]]
+        + [(f"bandwidth[{row['size']}B].goodput_mbps", "higher",
+            row["goodput_mbps"]) for row in payload["bandwidth"]]
+        + [("incast.goodput_mbps", "higher", payload["incast"]["goodput_mbps"]),
+           ("burst.batched.msgs_per_sec", "higher",
+            burst["batched"]["msgs_per_sec"]),
+           ("burst.batched.syscalls_per_message", "lower",
+            burst["batched"]["syscalls_per_message"]),
+           ("burst.speedup", "higher", burst["speedup"])])
 
 
-def validate_bench(payload: Dict) -> List[str]:
-    """Schema-check a BENCH_live payload; empty list means valid."""
-    errors: List[str] = []
-    _check(payload, BENCH_SCHEMA, "$", errors)
-    if not errors and payload["format"] != BENCH_FORMAT:
-        errors.append(f"$.format: {payload['format']!r} != {BENCH_FORMAT!r}")
-    return errors
-
-
-def write_bench(path: str, payload: Dict) -> None:
-    """Validate, then write ``BENCH_live.json``."""
-    errors = validate_bench(payload)
-    if errors:
-        raise ValueError("refusing to write an invalid benchmark payload:\n  "
-                         + "\n  ".join(errors))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: ``BENCH_live.json``: wall-clock by nature, so CI compares a fresh run
+#: against it with a loose ``bench --compare`` threshold, never ``diff``
+ARTIFACT = Artifact(
+    format="repro-bench-live/2",
+    schema={
+        "transport": str,
+        "doorbell_mode": str,
+        "elapsed_s": float,
+        "round_trip": [_ROW_RTT],
+        "bandwidth": [_ROW_BW],
+        "incast": _ROW_INCAST,
+        "burst": _ROW_BURST,
+    },
+    headlines=_headlines,
+    non_empty=("round_trip", "bandwidth"),
+)
 
 
 def render_bench(payload: Dict) -> str:

@@ -61,7 +61,7 @@ def test_rpc_across_wrap_point():
 
 def test_retransmission_across_wrap_point():
     from repro.am import AmConfig
-    from repro.analysis import FrameFaultInjector
+    from repro.faults import FrameFaultInjector
     from repro.sim import RngRegistry
 
     sim, am0, am1 = _pair(SEQ_MOD - 3)

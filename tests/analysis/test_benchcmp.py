@@ -16,8 +16,9 @@ from repro.cli import main
 
 def _live_payload(p50=100.0, goodput=50.0, incast=40.0):
     return {
-        "format": "repro-bench-live/1",
+        "format": "repro-bench-live/2",
         "transport": "unix",
+        "doorbell_mode": "busy-poll",
         "elapsed_s": 1.0,
         "round_trip": [{"size": 40, "samples": 10, "min_us": 1.0,
                         "mean_us": p50, "p50_us": p50, "p95_us": p50 * 2,
@@ -30,6 +31,12 @@ def _live_payload(p50=100.0, goodput=50.0, incast=40.0):
                    "goodput_mbps": incast, "credit_stalls": 0, "rexmit": 0,
                    "recv_queue_drops": 0, "no_buffer_drops": 0,
                    "syscalls_per_message": 2.0},
+        "burst": {"messages": 100, "size": 256, "speedup": 4.0,
+                  "batch_path": "sendmmsg",
+                  "baseline": {"msgs_per_sec": 1e5, "elapsed_us": 1000.0,
+                               "syscalls_per_message": 2.0},
+                  "batched": {"msgs_per_sec": 4e5, "elapsed_us": 250.0,
+                              "syscalls_per_message": 0.05}},
     }
 
 
@@ -49,7 +56,8 @@ def _transport_payload(gbn=5.0, sack=20.0, ecn=25.0):
 def test_headline_metrics_are_format_dispatched():
     live = {name for name, _b, _v in headline_metrics(_live_payload())}
     assert live == {"rtt[40B].p50_us", "bandwidth[1024B].goodput_mbps",
-                    "incast.goodput_mbps"}
+                    "incast.goodput_mbps", "burst.batched.msgs_per_sec",
+                    "burst.batched.syscalls_per_message", "burst.speedup"}
     transport = {name for name, _b, _v in headline_metrics(_transport_payload())}
     assert transport == {"ge-bursty[gbn].goodput_mbps",
                          "ge-bursty[sack].goodput_mbps",

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.am import AmConfig, AmEndpoint
-from repro.analysis import CellFaultInjector, FrameFaultInjector
 from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
 from repro.ethernet import HubNetwork
+from repro.faults import CellFaultInjector, FrameFaultInjector
 from repro.hw import PENTIUM_120
 from repro.sim import RngRegistry, Simulator
 

@@ -5,11 +5,9 @@ import pytest
 
 from repro.analysis.benchcmp import compare_bench, headline_metrics
 from repro.collectives.bench import (
-    COLLECTIVES_BENCH_FORMAT,
+    ARTIFACT,
     point_support,
     run_collectives_bench,
-    validate_collectives_bench,
-    write_collectives_bench,
 )
 
 
@@ -33,7 +31,7 @@ def test_sweep_measures_every_feasible_cell(payload):
 
 
 def test_sweep_payload_validates_and_has_headlines(payload):
-    assert validate_collectives_bench(payload) == []
+    assert ARTIFACT.validate(payload) == []
     metrics = headline_metrics(payload)
     names = [name for name, _, _ in metrics]
     assert "barrier[atm-clos,nic,n5].mean_us" in names
@@ -58,27 +56,32 @@ def test_sweep_is_deterministic_in_simulated_time(payload):
     assert all(delta.change_frac == 0.0 for delta in deltas)
 
 
-def test_engine_snapshot_records_events_per_sec(payload):
+def test_engine_snapshot_records_exact_event_counts_only(payload):
     assert len(payload["engine"]) == 4
     for entry in payload["engine"]:
         assert entry["sim_events"] > 0
-        assert entry["events_per_sec"] > 0.0
+    # no wall-clock number may enter the artifact: it is gated by diff
+    assert "elapsed_s" not in payload
+    assert not {"wall_s", "events_per_sec"} & set(payload["engine"][0])
+    again = run_collectives_bench(node_counts=(5,), barrier_iters=4,
+                                  reduce_iters=3)
+    assert again == payload
 
 
 def test_write_refuses_invalid_payload(tmp_path):
     with pytest.raises(ValueError):
-        write_collectives_bench(str(tmp_path / "bad.json"),
-                                {"format": COLLECTIVES_BENCH_FORMAT})
+        ARTIFACT.write(str(tmp_path / "bad.json"),
+                       {"format": ARTIFACT.format})
 
 
 def test_write_round_trips(tmp_path, payload):
     import json
 
     path = tmp_path / "BENCH_collectives.json"
-    write_collectives_bench(str(path), payload)
+    ARTIFACT.write(str(path), payload)
     loaded = json.loads(path.read_text())
-    assert validate_collectives_bench(loaded) == []
-    assert loaded["format"] == COLLECTIVES_BENCH_FORMAT
+    assert ARTIFACT.validate(loaded) == []
+    assert loaded == payload
 
 
 def test_point_support_maps_the_known_cliffs():
@@ -109,7 +112,7 @@ def test_committed_snapshot_shows_nic_winning_at_scale():
                         "BENCH_collectives.json")
     with open(path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
-    assert validate_collectives_bench(snapshot) == []
+    assert ARTIFACT.validate(snapshot) == []
     speedups = {(s["substrate"], s["nodes"], s["op"]): s["speedup"]
                 for s in snapshot["speedups"]}
     for substrate in ("atm-clos", "fe-clos"):

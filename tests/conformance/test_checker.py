@@ -14,7 +14,7 @@ from repro.conformance import (
     run_case,
     render_report,
     run_substrate,
-    save_artifact,
+    REPRODUCER,
     shrink_case,
 )
 from repro.faults.scripted import ScheduledFault
@@ -109,7 +109,7 @@ def test_shrinker_minimizes_the_credit_bug_to_a_tiny_case(tmp_path):
     assert result.case.size < result.original_size
 
     path = tmp_path / "repro.json"
-    save_artifact(str(path), result)
+    REPRODUCER.write(str(path), result.to_payload())
     payload = json.loads(path.read_text())
     assert payload["format"] == "repro-conformance-case/1"
     assert payload["shrunk_size"] == result.case.size

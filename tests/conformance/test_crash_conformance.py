@@ -12,7 +12,7 @@ from repro.conformance import (
     load_artifact,
     render_report,
     run_case,
-    save_artifact,
+    REPRODUCER,
     shrink_case,
 )
 
@@ -92,7 +92,7 @@ def test_shrinker_minimizes_a_crash_schedule(tmp_path):
     assert any(e.kind == "crash" for e in result.case.lifecycle)
 
     path = tmp_path / "crash-repro.json"
-    save_artifact(str(path), result)
+    REPRODUCER.write(str(path), result.to_payload())
     payload = json.loads(path.read_text())
     assert payload["format"] == "repro-conformance-case/1"
     assert "stale-fence" in payload["divergence_kinds"]

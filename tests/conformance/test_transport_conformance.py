@@ -18,7 +18,7 @@ from repro.conformance import (
     render_report,
     run_case,
     run_reference,
-    save_artifact,
+    REPRODUCER,
     shrink_case,
 )
 
@@ -104,7 +104,7 @@ def test_transport_bugs_shrink_to_replayable_artifacts(tmp_path):
         assert result.case.size <= report.case.size
         assert result.report.divergences
         path = tmp_path / f"{bug}.json"
-        save_artifact(str(path), result)
+        REPRODUCER.write(str(path), result.to_payload())
         meta = load_artifact_meta(str(path))
         assert meta["bug"] == bug
         # the artifact replays: same bug, same substrates, diverges again

@@ -6,10 +6,11 @@ import json
 import pytest
 
 from repro.faults.crashsoak import (
+    CRASH_ARTIFACT,
     CRASH_SCENARIOS,
+    crash_payload,
     render_crash_table,
     run_crash_scenario,
-    write_crash_report,
 )
 
 
@@ -31,7 +32,7 @@ def test_registry_names_match_scenarios():
 
 @pytest.mark.parametrize("name", ["atm-kill", "fe-kill"])
 def test_sim_kill_scenario_contract(name):
-    result = run_crash_scenario(_reduced(name), seed=7)
+    result = run_crash_scenario(_reduced(name))
     assert result.ok, result.violations
     assert result.sent == 16
     assert result.duplicated == 0          # at-most-once, always
@@ -45,16 +46,15 @@ def test_sim_kill_scenario_contract(name):
 
 def test_seed_reproducibility():
     scenario = _reduced("fe-kill")
-    a = run_crash_scenario(scenario, seed=11)
-    b = run_crash_scenario(scenario, seed=11)
+    a = run_crash_scenario(scenario)
+    b = run_crash_scenario(scenario)
     assert a.to_dict() == b.to_dict()
 
 
 def test_crash_report_artifact_round_trip(tmp_path):
-    result = run_crash_scenario(_reduced("fe-kill", messages=12, crashes=1),
-                                seed=3)
+    result = run_crash_scenario(_reduced("fe-kill", messages=12, crashes=1))
     path = tmp_path / "crash-soak.json"
-    write_crash_report(str(path), [result])
+    CRASH_ARTIFACT.write(str(path), crash_payload([result]))
     payload = json.loads(path.read_text())
     assert payload["format"] == "repro-crash-soak/1"
     assert payload["ok"] == result.ok
@@ -74,10 +74,21 @@ def test_crash_report_artifact_round_trip(tmp_path):
 
 
 def test_render_crash_table():
-    result = run_crash_scenario(_reduced("atm-kill", messages=12, crashes=1),
-                                seed=5)
+    result = run_crash_scenario(_reduced("atm-kill", messages=12, crashes=1))
     table = render_crash_table([result])
     assert "atm-kill" in table
     assert "atm" in table
     assert "recovery(ms)" in table
     assert "recovery mean" in table
+
+
+@pytest.mark.parametrize("name", ["atm-kill", "fe-kill"])
+def test_kills_arm_on_stream_progress_not_dispatches(name):
+    """Every kill abandons up to a window of admitted sends that are
+    never dispatched, so a trigger counting dispatches cannot reach a
+    late target on a short stream (any ``--messages`` <= 28 spun to the
+    time limit); counting fated messages (dispatched or abandoned) can."""
+    result = run_crash_scenario(
+        dataclasses.replace(CRASH_SCENARIOS[name], messages=24))
+    assert result.ok, result.violations
+    assert result.restarts == 3

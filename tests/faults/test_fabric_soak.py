@@ -6,12 +6,10 @@ import pytest
 
 from repro.analysis.benchcmp import compare_bench, headline_metrics
 from repro.faults import (
-    FABRIC_FORMAT,
+    FABRIC_ARTIFACT,
     FABRIC_SCENARIOS,
     FabricScenario,
     run_fabric_scenario,
-    validate_fabric,
-    write_fabric_report,
 )
 from repro.faults.fabric import SpineFailure
 from repro.faults.fabricsoak import fabric_payload
@@ -68,21 +66,21 @@ def test_unknown_fabric_is_rejected():
 
 def test_artifact_roundtrip_and_schema_drift(tmp_path, small_spine_kill):
     path = tmp_path / "BENCH_fabric.json"
-    payload = write_fabric_report(str(path), [small_spine_kill], seed=SEED)
-    assert validate_fabric(payload) == []
+    payload = fabric_payload([small_spine_kill], seed=SEED)
+    FABRIC_ARTIFACT.write(str(path), payload)
     assert json.loads(path.read_text()) == payload
     row = payload["scenarios"][0]["row"]
     assert row["violations"] == 0
     # drift in either direction is rejected
     missing = json.loads(json.dumps(payload))
     del missing["scenarios"][0]["row"]["recovery_us"]
-    assert any("recovery_us" in e for e in validate_fabric(missing))
+    assert any("recovery_us" in e for e in FABRIC_ARTIFACT.validate(missing))
     extra = json.loads(json.dumps(payload))
     extra["scenarios"][0]["row"]["surprise"] = 1
-    assert any("unexpected" in e for e in validate_fabric(extra))
+    assert any("unexpected" in e for e in FABRIC_ARTIFACT.validate(extra))
     wrong = json.loads(json.dumps(payload))
     wrong["format"] = "repro-bench-live/1"
-    assert validate_fabric(wrong)
+    assert FABRIC_ARTIFACT.validate(wrong)
 
 
 def test_bench_compare_gates_recovery_regressions(small_spine_kill):

@@ -13,15 +13,20 @@ from pathlib import Path
 import pytest
 
 from repro.faults.multitenant import (
-    MULTITENANT_FORMAT,
+    MULTITENANT_ARTIFACT,
     MULTITENANT_SCENARIOS,
+    multitenant_payload,
     render_multitenant_table,
     run_multitenant,
-    validate_multitenant,
-    write_multitenant_report,
 )
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _validate_run(run):
+    """Schema-check one run through the artifact (a document of runs)."""
+    return MULTITENANT_ARTIFACT.validate(
+        {"format": MULTITENANT_ARTIFACT.format, "runs": [run]})
 
 
 @pytest.fixture(scope="module")
@@ -98,43 +103,45 @@ def test_recovery_snapshot_covers_every_crashed_tenant(bench):
 
 def test_artifact_round_trip(bench, tmp_path):
     path = tmp_path / "soak.json"
-    payload = write_multitenant_report(str(path), [bench])
+    payload = multitenant_payload([bench])
+    MULTITENANT_ARTIFACT.write(str(path), payload)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
-    assert on_disk["format"] == MULTITENANT_FORMAT
+    assert on_disk["format"] == MULTITENANT_ARTIFACT.format
     assert len(on_disk["runs"]) == 1
-    assert validate_multitenant(on_disk["runs"][0]) == []
+    assert MULTITENANT_ARTIFACT.validate(on_disk) == []
 
 
 def test_validation_catches_schema_drift(bench):
     run = bench.to_payload()
-    assert validate_multitenant(run) == []
+    assert _validate_run(run) == []
 
     missing = json.loads(json.dumps(run))
     del missing["aggregate"]["goodput_ratio"]
-    assert any("goodput_ratio" in e for e in validate_multitenant(missing))
+    assert any("goodput_ratio" in e for e in _validate_run(missing))
 
     wrong_type = json.loads(json.dumps(run))
     wrong_type["tenants"] = "sixty"
-    assert any("tenants" in e for e in validate_multitenant(wrong_type))
+    assert any("tenants" in e for e in _validate_run(wrong_type))
 
     boolean = json.loads(json.dumps(run))
     boolean["duration_us"] = True  # bools are not numbers
-    assert any("duration_us" in e for e in validate_multitenant(boolean))
+    assert any("duration_us" in e for e in _validate_run(boolean))
 
     unexpected = json.loads(json.dumps(run))
     unexpected["aggregate"]["surprise"] = 1
-    assert any("surprise" in e for e in validate_multitenant(unexpected))
+    assert any("surprise" in e for e in _validate_run(unexpected))
 
     stale = json.loads(json.dumps(run))
     stale["format"] = "repro-multitenant-soak/0"
-    assert any("format" in e for e in validate_multitenant(stale))
+    assert any("format" in e for e in _validate_run(stale))
 
 
 def test_writer_refuses_invalid_payloads(bench, tmp_path):
     broken = dataclasses.replace(bench, seed="not-a-seed")
     with pytest.raises(ValueError):
-        write_multitenant_report(str(tmp_path / "bad.json"), [broken])
+        MULTITENANT_ARTIFACT.write(str(tmp_path / "bad.json"),
+                                   multitenant_payload([broken]))
     assert not (tmp_path / "bad.json").exists()
 
 
@@ -142,10 +149,9 @@ def test_committed_baseline_artifact_validates():
     path = _REPO_ROOT / "BENCH_multitenant.json"
     assert path.exists(), "BENCH_multitenant.json must be committed at the repo root"
     payload = json.loads(path.read_text())
-    assert payload["format"] == MULTITENANT_FORMAT
+    assert MULTITENANT_ARTIFACT.validate(payload) == []
     assert payload["runs"], "baseline artifact must contain at least one run"
     for run in payload["runs"]:
-        assert validate_multitenant(run) == []
         assert run["violations"] == []
 
 
@@ -164,4 +170,4 @@ def test_live_churn_smoke():
     assert result.completed
     assert result.violations == []
     assert result.admitted + result.rejected == 16
-    assert validate_multitenant(result.to_payload()) == []
+    assert _validate_run(result.to_payload()) == []

@@ -251,16 +251,6 @@ def test_legacy_cell_injector_detaches():
     assert injector.dropped == 0  # no traffic flowed
 
 
-def test_analysis_shim_still_exports_injectors():
-    from repro.analysis import CellFaultInjector as ShimCell
-    from repro.analysis import FrameFaultInjector as ShimFrame
-    from repro.analysis.faults import FrameFaultInjector as ModuleFrame
-
-    assert ShimFrame is FrameFaultInjector
-    assert ShimCell is CellFaultInjector
-    assert ModuleFrame is FrameFaultInjector
-
-
 def test_rx_fault_hooks_cover_every_nic():
     _sim, _h0, h1, *_rest = build_fe_pair()
     hooks = h1.backend.rx_fault_hooks()

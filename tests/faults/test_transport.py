@@ -15,14 +15,12 @@ import json
 import pytest
 
 from repro.faults.transport import (
-    TRANSPORT_FORMAT,
+    TRANSPORT_ARTIFACT,
     TRANSPORT_MODES,
     TRANSPORT_SCENARIOS,
     render_transport_table,
     run_transport,
     transport_payload,
-    validate_transport,
-    write_transport_report,
 )
 
 SEED = 0xC0FFEE
@@ -98,8 +96,8 @@ def test_suite_is_deterministic_and_schema_valid(ge_results):
     results = list(ge_results.values()) + [
         run_transport(TRANSPORT_SCENARIOS["ge-bursty"], "ecn", seed=SEED)]
     payload = transport_payload(results, SEED)
-    assert validate_transport(payload) == []
-    assert payload["format"] == TRANSPORT_FORMAT
+    assert TRANSPORT_ARTIFACT.validate(payload) == []
+    assert payload["format"] == TRANSPORT_ARTIFACT.format
 
 
 def test_partial_mode_set_is_refused():
@@ -115,26 +113,27 @@ def test_schema_rejects_shape_drift():
                           "ecn_marks", "ecn_echoes", "ecn_backoffs",
                           "queue_marked", "queue_dropped", "violations")}
     row["completed"] = True
-    good = {"format": TRANSPORT_FORMAT, "seed": 1, "scenarios": [{
+    good = {"format": TRANSPORT_ARTIFACT.format, "seed": 1, "scenarios": [{
         "scenario": "x", "description": "y", "senders": 1,
         "messages_per_sender": 2, "payload_bytes": 3,
         "modes": {"gbn": dict(row), "sack": dict(row), "ecn": dict(row)}}]}
-    assert validate_transport(good) == []
+    assert TRANSPORT_ARTIFACT.validate(good) == []
     bad = json.loads(json.dumps(good))
     del bad["scenarios"][0]["modes"]["sack"]["goodput_mbps"]
-    assert any("goodput_mbps" in e for e in validate_transport(bad))
+    assert any("goodput_mbps" in e for e in TRANSPORT_ARTIFACT.validate(bad))
     extra = json.loads(json.dumps(good))
     extra["scenarios"][0]["modes"]["gbn"]["surprise"] = 1
-    assert any("unexpected" in e for e in validate_transport(extra))
+    assert any("unexpected" in e for e in TRANSPORT_ARTIFACT.validate(extra))
     wrong = json.loads(json.dumps(good))
     wrong["format"] = "repro-bench-live/1"
-    assert validate_transport(wrong)
+    assert TRANSPORT_ARTIFACT.validate(wrong)
 
 
 def test_write_refuses_an_incomplete_report(tmp_path, ge_results):
     with pytest.raises(ValueError):
-        write_transport_report(str(tmp_path / "t.json"),
-                               [ge_results["gbn"]], seed=SEED)
+        TRANSPORT_ARTIFACT.write(
+            str(tmp_path / "t.json"),
+            transport_payload([ge_results["gbn"]], SEED))
 
 
 def test_committed_snapshot_matches_schema_and_seed():
@@ -148,7 +147,7 @@ def test_committed_snapshot_matches_schema_and_seed():
     snapshot = root / "BENCH_transport.json"
     assert snapshot.is_file(), "BENCH_transport.json is missing from the repo"
     payload = json.loads(snapshot.read_text())
-    assert validate_transport(payload) == []
+    assert TRANSPORT_ARTIFACT.validate(payload) == []
     assert payload["seed"] == SEED
     names = {s["scenario"] for s in payload["scenarios"]}
     assert names == set(TRANSPORT_SCENARIOS)

@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.live import (
-    BENCH_FORMAT,
-    run_bench,
-    validate_bench,
-    write_bench,
-)
-from repro.live.bench import percentile
+from repro.live import run_bench
+from repro.live.bench import ARTIFACT, percentile
 
 from .conftest import require
 
@@ -34,8 +29,8 @@ def payload():
 
 
 def test_bench_payload_is_schema_valid(payload):
-    assert validate_bench(payload) == []
-    assert payload["format"] == BENCH_FORMAT
+    assert ARTIFACT.validate(payload) == []
+    assert payload["format"] == ARTIFACT.format
     assert payload["transport"] == "unix"
 
 
@@ -53,24 +48,24 @@ def test_bench_rows_are_sane(payload):
 
 def test_write_bench_round_trips_and_refuses_invalid(tmp_path, payload):
     path = tmp_path / "BENCH_live.json"
-    write_bench(str(path), payload)
-    assert validate_bench(json.loads(path.read_text())) == []
+    ARTIFACT.write(str(path), payload)
+    assert ARTIFACT.validate(json.loads(path.read_text())) == []
 
     broken = dict(payload)
     del broken["incast"]
-    errors = validate_bench(broken)
+    errors = ARTIFACT.validate(broken)
     assert any("incast" in e for e in errors)
     with pytest.raises(ValueError):
-        write_bench(str(path), broken)
+        ARTIFACT.write(str(path), broken)
 
 
 def test_validator_rejects_wrong_types(payload):
     bad = json.loads(json.dumps(payload))
     bad["round_trip"][0]["p50_us"] = "fast"
-    assert any("p50_us" in e for e in validate_bench(bad))
+    assert any("p50_us" in e for e in ARTIFACT.validate(bad))
     bad = json.loads(json.dumps(payload))
     bad["format"] = "something-else/9"
-    assert any("format" in e for e in validate_bench(bad))
+    assert any("format" in e for e in ARTIFACT.validate(bad))
     bad = json.loads(json.dumps(payload))
     bad["bandwidth"] = []
-    assert any("bandwidth" in e for e in validate_bench(bad))
+    assert any("bandwidth" in e for e in ARTIFACT.validate(bad))

@@ -148,14 +148,14 @@ def test_replay_artifacts_record_their_substrate_set(tmp_path):
 
 
 def test_shrunk_artifacts_embed_the_substrate_set(tmp_path):
-    """save_artifact must persist report.substrates end to end."""
-    from repro.conformance import save_artifact
+    """The reproducer must persist report.substrates end to end."""
+    from repro.conformance import REPRODUCER
     from repro.conformance.shrink import ShrinkResult
 
     case = generate_case(4, "fixed", n_messages=3)
     report = run_case(case, substrates=("atm", "ethernet"))
     result = ShrinkResult(case=case, report=report, original_size=case.size)
     path = tmp_path / "shrunk.json"
-    save_artifact(str(path), result)
+    REPRODUCER.write(str(path), result.to_payload())
     payload = json.loads(path.read_text())
     assert payload["substrates"] == ["atm", "ethernet"]

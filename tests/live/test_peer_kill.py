@@ -86,7 +86,7 @@ def test_live_kill_soak_scenario_reduced(any_kind):
 
     scenario = dataclasses.replace(CRASH_SCENARIOS["live-kill"],
                                    messages=10, crashes=1)
-    result = run_crash_scenario(scenario, seed=5)
+    result = run_crash_scenario(scenario)
     assert result.ok, result.violations
     assert result.duplicated == 0
     assert result.restarts == 1

@@ -12,7 +12,10 @@ a plain sleep (``yield delay``, never a directly yielded ``.timeout()``)
 and the device packages to one idiom for a blocking sub-step
 (``yield from step()``, never a directly yielded ``sim.process(...)``)
 and one for a single delay nobody waits on (``sim.call_in``, never a
-dropped ``sim.process(...)`` of a one-``yield`` generator).
+dropped ``sim.process(...)`` of a one-``yield`` generator); and it holds
+``src/repro`` to one JSON artifact writer and one schema walker
+(``repro/artifact.py``) and the simulated soaks to no ``repro.live``
+import.
 """
 
 import ast
@@ -510,3 +513,97 @@ def test_the_am_core_is_free_of_io():
                "from ..live.clock import WallClock\nimport random\n")
     hits = list(_io_imports_in(pathlib.Path("planted.py"), source=planted))
     assert [h.split(": ")[1] for h in hits] == ["socket", "sim", "live.clock"]
+
+
+# ------------------------------------------- one artifact writer, one walker
+def _json_dumps_to_file_in(path: pathlib.Path, source=None):
+    """``json.dump(...)`` calls: each one is a private artifact writer."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            yield f"{path.name}:{node.lineno}: json.dump()"
+
+
+def _schema_walkers_in(path: pathlib.Path, source=None):
+    """Functions shaped like a schema validator: they take a ``spec`` to
+    check a value against and an ``errors`` list to report into."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+            if {"spec", "errors"} <= params:
+                yield f"{path.name}:{node.lineno}: {node.name}()"
+
+
+def test_one_artifact_writer_and_one_schema_walker():
+    """Every JSON artifact is written and validated by ``repro.artifact``:
+    a second ``json.dump`` is a writer that skips the schema check, a
+    second walker is a validator free to drift from the first (four had,
+    before they were merged)."""
+    dumps, walkers = [], []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        rel = path.relative_to(SRC_ROOT)
+        dumps.extend(f"{rel.parent / hit}" for hit in _json_dumps_to_file_in(path))
+        walkers.extend(f"{rel.parent / hit}" for hit in _schema_walkers_in(path))
+    assert [d.split(":")[0] for d in dumps] == ["artifact.py"], dumps
+    assert [w.split(":")[0] for w in walkers] == ["artifact.py"], walkers
+
+
+def test_artifact_lint_catches_planted_offenders_and_spares_readers():
+    planted = (
+        "import json\n"
+        "def write_report(path, payload):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        json.dump(payload, fh, indent=2)\n"
+        "def _walk(value, spec, path, errors):\n"
+        "    pass\n"
+        "def load(path):\n"
+        "    return json.load(open(path)), json.dumps({})\n"
+        "def check(value, errors):\n"
+        "    pass\n"
+    )
+    here = pathlib.Path("planted.py")
+    assert [h.split(": ")[1] for h in _json_dumps_to_file_in(here, source=planted)] \
+        == ["json.dump()"]
+    assert [h.split(": ")[1] for h in _schema_walkers_in(here, source=planted)] \
+        == ["_walk()"]
+
+
+#: soak modules that run entirely inside the simulator: the driver times
+#: them, so nothing in them may reach for the live package (wall clock)
+_SIMULATED_SOAKS = ("soak.py", "overload.py", "transport.py", "fabricsoak.py",
+                    "stream.py")
+
+
+def _live_imports_in(path: pathlib.Path, source=None):
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if "live" in name.split("."):
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_simulated_soaks_import_nothing_from_the_live_package():
+    for name in _SIMULATED_SOAKS:
+        path = SRC_ROOT / "faults" / name
+        assert path.is_file(), f"stale entry: faults/{name}"
+        assert not list(_live_imports_in(path)), name
+    planted = ("def run():\n"
+               "    from ..live.clock import WallClock\n"
+               "    import repro.live\n"
+               "    from ..sim import Simulator\n"
+               "    from .delivery import check\n")
+    hits = list(_live_imports_in(pathlib.Path("planted.py"), source=planted))
+    assert [h.split(": ")[1] for h in hits] == ["live.clock", "repro.live"]
