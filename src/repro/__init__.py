@@ -34,54 +34,18 @@ Sub-packages:
 Command line: ``python -m repro list``.
 """
 
-from .sim import Simulator
-
-# convenience re-exports of the most common entry points; the
-# sub-packages remain the canonical homes
-from .hw import PENTIUM_90, PENTIUM_120, SPARCSTATION_10, SPARCSTATION_20
-from .core import EndpointConfig, Host, UserEndpoint
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "Host",
-    "UserEndpoint",
-    "EndpointConfig",
-    "PENTIUM_90",
-    "PENTIUM_120",
-    "SPARCSTATION_10",
-    "SPARCSTATION_20",
-    "HubNetwork",
-    "SwitchedNetwork",
-    "AtmNetwork",
-    "Cluster",
-    "AmEndpoint",
-    "__version__",
-]
-
-
-def __getattr__(name):
-    # lazy imports keep `import repro` light while still offering the
-    # headline classes at the top level
-    if name == "HubNetwork":
-        from .ethernet import HubNetwork
-
-        return HubNetwork
-    if name == "SwitchedNetwork":
-        from .ethernet import SwitchedNetwork
-
-        return SwitchedNetwork
-    if name == "AtmNetwork":
-        from .atm import AtmNetwork
-
-        return AtmNetwork
-    if name == "Cluster":
-        from .splitc import Cluster
-
-        return Cluster
-    if name == "AmEndpoint":
-        from .am import AmEndpoint
-
-        return AmEndpoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# convenience re-exports of the most common entry points; the
+# sub-packages remain the canonical homes
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".sim": ("Simulator",),
+    ".core": ("Host", "UserEndpoint", "EndpointConfig"),
+    ".hw": ("PENTIUM_90", "PENTIUM_120", "SPARCSTATION_10", "SPARCSTATION_20"),
+    ".ethernet": ("HubNetwork", "SwitchedNetwork"),
+    ".atm": ("AtmNetwork",),
+    ".splitc": ("Cluster",),
+    ".am": ("AmEndpoint",),
+})

@@ -6,7 +6,10 @@ regressed by more than the threshold (15% by default).  Which metrics
 are headlines is the artifact's own business: the comparison looks the
 snapshot's ``format`` up among the declared artifacts
 (:func:`repro.suite.artifacts`) and asks that
-:class:`~repro.artifact.Artifact` — this module knows no format.
+:class:`~repro.artifact.Artifact` — this module knows no format.  A file
+that is not JSON, or whose ``format`` no artifact declares headlines
+for, is a usage error: one line naming the file and the known formats,
+exit 2.
 
 Direction matters: latency regresses *up*, goodput regresses *down*.
 Improvements of any size and regressions inside the threshold are
@@ -28,6 +31,7 @@ from ..artifact import Headline
 __all__ = [
     "DEFAULT_THRESHOLD",
     "MetricDelta",
+    "SnapshotError",
     "headline_metrics",
     "compare_bench",
     "compare_bench_files",
@@ -61,11 +65,20 @@ class MetricDelta:
         return self.change_frac > threshold
 
 
-def headline_metrics(payload: dict) -> List[Headline]:
-    """``(name, better-direction, value)`` triples for one snapshot."""
+class SnapshotError(ValueError):
+    """A file given to ``bench --compare`` is not a snapshot it can compare."""
+
+
+def _comparable() -> dict:
+    """``format`` -> headline extractor, for every artifact declaring one."""
     from ..suite import artifacts
 
-    comparable = {a.format: a.headlines for a in artifacts() if a.headlines}
+    return {a.format: a.headlines for a in artifacts() if a.headlines}
+
+
+def headline_metrics(payload: dict) -> List[Headline]:
+    """``(name, better-direction, value)`` triples for one snapshot."""
+    comparable = _comparable()
     fmt = payload.get("format")
     if fmt not in comparable:
         raise ValueError(f"no headline metrics defined for format {fmt!r}; "
@@ -107,15 +120,30 @@ def compare_bench(baseline: dict, candidate: dict,
     return deltas, problems
 
 
+def _load_snapshot(path: str) -> dict:
+    """The snapshot at ``path``; a one-line :class:`SnapshotError` naming
+    the file when it cannot be read, is not JSON, or carries a ``format``
+    no artifact declares headlines for."""
+    known = sorted(_comparable())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise SnapshotError(f"{path}: not a readable JSON snapshot ({exc}); "
+                            f"known formats: {known}") from None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt not in known:
+        raise SnapshotError(f"{path}: unknown snapshot format {fmt!r}; "
+                            f"known formats: {known}")
+    return payload
+
+
 def compare_bench_files(baseline_path: str, candidate_path: str,
                         threshold: float = DEFAULT_THRESHOLD,
                         ) -> Tuple[List[MetricDelta], List[str]]:
     """File-level entry point used by ``bench --compare``."""
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(candidate_path, "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
-    return compare_bench(baseline, candidate, threshold=threshold)
+    return compare_bench(_load_snapshot(baseline_path),
+                         _load_snapshot(candidate_path), threshold=threshold)
 
 
 def render_compare(deltas: List[MetricDelta], problems: List[str],

@@ -329,10 +329,16 @@ def _cmd_soak(args) -> int:
 def _cmd_bench(args) -> int:
     """Wall-clock benchmark rig on the live U-Net/OS substrate."""
     if args.compare:
-        from .analysis.benchcmp import compare_bench_files, render_compare
+        from .analysis.benchcmp import (
+            SnapshotError, compare_bench_files, render_compare,
+        )
 
-        deltas, problems = compare_bench_files(args.compare[0], args.compare[1],
-                                               threshold=args.threshold)
+        try:
+            deltas, problems = compare_bench_files(
+                args.compare[0], args.compare[1], threshold=args.threshold)
+        except SnapshotError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         print(render_compare(deltas, problems, threshold=args.threshold))
         return 0 if not problems else 1
     if args.collectives:

@@ -9,40 +9,18 @@ runtime selects between this and its host-coordinated node-0 scheme
 with the one-flag ``collectives="nic" | "host"`` ablation.
 """
 
-from .bench import render_collectives_bench, run_collectives_bench
-from .adapters import (
-    AtmCollectiveAdapter,
-    FeCollectiveAdapter,
-    wire_atm_collectives,
-    wire_fe_collectives,
-)
-from .engine import (
-    REDUCE_DTYPES,
-    REDUCE_OPS,
-    CollectiveAborted,
-    CollectiveConfig,
-    CollectiveError,
-    NicCollectiveEngine,
-)
-from .membership import CollectiveGroup
-from .tree import GEN_MOD, KAryTree, gen_after, next_gen
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KAryTree",
-    "GEN_MOD",
-    "gen_after",
-    "next_gen",
-    "CollectiveConfig",
-    "CollectiveError",
-    "CollectiveAborted",
-    "CollectiveGroup",
-    "NicCollectiveEngine",
-    "REDUCE_OPS",
-    "REDUCE_DTYPES",
-    "AtmCollectiveAdapter",
-    "FeCollectiveAdapter",
-    "wire_atm_collectives",
-    "wire_fe_collectives",
-    "run_collectives_bench",
-    "render_collectives_bench",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bench": ("render_collectives_bench", "run_collectives_bench"),
+    ".adapters": (
+        "AtmCollectiveAdapter", "FeCollectiveAdapter", "wire_atm_collectives",
+        "wire_fe_collectives",
+    ),
+    ".engine": (
+        "REDUCE_DTYPES", "REDUCE_OPS", "CollectiveAborted", "CollectiveConfig",
+        "CollectiveError", "NicCollectiveEngine",
+    ),
+    ".membership": ("CollectiveGroup",),
+    ".tree": ("GEN_MOD", "KAryTree", "gen_after", "next_gen"),
+})

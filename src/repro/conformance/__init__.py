@@ -12,61 +12,24 @@ Entry points: :func:`generate_case` / :func:`run_case` /
 :func:`shrink_case`, or ``python -m repro conformance`` on the CLI.
 """
 
-from .checker import (
-    BUGS,
-    CaseReport,
-    Divergence,
-    SUBSTRATES,
-    diff_case,
-    inject_bug,
-    render_report,
-    run_case,
-    run_substrate,
-)
-from .fabric import (
-    FABRIC_BUGS,
-    FabricCaseReport,
-    inject_fabric_bug,
-    render_fabric_case,
-    run_fabric_case,
-)
-from .model import RefTrace, run_reference
-from .observe import ObservationProbe, ObservedTrace
-from .schedule import CONFIG_PRESETS, ConformanceCase, Message, generate_case
-from .shrink import (
-    REPRODUCER,
-    ShrinkResult,
-    load_artifact,
-    load_artifact_meta,
-    shrink_case,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "ConformanceCase",
-    "CONFIG_PRESETS",
-    "generate_case",
-    "RefTrace",
-    "run_reference",
-    "ObservedTrace",
-    "ObservationProbe",
-    "Divergence",
-    "CaseReport",
-    "SUBSTRATES",
-    "BUGS",
-    "FABRIC_BUGS",
-    "FabricCaseReport",
-    "inject_bug",
-    "inject_fabric_bug",
-    "run_fabric_case",
-    "render_fabric_case",
-    "run_substrate",
-    "run_case",
-    "diff_case",
-    "render_report",
-    "ShrinkResult",
-    "shrink_case",
-    "REPRODUCER",
-    "load_artifact",
-    "load_artifact_meta",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checker": (
+        "BUGS", "CaseReport", "Divergence", "SUBSTRATES", "diff_case",
+        "inject_bug", "render_report", "run_case", "run_substrate",
+    ),
+    ".fabric": (
+        "FABRIC_BUGS", "FabricCaseReport", "inject_fabric_bug",
+        "render_fabric_case", "run_fabric_case",
+    ),
+    ".model": ("RefTrace", "run_reference"),
+    ".observe": ("ObservationProbe", "ObservedTrace"),
+    ".schedule": (
+        "CONFIG_PRESETS", "ConformanceCase", "Message", "generate_case",
+    ),
+    ".shrink": (
+        "REPRODUCER", "ShrinkResult", "load_artifact", "load_artifact_meta",
+        "shrink_case",
+    ),
+})

@@ -14,10 +14,11 @@ no loopback).  A :class:`SubstrateSpec` names one execution engine:
   loosely: wall-clock executions retransmit when the OS scheduler says
   so, not when the event engine does.
 
-Simulated substrates register themselves when :mod:`repro.conformance`
-imports; live ones when :mod:`repro.live` imports.  Lookup knows which
-module provides which lazy name, so ``get_substrate("live-unix")``
-works without the caller importing :mod:`repro.live` first.
+A substrate is registered by the module that defines its runner, when
+that module is imported: :mod:`repro.conformance.checker` for the
+simulated ones, :mod:`repro.live.conform` for the live ones.  Lookup
+knows which module provides which name, so ``get_substrate("live-unix")``
+works from a cold interpreter.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ _REGISTRY: Dict[str, SubstrateSpec] = {}
 _LAZY_PROVIDERS = {
     "atm": "repro.conformance.checker",
     "ethernet": "repro.conformance.checker",
-    "live": "repro.live",
-    "live-unix": "repro.live",
-    "live-udp": "repro.live",
-    "live-batched": "repro.live",
-    "live-event": "repro.live",
+    "live": "repro.live.conform",
+    "live-unix": "repro.live.conform",
+    "live-udp": "repro.live.conform",
+    "live-batched": "repro.live.conform",
+    "live-event": "repro.live.conform",
 }
 
 

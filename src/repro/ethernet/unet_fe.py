@@ -30,7 +30,9 @@ from ..hw.interrupts import InterruptController
 from ..sim import Resource, Simulator, TraceRecorder
 from .dc21140 import Dc21140, NicTimings, TxRingDescriptor
 from .frames import COLLECTIVE_PORT, UNET_FE_MAX_PDU, EthernetFrame, MacAddress
-from .ip import UNET_FE_IP_MAX_PDU, IpHeaderError, build_ipv4_udp, parse_ipv4_udp
+from .ip import (
+    UNET_FE_IP_MAX_PDU, IpHeaderError, IpTag, build_ipv4_udp, parse_ipv4_udp,
+)
 
 __all__ = ["FeTimings", "UNetFeBackend", "TX_TRACE", "RX_TRACE"]
 
@@ -230,8 +232,6 @@ class UNetFeBackend(UNetBackend):
             endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
         )
         yield from self._step(TX_TRACE, "Ethernet header set-up", t.ethernet_header_setup_us)
-        from .ip import IpTag  # local import: optional feature
-
         if isinstance(binding.tag, IpTag):
             tag: IpTag = binding.tag
             yield from self._step(TX_TRACE, "IPv4/UDP encapsulation", t.ip_encap_us)

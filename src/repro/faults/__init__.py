@@ -13,194 +13,57 @@ wire chaos (:mod:`~repro.faults.soak`), service-capacity overload
 isolation (:mod:`~repro.faults.multitenant`).
 """
 
-from .inject import (
-    CellFaultInjector,
-    CellPipeline,
-    FrameFaultInjector,
-    FramePipeline,
-    PerturbationPipeline,
-    attach_pipeline,
-    corrupt_cell,
-    corrupt_frame,
-)
-from .perturb import (
-    BottleneckQueue,
-    Corrupt,
-    DelayJitter,
-    Duplicate,
-    GilbertElliott,
-    LinkFlap,
-    LinkPerturbation,
-    NicStall,
-    PerturbationContext,
-    Reorder,
-    UniformLoss,
-)
-from .overload import (
-    OVERLOAD_SCENARIOS,
-    OverloadResult,
-    OverloadScenario,
-    compare_credit,
-    compare_policies,
-    render_endpoint_table,
-    render_overload_table,
-    run_overload,
-)
-from .crash import (
-    CellLifecycleStage,
-    ChainedStage,
-    CrashFault,
-    DatagramLifecycleStage,
-    EndpointLifecycle,
-    FrameLifecycleStage,
-    LifecycleFault,
-    RestartFault,
-    lifecycle_stage_factory,
-)
-from .scripted import (
-    CellScriptedStage,
-    DatagramScriptedStage,
-    FrameScriptedStage,
-    ScheduledFault,
-    scripted_stage_factory,
-)
-from .fabric import (
-    FabricFaultInjector,
-    Partition,
-    SpineFailure,
-    TrunkDown,
-    TrunkFlap,
-    fabric_stage_from_dict,
-)
-from .fabricsoak import (
-    FABRIC_ARTIFACT,
-    FABRIC_SCENARIOS,
-    FabricScenario,
-    FabricSoakResult,
-    render_fabric_table,
-    run_fabric_scenario,
-)
-from .receiver import (
-    LeakyReceiver,
-    MisbehavingSender,
-    ReceiverFault,
-    SlowReceiver,
-    StalledReceiver,
-    forge_unknown_traffic,
-)
-from .multitenant import (
-    MULTITENANT_ARTIFACT,
-    MULTITENANT_SCENARIOS,
-    MultitenantResult,
-    MultitenantScenario,
-    render_multitenant_table,
-    run_multitenant,
-)
-from .transport import (
-    TRANSPORT_ARTIFACT,
-    TRANSPORT_MODES,
-    TRANSPORT_SCENARIOS,
-    TransportResult,
-    TransportScenario,
-    mark_frame,
-    render_transport_table,
-    run_transport,
-)
-from .soak import (
-    SCENARIOS,
-    SoakResult,
-    SoakScenario,
-    adaptive_config,
-    compare_reliability,
-    fixed_config,
-    render_comparison,
-    render_soak_table,
-    run_scenario,
-    wins,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LinkPerturbation",
-    "PerturbationContext",
-    "UniformLoss",
-    "BottleneckQueue",
-    "GilbertElliott",
-    "Corrupt",
-    "Reorder",
-    "DelayJitter",
-    "Duplicate",
-    "LinkFlap",
-    "NicStall",
-    "PerturbationPipeline",
-    "FramePipeline",
-    "CellPipeline",
-    "attach_pipeline",
-    "corrupt_frame",
-    "corrupt_cell",
-    "FrameFaultInjector",
-    "CellFaultInjector",
-    "SoakScenario",
-    "SoakResult",
-    "SCENARIOS",
-    "run_scenario",
-    "fixed_config",
-    "adaptive_config",
-    "compare_reliability",
-    "render_soak_table",
-    "render_comparison",
-    "wins",
-    "ScheduledFault",
-    "FrameScriptedStage",
-    "CellScriptedStage",
-    "DatagramScriptedStage",
-    "scripted_stage_factory",
-    "TrunkDown",
-    "TrunkFlap",
-    "SpineFailure",
-    "Partition",
-    "FabricFaultInjector",
-    "fabric_stage_from_dict",
-    "FabricScenario",
-    "FabricSoakResult",
-    "FABRIC_SCENARIOS",
-    "FABRIC_ARTIFACT",
-    "run_fabric_scenario",
-    "render_fabric_table",
-    "LifecycleFault",
-    "CrashFault",
-    "RestartFault",
-    "EndpointLifecycle",
-    "FrameLifecycleStage",
-    "CellLifecycleStage",
-    "DatagramLifecycleStage",
-    "ChainedStage",
-    "lifecycle_stage_factory",
-    "ReceiverFault",
-    "SlowReceiver",
-    "StalledReceiver",
-    "LeakyReceiver",
-    "MisbehavingSender",
-    "forge_unknown_traffic",
-    "OverloadScenario",
-    "OverloadResult",
-    "OVERLOAD_SCENARIOS",
-    "run_overload",
-    "compare_policies",
-    "compare_credit",
-    "render_overload_table",
-    "render_endpoint_table",
-    "MultitenantScenario",
-    "MultitenantResult",
-    "MULTITENANT_SCENARIOS",
-    "MULTITENANT_ARTIFACT",
-    "run_multitenant",
-    "render_multitenant_table",
-    "TransportScenario",
-    "TransportResult",
-    "TRANSPORT_SCENARIOS",
-    "TRANSPORT_MODES",
-    "TRANSPORT_ARTIFACT",
-    "mark_frame",
-    "run_transport",
-    "render_transport_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".inject": (
+        "CellFaultInjector", "CellPipeline", "FrameFaultInjector",
+        "FramePipeline", "PerturbationPipeline", "attach_pipeline",
+        "corrupt_cell", "corrupt_frame",
+    ),
+    ".perturb": (
+        "BottleneckQueue", "Corrupt", "DelayJitter", "Duplicate",
+        "GilbertElliott", "LinkFlap", "LinkPerturbation", "NicStall",
+        "PerturbationContext", "Reorder", "UniformLoss",
+    ),
+    ".overload": (
+        "OVERLOAD_SCENARIOS", "OverloadResult", "OverloadScenario",
+        "compare_credit", "compare_policies", "render_endpoint_table",
+        "render_overload_table", "run_overload",
+    ),
+    ".crash": (
+        "CellLifecycleStage", "ChainedStage", "CrashFault",
+        "DatagramLifecycleStage", "EndpointLifecycle", "FrameLifecycleStage",
+        "LifecycleFault", "RestartFault", "lifecycle_stage_factory",
+    ),
+    ".scripted": (
+        "CellScriptedStage", "DatagramScriptedStage", "FrameScriptedStage",
+        "ScheduledFault", "scripted_stage_factory",
+    ),
+    ".fabric": (
+        "FabricFaultInjector", "Partition", "SpineFailure", "TrunkDown",
+        "TrunkFlap", "fabric_stage_from_dict",
+    ),
+    ".fabricsoak": (
+        "FABRIC_ARTIFACT", "FABRIC_SCENARIOS", "FabricScenario",
+        "FabricSoakResult", "render_fabric_table", "run_fabric_scenario",
+    ),
+    ".receiver": (
+        "LeakyReceiver", "MisbehavingSender", "ReceiverFault", "SlowReceiver",
+        "StalledReceiver", "forge_unknown_traffic",
+    ),
+    ".multitenant": (
+        "MULTITENANT_ARTIFACT", "MULTITENANT_SCENARIOS", "MultitenantResult",
+        "MultitenantScenario", "render_multitenant_table", "run_multitenant",
+    ),
+    ".transport": (
+        "TRANSPORT_ARTIFACT", "TRANSPORT_MODES", "TRANSPORT_SCENARIOS",
+        "TransportResult", "TransportScenario", "mark_frame",
+        "render_transport_table", "run_transport",
+    ),
+    ".soak": (
+        "SCENARIOS", "SoakResult", "SoakScenario", "adaptive_config",
+        "compare_reliability", "fixed_config", "render_comparison",
+        "render_soak_table", "run_scenario", "wins",
+    ),
+})

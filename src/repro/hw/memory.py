@@ -7,14 +7,24 @@ application; this module provides the storage plus the simple fixed-size
 allocator our Active Messages layer uses on top.
 
 Buffers hold real bytes so that corruption, CRC checking, and message
-reassembly are exercised for real.
+reassembly are exercised for real.  The bytes live in one private
+anonymous memory map per area: the kernel hands out zeroed pages on
+first touch, so an area costs address space when it is built and
+resident memory only for the buffers a run writes.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Optional
 
 __all__ = ["Buffer", "BufferArea", "BufferAreaError"]
+
+
+#: private to this process where the platform lets a map say so, so a
+#: forked child never shares a parent's areas (the default is MAP_SHARED)
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+              if hasattr(mmap, "MAP_PRIVATE") else {})
 
 
 class BufferAreaError(Exception):
@@ -52,7 +62,7 @@ class Buffer:
         n = self.length if nbytes is None else nbytes
         if n < 0 or n > self.size:
             raise BufferAreaError(f"read of {n} bytes from buffer of {self.size}")
-        return bytes(self.area._storage[self.offset : self.offset + n])
+        return self.area._storage[self.offset : self.offset + n]
 
     def view(self, nbytes: Optional[int] = None) -> memoryview:
         """Like :meth:`read` but zero-copy: a memoryview into the pinned
@@ -77,7 +87,7 @@ class BufferArea:
             raise ValueError("num_buffers and buffer_size must be positive")
         self.num_buffers = num_buffers
         self.buffer_size = buffer_size
-        self._storage = bytearray(num_buffers * buffer_size)
+        self._storage = mmap.mmap(-1, num_buffers * buffer_size, **_MAP_FLAGS)
         self._buffers = [Buffer(self, i) for i in range(num_buffers)]
         self._free: List[int] = list(range(num_buffers))
         self._allocated = [False] * num_buffers

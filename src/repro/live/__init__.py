@@ -9,78 +9,33 @@ loop standing in for the fast trap.  The descriptors, the demux table,
 the drop-accounting vocabulary, and the Active Messages wire protocol
 are shared with the simulated substrates; only time is real.
 
-Importing this package registers the ``live``/``live-unix``/``live-udp``
-substrates with :mod:`repro.core.substrates` so the conformance checker
-and CLI can name them without special-casing.
+Importing this package loads none of it: each export's home submodule
+is imported on first use.  The ``live*`` conformance substrates are
+registered by :mod:`repro.live.conform`, the module that defines their
+runner, which :func:`repro.core.substrates.get_substrate` imports by
+name.
 """
 
-from .am import LiveAm, LiveRequestContext
-from .bench import (
-    bench_bandwidth,
-    bench_incast,
-    bench_round_trip,
-    render_bench,
-    run_bench,
-)
-from .backend import (
-    DEFAULT_MAX_PDU,
-    FRAME_HEADER,
-    FRAME_HEADER_SIZE,
-    LiveBackend,
-    LiveCluster,
-    LiveTag,
-    LiveUserEndpoint,
-)
-from .bufpool import BufferPool, PooledSlice, PoolExhausted
-from .clock import WallClock
-from .conform import register_live_substrates, run_live_case
-from .doorbell import DEFAULT_DOORBELL_MODE, DOORBELL_MODES, EventDoorbell
-from .mmsg import mmsg_available, mmsg_path
-from .transport import (
-    TRANSPORT_KINDS,
-    LiveTransport,
-    TransportError,
-    UdpLoopbackTransport,
-    UnixDgramTransport,
-    available_transport_kinds,
-    make_transport,
-    transport_available,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LiveAm",
-    "LiveRequestContext",
-    "LiveBackend",
-    "LiveCluster",
-    "LiveTag",
-    "LiveUserEndpoint",
-    "WallClock",
-    "LiveTransport",
-    "UnixDgramTransport",
-    "UdpLoopbackTransport",
-    "TransportError",
-    "TRANSPORT_KINDS",
-    "transport_available",
-    "available_transport_kinds",
-    "make_transport",
-    "run_live_case",
-    "register_live_substrates",
-    "FRAME_HEADER",
-    "FRAME_HEADER_SIZE",
-    "DEFAULT_MAX_PDU",
-    "BufferPool",
-    "PooledSlice",
-    "PoolExhausted",
-    "DOORBELL_MODES",
-    "DEFAULT_DOORBELL_MODE",
-    "EventDoorbell",
-    "mmsg_available",
-    "mmsg_path",
-    "bench_round_trip",
-    "bench_bandwidth",
-    "bench_incast",
-    "run_bench",
-    "render_bench",
-]
-
-register_live_substrates()
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".am": ("LiveAm", "LiveRequestContext"),
+    ".bench": (
+        "bench_bandwidth", "bench_incast", "bench_round_trip", "render_bench",
+        "run_bench",
+    ),
+    ".backend": (
+        "DEFAULT_MAX_PDU", "FRAME_HEADER", "FRAME_HEADER_SIZE", "LiveBackend",
+        "LiveCluster", "LiveTag", "LiveUserEndpoint",
+    ),
+    ".bufpool": ("BufferPool", "PooledSlice", "PoolExhausted"),
+    ".clock": ("WallClock",),
+    ".conform": ("register_live_substrates", "run_live_case"),
+    ".doorbell": ("DEFAULT_DOORBELL_MODE", "DOORBELL_MODES", "EventDoorbell"),
+    ".mmsg": ("mmsg_available", "mmsg_path"),
+    ".transport": (
+        "TRANSPORT_KINDS", "LiveTransport", "TransportError",
+        "UdpLoopbackTransport", "UnixDgramTransport",
+        "available_transport_kinds", "make_transport", "transport_available",
+    ),
+})

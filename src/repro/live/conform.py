@@ -256,3 +256,6 @@ def register_live_substrates() -> None:
         available=lambda: bool(available_transport_kinds()),
         relaxed_timing=True,
         description="U-Net/OS with the epoll event doorbell")
+
+
+register_live_substrates()

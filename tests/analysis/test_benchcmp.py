@@ -152,3 +152,30 @@ def test_cli_compare_runs_without_live_transports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Benchmark comparison" in out
     assert f"{DEFAULT_THRESHOLD * 100:.0f}%" in out
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (json.dumps({"format": "mystery/1", "points": []}), "unknown snapshot format 'mystery/1'"),
+    (json.dumps({"points": []}), "unknown snapshot format None"),
+    (json.dumps([1, 2, 3]), "unknown snapshot format None"),
+    ("BENCH: not json at all", "not a readable JSON snapshot"),
+    (None, "not a readable JSON snapshot"),  # no such file
+])
+@pytest.mark.parametrize("bad_side", ("baseline", "candidate"))
+def test_cli_compare_refuses_a_file_it_cannot_compare_in_one_line(
+        content, complaint, bad_side, tmp_path, capsys):
+    """A file that is not a known snapshot is a usage error: exit 2 and
+    one line naming the file and the known formats, never a traceback
+    (``ValueError`` / ``JSONDecodeError`` / ``AttributeError`` before)."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_transport_payload()))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    pair = [str(bad), str(good)] if bad_side == "baseline" else [str(good), str(bad)]
+    assert main(["bench", "--compare"] + pair) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"{bad}: ") and complaint in line
+    assert "repro-bench-transport/1" in line and "repro-bench-live/2" in line

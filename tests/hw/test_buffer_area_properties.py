@@ -13,6 +13,7 @@ class BufferAreaMachine(RuleBasedStateMachine):
         self.size = 32
         self.area = BufferArea(self.capacity, self.size)
         self.live = {}  # index -> expected content
+        self.untouched = set(range(self.capacity))  # never written since the build
         self.counter = 0
 
     @rule()
@@ -46,10 +47,13 @@ class BufferAreaMachine(RuleBasedStateMachine):
         self.counter += 1
         data = bytes([self.counter % 256]) * (1 + self.counter % self.size)
         buf = self.area.buffer(index)
+        window = buf.view(self.size)  # taken first: a view aliases later writes
         buf.clear()
         buf.write(data)
         self.live[index] = data
+        self.untouched.discard(index)
         assert buf.read() == data
+        assert bytes(window[:len(data)]) == data
 
     @rule()
     def free_one(self):
@@ -75,6 +79,12 @@ class BufferAreaMachine(RuleBasedStateMachine):
     @invariant()
     def free_count_consistent(self):
         assert self.area.free_count == self.capacity - len(self.live)
+
+    @invariant()
+    def unwritten_buffers_read_as_zeros(self):
+        # allocation and freeing never touch the store
+        for index in self.untouched:
+            assert self.area.buffer(index).read(self.size) == bytes(self.size)
 
     @invariant()
     def contents_isolated(self):
