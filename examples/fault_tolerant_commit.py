@@ -15,7 +15,7 @@ Run:  python examples/fault_tolerant_commit.py
 from repro.am import AmConfig, AmEndpoint
 from repro.core import EndpointConfig
 from repro.ethernet import SwitchedNetwork
-from repro.faults import FrameFaultInjector
+from repro.faults import UniformLoss, attach_pipeline
 from repro.atm import AtmNetwork
 from repro.hw import PENTIUM_120
 from repro.sim import RngRegistry, Simulator
@@ -62,16 +62,17 @@ def build(substrate: str, lossy: bool):
         am.register_handler(H_PREPARE, on_prepare)
         am.register_handler(H_COMMIT, on_commit)
         participants.append((am, state))
-    injector = None
+    loss = None
     if lossy and substrate == "fe":
         # participant 2's inbound link loses 20% of its frames
-        injector = FrameFaultInjector(participants[2][0].user.host.backend,
-                                      drop_rate=0.2, rng=RngRegistry(13))
-    return sim, coordinator, participants, injector
+        loss = UniformLoss(0.2)
+        attach_pipeline(participants[2][0].user.host.backend, [loss],
+                        rng=RngRegistry(13))
+    return sim, coordinator, participants, loss
 
 
 def run(substrate: str, lossy: bool = False):
-    sim, coordinator, participants, injector = build(substrate, lossy)
+    sim, coordinator, participants, loss = build(substrate, lossy)
     latencies = []
 
     def coordinator_program():
@@ -91,7 +92,7 @@ def run(substrate: str, lossy: bool = False):
     sim.run_until_complete(sim.process(coordinator_program()))
     for _am, state in participants:
         assert state["committed"] == set(range(ROUNDS))  # consistency held
-    dropped = injector.dropped if injector else 0
+    dropped = loss.dropped if loss else 0
     return sum(latencies) / len(latencies), max(latencies), dropped
 
 

@@ -112,7 +112,8 @@ from .spec import (
     sack_retransmit_plan,
 )
 
-__all__ = ["AmConfig", "AmCore", "AmError", "PeerState", "RequestContext"]
+__all__ = ["AmConfig", "AmCore", "AmError", "PeerState", "RequestContext",
+           "handshake_settled"]
 
 
 class AmError(Exception):
@@ -1231,3 +1232,14 @@ class AmCore:
         peer.last_progress = self._now()
         self._restamp(peer, packet)
         return encode(packet)
+
+
+def handshake_settled(sender: AmCore, receiver: AmCore) -> bool:
+    """Whether a crash run between two endpoints has nothing left open:
+    every send ``sender`` addressed to ``receiver`` has its fate (acked
+    or abandoned) and neither side is mid-reconnect.  The one "is the
+    run over" predicate of every crash harness, on any driver."""
+    out = sender.snapshot().get(receiver.node, {})
+    back = receiver.snapshot().get(sender.node, {})
+    return not (out.get("unacked") or out.get("reconnecting")
+                or back.get("reconnecting"))

@@ -18,7 +18,6 @@ from .cells import (
 from .fabric import AtmFabric
 from .network import AtmNetwork
 from .phy import OC3_SONET, TAXI_140, AtmPhy, CellLink
-from .signaling import AtmSignaling
 from .switch import ASX200_FORWARD_US, AtmSwitch
 from .unet_atm import ATM_RX_TRACE, ATM_TX_TRACE, SBA200_TIMINGS, AtmTimings, UNetAtmBackend
 
@@ -42,7 +41,6 @@ __all__ = [
     "CellLink",
     "AtmSwitch",
     "ASX200_FORWARD_US",
-    "AtmSignaling",
     "AtmTimings",
     "UNetAtmBackend",
     "ATM_TX_TRACE",

@@ -21,19 +21,22 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.api import Host, UserEndpoint
-from ..core.channels import AtmTag, register_channel
+from ..core.channels import AtmTag, connect_pair
 from ..core.errors import ChannelError, NoPathError
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
-from ..sim import Simulator
+from ..sim import Simulator, TraceRecorder
 from .phy import OC3_SONET, AtmPhy, CellLink
-from .switch import AtmSwitch
+from .switch import ASX200_FORWARD_US, AtmSwitch
 from .unet_atm import AtmTimings, UNetAtmBackend
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..fabric.topology import Topology
 
-__all__ = ["AtmFabric"]
+__all__ = ["AtmFabric", "FIRST_USER_VCI"]
+
+#: VCIs 0-31 are reserved for signaling/OAM in real ATM deployments
+FIRST_USER_VCI = 32
 
 
 @dataclass
@@ -63,18 +66,19 @@ class AtmFabric:
         trunk_phy: AtmPhy = OC3_SONET,
         trunk_propagation_us: float = 2.0,
         topology: Optional["Topology"] = None,
+        forward_us: float = ASX200_FORWARD_US,
     ) -> None:
         if topology is None:
-            # imported lazily: repro.fabric imports this module back
+            # on first build, not on import: ``import repro.atm`` alone
+            # stays free of the fabric package
             from ..fabric.topology import linear_topology
 
-            if switches < 1:
-                raise ValueError("need at least one switch")
             topology = linear_topology(switches)
         self.sim = sim
         self.topology = topology
         self.switches: List[AtmSwitch] = [
-            AtmSwitch(sim, name=f"asx200-{i}") for i in range(topology.num_switches)
+            AtmSwitch(sim, name=f"asx200-{i}", forward_us=forward_us)
+            for i in range(topology.num_switches)
         ]
         self._next_port: List[int] = [0] * topology.num_switches
         #: (switch, neighbour) -> port on ``switch`` whose egress trunk
@@ -82,7 +86,7 @@ class AtmFabric:
         self._trunk_port: Dict[Tuple[int, int], int] = {}
         self._trunk_links: Dict[Tuple[int, int], CellLink] = {}
         self._host_port: Dict[UNetAtmBackend, Tuple[int, int]] = {}
-        self._next_vci = 32
+        self._next_vci = FIRST_USER_VCI
         self._path_key = 0
         self.hosts: List[Host] = []
         #: vci -> signaling record enabling failover re-programming
@@ -131,10 +135,18 @@ class AtmFabric:
         timings: Optional[AtmTimings] = None,
         bus: BusModel = PCI_BUS,
         propagation_us: float = 0.5,
+        trace: Optional[TraceRecorder] = None,
     ) -> Host:
+        """Attach a new workstation to the next free port of ``switch``.
+
+        ``phy`` sets both directions of the host's fiber (the paper's
+        bandwidth test received on a 140 Mb/s TAXI link; pass
+        ``TAXI_140`` for that configuration).
+        """
         if not 0 <= switch < len(self.switches):
             raise ValueError(f"no such switch {switch}")
-        backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus)
+        backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus,
+                                 trace=trace)
         uplink = CellLink(self.sim, phy, propagation_us, name=f"{name}->sw{switch}")
         uplink.deliver = self.switches[switch].on_cell
         backend.tx_link = uplink
@@ -160,10 +172,13 @@ class AtmFabric:
             self.switches[here].program_route(vci, self._trunk_port[(here, nxt)])
         self.switches[path[-1]].program_route(vci, dst_port)
 
-    def _connect_backends(
+    def connect_collective(
         self, backend_a: UNetAtmBackend, backend_b: UNetAtmBackend
     ) -> Tuple[int, int]:
-        """Duplex VC between two attached NICs; returns (vci a→b, vci b→a).
+        """Bare duplex VC between two attached NICs; returns (vci a→b,
+        vci b→a).  Routes are programmed fabric-wide but the VCIs are
+        *not* demuxed to any endpoint: :meth:`connect` adds that, and a
+        NIC-resident collective engine owns them otherwise.
 
         Both directions ride the same switch path (symmetric RTT); the
         path key rotates per connection to spread VCs across parallel
@@ -186,30 +201,26 @@ class AtmFabric:
         return vci_ab, vci_ba
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
-        """Network-wide duplex VC between two endpoints."""
-        backend_a: UNetAtmBackend = a.host.backend
-        backend_b: UNetAtmBackend = b.host.backend
-        vci_ab, vci_ba = self._connect_backends(backend_a, backend_b)
-        channel_a = len(a.endpoint.channels)
-        channel_b = len(b.endpoint.channels)
-        register_channel(a.endpoint, channel_a, AtmTag(tx_vci=vci_ab, rx_vci=vci_ba), peer=b.host.name)
-        register_channel(b.endpoint, channel_b, AtmTag(tx_vci=vci_ba, rx_vci=vci_ab), peer=a.host.name)
-        backend_a.demux.register(vci_ba, a.endpoint, channel_a)
-        backend_b.demux.register(vci_ab, b.endpoint, channel_b)
-        return channel_a, channel_b
+        """Network-wide duplex VC between two endpoints; returns the
+        channel identifiers assigned on (a, b)."""
+        vci_ab, vci_ba = self.connect_collective(a.backend, b.backend)
+        return connect_pair(a, b, AtmTag(tx_vci=vci_ab, rx_vci=vci_ba),
+                            AtmTag(tx_vci=vci_ba, rx_vci=vci_ab), vci_ba, vci_ab)
 
-    def connect_collective(
-        self, backend_a: UNetAtmBackend, backend_b: UNetAtmBackend
-    ) -> Tuple[int, int]:
-        """A duplex VC for NIC-resident collectives: routes are
-        programmed fabric-wide but the VCIs are *not* demuxed to any
-        endpoint — the NIC firmware's collective engine owns them."""
-        return self._connect_backends(backend_a, backend_b)
+    def collective_edge(self, backend_a: UNetAtmBackend, backend_b: UNetAtmBackend,
+                        on_a, on_b) -> Tuple[int, int]:
+        """One tree edge of the NIC-resident collectives: a fabric-routed
+        VC pair whose VCIs each NIC's firmware hands to ``on_a`` /
+        ``on_b``.  Returns the addresses (VCIs) a→b and b→a."""
+        vci_ab, vci_ba = self.connect_collective(backend_a, backend_b)
+        backend_b.register_collective(on_b, vci_ab)
+        backend_a.register_collective(on_a, vci_ba)
+        return vci_ab, vci_ba
 
     def hops_between(self, a: UserEndpoint, b: UserEndpoint) -> int:
         """Number of switches a message between a and b traverses."""
-        switch_a, _ = self._host_port[a.host.backend]
-        switch_b, _ = self._host_port[b.host.backend]
+        switch_a, _ = self._host_port[a.backend]
+        switch_b, _ = self._host_port[b.backend]
         return self.topology.hops(switch_a, switch_b)
 
     # ------------------------------------------------------------ failover

@@ -1,73 +1,26 @@
-"""ATM cluster topology builder.
+"""The paper's ATM experimental setup: one switch, hosts on its ports.
 
-Builds the paper's ATM experimental setup: hosts with PCA-200 (or
-SBA-200-style) adapters, each connected by a duplex fiber to one port of
-a Fore ASX-200 switch.
+Hosts with PCA-200 (or SBA-200-style) adapters, each connected by a
+duplex fiber to one port of a Fore ASX-200 switch — the one-switch case
+of :class:`~repro.atm.fabric.AtmFabric`, which owns host attachment and
+the signaling service (VCI allocation, route programming, channels).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from ..core.api import Host
-from ..hw.bus import PCI_BUS, SBUS, BusModel
-from ..hw.cpu import CpuModel
 from ..sim import Simulator
-from .phy import OC3_SONET, AtmPhy, CellLink
-from .signaling import AtmSignaling
-from .switch import AtmSwitch
-from .unet_atm import AtmTimings, UNetAtmBackend
+from .fabric import AtmFabric
+from .switch import ASX200_FORWARD_US, AtmSwitch
 
 __all__ = ["AtmNetwork"]
 
 
-class AtmNetwork:
+class AtmNetwork(AtmFabric):
     """One ATM switch plus the hosts hanging off it."""
 
-    def __init__(self, sim: Simulator, switch_name: str = "asx200", forward_us: Optional[float] = None) -> None:
-        self.sim = sim
-        kwargs = {} if forward_us is None else {"forward_us": forward_us}
-        self.switch = AtmSwitch(sim, name=switch_name, **kwargs)
-        self.signaling = AtmSignaling(self.switch)
-        self.hosts: List[Host] = []
-        self._next_port = 0
+    def __init__(self, sim: Simulator, forward_us: float = ASX200_FORWARD_US) -> None:
+        super().__init__(sim, switches=1, forward_us=forward_us)
 
-    def add_host(
-        self,
-        name: str,
-        cpu: CpuModel,
-        phy: AtmPhy = OC3_SONET,
-        timings: Optional[AtmTimings] = None,
-        bus: BusModel = PCI_BUS,
-        propagation_us: float = 0.5,
-        trace=None,
-    ) -> Host:
-        """Attach a new workstation to the next free switch port.
-
-        ``phy`` sets both directions of the host's fiber (the paper's
-        bandwidth test received on a 140 Mb/s TAXI link; pass
-        ``TAXI_140`` for that configuration).
-        """
-        backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus,
-                                 trace=trace)
-        port = self._next_port
-        self._next_port += 1
-        uplink = CellLink(self.sim, phy, propagation_us, name=f"{name}->sw")
-        uplink.deliver = self.switch.on_cell
-        backend.tx_link = uplink
-        downlink = CellLink(self.sim, phy, propagation_us, name=f"sw->{name}")
-        # late-bound so fault injectors can interpose on on_cell
-        downlink.deliver = lambda cell: backend.on_cell(cell)
-        self.switch.attach_port(port, downlink)
-        self.signaling.register_host(backend, port)
-        host = Host(self.sim, name, cpu, backend)
-        self.hosts.append(host)
-        return host
-
-    def connect(self, a, b):
-        """Duplex channel between two user endpoints (signaling service)."""
-        return self.signaling.connect(a, b)
-
-    def connect_collective(self, backend_a, backend_b):
-        """Duplex VC owned by the NIC-resident collective engines."""
-        return self.signaling.connect_collective(backend_a, backend_b)
+    @property
+    def switch(self) -> AtmSwitch:
+        return self.switches[0]

@@ -32,7 +32,6 @@ from ..core.base import UNetBackend
 from ..core.descriptors import RecvDescriptor
 from ..core.endpoint import Endpoint
 from ..core.errors import ChannelError
-from ..core.mux import ShardedDemux
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
 from ..sim import Event, Simulator, Store, TraceRecorder
 from .cells import (
@@ -110,6 +109,11 @@ class _Reassembly:
 class UNetAtmBackend(UNetBackend):
     """The PCA-200 NIC with U-Net firmware, attached to one host."""
 
+    wire_unit = "cell"
+    #: cap on one collective packet (a few dozen cells; plenty for barriers
+    #: and small reduce vectors, bounded so firmware buffering is)
+    collective_max_payload = 4096
+
     def __init__(
         self,
         sim: Simulator,
@@ -122,7 +126,6 @@ class UNetAtmBackend(UNetBackend):
         self.timings = timings or AtmTimings()
         self.trace = trace or TraceRecorder(enabled=False)
         self.dma = DmaEngine(sim, bus, name=f"{name}.dma")
-        self.demux = ShardedDemux(name=f"{name}.demux")
         #: egress cell link toward the switch (set by the network builder)
         self.tx_link: Optional[CellLink] = None
         #: single-cell receive fast path enabled (ablation knob)
@@ -145,9 +148,6 @@ class UNetAtmBackend(UNetBackend):
         self.pdus_received = 0
         self.collective_cells_received = 0  # consumed by the collective engine, never an endpoint's
         self.crc_errors = 0
-        self.no_buffer_drops = 0
-        self.recv_queue_drops = 0
-        self.quarantine_drops = 0
         sim.process(self._tx_firmware(), name=f"{name}.i960-tx")
         sim.process(self._rx_firmware(), name=f"{name}.i960-rx")
 
@@ -296,7 +296,7 @@ class UNetAtmBackend(UNetBackend):
                     yield from self._rx_complete(state, endpoint, channel_id)
 
     # ---------------------------------------------------- collective engine
-    def register_collective_vci(self, vci: int, handler: Callable[[bytes], None]) -> None:
+    def register_collective(self, handler: Callable[[bytes], None], vci: int) -> None:
         """Reserve ``vci`` for the NIC-resident collective engine.
 
         Cells arriving on it are reassembled and consumed inside the

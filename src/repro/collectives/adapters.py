@@ -1,151 +1,80 @@
-"""Bind the collective engine to real NIC hardware, per substrate.
+"""Bind the collective engine to real NIC hardware, on any substrate.
 
-* **ATM** — each tree edge gets a duplex VC programmed fabric-wide
-  (:meth:`AtmFabric.connect_collective`), but the VCIs are *not*
-  demultiplexed to any endpoint: the PCA-200's i960 consumes them in
-  firmware (:meth:`UNetAtmBackend.register_collective_vci`) and
-  originates replies itself (:meth:`UNetAtmBackend.send_collective`).
-* **Fast Ethernet** — collective packets ride frames on the reserved
-  U-Net port :data:`~repro.ethernet.frames.COLLECTIVE_PORT`, addressed
-  by peer MAC; the (hypothetical) on-controller engine of the DC21140
-  consumes and originates them without touching host memory.
+A substrate takes part through three things on its backend —
+``register_collective`` (hand arriving collective packets to a handler,
+inside the NIC), ``send_collective(address, packet)`` (NIC-originated
+send, no host involved) and ``collective_max_payload`` — and one on its
+network: ``collective_edge(backend_a, backend_b, on_a, on_b)``, which
+sets up whatever an edge needs and returns the address each end sends
+to.  On ATM that is a fabric-routed VC pair whose VCIs the PCA-200's
+i960 consumes in firmware instead of demultiplexing them to an
+endpoint; on Fast Ethernet it is the peer's MAC, with the frames riding
+the reserved U-Net port :data:`~repro.ethernet.frames.COLLECTIVE_PORT`
+into the (hypothetical) on-controller engine of the DC21140.
 
-``wire_atm_collectives`` / ``wire_fe_collectives`` build one engine per
-host over a shared k-ary tree and return them in node order.
+``wire_collectives`` builds one engine per host over a shared k-ary
+tree and returns them in node order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..ethernet.frames import UNET_FE_MAX_PDU
 from .engine import CollectiveConfig, NicCollectiveEngine
 from .membership import CollectiveGroup
 from .tree import KAryTree
 
-__all__ = [
-    "AtmCollectiveAdapter",
-    "FeCollectiveAdapter",
-    "wire_atm_collectives",
-    "wire_fe_collectives",
-]
-
-#: cap on one ATM collective packet (a few dozen cells; plenty for
-#: barriers and small reduce vectors, bounded so firmware buffering is)
-ATM_COLLECTIVE_MAX_PACKET = 4096
+__all__ = ["CollectiveAdapter", "wire_collectives"]
 
 
-class AtmCollectiveAdapter:
-    """Sends collective packets over per-edge reserved VCIs."""
-
-    max_payload = ATM_COLLECTIVE_MAX_PACKET
+class CollectiveAdapter:
+    """What an engine sends through: one backend, its wired peers."""
 
     def __init__(self, backend) -> None:
         self.backend = backend
-        #: peer node -> VCI whose route leads to that peer
-        self.tx_vci: Dict[int, int] = {}
+        self.max_payload = backend.collective_max_payload
+        #: peer node -> the address (VCI, MAC) that reaches it
+        self.address: Dict[int, object] = {}
 
     def send(self, peer: int, packet: bytes) -> None:
-        self.backend.send_collective(self.tx_vci[peer], packet)
+        self.backend.send_collective(self.address[peer], packet)
 
 
-class FeCollectiveAdapter:
-    """Sends collective packets as frames on the reserved U-Net port."""
-
-    max_payload = UNET_FE_MAX_PDU
-
-    def __init__(self, backend) -> None:
-        self.backend = backend
-        #: peer node -> that peer's MAC address
-        self.peer_mac: Dict[int, int] = {}
-
-    def send(self, peer: int, packet: bytes) -> None:
-        self.backend.send_collective(self.peer_mac[peer], packet)
-
-
-def wire_atm_collectives(
-    fabric,
-    hosts: Sequence,
-    fanout: int = 4,
-    config: Optional[CollectiveConfig] = None,
-    healing: bool = False,
-):
-    """One engine per host; tree edges become fabric-routed VCs.
-
-    With ``healing=True`` returns ``(engines, group)``: a
-    :class:`~repro.collectives.membership.CollectiveGroup` owns the
-    engines, fed by the fabric's reachability and a lazy edge-wiring
-    callback that signals fresh VCs for edges a heal creates.
-    """
-    tree = KAryTree(len(hosts), fanout=fanout)
-    sim = fabric.sim
-    adapters = [AtmCollectiveAdapter(host.backend) for host in hosts]
-    engines = [
-        NicCollectiveEngine(sim, node, tree, adapters[node], config)
-        for node in range(len(hosts))
-    ]
-
-    def wire_edge(i: int, j: int) -> None:
-        if j in adapters[i].tx_vci:
-            return
-        vci_ij, vci_ji = fabric.connect_collective(hosts[i].backend,
-                                                   hosts[j].backend)
-        adapters[i].tx_vci[j] = vci_ij
-        adapters[j].tx_vci[i] = vci_ji
-        hosts[j].backend.register_collective_vci(vci_ij, engines[j].on_packet)
-        hosts[i].backend.register_collective_vci(vci_ji, engines[i].on_packet)
-
-    for child in range(1, len(hosts)):
-        wire_edge(tree.parent(child), child)
-    if not healing:
-        return engines
-    group = CollectiveGroup(
-        sim, engines, wire_edge=wire_edge,
-        reachable=_reachability(fabric, hosts))
-    return engines, group
-
-
-def _reachability(network, hosts: Sequence):
-    """Node-indexed reachability over the fabric, if it tracks any."""
-    probe = getattr(network, "backends_reachable", None)
-    if probe is None:
-        return None
-    return lambda i, j: probe(hosts[i].backend, hosts[j].backend)
-
-
-def wire_fe_collectives(
+def wire_collectives(
     network,
     hosts: Sequence,
     fanout: int = 4,
     config: Optional[CollectiveConfig] = None,
     healing: bool = False,
 ):
-    """One engine per host; tree edges address peers by MAC.
+    """One engine per host; each tree edge is one ``collective_edge``.
 
-    With ``healing=True`` returns ``(engines, group)``; MACs are flat
-    addresses, so every pair is pre-addressed and heals need no edge
-    wiring — only the fabric's reachability feeds the group.
+    With ``healing=True`` returns ``(engines, group)``: a
+    :class:`~repro.collectives.membership.CollectiveGroup` owns the
+    engines, fed by the network's reachability and by the same lazy
+    ``wire_edge`` that did the first wiring, so an edge a heal creates
+    is set up when the healed tree first needs it.
     """
     tree = KAryTree(len(hosts), fanout=fanout)
     sim = network.sim
-    adapters = [FeCollectiveAdapter(host.backend) for host in hosts]
+    adapters = [CollectiveAdapter(host.backend) for host in hosts]
     engines = [
         NicCollectiveEngine(sim, node, tree, adapters[node], config)
         for node in range(len(hosts))
     ]
-    for node, host in enumerate(hosts):
-        host.backend.register_collective(engines[node].on_packet)
-    if healing:
-        # a healed tree can join any pair: pre-address the full mesh
-        for a in range(len(hosts)):
-            for b in range(len(hosts)):
-                if a != b:
-                    adapters[a].peer_mac[b] = hosts[b].backend.mac
-        group = CollectiveGroup(sim, engines,
-                                reachable=_reachability(network, hosts))
-        return engines, group
+
+    def wire_edge(i: int, j: int) -> None:
+        if j in adapters[i].address:
+            return
+        adapters[i].address[j], adapters[j].address[i] = network.collective_edge(
+            hosts[i].backend, hosts[j].backend, engines[i].on_packet, engines[j].on_packet)
+
     for child in range(1, len(hosts)):
-        parent = tree.parent(child)
-        adapters[parent].peer_mac[child] = hosts[child].backend.mac
-        adapters[child].peer_mac[parent] = hosts[parent].backend.mac
-    return engines
+        wire_edge(tree.parent(child), child)
+    if not healing:
+        return engines
+    # a single-switch network tracks no reachability: nothing can partition
+    probe = getattr(network, "backends_reachable", None)
+    reachable = None if probe is None else (
+        lambda i, j: probe(hosts[i].backend, hosts[j].backend))
+    return engines, CollectiveGroup(sim, engines, wire_edge=wire_edge, reachable=reachable)

@@ -45,9 +45,8 @@ class CollectiveGroup:
     engine's own crash flag; the cluster health plane's incarnation
     evidence plugs in here), ``reachable(i, j)`` supplies fabric
     reachability (defaults to always-true), and ``wire_edge(i, j)``
-    creates a missing tree edge through the fabric's signaling plane
-    (defaults to a no-op for substrates whose adapters address every
-    peer already, like FE MACs).
+    creates a missing tree edge through the network's
+    ``collective_edge`` (and does nothing for one already wired).
     """
 
     def __init__(
@@ -55,9 +54,9 @@ class CollectiveGroup:
         sim,
         engines: Sequence[NicCollectiveEngine],
         *,
+        wire_edge: Callable[[int, int], None],
         is_dead: Optional[Callable[[int], bool]] = None,
         reachable: Optional[Callable[[int, int], bool]] = None,
-        wire_edge: Optional[Callable[[int, int], None]] = None,
         heal_delay_us: float = HEAL_DELAY_US,
     ) -> None:
         self.sim = sim
@@ -140,10 +139,8 @@ class CollectiveGroup:
         """Wire the re-ranked tree's missing edges, then fence the epoch."""
         self.epoch += 1
         shadow = KAryTree(len(live), fanout=self.engines[0].tree.fanout)
-        if self._wire_edge is not None:
-            for child_rank in range(1, len(live)):
-                parent_rank = shadow.parent(child_rank)
-                self._wire_edge(live[parent_rank], live[child_rank])
+        for child_rank in range(1, len(live)):
+            self._wire_edge(live[shadow.parent(child_rank)], live[child_rank])
         for node in live:
             self.engines[node].install_epoch(self.epoch, live)
         self.heals.append((self.sim.now, self.epoch, tuple(sorted(self.dead))))

@@ -29,19 +29,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..am import AmEndpoint
-from ..am.core import AmCore
+from ..am.core import AmCore, handshake_settled
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..core.substrates import get_substrate, register_substrate
 from ..faults.crash import EndpointLifecycle, lifecycle_stage_factory
 from ..faults.inject import attach_pipeline
 from ..faults.scripted import scripted_stage_factory
+from ..faults.stream import stream_payload
 from ..sim import Simulator
 from .model import RefTrace, run_reference
 from .observe import ObservationProbe, ObservedTrace
 from .schedule import ConformanceCase
 
-__all__ = ["Divergence", "CaseReport", "run_substrate", "run_case",
+__all__ = ["Divergence", "CaseReport", "CaseRig", "run_substrate", "run_case",
            "diff_case", "render_report", "BUGS", "inject_bug", "SUBSTRATES"]
 
 #: the default (always-runnable) substrate set; wall-clock substrates
@@ -229,13 +230,103 @@ def _build_network(substrate: str, sim: Simulator):
     raise ValueError(f"unknown substrate {substrate!r}; choose from {SUBSTRATES}")
 
 
-def _payload(i: int, size: int) -> bytes:
-    return bytes((i + j) % 256 for j in range(size))
+class CaseRig:
+    """What one case execution shares on every substrate.
+
+    Given the two AM endpoints and their backends, however the substrate
+    built them: attach the observation probe, build the content-addressed
+    fault stages (the runner installs them at its substrate's ingress),
+    register the payload-checking handler, and — once the runner's
+    traffic loop is over — reduce what was observed to the
+    :class:`ObservedTrace`.  What stays with each runner is how time
+    advances: a generator the simulator schedules, or a pump loop
+    against the wall clock.
+    """
+
+    def __init__(self, case: ConformanceCase, name: str, am0, am1,
+                 backend0, backend1) -> None:
+        self.case = case
+        self.am0, self.am1 = am0, am1
+        self.probe = ObservationProbe(name, requester_node=0,
+                                      config_window=am0.config.window)
+        for am, backend in ((am0, backend0), (am1, backend1)):
+            self.probe.attach_am(am)
+            self.probe.attach_endpoint(am.user.endpoint)
+            self.probe.attach_demux(backend.demux)
+        # the scripted stage at node 1 sees the request path, the one at
+        # node 0 the reply path — keyed by packet identity, not arrival
+        # index
+        self.fwd_stage = scripted_stage_factory(backend1, case.fwd_faults())
+        self.rev_stage = scripted_stage_factory(backend0, case.rev_faults())
+        self.fwd_events = case.fwd_lifecycle()
+        self.fwd_life = None
+        if self.fwd_events:
+            lifecycle = EndpointLifecycle(crash=am1.crash, restart=am1.restart)
+            self.fwd_life = lifecycle_stage_factory(backend1, self.fwd_events,
+                                                    lifecycle.fire)
+        self.integrity_failures: List[int] = []
+        self.rpc_errors: List[str] = []
+        am1.register_handler(1, self.check_payload)
+
+    @property
+    def fwd_stages(self) -> list:
+        """Node 1's ingress stages, in order: lifecycle triggers ride
+        after the scripted stage, because a scripted drop never reaches
+        the victim and so must not fire a crash either."""
+        return [s for s in (self.fwd_stage, self.fwd_life) if s is not None]
+
+    def check_payload(self, ctx) -> None:
+        i = ctx.args[0]
+        if (ctx.data != stream_payload(i, len(ctx.data))
+                or len(ctx.data) != self.case.messages[i].size):
+            self.integrity_failures.append(i)
+
+    def check_reply(self, i: int, args) -> None:
+        if args[0] != i * 2 + 1:
+            self.rpc_errors.append(f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+
+    def settled(self) -> bool:
+        """Crash cases end at *fate resolution*, not last send: every
+        lifecycle event fired, the reconnect handshake closed, and no
+        send is still awaiting an ack or the abandon verdict."""
+        if self.fwd_life is not None and len(self.fwd_life.fired) < len(self.fwd_events):
+            return False
+        return handshake_settled(self.am0, self.am1)
+
+    def finish(self, completed: bool, completion: float) -> ObservedTrace:
+        probe = self.probe
+        for line in self.rpc_errors:
+            probe.violations.append(f"rpc: {line}")
+        if self.integrity_failures:
+            probe.violations.append(
+                f"integrity: corrupted payload reached the handler for ids "
+                f"{sorted(set(self.integrity_failures))[:8]}")
+        snapshots = {"am0": self.am0.snapshot(), "am1": self.am1.snapshot()}
+        trace = probe.finish(completed, completion,
+                             fired=self.fwd_stage.fired + self.rev_stage.fired,
+                             snapshots=snapshots,
+                             lifecycle_fired=(self.fwd_life.fired
+                                              if self.fwd_life is not None else ()))
+        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
+                           for p in snap.values())
+        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
+                             for p in snap.values())
+        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
+                           for p in snap.values())
+        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
+                                  for p in snap.values())
+        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
+                              for p in snap.values())
+        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
+                               for p in snap.values())
+        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
+                                 for p in snap.values())
+        return trace
 
 
 def run_substrate(case: ConformanceCase, substrate: str,
                   bug: Optional[str] = None) -> ObservedTrace:
-    """Run ``case`` on one substrate and collect its observable trace."""
+    """Run ``case`` on one simulated substrate and collect its observable trace."""
     from ..hw import PENTIUM_120
 
     with inject_bug(bug):
@@ -251,80 +342,33 @@ def run_substrate(case: ConformanceCase, substrate: str,
         ep0 = h0.create_endpoint(config=sender_cfg, rx_buffers=32)
         ep1 = h1.create_endpoint(config=receiver_cfg, rx_buffers=case.rx_buffers)
         ch0, ch1 = net.connect(ep0, ep1)
-        config0 = case.am_config(receiver=False)
-        config1 = case.am_config(receiver=True)
-        am0 = AmEndpoint(0, ep0, config=config0)
-        am1 = AmEndpoint(1, ep1, config=config1)
+        am0 = AmEndpoint(0, ep0, config=case.am_config(receiver=False))
+        am1 = AmEndpoint(1, ep1, config=case.am_config(receiver=True))
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
 
-        probe = ObservationProbe(substrate, requester_node=0,
-                                 config_window=config0.window)
-        probe.attach_am(am0)
-        probe.attach_am(am1)
-        probe.attach_endpoint(ep0.endpoint)
-        probe.attach_endpoint(ep1.endpoint)
-        probe.attach_demux(h0.backend.demux)
-        probe.attach_demux(h1.backend.demux)
-        probe.attach_trace(h1.backend.trace)
-
-        # the scripted stage at h1 sees the request path, the one at h0
-        # the reply path — keyed by packet identity, not arrival index
-        fwd_stage = scripted_stage_factory(h1.backend, case.fwd_faults())
-        rev_stage = scripted_stage_factory(h0.backend, case.rev_faults())
-        # lifecycle triggers ride the same ingress, after the scripted
-        # stage: a scripted drop never reaches the victim, so it must
-        # not fire a crash either
-        lifecycle = EndpointLifecycle(crash=am1.crash, restart=am1.restart)
-        fwd_life = None
-        fwd_events = case.fwd_lifecycle()
-        if fwd_events:
-            fwd_life = lifecycle_stage_factory(h1.backend, fwd_events,
-                                               lifecycle.fire)
+        rig = CaseRig(case, substrate, am0, am1, h0.backend, h1.backend)
+        rig.probe.attach_trace(h1.backend.trace)
         pipelines = [
-            attach_pipeline(h1.backend,
-                            [s for s in (fwd_stage, fwd_life) if s is not None],
-                            prefix="conformance.fwd"),
-            attach_pipeline(h0.backend, [rev_stage], prefix="conformance.rev"),
+            attach_pipeline(h1.backend, rig.fwd_stages, prefix="conformance.fwd"),
+            attach_pipeline(h0.backend, [rig.rev_stage], prefix="conformance.rev"),
         ]
 
-        integrity_failures: List[int] = []
-
-        def handler(ctx) -> None:
-            i = ctx.args[0]
-            if ctx.data != _payload(i, len(ctx.data)) or len(ctx.data) != case.messages[i].size:
-                integrity_failures.append(i)
-
         def rpc_handler(ctx):
-            handler(ctx)
+            rig.check_payload(ctx)
             yield from ctx.reply(args=(ctx.args[0] * 2 + 1,))
 
-        am1.register_handler(1, handler)
         am1.register_handler(2, rpc_handler)
-
-        rpc_errors: List[str] = []
-
-        def settled() -> bool:
-            """Crash cases end at *fate resolution*, not last send: every
-            lifecycle event fired, the reconnect handshake closed, and no
-            send is still awaiting an ack or the abandon verdict."""
-            if fwd_life is not None and len(fwd_life.fired) < len(fwd_events):
-                return False
-            snap0 = am0.snapshot().get(1, {})
-            snap1 = am1.snapshot().get(0, {})
-            return (not snap0.get("unacked") and not snap0.get("reconnecting")
-                    and not snap1.get("reconnecting"))
 
         aborted: List[str] = []
 
         def traffic():
             try:
                 for i, message in enumerate(case.messages):
-                    data = _payload(i, message.size)
+                    data = stream_payload(i, message.size)
                     if message.rpc:
                         args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
-                        if args[0] != i * 2 + 1:
-                            rpc_errors.append(f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+                        rig.check_reply(i, args)
                     else:
                         yield from am0.request(1, 1, args=(i,), data=data)
             except UNetError as exc:
@@ -333,7 +377,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
                 # the diff reports, not a harness failure
                 aborted.append(str(exc))
                 return sim.now
-            while case.lifecycle and not settled():
+            while case.lifecycle and not rig.settled():
                 yield 200.0
             return sim.now
 
@@ -346,33 +390,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
             am1.shutdown()
             sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
 
-        for line in rpc_errors:
-            probe.violations.append(f"rpc: {line}")
-        if integrity_failures:
-            probe.violations.append(
-                f"integrity: corrupted payload reached the handler for ids "
-                f"{sorted(set(integrity_failures))[:8]}")
-
-        snapshots = {"am0": am0.snapshot(), "am1": am1.snapshot()}
-        trace = probe.finish(completed, completion,
-                             fired=fwd_stage.fired + rev_stage.fired,
-                             snapshots=snapshots,
-                             lifecycle_fired=(fwd_life.fired
-                                              if fwd_life is not None else ()))
-        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
-                             for p in snap.values())
-        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
-                                  for p in snap.values())
-        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
-                              for p in snap.values())
-        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
-                               for p in snap.values())
-        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
-                                 for p in snap.values())
+        trace = rig.finish(completed, completion)
         for pipeline in pipelines:
             pipeline.restore()
         return trace

@@ -19,7 +19,7 @@ from .descriptors import RecvDescriptor, SendDescriptor
 from .endpoint import Endpoint, EndpointConfig
 from .errors import EndpointError, MessageTooLarge
 
-__all__ = ["Host", "UserEndpoint", "ReceivedMessage"]
+__all__ = ["Host", "UserEndpointBase", "UserEndpoint", "ReceivedMessage"]
 
 #: fixed user-level cost of filling in and pushing one send descriptor
 DESCRIPTOR_PUSH_US = 0.30
@@ -75,13 +75,22 @@ class Host:
         return f"<Host {self.name} ({self.cpu.name}, {self.backend.name})>"
 
 
-class UserEndpoint:
-    """Application-side wrapper around one U-Net endpoint."""
+class UserEndpointBase:
+    """The clock-free half of the application-side endpoint wrapper.
 
-    def __init__(self, host: Host, endpoint: Endpoint) -> None:
-        self.host = host
-        self.sim = host.sim
+    Composing and sending block, and how a substrate blocks is what its
+    wrapper adds: :class:`UserEndpoint` yields to the simulator,
+    :class:`repro.live.backend.LiveUserEndpoint` polls against the wall
+    clock.  Everything that never waits — teardown, reclaiming the
+    buffers of completed sends, donating receive buffers, the polling
+    receive — is the same code on every substrate and lives here.
+    """
+
+    def __init__(self, backend: UNetBackend, endpoint: Endpoint, name: str) -> None:
+        self.backend = backend
         self.endpoint = endpoint
+        #: the owning host's name (what the peer's channel binding records)
+        self.name = name
         self._tx_inflight: List[Tuple[SendDescriptor, List[int]]] = []
         self._closed = False
 
@@ -98,7 +107,50 @@ class UserEndpoint:
         if self._closed:
             return
         self._closed = True
-        self.host.backend.destroy_endpoint(self.endpoint)
+        self.backend.destroy_endpoint(self.endpoint)
+
+    def _reclaim_completed(self) -> None:
+        """Free buffers of sends the NI has finished transmitting."""
+        still = []
+        for descriptor, indices in self._tx_inflight:
+            if descriptor.completed:
+                for idx in indices:
+                    self.endpoint.buffers.free(self.endpoint.buffers.buffer(idx))
+            else:
+                still.append((descriptor, indices))
+        self._tx_inflight[:] = still
+
+    def donate_rx_buffers(self, count: int) -> None:
+        """Allocate ``count`` buffers and push them onto the free queue."""
+        for _ in range(count):
+            buf = self.endpoint.buffers.try_alloc()
+            if buf is None:
+                raise EndpointError("buffer area exhausted while donating receive buffers")
+            self.endpoint.donate_free_buffer(buf.index)
+
+    def poll(self) -> Optional[ReceivedMessage]:
+        """Non-blocking receive (the polling model of Section 3.1)."""
+        descriptor = self.endpoint.poll_receive()
+        if descriptor is None:
+            return None
+        return self._consume(descriptor)
+
+    def _consume(self, descriptor: RecvDescriptor) -> ReceivedMessage:
+        data = self.endpoint.read_message(descriptor)
+        self.endpoint.recycle(descriptor)
+        binding = self.endpoint.channels.get(descriptor.channel_id)
+        if binding is not None:
+            binding.messages_received += 1
+        return ReceivedMessage(descriptor.channel_id, data, descriptor.timestamp)
+
+
+class UserEndpoint(UserEndpointBase):
+    """Application-side wrapper around one simulated U-Net endpoint."""
+
+    def __init__(self, host: Host, endpoint: Endpoint) -> None:
+        super().__init__(host.backend, endpoint, host.name)
+        self.host = host
+        self.sim = host.sim
 
     # -- sending -------------------------------------------------------------
     def send(self, channel_id: int, payload: bytes, kick: bool = True) -> Generator:
@@ -111,7 +163,7 @@ class UserEndpoint:
         under a single trap (Section 4.3.2 services the whole queue per
         trap) by kicking once at the end via :meth:`kick`.
         """
-        backend = self.host.backend
+        backend = self.backend
         if self._closed:
             raise EndpointError(f"endpoint {self.endpoint.id} is closed")
         if len(payload) > backend.max_pdu:
@@ -137,7 +189,7 @@ class UserEndpoint:
 
     def kick(self) -> Generator:
         """Explicitly notify the backend of pending send descriptors."""
-        yield from self.host.backend.kick(self.endpoint)
+        yield from self.backend.kick(self.endpoint)
 
     def _compose_buffers(self, payload: bytes):
         """Process: split ``payload`` across as many buffers as it needs,
@@ -170,33 +222,7 @@ class UserEndpoint:
             # transmitting an earlier message, then reclaim its buffers
             yield self.endpoint.wait_send_complete()
 
-    def _reclaim_completed(self) -> None:
-        """Free buffers of sends the NI has finished transmitting."""
-        still = []
-        for descriptor, indices in self._tx_inflight:
-            if descriptor.completed:
-                for idx in indices:
-                    self.endpoint.buffers.free(self.endpoint.buffers.buffer(idx))
-            else:
-                still.append((descriptor, indices))
-        self._tx_inflight[:] = still
-
     # -- receiving ---------------------------------------------------------
-    def donate_rx_buffers(self, count: int) -> None:
-        """Allocate ``count`` buffers and push them onto the free queue."""
-        for _ in range(count):
-            buf = self.endpoint.buffers.try_alloc()
-            if buf is None:
-                raise EndpointError("buffer area exhausted while donating receive buffers")
-            self.endpoint.donate_free_buffer(buf.index)
-
-    def poll(self) -> Optional[ReceivedMessage]:
-        """Non-blocking receive (the polling model of Section 3.1)."""
-        descriptor = self.endpoint.poll_receive()
-        if descriptor is None:
-            return None
-        return self._consume(descriptor)
-
     def recv(self) -> Generator:
         """Process: block until a message arrives, then consume it."""
         while True:
@@ -221,11 +247,3 @@ class UserEndpoint:
 
     def set_signal_handler(self, handler) -> None:
         self.endpoint.set_signal_handler(lambda _ep: handler(self))
-
-    def _consume(self, descriptor: RecvDescriptor) -> ReceivedMessage:
-        data = self.endpoint.read_message(descriptor)
-        self.endpoint.recycle(descriptor)
-        binding = self.endpoint.channels.get(descriptor.channel_id)
-        if binding is not None:
-            binding.messages_received += 1
-        return ReceivedMessage(descriptor.channel_id, data, descriptor.timestamp)

@@ -1,19 +1,26 @@
 """Backend interface between the U-Net API and a network substrate.
 
 A backend is the combination of NI hardware and whatever firmware or
-kernel code implements U-Net on it.  Two live in this repository:
+kernel code implements U-Net on it.  Three live in this repository:
 :class:`repro.atm.unet_atm.UNetAtmBackend` (custom i960 firmware on the
-PCA-200) and :class:`repro.ethernet.unet_fe.UNetFeBackend` (in-kernel
-service routines driving the DC21140).
+PCA-200), :class:`repro.ethernet.unet_fe.UNetFeBackend` (in-kernel
+service routines driving the DC21140) and
+:class:`repro.live.backend.LiveBackend` (a doorbell loop over real
+sockets).  What they share — the endpoint lifecycle system calls, the
+demux table, admission control, the drop vocabulary — is written here
+once; DESIGN §2 lists what a new substrate has to add.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Generator, List, Optional
+from typing import List, Optional
 
 from ..sim import Simulator
 from .endpoint import Endpoint, EndpointConfig
+from .errors import AdmissionRejected, EndpointError
+from .mux import ShardedDemux
+from .tenancy import qos_class
 
 __all__ = ["UNetBackend"]
 
@@ -21,11 +28,21 @@ __all__ = ["UNetBackend"]
 class UNetBackend(abc.ABC):
     """What a substrate must provide to host U-Net endpoints."""
 
+    #: what one PDU on this substrate's wire is — ``"cell"``, ``"frame"``
+    #: or ``"datagram"``.  Fault stages interpose at that level, so the
+    #: fault layer picks its stage classes by this and nothing else.
+    wire_unit: str
+
     def __init__(self, sim: Simulator, name: str) -> None:
+        #: the simulator — or, on a wall-clock substrate, the
+        #: :class:`~repro.core.clock.ClockShim` standing in for it
         self.sim = sim
         self.name = name
         self.endpoints: List[Endpoint] = []
         self._next_endpoint_id = 0
+        #: incoming tag -> (endpoint, channel); rows are installed by the
+        #: network's channel service (:func:`repro.core.channels.connect_pair`)
+        self.demux = ShardedDemux(name=f"{name}.demux")
         #: optional :class:`~repro.core.tenancy.AdmissionController`;
         #: when set, ``create_endpoint`` may refuse with a typed
         #: :class:`~repro.core.errors.AdmissionRejected` error
@@ -33,6 +50,10 @@ class UNetBackend(abc.ABC):
         #: endpoint creations refused by admission control — counted on
         #: the backend because no endpoint exists to own the drop
         self.admission_rejected_drops = 0
+        # NI/kernel-level drop accounting (shared DROP_COUNTERS vocabulary)
+        self.recv_queue_drops = 0
+        self.no_buffer_drops = 0
+        self.quarantine_drops = 0
 
     # -- endpoint lifecycle (OS-mediated system calls) ---------------------
     def create_endpoint(self, config: Optional[EndpointConfig] = None, owner: str = "",
@@ -45,8 +66,6 @@ class UNetBackend(abc.ABC):
         own system call and is counted as ``admission_rejected_drops``.
         """
         if self.admission is not None:
-            from .errors import AdmissionRejected
-            from .tenancy import qos_class
             try:
                 self.admission.admit(tenant, qos_class(qos))
             except AdmissionRejected:
@@ -56,11 +75,7 @@ class UNetBackend(abc.ABC):
                             owner=owner, tenant=tenant, qos=qos)
         self._next_endpoint_id += 1
         self.endpoints.append(endpoint)
-        self._endpoint_created(endpoint)
         return endpoint
-
-    def _endpoint_created(self, endpoint: Endpoint) -> None:
-        """Hook for backend-side per-endpoint state (demux rows, queues)."""
 
     def destroy_endpoint(self, endpoint: Endpoint) -> None:
         """System call: tear an endpoint down.
@@ -71,16 +86,11 @@ class UNetBackend(abc.ABC):
         to a dead process should be.
         """
         if endpoint not in self.endpoints:
-            raise ValueError(f"endpoint {endpoint.id} does not belong to {self.name}")
+            raise EndpointError(f"endpoint {endpoint.id} does not belong to {self.name}")
         self.endpoints.remove(endpoint)
-        if hasattr(self, "demux"):
-            self.demux.unregister_endpoint(endpoint)
+        self.demux.unregister_endpoint(endpoint)
         if self.admission is not None:
             self.admission.release(endpoint.tenant)
-        self._endpoint_destroyed(endpoint)
-
-    def _endpoint_destroyed(self, endpoint: Endpoint) -> None:
-        """Hook for backend-specific teardown."""
 
     # -- data path ---------------------------------------------------------
     @property
@@ -89,12 +99,14 @@ class UNetBackend(abc.ABC):
         """Largest message the substrate carries without fragmentation."""
 
     @abc.abstractmethod
-    def kick(self, endpoint: Endpoint) -> Generator:
-        """Process run by the application after pushing send descriptors.
+    def kick(self, endpoint: Endpoint):
+        """Notify the NI of send descriptors the application pushed.
 
         On U-Net/ATM this is the cheap doorbell store into NI memory
         (~host overhead only); on U-Net/FE it is the fast trap into the
-        kernel, which synchronously services the send queue.
+        kernel, which synchronously services the send queue — both are
+        processes the simulator runs.  On U-Net/OS it is a plain call
+        that drains the queue onto the socket before it returns.
         """
 
     # -- instrumentation -----------------------------------------------------
@@ -106,23 +118,18 @@ class UNetBackend(abc.ABC):
     def drop_stats(self) -> dict:
         """NI/kernel-level drop counters, one entry per shared name.
 
-        Every backend keeps ``recv_queue_drops``/``no_buffer_drops``/
-        ``quarantine_drops`` attributes and a ``demux`` table; the same
-        vocabulary (:data:`repro.core.endpoint.DROP_COUNTERS`) is spoken
-        by :meth:`Endpoint.drop_stats` and :meth:`DemuxTable.drop_stats`,
-        so reports can merge accounting across layers without per-class
-        attribute spelunking.
+        The same vocabulary (:data:`repro.core.endpoint.DROP_COUNTERS`)
+        is spoken by :meth:`Endpoint.drop_stats`, which owns the classes
+        the protocol above books on an endpoint (``stale_epoch_drops``,
+        ``peer_dead_drops``): they read zero here on every substrate, so
+        a report that merges both layers counts each drop once.
         """
-        stats = {
-            "recv_queue_drops": getattr(self, "recv_queue_drops", 0),
-            "no_buffer_drops": getattr(self, "no_buffer_drops", 0),
-            "unknown_tag_drops": 0,
-            "quarantine_drops": getattr(self, "quarantine_drops", 0),
-            "stale_epoch_drops": getattr(self, "stale_epoch_drops", 0),
-            "peer_dead_drops": getattr(self, "peer_dead_drops", 0),
-            "admission_rejected_drops": getattr(self, "admission_rejected_drops", 0),
+        return {
+            "recv_queue_drops": self.recv_queue_drops,
+            "no_buffer_drops": self.no_buffer_drops,
+            "unknown_tag_drops": self.demux.unknown_tag_drops,
+            "quarantine_drops": self.quarantine_drops,
+            "stale_epoch_drops": 0,
+            "peer_dead_drops": 0,
+            "admission_rejected_drops": self.admission_rejected_drops,
         }
-        demux = getattr(self, "demux", None)
-        if demux is not None:
-            stats["unknown_tag_drops"] = demux.unknown_tag_drops
-        return stats

@@ -12,11 +12,11 @@ directly (protection).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .errors import ChannelError
 
-__all__ = ["ChannelBinding", "AtmTag", "EthernetTag", "ChannelAllocator"]
+__all__ = ["ChannelBinding", "AtmTag", "EthernetTag", "connect_pair"]
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,6 @@ class ChannelBinding:
     messages_received: int = 0
 
 
-class ChannelAllocator:
-    """Allocates channel identifiers within one endpoint's namespace."""
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def allocate(self) -> int:
-        cid = self._next
-        self._next += 1
-        return cid
-
-
 def register_channel(endpoint, channel_id: int, tag: Any, peer: Optional[str] = None) -> ChannelBinding:
     """Install a channel binding on ``endpoint`` (OS-service side)."""
     if channel_id in endpoint.channels:
@@ -80,3 +68,23 @@ def lookup_channel(endpoint, channel_id: int) -> ChannelBinding:
         return endpoint.channels[channel_id]
     except KeyError:
         raise ChannelError(f"channel {channel_id} not registered on endpoint {endpoint.id}") from None
+
+
+def connect_pair(a, b, tag_a: Any, tag_b: Any, key_a: Any, key_b: Any) -> Tuple[int, int]:
+    """The substrate-independent half of the OS channel service.
+
+    ``a`` and ``b`` are application-side endpoints (anything carrying
+    ``.endpoint``, ``.backend`` and ``.name``, see
+    :class:`repro.core.api.UserEndpointBase`).  The substrate's network
+    has already allocated the message tags — ``tag_a`` is what ``a``
+    sends with, ``key_a`` is the demux key under which ``a``'s NI
+    receives ``b``'s messages.  This hands out the next free channel id
+    on each side, installs both bindings and both demux rows, and
+    returns ``(channel_on_a, channel_on_b)``.
+    """
+    channel_a, channel_b = (len(user.endpoint.channels) for user in (a, b))
+    register_channel(a.endpoint, channel_a, tag_a, peer=b.name)
+    register_channel(b.endpoint, channel_b, tag_b, peer=a.name)
+    a.backend.demux.register(key_a, a.endpoint, channel_a)
+    b.backend.demux.register(key_b, b.endpoint, channel_b)
+    return channel_a, channel_b

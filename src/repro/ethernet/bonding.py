@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
-from ..core.channels import register_channel
+from ..core.channels import connect_pair
 from ..core.descriptors import SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint
 from ..hw.bus import PCI_BUS, BusModel
@@ -128,20 +128,18 @@ class BeowulfNetwork:
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """Bonded duplex channel across both rails."""
-        backend_a: DualNicFeBackend = a.host.backend
-        backend_b: DualNicFeBackend = b.host.backend
+        backend_a: DualNicFeBackend = a.backend
+        backend_b: DualNicFeBackend = b.backend
         port_a = backend_a.allocate_port()
         port_b = backend_b.allocate_port()
-        channel_a = len(a.endpoint.channels)
-        channel_b = len(b.endpoint.channels)
         tag_a = BondedTag(dst_macs=backend_b.macs, src_macs=backend_a.macs,
                           dst_port=port_b, src_port=port_a)
         tag_b = BondedTag(dst_macs=backend_a.macs, src_macs=backend_b.macs,
                           dst_port=port_a, src_port=port_b)
-        register_channel(a.endpoint, channel_a, tag_a, peer=b.host.name)
-        register_channel(b.endpoint, channel_b, tag_b, peer=a.host.name)
-        # frames may arrive on either rail: register both source MACs
-        for rail in (0, 1):
-            backend_a.demux.register((backend_b.macs[rail], port_b, port_a), a.endpoint, channel_a)
-            backend_b.demux.register((backend_a.macs[rail], port_a, port_b), b.endpoint, channel_b)
+        channel_a, channel_b = connect_pair(a, b, tag_a, tag_b,
+                                            (backend_b.macs[0], port_b, port_a),
+                                            (backend_a.macs[0], port_a, port_b))
+        # frames may arrive on either rail: register the second source MAC too
+        backend_a.demux.register((backend_b.macs[1], port_b, port_a), a.endpoint, channel_a)
+        backend_b.demux.register((backend_a.macs[1], port_a, port_b), b.endpoint, channel_b)
         return channel_a, channel_b

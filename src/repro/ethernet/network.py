@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
-from ..core.channels import EthernetTag, register_channel
+from ..core.channels import EthernetTag, connect_pair
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
 from ..sim import RngRegistry, Simulator, TraceRecorder
@@ -30,19 +30,14 @@ class EthernetChannelService:
     @staticmethod
     def connect(a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """Create a duplex channel; returns channel ids on (a, b)."""
-        backend_a: UNetFeBackend = a.host.backend
-        backend_b: UNetFeBackend = b.host.backend
+        backend_a: UNetFeBackend = a.backend
+        backend_b: UNetFeBackend = b.backend
         port_a = backend_a.allocate_port()
         port_b = backend_b.allocate_port()
-        channel_a = len(a.endpoint.channels)
-        channel_b = len(b.endpoint.channels)
         tag_a = EthernetTag(dst_mac=backend_b.mac, dst_port=port_b, src_mac=backend_a.mac, src_port=port_a)
         tag_b = EthernetTag(dst_mac=backend_a.mac, dst_port=port_a, src_mac=backend_b.mac, src_port=port_b)
-        register_channel(a.endpoint, channel_a, tag_a, peer=b.host.name)
-        register_channel(b.endpoint, channel_b, tag_b, peer=a.host.name)
-        backend_a.demux.register((backend_b.mac, port_b, port_a), a.endpoint, channel_a)
-        backend_b.demux.register((backend_a.mac, port_a, port_b), b.endpoint, channel_b)
-        return channel_a, channel_b
+        return connect_pair(a, b, tag_a, tag_b, (backend_b.mac, port_b, port_a),
+                            (backend_a.mac, port_a, port_b))
 
 
 class _FeNetworkBase:
@@ -77,6 +72,16 @@ class _FeNetworkBase:
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         return EthernetChannelService.connect(a, b)
+
+    def collective_edge(self, backend_a: UNetFeBackend, backend_b: UNetFeBackend,
+                        on_a, on_b) -> Tuple[int, int]:
+        """One tree edge of the NIC-resident collectives.  MACs are flat
+        addresses and collective frames ride a reserved U-Net port, so
+        an edge needs no set-up beyond each NIC's handler; returns the
+        addresses (peer MACs) a→b and b→a."""
+        backend_a.register_collective(on_a)
+        backend_b.register_collective(on_b)
+        return backend_b.mac, backend_a.mac
 
 
 class HubNetwork(_FeNetworkBase):
@@ -164,25 +169,20 @@ class RoutedFeNetwork(_FeNetworkBase):
         """IPv4-encapsulated duplex channel, routed if segments differ."""
         from .ip import IpTag  # optional feature
 
-        backend_a: UNetFeBackend = a.host.backend
-        backend_b: UNetFeBackend = b.host.backend
+        backend_a: UNetFeBackend = a.backend
+        backend_b: UNetFeBackend = b.backend
         udp_a = self._alloc_udp(backend_a)
         udp_b = self._alloc_udp(backend_b)
         seg_a = self._segment_of[backend_a]
         seg_b = self._segment_of[backend_b]
         next_hop_ab = backend_b.mac if seg_a == seg_b else self.router.port_mac(seg_a)
         next_hop_ba = backend_a.mac if seg_a == seg_b else self.router.port_mac(seg_b)
-        channel_a = len(a.endpoint.channels)
-        channel_b = len(b.endpoint.channels)
         tag_a = IpTag(dst_ip=backend_b.ip_address, dst_udp=udp_b,
                       src_ip=backend_a.ip_address, src_udp=udp_a, next_hop_mac=next_hop_ab)
         tag_b = IpTag(dst_ip=backend_a.ip_address, dst_udp=udp_a,
                       src_ip=backend_b.ip_address, src_udp=udp_b, next_hop_mac=next_hop_ba)
-        register_channel(a.endpoint, channel_a, tag_a, peer=b.host.name)
-        register_channel(b.endpoint, channel_b, tag_b, peer=a.host.name)
-        backend_a.demux.register((backend_b.ip_address, udp_b, udp_a), a.endpoint, channel_a)
-        backend_b.demux.register((backend_a.ip_address, udp_a, udp_b), b.endpoint, channel_b)
-        return channel_a, channel_b
+        return connect_pair(a, b, tag_a, tag_b, (backend_b.ip_address, udp_b, udp_a),
+                            (backend_a.ip_address, udp_a, udp_b))
 
     def _alloc_udp(self, backend: UNetFeBackend) -> int:
         port = self._next_udp[backend]

@@ -23,7 +23,6 @@ from ..core.base import UNetBackend
 from ..core.channels import EthernetTag
 from ..core.descriptors import SMALL_MESSAGE_MAX, RecvDescriptor
 from ..core.endpoint import Endpoint
-from ..core.mux import ShardedDemux
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
 from ..hw.interrupts import InterruptController
@@ -92,6 +91,9 @@ class FeTimings:
 class UNetFeBackend(UNetBackend):
     """U-Net over a DC21140 on one host (kernel + NIC together)."""
 
+    wire_unit = "frame"
+    collective_max_payload = UNET_FE_MAX_PDU
+
     def __init__(
         self,
         sim: Simulator,
@@ -117,7 +119,6 @@ class UNetFeBackend(UNetBackend):
         #: all controllers this kernel services (Beowulf-style bonding
         #: appends a second one; see ethernet.bonding)
         self.nics = [self.nic]
-        self.demux = ShardedDemux(name=f"{name}.demux")
         #: the host processor is one resource: traps and interrupt
         #: handlers serialize on it
         self.kernel_cpu = Resource(sim, capacity=1, name=f"{name}.cpu")
@@ -132,9 +133,6 @@ class UNetFeBackend(UNetBackend):
         self._next_port = 1
         self.messages_sent = 0
         self.messages_received = 0
-        self.no_buffer_drops = 0
-        self.recv_queue_drops = 0
-        self.quarantine_drops = 0
         self.ip_header_drops = 0
 
     # ------------------------------------------------------------------ API
@@ -167,7 +165,9 @@ class UNetFeBackend(UNetBackend):
 
     # ---------------------------------------------------- collective engine
     def register_collective(self, handler) -> None:
-        """Install the NIC-resident collective engine's packet handler."""
+        """Install the NIC-resident collective engine's packet handler
+        (one per interface: the reserved U-Net port tells collective
+        frames apart, so there is no per-edge tag as on ATM)."""
         self.nic.collective_rx = handler
 
     def send_collective(self, dst_mac: MacAddress, payload: bytes) -> None:

@@ -16,17 +16,11 @@ All three expose the ``add_host``/``connect`` surface
 cluster substrates ``atm-clos``, ``fe-clos``, and ``mixed``.
 """
 
-from .atm_clos import ClosAtmFabric
-from .fe_clos import ClosFeNetwork
-from .mixed import MixedFabric
-from .topology import Topology, clos_topology, leaves_for, linear_topology
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Topology",
-    "linear_topology",
-    "clos_topology",
-    "leaves_for",
-    "ClosAtmFabric",
-    "ClosFeNetwork",
-    "MixedFabric",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".topology": ("Topology", "linear_topology", "clos_topology", "leaves_for"),
+    ".atm_clos": ("ClosAtmFabric",),
+    ".fe_clos": ("ClosFeNetwork",),
+    ".mixed": ("MixedFabric",),
+})

@@ -17,9 +17,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".inject": (
-        "CellFaultInjector", "CellPipeline", "FrameFaultInjector",
-        "FramePipeline", "PerturbationPipeline", "attach_pipeline",
-        "corrupt_cell", "corrupt_frame",
+        "CellPipeline", "FramePipeline", "PerturbationPipeline",
+        "attach_pipeline", "corrupt_cell", "corrupt_frame",
     ),
     ".perturb": (
         "BottleneckQueue", "Corrupt", "DelayJitter", "Duplicate",

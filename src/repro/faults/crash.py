@@ -253,14 +253,13 @@ class ChainedStage:
                 stage.reset()
 
 
+_STAGES = {"cell": CellLifecycleStage, "frame": FrameLifecycleStage}
+
+
 def lifecycle_stage_factory(backend, events: Sequence[LifecycleFault],
                             fire: Callable[[LifecycleFault, float], None]):
-    """The right lifecycle stage for ``backend``'s substrate."""
-    if hasattr(backend, "on_cell"):
-        return CellLifecycleStage(events, fire)
-    if hasattr(backend, "nic"):
-        return FrameLifecycleStage(events, fire)
-    if hasattr(backend, "frame_header_size"):
+    """The right lifecycle stage for ``backend``'s wire unit."""
+    if backend.wire_unit == "datagram":
         return DatagramLifecycleStage(events, fire,
                                       header_size=backend.frame_header_size)
-    raise TypeError(f"no known substrate for backend {backend!r}")
+    return _STAGES[backend.wire_unit](events, fire)

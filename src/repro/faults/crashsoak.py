@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..am import AmConfig
+from ..am.core import handshake_settled
 from ..artifact import Artifact
 from ..core.errors import UNetError
 from ..sim import Simulator
@@ -296,14 +297,9 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
             return sim.now
         # settle: every admitted send needs a fate and the handshake
         # must be closed before the run may call itself complete
-        while True:
-            snap0 = am0.snapshot().get(1, {})
-            snap1 = am1.snapshot().get(0, {})
-            if (not snap0.get("unacked") and not snap0.get("reconnecting")
-                    and not snap1.get("reconnecting")
-                    and len(ledger.crash_times) >= scenario.crashes
-                    and not am1.crashed):
-                break
+        while not (handshake_settled(am0, am1)
+                   and len(ledger.crash_times) >= scenario.crashes
+                   and not am1.crashed):
             yield 200.0
         return sim.now
 
@@ -411,10 +407,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         def settled() -> bool:
             if state["crash_idx"] < scenario.crashes or state["restart_at"] is not None:
                 return False
-            snap0 = am0.snapshot().get(1, {})
-            snap1 = am1.snapshot().get(0, {})
-            return (not snap0.get("unacked") and not snap0.get("reconnecting")
-                    and not snap1.get("reconnecting") and not am1.crashed)
+            return handshake_settled(am0, am1) and not am1.crashed
 
         if completed:
             while clock.now_us() < deadline and not settled():

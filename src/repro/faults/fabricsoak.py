@@ -207,31 +207,21 @@ def _contribution(seed: int, node: int, rnd: int) -> int:
 
 
 def _build(scenario: FabricScenario, sim: Simulator):
-    from ..collectives import wire_atm_collectives, wire_fe_collectives
+    from ..collectives import wire_collectives
     from ..fabric import ClosAtmFabric, ClosFeNetwork
     from ..hw import PENTIUM_120
 
-    if scenario.fabric == "atm-clos":
-        fabric = ClosAtmFabric(sim, leaves=scenario.leaves,
-                               spines=scenario.spines,
-                               hosts_per_leaf=scenario.hosts_per_leaf)
-        hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
-                 for i in range(scenario.nodes)]
-        engines, group = wire_atm_collectives(fabric, hosts,
-                                              fanout=scenario.fanout,
-                                              healing=True)
-    elif scenario.fabric == "fe-clos":
-        fabric = ClosFeNetwork(sim, leaves=scenario.leaves,
-                               spines=scenario.spines,
-                               hosts_per_leaf=scenario.hosts_per_leaf)
-        hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
-                 for i in range(scenario.nodes)]
-        engines, group = wire_fe_collectives(fabric, hosts,
-                                             fanout=scenario.fanout,
-                                             healing=True)
-    else:
+    builders = {"atm-clos": ClosAtmFabric, "fe-clos": ClosFeNetwork}
+    if scenario.fabric not in builders:
         raise ValueError(f"unknown fabric {scenario.fabric!r} "
                          f"(atm-clos, fe-clos)")
+    fabric = builders[scenario.fabric](sim, leaves=scenario.leaves,
+                                       spines=scenario.spines,
+                                       hosts_per_leaf=scenario.hosts_per_leaf)
+    hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
+             for i in range(scenario.nodes)]
+    engines, group = wire_collectives(fabric, hosts, fanout=scenario.fanout,
+                                      healing=True)
     return fabric, hosts, engines, group
 
 

@@ -12,9 +12,9 @@ available as a context manager, so tests can scope faults to a block::
         sim.run(until=1_000_000.0)
     # hook restored here
 
-The legacy :class:`FrameFaultInjector`/:class:`CellFaultInjector`
-(drop/corrupt with a single RNG roll, primary NIC only) live on
-unchanged for existing callers — now detachable the same way.
+Which hooks a backend exposes is its ``rx_fault_hooks()``; which PDU
+they carry is its declared ``wire_unit``, and that alone picks the
+pipeline class (they differ in how to corrupt a PDU, nothing else).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "attach_pipeline",
     "corrupt_frame",
     "corrupt_cell",
-    "FrameFaultInjector",
-    "CellFaultInjector",
 ]
 
 
@@ -67,10 +65,10 @@ def corrupt_cell(cell, rng: random.Random):
 class PerturbationPipeline:
     """A chain of perturbation stages interposed on delivery hooks.
 
-    Subclasses say where the hooks live (:meth:`_hook_points`) and how to
-    corrupt this substrate's PDU.  Attach happens in the constructor;
-    :meth:`restore` (or leaving the ``with`` block) puts the original
-    hooks back.  Stage order is pipeline order: a PDU surviving stage
+    The backend says where the hooks live (:meth:`_hook_points`) and
+    subclasses how to corrupt this substrate's PDU.  Attach happens in
+    the constructor; :meth:`restore` (or leaving the ``with`` block)
+    puts the original hooks back.  Stage order is pipeline order: a PDU surviving stage
     *i* feeds stage *i+1*; delays accumulate and are paid once at the
     end, preserving each stage's view of arrival time.
     """
@@ -98,7 +96,9 @@ class PerturbationPipeline:
 
     # ------------------------------------------------------------ lifecycle
     def _hook_points(self) -> List[Tuple[object, str]]:
-        raise NotImplementedError
+        """``(owner, attribute)`` pairs to interpose on: one per
+        controller, so bonded dual-NIC hosts are perturbed on both rails."""
+        return self.backend.rx_fault_hooks()
 
     @property
     def attached(self) -> bool:
@@ -172,18 +172,9 @@ class PerturbationPipeline:
 
 
 class FramePipeline(PerturbationPipeline):
-    """Perturb Ethernet frames arriving at one host's NIC(s).
-
-    Interposes on every controller the kernel services, so Beowulf-style
-    bonded (dual-NIC) backends are perturbed on both rails.
-    """
+    """Perturb Ethernet frames arriving at one host's NIC(s)."""
 
     _corrupter = staticmethod(corrupt_frame)
-
-    def _hook_points(self) -> List[Tuple[object, str]]:
-        if hasattr(self.backend, "rx_fault_hooks"):
-            return list(self.backend.rx_fault_hooks())
-        return [(nic, "_on_frame") for nic in getattr(self.backend, "nics", [self.backend.nic])]
 
 
 class CellPipeline(PerturbationPipeline):
@@ -191,10 +182,8 @@ class CellPipeline(PerturbationPipeline):
 
     _corrupter = staticmethod(corrupt_cell)
 
-    def _hook_points(self) -> List[Tuple[object, str]]:
-        if hasattr(self.backend, "rx_fault_hooks"):
-            return list(self.backend.rx_fault_hooks())
-        return [(self.backend, "on_cell")]
+
+_PIPELINES = {"frame": FramePipeline, "cell": CellPipeline}
 
 
 def attach_pipeline(
@@ -204,116 +193,7 @@ def attach_pipeline(
     prefix: str = "faults",
 ) -> PerturbationPipeline:
     """Attach ``perturbations`` to ``backend``, whichever substrate it is."""
-    if hasattr(backend, "on_cell"):
-        return CellPipeline(backend, perturbations, rng=rng, prefix=prefix)
-    if hasattr(backend, "nic"):
-        return FramePipeline(backend, perturbations, rng=rng, prefix=prefix)
-    raise TypeError(f"no known delivery hook on backend {backend!r}")
-
-
-class _LegacyInjector:
-    """Shared machinery of the original drop/corrupt injectors.
-
-    One RNG roll per PDU decides its fate (``roll < drop_rate`` drops,
-    ``roll < drop_rate + corrupt_rate`` corrupts) — kept bit-for-bit so
-    seeded tests written against the original injectors see identical
-    fault patterns.
-    """
-
-    _corrupter = None
-
-    def __init__(
-        self,
-        backend,
-        drop_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        rng: Optional[RngRegistry] = None,
-        stream: str = "faults",
-    ) -> None:
-        if not 0.0 <= drop_rate <= 1.0 or not 0.0 <= corrupt_rate <= 1.0:
-            raise ValueError("rates must be within [0, 1]")
-        self.backend = backend
-        self.drop_rate = drop_rate
-        self.corrupt_rate = corrupt_rate
-        self.rng = (rng or RngRegistry()).stream(stream)
-        self.dropped = 0
-        self.corrupted = 0
-        self._saved = None
-        self.attach()
-
-    def _hook_point(self) -> Tuple[object, str]:
-        raise NotImplementedError
-
-    @property
-    def attached(self) -> bool:
-        return self._saved is not None
-
-    def attach(self) -> "_LegacyInjector":
-        if self._saved is None:
-            owner, attr = self._hook_point()
-            original = getattr(owner, attr)
-            self._saved = (owner, attr, original, attr in vars(owner))
-            self._original = original
-            setattr(owner, attr, self._interpose)
-        return self
-
-    def restore(self) -> None:
-        """Uninstall the injector (idempotent)."""
-        if self._saved is None:
-            return
-        owner, attr, original, shadowed = self._saved
-        if shadowed:
-            setattr(owner, attr, original)
-        else:
-            delattr(owner, attr)
-        self._saved = None
-
-    #: historical name
-    remove = restore
-
-    def __enter__(self) -> "_LegacyInjector":
-        return self.attach()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.restore()
-
-    def _interpose(self, pdu) -> None:
-        roll = self.rng.random()
-        if roll < self.drop_rate:
-            self.dropped += 1
-            return
-        if roll < self.drop_rate + self.corrupt_rate:
-            pdu = type(self)._corrupter(pdu, self.rng)
-            self.corrupted += 1
-        self._original(pdu)
-
-
-class FrameFaultInjector(_LegacyInjector):
-    """Drops and/or corrupts Ethernet frames arriving at one NIC.
-
-    Corrupted frames are flagged (and their bytes damaged); the DC21140's
-    hardware CRC checker then rejects them, so to the layers above a
-    corruption is indistinguishable from a loss — as on real Ethernet.
-    """
-
-    _corrupter = staticmethod(corrupt_frame)
-
-    def __init__(self, backend, drop_rate: float = 0.0, corrupt_rate: float = 0.0,
-                 rng: Optional[RngRegistry] = None, stream: str = "faults.frames") -> None:
-        super().__init__(backend, drop_rate, corrupt_rate, rng=rng, stream=stream)
-
-    def _hook_point(self) -> Tuple[object, str]:
-        return (self.backend.nic, "_on_frame")
-
-
-class CellFaultInjector(_LegacyInjector):
-    """Drops and/or corrupts ATM cells arriving at one PCA-200."""
-
-    _corrupter = staticmethod(corrupt_cell)
-
-    def __init__(self, backend, drop_rate: float = 0.0, corrupt_rate: float = 0.0,
-                 rng: Optional[RngRegistry] = None, stream: str = "faults.cells") -> None:
-        super().__init__(backend, drop_rate, corrupt_rate, rng=rng, stream=stream)
-
-    def _hook_point(self) -> Tuple[object, str]:
-        return (self.backend, "on_cell")
+    pipeline = _PIPELINES.get(backend.wire_unit)
+    if pipeline is None:
+        raise TypeError(f"no delivery hook to perturb {backend.wire_unit}s at ({backend!r})")
+    return pipeline(backend, perturbations, rng=rng, prefix=prefix)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..artifact import Artifact
 from ..core import EndpointConfig
@@ -224,6 +224,9 @@ class _HostState:
     backend: object
     admission: AdmissionController
     monitor: HealthMonitor
+    #: the host's application-side endpoint constructor
+    #: (``Host.create_endpoint`` / ``LiveBackend.create_user_endpoint``)
+    create_endpoint: Callable
     by_class: Dict[str, List[_Tenant]] = field(default_factory=dict)
     rr: Dict[str, int] = field(default_factory=dict)
     budget: int = 1
@@ -381,13 +384,21 @@ def _record_echo(t: _Tenant, data: bytes, now: float) -> None:
     t.rtt_samples.append(now - sent_at)
 
 
-# ------------------------------------------------------------------ simulation
-def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
-    from ..hw import PENTIUM_120
+# ------------------------------------------------------------------ population
+def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
+              connect: Callable, manual: bool):
+    """Build one run's population, on any substrate.
 
-    sim = Simulator()
+    Receive hosts with admission control and a health monitor each,
+    sender hosts, then every tenant in index order — admitted (endpoint
+    pair, channel pair, health record) or refused — and the churn fates
+    drawn over the admitted.  ``add_node(name)`` attaches a host and
+    returns ``(backend, create_endpoint)``; ``connect`` is the network's
+    channel service; ``manual`` says whether the runner steps the health
+    monitors itself (wall clock) or the simulator does.  Returns
+    ``(aggregator, hosts, tenants, events)``.
+    """
     registry = RngRegistry(seed)
-    net = build_network(scenario.substrate, sim)
     aggregator = ClusterHealthAggregator(
         quorum=scenario.quorum,
         escalate_shed_after=scenario.escalate_shed_after)
@@ -395,20 +406,18 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     hosts: List[_HostState] = []
     arrivals_per_host = int(math.ceil(scenario.tenants / scenario.rx_hosts))
     for i in range(scenario.rx_hosts):
-        h = net.add_host(f"rx{i}", PENTIUM_120)
-        h.backend.admission = AdmissionController(
+        backend, create_endpoint = add_node(f"rx{i}")
+        backend.admission = AdmissionController(
             _admission_config(scenario, arrivals_per_host))
         monitor = HealthMonitor(
-            sim, HealthConfig(policy=POLICY_BACKPRESSURE,
-                              check_period_us=scenario.check_period_us),
-            name=f"rx{i}.health")
-        aggregator.attach_host(h.name, monitor)
-        hosts.append(_HostState(name=h.name, backend=h.backend,
-                                admission=h.backend.admission,
-                                monitor=monitor))
-        hosts[-1]._api_host = h  # noqa: SLF001 - harness-local stash
-    senders = [net.add_host(f"tx{i}", PENTIUM_120)
-               for i in range(scenario.sender_hosts)]
+            backend.sim, HealthConfig(policy=POLICY_BACKPRESSURE,
+                                      check_period_us=scenario.check_period_us),
+            name=f"rx{i}.health", manual=manual)
+        aggregator.attach_host(f"rx{i}", monitor)
+        hosts.append(_HostState(name=f"rx{i}", backend=backend,
+                                admission=backend.admission, monitor=monitor,
+                                create_endpoint=create_endpoint))
+    senders = [add_node(f"tx{i}")[1] for i in range(scenario.sender_hosts)]
 
     tenants: List[_Tenant] = []
     for i in range(scenario.tenants):
@@ -417,15 +426,15 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
         t = _Tenant(index=i, tenant=f"t{i:04d}", qos=qos, host=host.name)
         tenants.append(t)
         try:
-            t.user = host._api_host.create_endpoint(
+            t.user = host.create_endpoint(
                 config=_rx_config(scenario, qos), rx_buffers=2,
                 tenant=t.tenant, qos=qos)
         except AdmissionRejected:
             t.fate = FATE_REJECTED
             continue
-        t.tx_user = senders[i % scenario.sender_hosts].create_endpoint(
+        t.tx_user = senders[i % scenario.sender_hosts](
             config=_TX_CONFIG, rx_buffers=0)
-        t.ch_rx, t.ch_tx = net.connect(t.user, t.tx_user)
+        t.ch_rx, t.ch_tx = connect(t.user, t.tx_user)
         t.record = host.monitor.watch(t.user.endpoint,
                                       config=_health_config(scenario, qos))
         host.add(t)
@@ -433,8 +442,22 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
 
     for host in hosts:
         _set_budget(scenario, host)
+    return aggregator, hosts, tenants, _pick_churn(scenario, tenants, registry)
 
-    events = _pick_churn(scenario, tenants, registry)
+
+# ------------------------------------------------------------------ simulation
+def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
+    from ..hw import PENTIUM_120
+
+    sim = Simulator()
+    net = build_network(scenario.substrate, sim)
+
+    def add_node(name: str):
+        host = net.add_host(name, PENTIUM_120)
+        return host.backend, host.create_endpoint
+
+    aggregator, hosts, tenants, events = _populate(
+        scenario, seed, add_node, net.connect, manual=False)
     t_end = scenario.duration_us
 
     by_sender: Dict[int, List[_Tenant]] = {}
@@ -510,54 +533,15 @@ def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
 
     kind = (available_transport_kinds() or ["udp"])[0]
     clock = WallClock()
-    registry = RngRegistry(seed)
-    aggregator = ClusterHealthAggregator(
-        quorum=scenario.quorum,
-        escalate_shed_after=scenario.escalate_shed_after)
 
     with LiveCluster(lambda name: make_transport(kind, name), clock) as cluster:
-        hosts: List[_HostState] = []
-        arrivals_per_host = int(math.ceil(scenario.tenants / scenario.rx_hosts))
-        for i in range(scenario.rx_hosts):
-            node = cluster.add_node(f"rx{i}")
-            node.admission = AdmissionController(
-                _admission_config(scenario, arrivals_per_host))
-            monitor = HealthMonitor(
-                node.sim, HealthConfig(policy=POLICY_BACKPRESSURE,
-                                       check_period_us=scenario.check_period_us),
-                name=f"rx{i}.health", manual=True)
-            aggregator.attach_host(node.node_name, monitor)
-            hosts.append(_HostState(name=node.node_name, backend=node,
-                                    admission=node.admission, monitor=monitor))
-        senders = [cluster.add_node(f"tx{i}")
-                   for i in range(scenario.sender_hosts)]
+        def add_node(name: str):
+            node = cluster.add_node(name)
+            return node, node.create_user_endpoint
 
-        tenants: List[_Tenant] = []
-        for i in range(scenario.tenants):
-            qos = _QOS_PATTERN[i % len(_QOS_PATTERN)]
-            host = hosts[i % scenario.rx_hosts]
-            t = _Tenant(index=i, tenant=f"t{i:04d}", qos=qos, host=host.name)
-            tenants.append(t)
-            try:
-                t.user = host.backend.create_user_endpoint(
-                    config=_rx_config(scenario, qos), rx_buffers=2,
-                    tenant=t.tenant, qos=qos)
-            except AdmissionRejected:
-                t.fate = FATE_REJECTED
-                continue
-            t.tx_user = senders[i % scenario.sender_hosts].create_user_endpoint(
-                config=_TX_CONFIG, rx_buffers=0)
-            t.ch_rx, t.ch_tx = cluster.connect(t.user, t.tx_user)
-            t.record = host.monitor.watch(t.user.endpoint,
-                                          config=_health_config(scenario, qos))
-            host.add(t)
-            aggregator.note_incarnation(t.tenant, t.incarnation)
-
-        for host in hosts:
-            _set_budget(scenario, host)
-
+        aggregator, hosts, tenants, events = _populate(
+            scenario, seed, add_node, cluster.connect, manual=True)
         admitted = [t for t in tenants if t.admitted]
-        events = _pick_churn(scenario, tenants, registry)
 
         t0 = clock.now_us()
         t_end = t0 + scenario.duration_us

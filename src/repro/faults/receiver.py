@@ -328,7 +328,7 @@ def forge_unknown_traffic(backend, count: int = 1,
     is asynchronous — run the sim, then check the demux counter).
     """
     rng = rng or random.Random(0xF0F6ED)
-    if hasattr(backend, "on_cell"):
+    if backend.wire_unit == "cell":
         from ..atm.cells import Cell
 
         for _ in range(count):

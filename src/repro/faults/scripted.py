@@ -241,12 +241,11 @@ class DatagramScriptedStage(_ScriptedStage):
         return raw[:self._header_size] + mark_ce(raw[self._header_size:])
 
 
+_STAGES = {"cell": CellScriptedStage, "frame": FrameScriptedStage}
+
+
 def scripted_stage_factory(backend, events: Sequence[ScheduledFault]) -> _ScriptedStage:
-    """The right scripted stage for ``backend``'s substrate."""
-    if hasattr(backend, "on_cell"):
-        return CellScriptedStage(events)
-    if hasattr(backend, "nic"):
-        return FrameScriptedStage(events)
-    if hasattr(backend, "frame_header_size"):
+    """The right scripted stage for ``backend``'s wire unit."""
+    if backend.wire_unit == "datagram":
         return DatagramScriptedStage(events, header_size=backend.frame_header_size)
-    raise TypeError(f"no known substrate for backend {backend!r}")
+    return _STAGES[backend.wire_unit](events)

@@ -31,13 +31,13 @@ import heapq
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.api import ReceivedMessage
-from ..core.channels import lookup_channel, register_channel
+from ..core.api import UserEndpointBase
+from ..core.base import UNetBackend
+from ..core.channels import connect_pair, lookup_channel
 from ..core.clock import Clock, ClockShim
 from ..core.descriptors import RecvDescriptor, SendDescriptor, SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint, EndpointConfig
-from ..core.errors import AdmissionRejected, EndpointError, MessageTooLarge
-from ..core.mux import ShardedDemux
+from ..core.errors import EndpointError, MessageTooLarge
 from .bufpool import BufferPool, PooledSlice
 from .doorbell import DEFAULT_DOORBELL_MODE, EventDoorbell, validate_doorbell_mode
 from .transport import LiveTransport, RECV_BATCH
@@ -82,23 +82,28 @@ class LiveTag:
                 f"src=n{self.src_node}:{self.src_port}>")
 
 
-class LiveBackend:
-    """One node: transport socket + demux + endpoints + doorbell loop."""
+class LiveBackend(UNetBackend):
+    """One node: transport socket + demux + endpoints + doorbell loop.
 
-    name = "U-Net/OS"
-    #: lets :func:`repro.faults.scripted.scripted_stage_factory` pick the
-    #: datagram stage and skip the frame header when content-addressing
+    Endpoint lifecycle, admission and drop accounting are
+    :class:`~repro.core.base.UNetBackend`'s, as on the simulated
+    substrates; what U-Net/OS adds is below — the socket, the framing,
+    the doorbell loop and its pools.
+    """
+
+    wire_unit = "datagram"
+    #: what a datagram fault stage skips to reach the AM packet when
+    #: content-addressing
     frame_header_size = FRAME_HEADER_SIZE
 
     def __init__(self, transport: LiveTransport, clock: Clock,
                  node_id: int = 0, node_name: str = "n0",
                  max_pdu: int = DEFAULT_MAX_PDU,
                  doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> None:
+        super().__init__(ClockShim(clock), node_name)
         self.transport = transport
         self.clock = clock
-        self.sim = ClockShim(clock)
         self.node_id = node_id
-        self.node_name = node_name
         self._max_pdu = max_pdu
         self.doorbell_mode = validate_doorbell_mode(doorbell_mode)
         #: zero-copy frame pools, only in batched mode — the busy-poll
@@ -110,24 +115,13 @@ class LiveBackend:
         else:
             self._tx_pool = None
             self._rx_pool = None
-        self.endpoints: List[Endpoint] = []
-        self._next_endpoint_id = 0
         self._next_port = 1
-        self.demux = ShardedDemux(name=f"{node_name}.demux")
         #: optional ingress fault stage (conformance schedules interpose
         #: here, at the framing layer): ``process(raw, now_us, emit)``
         self._ingress_stage = None
         #: (due_us, tiebreak, raw) — datagrams a fault stage delayed
         self._held: List[Tuple[float, int, bytes]] = []
         self._held_count = 0
-        # kernel-level drop accounting (shared DROP_COUNTERS vocabulary)
-        self.recv_queue_drops = 0
-        self.no_buffer_drops = 0
-        self.quarantine_drops = 0
-        self.admission_rejected_drops = 0
-        #: optional :class:`~repro.core.tenancy.AdmissionController`,
-        #: same contract as the simulated backends
-        self.admission = None
         self.closed = False
 
     # -- endpoint lifecycle ------------------------------------------------
@@ -142,41 +136,14 @@ class LiveBackend:
         flushes a whole batch in one ``sendmmsg``."""
         return self._tx_pool is not None
 
-    def create_endpoint(self, config: Optional[EndpointConfig] = None,
-                        owner: str = "", tenant: str = "", qos: str = "") -> Endpoint:
-        if self.admission is not None:
-            from ..core.tenancy import qos_class
-            try:
-                self.admission.admit(tenant, qos_class(qos))
-            except AdmissionRejected:
-                self.admission_rejected_drops += 1
-                raise
-        endpoint = Endpoint(self.sim, self._next_endpoint_id,
-                            config or EndpointConfig(), owner=owner,
-                            tenant=tenant, qos=qos)
-        self._next_endpoint_id += 1
-        self.endpoints.append(endpoint)
-        return endpoint
-
     def create_user_endpoint(self, config: Optional[EndpointConfig] = None,
                              rx_buffers: int = 32, owner: str = "",
                              tenant: str = "", qos: str = "") -> "LiveUserEndpoint":
-        endpoint = self.create_endpoint(config, owner=owner or self.node_name,
+        endpoint = self.create_endpoint(config, owner=owner or self.name,
                                         tenant=tenant, qos=qos)
         user = LiveUserEndpoint(self, endpoint)
         user.donate_rx_buffers(rx_buffers)
         return user
-
-    def destroy_endpoint(self, endpoint: Endpoint) -> None:
-        """Teardown: stop demultiplexing to it; in-flight datagrams for
-        it die at the demux step as unknown tags (protection)."""
-        if endpoint not in self.endpoints:
-            raise EndpointError(
-                f"endpoint {endpoint.id} does not belong to {self.node_name}")
-        self.endpoints.remove(endpoint)
-        self.demux.unregister_endpoint(endpoint)
-        if self.admission is not None:
-            self.admission.release(endpoint.tenant)
 
     def allocate_port(self) -> int:
         port = self._next_port
@@ -324,7 +291,7 @@ class LiveBackend:
             return 0
         if self._rx_pool is None:
             raise EndpointError(
-                f"{self.node_name}: service_fast requires doorbell_mode="
+                f"{self.name}: service_fast requires doorbell_mode="
                 f"'batched' (got {self.doorbell_mode!r})")
         for endpoint in self.endpoints:
             if not endpoint.send_queue.is_empty:
@@ -433,18 +400,6 @@ class LiveBackend:
             return 0
         return 1
 
-    # -- accounting ---------------------------------------------------------
-    def drop_stats(self) -> dict:
-        return {
-            "recv_queue_drops": self.recv_queue_drops,
-            "no_buffer_drops": self.no_buffer_drops,
-            "unknown_tag_drops": self.demux.unknown_tag_drops,
-            "quarantine_drops": self.quarantine_drops,
-            "stale_epoch_drops": sum(ep.stale_epoch_drops for ep in self.endpoints),
-            "peer_dead_drops": sum(ep.peer_dead_drops for ep in self.endpoints),
-            "admission_rejected_drops": self.admission_rejected_drops,
-        }
-
     def close(self) -> None:
         """Idempotent teardown: the socket FD is released exactly once,
         no matter what state the doorbell loop or any armed AM
@@ -455,7 +410,7 @@ class LiveBackend:
         self.transport.close()
 
 
-class LiveUserEndpoint:
+class LiveUserEndpoint(UserEndpointBase):
     """Synchronous application-side wrapper (the live ``UserEndpoint``).
 
     Same contract as :class:`repro.core.api.UserEndpoint` — compose into
@@ -465,20 +420,7 @@ class LiveUserEndpoint:
     """
 
     def __init__(self, backend: LiveBackend, endpoint: Endpoint) -> None:
-        self.backend = backend
-        self.endpoint = endpoint
-        self._tx_inflight: List[Tuple[SendDescriptor, List[int]]] = []
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.backend.destroy_endpoint(self.endpoint)
+        super().__init__(backend, endpoint, backend.name)
 
     # -- sending -----------------------------------------------------------
     def send(self, channel_id: int, payload: bytes, kick: bool = True) -> None:
@@ -602,39 +544,6 @@ class LiveUserEndpoint:
                 f"endpoint {self.endpoint.id}: buffer area exhausted")
         return buf
 
-    def _reclaim_completed(self) -> None:
-        still = []
-        for descriptor, indices in self._tx_inflight:
-            if descriptor.completed:
-                for idx in indices:
-                    self.endpoint.buffers.free(self.endpoint.buffers.buffer(idx))
-            else:
-                still.append((descriptor, indices))
-        self._tx_inflight[:] = still
-
-    # -- receiving ---------------------------------------------------------
-    def donate_rx_buffers(self, count: int) -> None:
-        for _ in range(count):
-            buf = self.endpoint.buffers.try_alloc()
-            if buf is None:
-                raise EndpointError(
-                    "buffer area exhausted while donating receive buffers")
-            self.endpoint.donate_free_buffer(buf.index)
-
-    def poll(self) -> Optional[ReceivedMessage]:
-        descriptor = self.endpoint.poll_receive()
-        if descriptor is None:
-            return None
-        return self._consume(descriptor)
-
-    def _consume(self, descriptor: RecvDescriptor) -> ReceivedMessage:
-        data = self.endpoint.read_message(descriptor)
-        self.endpoint.recycle(descriptor)
-        binding = self.endpoint.channels.get(descriptor.channel_id)
-        if binding is not None:
-            binding.messages_received += 1
-        return ReceivedMessage(descriptor.channel_id, data, descriptor.timestamp)
-
 
 class LiveCluster:
     """N live nodes in one process, serviced by one polling loop.
@@ -676,19 +585,11 @@ class LiveCluster:
         """
         node_a, node_b = a.backend, b.backend
         port_a, port_b = node_a.allocate_port(), node_b.allocate_port()
-        ch_a = len(a.endpoint.channels)
-        ch_b = len(b.endpoint.channels)
-        register_channel(a.endpoint, ch_a,
-                         LiveTag(node_b.transport.address, port_b,
-                                 node_a.node_id, port_a),
-                         peer=node_b.node_name)
-        register_channel(b.endpoint, ch_b,
-                         LiveTag(node_a.transport.address, port_a,
-                                 node_b.node_id, port_b),
-                         peer=node_a.node_name)
-        node_a.demux.register((port_a, node_b.node_id, port_b), a.endpoint, ch_a)
-        node_b.demux.register((port_b, node_a.node_id, port_a), b.endpoint, ch_b)
-        return ch_a, ch_b
+        return connect_pair(
+            a, b,
+            LiveTag(node_b.transport.address, port_b, node_a.node_id, port_a),
+            LiveTag(node_a.transport.address, port_a, node_b.node_id, port_b),
+            (port_a, node_b.node_id, port_b), (port_b, node_a.node_id, port_a))
 
     def step(self) -> int:
         """Service every node once; returns datagrams delivered."""

@@ -23,17 +23,17 @@ on a wall-clock execution.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..am.am import AmError
-from ..conformance.checker import inject_bug
-from ..conformance.observe import ObservationProbe, ObservedTrace
+from ..conformance.checker import CaseRig, inject_bug
+from ..conformance.observe import ObservedTrace
 from ..conformance.schedule import ConformanceCase
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..core.substrates import register_substrate
-from ..faults.crash import ChainedStage, EndpointLifecycle, lifecycle_stage_factory
-from ..faults.scripted import scripted_stage_factory
+from ..faults.crash import ChainedStage
+from ..faults.stream import stream_payload
 from .am import LiveAm
 from .backend import LiveCluster
 from .clock import WallClock
@@ -49,11 +49,6 @@ _DRAIN_US = 500_000.0
 
 
 # ------------------------------------------------------------------- running
-def _payload(i: int, size: int) -> bytes:
-    # must match the checker's workload payloads byte-for-byte
-    return bytes((i + j) % 256 for j in range(size))
-
-
 def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
                   bug: Optional[str] = None,
                   doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> ObservedTrace:
@@ -86,47 +81,15 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
 
-        name = f"live-{transport_kind}"
-        probe = ObservationProbe(name, requester_node=0,
-                                 config_window=am0.config.window)
-        probe.attach_am(am0)
-        probe.attach_am(am1)
-        probe.attach_endpoint(ep0.endpoint)
-        probe.attach_endpoint(ep1.endpoint)
-        probe.attach_demux(n0.demux)
-        probe.attach_demux(n1.demux)
-
-        # same keying as the simulated substrates: the stage at n1 sees
-        # the request path, the one at n0 the reply path
-        fwd_stage = scripted_stage_factory(n1, case.fwd_faults())
-        rev_stage = scripted_stage_factory(n0, case.rev_faults())
-        fwd_stage.reset()
-        rev_stage.reset()
-        fwd_events = case.fwd_lifecycle()
-        fwd_life = None
-        if fwd_events:
-            lifecycle = EndpointLifecycle(crash=am1.crash, restart=am1.restart)
-            fwd_life = lifecycle_stage_factory(n1, fwd_events, lifecycle.fire)
-            fwd_life.reset()
-        # one ingress slot on the live backend: chain scripted faults
-        # first so a scripted drop never fires a lifecycle trigger
-        n1.install_ingress_stage(ChainedStage(fwd_stage, fwd_life))
-        n0.install_ingress_stage(rev_stage)
-
-        integrity_failures: List[int] = []
-        rpc_errors: List[str] = []
-
-        def handler(ctx) -> None:
-            i = ctx.args[0]
-            if (ctx.data != _payload(i, len(ctx.data))
-                    or len(ctx.data) != case.messages[i].size):
-                integrity_failures.append(i)
+        rig = CaseRig(case, f"live-{transport_kind}", am0, am1, n0, n1)
+        # one ingress slot on the live backend: chain node 1's stages
+        n1.install_ingress_stage(ChainedStage(*rig.fwd_stages))
+        n0.install_ingress_stage(rig.rev_stage)
 
         def rpc_handler(ctx) -> None:
-            handler(ctx)
+            rig.check_payload(ctx)
             ctx.reply(args=(ctx.args[0] * 2 + 1,))
 
-        am1.register_handler(1, handler)
         am1.register_handler(2, rpc_handler)
 
         def pump() -> None:
@@ -145,13 +108,11 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
                 remaining = deadline - clock.now_us()
                 if remaining <= 0:
                     raise AmError("wall-clock limit reached")
-                data = _payload(i, message.size)
+                data = stream_payload(i, message.size)
                 if message.rpc:
                     args, _d = am0.rpc(1, 2, args=(i,), data=data,
                                        pump=pump, limit_us=remaining)
-                    if args[0] != i * 2 + 1:
-                        rpc_errors.append(
-                            f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+                    rig.check_reply(i, args)
                 else:
                     am0.request(1, 1, args=(i,), data=data,
                                 pump=pump, limit_us=remaining)
@@ -160,22 +121,10 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
             # refused the remaining sends: either way, incomplete
             completed = False
 
-        def settled() -> bool:
-            """Crash cases end at fate resolution, not at the last send:
-            every lifecycle event fired, no send still awaiting a fate,
-            and neither side mid-handshake."""
-            if fwd_life is not None and len(fwd_life.fired) < len(fwd_events):
-                return False
-            s0 = am0.snapshot().get(1)
-            if s0 and (s0["unacked"] or s0["reconnecting"]):
-                return False
-            s1 = am1.snapshot().get(0)
-            return not (s1 and s1["reconnecting"])
-
         if completed and case.lifecycle:
-            while clock.now_us() < deadline and not settled():
+            while clock.now_us() < deadline and not rig.settled():
                 pump()
-            completed = settled()
+            completed = rig.settled()
         completion = clock.now_us() if completed else limit_us
         if completed:
             drain_deadline = min(deadline, clock.now_us() + _DRAIN_US)
@@ -187,34 +136,7 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
             am1.shutdown()
             pump()
 
-        for line in rpc_errors:
-            probe.violations.append(f"rpc: {line}")
-        if integrity_failures:
-            probe.violations.append(
-                f"integrity: corrupted payload reached the handler for ids "
-                f"{sorted(set(integrity_failures))[:8]}")
-
-        snapshots = {"am0": am0.snapshot(), "am1": am1.snapshot()}
-        trace = probe.finish(completed, completion,
-                             fired=fwd_stage.fired + rev_stage.fired,
-                             snapshots=snapshots,
-                             lifecycle_fired=(fwd_life.fired
-                                              if fwd_life is not None else ()))
-        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
-                             for p in snap.values())
-        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
-                                  for p in snap.values())
-        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
-                              for p in snap.values())
-        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
-                               for p in snap.values())
-        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
-                                 for p in snap.values())
-        return trace
+        return rig.finish(completed, completion)
 
 
 # -------------------------------------------------------------- registration

@@ -121,8 +121,10 @@ class Cluster:
         self.network = self._build_network(substrate, switch_model, atm_phy)
         if endpoint_config is None:
             endpoint_config = ENDPOINT_CONFIG if n <= LEAN_THRESHOLD else _lean_endpoint_config(n)
+        # the ATM hosts' fibers run the cluster's PHY, like its trunks
+        host_kwargs = {"phy": atm_phy} if substrate in ("atm", "atm-clos") else {}
         self.hosts: List[Host] = [
-            self.network.add_host(f"node{i}", self.cpus[i]) for i in range(n)
+            self.network.add_host(f"node{i}", self.cpus[i], **host_kwargs) for i in range(n)
         ]
         self.endpoints: List[UserEndpoint] = [
             host.create_endpoint(config=endpoint_config, rx_buffers=RX_BUFFERS) for host in self.hosts
@@ -181,19 +183,13 @@ class Cluster:
             return ClosFeNetwork(self.sim, leaves=leaves, spines=spines,
                                  hosts_per_leaf=per_leaf, model=switch_model)
         if substrate == "atm":
-            network = AtmNetwork(self.sim)
-            original_add = network.add_host
-            network.add_host = lambda name, cpu: original_add(name, cpu, phy=atm_phy)
-            return network
+            return AtmNetwork(self.sim)
         if substrate == "atm-clos":
             from ..fabric import ClosAtmFabric
 
             leaves, spines, per_leaf = _clos_shape(self.n)
-            fabric = ClosAtmFabric(self.sim, leaves=leaves, spines=spines,
-                                   hosts_per_leaf=per_leaf, trunk_phy=atm_phy)
-            original_add = fabric.add_host
-            fabric.add_host = lambda name, cpu: original_add(name, cpu, phy=atm_phy)
-            return fabric
+            return ClosAtmFabric(self.sim, leaves=leaves, spines=spines,
+                                 hosts_per_leaf=per_leaf, trunk_phy=atm_phy)
         if substrate == "mixed":
             from ..fabric import MixedFabric
 
@@ -202,16 +198,14 @@ class Cluster:
         raise ValueError(f"unknown substrate {substrate!r} {self.SUBSTRATES}")
 
     def _wire_collectives(self, fanout: int):
-        from ..collectives import wire_atm_collectives, wire_fe_collectives
+        from ..collectives import wire_collectives
 
-        if self.substrate in ("atm", "atm-clos"):
-            return wire_atm_collectives(self.network, self.hosts, fanout=fanout)
-        if self.substrate in ("fe-hub", "fe-switch", "fe-clos"):
-            return wire_fe_collectives(self.network, self.hosts, fanout=fanout)
-        raise ValueError(
-            f"collectives='nic' is not supported on substrate {self.substrate!r} "
-            "(the engine cannot span the mixed relay or bonded rails)"
-        )
+        if not hasattr(self.network, "collective_edge"):
+            raise ValueError(
+                f"collectives='nic' is not supported on substrate {self.substrate!r} "
+                "(the engine cannot span the mixed relay or bonded rails)"
+            )
+        return wire_collectives(self.network, self.hosts, fanout=fanout)
 
     # ---------------------------------------------------------------- run
     def run(self, program: Callable[[SplitCRuntime], Generator], limit: float = 5e9) -> List[Any]:

@@ -61,15 +61,15 @@ def test_rpc_across_wrap_point():
 
 def test_retransmission_across_wrap_point():
     from repro.am import AmConfig
-    from repro.faults import FrameFaultInjector
+    from repro.faults import UniformLoss, attach_pipeline
     from repro.sim import RngRegistry
 
     sim, am0, am1 = _pair(SEQ_MOD - 3)
     am0.config = AmConfig(retransmit_timeout_us=300.0)
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
-    injector = FrameFaultInjector(am1.user.host.backend, drop_rate=0.3,
-                                  rng=RngRegistry(21))
+    loss = UniformLoss(0.3)
+    attach_pipeline(am1.user.host.backend, [loss], rng=RngRegistry(21))
 
     def tx():
         for i in range(12):
@@ -77,7 +77,7 @@ def test_retransmission_across_wrap_point():
 
     sim.process(tx())
     sim.run(until=5_000_000.0)
-    assert injector.dropped > 0
+    assert loss.dropped > 0
     assert seen == list(range(12))
 
 

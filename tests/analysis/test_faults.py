@@ -1,4 +1,4 @@
-"""Tests for the fault-injection wrappers."""
+"""Drop and corrupt faults through the perturbation pipeline, end to end."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.am import AmConfig, AmEndpoint
 from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
 from repro.ethernet import HubNetwork
-from repro.faults import CellFaultInjector, FrameFaultInjector
+from repro.faults import Corrupt, UniformLoss, attach_pipeline
 from repro.hw import PENTIUM_120
 from repro.sim import RngRegistry, Simulator
 
@@ -32,8 +32,8 @@ def test_frame_drops_are_deterministic_per_seed():
     def run(seed):
         sim = Simulator()
         am0, am1 = _fe_am_pair(sim)
-        injector = FrameFaultInjector(am1.user.host.backend, drop_rate=0.3,
-                                      rng=RngRegistry(seed))
+        loss = UniformLoss(0.3)
+        attach_pipeline(am1.user.host.backend, [loss], rng=RngRegistry(seed))
         seen = []
         am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
 
@@ -43,7 +43,7 @@ def test_frame_drops_are_deterministic_per_seed():
 
         sim.process(tx())
         sim.run(until=5_000_000.0)
-        return injector.dropped, seen
+        return loss.dropped, seen
 
     dropped_a, seen_a = run(42)
     dropped_b, seen_b = run(42)
@@ -54,8 +54,8 @@ def test_frame_drops_are_deterministic_per_seed():
 def test_frame_injector_remove_restores_path():
     sim = Simulator()
     am0, am1 = _fe_am_pair(sim)
-    injector = FrameFaultInjector(am1.user.host.backend, drop_rate=1.0)
-    injector.remove()
+    loss = UniformLoss(1.0)
+    attach_pipeline(am1.user.host.backend, [loss]).remove()
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(True))
 
@@ -65,14 +65,14 @@ def test_frame_injector_remove_restores_path():
     sim.process(tx())
     sim.run(until=100_000.0)
     assert seen == [True]
-    assert injector.dropped == 0
+    assert loss.dropped == 0
 
 
 def test_invalid_rates_rejected():
-    sim = Simulator()
-    am0, am1 = _fe_am_pair(sim)
     with pytest.raises(ValueError):
-        FrameFaultInjector(am1.user.host.backend, drop_rate=1.5)
+        UniformLoss(1.5)
+    with pytest.raises(ValueError):
+        Corrupt(-0.1)
 
 
 def test_cell_corruption_detected_by_aal5_crc():
@@ -84,14 +84,15 @@ def test_cell_corruption_detected_by_aal5_crc():
     ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
     ch0, ch1 = net.connect(ep0, ep1)
     backend1 = ep1.host.backend
-    injector = CellFaultInjector(backend1, corrupt_rate=1.0)
+    corrupt = Corrupt(1.0)
+    attach_pipeline(backend1, [corrupt])
 
     def tx():
         yield from ep0.send(ch0, b"m" * 300)
 
     sim.process(tx())
     sim.run()
-    assert injector.corrupted > 0
+    assert corrupt.corrupted > 0
     assert backend1.crc_errors >= 1  # the CRC caught every corrupted PDU
     assert ep1.endpoint.recv_queue.is_empty
 
@@ -108,7 +109,8 @@ def test_cell_loss_recovered_by_am():
     am0, am1 = AmEndpoint(0, ep0, config=cfg), AmEndpoint(1, ep1, config=cfg)
     am0.connect_peer(1, ch0)
     am1.connect_peer(0, ch1)
-    injector = CellFaultInjector(am1.user.host.backend, drop_rate=0.15, rng=RngRegistry(9))
+    loss = UniformLoss(0.15)
+    attach_pipeline(am1.user.host.backend, [loss], rng=RngRegistry(9))
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
 
@@ -118,7 +120,7 @@ def test_cell_loss_recovered_by_am():
 
     sim.process(tx())
     sim.run(until=20_000_000.0)
-    assert injector.dropped > 0
+    assert loss.dropped > 0
     assert seen == list(range(15))
 
 
@@ -143,8 +145,8 @@ def test_corrupted_frames_dropped_by_nic_crc_and_recovered():
     sim = Simulator()
     am0, am1 = _fe_am_pair(sim)
     am0.config = AmConfig(retransmit_timeout_us=300.0)
-    injector = FrameFaultInjector(am1.user.host.backend, corrupt_rate=0.3,
-                                  rng=RngRegistry(5))
+    corrupt = Corrupt(0.3)
+    attach_pipeline(am1.user.host.backend, [corrupt], rng=RngRegistry(5))
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
 
@@ -155,6 +157,6 @@ def test_corrupted_frames_dropped_by_nic_crc_and_recovered():
     sim.process(tx())
     sim.run(until=10_000_000.0)
     nic = am1.user.host.backend.nic
-    assert injector.corrupted > 0
-    assert nic.rx_crc_drops == injector.corrupted  # hardware CRC caught all
+    assert corrupt.corrupted > 0
+    assert nic.rx_crc_drops == corrupt.corrupted  # hardware CRC caught all
     assert seen == list(range(15))  # retransmission repaired the stream

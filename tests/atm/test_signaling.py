@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atm import AtmNetwork
-from repro.atm.signaling import FIRST_USER_VCI
+from repro.atm.fabric import FIRST_USER_VCI
 from repro.core import ChannelError
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator

@@ -293,7 +293,7 @@ def test_collective_sends_are_serialised_through_the_i960():
     the instants the firmware loop traced them, and arrive in order."""
     sim, a, b, vci = _collective_pair()
     got = []
-    b.register_collective_vci(vci, lambda payload: got.append((sim.now, payload)))
+    b.register_collective(lambda payload: got.append((sim.now, payload)), vci)
     payloads = [b"one", b"2" * 100, b"three"]  # 1, 3 and 1 cells
     sim.run()  # firmware loops park
     start = sim.now
@@ -327,7 +327,7 @@ def test_collective_send_shares_the_uplink_with_host_traffic():
     a, b = ep1.host.backend, ep2.host.backend
     vci, _back = net.connect_collective(a, b)
     got = []
-    b.register_collective_vci(vci, got.append)
+    b.register_collective(got.append, vci)
     a.send_collective(vci, b"c" * 400)
     msg = transfer(sim, ep1, ep2, ch1, b"h" * 400)
     sim.run()

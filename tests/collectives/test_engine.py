@@ -10,8 +10,7 @@ import pytest
 from repro.atm.network import AtmNetwork
 from repro.collectives import (
     CollectiveError,
-    wire_atm_collectives,
-    wire_fe_collectives,
+    wire_collectives,
 )
 from repro.ethernet.network import SwitchedNetwork
 from repro.hw import PENTIUM_120, SPARCSTATION_20
@@ -23,11 +22,11 @@ def build(substrate, n, fanout=2):
     if substrate == "atm":
         net = AtmNetwork(sim)
         hosts = [net.add_host(f"n{i}", SPARCSTATION_20) for i in range(n)]
-        engines = wire_atm_collectives(net, hosts, fanout=fanout)
+        engines = wire_collectives(net, hosts, fanout=fanout)
     else:
         net = SwitchedNetwork(sim)
         hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(n)]
-        engines = wire_fe_collectives(net, hosts, fanout=fanout)
+        engines = wire_collectives(net, hosts, fanout=fanout)
     return sim, engines
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.collectives import (
     CollectiveAborted,
     CollectiveError,
-    wire_atm_collectives,
+    wire_collectives,
 )
 from repro.fabric import ClosAtmFabric
 from repro.hw import PENTIUM_120
@@ -20,8 +20,8 @@ def _cluster(leaves=4, spines=2, per_leaf=4, fanout=4):
                            hosts_per_leaf=per_leaf)
     hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
              for i in range(leaves * per_leaf)]
-    engines, group = wire_atm_collectives(fabric, hosts, fanout=fanout,
-                                          healing=True)
+    engines, group = wire_collectives(fabric, hosts, fanout=fanout,
+                                      healing=True)
     return sim, fabric, hosts, engines, group
 
 
@@ -157,3 +157,47 @@ def test_stale_epoch_traffic_is_fenced_not_replayed():
     # every survivor installed the healed epoch exactly once
     assert {e.epochs_installed for n, e in enumerate(engines)
             if n != victim} == {1}
+
+
+def test_fe_clos_healing_holds_no_peer_address_it_has_not_wired():
+    """MACs are flat, but the healing group no longer pre-addresses the
+    full mesh: an adapter knows its tree neighbours, and after a heal
+    the neighbours the re-ranked tree gave it — wired lazily, by the
+    same ``wire_edge`` that did the first wiring."""
+    from repro.collectives.tree import KAryTree
+    from repro.fabric import ClosFeNetwork
+
+    sim = Simulator()
+    net = ClosFeNetwork(sim, leaves=4, spines=2, hosts_per_leaf=4)
+    hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(16)]
+    engines, group = wire_collectives(net, hosts, fanout=4, healing=True)
+
+    def neighbours(tree, members):
+        edges = [(members[tree.parent(rank)], members[rank])
+                 for rank in range(1, len(members))]
+        return {n: {b if a == n else a for a, b in edges if n in (a, b)}
+                for n in members}
+
+    first = neighbours(engines[0].tree, list(range(16)))
+    for engine in engines:
+        assert set(engine.adapter.address) == first[engine.node]
+        assert all(engine.adapter.address[peer] == hosts[peer].backend.mac
+                   for peer in first[engine.node])
+    assert sum(len(e.adapter.address) for e in engines) == 2 * 15  # not 16 * 15
+
+    victim = 1  # an inner node: its children must be re-parented
+    log = {}
+    procs = [_drive(sim, engines, log, n, rounds=3) for n in range(16)]
+
+    def chaos():
+        yield sim.timeout(250.0)
+        engines[victim].crash()
+    sim.process(chaos(), name="healing.chaos")
+    sim.run(until=5_000_000.0)
+    assert all(p.triggered for n, p in enumerate(procs) if n != victim)
+    assert len(group.heals) == 1 and not group.aborted
+
+    survivors = [n for n in range(16) if n != victim]
+    healed = neighbours(KAryTree(15, fanout=4), survivors)
+    for node in survivors:
+        assert set(engines[node].adapter.address) == first[node] | healed[node]

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from repro.atm.network import AtmNetwork
 from repro.collectives import (
     GEN_MOD,
-    wire_atm_collectives,
-    wire_fe_collectives,
+    wire_collectives,
 )
 from repro.collectives.engine import _GenWindow
 from repro.ethernet.network import SwitchedNetwork
@@ -35,11 +34,11 @@ def build(substrate, n, fanout):
     if substrate == "atm":
         net = AtmNetwork(sim)
         hosts = [net.add_host(f"n{i}", SPARCSTATION_20) for i in range(n)]
-        engines = wire_atm_collectives(net, hosts, fanout=fanout)
+        engines = wire_collectives(net, hosts, fanout=fanout)
     else:
         net = SwitchedNetwork(sim)
         hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(n)]
-        engines = wire_fe_collectives(net, hosts, fanout=fanout)
+        engines = wire_collectives(net, hosts, fanout=fanout)
     return sim, engines
 
 
@@ -172,7 +171,7 @@ def test_broadcast_exactly_once_under_trunk_faults(loss_rate, duplicate_rate, se
     sim = Simulator()
     fabric = ClosAtmFabric(sim, leaves=2, spines=2, hosts_per_leaf=4)
     hosts = [fabric.add_host(f"n{i}", SPARCSTATION_20) for i in range(8)]
-    engines = wire_atm_collectives(fabric, hosts, fanout=2)
+    engines = wire_collectives(fabric, hosts, fanout=2)
     pipelines = []
     for a, b in fabric.topology.trunks:
         for src, dst in ((a, b), (b, a)):

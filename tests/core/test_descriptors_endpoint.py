@@ -11,7 +11,7 @@ from repro.core import (
     SendDescriptor,
     register_channel,
 )
-from repro.core.channels import ChannelAllocator, lookup_channel
+from repro.core.channels import lookup_channel
 from repro.sim import Simulator
 
 
@@ -200,11 +200,6 @@ def test_duplicate_channel_rejected():
     register_channel(ep, 1, tag="a")
     with pytest.raises(ChannelError):
         register_channel(ep, 1, tag="b")
-
-
-def test_channel_allocator_monotonic():
-    alloc = ChannelAllocator()
-    assert [alloc.allocate() for _ in range(3)] == [0, 1, 2]
 
 
 def test_ethernet_tag_port_validation():

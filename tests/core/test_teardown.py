@@ -82,5 +82,5 @@ def test_other_endpoints_unaffected_by_close():
 
 def test_destroy_foreign_endpoint_rejected():
     sim, ep1, ep2, ch1, ch2 = _pair(HubNetwork)
-    with pytest.raises(ValueError):
+    with pytest.raises(EndpointError):
         ep1.host.backend.destroy_endpoint(ep2.endpoint)

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.faults import (
-    CellFaultInjector,
     Corrupt,
     DelayJitter,
     Duplicate,
-    FrameFaultInjector,
     FramePipeline,
     GilbertElliott,
     LinkFlap,
@@ -218,37 +216,6 @@ def test_attach_pipeline_picks_the_substrate():
     assert host.backend.on_cell != original
     cell_pipeline.restore()
     assert host.backend.on_cell == original
-
-
-def test_legacy_injectors_restore_and_context_manager():
-    _sim, _h0, h1, *_rest = build_fe_pair()
-    original = h1.backend.nic._on_frame
-    injector = FrameFaultInjector(h1.backend, drop_rate=0.5, rng=RngRegistry(5))
-    assert h1.backend.nic._on_frame != original
-    injector.restore()
-    assert h1.backend.nic._on_frame == original
-    injector.restore()  # idempotent
-    with injector:
-        assert h1.backend.nic._on_frame != original
-    assert h1.backend.nic._on_frame == original
-    # historical spelling still works
-    injector.attach()
-    injector.remove()
-    assert h1.backend.nic._on_frame == original
-
-
-def test_legacy_cell_injector_detaches():
-    from repro.atm import AtmNetwork
-    from repro.hw import PENTIUM_120
-
-    sim = Simulator()
-    atm = AtmNetwork(sim)
-    host = atm.add_host("a0", PENTIUM_120)
-    original = host.backend.on_cell
-    with CellFaultInjector(host.backend, drop_rate=0.3, rng=RngRegistry(9)) as injector:
-        assert host.backend.on_cell != original
-    assert host.backend.on_cell == original
-    assert injector.dropped == 0  # no traffic flowed
 
 
 def test_rx_fault_hooks_cover_every_nic():

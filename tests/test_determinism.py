@@ -447,11 +447,12 @@ def _methods_of(source: str, class_name: str) -> set:
     raise AssertionError(f"class {class_name} not found")
 
 
-def _mirrored(sim_source: str, live_source: str) -> set:
-    """Method names both drivers define, outside the allowlist."""
-    both = (_methods_of(sim_source, "AmEndpoint")
-            & _methods_of(live_source, "LiveAm"))
-    return both - DRIVER_MIRROR_ALLOWLIST
+def _mirrored(sim_source: str, live_source: str, sim_class: str = "AmEndpoint",
+              live_class: str = "LiveAm", allowlist=None) -> set:
+    """Method names both classes define, outside the allowlist."""
+    both = (_methods_of(sim_source, sim_class)
+            & _methods_of(live_source, live_class))
+    return both - (DRIVER_MIRROR_ALLOWLIST if allowlist is None else allowlist)
 
 
 def test_am_drivers_share_only_the_hook_set():
@@ -479,6 +480,88 @@ def test_mirror_lint_catches_a_planted_twin_and_spares_the_hooks():
             "    def service(self): pass\n")
     assert _mirrored(sim, live) == {"_process_ack"}
     assert not _mirrored(sim, live.replace("_process_ack", "_run_timers"))
+
+
+# ------------------------------- one U-Net contract, three substrates
+#: The only method names the simulated and the live application-side
+#: endpoint may both define: what *blocks* (a generator the simulator
+#: schedules vs. a polled call).  Everything that never waits lives
+#: once, on ``core/api.py::UserEndpointBase``.
+ENDPOINT_MIRROR_ALLOWLIST = {
+    "__init__", "send", "kick", "_compose_buffers", "_alloc_tx_buffer",
+}
+#: what ``core/base.py::UNetBackend`` owns: no substrate re-spells the
+#: endpoint lifecycle or the drop vocabulary
+BACKEND_OWNED = {"create_endpoint", "destroy_endpoint", "drop_stats"}
+
+
+def test_user_endpoints_share_only_what_blocks():
+    sim_source = (SRC_ROOT / "core" / "api.py").read_text(encoding="utf-8")
+    live_source = (SRC_ROOT / "live" / "backend.py").read_text(encoding="utf-8")
+    mirrored = _mirrored(sim_source, live_source, "UserEndpoint",
+                         "LiveUserEndpoint", ENDPOINT_MIRROR_ALLOWLIST)
+    assert not mirrored, (
+        "defined on both UserEndpoint and LiveUserEndpoint — if it never "
+        f"waits it belongs on UserEndpointBase: {sorted(mirrored)}")
+    assert ENDPOINT_MIRROR_ALLOWLIST <= (
+        _methods_of(sim_source, "UserEndpoint")
+        & _methods_of(live_source, "LiveUserEndpoint"))  # no stale entries
+
+
+def _is_backend_subclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(base).endswith("Backend") for base in node.bases)
+
+
+def _backend_respellings_in(path: pathlib.Path, source=None):
+    """``Class.method`` for every backend subclass that defines a method
+    ``UNetBackend`` owns."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in filter(_is_backend_subclass, tree.body):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name in BACKEND_OWNED:
+                yield f"{node.name}.{item.name}"
+
+
+def test_no_backend_respells_what_the_contract_owns():
+    sources = sorted(SRC_ROOT.rglob("*.py"))
+    offenders = [hit for path in sources for hit in _backend_respellings_in(path)]
+    assert not offenders, (
+        "inherit it from core/base.py::UNetBackend (a substrate that must "
+        f"differ gets a hook there, not a copy): {offenders}")
+    # the lint sees all three substrates' backends, LiveBackend included
+    seen = {node.name for path in sources
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if _is_backend_subclass(node)}
+    assert {"UNetAtmBackend", "UNetFeBackend", "LiveBackend"} <= seen
+
+
+def test_contract_lints_catch_planted_offenders_and_spare_the_rest():
+    sim = ("class UserEndpoint(UserEndpointBase):\n"
+           "    def send(self): pass\n"
+           "    def poll(self): pass\n"
+           "    def recv(self): pass\n")
+    live = ("class LiveUserEndpoint(UserEndpointBase):\n"
+            "    def send(self): pass\n"
+            "    def poll(self): pass\n"
+            "    def send_burst(self): pass\n")
+    args = ("UserEndpoint", "LiveUserEndpoint", ENDPOINT_MIRROR_ALLOWLIST)
+    assert _mirrored(sim, live, *args) == {"poll"}
+    assert not _mirrored(sim, live.replace("def poll", "def poll_many"), *args)
+    planted = ("class UNetBackend(abc.ABC):\n"
+               "    def drop_stats(self): pass\n"
+               "class GigabitBackend(UNetBackend):\n"
+               "    def kick(self, endpoint): pass\n"
+               "    def drop_stats(self): pass\n"
+               "class BondedBackend(base.GigabitBackend):\n"
+               "    def destroy_endpoint(self, endpoint): pass\n")
+    path = pathlib.Path("planted.py")
+    assert list(_backend_respellings_in(path, source=planted)) == [
+        "GigabitBackend.drop_stats", "BondedBackend.destroy_endpoint"]
+    spared = planted.replace("    def drop_stats(self): pass\nclass Bonded", "class Bonded")
+    spared = spared.replace("destroy_endpoint", "attach_rails")
+    assert not list(_backend_respellings_in(path, source=spared))
 
 
 #: what ``am/core.py`` may never import: it is the sans-I/O half, so no

@@ -1,8 +1,8 @@
 """The import graph: a run pays for the modules it uses, not for its siblings.
 
-Six aggregating ``__init__``s (``repro`` and its ``analysis``,
-``faults``, ``live``, ``conformance`` and ``collectives`` packages)
-export lazily through ``repro._lazy.lazy_exports``: one table per
+Seven aggregating ``__init__``s (``repro`` and its ``analysis``,
+``faults``, ``live``, ``conformance``, ``collectives`` and ``fabric``
+packages) export lazily through ``repro._lazy.lazy_exports``: one table per
 package, each name listed once under its home submodule.  Three things
 are held here.  From a cold interpreter (a fresh ``python -c``, because
 pytest has long since imported everything): the microbenchmarks load no
@@ -25,7 +25,7 @@ import pytest
 from tests.cold_interpreter import run_cold
 
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.faults", "repro.live",
-                 "repro.conformance", "repro.collectives")
+                 "repro.conformance", "repro.collectives", "repro.fabric")
 
 
 # ---------------------------------------------------------- cold interpreter
