@@ -76,7 +76,8 @@ def main() -> None:
               f"({megabits:.0f} Mb/s over the simulated OC-3 link)")
         return tag
 
-    tag = sim.run_until_complete(sim.process(client_program()))
+    with network:  # closed on the way out; counters stay readable
+        tag = sim.run_until_complete(sim.process(client_program()))
     assert blobs[tag] == bytes(range(256)) * 256
     print("bulk blob verified at the server")
     print(f"AM stats: client sent {client.requests_sent} requests, "

@@ -17,9 +17,9 @@ from repro.analysis import (
     FIGURE5_CONFIGS,
     FIGURE6_CONFIGS,
     ascii_plot,
+    bandwidth_series,
     format_table,
-    measure_bandwidth,
-    measure_rtt,
+    rtt_series,
 )
 
 LATENCY_SIZES = [0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498]
@@ -29,8 +29,8 @@ BANDWIDTH_SIZES = [64, 256, 512, 1024, 1498]
 def main() -> None:
     print("=== Round-trip latency (us) — Figure 5 ===")
     latency = {}
-    for name, factory in FIGURE5_CONFIGS.items():
-        latency[name] = [(size, measure_rtt(factory(), size)) for size in LATENCY_SIZES]
+    for name in FIGURE5_CONFIGS:
+        latency[name] = rtt_series(name, LATENCY_SIZES)
     rows = []
     for i, size in enumerate(LATENCY_SIZES):
         rows.append([size] + [latency[name][i][1] for name in FIGURE5_CONFIGS])
@@ -46,8 +46,8 @@ def main() -> None:
     print()
     print("=== One-way bandwidth (Mb/s) — Figure 6 ===")
     bandwidth = {}
-    for name, factory in FIGURE6_CONFIGS.items():
-        bandwidth[name] = [(size, measure_bandwidth(factory(), size)) for size in BANDWIDTH_SIZES]
+    for name in FIGURE6_CONFIGS:
+        bandwidth[name] = bandwidth_series(name, BANDWIDTH_SIZES)
     rows = []
     for i, size in enumerate(BANDWIDTH_SIZES):
         rows.append([size] + [bandwidth[name][i][1] for name in FIGURE6_CONFIGS])

@@ -51,7 +51,8 @@ def main() -> None:
         ep1 = h1.create_endpoint(rx_buffers=16)
         ep2 = h2.create_endpoint(rx_buffers=16)
         ch1, ch2 = fabric.connect(ep1, ep2)
-        rtt = _rtt(sim, ep1, ep2, ch1, ch2)
+        with fabric:
+            rtt = _rtt(sim, ep1, ep2, ch1, ch2)
         print(f"  ATM, {hops} switch(es), network-wide VC:   {rtt:7.1f} us")
 
     for cross in (False, True):
@@ -62,7 +63,8 @@ def main() -> None:
         ep1 = h1.create_endpoint(rx_buffers=16)
         ep2 = h2.create_endpoint(rx_buffers=16)
         ch1, ch2 = net.connect(ep1, ep2)
-        rtt = _rtt(sim, ep1, ep2, ch1, ch2)
+        with net:
+            rtt = _rtt(sim, ep1, ep2, ch1, ch2)
         where = "across the IP router " if cross else "same segment (IP encap)"
         print(f"  FE,  {where}: {rtt:7.1f} us")
         if cross:

@@ -44,7 +44,7 @@ def _build():
     ep_src = src.create_endpoint(config=CONFIG, rx_buffers=64)
     ep_dst = dst.create_endpoint(config=CONFIG, rx_buffers=64)
     ch_src, ch_dst = net.connect(ep_src, ep_dst)
-    return sim, ep_src, ep_dst, ch_src, ch_dst
+    return net, ep_src, ep_dst, ch_src, ch_dst
 
 
 def _record(index: int) -> bytes:
@@ -53,7 +53,8 @@ def _record(index: int) -> bytes:
 
 def stop_and_wait() -> float:
     """One record in flight; every record individually acknowledged."""
-    sim, ep_src, ep_dst, ch_src, ch_dst = _build()
+    net, ep_src, ep_dst, ch_src, ch_dst = _build()
+    sim = net.sim
     received = []
 
     def receiver():
@@ -68,8 +69,9 @@ def stop_and_wait() -> float:
             yield from ep_src.recv()  # wait for the ack
         return sim.now
 
-    sim.process(receiver())
-    end = sim.run_until_complete(sim.process(sender()))
+    with net:  # the machine is closed once the transfer is timed
+        sim.process(receiver())
+        end = sim.run_until_complete(sim.process(sender()))
     assert [struct.unpack("!I", r[:4])[0] for r in received] == list(range(RECORDS))
     return RECORDS * RECORD * 8 / end
 
@@ -82,7 +84,8 @@ def pipelined() -> float:
     sequence bookkeeping entirely — protocol processing tailored to the
     traffic, exactly what user-level networking enables.
     """
-    sim, ep_src, ep_dst, ch_src, ch_dst = _build()
+    net, ep_src, ep_dst, ch_src, ch_dst = _build()
+    sim = net.sim
     received = []
 
     def receiver():
@@ -106,8 +109,9 @@ def pipelined() -> float:
             acked = struct.unpack("!I", message.data)[0]
         return sim.now
 
-    sim.process(receiver())
-    end = sim.run_until_complete(sim.process(sender()))
+    with net:  # the machine is closed once the transfer is timed
+        sim.process(receiver())
+        end = sim.run_until_complete(sim.process(sender()))
     assert [struct.unpack("!I", r[:4])[0] for r in received] == list(range(RECORDS))
     return RECORDS * RECORD * 8 / end
 

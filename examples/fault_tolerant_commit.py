@@ -68,11 +68,12 @@ def build(substrate: str, lossy: bool):
         loss = UniformLoss(0.2)
         attach_pipeline(participants[2][0].user.host.backend, [loss],
                         rng=RngRegistry(13))
-    return sim, coordinator, participants, loss
+    return network, coordinator, participants, loss
 
 
 def run(substrate: str, lossy: bool = False):
-    sim, coordinator, participants, loss = build(substrate, lossy)
+    network, coordinator, participants, loss = build(substrate, lossy)
+    sim = network.sim
     latencies = []
 
     def coordinator_program():
@@ -89,7 +90,8 @@ def run(substrate: str, lossy: bool = False):
                 yield from coordinator.rpc(p + 1, H_COMMIT, args=(txn,))
             latencies.append(sim.now - t0)
 
-    sim.run_until_complete(sim.process(coordinator_program()))
+    with network:  # closed on the way out; participants' state stays readable
+        sim.run_until_complete(sim.process(coordinator_program()))
     for _am, state in participants:
         assert state["committed"] == set(range(ROUNDS))  # consistency held
     dropped = loss.dropped if loss else 0

@@ -75,9 +75,10 @@ def run_workload(substrate: str) -> float:
 
         return proc
 
-    processes = [sim.process(client_program(am, c)()) for c, am in enumerate(clients)]
-    for process in processes:
-        sim.run_until_complete(process)
+    with network:  # closed once every client is done
+        processes = [sim.process(client_program(am, c)()) for c, am in enumerate(clients)]
+        for process in processes:
+            sim.run_until_complete(process)
     total_ops = CLIENTS * OPS_PER_CLIENT * 3
     return total_ops / (sim.now / 1e6)  # ops per second
 

@@ -51,7 +51,10 @@ def main() -> None:
 
     print("U-Net/FE ping-pong over a 100BaseTX hub (paper: ~57 us at 40 bytes)")
     sim.process(bob_echo())
-    sim.run_until_complete(sim.process(alice_pingpong()))
+    # leaving the block closes the machine: bob's echo loop ends where it
+    # waits and both endpoints return their buffer areas (Section 3)
+    with network:
+        sim.run_until_complete(sim.process(alice_pingpong()))
     print(f"simulated time: {sim.now / 1000:.2f} ms, "
           f"events processed: {sim.events_processed}")
 

@@ -435,8 +435,9 @@ class AmCore:
         self.user = user
         self._backend = backend
         self.config = config or AmConfig()
-        #: deterministic per-endpoint stream for retransmission jitter
-        self._rng = rng or random.Random(0x5EED ^ node_id)
+        #: deterministic per-endpoint stream for retransmission jitter,
+        #: seeded by the first backed-off timeout that draws from it
+        self._rng = rng
         self._peers_by_node: Dict[int, PeerState] = {}
         self._peers_by_channel: Dict[int, PeerState] = {}
         #: on-demand channel establishment: called with a node id the
@@ -1168,6 +1169,8 @@ class AmCore:
             rto *= cfg.backoff_factor ** peer.backoff
             if cfg.backoff_jitter > 0.0:
                 # jitter de-phases peers that share a medium
+                if self._rng is None:
+                    self._rng = random.Random(0x5EED ^ self.node)
                 rto *= 1.0 + cfg.backoff_jitter * self._rng.random()
         return min(max(rto, cfg.rto_min_us), cfg.rto_max_us)
 

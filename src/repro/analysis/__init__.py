@@ -5,9 +5,9 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".microbench": (
         "FIGURE5_CONFIGS", "FIGURE6_CONFIGS", "MicrobenchSetup",
-        "bandwidth_series", "measure_bandwidth", "measure_rtt",
-        "measure_send_overhead", "rtt_series", "setup_atm", "setup_fe_hub",
-        "setup_fe_switch",
+        "bandwidth_of", "bandwidth_series", "measure_bandwidth", "measure_rtt",
+        "measure_send_overhead", "rtt_of", "rtt_series", "setup_atm",
+        "setup_fe_hub", "setup_fe_switch",
     ),
     ".benchcmp": (
         "MetricDelta", "compare_bench", "compare_bench_files",

@@ -26,6 +26,8 @@ def trace_journey(substrate: str = "fe", size: int = 40, cpu: CpuModel = PENTIUM
 
     ``substrate`` is ``"fe"`` (Bay 28115 switch) or ``"atm"`` (ASX-200).
     """
+    if substrate not in ("fe", "atm"):
+        raise ValueError(f"unknown substrate {substrate!r} (fe, atm)")
     sim = Simulator()
     trace = TraceRecorder()
     if substrate == "fe":
@@ -36,14 +38,12 @@ def trace_journey(substrate: str = "fe", size: int = 40, cpu: CpuModel = PENTIUM
         h2 = net.add_host("dst", cpu, trace=trace)
         h1.backend.nic.trace = trace
         h2.backend.nic.trace = trace
-    elif substrate == "atm":
+    else:
         from ..atm.network import AtmNetwork
 
         net = AtmNetwork(sim)
         h1 = net.add_host("src", cpu, trace=trace)
         h2 = net.add_host("dst", cpu, trace=trace)
-    else:
-        raise ValueError(f"unknown substrate {substrate!r} (fe, atm)")
     ep1 = h1.create_endpoint(config=_CONFIG, rx_buffers=16)
     ep2 = h2.create_endpoint(config=_CONFIG, rx_buffers=16)
     ch1, ch2 = net.connect(ep1, ep2)
@@ -61,8 +61,9 @@ def trace_journey(substrate: str = "fe", size: int = 40, cpu: CpuModel = PENTIUM
         trace.record(sim.now - 0.25, 0.25, "app", "dst app: pop descriptor, consume")
         return message
 
-    sim.process(tx())
-    sim.run_until_complete(sim.process(rx()))
+    with net:
+        sim.process(tx())
+        sim.run_until_complete(sim.process(rx()))
     records = sorted(trace.records, key=lambda r: (r.start, r.end))
     merged: List[TraceRecord] = [
         TraceRecord(r.start, r.duration, "journey",

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..atm.network import AtmNetwork
 from ..atm.phy import OC3_SONET, TAXI_140, AtmPhy
 from ..core.api import UserEndpoint
+from ..core.base import Closing, SimulatedNetwork
 from ..core.endpoint import EndpointConfig
 from ..ethernet.network import HubNetwork, SwitchedNetwork
 from ..ethernet.switch import BAY_28115, FN100, SwitchModel
@@ -28,6 +29,8 @@ __all__ = [
     "measure_rtt",
     "measure_bandwidth",
     "measure_send_overhead",
+    "rtt_of",
+    "bandwidth_of",
     "rtt_series",
     "bandwidth_series",
     "FIGURE5_CONFIGS",
@@ -38,8 +41,12 @@ _ENDPOINT = EndpointConfig(num_buffers=256, buffer_size=2048, send_queue_depth=1
 
 
 @dataclass
-class MicrobenchSetup:
-    """A fresh two-host network plus connected endpoints."""
+class MicrobenchSetup(Closing):
+    """A fresh two-host network plus connected endpoints.
+
+    ``with factory() as setup:`` closes the network (and the simulator
+    under it) once the measurement is read.
+    """
 
     label: str
     sim: Simulator
@@ -47,38 +54,31 @@ class MicrobenchSetup:
     ep2: UserEndpoint
     ch1: int
     ch2: int
+    net: SimulatedNetwork
+
+    def close(self) -> None:
+        self.net.close()
 
 
 def setup_fe_hub(cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    sim = Simulator()
-    net = HubNetwork(sim)
-    return _finish("FE hub", sim, net, cpu)
+    return _finish("FE hub", HubNetwork(Simulator()), cpu)
 
 
 def setup_fe_switch(model: SwitchModel = BAY_28115, cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    sim = Simulator()
-    net = SwitchedNetwork(sim, model=model)
-    return _finish(f"FE {model.name}", sim, net, cpu)
+    return _finish(f"FE {model.name}", SwitchedNetwork(Simulator(), model=model), cpu)
 
 
 def setup_atm(phy: AtmPhy = OC3_SONET, cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    h1 = net.add_host("h1", cpu, phy=phy)
-    h2 = net.add_host("h2", cpu, phy=phy)
+    return _finish(f"ATM {phy.name}", AtmNetwork(Simulator()), cpu, phy=phy)
+
+
+def _finish(label: str, net: SimulatedNetwork, cpu: CpuModel, **host_kwargs) -> MicrobenchSetup:
+    h1 = net.add_host("h1", cpu, **host_kwargs)
+    h2 = net.add_host("h2", cpu, **host_kwargs)
     ep1 = h1.create_endpoint(config=_ENDPOINT, rx_buffers=64)
     ep2 = h2.create_endpoint(config=_ENDPOINT, rx_buffers=64)
     ch1, ch2 = net.connect(ep1, ep2)
-    return MicrobenchSetup(f"ATM {phy.name}", sim, ep1, ep2, ch1, ch2)
-
-
-def _finish(label: str, sim: Simulator, net, cpu: CpuModel) -> MicrobenchSetup:
-    h1 = net.add_host("h1", cpu)
-    h2 = net.add_host("h2", cpu)
-    ep1 = h1.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ep2 = h2.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return MicrobenchSetup(label, sim, ep1, ep2, ch1, ch2)
+    return MicrobenchSetup(label, net.sim, ep1, ep2, ch1, ch2, net)
 
 
 def measure_rtt(setup: MicrobenchSetup, size: int, rounds: int = 5) -> float:
@@ -163,13 +163,23 @@ FIGURE6_CONFIGS: Dict[str, Callable[[], MicrobenchSetup]] = {
 }
 
 
+def rtt_of(config: str, size: int, rounds: int = 5) -> float:
+    """RTT us of one Figure-5 configuration, on a rig built and closed here."""
+    with FIGURE5_CONFIGS[config]() as setup:
+        return measure_rtt(setup, size, rounds)
+
+
+def bandwidth_of(config: str, size: int, messages: int = 60) -> float:
+    """Mb/s of one Figure-6 configuration, on a rig built and closed here."""
+    with FIGURE6_CONFIGS[config]() as setup:
+        return measure_bandwidth(setup, size, messages)
+
+
 def rtt_series(config: str, sizes: List[int], rounds: int = 5) -> List[Tuple[int, float]]:
     """(size, RTT us) points for one Figure-5 series."""
-    factory = FIGURE5_CONFIGS[config]
-    return [(size, measure_rtt(factory(), size, rounds)) for size in sizes]
+    return [(size, rtt_of(config, size, rounds)) for size in sizes]
 
 
 def bandwidth_series(config: str, sizes: List[int], messages: int = 60) -> List[Tuple[int, float]]:
     """(size, Mb/s) points for one Figure-6 series."""
-    factory = FIGURE6_CONFIGS[config]
-    return [(size, measure_bandwidth(factory(), size, messages)) for size in sizes]
+    return [(size, bandwidth_of(config, size, messages)) for size in sizes]

@@ -185,14 +185,14 @@ def line_chart_svg(
 
 def save_figure5_svg(path: str, sizes: Optional[Sequence[int]] = None) -> str:
     """Measure and render Figure 5 (RTT vs size) to ``path``."""
-    from .microbench import FIGURE5_CONFIGS, measure_rtt
+    from .microbench import FIGURE5_CONFIGS, rtt_of
 
     sizes = list(sizes or (0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498))
     series = {}
-    for name, factory in FIGURE5_CONFIGS.items():
+    for name in FIGURE5_CONFIGS:
         if name == "atm-taxi":
             continue  # the paper's Figure 5 shows four configurations
-        series[name] = [(float(s), measure_rtt(factory(), s)) for s in sizes]
+        series[name] = [(float(s), rtt_of(name, s)) for s in sizes]
     svg = line_chart_svg(
         series,
         title="Figure 5 — round-trip latency vs message size",
@@ -207,12 +207,12 @@ def save_figure5_svg(path: str, sizes: Optional[Sequence[int]] = None) -> str:
 
 def save_figure6_svg(path: str, sizes: Optional[Sequence[int]] = None) -> str:
     """Measure and render Figure 6 (bandwidth vs size) to ``path``."""
-    from .microbench import FIGURE6_CONFIGS, measure_bandwidth
+    from .microbench import FIGURE6_CONFIGS, bandwidth_of
 
     sizes = list(sizes or (16, 64, 128, 256, 384, 512, 768, 1024, 1280, 1498))
     series = {
-        name: [(float(s), measure_bandwidth(factory(), s)) for s in sizes]
-        for name, factory in FIGURE6_CONFIGS.items()
+        name: [(float(s), bandwidth_of(name, s)) for s in sizes]
+        for name in FIGURE6_CONFIGS
     }
     svg = line_chart_svg(
         series,

@@ -17,11 +17,11 @@ from ..sim import Simulator, Timeline, TraceRecorder
 __all__ = ["trace_transfer", "figure3_timeline", "figure4_timeline", "atm_trace_transfer"]
 
 
-def trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline, Timeline]:
-    """Send one ``size``-byte message; returns (tx trap, rx handler) timelines."""
-    sim = Simulator()
+def _traced_transfer(net, size: int, cpu: CpuModel, tx_category: str,
+                     rx_category: str) -> Tuple[Timeline, Timeline]:
+    """One traced ``size``-byte message across a fresh two-host ``net``."""
+    sim = net.sim
     trace = TraceRecorder()
-    net = HubNetwork(sim)
     h1 = net.add_host("h1", cpu, trace=trace)
     h2 = net.add_host("h2", cpu, trace=trace)
     config = EndpointConfig(num_buffers=64, buffer_size=2048)
@@ -35,13 +35,19 @@ def trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline, Ti
     def rx():
         return (yield from ep2.recv())
 
-    sim.process(tx())
-    sim.run_until_complete(sim.process(rx()))
-    tx_span = trace.last_span(TX_TRACE)
-    rx_span = trace.last_span(RX_TRACE)
+    with net:
+        sim.process(tx())
+        sim.run_until_complete(sim.process(rx()))
+    tx_span = trace.last_span(tx_category)
+    rx_span = trace.last_span(rx_category)
     if tx_span is None or rx_span is None:
         raise RuntimeError("transfer produced no trace")
     return tx_span, rx_span
+
+
+def trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline, Timeline]:
+    """Send one ``size``-byte message; returns (tx trap, rx handler) timelines."""
+    return _traced_transfer(HubNetwork(Simulator()), size, cpu, TX_TRACE, RX_TRACE)
 
 
 def atm_trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline, Timeline]:
@@ -55,29 +61,7 @@ def atm_trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline
     from ..atm.network import AtmNetwork
     from ..atm.unet_atm import ATM_RX_TRACE, ATM_TX_TRACE
 
-    sim = Simulator()
-    trace = TraceRecorder()
-    net = AtmNetwork(sim)
-    h1 = net.add_host("h1", cpu, trace=trace)
-    h2 = net.add_host("h2", cpu, trace=trace)
-    config = EndpointConfig(num_buffers=64, buffer_size=2048)
-    ep1 = h1.create_endpoint(config=config, rx_buffers=16)
-    ep2 = h2.create_endpoint(config=config, rx_buffers=16)
-    ch1, ch2 = net.connect(ep1, ep2)
-
-    def tx():
-        yield from ep1.send(ch1, bytes(size))
-
-    def rx():
-        return (yield from ep2.recv())
-
-    sim.process(tx())
-    sim.run_until_complete(sim.process(rx()))
-    tx_span = trace.last_span(ATM_TX_TRACE)
-    rx_span = trace.last_span(ATM_RX_TRACE)
-    if tx_span is None or rx_span is None:
-        raise RuntimeError("transfer produced no trace")
-    return tx_span, rx_span
+    return _traced_transfer(AtmNetwork(Simulator()), size, cpu, ATM_TX_TRACE, ATM_RX_TRACE)
 
 
 def figure3_timeline(size: int = 40) -> Timeline:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .microbench import FIGURE5_CONFIGS, FIGURE6_CONFIGS, measure_bandwidth, measure_rtt
+from .microbench import bandwidth_of, rtt_of
 from .report import format_table
 from .timelines import figure3_timeline, figure4_timeline
 
@@ -43,18 +43,15 @@ def validate_reproduction(rounds: int = 4) -> List[Claim]:
     claims: List[Claim] = []
 
     def rtt(config: str, size: int) -> float:
-        return measure_rtt(FIGURE5_CONFIGS[config](), size, rounds=rounds)
-
-    def bandwidth(config: str, size: int) -> float:
-        return measure_bandwidth(FIGURE6_CONFIGS[config](), size)
+        return rtt_of(config, size, rounds)
 
     claims.append(Claim("FE hub 40B RTT (us)", 57.0, rtt("hub", 40), 0.10))
     claims.append(Claim("FE FN100 40B RTT (us)", 91.0, rtt("fn100", 40), 0.10))
     claims.append(Claim("ATM 40B RTT (us)", 89.0, rtt("atm", 40), 0.10))
     claims.append(Claim("ATM 44B RTT, multi-cell (us)", 130.0, rtt("atm", 44), 0.15))
     claims.append(Claim("ATM 1500B RTT (us)", 351.0, rtt("atm", 1498), 0.12))
-    claims.append(Claim("FE saturation bandwidth (Mb/s)", 96.5, bandwidth("hub", 1498), 0.05))
-    claims.append(Claim("ATM peak bandwidth (Mb/s)", 118.0, bandwidth("atm", 1498), 0.08))
+    claims.append(Claim("FE saturation bandwidth (Mb/s)", 96.5, bandwidth_of("hub", 1498), 0.05))
+    claims.append(Claim("ATM peak bandwidth (Mb/s)", 118.0, bandwidth_of("atm", 1498), 0.08))
     claims.append(Claim("FE TX trap path (us)", 4.2, figure3_timeline().total, 0.02))
     # our receive spans include one trailing empty ring poll (0.52 us)
     claims.append(Claim("FE RX handler, 40B (us)", 4.1, figure4_timeline(40).total - 0.52, 0.06))

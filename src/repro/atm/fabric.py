@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.api import Host, UserEndpoint
+from ..core.base import SimulatedNetwork
 from ..core.channels import AtmTag, connect_pair
 from ..core.errors import ChannelError, NoPathError
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
-from ..sim import Simulator, TraceRecorder
+from ..sim import Discarded, Simulator, TraceRecorder
 from .phy import OC3_SONET, AtmPhy, CellLink
 from .switch import ASX200_FORWARD_US, AtmSwitch
 from .unet_atm import AtmTimings, UNetAtmBackend
@@ -51,7 +52,7 @@ class _VcRoute:
     path: List[int] = field(default_factory=list)
 
 
-class AtmFabric:
+class AtmFabric(SimulatedNetwork):
     """ATM switches joined per a declarative topology, with network-wide VCs.
 
     Hosts attach to any switch; :meth:`connect` sets up a duplex virtual
@@ -120,6 +121,15 @@ class AtmFabric:
         self.switches[b].attach_port(port_b, toward_a)
         self._trunk_port[(b, a)] = port_b
         self._trunk_links[(b, a)] = toward_a
+
+    def close(self) -> Discarded:
+        """End the machine; the signaling plane forgets every VC."""
+        discarded = super().close()
+        self._vc_routes.clear()
+        self._stranded.clear()
+        for switch in self.switches:
+            switch.clear_routes()
+        return discarded
 
     def trunk_link(self, a: int, b: int) -> CellLink:
         """The egress trunk from switch ``a`` toward adjacent ``b``

@@ -61,6 +61,10 @@ class AtmSwitch:
             raise ValueError(f"{self.name}: no such port {port}")
         self._routes[vci] = port
 
+    def clear_routes(self) -> None:
+        """Signaling-plane: tear every VC down (the fabric is closing)."""
+        self._routes.clear()
+
     def route_for(self, vci: int) -> Optional[int]:
         return self._routes.get(vci)
 

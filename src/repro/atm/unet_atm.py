@@ -163,6 +163,13 @@ class UNetAtmBackend(UNetBackend):
         # descriptor push is charged by the API layer; the doorbell here.
         return self.timings.host_doorbell_us
 
+    def close(self) -> None:
+        super().close()
+        self._rx_fifo.clear()
+        self._reassembly.clear()
+        self._collective_reasm.clear()
+        self._collective_txq.clear()
+
     def kick(self, endpoint: Endpoint) -> Generator:
         """Host side: the doorbell store into NI memory."""
         yield self.timings.host_doorbell_us
@@ -193,12 +200,12 @@ class UNetAtmBackend(UNetBackend):
                 if descriptor is None:
                     break
                 yield from self._step(ATM_TX_TRACE, "parse descriptor, set up DMA", t.tx_per_message_us)
+                binding = endpoint.channels.get(descriptor.channel_id)
+                if binding is None:
+                    continue  # protection: unregistered channel (or a destroyed endpoint), drop
                 payload = b"".join(
                     endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
                 )
-                binding = endpoint.channels.get(descriptor.channel_id)
-                if binding is None:
-                    continue  # protection: unregistered channel, drop
                 # DMA the user buffer(s) from host memory to the output FIFO.
                 yield from self._timed_dma(ATM_TX_TRACE, "DMA user buffer to output FIFO",
                                            max(1, len(payload)))
@@ -373,6 +380,10 @@ class UNetAtmBackend(UNetBackend):
         t = self.timings
         yield from self._step(ATM_RX_TRACE, "check hardware CRC, build descriptor",
                               t.rx_last_cell_us)
+        if endpoint.closed:
+            endpoint.note_drop("recv_queue_drops")  # destroyed mid-PDU: its buffers are gone
+            self.recv_queue_drops += 1
+            return
         try:
             payload = aal5_reassemble(state.cells)
         except Aal5Error:

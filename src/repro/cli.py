@@ -91,7 +91,7 @@ def _cmd_atm_timeline(args) -> int:
 
 
 def _cmd_fig5(args) -> int:
-    from .analysis import FIGURE5_CONFIGS, ascii_plot, format_table, measure_rtt
+    from .analysis import FIGURE5_CONFIGS, ascii_plot, format_table, rtt_series
 
     if getattr(args, "svg", None):
         from .analysis import save_figure5_svg
@@ -99,9 +99,7 @@ def _cmd_fig5(args) -> int:
         print(f"wrote {save_figure5_svg(args.svg, sizes=args.sizes)}")
         return 0
     sizes = args.sizes or _DEFAULT_FIG5_SIZES
-    series = {}
-    for name, factory in FIGURE5_CONFIGS.items():
-        series[name] = [(size, measure_rtt(factory(), size)) for size in sizes]
+    series = {name: rtt_series(name, sizes) for name in FIGURE5_CONFIGS}
     rows = [[size] + [series[name][i][1] for name in FIGURE5_CONFIGS]
             for i, size in enumerate(sizes)]
     print(format_table(["bytes"] + list(FIGURE5_CONFIGS), rows,
@@ -113,7 +111,7 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
-    from .analysis import FIGURE6_CONFIGS, ascii_plot, format_table, measure_bandwidth
+    from .analysis import FIGURE6_CONFIGS, ascii_plot, bandwidth_series, format_table
 
     if getattr(args, "svg", None):
         from .analysis import save_figure6_svg
@@ -121,9 +119,7 @@ def _cmd_fig6(args) -> int:
         print(f"wrote {save_figure6_svg(args.svg, sizes=args.sizes)}")
         return 0
     sizes = args.sizes or _DEFAULT_FIG6_SIZES
-    series = {}
-    for name, factory in FIGURE6_CONFIGS.items():
-        series[name] = [(size, measure_bandwidth(factory(), size)) for size in sizes]
+    series = {name: bandwidth_series(name, sizes) for name in FIGURE6_CONFIGS}
     rows = [[size] + [series[name][i][1] for name in FIGURE6_CONFIGS]
             for i, size in enumerate(sizes)]
     print(format_table(["bytes"] + list(FIGURE6_CONFIGS), rows,
@@ -195,23 +191,23 @@ def _cmd_fig7(args) -> int:
 
 
 def _cmd_rtt(args) -> int:
-    from .analysis import FIGURE5_CONFIGS, measure_rtt
+    from .analysis import FIGURE5_CONFIGS, rtt_of
 
     if args.config not in FIGURE5_CONFIGS:
         print(f"unknown config {args.config!r}; choose from {sorted(FIGURE5_CONFIGS)}", file=sys.stderr)
         return 2
-    rtt = measure_rtt(FIGURE5_CONFIGS[args.config](), args.size)
+    rtt = rtt_of(args.config, args.size)
     print(f"{args.config} {args.size}B round-trip: {rtt:.1f} us")
     return 0
 
 
 def _cmd_bandwidth(args) -> int:
-    from .analysis import FIGURE6_CONFIGS, measure_bandwidth
+    from .analysis import FIGURE6_CONFIGS, bandwidth_of
 
     if args.config not in FIGURE6_CONFIGS:
         print(f"unknown config {args.config!r}; choose from {sorted(FIGURE6_CONFIGS)}", file=sys.stderr)
         return 2
-    bw = measure_bandwidth(FIGURE6_CONFIGS[args.config](), args.size)
+    bw = bandwidth_of(args.config, args.size)
     print(f"{args.config} {args.size}B bandwidth: {bw:.1f} Mb/s")
     return 0
 

@@ -381,14 +381,15 @@ def run_substrate(case: ConformanceCase, substrate: str,
                 yield 200.0
             return sim.now
 
-        process = sim.process(traffic(), name="conformance.traffic")
-        sim.run(until=case.time_limit_us)
-        completed = bool(process.triggered) and process.ok and not aborted
-        completion = process.value if completed else case.time_limit_us
-        if completed:
-            am0.shutdown()
-            am1.shutdown()
-            sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
+        with net:
+            process = sim.process(traffic(), name="conformance.traffic")
+            sim.run(until=case.time_limit_us)
+            completed = bool(process.triggered) and process.ok and not aborted
+            completion = process.value if completed else case.time_limit_us
+            if completed:
+                am0.shutdown()
+                am1.shutdown()
+                sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
 
         trace = rig.finish(completed, completion)
         for pipeline in pipelines:

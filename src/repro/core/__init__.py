@@ -5,7 +5,7 @@ Substrate bindings live with their hardware models:
 """
 
 from .api import Host, ReceivedMessage, UserEndpoint
-from .base import UNetBackend
+from .base import Closing, SimulatedNetwork, UNetBackend
 from .channels import AtmTag, ChannelBinding, EthernetTag, lookup_channel, register_channel
 from .clock import Clock, ClockShim, ManualClock
 from .cluster import ClusterHealthAggregator, HostView
@@ -65,6 +65,8 @@ __all__ = [
     "UserEndpoint",
     "ReceivedMessage",
     "UNetBackend",
+    "SimulatedNetwork",
+    "Closing",
     "Endpoint",
     "EndpointConfig",
     "DROP_COUNTERS",

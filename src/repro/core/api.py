@@ -9,7 +9,8 @@ pushes, the trap/doorbell) are charged here or in the backend it calls.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Generator, List, Optional, Tuple
 
 from ..hw.cpu import CpuModel
 from ..sim import Simulator
@@ -91,7 +92,9 @@ class UserEndpointBase:
         self.endpoint = endpoint
         #: the owning host's name (what the peer's channel binding records)
         self.name = name
-        self._tx_inflight: List[Tuple[SendDescriptor, List[int]]] = []
+        #: sends the NI has not finished, oldest first; a send queue
+        #: completes in the order it was posted
+        self._tx_inflight: Deque[Tuple[SendDescriptor, List[int]]] = deque()
         self._closed = False
 
     @property
@@ -111,14 +114,10 @@ class UserEndpointBase:
 
     def _reclaim_completed(self) -> None:
         """Free buffers of sends the NI has finished transmitting."""
-        still = []
-        for descriptor, indices in self._tx_inflight:
-            if descriptor.completed:
-                for idx in indices:
-                    self.endpoint.buffers.free(self.endpoint.buffers.buffer(idx))
-            else:
-                still.append((descriptor, indices))
-        self._tx_inflight[:] = still
+        inflight, buffers = self._tx_inflight, self.endpoint.buffers
+        while inflight and inflight[0][0].completed:
+            for idx in inflight.popleft()[1]:
+                buffers.free(buffers.buffer(idx))
 
     def donate_rx_buffers(self, count: int) -> None:
         """Allocate ``count`` buffers and push them onto the free queue."""

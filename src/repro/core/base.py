@@ -14,15 +14,15 @@ once; DESIGN §2 lists what a new substrate has to add.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Any, List, Optional
 
-from ..sim import Simulator
+from ..sim import Discarded, Simulator
 from .endpoint import Endpoint, EndpointConfig
 from .errors import AdmissionRejected, EndpointError
 from .mux import ShardedDemux
 from .tenancy import qos_class
 
-__all__ = ["UNetBackend"]
+__all__ = ["UNetBackend", "Closing", "SimulatedNetwork"]
 
 
 class UNetBackend(abc.ABC):
@@ -81,16 +81,27 @@ class UNetBackend(abc.ABC):
         """System call: tear an endpoint down.
 
         The kernel/firmware stops demultiplexing to it (its demux rows
-        vanish) and forgets its queues; in-flight messages addressed to
-        it are dropped with the protection counters, exactly as traffic
-        to a dead process should be.
+        vanish) and the endpoint returns its buffer area, queues and
+        channels (Section 3); in-flight messages addressed to it are
+        dropped with the protection counters, exactly as traffic to a
+        dead process should be.
         """
         if endpoint not in self.endpoints:
             raise EndpointError(f"endpoint {endpoint.id} does not belong to {self.name}")
         self.endpoints.remove(endpoint)
         self.demux.unregister_endpoint(endpoint)
+        endpoint.release()
         if self.admission is not None:
             self.admission.release(endpoint.tenant)
+
+    def close(self) -> None:
+        """The NI goes away with its machine: every endpoint returns what
+        it holds and the demux table empties.  The endpoints stay listed
+        and every counter stays readable — a closed machine is what a
+        report is read from.  Idempotent."""
+        for endpoint in self.endpoints:
+            endpoint.release()
+        self.demux.clear()
 
     # -- data path ---------------------------------------------------------
     @property
@@ -133,3 +144,36 @@ class UNetBackend(abc.ABC):
             "peer_dead_drops": 0,
             "admission_rejected_drops": self.admission_rejected_drops,
         }
+
+
+class Closing:
+    """``with thing:`` ends with ``thing.close()``."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+class SimulatedNetwork(Closing):
+    """The life of a simulated machine: built, run, closed.
+
+    Every simulated network (hub, switch, fabric) is one of these: it
+    runs on :attr:`sim`, lists its :attr:`hosts`, and is the object
+    whose :meth:`close` ends the machine — ``with HubNetwork(sim) as
+    net:`` closes it on the way out.
+    """
+
+    sim: Simulator
+    hosts: List[Any]
+
+    def close(self) -> Discarded:
+        """Close the simulator (parked firmware and receivers end where
+        they wait, queued work is discarded), then every NI.  Returns the
+        simulator's report of what it discarded; counters everywhere
+        stay readable.  Idempotent."""
+        discarded = self.sim.close()
+        for host in self.hosts:
+            host.backend.close()
+        return discarded

@@ -110,6 +110,30 @@ class Endpoint:
         #: invoked on every counted drop (kind is a ``DROP_COUNTERS``
         #: name); used by the conformance checker to build per-run traces
         self.observer: Optional[Callable[[str, "Endpoint"], None]] = None
+        #: set by :meth:`release`: the buffer area, queues and channels
+        #: went back to the system; only the counters are left
+        self.closed = False
+
+    # -- teardown ----------------------------------------------------------
+    def release(self) -> None:
+        """Return what the endpoint holds (Section 3: destroying an
+        endpoint frees its buffer area, queues and channels).
+
+        The NI/kernel calls this from ``destroy_endpoint`` and when the
+        whole machine is closed.  The statistics and drop counters stay
+        readable; a message still on its way here is dropped by
+        :meth:`deliver`, a descriptor still on its way out finds no
+        channel.  Idempotent.
+        """
+        self.closed = True
+        self.buffers.close()
+        for ring in (self.send_queue, self.recv_queue, self.free_queue):
+            ring.drain()
+        self.channels.clear()
+        self._signal_handler = None
+        self._recv_waiters = []
+        self._send_complete_waiters = []
+        self._send_space_waiters = []
 
     # -- application side --------------------------------------------------
     def post_send(self, descriptor: SendDescriptor) -> None:
@@ -207,7 +231,7 @@ class Endpoint:
         left to the protocols above (Section 3.1).
         """
         descriptor.timestamp = self.sim.now
-        if not self.recv_queue.try_push(descriptor):
+        if self.closed or not self.recv_queue.try_push(descriptor):
             self.note_drop("recv_queue_drops")
             return False
         self.messages_received += 1

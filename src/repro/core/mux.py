@@ -27,11 +27,15 @@ class — ``unknown_tag_drops`` — because unknown tags have no endpoint
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .endpoint import DROP_COUNTERS, Endpoint
 
 __all__ = ["DemuxTable", "ShardedDemux"]
+
+#: what a lookup reads where no shard exists yet
+_NO_ROWS: Mapping[Any, Tuple[Endpoint, int]] = MappingProxyType({})
 
 
 class DemuxTable:
@@ -88,7 +92,8 @@ class DemuxTable:
 class ShardedDemux(DemuxTable):
     """Radix-sharded demux table for multi-tenant endpoint populations.
 
-    Rows live in ``1 << radix_bits`` shards selected by hashing the tag;
+    Rows live in ``1 << radix_bits`` shards selected by hashing the tag
+    (a shard exists from its first row on, so an idle NI carries none);
     a reverse index maps each endpoint to the set of tags routing to it,
     so :meth:`unregister_endpoint` is O(that endpoint's rows) instead of
     O(every row on the host).  Per-tenant row counts are maintained
@@ -106,9 +111,8 @@ class ShardedDemux(DemuxTable):
             raise ValueError("radix_bits must be in [0, 16]")
         self.radix_bits = radix_bits
         self._mask = (1 << radix_bits) - 1
-        self._shards: List[Dict[Any, Tuple[Endpoint, int]]] = [
-            {} for _ in range(1 << radix_bits)
-        ]
+        #: shard index -> rows, created by the first row that hashes there
+        self._shards: Dict[int, Dict[Any, Tuple[Endpoint, int]]] = {}
         #: reverse index: endpoint -> the set of tags routing to it
         self._tags_by_endpoint: Dict[Endpoint, set] = {}
         #: live row count per tenant name (untenanted rows under "")
@@ -119,8 +123,8 @@ class ShardedDemux(DemuxTable):
         del self._table
 
     # ----------------------------------------------------------- internals
-    def _shard_of(self, rx_tag: Any) -> Dict[Any, Tuple[Endpoint, int]]:
-        return self._shards[hash(rx_tag) & self._mask]
+    def _shard_of(self, rx_tag: Any) -> Mapping[Any, Tuple[Endpoint, int]]:
+        return self._shards.get(hash(rx_tag) & self._mask, _NO_ROWS)
 
     @staticmethod
     def _tenant_of(endpoint: Endpoint) -> str:
@@ -142,7 +146,7 @@ class ShardedDemux(DemuxTable):
         return rx_tag in self._shard_of(rx_tag)
 
     def register(self, rx_tag: Any, endpoint: Endpoint, channel_id: int) -> None:
-        shard = self._shard_of(rx_tag)
+        shard = self._shards.setdefault(hash(rx_tag) & self._mask, {})
         if rx_tag in shard:
             raise KeyError(f"{self.name}: tag {rx_tag!r} already registered")
         shard[rx_tag] = (endpoint, channel_id)
@@ -151,8 +155,7 @@ class ShardedDemux(DemuxTable):
         self._size += 1
 
     def unregister(self, rx_tag: Any) -> None:
-        shard = self._shard_of(rx_tag)
-        entry = shard.pop(rx_tag, None)
+        entry = self._shards.get(hash(rx_tag) & self._mask, {}).pop(rx_tag, None)
         if entry is None:
             return
         endpoint = entry[0]
@@ -171,7 +174,7 @@ class ShardedDemux(DemuxTable):
         if not tags:
             return 0
         for tag in tags:
-            del self._shard_of(tag)[tag]
+            del self._shards[hash(tag) & self._mask][tag]
         removed = len(tags)
         self._account(endpoint, -removed)
         self._size -= removed
@@ -194,6 +197,13 @@ class ShardedDemux(DemuxTable):
         """How many rows currently route to ``endpoint``."""
         return len(self._tags_by_endpoint.get(endpoint, ()))
 
+    def clear(self) -> None:
+        """Drop every row (the NI is going away); the drop count stays."""
+        self._shards.clear()
+        self._tags_by_endpoint.clear()
+        self._rows_by_tenant.clear()
+        self._size = 0
+
     def shard_load(self) -> List[int]:
         """Row count per shard (the radix balance, for telemetry)."""
-        return [len(shard) for shard in self._shards]
+        return [len(self._shards.get(index, ())) for index in range(self._mask + 1)]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
+from ..core.base import SimulatedNetwork
 from ..core.channels import connect_pair
 from ..core.descriptors import SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint
@@ -105,7 +106,7 @@ class DualNicFeBackend(UNetFeBackend):
         self.messages_sent += 1
 
 
-class BeowulfNetwork:
+class BeowulfNetwork(SimulatedNetwork):
     """Hosts with two NICs on two parallel shared-media channels."""
 
     def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
+from ..core.base import SimulatedNetwork
 from ..core.channels import EthernetTag, connect_pair
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
@@ -40,7 +41,7 @@ class EthernetChannelService:
                             (backend_a.mac, port_a, port_b))
 
 
-class _FeNetworkBase:
+class _FeNetworkBase(SimulatedNetwork):
     """Shared host bookkeeping for the two topologies."""
 
     def __init__(self, sim: Simulator) -> None:

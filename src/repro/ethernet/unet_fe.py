@@ -181,6 +181,13 @@ class UNetFeBackend(UNetBackend):
     def attach(self, attachment) -> None:
         self.nic.attach(attachment)
 
+    def close(self) -> None:
+        super().close()
+        self._deferred_service.clear()
+        for nic in self.nics:
+            nic.tx_ring.drain()
+            nic.rx_ring.drain()
+
     def rx_fault_hooks(self):
         """Delivery hook points a fault pipeline may interpose on.
 
@@ -351,6 +358,10 @@ class UNetFeBackend(UNetBackend):
                 chunk = payload[offset : offset + size]
                 copy_us = t.copy_fixed_us + self.cpu.copy_time(len(chunk))
                 yield from self._step(RX_TRACE, f"copy {len(chunk)} byte message", copy_us)
+                if endpoint.closed:
+                    endpoint.note_drop("recv_queue_drops")  # destroyed mid-copy: its buffers are gone
+                    self.recv_queue_drops += 1
+                    return
                 buf = endpoint.buffers.buffer(index)
                 buf.clear()
                 buf.write(chunk)

@@ -19,11 +19,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
+from ..core.base import SimulatedNetwork
 from ..core.endpoint import EndpointConfig
 from ..core.errors import ChannelError
 from ..ethernet.frames import UNET_FE_MAX_PDU
 from ..hw.cpu import PENTIUM_120, CpuModel
-from ..sim import Simulator
+from ..sim import Discarded, Simulator
 from .atm_clos import ClosAtmFabric
 from .fe_clos import ClosFeNetwork
 
@@ -37,7 +38,7 @@ _RELAY_CONFIG = EndpointConfig(
 )
 
 
-class MixedFabric:
+class MixedFabric(SimulatedNetwork):
     """An ATM Clos plus an FE Clos with a dual-homed relay between them."""
 
     def __init__(
@@ -74,6 +75,12 @@ class MixedFabric:
                     name="relay.atm->fe")
         sim.process(self._relay_loop(self.relay_fe, self.relay_atm, self._fe_to_atm),
                     name="relay.fe->atm")
+
+    def close(self) -> Discarded:
+        """Both sides and the relay between them run on one simulator:
+        the first close ends it, the second returns the same report."""
+        self.atm.close()
+        return self.fe.close()
 
     def _attach_atm_host(self, name: str, cpu: CpuModel) -> Host:
         host = self.atm.add_host(name, cpu)

@@ -42,7 +42,7 @@ from ..artifact import Artifact
 from ..core.errors import UNetError
 from ..sim import Simulator
 from ..suite import Suite
-from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
+from .stream import ENDPOINT_CONFIG, build_am_star, build_network, stream_payload
 
 __all__ = [
     "CRASH_ARTIFACT",
@@ -269,9 +269,9 @@ def run_crash_scenario(scenario: CrashScenario,
 
 def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     sim = Simulator()
+    net = build_network(scenario.substrate, sim)
     (h0, h1), (am0, am1) = build_am_star(
-        sim, scenario.substrate, ("n0", "n1"), sink=1,
-        config=AmConfig(**_SIM_CONFIG))
+        net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
 
     ledger = _FateLedger()
     am0.observer = ledger.on_sender_event
@@ -322,9 +322,10 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
             yield scenario.downtime_us
             am1.restart()
 
-    process = sim.process(traffic(), name="crashsoak.traffic")
-    sim.process(chaos(), name="crashsoak.chaos")
-    sim.run(until=scenario.time_limit_us)
+    with net:
+        process = sim.process(traffic(), name="crashsoak.traffic")
+        sim.process(chaos(), name="crashsoak.chaos")
+        sim.run(until=scenario.time_limit_us)
     completed = bool(process.triggered) and process.ok
     completion = process.value if completed else scenario.time_limit_us
 

@@ -206,7 +206,7 @@ def _contribution(seed: int, node: int, rnd: int) -> int:
     return (seed % 97) + 3 * node + rnd
 
 
-def _build(scenario: FabricScenario, sim: Simulator):
+def _build(scenario: FabricScenario):
     from ..collectives import wire_collectives
     from ..fabric import ClosAtmFabric, ClosFeNetwork
     from ..hw import PENTIUM_120
@@ -215,7 +215,7 @@ def _build(scenario: FabricScenario, sim: Simulator):
     if scenario.fabric not in builders:
         raise ValueError(f"unknown fabric {scenario.fabric!r} "
                          f"(atm-clos, fe-clos)")
-    fabric = builders[scenario.fabric](sim, leaves=scenario.leaves,
+    fabric = builders[scenario.fabric](Simulator(), leaves=scenario.leaves,
                                        spines=scenario.spines,
                                        hosts_per_leaf=scenario.hosts_per_leaf)
     hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
@@ -234,8 +234,8 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
                                 ClusterPartitionMonitor)
     from ..core.errors import ClusterPartitionError, NoPathError
 
-    sim = Simulator()
-    fabric, hosts, engines, group = _build(scenario, sim)
+    fabric, hosts, engines, group = _build(scenario)
+    sim = fabric.sim
     injector = FabricFaultInjector(sim, fabric, scenario.stages())
     nodes = scenario.nodes
     violations: List[str] = []
@@ -359,7 +359,8 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
                     post_driver(node), name=f"fabricsoak.post{node}")
         sim.process(coordinator(), name="fabricsoak.coordinator")
 
-    sim.run(until=scenario.time_limit_us)
+    with fabric:
+        sim.run(until=scenario.time_limit_us)
 
     # ---------------------------------------------------------- verdicts
     expected_live = [n for n in range(nodes) if n != scenario.crash_node]

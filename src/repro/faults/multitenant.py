@@ -519,7 +519,8 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
         sim.process(churn(), name="multitenant.churn")
     sim.process(controller(), name="multitenant.controller")
 
-    sim.run(until=t_end)
+    with net:
+        sim.run(until=t_end)
     return _Outcome(tenants=tenants, hosts=hosts, aggregator=aggregator,
                     duration_us=t_end, now=sim.now, completed=True,
                     sim_events=sim.events_processed)

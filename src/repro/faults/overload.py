@@ -331,16 +331,11 @@ def run_overload(
             am.shutdown()
 
     sim.process(controller(), name="overload.controller")
-    sim.run(until=scenario.time_limit_us)
+    with net:
+        sim.run(until=scenario.time_limit_us)
 
     completed = bool(all_done.triggered)
     completion_us = all_done.value if completed else scenario.time_limit_us
-    if not completed:
-        # unstick the sim for a clean teardown of what remains
-        blaster_stop[0] = True
-        monitor.stop()
-        for am in healthy_sender_ams + receiver_ams:
-            am.shutdown()
 
     # -- invariants (the PR-1 trio, on the healthy streams only) ------------
     violations = check_delivery(delivered, scenario.messages, completed,

@@ -38,6 +38,7 @@ from .perturb import (
 )
 from .stream import (
     build_am_star,
+    build_network,
     check_delivery,
     render_fault_stats,
     stream_payload,
@@ -149,8 +150,8 @@ def run_scenario(
 ) -> SoakResult:
     """Run ``scenario`` once under ``config`` and check every invariant."""
     sim = Simulator()
-    (h0, h1), (am0, am1) = build_am_star(sim, scenario.substrate,
-                                         ("n0", "n1"), sink=1, config=config)
+    net = build_network(scenario.substrate, sim)
+    (h0, h1), (am0, am1) = build_am_star(net, ("n0", "n1"), sink=1, config=config)
 
     registry = RngRegistry(seed)
     pipelines = []
@@ -191,15 +192,16 @@ def run_scenario(
                 yield from am0.request(1, 1, args=(i,), data=data)
         return sim.now
 
-    process = sim.process(traffic(), name="soak.traffic")
-    sim.run(until=scenario.time_limit_us)
-    completed = bool(process.triggered)
-    send_done_us = process.value if completed and process.ok else scenario.time_limit_us
-    if completed:
-        # drain retransmissions of the tail so delivery checks see it all
-        am0.shutdown()
-        am1.shutdown()
-        sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
+    with net:
+        process = sim.process(traffic(), name="soak.traffic")
+        sim.run(until=scenario.time_limit_us)
+        completed = bool(process.triggered)
+        send_done_us = process.value if completed and process.ok else scenario.time_limit_us
+        if completed:
+            # drain retransmissions of the tail so delivery checks see it all
+            am0.shutdown()
+            am1.shutdown()
+            sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
 
     violations = check_delivery({0: delivered}, scenario.messages, completed,
                                 scenario.time_limit_us, integrity_failures)

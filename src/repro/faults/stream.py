@@ -36,13 +36,13 @@ def build_network(substrate: str, sim: Simulator):
     return SwitchedNetwork(sim)
 
 
-def build_am_star(sim: Simulator, substrate: str, names: Sequence[str],
-                  sink: int, config: Optional[AmConfig]) -> Tuple[list, List[AmEndpoint]]:
-    """One host and one AM endpoint per name, node id = position, every
-    other node connected to node ``sink``; returns ``(hosts, ams)``."""
+def build_am_star(net, names: Sequence[str], sink: int,
+                  config: Optional[AmConfig]) -> Tuple[list, List[AmEndpoint]]:
+    """One host and one AM endpoint per name on ``net`` (which the caller
+    built and closes), node id = position, every other node connected to
+    node ``sink``; returns ``(hosts, ams)``."""
     from ..hw import PENTIUM_120
 
-    net = build_network(substrate, sim)
     hosts = [net.add_host(name, PENTIUM_120) for name in names]
     endpoints = [host.create_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
                  for host in hosts]

@@ -43,6 +43,7 @@ from .inject import attach_pipeline
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
 from .stream import (
     build_am_star,
+    build_network,
     check_delivery,
     render_fault_stats,
     stream_payload,
@@ -233,8 +234,9 @@ def run_transport(scenario: TransportScenario, mode: str,
                          f"choose from {sorted(TRANSPORT_MODES)}")
     sim = Simulator()
     names = ["sink"] + [f"src{s}" for s in range(scenario.senders)]
+    net = build_network("ethernet", sim)
     (sink_host, *sender_hosts), (sink_am, *sender_ams) = build_am_star(
-        sim, "ethernet", names, sink=0, config=TRANSPORT_MODES[mode]())
+        net, names, sink=0, config=TRANSPORT_MODES[mode]())
 
     registry = RngRegistry(seed)
     # one forward pipeline at the sink: with several senders it *is*
@@ -268,17 +270,18 @@ def run_transport(scenario: TransportScenario, mode: str,
                 i, scenario.payload_bytes, sender=s))
         done_at.append(sim.now)
 
-    processes = [sim.process(traffic(s, am), name=f"transport.src{s}")
-                 for s, am in enumerate(sender_ams)]
-    sim.run(until=scenario.time_limit_us)
-    completed = all(p.triggered for p in processes)
-    elapsed_us = max(done_at) if completed and done_at else scenario.time_limit_us
-    if completed:
-        # drain the retransmission tail so the delivery checks see it all
-        for am in sender_ams:
-            am.shutdown()
-        sink_am.shutdown()
-        sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
+    with net:
+        processes = [sim.process(traffic(s, am), name=f"transport.src{s}")
+                     for s, am in enumerate(sender_ams)]
+        sim.run(until=scenario.time_limit_us)
+        completed = all(p.triggered for p in processes)
+        elapsed_us = max(done_at) if completed and done_at else scenario.time_limit_us
+        if completed:
+            # drain the retransmission tail so the delivery checks see it all
+            for am in sender_ams:
+                am.shutdown()
+            sink_am.shutdown()
+            sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
 
     total = scenario.senders * scenario.messages
     got = sum(len(ids) for ids in delivered.values())

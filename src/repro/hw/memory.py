@@ -102,9 +102,36 @@ class BufferArea:
             self._view = memoryview(self._storage)
         return self._view
 
+    def close(self) -> None:
+        """Give the area back: unmap the storage, forget the buffers.
+
+        A closed area has no buffers (``num_buffers`` reads 0), so every
+        index is out of range to :meth:`buffer` and to the endpoint's
+        descriptor checks.  Idempotent.  A view somebody still holds
+        (``Buffer.view``, ``storage_view``) keeps the map alive until
+        that holder lets go — the pages outlive the area, the area does
+        not wait for them.
+        """
+        if self._storage is None:
+            return
+        storage, self._storage = self._storage, None
+        self._view = None
+        self.num_buffers = 0
+        self._buffers = []
+        self._free = []
+        self._allocated = []
+        try:
+            storage.close()
+        except BufferError:
+            pass  # a view is held elsewhere: unmapped when its last holder lets go
+
+    @property
+    def closed(self) -> bool:
+        return self._storage is None
+
     @property
     def total_bytes(self) -> int:
-        return len(self._storage)
+        return self.num_buffers * self.buffer_size
 
     @property
     def free_count(self) -> int:

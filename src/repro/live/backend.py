@@ -32,7 +32,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.api import UserEndpointBase
-from ..core.base import UNetBackend
+from ..core.base import Closing, UNetBackend
 from ..core.channels import connect_pair, lookup_channel
 from ..core.clock import Clock, ClockShim
 from ..core.descriptors import RecvDescriptor, SendDescriptor, SMALL_MESSAGE_MAX
@@ -403,11 +403,16 @@ class LiveBackend(UNetBackend):
     def close(self) -> None:
         """Idempotent teardown: the socket FD is released exactly once,
         no matter what state the doorbell loop or any armed AM
-        retransmission timer was in when the node went down."""
+        retransmission timer was in when the node went down; the
+        endpoints return what they hold, as on a simulated NI."""
         if self.closed:
             return
         self.closed = True
-        self.transport.close()
+        try:
+            self.transport.close()
+        finally:
+            super().close()
+            self._held.clear()
 
 
 class LiveUserEndpoint(UserEndpointBase):
@@ -545,7 +550,7 @@ class LiveUserEndpoint(UserEndpointBase):
         return buf
 
 
-class LiveCluster:
+class LiveCluster(Closing):
     """N live nodes in one process, serviced by one polling loop.
 
     The cluster is the live stand-in for a simulated network object:
@@ -646,9 +651,3 @@ class LiveCluster:
             self._doorbell.close()
         if first_error is not None:
             raise first_error
-
-    def __enter__(self) -> "LiveCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

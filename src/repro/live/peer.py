@@ -193,6 +193,8 @@ class PeerProcess:
             return
         os.kill(self.proc.pid, signal.SIGKILL)
         self.proc.wait()
+        if self.proc.stdout is not None:
+            self.proc.stdout.close()  # a respawn replaces ``proc``: our end of its pipe goes now
         self.kills += 1
 
     def respawn(self) -> Tuple[str, int]:

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel (time unit: microseconds)."""
 
-from .engine import EmptySchedule, Simulator
+from .engine import Discarded, EmptySchedule, Simulator, SimulatorClosed
 from .events import AllOf, AnyOf, Condition, Event, Interrupt, Process, StopProcess, Timeout
 from .queues import BoundedRing, Resource, RingEmptyError, RingFullError, Store
 from .rng import RngRegistry, ScopedRng
@@ -9,6 +9,8 @@ from .trace import Timeline, TimelineStep, TraceRecord, TraceRecorder
 __all__ = [
     "Simulator",
     "EmptySchedule",
+    "SimulatorClosed",
+    "Discarded",
     "Event",
     "Timeout",
     "Process",

@@ -10,15 +10,30 @@ run fully deterministic.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout, _Callback
 
-__all__ = ["Simulator", "EmptySchedule"]
+__all__ = ["Simulator", "EmptySchedule", "SimulatorClosed", "Discarded"]
 
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
+
+
+class SimulatorClosed(RuntimeError):
+    """Scheduling on, running, or closing from inside a process of, a
+    simulator whose life has ended (:meth:`Simulator.close`)."""
+
+
+class Discarded(NamedTuple):
+    """What :meth:`Simulator.close` threw away."""
+
+    #: unfinished processes whose generators were closed (parked firmware
+    #: loops, blocked receivers, whoever was mid-delay)
+    processes: int
+    #: heap entries still queued — work in flight when the run ended
+    entries: int
 
 
 class Simulator:
@@ -34,6 +49,8 @@ class Simulator:
     'done'
     >>> sim.now
     5.0
+    >>> sim.close()  # the run is over: nothing was left parked or queued
+    Discarded(processes=0, entries=0)
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -41,6 +58,9 @@ class Simulator:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._event_count = 0
+        #: every unfinished process, in creation order — what close() closes
+        self._live: Dict[Process, None] = {}
+        self._discarded: Optional[Discarded] = None
 
     # -- clock -------------------------------------------------------------
     @property
@@ -52,6 +72,38 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events dispatched so far (for diagnostics)."""
         return self._event_count
+
+    # -- lifecycle -----------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        return self._discarded is not None
+
+    def close(self) -> Discarded:
+        """End the simulation: close every unfinished process generator in
+        creation order, empty the heap, and report what was discarded.
+
+        The clock and ``events_processed`` stay readable; scheduling or
+        running afterwards raises :class:`SimulatorClosed`.  A second
+        ``close()`` returns the first one's report.  Called from a bare
+        callback it ends the run that fired it; called from inside a
+        process it raises (a generator cannot close itself) and closes
+        nothing.
+        """
+        if self._discarded is not None:
+            return self._discarded
+        if any(process.generator.gi_running for process in self._live):
+            raise SimulatorClosed("close() called from inside a running process")
+        processes = 0
+        while self._live:  # a generator's ``finally`` may start a process
+            batch, self._live = self._live, {}
+            for process in batch:
+                process._abandon()
+            processes += len(batch)
+        self._discarded = Discarded(processes, len(self._queue))
+        self._queue.clear()  # a run loop above us on the stack sees it drained
+        del self._queue
+        self.__class__ = _ClosedSimulator
+        return self._discarded
 
     # -- event factories -----------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
@@ -188,3 +240,17 @@ class Simulator:
         if not process._ok:
             raise process._value
         return process._value
+
+
+class _ClosedSimulator(Simulator):
+    """What :meth:`Simulator.close` turns a simulator into.
+
+    Every scheduling and running path reads ``_queue`` — the kernel's own
+    and the direct pushes in :mod:`~repro.sim.events` — so answering that
+    one name with :class:`SimulatorClosed` refuses them all, and an open
+    simulator pays no test for it on any hot path.
+    """
+
+    @property
+    def _queue(self) -> List[Tuple[float, int, int, Event]]:
+        raise SimulatorClosed("the simulator is closed")

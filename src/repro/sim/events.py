@@ -197,6 +197,7 @@ class Process(Event):
         self._wake = _Callback(self._resume, ())
         sim._seq += 1
         heappush(sim._queue, (sim._now, URGENT, sim._seq, self._wake))
+        sim._live[self] = None
 
     @property
     def is_alive(self) -> bool:
@@ -242,6 +243,7 @@ class Process(Event):
         except (StopIteration, StopProcess) as stop:
             self._alive = False
             self._wake = None  # the record holds a bound method of self: drop the cycle
+            del self.sim._live[self]
             self.succeed(stop.value)
             return
         except BaseException as exc:
@@ -276,7 +278,15 @@ class Process(Event):
     def _die(self, exc: BaseException) -> None:
         self._alive = False
         self._wake = None
+        del self.sim._live[self]
         self.fail(exc)
+
+    def _abandon(self) -> None:
+        """``Simulator.close``: the process ends where it is parked (its
+        ``finally`` blocks run), and its event never fires."""
+        self._alive = False
+        self._wake = self._target = None
+        self.generator.close()
 
 
 class Condition(Event):

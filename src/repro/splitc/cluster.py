@@ -16,6 +16,7 @@ from ..am.am import AmConfig, AmEndpoint
 from ..atm.network import AtmNetwork
 from ..atm.phy import TAXI_140, AtmPhy
 from ..core.api import Host, UserEndpoint
+from ..core.base import Closing
 from ..core.endpoint import EndpointConfig
 from ..ethernet.network import HubNetwork, SwitchedNetwork
 from ..ethernet.switch import BAY_28115, SwitchModel
@@ -26,7 +27,7 @@ from ..hw.cpu import (
     SPARCSTATION_20,
     CpuModel,
 )
-from ..sim import Simulator
+from ..sim import Discarded, Simulator
 from .costs import DEFAULT_COSTS, KernelCosts
 from .runtime import SplitCRuntime
 
@@ -85,7 +86,7 @@ def _clos_shape(n: int) -> tuple:
     return leaves, spines, per_leaf
 
 
-class Cluster:
+class Cluster(Closing):
     """N workstations, channel-connected on demand, running Split-C."""
 
     SUBSTRATES = ("fe-hub", "fe-switch", "fe-beowulf", "fe-clos", "atm", "atm-clos", "mixed")
@@ -109,16 +110,26 @@ class Cluster:
             raise ValueError("cluster needs at least one node")
         if collectives not in ("host", "nic"):
             raise ValueError(f"unknown collectives mode {collectives!r} (host, nic)")
-        self.n = n
-        self.substrate = substrate
-        self.collectives = collectives
-        self.sim = sim or Simulator()
+        if substrate not in self.SUBSTRATES:
+            raise ValueError(f"unknown substrate {substrate!r} {self.SUBSTRATES}")
         if cpus is None:
             cpus = fe_cluster_cpus(n) if substrate.startswith("fe") else atm_cluster_cpus(n)
         if len(cpus) != n:
             raise ValueError("need one CpuModel per node")
+        # every refusal that needs no machine is above: nothing is built
+        # that a failed constructor would leave behind unclosed
+        self.n = n
+        self.substrate = substrate
+        self.collectives = collectives
+        self.sim = sim or Simulator()
         self.cpus = list(cpus)
         self.network = self._build_network(substrate, switch_model, atm_phy)
+        if collectives == "nic" and not hasattr(self.network, "collective_edge"):
+            self.network.close()
+            raise ValueError(
+                f"collectives='nic' is not supported on substrate {substrate!r} "
+                "(the engine cannot span the mixed relay or bonded rails)"
+            )
         if endpoint_config is None:
             endpoint_config = ENDPOINT_CONFIG if n <= LEAN_THRESHOLD else _lean_endpoint_config(n)
         # the ATM hosts' fibers run the cluster's PHY, like its trunks
@@ -141,14 +152,19 @@ class Cluster:
             for i in range(n):
                 for j in range(i + 1, n):
                     self._ensure_channel(i, j)
-        self.collective_engines = (
-            self._wire_collectives(collective_fanout) if collectives == "nic" else []
-        )
+        self.collective_engines = []
+        if collectives == "nic":
+            from ..collectives import wire_collectives
+
+            self.collective_engines = wire_collectives(self.network, self.hosts,
+                                                       fanout=collective_fanout)
         self.runtimes: List[SplitCRuntime] = [
             SplitCRuntime(i, n, self.ams[i], self.cpus[i], costs=costs) for i in range(n)
         ]
         for runtime, engine in zip(self.runtimes, self.collective_engines):
             runtime.use_nic_collectives(engine)
+        #: what :meth:`close` found still running or in flight
+        self.discarded: Optional[Discarded] = None
 
     # ------------------------------------------------------------- channels
     def _make_resolver(self, i: int):
@@ -190,39 +206,37 @@ class Cluster:
             leaves, spines, per_leaf = _clos_shape(self.n)
             return ClosAtmFabric(self.sim, leaves=leaves, spines=spines,
                                  hosts_per_leaf=per_leaf, trunk_phy=atm_phy)
-        if substrate == "mixed":
-            from ..fabric import MixedFabric
+        from ..fabric import MixedFabric  # "mixed": __init__ vetted the name
 
-            per_leaf = max(2, -(-self.n // 4))  # half per side, two leaves each
-            return MixedFabric(self.sim, hosts_per_leaf=per_leaf)
-        raise ValueError(f"unknown substrate {substrate!r} {self.SUBSTRATES}")
-
-    def _wire_collectives(self, fanout: int):
-        from ..collectives import wire_collectives
-
-        if not hasattr(self.network, "collective_edge"):
-            raise ValueError(
-                f"collectives='nic' is not supported on substrate {self.substrate!r} "
-                "(the engine cannot span the mixed relay or bonded rails)"
-            )
-        return wire_collectives(self.network, self.hosts, fanout=fanout)
+        per_leaf = max(2, -(-self.n // 4))  # half per side, two leaves each
+        return MixedFabric(self.sim, hosts_per_leaf=per_leaf)
 
     # ---------------------------------------------------------------- run
     def run(self, program: Callable[[SplitCRuntime], Generator], limit: float = 5e9) -> List[Any]:
         """Run one SPMD ``program`` on every node; returns per-node results.
 
         The program is a generator function taking the node's runtime.
+        A cluster runs once: this is its whole life, and it ends closed
+        (see :meth:`close`) whether the program returns or raises.
         """
-        processes = [
-            self.sim.process(program(runtime), name=f"splitc.node{runtime.node}")
-            for runtime in self.runtimes
-        ]
-        results = []
-        for process in processes:
-            results.append(self.sim.run_until_complete(process, limit=limit))
+        try:
+            processes = [
+                self.sim.process(program(runtime), name=f"splitc.node{runtime.node}")
+                for runtime in self.runtimes
+            ]
+            return [self.sim.run_until_complete(process, limit=limit) for process in processes]
+        finally:
+            self.close()
+
+    def close(self) -> Discarded:
+        """End the machine: stop the AM endpoints, close the network and
+        the simulator under it.  Results, the Split-C heap, every counter
+        and ``sim.events_processed`` stay readable; :attr:`discarded` says
+        what was still running or in flight.  Idempotent."""
         for am in self.ams:
             am.shutdown()
-        return results
+        self.discarded = self.network.close()
+        return self.discarded
 
     @property
     def elapsed(self) -> float:

@@ -67,10 +67,14 @@ class SplitCRuntime:
         self.heap = GlobalHeap(node)
         # split-phase store accounting: stores are counted per epoch
         # (between announces); _announce_balance tolerates peers racing
-        # ahead into their next epoch
-        self._stores_sent: Dict[int, int] = {p: 0 for p in range(nprocs) if p != node}
-        self._stores_received: Dict[int, int] = {p: 0 for p in range(nprocs) if p != node}
-        self._announce_balance: Dict[int, int] = {p: 0 for p in range(nprocs) if p != node}
+        # ahead into their next epoch.  All three are peer -> count with
+        # an absent peer reading zero, so a node carries an entry only
+        # for a peer it exchanged stores or announces with
+        self._stores_sent: Dict[int, int] = {}
+        self._stores_received: Dict[int, int] = {}
+        self._announce_balance: Dict[int, int] = {}
+        #: peers whose announce for the current epoch has not arrived
+        self._announces_owed = nprocs - 1
         self._sync_event: Optional[Event] = None
         # barrier state (node 0 coordinates)
         self._barrier_generation = 0
@@ -148,7 +152,10 @@ class SplitCRuntime:
         self._count_store(ctx.src_node)
 
     def _count_store(self, src: int) -> None:
-        self._stores_received[src] += 1
+        self._stores_received[src] = self._stores_received.get(src, 0) + 1
+
+    def _note_store_sent(self, peer: int) -> None:
+        self._stores_sent[peer] = self._stores_sent.get(peer, 0) + 1
 
     def _h_announce(self, ctx: RequestContext) -> None:
         expected = ctx.args[0]
@@ -156,24 +163,32 @@ class SplitCRuntime:
         # AM delivery is FIFO per peer, so every store the peer sent
         # before this announce has already been applied; a surplus means
         # the peer already raced into its next epoch, so carry it over
-        if self._stores_received[src] < expected:
+        received = self._stores_received.get(src, 0)
+        if received < expected:
             raise SplitCError(
                 f"node {self.node}: store sync mismatch from {src}: "
-                f"got {self._stores_received[src]}, announced {expected}"
+                f"got {received}, announced {expected}"
             )
-        self._stores_received[src] -= expected
-        self._announce_balance[src] += 1
+        if expected:
+            self._stores_received[src] = received - expected
+        balance = self._announce_balance.get(src, 0)
+        self._announce_balance[src] = balance + 1
+        if not balance:
+            self._announces_owed -= 1
         self._maybe_finish_sync()
 
     def _maybe_finish_sync(self) -> None:
-        if self._sync_event is None:
+        if self._sync_event is None or self._announces_owed:
             return
-        if all(balance >= 1 for balance in self._announce_balance.values()):
-            for peer in self._announce_balance:
-                self._announce_balance[peer] -= 1
-            event, self._sync_event = self._sync_event, None
-            self.syncs_completed += 1
-            event.succeed()
+        # every peer announced: consume one announce each; a peer that
+        # raced ahead keeps its surplus and owes nothing next epoch
+        for peer, balance in self._announce_balance.items():
+            self._announce_balance[peer] = balance - 1
+            if balance == 1:
+                self._announces_owed += 1
+        event, self._sync_event = self._sync_event, None
+        self.syncs_completed += 1
+        event.succeed()
 
     def _h_barrier_arrive(self, ctx: RequestContext) -> None:
         generation = ctx.args[0]
@@ -229,7 +244,7 @@ class SplitCRuntime:
         for offset in range(0, max(1, len(data)), max_data):
             chunk = data[offset : offset + max_data]
             yield from self.am.request(requester, H_STORE, args=(dst_name_id, offset), data=chunk)
-            self._stores_sent[requester] += 1
+            self._note_store_sent(requester)
         yield from self.am.request(requester, H_FETCH_DONE, args=(tag,))
 
     def _h_fetch_done(self, ctx: RequestContext) -> None:
@@ -264,7 +279,7 @@ class SplitCRuntime:
         if node == self.node:
             raise SplitCError("counted_request cannot target the local node")
         yield from self._comm(self.am.request(node, handler_id, args=args, data=data))
-        self._stores_sent[node] += 1
+        self._note_store_sent(node)
 
     def counted_bulk(self, node: int, handler_id: int, data: bytes, record_bytes: int = 8) -> Generator:
         """Process: bulk one-way transfer to a counted handler, fragmented
@@ -318,7 +333,7 @@ class SplitCRuntime:
             yield from self._comm(
                 self.am.request(node, H_STORE, args=(name_id, byte_offset + offset), data=chunk)
             )
-            self._stores_sent[node] += 1
+            self._note_store_sent(node)
 
     def store_array(self, node: int, name: str, elem_offset: int, values: np.ndarray) -> Generator:
         itemsize = self.heap.array(name).itemsize
@@ -350,7 +365,7 @@ class SplitCRuntime:
                                 args=(name_id, elem_offset + offset // itemsize, op_code),
                                 data=chunk)
             )
-            self._stores_sent[node] += 1
+            self._note_store_sent(node)
 
     def all_store_sync(self) -> Generator:
         """Process: global completion of all outstanding stores."""
@@ -361,10 +376,10 @@ class SplitCRuntime:
         self._sync_event = self.sim.event(name=f"sc{self.node}.sync")
         event = self._sync_event
         start = self.sim.now
-        for peer in sorted(self._stores_sent):
-            count = self._stores_sent[peer]
-            self._stores_sent[peer] = 0  # our next epoch starts now
-            yield from self.am.request(peer, H_ANNOUNCE, args=(count,))
+        for peer in range(self.nprocs):
+            if peer != self.node:
+                count = self._stores_sent.pop(peer, 0)  # our next epoch starts now
+                yield from self.am.request(peer, H_ANNOUNCE, args=(count,))
         self._maybe_finish_sync()
         yield event
         self.comm_time += self.sim.now - start

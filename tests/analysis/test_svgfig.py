@@ -1,6 +1,7 @@
 """Tests for the SVG figure renderer."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -80,13 +81,13 @@ def test_direct_labels_do_not_collide():
 
 def test_save_figure5(tmp_path):
     path = save_figure5_svg(str(tmp_path / "fig5.svg"), sizes=[40, 1498])
-    content = open(path).read()
+    content = Path(path).read_text()
     assert "Figure 5" in content
     assert ">hub</text>" in content and ">atm</text>" in content
 
 
 def test_save_figure6(tmp_path):
     path = save_figure6_svg(str(tmp_path / "fig6.svg"), sizes=[64, 1498])
-    content = open(path).read()
+    content = Path(path).read_text()
     assert "Figure 6" in content
     assert "Mb/s" in content

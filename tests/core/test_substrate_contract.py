@@ -69,6 +69,7 @@ class _Pair:
             self.backends = [h.backend for h in hosts]
             self._create = [h.create_endpoint for h in hosts]
         self.live = substrate == "live"
+        self.net.pair = self
 
     def endpoint(self, host, rx_buffers=4, **identity):
         return self._create[host](config=CONFIG, rx_buffers=rx_buffers, **identity)
@@ -84,7 +85,8 @@ class _Pair:
 
 @pytest.fixture(params=SUBSTRATES)
 def pair(request):
-    return _Pair(request.param)
+    with _Pair(request.param).net as net:  # closed (again, for some tests) on the way out
+        yield net.pair
 
 
 def test_create_connect_close(pair):
@@ -173,7 +175,68 @@ def test_the_clock_free_half_behaves_the_same(pair):
     assert a.endpoint.buffers.free_count == 15
     assert [d.completed for d, _indices in a._tx_inflight] == [True]
     a._reclaim_completed()
-    assert a._tx_inflight == [] and a.endpoint.buffers.free_count == 16
+    assert not a._tx_inflight and a.endpoint.buffers.free_count == 16
 
     with pytest.raises(EndpointError, match="exhausted"):
         b.donate_rx_buffers(14)  # 13 left in the area
+
+
+def _holds_nothing(endpoint):
+    return (endpoint.closed and endpoint.buffers.closed
+            and endpoint.buffers.num_buffers == 0 and endpoint.buffers.total_bytes == 0
+            and not endpoint.send_queue and not endpoint.recv_queue and not endpoint.free_queue
+            and not endpoint.channels)
+
+
+def test_a_destroyed_endpoint_returns_what_it_held_and_keeps_its_counters(pair):
+    """Section 3: destroying an endpoint frees its buffer area, queues
+    and channels.  The counters a report reads are not resources."""
+    a, b = pair.endpoint(0), pair.endpoint(1)
+    ch_a, ch_b = pair.net.connect(a, b)
+    pair.send(a, ch_a, bytes(200))
+    b.endpoint.note_drop("peer_dead_drops")
+    assert len(b.endpoint.recv_queue) == 1 and len(b.endpoint.free_queue) == 3
+    assert not _holds_nothing(b.endpoint)
+
+    b.close()
+    assert _holds_nothing(b.endpoint)
+    assert len(pair.backends[1].demux) == 0
+    assert b.endpoint.messages_received == 1 and b.endpoint.bytes_received == 200
+    assert b.endpoint.drop_stats()["peer_dead_drops"] == 1
+    assert b.poll() is None
+    with pytest.raises(EndpointError):
+        pair.send(b, ch_b, b"zombie")
+    # the survivor is untouched, and traffic to the dead is the demux's drop
+    assert not a.endpoint.closed and a.endpoint.channels
+    pair.send(a, ch_a, b"to the dead")
+    assert pair.backends[1].drop_stats()["unknown_tag_drops"] == 1
+
+
+def test_a_message_past_the_demux_when_its_endpoint_dies_is_a_counted_drop(pair):
+    """The NI may hold an endpoint across a wait (a DMA, a copy); what it
+    then delivers to a destroyed endpoint is dropped and counted, never
+    queued on a ring nobody owns."""
+    from repro.core import RecvDescriptor
+
+    b = pair.endpoint(1)
+    b.close()
+    assert not b.endpoint.deliver(RecvDescriptor(channel_id=0, length=4, inline=b"late"))
+    assert not b.endpoint.recv_queue
+    assert b.endpoint.drop_stats()["recv_queue_drops"] == 1
+
+
+def test_closing_the_network_closes_the_whole_machine(pair):
+    a, b = pair.endpoint(0), pair.endpoint(1)
+    ch_a, _ch_b = pair.net.connect(a, b)
+    pair.send(a, ch_a, b"counted")
+    pair.net.close()
+    pair.net.close()  # idempotent
+    for backend, user in zip(pair.backends, (a, b)):
+        # listed and readable — a closed machine is what a report is read from
+        assert backend.endpoints == [user.endpoint]
+        assert _holds_nothing(user.endpoint)
+        assert len(backend.demux) == 0
+        assert tuple(backend.drop_stats()) == DROP_COUNTERS
+    assert b.endpoint.messages_received == 1
+    if not pair.live:
+        assert pair.sim.closed

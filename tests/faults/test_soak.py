@@ -86,13 +86,12 @@ def test_pipelines_detached_after_run():
     from repro.sim import Simulator
     from repro.faults import attach_pipeline
 
-    sim = Simulator()
-    net = SwitchedNetwork(sim)
-    host = net.add_host("n0", PENTIUM_120)
-    baseline = host.backend.nic._on_frame
-    pipeline = attach_pipeline(host.backend, [UniformLoss(1.0)])
-    pipeline.restore()
-    assert host.backend.nic._on_frame == baseline
+    with SwitchedNetwork(Simulator()) as net:
+        host = net.add_host("n0", PENTIUM_120)
+        baseline = host.backend.nic._on_frame
+        pipeline = attach_pipeline(host.backend, [UniformLoss(1.0)])
+        pipeline.restore()
+        assert host.backend.nic._on_frame == baseline
 
 
 def test_render_soak_table_and_comparison(comparison):

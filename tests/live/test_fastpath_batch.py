@@ -67,8 +67,8 @@ def test_round_trip_and_accounting_match_across_paths(both_paths):
 
 
 def test_empty_socket_drains_to_empty_list(both_paths):
-    rx, _tx = _pair(use_mmsg=both_paths)
-    with rx:
+    rx, tx = _pair(use_mmsg=both_paths)
+    with rx, tx:
         pool = BufferPool(8, 64)
         assert rx.recv_batch_into(pool) == []
         assert pool.free_count == 8  # nothing leaked on the EAGAIN path

@@ -70,8 +70,8 @@ def test_runtime_operation_counters():
 def test_custom_am_config_plumbed():
     from repro.am import AmConfig
 
-    cl = Cluster(2, substrate="fe-switch", am_config=AmConfig(window=5))
-    assert all(am.config.window == 5 for am in cl.ams)
+    with Cluster(2, substrate="fe-switch", am_config=AmConfig(window=5)) as cl:
+        assert all(am.config.window == 5 for am in cl.ams)
 
 
 def test_beowulf_substrate_runs_splitc():

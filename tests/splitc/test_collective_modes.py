@@ -66,10 +66,10 @@ def test_lazy_channels_only_connect_used_pairs():
     cluster.run(program)
     # all_store_sync announces to every peer, so the mesh fills; the
     # point of laziness is *when*: nothing is connected up front
-    eager = Cluster(6, substrate="fe-switch", lazy_channels=False)
-    assert len(eager._connected_pairs) == 15
-    lazy = Cluster(6, substrate="fe-switch")
-    assert len(lazy._connected_pairs) == 0
+    with Cluster(6, substrate="fe-switch", lazy_channels=False) as eager:
+        assert len(eager._connected_pairs) == 15
+    with Cluster(6, substrate="fe-switch") as lazy:
+        assert len(lazy._connected_pairs) == 0
 
 
 def test_nic_collectives_rejected_on_unsupported_substrates():
