@@ -15,31 +15,28 @@ router between segments.
 import pytest
 
 from repro.analysis import format_table, measure_rtt, setup_fe_switch
-from repro.analysis.microbench import _ENDPOINT, MicrobenchSetup
+from repro.analysis.microbench import MicrobenchSetup, two_host_rig
 from repro.ethernet import RoutedFeNetwork
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
 def _routed_setup(cross_segment: bool) -> MicrobenchSetup:
-    sim = Simulator()
-    net = RoutedFeNetwork(sim, segments=2)
-    h1 = net.add_host("h1", PENTIUM_120, segment=0)
-    h2 = net.add_host("h2", PENTIUM_120, segment=1 if cross_segment else 0)
-    ep1 = h1.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ep2 = h2.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ch1, ch2 = net.connect(ep1, ep2)
-    label = "routed" if cross_segment else "ip-same-segment"
-    return MicrobenchSetup(label, sim, ep1, ep2, ch1, ch2)
+    return two_host_rig(RoutedFeNetwork(Simulator(), segments=2),
+                        label="routed" if cross_segment else "ip-same-segment",
+                        where=({"segment": 0}, {"segment": 1 if cross_segment else 0}))
 
 
 def test_ablation_ip_encapsulation(benchmark, emit):
     def run():
-        return {
-            "raw U-Net/FE tags (one switch)": measure_rtt(setup_fe_switch(), 40),
-            "IPv4 encapsulated (one switch)": measure_rtt(_routed_setup(False), 40),
-            "IPv4 across a software router": measure_rtt(_routed_setup(True), 40),
-        }
+        results = {}
+        for name, setup in (
+            ("raw U-Net/FE tags (one switch)", setup_fe_switch()),
+            ("IPv4 encapsulated (one switch)", _routed_setup(False)),
+            ("IPv4 across a software router", _routed_setup(True)),
+        ):
+            with setup:
+                results[name] = measure_rtt(setup, 40)
+        return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     base = results["raw U-Net/FE tags (one switch)"]

@@ -5,8 +5,8 @@ the protocol itself is described) in simulated time.  It owns only what
 simulation needs: time is ``sim.now``; a sender *blocks* on an event
 until the window, the credit gate or the HELLO handshake admits it;
 ``tx_lock`` serializes sequence assignment with the hand-off to U-Net;
-the dispatch loop, retransmission timer, delayed ack, HELLO retry,
-credit refresh and heartbeat are simulator processes; handlers may be
+the dispatch loop, retransmission timer, delayed ack, HELLO retry and
+credit refresh are simulator processes; handlers may be
 generators; an rpc completes through an :class:`~repro.sim.Event`.
 """
 
@@ -52,8 +52,6 @@ class AmEndpoint(AmCore):
         self.sim.process(self._dispatch_loop(), name=f"am{node_id}.dispatch")
         if self.config.credit_flow:
             self.sim.process(self._credit_refresh_loop(), name=f"am{node_id}.credit")
-        if self.config.recovery and self.config.heartbeat_us > 0:
-            self.sim.process(self._heartbeat_loop(), name=f"am{node_id}.hb")
 
     # -------------------------------------------------------- driver hooks
     def _now(self) -> float:
@@ -201,14 +199,6 @@ class AmEndpoint(AmCore):
                and self._peers_by_node.get(peer.node) is peer):
             yield from self._transmit(peer, Packet(type=TYPE_HELLO), track=False)
             yield self.config.hello_retry_us
-
-    def _heartbeat_loop(self) -> Generator:
-        while self._running:
-            yield self.config.heartbeat_us
-            if not self._running:
-                break
-            if not self._crashed:
-                self._heartbeat()
 
     def _credit_refresh_loop(self) -> Generator:
         """Re-advertise when capacity changed and no traffic carried it."""

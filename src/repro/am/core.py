@@ -188,12 +188,6 @@ class AmConfig:
     dead_after_timeouts: int = 6
     #: HELLO retransmit period while a reconnect handshake is in flight
     hello_retry_us: float = 2000.0
-    #: optional heartbeat period (0 = off): epoch-stamped explicit acks
-    #: on idle channels, so a peer's death or restart is detected even
-    #: with no data traffic to starve
-    heartbeat_us: float = 0.0
-    #: declare a peer dead after this many silent heartbeat periods
-    heartbeat_misses: int = 4
 
     # -- loss-resilient transport (off by default: the classic wire -------
     # -- bytes and go-back-N recovery are untouched) -----------------------
@@ -251,10 +245,6 @@ class AmConfig:
             raise ConfigError("dead_after_timeouts must be >= 1", knob="dead_after_timeouts")
         if not self.hello_retry_us > 0:
             raise ConfigError("hello_retry_us must be positive", knob="hello_retry_us")
-        if self.heartbeat_us < 0:
-            raise ConfigError("heartbeat_us must be >= 0 (0 disables)", knob="heartbeat_us")
-        if self.heartbeat_misses < 1:
-            raise ConfigError("heartbeat_misses must be >= 1", knob="heartbeat_misses")
         if self.ack_mode not in ("gbn", "sack"):
             raise ConfigError(f"ack_mode must be 'gbn' or 'sack', got {self.ack_mode!r}",
                               knob="ack_mode")
@@ -317,7 +307,7 @@ class PeerState:
         "remote_credit", "credit_stalls", "last_advertised",
         # crash recovery
         "remote_epoch", "alive", "starved_timeouts", "reconnecting",
-        "abandoned", "last_heard",
+        "abandoned",
     )
 
     def __init__(self, node: int, channel: int, window: int, now: float) -> None:
@@ -391,8 +381,6 @@ class PeerState:
         #: sends abandoned under the at-most-once contract (peer died
         #: or returned as a new incarnation)
         self.abandoned = 0
-        #: time of the last packet accepted from this peer
-        self.last_heard = now
 
 
 class RequestContext:
@@ -627,7 +615,6 @@ class AmCore:
             self.health.report_peer_dead(self.user.endpoint, peer.node)
 
     def _mark_alive(self, peer: PeerState) -> None:
-        peer.last_heard = self._now()
         peer.starved_timeouts = 0
         if not peer.alive:
             peer.alive = True
@@ -680,20 +667,6 @@ class AmCore:
             # if the new process still misbehaves)
             self.health.note_epoch_advance(self.user.endpoint)
         self._observe("peer_restart", peer, epoch=new_epoch, horizon=horizon)
-
-    def _heartbeat(self) -> None:
-        """One heartbeat period elapsed: epoch-stamped keepalives plus
-        silent-peer detection (opt-in, ``AmConfig.heartbeat_us``)."""
-        cfg = self.config
-        now = self._now()
-        for peer in list(self._peers_by_node.values()):
-            if not peer.alive:
-                continue
-            silent = now - peer.last_heard
-            if silent >= cfg.heartbeat_misses * cfg.heartbeat_us:
-                self._declare_peer_dead(peer, f"silent for {silent:.0f}us")
-            elif not peer.reconnecting:
-                self._send_now(peer, TYPE_ACK)
 
     # -- patchable spec seams (the conformance bug library targets these) --
     def _credit_blocked(self, peer: PeerState) -> bool:

@@ -9,7 +9,7 @@ polls/blocks on its receive queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..atm.network import AtmNetwork
 from ..atm.phy import OC3_SONET, TAXI_140, AtmPhy
@@ -23,6 +23,7 @@ from ..sim import Simulator
 
 __all__ = [
     "MicrobenchSetup",
+    "two_host_rig",
     "setup_fe_hub",
     "setup_fe_switch",
     "setup_atm",
@@ -60,25 +61,31 @@ class MicrobenchSetup(Closing):
         self.net.close()
 
 
+def two_host_rig(net: SimulatedNetwork, cpu: CpuModel = PENTIUM_120, *, label: str = "",
+                 names: Sequence[str] = ("h1", "h2"),
+                 config: Optional[EndpointConfig] = _ENDPOINT, rx_buffers: int = 64,
+                 where: Sequence[dict] = ({}, {}), **host_kwargs) -> MicrobenchSetup:
+    """Two hosts on a fresh ``net``, one endpoint each, one channel
+    between them.  ``host_kwargs`` go to both ``add_host`` calls,
+    ``where[i]`` to host ``i``'s only (a routed segment, a Clos leaf)."""
+    h1, h2 = (net.add_host(name, cpu, **host_kwargs, **placement)
+              for name, placement in zip(names, where))
+    ep1 = h1.create_endpoint(config=config, rx_buffers=rx_buffers)
+    ep2 = h2.create_endpoint(config=config, rx_buffers=rx_buffers)
+    ch1, ch2 = net.connect(ep1, ep2)
+    return MicrobenchSetup(label, net.sim, ep1, ep2, ch1, ch2, net)
+
+
 def setup_fe_hub(cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    return _finish("FE hub", HubNetwork(Simulator()), cpu)
+    return two_host_rig(HubNetwork(Simulator()), cpu, label="FE hub")
 
 
 def setup_fe_switch(model: SwitchModel = BAY_28115, cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    return _finish(f"FE {model.name}", SwitchedNetwork(Simulator(), model=model), cpu)
+    return two_host_rig(SwitchedNetwork(Simulator(), model=model), cpu, label=f"FE {model.name}")
 
 
 def setup_atm(phy: AtmPhy = OC3_SONET, cpu: CpuModel = PENTIUM_120) -> MicrobenchSetup:
-    return _finish(f"ATM {phy.name}", AtmNetwork(Simulator()), cpu, phy=phy)
-
-
-def _finish(label: str, net: SimulatedNetwork, cpu: CpuModel, **host_kwargs) -> MicrobenchSetup:
-    h1 = net.add_host("h1", cpu, **host_kwargs)
-    h2 = net.add_host("h2", cpu, **host_kwargs)
-    ep1 = h1.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ep2 = h2.create_endpoint(config=_ENDPOINT, rx_buffers=64)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return MicrobenchSetup(label, net.sim, ep1, ep2, ch1, ch2, net)
+    return two_host_rig(AtmNetwork(Simulator()), cpu, label=f"ATM {phy.name}", phy=phy)
 
 
 def measure_rtt(setup: MicrobenchSetup, size: int, rounds: int = 5) -> float:

@@ -21,7 +21,7 @@ from ..perfmodel import (
     project_radix,
     project_sample,
 )
-from ..splitc import atm_cluster_cpus, fe_cluster_cpus
+from ..networks import ATM, FE
 
 __all__ = [
     "BENCHMARKS",
@@ -50,13 +50,14 @@ class Table1Entry:
     net_seconds: float
 
 
+#: the two Section-5 clusters: stage-cost model, its reference machine, NI
+_CLUSTERS = {"FE": (fe_stage_costs, PENTIUM_120, FE),
+             "ATM": (atm_stage_costs, SPARCSTATION_20, ATM)}
+
+
 def _project(benchmark: str, n: int, substrate: str, keys: int) -> Projection:
-    if substrate == "FE":
-        costs = fe_stage_costs(PENTIUM_120)
-        cpus = fe_cluster_cpus(n)
-    else:
-        costs = atm_stage_costs(SPARCSTATION_20)
-        cpus = atm_cluster_cpus(n)
+    stage_costs, reference, ni = _CLUSTERS[substrate]
+    costs, cpus = stage_costs(reference), ni.cpus(n)
     if benchmark == "mm 128x128":
         return project_matmul(PAPER_MM_128, n, costs, cpus, substrate=substrate)
     if benchmark == "mm 16x16":

@@ -87,43 +87,10 @@ def am_stats(am: Any) -> Dict[str, Any]:
 
 
 def network_stats(network: Any) -> Dict[str, Any]:
-    """Counters of a topology (switch / hub / router, when present)."""
-    stats: Dict[str, Any] = {}
-    if hasattr(network, "switch"):
-        switch = network.switch
-        if hasattr(switch, "cells_forwarded"):
-            stats["switch"] = {
-                "cells_forwarded": switch.cells_forwarded,
-                "unknown_vci_drops": switch.unknown_vci_drops,
-            }
-        else:
-            stats["switch"] = {
-                "frames_forwarded": switch.frames_forwarded,
-                "unknown_mac_drops": switch.unknown_mac_drops,
-            }
-    if hasattr(network, "switches"):
-        stats["switches"] = [
-            {"cells_forwarded": s.cells_forwarded, "unknown_vci_drops": s.unknown_vci_drops}
-            if hasattr(s, "cells_forwarded")
-            else {"frames_forwarded": s.frames_forwarded, "unknown_mac_drops": s.unknown_mac_drops}
-            for s in network.switches
-        ]
-    if hasattr(network, "medium"):
-        medium = network.medium
-        stats["medium"] = {
-            "frames_carried": medium.frames_carried,
-            "collisions": medium.collisions,
-            "drops_excessive_collisions": medium.drops_excessive_collisions,
-        }
-    if hasattr(network, "router"):
-        router = network.router
-        stats["router"] = {
-            "packets_forwarded": router.packets_forwarded,
-            "drops_no_route": router.drops_no_route,
-            "drops_bad_header": router.drops_bad_header,
-            "drops_ttl": router.drops_ttl,
-        }
-    return stats
+    """Counters of what stands between the hosts, as the network names
+    it (:meth:`~repro.core.base.SimulatedNetwork.devices`)."""
+    return {kind: [device.counters() for device in devices]
+            for kind, devices in network.devices().items()}
 
 
 def cluster_stats(cluster: Any) -> Dict[str, Any]:

@@ -13,31 +13,22 @@ from ..ethernet.network import HubNetwork
 from ..ethernet.unet_fe import RX_TRACE, TX_TRACE
 from ..hw.cpu import PENTIUM_120, CpuModel
 from ..sim import Simulator, Timeline, TraceRecorder
+from .microbench import two_host_rig
 
 __all__ = ["trace_transfer", "figure3_timeline", "figure4_timeline", "atm_trace_transfer"]
+
+
+#: endpoint sizing of the one-message traced rigs (here and the journey)
+TRACED_ENDPOINT = EndpointConfig(num_buffers=64, buffer_size=2048)
 
 
 def _traced_transfer(net, size: int, cpu: CpuModel, tx_category: str,
                      rx_category: str) -> Tuple[Timeline, Timeline]:
     """One traced ``size``-byte message across a fresh two-host ``net``."""
-    sim = net.sim
     trace = TraceRecorder()
-    h1 = net.add_host("h1", cpu, trace=trace)
-    h2 = net.add_host("h2", cpu, trace=trace)
-    config = EndpointConfig(num_buffers=64, buffer_size=2048)
-    ep1 = h1.create_endpoint(config=config, rx_buffers=16)
-    ep2 = h2.create_endpoint(config=config, rx_buffers=16)
-    ch1, ch2 = net.connect(ep1, ep2)
-
-    def tx():
-        yield from ep1.send(ch1, bytes(size))
-
-    def rx():
-        return (yield from ep2.recv())
-
-    with net:
-        sim.process(tx())
-        sim.run_until_complete(sim.process(rx()))
+    with two_host_rig(net, cpu, config=TRACED_ENDPOINT, rx_buffers=16, trace=trace) as rig:
+        rig.sim.process(rig.ep1.send(rig.ch1, bytes(size)))
+        rig.sim.run_until_complete(rig.sim.process(rig.ep2.recv()))
     tx_span = trace.last_span(tx_category)
     rx_span = trace.last_span(rx_category)
     if tx_span is None or rx_span is None:

@@ -131,6 +131,9 @@ class AtmFabric(SimulatedNetwork):
             switch.clear_routes()
         return discarded
 
+    def devices(self) -> dict:
+        return {"switches": self.switches}
+
     def trunk_link(self, a: int, b: int) -> CellLink:
         """The egress trunk from switch ``a`` toward adjacent ``b``
         (fault injection and tests interpose on its ``deliver``)."""

@@ -43,6 +43,10 @@ class AtmSwitch:
         self.cells_forwarded = 0
         self.unknown_vci_drops = 0
 
+    def counters(self) -> dict:
+        return {"cells_forwarded": self.cells_forwarded,
+                "unknown_vci_drops": self.unknown_vci_drops}
+
     def attach_port(self, port: int, egress: CellLink) -> None:
         if port in self._ports:
             raise ValueError(f"{self.name}: port {port} already attached")

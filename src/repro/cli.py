@@ -20,11 +20,16 @@ import argparse
 import sys
 from typing import List, Optional
 
+from . import networks
+from .suite import SUITES
+
 __all__ = ["main"]
 
 _EXPERIMENTS = {
     "fig3": "U-Net/FE transmit timeline (Figure 3)",
     "fig4": "U-Net/FE receive timelines (Figure 4)",
+    "atm-timeline": "i960 firmware path timelines (no paper figure)",
+    "journey": "end-to-end timeline of one message, every stage",
     "fig5": "round-trip latency vs message size (Figure 5)",
     "fig6": "bandwidth vs message size (Figure 6)",
     "table1": "Split-C execution times (Table 1)",
@@ -33,7 +38,7 @@ _EXPERIMENTS = {
     "rtt": "single round-trip measurement",
     "bandwidth": "single bandwidth measurement",
     "splitc": "run one Split-C benchmark in the event-level simulator",
-    "soak": "soak suites: wire chaos or service-capacity overload",
+    "soak": "soak suites: " + ", ".join(SUITES),
     "bench": "wall-clock benchmarks on the live U-Net/OS substrate",
     "conformance": "differential conformance: substrates vs the reference model",
     "report": "regenerate the full evaluation (all figures and tables)",
@@ -50,7 +55,11 @@ _DEFAULT_FIG6_SIZES = [16, 64, 128, 256, 512, 1024, 1498]
 def _cmd_list(_args) -> int:
     print("experiments:")
     for name, description in _EXPERIMENTS.items():
-        print(f"  {name:10s} {description}")
+        print(f"  {name:12s} {description}")
+    print("substrates (splitc --substrate; aliases in brackets):")
+    for row in networks.NETWORKS.values():
+        aliases = f" [{', '.join(row.aliases)}]" if row.aliases else ""
+        print(f"  {row.name:12s} {row.label}{aliases}")
     return 0
 
 
@@ -541,10 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help=_EXPERIMENTS["list"]).set_defaults(func=_cmd_list)
     sub.add_parser("fig3", help=_EXPERIMENTS["fig3"]).set_defaults(func=_cmd_fig3)
     sub.add_parser("fig4", help=_EXPERIMENTS["fig4"]).set_defaults(func=_cmd_fig4)
-    pat = sub.add_parser("atm-timeline", help="i960 firmware path timelines (no paper figure)")
+    pat = sub.add_parser("atm-timeline", help=_EXPERIMENTS["atm-timeline"])
     pat.add_argument("--size", type=int, default=40)
     pat.set_defaults(func=_cmd_atm_timeline)
-    pj = sub.add_parser("journey", help="end-to-end timeline of one message, every stage")
+    pj = sub.add_parser("journey", help=_EXPERIMENTS["journey"])
     pj.add_argument("--substrate", default="fe", choices=("fe", "atm"))
     pj.add_argument("--size", type=int, default=40)
     pj.set_defaults(func=_cmd_journey)
@@ -575,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("splitc", help=_EXPERIMENTS["splitc"])
     ps.add_argument("benchmark", help=f"one of {', '.join(_SPLITC_BENCHMARKS)}")
     ps.add_argument("--nodes", type=int, default=4)
-    ps.add_argument("--substrate", default="fe-switch",
-                    choices=("fe-hub", "fe-switch", "fe-beowulf", "fe-clos",
-                             "atm", "atm-clos", "mixed"))
+    ps.add_argument("--substrate", default="fe-switch", choices=networks.names())
     ps.add_argument("--collectives", default="host", choices=("host", "nic"),
                     help="barrier/broadcast/reduce implementation: host-"
                          "coordinated node-0 scheme or NIC-resident trees")
@@ -588,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stats", action="store_true", help="dump simulation counters")
     ps.set_defaults(func=_cmd_splitc)
     pk = sub.add_parser("soak", help=_EXPERIMENTS["soak"])
-    from .suite import SUITES
-
     pk.add_argument("--suite", default="chaos", choices=tuple(SUITES),
                     help="chaos soaks the wire; overload soaks the receiver's "
                          "service capacity (incast, sick endpoints); crash "

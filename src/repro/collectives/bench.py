@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import networks
 from ..artifact import Artifact, Headline
 
 __all__ = [
@@ -65,7 +66,8 @@ _STORM_REASON = ("host reduce rides all_store_sync, O(N^2) announces per "
 def point_support(substrate: str, mode: str, nodes: int, op: str) -> Tuple[bool, str]:
     """Whether a grid cell can run, and the reason when it cannot."""
     if mode == "host":
-        if substrate.startswith("fe") and nodes - 1 >= 0xFF:
+        limit = networks.get(substrate).ni.mesh_limit
+        if limit is not None and nodes - 1 >= limit:
             return False, _PORT_REASON
         if op == "reduce" and nodes > HOST_REDUCE_MAX_NODES:
             return False, _STORM_REASON

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from .. import networks
 from ..am import AmEndpoint
 from ..am.core import AmCore, handshake_settled
 from ..core import EndpointConfig
@@ -218,18 +220,6 @@ def inject_bug(name: Optional[str]):
 
 
 # ------------------------------------------------------------------- running
-def _build_network(substrate: str, sim: Simulator):
-    if substrate == "atm":
-        from ..atm import AtmNetwork
-
-        return AtmNetwork(sim)
-    if substrate in ("ethernet", "fe"):
-        from ..ethernet import SwitchedNetwork
-
-        return SwitchedNetwork(sim)
-    raise ValueError(f"unknown substrate {substrate!r}; choose from {SUBSTRATES}")
-
-
 class CaseRig:
     """What one case execution shares on every substrate.
 
@@ -331,7 +321,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
 
     with inject_bug(bug):
         sim = Simulator()
-        net = _build_network(substrate, sim)
+        net = networks.get(substrate).build(sim)
         h0 = net.add_host("n0", PENTIUM_120)
         h1 = net.add_host("n1", PENTIUM_120)
         sender_cfg = EndpointConfig(num_buffers=64, buffer_size=2048,
@@ -603,12 +593,9 @@ def run_case(case: ConformanceCase, substrates: Sequence[str] = SUBSTRATES,
 
 
 # -------------------------------------------------------------- registration
-register_substrate(
-    "atm", lambda case, bug=None: run_substrate(case, "atm", bug=bug),
-    description="simulated U-Net/ATM (SBA-200 model)")
-register_substrate(
-    "ethernet", lambda case, bug=None: run_substrate(case, "ethernet", bug=bug),
-    description="simulated U-Net/FE (DC21140 model)")
+for _name in SUBSTRATES:
+    register_substrate(_name, partial(run_substrate, substrate=_name),
+                       description=f"simulated {networks.get(_name).label}")
 
 
 # ----------------------------------------------------------------- reporting

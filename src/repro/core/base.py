@@ -14,7 +14,7 @@ once; DESIGN §2 lists what a new substrate has to add.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..sim import Discarded, Simulator
 from .endpoint import Endpoint, EndpointConfig
@@ -167,6 +167,11 @@ class SimulatedNetwork(Closing):
 
     sim: Simulator
     hosts: List[Any]
+
+    def devices(self) -> Dict[str, Sequence[Any]]:
+        """What stands between the hosts, by kind — ``"switches"``,
+        ``"media"``, ``"routers"`` — each with a ``counters()``."""
+        raise NotImplementedError
 
     def close(self) -> Discarded:
         """Close the simulator (parked firmware and receivers end where

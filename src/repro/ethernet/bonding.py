@@ -127,6 +127,9 @@ class BeowulfNetwork(SimulatedNetwork):
         self.hosts.append(host)
         return host
 
+    def devices(self) -> dict:
+        return {"media": [self.medium_a, self.medium_b]}
+
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """Bonded duplex channel across both rails."""
         backend_a: DualNicFeBackend = a.backend

@@ -184,6 +184,11 @@ class IpRouter:
         self.drops_ttl = 0
         sim.process(self._forwarding_engine(), name=f"{name}.cpu")
 
+    def counters(self) -> dict:
+        return {"packets_forwarded": self.packets_forwarded,
+                "drops_no_route": self.drops_no_route,
+                "drops_bad_header": self.drops_bad_header, "drops_ttl": self.drops_ttl}
+
     def attach_segment(self, switch: EthernetSwitch, mac: MacAddress, network: int, mask: int) -> None:
         """Connect one router port to ``switch`` serving ``network``."""
         port = len(self._ports)

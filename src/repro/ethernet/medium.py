@@ -90,6 +90,10 @@ class SharedMedium:
         self.frames_carried = 0
         self.drops_excessive_collisions = 0
 
+    def counters(self) -> dict:
+        return {"frames_carried": self.frames_carried, "collisions": self.collisions,
+                "drops_excessive_collisions": self.drops_excessive_collisions}
+
     def attach(self) -> "HubAttachment":
         station = HubAttachment(self)
         self.stations.append(station)

@@ -42,34 +42,41 @@ class EthernetChannelService:
 
 
 class _FeNetworkBase(SimulatedNetwork):
-    """Shared host bookkeeping for the two topologies."""
+    """Host bookkeeping every U-Net/FE topology shares; a topology adds
+    ``_attach(backend, **where)``, which cables one NIC into it."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.hosts: List[Host] = []
         self._next_mac = 0x02_00_00_00_00_01  # locally administered
 
-    def _new_backend(
+    def add_host(
         self,
         name: str,
         cpu: CpuModel,
-        timings: Optional[FeTimings],
-        nic_timings: Optional[NicTimings],
-        bus: BusModel,
-        trace: Optional[TraceRecorder],
-    ) -> UNetFeBackend:
-        mac = self._next_mac
-        self._next_mac += 1
-        return UNetFeBackend(
+        timings: Optional[FeTimings] = None,
+        nic_timings: Optional[NicTimings] = None,
+        bus: BusModel = PCI_BUS,
+        trace: Optional[TraceRecorder] = None,
+        **where,
+    ) -> Host:
+        """Attach a workstation; ``where`` places it in the topology (a
+        Clos ``leaf``, a routed ``segment``, the link's ``propagation_us``)."""
+        backend = UNetFeBackend(
             self.sim,
             name=f"{name}.unet_fe",
             cpu=cpu,
-            mac=mac,
+            mac=self._next_mac,
             timings=timings,
             nic_timings=nic_timings,
             bus=bus,
             trace=trace,
         )
+        self._next_mac += 1
+        self._attach(backend, **where)
+        host = Host(self.sim, name, cpu, backend)
+        self.hosts.append(host)
+        return host
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         return EthernetChannelService.connect(a, b)
@@ -92,20 +99,11 @@ class HubNetwork(_FeNetworkBase):
         super().__init__(sim)
         self.medium = SharedMedium(sim, rate_mbps=rate_mbps, rng=rng)
 
-    def add_host(
-        self,
-        name: str,
-        cpu: CpuModel,
-        timings: Optional[FeTimings] = None,
-        nic_timings: Optional[NicTimings] = None,
-        bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
-    ) -> Host:
-        backend = self._new_backend(name, cpu, timings, nic_timings, bus, trace)
+    def _attach(self, backend: UNetFeBackend) -> None:
         backend.attach(self.medium.attach())
-        host = Host(self.sim, name, cpu, backend)
-        self.hosts.append(host)
-        return host
+
+    def devices(self) -> dict:
+        return {"media": [self.medium]}
 
 
 class RoutedFeNetwork(_FeNetworkBase):
@@ -142,29 +140,18 @@ class RoutedFeNetwork(_FeNetworkBase):
         self._segment_of = {}
         self._next_udp = {}
 
-    def add_host(
-        self,
-        name: str,
-        cpu: CpuModel,
-        segment: int = 0,
-        timings: Optional[FeTimings] = None,
-        nic_timings: Optional[NicTimings] = None,
-        bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
-    ) -> Host:
+    def _attach(self, backend: UNetFeBackend, segment: int = 0) -> None:
         if not 0 <= segment < len(self.switches):
             raise ValueError(f"no such segment {segment}")
         self._hosts_per_segment[segment] += 1
-        ip = (10 << 24) | (segment << 8) | self._hosts_per_segment[segment]
-        backend = self._new_backend(name, cpu, timings, nic_timings, bus, trace)
-        backend.ip_address = ip
+        backend.ip_address = (10 << 24) | (segment << 8) | self._hosts_per_segment[segment]
         backend.attach(self.switches[segment].attach(backend.mac))
-        self.router.register_host(ip, backend.mac)
-        host = Host(self.sim, name, cpu, backend)
-        self.hosts.append(host)
+        self.router.register_host(backend.ip_address, backend.mac)
         self._segment_of[backend] = segment
         self._next_udp[backend] = 0x4000
-        return host
+
+    def devices(self) -> dict:
+        return {"switches": self.switches, "routers": [self.router]}
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """IPv4-encapsulated duplex channel, routed if segments differ."""
@@ -198,18 +185,8 @@ class SwitchedNetwork(_FeNetworkBase):
         super().__init__(sim)
         self.switch = EthernetSwitch(sim, model, rate_mbps=rate_mbps)
 
-    def add_host(
-        self,
-        name: str,
-        cpu: CpuModel,
-        timings: Optional[FeTimings] = None,
-        nic_timings: Optional[NicTimings] = None,
-        bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
-        propagation_us: float = 0.5,
-    ) -> Host:
-        backend = self._new_backend(name, cpu, timings, nic_timings, bus, trace)
+    def _attach(self, backend: UNetFeBackend, propagation_us: float = 0.5) -> None:
         backend.attach(self.switch.attach(backend.mac, propagation_us=propagation_us))
-        host = Host(self.sim, name, cpu, backend)
-        self.hosts.append(host)
-        return host
+
+    def devices(self) -> dict:
+        return {"switches": [self.switch]}

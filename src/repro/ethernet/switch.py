@@ -81,6 +81,10 @@ class EthernetSwitch:
         self.frames_flooded = 0
         self.unknown_mac_drops = 0
 
+    def counters(self) -> dict:
+        return {"frames_forwarded": self.frames_forwarded,
+                "unknown_mac_drops": self.unknown_mac_drops}
+
     @property
     def ports_used(self) -> int:
         return len(self._links)

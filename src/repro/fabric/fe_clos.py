@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.api import Host, UserEndpoint
+from ..core.api import UserEndpoint
 from ..core.errors import NoPathError
 from ..ethernet.medium import SimplexChannel
 from ..ethernet.network import _FeNetworkBase
@@ -115,28 +115,23 @@ class ClosFeNetwork(_FeNetworkBase):
     def spines(self) -> int:
         return self.topology.spines
 
-    def add_host(self, name, cpu, leaf: Optional[int] = None,
-                 timings=None, nic_timings=None, bus=None,
-                 trace=None, propagation_us: float = 0.5) -> Host:
-        """Attach a host; defaults to filling leaves left to right."""
-        from ..hw.bus import PCI_BUS
-
+    def _attach(self, backend, leaf: Optional[int] = None,
+                propagation_us: float = 0.5) -> None:
+        """Cable a NIC to ``leaf``; defaults to filling leaves left to right."""
         if leaf is None:
             leaf = self._host_count // self.hosts_per_leaf
         if not 0 <= leaf < self.leaves:
             raise ValueError(f"no such leaf {leaf} "
                              f"(cluster is full at {self.leaves * self.hosts_per_leaf} hosts)")
-        backend = self._new_backend(name, cpu, timings, nic_timings,
-                                    bus or PCI_BUS, trace)
         backend.attach(self.leaf_switches[leaf].attach(backend.mac,
                                                        propagation_us=propagation_us))
         if not self.learning:
             self._program_fabric(backend.mac, leaf, self._host_count)
         self._leaf_of_backend[backend] = leaf
         self._host_count += 1
-        host = Host(self.sim, name, cpu, backend)
-        self.hosts.append(host)
-        return host
+
+    def devices(self) -> dict:
+        return {"switches": self.leaf_switches + self.spine_switches}
 
     def _program_fabric(self, mac: int, leaf: int, host_index: int) -> None:
         """Signaling plane: one loop-free path to ``mac`` from everywhere.

@@ -41,29 +41,17 @@ _RELAY_CONFIG = EndpointConfig(
 class MixedFabric(SimulatedNetwork):
     """An ATM Clos plus an FE Clos with a dual-homed relay between them."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        atm_leaves: int = 2,
-        atm_spines: int = 2,
-        fe_leaves: int = 2,
-        fe_spines: int = 2,
-        hosts_per_leaf: int = 8,
-        relay_cpu: CpuModel = PENTIUM_120,
-        relay_forward_us: float = RELAY_FORWARD_US,
-    ) -> None:
+    def __init__(self, sim: Simulator, hosts_per_leaf: int = 8) -> None:
         self.sim = sim
-        self.atm = ClosAtmFabric(sim, leaves=atm_leaves, spines=atm_spines,
-                                 hosts_per_leaf=hosts_per_leaf + 1)
-        self.fe = ClosFeNetwork(sim, leaves=fe_leaves, spines=fe_spines,
-                                hosts_per_leaf=hosts_per_leaf + 1)
-        self.relay_forward_us = relay_forward_us
+        # two leaves x two spines per side, one extra leaf port for the relay
+        self.atm = ClosAtmFabric(sim, hosts_per_leaf=hosts_per_leaf + 1)
+        self.fe = ClosFeNetwork(sim, hosts_per_leaf=hosts_per_leaf + 1)
         self.hosts = []
         self._side_of: Dict[object, str] = {}
         self._host_count = 0
         # the relay: one host (and endpoint) per fabric, spliced below
-        self._relay_atm_host = self._attach_atm_host("relay.atm", relay_cpu)
-        self._relay_fe_host = self.fe.add_host("relay.fe", relay_cpu)
+        self._relay_atm_host = self._attach_atm_host("relay.atm", PENTIUM_120)
+        self._relay_fe_host = self.fe.add_host("relay.fe", PENTIUM_120)
         self.relay_atm = self._relay_atm_host.create_endpoint(
             config=_RELAY_CONFIG, rx_buffers=128)
         self.relay_fe = self._relay_fe_host.create_endpoint(
@@ -81,6 +69,9 @@ class MixedFabric(SimulatedNetwork):
         the first close ends it, the second returns the same report."""
         self.atm.close()
         return self.fe.close()
+
+    def devices(self) -> dict:
+        return {"switches": self.atm.devices()["switches"] + self.fe.devices()["switches"]}
 
     def _attach_atm_host(self, name: str, cpu: CpuModel) -> Host:
         host = self.atm.add_host(name, cpu)
@@ -159,6 +150,6 @@ class MixedFabric(SimulatedNetwork):
             out_channel = mapping.get(message.channel_id)
             if out_channel is None:
                 continue  # not a spliced channel (stray or misdirected)
-            yield self.relay_forward_us
+            yield RELAY_FORWARD_US
             yield from dst.send(out_channel, message.data)
             self.relayed_messages += 1

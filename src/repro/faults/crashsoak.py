@@ -36,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .. import networks
 from ..am import AmConfig
 from ..am.core import handshake_settled
 from ..artifact import Artifact
 from ..core.errors import UNetError
 from ..sim import Simulator
 from ..suite import Suite
-from .stream import ENDPOINT_CONFIG, build_am_star, build_network, stream_payload
+from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
 
 __all__ = [
     "CRASH_ARTIFACT",
@@ -269,7 +270,7 @@ def run_crash_scenario(scenario: CrashScenario,
 
 def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     sim = Simulator()
-    net = build_network(scenario.substrate, sim)
+    net = networks.get(scenario.substrate).build(sim)
     (h0, h1), (am0, am1) = build_am_star(
         net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
 

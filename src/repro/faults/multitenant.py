@@ -46,6 +46,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import networks
 from ..artifact import Artifact
 from ..core import EndpointConfig
 from ..core.cluster import ClusterHealthAggregator
@@ -67,7 +68,6 @@ from ..core.tenancy import (
 )
 from ..sim import RngRegistry, Simulator
 from ..suite import DEFAULT_SEED, Suite
-from .stream import build_network
 
 __all__ = [
     "MULTITENANT_ARTIFACT",
@@ -450,7 +450,7 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     from ..hw import PENTIUM_120
 
     sim = Simulator()
-    net = build_network(scenario.substrate, sim)
+    net = networks.get(scenario.substrate).build(sim)
 
     def add_node(name: str):
         host = net.add_host(name, PENTIUM_120)

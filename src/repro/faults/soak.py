@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import networks
 from ..am import AmConfig
 from ..sim import RngRegistry, Simulator
 from ..suite import DEFAULT_SEED, Suite
@@ -38,7 +39,6 @@ from .perturb import (
 )
 from .stream import (
     build_am_star,
-    build_network,
     check_delivery,
     render_fault_stats,
     stream_payload,
@@ -150,7 +150,7 @@ def run_scenario(
 ) -> SoakResult:
     """Run ``scenario`` once under ``config`` and check every invariant."""
     sim = Simulator()
-    net = build_network(scenario.substrate, sim)
+    net = networks.get(scenario.substrate).build(sim)
     (h0, h1), (am0, am1) = build_am_star(net, ("n0", "n1"), sink=1, config=config)
 
     registry = RngRegistry(seed)

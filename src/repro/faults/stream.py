@@ -15,25 +15,13 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..am import AmConfig, AmEndpoint
 from ..core import EndpointConfig
-from ..sim import Simulator
 
-__all__ = ["ENDPOINT_CONFIG", "build_network", "build_am_star",
-           "stream_payload", "check_delivery", "render_fault_stats"]
+__all__ = ["ENDPOINT_CONFIG", "build_am_star", "stream_payload",
+           "check_delivery", "render_fault_stats"]
 
 #: endpoint sizing of every stream soak node, simulated or live
 ENDPOINT_CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
                                  send_queue_depth=64, recv_queue_depth=128)
-
-
-def build_network(substrate: str, sim: Simulator):
-    """A fresh ``"atm"`` or ``"ethernet"`` (switched) network on ``sim``."""
-    if substrate == "atm":
-        from ..atm import AtmNetwork
-
-        return AtmNetwork(sim)
-    from ..ethernet import SwitchedNetwork
-
-    return SwitchedNetwork(sim)
 
 
 def build_am_star(net, names: Sequence[str], sink: int,

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import networks
 from ..am import AmConfig, AmEndpoint
 from ..artifact import Artifact, Headline
 from ..sim import RngRegistry, Simulator
@@ -43,7 +44,6 @@ from .inject import attach_pipeline
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
 from .stream import (
     build_am_star,
-    build_network,
     check_delivery,
     render_fault_stats,
     stream_payload,
@@ -234,7 +234,7 @@ def run_transport(scenario: TransportScenario, mode: str,
                          f"choose from {sorted(TRANSPORT_MODES)}")
     sim = Simulator()
     names = ["sink"] + [f"src{s}" for s in range(scenario.senders)]
-    net = build_network("ethernet", sim)
+    net = networks.get("ethernet").build(sim)
     (sink_host, *sender_hosts), (sink_am, *sender_ams) = build_am_star(
         net, names, sink=0, config=TRANSPORT_MODES[mode]())
 

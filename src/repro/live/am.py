@@ -11,8 +11,8 @@ What differs is purely mechanical: where the simulated endpoint blocks
 generator processes on events, LiveAm is *polled*.  ``start_request``
 returns ``None`` instead of blocking when the window, the credit gate or
 a reconnect handshake refuses admission; :meth:`service` does one pass
-of ingress dispatch, then scans the delayed-ack, retransmission, HELLO,
-heartbeat and credit-refresh deadlines against the injected
+of ingress dispatch, then scans the delayed-ack, retransmission, HELLO
+and credit-refresh deadlines against the injected
 :class:`~repro.core.clock.Clock`.  Handlers are plain calls, a packet
 reaches U-Net through a bounded busy-retry, and an rpc completes by
 appearing in ``rpc_results``.
@@ -69,9 +69,6 @@ class LiveAm(AmCore):
         self._rpc_failed: Dict[Tuple[int, int], str] = {}
         now = self._now()
         self._next_credit_refresh = now + self.config.credit_update_us
-        self._next_heartbeat = (
-            now + self.config.heartbeat_us
-            if self.config.recovery and self.config.heartbeat_us > 0 else None)
 
     # -------------------------------------------------------- driver hooks
     def _new_peer(self, node_id: int, channel_id: int) -> _LivePeer:
@@ -277,9 +274,6 @@ class LiveAm(AmCore):
                 rto = self._current_rto(peer)
                 if now - peer.last_progress >= rto and self._rto_expired(peer, rto):
                     self._retransmit_now(peer)
-        if self._next_heartbeat is not None and now >= self._next_heartbeat:
-            self._next_heartbeat = now + cfg.heartbeat_us
-            self._heartbeat()
         if cfg.credit_flow and now >= self._next_credit_refresh:
             self._next_credit_refresh = now + cfg.credit_update_us
             for peer in self._peers_by_node.values():

@@ -15,6 +15,7 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from ..hw.cpu import PENTIUM_120, SPARCSTATION_20, CpuModel
+from ..networks import atm_cluster_cpus, fe_cluster_cpus
 from ..splitc.costs import DEFAULT_COSTS, KernelCosts
 from .analytic import Projection
 from .loggp import StageCosts, atm_stage_costs, fe_stage_costs
@@ -38,8 +39,6 @@ def projection_gap(
     kernel: KernelCosts = DEFAULT_COSTS,
 ) -> float:
     """FE minus ATM projected seconds (positive: ATM wins)."""
-    from ..splitc.cluster import atm_cluster_cpus, fe_cluster_cpus
-
     fe = project(cfg, n, fe_stage_costs(PENTIUM_120), fe_cluster_cpus(n), kernel=kernel)
     atm_cpus = scaled_int_cpus(atm_cluster_cpus(n), atm_int_factor)
     atm = project(cfg, n, atm_stage_costs(SPARCSTATION_20), atm_cpus, kernel=kernel)

@@ -1,6 +1,7 @@
 """Split-C runtime over Active Messages, plus cluster construction."""
 
-from .cluster import ENDPOINT_CONFIG, Cluster, atm_cluster_cpus, fe_cluster_cpus
+from ..networks import atm_cluster_cpus, fe_cluster_cpus
+from .cluster import ENDPOINT_CONFIG, Cluster
 from .costs import DEFAULT_COSTS, KernelCosts
 from .memory import GlobalHeap, HeapError
 from .runtime import SplitCError, SplitCRuntime

@@ -12,26 +12,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
+from .. import networks
 from ..am.am import AmConfig, AmEndpoint
-from ..atm.network import AtmNetwork
-from ..atm.phy import TAXI_140, AtmPhy
 from ..core.api import Host, UserEndpoint
 from ..core.base import Closing
 from ..core.endpoint import EndpointConfig
-from ..ethernet.network import HubNetwork, SwitchedNetwork
-from ..ethernet.switch import BAY_28115, SwitchModel
-from ..hw.cpu import (
-    PENTIUM_90,
-    PENTIUM_120,
-    SPARCSTATION_10,
-    SPARCSTATION_20,
-    CpuModel,
-)
+from ..hw.cpu import CpuModel
 from ..sim import Discarded, Simulator
 from .costs import DEFAULT_COSTS, KernelCosts
 from .runtime import SplitCRuntime
 
-__all__ = ["Cluster", "fe_cluster_cpus", "atm_cluster_cpus", "ENDPOINT_CONFIG"]
+__all__ = ["Cluster", "ENDPOINT_CONFIG"]
 
 #: generous endpoint sizing for the AM traffic of parallel programs
 ENDPOINT_CONFIG = EndpointConfig(
@@ -62,34 +53,11 @@ def _lean_endpoint_config(n: int) -> EndpointConfig:
     )
 
 
-def fe_cluster_cpus(n: int) -> List[CpuModel]:
-    """The paper's FE cluster: one Pentium-90, the rest Pentium-120s."""
-    return [PENTIUM_90] + [PENTIUM_120] * (n - 1)
-
-
-def atm_cluster_cpus(n: int) -> List[CpuModel]:
-    """The paper's ATM cluster: half SPARCstation-20s, half -10s."""
-    half = (n + 1) // 2
-    return ([SPARCSTATION_20] * half + [SPARCSTATION_10] * (n - half))[:n]
-
-
-def _clos_shape(n: int) -> tuple:
-    """(leaves, spines, hosts_per_leaf) for an ``n``-host fat tree.
-
-    Leaves hold up to 16 hosts (a realistic leaf port budget) and the
-    spine tier is half the leaf tier, capped at 8 — e.g. 256 hosts on
-    16 leaves x 8 spines.
-    """
-    leaves = max(2, -(-n // 16))
-    per_leaf = -(-n // leaves)
-    spines = max(2, min(8, -(-leaves // 2)))
-    return leaves, spines, per_leaf
-
-
 class Cluster(Closing):
     """N workstations, channel-connected on demand, running Split-C."""
 
-    SUBSTRATES = ("fe-hub", "fe-switch", "fe-beowulf", "fe-clos", "atm", "atm-clos", "mixed")
+    #: the rows of :mod:`repro.networks`
+    SUBSTRATES = networks.names()
 
     def __init__(
         self,
@@ -98,11 +66,8 @@ class Cluster(Closing):
         cpus: Optional[Sequence[CpuModel]] = None,
         am_config: Optional[AmConfig] = None,
         costs: KernelCosts = DEFAULT_COSTS,
-        switch_model: SwitchModel = BAY_28115,
-        atm_phy: AtmPhy = TAXI_140,
         sim: Optional[Simulator] = None,
         collectives: str = "host",
-        collective_fanout: int = 4,
         lazy_channels: bool = True,
         endpoint_config: Optional[EndpointConfig] = None,
     ) -> None:
@@ -110,20 +75,19 @@ class Cluster(Closing):
             raise ValueError("cluster needs at least one node")
         if collectives not in ("host", "nic"):
             raise ValueError(f"unknown collectives mode {collectives!r} (host, nic)")
-        if substrate not in self.SUBSTRATES:
-            raise ValueError(f"unknown substrate {substrate!r} {self.SUBSTRATES}")
+        row = networks.get(substrate)
         if cpus is None:
-            cpus = fe_cluster_cpus(n) if substrate.startswith("fe") else atm_cluster_cpus(n)
+            cpus = row.ni.cpus(n)
         if len(cpus) != n:
             raise ValueError("need one CpuModel per node")
         # every refusal that needs no machine is above: nothing is built
         # that a failed constructor would leave behind unclosed
         self.n = n
-        self.substrate = substrate
+        self.substrate = row.name
         self.collectives = collectives
         self.sim = sim or Simulator()
         self.cpus = list(cpus)
-        self.network = self._build_network(substrate, switch_model, atm_phy)
+        self.network = row.build(self.sim, n)
         if collectives == "nic" and not hasattr(self.network, "collective_edge"):
             self.network.close()
             raise ValueError(
@@ -132,8 +96,7 @@ class Cluster(Closing):
             )
         if endpoint_config is None:
             endpoint_config = ENDPOINT_CONFIG if n <= LEAN_THRESHOLD else _lean_endpoint_config(n)
-        # the ATM hosts' fibers run the cluster's PHY, like its trunks
-        host_kwargs = {"phy": atm_phy} if substrate in ("atm", "atm-clos") else {}
+        host_kwargs = row.cluster_host()
         self.hosts: List[Host] = [
             self.network.add_host(f"node{i}", self.cpus[i], **host_kwargs) for i in range(n)
         ]
@@ -156,8 +119,7 @@ class Cluster(Closing):
         if collectives == "nic":
             from ..collectives import wire_collectives
 
-            self.collective_engines = wire_collectives(self.network, self.hosts,
-                                                       fanout=collective_fanout)
+            self.collective_engines = wire_collectives(self.network, self.hosts)
         self.runtimes: List[SplitCRuntime] = [
             SplitCRuntime(i, n, self.ams[i], self.cpus[i], costs=costs) for i in range(n)
         ]
@@ -181,35 +143,6 @@ class Cluster(Closing):
         ch_i, ch_j = self.network.connect(self.endpoints[i], self.endpoints[j])
         self.ams[i].connect_peer(j, ch_i)
         self.ams[j].connect_peer(i, ch_j)
-
-    # -------------------------------------------------------------- fabric
-    def _build_network(self, substrate: str, switch_model: SwitchModel, atm_phy: AtmPhy):
-        if substrate == "fe-hub":
-            return HubNetwork(self.sim)
-        if substrate == "fe-switch":
-            return SwitchedNetwork(self.sim, model=switch_model)
-        if substrate == "fe-beowulf":
-            from ..ethernet.bonding import BeowulfNetwork
-
-            return BeowulfNetwork(self.sim)
-        if substrate == "fe-clos":
-            from ..fabric import ClosFeNetwork
-
-            leaves, spines, per_leaf = _clos_shape(self.n)
-            return ClosFeNetwork(self.sim, leaves=leaves, spines=spines,
-                                 hosts_per_leaf=per_leaf, model=switch_model)
-        if substrate == "atm":
-            return AtmNetwork(self.sim)
-        if substrate == "atm-clos":
-            from ..fabric import ClosAtmFabric
-
-            leaves, spines, per_leaf = _clos_shape(self.n)
-            return ClosAtmFabric(self.sim, leaves=leaves, spines=spines,
-                                 hosts_per_leaf=per_leaf, trunk_phy=atm_phy)
-        from ..fabric import MixedFabric  # "mixed": __init__ vetted the name
-
-        per_leaf = max(2, -(-self.n // 4))  # half per side, two leaves each
-        return MixedFabric(self.sim, hosts_per_leaf=per_leaf)
 
     # ---------------------------------------------------------------- run
     def run(self, program: Callable[[SplitCRuntime], Generator], limit: float = 5e9) -> List[Any]:

@@ -7,31 +7,32 @@ from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
 from repro.ethernet import HubNetwork
 from repro.faults import Corrupt, UniformLoss, attach_pipeline
-from repro.hw import PENTIUM_120
 from repro.sim import RngRegistry, Simulator
 
 CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
                         send_queue_depth=64, recv_queue_depth=128)
 
 
-def _fe_am_pair(sim):
-    net = HubNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    cfg = AmConfig(retransmit_timeout_us=300.0)
-    am0, am1 = AmEndpoint(0, ep0, config=cfg), AmEndpoint(1, ep1, config=cfg)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
-    return am0, am1
+@pytest.fixture
+def pair(two_hosts):
+    """Hosts n0 and n1 on a fresh hub (or ATM switch), closed after the test."""
+    def build(network=HubNetwork):
+        return two_hosts(network(Simulator()), names=("n0", "n1"), config=CONFIG, rx_buffers=48)
+
+    return build
 
 
-def test_frame_drops_are_deterministic_per_seed():
+def _am_pair(rig, timeout_us=300.0):
+    cfg = AmConfig(retransmit_timeout_us=timeout_us)
+    am0, am1 = AmEndpoint(0, rig.ep1, config=cfg), AmEndpoint(1, rig.ep2, config=cfg)
+    am0.connect_peer(1, rig.ch1)
+    am1.connect_peer(0, rig.ch2)
+    return rig.sim, am0, am1
+
+
+def test_frame_drops_are_deterministic_per_seed(pair):
     def run(seed):
-        sim = Simulator()
-        am0, am1 = _fe_am_pair(sim)
+        sim, am0, am1 = _am_pair(pair())
         loss = UniformLoss(0.3)
         attach_pipeline(am1.user.host.backend, [loss], rng=RngRegistry(seed))
         seen = []
@@ -51,9 +52,8 @@ def test_frame_drops_are_deterministic_per_seed():
     assert seen_a == seen_b == list(range(20))  # reliability recovered
 
 
-def test_frame_injector_remove_restores_path():
-    sim = Simulator()
-    am0, am1 = _fe_am_pair(sim)
+def test_frame_injector_remove_restores_path(pair):
+    sim, am0, am1 = _am_pair(pair())
     loss = UniformLoss(1.0)
     attach_pipeline(am1.user.host.backend, [loss]).remove()
     seen = []
@@ -75,14 +75,9 @@ def test_invalid_rates_rejected():
         Corrupt(-0.1)
 
 
-def test_cell_corruption_detected_by_aal5_crc():
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
+def test_cell_corruption_detected_by_aal5_crc(pair):
+    rig = pair(AtmNetwork)
+    sim, ep0, ep1, ch0 = rig.sim, rig.ep1, rig.ep2, rig.ch1
     backend1 = ep1.host.backend
     corrupt = Corrupt(1.0)
     attach_pipeline(backend1, [corrupt])
@@ -97,18 +92,8 @@ def test_cell_corruption_detected_by_aal5_crc():
     assert ep1.endpoint.recv_queue.is_empty
 
 
-def test_cell_loss_recovered_by_am():
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    cfg = AmConfig(retransmit_timeout_us=400.0)
-    am0, am1 = AmEndpoint(0, ep0, config=cfg), AmEndpoint(1, ep1, config=cfg)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
+def test_cell_loss_recovered_by_am(pair):
+    sim, am0, am1 = _am_pair(pair(AtmNetwork), timeout_us=400.0)
     loss = UniformLoss(0.15)
     attach_pipeline(am1.user.host.backend, [loss], rng=RngRegistry(9))
     seen = []
@@ -139,11 +124,10 @@ def test_chrome_trace_export():
     json.dumps(events)  # must be serializable
 
 
-def test_corrupted_frames_dropped_by_nic_crc_and_recovered():
+def test_corrupted_frames_dropped_by_nic_crc_and_recovered(pair):
     from repro.am import AmConfig
 
-    sim = Simulator()
-    am0, am1 = _fe_am_pair(sim)
+    sim, am0, am1 = _am_pair(pair())
     am0.config = AmConfig(retransmit_timeout_us=300.0)
     corrupt = Corrupt(0.3)
     attach_pipeline(am1.user.host.backend, [corrupt], rng=RngRegistry(5))

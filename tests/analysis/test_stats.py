@@ -52,15 +52,15 @@ def test_am_stats_consistency():
 def test_network_stats_switch_and_medium():
     fe = _run_small_cluster()
     stats = network_stats(fe.network)
-    assert stats["switch"]["frames_forwarded"] > 0
+    assert stats["switches"][0]["frames_forwarded"] > 0
 
     atm = _run_small_cluster(substrate="atm")
     stats = network_stats(atm.network)
-    assert stats["switch"]["cells_forwarded"] > 0
+    assert stats["switches"][0]["cells_forwarded"] > 0
 
     hub = _run_small_cluster(substrate="fe-hub")
     stats = network_stats(hub.network)
-    assert stats["medium"]["frames_carried"] > 0
+    assert stats["media"][0]["frames_carried"] > 0
 
 
 def test_render_stats_readable():
@@ -76,5 +76,5 @@ def test_frame_conservation_invariant():
     cluster = _run_small_cluster()
     sent = sum(backend_stats(h.backend)["nic"]["frames_sent"] for h in cluster.hosts)
     received = sum(backend_stats(h.backend)["nic"]["frames_received"] for h in cluster.hosts)
-    forwarded = network_stats(cluster.network)["switch"]["frames_forwarded"]
+    forwarded = network_stats(cluster.network)["switches"][0]["frames_forwarded"]
     assert sent == forwarded == received

@@ -7,20 +7,14 @@ from repro.hw import SBUS, SPARCSTATION_20
 from repro.sim import Simulator
 
 
-def _pair(bus=None, timings=None):
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    kwargs = {}
-    if bus is not None:
-        kwargs["bus"] = bus
-    if timings is not None:
-        kwargs["timings"] = timings
-    h1 = net.add_host("h1", SPARCSTATION_20, **kwargs)
-    h2 = net.add_host("h2", SPARCSTATION_20, **kwargs)
-    ep1 = h1.create_endpoint(rx_buffers=32)
-    ep2 = h2.create_endpoint(rx_buffers=32)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return sim, ep1, ep2, ch1, ch2
+@pytest.fixture
+def pair(two_hosts):
+    def build(**adapter):  # bus=, timings=
+        rig = two_hosts(AtmNetwork(Simulator()), SPARCSTATION_20, config=None,
+                        rx_buffers=32, **adapter)
+        return rig.sim, rig.ep1, rig.ep2, rig.ch1, rig.ch2
+
+    return build
 
 
 def _rtt(sim, ep1, ep2, ch1, ch2, size):
@@ -42,8 +36,8 @@ def _rtt(sim, ep1, ep2, ch1, ch2, size):
     return sim.run_until_complete(sim.process(pinger()))
 
 
-def test_sba200_delivers_correctly():
-    sim, ep1, ep2, ch1, ch2 = _pair(bus=SBUS, timings=SBA200_TIMINGS)
+def test_sba200_delivers_correctly(pair):
+    sim, ep1, ep2, ch1, ch2 = pair(bus=SBUS, timings=SBA200_TIMINGS)
 
     def tx():
         yield from ep1.send(ch1, b"sbus adapter" * 50)
@@ -57,20 +51,20 @@ def test_sba200_delivers_correctly():
     assert msg.data == b"sbus adapter" * 50
 
 
-def test_sba200_slower_than_pca200_for_bulk():
+def test_sba200_slower_than_pca200_for_bulk(pair):
     """SBus's 32-byte bursts and lower bandwidth show on large messages."""
-    sim, ep1, ep2, ch1, ch2 = _pair()  # PCA-200 defaults (PCI)
+    sim, ep1, ep2, ch1, ch2 = pair()  # PCA-200 defaults (PCI)
     pci_rtt = _rtt(sim, ep1, ep2, ch1, ch2, 1400)
-    sim, ep1, ep2, ch1, ch2 = _pair(bus=SBUS, timings=SBA200_TIMINGS)
+    sim, ep1, ep2, ch1, ch2 = pair(bus=SBUS, timings=SBA200_TIMINGS)
     sbus_rtt = _rtt(sim, ep1, ep2, ch1, ch2, 1400)
     assert sbus_rtt > pci_rtt + 20.0
 
 
-def test_sba200_small_message_gap_is_modest():
+def test_sba200_small_message_gap_is_modest(pair):
     """'largely identical' (Section 5): the single-cell path differs
     little between the adapters."""
-    sim, ep1, ep2, ch1, ch2 = _pair()
+    sim, ep1, ep2, ch1, ch2 = pair()
     pci_rtt = _rtt(sim, ep1, ep2, ch1, ch2, 40)
-    sim, ep1, ep2, ch1, ch2 = _pair(bus=SBUS, timings=SBA200_TIMINGS)
+    sim, ep1, ep2, ch1, ch2 = pair(bus=SBUS, timings=SBA200_TIMINGS)
     sbus_rtt = _rtt(sim, ep1, ep2, ch1, ch2, 40)
     assert sbus_rtt == pytest.approx(pci_rtt, rel=0.10)

@@ -19,6 +19,7 @@ run, so a socket or map dropped without ``close()`` fails the test that
 dropped it.
 """
 
+import contextlib
 import gc
 import os
 import stat
@@ -26,6 +27,7 @@ import weakref
 
 import pytest
 
+from repro.analysis.microbench import two_host_rig
 from repro.atm.fabric import AtmFabric
 from repro.ethernet.bonding import BeowulfNetwork
 from repro.ethernet.network import _FeNetworkBase
@@ -57,13 +59,10 @@ NEVER_CLOSES = {
         "faults/test_perturbations.py",
     ), _BARE_KERNEL),
     **dict.fromkeys((
-        "atm/test_unet_atm.py", "atm/test_sba200.py", "atm/test_signaling.py",
-        "atm/test_vc_interleaving.py", "ethernet/test_unet_fe.py", "ethernet/test_bonding.py",
-        "ethernet/test_deferred_service.py", "ethernet/test_ip.py", "core/test_api.py",
-        "faults/test_receiver_faults.py", "analysis/test_faults.py",
-        "conformance/test_cross_substrate_health.py", "conformance/test_zero_divergence.py",
-        "integration/test_finite_buffers.py", "integration/test_kernel_contention.py",
-        "integration/test_multi_endpoint.py",
+        "atm/test_unet_atm.py", "atm/test_signaling.py", "atm/test_vc_interleaving.py",
+        "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
+        "faults/test_receiver_faults.py", "conformance/test_cross_substrate_health.py",
+        "conformance/test_zero_divergence.py", "integration/test_finite_buffers.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
         "am/test_adaptive.py", "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",
@@ -208,3 +207,11 @@ def leak_check(request):
         if leaked:
             findings.append(f"socket FD(s) {sorted(leaked)} still open")
     assert not findings, "leak check:\n  " + "\n  ".join(findings)
+
+
+@pytest.fixture
+def two_hosts():
+    """:func:`repro.analysis.microbench.two_host_rig`, every rig it built
+    closed when the test ends (before ``leak_check`` looks)."""
+    with contextlib.ExitStack() as rigs:
+        yield lambda *args, **kwargs: rigs.enter_context(two_host_rig(*args, **kwargs))

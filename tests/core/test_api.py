@@ -4,22 +4,19 @@ import pytest
 
 from repro.core import EndpointConfig, EndpointError
 from repro.ethernet import HubNetwork
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
-def build_pair(rx_buffers=8, config=None):
-    sim = Simulator()
-    net = HubNetwork(sim)
-    h1 = net.add_host("h1", PENTIUM_120)
-    h2 = net.add_host("h2", PENTIUM_120)
-    ep1 = h1.create_endpoint(config=config, rx_buffers=rx_buffers)
-    ep2 = h2.create_endpoint(config=config, rx_buffers=rx_buffers)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return sim, ep1, ep2, ch1, ch2
+@pytest.fixture
+def build_pair(two_hosts):
+    def build(rx_buffers=8, config=None):
+        rig = two_hosts(HubNetwork(Simulator()), config=config, rx_buffers=rx_buffers)
+        return rig.sim, rig.ep1, rig.ep2, rig.ch1, rig.ch2
+
+    return build
 
 
-def test_send_to_unregistered_channel_rejected():
+def test_send_to_unregistered_channel_rejected(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -31,7 +28,7 @@ def test_send_to_unregistered_channel_rejected():
         sim.run_until_complete(sim.process(tx()))
 
 
-def test_send_blocks_until_buffers_reclaimed():
+def test_send_blocks_until_buffers_reclaimed(build_pair):
     # tiny buffer area: sends must wait for NI completions, not crash
     config = EndpointConfig(num_buffers=6, buffer_size=2048)
     sim, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=2, config=config)
@@ -51,7 +48,7 @@ def test_send_blocks_until_buffers_reclaimed():
     assert received == list(range(12))
 
 
-def test_buffer_exhaustion_with_no_inflight_raises():
+def test_buffer_exhaustion_with_no_inflight_raises(build_pair):
     config = EndpointConfig(num_buffers=4, buffer_size=64)
     sim, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=4, config=config)
 
@@ -62,17 +59,17 @@ def test_buffer_exhaustion_with_no_inflight_raises():
         sim.run_until_complete(sim.process(tx()))
 
 
-def test_donate_rx_buffers_fills_free_queue():
+def test_donate_rx_buffers_fills_free_queue(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=5)
     assert len(ep1.endpoint.free_queue) == 5
 
 
-def test_poll_returns_none_when_empty():
+def test_poll_returns_none_when_empty(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
     assert ep1.poll() is None
 
 
-def test_poll_consumes_message():
+def test_poll_consumes_message(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -85,7 +82,7 @@ def test_poll_consumes_message():
     assert ep2.poll() is None
 
 
-def test_recv_all_upcall_batch():
+def test_recv_all_upcall_batch(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -98,7 +95,7 @@ def test_recv_all_upcall_batch():
     assert [m.data for m in msgs] == [bytes([i]) for i in range(4)]
 
 
-def test_signal_handler_via_user_endpoint():
+def test_signal_handler_via_user_endpoint(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
     upcalls = []
     ep2.set_signal_handler(lambda ue: upcalls.append(len(ue.recv_all())))
@@ -111,7 +108,7 @@ def test_signal_handler_via_user_endpoint():
     assert upcalls == [1]
 
 
-def test_received_message_metadata():
+def test_received_message_metadata(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -127,7 +124,7 @@ def test_received_message_metadata():
     assert msg.timestamp > 0
 
 
-def test_kick_flag_defers_transmission():
+def test_kick_flag_defers_transmission(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx_no_kick():
@@ -145,7 +142,7 @@ def test_kick_flag_defers_transmission():
     assert ep2.poll().data == b"deferred"
 
 
-def test_channel_binding_statistics():
+def test_channel_binding_statistics(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -162,7 +159,7 @@ def test_channel_binding_statistics():
     assert ep2.endpoint.channels[ch2].messages_received == 2
 
 
-def test_empty_message_roundtrip():
+def test_empty_message_roundtrip(build_pair):
     sim, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():

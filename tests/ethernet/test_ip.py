@@ -15,7 +15,6 @@ from repro.ethernet import (
 )
 from repro.ethernet.ip import _decrement_ttl
 from repro.core import MessageTooLarge
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 IP_A = (10 << 24) | 1
@@ -100,15 +99,15 @@ def test_property_single_bit_header_corruption_detected(payload, flip):
 # ------------------------------------------------------------- routed U-Net
 
 
-def _routed_pair(cross: bool):
-    sim = Simulator()
-    net = RoutedFeNetwork(sim, segments=2)
-    h1 = net.add_host("h1", PENTIUM_120, segment=0)
-    h2 = net.add_host("h2", PENTIUM_120, segment=1 if cross else 0)
-    ep1 = h1.create_endpoint(rx_buffers=16)
-    ep2 = h2.create_endpoint(rx_buffers=16)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return sim, net, ep1, ep2, ch1, ch2
+@pytest.fixture
+def routed_pair(two_hosts):
+    def build(cross: bool):
+        net = RoutedFeNetwork(Simulator(), segments=2)
+        rig = two_hosts(net, config=None, rx_buffers=16,
+                        where=({"segment": 0}, {"segment": 1 if cross else 0}))
+        return rig.sim, net, rig.ep1, rig.ep2, rig.ch1, rig.ch2
+
+    return build
 
 
 def _transfer(sim, src, dst, channel, payload):
@@ -123,22 +122,22 @@ def _transfer(sim, src, dst, channel, payload):
     return sim.run_until_complete(sim.process(rx()))
 
 
-def test_same_segment_ip_channel_delivers():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=False)
+def test_same_segment_ip_channel_delivers(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=False)
     msg = _transfer(sim, ep1, ep2, ch1, b"local")
     assert msg.data == b"local"
     assert net.router.packets_forwarded == 0  # direct, no router hop
 
 
-def test_cross_segment_via_router():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=True)
+def test_cross_segment_via_router(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=True)
     msg = _transfer(sim, ep1, ep2, ch1, b"routed hello")
     assert msg.data == b"routed hello"
     assert net.router.packets_forwarded == 1
 
 
-def test_cross_segment_bidirectional():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=True)
+def test_cross_segment_bidirectional(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=True)
     out = {}
 
     def side(name, ep, ch, data):
@@ -155,8 +154,8 @@ def test_cross_segment_bidirectional():
     assert out == {"a": b"b->a", "b": b"a->b"}
 
 
-def test_ip_mode_shrinks_max_pdu():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=False)
+def test_ip_mode_shrinks_max_pdu(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=False)
     assert ep1.host.backend.max_pdu == UNET_FE_IP_MAX_PDU == 1470
 
     def tx():
@@ -166,16 +165,16 @@ def test_ip_mode_shrinks_max_pdu():
         sim.run_until_complete(sim.process(tx()))
 
 
-def test_max_ip_pdu_traverses_router():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=True)
+def test_max_ip_pdu_traverses_router(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=True)
     payload = bytes((i * 11) % 256 for i in range(UNET_FE_IP_MAX_PDU))
     msg = _transfer(sim, ep1, ep2, ch1, payload)
     assert msg.data == payload
 
 
-def test_router_latency_visible():
+def test_router_latency_visible(routed_pair):
     def rtt(cross):
-        sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross)
+        sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross)
 
         def ponger():
             while True:
@@ -197,8 +196,8 @@ def test_router_latency_visible():
     assert rtt(True) > rtt(False) + 2 * 50.0  # two router traversals
 
 
-def test_router_drops_unknown_destination():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=True)
+def test_router_drops_unknown_destination(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=True)
     backend1 = ep1.host.backend
     from repro.ethernet import EthernetFrame, build_ipv4_udp as build
 
@@ -210,8 +209,8 @@ def test_router_drops_unknown_destination():
     assert net.router.drops_no_route == 1
 
 
-def test_corrupted_ip_header_dropped_at_receiver():
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=False)
+def test_corrupted_ip_header_dropped_at_receiver(routed_pair):
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=False)
     backend2 = ep2.host.backend
     from repro.ethernet import EthernetFrame
     from repro.ethernet.dc21140 import RxRingBuffer
@@ -227,10 +226,10 @@ def test_corrupted_ip_header_dropped_at_receiver():
     assert ep2.endpoint.recv_queue.is_empty
 
 
-def test_active_messages_work_across_router():
+def test_active_messages_work_across_router(routed_pair):
     from repro.am import AmEndpoint
 
-    sim, net, ep1, ep2, ch1, ch2 = _routed_pair(cross=True)
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=True)
     am1 = AmEndpoint(0, ep1)
     am2 = AmEndpoint(1, ep2)
     am1.connect_peer(1, ch1)

@@ -4,19 +4,18 @@ import pytest
 
 from repro.core import EndpointConfig, MessageTooLarge
 from repro.ethernet import FN100, HubNetwork, SwitchedNetwork, RX_TRACE, TX_TRACE
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator, TraceRecorder
 
 
-def build_pair(kind="hub", rx_buffers=16, trace=None, config=None):
-    sim = Simulator()
-    net = HubNetwork(sim) if kind == "hub" else SwitchedNetwork(sim, model=kind)
-    h1 = net.add_host("h1", PENTIUM_120, trace=trace)
-    h2 = net.add_host("h2", PENTIUM_120, trace=trace)
-    ep1 = h1.create_endpoint(config=config, rx_buffers=rx_buffers)
-    ep2 = h2.create_endpoint(config=config, rx_buffers=rx_buffers)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return sim, net, ep1, ep2, ch1, ch2
+@pytest.fixture
+def build_pair(two_hosts):
+    def build(kind="hub", rx_buffers=16, trace=None, config=None):
+        sim = Simulator()
+        net = HubNetwork(sim) if kind == "hub" else SwitchedNetwork(sim, model=kind)
+        rig = two_hosts(net, config=config, rx_buffers=rx_buffers, trace=trace)
+        return sim, net, rig.ep1, rig.ep2, rig.ch1, rig.ch2
+
+    return build
 
 
 def transfer(sim, src, dst, channel, payload):
@@ -31,19 +30,19 @@ def transfer(sim, src, dst, channel, payload):
     return sim.run_until_complete(sim.process(rx()))
 
 
-def test_small_message_roundtrip_hub():
+def test_small_message_roundtrip_hub(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     msg = transfer(sim, ep1, ep2, ch1, b"hello")
     assert msg.data == b"hello"
 
 
-def test_small_message_inline_no_buffer_used():
+def test_small_message_inline_no_buffer_used(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     transfer(sim, ep1, ep2, ch1, b"x" * 64)  # at the threshold
     assert len(ep2.endpoint.free_queue) == 16
 
 
-def test_65_bytes_uses_buffer():
+def test_65_bytes_uses_buffer(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     seen = []
     original_deliver = ep2.endpoint.deliver
@@ -57,14 +56,14 @@ def test_65_bytes_uses_buffer():
     assert seen == [False]
 
 
-def test_large_message_roundtrip_switch():
+def test_large_message_roundtrip_switch(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair(kind=FN100)
     payload = bytes((i * 3) % 256 for i in range(1498))
     msg = transfer(sim, ep1, ep2, ch1, payload)
     assert msg.data == payload
 
 
-def test_pdu_limit_1498():
+def test_pdu_limit_1498(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
 
     def tx():
@@ -74,7 +73,7 @@ def test_pdu_limit_1498():
         sim.run_until_complete(sim.process(tx()))
 
 
-def test_message_spanning_multiple_endpoint_buffers():
+def test_message_spanning_multiple_endpoint_buffers(build_pair):
     config = EndpointConfig(num_buffers=64, buffer_size=256)
     sim, net, ep1, ep2, ch1, ch2 = build_pair(config=config, rx_buffers=24)
     payload = bytes((7 * i) % 256 for i in range(1000))
@@ -82,7 +81,7 @@ def test_message_spanning_multiple_endpoint_buffers():
     assert msg.data == payload
 
 
-def test_no_free_buffers_drops_large_message():
+def test_no_free_buffers_drops_large_message(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=0)
 
     def tx():
@@ -95,14 +94,14 @@ def test_no_free_buffers_drops_large_message():
     assert ep2.endpoint.recv_queue.is_empty
 
 
-def test_small_messages_still_arrive_without_free_buffers():
+def test_small_messages_still_arrive_without_free_buffers(build_pair):
     # the inline optimization needs no buffers at all
     sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=0)
     msg = transfer(sim, ep1, ep2, ch1, b"tiny")
     assert msg.data == b"tiny"
 
 
-def test_batched_sends_single_trap():
+def test_batched_sends_single_trap(build_pair):
     """Section 4.3.2: the kernel services the whole send queue per trap."""
     trace = TraceRecorder()
     sim, net, ep1, ep2, ch1, ch2 = build_pair(trace=trace)
@@ -126,7 +125,7 @@ def test_batched_sends_single_trap():
     assert len(tx_spans) == 1  # one trap serviced all three messages
 
 
-def test_trap_total_matches_figure3():
+def test_trap_total_matches_figure3(build_pair):
     trace = TraceRecorder()
     sim, net, ep1, ep2, ch1, ch2 = build_pair(trace=trace)
     transfer(sim, ep1, ep2, ch1, b"x" * 40)
@@ -134,7 +133,7 @@ def test_trap_total_matches_figure3():
     assert span.total == pytest.approx(4.2, abs=0.05)  # Figure 3: 4.2 us
 
 
-def test_rx_handler_totals_match_figure4():
+def test_rx_handler_totals_match_figure4(build_pair):
     def handler_total(size):
         trace = TraceRecorder()
         sim, net, ep1, ep2, ch1, ch2 = build_pair(trace=trace)
@@ -149,7 +148,7 @@ def test_rx_handler_totals_match_figure4():
     assert handler_total(100) == pytest.approx(5.6 + extra_poll, abs=0.25)
 
 
-def test_smallmsg_ablation_slows_small_receives():
+def test_smallmsg_ablation_slows_small_receives(build_pair):
     def rtt(enabled):
         sim, net, ep1, ep2, ch1, ch2 = build_pair()
         for ep in (ep1, ep2):
@@ -175,7 +174,7 @@ def test_smallmsg_ablation_slows_small_receives():
     assert rtt(False) > rtt(True)
 
 
-def test_protection_unknown_tag_dropped():
+def test_protection_unknown_tag_dropped(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     backend2 = ep2.host.backend
     # forge a frame with an unregistered port combination
@@ -190,7 +189,7 @@ def test_protection_unknown_tag_dropped():
     assert ep2.endpoint.recv_queue.is_empty
 
 
-def test_in_order_stream():
+def test_in_order_stream(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=32)
     payloads = [bytes([i]) * (1 + i * 53) for i in range(20)]
     received = []
@@ -209,7 +208,7 @@ def test_in_order_stream():
     assert received == payloads
 
 
-def test_host_send_overhead_reported():
+def test_host_send_overhead_reported(build_pair):
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     # Section 4.4: approximately 4.2 us of processor overhead per send
     assert ep1.host.backend.host_send_overhead_us == pytest.approx(4.2, abs=0.05)

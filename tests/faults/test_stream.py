@@ -1,6 +1,7 @@
 """The delivery contract and topology the AM stream soaks share."""
 
-from repro.faults.stream import build_am_star, build_network, check_delivery, stream_payload
+from repro import networks
+from repro.faults.stream import build_am_star, check_delivery, stream_payload
 from repro.sim import Simulator
 
 
@@ -59,7 +60,7 @@ def test_payload_depends_on_sender_and_index():
 
 
 def test_star_names_ids_and_connectivity():
-    with build_network("ethernet", Simulator()) as net:
+    with networks.get("ethernet").build(Simulator()) as net:
         hosts, ams = build_am_star(net, ("sink", "src0", "src1"), sink=0, config=None)
     assert [h.name for h in hosts] == ["sink", "src0", "src1"]
     assert [am.node for am in ams] == [0, 1, 2]

@@ -9,24 +9,21 @@ handler.  The kernel-CPU resource must serialize them.
 import pytest
 
 from repro.ethernet import HubNetwork
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
-def _pair():
-    sim = Simulator()
-    net = HubNetwork(sim)
-    h1 = net.add_host("h1", PENTIUM_120)
-    h2 = net.add_host("h2", PENTIUM_120)
-    ep1 = h1.create_endpoint(rx_buffers=32)
-    ep2 = h2.create_endpoint(rx_buffers=32)
-    ch1, ch2 = net.connect(ep1, ep2)
-    return sim, ep1, ep2, ch1, ch2
+@pytest.fixture
+def pair(two_hosts):
+    def build(network=HubNetwork):
+        rig = two_hosts(network(Simulator()), config=None, rx_buffers=32)
+        return rig.sim, rig.ep1, rig.ep2, rig.ch1, rig.ch2
+
+    return build
 
 
-def test_trap_and_rx_handler_serialize():
+def test_trap_and_rx_handler_serialize(pair):
     """A send trap issued while the receive handler runs waits for the CPU."""
-    sim, ep1, ep2, ch1, ch2 = _pair()
+    sim, ep1, ep2, ch1, ch2 = pair()
     backend2 = ep2.host.backend
 
     # measure the uncontended send cost first
@@ -66,8 +63,8 @@ def test_trap_and_rx_handler_serialize():
     assert backend2.kernel_cpu.in_use == 0  # everything released
 
 
-def test_kernel_cpu_idle_after_quiescence():
-    sim, ep1, ep2, ch1, ch2 = _pair()
+def test_kernel_cpu_idle_after_quiescence(pair):
+    sim, ep1, ep2, ch1, ch2 = pair()
 
     def traffic():
         for _ in range(3):
@@ -81,18 +78,12 @@ def test_kernel_cpu_idle_after_quiescence():
         assert backend.kernel_cpu.queued == 0
 
 
-def test_atm_host_does_not_pay_receive_cpu():
+def test_atm_host_does_not_pay_receive_cpu(pair):
     """Contrast: on U-Net/ATM the i960 handles reception; the host CPU
     is only touched by the application's own poll/consume."""
     from repro.atm import AtmNetwork
 
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    h1 = net.add_host("h1", PENTIUM_120)
-    h2 = net.add_host("h2", PENTIUM_120)
-    ep1 = h1.create_endpoint(rx_buffers=32)
-    ep2 = h2.create_endpoint(rx_buffers=32)
-    ch1, ch2 = net.connect(ep1, ep2)
+    sim, ep1, ep2, ch1, ch2 = pair(AtmNetwork)
     send_times = []
 
     def remote_sender():

@@ -10,28 +10,26 @@ import pytest
 
 from repro.atm import AtmNetwork
 from repro.ethernet import HubNetwork
-from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
-def _two_apps_one_nic(network_cls):
-    sim = Simulator()
-    net = network_cls(sim)
-    server = net.add_host("server", PENTIUM_120)
-    client = net.add_host("client", PENTIUM_120)
-    # the server machine runs TWO processes, each with its own endpoint
-    ep_app1 = server.create_endpoint(rx_buffers=8)
-    ep_app2 = server.create_endpoint(rx_buffers=8)
-    ep_c1 = client.create_endpoint(rx_buffers=8)
-    ep_c2 = client.create_endpoint(rx_buffers=8)
-    ch_a1, ch_c1 = net.connect(ep_app1, ep_c1)
-    ch_a2, ch_c2 = net.connect(ep_app2, ep_c2)
-    return sim, (ep_app1, ch_a1), (ep_app2, ch_a2), (ep_c1, ch_c1), (ep_c2, ch_c2)
+@pytest.fixture
+def two_apps_one_nic(two_hosts):
+    def build(network_cls):
+        rig = two_hosts(network_cls(Simulator()), names=("server", "client"),
+                        config=None, rx_buffers=8)
+        # the server machine runs TWO processes, each with its own endpoint
+        ep_app2 = rig.ep1.host.create_endpoint(rx_buffers=8)
+        ep_c2 = rig.ep2.host.create_endpoint(rx_buffers=8)
+        ch_a2, ch_c2 = rig.net.connect(ep_app2, ep_c2)
+        return rig.sim, (rig.ep1, rig.ch1), (ep_app2, ch_a2), (rig.ep2, rig.ch2), (ep_c2, ch_c2)
+
+    return build
 
 
 @pytest.mark.parametrize("network_cls", [HubNetwork, AtmNetwork])
-def test_two_processes_share_one_interface(network_cls):
-    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), (c2, ch_c2) = _two_apps_one_nic(network_cls)
+def test_two_processes_share_one_interface(network_cls, two_apps_one_nic):
+    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), (c2, ch_c2) = two_apps_one_nic(network_cls)
     got = {}
 
     def client_sends():
@@ -54,8 +52,8 @@ def test_two_processes_share_one_interface(network_cls):
 
 
 @pytest.mark.parametrize("network_cls", [HubNetwork, AtmNetwork])
-def test_endpoint_isolation_under_interleaved_traffic(network_cls):
-    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), (c2, ch_c2) = _two_apps_one_nic(network_cls)
+def test_endpoint_isolation_under_interleaved_traffic(network_cls, two_apps_one_nic):
+    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), (c2, ch_c2) = two_apps_one_nic(network_cls)
     received = {1: [], 2: []}
 
     def client_interleaves():
@@ -80,12 +78,12 @@ def test_endpoint_isolation_under_interleaved_traffic(network_cls):
     assert received[2] == [bytes([2, i]) for i in range(8)]
 
 
-def test_endpoint_cannot_send_on_foreign_channel():
+def test_endpoint_cannot_send_on_foreign_channel(two_apps_one_nic):
     """Protection: a channel id registered on one endpoint means nothing
     on another endpoint of the same host."""
     from repro.core import ChannelError
 
-    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), _ = _two_apps_one_nic(HubNetwork)
+    sim, (a1, ch_a1), (a2, ch_a2), (c1, ch_c1), _ = two_apps_one_nic(HubNetwork)
     # app2 tries to use app1's channel id on its own endpoint: its own
     # channel 0 happens to exist, but a bogus id must be rejected
     bogus = 77
@@ -97,17 +95,16 @@ def test_endpoint_cannot_send_on_foreign_channel():
         sim.run_until_complete(sim.process(evil()))
 
 
-def test_many_endpoints_round_robin_service_atm():
+def test_many_endpoints_round_robin_service_atm(two_hosts):
     """The i960 polls all endpoints with pending sends (Section 4.2.2)."""
-    sim = Simulator()
-    net = AtmNetwork(sim)
-    sender = net.add_host("sender", PENTIUM_120)
-    receiver = net.add_host("receiver", PENTIUM_120)
-    pairs = []
-    for i in range(4):
+    rig = two_hosts(AtmNetwork(Simulator()), names=("sender", "receiver"),
+                    config=None, rx_buffers=4)
+    sim, sender, receiver = rig.sim, rig.ep1.host, rig.ep2.host
+    pairs = [(rig.ep1, rig.ch1, rig.ep2)]
+    for i in range(3):
         ep_s = sender.create_endpoint(rx_buffers=4)
         ep_r = receiver.create_endpoint(rx_buffers=4)
-        ch_s, ch_r = net.connect(ep_s, ep_r)
+        ch_s, ch_r = rig.net.connect(ep_s, ep_r)
         pairs.append((ep_s, ch_s, ep_r))
     done = []
 

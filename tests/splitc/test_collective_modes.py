@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.splitc.cluster import Cluster, _clos_shape
+from repro.networks import clos_shape
+from repro.splitc.cluster import Cluster
 
 
 def _program(runtime):
@@ -82,10 +83,10 @@ def test_nic_collectives_rejected_on_unsupported_substrates():
 
 
 def test_clos_shape_scales_sensibly():
-    leaves, spines, per_leaf = _clos_shape(256)
+    leaves, spines, per_leaf = clos_shape(256)
     assert leaves * per_leaf >= 256
     assert leaves == 16 and spines == 8
-    leaves, spines, per_leaf = _clos_shape(8)
+    leaves, spines, per_leaf = clos_shape(8)
     assert leaves >= 2 and spines >= 2
     assert leaves * per_leaf >= 8
 
