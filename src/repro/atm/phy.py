@@ -74,7 +74,9 @@ class CellLink:
     The pipe is *analytic*: instead of a pump process blocking on a
     store (roughly six kernel events per cell), ``submit`` computes the
     serialization window from a running ``busy-until`` clock and
-    schedules a single delivery callback.  The late-bound ``deliver``
+    schedules a single delivery callback — on a :class:`~repro.sim.Lane`,
+    deliveries being FIFO in time, so the cells queued behind a slow
+    wire cost the heap one entry, not one each.  The late-bound ``deliver``
     attribute is read at fire time, so fault pipelines and link-flap
     stages that swap it keep working.
 
@@ -103,6 +105,7 @@ class CellLink:
         self._cell_time_us = phy.cell_time_us  # two property hops, once instead of per cell
         self._busy_until = 0.0
         self._pending = 0
+        self._deliveries = sim.lane()  # busy-until only grows: so do delivery instants
         self.cells_carried = 0
         self.cells_dropped = 0
 
@@ -132,8 +135,9 @@ class CellLink:
         if self.buffer_cells is not None:
             self._pending += 1
             sim.call_in(end - now, self._serialized_one)
-        sim.call_at(now + (end + self.propagation_us + self.phy.framer_latency_us - now),
-                    self._deliver_one, cell)
+        self._deliveries.call_at(
+            now + (end + self.propagation_us + self.phy.framer_latency_us - now),
+            self._deliver_one, cell)
 
     @property
     def queued(self) -> int:

@@ -245,6 +245,7 @@ class NicCollectiveEngine:
         self._result_win = _GenWindow()
         # per-edge reliability: (peer, kind, gen) -> [packet, attempts]
         self._unacked: Dict[Tuple[int, int, int], List] = {}
+        self._rto_timers = sim.lane()  # one constant timeout: armed in expiry order
         # fault tolerance: current tree epoch, liveness, repair caches
         self.epoch = 0
         self.crashed = False
@@ -484,7 +485,7 @@ class NicCollectiveEngine:
         packet = _HEADER.pack(kind, meta, gen, self.node, self.epoch) + payload
         self._unacked[key] = [packet, 0]
         self._xmit(peer, packet)
-        self.sim.call_in(self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim.now + self.config.rto_us, self._retransmit, key)
 
     def _retransmit(self, key: Tuple[int, int, int]) -> None:
         if self.crashed:
@@ -515,7 +516,7 @@ class NicCollectiveEngine:
             )
         self.retransmissions += 1
         self._xmit(peer, entry[0])
-        self.sim.call_in(self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim.now + self.config.rto_us, self._retransmit, key)
 
     def _xmit(self, peer: int, packet: bytes) -> None:
         self.packets_sent += 1

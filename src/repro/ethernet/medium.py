@@ -180,7 +180,8 @@ class SimplexChannel:
 
     Like :class:`~repro.atm.phy.CellLink` this is analytic: ``submit``
     computes the serialization window from a running busy-until clock
-    and schedules the delivery callback directly — no pump process, no
+    and schedules the delivery callback directly (on a lane: one heap
+    entry per channel, not per frame in flight) — no pump process, no
     store, a fraction of the kernel events per frame.  The late-bound
     ``deliver`` attribute is read at fire time so fault pipelines can
     interpose.  A switch, whose lookup latency is fixed, submits a frame
@@ -213,6 +214,7 @@ class SimplexChannel:
         self._header_time = (ETH_PREAMBLE_BYTES + ETH_HEADER_SIZE) * 8 / rate_mbps
         self._busy_until = 0.0
         self._pending = 0
+        self._deliveries = sim.lane()  # busy-until only grows: so do delivery instants
         self.deliver: Optional[Callable[[EthernetFrame], None]] = None
         self.frames_carried = 0
         self.frames_dropped = 0
@@ -247,7 +249,8 @@ class SimplexChannel:
             sim.call_in(end - now, self._serialized_one)
         deliver_at = (start + min(self._header_time, total)
                       if self.deliver_at_header else end)
-        sim.call_at(now + (deliver_at + self.propagation_us - now), self._deliver_one, frame)
+        self._deliveries.call_at(now + (deliver_at + self.propagation_us - now),
+                                 self._deliver_one, frame)
         return end
 
     @property

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel (time unit: microseconds)."""
 
-from .engine import Discarded, EmptySchedule, Simulator, SimulatorClosed
+from .engine import Discarded, EmptySchedule, Lane, Simulator, SimulatorClosed
 from .events import AllOf, AnyOf, Condition, Event, Interrupt, Process, StopProcess, Timeout
 from .queues import BoundedRing, Resource, RingEmptyError, RingFullError, Store
 from .rng import RngRegistry, ScopedRng
@@ -8,6 +8,7 @@ from .trace import Timeline, TimelineStep, TraceRecord, TraceRecorder
 
 __all__ = [
     "Simulator",
+    "Lane",
     "EmptySchedule",
     "SimulatorClosed",
     "Discarded",

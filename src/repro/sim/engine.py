@@ -10,11 +10,12 @@ run fully deterministic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout, _Callback
 
-__all__ = ["Simulator", "EmptySchedule", "SimulatorClosed", "Discarded"]
+__all__ = ["Simulator", "Lane", "EmptySchedule", "SimulatorClosed", "Discarded"]
 
 
 class EmptySchedule(Exception):
@@ -32,8 +33,66 @@ class Discarded(NamedTuple):
     #: unfinished processes whose generators were closed (parked firmware
     #: loops, blocked receivers, whoever was mid-delay)
     processes: int
-    #: heap entries still queued — work in flight when the run ended
+    #: calls still scheduled — work in flight when the run ended: heap
+    #: entries plus what lanes held behind their heads
     entries: int
+
+
+class Lane:
+    """Calls of one function at instants that never decrease — a link's
+    deliveries, one engine's constant-timeout timers — for one heap entry.
+
+    A queue that is FIFO in time costs the heap one entry: every call
+    takes its ``_seq`` here, where :meth:`Simulator.call_at` would take
+    it, only the earliest is on the heap, and when that head fires it
+    pushes the next under the ``_seq`` the call was given *before*
+    running the function.  Entries are keyed ``(when, priority, seq)``,
+    a held call is never earlier than its head and a later push has a
+    larger ``_seq``, so the dispatch order and ``events_processed`` are
+    those of ``call_at``, ties included.  An idle lane holds nothing.
+    """
+
+    __slots__ = ("_sim", "_fn", "_head", "_held", "_last", "__weakref__")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self._sim = sim
+        self._fn: Optional[Callable[..., None]] = None
+        #: the one record on the heap while armed; its ``args`` are the head call's
+        self._head: Optional[_Callback] = None
+        #: ``(when, seq, args)`` of the calls behind the head
+        self._held: Optional[deque] = None
+        self._last = 0.0
+
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`Simulator.call_at`.  A call that breaks the lane's order
+        (an earlier ``when``, another function) is an ordinary heap entry."""
+        sim = self._sim
+        if when < sim._now:
+            raise ValueError(f"call_at in the past: {when} < {sim._now}")
+        queue = sim._queue  # closed: raises, and the lane stays idle
+        sim._seq += 1
+        if self._head is None:
+            self._fn = fn
+            self._head = _Callback(self._fire, args)
+            heapq.heappush(queue, (when, NORMAL, sim._seq, self._head))
+        elif when >= self._last and fn == self._fn:
+            if self._held is None:
+                self._held = deque()
+            self._held.append((when, sim._seq, args))
+        else:
+            heapq.heappush(queue, (when, NORMAL, sim._seq, _Callback(fn, args)))
+            return
+        self._last = when
+
+    def _fire(self, *args: Any) -> None:
+        fn = self._fn
+        if self._held:
+            head = self._head
+            when, seq, head.args = self._held.popleft()
+            heapq.heappush(self._sim._queue, (when, NORMAL, seq, head))
+        else:
+            self._fn = self._head = self._held = None
+        fn(*args)
 
 
 class Simulator:
@@ -99,7 +158,13 @@ class Simulator:
             for process in batch:
                 process._abandon()
             processes += len(batch)
-        self._discarded = Discarded(processes, len(self._queue))
+        entries = len(self._queue)
+        for entry in self._queue:  # an armed lane is reachable through its head
+            lane = getattr(getattr(entry[3], "fn", None), "__self__", None)
+            if type(lane) is Lane and lane._head is entry[3]:
+                entries += len(lane._held or ())
+                lane._fn = lane._head = lane._held = None
+        self._discarded = Discarded(processes, entries)
         self._queue.clear()  # a run loop above us on the stack sees it drained
         del self._queue
         self.__class__ = _ClosedSimulator
@@ -147,6 +212,11 @@ class Simulator:
             raise ValueError(f"call_at in the past: {when} < {self._now}")
         self._seq += 1
         heapq.heappush(self._queue, (when, NORMAL, self._seq, _Callback(fn, args)))
+
+    def lane(self) -> Lane:
+        """A :class:`Lane` on this simulator: what a FIFO-in-time queue
+        (a link, a bank of equal timers) schedules through."""
+        return Lane(self)
 
     # -- execution ------------------------------------------------------------
     def peek(self) -> float:

@@ -4,10 +4,12 @@ One autouse fixture watches every test:
 
 * every :class:`~repro.sim.Simulator` the test **closed** (directly, or
   through a network's / ``Cluster``'s ``close()`` or ``with``) must end
-  with no live process and no heap — the kernel's half — and, on every
-  network built on it, no mapped buffer area, no bound channel, no demux
-  row and no open VC.  Armed timers are processes or heap entries here,
-  so the first two cover them;
+  with no live process, no heap and no armed :class:`~repro.sim.Lane`
+  (calls held behind a lane's head are in flight where the heap does not
+  show them) — the kernel's half — and, on every network built on it, no
+  mapped buffer area, no bound channel, no demux row and no open VC.
+  Armed timers are processes, heap entries or lane calls here, so the
+  first three cover them;
 * a test that ends with more open socket FDs than it started with fails;
 * a simulator the test built and **never closed** is a finding too,
   unless the test's module is on :data:`NEVER_CLOSES` with its reason.
@@ -32,7 +34,7 @@ from repro.atm.fabric import AtmFabric
 from repro.ethernet.bonding import BeowulfNetwork
 from repro.ethernet.network import _FeNetworkBase
 from repro.fabric.mixed import MixedFabric
-from repro.sim import Simulator
+from repro.sim import Lane, Simulator
 
 _BARE_KERNEL = ("drives the kernel or one device model on a bare Simulator: no network "
                 "to close, and the toy processes it parks are the test's own")
@@ -91,13 +93,14 @@ _NETWORK_ROOTS = (AtmFabric, _FeNetworkBase, BeowulfNetwork, MixedFabric)
 
 class _Watch:
     """What one test built: simulators counted, the closed ones kept (a
-    closed machine is small), networks held weakly (a dead one holds
-    nothing)."""
+    closed machine is small), networks and lanes held weakly (a dead one
+    holds nothing)."""
 
     def __init__(self):
         self.built = 0
         self.closed = []
         self.networks = []
+        self.lanes = []
 
 
 _watch = None
@@ -122,7 +125,12 @@ def _note_network(watch, network):
     watch.networks.append(weakref.ref(network))
 
 
+def _note_lane(watch, lane):
+    watch.lanes.append(weakref.ref(lane))
+
+
 _record_built(Simulator, _count_sim)
+_record_built(Lane, _note_lane)
 for _cls in _NETWORK_ROOTS:
     _record_built(_cls, _note_network)
 
@@ -152,13 +160,17 @@ def _socket_fds():
     return fds
 
 
-def _closed_but_holding(sim, networks):
+def _closed_but_holding(sim, networks, lanes):
     """What a closed simulator's machine still holds, as findings."""
     held = []
     if sim._live:
         held.append(f"{len(sim._live)} live process(es)")
     if "_queue" in vars(sim):
         held.append("a heap")
+    armed = [lane for lane in lanes if lane._sim is sim and lane._head is not None]
+    if armed:
+        held.append(f"{len(armed)} armed lane(s) holding "
+                    f"{sum(1 + len(lane._held or ()) for lane in armed)} call(s)")
     for network in networks:
         if network.sim is not sim:
             continue
@@ -192,16 +204,17 @@ def leak_check(request):
         _watch = None
     findings = []
     networks = [network for network in (ref() for ref in watch.networks) if network is not None]
+    lanes = [lane for lane in (ref() for ref in watch.lanes) if lane is not None]
     for sim in watch.closed:
         findings += [f"closed simulator still holds {what}"
-                     for what in _closed_but_holding(sim, networks)]
+                     for what in _closed_but_holding(sim, networks, lanes)]
     module = os.path.relpath(str(request.node.fspath), os.path.dirname(__file__))
     unclosed = watch.built - len(watch.closed)
     if unclosed and module not in NEVER_CLOSES:
         findings.append(f"{unclosed} simulator(s) built and never closed, and "
                         f"{module} is not on tests/conftest.py::NEVER_CLOSES")
     if have_proc and _socket_fds() - sockets_before:
-        del watch, networks
+        del watch, networks, lanes
         gc.collect()  # a cycle may be all that holds a socket nobody uses
         leaked = _socket_fds() - sockets_before
         if leaked:

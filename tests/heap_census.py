@@ -16,6 +16,12 @@ pushed onto *one* simulator's queue by what it will run:
 
 An entry is *zero-delay* when it is pushed for the instant it is pushed
 at: it orders work, it models no time.
+
+A :class:`~repro.sim.Lane` call is counted where it takes its ``_seq`` —
+at ``Lane.call_at``, under the kind of the function it will run, zero-delay
+judged then — not when its turn for the heap comes: the counts are those
+of plain ``call_at``, whatever is still held when the run ends included.
+``peak_length`` is the other half: how long the heap really got.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ from repro.sim import engine, events
 
 
 _DIGITS = re.compile(r"\d+")
+_LANE_CALL_AT = engine.Lane.call_at
 
 
 def _kind(priority, item) -> str:
@@ -54,14 +61,33 @@ class HeapCensus:
         self.sim = sim
         self.entries = Counter()
         self.zero_delay = Counter()
+        #: largest ``len(sim._queue)`` seen
+        self.peak_length = 0
+        self._in_lane_call = False
+
+    def _count(self, kind, when) -> None:
+        self.entries[kind] += 1
+        if when == self.sim.now:
+            self.zero_delay[kind] += 1
 
     def _push(self, queue, entry) -> None:
-        if queue is self.sim._queue:
-            kind = _kind(entry[1], entry[3])
-            self.entries[kind] += 1
-            if entry[0] == self.sim.now:
-                self.zero_delay[kind] += 1
         heapq.heappush(queue, entry)
+        if queue is self.sim._queue:
+            self.peak_length = max(self.peak_length, len(queue))
+            kind = _kind(entry[1], entry[3])
+            # a lane's pushes were counted when the call was scheduled
+            if not self._in_lane_call and kind != "call:Lane._fire":
+                self._count(kind, entry[0])
+
+    def _lane_call_at(self, lane, when, fn, *args) -> None:
+        if lane._sim is not self.sim:
+            return _LANE_CALL_AT(lane, when, fn, *args)
+        self._in_lane_call = True
+        try:
+            _LANE_CALL_AT(lane, when, fn, *args)  # raises: nothing was scheduled
+        finally:
+            self._in_lane_call = False
+        self._count(f"call:{fn.__qualname__}", when)
 
     @property
     def total(self) -> int:
@@ -84,7 +110,9 @@ def heap_census(sim):
     shim = types.SimpleNamespace(heappush=census._push, heappop=heapq.heappop)
     saved = events.heappush, engine.heapq
     events.heappush, engine.heapq = census._push, shim
+    engine.Lane.call_at = lambda lane, *call: census._lane_call_at(lane, *call)
     try:
         yield census
     finally:
         events.heappush, engine.heapq = saved
+        engine.Lane.call_at = _LANE_CALL_AT

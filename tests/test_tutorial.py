@@ -42,6 +42,8 @@ def test_tutorial_outputs_match_prose():
     assert "done" in outputs[0] and "5.0" in outputs[0]
     assert outputs[1].strip() == "[('dma done', 8.25), ('delivered', 18.75)] 4"
     assert outputs[2].strip() == "2 frame0 2"  # try_put, then put only when full
-    assert outputs[3].strip().startswith("9")  # ~91 us on FN100
-    assert "42" in outputs[4]
-    assert "[4000, 4000, 4000, 4000]" in outputs[5]
+    # a lane: three of a hundred deliveries fired, 97 in flight at close
+    assert outputs[3].splitlines() == ["[0, 1, 2] 3", "Discarded(processes=0, entries=97)"]
+    assert outputs[4].strip().startswith("9")  # ~91 us on FN100
+    assert "42" in outputs[5]
+    assert "[4000, 4000, 4000, 4000]" in outputs[6]
