@@ -59,7 +59,8 @@ def _cmd_list(_args) -> int:
     print("substrates (splitc --substrate; aliases in brackets):")
     for row in networks.NETWORKS.values():
         aliases = f" [{', '.join(row.aliases)}]" if row.aliases else ""
-        print(f"  {row.name:12s} {row.label}{aliases}")
+        limit = f", at most {row.max_hosts} hosts" if row.max_hosts else ""
+        print(f"  {row.name:12s} {row.label}{aliases}{limit}")
     return 0
 
 
@@ -242,8 +243,12 @@ def _cmd_splitc(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}; choose from {_SPLITC_BENCHMARKS}",
               file=sys.stderr)
         return 2
-    cluster = Cluster(args.nodes, substrate=args.substrate,
-                      collectives=args.collectives)
+    try:
+        cluster = Cluster(args.nodes, substrate=args.substrate,
+                          collectives=args.collectives)
+    except networks.TooManyHosts as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.benchmark == "mm":
         cfg = MatmulConfig(blocks=args.blocks, block_size=args.block_size,
                            prefetch=args.prefetch)

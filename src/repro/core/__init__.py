@@ -29,7 +29,7 @@ from .health import (
     HealthConfig,
     HealthMonitor,
 )
-from .mux import DemuxTable, ShardedDemux
+from .mux import DemuxTable
 from .tenancy import (
     QOS_BEST_EFFORT,
     QOS_CLASSES,
@@ -79,7 +79,6 @@ __all__ = [
     "register_channel",
     "lookup_channel",
     "DemuxTable",
-    "ShardedDemux",
     "QosClass",
     "qos_class",
     "QOS_GOLD",

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..sim import Discarded, Simulator
 from .endpoint import Endpoint, EndpointConfig
 from .errors import AdmissionRejected, EndpointError
-from .mux import ShardedDemux
+from .mux import DemuxTable
 from .tenancy import qos_class
 
 __all__ = ["UNetBackend", "Closing", "SimulatedNetwork"]
@@ -42,7 +42,7 @@ class UNetBackend(abc.ABC):
         self._next_endpoint_id = 0
         #: incoming tag -> (endpoint, channel); rows are installed by the
         #: network's channel service (:func:`repro.core.channels.connect_pair`)
-        self.demux = ShardedDemux(name=f"{name}.demux")
+        self.demux = DemuxTable(name=f"{name}.demux")
         #: optional :class:`~repro.core.tenancy.AdmissionController`;
         #: when set, ``create_endpoint`` may refuse with a typed
         #: :class:`~repro.core.errors.AdmissionRejected` error

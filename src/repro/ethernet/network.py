@@ -22,23 +22,20 @@ from .medium import SharedMedium
 from .switch import BAY_28115, FN100, EthernetSwitch, SwitchModel
 from .unet_fe import FeTimings, UNetFeBackend
 
-__all__ = ["EthernetChannelService", "HubNetwork", "SwitchedNetwork", "RoutedFeNetwork"]
+__all__ = ["connect_fe_channel", "HubNetwork", "SwitchedNetwork", "RoutedFeNetwork"]
 
 
-class EthernetChannelService:
-    """The OS service that sets up U-Net/FE communication channels."""
-
-    @staticmethod
-    def connect(a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
-        """Create a duplex channel; returns channel ids on (a, b)."""
-        backend_a: UNetFeBackend = a.backend
-        backend_b: UNetFeBackend = b.backend
-        port_a = backend_a.allocate_port()
-        port_b = backend_b.allocate_port()
-        tag_a = EthernetTag(dst_mac=backend_b.mac, dst_port=port_b, src_mac=backend_a.mac, src_port=port_a)
-        tag_b = EthernetTag(dst_mac=backend_a.mac, dst_port=port_a, src_mac=backend_b.mac, src_port=port_b)
-        return connect_pair(a, b, tag_a, tag_b, (backend_b.mac, port_b, port_a),
-                            (backend_a.mac, port_a, port_b))
+def connect_fe_channel(a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
+    """The OS service that sets up a U-Net/FE duplex channel; returns
+    channel ids on (a, b)."""
+    backend_a: UNetFeBackend = a.backend
+    backend_b: UNetFeBackend = b.backend
+    port_a = backend_a.allocate_port()
+    port_b = backend_b.allocate_port()
+    tag_a = EthernetTag(dst_mac=backend_b.mac, dst_port=port_b, src_mac=backend_a.mac, src_port=port_a)
+    tag_b = EthernetTag(dst_mac=backend_a.mac, dst_port=port_a, src_mac=backend_b.mac, src_port=port_b)
+    return connect_pair(a, b, tag_a, tag_b, (backend_b.mac, port_b, port_a),
+                        (backend_a.mac, port_a, port_b))
 
 
 class _FeNetworkBase(SimulatedNetwork):
@@ -79,7 +76,7 @@ class _FeNetworkBase(SimulatedNetwork):
         return host
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
-        return EthernetChannelService.connect(a, b)
+        return connect_fe_channel(a, b)
 
     def collective_edge(self, backend_a: UNetFeBackend, backend_b: UNetFeBackend,
                         on_a, on_b) -> Tuple[int, int]:

@@ -215,31 +215,28 @@ class LiveBackend(UNetBackend):
                 # validated at post_send; a vanished channel means teardown
                 endpoint.take_send_descriptor()
                 continue
+            descriptors = endpoint.send_queue.peek_many(
+                min(POOL_SLOTS, self.transport.tx_hint))
+            slices = pool.take(len(descriptors))
             batch: List[Tuple[object, PooledSlice]] = []
             bindings = []
-            window = min(POOL_SLOTS, self.transport.tx_hint)
-            for descriptor in endpoint.send_queue.peek_many(window):
+            for descriptor, slice_ in zip(descriptors, slices):
                 binding = endpoint.channels.get(descriptor.channel_id)
                 if binding is None:
                     break  # flush up to here; it becomes the head next pass
-                slice_ = pool.try_alloc()
-                if slice_ is None:
-                    break  # pool backpressure: flush what we composed
                 self._compose_frame(endpoint, descriptor, binding.tag, slice_)
                 batch.append((binding.tag.dest_address, slice_))
                 bindings.append(binding)
-            if not batch:
-                break
-            accepted = self.transport.send_many(batch)
-            for i in range(accepted):
-                descriptor = endpoint.take_send_descriptor()
-                endpoint.send_completed(descriptor)
-                bindings[i].messages_sent += 1
-            for _dest, slice_ in batch:
-                pool.free(slice_)
+            try:
+                accepted = self.transport.send_many(batch) if batch else 0
+            finally:
+                pool.give_back(slices)
+            for binding in bindings[:accepted]:
+                endpoint.send_completed(endpoint.take_send_descriptor())
+                binding.messages_sent += 1
             sent += accepted
-            if accepted < len(batch):
-                break  # transport backpressure: the tail stays queued
+            if not batch or accepted < len(batch):
+                break  # pool or transport backpressure: the tail stays queued
         return sent
 
     def service(self) -> int:
@@ -254,8 +251,9 @@ class LiveBackend(UNetBackend):
         delivered = 0
         now = self.clock.now_us()
         if self._rx_pool is not None:
-            for slice_ in self.transport.recv_batch_into(self._rx_pool):
-                try:
+            slices = self.transport.recv_batch_into(self._rx_pool)
+            try:
+                for slice_ in slices:
                     if self._ingress_stage is None:
                         delivered += self._deliver(slice_.payload())
                     else:
@@ -263,8 +261,8 @@ class LiveBackend(UNetBackend):
                         # pass; materialize so the recycled slot can't
                         # alias what the stage is still holding
                         delivered += self._ingress(bytes(slice_.payload()), now)
-                finally:
-                    self._rx_pool.free(slice_)
+            finally:
+                self._rx_pool.give_back(slices)
         else:
             for raw in self.transport.recv_batch():
                 delivered += self._ingress(raw, now)
@@ -297,17 +295,17 @@ class LiveBackend(UNetBackend):
             if not endpoint.send_queue.is_empty:
                 self.kick(endpoint)
         delivered = 0
-        slices = self.transport.recv_batch_into(self._rx_pool)
-        # bound methods hoisted: this loop is the per-message RX cost
-        free = self._rx_pool.free
+        pool = self._rx_pool
+        slices = self.transport.recv_batch_into(pool)
+        # hoisted: this loop is the per-message RX cost
         unpack = _FRAME_STRUCT.unpack_from
         lookup = self.demux.lookup
-        done = 0
+        header = FRAME_HEADER_SIZE
         try:
             for slice_ in slices:
                 length = slice_.length
-                view = slice_.view
-                if length >= FRAME_HEADER_SIZE:
+                if length >= header:
+                    view = slice_.view
                     entry = lookup(unpack(view, 0))
                     # None -> unknown tag, counted by the demux table
                     if entry is not None:
@@ -316,17 +314,11 @@ class LiveBackend(UNetBackend):
                             self.quarantine_drops += 1
                             endpoint.note_drop("quarantine_drops")
                         else:
-                            on_message(endpoint, channel_id,
-                                       view[FRAME_HEADER_SIZE:length])
+                            on_message(endpoint, channel_id, view[header:length])
                             delivered += 1
-                free(slice_)
-                done += 1
-        except BaseException:
-            # free is the loop's last step, so slices[done:] are still
-            # in flight (including the one the upcall blew up on)
-            for slice_ in slices[done:]:
-                free(slice_)
-            raise
+        finally:
+            # the whole burst goes back at once, also when an upcall raised
+            pool.give_back(slices)
         return delivered
 
     def install_ingress_stage(self, stage) -> None:
@@ -478,45 +470,35 @@ class LiveUserEndpoint(UserEndpointBase):
                 f"doorbell_mode='batched' "
                 f"(got {self.backend.doorbell_mode!r})")
         max_pdu = self.backend.max_pdu
-        for payload in payloads:
-            if len(payload) > max_pdu:
-                raise MessageTooLarge(
-                    f"{len(payload)} bytes > max PDU {max_pdu}")
+        longest = max(map(len, payloads), default=0)
+        if longest > max_pdu:
+            raise MessageTooLarge(f"{longest} bytes > max PDU {max_pdu}")
         binding = lookup_channel(self.endpoint, channel_id)  # protection
         tag: LiveTag = binding.tag
         # one channel means one header for the whole burst: pack it once
         header = _FRAME_STRUCT.pack(tag.dst_port, tag.src_node, tag.src_port)
         dest = tag.dest_address
         transport = self.backend.transport
-        try_alloc, free = pool.try_alloc, pool.free
+        hdr = FRAME_HEADER_SIZE
         sent = 0
         total = len(payloads)
         while sent < total:
-            batch: List[PooledSlice] = []
-            append = batch.append
-            j = sent
             # compose only what the kernel has recently been accepting:
             # frames composed past the would-block point are pure waste
-            limit = min(total, sent + transport.tx_hint)
-            while j < limit:
-                slice_ = try_alloc()
-                if slice_ is None:
-                    break
-                payload = payloads[j]
-                end = FRAME_HEADER_SIZE + len(payload)
-                view = slice_.view
-                view[:FRAME_HEADER_SIZE] = header
-                view[FRAME_HEADER_SIZE:end] = payload
-                slice_.length = end
-                append(slice_)
-                j += 1
+            batch = pool.take(min(total - sent, transport.tx_hint))
             if not batch:
                 break  # pool exhausted with nothing composed
-            accepted = transport.send_many_to(dest, batch)
-            for k in range(accepted):
-                self.endpoint.bytes_sent += batch[k].length - FRAME_HEADER_SIZE
-            for slice_ in batch:
-                free(slice_)
+            for slice_, payload in zip(batch, payloads[sent:sent + len(batch)]):
+                end = hdr + len(payload)
+                view = slice_.view
+                view[:hdr] = header
+                view[hdr:end] = payload
+                slice_.length = end
+            try:
+                accepted = transport.send_many_to(dest, batch)
+            finally:
+                pool.give_back(batch)
+            self.endpoint.bytes_sent += sum(map(len, payloads[sent:sent + accepted]))
             sent += accepted
             if accepted < len(batch):
                 break  # kernel backpressure: caller retries the tail

@@ -22,6 +22,15 @@ Invariants (pinned by ``tests/live/test_bufpool.py``):
   queued for the next doorbell pass exactly as they do for a full
   kernel buffer.
 
+The batched data path moves a burst at a time, so the pool also lends
+and takes back a burst in one call (:meth:`BufferPool.take` /
+:meth:`BufferPool.give_back`) under the same three invariants, with
+each check made once per burst by set operations instead of once per
+slice.  ``take(n)`` hands out exactly the slices ``n`` ``try_alloc``
+calls would, and ``give_back`` restacks them so that a steady burst
+gets the same slots back in the same order — which is what lets
+:class:`~repro.live.mmsg.MmsgBatch` skip re-pointing its iovecs.
+
 The arena's :class:`memoryview` export pins the ``bytearray`` for the
 pool's lifetime, so slot addresses are stable — which is what lets the
 ctypes ``sendmmsg``/``recvmmsg`` path (:mod:`repro.live.mmsg`) cache
@@ -31,11 +40,15 @@ re-deriving pointers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from operator import attrgetter
+from typing import List, Optional, Sequence
 
 from ..core.errors import UNetError
 
 __all__ = ["PoolExhausted", "PooledSlice", "BufferPool"]
+
+_INDEX = attrgetter("index")
+_POOL = attrgetter("pool")
 
 
 class PoolExhausted(UNetError):
@@ -59,17 +72,21 @@ class PooledSlice:
     must copy out first.
     """
 
-    __slots__ = ("pool", "index", "view", "length", "in_flight", "address")
+    __slots__ = ("pool", "index", "view", "length", "address")
 
     def __init__(self, pool: "BufferPool", index: int, view: memoryview) -> None:
         self.pool = pool
         self.index = index
         self.view = view
         self.length = 0
-        self.in_flight = False
         #: stable arena address of this slot's first byte (for mmsg);
         #: precomputed — the hot path does zero arithmetic to find it
         self.address = pool.base_address + index * pool.slot_size
+
+    @property
+    def in_flight(self) -> bool:
+        """Lent out and not yet returned (the pool keeps the books)."""
+        return self.index in self.pool._lent
 
     def payload(self) -> memoryview:
         """The valid bytes: ``view[:length]`` without a copy."""
@@ -96,7 +113,10 @@ class BufferPool:
             PooledSlice(self, i, self._view[i * slot_size:(i + 1) * slot_size])
             for i in range(slots)
         ]
+        #: a stack: the next slot lent is the last one here
         self._free: List[int] = list(range(slots - 1, -1, -1))
+        #: indices of the slots lent out right now
+        self._lent: set = set()
         # accounting
         self.alloc_total = 0
         self.free_total = 0
@@ -129,9 +149,9 @@ class BufferPool:
             self.exhausted_total += 1
             return None
         index = self._free.pop()
+        self._lent.add(index)
         slice_ = self._slices[index]
         slice_.length = 0
-        slice_.in_flight = True
         self.alloc_total += 1
         return slice_
 
@@ -147,12 +167,53 @@ class BufferPool:
         """Recycle ``slice_``; double frees and foreign slices raise."""
         if slice_.pool is not self:
             raise UNetError("slice belongs to a different pool")
-        if not slice_.in_flight:
-            raise UNetError(f"double free of pool slice #{slice_.index}")
-        slice_.in_flight = False
+        index = slice_.index
+        if index not in self._lent:
+            raise UNetError(f"double free of pool slice #{index}")
+        self._lent.remove(index)
         slice_.length = 0
-        self._free.append(slice_.index)
+        self._free.append(index)
         self.free_total += 1
+
+    # -- bursts --------------------------------------------------------------
+    def take(self, count: int) -> List[PooledSlice]:
+        """Lend up to ``count`` slices in one call: the ones ``count``
+        :meth:`try_alloc` calls would lend, in that order.  A short pool
+        lends what it has, possibly nothing, and counts one exhaustion
+        (backpressure, as ``try_alloc``'s None).  Lengths are left for
+        the taker to set."""
+        free = self._free
+        if count > len(free):
+            self.exhausted_total += 1
+            count = len(free)
+        if count <= 0:
+            return []
+        indices = free[-count:]
+        del free[-count:]
+        indices.reverse()
+        self._lent.update(indices)
+        self.alloc_total += count
+        return list(map(self._slices.__getitem__, indices))
+
+    def give_back(self, slices: Sequence[PooledSlice]) -> None:
+        """Return a burst in one call, with :meth:`free`'s checks made
+        before anything changes: a foreign slice, one not lent or one
+        listed twice raises and leaves the pool as it was.  Given back
+        in the order :meth:`take` lent them (a tail before its head is
+        fine), the next equal ``take`` lends the same slots in the same
+        order."""
+        indices = list(map(_INDEX, slices))
+        if list(map(_POOL, slices)).count(self) != len(indices):
+            raise UNetError("slice belongs to a different pool")
+        returned = set(indices)
+        if len(returned) != len(indices) or not returned <= self._lent:
+            twice = next(i for i in indices
+                         if i not in self._lent or indices.count(i) > 1)
+            raise UNetError(f"double free of pool slice #{twice}")
+        self._lent -= returned
+        indices.reverse()
+        self._free.extend(indices)
+        self.free_total += len(indices)
 
 
 def _buffer_address(buf: bytearray) -> int:

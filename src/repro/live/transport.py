@@ -230,10 +230,6 @@ class LiveTransport:
         fn = getattr(payload, "payload", None)
         return fn() if fn is not None else payload
 
-    @staticmethod
-    def _payload_len(payload) -> int:
-        return getattr(payload, "length", None) or len(payload)
-
     def send_many(self, msgs: List[Tuple[object, object]]) -> int:
         """Send ``[(dest, payload), ...]``; payloads are ``bytes`` or
         :class:`~repro.live.bufpool.PooledSlice`.
@@ -280,8 +276,7 @@ class LiveTransport:
                 raise
             if sent == 0:
                 break
-            for _dest, payload in window[:sent]:
-                self.tx_bytes += self._payload_len(payload)
+            self.tx_bytes += batch.sent_bytes(sent)
             self.tx_datagrams += sent
             accepted += sent
             if sent < len(window):
@@ -334,8 +329,7 @@ class LiveTransport:
                 raise
             if sent == 0:
                 break
-            for payload in window[:sent]:
-                self.tx_bytes += self._payload_len(payload)
+            self.tx_bytes += batch.sent_bytes(sent)
             self.tx_datagrams += sent
             accepted += sent
             if sent < len(window):
@@ -357,17 +351,18 @@ class LiveTransport:
         """Drain datagrams directly into ``pool`` slices (zero-copy RX).
 
         Returns the filled :class:`~repro.live.bufpool.PooledSlice`
-        objects; the caller owns them and must ``pool.free`` each after
-        delivery.  Pool exhaustion bounds the drain — undrained
-        datagrams stay in the kernel buffer (backpressure, counted by
-        the pool's ``exhausted_total``), never silent loss.  A datagram
+        objects; the caller owns them and must return them after
+        delivery (``pool.free`` each, or ``pool.give_back`` the list).
+        Pool exhaustion bounds the drain — undrained datagrams stay in
+        the kernel buffer (backpressure, counted by the pool's
+        ``exhausted_total``), never silent loss.  A datagram
         larger than its slot is dropped and charged to ``rx_truncated``.
         """
         if self.sock is None:
             return []
         batch = self._rx_batch()
-        out: List = []
         if batch is None:
+            out: List = []
             for _ in range(max_datagrams):
                 slice_ = pool.try_alloc()
                 if slice_ is None:
@@ -395,41 +390,42 @@ class LiveTransport:
                 self.rx_bytes += nbytes
                 out.append(slice_)
             return out
-        want = min(max_datagrams, batch.max_batch, pool.free_count,
-                   self.rx_hint)
-        if want == 0:
-            if pool.free_count == 0:
-                pool.exhausted_total += 1
-            return out
-        try_alloc = pool.try_alloc  # want <= free_count: cannot fail
-        slices = [try_alloc() for _ in range(want)]
+        slices = pool.take(min(max_datagrams, batch.max_batch, self.rx_hint))
+        if not slices:
+            return slices
+        want = len(slices)
         self.rx_syscalls += 1
         try:
             results = batch.recvmmsg(self.sock.fileno(), slices)
         except OSError as exc:
-            for slice_ in slices:
-                pool.free(slice_)
+            pool.give_back(slices)
             if exc.errno in _PEER_GONE:
-                return out
+                return []
             raise
-        for slice_ in slices[len(results):]:
-            pool.free(slice_)
-        if len(results) >= want:
-            self.rx_hint = min(RECV_BATCH, want * 2)
-        else:
+        got = len(results)
+        if got < want:
+            pool.give_back(slices[got:])
+            del slices[got:]
             # received + a small margin: every slice armed beyond what
-            # actually arrives is a wasted alloc/free round trip
-            self.rx_hint = max(4, len(results) + 4)
-        for slice_, (nbytes, truncated) in zip(slices, results):
-            if truncated:
-                self.rx_truncated += 1
-                pool.free(slice_)
+            # actually arrives is a wasted take/give-back
+            self.rx_hint = max(4, got + 4)
+        else:
+            self.rx_hint = min(RECV_BATCH, want * 2)
+        nbytes_total = 0
+        truncated = []
+        for slice_, (flags, nbytes) in zip(slices, results):
+            if flags & _MSG_TRUNC:
+                truncated.append(slice_)
                 continue
             slice_.length = nbytes
-            self.rx_datagrams += 1
-            self.rx_bytes += nbytes
-            out.append(slice_)
-        return out
+            nbytes_total += nbytes
+        if truncated:  # rare: datagrams larger than their slot
+            self.rx_truncated += len(truncated)
+            pool.give_back(truncated)
+            slices = [slice_ for slice_ in slices if slice_ not in truncated]
+        self.rx_datagrams += len(slices)
+        self.rx_bytes += nbytes_total
+        return slices
 
     # -- accounting --------------------------------------------------------
     @property

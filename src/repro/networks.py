@@ -24,8 +24,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .hw.cpu import PENTIUM_90, PENTIUM_120, SPARCSTATION_10, SPARCSTATION_20, CpuModel
 
-__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "names", "get",
-           "fe_cluster_cpus", "atm_cluster_cpus", "clos_shape"]
+__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "TooManyHosts", "names",
+           "get", "fe_cluster_cpus", "atm_cluster_cpus", "clos_shape"]
+
+
+class TooManyHosts(ValueError):
+    """A row was asked for more hosts than its devices have ports."""
 
 
 def fe_cluster_cpus(n: int) -> List[CpuModel]:
@@ -102,6 +106,9 @@ class Network:
     #: ``add_host`` keywords of a ``Cluster`` (two-host rigs pick their
     #: own: Figure 5 measures OC-3 fibers, Figure 6 TAXI)
     cluster_host: Callable[[], Dict[str, Any]] = dict
+    #: the most hosts its builder takes (None: it sizes its devices to
+    #: ``n``); declared so a caller refuses before it builds anything
+    max_hosts: Optional[int] = None
 
     @property
     def ni(self) -> Interface:
@@ -109,8 +116,15 @@ class Network:
         collective loads, and whose cluster the default CPUs come from."""
         return self.nis[0]
 
+    def check_hosts(self, n: int) -> None:
+        """Refuse ``n`` hosts above :attr:`max_hosts` (:class:`TooManyHosts`)."""
+        if self.max_hosts is not None and n > self.max_hosts:
+            raise TooManyHosts(f"substrate {self.name!r} holds at most "
+                               f"{self.max_hosts} hosts, not {n}")
+
     def build(self, sim, n: int = 2):
         """A fresh network of this kind on ``sim``, sized for ``n`` hosts."""
+        self.check_hosts(n)
         module, _, cls = self.factory.partition(":")
         return getattr(importlib.import_module(module), cls)(sim, **self.shape(n))
 
@@ -118,8 +132,9 @@ class Network:
 NETWORKS: Dict[str, Network] = {row.name: row for row in (
     Network("fe-hub", (FE,), "repro.ethernet.network:HubNetwork",
             "U-Net/FE (100BaseTX hub)"),
+    # one Bay 28115: 16 ports
     Network("fe-switch", (FE,), "repro.ethernet.network:SwitchedNetwork",
-            "U-Net/FE (Bay 28115)", aliases=("fe", "ethernet")),
+            "U-Net/FE (Bay 28115)", aliases=("fe", "ethernet"), max_hosts=16),
     Network("fe-beowulf", (FE,), "repro.ethernet.bonding:BeowulfNetwork",
             "U-Net/FE (two bonded hubs, Beowulf style)"),
     Network("fe-clos", (FE,), "repro.fabric.fe_clos:ClosFeNetwork",

@@ -76,6 +76,7 @@ class Cluster(Closing):
         if collectives not in ("host", "nic"):
             raise ValueError(f"unknown collectives mode {collectives!r} (host, nic)")
         row = networks.get(substrate)
+        row.check_hosts(n)
         if cpus is None:
             cpus = row.ni.cpus(n)
         if len(cpus) != n:

@@ -1,11 +1,12 @@
-"""Unit + property tests for the radix-sharded demux table.
+"""Unit + property tests for the demux table and its reverse index.
 
-The sharded table must keep the exact :class:`DemuxTable` contract while
-scaling teardown to churning tenant populations: over any sequence of
-registrations, per-tag removals, endpoint teardowns, and lookups it must
-never misroute a tag, leak a slot (``len`` / per-tenant accounting out
-of sync with the live rows), or double-free (a second teardown finding
-rows the first should have removed).
+One flat dict routes every arriving tag; the reverse index (endpoint ->
+its tags) and the per-tenant row counts scale teardown to churning
+tenant populations.  Over any sequence of registrations, per-tag
+removals, endpoint teardowns, and lookups the table must never misroute
+a tag, leak a slot (``len`` / per-tenant accounting out of sync with the
+live rows), or double-free (a second teardown finding rows the first
+should have removed).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import Endpoint, EndpointConfig
 from repro.core.endpoint import DROP_COUNTERS
-from repro.core.mux import DemuxTable, ShardedDemux
+from repro.core.mux import DemuxTable
 from repro.sim import Simulator
 
 _TINY = EndpointConfig(num_buffers=2, buffer_size=32,
@@ -33,7 +34,7 @@ def _endpoints(count, tenants=5):
 
 def test_register_lookup_and_len():
     ep0, ep1 = _endpoints(2)
-    demux = ShardedDemux(radix_bits=3)
+    demux = DemuxTable()
     demux.register(("vci", 7), ep0, 1)
     demux.register(("vci", 9), ep1, 2)
     assert len(demux) == 2
@@ -44,7 +45,7 @@ def test_register_lookup_and_len():
 
 def test_duplicate_tag_is_refused():
     (ep,) = _endpoints(1)
-    demux = ShardedDemux()
+    demux = DemuxTable()
     demux.register(0xBEEF, ep, 0)
     with pytest.raises(KeyError):
         demux.register(0xBEEF, ep, 1)
@@ -52,7 +53,7 @@ def test_duplicate_tag_is_refused():
 
 
 def test_unknown_tag_counts_and_fires_observer():
-    demux = ShardedDemux()
+    demux = DemuxTable()
     seen = []
     demux.observer = seen.append
     assert demux.lookup("nobody") is None
@@ -62,7 +63,7 @@ def test_unknown_tag_counts_and_fires_observer():
 
 def test_unregister_endpoint_touches_only_its_own_rows():
     ep0, ep1 = _endpoints(2)
-    demux = ShardedDemux(radix_bits=2)
+    demux = DemuxTable()
     for tag in range(8):
         demux.register(tag, ep0 if tag % 2 else ep1, tag)
     assert demux.unregister_endpoint(ep0) == 4
@@ -78,7 +79,7 @@ def test_unregister_endpoint_touches_only_its_own_rows():
 
 def test_tenant_rows_accounting_tracks_churn():
     eps = _endpoints(4, tenants=2)  # t00, t01, t00, t01
-    demux = ShardedDemux()
+    demux = DemuxTable()
     for i, ep in enumerate(eps):
         demux.register(i, ep, 0)
         demux.register(100 + i, ep, 1)
@@ -93,36 +94,13 @@ def test_tenant_rows_accounting_tracks_churn():
     assert len(demux) == 0
 
 
-def test_shard_load_sums_to_len():
-    eps = _endpoints(8)
-    demux = ShardedDemux(radix_bits=4)
-    for i, ep in enumerate(eps):
-        for k in range(8):
-            demux.register((i, k), ep, k)
-    load = demux.shard_load()
-    assert len(load) == 16
-    assert sum(load) == len(demux) == 64
-
-
-def test_radix_bits_validation():
-    with pytest.raises(ValueError):
-        ShardedDemux(radix_bits=-1)
-    with pytest.raises(ValueError):
-        ShardedDemux(radix_bits=17)
-    # the degenerate single-shard table still works
-    (ep,) = _endpoints(1)
-    demux = ShardedDemux(radix_bits=0)
-    demux.register("x", ep, 0)
-    assert demux.lookup("x") == (ep, 0)
-
-
 def test_drop_stats_speaks_the_shared_vocabulary():
-    for table in (DemuxTable(), ShardedDemux()):
-        table.lookup("miss")
-        stats = table.drop_stats()
-        assert set(stats) == set(DROP_COUNTERS)
-        assert stats["unknown_tag_drops"] == 1
-        assert all(v == 0 for k, v in stats.items() if k != "unknown_tag_drops")
+    table = DemuxTable()
+    table.lookup("miss")
+    stats = table.drop_stats()
+    assert set(stats) == set(DROP_COUNTERS)
+    assert stats["unknown_tag_drops"] == 1
+    assert all(v == 0 for k, v in stats.items() if k != "unknown_tag_drops")
 
 
 # ------------------------------------------------------------ properties
@@ -135,13 +113,12 @@ _OPS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_OPS, st.integers(min_value=0, max_value=6))
-def test_sharded_demux_matches_the_flat_model(ops, radix_bits):
-    """Any op sequence: the sharded table routes, counts, and accounts
-    exactly like a plain dict model — no misroute, no leak, no
-    double-free."""
+@given(_OPS)
+def test_sharded_demux_matches_the_flat_model(ops):
+    """Any op sequence: the table routes, counts, and accounts exactly
+    like a plain dict model — no misroute, no leak, no double-free."""
     eps = _endpoints(12, tenants=4)
-    demux = ShardedDemux(radix_bits=radix_bits)
+    demux = DemuxTable()
     model = {}
     misses = 0
     for op, idx, tag in ops:
@@ -169,7 +146,6 @@ def test_sharded_demux_matches_the_flat_model(ops, radix_bits):
                 misses += 1
     # no leaked or phantom slots anywhere in the accounting
     assert len(demux) == len(model)
-    assert sum(demux.shard_load()) == len(model)
     assert demux.unknown_tag_drops == misses
     expected_tenants = {}
     for ep, _ch in model.values():
@@ -190,17 +166,21 @@ def test_sharded_demux_matches_the_flat_model(ops, radix_bits):
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 60)),
                 min_size=1, max_size=80))
 def test_sharded_and_flat_tables_agree(pairs):
-    """Differential check against the original flat table."""
+    """Differential check of reverse-index teardown against a scan of
+    every row, the way the table tore endpoints down before it had an
+    index."""
     eps = _endpoints(8, tenants=3)
-    flat, sharded = DemuxTable(), ShardedDemux(radix_bits=4)
+    demux, rows = DemuxTable(), {}
     for idx, tag in pairs:
-        if flat.lookup(tag) is None:
-            flat.register(tag, eps[idx], idx)
-            sharded.register(tag, eps[idx], idx)
-    sharded.unknown_tag_drops = flat.unknown_tag_drops = 0
-    assert len(flat) == len(sharded)
+        if tag not in rows:
+            demux.register(tag, eps[idx], idx)
+            rows[tag] = (eps[idx], idx)
     for _idx, tag in pairs:
-        assert flat.lookup(tag) == sharded.lookup(tag)
+        assert demux.lookup(tag) == rows[tag]
     for ep in eps:
-        assert flat.unregister_endpoint(ep) == sharded.unregister_endpoint(ep)
-        assert len(flat) == len(sharded)
+        dead = [tag for tag, (owner, _ch) in rows.items() if owner is ep]
+        assert demux.unregister_endpoint(ep) == len(dead)
+        for tag in dead:
+            del rows[tag]
+        assert len(demux) == len(rows)
+        assert all(tag not in demux for tag in dead)

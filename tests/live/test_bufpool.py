@@ -143,3 +143,81 @@ def test_full_drain_restores_full_capacity(slots):
     assert all(isinstance(s, PooledSlice) for s in again)
     for s in again:
         pool.free(s)
+
+
+# ------------------------------------------------------------------- bursts
+@settings(max_examples=80, deadline=None)
+@given(script=st.lists(st.one_of(
+    st.tuples(st.just("alloc")), st.tuples(st.just("free"), st.integers(0, 63)),
+    st.tuples(st.just("take"), st.integers(0, 10)),
+    st.tuples(st.just("give"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("bad"), st.sampled_from(["twice", "freed", "foreign"]))),
+    min_size=1, max_size=120), slots=st.integers(1, 8))
+def test_bursts_interleave_with_single_slices(script, slots):
+    """``take`` / ``give_back`` against a model of the free stack,
+    interleaved with ``try_alloc`` / ``free``: a burst lends exactly what
+    as many ``try_alloc`` calls would, in that order; nothing aliases or
+    leaks; a bad return raises the typed error and changes nothing; a
+    burst given back whole (or tail first) is lent again slot for slot."""
+    pool, other = BufferPool(slots, 16), BufferPool(1, 16)
+    stack = list(range(slots - 1, -1, -1))  # the model: next lent is last
+    singles, bursts, stamp = [], [], 0
+    for op in script:
+        if op[0] == "alloc":
+            s = pool.try_alloc()
+            assert (s.index if s else None) == (stack.pop() if stack else None)
+            if s:
+                singles.append(s)
+        elif op[0] == "free" and singles:
+            s = singles.pop(op[1] % len(singles))
+            pool.free(s)
+            stack.append(s.index)
+        elif op[0] == "take":
+            exhausted = pool.exhausted_total
+            burst = pool.take(op[1])
+            want = [stack.pop() for _ in range(min(op[1], len(stack)))]
+            assert [s.index for s in burst] == want
+            assert pool.exhausted_total == exhausted + (len(burst) < op[1])
+            for s in burst:
+                stamp += 1
+                s.view[:] = bytes([stamp % 251]) * 16
+            if burst:
+                bursts.append(burst)
+        elif op[0] == "give" and bursts:
+            burst = bursts.pop(op[1] % len(bursts))
+            again = [s.index for s in burst]
+            if op[2] and len(burst) > 1:  # tail first, then head
+                cut = len(burst) // 2
+                pool.give_back(burst[cut:])
+                pool.give_back(burst[:cut])
+            else:
+                pool.give_back(burst)
+            stack.extend(reversed(again))
+            if not singles and not bursts:  # nothing else moved: the same slots come back
+                relent = pool.take(len(again))
+                assert [s.index for s in relent] == again
+                pool.give_back(relent)
+        elif op[0] == "bad":
+            books = (list(pool._free), set(pool._lent), pool.free_total)
+            if op[1] == "twice" and singles:
+                victim = [singles[0], singles[0]]
+            elif op[1] == "freed" and len(stack):
+                victim = [pool._slices[stack[-1]]]
+            else:
+                victim = [other.alloc()] if op[1] == "foreign" else None
+            if victim:
+                with pytest.raises(UNetError):
+                    pool.give_back(victim)
+                assert books == (list(pool._free), set(pool._lent), pool.free_total)
+                if op[1] == "foreign":
+                    other.free(victim[0])
+        held = singles + [s for burst in bursts for s in burst]
+        assert len({s.index for s in held}) == len(held) == pool.in_flight_count
+        assert all(s.in_flight for s in held)
+    for burst in bursts:  # no slot was written through a sibling
+        for s in burst:
+            assert len(set(s.view.tobytes())) == 1
+        pool.give_back(burst)
+    for s in singles:
+        pool.free(s)
+    assert pool.free_count == slots and pool.alloc_total == pool.free_total

@@ -11,6 +11,8 @@ logged in the pytest report header (see ``conftest.py``).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.live import (
     BufferPool,
@@ -319,3 +321,72 @@ def test_fast_path_apis_require_batched_mode():
             ep0.send_burst(ch0, [b"nope"])
         with pytest.raises(EndpointError):
             n0.service_fast(lambda *a: None)
+
+
+@mmsg_only
+@settings(max_examples=40, deadline=None)
+@given(rounds=st.lists(st.tuples(
+    st.sampled_from(["two-dest", "same-none", "same-name"]), st.integers(0, 1),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["bytes", "pool-a", "pool-b"]),
+                       st.binary(max_size=48)), min_size=1, max_size=4)),
+    min_size=1, max_size=12))
+def test_one_batch_stays_coherent_across_every_call_shape(rounds):
+    """One :class:`MmsgBatch` driven through every call shape in turn —
+    ``sendmmsg`` to two destinations, ``sendmmsg_same`` on a connected
+    socket (no sockaddr) and to a name, ``recvmmsg`` into slices of two
+    pools and a plain buffer — with payloads from two pools and ``bytes``
+    of varying lengths.  The batch caches each slot's sockaddr, base and
+    length; every datagram must still arrive intact at the socket it
+    was sent to."""
+    import socket
+    from collections import deque
+
+    from repro.live.mmsg import MmsgBatch, pack_sockaddr
+
+    batch = MmsgBatch()
+    pools = {"pool-a": BufferPool(8, 48), "pool-b": BufferPool(8, 64)}
+    with make_transport("unix", "d0") as d0, make_transport("unix", "d1") as d1, \
+            make_transport("unix", "tx") as tx, make_transport("unix", "conn") as conn:
+        dests = (d0, d1)
+        names = [pack_sockaddr(socket.AF_UNIX, d.address) for d in dests]
+        conn.connect_peer(d0.address)
+        expected = (deque(), deque())
+        for shape, dest, msgs in rounds:
+            payloads, lent = [], []
+            for _dest, kind, data in msgs:
+                if kind == "bytes":
+                    payloads.append(data)
+                    continue
+                slice_ = pools[kind].alloc()
+                slice_.view[:len(data)] = data
+                slice_.length = len(data)
+                payloads.append(slice_)
+                lent.append(slice_)
+            if shape == "two-dest":
+                sent = batch.sendmmsg(tx.sock.fileno(), [
+                    (names[d], payload) for (d, _k, _b), payload in zip(msgs, payloads)])
+                targets = [d for d, _k, _b in msgs]
+            elif shape == "same-none":
+                sent = batch.sendmmsg_same(conn.sock.fileno(), None, payloads)
+                targets = [0] * len(msgs)
+            else:
+                sent = batch.sendmmsg_same(tx.sock.fileno(), names[dest], payloads)
+                targets = [dest] * len(msgs)
+            assert sent == len(msgs)
+            for target, (_d, _k, data) in zip(targets, msgs):
+                expected[target].append(data)
+            for slice_ in lent:
+                slice_.pool.free(slice_)
+            for index, sock in enumerate(dests):  # drain on the same batch
+                while expected[index]:
+                    views = [pools["pool-a"].alloc(), bytearray(64), pools["pool-b"].alloc()]
+                    got = batch.recvmmsg(sock.sock.fileno(), views)
+                    assert got, "a sent datagram never arrived"
+                    for view, (flags, nbytes) in zip(views, got):
+                        assert not flags
+                        raw = view.view if hasattr(view, "view") else memoryview(view)
+                        assert bytes(raw[:nbytes]) == expected[index].popleft()
+                    for view in views:
+                        if hasattr(view, "pool"):
+                            view.pool.free(view)
+        assert all(pool.free_count == 8 for pool in pools.values())

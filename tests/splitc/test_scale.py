@@ -3,7 +3,8 @@
 Building ``Cluster(n, "atm-clos", collectives="nic")`` used to be
 quadratic — three ``{peer: 0}`` tables of ``n - 1`` entries, 64 empty
 demux shards and a Mersenne state per node: 1.9 s and 225 MB at 1 024
-nodes.  Counts, not seconds: the bytes ``tracemalloc`` sees and the
+nodes (the demux has since become one dict).  Counts, not seconds: the
+bytes ``tracemalloc`` sees and the
 lengths of one node's containers.
 """
 
@@ -26,8 +27,8 @@ def _node_containers(cluster, node):
         "stores_sent": len(runtime._stores_sent),
         "stores_received": len(runtime._stores_received),
         "announce_balance": len(runtime._announce_balance),
-        "demux_shards": len(demux._shards),
         "demux_rows": len(demux),
+        "demux_endpoints": len(demux._tags_by_endpoint),
         "am_peers": len(am._peers_by_node),
         "am_jitter_rng": am._rng is not None,
         "channels": len(cluster.endpoints[node].endpoint.channels),

@@ -2,7 +2,8 @@
 
 Every row builds at three sizes, takes its hosts, connects a pair and
 carries a small and a full-size message each way; it closes with nothing
-held (``tests/conftest.py``'s leak fixture checks that part).  Names,
+held (``tests/conftest.py``'s leak fixture checks that part).  A size
+past a row's declared host limit is refused before anything is built.  Names,
 aliases and the refusal of an unknown name are held here too, and so is
 the bar the table exists for: no module outside it compares substrate
 strings.
@@ -15,6 +16,8 @@ import pytest
 
 from repro import networks
 from repro.analysis import network_stats
+from repro.cli import main
+from repro.ethernet.switch import BAY_28115
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 from repro.splitc import Cluster
@@ -25,13 +28,18 @@ ROWS = networks.names()
 @pytest.mark.parametrize("n", (2, 5, 40))
 @pytest.mark.parametrize("name", ROWS)
 def test_row_builds_attaches_connects_carries_and_closes(name, n):
+    row = networks.get(name)
+    if row.max_hosts is not None and n > row.max_hosts:
+        # a row is as big as its device models: refused before anything is built
+        with pytest.raises(networks.TooManyHosts, match=f"{name}.*at most {row.max_hosts}"):
+            row.check_hosts(n)
+        sim = Simulator()
+        with pytest.raises(networks.TooManyHosts):
+            row.build(sim, n)
+        sim.close()
+        return
     sim = Simulator()
-    with networks.get(name).build(sim, n) as net:
-        if (name, n) == ("fe-switch", 40):
-            # a row is as big as its device models: one Bay 28115, 16 ports
-            with pytest.raises(ValueError, match="only 16 ports"):
-                [net.add_host(f"h{i}", PENTIUM_120) for i in range(n)]
-            return
+    with row.build(sim, n) as net:
         hosts = [net.add_host(f"h{i}", PENTIUM_120) for i in range(n)]
         assert net.hosts == hosts
         # first and last host: across leaves on a Clos, across the relay on "mixed"
@@ -54,6 +62,28 @@ def test_row_builds_attaches_connects_carries_and_closes(name, n):
         carried = sum(sum(v for k, v in device.items() if "forwarded" in k or "carried" in k)
                       for devices in stats.values() for device in devices)
         assert carried >= 4, stats
+
+
+def test_a_declared_host_limit_is_the_one_its_builder_enforces():
+    limited = {row.name: row.max_hosts for row in networks.NETWORKS.values() if row.max_hosts}
+    assert limited == {"fe-switch": BAY_28115.ports}
+    row = networks.get("fe-switch")
+    # the builder itself, past the table's check: host 16 fits, host 17 does not
+    with row.build(Simulator(), row.max_hosts) as net:
+        for i in range(row.max_hosts):
+            net.add_host(f"h{i}", PENTIUM_120)
+        with pytest.raises(ValueError, match="only 16 ports"):
+            net.switch.attach(0x02_00_00_00_00_FF)
+
+
+def test_an_oversize_cluster_is_refused_before_anything_is_built():
+    """One typed error naming the row and its limit, from ``Cluster`` and
+    the CLI alike; the leak fixture sees no simulator built."""
+    with pytest.raises(networks.TooManyHosts, match="'fe-switch' holds at most 16 hosts, not 40"):
+        Cluster(40, "fe-switch")
+    with pytest.raises(ValueError):  # still a ValueError to older callers
+        Cluster(17, "fe")
+    assert main(["splitc", "rsortsm", "--nodes", "40", "--substrate", "fe-switch"]) == 2
 
 
 def test_the_one_switch_of_atm_is_reported_once():
