@@ -79,6 +79,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..core.errors import ConfigError, PeerUnavailableError, StaleEpochError
+from ..telemetry import read
 from .protocol import (
     CREDIT_SIZE,
     EPOCH_MOD,
@@ -290,6 +291,14 @@ class PeerState:
     """Per-connection protocol state.  Drivers subclass it only to add
     the slots their blocking/polling mechanics need."""
 
+    #: what :meth:`AmCore.snapshot` and :mod:`repro.telemetry` report
+    COUNTERS = (
+        "next_seq", "expected_seq", "cwnd", "remote_credit", "last_advertised",
+        "retransmissions", "timeouts", "fast_retransmits", "duplicates",
+        "credit_stalls", "rtt_samples", "ecn_marks", "ecn_echoes", "ecn_backoffs",
+        "remote_epoch", "alive", "reconnecting", "abandoned",
+    )
+
     __slots__ = (
         "node", "channel", "next_seq", "unacked", "expected_seq",
         "ack_deadline", "deliveries_since_ack", "last_progress",
@@ -416,6 +425,10 @@ class AmCore:
     :meth:`connect_peer` after U-Net channels have been created by the
     substrate's signaling/channel service.
     """
+
+    COUNTERS = ("requests_sent", "replies_sent", "acks_sent", "requests_delivered",
+                "restarts", "abandoned_sends")
+    PARTS = ("peers",)
 
     def __init__(self, node_id: int, user, backend, config: Optional[AmConfig] = None,
                  rng: Optional[random.Random] = None) -> None:
@@ -725,41 +738,22 @@ class AmCore:
             fields["t"] = self._now()
             self.observer(kind, fields)
 
+    @property
+    def peers(self) -> Dict[int, PeerState]:
+        """Connected peers by node id (the state itself, not a copy)."""
+        return self._peers_by_node
+
     def snapshot(self) -> Dict[int, Dict]:
-        """State-machine introspection: one dict per connected peer.
+        """State-machine introspection: one dict per connected peer, its
+        declared counters plus what is derived from its state.
 
         Everything a checker needs to reason about the protocol state
         without touching ``PeerState`` internals directly.
         """
-        out: Dict[int, Dict] = {}
-        for node, p in self._peers_by_node.items():
-            out[node] = {
-                "next_seq": p.next_seq,
-                "expected_seq": p.expected_seq,
-                "unacked": len(p.unacked),
-                "window": self._effective_window(p),
-                "cwnd": p.cwnd,
-                "remote_credit": p.remote_credit,
-                "last_advertised": p.last_advertised,
-                "retransmissions": p.retransmissions,
-                "timeouts": p.timeouts,
-                "fast_retransmits": p.fast_retransmits,
-                "duplicates": p.duplicates,
-                "credit_stalls": p.credit_stalls,
-                "rtt_samples": p.rtt_samples,
-                "sacked": len(p.sacked),
-                "ooo_held": len(p.ooo_held),
-                "ecn_marks": p.ecn_marks,
-                "ecn_echoes": p.ecn_echoes,
-                "ecn_backoffs": p.ecn_backoffs,
-                "srtt_us": p.srtt,
-                "epoch": self.epoch,
-                "remote_epoch": p.remote_epoch,
-                "alive": p.alive,
-                "reconnecting": p.reconnecting,
-                "abandoned": p.abandoned,
-            }
-        return out
+        return {node: dict(read(p), unacked=len(p.unacked), window=self._effective_window(p),
+                           sacked=len(p.sacked), ooo_held=len(p.ooo_held), srtt_us=p.srtt,
+                           epoch=self.epoch)
+                for node, p in self._peers_by_node.items()}
 
     @property
     def credit_stalls(self) -> int:

@@ -14,10 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "headline_metrics", "render_compare",
     ),
     ".report": ("ascii_plot", "format_comparison", "format_table"),
-    ".stats": (
-        "am_stats", "backend_stats", "cluster_stats", "network_stats",
-        "render_stats",
-    ),
+    ".stats": ("cluster_stats", "render_stats"),
     ".splitc_bench": (
         "BENCHMARKS", "PAPER_KEYS_PER_NODE", "Table1Entry", "figure7",
         "table1", "table1_des", "table2",

@@ -60,6 +60,9 @@ class AtmFabric(SimulatedNetwork):
     path, rotating across parallel paths connection by connection.
     """
 
+    COUNTERS = ("reroutes", "cells_blackholed")
+    PARTS = ("switches", "hosts")
+
     def __init__(
         self,
         sim: Simulator,
@@ -130,9 +133,6 @@ class AtmFabric(SimulatedNetwork):
         for switch in self.switches:
             switch.clear_routes()
         return discarded
-
-    def devices(self) -> dict:
-        return {"switches": self.switches}
 
     def trunk_link(self, a: int, b: int) -> CellLink:
         """The egress trunk from switch ``a`` toward adjacent ``b``

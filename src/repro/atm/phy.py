@@ -86,6 +86,8 @@ class CellLink:
     order like ``sim.now`` does.
     """
 
+    COUNTERS = ("cells_carried", "cells_dropped", "queued", "in_flight")
+
     def __init__(
         self,
         sim: Simulator,
@@ -149,6 +151,11 @@ class CellLink:
             return 0
         cells = int(remaining / self.phy.cell_time_us)
         return cells + (1 if remaining - cells * self.phy.cell_time_us > 1e-12 else 0)
+
+    @property
+    def in_flight(self) -> int:
+        """Cells accepted and not yet delivered: what the delivery lane holds."""
+        return len(self._deliveries)
 
     def _serialized_one(self) -> None:
         self._pending -= 1

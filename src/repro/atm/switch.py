@@ -24,6 +24,9 @@ ASX200_FORWARD_US = 7.0
 class AtmSwitch:
     """Output-queued VCI-routing cell switch."""
 
+    COUNTERS = ("cells_forwarded", "unknown_vci_drops")
+    PARTS = ("ports",)
+
     def __init__(
         self,
         sim: Simulator,
@@ -37,31 +40,27 @@ class AtmSwitch:
         #: if set, attach_port caps each egress queue at this many cells
         self.output_buffer_cells = output_buffer_cells
         #: output ports by number; each is the egress CellLink toward a host
-        self._ports: Dict[int, CellLink] = {}
+        self.ports: Dict[int, CellLink] = {}
         #: VCI -> output port routing table (programmed by signaling)
         self._routes: Dict[int, int] = {}
         self.cells_forwarded = 0
         self.unknown_vci_drops = 0
 
-    def counters(self) -> dict:
-        return {"cells_forwarded": self.cells_forwarded,
-                "unknown_vci_drops": self.unknown_vci_drops}
-
     def attach_port(self, port: int, egress: CellLink) -> None:
-        if port in self._ports:
+        if port in self.ports:
             raise ValueError(f"{self.name}: port {port} already attached")
         if self.output_buffer_cells is not None:
             egress.buffer_cells = self.output_buffer_cells
-        self._ports[port] = egress
+        self.ports[port] = egress
 
     @property
     def cells_dropped(self) -> int:
         """Total egress-buffer overflows across all ports."""
-        return sum(link.cells_dropped for link in self._ports.values())
+        return sum(link.cells_dropped for link in self.ports.values())
 
     def program_route(self, vci: int, port: int) -> None:
         """Signaling-plane: route cells on ``vci`` out of ``port``."""
-        if port not in self._ports:
+        if port not in self.ports:
             raise ValueError(f"{self.name}: no such port {port}")
         self._routes[vci] = port
 
@@ -82,4 +81,4 @@ class AtmSwitch:
         # as of the instant it leaves the fabric: hop and egress wire are one
         # heap entry — the switch fabric is the hottest path in fat-tree sweeps
         self.cells_forwarded += 1
-        self._ports[port].submit(cell, self.sim.now + self.forward_us)
+        self.ports[port].submit(cell, self.sim.now + self.forward_us)

@@ -110,6 +110,9 @@ class UNetAtmBackend(UNetBackend):
     """The PCA-200 NIC with U-Net firmware, attached to one host."""
 
     wire_unit = "cell"
+    COUNTERS = UNetBackend.COUNTERS + ("pdus_sent", "pdus_received",
+                                       "collective_cells_received", "crc_errors")
+    PARTS = UNetBackend.PARTS + ("dma", "tx_link")
     #: cap on one collective packet (a few dozen cells; plenty for barriers
     #: and small reduce vectors, bounded so firmware buffering is)
     collective_max_payload = 4096

@@ -214,6 +214,10 @@ class NicCollectiveEngine:
     event; everything else runs in NIC firmware via the adapter.
     """
 
+    COUNTERS = ("packets_sent", "packets_received", "retransmissions",
+                "barriers_completed", "broadcasts_completed", "reduces_completed",
+                "stale_epoch_drops", "epochs_installed", "aborts")
+
     def __init__(
         self,
         sim: Simulator,

@@ -53,6 +53,8 @@ class Host:
     Split-C layer accounts for computation explicitly.
     """
 
+    PARTS = ("backend",)
+
     def __init__(self, sim: Simulator, name: str, cpu: CpuModel, backend: UNetBackend) -> None:
         self.sim = sim
         self.name = name

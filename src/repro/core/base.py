@@ -14,10 +14,10 @@ once; DESIGN §2 lists what a new substrate has to add.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Tuple
 
 from ..sim import Discarded, Simulator
-from .endpoint import Endpoint, EndpointConfig
+from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig, drop_stats
 from .errors import AdmissionRejected, EndpointError
 from .mux import DemuxTable
 from .tenancy import qos_class
@@ -32,6 +32,13 @@ class UNetBackend(abc.ABC):
     #: or ``"datagram"``.  Fault stages interpose at that level, so the
     #: fault layer picks its stage classes by this and nothing else.
     wire_unit: str
+
+    COUNTERS = DROP_COUNTERS
+    PARTS = ("endpoints",)
+    #: the classes the protocol above books on an endpoint
+    #: (:meth:`Endpoint.note_drop`) read zero here on every substrate, so
+    #: a report that merges both layers counts each drop once
+    stale_epoch_drops = peer_dead_drops = 0
 
     def __init__(self, sim: Simulator, name: str) -> None:
         #: the simulator — or, on a wall-clock substrate, the
@@ -126,24 +133,12 @@ class UNetBackend(abc.ABC):
         """Host-processor time consumed per small-message send (Section 4.4)."""
         raise NotImplementedError
 
-    def drop_stats(self) -> dict:
-        """NI/kernel-level drop counters, one entry per shared name.
+    @property
+    def unknown_tag_drops(self) -> int:
+        """Arrivals the demux table found no row for."""
+        return self.demux.unknown_tag_drops
 
-        The same vocabulary (:data:`repro.core.endpoint.DROP_COUNTERS`)
-        is spoken by :meth:`Endpoint.drop_stats`, which owns the classes
-        the protocol above books on an endpoint (``stale_epoch_drops``,
-        ``peer_dead_drops``): they read zero here on every substrate, so
-        a report that merges both layers counts each drop once.
-        """
-        return {
-            "recv_queue_drops": self.recv_queue_drops,
-            "no_buffer_drops": self.no_buffer_drops,
-            "unknown_tag_drops": self.demux.unknown_tag_drops,
-            "quarantine_drops": self.quarantine_drops,
-            "stale_epoch_drops": 0,
-            "peer_dead_drops": 0,
-            "admission_rejected_drops": self.admission_rejected_drops,
-        }
+    drop_stats = drop_stats
 
 
 class Closing:
@@ -167,11 +162,9 @@ class SimulatedNetwork(Closing):
 
     sim: Simulator
     hosts: List[Any]
-
-    def devices(self) -> Dict[str, Sequence[Any]]:
-        """What stands between the hosts, by kind — ``"switches"``,
-        ``"media"``, ``"routers"`` — each with a ``counters()``."""
-        raise NotImplementedError
+    #: its telemetry parts (:mod:`repro.telemetry`): the devices that
+    #: stand between the hosts — switches, media, routers — then the hosts
+    PARTS: Tuple[str, ...]
 
     def close(self) -> Discarded:
         """Close the simulator (parked firmware and receivers end where

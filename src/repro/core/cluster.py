@@ -63,6 +63,8 @@ class ClusterHealthAggregator:
     """Merge host monitors into cluster verdicts; drive coordinated
     quarantine and release."""
 
+    COUNTERS = ("coordinated_quarantines", "coordinated_releases", "escalations")
+
     def __init__(self, quorum: int = 2,
                  escalate_shed_after: Optional[int] = None) -> None:
         if quorum < 1:
@@ -238,6 +240,8 @@ class ClusterPartitionMonitor:
     healed partition leaves a recovery snapshot in :attr:`recovery_log`.
     """
 
+    COUNTERS = ("partitioned_at", "evaluations", "recovery_log")
+
     def __init__(self, members: Iterable[str],
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.members: List[str] = sorted(members)
@@ -327,13 +331,3 @@ class ClusterPartitionMonitor:
             raise ClusterPartitionError(
                 f"host {host} is on the minority side of a partition",
                 host=host, component=component)
-
-    # ------------------------------------------------------------ reporting
-    def snapshot(self) -> dict:
-        return {
-            "members": list(self.members),
-            "modes": dict(self._modes),
-            "partitioned": self.partitioned_at is not None,
-            "partitioned_at": self.partitioned_at,
-            "recoveries": [dict(r) for r in self.recovery_log],
-        }

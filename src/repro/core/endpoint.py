@@ -17,7 +17,7 @@ from ..sim import BoundedRing, Event, Simulator
 from .descriptors import RecvDescriptor, SendDescriptor
 from .errors import EndpointError, InvalidDescriptorError, ProtectionError
 
-__all__ = ["Endpoint", "EndpointConfig", "DROP_COUNTERS"]
+__all__ = ["Endpoint", "EndpointConfig", "DROP_COUNTERS", "drop_stats"]
 
 #: the shared drop-accounting vocabulary: every layer that can lose a
 #: message (endpoint, demux, either substrate backend) reports these
@@ -25,6 +25,12 @@ __all__ = ["Endpoint", "EndpointConfig", "DROP_COUNTERS"]
 DROP_COUNTERS = ("recv_queue_drops", "no_buffer_drops", "unknown_tag_drops",
                  "quarantine_drops", "stale_epoch_drops", "peer_dead_drops",
                  "admission_rejected_drops")
+
+
+def drop_stats(layer) -> dict:
+    """``layer``'s drop counters under the shared :data:`DROP_COUNTERS`
+    names, in that order — the one body behind every ``drop_stats()``."""
+    return {name: getattr(layer, name) for name in DROP_COUNTERS}
 
 
 class EndpointConfig:
@@ -47,6 +53,14 @@ class EndpointConfig:
 
 class Endpoint:
     """One U-Net endpoint: buffer area + send/recv/free queues."""
+
+    COUNTERS = DROP_COUNTERS + ("messages_sent", "messages_received",
+                                "bytes_sent", "bytes_received")
+    #: unknown tags are dropped before any endpoint is known, and an
+    #: admission refusal before one exists: an endpoint reports zero for
+    #: both, the demux table and the backend own them
+    unknown_tag_drops = admission_rejected_drops = 0
+    _OWN_DROPS = tuple(name for name in DROP_COUNTERS if name != "unknown_tag_drops")
 
     def __init__(self, sim: Simulator, endpoint_id: int, config: EndpointConfig, owner: str = "",
                  tenant: str = "", qos: str = "") -> None:
@@ -87,7 +101,7 @@ class Endpoint:
         self.messages_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.receive_drops = 0
+        self.recv_queue_drops = 0
         #: messages lost because the free queue held no buffer (counted
         #: here by the serving backend, in addition to its own total)
         self.no_buffer_drops = 0
@@ -97,10 +111,6 @@ class Endpoint:
         self.stale_epoch_drops = 0
         #: sends abandoned because the peer was declared dead
         self.peer_dead_drops = 0
-        #: always zero on an endpoint — admission rejection happens before
-        #: the endpoint exists, so the backend owns the live count; the key
-        #: is carried here so every ``drop_stats()`` speaks one vocabulary
-        self.admission_rejected_drops = 0
         #: set by the health layer (see :mod:`repro.core.health`): the
         #: NI/kernel sheds this endpoint's traffic at the demux step so a
         #: misbehaving process cannot consume service time that other
@@ -266,20 +276,9 @@ class Endpoint:
         backend for no-buffer and quarantine sheds), so the observer hook
         sees every drop exactly once with its classification.
         """
-        if kind == "recv_queue_drops":
-            self.receive_drops += 1
-        elif kind == "no_buffer_drops":
-            self.no_buffer_drops += 1
-        elif kind == "quarantine_drops":
-            self.quarantine_drops += 1
-        elif kind == "stale_epoch_drops":
-            self.stale_epoch_drops += 1
-        elif kind == "peer_dead_drops":
-            self.peer_dead_drops += 1
-        elif kind == "admission_rejected_drops":
-            self.admission_rejected_drops += 1
-        else:
-            raise ValueError(f"unknown drop class {kind!r}; expected one of {DROP_COUNTERS}")
+        if kind not in self._OWN_DROPS:
+            raise ValueError(f"unknown drop class {kind!r}; expected one of {self._OWN_DROPS}")
+        setattr(self, kind, getattr(self, kind) + 1)
         if self.observer is not None:
             self.observer(kind, self)
 
@@ -293,21 +292,7 @@ class Endpoint:
         """Free-queue fill fraction relative to its capacity."""
         return len(self.free_queue) / self.free_queue.capacity
 
-    def drop_stats(self) -> dict:
-        """Drop counters under the shared :data:`DROP_COUNTERS` names.
-
-        ``unknown_tag_drops`` happen before any endpoint is known, so an
-        endpoint always reports zero there; the demux table owns them.
-        """
-        return {
-            "recv_queue_drops": self.receive_drops,
-            "no_buffer_drops": self.no_buffer_drops,
-            "unknown_tag_drops": 0,
-            "quarantine_drops": self.quarantine_drops,
-            "stale_epoch_drops": self.stale_epoch_drops,
-            "peer_dead_drops": self.peer_dead_drops,
-            "admission_rejected_drops": self.admission_rejected_drops,
-        }
+    drop_stats = drop_stats
 
     def _wake_receivers(self) -> None:
         waiters, self._recv_waiters = self._recv_waiters, []

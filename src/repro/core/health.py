@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from ..sim import Simulator
+from ..telemetry import read
 from .endpoint import Endpoint
 
 __all__ = [
@@ -115,6 +116,9 @@ class HealthConfig:
 class EndpointHealth:
     """The watchdog's record for one endpoint."""
 
+    COUNTERS = ("state", "drop_ewma", "occupancy_ewma", "shed_episodes",
+                "shed_time_us")
+
     __slots__ = (
         "endpoint",
         "config",
@@ -158,7 +162,7 @@ class EndpointHealth:
         generating the very signal that shed it, which is what lets the
         ``backpressure`` EWMAs decay toward recovery.
         """
-        return self.endpoint.receive_drops + self.endpoint.no_buffer_drops
+        return self.endpoint.recv_queue_drops + self.endpoint.no_buffer_drops
 
     @property
     def is_shed(self) -> bool:
@@ -175,24 +179,6 @@ class EndpointHealth:
         self._last_service_drops = drops
         self.drop_ewma += alpha * (delta - self.drop_ewma)
         self.occupancy_ewma += alpha * (self.endpoint.recv_queue_occupancy - self.occupancy_ewma)
-
-    def telemetry(self) -> dict:
-        """One row of per-endpoint health telemetry for reports."""
-        stats = self.endpoint.drop_stats()
-        stats.update(
-            endpoint=self.endpoint.id,
-            owner=self.endpoint.owner,
-            tenant=self.endpoint.tenant,
-            qos=self.endpoint.qos,
-            state=self.state,
-            drop_ewma=self.drop_ewma,
-            occupancy_ewma=self.occupancy_ewma,
-            shed_episodes=self.shed_episodes,
-            shed_time_us=self.shed_time_us,
-            messages_received=self.endpoint.messages_received,
-            dead_peers=sorted(self.dead_peers),
-        )
-        return stats
 
 
 class HealthMonitor:
@@ -386,5 +372,13 @@ class HealthMonitor:
 
     # ------------------------------------------------------------- reporting
     def report(self) -> List[dict]:
-        """Per-endpoint telemetry rows, in endpoint-id order."""
-        return [self._records[key].telemetry() for key in sorted(self._records)]
+        """Per-endpoint telemetry rows, in endpoint-id order: who the
+        endpoint is, its counters, then its health record's."""
+        rows = []
+        for key in sorted(self._records):
+            record = self._records[key]
+            ep = record.endpoint
+            rows.append(dict(endpoint=ep.id, owner=ep.owner, tenant=ep.tenant,
+                             qos=ep.qos, **read(ep), **read(record),
+                             dead_peers=sorted(record.dead_peers)))
+        return rows

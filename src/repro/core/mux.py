@@ -13,23 +13,25 @@ short-lived tenants never makes endpoint destruction O(rows on the
 host), and the shared demux path stays one dict get ("keep the shared
 path cheap enough that isolation machinery doesn't eat the fast path").
 
-It speaks the shared ``drop_stats()`` vocabulary
-(:data:`repro.core.endpoint.DROP_COUNTERS`); the demux owns exactly one
-class — ``unknown_tag_drops`` — because unknown tags have no endpoint
-(and no tenant) to attribute them to.
+Of the shared drop vocabulary (:data:`repro.core.endpoint.DROP_COUNTERS`)
+the demux owns exactly one class — ``unknown_tag_drops`` — because
+unknown tags have no endpoint (and no tenant) to attribute them to; its
+backend reports it under that name.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from .endpoint import DROP_COUNTERS, Endpoint
+from .endpoint import Endpoint
 
 __all__ = ["DemuxTable"]
 
 
 class DemuxTable:
     """Tag -> (endpoint, channel_id) table maintained by the OS service."""
+
+    COUNTERS = ("unknown_tag_drops",)
 
     def __init__(self, name: str = "demux") -> None:
         self.name = name
@@ -95,12 +97,6 @@ class DemuxTable:
             if self.observer is not None:
                 self.observer(rx_tag)
         return entry
-
-    def drop_stats(self) -> dict:
-        """Drop counters under the shared ``DROP_COUNTERS`` names."""
-        stats = {name: 0 for name in DROP_COUNTERS}
-        stats["unknown_tag_drops"] = self.unknown_tag_drops
-        return stats
 
     # ---------------------------------------------------------- accounting
     def tenant_rows(self) -> Dict[str, int]:

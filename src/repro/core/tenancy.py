@@ -147,6 +147,9 @@ class AdmissionController:
     ``admission_rejected_drops`` in the shared vocabulary.
     """
 
+    COUNTERS = ("occupancy", "max_endpoints", "admitted", "rejected",
+                "rejected_by_class", "tenants")
+
     def __init__(self, config: Optional[AdmissionConfig] = None) -> None:
         self.config = config or AdmissionConfig()
         self.occupancy = 0
@@ -190,13 +193,11 @@ class AdmissionController:
     def tenant_endpoints(self, tenant: str) -> int:
         return self._per_tenant.get(tenant, 0)
 
-    def stats(self) -> dict:
-        """Occupancy and rejection counters for reports."""
-        return {
-            "occupancy": self.occupancy,
-            "max_endpoints": self.config.max_endpoints,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "rejected_by_class": dict(self.rejected_by_class),
-            "tenants": len(self._per_tenant),
-        }
+    @property
+    def max_endpoints(self) -> int:
+        return self.config.max_endpoints
+
+    @property
+    def tenants(self) -> int:
+        """Tenants holding at least one endpoint slot."""
+        return len(self._per_tenant)

@@ -109,6 +109,8 @@ class DualNicFeBackend(UNetFeBackend):
 class BeowulfNetwork(SimulatedNetwork):
     """Hosts with two NICs on two parallel shared-media channels."""
 
+    PARTS = ("medium_a", "medium_b", "hosts")
+
     def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:
         self.sim = sim
         registry = rng or RngRegistry()
@@ -126,9 +128,6 @@ class BeowulfNetwork(SimulatedNetwork):
         host = Host(self.sim, name, cpu, backend)
         self.hosts.append(host)
         return host
-
-    def devices(self) -> dict:
-        return {"media": [self.medium_a, self.medium_b]}
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """Bonded duplex channel across both rails."""

@@ -63,6 +63,10 @@ class RxRingBuffer:
 class Dc21140:
     """One DC21140 chip wired to an attachment (hub tap or switch link)."""
 
+    COUNTERS = ("frames_sent", "frames_received", "collective_frames_received",
+                "rx_overflow_drops", "rx_crc_drops", "tx_collision_drops")
+    PARTS = ("dma", "attachment")
+
     def __init__(
         self,
         sim: Simulator,

@@ -169,6 +169,8 @@ class IpRouter:
     exactly why the paper calls this path expensive.
     """
 
+    COUNTERS = ("packets_forwarded", "drops_no_route", "drops_bad_header", "drops_ttl")
+
     def __init__(self, sim: Simulator, forward_us: float = 55.0, name: str = "router") -> None:
         self.sim = sim
         self.forward_us = forward_us
@@ -183,11 +185,6 @@ class IpRouter:
         self.drops_bad_header = 0
         self.drops_ttl = 0
         sim.process(self._forwarding_engine(), name=f"{name}.cpu")
-
-    def counters(self) -> dict:
-        return {"packets_forwarded": self.packets_forwarded,
-                "drops_no_route": self.drops_no_route,
-                "drops_bad_header": self.drops_bad_header, "drops_ttl": self.drops_ttl}
 
     def attach_segment(self, switch: EthernetSwitch, mac: MacAddress, network: int, mask: int) -> None:
         """Connect one router port to ``switch`` serving ``network``."""

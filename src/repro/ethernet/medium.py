@@ -79,6 +79,8 @@ class SharedMedium:
     and retries, exactly the classic algorithm.
     """
 
+    COUNTERS = ("frames_carried", "collisions", "drops_excessive_collisions")
+
     def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:
         self.sim = sim
         self.rate_mbps = rate_mbps
@@ -89,10 +91,6 @@ class SharedMedium:
         self.collisions = 0
         self.frames_carried = 0
         self.drops_excessive_collisions = 0
-
-    def counters(self) -> dict:
-        return {"frames_carried": self.frames_carried, "collisions": self.collisions,
-                "drops_excessive_collisions": self.drops_excessive_collisions}
 
     def attach(self) -> "HubAttachment":
         station = HubAttachment(self)
@@ -190,6 +188,8 @@ class SimplexChannel:
     arrive in order like ``sim.now`` does.
     """
 
+    COUNTERS = ("frames_carried", "frames_dropped", "queued", "in_flight")
+
     def __init__(
         self,
         sim: Simulator,
@@ -260,6 +260,11 @@ class SimplexChannel:
             return self._pending
         return 1 if self._busy_until > self.sim.now else 0
 
+    @property
+    def in_flight(self) -> int:
+        """Frames accepted and not yet delivered: what the delivery lane holds."""
+        return len(self._deliveries)
+
     def _serialized_one(self) -> None:
         self._pending -= 1
 
@@ -274,8 +279,11 @@ class DuplexLink(Attachment):
 
     ``uplink`` carries frames away from the NIC; the switch pushes
     frames for the NIC into ``downlink``, whose deliver callback feeds
-    the NIC's receiver.
+    the NIC's receiver.  The uplink is the NIC's telemetry part, the
+    downlink the switch's (an egress is counted by whoever feeds it).
     """
+
+    PARTS = ("uplink",)
 
     def __init__(
         self,

@@ -92,15 +92,14 @@ class _FeNetworkBase(SimulatedNetwork):
 class HubNetwork(_FeNetworkBase):
     """Hosts on a shared 100BaseTX broadcast hub (half duplex, CSMA/CD)."""
 
+    PARTS = ("medium", "hosts")
+
     def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:
         super().__init__(sim)
         self.medium = SharedMedium(sim, rate_mbps=rate_mbps, rng=rng)
 
     def _attach(self, backend: UNetFeBackend) -> None:
         backend.attach(self.medium.attach())
-
-    def devices(self) -> dict:
-        return {"media": [self.medium]}
 
 
 class RoutedFeNetwork(_FeNetworkBase):
@@ -111,6 +110,8 @@ class RoutedFeNetwork(_FeNetworkBase):
     (at the "considerable communication overhead" the paper predicts —
     measured by ``benchmarks/test_ablation_ip_encap.py``).
     """
+
+    PARTS = ("switches", "router", "hosts")
 
     def __init__(
         self,
@@ -147,9 +148,6 @@ class RoutedFeNetwork(_FeNetworkBase):
         self._segment_of[backend] = segment
         self._next_udp[backend] = 0x4000
 
-    def devices(self) -> dict:
-        return {"switches": self.switches, "routers": [self.router]}
-
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """IPv4-encapsulated duplex channel, routed if segments differ."""
         from .ip import IpTag  # optional feature
@@ -178,12 +176,11 @@ class RoutedFeNetwork(_FeNetworkBase):
 class SwitchedNetwork(_FeNetworkBase):
     """Hosts on a Fast Ethernet switch (full duplex links)."""
 
+    PARTS = ("switch", "hosts")
+
     def __init__(self, sim: Simulator, model: SwitchModel = BAY_28115, rate_mbps: float = 100.0) -> None:
         super().__init__(sim)
         self.switch = EthernetSwitch(sim, model, rate_mbps=rate_mbps)
 
     def _attach(self, backend: UNetFeBackend, propagation_us: float = 0.5) -> None:
         backend.attach(self.switch.attach(backend.mac, propagation_us=propagation_us))
-
-    def devices(self) -> dict:
-        return {"switches": [self.switch]}

@@ -58,6 +58,9 @@ class TrunkPort:
 class EthernetSwitch:
     """A learning-free (statically configured) output-queued switch."""
 
+    COUNTERS = ("frames_forwarded", "frames_flooded", "unknown_mac_drops")
+    PARTS = ("egress",)
+
     def __init__(
         self,
         sim: Simulator,
@@ -81,13 +84,14 @@ class EthernetSwitch:
         self.frames_flooded = 0
         self.unknown_mac_drops = 0
 
-    def counters(self) -> dict:
-        return {"frames_forwarded": self.frames_forwarded,
-                "unknown_mac_drops": self.unknown_mac_drops}
-
     @property
     def ports_used(self) -> int:
         return len(self._links)
+
+    @property
+    def egress(self) -> Dict[int, SimplexChannel]:
+        """Each port's egress channel (toward a station or a trunk peer)."""
+        return {port: link.downlink for port, link in self._links.items()}
 
     @property
     def frames_dropped(self) -> int:

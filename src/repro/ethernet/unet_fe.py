@@ -93,6 +93,8 @@ class UNetFeBackend(UNetBackend):
 
     wire_unit = "frame"
     collective_max_payload = UNET_FE_MAX_PDU
+    COUNTERS = UNetBackend.COUNTERS + ("messages_sent", "messages_received", "ip_header_drops")
+    PARTS = UNetBackend.PARTS + ("nics",)
 
     def __init__(
         self,

@@ -38,6 +38,9 @@ __all__ = ["ClosFeNetwork"]
 class ClosFeNetwork(_FeNetworkBase):
     """Hosts on a leaf/spine Fast Ethernet fabric (full duplex links)."""
 
+    COUNTERS = ("reroutes", "frames_blackholed")
+    PARTS = ("leaf_switches", "spine_switches", "hosts")
+
     def __init__(
         self,
         sim: Simulator,
@@ -129,9 +132,6 @@ class ClosFeNetwork(_FeNetworkBase):
             self._program_fabric(backend.mac, leaf, self._host_count)
         self._leaf_of_backend[backend] = leaf
         self._host_count += 1
-
-    def devices(self) -> dict:
-        return {"switches": self.leaf_switches + self.spine_switches}
 
     def _program_fabric(self, mac: int, leaf: int, host_index: int) -> None:
         """Signaling plane: one loop-free path to ``mac`` from everywhere.

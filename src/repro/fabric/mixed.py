@@ -41,6 +41,9 @@ _RELAY_CONFIG = EndpointConfig(
 class MixedFabric(SimulatedNetwork):
     """An ATM Clos plus an FE Clos with a dual-homed relay between them."""
 
+    COUNTERS = ("relayed_messages",)
+    PARTS = ("atm", "fe")
+
     def __init__(self, sim: Simulator, hosts_per_leaf: int = 8) -> None:
         self.sim = sim
         # two leaves x two spines per side, one extra leaf port for the relay
@@ -69,9 +72,6 @@ class MixedFabric(SimulatedNetwork):
         the first close ends it, the second returns the same report."""
         self.atm.close()
         return self.fe.close()
-
-    def devices(self) -> dict:
-        return {"switches": self.atm.devices()["switches"] + self.fe.devices()["switches"]}
 
     def _attach_atm_host(self, name: str, cpu: CpuModel) -> Host:
         host = self.atm.add_host(name, cpu)

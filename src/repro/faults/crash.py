@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..am.protocol import TYPE_REPLY, TYPE_REQUEST, peek_type_seq
 from .perturb import Emit
+from .scripted import OccurrenceTracker
 
 __all__ = ["LifecycleFault", "CrashFault", "RestartFault",
            "EndpointLifecycle", "FrameLifecycleStage", "CellLifecycleStage",
@@ -124,57 +124,25 @@ class EndpointLifecycle:
         return [(f.kind, f.seq, f.occurrence) for f, _t in self.applied]
 
 
-class _LifecycleStage:
-    """Shared machinery: the same occurrence tracking as scripted stages.
+class _LifecycleStage(OccurrenceTracker):
+    """The scripted stages' occurrence tracking, firing a callback.
 
-    Only data-bearing packets (REQUEST/REPLY) are tracked, so the seq-0
-    carried by HELLO/ACK traffic can never falsely satisfy a trigger.
-    Not a :class:`LinkPerturbation` — it never perturbs — but it speaks
-    the same ``process(pdu, now, emit)`` protocol so it slots into the
-    same pipelines and ingress hooks.
+    It never perturbs a PDU, but it is a pipeline stage like any other,
+    so it slots into the same pipelines and ingress hooks.
     """
 
     def __init__(self, events: Sequence[LifecycleFault],
                  fire: Callable[[LifecycleFault, float], None]) -> None:
-        self._events: Dict[Tuple[int, int], LifecycleFault] = {
-            (e.seq, e.occurrence): e for e in events
-        }
+        super().__init__(events)
         if len(self._events) != len(events):
             raise ValueError("lifecycle faults must have distinct "
                              "(seq, occurrence) addresses per link")
         self._fire = fire
-        self.seen: Dict[int, int] = {}
-        #: faults whose trigger crossed this link, in hit order
-        self.fired: List[LifecycleFault] = []
-
-    @property
-    def label(self) -> str:  # pipeline stats protocol
-        return type(self).__name__
-
-    def attach(self, ctx) -> None:  # pipeline protocol; no RNG wanted
-        self.ctx = ctx
-        self.reset()
-
-    def reset(self) -> None:
-        self.seen = {}
-        self.fired = []
 
     def _trigger(self, raw: bytes, now: float) -> None:
-        peeked = peek_type_seq(raw)
-        if peeked is None:
-            return
-        ptype, seq = peeked
-        if ptype not in (TYPE_REQUEST, TYPE_REPLY):
-            return
-        occurrence = self.seen.get(seq, 0)
-        self.seen[seq] = occurrence + 1
-        event = self._events.get((seq, occurrence))
+        event = self._hit(raw)
         if event is not None:
-            self.fired.append(event)
             self._fire(event, now)
-
-    def counters(self) -> dict:
-        return {"fired": len(self.fired), "tracked": len(self.seen)}
 
 
 class FrameLifecycleStage(_LifecycleStage):
@@ -193,14 +161,9 @@ class CellLifecycleStage(_LifecycleStage):
     exactly as firmware reassembly scopes a PDU).
     """
 
-    def __init__(self, events: Sequence[LifecycleFault],
-                 fire: Callable[[LifecycleFault, float], None]) -> None:
-        super().__init__(events, fire)
-        self._mid_pdu: Dict[int, bool] = {}
-
     def reset(self) -> None:
         super().reset()
-        self._mid_pdu = {}
+        self._mid_pdu: Dict[int, bool] = {}
 
     def process(self, cell, now: float, emit: Emit) -> None:
         if not self._mid_pdu.get(cell.vci, False):

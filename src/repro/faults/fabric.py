@@ -249,6 +249,8 @@ class FabricFaultInjector:
     trunk) are counted but harmless.
     """
 
+    COUNTERS = ("transitions_applied", "transitions_redundant")
+
     def __init__(self, sim, fabric, stages: Sequence) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -290,8 +292,3 @@ class FabricFaultInjector:
             self.fired.append((self.sim.now, side, a, b, up))
         else:
             self.transitions_redundant += 1
-
-    def counters(self) -> dict:
-        return {"scheduled": len(self.schedule),
-                "applied": self.transitions_applied,
-                "redundant": self.transitions_redundant}

@@ -300,8 +300,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
                          f"killed at t={sim.now:.0f}us")
         sim.process(chaos(), name="fabricsoak.chaos")
 
-    monitor_snapshot: Dict[str, object] = {}
-
     if scenario.expect_abort:
         monitor = ClusterPartitionMonitor([h.name for h in hosts],
                                           clock=lambda: sim.now)
@@ -353,7 +351,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
             if monitor.mode(hosts[0].name) != "normal":
                 violations.append("partition: monitor did not return to "
                                   "normal after the heal")
-            monitor_snapshot.update(monitor.snapshot())
             for node in live:
                 post_processes[node] = sim.process(
                     post_driver(node), name=f"fabricsoak.post{node}")
@@ -468,9 +465,9 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
         transitions_applied=injector.transitions_applied,
         sim_events=sim.events_processed,
     )
-    if scenario.expect_abort and monitor_snapshot.get("recoveries"):
+    if scenario.expect_abort and monitor.recovery_log:
         # the monitor's own recovery view must agree with the group's
-        rec = monitor_snapshot["recoveries"][-1]
+        rec = monitor.recovery_log[-1]
         if rec["recovery_us"] <= 0.0:
             violations.append("recovery: partition monitor recorded a "
                               "non-positive recovery time")

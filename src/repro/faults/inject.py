@@ -23,6 +23,7 @@ import random
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..sim.rng import RngRegistry
+from ..telemetry import read
 from .perturb import LinkPerturbation, PerturbationContext
 
 __all__ = [
@@ -128,9 +129,6 @@ class PerturbationPipeline:
                 delattr(owner, attr)
         self._saved = None
 
-    #: legacy spelling
-    remove = restore
-
     def __enter__(self) -> "PerturbationPipeline":
         return self.attach()
 
@@ -162,13 +160,12 @@ class PerturbationPipeline:
 
     # ------------------------------------------------------------- reporting
     def stats(self) -> dict:
-        stage_stats = {}
-        for i, stage in enumerate(self.stages):
-            counters = stage.counters()
-            if counters:
-                stage_stats[f"{i}:{stage.label}"] = counters
+        """The soak report's view: the pipeline's totals and, under
+        ``"<index>:<label>"``, each counting stage's declared counters."""
+        stages = {f"{i}:{stage.label}": read(stage)
+                  for i, stage in enumerate(self.stages) if stage.COUNTERS}
         return {"injected": self.injected, "delivered": self.delivered,
-                "stages": stage_stats}
+                "stages": stages}
 
 
 class FramePipeline(PerturbationPipeline):

@@ -68,6 +68,7 @@ from ..core.tenancy import (
 )
 from ..sim import RngRegistry, Simulator
 from ..suite import DEFAULT_SEED, Suite
+from ..telemetry import read
 
 __all__ = [
     "MULTITENANT_ARTIFACT",
@@ -842,15 +843,10 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
             "goodput_ratio": float(ratio),
         },
         classes=classes,
-        cluster={
-            "coordinated_quarantines": agg.coordinated_quarantines,
-            "coordinated_releases": agg.coordinated_releases,
-            "escalations": agg.escalations,
-            "cluster_quarantined": len(agg.cluster_quarantined),
-        },
+        cluster=dict(read(agg), cluster_quarantined=len(agg.cluster_quarantined)),
         fates=fates,
         recovery=recovery,
-        hosts=[dict(host.admission.stats(), host=host.name)
+        hosts=[dict(read(host.admission), host=host.name)
                for host in outcome.hosts],
         tenant_rows=rows,
         sim_events=outcome.sim_events + (baseline.sim_events if baseline else 0),

@@ -40,6 +40,7 @@ from ..core.health import (
 )
 from ..sim import RngRegistry, Simulator
 from ..suite import DEFAULT_SEED, Suite
+from ..telemetry import read, total
 from .receiver import LeakyReceiver, SlowReceiver, StalledReceiver
 from .stream import check_delivery
 
@@ -314,7 +315,7 @@ def run_overload(
 
     # -- healthy traffic ----------------------------------------------------
     def traffic(sender: int, am: AmEndpoint):
-        peer = next(iter(am._peers_by_node))
+        peer = next(iter(am.peers))
         for k in range(scenario.messages):
             data = bytes((sender + k + b) % 256 for b in range(scenario.payload_bytes))
             yield from am.request(peer, 1, args=(sender, k), data=data)
@@ -343,19 +344,12 @@ def run_overload(
     total_delivered = sum(len(v) for v in delivered.values())
 
     goodput_mbps = (delivered_bytes[0] * 8.0) / completion_us if completion_us else 0.0
-    retransmissions = sum(p.retransmissions for am in healthy_sender_ams
-                          for p in am._peers_by_node.values())
-    timeouts = sum(p.timeouts for am in healthy_sender_ams
-                   for p in am._peers_by_node.values())
-    credit_stalls = sum(am.credit_stalls for am in healthy_sender_ams)
-
     backend_drops = rx_host.backend.drop_stats()
-    backend_drops["rx_ring_overflows"] = sum(
-        nic.rx_overflow_drops for nic in rx_host.backend.nics)
+    backend_drops["rx_ring_overflows"] = total(rx_host.backend.nics, "rx_overflow_drops")
 
     fault_stats = {}
     if sick_fault is not None:
-        fault_stats[scenario.sick_fault] = sick_fault.stats()
+        fault_stats[scenario.sick_fault] = read(sick_fault)
         sick_fault.restore()
 
     return OverloadResult(
@@ -368,9 +362,9 @@ def run_overload(
         healthy_delivered=total_delivered,
         healthy_expected=expected,
         healthy_goodput_mbps=goodput_mbps,
-        retransmissions=retransmissions,
-        timeouts=timeouts,
-        credit_stalls=credit_stalls,
+        retransmissions=total(healthy_sender_ams, "retransmissions"),
+        timeouts=total(healthy_sender_ams, "timeouts"),
+        credit_stalls=total(healthy_sender_ams, "credit_stalls"),
         backend_drops=backend_drops,
         endpoint_rows=monitor.report(),
         fault_stats=fault_stats,

@@ -23,7 +23,7 @@ defers (and thereby may reorder) it.  The pipeline owns scheduling.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..sim import Simulator
 from ..sim.rng import RngRegistry
@@ -67,14 +67,22 @@ class PerturbationContext:
 
 
 class LinkPerturbation:
-    """Base class: a no-op stage that forwards every PDU untouched."""
+    """Base class: a no-op stage that forwards every PDU untouched.
 
-    #: suffix of this stage's RNG stream ("<prefix>.<stream_name>")
-    stream_name = "noop"
+    A stage names what it counts in ``COUNTERS`` (:mod:`repro.telemetry`)
+    and :meth:`reset` zeroes those, so a subclass resets only its extra
+    state.
+    """
+
+    #: suffix of this stage's RNG stream ("<prefix>.<stream_name>"), or
+    #: None for a deterministic stage that draws nothing
+    stream_name: Optional[str] = "noop"
+    COUNTERS: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.ctx: Optional[PerturbationContext] = None
         self.rng: Optional[random.Random] = None
+        self.reset()
 
     @property
     def label(self) -> str:
@@ -82,43 +90,36 @@ class LinkPerturbation:
 
     def attach(self, ctx: PerturbationContext) -> None:
         self.ctx = ctx
-        self.rng = ctx.stream(self.stream_name)
+        if self.stream_name is not None:
+            self.rng = ctx.stream(self.stream_name)
         self.reset()
 
     def reset(self) -> None:
         """Clear per-run state (called on attach)."""
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         emit(pdu, 0.0)
-
-    def counters(self) -> dict:
-        """Stage statistics for the soak report."""
-        return {}
 
 
 class UniformLoss(LinkPerturbation):
     """Independent per-PDU loss — the classic drop_rate model."""
 
     stream_name = "loss"
+    COUNTERS = ("dropped",)
 
     def __init__(self, rate: float) -> None:
         super().__init__()
         if not 0.0 <= rate <= 1.0:
             raise ValueError("loss rate must be within [0, 1]")
         self.rate = rate
-        self.dropped = 0
-
-    def reset(self) -> None:
-        self.dropped = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         if self.rng.random() < self.rate:
             self.dropped += 1
             return
         emit(pdu, 0.0)
-
-    def counters(self) -> dict:
-        return {"dropped": self.dropped}
 
 
 class GilbertElliott(LinkPerturbation):
@@ -131,6 +132,7 @@ class GilbertElliott(LinkPerturbation):
     """
 
     stream_name = "gilbert"
+    COUNTERS = ("dropped", "bursts")
 
     def __init__(
         self,
@@ -148,14 +150,10 @@ class GilbertElliott(LinkPerturbation):
         self.p_bad_to_good = p_bad_to_good
         self.loss_good = loss_good
         self.loss_bad = loss_bad
-        self.bad = False
-        self.dropped = 0
-        self.bursts = 0
 
     def reset(self) -> None:
+        super().reset()
         self.bad = False
-        self.dropped = 0
-        self.bursts = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         loss = self.loss_bad if self.bad else self.loss_good
@@ -172,33 +170,24 @@ class GilbertElliott(LinkPerturbation):
             return
         emit(pdu, 0.0)
 
-    def counters(self) -> dict:
-        return {"dropped": self.dropped, "bursts": self.bursts}
-
 
 class Corrupt(LinkPerturbation):
     """Flip a byte in a fraction of PDUs (substrate CRC then rejects them)."""
 
     stream_name = "corrupt"
+    COUNTERS = ("corrupted",)
 
     def __init__(self, rate: float) -> None:
         super().__init__()
         if not 0.0 <= rate <= 1.0:
             raise ValueError("corrupt rate must be within [0, 1]")
         self.rate = rate
-        self.corrupted = 0
-
-    def reset(self) -> None:
-        self.corrupted = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         if self.rng.random() < self.rate and self.ctx.corrupter is not None:
             self.corrupted += 1
             pdu = self.ctx.corrupter(pdu, self.rng)
         emit(pdu, 0.0)
-
-    def counters(self) -> dict:
-        return {"corrupted": self.corrupted}
 
 
 class Reorder(LinkPerturbation):
@@ -209,6 +198,7 @@ class Reorder(LinkPerturbation):
     """
 
     stream_name = "reorder"
+    COUNTERS = ("reordered",)
 
     def __init__(self, rate: float = 0.05, delay_us: Tuple[float, float] = (20.0, 200.0)) -> None:
         super().__init__()
@@ -218,10 +208,6 @@ class Reorder(LinkPerturbation):
             raise ValueError("delay_us must be a positive (lo, hi) range")
         self.rate = rate
         self.delay_us = delay_us
-        self.reordered = 0
-
-    def reset(self) -> None:
-        self.reordered = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         if self.rng.random() < self.rate:
@@ -230,14 +216,12 @@ class Reorder(LinkPerturbation):
             return
         emit(pdu, 0.0)
 
-    def counters(self) -> dict:
-        return {"reordered": self.reordered}
-
 
 class DelayJitter(LinkPerturbation):
     """Add uniform random queueing delay to every PDU."""
 
     stream_name = "jitter"
+    COUNTERS = ("delayed",)
 
     def __init__(self, min_us: float = 0.0, max_us: float = 50.0) -> None:
         super().__init__()
@@ -245,23 +229,17 @@ class DelayJitter(LinkPerturbation):
             raise ValueError("need 0 <= min_us <= max_us")
         self.min_us = min_us
         self.max_us = max_us
-        self.delayed = 0
-
-    def reset(self) -> None:
-        self.delayed = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         self.delayed += 1
         emit(pdu, self.rng.uniform(self.min_us, self.max_us))
-
-    def counters(self) -> dict:
-        return {"delayed": self.delayed}
 
 
 class Duplicate(LinkPerturbation):
     """Deliver a fraction of PDUs more than once, slightly apart."""
 
     stream_name = "dup"
+    COUNTERS = ("duplicated",)
 
     def __init__(self, rate: float = 0.02, copies: int = 1, delay_us: float = 5.0) -> None:
         super().__init__()
@@ -274,10 +252,6 @@ class Duplicate(LinkPerturbation):
         self.rate = rate
         self.copies = copies
         self.delay_us = delay_us
-        self.duplicated = 0
-
-    def reset(self) -> None:
-        self.duplicated = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         emit(pdu, 0.0)
@@ -285,9 +259,6 @@ class Duplicate(LinkPerturbation):
             self.duplicated += 1
             for copy in range(1, self.copies + 1):
                 emit(pdu, self.delay_us * copy)
-
-    def counters(self) -> dict:
-        return {"duplicated": self.duplicated}
 
 
 class LinkFlap(LinkPerturbation):
@@ -299,6 +270,7 @@ class LinkFlap(LinkPerturbation):
     """
 
     stream_name = "flap"
+    COUNTERS = ("dropped",)
 
     def __init__(
         self,
@@ -314,10 +286,6 @@ class LinkFlap(LinkPerturbation):
         self.down_us = down_us
         self.offset_us = offset_us
         self.schedule = list(schedule) if schedule is not None else None
-        self.dropped = 0
-
-    def reset(self) -> None:
-        self.dropped = 0
 
     def is_down(self, now: float) -> bool:
         if self.schedule is not None:
@@ -330,9 +298,6 @@ class LinkFlap(LinkPerturbation):
             self.dropped += 1
             return
         emit(pdu, 0.0)
-
-    def counters(self) -> dict:
-        return {"dropped": self.dropped}
 
 
 class BottleneckQueue(LinkPerturbation):
@@ -352,7 +317,8 @@ class BottleneckQueue(LinkPerturbation):
     loss-feedback baseline ECN is measured against.
     """
 
-    stream_name = "bottleneck"
+    stream_name = None
+    COUNTERS = ("marked", "dropped", "max_occupancy")
 
     def __init__(self, service_us: float = 15.0, capacity: int = 32,
                  mark_threshold: int = 8,
@@ -366,20 +332,10 @@ class BottleneckQueue(LinkPerturbation):
         self.capacity = capacity
         self.mark_threshold = mark_threshold
         self.marker = marker
-        self._last_depart = float("-inf")
-        self.marked = 0
-        self.dropped = 0
-        self.max_occupancy = 0
-
-    def attach(self, ctx: PerturbationContext) -> None:  # no RNG stream wanted
-        self.ctx = ctx
-        self.reset()
 
     def reset(self) -> None:
+        super().reset()
         self._last_depart = float("-inf")
-        self.marked = 0
-        self.dropped = 0
-        self.max_occupancy = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         depart = max(self._last_depart, now) + self.service_us
@@ -395,10 +351,6 @@ class BottleneckQueue(LinkPerturbation):
             pdu = self.marker(pdu)
         emit(pdu, depart - now)
 
-    def counters(self) -> dict:
-        return {"marked": self.marked, "dropped": self.dropped,
-                "max_occupancy": self.max_occupancy}
-
 
 class NicStall(LinkPerturbation):
     """The NIC periodically stalls (host bus contention, ring starvation).
@@ -409,6 +361,7 @@ class NicStall(LinkPerturbation):
     """
 
     stream_name = "stall"
+    COUNTERS = ("stalled",)
 
     def __init__(self, period_us: float = 10_000.0, stall_us: float = 300.0,
                  offset_us: float = 0.0) -> None:
@@ -418,10 +371,6 @@ class NicStall(LinkPerturbation):
         self.period_us = period_us
         self.stall_us = stall_us
         self.offset_us = offset_us
-        self.stalled = 0
-
-    def reset(self) -> None:
-        self.stalled = 0
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         phase = (now - self.offset_us) % self.period_us
@@ -430,6 +379,3 @@ class NicStall(LinkPerturbation):
             emit(pdu, self.stall_us - phase)
             return
         emit(pdu, 0.0)
-
-    def counters(self) -> dict:
-        return {"stalled": self.stalled}

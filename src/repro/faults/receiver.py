@@ -47,10 +47,13 @@ __all__ = [
 class ReceiverFault:
     """Base interposer over one endpoint's application-side methods.
 
-    Subclasses declare replacement methods via :meth:`_hook_points`;
+    Subclasses declare replacement methods via :meth:`_hook_points`
+    and what they count in ``COUNTERS`` (:mod:`repro.telemetry`);
     attach/restore follow the fault-pipeline idiom (idempotent, context
     manager), so tests can scope a sick receiver to a block.
     """
+
+    COUNTERS: Tuple[str, ...] = ()
 
     def __init__(self, user: UserEndpoint) -> None:
         self.user = user
@@ -96,9 +99,6 @@ class ReceiverFault:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.restore()
 
-    def stats(self) -> dict:
-        return {}
-
 
 class SlowReceiver(ReceiverFault):
     """An application that consumes messages but falls behind.
@@ -110,6 +110,8 @@ class SlowReceiver(ReceiverFault):
     counting ``no_buffer_drops`` — or, with credit flow, advertising
     tiny credits that stall the senders instead.
     """
+
+    COUNTERS = ("deferred_recycles", "throttled_polls")
 
     def __init__(self, user: UserEndpoint, recycle_delay_us: float = 400.0,
                  min_poll_interval_us: float = 0.0) -> None:
@@ -171,10 +173,6 @@ class SlowReceiver(ReceiverFault):
         yield max(0.0, ready_at - self.sim.now)
         event.succeed()
 
-    def stats(self) -> dict:
-        return {"deferred_recycles": self.deferred_recycles,
-                "throttled_polls": self.throttled_polls}
-
 
 class StalledReceiver(ReceiverFault):
     """An application that stops consuming its receive queue entirely.
@@ -186,6 +184,8 @@ class StalledReceiver(ReceiverFault):
     parked on a stifled event is woken if there is backlog to consume,
     or re-enrolled for the next real delivery if not.
     """
+
+    COUNTERS = ("stifled_polls", "backlog")
 
     def __init__(self, user: UserEndpoint) -> None:
         self.stifled_polls = 0
@@ -218,9 +218,9 @@ class StalledReceiver(ReceiverFault):
         else:
             self.endpoint._recv_waiters.extend(live)
 
-    def stats(self) -> dict:
-        return {"stifled_polls": self.stifled_polls,
-                "backlog": len(self.endpoint.recv_queue)}
+    @property
+    def backlog(self) -> int:
+        return len(self.endpoint.recv_queue)
 
 
 class LeakyReceiver(ReceiverFault):
@@ -233,6 +233,8 @@ class LeakyReceiver(ReceiverFault):
     exactly the asymmetry the drop accounting should show).
     """
 
+    COUNTERS = ("leaked_buffers", "free_queue_level")
+
     def __init__(self, user: UserEndpoint) -> None:
         self.leaked_buffers = 0
         super().__init__(user)
@@ -243,9 +245,9 @@ class LeakyReceiver(ReceiverFault):
 
         return [(self.endpoint, "recycle", leaky_recycle)]
 
-    def stats(self) -> dict:
-        return {"leaked_buffers": self.leaked_buffers,
-                "free_queue_level": len(self.endpoint.free_queue)}
+    @property
+    def free_queue_level(self) -> int:
+        return len(self.endpoint.free_queue)
 
 
 class MisbehavingSender:
@@ -261,6 +263,7 @@ class MisbehavingSender:
     """
 
     ABUSES = ("bad_buffer_index", "bad_length", "bad_channel", "bad_donation")
+    COUNTERS = ("attempts", "contained", "uncontained", "by_kind")
 
     def __init__(self, user: UserEndpoint, channel_id: int,
                  rng: Optional[random.Random] = None) -> None:
@@ -310,10 +313,6 @@ class MisbehavingSender:
             return True
         self.uncontained += 1
         return False
-
-    def stats(self) -> dict:
-        return {"attempts": self.attempts, "contained": self.contained,
-                "uncontained": self.uncontained, "by_kind": dict(self.by_kind)}
 
 
 def forge_unknown_traffic(backend, count: int = 1,

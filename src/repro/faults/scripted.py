@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..am.protocol import TYPE_REPLY, TYPE_REQUEST, mark_ce, peek_type_seq
 from .perturb import Emit, LinkPerturbation
 
-__all__ = ["ScheduledFault", "FrameScriptedStage", "CellScriptedStage",
-           "DatagramScriptedStage", "scripted_stage_factory"]
+__all__ = ["ScheduledFault", "OccurrenceTracker", "FrameScriptedStage",
+           "CellScriptedStage", "DatagramScriptedStage", "scripted_stage_factory"]
 
 #: emit the duplicate copy this long after the original, far enough
 #: apart that a multi-cell duplicate cannot interleave with its original
@@ -75,46 +75,58 @@ class ScheduledFault:
                    delay_us=float(d.get("delay_us", 0.0)))
 
 
-class _ScriptedStage(LinkPerturbation):
-    """Shared machinery: occurrence tracking and the fired log."""
+class OccurrenceTracker(LinkPerturbation):
+    """Content addressing, shared by the scripted stages here and the
+    lifecycle stages of :mod:`repro.faults.crash`.
 
-    stream_name = "scripted"  # unused: scripted stages draw no randomness
+    ``events`` are records with ``seq`` and ``occurrence`` fields.
+    Only data-bearing packets (REQUEST/REPLY) are tracked, so the seq-0
+    carried by HELLO/ACK traffic can never address an event.
+    """
 
-    def __init__(self, events: Sequence[ScheduledFault]) -> None:
-        super().__init__()
-        self._events: Dict[Tuple[int, int], ScheduledFault] = {
+    stream_name = None  # content-addressed: no randomness drawn
+    COUNTERS = ("fired_count", "tracked")
+
+    def __init__(self, events: Sequence) -> None:
+        self._events: Dict[Tuple[int, int], object] = {
             (e.seq, e.occurrence): e for e in events
         }
-        self.seen: Dict[int, int] = {}
-        #: faults that actually hit a packet, in hit order
-        self.fired: List[ScheduledFault] = []
-
-    def attach(self, ctx) -> None:  # no RNG stream wanted
-        self.ctx = ctx
-        self.reset()
+        super().__init__()
 
     def reset(self) -> None:
-        self.seen = {}
-        self.fired = []
+        self.seen: Dict[int, int] = {}
+        #: events that actually hit a packet, in hit order
+        self.fired: List = []
 
-    def _decide(self, raw: bytes) -> Optional[ScheduledFault]:
-        """The scheduled fault for this wire message, if any.
+    @property
+    def fired_count(self) -> int:
+        return len(self.fired)
+
+    @property
+    def tracked(self) -> int:
+        """Distinct sequence numbers seen crossing this link."""
+        return len(self.seen)
+
+    def _hit(self, raw: bytes):
+        """The event addressed to this wire message, if any.
 
         Counts the occurrence for every tracked (data-bearing) packet it
         sees, whether or not an event matches.
         """
         peeked = peek_type_seq(raw)
-        if peeked is None:
+        if peeked is None or peeked[0] not in (TYPE_REQUEST, TYPE_REPLY):
             return None
-        ptype, seq = peeked
-        if ptype not in (TYPE_REQUEST, TYPE_REPLY):
-            return None
+        seq = peeked[1]
         occurrence = self.seen.get(seq, 0)
         self.seen[seq] = occurrence + 1
         event = self._events.get((seq, occurrence))
         if event is not None:
             self.fired.append(event)
         return event
+
+
+class _ScriptedStage(OccurrenceTracker):
+    """Applies the scheduled fault :meth:`_hit` finds to the PDU."""
 
     def _apply(self, event: Optional[ScheduledFault], pdu, emit: Emit,
                delay_offset: float = 0.0) -> None:
@@ -134,15 +146,12 @@ class _ScriptedStage(LinkPerturbation):
         """Set the ECN CE bit on this substrate's PDU (congested switch)."""
         raise NotImplementedError(f"{type(self).__name__} cannot mark PDUs")
 
-    def counters(self) -> dict:
-        return {"fired": len(self.fired), "tracked": len(self.seen)}
-
 
 class FrameScriptedStage(_ScriptedStage):
     """Scripted faults on Ethernet frames (one AM packet per frame)."""
 
     def process(self, frame, now: float, emit: Emit) -> None:
-        self._apply(self._decide(frame.payload), frame, emit)
+        self._apply(self._hit(frame.payload), frame, emit)
 
     def _mark(self, frame):
         # rebuild with the CE flag set in the AM header; the frame stays
@@ -177,21 +186,16 @@ class CellScriptedStage(_ScriptedStage):
     on PDU completion anyway, timing is unchanged.
     """
 
-    def __init__(self, events: Sequence[ScheduledFault]) -> None:
-        super().__init__(events)
-        self._pending: Dict[int, Optional[ScheduledFault]] = {}
-        self._held: Dict[int, List] = {}
-
     def reset(self) -> None:
         super().reset()
-        self._pending = {}
-        self._held = {}
+        self._pending: Dict[int, Optional[ScheduledFault]] = {}
+        self._held: Dict[int, List] = {}
 
     def process(self, cell, now: float, emit: Emit) -> None:
         if cell.vci in self._pending:
             event = self._pending[cell.vci]
         else:
-            event = self._decide(bytes(cell.payload))
+            event = self._hit(bytes(cell.payload))
             if not cell.last:
                 self._pending[cell.vci] = event
         if event is not None and event.action == "mark":
@@ -235,7 +239,7 @@ class DatagramScriptedStage(_ScriptedStage):
         self._header_size = header_size
 
     def process(self, raw: bytes, now: float, emit: Emit) -> None:
-        self._apply(self._decide(raw[self._header_size:]), raw, emit)
+        self._apply(self._hit(raw[self._header_size:]), raw, emit)
 
     def _mark(self, raw: bytes) -> bytes:
         return raw[:self._header_size] + mark_ce(raw[self._header_size:])

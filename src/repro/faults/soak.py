@@ -207,7 +207,7 @@ def run_scenario(
                                 scenario.time_limit_us, integrity_failures)
     violations.extend(rpc_errors)
 
-    peer = am0._peers_by_node[1]
+    peer = am0.peers[1]
     fault_stats = {f"pipeline{i}": p.stats() for i, p in enumerate(pipelines)}
     for pipeline in pipelines:
         pipeline.restore()
@@ -220,7 +220,7 @@ def run_scenario(
         retransmissions=peer.retransmissions,
         timeouts=peer.timeouts,
         fast_retransmits=peer.fast_retransmits,
-        duplicates=am1._peers_by_node[0].duplicates,
+        duplicates=am1.peers[0].duplicates,
         acks_sent=am0.acks_sent + am1.acks_sent,
         rtt_samples=peer.rtt_samples,
         srtt_us=peer.srtt,

@@ -40,6 +40,7 @@ from ..am import AmConfig, AmEndpoint
 from ..artifact import Artifact, Headline
 from ..sim import RngRegistry, Simulator
 from ..suite import DEFAULT_SEED, Suite
+from ..telemetry import total
 from .inject import attach_pipeline
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
 from .stream import (
@@ -283,18 +284,11 @@ def run_transport(scenario: TransportScenario, mode: str,
             sink_am.shutdown()
             sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
 
-    total = scenario.senders * scenario.messages
     got = sum(len(ids) for ids in delivered.values())
     violations = check_delivery(delivered, scenario.messages, completed,
                                 scenario.time_limit_us, integrity_failures)
 
-    sender_snaps = [am.snapshot()[0] for am in sender_ams]
-    sink_snaps = sink_am.snapshot()
-    queue_marked = queue_dropped = 0
-    for stage in fwd.stages:
-        if isinstance(stage, BottleneckQueue):
-            queue_marked += stage.marked
-            queue_dropped += stage.dropped
+    queues = [stage for stage in fwd.stages if isinstance(stage, BottleneckQueue)]
     worst_stall = 0.0
     prev_t = 0.0
     for t in delivery_times:
@@ -310,19 +304,19 @@ def run_transport(scenario: TransportScenario, mode: str,
         violations=violations,
         elapsed_us=elapsed_us,
         delivered=got,
-        messages=total,
+        messages=scenario.senders * scenario.messages,
         # bits per microsecond == megabits per second; goodput counts
         # payload bytes actually dispatched, not wire traffic
         goodput_mbps=got * scenario.payload_bytes * 8 / max(1.0, elapsed_us),
         worst_stall_us=worst_stall,
-        rexmit=sum(p["retransmissions"] for p in sender_snaps),
-        timeouts=sum(p["timeouts"] for p in sender_snaps),
-        dup_rx=sum(p["duplicates"] for p in sink_snaps.values()),
-        ecn_marks=sum(p["ecn_marks"] for p in sink_snaps.values()),
-        ecn_echoes=sum(p["ecn_echoes"] for p in sink_snaps.values()),
-        ecn_backoffs=sum(p["ecn_backoffs"] for p in sender_snaps),
-        queue_marked=queue_marked,
-        queue_dropped=queue_dropped,
+        rexmit=total(sender_ams, "retransmissions"),
+        timeouts=total(sender_ams, "timeouts"),
+        dup_rx=total(sink_am, "duplicates"),
+        ecn_marks=total(sink_am, "ecn_marks"),
+        ecn_echoes=total(sink_am, "ecn_echoes"),
+        ecn_backoffs=total(sender_ams, "ecn_backoffs"),
+        queue_marked=total(queues, "marked"),
+        queue_dropped=total(queues, "dropped"),
         fault_stats=fault_stats,
         sim_events=sim.events_processed,
     )

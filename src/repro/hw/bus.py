@@ -63,6 +63,8 @@ class DmaEngine:
     shared :class:`~repro.sim.Resource`, modelling bus arbitration.
     """
 
+    COUNTERS = ("bytes_transferred", "transfers")
+
     def __init__(self, sim: Simulator, bus: BusModel, shared_bus: Resource = None, name: str = "dma") -> None:
         self.sim = sim
         self.bus = bus

@@ -92,6 +92,7 @@ class LiveBackend(UNetBackend):
     """
 
     wire_unit = "datagram"
+    PARTS = UNetBackend.PARTS + ("transport",)
     #: what a datagram fault stage skips to reach the AM packet when
     #: content-addressing
     frame_header_size = FRAME_HEADER_SIZE
@@ -540,6 +541,8 @@ class LiveCluster(Closing):
     plus demux rows on both sides — the OS-mediated channel service),
     and pumps every node's doorbell loop from :meth:`step`.
     """
+
+    PARTS = ("nodes",)
 
     def __init__(self, make_transport: Callable[[str], LiveTransport],
                  clock: Clock, max_pdu: int = DEFAULT_MAX_PDU,

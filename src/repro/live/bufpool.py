@@ -100,6 +100,9 @@ class PooledSlice:
 class BufferPool:
     """Fixed arena of ``slots`` × ``slot_size`` bytes with a free list."""
 
+    COUNTERS = ("free_count", "in_flight_count", "alloc_total", "free_total",
+                "exhausted_total")
+
     def __init__(self, slots: int, slot_size: int) -> None:
         if slots <= 0 or slot_size <= 0:
             raise ValueError("slots and slot_size must be positive")
@@ -130,17 +133,6 @@ class BufferPool:
     @property
     def in_flight_count(self) -> int:
         return self.slots - len(self._free)
-
-    def stats(self) -> dict:
-        return {
-            "slots": self.slots,
-            "slot_size": self.slot_size,
-            "free": self.free_count,
-            "in_flight": self.in_flight_count,
-            "alloc_total": self.alloc_total,
-            "free_total": self.free_total,
-            "exhausted_total": self.exhausted_total,
-        }
 
     # -- alloc / recycle ---------------------------------------------------
     def try_alloc(self) -> Optional[PooledSlice]:

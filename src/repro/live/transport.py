@@ -63,6 +63,9 @@ class LiveTransport:
     """One node's datagram socket plus its syscall accounting."""
 
     kind = "abstract"
+    COUNTERS = ("tx_syscalls", "rx_syscalls", "tx_datagrams", "rx_datagrams",
+                "tx_bytes", "rx_bytes", "tx_would_block", "tx_peer_gone",
+                "rx_truncated", "syscalls_per_message")
     #: socket address family, for raw sockaddr packing (mmsg path)
     family: Optional[int] = None
 
@@ -437,20 +440,6 @@ class LiveTransport:
         if messages == 0:
             return 0.0
         return (self.tx_syscalls + self.rx_syscalls) / messages
-
-    def syscall_stats(self) -> dict:
-        return {
-            "tx_syscalls": self.tx_syscalls,
-            "rx_syscalls": self.rx_syscalls,
-            "tx_datagrams": self.tx_datagrams,
-            "rx_datagrams": self.rx_datagrams,
-            "tx_bytes": self.tx_bytes,
-            "rx_bytes": self.rx_bytes,
-            "tx_would_block": self.tx_would_block,
-            "tx_peer_gone": self.tx_peer_gone,
-            "rx_truncated": self.rx_truncated,
-            "syscalls_per_message": self.syscalls_per_message,
-        }
 
     def _configure(self, sock: socket.socket,
                    sndbuf: Optional[int], rcvbuf: Optional[int]) -> None:

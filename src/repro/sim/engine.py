@@ -63,6 +63,10 @@ class Lane:
         self._held: Optional[deque] = None
         self._last = 0.0
 
+    def __len__(self) -> int:
+        """Calls the lane holds: its head on the heap and those behind it."""
+        return 0 if self._head is None else 1 + len(self._held or ())
+
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """:meth:`Simulator.call_at`.  A call that breaks the lane's order
         (an earlier ``when``, another function) is an ordinary heap entry."""

@@ -58,6 +58,7 @@ class Cluster(Closing):
 
     #: the rows of :mod:`repro.networks`
     SUBSTRATES = networks.names()
+    PARTS = ("network", "ams", "runtimes", "collective_engines")
 
     def __init__(
         self,

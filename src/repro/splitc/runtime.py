@@ -50,6 +50,9 @@ class SplitCError(Exception):
 class SplitCRuntime:
     """One node's view of the Split-C machine."""
 
+    COUNTERS = ("barriers_entered", "syncs_completed", "gets_issued", "puts_issued",
+                "fetches_issued", "compute_time", "comm_time")
+
     def __init__(
         self,
         node: int,

@@ -121,7 +121,7 @@ def test_reliability_recovers_from_receive_drops():
     sim.process(tx())
     sim.run()
     assert seen == list(range(40))  # exactly once, in order
-    assert ep1.endpoint.receive_drops > 0  # drops really happened
+    assert ep1.endpoint.recv_queue_drops > 0  # drops really happened
     assert am0._peers_by_node[1].retransmissions > 0
 
 

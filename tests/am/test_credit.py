@@ -124,7 +124,7 @@ def test_credit_reduces_overrun_drops_versus_fixed():
 
         sim.process(tx())
         sim.run(until=500_000.0)
-        drops = am1.user.endpoint.receive_drops
+        drops = am1.user.endpoint.recv_queue_drops
         rexmit = sum(p.retransmissions for p in am0._peers_by_node.values())
         return drops, rexmit
 

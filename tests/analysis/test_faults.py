@@ -55,7 +55,7 @@ def test_frame_drops_are_deterministic_per_seed(pair):
 def test_frame_injector_remove_restores_path(pair):
     sim, am0, am1 = _am_pair(pair())
     loss = UniformLoss(1.0)
-    attach_pipeline(am1.user.host.backend, [loss]).remove()
+    attach_pipeline(am1.user.host.backend, [loss]).restore()
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(True))
 

@@ -131,7 +131,7 @@ def test_corrupted_cell_dropped_by_crc():
         body[0] ^= 0xFF
         original_on_cell(Cell(vci=cell.vci, payload=bytes(body), last=cell.last, corrupted=True))
 
-    net.switch._ports[1].deliver = corrupting
+    net.switch.ports[1].deliver = corrupting
 
     def tx():
         yield from ep1.send(ch1, b"c" * 300)
@@ -268,7 +268,7 @@ def test_recv_queue_overflow_drops_and_recycles():
     sim.run()
     assert len(ep2.endpoint.recv_queue) == 2  # the queue really capped
     assert backend2.recv_queue_drops == 3
-    assert ep2.endpoint.receive_drops == 3
+    assert ep2.endpoint.recv_queue_drops == 3
     # dropped messages' buffers were recycled, 2 are still held by the
     # queued (unconsumed) messages
     assert len(ep2.endpoint.free_queue) == 16 - 2

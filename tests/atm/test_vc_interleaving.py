@@ -61,7 +61,7 @@ def test_cells_really_interleaved_on_the_shared_path():
     """The egress link toward the receiver carries the three PDUs'
     cells interleaved, not one PDU at a time."""
     sim, net, rx_ep, senders = _fan_in(3)
-    egress = net.switch._ports[0]  # link toward the receiver
+    egress = net.switch.ports[0]  # link toward the receiver
     sequence = []
     original = egress.deliver
 

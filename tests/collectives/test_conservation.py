@@ -19,9 +19,9 @@ not lost.
 
 import pytest
 
-from repro.analysis import backend_stats
 from repro.collectives import CollectiveConfig
 from repro.splitc import Cluster
+from repro.telemetry import total
 
 NODES = 16
 #: the last ACK has crossed the fabric and every per-edge retransmit
@@ -73,9 +73,7 @@ def test_fe_frames_sent_equal_frames_taken_plus_drops():
     assert cluster.discarded.entries == 1  # the last program's own completion, nothing of the machine's
     assert sent == packets  # one frame per collective packet, none from the hosts
     assert sum(nic.frames_received for nic in nics) == 0  # the host rings saw none of it
-    surfaced = [backend_stats(host.backend)["nic"]["collective_frames_received"]
-                for host in cluster.hosts]
-    assert sum(surfaced) == packets
+    assert total(cluster.hosts, "collective_frames_received") == packets
 
 
 def test_atm_cells_sent_equal_cells_taken_plus_drops():
@@ -87,8 +85,7 @@ def test_atm_cells_sent_equal_cells_taken_plus_drops():
     assert sent == packets  # a barrier packet is one cell
     # no endpoint was involved on either side
     assert sum(backend.pdus_sent + backend.pdus_received for backend in backends) == 0
-    surfaced = [backend_stats(backend)["collective_cells_received"] for backend in backends]
-    assert sum(surfaced) == packets
+    assert total(backends, "collective_cells_received") == packets
 
 
 @pytest.mark.parametrize("substrate, counts", [("fe-clos", _fe_counts), ("atm-clos", _atm_counts)])

@@ -97,7 +97,7 @@ def test_deliver_drop_when_recv_queue_full():
     for _ in range(2):
         assert ep.deliver(RecvDescriptor(channel_id=0, length=1, inline=b"x"))
     assert not ep.deliver(RecvDescriptor(channel_id=0, length=1, inline=b"y"))
-    assert ep.receive_drops == 1
+    assert ep.recv_queue_drops == 1
 
 
 def test_wait_receive_fires_on_delivery():

@@ -36,7 +36,7 @@ def _bleed(sim, ep, per_period, periods, period_us=100.0):
     """Process: accrue service drops at a steady rate for some periods."""
     for _ in range(periods):
         yield sim.timeout(period_us)
-        ep.receive_drops += per_period
+        ep.recv_queue_drops += per_period
 
 
 # ---------------------------------------------------------------- config
@@ -134,7 +134,7 @@ def test_brief_blip_below_min_checks_does_not_shed():
 
     def one_bad_sample():
         yield sim.timeout(90.0)
-        ep.receive_drops += 3  # one warm period, then silence
+        ep.recv_queue_drops += 3  # one warm period, then silence
 
     sim.process(one_bad_sample())
     sim.run(until=600.0)

@@ -9,6 +9,7 @@ from repro.core.cluster import (
     ClusterPartitionMonitor,
 )
 from repro.core.errors import ClusterPartitionError
+from repro.telemetry import read
 
 HOSTS = ["h0", "h1", "h2", "h3"]
 
@@ -86,15 +87,13 @@ def test_heal_records_a_recovery_snapshot():
     for h in ("h0", "h1", "h2"):
         monitor.report_reachability(h, [p for p in ("h0", "h1", "h2")
                                         if p != h])
-    snap = monitor.snapshot()
-    assert snap["partitioned"] is True
-    assert snap["partitioned_at"] == 100.0
+    assert read(monitor)["partitioned_at"] == 100.0
     t[0] = 350.0
     _full_mesh(monitor)
     assert all(monitor.mode(h) == MODE_NORMAL for h in HOSTS)
-    snap = monitor.snapshot()
-    assert snap["partitioned"] is False
-    (rec,) = snap["recoveries"]
+    snap = read(monitor)
+    assert snap["partitioned_at"] is None
+    (rec,) = snap["recovery_log"]
     assert rec["partitioned_at"] == 100.0
     assert rec["healed_at"] == 350.0
     assert rec["recovery_us"] == 250.0

@@ -25,6 +25,7 @@ from repro.ethernet import SwitchedNetwork
 from repro.hw import PENTIUM_120
 from repro.live.backend import LiveCluster
 from repro.sim import Simulator
+from repro.telemetry import collect
 
 SUBSTRATES = ("atm", "ethernet", "live")
 CONFIG = EndpointConfig(num_buffers=16, buffer_size=256,
@@ -148,6 +149,28 @@ def test_drop_vocabulary_and_one_drop_counted_once(pair):
     assert merged["stale_epoch_drops"] == 1
     assert merged["peer_dead_drops"] == 1
     assert sum(merged.values()) == 2
+
+
+def test_the_registry_reads_one_drop_vocabulary_on_every_substrate(pair):
+    """After one exchange the registry finds every backend and endpoint
+    under the same drop-vocabulary keys on every substrate, and a walk
+    of the whole network reaches each of them once: its drop counters
+    add up to what ``drop_stats()`` reports."""
+    a, b = pair.endpoint(0), pair.endpoint(1)
+    ch_a, _ch_b = pair.net.connect(a, b)
+    pair.send(a, ch_a, b"counted")
+    b.endpoint.note_drop("peer_dead_drops")
+
+    def drops(counters):
+        return {key: value for key, value in counters.items()
+                if key.rpartition("/")[2] in DROP_COUNTERS}
+
+    assert set(drops(collect(pair.backends))) == {
+        f"{host}/{layer}{name}" for host in (0, 1)
+        for layer in ("", "endpoints/0/") for name in DROP_COUNTERS}
+    reported = sum(sum(layer.drop_stats().values())
+                   for backend in pair.backends for layer in (backend, *backend.endpoints))
+    assert sum(drops(collect(pair.net)).values()) == reported == 1
 
 
 def test_the_clock_free_half_behaves_the_same(pair):

@@ -14,6 +14,7 @@ from repro.faults import (
 )
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
+from repro.telemetry import read
 
 SMALL = EndpointConfig(num_buffers=16, buffer_size=1024,
                        send_queue_depth=8, recv_queue_depth=4)
@@ -59,9 +60,9 @@ def test_stalled_receiver_fills_queue_then_counts_receive_drops():
     sim.run(until=20_000.0)
     ep = receiver.endpoint
     assert len(ep.recv_queue) == ep.recv_queue.capacity
-    assert ep.receive_drops > 0
-    assert fault.stats()["backlog"] == ep.recv_queue.capacity
-    assert fault.stats()["stifled_polls"] == 0  # recv() blocks, never polls
+    assert ep.recv_queue_drops > 0
+    assert read(fault)["backlog"] == ep.recv_queue.capacity
+    assert read(fault)["stifled_polls"] == 0  # recv() blocks, never polls
 
 
 def test_stalled_receiver_restore_wakes_blocked_consumer():
@@ -102,11 +103,11 @@ def test_slow_receiver_defers_recycles_and_throttles_polls():
     sim.process(consume())
     blast(sim, sender, ch, 10)
     sim.run(until=50_000.0)
-    stats = fault.stats()
+    stats = read(fault)
     # the lagging consumer loses messages to its shallow queue but
     # keeps consuming — that is what distinguishes slow from stalled
     assert 0 < len(consumed) < 10
-    assert receiver.endpoint.receive_drops > 0
+    assert receiver.endpoint.recv_queue_drops > 0
     assert stats["deferred_recycles"] == len(consumed)
     assert stats["throttled_polls"] > 0
 
@@ -123,7 +124,7 @@ def test_leaky_receiver_drains_free_queue_until_no_buffer_drops():
     blast(sim, sender, ch, 20)
     sim.run(until=50_000.0)
     ep = receiver.endpoint
-    stats = fault.stats()
+    stats = read(fault)
     assert stats["leaked_buffers"] > 0
     assert len(ep.free_queue) == 0
     assert ep.no_buffer_drops > 0
@@ -157,7 +158,7 @@ def test_sick_endpoint_damage_stays_in_its_own_queues(substrate):
     blast(sim, sick_tx, ch_sick, 12)
     blast(sim, healthy_tx, ch_healthy, 6, payload=bytes(64))
     sim.run(until=60_000.0)
-    assert sick_rx.endpoint.receive_drops > 0
+    assert sick_rx.endpoint.recv_queue_drops > 0
     assert len(delivered) == 6
     healthy_stats = healthy_rx.endpoint.drop_stats()
     assert all(count == 0 for count in healthy_stats.values()), healthy_stats
@@ -186,7 +187,7 @@ def test_misbehaving_sender_is_contained_by_typed_errors(substrate):
 
     sim.process(legit())
     sim.run(until=20_000.0)
-    stats = abuser.stats()
+    stats = read(abuser)
     assert stats["attempts"] == 12
     assert stats["uncontained"] == 0
     assert stats["contained"] == 12
@@ -206,7 +207,7 @@ def test_forged_unknown_tags_count_at_the_demux_table(substrate):
     sim.run(until=1_000.0)
     assert injected == 5
     assert backend.demux.unknown_tag_drops == before + 5
-    assert backend.demux.drop_stats()["unknown_tag_drops"] == before + 5
+    assert read(backend)["unknown_tag_drops"] == before + 5
     # nothing crossed a protection boundary into a real endpoint
     assert receiver.endpoint.messages_received == 0
     assert all(count == 0 for count in receiver.endpoint.drop_stats().values())

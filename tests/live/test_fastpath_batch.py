@@ -22,6 +22,7 @@ from repro.live import (
     mmsg_available,
     mmsg_path,
 )
+from repro.telemetry import read
 from .conftest import require
 
 pytestmark = require("unix")
@@ -181,7 +182,7 @@ def test_syscalls_per_message_is_a_first_class_counter(both_paths):
             drained += len(batch)
             for s in batch:
                 pool.free(s)
-        stats = tx.syscall_stats()
+        stats = read(tx)
         assert stats["syscalls_per_message"] == tx.syscalls_per_message
         assert "rx_truncated" in stats
         if both_paths:

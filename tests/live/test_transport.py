@@ -3,6 +3,7 @@
 import pytest
 
 from repro.live import TransportError, make_transport, transport_available
+from repro.telemetry import read
 
 from .conftest import require
 
@@ -82,7 +83,7 @@ def test_syscall_accounting_counts_every_attempt():
         assert len(got) == 3
         # 3 successful recvfrom calls plus the final EAGAIN probe
         assert rx.rx_syscalls == 4
-        stats = rx.syscall_stats()
+        stats = read(rx)
         assert stats["rx_datagrams"] == 3
         assert stats["rx_bytes"] == 12
     finally:

@@ -59,12 +59,12 @@ def test_runtime_operation_counters():
 
     cl.run(program)
     stats = cluster_stats(cl)
-    for ops in stats["runtime_ops"]:
-        assert ops["barriers"] == 2
-        assert ops["gets"] == 1
-        assert ops["puts"] == 1
-        assert ops["fetches"] == 1
-        assert ops["syncs"] == 1
+    for node in range(cl.n):
+        assert stats[f"runtimes/{node}/barriers_entered"] == 2
+        assert stats[f"runtimes/{node}/gets_issued"] == 1
+        assert stats[f"runtimes/{node}/puts_issued"] == 1
+        assert stats[f"runtimes/{node}/fetches_issued"] == 1
+        assert stats[f"runtimes/{node}/syncs_completed"] == 1
 
 
 def test_custom_am_config_plumbed():

@@ -14,8 +14,9 @@ and the device packages to one idiom for a blocking sub-step
 and one for a single delay nobody waits on (``sim.call_in``, never a
 dropped ``sim.process(...)`` of a one-``yield`` generator); and it holds
 ``src/repro`` to one JSON artifact writer and one schema walker
-(``repro/artifact.py``) and the simulated soaks to no ``repro.live``
-import.
+(``repro/artifact.py``), the simulated soaks to no ``repro.live``
+import, and a class's counters to a ``COUNTERS`` declaration rather
+than a hand-written method.
 """
 
 import ast
@@ -690,3 +691,56 @@ def test_simulated_soaks_import_nothing_from_the_live_package():
                "    from .delivery import check\n")
     hits = list(_live_imports_in(pathlib.Path("planted.py"), source=planted))
     assert [h.split(": ")[1] for h in hits] == ["live.clock", "repro.live"]
+
+
+# ------------------------------------------- counters declared, not written
+#: method names that build a counter dict by hand
+_COUNTER_METHODS = {"counters", "stats", "telemetry", "snapshot", "drop_stats"}
+#: the shared bodies that stay, each read by callers outside ``src/repro``
+#: (the frozen perfbench, the conformance checker, the soak reports)
+COUNTER_METHOD_ALLOWLIST = {"AmCore.snapshot", "PerturbationPipeline.stats"}
+
+
+def _counter_methods_in(path: pathlib.Path, source=None):
+    """``Class.method`` for every class that writes a counter method body."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and item.name in _COUNTER_METHODS):
+                    yield f"{node.name}.{item.name}"
+
+
+def test_counters_are_declared_not_written():
+    """A class names what it counts in ``COUNTERS`` and ``repro.telemetry``
+    reads it; a hand-written ``counters()`` / ``stats()`` / ``telemetry()``
+    is a private dict under private names, which is what the registry
+    replaced (31 of them)."""
+    found = [hit for path in sorted(SRC_ROOT.rglob("*.py"))
+             for hit in _counter_methods_in(path)]
+    assert set(found) == COUNTER_METHOD_ALLOWLIST, (
+        "declare the counters (COUNTERS = (...)) instead of writing a "
+        f"method: {sorted(set(found) - COUNTER_METHOD_ALLOWLIST)}")
+
+
+def test_counter_lint_catches_a_planted_method_and_spares_declarations():
+    planted = ("class Switch:\n"
+               "    COUNTERS = ('forwarded',)\n"
+               "    def counters(self):\n"
+               "        return {'forwarded': self.forwarded}\n"
+               "class Pool:\n"
+               "    def stats(self):\n"
+               "        return {}\n"
+               "    def free(self, slot): pass\n"
+               "def stats(layer):\n"
+               "    return {}\n"
+               "class Endpoint:\n"
+               "    drop_stats = stats\n")
+    here = pathlib.Path("planted.py")
+    assert list(_counter_methods_in(here, source=planted)) == [
+        "Switch.counters", "Pool.stats"]
+    spared = planted.replace("def counters", "def forward").replace(
+        "def stats(self)", "def take(self)")
+    assert not list(_counter_methods_in(here, source=spared))

@@ -15,12 +15,12 @@ import re
 import pytest
 
 from repro import networks
-from repro.analysis import network_stats
 from repro.cli import main
 from repro.ethernet.switch import BAY_28115
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 from repro.splitc import Cluster
+from repro.telemetry import collect
 
 ROWS = networks.names()
 
@@ -58,9 +58,9 @@ def test_row_builds_attaches_connects_carries_and_closes(name, n):
         for process in done:
             sim.run_until_complete(process, limit=1e6)
         assert got == {1: [b"\x02" * 40, b"\x02" * 1498], 2: [b"\x01" * 40, b"\x01" * 1498]}
-        stats = network_stats(net)
-        carried = sum(sum(v for k, v in device.items() if "forwarded" in k or "carried" in k)
-                      for devices in stats.values() for device in devices)
+        # what the devices between the hosts carried, hosts' own links aside
+        stats = {k: v for k, v in collect(net).items() if "hosts/" not in k}
+        carried = sum(v for k, v in stats.items() if k.endswith(("_forwarded", "_carried")))
         assert carried >= 4, stats
 
 
@@ -88,7 +88,9 @@ def test_an_oversize_cluster_is_refused_before_anything_is_built():
 
 def test_the_one_switch_of_atm_is_reported_once():
     with networks.get("atm").build(Simulator()) as net:
-        assert network_stats(net) == {"switches": [{"cells_forwarded": 0, "unknown_vci_drops": 0}]}
+        assert collect(net) == {"reroutes": 0, "cells_blackholed": 0,
+                                "switches/0/cells_forwarded": 0,
+                                "switches/0/unknown_vci_drops": 0}
 
 
 def test_names_aliases_and_unknown_names():
