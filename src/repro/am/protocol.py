@@ -266,7 +266,8 @@ def mark_ce(raw: bytes) -> bytes:
     The CE flag lives in the first byte, so a congested queue can mark
     a message in flight without decoding it.  (On the ATM substrate the
     AAL5 CRC covers the payload, so the marker there must re-segment —
-    see ``repro.faults``; frames and datagrams can be marked in place.)
+    see ``repro.atm.cells.CellWire.rewrite``; frames and datagrams can
+    be marked in place.)
 
     >>> raw = encode(Packet(type=TYPE_REQUEST, seq=9))
     >>> decode(mark_ce(raw)).ce

@@ -28,6 +28,7 @@ __all__ = [
     "cells_for_pdu",
     "aal5_segment",
     "aal5_reassemble",
+    "CellWire",
 ]
 
 CELL_SIZE = 53
@@ -136,3 +137,46 @@ def aal5_reassemble(cells: List[Cell]) -> bytes:
     if (zlib.crc32(body[:-4]) & 0xFFFFFFFF) != crc:
         raise Aal5CrcError("AAL5 CRC-32 mismatch")
     return body[:length]
+
+
+class CellWire:
+    """U-Net/ATM's wire as the fault layer sees it (``backend.wire``).
+
+    A PDU is the cells of one VCI up to the end-of-PDU flag, and the AM
+    header fits its first cell, so a fault stage can decide a PDU's fate
+    there without reassembly.
+    """
+
+    @staticmethod
+    def pdu(cell: Cell):
+        """``(key, last)``: the VCI the cell's PDU is reassembled on."""
+        return cell.vci, cell.last
+
+    @staticmethod
+    def head(cell: Cell) -> bytes:
+        return cell.payload
+
+    @staticmethod
+    def rewrite(cells: List[Cell], edit) -> List[Cell]:
+        """The PDU with ``edit`` applied to its payload, re-segmented so
+        the trailer CRC is valid again — what a conforming switch does to
+        CE-mark a PDU in flight.  A PDU that does not reassemble (already
+        damaged) or does not edit passes untouched: the receiver's CRC
+        check owns its fate.  Never raises."""
+        try:
+            return aal5_segment(edit(aal5_reassemble(cells)), cells[0].vci)
+        except (Aal5Error, ValueError):
+            return cells
+
+    @staticmethod
+    def corrupt(cell: Cell, rng) -> Cell:
+        """One payload byte flipped; the cell is flagged."""
+        body = bytearray(cell.payload)
+        body[rng.randrange(len(body))] ^= 0xFF
+        return Cell(vci=cell.vci, payload=bytes(body), last=cell.last, corrupted=True)
+
+    @staticmethod
+    def forge(backend, rng) -> Cell:
+        """A one-cell PDU on a VCI far above anything signaling hands out."""
+        return Cell(vci=0x8000 + rng.randrange(0x1000),
+                    payload=bytes(CELL_PAYLOAD_SIZE), last=True)

@@ -39,6 +39,7 @@ from .cells import (
     SINGLE_CELL_MAX_PAYLOAD,
     Aal5Error,
     Cell,
+    CellWire,
     aal5_reassemble,
     aal5_segment,
 )
@@ -109,7 +110,7 @@ class _Reassembly:
 class UNetAtmBackend(UNetBackend):
     """The PCA-200 NIC with U-Net firmware, attached to one host."""
 
-    wire_unit = "cell"
+    wire = CellWire
     COUNTERS = UNetBackend.COUNTERS + ("pdus_sent", "pdus_received",
                                        "collective_cells_received", "crc_errors")
     PARTS = UNetBackend.PARTS + ("dma", "tx_link")

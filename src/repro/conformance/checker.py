@@ -35,11 +35,12 @@ from ..am.core import AmCore, handshake_settled
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..core.substrates import get_substrate, register_substrate
-from ..faults.crash import EndpointLifecycle, lifecycle_stage_factory
+from ..faults.crash import EndpointLifecycle, LifecycleStage
 from ..faults.inject import attach_pipeline
-from ..faults.scripted import scripted_stage_factory
+from ..faults.scripted import ScriptedStage
 from ..faults.stream import stream_payload
 from ..sim import Simulator
+from ..telemetry import total
 from .model import RefTrace, run_reference
 from .observe import ObservationProbe, ObservedTrace
 from .schedule import ConformanceCase
@@ -246,14 +247,14 @@ class CaseRig:
         # the scripted stage at node 1 sees the request path, the one at
         # node 0 the reply path — keyed by packet identity, not arrival
         # index
-        self.fwd_stage = scripted_stage_factory(backend1, case.fwd_faults())
-        self.rev_stage = scripted_stage_factory(backend0, case.rev_faults())
+        self.fwd_stage = ScriptedStage(case.fwd_faults(), backend1.wire)
+        self.rev_stage = ScriptedStage(case.rev_faults(), backend0.wire)
         self.fwd_events = case.fwd_lifecycle()
         self.fwd_life = None
         if self.fwd_events:
             lifecycle = EndpointLifecycle(crash=am1.crash, restart=am1.restart)
-            self.fwd_life = lifecycle_stage_factory(backend1, self.fwd_events,
-                                                    lifecycle.fire)
+            self.fwd_life = LifecycleStage(self.fwd_events, backend1.wire,
+                                           lifecycle.fire)
         self.integrity_failures: List[int] = []
         self.rpc_errors: List[str] = []
         am1.register_handler(1, self.check_payload)
@@ -291,26 +292,20 @@ class CaseRig:
             probe.violations.append(
                 f"integrity: corrupted payload reached the handler for ids "
                 f"{sorted(set(self.integrity_failures))[:8]}")
-        snapshots = {"am0": self.am0.snapshot(), "am1": self.am1.snapshot()}
         trace = probe.finish(completed, completion,
                              fired=self.fwd_stage.fired + self.rev_stage.fired,
-                             snapshots=snapshots,
+                             snapshots={"am0": self.am0.snapshot(),
+                                        "am1": self.am1.snapshot()},
                              lifecycle_fired=(self.fwd_life.fired
                                               if self.fwd_life is not None else ()))
-        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
-                             for p in snap.values())
-        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
-                                  for p in snap.values())
-        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
-                              for p in snap.values())
-        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
-                               for p in snap.values())
-        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
-                                 for p in snap.values())
+        ams = (self.am0, self.am1)
+        trace.rexmit = total(ams, "retransmissions")
+        trace.timeouts = total(ams, "timeouts")
+        trace.dup_rx = total(ams, "duplicates")
+        trace.credit_stalls = total(ams, "credit_stalls")
+        trace.ecn_marks = total(ams, "ecn_marks")
+        trace.ecn_echoes = total(ams, "ecn_echoes")
+        trace.ecn_backoffs = total(ams, "ecn_backoffs")
         return trace
 
 

@@ -28,10 +28,11 @@ __all__ = ["UNetBackend", "Closing", "SimulatedNetwork"]
 class UNetBackend(abc.ABC):
     """What a substrate must provide to host U-Net endpoints."""
 
-    #: what one PDU on this substrate's wire is — ``"cell"``, ``"frame"``
-    #: or ``"datagram"``.  Fault stages interpose at that level, so the
-    #: fault layer picks its stage classes by this and nothing else.
-    wire_unit: str
+    #: this substrate's wire format, declared beside its PDU type
+    #: (``CellWire``, ``FrameWire``, ``DatagramWire``): which units form a
+    #: PDU, where its AM header starts, how to rewrite, corrupt or forge
+    #: one.  It is all the fault layer knows of the format.
+    wire: type
 
     COUNTERS = DROP_COUNTERS
     PARTS = ("endpoints",)

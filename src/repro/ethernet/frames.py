@@ -11,10 +11,12 @@ payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import List
 
 __all__ = [
     "EthernetFrame",
+    "FrameWire",
     "MacAddress",
     "ETH_HEADER_SIZE",
     "ETH_CRC_SIZE",
@@ -96,3 +98,37 @@ def wire_time_us(frame: EthernetFrame, rate_mbps: float = 100.0) -> float:
     6.72
     """
     return frame.wire_bytes * 8 / rate_mbps
+
+
+class FrameWire:
+    """U-Net/FE's wire as the fault layer sees it (``backend.wire``):
+    every frame is a whole PDU, one AM packet in its payload."""
+
+    @staticmethod
+    def pdu(frame: EthernetFrame):
+        return frame.src_mac, True
+
+    @staticmethod
+    def head(frame: EthernetFrame) -> bytes:
+        return frame.payload
+
+    @staticmethod
+    def rewrite(frames: List[EthernetFrame], edit) -> List[EthernetFrame]:
+        """The frame with ``edit`` applied to its payload.  It stays
+        CRC-clean: congestion marking is done by conforming switch
+        hardware, not line noise."""
+        return [replace(frame, payload=edit(frame.payload)) for frame in frames]
+
+    @staticmethod
+    def corrupt(frame: EthernetFrame, rng) -> EthernetFrame:
+        """One payload byte flipped; the frame is flagged for the CRC checker."""
+        body = bytearray(frame.payload)
+        if body:
+            body[rng.randrange(len(body))] ^= 0xFF
+        return replace(frame, payload=bytes(body), corrupted=True)
+
+    @staticmethod
+    def forge(backend, rng) -> EthernetFrame:
+        """A frame from a random MAC to a U-Net port nobody registered."""
+        return EthernetFrame(dst_mac=backend.mac, src_mac=rng.randrange(1 << 48),
+                             dst_port=0xFE, src_port=0xFE, payload=bytes(40))

@@ -28,7 +28,7 @@ from ..hw.cpu import CpuModel
 from ..hw.interrupts import InterruptController
 from ..sim import Resource, Simulator, TraceRecorder
 from .dc21140 import Dc21140, NicTimings, TxRingDescriptor
-from .frames import COLLECTIVE_PORT, UNET_FE_MAX_PDU, EthernetFrame, MacAddress
+from .frames import COLLECTIVE_PORT, UNET_FE_MAX_PDU, EthernetFrame, FrameWire, MacAddress
 from .ip import (
     UNET_FE_IP_MAX_PDU, IpHeaderError, IpTag, build_ipv4_udp, parse_ipv4_udp,
 )
@@ -91,7 +91,7 @@ class FeTimings:
 class UNetFeBackend(UNetBackend):
     """U-Net over a DC21140 on one host (kernel + NIC together)."""
 
-    wire_unit = "frame"
+    wire = FrameWire
     collective_max_payload = UNET_FE_MAX_PDU
     COUNTERS = UNetBackend.COUNTERS + ("messages_sent", "messages_received", "ip_header_drops")
     PARTS = UNetBackend.PARTS + ("nics",)

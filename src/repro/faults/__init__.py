@@ -16,10 +16,7 @@ isolation (:mod:`~repro.faults.multitenant`).
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".inject": (
-        "CellPipeline", "FramePipeline", "PerturbationPipeline",
-        "attach_pipeline", "corrupt_cell", "corrupt_frame",
-    ),
+    ".inject": ("PerturbationPipeline", "attach_pipeline"),
     ".perturb": (
         "BottleneckQueue", "Corrupt", "DelayJitter", "Duplicate",
         "GilbertElliott", "LinkFlap", "LinkPerturbation", "NicStall",
@@ -31,14 +28,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "render_overload_table", "run_overload",
     ),
     ".crash": (
-        "CellLifecycleStage", "ChainedStage", "CrashFault",
-        "DatagramLifecycleStage", "EndpointLifecycle", "FrameLifecycleStage",
-        "LifecycleFault", "RestartFault", "lifecycle_stage_factory",
+        "ChainedStage", "CrashFault", "EndpointLifecycle", "LifecycleFault",
+        "LifecycleStage", "RestartFault",
     ),
-    ".scripted": (
-        "CellScriptedStage", "DatagramScriptedStage", "FrameScriptedStage",
-        "ScheduledFault", "scripted_stage_factory",
-    ),
+    ".scripted": ("ScheduledFault", "ScriptedStage"),
     ".fabric": (
         "FabricFaultInjector", "Partition", "SpineFailure", "TrunkDown",
         "TrunkFlap", "fabric_stage_from_dict",
@@ -57,8 +50,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".transport": (
         "TRANSPORT_ARTIFACT", "TRANSPORT_MODES", "TRANSPORT_SCENARIOS",
-        "TransportResult", "TransportScenario", "mark_frame",
-        "render_transport_table", "run_transport",
+        "TransportResult", "TransportScenario", "render_transport_table",
+        "run_transport",
     ),
     ".soak": (
         "SCENARIOS", "SoakResult", "SoakScenario", "adaptive_config",

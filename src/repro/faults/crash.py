@@ -32,15 +32,13 @@ at an endpoint that is already gone.  Deterministic on every substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .perturb import Emit
 from .scripted import OccurrenceTracker
 
 __all__ = ["LifecycleFault", "CrashFault", "RestartFault",
-           "EndpointLifecycle", "FrameLifecycleStage", "CellLifecycleStage",
-           "DatagramLifecycleStage", "ChainedStage",
-           "lifecycle_stage_factory"]
+           "EndpointLifecycle", "LifecycleStage", "ChainedStage"]
 
 _KINDS = ("crash", "restart")
 
@@ -124,66 +122,27 @@ class EndpointLifecycle:
         return [(f.kind, f.seq, f.occurrence) for f, _t in self.applied]
 
 
-class _LifecycleStage(OccurrenceTracker):
-    """The scripted stages' occurrence tracking, firing a callback.
+class LifecycleStage(OccurrenceTracker):
+    """The scripted stage's occurrence tracking, firing a callback on the
+    first unit of the addressed PDU (where its AM header rides).
 
     It never perturbs a PDU, but it is a pipeline stage like any other,
     so it slots into the same pipelines and ingress hooks.
     """
 
-    def __init__(self, events: Sequence[LifecycleFault],
+    def __init__(self, events: Sequence[LifecycleFault], wire,
                  fire: Callable[[LifecycleFault, float], None]) -> None:
-        super().__init__(events)
+        super().__init__(events, wire)
         if len(self._events) != len(events):
             raise ValueError("lifecycle faults must have distinct "
                              "(seq, occurrence) addresses per link")
         self._fire = fire
 
-    def _trigger(self, raw: bytes, now: float) -> None:
-        event = self._hit(raw)
-        if event is not None:
+    def process(self, unit, now: float, emit: Emit) -> None:
+        event, first = self._hit(unit)
+        if first and event is not None:
             self._fire(event, now)
-
-
-class FrameLifecycleStage(_LifecycleStage):
-    """Lifecycle triggers on Ethernet frames (one AM packet per frame)."""
-
-    def process(self, frame, now: float, emit: Emit) -> None:
-        self._trigger(frame.payload, now)
-        emit(frame, 0.0)
-
-
-class CellLifecycleStage(_LifecycleStage):
-    """Lifecycle triggers on ATM cells, decided per AAL5 PDU.
-
-    The AM header rides in the first cell, so the trigger fires there;
-    the remaining cells of the PDU pass through untracked (per-VCI,
-    exactly as firmware reassembly scopes a PDU).
-    """
-
-    def reset(self) -> None:
-        super().reset()
-        self._mid_pdu: Dict[int, bool] = {}
-
-    def process(self, cell, now: float, emit: Emit) -> None:
-        if not self._mid_pdu.get(cell.vci, False):
-            self._trigger(bytes(cell.payload), now)
-        self._mid_pdu[cell.vci] = not cell.last
-        emit(cell, 0.0)
-
-
-class DatagramLifecycleStage(_LifecycleStage):
-    """Lifecycle triggers on live U-Net/OS datagrams (framing layer)."""
-
-    def __init__(self, events: Sequence[LifecycleFault],
-                 fire: Callable[[LifecycleFault, float], None],
-                 header_size: int = 0) -> None:
-        super().__init__(events, fire)
-        self._header_size = header_size
-
-    def process(self, raw: bytes, now: float, emit: Emit) -> None:
-        self._trigger(raw[self._header_size:], now)
-        emit(raw, 0.0)
+        emit(unit, 0.0)
 
 
 class ChainedStage:
@@ -214,15 +173,3 @@ class ChainedStage:
         for stage in self.stages:
             if hasattr(stage, "reset"):
                 stage.reset()
-
-
-_STAGES = {"cell": CellLifecycleStage, "frame": FrameLifecycleStage}
-
-
-def lifecycle_stage_factory(backend, events: Sequence[LifecycleFault],
-                            fire: Callable[[LifecycleFault, float], None]):
-    """The right lifecycle stage for ``backend``'s wire unit."""
-    if backend.wire_unit == "datagram":
-        return DatagramLifecycleStage(events, fire,
-                                      header_size=backend.frame_header_size)
-    return _STAGES[backend.wire_unit](events, fire)

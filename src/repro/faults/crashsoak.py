@@ -43,6 +43,7 @@ from ..artifact import Artifact
 from ..core.errors import UNetError
 from ..sim import Simulator
 from ..suite import Suite
+from ..telemetry import total
 from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
 
 __all__ = [
@@ -225,19 +226,16 @@ class _FateLedger:
 
 def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
                   sent_ids: Sequence[int], completed: bool, limit: str,
-                  sender, restarts: int, drop_sources: Sequence,
+                  sender, restarts: int, backends: Sequence,
                   completion_us: float, sim_events: int = 0) -> CrashSoakResult:
-    """The verdict and accounting of a finished run, on any substrate."""
+    """The verdict and accounting of a finished run, on any substrate.
+    Drops are read from ``backends`` and the endpoints they hold."""
     violations = ledger.violations(sent_ids, scenario.crashes)
     if not completed:
         violations.insert(0, f"termination: soak incomplete at {limit}")
     if len(sent_ids) < scenario.messages:
         violations.append(f"admission: only {len(sent_ids)} of "
                           f"{scenario.messages} sends were admitted")
-    drops: Dict[str, int] = {}
-    for source in drop_sources:
-        for key, value in source.drop_stats().items():
-            drops[key] = drops.get(key, 0) + value
     return CrashSoakResult(
         scenario=scenario.name,
         substrate=substrate,
@@ -249,8 +247,8 @@ def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
         abandoned=len(set(ledger.abandoned_ids)),
         restarts=restarts,
         recovery_times_us=list(ledger.recovery_times),
-        stale_epoch_drops=drops.get("stale_epoch_drops", 0),
-        peer_dead_drops=drops.get("peer_dead_drops", 0),
+        stale_epoch_drops=total(backends, "stale_epoch_drops"),
+        peer_dead_drops=total(backends, "peer_dead_drops"),
         retransmissions=sender.snapshot().get(1, {}).get("retransmissions", 0),
         completion_time_us=completion_us,
         sim_events=sim_events,
@@ -333,8 +331,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     return _crash_result(
         scenario, scenario.substrate, ledger, sent_ids, completed,
         f"t={scenario.time_limit_us:.0f}us", am0, am1.restarts,
-        (am0.user.endpoint, am1.user.endpoint, h0.backend, h1.backend),
-        completion, sim.events_processed)
+        (h0.backend, h1.backend), completion, sim.events_processed)
 
 
 # ----------------------------------------------------------- live (sockets)
@@ -422,7 +419,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         return _crash_result(
             scenario, f"live-{kind}", ledger, sent_ids, completed,
             "the wall-clock limit", am0, am1.restarts,
-            (ep0.endpoint, ep1.endpoint, n0, n1), completion)
+            (n0, n1), completion)
 
 
 # --------------------------------------------------------- real peer process
@@ -512,8 +509,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         am.shutdown()
         result = _crash_result(
             scenario, "sigkill-udp", ledger, sent_ids, completed,
-            "the wall-clock limit", am, peer.kills, (user.endpoint, backend),
-            completion)
+            "the wall-clock limit", am, peer.kills, (backend,), completion)
     backend.close()
     return result
 

@@ -8,73 +8,36 @@ for a chain of :class:`~repro.faults.perturb.LinkPerturbation` stages
 and puts it back on :meth:`~PerturbationPipeline.restore` — also
 available as a context manager, so tests can scope faults to a block::
 
-    with FramePipeline(backend, [GilbertElliott(), DelayJitter()]):
+    with attach_pipeline(backend, [GilbertElliott(), DelayJitter()]):
         sim.run(until=1_000_000.0)
     # hook restored here
 
-Which hooks a backend exposes is its ``rx_fault_hooks()``; which PDU
-they carry is its declared ``wire_unit``, and that alone picks the
-pipeline class (they differ in how to corrupt a PDU, nothing else).
+Which hooks a backend exposes is its ``rx_fault_hooks()``; what its
+PDUs look like is its ``wire``, which the pipeline hands to its stages.
+One pipeline class serves every substrate.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.rng import RngRegistry
 from ..telemetry import read
 from .perturb import LinkPerturbation, PerturbationContext
 
-__all__ = [
-    "PerturbationPipeline",
-    "FramePipeline",
-    "CellPipeline",
-    "attach_pipeline",
-    "corrupt_frame",
-    "corrupt_cell",
-]
-
-
-def corrupt_frame(frame, rng: random.Random):
-    """Damage one payload byte and flag the frame for the CRC checker."""
-    from ..ethernet.frames import EthernetFrame
-
-    body = bytearray(frame.payload)
-    if body:
-        body[rng.randrange(len(body))] ^= 0xFF
-    return EthernetFrame(
-        dst_mac=frame.dst_mac,
-        src_mac=frame.src_mac,
-        dst_port=frame.dst_port,
-        src_port=frame.src_port,
-        payload=bytes(body),
-        corrupted=True,
-    )
-
-
-def corrupt_cell(cell, rng: random.Random):
-    """Damage one payload byte and flag the cell."""
-    from ..atm.cells import Cell
-
-    body = bytearray(cell.payload)
-    if body:
-        body[rng.randrange(len(body))] ^= 0xFF
-    return Cell(vci=cell.vci, payload=bytes(body), last=cell.last, corrupted=True)
+__all__ = ["PerturbationPipeline", "attach_pipeline"]
 
 
 class PerturbationPipeline:
     """A chain of perturbation stages interposed on delivery hooks.
 
-    The backend says where the hooks live (:meth:`_hook_points`) and
-    subclasses how to corrupt this substrate's PDU.  Attach happens in
-    the constructor; :meth:`restore` (or leaving the ``with`` block)
-    puts the original hooks back.  Stage order is pipeline order: a PDU surviving stage
+    The backend says where the hooks live (``rx_fault_hooks()``) and
+    what its PDUs are (``wire``).  Attach happens in the constructor;
+    :meth:`restore` (or leaving the ``with`` block) puts the original
+    hooks back.  Stage order is pipeline order: a PDU surviving stage
     *i* feeds stage *i+1*; delays accumulate and are paid once at the
     end, preserving each stage's view of arrival time.
     """
-
-    _corrupter = None
 
     def __init__(
         self,
@@ -85,32 +48,28 @@ class PerturbationPipeline:
     ) -> None:
         self.backend = backend
         self.sim = backend.sim
+        self.wire = backend.wire
         self.stages: List[LinkPerturbation] = list(perturbations)
-        self.registry = rng or RngRegistry()
-        ctx = PerturbationContext(self.sim, self.registry, type(self)._corrupter, prefix)
+        ctx = PerturbationContext(rng or RngRegistry(), self.wire, prefix)
         for stage in self.stages:
             stage.attach(ctx)
         self.injected = 0
         self.delivered = 0
-        self._saved: Optional[List[Tuple[object, str, object]]] = None
+        self._saved: Optional[List[Tuple[object, str, object, bool]]] = None
         self.attach()
 
     # ------------------------------------------------------------ lifecycle
-    def _hook_points(self) -> List[Tuple[object, str]]:
-        """``(owner, attribute)`` pairs to interpose on: one per
-        controller, so bonded dual-NIC hosts are perturbed on both rails."""
-        return self.backend.rx_fault_hooks()
-
     @property
     def attached(self) -> bool:
         return self._saved is not None
 
     def attach(self) -> "PerturbationPipeline":
-        """Interpose on every hook point (idempotent)."""
+        """Interpose on every hook point — one per controller, so bonded
+        dual-NIC hosts are perturbed on both rails (idempotent)."""
         if self._saved is not None:
             return self
         self._saved = []
-        for owner, attr in self._hook_points():
+        for owner, attr in self.backend.rx_fault_hooks():
             original = getattr(owner, attr)
             shadowed = attr in vars(owner)
             setattr(owner, attr, lambda pdu, _deliver=original: self._inject(pdu, _deliver))
@@ -143,18 +102,15 @@ class PerturbationPipeline:
     def _feed(self, index: int, pdu, delay: float, deliver) -> None:
         if index == len(self.stages):
             if delay <= 0.0:
-                self.delivered += 1
-                deliver(pdu)
+                self._deliver(pdu, deliver)
             else:
-                self.sim.process(self._deliver_later(pdu, delay, deliver),
-                                 name="faults.delayed")
+                self.sim.call_in(delay, self._deliver, pdu, deliver)
             return
         stage = self.stages[index]
         stage.process(pdu, self.sim.now,
                       lambda p, d=0.0: self._feed(index + 1, p, delay + d, deliver))
 
-    def _deliver_later(self, pdu, delay: float, deliver) -> Generator:
-        yield delay
+    def _deliver(self, pdu, deliver) -> None:
         self.delivered += 1
         deliver(pdu)
 
@@ -168,29 +124,5 @@ class PerturbationPipeline:
                 "stages": stages}
 
 
-class FramePipeline(PerturbationPipeline):
-    """Perturb Ethernet frames arriving at one host's NIC(s)."""
-
-    _corrupter = staticmethod(corrupt_frame)
-
-
-class CellPipeline(PerturbationPipeline):
-    """Perturb ATM cells arriving at one host's PCA-200."""
-
-    _corrupter = staticmethod(corrupt_cell)
-
-
-_PIPELINES = {"frame": FramePipeline, "cell": CellPipeline}
-
-
-def attach_pipeline(
-    backend,
-    perturbations: Sequence[LinkPerturbation],
-    rng: Optional[RngRegistry] = None,
-    prefix: str = "faults",
-) -> PerturbationPipeline:
-    """Attach ``perturbations`` to ``backend``, whichever substrate it is."""
-    pipeline = _PIPELINES.get(backend.wire_unit)
-    if pipeline is None:
-        raise TypeError(f"no delivery hook to perturb {backend.wire_unit}s at ({backend!r})")
-    return pipeline(backend, perturbations, rng=rng, prefix=prefix)
+#: attach ``perturbations`` to ``backend``, whichever substrate it is
+attach_pipeline = PerturbationPipeline

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..sim import Simulator
+from ..am.protocol import mark_ce
 from ..sim.rng import RngRegistry
 
 __all__ = [
@@ -47,19 +47,12 @@ Emit = Callable[[object, float], None]
 
 
 class PerturbationContext:
-    """Runtime services a pipeline hands to its stages on attach."""
+    """What a pipeline hands its stages on attach: their RNG streams, and
+    the ``wire`` (the backend's format record) that reads and rewrites
+    the PDUs they see."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        registry: RngRegistry,
-        corrupter: Optional[Callable[[object, random.Random], object]] = None,
-        prefix: str = "faults",
-    ) -> None:
-        self.sim = sim
-        self.registry = registry
-        self.corrupter = corrupter
-        self.prefix = prefix
+    def __init__(self, registry: RngRegistry, wire=None, prefix: str = "faults") -> None:
+        self.wire = wire
         self._scoped = registry.scoped(prefix)
 
     def stream(self, name: str) -> random.Random:
@@ -184,9 +177,9 @@ class Corrupt(LinkPerturbation):
         self.rate = rate
 
     def process(self, pdu, now: float, emit: Emit) -> None:
-        if self.rng.random() < self.rate and self.ctx.corrupter is not None:
+        if self.rng.random() < self.rate:
             self.corrupted += 1
-            pdu = self.ctx.corrupter(pdu, self.rng)
+            pdu = self.ctx.wire.corrupt(pdu, self.rng)
         emit(pdu, 0.0)
 
 
@@ -306,23 +299,19 @@ class BottleneckQueue(LinkPerturbation):
     Models the shared output queue behind a switch uplink (or the
     repeater domain of a hub): PDUs drain one per ``service_us``, so an
     incast burst piles up a standing queue.  Occupancy above
-    ``mark_threshold`` gets the PDU CE-marked via ``marker`` (RFC-3168
-    style: the network signals congestion *before* it must drop);
-    occupancy beyond ``capacity`` tail-drops.  Entirely deterministic —
-    no RNG stream — so a seeded soak run replays exactly.
-
-    ``marker`` is substrate-specific (rebuild the frame / datagram with
-    the CE bit set in the AM header); when ``None`` the queue still
-    delays and drops but cannot signal, which is exactly the
-    loss-feedback baseline ECN is measured against.
+    ``mark_threshold`` gets the PDU CE-marked through the pipeline's
+    wire (RFC-3168 style: the network signals congestion *before* it
+    must drop); occupancy beyond ``capacity`` tail-drops.  Entirely
+    deterministic — no RNG stream — so a seeded soak run replays exactly.
+    An endpoint that ignores the CE bit sees only the delays and drops,
+    which is exactly the loss-feedback baseline ECN is measured against.
     """
 
     stream_name = None
     COUNTERS = ("marked", "dropped", "max_occupancy")
 
     def __init__(self, service_us: float = 15.0, capacity: int = 32,
-                 mark_threshold: int = 8,
-                 marker: Optional[Callable[[object], object]] = None) -> None:
+                 mark_threshold: int = 8) -> None:
         super().__init__()
         if service_us <= 0.0:
             raise ValueError("service_us must be > 0")
@@ -331,7 +320,6 @@ class BottleneckQueue(LinkPerturbation):
         self.service_us = service_us
         self.capacity = capacity
         self.mark_threshold = mark_threshold
-        self.marker = marker
 
     def reset(self) -> None:
         super().reset()
@@ -346,9 +334,9 @@ class BottleneckQueue(LinkPerturbation):
             return
         self._last_depart = depart
         self.max_occupancy = max(self.max_occupancy, occupancy)
-        if occupancy > self.mark_threshold and self.marker is not None:
+        if occupancy > self.mark_threshold:
             self.marked += 1
-            pdu = self.marker(pdu)
+            (pdu,) = self.ctx.wire.rewrite([pdu], mark_ce)
         emit(pdu, depart - now)
 
 

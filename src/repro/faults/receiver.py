@@ -132,8 +132,7 @@ class SlowReceiver(ReceiverFault):
 
         def slow_recycle(descriptor):
             self.deferred_recycles += 1
-            self.sim.process(self._recycle_later(original_recycle, descriptor),
-                             name="faults.slow_recycle")
+            self.sim.call_in(self.recycle_delay_us, original_recycle, descriptor)
 
         def slow_poll():
             # NB: phrased as ``now < last + interval`` so it agrees
@@ -164,10 +163,6 @@ class SlowReceiver(ReceiverFault):
             hooks.append((endpoint, "poll_receive", slow_poll))
             hooks.append((endpoint, "wait_receive", slow_wait))
         return hooks
-
-    def _recycle_later(self, original_recycle, descriptor) -> Generator:
-        yield self.recycle_delay_us
-        original_recycle(descriptor)
 
     def _fire_at(self, event, ready_at: float) -> Generator:
         yield max(0.0, ready_at - self.sim.now)
@@ -322,28 +317,14 @@ def forge_unknown_traffic(backend, count: int = 1,
 
     The NI/kernel must demultiplex them to nowhere: once the simulator
     services the receive path they are counted by the demux table as
-    ``unknown_tag_drops`` and never cross a protection boundary.  Works
-    on either substrate; returns the number of PDUs injected (delivery
-    is asynchronous — run the sim, then check the demux counter).
+    ``unknown_tag_drops`` and never cross a protection boundary.  The
+    backend's ``wire`` forges each PDU and its first delivery hook lands
+    it; returns the number of PDUs injected (delivery is asynchronous —
+    run the sim, then check the demux counter).
     """
     rng = rng or random.Random(0xF0F6ED)
-    if backend.wire_unit == "cell":
-        from ..atm.cells import Cell
-
-        for _ in range(count):
-            # a VCI far above anything the signaling service hands out
-            backend.on_cell(Cell(vci=0x8000 + rng.randrange(0x1000),
-                                 payload=bytes(48), last=True))
-    else:
-        from ..ethernet.frames import EthernetFrame
-
-        for _ in range(count):
-            frame = EthernetFrame(
-                dst_mac=backend.mac,
-                src_mac=rng.randrange(1 << 48),
-                dst_port=0xFE,
-                src_port=0xFE,
-                payload=bytes(40),
-            )
-            backend.nic._on_frame(frame)
+    (owner, attr), *_rails = backend.rx_fault_hooks()
+    deliver = getattr(owner, attr)
+    for _ in range(count):
+        deliver(backend.wire.forge(backend, rng))
     return count

@@ -56,28 +56,10 @@ __all__ = [
     "TRANSPORT_SCENARIOS",
     "TransportScenario",
     "TransportResult",
-    "mark_frame",
     "run_transport",
     "transport_payload",
     "render_transport_table",
 ]
-
-
-def mark_frame(frame):
-    """CE-mark one Ethernet frame: rebuild with the ECN CE flag set in
-    the AM header.  The frame stays CRC-clean — congestion marking is
-    done by conforming switch hardware, not line noise."""
-    from ..am.protocol import mark_ce
-    from ..ethernet.frames import EthernetFrame
-
-    return EthernetFrame(
-        dst_mac=frame.dst_mac,
-        src_mac=frame.src_mac,
-        dst_port=frame.dst_port,
-        src_port=frame.src_port,
-        payload=mark_ce(frame.payload),
-        corrupted=frame.corrupted,
-    )
 
 
 # ------------------------------------------------------------------- modes
@@ -144,12 +126,11 @@ def _reorder_stages() -> List[LinkPerturbation]:
 def _bottleneck_stages() -> List[LinkPerturbation]:
     # the shared uplink queue of the incast: drains one frame per
     # service_us, CE-marks above mark_threshold, tail-drops past
-    # capacity.  The marker is installed for every mode — gbn and sack
-    # simply ignore the bit, which *is* the loss-feedback baseline.
+    # capacity.  It marks under every mode — gbn and sack simply ignore
+    # the bit, which *is* the loss-feedback baseline.
     # service slower than the senders' aggregate arrival rate, or the
     # queue never builds and there is nothing to signal
-    return [BottleneckQueue(service_us=60.0, capacity=24, mark_threshold=6,
-                            marker=mark_frame)]
+    return [BottleneckQueue(service_us=60.0, capacity=24, mark_threshold=6)]
 
 
 TRANSPORT_SCENARIOS: Dict[str, TransportScenario] = {

@@ -43,7 +43,7 @@ from .doorbell import DEFAULT_DOORBELL_MODE, EventDoorbell, validate_doorbell_mo
 from .transport import LiveTransport, RECV_BATCH
 
 __all__ = ["LiveTag", "LiveBackend", "LiveUserEndpoint", "LiveCluster",
-           "FRAME_HEADER", "FRAME_HEADER_SIZE", "DEFAULT_MAX_PDU",
+           "DatagramWire", "FRAME_HEADER", "FRAME_HEADER_SIZE", "DEFAULT_MAX_PDU",
            "POOL_SLOTS"]
 
 #: dst_port, src_node, src_port
@@ -82,6 +82,26 @@ class LiveTag:
                 f"src=n{self.src_node}:{self.src_port}>")
 
 
+class DatagramWire:
+    """U-Net/OS's wire as the fault layer sees it (``backend.wire``):
+    every datagram is a whole PDU, the frame header then one AM packet.
+    No pipeline attaches here (the ingress slot takes a stage directly),
+    so nothing corrupts or forges a datagram."""
+
+    @staticmethod
+    def pdu(raw: bytes):
+        return raw[:FRAME_HEADER_SIZE], True
+
+    @staticmethod
+    def head(raw: bytes) -> bytes:
+        return raw[FRAME_HEADER_SIZE:]
+
+    @staticmethod
+    def rewrite(datagrams: List[bytes], edit) -> List[bytes]:
+        return [raw[:FRAME_HEADER_SIZE] + edit(raw[FRAME_HEADER_SIZE:])
+                for raw in datagrams]
+
+
 class LiveBackend(UNetBackend):
     """One node: transport socket + demux + endpoints + doorbell loop.
 
@@ -91,11 +111,8 @@ class LiveBackend(UNetBackend):
     the doorbell loop and its pools.
     """
 
-    wire_unit = "datagram"
+    wire = DatagramWire
     PARTS = UNetBackend.PARTS + ("transport",)
-    #: what a datagram fault stage skips to reach the AM packet when
-    #: content-addressing
-    frame_header_size = FRAME_HEADER_SIZE
 
     def __init__(self, transport: LiveTransport, clock: Clock,
                  node_id: int = 0, node_name: str = "n0",

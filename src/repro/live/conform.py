@@ -2,8 +2,8 @@
 
 ``run_live_case`` drives the *same* workload and content-addressed
 fault schedule the simulated substrates run — faults applied at the
-live framing layer by a
-:class:`~repro.faults.scripted.DatagramScriptedStage` — and returns the
+live framing layer by a :class:`~repro.faults.scripted.ScriptedStage`
+reading :class:`~repro.live.backend.DatagramWire` — and returns the
 same :class:`~repro.conformance.observe.ObservedTrace` shape, so the
 differential checker can diff ATM vs FE vs reference model vs wall
 clock in one report.

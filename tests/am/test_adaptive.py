@@ -5,27 +5,26 @@ import pytest
 from repro.am import AmConfig, AmEndpoint
 from repro.core import EndpointConfig
 from repro.ethernet import SwitchedNetwork
-from repro.faults import FramePipeline, LinkPerturbation
-from repro.hw import PENTIUM_120
+from repro.faults import LinkPerturbation, attach_pipeline
 from repro.sim import Simulator
 
 CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
                         send_queue_depth=64, recv_queue_depth=128)
 
 
-def _pair(config=None):
-    sim = Simulator()
-    net = SwitchedNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    am0 = AmEndpoint(0, ep0, config=config)
-    am1 = AmEndpoint(1, ep1, config=config)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
-    return sim, am0, am1
+@pytest.fixture
+def pair(two_hosts):
+    """Two AM endpoints on a fresh switch, closed after the test."""
+    def build(config=None):
+        rig = two_hosts(SwitchedNetwork(Simulator()), names=("n0", "n1"),
+                        config=CONFIG, rx_buffers=48)
+        am0 = AmEndpoint(0, rig.ep1, config=config)
+        am1 = AmEndpoint(1, rig.ep2, config=config)
+        am0.connect_peer(1, rig.ch1)
+        am1.connect_peer(0, rig.ch2)
+        return rig.sim, am0, am1
+
+    return build
 
 
 class DropNth(LinkPerturbation):
@@ -86,8 +85,8 @@ def test_defaults_are_the_paper_faithful_fixed_stack():
 
 
 # ---------------------------------------------------------- RTO estimator
-def test_first_rtt_sample_seeds_the_estimator():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive())
+def test_first_rtt_sample_seeds_the_estimator(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive())
     peer = am0._peers_by_node[1]
     am0._update_rto(peer, 1000.0)
     assert peer.srtt == 1000.0
@@ -96,8 +95,8 @@ def test_first_rtt_sample_seeds_the_estimator():
     assert peer.rtt_samples == 1
 
 
-def test_rtt_ewma_follows_jacobson_karels():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive())
+def test_rtt_ewma_follows_jacobson_karels(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive())
     peer = am0._peers_by_node[1]
     am0._update_rto(peer, 1000.0)
     am0._update_rto(peer, 2000.0)
@@ -108,9 +107,9 @@ def test_rtt_ewma_follows_jacobson_karels():
     assert peer.rtt_samples == 2
 
 
-def test_rto_is_clamped_to_floor_and_ceiling():
+def test_rto_is_clamped_to_floor_and_ceiling(pair):
     config = AmConfig.adaptive(rto_min_us=250.0, rto_max_us=60_000.0)
-    _sim, am0, _am1 = _pair(config)
+    _sim, am0, _am1 = pair(config)
     peer = am0._peers_by_node[1]
     am0._update_rto(peer, 10.0)  # srtt+4*rttvar = 30 -> floor
     assert peer.rto_us == 250.0
@@ -118,9 +117,9 @@ def test_rto_is_clamped_to_floor_and_ceiling():
     assert peer.rto_us == 60_000.0
 
 
-def test_backoff_multiplies_the_rto_with_bounded_jitter():
+def test_backoff_multiplies_the_rto_with_bounded_jitter(pair):
     config = AmConfig.adaptive(backoff_factor=2.0, backoff_jitter=0.1)
-    _sim, am0, _am1 = _pair(config)
+    _sim, am0, _am1 = pair(config)
     peer = am0._peers_by_node[1]
     peer.srtt, peer.rttvar, peer.rto_us = 1000.0, 500.0, 3000.0
     assert am0._current_rto(peer) == 3000.0  # no backoff, no jitter
@@ -132,15 +131,15 @@ def test_backoff_multiplies_the_rto_with_bounded_jitter():
     assert am0._current_rto(peer) == config.rto_max_us
 
 
-def test_fixed_mode_ignores_the_estimator():
-    _sim, am0, _am1 = _pair(AmConfig())  # adaptive_rto off
+def test_fixed_mode_ignores_the_estimator(pair):
+    _sim, am0, _am1 = pair(AmConfig())  # adaptive_rto off
     peer = am0._peers_by_node[1]
     peer.srtt, peer.rto_us = 100.0, 700.0
     assert am0._current_rto(peer) == am0.config.retransmit_timeout_us
 
 
-def test_karns_rule_skips_retransmitted_packets():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive())
+def test_karns_rule_skips_retransmitted_packets(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive())
     peer = am0._peers_by_node[1]
     peer.unacked[0] = object()
     peer.sent_at[0] = 0.0
@@ -152,8 +151,8 @@ def test_karns_rule_skips_retransmitted_packets():
     assert not peer.unacked and not peer.rexmit_seqs and not peer.sent_at
 
 
-def test_clean_ack_produces_a_sample():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive())
+def test_clean_ack_produces_a_sample(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive())
     peer = am0._peers_by_node[1]
     peer.unacked[0] = object()
     peer.sent_at[0] = -500.0  # "sent" 500 us before now (sim.now == 0)
@@ -163,8 +162,8 @@ def test_clean_ack_produces_a_sample():
 
 
 # ----------------------------------------------------------------- AIMD
-def test_window_halves_on_fast_retransmit_and_grows_on_acks():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive())
+def test_window_halves_on_fast_retransmit_and_grows_on_acks(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive())
     peer = am0._peers_by_node[1]
     assert peer.cwnd == 16.0
     peer.unacked[0] = object()
@@ -176,9 +175,9 @@ def test_window_halves_on_fast_retransmit_and_grows_on_acks():
     assert peer.cwnd == pytest.approx(8.0 + 1.0 / 8.0)
 
 
-def test_window_never_shrinks_below_min_window():
+def test_window_never_shrinks_below_min_window(pair):
     config = AmConfig.adaptive(min_window=2)
-    _sim, am0, _am1 = _pair(config)
+    _sim, am0, _am1 = pair(config)
     peer = am0._peers_by_node[1]
     peer.cwnd = 2.5
     peer.unacked[0] = object()
@@ -187,20 +186,20 @@ def test_window_never_shrinks_below_min_window():
     assert am0._effective_window(peer) == 2
 
 
-def test_effective_window_is_static_without_adaptive_window():
-    _sim, am0, _am1 = _pair(AmConfig())
+def test_effective_window_is_static_without_adaptive_window(pair):
+    _sim, am0, _am1 = pair(AmConfig())
     peer = am0._peers_by_node[1]
     peer.cwnd = 1.0  # ignored in fixed mode
     assert am0._effective_window(peer) == am0.config.window
 
 
 # ------------------------------------------------- dup-ack fast retransmit
-def _run_single_drop_stream(config, messages=12):
+def _run_single_drop_stream(pair, config, messages=12):
     """Send ``messages`` requests with the 3rd data frame dropped.
 
     Returns (delivered ids, sim time the last id was dispatched, peer).
     """
-    sim, am0, am1 = _pair(config)
+    sim, am0, am1 = pair(config)
     seen = []
     done_at = []
 
@@ -210,7 +209,7 @@ def _run_single_drop_stream(config, messages=12):
             done_at.append(sim.now)
 
     am1.register_handler(1, handler)
-    pipeline = FramePipeline(am1.user.host.backend, [DropNth(3)])
+    pipeline = attach_pipeline(am1.user.host.backend, [DropNth(3)])
 
     def tx():
         for i in range(messages):
@@ -222,11 +221,11 @@ def _run_single_drop_stream(config, messages=12):
     return seen, done_at[0] if done_at else None, am0._peers_by_node[1]
 
 
-def test_dup_acks_trigger_fast_retransmit():
+def test_dup_acks_trigger_fast_retransmit(pair):
     # drop exactly the 3rd data frame arriving at the receiver: the
     # following in-window arrivals each produce an immediate duplicate
     # ack, crossing the sender's threshold long before the 4 ms RTO
-    seen, done_at, peer = _run_single_drop_stream(AmConfig.adaptive())
+    seen, done_at, peer = _run_single_drop_stream(pair, AmConfig.adaptive())
     assert seen == list(range(12))  # exactly-once, in order
     assert done_at is not None
     assert peer.fast_retransmits >= 1
@@ -236,22 +235,22 @@ def test_dup_acks_trigger_fast_retransmit():
     assert peer.retransmissions > peer.timeouts
 
 
-def test_fixed_stack_needs_full_rtos_for_the_same_loss():
-    seen, done_at, peer = _run_single_drop_stream(AmConfig())
+def test_fixed_stack_needs_full_rtos_for_the_same_loss(pair):
+    seen, done_at, peer = _run_single_drop_stream(pair, AmConfig())
     assert seen == list(range(12))
     assert peer.fast_retransmits == 0
     assert done_at is not None and done_at >= AmConfig().retransmit_timeout_us
 
 
-def test_adaptive_recovers_much_faster_than_fixed():
-    _seen_a, adaptive_done, _pa = _run_single_drop_stream(AmConfig.adaptive())
-    _seen_f, fixed_done, _pf = _run_single_drop_stream(AmConfig())
+def test_adaptive_recovers_much_faster_than_fixed(pair):
+    _seen_a, adaptive_done, _pa = _run_single_drop_stream(pair, AmConfig.adaptive())
+    _seen_f, fixed_done, _pf = _run_single_drop_stream(pair, AmConfig())
     assert adaptive_done is not None and fixed_done is not None
     assert adaptive_done < fixed_done / 4.0
 
 
-def test_threshold_not_reached_without_enough_dup_acks():
-    _sim, am0, _am1 = _pair(AmConfig.adaptive(dup_ack_threshold=3))
+def test_threshold_not_reached_without_enough_dup_acks(pair):
+    _sim, am0, _am1 = pair(AmConfig.adaptive(dup_ack_threshold=3))
     peer = am0._peers_by_node[1]
     peer.unacked[5] = object()
     am0._process_ack(peer, 5)  # baseline ack

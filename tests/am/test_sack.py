@@ -11,32 +11,31 @@ knobs whose combinations are validated at construction.
 import pytest
 
 from repro.am import AmConfig, AmEndpoint
-from repro.am.protocol import SACK_BITMAP_BITS
+from repro.am.protocol import SACK_BITMAP_BITS, mark_ce
 from repro.core import EndpointConfig
 from repro.core.errors import ConfigError, UNetError
 from repro.ethernet import SwitchedNetwork
-from repro.faults import FramePipeline, LinkPerturbation
-from repro.faults.transport import mark_frame
-from repro.hw import PENTIUM_120
+from repro.ethernet.frames import FrameWire
+from repro.faults import LinkPerturbation, attach_pipeline
 from repro.sim import Simulator
 
 CONFIG = EndpointConfig(num_buffers=128, buffer_size=2048,
                         send_queue_depth=64, recv_queue_depth=128)
 
 
-def _pair(config=None):
-    sim = Simulator()
-    net = SwitchedNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
-    ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=48)
-    ch0, ch1 = net.connect(ep0, ep1)
-    am0 = AmEndpoint(0, ep0, config=config)
-    am1 = AmEndpoint(1, ep1, config=config)
-    am0.connect_peer(1, ch0)
-    am1.connect_peer(0, ch1)
-    return sim, h0, h1, am0, am1
+@pytest.fixture
+def pair(two_hosts):
+    """Two AM endpoints on a fresh switch, closed after the test."""
+    def build(config=None):
+        rig = two_hosts(SwitchedNetwork(Simulator()), names=("n0", "n1"),
+                        config=CONFIG, rx_buffers=48)
+        am0 = AmEndpoint(0, rig.ep1, config=config)
+        am1 = AmEndpoint(1, rig.ep2, config=config)
+        am0.connect_peer(1, rig.ch1)
+        am1.connect_peer(0, rig.ch2)
+        return rig.sim, rig.ep1.host, rig.ep2.host, am0, am1
+
+    return build
 
 
 class DropNth(LinkPerturbation):
@@ -64,7 +63,9 @@ class MarkNth(LinkPerturbation):
 
     def process(self, pdu, now, emit):
         self.count += 1
-        emit(mark_frame(pdu) if self.count in self.ns else pdu, 0.0)
+        if self.count in self.ns:
+            (pdu,) = FrameWire.rewrite([pdu], mark_ce)
+        emit(pdu, 0.0)
 
 
 def _stream(sim, am0, n, collected):
@@ -114,8 +115,8 @@ def test_valid_sack_and_ecn_configs_construct():
 
 
 # ------------------------------------------------------ selective repeat
-def test_clean_sack_stream_sends_no_retransmissions():
-    sim, _h0, _h1, am0, am1 = _pair(AmConfig(ack_mode="sack"))
+def test_clean_sack_stream_sends_no_retransmissions(pair):
+    sim, _h0, _h1, am0, am1 = pair(AmConfig(ack_mode="sack"))
     got = []
     am1.register_handler(1, lambda ctx: got.append(ctx.args[0]))
     _stream(sim, am0, 12, got)
@@ -123,11 +124,11 @@ def test_clean_sack_stream_sends_no_retransmissions():
     assert am0._peers_by_node[1].retransmissions == 0
 
 
-def test_one_hole_retransmits_one_packet_not_the_window():
+def test_one_hole_retransmits_one_packet_not_the_window(pair):
     """The headline SACK property: a single drop inside a full window
     costs exactly one retransmission; go-back-N would replay the tail."""
-    sim, _h0, h1, am0, am1 = _pair(AmConfig(ack_mode="sack"))
-    pipeline = FramePipeline(h1.backend, [DropNth(3)])
+    sim, _h0, h1, am0, am1 = pair(AmConfig(ack_mode="sack"))
+    pipeline = attach_pipeline(h1.backend, [DropNth(3)])
     got = []
     am1.register_handler(1, lambda ctx: got.append(ctx.args[0]))
     _stream(sim, am0, 12, got)
@@ -139,9 +140,9 @@ def test_one_hole_retransmits_one_packet_not_the_window():
     assert am1._peers_by_node[0].duplicates == 0
 
 
-def test_burst_of_holes_retransmits_each_hole_once():
-    sim, _h0, h1, am0, am1 = _pair(AmConfig(ack_mode="sack"))
-    pipeline = FramePipeline(h1.backend, [DropNth(3, 4, 5)])
+def test_burst_of_holes_retransmits_each_hole_once(pair):
+    sim, _h0, h1, am0, am1 = pair(AmConfig(ack_mode="sack"))
+    pipeline = attach_pipeline(h1.backend, [DropNth(3, 4, 5)])
     got = []
     am1.register_handler(1, lambda ctx: got.append(ctx.args[0]))
     _stream(sim, am0, 16, got)
@@ -150,13 +151,13 @@ def test_burst_of_holes_retransmits_each_hole_once():
     assert am0._peers_by_node[1].retransmissions == 3
 
 
-def test_gbn_replays_the_window_where_sack_does_not():
+def test_gbn_replays_the_window_where_sack_does_not(pair):
     """The same single drop under both ack modes: the go-back-N run
     must retransmit strictly more (and redeliver duplicates)."""
     costs = {}
     for mode in ("gbn", "sack"):
-        sim, _h0, h1, am0, am1 = _pair(AmConfig(ack_mode=mode))
-        pipeline = FramePipeline(h1.backend, [DropNth(3)])
+        sim, _h0, h1, am0, am1 = pair(AmConfig(ack_mode=mode))
+        pipeline = attach_pipeline(h1.backend, [DropNth(3)])
         got = []
         am1.register_handler(1, lambda ctx, got=got: got.append(ctx.args[0]))
         _stream(sim, am0, 12, got)
@@ -169,12 +170,12 @@ def test_gbn_replays_the_window_where_sack_does_not():
     assert costs["gbn"][1] > 0
 
 
-def test_selective_retransmits_obey_karns_rule():
+def test_selective_retransmits_obey_karns_rule(pair):
     """A selectively retransmitted packet's RTT must never be sampled:
     its ack time is ambiguous between the two transmissions."""
-    sim, _h0, h1, am0, am1 = _pair(AmConfig(ack_mode="sack",
-                                            adaptive_rto=True))
-    pipeline = FramePipeline(h1.backend, [DropNth(3)])
+    sim, _h0, h1, am0, am1 = pair(AmConfig(ack_mode="sack",
+                                           adaptive_rto=True))
+    pipeline = attach_pipeline(h1.backend, [DropNth(3)])
     am1.register_handler(1, lambda ctx: None)
     _stream(sim, am0, 12, [])
     pipeline.restore()
@@ -184,9 +185,9 @@ def test_selective_retransmits_obey_karns_rule():
     assert peer.rtt_samples <= 11
 
 
-def test_sack_state_appears_in_snapshots():
-    sim, _h0, h1, am0, am1 = _pair(AmConfig(ack_mode="sack"))
-    pipeline = FramePipeline(h1.backend, [DropNth(2)])
+def test_sack_state_appears_in_snapshots(pair):
+    sim, _h0, h1, am0, am1 = pair(AmConfig(ack_mode="sack"))
+    pipeline = attach_pipeline(h1.backend, [DropNth(2)])
     am1.register_handler(1, lambda ctx: None)
     _stream(sim, am0, 8, [])
     pipeline.restore()
@@ -207,9 +208,9 @@ def _ecn_config(**overrides):
     return AmConfig(**overrides)
 
 
-def test_ce_mark_is_noted_echoed_and_backs_the_sender_off():
-    sim, _h0, h1, am0, am1 = _pair(_ecn_config())
-    pipeline = FramePipeline(h1.backend, [MarkNth(3)])
+def test_ce_mark_is_noted_echoed_and_backs_the_sender_off(pair):
+    sim, _h0, h1, am0, am1 = pair(_ecn_config())
+    pipeline = attach_pipeline(h1.backend, [MarkNth(3)])
     got = []
     am1.register_handler(1, lambda ctx: got.append(ctx.args[0]))
     _stream(sim, am0, 12, got)
@@ -223,11 +224,11 @@ def test_ce_mark_is_noted_echoed_and_backs_the_sender_off():
     assert sender.retransmissions == 0  # signal without loss
 
 
-def test_one_burst_of_marks_costs_one_backoff_per_round():
+def test_one_burst_of_marks_costs_one_backoff_per_round(pair):
     """RFC-3168 shape: every mark is echoed, but the sender halves its
     window at most once per window round trip."""
-    sim, _h0, h1, am0, am1 = _pair(_ecn_config())
-    pipeline = FramePipeline(h1.backend, [MarkNth(3, 4, 5, 6)])
+    sim, _h0, h1, am0, am1 = pair(_ecn_config())
+    pipeline = attach_pipeline(h1.backend, [MarkNth(3, 4, 5, 6)])
     am1.register_handler(1, lambda ctx: None)
     _stream(sim, am0, 12, [])
     pipeline.restore()
@@ -243,12 +244,12 @@ def test_one_burst_of_marks_costs_one_backoff_per_round():
     assert sender.cwnd >= am0.config.min_window
 
 
-def test_ce_marks_are_ignored_without_ecn_mode():
+def test_ce_marks_are_ignored_without_ecn_mode(pair):
     """A gbn or plain-sack endpoint crossing an ECN-marking queue must
     treat the CE bit as noise: no echoes, no backoffs, clean delivery."""
     for config in (AmConfig(), AmConfig(ack_mode="sack")):
-        sim, _h0, h1, am0, am1 = _pair(config)
-        pipeline = FramePipeline(h1.backend, [MarkNth(2, 3)])
+        sim, _h0, h1, am0, am1 = pair(config)
+        pipeline = attach_pipeline(h1.backend, [MarkNth(2, 3)])
         got = []
         am1.register_handler(1, lambda ctx, got=got: got.append(ctx.args[0]))
         _stream(sim, am0, 8, got)

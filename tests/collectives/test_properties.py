@@ -21,8 +21,9 @@ from repro.collectives import (
 )
 from repro.collectives.engine import _GenWindow
 from repro.ethernet.network import SwitchedNetwork
+from repro.atm.cells import CellWire
 from repro.fabric import ClosAtmFabric
-from repro.faults.inject import CellPipeline
+from repro.faults.inject import attach_pipeline
 from repro.faults.perturb import Duplicate, UniformLoss
 from repro.hw import PENTIUM_120, SPARCSTATION_20
 from repro.sim import Simulator
@@ -39,7 +40,7 @@ def build(substrate, n, fanout):
         net = SwitchedNetwork(sim)
         hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(n)]
         engines = wire_collectives(net, hosts, fanout=fanout)
-    return sim, engines
+    return net, engines
 
 
 def run_on_all(sim, engines, make_program):
@@ -72,7 +73,8 @@ def test_reduce_result_is_arrival_order_independent(substrate, n, fanout, op, da
                            allow_nan=False, allow_infinity=False),
                  min_size=n, max_size=n),
         label="delays")
-    sim, engines = build(substrate, n, fanout)
+    net, engines = build(substrate, n, fanout)
+    sim = net.sim
     inputs = [np.array(row, dtype=np.int64) for row in values]
 
     def program(engine):
@@ -82,7 +84,8 @@ def test_reduce_result_is_arrival_order_independent(substrate, n, fanout, op, da
                                              op=op, dtype="q")
         return np.frombuffer(result, dtype=np.int64)
 
-    results = run_on_all(sim, engines, program)
+    with net:
+        results = run_on_all(sim, engines, program)
     fn = {"sum": np.sum, "max": np.max, "min": np.min}[op]
     reference = fn(np.stack(inputs), axis=0)
     for got in results:
@@ -110,7 +113,7 @@ def test_collectives_survive_generation_wrap(start, rounds, substrate):
     """Seed the 16-bit counters just below the wrap point and run
     enough rounds to cross it: nothing stalls, nothing duplicates."""
     n = 5
-    sim, engines = build(substrate, n, fanout=2)
+    net, engines = build(substrate, n, fanout=2)
     for engine in engines:
         _seed_generation(engine, start)
 
@@ -128,7 +131,8 @@ def test_collectives_survive_generation_wrap(start, rounds, substrate):
             total = int(np.frombuffer(result, dtype=np.int64)[0])
             assert total == sum(range(n)) + n * round_index
 
-    run_on_all(sim, engines, program)
+    with net:
+        run_on_all(net.sim, engines, program)
     for engine in engines:
         assert engine.barriers_completed == rounds
         assert engine.broadcasts_completed == rounds
@@ -152,11 +156,17 @@ def test_gen_window_floor_advances_across_wrap(start, count):
 
 
 # ------------------------------------- broadcast exactly-once under faults
-class _TrunkPipeline(CellPipeline):
-    """Interpose the fault stages on one fat-tree trunk's delivery."""
+class _Trunk:
+    """One fat-tree trunk seen as a backend: cells, delivered by its link."""
 
-    def _hook_points(self):
-        return [(self.backend, "deliver")]
+    wire = CellWire
+
+    def __init__(self, link):
+        self.link = link
+        self.sim = link.sim
+
+    def rx_fault_hooks(self):
+        return [(self.link, "deliver")]
 
 
 @given(
@@ -176,8 +186,8 @@ def test_broadcast_exactly_once_under_trunk_faults(loss_rate, duplicate_rate, se
     for a, b in fabric.topology.trunks:
         for src, dst in ((a, b), (b, a)):
             link = fabric.trunk_link(src, dst)
-            pipelines.append(_TrunkPipeline(
-                link,
+            pipelines.append(attach_pipeline(
+                _Trunk(link),
                 [UniformLoss(loss_rate), Duplicate(duplicate_rate)],
                 rng=RngRegistry(seed),
                 prefix=f"trunk.{src}.{dst}"))
@@ -192,10 +202,11 @@ def test_broadcast_exactly_once_under_trunk_faults(loss_rate, duplicate_rate, se
                 got = yield from engine.broadcast()
             delivered[engine.node].append(got)
 
-    processes = [sim.process(program(engine), name=f"coll.{engine.node}")
-                 for engine in engines]
-    for process in processes:
-        sim.run_until_complete(process, limit=1e9)
+    with fabric:
+        processes = [sim.process(program(engine), name=f"coll.{engine.node}")
+                     for engine in engines]
+        for process in processes:
+            sim.run_until_complete(process, limit=1e9)
     for pipeline in pipelines:
         pipeline.restore()
     for node, got in delivered.items():

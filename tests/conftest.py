@@ -58,21 +58,18 @@ NEVER_CLOSES = {
         "ethernet/test_collision_limits.py", "ethernet/test_learning_switch.py",
         "core/test_descriptors_endpoint.py", "core/test_sharded_demux.py",
         "core/test_health.py", "core/test_tenancy.py", "core/test_cluster_health.py",
-        "faults/test_perturbations.py",
     ), _BARE_KERNEL),
     **dict.fromkeys((
         "atm/test_unet_atm.py", "atm/test_signaling.py", "atm/test_vc_interleaving.py",
         "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
-        "faults/test_receiver_faults.py", "conformance/test_cross_substrate_health.py",
+        "conformance/test_cross_substrate_health.py",
         "conformance/test_zero_divergence.py", "integration/test_finite_buffers.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
-        "am/test_adaptive.py", "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",
-        "am/test_sack.py", "am/test_seq_wrap.py", "apps/test_matmul_prefetch.py",
+        "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",
+        "apps/test_matmul_prefetch.py",
     ), _AM_BY_HAND),
-    **dict.fromkeys((
-        "integration/test_am_loss_properties.py", "collectives/test_properties.py",
-    ), _MANY_RIGS),
+    "integration/test_am_loss_properties.py": _MANY_RIGS,
     **dict.fromkeys((
         "atm/test_fabric.py", "fabric/test_clos_fabrics.py", "fabric/test_fault_tolerance.py",
         "collectives/test_engine.py", "collectives/test_healing.py",
@@ -220,6 +217,15 @@ def leak_check(request):
         if leaked:
             findings.append(f"socket FD(s) {sorted(leaked)} still open")
     assert not findings, "leak check:\n  " + "\n  ".join(findings)
+
+
+@pytest.fixture
+def closing():
+    """``closing(net)`` returns ``net`` entered for the rest of the test:
+    everything entered is closed when the test ends, before ``leak_check``
+    looks."""
+    with contextlib.ExitStack() as stack:
+        yield stack.enter_context
 
 
 @pytest.fixture

@@ -11,6 +11,15 @@ clock or a kernel.
 
 import pytest
 
+from repro.am.protocol import (
+    ECN_CE_FLAG,
+    TYPE_REQUEST,
+    Packet,
+    decode,
+    encode,
+    mark_ce,
+    peek_type_seq,
+)
 from repro.atm import AtmNetwork
 from repro.core import (
     DROP_COUNTERS,
@@ -22,6 +31,7 @@ from repro.core import (
 )
 from repro.core.clock import ManualClock
 from repro.ethernet import SwitchedNetwork
+from repro.faults import LinkPerturbation, attach_pipeline
 from repro.hw import PENTIUM_120
 from repro.live.backend import LiveCluster
 from repro.sim import Simulator
@@ -82,6 +92,15 @@ class _Pair:
         else:
             self.sim.process(user.send(channel, payload))
             self.sim.run()
+
+    def intercept(self, host, stage):
+        """Run ``stage`` on every unit arriving at ``host``, where the
+        fault layer interposes: a pipeline, or the live ingress slot."""
+        backend = self.backends[host]
+        if self.live:
+            backend.install_ingress_stage(stage)
+        else:
+            attach_pipeline(backend, [stage])
 
 
 @pytest.fixture(params=SUBSTRATES)
@@ -171,6 +190,50 @@ def test_the_registry_reads_one_drop_vocabulary_on_every_substrate(pair):
     reported = sum(sum(layer.drop_stats().values())
                    for backend in pair.backends for layer in (backend, *backend.endpoints))
     assert sum(drops(collect(pair.net)).values()) == reported == 1
+
+
+class _MarkEachPdu(LinkPerturbation):
+    """Keep each arriving PDU's units, and pass it on CE-marked through
+    the backend's wire, as a congested switch would."""
+
+    stream_name = None
+
+    def __init__(self, wire):
+        super().__init__()
+        self.wire = wire
+        self.units, self.marked = [], []
+
+    def process(self, unit, now, emit):
+        self.units.append(unit)
+        if self.wire.pdu(unit)[1]:
+            self.marked = self.wire.rewrite(self.units, mark_ce)
+            for out in self.marked:
+                emit(out, 0.0)
+
+
+def test_the_wire_reads_and_rewrites_one_am_packet(pair):
+    """``backend.wire`` is all the fault layer knows of a format: the
+    head of a PDU's first unit peeks the AM packet's (type, seq), and a
+    CE-marked rewrite keeps them, sets CE, and is accepted by the
+    receive path — on cells, AAL5 reassembles it with a valid CRC."""
+    a, b = pair.endpoint(0), pair.endpoint(1)
+    ch_a, _ch_b = pair.net.connect(a, b)
+    wire = pair.backends[1].wire
+    stage = _MarkEachPdu(wire)
+    pair.intercept(1, stage)
+    packet = encode(Packet(type=TYPE_REQUEST, handler=1, seq=41, data=bytes(100)))
+    pair.send(a, ch_a, packet)
+
+    assert peek_type_seq(wire.head(stage.units[0])) == (TYPE_REQUEST, 41)
+    marked_head = wire.head(stage.marked[0])
+    assert peek_type_seq(marked_head) == (TYPE_REQUEST, 41)
+    assert marked_head[0] & ECN_CE_FLAG
+    message = b.poll()
+    assert message is not None, "the receive path refused the rewritten PDU"
+    received = decode(message.data)
+    assert (received.type, received.seq, received.ce) == (TYPE_REQUEST, 41, True)
+    assert received.data == bytes(100)
+    assert not any(pair.backends[1].drop_stats().values())
 
 
 def test_the_clock_free_half_behaves_the_same(pair):

@@ -6,15 +6,21 @@ from repro.am.protocol import TYPE_ACK, TYPE_HELLO, TYPE_REQUEST, Packet, encode
 from repro.faults.crash import (
     ChainedStage,
     CrashFault,
-    DatagramLifecycleStage,
     EndpointLifecycle,
     LifecycleFault,
+    LifecycleStage,
     RestartFault,
 )
+from repro.live.backend import FRAME_HEADER_SIZE, DatagramWire
 
 
 def _wire(ptype: int, seq: int) -> bytes:
-    return encode(Packet(type=ptype, seq=seq))
+    return bytes(FRAME_HEADER_SIZE) + encode(Packet(type=ptype, seq=seq))
+
+
+def _stage(events, fire):
+    """A lifecycle stage on live datagrams: frame header, then the packet."""
+    return LifecycleStage(events, DatagramWire, fire)
 
 
 # ----------------------------------------------------------- fault objects
@@ -42,14 +48,13 @@ def test_crash_fault_defaults_to_first_occurrence():
 
 def test_duplicate_addresses_rejected():
     with pytest.raises(ValueError):
-        DatagramLifecycleStage(
-            [CrashFault("fwd", 2), RestartFault("fwd", 2, 0)], lambda f, t: None)
+        _stage([CrashFault("fwd", 2), RestartFault("fwd", 2, 0)], lambda f, t: None)
 
 
 # ---------------------------------------------------------------- triggers
 def test_trigger_addresses_seq_and_occurrence():
     fired = []
-    stage = DatagramLifecycleStage(
+    stage = _stage(
         [CrashFault("fwd", 1, occurrence=1)],
         lambda fault, now: fired.append((fault.kind, now)))
     out = []
@@ -66,8 +71,8 @@ def test_trigger_addresses_seq_and_occurrence():
 
 def test_control_traffic_never_triggers():
     fired = []
-    stage = DatagramLifecycleStage([CrashFault("fwd", 0)],
-                                   lambda fault, now: fired.append(fault))
+    stage = _stage([CrashFault("fwd", 0)],
+                   lambda fault, now: fired.append(fault))
     emit = lambda pdu, delay=0.0: None
     # ACK and HELLO carry seq fields too; only data packets count
     stage.process(_wire(TYPE_ACK, 0), 1.0, emit)
@@ -79,10 +84,9 @@ def test_control_traffic_never_triggers():
 
 def test_header_size_strips_framing():
     fired = []
-    stage = DatagramLifecycleStage([CrashFault("fwd", 4)],
-                                   lambda fault, now: fired.append(fault),
-                                   header_size=6)
-    stage.process(b"\x00" * 6 + _wire(TYPE_REQUEST, 4), 0.0,
+    stage = _stage([CrashFault("fwd", 4)],
+                   lambda fault, now: fired.append(fault))
+    stage.process(b"\x00" * 6 + encode(Packet(type=TYPE_REQUEST, seq=4)), 0.0,
                   lambda pdu, delay=0.0: None)
     assert len(fired) == 1
 
@@ -91,8 +95,8 @@ def test_fire_happens_before_emit():
     """The victim must be dead before the triggering packet is delivered:
     that packet is the first one the dead incarnation ignores."""
     order = []
-    stage = DatagramLifecycleStage([CrashFault("fwd", 0)],
-                                   lambda fault, now: order.append("fire"))
+    stage = _stage([CrashFault("fwd", 0)],
+                   lambda fault, now: order.append("fire"))
     stage.process(_wire(TYPE_REQUEST, 0), 0.0,
                   lambda pdu, delay=0.0: order.append("emit"))
     assert order == ["fire", "emit"]
@@ -100,8 +104,8 @@ def test_fire_happens_before_emit():
 
 def test_reset_clears_occurrence_tracking():
     fired = []
-    stage = DatagramLifecycleStage([CrashFault("fwd", 0)],
-                                   lambda fault, now: fired.append(now))
+    stage = _stage([CrashFault("fwd", 0)],
+                   lambda fault, now: fired.append(now))
     emit = lambda pdu, delay=0.0: None
     stage.process(_wire(TYPE_REQUEST, 0), 1.0, emit)
     stage.reset()
@@ -144,7 +148,7 @@ class _DropSeq:
     def process(self, pdu, now, emit):
         from repro.am.protocol import peek_type_seq
 
-        peeked = peek_type_seq(pdu)
+        peeked = peek_type_seq(DatagramWire.head(pdu))
         if peeked is not None and peeked[1] == self.seq:
             return  # dropped: the chain stops here
         emit(pdu, 0.0)
@@ -162,8 +166,8 @@ def test_chain_drop_stops_lifecycle_trigger():
     must not fire the lifecycle trigger either — scripted faults chain
     ahead of lifecycle stages for exactly this reason."""
     fired = []
-    life = DatagramLifecycleStage([CrashFault("fwd", 1)],
-                                  lambda fault, now: fired.append(fault))
+    life = _stage([CrashFault("fwd", 1)],
+                  lambda fault, now: fired.append(fault))
     chain = ChainedStage(_DropSeq(1), life)
     out = []
     emit = lambda pdu, delay: out.append(pdu)

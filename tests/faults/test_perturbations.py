@@ -6,7 +6,6 @@ from repro.faults import (
     Corrupt,
     DelayJitter,
     Duplicate,
-    FramePipeline,
     GilbertElliott,
     LinkFlap,
     NicStall,
@@ -19,7 +18,7 @@ from repro.sim import RngRegistry, Simulator
 
 
 def attached(stage, seed=7):
-    ctx = PerturbationContext(Simulator(), RngRegistry(seed), corrupter=None)
+    ctx = PerturbationContext(RngRegistry(seed))
     stage.attach(ctx)
     return stage
 
@@ -136,27 +135,27 @@ def test_invalid_parameters_rejected(bad):
 
 
 # ----------------------------------------------------- pipeline attach
-def build_fe_pair():
+@pytest.fixture
+def build_fe_pair(two_hosts):
+    """Hosts n0 and n1 on a fresh switch, closed after the test."""
     from repro.core import EndpointConfig
     from repro.ethernet import SwitchedNetwork
-    from repro.hw import PENTIUM_120
 
-    sim = Simulator()
-    net = SwitchedNetwork(sim)
-    h0 = net.add_host("n0", PENTIUM_120)
-    h1 = net.add_host("n1", PENTIUM_120)
-    config = EndpointConfig(num_buffers=64, buffer_size=2048,
-                            send_queue_depth=32, recv_queue_depth=64)
-    ep0 = h0.create_endpoint(config=config, rx_buffers=24)
-    ep1 = h1.create_endpoint(config=config, rx_buffers=24)
-    ch0, ch1 = net.connect(ep0, ep1)
-    return sim, h0, h1, ep0, ep1, ch0, ch1
+    def build():
+        config = EndpointConfig(num_buffers=64, buffer_size=2048,
+                                send_queue_depth=32, recv_queue_depth=64)
+        rig = two_hosts(SwitchedNetwork(Simulator()), names=("n0", "n1"),
+                        config=config, rx_buffers=24)
+        return (rig.sim, rig.ep1.host, rig.ep2.host, rig.ep1, rig.ep2,
+                rig.ch1, rig.ch2)
+
+    return build
 
 
-def test_pipeline_attach_and_restore_roundtrip():
+def test_pipeline_attach_and_restore_roundtrip(build_fe_pair):
     _sim, _h0, h1, *_rest = build_fe_pair()
     original = h1.backend.nic._on_frame
-    pipeline = FramePipeline(h1.backend, [UniformLoss(0.5)])
+    pipeline = attach_pipeline(h1.backend, [UniformLoss(0.5)])
     assert h1.backend.nic._on_frame != original
     assert pipeline.attached
     pipeline.restore()
@@ -166,16 +165,16 @@ def test_pipeline_attach_and_restore_roundtrip():
     assert h1.backend.nic._on_frame == original
 
 
-def test_pipeline_context_manager_restores_on_exit():
+def test_pipeline_context_manager_restores_on_exit(build_fe_pair):
     _sim, _h0, h1, *_rest = build_fe_pair()
     original = h1.backend.nic._on_frame
-    with FramePipeline(h1.backend, [UniformLoss(1.0)]) as pipeline:
+    with attach_pipeline(h1.backend, [UniformLoss(1.0)]) as pipeline:
         assert h1.backend.nic._on_frame != original
     assert h1.backend.nic._on_frame == original
     assert pipeline.stats()["injected"] == 0
 
 
-def test_pipeline_drops_frames_end_to_end():
+def test_pipeline_drops_frames_end_to_end(build_fe_pair):
     sim, h0, h1, ep0, ep1, ch0, ch1 = build_fe_pair()
     received = []
 
@@ -190,7 +189,7 @@ def test_pipeline_drops_frames_end_to_end():
         for i in range(20):
             yield from ep0.send(ch0, bytes([i]) * 64)
 
-    with FramePipeline(h1.backend, [UniformLoss(0.5)], rng=RngRegistry(3)) as pipeline:
+    with attach_pipeline(h1.backend, [UniformLoss(0.5)], rng=RngRegistry(3)) as pipeline:
         sim.process(tx())
         sim.run(until=100_000.0)
     assert pipeline.stats()["injected"] == 20
@@ -199,26 +198,29 @@ def test_pipeline_drops_frames_end_to_end():
     assert len(received) == 20 - dropped
 
 
-def test_attach_pipeline_picks_the_substrate():
+def test_attach_pipeline_picks_the_substrate(build_fe_pair):
+    from repro.ethernet.frames import FrameWire
+
     _sim, _h0, h1, *_rest = build_fe_pair()
     pipeline = attach_pipeline(h1.backend, [UniformLoss(0.1)])
-    assert isinstance(pipeline, FramePipeline)
+    assert pipeline.wire is FrameWire
     pipeline.restore()
 
     from repro.atm import AtmNetwork
+    from repro.atm.cells import CellWire
     from repro.hw import PENTIUM_120
 
-    sim = Simulator()
-    atm = AtmNetwork(sim)
-    host = atm.add_host("a0", PENTIUM_120)
-    original = host.backend.on_cell
-    cell_pipeline = attach_pipeline(host.backend, [UniformLoss(0.1)])
-    assert host.backend.on_cell != original
-    cell_pipeline.restore()
-    assert host.backend.on_cell == original
+    with AtmNetwork(Simulator()) as atm:
+        host = atm.add_host("a0", PENTIUM_120)
+        original = host.backend.on_cell
+        cell_pipeline = attach_pipeline(host.backend, [UniformLoss(0.1)])
+        assert cell_pipeline.wire is CellWire
+        assert host.backend.on_cell != original
+        cell_pipeline.restore()
+        assert host.backend.on_cell == original
 
 
-def test_rx_fault_hooks_cover_every_nic():
+def test_rx_fault_hooks_cover_every_nic(build_fe_pair):
     _sim, _h0, h1, *_rest = build_fe_pair()
     hooks = h1.backend.rx_fault_hooks()
     assert [owner for owner, _attr in hooks] == list(h1.backend.nics)

@@ -20,20 +20,29 @@ SMALL = EndpointConfig(num_buffers=16, buffer_size=1024,
                        send_queue_depth=8, recv_queue_depth=4)
 
 
-def build_net(substrate="ethernet"):
-    sim = Simulator()
-    net = SwitchedNetwork(sim) if substrate == "ethernet" else AtmNetwork(sim)
-    return sim, net
+@pytest.fixture
+def build_net(closing):
+    """A fresh switch (or ATM switch), closed after the test."""
+    def build(substrate="ethernet"):
+        sim = Simulator()
+        net = closing(SwitchedNetwork(sim) if substrate == "ethernet" else AtmNetwork(sim))
+        return sim, net
+
+    return build
 
 
-def build_pair(substrate="ethernet", rx_config=None, rx_buffers=8):
-    sim, net = build_net(substrate)
-    h0 = net.add_host("tx", PENTIUM_120)
-    h1 = net.add_host("rx", PENTIUM_120)
-    sender = h0.create_endpoint(rx_buffers=8)
-    receiver = h1.create_endpoint(config=rx_config, rx_buffers=rx_buffers)
-    ch_tx, ch_rx = net.connect(sender, receiver)
-    return sim, sender, receiver, ch_tx
+@pytest.fixture
+def build_pair(build_net):
+    def build(substrate="ethernet", rx_config=None, rx_buffers=8):
+        sim, net = build_net(substrate)
+        h0 = net.add_host("tx", PENTIUM_120)
+        h1 = net.add_host("rx", PENTIUM_120)
+        sender = h0.create_endpoint(rx_buffers=8)
+        receiver = h1.create_endpoint(config=rx_config, rx_buffers=rx_buffers)
+        ch_tx, ch_rx = net.connect(sender, receiver)
+        return sim, sender, receiver, ch_tx
+
+    return build
 
 
 def blast(sim, sender, channel, count, payload=bytes(200)):
@@ -47,7 +56,7 @@ def blast(sim, sender, channel, count, payload=bytes(200)):
 # ------------------------------------------------------------ sick receivers
 
 
-def test_stalled_receiver_fills_queue_then_counts_receive_drops():
+def test_stalled_receiver_fills_queue_then_counts_receive_drops(build_pair):
     sim, sender, receiver, ch = build_pair(rx_config=SMALL)
     fault = StalledReceiver(receiver)
 
@@ -65,7 +74,7 @@ def test_stalled_receiver_fills_queue_then_counts_receive_drops():
     assert read(fault)["stifled_polls"] == 0  # recv() blocks, never polls
 
 
-def test_stalled_receiver_restore_wakes_blocked_consumer():
+def test_stalled_receiver_restore_wakes_blocked_consumer(build_pair):
     sim, sender, receiver, ch = build_pair(rx_config=SMALL)
     fault = StalledReceiver(receiver)
     consumed = []
@@ -87,7 +96,7 @@ def test_stalled_receiver_restore_wakes_blocked_consumer():
     assert consumed, "restore() must hand the backlog to the parked consumer"
 
 
-def test_slow_receiver_defers_recycles_and_throttles_polls():
+def test_slow_receiver_defers_recycles_and_throttles_polls(build_pair):
     sim, sender, receiver, ch = build_pair(rx_config=SMALL)
     fault = SlowReceiver(receiver, recycle_delay_us=2_000.0,
                          min_poll_interval_us=300.0)
@@ -112,7 +121,7 @@ def test_slow_receiver_defers_recycles_and_throttles_polls():
     assert stats["throttled_polls"] > 0
 
 
-def test_leaky_receiver_drains_free_queue_until_no_buffer_drops():
+def test_leaky_receiver_drains_free_queue_until_no_buffer_drops(build_pair):
     sim, sender, receiver, ch = build_pair(rx_config=SMALL)
     fault = LeakyReceiver(receiver)
 
@@ -134,7 +143,7 @@ def test_leaky_receiver_drains_free_queue_until_no_buffer_drops():
 
 
 @pytest.mark.parametrize("substrate", ["ethernet", "atm"])
-def test_sick_endpoint_damage_stays_in_its_own_queues(substrate):
+def test_sick_endpoint_damage_stays_in_its_own_queues(substrate, build_net):
     # a stalled endpoint and a healthy endpoint share one receiver host;
     # the stalled endpoint's drops must never appear on its neighbour
     sim, net = build_net(substrate)
@@ -168,7 +177,7 @@ def test_sick_endpoint_damage_stays_in_its_own_queues(substrate):
 
 
 @pytest.mark.parametrize("substrate", ["ethernet", "atm"])
-def test_misbehaving_sender_is_contained_by_typed_errors(substrate):
+def test_misbehaving_sender_is_contained_by_typed_errors(substrate, build_pair):
     sim, sender, receiver, ch = build_pair(substrate)
     delivered = []
 
@@ -199,7 +208,7 @@ def test_misbehaving_sender_is_contained_by_typed_errors(substrate):
 
 
 @pytest.mark.parametrize("substrate", ["ethernet", "atm"])
-def test_forged_unknown_tags_count_at_the_demux_table(substrate):
+def test_forged_unknown_tags_count_at_the_demux_table(substrate, build_pair):
     sim, sender, receiver, ch = build_pair(substrate)
     backend = receiver.host.backend
     before = backend.demux.unknown_tag_drops
@@ -213,7 +222,7 @@ def test_forged_unknown_tags_count_at_the_demux_table(substrate):
     assert all(count == 0 for count in receiver.endpoint.drop_stats().values())
 
 
-def test_receiver_fault_context_manager_restores_hooks():
+def test_receiver_fault_context_manager_restores_hooks(build_pair):
     sim, sender, receiver, ch = build_pair()
     original = receiver.endpoint.poll_receive
     with StalledReceiver(receiver) as fault:

@@ -13,8 +13,9 @@ from repro.core.substrates import (
     register_substrate,
     substrate_names,
 )
-from repro.faults.scripted import DatagramScriptedStage, ScheduledFault
+from repro.faults.scripted import ScheduledFault, ScriptedStage
 from repro.live import FRAME_HEADER_SIZE, run_live_case
+from repro.live.backend import DatagramWire
 
 from .conftest import require
 
@@ -87,9 +88,9 @@ def test_datagram_stage_peeks_past_the_frame_header():
 
     wire = bytes(FRAME_HEADER_SIZE) + encode(
         Packet(type=TYPE_REQUEST, handler=1, seq=0, ack=0))
-    stage = DatagramScriptedStage(
+    stage = ScriptedStage(
         [ScheduledFault(direction="fwd", seq=0, occurrence=0, action="drop")],
-        header_size=FRAME_HEADER_SIZE)
+        DatagramWire)
     out = []
     stage.process(wire, 0.0, lambda pdu, delay=0.0: out.append(pdu))
     assert out == [] and len(stage.fired) == 1

@@ -11,12 +11,13 @@ simulator clock.  The same AST walk keeps ``src/repro`` to one idiom for
 a plain sleep (``yield delay``, never a directly yielded ``.timeout()``)
 and the device packages to one idiom for a blocking sub-step
 (``yield from step()``, never a directly yielded ``sim.process(...)``)
-and one for a single delay nobody waits on (``sim.call_in``, never a
-dropped ``sim.process(...)`` of a one-``yield`` generator); and it holds
-``src/repro`` to one JSON artifact writer and one schema walker
-(``repro/artifact.py``), the simulated soaks to no ``repro.live``
-import, and a class's counters to a ``COUNTERS`` declaration rather
-than a hand-written method.
+and, with the fault stages, one for a single delay nobody waits on
+(``sim.call_in``, never a dropped ``sim.process(...)`` of a
+one-``yield`` generator); and it holds ``src/repro`` to one JSON
+artifact writer and one schema walker (``repro/artifact.py``), the
+simulated soaks to no ``repro.live`` import, the fault stages to no
+substrate import, and a class's counters to a ``COUNTERS`` declaration
+rather than a hand-written method.
 """
 
 import ast
@@ -324,11 +325,14 @@ def test_sub_step_lint_catches_a_planted_offender_and_spares_concurrency():
 
 # --------------------------- one delay and no waiter is a call_in, not a Process
 #: ``"file.py:generator"`` -> why it must stay a process although it
-#: sleeps once and nobody waits on it.  Empty since PR 16: the two sites,
-#: ``Dc21140._rx_collective`` and ``_tx_collective``, became callbacks.
-#: (``faults/`` has two generators of the same shape; the rule covers
-#: the device packages, whose paths run per cell and per frame.)
+#: sleeps once and nobody waits on it.  Empty: the device packages'
+#: sites (``Dc21140._rx_collective`` and ``_tx_collective``) and the
+#: fault layer's (a pipeline's delayed delivery, a slow receiver's
+#: deferred recycle) became callbacks.
 FIRE_AND_FORGET_ALLOWLIST = {}
+#: the device packages, whose paths run per cell and per frame, and the
+#: fault stages interposed on those paths
+FIRE_AND_FORGET_PACKAGES = SUBSTEP_LINT_PACKAGES + ("faults",)
 
 
 def _single_delay_generators(tree):
@@ -375,7 +379,7 @@ def test_a_single_delay_fire_and_forget_is_a_call_in():
     the blocking ``put`` (unyielded: the store queues it) only when the
     store is full."""
     offenders = []
-    for package in SUBSTEP_LINT_PACKAGES:
+    for package in FIRE_AND_FORGET_PACKAGES:
         for path in sorted((SRC_ROOT / package).rglob("*.py")):
             offenders.extend(f"{package}/{site}"
                              for site in _fire_and_forget_single_delays_in(path)
@@ -664,7 +668,9 @@ _SIMULATED_SOAKS = ("soak.py", "overload.py", "transport.py", "fabricsoak.py",
                     "stream.py")
 
 
-def _live_imports_in(path: pathlib.Path, source=None):
+def _imports_from(path: pathlib.Path, packages, source=None):
+    """Every import, function-local ones included, naming one of
+    ``packages`` anywhere in its dotted module path."""
     tree = ast.parse(source if source is not None
                      else path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
@@ -675,7 +681,7 @@ def _live_imports_in(path: pathlib.Path, source=None):
         else:
             continue
         for name in names:
-            if "live" in name.split("."):
+            if set(name.split(".")) & set(packages):
                 yield f"{path.name}:{node.lineno}: {name}"
 
 
@@ -683,14 +689,49 @@ def test_simulated_soaks_import_nothing_from_the_live_package():
     for name in _SIMULATED_SOAKS:
         path = SRC_ROOT / "faults" / name
         assert path.is_file(), f"stale entry: faults/{name}"
-        assert not list(_live_imports_in(path)), name
+        assert not list(_imports_from(path, {"live"})), name
     planted = ("def run():\n"
                "    from ..live.clock import WallClock\n"
                "    import repro.live\n"
                "    from ..sim import Simulator\n"
                "    from .delivery import check\n")
-    hits = list(_live_imports_in(pathlib.Path("planted.py"), source=planted))
+    hits = list(_imports_from(pathlib.Path("planted.py"), {"live"}, source=planted))
     assert [h.split(": ")[1] for h in hits] == ["live.clock", "repro.live"]
+
+
+#: the fault stages: all they know of a wire format is the backend's
+#: ``wire`` record, declared beside the substrate's PDU type
+_FAULT_STAGES = ("perturb.py", "inject.py", "scripted.py", "crash.py", "receiver.py")
+_SUBSTRATES = {"atm", "ethernet", "live"}
+
+
+def test_fault_stages_import_no_substrate():
+    """One place knows each wire format: the substrate.  A fault stage
+    that imports ``Cell`` or ``EthernetFrame`` is a branch per substrate
+    creeping back into the fault layer."""
+    for name in _FAULT_STAGES:
+        path = SRC_ROOT / "faults" / name
+        assert path.is_file(), f"stale entry: faults/{name}"
+        assert not list(_imports_from(path, _SUBSTRATES)), (
+            f"faults/{name} imports a substrate: "
+            f"{list(_imports_from(path, _SUBSTRATES))}")
+
+
+def test_substrate_import_lint_catches_planted_imports_and_spares_the_rest():
+    planted = ("from ..am.protocol import mark_ce\n"
+               "from .perturb import Emit\n"
+               "def forge(backend, rng):\n"
+               "    from ..atm.cells import Cell\n"
+               "    import repro.ethernet.frames\n"
+               "    from ..sim.rng import RngRegistry\n"
+               "from repro.live import LiveBackend\n")
+    here = pathlib.Path("planted.py")
+    hits = list(_imports_from(here, _SUBSTRATES, source=planted))
+    assert sorted(h.split(": ")[1] for h in hits) == [
+        "atm.cells", "repro.ethernet.frames", "repro.live"]
+    spared = "\n".join(line for line in planted.splitlines()
+                       if not any(package in line for package in _SUBSTRATES))
+    assert not list(_imports_from(here, _SUBSTRATES, source=spared))
 
 
 # ------------------------------------------- counters declared, not written
