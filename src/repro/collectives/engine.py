@@ -188,17 +188,16 @@ def _combine(contrib: Dict[int, bytes], op: str, dtype: str) -> bytes:
     """
     import numpy as np
 
+    dt = np.dtype(dtype)
     arrays = []
-    length = None
     for node in sorted(contrib):
-        array = np.frombuffer(contrib[node], dtype=np.dtype(dtype))
-        if length is None:
-            length = array.shape[0]
-        elif array.shape[0] != length:
+        raw = contrib[node]
+        if len(raw) % dt.itemsize or (arrays and len(raw) != arrays[0].nbytes):
             raise CollectiveError(
-                f"reduce contributions disagree on length ({array.shape[0]} vs {length})"
+                f"reduce contributions disagree on length, or are not whole "
+                f"{dtype!r} elements ({len(raw)} bytes from node {node})"
             )
-        arrays.append(array)
+        arrays.append(np.frombuffer(raw, dtype=dt))
     out = arrays[0].copy()
     fn = {"sum": np.add, "max": np.maximum, "min": np.minimum}[op]
     for array in arrays[1:]:
@@ -366,6 +365,11 @@ class NicCollectiveEngine:
         """Adapter ingress: one collective packet arrived at this NIC."""
         if self.crashed:
             return  # a dead NIC neither receives nor acks
+        if len(raw) < _HEADER.size or not ARRIVE <= raw[0] <= ACK:
+            # refused before it is counted, and so before it is acked
+            raise CollectiveError(
+                f"node {self.node}: malformed collective packet "
+                f"({len(raw)} bytes, kind {raw[0] if raw else None})")
         kind, meta, gen, src, epoch = _HEADER.unpack_from(raw)
         payload = raw[_HEADER.size:]
         self.packets_received += 1
@@ -388,10 +392,8 @@ class NicCollectiveEngine:
             self._on_bcast(gen, payload)
         elif kind == REDUCE_UP:
             self._on_reduce_up(gen, src, meta, payload)
-        elif kind == RESULT:
+        else:  # RESULT
             self._deliver_result(gen, payload)
-        else:
-            raise CollectiveError(f"node {self.node}: unknown packet kind {kind}")
 
     # ---------------------------------------------------- firmware: barrier
     def _on_arrive(self, gen: int, src: int) -> None:
@@ -450,6 +452,8 @@ class NicCollectiveEngine:
             if cached is not None:
                 self._send_reliable(src, RESULT, gen, 0, cached)
             return
+        if meta & 0x3 >= len(REDUCE_OPS) or meta >> 2 >= len(REDUCE_DTYPES):
+            raise CollectiveError(f"node {self.node}: unknown reduce op/dtype {meta:#04x}")
         state = self._reduce_state.setdefault(gen, _ReduceState())
         if state.op is None:
             state.op = REDUCE_OPS[meta & 0x3]

@@ -16,14 +16,15 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".checker": (
-        "BUGS", "CaseReport", "Divergence", "SUBSTRATES", "diff_case",
-        "inject_bug", "render_report", "run_case", "run_substrate",
+        "BUGS", "CaseReport", "Divergence", "SUBSTRATES", "SubstrateUnavailable",
+        "diff_case", "inject_bug", "render_report", "run_case", "run_substrate",
+        "runner",
     ),
     ".fabric": (
         "FABRIC_BUGS", "FabricCaseReport", "inject_fabric_bug",
         "render_fabric_case", "run_fabric_case",
     ),
-    ".model": ("RefTrace", "run_reference"),
+    ".model": ("run_reference",),
     ".observe": ("ObservationProbe", "ObservedTrace"),
     ".schedule": (
         "CONFIG_PRESETS", "ConformanceCase", "Message", "generate_case",

@@ -27,29 +27,29 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import networks
 from ..am import AmEndpoint
 from ..am.core import AmCore, handshake_settled
 from ..core import EndpointConfig
 from ..core.errors import UNetError
-from ..core.substrates import get_substrate, register_substrate
 from ..faults.crash import EndpointLifecycle, LifecycleStage
 from ..faults.inject import attach_pipeline
 from ..faults.scripted import ScriptedStage
 from ..faults.stream import stream_payload
 from ..sim import Simulator
 from ..telemetry import total
-from .model import RefTrace, run_reference
+from .model import run_reference
 from .observe import ObservationProbe, ObservedTrace
 from .schedule import ConformanceCase
 
 __all__ = ["Divergence", "CaseReport", "CaseRig", "run_substrate", "run_case",
-           "diff_case", "render_report", "BUGS", "inject_bug", "SUBSTRATES"]
+           "diff_case", "render_report", "BUGS", "inject_bug", "SUBSTRATES",
+           "SubstrateUnavailable", "runner"]
 
-#: the default (always-runnable) substrate set; wall-clock substrates
-#: like "live" join a run by name via the registry
+#: the simulated (always-runnable) substrates and the default set; the
+#: wall-clock ones, ``networks.LIVE``, join a run by name
 SUBSTRATES = ("atm", "ethernet")
 
 #: wall-clock drain after the workload completes, so tail
@@ -74,7 +74,7 @@ class CaseReport:
     """Everything one differential run produced."""
 
     case: ConformanceCase
-    ref: RefTrace
+    ref: ObservedTrace
     traces: Dict[str, ObservedTrace]
     divergences: List[Divergence] = field(default_factory=list)
     bug: Optional[str] = None
@@ -383,7 +383,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
 
 
 # ------------------------------------------------------------------- diffing
-def _diff_crash(case: ConformanceCase, ref: RefTrace, obs: ObservedTrace,
+def _diff_crash(case: ConformanceCase, ref: ObservedTrace, obs: ObservedTrace,
                 name: str) -> List[Divergence]:
     """The crash-recovery delivery contract, checked per substrate.
 
@@ -445,7 +445,7 @@ def _diff_crash(case: ConformanceCase, ref: RefTrace, obs: ObservedTrace,
     return out
 
 
-def diff_case(case: ConformanceCase, ref: RefTrace,
+def diff_case(case: ConformanceCase, ref: ObservedTrace,
               traces: Dict[str, ObservedTrace],
               relaxed: Sequence[str] = ()) -> List[Divergence]:
     """Every observable disagreement between executions and the spec.
@@ -566,31 +566,40 @@ def diff_case(case: ConformanceCase, ref: RefTrace,
     return out
 
 
+class SubstrateUnavailable(RuntimeError):
+    """A named substrate exists but cannot run on this machine."""
+
+
+def runner(name: str) -> Callable:
+    """The ``(case, bug=None) -> ObservedTrace`` runner of substrate ``name``.
+
+    A :data:`SUBSTRATES` name runs in the simulator.  A ``networks.LIVE``
+    name runs on real sockets, and raises :class:`SubstrateUnavailable`
+    here when this machine lacks its transport: a replay must fail
+    loudly, not re-verify on whatever subset happens to work.
+    """
+    if name in SUBSTRATES:
+        return partial(run_substrate, substrate=name)
+    if name in networks.LIVE:
+        from ..live.conform import live_runner
+
+        return live_runner(*networks.LIVE[name])
+    raise ValueError(f"unknown substrate {name!r}; "
+                     f"choose from {SUBSTRATES + tuple(networks.LIVE)}")
+
+
 def run_case(case: ConformanceCase, substrates: Sequence[str] = SUBSTRATES,
              bug: Optional[str] = None) -> CaseReport:
     """The full differential run: reference model + each substrate.
 
-    Substrate names resolve through the registry, so ``"live"`` /
-    ``"live-unix"`` / ``"live-udp"`` work here once :mod:`repro.live`
-    is importable; their ``relaxed_timing`` flag feeds the diff.
+    A live name relaxes timing: its retransmission band is not diffed.
     """
     ref = run_reference(case)
-    traces: Dict[str, ObservedTrace] = {}
-    relaxed = []
-    for name in substrates:
-        spec = get_substrate(name)
-        traces[name] = spec.runner(case, bug=bug)
-        if spec.relaxed_timing:
-            relaxed.append(name)
+    traces = {name: runner(name)(case, bug=bug) for name in substrates}
+    relaxed = [name for name in substrates if name in networks.LIVE]
     return CaseReport(case=case, ref=ref, traces=traces,
                       divergences=diff_case(case, ref, traces, relaxed=relaxed),
                       bug=bug)
-
-
-# -------------------------------------------------------------- registration
-for _name in SUBSTRATES:
-    register_substrate(_name, partial(run_substrate, substrate=_name),
-                       description=f"simulated {networks.get(_name).label}")
 
 
 # ----------------------------------------------------------------- reporting
@@ -599,11 +608,7 @@ def render_report(report: CaseReport, context: bool = True) -> str:
     lines = [report.case.describe()]
     if report.bug:
         lines.append(f"  injected bug: {report.bug} — {BUGS[report.bug]['description']}")
-    ref = report.ref
-    lines.append(f"  reference: dispatched={len(ref.dispatched)} replies={len(ref.replies)} "
-                 f"rexmit={ref.rexmit} drops={ref.drop_classes or '{}'} "
-                 f"fired={len(ref.fired)} ticks={ref.ticks}")
-    for name, obs in report.traces.items():
+    for name, obs in {report.ref.substrate: report.ref, **report.traces}.items():
         lines.append(f"  {name:9s}: completed={obs.completed} "
                      f"dispatched={len(obs.dispatched)} replies={len(obs.replies)} "
                      f"rexmit={obs.rexmit} dup_rx={obs.dup_rx} "

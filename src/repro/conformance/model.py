@@ -50,7 +50,7 @@ sender one link time later; traffic still stamped for the dead
 incarnation is fenced as ``stale_epoch_drops`` — including, always, the
 head retransmission whose arrival triggered the restart; and on HELLO
 the sender *abandons* every outstanding send (``peer_dead_drops``,
-listed in :attr:`RefTrace.abandoned`) rather than replaying into the
+listed in :attr:`ObservedTrace.abandoned`) rather than replaying into the
 new numbering — the at-most-once contract.  Crash cases are
 request-only and fence on the forward path only; the model refuses
 anything wider rather than guess at semantics it does not define.
@@ -58,14 +58,14 @@ anything wider rather than guess at semantics it does not define.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..am.spec import (ecn_backoff_allowed, reorder_admit, sack_block,
                        sack_retransmit_plan)
+from .observe import ObservedTrace
 from .schedule import ConformanceCase
 
-__all__ = ["RefTrace", "run_reference", "TICK_US", "TICK_LIMIT"]
+__all__ = ["run_reference", "TICK_US", "TICK_LIMIT"]
 
 #: one model tick in (nominal) microseconds — only used to convert a
 #: schedule's delay_us into ticks
@@ -84,48 +84,6 @@ TICK_LIMIT = 60_000
 #: the ATM single-cell fast path tops out at 40 wire bytes ~ 12 data
 #: bytes once the 26-byte AM header and 2-byte credit word are paid)
 INLINE_DATA_MAX = 12
-
-
-@dataclass
-class RefTrace:
-    """What the reference model says must (and may) happen."""
-
-    completed: bool
-    #: request ids dispatched at the receiver, in order
-    dispatched: List[int]
-    #: request seqs whose RPC replies completed at the sender, in order
-    replies: List[int]
-    #: total retransmissions, both directions
-    rexmit: int
-    #: scheduled faults that fired, in hit order
-    fired: List = field(default_factory=list)
-    #: drops the model itself incurred, by class
-    drop_classes: Dict[str, int] = field(default_factory=dict)
-    ticks: int = 0
-    #: request ids abandoned at reconnect (their at-most-once fate)
-    abandoned: List[int] = field(default_factory=list)
-    #: lifecycle faults that fired, in hit order
-    lifecycle_fired: List = field(default_factory=list)
-    #: congestion marks the receiver noted (ECN mode)
-    ecn_marks: int = 0
-    #: congestion echoes the receiver sent back (ECN mode)
-    ecn_echoes: int = 0
-    #: window backoffs the sender took on echoes (ECN mode)
-    ecn_backoffs: int = 0
-
-    def fired_keys(self, occurrence: int = 0) -> List[Tuple[str, int, int, str]]:
-        """Canonical (direction, seq, occurrence, action) tuples for the
-        fired events at the given occurrence — the substrate-invariant
-        part of the fired log (later occurrences depend on timing)."""
-        return sorted((f.direction, f.seq, f.occurrence, f.action)
-                      for f in self.fired if f.occurrence == occurrence)
-
-    def lifecycle_keys(self) -> List[Tuple[str, int, int]]:
-        """Canonical (kind, seq, occurrence) tuples of the fired
-        lifecycle events — every occurrence, because a lifecycle
-        address is an exact contract on every substrate."""
-        return sorted((e.kind, e.seq, e.occurrence)
-                      for e in self.lifecycle_fired)
 
 
 class _Sender:
@@ -182,8 +140,9 @@ class _Sender:
         return min(unsacked) if unsacked else min(self.unacked)
 
 
-def run_reference(case: ConformanceCase) -> RefTrace:
-    """Interpret ``case`` under the reference semantics."""
+def run_reference(case: ConformanceCase) -> ObservedTrace:
+    """Interpret ``case`` under the reference semantics: the trace every
+    substrate's must agree with, as substrate ``"model"``."""
     config = case.am_config()
     window = config.window
     credit_flow = config.credit_flow
@@ -246,6 +205,22 @@ def run_reference(case: ConformanceCase) -> RefTrace:
 
     def post(tick: int, kind: str, *data) -> None:
         agenda.setdefault(tick, []).append((kind, data))
+
+    def send(sender: _Sender, seq: int, tick: int) -> None:
+        """Transmit ``seq`` through its direction's fault schedule and
+        post the surviving copy, and its duplicate, for arrival."""
+        sent = sender.transmit(seq)
+        if sent is None:
+            return
+        delay, dup, marked = sent
+        if sender is fwd:
+            msg_id, message = fwd.unacked[seq]
+            data = ("fwd_data", seq, msg_id, message.rpc,
+                    message.size > INLINE_DATA_MAX, sender_gen, marked)
+        else:
+            data = ("rev_data", seq, rev.unacked[seq])
+        for extra in range(1 + dup):
+            post(tick + delay + extra, *data)
 
     def capacity1() -> int:
         return max(0, min(case.recv_queue_depth - len(queue1), free1))
@@ -379,16 +354,7 @@ def run_reference(case: ConformanceCase) -> RefTrace:
                             continue
                         fwd.sack_rexmitted.add(hole)
                         fwd.rexmit += 1
-                        sent = fwd.transmit(hole)
-                        if sent is not None:
-                            delay, dup, h_marked = sent
-                            h_id, h_msg = fwd.unacked[hole]
-                            h_nb = h_msg.size > INLINE_DATA_MAX
-                            post(t + delay, "fwd_data", hole, h_id,
-                                 h_msg.rpc, h_nb, sender_gen, h_marked)
-                            if dup:
-                                post(t + delay + 1, "fwd_data", hole, h_id,
-                                     h_msg.rpc, h_nb, sender_gen, h_marked)
+                        send(fwd, hole, t)
                 if ecn_mode and ece and ecn_backoff_allowed(ack_value,
                                                            ecn_round_end):
                     # mark-echo AIMD, once per round: react, then ignore
@@ -443,12 +409,7 @@ def run_reference(case: ConformanceCase) -> RefTrace:
             rev.next_seq += 1
             rev.unacked[seq] = req_seq
             rev.last_progress = t
-            sent = rev.transmit(seq)
-            if sent is not None:
-                delay, dup, _marked = sent
-                post(t + delay, "rev_data", seq, req_seq)
-                if dup:
-                    post(t + delay + 1, "rev_data", seq, req_seq)
+            send(rev, seq, t)
 
         # 4. workload sends: window- and credit-gated, RPCs block
         while op_index < len(case.messages) and waiting_reply is None:
@@ -466,43 +427,17 @@ def run_reference(case: ConformanceCase) -> RefTrace:
                 remote_credit -= 1
             if message.rpc:
                 waiting_reply = seq
-            sent = fwd.transmit(seq)
-            needs_buffer = message.size > INLINE_DATA_MAX
-            if sent is not None:
-                delay, dup, marked = sent
-                post(t + delay, "fwd_data", seq, op_index, message.rpc,
-                     needs_buffer, sender_gen, marked)
-                if dup:
-                    post(t + delay + 1, "fwd_data", seq, op_index, message.rpc,
-                         needs_buffer, sender_gen, marked)
+            send(fwd, seq, t)
             op_index += 1
 
         # 5. go-back-N: retransmit a stalled window's head
-        for sender, kind_args in ((fwd, "fwd"), (rev, "rev")):
+        for sender in (fwd, rev):
             if sender.unacked and t - sender.last_progress >= RTO_TICKS:
                 # a timeout opens a new selective-retransmit round
                 sender.sack_rexmitted.clear()
-                head = sender.head()
                 sender.rexmit += 1
                 sender.last_progress = t
-                sent = sender.transmit(head)
-                if sent is not None:
-                    delay, dup, marked = sent
-                    if kind_args == "fwd":
-                        msg_id, message = sender.unacked[head]
-                        post(t + delay, "fwd_data", head, msg_id, message.rpc,
-                             message.size > INLINE_DATA_MAX, sender_gen,
-                             marked)
-                        if dup:
-                            post(t + delay + 1, "fwd_data", head, msg_id,
-                                 message.rpc,
-                                 message.size > INLINE_DATA_MAX, sender_gen,
-                                 marked)
-                    else:
-                        req_seq = sender.unacked[head]
-                        post(t + delay, "rev_data", head, req_seq)
-                        if dup:
-                            post(t + delay + 1, "rev_data", head, req_seq)
+                send(sender, sender.head(), t)
 
         # 6. termination: workload done, nothing in flight, queues dry
         if (op_index == len(case.messages) and waiting_reply is None
@@ -513,14 +448,15 @@ def run_reference(case: ConformanceCase) -> RefTrace:
             break
         t += 1
 
-    return RefTrace(
+    return ObservedTrace(
+        substrate="model",
         completed=completed,
         dispatched=dispatched,
         replies=replies,
         rexmit=fwd.rexmit + rev.rexmit,
         fired=fwd.fired + rev.fired,
         drop_classes=drop_classes,
-        ticks=t,
+        completion_time_us=t * TICK_US,
         abandoned=abandoned,
         lifecycle_fired=life_fired,
         ecn_marks=ecn_marks1,

@@ -12,7 +12,7 @@ failing cases replayable artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from ..am import AmConfig
@@ -59,7 +59,7 @@ class Message:
     rpc: bool = False
 
     def to_dict(self) -> dict:
-        return {"size": self.size, "rpc": self.rpc}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Message":
@@ -159,17 +159,7 @@ class ConformanceCase:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_name": self.config_name,
-            "messages": [m.to_dict() for m in self.messages],
-            "faults": [f.to_dict() for f in self.faults],
-            "lifecycle": [e.to_dict() for e in self.lifecycle],
-            "recv_queue_depth": self.recv_queue_depth,
-            "rx_buffers": self.rx_buffers,
-            "dispatch_overhead_us": self.dispatch_overhead_us,
-            "time_limit_us": self.time_limit_us,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConformanceCase":
@@ -207,27 +197,7 @@ def generate_case(seed: int, config_name: str = "fixed", n_messages: int = 12) -
 
     fr = scoped.stream("faults")
     faults: List[ScheduledFault] = []
-    if config_name == "sack":
-        # reorder-heavy: delays make later packets overtake earlier
-        # ones, which is exactly what the reorder buffer + selective
-        # retransmit machinery exists for
-        for _ in range(1 + fr.randrange(4)):
-            direction = "rev" if (n_replies and fr.random() < 0.2) else "fwd"
-            seq = fr.randrange(n_replies) if direction == "rev" else fr.randrange(n_messages)
-            occurrence = 0 if fr.random() < 0.8 else 1
-            roll = fr.random()
-            if roll < 0.40:
-                action, delay = "drop", 0.0
-            elif roll < 0.85:
-                action, delay = "delay", fr.choice(_DELAYS_US)
-            else:
-                action, delay = "dup", 0.0
-            fault = ScheduledFault(direction=direction, seq=seq,
-                                   occurrence=occurrence, action=action,
-                                   delay_us=delay)
-            if fault not in faults:
-                faults.append(fault)
-    elif config_name == "ecn":
+    if config_name == "ecn":
         # request-path faults only, marks on first transmissions only:
         # the model's echo/backoff predictions are substrate-invariant
         # exactly because no echo-bearing reverse packet is ever faulted
@@ -248,12 +218,16 @@ def generate_case(seed: int, config_name: str = "fixed", n_messages: int = 12) -
             if fault not in faults:
                 faults.append(fault)
     else:
-        for _ in range(fr.randrange(4)):
-            direction = "rev" if (n_replies and fr.random() < 0.25) else "fwd"
+        # sack is reorder-heavy: delays make later packets overtake
+        # earlier ones, which is exactly what the reorder buffer +
+        # selective retransmit machinery exists for
+        extra, p_rev, p_drop = (1, 0.2, 0.40) if config_name == "sack" else (0, 0.25, 0.60)
+        for _ in range(extra + fr.randrange(4)):
+            direction = "rev" if (n_replies and fr.random() < p_rev) else "fwd"
             seq = fr.randrange(n_replies) if direction == "rev" else fr.randrange(n_messages)
             occurrence = 0 if fr.random() < 0.8 else 1
             roll = fr.random()
-            if roll < 0.60:
+            if roll < p_drop:
                 action, delay = "drop", 0.0
             elif roll < 0.85:
                 action, delay = "delay", fr.choice(_DELAYS_US)

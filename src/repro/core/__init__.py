@@ -40,27 +40,11 @@ from .tenancy import (
     QosClass,
     qos_class,
 )
-from .substrates import (
-    SubstrateSpec,
-    SubstrateUnavailable,
-    available_substrates,
-    ensure_available,
-    get_substrate,
-    register_substrate,
-    substrate_names,
-)
 
 __all__ = [
     "Clock",
     "ClockShim",
     "ManualClock",
-    "SubstrateSpec",
-    "SubstrateUnavailable",
-    "register_substrate",
-    "get_substrate",
-    "substrate_names",
-    "available_substrates",
-    "ensure_available",
     "Host",
     "UserEndpoint",
     "ReceivedMessage",

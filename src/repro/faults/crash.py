@@ -31,7 +31,7 @@ at an endpoint that is already gone.  Deterministic on every substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .perturb import Emit
@@ -71,8 +71,7 @@ class LifecycleFault:
             raise ValueError("seq and occurrence must be non-negative")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "direction": self.direction,
-                "seq": self.seq, "occurrence": self.occurrence}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LifecycleFault":

@@ -251,36 +251,26 @@ def run_overload(
     healthy_sender_ams: List[AmEndpoint] = []
     receiver_ams: List[AmEndpoint] = []
 
-    if scenario.shared_receiver:
+    def receiver(node: int) -> AmEndpoint:
         user_rx = rx_host.create_endpoint(config=endpoint_config,
                                           rx_buffers=scenario.rx_buffers)
-        am_rx = AmEndpoint(0, user_rx, config=rx_am_config)
+        am_rx = AmEndpoint(node, user_rx, config=rx_am_config)
         am_rx.register_handler(1, make_handler())
         receiver_ams.append(am_rx)
         monitor.watch(user_rx.endpoint)
-        for i in range(scenario.healthy_senders):
-            host = net.add_host(f"s{i}", PENTIUM_120)
-            user = host.create_endpoint(rx_buffers=32)
-            ch_rx, ch_s = net.connect(user_rx, user)
-            am_rx.connect_peer(1 + i, ch_rx)
-            am = AmEndpoint(1 + i, user, config=am_config)
-            am.connect_peer(0, ch_s)
-            healthy_sender_ams.append(am)
-    else:
-        for i in range(scenario.healthy_senders):
-            host = net.add_host(f"s{i}", PENTIUM_120)
-            user = host.create_endpoint(rx_buffers=32)
-            user_rx = rx_host.create_endpoint(config=endpoint_config,
-                                              rx_buffers=scenario.rx_buffers)
-            ch_rx, ch_s = net.connect(user_rx, user)
-            am_rx = AmEndpoint(100 + i, user_rx, config=rx_am_config)
-            am_rx.register_handler(1, make_handler())
-            am_rx.connect_peer(1 + i, ch_rx)
-            receiver_ams.append(am_rx)
-            monitor.watch(user_rx.endpoint)
-            am = AmEndpoint(1 + i, user, config=am_config)
-            am.connect_peer(100 + i, ch_s)
-            healthy_sender_ams.append(am)
+        return am_rx
+
+    # one endpoint all senders share, or one per healthy pair
+    shared = receiver(0) if scenario.shared_receiver else None
+    for i in range(scenario.healthy_senders):
+        host = net.add_host(f"s{i}", PENTIUM_120)
+        user = host.create_endpoint(rx_buffers=32)
+        am_rx = shared or receiver(100 + i)
+        ch_rx, ch_s = net.connect(am_rx.user, user)
+        am_rx.connect_peer(1 + i, ch_rx)
+        am = AmEndpoint(1 + i, user, config=am_config)
+        am.connect_peer(am_rx.node, ch_s)
+        healthy_sender_ams.append(am)
 
     # -- the sick endpoint and its blasters --------------------------------
     sick_fault = None

@@ -22,7 +22,7 @@ protocol's recovery path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..am.protocol import TYPE_REPLY, TYPE_REQUEST, mark_ce, peek_type_seq
@@ -64,9 +64,7 @@ class ScheduledFault:
             raise ValueError("delay action needs delay_us > 0")
 
     def to_dict(self) -> dict:
-        return {"direction": self.direction, "seq": self.seq,
-                "occurrence": self.occurrence, "action": self.action,
-                "delay_us": self.delay_us}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduledFault":

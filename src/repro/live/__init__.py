@@ -10,10 +10,9 @@ the drop-accounting vocabulary, and the Active Messages wire protocol
 are shared with the simulated substrates; only time is real.
 
 Importing this package loads none of it: each export's home submodule
-is imported on first use.  The ``live*`` conformance substrates are
-registered by :mod:`repro.live.conform`, the module that defines their
-runner, which :func:`repro.core.substrates.get_substrate` imports by
-name.
+is imported on first use.  The ``live*`` conformance substrates are the
+rows of ``repro.networks.LIVE``; ``repro.conformance.checker.runner``
+resolves one through :func:`repro.live.conform.live_runner`.
 """
 
 from .._lazy import lazy_exports
@@ -30,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".bufpool": ("BufferPool", "PooledSlice", "PoolExhausted"),
     ".clock": ("WallClock",),
-    ".conform": ("register_live_substrates", "run_live_case"),
+    ".conform": ("live_runner", "run_live_case"),
     ".doorbell": ("DEFAULT_DOORBELL_MODE", "DOORBELL_MODES", "EventDoorbell"),
     ".mmsg": ("mmsg_available", "mmsg_path"),
     ".transport": (

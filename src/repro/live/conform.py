@@ -8,12 +8,11 @@ same :class:`~repro.conformance.observe.ObservedTrace` shape, so the
 differential checker can diff ATM vs FE vs reference model vs wall
 clock in one report.
 
-Live executions register with ``relaxed_timing=True``: retransmission
-counts depend on when the OS scheduler ran the doorbell loop, so the
-checker compares them only loosely.  Everything semantic — dispatch
-order, reply sets, drop classes, occurrence-0 fault hits, the online
-window/credit/continuity invariants — is compared exactly; that is the
-point of the exercise.
+A live name relaxes timing: retransmission counts depend on when the
+OS scheduler ran the doorbell loop, so the checker compares them only
+loosely.  Everything semantic — dispatch order, reply sets, drop
+classes, occurrence-0 fault hits, the online window/credit/continuity
+invariants — is compared exactly; that is the point of the exercise.
 
 The checker's bug library patches the protocol core's spec seams, so
 ``bug=`` injects the very same broken variant here as on the simulated
@@ -23,24 +22,24 @@ on a wall-clock execution.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..am.am import AmError
-from ..conformance.checker import CaseRig, inject_bug
+from ..conformance.checker import CaseRig, SubstrateUnavailable, inject_bug
 from ..conformance.observe import ObservedTrace
 from ..conformance.schedule import ConformanceCase
 from ..core import EndpointConfig
 from ..core.errors import UNetError
-from ..core.substrates import register_substrate
 from ..faults.crash import ChainedStage
 from ..faults.stream import stream_payload
 from .am import LiveAm
 from .backend import LiveCluster
 from .clock import WallClock
 from .doorbell import DEFAULT_DOORBELL_MODE
-from .transport import available_transport_kinds, make_transport, transport_available
+from .transport import available_transport_kinds, make_transport
 
-__all__ = ["run_live_case", "WALL_LIMIT_US", "register_live_substrates"]
+__all__ = ["run_live_case", "WALL_LIMIT_US", "live_runner"]
 
 #: hard wall-clock ceiling per live execution, whatever the case says
 WALL_LIMIT_US = 8_000_000.0
@@ -139,45 +138,17 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
         return rig.finish(completed, completion)
 
 
-# -------------------------------------------------------------- registration
-def _auto_kind() -> str:
+# ----------------------------------------------------------------- lookup
+def live_runner(kind: Optional[str], mode: Optional[str]) -> Callable:
+    """The conformance runner for one ``networks.LIVE`` row: transport
+    ``kind`` (None: the best one here, unix before udp) under doorbell
+    ``mode`` (None: the default)."""
     kinds = available_transport_kinds()
-    if not kinds:
-        raise RuntimeError("no live transport available on this machine")
-    return kinds[0]  # prefer unix (SHM-like) when it exists
-
-
-def register_live_substrates() -> None:
-    """Install U-Net/OS runners in the global substrate registry."""
-    register_substrate(
-        "live", lambda case, bug=None: run_live_case(case, _auto_kind(), bug=bug),
-        available=lambda: bool(available_transport_kinds()),
-        relaxed_timing=True,
-        description="U-Net/OS on the best available local transport")
-    register_substrate(
-        "live-unix", lambda case, bug=None: run_live_case(case, "unix", bug=bug),
-        available=lambda: transport_available("unix"),
-        relaxed_timing=True,
-        description="U-Net/OS over AF_UNIX datagram sockets")
-    register_substrate(
-        "live-udp", lambda case, bug=None: run_live_case(case, "udp", bug=bug),
-        available=lambda: transport_available("udp"),
-        relaxed_timing=True,
-        description="U-Net/OS over UDP loopback")
-    register_substrate(
-        "live-batched",
-        lambda case, bug=None: run_live_case(case, _auto_kind(), bug=bug,
-                                             doorbell_mode="batched"),
-        available=lambda: bool(available_transport_kinds()),
-        relaxed_timing=True,
-        description="U-Net/OS with pooled zero-copy batched doorbells")
-    register_substrate(
-        "live-event",
-        lambda case, bug=None: run_live_case(case, _auto_kind(), bug=bug,
-                                             doorbell_mode="event"),
-        available=lambda: bool(available_transport_kinds()),
-        relaxed_timing=True,
-        description="U-Net/OS with the epoll event doorbell")
-
-
-register_live_substrates()
+    if kind is None and kinds:
+        kind = kinds[0]
+    if kind not in kinds:
+        raise SubstrateUnavailable(
+            f"this machine has no {kind or 'local'} live transport "
+            f"(available: {list(kinds) or 'none'})")
+    return partial(run_live_case, transport_kind=kind,
+                   doorbell_mode=mode or DEFAULT_DOORBELL_MODE)

@@ -10,6 +10,8 @@ Section-5 cluster's CPUs, who runs U-Net on it, how many channels one
 host can hold.  ``Cluster``, the soaks' and the conformance checker's
 two-host rigs, the journey tracer, the collectives grid and the CLI all
 look a name up here; none of them compares substrate strings.
+:data:`LIVE` names the wall-clock substrates the conformance checker
+runs beside the simulated ones: every substrate name is declared here.
 
 Adding a network generation (Gigabit, 10G) is one row plus one timings
 record for its NI/link/switch models — the shape of a NED
@@ -24,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .hw.cpu import PENTIUM_90, PENTIUM_120, SPARCSTATION_10, SPARCSTATION_20, CpuModel
 
-__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "TooManyHosts", "names",
+__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "LIVE", "TooManyHosts", "names",
            "get", "fe_cluster_cpus", "atm_cluster_cpus", "clos_shape"]
 
 
@@ -152,6 +154,16 @@ NETWORKS: Dict[str, Network] = {row.name: row for row in (
 )}
 
 _BY_ALIAS = {alias: row for row in NETWORKS.values() for alias in row.aliases}
+
+#: U-Net/OS on real sockets: name -> (transport kind, doorbell mode);
+#: None is the best transport on this machine, or the default doorbell
+LIVE: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    "live": (None, None),
+    "live-unix": ("unix", None),
+    "live-udp": ("udp", None),
+    "live-batched": (None, "batched"),
+    "live-event": (None, "event"),
+}
 
 
 def names() -> Tuple[str, ...]:

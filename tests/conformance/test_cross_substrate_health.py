@@ -10,6 +10,7 @@ substrates, even though their service timings differ.
 
 import pytest
 
+from repro import networks
 from repro.core import EndpointConfig
 from repro.core.health import (
     POLICY_BACKPRESSURE,
@@ -33,14 +34,7 @@ _HEALTH_KW = dict(check_period_us=CHECK_US, ewma_alpha=0.5,
 
 def _build(substrate, policy):
     sim = Simulator()
-    if substrate == "atm":
-        from repro.atm import AtmNetwork
-
-        net = AtmNetwork(sim)
-    else:
-        from repro.ethernet import SwitchedNetwork
-
-        net = SwitchedNetwork(sim)
+    net = networks.get(substrate).build(sim)
     h0 = net.add_host("n0", PENTIUM_120)
     h1 = net.add_host("n1", PENTIUM_120)
     ep0 = h0.create_endpoint(config=EndpointConfig(num_buffers=64, buffer_size=256,
@@ -54,13 +48,15 @@ def _build(substrate, policy):
     ch0, _ch1 = net.connect(ep0, ep1)
     monitor = HealthMonitor(sim, HealthConfig(policy=policy, **_HEALTH_KW))
     record = monitor.watch(ep1.endpoint)
-    return sim, ep0, ep1, ch0, monitor, record
+    return net, ep0, ep1, ch0, monitor, record
 
 
 def _overload_run(substrate, policy, drain=True, release=False, until=8000.0):
     """Flood the victim, optionally drain it afterwards; return the
-    deduplicated state trajectory plus the final record/endpoint."""
-    sim, ep0, ep1, ch0, monitor, record = _build(substrate, policy)
+    deduplicated state trajectory plus the final record/endpoint (the
+    network closed, its counters still readable)."""
+    net, ep0, ep1, ch0, monitor, record = _build(substrate, policy)
+    sim = net.sim
     trajectory = []
 
     def flood():
@@ -90,10 +86,11 @@ def _overload_run(substrate, policy, drain=True, release=False, until=8000.0):
             if not trajectory or trajectory[-1] != record.state:
                 trajectory.append(record.state)
 
-    sim.process(flood(), name="flood")
-    sim.process(watch_states(), name="watch")
-    sim.run(until=until)
-    monitor.stop()
+    with net:
+        sim.process(flood(), name="flood")
+        sim.process(watch_states(), name="watch")
+        sim.run(until=until)
+        monitor.stop()
     return trajectory, record, ep1.endpoint
 
 

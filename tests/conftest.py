@@ -62,8 +62,7 @@ NEVER_CLOSES = {
     **dict.fromkeys((
         "atm/test_unet_atm.py", "atm/test_signaling.py", "atm/test_vc_interleaving.py",
         "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
-        "conformance/test_cross_substrate_health.py",
-        "conformance/test_zero_divergence.py", "integration/test_finite_buffers.py",
+        "integration/test_finite_buffers.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
         "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",

@@ -1,17 +1,20 @@
-"""Byte-fuzz of the decoders a fault stage leans on.
+"""Byte-fuzz of the decoders a damaged packet can reach.
 
 A fault stage sees whatever the wire (or an upstream ``Corrupt`` stage)
 left: it peeks the AM header of a PDU's first unit with
 ``peek_type_seq``, and a ``mark`` re-frames cells through
 ``CellWire.rewrite``, which reassembles them with ``aal5_reassemble``.
-Each must succeed or fail with its typed error — never raise anything
-else — on any bytes.
+Behind the stages, the AM receive path decodes with
+``am.protocol.decode``, U-Net/FE's IP encapsulation parses with
+``ethernet.ip.parse_ipv4_udp`` and a NIC collective engine takes its
+packets in ``on_packet``.  Each must succeed or fail with its typed
+error — never raise anything else — on any bytes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.am.protocol import HEADER_SIZE, mark_ce, peek_type_seq
+from repro.am.protocol import HEADER_SIZE, Packet, decode, mark_ce, peek_type_seq
 from repro.atm.cells import (
     CELL_PAYLOAD_SIZE,
     Aal5Error,
@@ -20,6 +23,12 @@ from repro.atm.cells import (
     aal5_reassemble,
     aal5_segment,
 )
+from repro.collectives.engine import (
+    _HEADER, ACK, ARRIVE, CollectiveError, NicCollectiveEngine,
+)
+from repro.collectives.tree import KAryTree
+from repro.ethernet.ip import IP_ENCAP_OVERHEAD, IpHeaderError, build_ipv4_udp, parse_ipv4_udp
+from repro.sim import Simulator
 
 _random_cells = st.lists(
     st.builds(Cell, vci=st.integers(0, 2),
@@ -79,3 +88,92 @@ def test_peek_type_seq_never_raises(raw):
     else:
         ptype, seq = peeked
         assert 0 <= ptype <= 0xFF and 0 <= seq <= 0xFFFF
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=3 * HEADER_SIZE))
+def test_am_decode_returns_a_packet_or_raises_value_error(raw):
+    """``ValueError`` is what ``AmCore._receive`` catches and drops."""
+    try:
+        packet = decode(raw)
+    except ValueError:
+        return
+    assert isinstance(packet, Packet)
+
+
+def _mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with a few bytes flipped, cut short or extended."""
+    raw = bytearray(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        if raw:
+            raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    cut = draw(st.sampled_from(["none", "truncate", "extend"]))
+    if cut == "truncate":
+        del raw[draw(st.integers(0, len(raw))):]
+    elif cut == "extend":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
+@st.composite
+def _datagrams(draw):
+    valid = build_ipv4_udp(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
+                           draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)),
+                           draw(st.binary(max_size=64)), ttl=draw(st.integers(0, 255)))
+    return _mutated(draw, valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(datagram=_datagrams())
+def test_parse_ipv4_udp_returns_its_tuple_or_raises_ip_header_error(datagram):
+    try:
+        src_ip, dst_ip, src_port, dst_port, ttl, payload = parse_ipv4_udp(datagram)
+    except IpHeaderError:
+        return
+    assert payload == datagram[IP_ENCAP_OVERHEAD:] and 0 <= ttl <= 255
+
+
+class _Adapter:
+    """A NIC binding that records what the engine sends."""
+
+    max_payload = 256
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, peer, packet):
+        self.sent.append((peer, packet))
+
+
+@st.composite
+def _collective_packets(draw):
+    """Raw bytes, or a header whose every field is drawn (kinds 0..9,
+    the current epoch mostly) with a payload, possibly damaged."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2 * _HEADER.size))
+    header = _HEADER.pack(draw(st.integers(0, 9)), draw(st.integers(0, 255)),
+                          draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 6)),
+                          draw(st.sampled_from([0, 0, 1])))
+    return _mutated(draw, header + draw(st.binary(max_size=24)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(node=st.integers(0, 4), packets=st.lists(_collective_packets(), min_size=1, max_size=4))
+def test_collective_on_packet_succeeds_or_raises_collective_error(node, packets):
+    """A refused packet is refused before it is counted or acked."""
+    sim = Simulator()
+    adapter = _Adapter()
+    engine = NicCollectiveEngine(sim, node, KAryTree(5, fanout=2), adapter)
+    try:
+        for raw in packets:
+            before = (engine.packets_received, len(adapter.sent))
+            malformed = len(raw) < _HEADER.size or not ARRIVE <= raw[0] <= ACK
+            try:
+                engine.on_packet(raw)
+            except CollectiveError:
+                if malformed:
+                    assert (engine.packets_received, len(adapter.sent)) == before
+            else:
+                assert not malformed
+    finally:
+        sim.close()

@@ -4,17 +4,12 @@ import json
 
 import pytest
 
-from repro.conformance import BUGS, generate_case, inject_bug, load_artifact_meta, run_case
-from repro.core.substrates import (
-    SubstrateUnavailable,
-    available_substrates,
-    ensure_available,
-    get_substrate,
-    register_substrate,
-    substrate_names,
+from repro import networks
+from repro.conformance import (
+    BUGS, SubstrateUnavailable, generate_case, inject_bug, load_artifact_meta, run_case, runner,
 )
 from repro.faults.scripted import ScheduledFault, ScriptedStage
-from repro.live import FRAME_HEADER_SIZE, run_live_case
+from repro.live import FRAME_HEADER_SIZE, available_transport_kinds, live_runner, run_live_case
 from repro.live.backend import DatagramWire
 
 from .conftest import require
@@ -99,30 +94,38 @@ def test_datagram_stage_peeks_past_the_frame_header():
     assert out == [wire]
 
 
-# ------------------------------------------------------------ the registry
-def test_substrate_registry_knows_the_live_substrates():
-    names = substrate_names()
-    for name in ("atm", "ethernet", "live", "live-unix", "live-udp"):
-        assert name in names
-    assert get_substrate("live-unix").relaxed_timing
-    assert not get_substrate("atm").relaxed_timing
-    assert "live-unix" in available_substrates()
-    ensure_available("live-unix")  # must not raise here
+# ------------------------------------------------------- resolving a name
+def test_every_live_name_resolves_to_a_runner_here():
+    kinds = available_transport_kinds()
+    for name, (kind, _mode) in networks.LIVE.items():
+        if kind is None or kind in kinds:
+            assert callable(runner(name)), name
+    assert runner("atm").keywords == {"substrate": "atm"}
+    assert runner("live-unix").keywords["transport_kind"] == "unix"
+    assert runner("live-batched").keywords["doorbell_mode"] == "batched"
 
 
-def test_unavailable_substrate_fails_loudly():
-    register_substrate("test-offline", lambda case, bug=None: None,
-                       available=lambda: False,
-                       description="a substrate this machine cannot run")
-    try:
-        with pytest.raises(SubstrateUnavailable):
-            ensure_available("test-offline")
-        with pytest.raises(ValueError):
-            get_substrate("never-registered")
-    finally:
-        from repro.core import substrates as _mod
+def test_a_live_name_relaxes_timing_and_a_simulated_one_does_not(monkeypatch):
+    seen = []
 
-        _mod._REGISTRY.pop("test-offline", None)
+    def spy(case, ref, traces, relaxed=()):
+        seen.append(list(relaxed))
+        return []
+
+    monkeypatch.setattr("repro.conformance.checker.diff_case", spy)
+    run_case(generate_case(0, "fixed", n_messages=2), substrates=("atm", "live-unix"))
+    assert seen == [["live-unix"]]
+
+
+def test_unavailable_substrate_fails_loudly(monkeypatch):
+    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ("unix",))
+    with pytest.raises(SubstrateUnavailable, match="udp"):
+        runner("live-udp")
+    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ())
+    with pytest.raises(SubstrateUnavailable):
+        live_runner(None, None)
+    with pytest.raises(ValueError, match="never-registered"):
+        runner("never-registered")
 
 
 def test_replay_artifacts_record_their_substrate_set(tmp_path):
@@ -146,6 +149,20 @@ def test_replay_artifacts_record_their_substrate_set(tmp_path):
     bare.write_text(json.dumps(case.to_dict()))
     meta = load_artifact_meta(str(bare))
     assert meta["substrates"] is None and meta["bug"] is None
+
+
+def test_replay_refuses_a_substrate_this_machine_cannot_run(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ("unix",))
+    path = tmp_path / "artifact.json"
+    for recorded in (["atm", "live-udp"], ["atm", "token-ring"]):
+        path.write_text(json.dumps({"format": "repro-conformance-case/1",
+                                    "case": generate_case(0, "fixed", n_messages=2).to_dict(),
+                                    "substrates": recorded, "bug": None}))
+        assert main(["conformance", "--replay", str(path)]) == 3
+        assert "replay refused" in capsys.readouterr().err
+    assert main(["conformance", "--seeds", "1", "--substrate", "live-udp"]) == 2
 
 
 def test_shrunk_artifacts_embed_the_substrate_set(tmp_path):

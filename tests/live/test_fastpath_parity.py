@@ -95,10 +95,8 @@ def test_injected_bug_is_caught_in_every_mode():
             f"{substrate}: credit-gate bug survived conformance")
 
 
-def test_batched_and_event_substrates_are_registered():
-    from repro.core.substrates import available_substrates, get_substrate
+def test_batched_and_event_substrates_resolve_to_their_doorbell():
+    from repro.conformance import runner
 
-    for name in ("live-batched", "live-event"):
-        spec = get_substrate(name)
-        assert spec.relaxed_timing
-        assert name in available_substrates()
+    for mode, name in MODE_SUBSTRATES.items():
+        assert runner(name).keywords["doorbell_mode"] == mode

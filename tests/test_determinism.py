@@ -60,10 +60,7 @@ def test_reference_model_is_a_pure_function_of_the_case():
 
     case = generate_case(21, "adaptive")
     runs = [run_reference(case) for _ in range(3)]
-    baseline = (runs[0].dispatched, runs[0].replies, runs[0].rexmit,
-                runs[0].drop_classes, runs[0].ticks)
-    for r in runs[1:]:
-        assert (r.dispatched, r.replies, r.rexmit, r.drop_classes, r.ticks) == baseline
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_rng_registry_streams_are_stable_and_independent():

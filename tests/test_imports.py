@@ -52,10 +52,10 @@ def test_live_data_path_loads_no_fault_injector_and_no_conformance_harness():
 
 
 def test_a_live_substrate_resolves_by_name_from_a_cold_interpreter():
-    out = run_cold("from repro.core.substrates import get_substrate\n"
-                   "spec = get_substrate('live-batched')\n"
-                   "print(spec.name, spec.relaxed_timing)")
-    assert out.split() == ["live-batched", "True"]
+    out = run_cold("from repro.conformance.checker import runner\n"
+                   "run = runner('live-batched')\n"
+                   "print(run.func.__module__, run.keywords['doorbell_mode'])")
+    assert out.split() == ["repro.live.conform", "batched"]
 
 
 # ------------------------------------------------------------------- parity
@@ -135,10 +135,10 @@ def test_init_lint_catches_planted_offenders():
     planted = (
         '"""Docstring."""\n'
         "from .._lazy import lazy_exports\n"
-        "from .conform import register_live_substrates\n"
+        "from .conform import live_runner\n"
         '__version__ = "1.0.0"\n'
         '__getattr__, __dir__, __all__ = lazy_exports(__name__, {".a": ("A",)})\n'
-        "register_live_substrates()\n"
+        "live_runner()\n"
         "import numpy\n"
         "def helper():\n"
         "    pass\n"

@@ -6,16 +6,18 @@ held (``tests/conftest.py``'s leak fixture checks that part).  A size
 past a row's declared host limit is refused before anything is built.  Names,
 aliases and the refusal of an unknown name are held here too, and so is
 the bar the table exists for: no module outside it compares substrate
-strings.
+strings or spells a live substrate's name.
 """
 
+import argparse
 import pathlib
 import re
 
 import pytest
 
 from repro import networks
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.conformance import SUBSTRATES
 from repro.ethernet.switch import BAY_28115
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
@@ -120,6 +122,8 @@ def test_defaults_follow_the_ni_of_host_zero():
 #: the ROADMAP bar, and the lines it may still find: two soaks choose
 #: between a simulated and a wall-clock *runner* (not between networks)
 LADDER = re.compile(r'substrate (==|in) |startswith\("(fe|atm)')
+#: a live name other than bare "live", which is also a package and a word
+LIVE_NAME = re.compile("|".join(re.escape(name) for name in networks.LIVE if name != "live"))
 RUNNER_DISPATCH = {
     ("faults/crashsoak.py", 'if scenario.substrate == "live":'),
     ("faults/crashsoak.py", 'if scenario.substrate == "sigkill":'),
@@ -127,17 +131,45 @@ RUNNER_DISPATCH = {
 }
 
 
-def test_no_module_but_the_table_compares_substrate_strings():
-    table = pathlib.Path(networks.__file__)
+def _strays(sources):
+    """The ``(module, line)`` pairs of ``sources`` that compare substrate
+    strings or spell a live name."""
     found = set()
-    for path in sorted(table.parent.rglob("*.py")):
-        if path == table:
-            continue
-        for line in path.read_text(encoding="utf-8").splitlines():
+    for module, text in sources:
+        for line in text.splitlines():
             line = line.strip()
             # a loop over substrates and a lookup in a dict keyed by
             # them match the pattern without being a comparison
-            if (LADDER.search(line) and not line.startswith("for ")
-                    and "substrate in report.traces" not in line):
-                found.add((path.relative_to(table.parent).as_posix(), line))
+            ladder = (LADDER.search(line) and not line.startswith("for ")
+                      and "substrate in report.traces" not in line)
+            if ladder or LIVE_NAME.search(line):
+                found.add((module, line))
+    return found
+
+
+def test_no_module_but_the_table_compares_substrate_strings():
+    table = pathlib.Path(networks.__file__)
+    found = _strays((path.relative_to(table.parent).as_posix(), path.read_text(encoding="utf-8"))
+                    for path in sorted(table.parent.rglob("*.py")) if path != table)
     assert found <= RUNNER_DISPATCH, sorted(found - RUNNER_DISPATCH)
+
+
+def test_the_lint_catches_planted_offenders_and_spares_the_rest():
+    planted = ('if name == "live-udp":\n'
+               "    return run(LIVE[name])\n"
+               'help = "the live* names run on real sockets"\n'
+               "kind = 'live-event' if event else None\n"
+               'if substrate == "fe":\n'
+               "for substrate in SUBSTRATES:\n")
+    assert sorted(line for _module, line in _strays([("planted.py", planted)])) == [
+        'if name == "live-udp":', 'if substrate == "fe":',
+        "kind = 'live-event' if event else None"]
+
+
+def test_the_cli_offers_every_conformance_substrate_and_no_other():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (option,) = [a for a in sub.choices["conformance"]._actions if a.dest == "substrate"]
+    assert tuple(option.choices) == SUBSTRATES + tuple(networks.LIVE)
+    with pytest.raises(SystemExit) as refused:
+        main(["conformance", "--substrate", "token-ring"])
+    assert refused.value.code == 2
