@@ -82,8 +82,10 @@ class CellLink:
 
     A switch, whose forwarding latency is fixed, submits a cell *as of*
     the instant it leaves the fabric (``when``): hop and egress wire are
-    one heap entry.  A link has one feeder, so as-of instants arrive in
-    order like ``sim.now`` does.
+    one heap entry.  So does the PCA-200's SAR, a whole PDU at once, each
+    cell as of the end of its pacing step.  Cells queue in the order they
+    are submitted: a host uplink's other feeder, the NIC collective
+    engine, queues behind a PDU already handed over.
     """
 
     COUNTERS = ("cells_carried", "cells_dropped", "queued", "in_flight")

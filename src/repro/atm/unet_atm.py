@@ -216,12 +216,16 @@ class UNetAtmBackend(UNetBackend):
                 endpoint.send_completed(descriptor)
                 binding.messages_sent += 1
                 cells = aal5_segment(payload, vci=binding.tag.tx_vci)
-                segment_start = self.sim.now
+                # The SAR hardware segments one PDU at a time and the i960
+                # only paces it: each cell enters the uplink FIFO as of the
+                # end of its pacing step, and the firmware wakes once.
+                segment_start = when = self.sim.now
                 for cell in cells:
-                    yield t.tx_per_cell_us
+                    when += t.tx_per_cell_us  # the sum a ``yield tx_per_cell_us`` takes
                     if self.tx_link is not None:
-                        self.tx_link.submit(cell)
-                self.trace.record(segment_start, self.sim.now - segment_start, ATM_TX_TRACE,
+                        self.tx_link.submit(cell, when)
+                yield self.sim.until(when)
+                self.trace.record(segment_start, when - segment_start, ATM_TX_TRACE,
                                   f"segment {len(cells)} cell(s) onto the fiber")
                 self.pdus_sent += 1
 
@@ -324,7 +328,8 @@ class UNetAtmBackend(UNetBackend):
             self._collective_tx_next()
 
     def _collective_tx_next(self) -> None:
-        """One ``call_in`` per i960 delay: nobody waits, and ``tx_link`` is shared cell by cell."""
+        """One ``call_in`` per i960 delay: nobody waits.  Each cell joins
+        ``tx_link`` as its step ends, behind any host PDU already handed over."""
         self._collective_tx_busy = bool(self._collective_txq)
         if self._collective_tx_busy:
             vci, payload = self._collective_txq.popleft()

@@ -172,12 +172,12 @@ class UserEndpoint(UserEndpointBase):
         lookup_channel(self.endpoint, channel_id)  # protection check
         self._reclaim_completed()
         buffers = yield from self._compose_buffers(payload)
-        yield self.host.cpu.copy_time(len(payload))
         descriptor = SendDescriptor(
             channel_id=channel_id,
             segments=[(buf.index, length) for buf, length in buffers],
         )
-        yield DESCRIPTOR_PUSH_US
+        # the copy, then the push: one wake at the sum the two sleeps reach
+        yield self.sim.until(self.sim.now + self.host.cpu.copy_time(len(payload)) + DESCRIPTOR_PUSH_US)
         while self.endpoint.send_queue.is_full:
             # backpressure: wait for the NI/kernel to drain the queue
             yield self.endpoint.wait_send_queue_space()

@@ -86,7 +86,6 @@ class DualNicFeBackend(UNetFeBackend):
         )
         rail = self._rail
         self._rail = 1 - self._rail
-        yield from self._step(TX_TRACE, "Ethernet header set-up", t.ethernet_header_setup_us)
         frame = EthernetFrame(
             dst_mac=tag.dst_macs[rail],
             src_mac=tag.src_macs[rail],
@@ -94,7 +93,12 @@ class DualNicFeBackend(UNetFeBackend):
             src_port=tag.src_port,
             payload=payload,
         )
-        yield from self._step(TX_TRACE, "device send ring descriptor set-up", t.ring_descriptor_setup_us)
+        # header and ring-descriptor set-up: nothing is seen between them, one wake
+        start = self.sim.now
+        ring_start = start + t.ethernet_header_setup_us
+        yield self.sim.until(ring_start + t.ring_descriptor_setup_us)
+        self.trace.record(start, t.ethernet_header_setup_us, TX_TRACE, "Ethernet header set-up")
+        self.trace.record(ring_start, t.ring_descriptor_setup_us, TX_TRACE, "device send ring descriptor set-up")
 
         def complete(d=descriptor, ep=endpoint):
             ep.send_completed(d)

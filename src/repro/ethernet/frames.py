@@ -114,10 +114,17 @@ class FrameWire:
 
     @staticmethod
     def rewrite(frames: List[EthernetFrame], edit) -> List[EthernetFrame]:
-        """The frame with ``edit`` applied to its payload.  It stays
+        """Each frame with ``edit`` applied to its payload.  It stays
         CRC-clean: congestion marking is done by conforming switch
-        hardware, not line noise."""
-        return [replace(frame, payload=edit(frame.payload)) for frame in frames]
+        hardware, not line noise.  A frame whose payload does not edit,
+        or edits past the PDU limit, passes untouched.  Never raises."""
+        out = []
+        for frame in frames:
+            try:
+                out.append(replace(frame, payload=edit(frame.payload)))
+            except ValueError:
+                out.append(frame)
+        return out
 
     @staticmethod
     def corrupt(frame: EthernetFrame, rng) -> EthernetFrame:

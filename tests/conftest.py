@@ -77,8 +77,6 @@ NEVER_CLOSES = {
                                  "perfbench workloads do: built, measured, dropped unclosed",
     "integration/test_determinism.py": "same: repeats measure_rtt on unclosed FIGURE5 rigs, "
                                        "bitwise, which is the perfbench path",
-    "sim/test_kernel_golden.py": "pinned unedited by every issue; its ping-pong and stream "
-                                 "runs drop their rigs unclosed (its Cluster run does close)",
     "hw/test_buffer_store.py": "one test drops an endpoint with an exported view to the "
                                "garbage collector on purpose: that is what it checks",
     "test_tutorial.py": "TUTORIAL section 1 teaches the kernel idioms on bare simulators",

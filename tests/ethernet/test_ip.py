@@ -15,7 +15,8 @@ from repro.ethernet import (
 )
 from repro.ethernet.ip import _decrement_ttl
 from repro.core import MessageTooLarge
-from repro.sim import Simulator
+from repro.ethernet.unet_fe import TX_TRACE
+from repro.sim import Simulator, TraceRecorder
 
 IP_A = (10 << 24) | 1
 IP_B = (10 << 24) | (1 << 8) | 1
@@ -241,3 +242,22 @@ def test_active_messages_work_across_router(routed_pair):
         return args[0]
 
     assert sim.run_until_complete(sim.process(caller())) == 42
+
+
+def test_encapsulating_trap_traces_each_step_where_it_ran(routed_pair):
+    """Header set-up, encapsulation and ring set-up sleep as one wake;
+    each is still recorded at the instant the step-by-step trap reached."""
+    sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=False)
+    trace = ep1.host.backend.trace = TraceRecorder()
+    _transfer(sim, ep1, ep2, ch1, b"")
+    assert [(r.start, r.duration, r.step) for r in trace.by_category(TX_TRACE)] == [
+        (0.3, 0.6, "trap entry overhead"),
+        (0.8999999999999999, 0.74, "check U-Net send parameters"),
+        (1.64, 0.37, "Ethernet header set-up"),
+        (2.01, 4.5, "IPv4/UDP encapsulation"),
+        (6.51, 0.56, "device send ring descriptor set-up"),
+        (7.07, 0.29, "issue poll demand to DC21140"),
+        (7.36, 0.92, "free send ring descriptor of previous message"),
+        (8.280000000000001, 0.42, "free U-Net send queue entry of previous message"),
+        (8.700000000000001, 0.3, "return from trap"),
+    ]

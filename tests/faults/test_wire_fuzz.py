@@ -8,8 +8,13 @@ Behind the stages, the AM receive path decodes with
 ``am.protocol.decode``, U-Net/FE's IP encapsulation parses with
 ``ethernet.ip.parse_ipv4_udp`` and a NIC collective engine takes its
 packets in ``on_packet``.  Each must succeed or fail with its typed
-error — never raise anything else — on any bytes.
+error — never raise anything else — on any bytes.  The frame and
+datagram wires keep ``CellWire``'s contract: ``rewrite`` never raises,
+and a PDU the edit refuses passes untouched.
 """
+
+import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,9 @@ from repro.collectives.engine import (
     _HEADER, ACK, ARRIVE, CollectiveError, NicCollectiveEngine,
 )
 from repro.collectives.tree import KAryTree
+from repro.ethernet.frames import UNET_FE_MAX_PDU, EthernetFrame, FrameWire
 from repro.ethernet.ip import IP_ENCAP_OVERHEAD, IpHeaderError, build_ipv4_udp, parse_ipv4_udp
+from repro.live.backend import FRAME_HEADER_SIZE, DatagramWire
 from repro.sim import Simulator
 
 _random_cells = st.lists(
@@ -54,6 +61,10 @@ def _damaged_pdus(draw):
 
 _cells = st.one_of(_random_cells, _damaged_pdus())
 
+#: what a stage edits with: the CE mark (refuses an empty message), a
+#: no-op, and a growth that can push a full-size frame past its PDU limit
+_EDITS = st.sampled_from([mark_ce, bytes, lambda raw: raw + b"!"])
+
 
 @settings(max_examples=300, deadline=None)
 @given(cells=_cells)
@@ -66,7 +77,7 @@ def test_aal5_reassemble_returns_bytes_or_raises_aal5_error(cells):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cells=_cells, edit=st.sampled_from([mark_ce, bytes, lambda raw: raw + b"!"]))
+@given(cells=_cells, edit=_EDITS)
 def test_cell_wire_rewrite_never_raises(cells, edit):
     out = CellWire.rewrite(cells, edit)
     try:
@@ -77,6 +88,60 @@ def test_cell_wire_rewrite_never_raises(cells, edit):
         return
     assert aal5_reassemble(out) == edited  # re-framed with a valid CRC
     assert {cell.vci for cell in out} == {cells[0].vci}
+
+
+_frames = st.builds(
+    EthernetFrame, dst_mac=st.integers(0, (1 << 48) - 1), src_mac=st.integers(0, (1 << 48) - 1),
+    dst_port=st.integers(0, 0xFF), src_port=st.integers(0, 0xFF),
+    payload=st.one_of(st.binary(max_size=3 * HEADER_SIZE),
+                      st.binary(min_size=UNET_FE_MAX_PDU - 2, max_size=UNET_FE_MAX_PDU)),
+    corrupted=st.booleans())
+
+
+def _edited(edit, raw, limit):
+    """``edit(raw)``, or None where the edit refuses or outgrows ``limit``."""
+    try:
+        out = edit(raw)
+    except ValueError:
+        return None
+    return out if len(out) <= limit else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(_frames, max_size=3), edit=_EDITS)
+def test_frame_wire_rewrite_never_raises(frames, edit):
+    out = FrameWire.rewrite(frames, edit)
+    assert len(out) == len(frames)
+    for before, after in zip(frames, out):
+        edited = _edited(edit, before.payload, UNET_FE_MAX_PDU)
+        if edited is None:
+            assert after is before  # nothing to edit, or too long: passed untouched
+        else:
+            assert after == replace(before, payload=edited)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames, seed=st.integers(0, 2**32 - 1))
+def test_frame_wire_corrupt_flips_one_byte_and_flags_the_frame(frame, seed):
+    out = FrameWire.corrupt(frame, random.Random(seed))
+    assert out.corrupted and len(out.payload) == len(frame.payload)
+    flipped = [a ^ b for a, b in zip(frame.payload, out.payload) if a != b]
+    assert flipped == ([0xFF] if frame.payload else [])
+    assert out == replace(frame, payload=out.payload, corrupted=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(datagrams=st.lists(st.binary(max_size=FRAME_HEADER_SIZE + 2 * HEADER_SIZE), max_size=3),
+       edit=_EDITS)
+def test_datagram_wire_rewrite_never_raises(datagrams, edit):
+    out = DatagramWire.rewrite(datagrams, edit)
+    assert len(out) == len(datagrams)
+    for before, after in zip(datagrams, out):
+        edited = _edited(edit, before[FRAME_HEADER_SIZE:], float("inf"))
+        if edited is None:
+            assert after is before
+        else:
+            assert after == before[:FRAME_HEADER_SIZE] + edited
 
 
 @settings(max_examples=300, deadline=None)

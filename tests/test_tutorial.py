@@ -44,6 +44,11 @@ def test_tutorial_outputs_match_prose():
     assert outputs[2].strip() == "2 frame0 2"  # try_put, then put only when full
     # a lane: three of a hundred deliveries fired, 97 in flight at close
     assert outputs[3].splitlines() == ["[0, 1, 2] 3", "Discarded(processes=0, entries=97)"]
-    assert outputs[4].strip().startswith("9")  # ~91 us on FN100
-    assert "42" in outputs[5]
-    assert "[4000, 4000, 4000, 4000]" in outputs[6]
+    # one wake until the chain's own sum, and every traced step where it was
+    assert outputs[4].splitlines() == [
+        "3.3299999999999996 3.329999999999999",
+        "[(1.05, 'free ring'), (1.9700000000000002, 'free queue entry'), "
+        "(2.39, 'return from trap')] 2"]
+    assert outputs[5].strip().startswith("9")  # ~91 us on FN100
+    assert "42" in outputs[6]
+    assert "[4000, 4000, 4000, 4000]" in outputs[7]
