@@ -67,14 +67,12 @@ class Cell:
     #: set by fault injection to model wire corruption; the payload bytes
     #: are already corrupted when this is set (the flag only aids tests)
     corrupted: bool = False
+    #: every cell is the same size on the wire (a class constant, not a field)
+    wire_bytes = CELL_SIZE
 
     def __post_init__(self) -> None:
         if len(self.payload) != CELL_PAYLOAD_SIZE:
             raise ValueError(f"cell payload must be {CELL_PAYLOAD_SIZE} bytes, got {len(self.payload)}")
-
-    @property
-    def wire_bytes(self) -> int:
-        return CELL_SIZE
 
 
 def cells_for_pdu(payload_len: int) -> int:

@@ -18,7 +18,7 @@ fabric's spines all carry traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..core.api import Host, UserEndpoint
 from ..core.base import SimulatedNetwork
@@ -60,7 +60,7 @@ class AtmFabric(SimulatedNetwork):
     path, rotating across parallel paths connection by connection.
     """
 
-    COUNTERS = ("reroutes", "cells_blackholed")
+    COUNTERS = ("reroutes",)
     PARTS = ("switches", "hosts")
 
     def __init__(
@@ -97,10 +97,7 @@ class AtmFabric(SimulatedNetwork):
         self._vc_routes: Dict[int, _VcRoute] = {}
         #: VCs whose endpoints are currently partitioned (retried on heal)
         self._stranded: Set[int] = set()
-        #: saved deliver callbacks of blackholed trunks
-        self._trunk_saved: Dict[Tuple[int, int], Optional[Callable]] = {}
         self.reroutes = 0
-        self.cells_blackholed = 0
         for a, b in topology.trunks:
             self._join(a, b, trunk_phy, trunk_propagation_us)
 
@@ -240,25 +237,17 @@ class AtmFabric(SimulatedNetwork):
     def set_trunk_state(self, a: int, b: int, up: bool) -> bool:
         """Fail (``up=False``) or restore the duplex trunk ``a — b``.
 
-        Going down, both directional links start blackholing in-flight
-        cells (counted in :attr:`cells_blackholed`, as a yanked fiber
-        would) and the signaling plane re-programs every VC whose path
-        crossed the trunk along a surviving shortest path — keeping the
+        Going down, both directional links go down and blackhole their
+        in-flight cells (each counts its ``blackholed``, as a yanked
+        fiber would), and the signaling plane re-programs every VC whose
+        path crossed the trunk along a surviving shortest path — keeping the
         VC's original spreading key, so re-keying stays deterministic.
         VCs with no surviving path are *stranded* and re-programmed when
         a trunk comes back.  Returns True when the state changed.
         """
         if not self.topology.set_trunk(a, b, up):
             return False
-        for x, y in ((a, b), (b, a)):
-            link = self._trunk_links[(x, y)]
-            if up:
-                saved = self._trunk_saved.pop((x, y), None)
-                if saved is not None:
-                    link.deliver = saved
-            elif (x, y) not in self._trunk_saved:
-                self._trunk_saved[(x, y)] = link.deliver
-                link.deliver = self._blackhole
+        self._trunk_links[(a, b)].up = self._trunk_links[(b, a)].up = up
         if up:
             for vci in sorted(self._stranded):
                 self._reprogram(vci)
@@ -267,9 +256,6 @@ class AtmFabric(SimulatedNetwork):
                 if _uses_trunk(self._vc_routes[vci].path, a, b):
                     self._reprogram(vci)
         return True
-
-    def _blackhole(self, cell) -> None:
-        self.cells_blackholed += 1
 
     def _reprogram(self, vci: int) -> None:
         route = self._vc_routes[vci]

@@ -11,17 +11,19 @@ Two PHYs from the paper:
   bandwidth for the 140Mbps TAXI link" is quoted as 120 Mb/s once
   firmware costs are added).
 
-A :class:`CellLink` is a unidirectional cell pipe: cells serialize at
-the line's cell time, then arrive after the propagation delay.
+A :class:`CellLink` is a :class:`~repro.hw.bus.Link` at a PHY's cell
+rate: cells serialize at the line's cell time, then arrive after the
+propagation delay and the framer latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
+from ..hw.bus import Link
 from ..sim import Simulator
-from .cells import CELL_PAYLOAD_SIZE, CELL_SIZE, Cell
+from .cells import CELL_PAYLOAD_SIZE, CELL_SIZE
 
 __all__ = ["AtmPhy", "OC3_SONET", "TAXI_140", "CellLink"]
 
@@ -64,31 +66,10 @@ OC3_SONET = AtmPhy(
 TAXI_140 = AtmPhy(name="TAXI-140", gross_mbps=140.0, payload_fraction=1.0, framer_latency_us=0.0)
 
 
-class CellLink:
-    """Unidirectional point-to-point cell pipe.
-
-    Cells serialize back to back at the PHY's cell time; delivery happens
-    ``propagation_us`` (plus the framer latency) later through the
-    ``deliver`` callback (set by whoever owns the receiving end).
-
-    The pipe is *analytic*: instead of a pump process blocking on a
-    store (roughly six kernel events per cell), ``submit`` computes the
-    serialization window from a running ``busy-until`` clock and
-    schedules a single delivery callback — on a :class:`~repro.sim.Lane`,
-    deliveries being FIFO in time, so the cells queued behind a slow
-    wire cost the heap one entry, not one each.  The late-bound ``deliver``
-    attribute is read at fire time, so fault pipelines and link-flap
-    stages that swap it keep working.
-
-    A switch, whose forwarding latency is fixed, submits a cell *as of*
-    the instant it leaves the fabric (``when``): hop and egress wire are
-    one heap entry.  So does the PCA-200's SAR, a whole PDU at once, each
-    cell as of the end of its pacing step.  Cells queue in the order they
-    are submitted: a host uplink's other feeder, the NIC collective
-    engine, queues behind a PDU already handed over.
-    """
-
-    COUNTERS = ("cells_carried", "cells_dropped", "queued", "in_flight")
+class CellLink(Link):
+    """A :class:`~repro.hw.bus.Link` on an ATM PHY: cells serialize at
+    the PHY's cell rate and arrive after the propagation delay plus the
+    framer latency."""
 
     def __init__(
         self,
@@ -96,73 +77,12 @@ class CellLink:
         phy: AtmPhy,
         propagation_us: float = 0.5,
         name: str = "cell-link",
-        buffer_cells: Optional[int] = None,
+        buffer: Optional[int] = None,
     ) -> None:
-        self.sim = sim
-        self.phy = phy
-        self.propagation_us = propagation_us
-        self.name = name
-        self.deliver: Optional[Callable[[Cell], None]] = None
-        #: finite output buffering (switch egress ports): cells beyond
-        #: this queue depth are dropped, as in a real switch under incast
-        self.buffer_cells = buffer_cells
-        self._cell_time_us = phy.cell_time_us  # two property hops, once instead of per cell
-        self._busy_until = 0.0
-        self._pending = 0
-        self._deliveries = sim.lane()  # busy-until only grows: so do delivery instants
-        self.cells_carried = 0
-        self.cells_dropped = 0
-
-    def submit(self, cell: Cell, when: Optional[float] = None) -> None:
-        """Queue a cell for transmission (sender side, non-blocking),
-        reaching the link now or at the later instant ``when``.
-
-        Drops (and counts) the cell when the output buffer is full: one
-        cell may be serializing onto the wire plus ``buffer_cells``
-        queued behind it, matching a real switch egress port under
-        incast.  A queue slot frees when its cell finishes serializing.
-        """
-        sim = self.sim
-        if self.buffer_cells is not None:
-            if when is not None:
-                # how full a finite buffer is at ``when`` is known only then
-                sim.call_at(when, self.submit, cell)
-                return
-            if self._pending > self.buffer_cells:
-                self.cells_dropped += 1
-                return
-        # the sums a plain submit at ``when`` evaluates: same floats either way
-        now = sim.now if when is None else when
-        start = self._busy_until if self._busy_until > now else now
-        end = start + self._cell_time_us
-        self._busy_until = end
-        if self.buffer_cells is not None:
-            self._pending += 1
-            sim.call_in(end - now, self._serialized_one)
-        self._deliveries.call_at(
-            now + (end + self.propagation_us + self.phy.framer_latency_us - now),
-            self._deliver_one, cell)
+        super().__init__(sim, phy.cell_rate_mbps, propagation_us, name,
+                         framer_us=phy.framer_latency_us, buffer=buffer)
 
     @property
-    def queued(self) -> int:
-        """Cells accepted but not yet fully serialized (incl. in flight)."""
-        if self.buffer_cells is not None:
-            return self._pending
-        remaining = self._busy_until - self.sim.now
-        if remaining <= 0.0:
-            return 0
-        cells = int(remaining / self.phy.cell_time_us)
-        return cells + (1 if remaining - cells * self.phy.cell_time_us > 1e-12 else 0)
-
-    @property
-    def in_flight(self) -> int:
-        """Cells accepted and not yet delivered: what the delivery lane holds."""
-        return len(self._deliveries)
-
-    def _serialized_one(self) -> None:
-        self._pending -= 1
-
-    def _deliver_one(self, cell: Cell) -> None:
-        self.cells_carried += 1
-        if self.deliver is not None:
-            self.deliver(cell)
+    def cells_carried(self) -> int:
+        """``carried`` under the name the perfbench cell count reads."""
+        return self.carried

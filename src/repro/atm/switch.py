@@ -32,13 +32,13 @@ class AtmSwitch:
         sim: Simulator,
         name: str = "asx200",
         forward_us: float = ASX200_FORWARD_US,
-        output_buffer_cells: int = None,
+        output_buffer: int = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.forward_us = forward_us
         #: if set, attach_port caps each egress queue at this many cells
-        self.output_buffer_cells = output_buffer_cells
+        self.output_buffer = output_buffer
         #: output ports by number; each is the egress CellLink toward a host
         self.ports: Dict[int, CellLink] = {}
         #: VCI -> output port routing table (programmed by signaling)
@@ -49,14 +49,9 @@ class AtmSwitch:
     def attach_port(self, port: int, egress: CellLink) -> None:
         if port in self.ports:
             raise ValueError(f"{self.name}: port {port} already attached")
-        if self.output_buffer_cells is not None:
-            egress.buffer_cells = self.output_buffer_cells
+        if self.output_buffer is not None:
+            egress.buffer = self.output_buffer
         self.ports[port] = egress
-
-    @property
-    def cells_dropped(self) -> int:
-        """Total egress-buffer overflows across all ports."""
-        return sum(link.cells_dropped for link in self.ports.values())
 
     def program_route(self, vci: int, port: int) -> None:
         """Signaling-plane: route cells on ``vci`` out of ``port``."""

@@ -24,6 +24,7 @@ __all__ = [
     "ETH_MAX_PAYLOAD",
     "ETH_PREAMBLE_BYTES",
     "ETH_IFG_BYTES",
+    "CUT_THROUGH_BYTES",
     "UNET_FE_HEADER_SIZE",
     "UNET_FE_MAX_PDU",
     "COLLECTIVE_PORT",
@@ -36,6 +37,8 @@ ETH_MIN_PAYLOAD = 46
 ETH_MAX_PAYLOAD = 1500
 ETH_PREAMBLE_BYTES = 8
 ETH_IFG_BYTES = 12
+#: what a cut-through switch reads before it starts forwarding
+CUT_THROUGH_BYTES = ETH_PREAMBLE_BYTES + ETH_HEADER_SIZE
 
 #: the two U-Net port bytes (destination, source) inside the payload
 UNET_FE_HEADER_SIZE = 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from ..hw.bus import Link
 from ..sim import Event, Simulator
 from ..sim.rng import RngRegistry
 from .frames import EthernetFrame, wire_time_us
@@ -19,7 +20,6 @@ __all__ = [
     "Attachment",
     "SharedMedium",
     "HubAttachment",
-    "SimplexChannel",
     "DuplexLink",
     "ExcessiveCollisions",
     "SLOT_TIME_US",
@@ -173,114 +173,15 @@ class HubAttachment(Attachment):
         self.receive = receive
 
 
-class SimplexChannel:
-    """One direction of a full-duplex link: serialize, propagate, deliver.
-
-    Like :class:`~repro.atm.phy.CellLink` this is analytic: ``submit``
-    computes the serialization window from a running busy-until clock
-    and schedules the delivery callback directly (on a lane: one heap
-    entry per channel, not per frame in flight) — no pump process, no
-    store, a fraction of the kernel events per frame.  The late-bound
-    ``deliver`` attribute is read at fire time so fault pipelines can
-    interpose.  A switch, whose lookup latency is fixed, submits a frame
-    *as of* the instant the lookup ends (``when``): hop and egress wire
-    are one heap entry.  A channel has one feeder, so as-of instants
-    arrive in order like ``sim.now`` does.
-    """
-
-    COUNTERS = ("frames_carried", "frames_dropped", "queued", "in_flight")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        rate_mbps: float = 100.0,
-        propagation_us: float = 0.5,
-        name: str = "chan",
-        deliver_at_header: bool = False,
-        buffer_frames: Optional[int] = None,
-    ) -> None:
-        from .frames import ETH_HEADER_SIZE, ETH_PREAMBLE_BYTES
-
-        self.sim = sim
-        self.rate_mbps = rate_mbps
-        self.propagation_us = propagation_us
-        self.name = name
-        #: deliver as soon as the header has arrived (feeds a cut-through
-        #: switch, which starts forwarding before end-of-frame); the
-        #: channel still stays busy for the full serialization time.
-        self.deliver_at_header = deliver_at_header
-        #: finite output buffering: frames beyond this depth are dropped
-        self.buffer_frames = buffer_frames
-        self._header_time = (ETH_PREAMBLE_BYTES + ETH_HEADER_SIZE) * 8 / rate_mbps
-        self._busy_until = 0.0
-        self._pending = 0
-        self._deliveries = sim.lane()  # busy-until only grows: so do delivery instants
-        self.deliver: Optional[Callable[[EthernetFrame], None]] = None
-        self.frames_carried = 0
-        self.frames_dropped = 0
-
-    def submit(self, frame: EthernetFrame, when: Optional[float] = None) -> float:
-        """Queue ``frame``, reaching the channel now or at the later
-        instant ``when``; returns the instant it has fully serialized
-        onto the wire (the arrival instant, if the buffer drops it).
-        Only a sender that must hold off its next frame waits for that;
-        a switch does not.
-
-        One frame may be serializing plus ``buffer_frames`` queued
-        behind it; a queue slot frees at that frame's end-of-wire time.
-        """
-        sim = self.sim
-        now = sim.now if when is None else when
-        if self.buffer_frames is not None:
-            if when is not None:
-                # how full a finite buffer is at ``when`` is known only then
-                sim.call_at(when, self.submit, frame)
-                return when
-            if self._pending > self.buffer_frames:
-                self.frames_dropped += 1
-                return now  # dropped: the sender's wire time is over
-        # the sums a plain submit at ``when`` evaluates: same floats either way
-        start = self._busy_until if self._busy_until > now else now
-        total = wire_time_us(frame, self.rate_mbps)
-        end = start + total
-        self._busy_until = end
-        if self.buffer_frames is not None:
-            self._pending += 1
-            sim.call_in(end - now, self._serialized_one)
-        deliver_at = (start + min(self._header_time, total)
-                      if self.deliver_at_header else end)
-        self._deliveries.call_at(now + (deliver_at + self.propagation_us - now),
-                                 self._deliver_one, frame)
-        return end
-
-    @property
-    def queued(self) -> int:
-        """Frames accepted but not yet fully serialized (incl. in flight)."""
-        if self.buffer_frames is not None:
-            return self._pending
-        return 1 if self._busy_until > self.sim.now else 0
-
-    @property
-    def in_flight(self) -> int:
-        """Frames accepted and not yet delivered: what the delivery lane holds."""
-        return len(self._deliveries)
-
-    def _serialized_one(self) -> None:
-        self._pending -= 1
-
-    def _deliver_one(self, frame: EthernetFrame) -> None:
-        self.frames_carried += 1
-        if self.deliver is not None:
-            self.deliver(frame)
-
-
 class DuplexLink(Attachment):
     """The NIC side of a full-duplex point-to-point link (to a switch).
 
     ``uplink`` carries frames away from the NIC; the switch pushes
     frames for the NIC into ``downlink``, whose deliver callback feeds
-    the NIC's receiver.  The uplink is the NIC's telemetry part, the
-    downlink the switch's (an egress is counted by whoever feeds it).
+    the NIC's receiver.  Each is a :class:`~repro.hw.bus.Link`; a
+    cut-through switch has its uplink deliver once ``uplink_header_bytes``
+    are in.  The uplink is the NIC's telemetry part, the downlink the
+    switch's (an egress is counted by whoever feeds it).
     """
 
     PARTS = ("uplink",)
@@ -291,13 +192,12 @@ class DuplexLink(Attachment):
         rate_mbps: float = 100.0,
         propagation_us: float = 0.5,
         name: str = "link",
-        uplink_delivers_at_header: bool = False,
+        uplink_header_bytes: int = 0,
     ) -> None:
         self.sim = sim
-        self.uplink = SimplexChannel(
-            sim, rate_mbps, propagation_us, name=f"{name}.up", deliver_at_header=uplink_delivers_at_header
-        )
-        self.downlink = SimplexChannel(sim, rate_mbps, propagation_us, name=f"{name}.down")
+        self.uplink = Link(sim, rate_mbps, propagation_us, f"{name}.up",
+                           header_bytes=uplink_header_bytes)
+        self.downlink = Link(sim, rate_mbps, propagation_us, f"{name}.down")
 
     def transmit(self, frame: EthernetFrame):
         # full duplex: the only wait is our own uplink serialization

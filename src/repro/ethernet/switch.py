@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..hw.bus import Link
 from ..sim import Simulator
-from .frames import EthernetFrame, MacAddress
-from .medium import DuplexLink, SimplexChannel
+from .frames import CUT_THROUGH_BYTES, EthernetFrame, MacAddress
+from .medium import DuplexLink
 
-__all__ = ["SwitchModel", "BAY_28115", "FN100", "EthernetSwitch", "TrunkPort"]
+__all__ = ["SwitchModel", "BAY_28115", "FN100", "EthernetSwitch"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,12 @@ class SwitchModel:
     #: True: wait for the whole frame before forwarding
     store_and_forward: bool
 
+    @property
+    def ingress_header_bytes(self) -> int:
+        """How much of a frame its ingress link delivers early: the
+        header on a cut-through switch, nothing (whole frames) otherwise."""
+        return 0 if self.store_and_forward else CUT_THROUGH_BYTES
+
 
 #: Bay Networks 28115 16-port switch (cut-through class device)
 BAY_28115 = SwitchModel(name="Bay-28115", ports=16, latency_us=4.0, store_and_forward=False)
@@ -41,106 +48,75 @@ BAY_28115 = SwitchModel(name="Bay-28115", ports=16, latency_us=4.0, store_and_fo
 FN100 = SwitchModel(name="Cabletron-FN100", ports=8, latency_us=10.0, store_and_forward=True)
 
 
-class TrunkPort:
-    """A switch-to-switch port: just an egress channel, no station.
-
-    Quacks enough like :class:`~repro.ethernet.medium.DuplexLink` (a
-    ``downlink`` egress the switch submits into) for the forwarding and
-    drop-accounting paths not to care which kind of port they hit.
-    """
-
-    __slots__ = ("downlink",)
-
-    def __init__(self, egress: SimplexChannel) -> None:
-        self.downlink = egress
-
-
 class EthernetSwitch:
     """A learning-free (statically configured) output-queued switch."""
 
     COUNTERS = ("frames_forwarded", "frames_flooded", "unknown_mac_drops")
-    PARTS = ("egress",)
+    PARTS = ("ports",)
 
     def __init__(
         self,
         sim: Simulator,
         model: SwitchModel,
         rate_mbps: float = 100.0,
-        output_buffer_frames: int = None,
+        output_buffer: int = None,
         learning: bool = False,
     ) -> None:
         self.sim = sim
         self.model = model
         self.rate_mbps = rate_mbps
         #: if set, each egress port queues at most this many frames
-        self.output_buffer_frames = output_buffer_frames
+        self.output_buffer = output_buffer
         #: transparent-bridge mode: learn source MACs from traffic and
         #: flood unknown destinations, instead of the static table the
         #: topology builders program
         self.learning = learning
-        self._links: Dict[int, DuplexLink] = {}
+        #: output ports by number; each is the egress Link toward a
+        #: station or a trunk peer
+        self.ports: Dict[int, Link] = {}
         self._mac_table: Dict[MacAddress, int] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
         self.unknown_mac_drops = 0
 
-    @property
-    def ports_used(self) -> int:
-        return len(self._links)
-
-    @property
-    def egress(self) -> Dict[int, SimplexChannel]:
-        """Each port's egress channel (toward a station or a trunk peer)."""
-        return {port: link.downlink for port, link in self._links.items()}
-
-    @property
-    def frames_dropped(self) -> int:
-        """Total egress-buffer overflows across all ports."""
-        return sum(link.downlink.frames_dropped for link in self._links.values())
-
     def attach(self, mac: MacAddress, propagation_us: float = 0.5) -> DuplexLink:
         """Connect a station; returns the NIC-side attachment."""
-        if len(self._links) >= self.model.ports:
-            raise ValueError(f"{self.model.name} has only {self.model.ports} ports")
-        port = len(self._links)
         link = DuplexLink(
             self.sim,
             self.rate_mbps,
             propagation_us,
-            name=f"{self.model.name}.p{port}",
-            uplink_delivers_at_header=not self.model.store_and_forward,
+            name=f"{self.model.name}.p{len(self.ports)}",
+            uplink_header_bytes=self.model.ingress_header_bytes,
         )
-        if self.output_buffer_frames is not None:
-            link.downlink.buffer_frames = self.output_buffer_frames
-        self._links[port] = link
+        port = self.attach_egress(link.downlink)
         if not self.learning:
             self._mac_table[mac] = port
         # frames the station sends arrive at the switch through its uplink
-        link.uplink.deliver = lambda frame, _port=port: self._on_frame(frame, _port)
+        link.uplink.deliver = self.ingress(port)
         return link
 
-    def attach_trunk(self, egress: SimplexChannel) -> int:
-        """Connect a switch-to-switch trunk; returns its port number.
+    def attach_egress(self, egress: Link) -> int:
+        """Connect an egress link (toward a station or, for a trunk, a
+        far switch); returns its port number.
 
-        ``egress`` carries frames away from this switch; the fabric
-        builder wires its ``deliver`` into the far switch's
-        :meth:`ingress` and wires the reverse trunk symmetrically.
+        For a trunk, the fabric builder wires ``egress.deliver`` into the
+        far switch's :meth:`ingress` and the reverse trunk symmetrically.
         """
-        if len(self._links) >= self.model.ports:
+        if len(self.ports) >= self.model.ports:
             raise ValueError(f"{self.model.name} has only {self.model.ports} ports")
-        if self.output_buffer_frames is not None:
-            egress.buffer_frames = self.output_buffer_frames
-        port = len(self._links)
-        self._links[port] = TrunkPort(egress)
+        if self.output_buffer is not None:
+            egress.buffer = self.output_buffer
+        port = len(self.ports)
+        self.ports[port] = egress
         return port
 
     def ingress(self, port: int):
-        """The frame-arrival callback for trunk wiring (binds ``port``)."""
+        """The frame-arrival callback of ``port``'s ingress link."""
         return lambda frame: self._on_frame(frame, port)
 
     def program_mac(self, mac: MacAddress, port: int) -> None:
         """Statically program a forwarding entry (fabric signaling plane)."""
-        if port not in self._links:
+        if port not in self.ports:
             raise ValueError(f"{self.model.name}: no such port {port}")
         self._mac_table[mac] = port
 
@@ -163,16 +139,16 @@ class EthernetSwitch:
             # unknown destination: flood every other port
             self.frames_flooded += 1
             leaves_at = self.sim.now + self.model.latency_us
-            for port, link in self._links.items():
+            for port, link in self.ports.items():
                 if port != ingress_port:
-                    link.downlink.submit(frame, leaves_at)
+                    link.submit(frame, leaves_at)
             return
         # cut-through switches receive the frame at header time (the
-        # ingress channel is configured to deliver early); store-and-
+        # ingress link is configured to deliver early); store-and-
         # forward switches receive it at end-of-frame.  Either way the
         # address lookup costs the model's latency before the egress
         # port starts serializing.  That latency is fixed, so the egress
-        # channel takes the frame as of the instant the lookup ends: hop
+        # link takes the frame as of the instant the lookup ends: hop
         # and egress wire are one heap entry, which keeps big fabrics cheap.
         self.frames_forwarded += 1
-        self._links[egress_port].downlink.submit(frame, self.sim.now + self.model.latency_us)
+        self.ports[egress_port].submit(frame, self.sim.now + self.model.latency_us)

@@ -22,13 +22,13 @@ Two forwarding regimes:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.api import UserEndpoint
 from ..core.errors import NoPathError
-from ..ethernet.medium import SimplexChannel
 from ..ethernet.network import _FeNetworkBase
 from ..ethernet.switch import BAY_28115, EthernetSwitch, SwitchModel
+from ..hw.bus import Link
 from ..sim import Simulator
 from .topology import clos_topology, leaves_for
 
@@ -38,7 +38,7 @@ __all__ = ["ClosFeNetwork"]
 class ClosFeNetwork(_FeNetworkBase):
     """Hosts on a leaf/spine Fast Ethernet fabric (full duplex links)."""
 
-    COUNTERS = ("reroutes", "frames_blackholed")
+    COUNTERS = ("reroutes",)
     PARTS = ("leaf_switches", "spine_switches", "hosts")
 
     def __init__(
@@ -76,8 +76,9 @@ class ClosFeNetwork(_FeNetworkBase):
         #: (leaf, spine) -> leaf port toward that spine, and vice versa
         self._leaf_uplink: Dict[Tuple[int, int], int] = {}
         self._spine_downlink: Dict[Tuple[int, int], int] = {}
-        #: trunk channels by (kind, leaf, spine); "up" = leaf->spine
-        self.trunk_channels: Dict[Tuple[str, int, int], SimplexChannel] = {}
+        #: trunk links by (from, to) topology switch index: a leaf is its
+        #: own index, a spine ``leaves + spine``
+        self._trunk_links: Dict[Tuple[int, int], Link] = {}
         for leaf in range(leaves):
             for spine in range(spines):
                 self._join(leaf, spine, rate_mbps, trunk_propagation_us)
@@ -87,28 +88,23 @@ class ClosFeNetwork(_FeNetworkBase):
         self._mac_programs: List[Tuple[int, int, int]] = []
         #: (mac, source leaf) -> spine its MAC entry currently routes via
         self._via: Dict[Tuple[int, int], int] = {}
-        #: saved deliver callbacks of blackholed trunk channels
-        self._trunk_saved: Dict[Tuple[str, int, int], Optional[Callable]] = {}
         self.reroutes = 0
-        self.frames_blackholed = 0
 
     def _join(self, leaf: int, spine: int, rate_mbps: float, propagation_us: float) -> None:
         leaf_sw = self.leaf_switches[leaf]
         spine_sw = self.spine_switches[spine]
-        up = SimplexChannel(self.sim, rate_mbps, propagation_us,
-                            name=f"trunk.l{leaf}->s{spine}",
-                            deliver_at_header=not spine_sw.model.store_and_forward)
-        down = SimplexChannel(self.sim, rate_mbps, propagation_us,
-                              name=f"trunk.s{spine}->l{leaf}",
-                              deliver_at_header=not leaf_sw.model.store_and_forward)
-        leaf_port = leaf_sw.attach_trunk(up)
-        spine_port = spine_sw.attach_trunk(down)
+        up = Link(self.sim, rate_mbps, propagation_us, f"trunk.l{leaf}->s{spine}",
+                  header_bytes=spine_sw.model.ingress_header_bytes)
+        down = Link(self.sim, rate_mbps, propagation_us, f"trunk.s{spine}->l{leaf}",
+                    header_bytes=leaf_sw.model.ingress_header_bytes)
+        leaf_port = leaf_sw.attach_egress(up)
+        spine_port = spine_sw.attach_egress(down)
         up.deliver = spine_sw.ingress(spine_port)
         down.deliver = leaf_sw.ingress(leaf_port)
         self._leaf_uplink[(leaf, spine)] = leaf_port
         self._spine_downlink[(spine, leaf)] = spine_port
-        self.trunk_channels[("up", leaf, spine)] = up
-        self.trunk_channels[("down", leaf, spine)] = down
+        self._trunk_links[(leaf, self.leaves + spine)] = up
+        self._trunk_links[(self.leaves + spine, leaf)] = down
 
     @property
     def leaves(self) -> int:
@@ -117,6 +113,11 @@ class ClosFeNetwork(_FeNetworkBase):
     @property
     def spines(self) -> int:
         return self.topology.spines
+
+    def trunk_link(self, a: int, b: int) -> Link:
+        """The egress trunk from topology switch ``a`` toward adjacent
+        ``b`` (a leaf is its own index, a spine ``leaves + spine``)."""
+        return self._trunk_links[(a, b)]
 
     def _attach(self, backend, leaf: Optional[int] = None,
                 propagation_us: float = 0.5) -> None:
@@ -171,28 +172,15 @@ class ClosFeNetwork(_FeNetworkBase):
     def set_trunk_state(self, a: int, b: int, up: bool) -> bool:
         """Fail or restore the trunk between topology switches ``a`` and
         ``b`` (one a leaf index, the other ``leaves + spine``).  Both
-        simplex trunk channels blackhole in-flight frames while down and
-        every destination MAC is re-spread across surviving spines.
-        Returns True when the state changed."""
+        trunk links blackhole in-flight frames while down and every
+        destination MAC is re-spread across surviving spines.  Returns
+        True when the state changed."""
         if not self.topology.set_trunk(a, b, up):
             return False
-        leaf, spine = (a, b - self.leaves) if a < self.leaves else (b, a - self.leaves)
-        for kind in ("up", "down"):
-            key = (kind, leaf, spine)
-            channel = self.trunk_channels[key]
-            if up:
-                saved = self._trunk_saved.pop(key, None)
-                if saved is not None:
-                    channel.deliver = saved
-            elif key not in self._trunk_saved:
-                self._trunk_saved[key] = channel.deliver
-                channel.deliver = self._blackhole
+        self._trunk_links[(a, b)].up = self._trunk_links[(b, a)].up = up
         for mac, host_leaf, host_index in self._mac_programs:
             self._program_leaves(mac, host_leaf, host_index)
         return True
-
-    def _blackhole(self, frame) -> None:
-        self.frames_blackholed += 1
 
     def backends_reachable(self, backend_a, backend_b) -> bool:
         """Whether a live switch path joins the two attached NICs."""
@@ -215,13 +203,6 @@ class ClosFeNetwork(_FeNetworkBase):
         leaf_a = self._leaf_of_backend[a.host.backend]
         leaf_b = self._leaf_of_backend[b.host.backend]
         return 1 if leaf_a == leaf_b else 3
-
-    @property
-    def frames_dropped(self) -> int:
-        """Egress overflows fabric-wide (switch ports + trunks)."""
-        switches = self.leaf_switches + self.spine_switches
-        return (sum(sw.frames_dropped for sw in switches)
-                + sum(ch.frames_dropped for ch in self.trunk_channels.values()))
 
 
 def _sized(model: SwitchModel, needed: int) -> SwitchModel:

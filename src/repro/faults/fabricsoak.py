@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..artifact import Artifact, Headline
 from ..sim import Simulator
 from ..suite import DEFAULT_SEED, Suite
+from ..telemetry import total
 from .fabric import FabricFaultInjector, Partition, SpineFailure, TrunkFlap
 
 __all__ = [
@@ -443,8 +444,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
     post_mean = (sum(post_latencies) / len(post_latencies)
                  if post_latencies else 0.0)
 
-    blackholed = (getattr(fabric, "cells_blackholed", 0)
-                  + getattr(fabric, "frames_blackholed", 0))
     result = FabricSoakResult(
         scenario=scenario.name,
         fabric=scenario.fabric,
@@ -456,7 +455,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
         recovery_us=recovery,
         post_recovery_mean_us=post_mean,
         reroutes=getattr(fabric, "reroutes", 0),
-        blackholed=blackholed,
+        blackholed=total(fabric, "blackholed"),
         retransmissions=sum(e.retransmissions for e in engines),
         stale_epoch_drops=sum(e.stale_epoch_drops for e in engines),
         heals=len(group.heals),

@@ -12,6 +12,7 @@ from repro.atm import (
     aal5_segment,
 )
 from repro.sim import Simulator
+from tests.hw.test_link import egress_instants
 
 
 def _cell(vci=32, last=True):
@@ -33,18 +34,6 @@ def test_taxi_effective_rates():
     assert TAXI_140.max_payload_mbps == pytest.approx(126.8, rel=0.01)
 
 
-def test_link_serializes_cells_back_to_back():
-    sim = Simulator()
-    link = CellLink(sim, TAXI_140, propagation_us=0.0)
-    arrivals = []
-    link.deliver = lambda cell: arrivals.append(sim.now)
-    link.submit(_cell())
-    link.submit(_cell())
-    sim.run()
-    assert arrivals[0] == pytest.approx(TAXI_140.cell_time_us)
-    assert arrivals[1] - arrivals[0] == pytest.approx(TAXI_140.cell_time_us)
-
-
 def test_link_propagation_and_framer_latency():
     sim = Simulator()
     link = CellLink(sim, OC3_SONET, propagation_us=1.0)
@@ -54,16 +43,6 @@ def test_link_propagation_and_framer_latency():
     sim.run()
     expected = OC3_SONET.cell_time_us + 1.0 + OC3_SONET.framer_latency_us
     assert arrivals == [pytest.approx(expected)]
-
-
-def test_link_counts_cells():
-    sim = Simulator()
-    link = CellLink(sim, TAXI_140)
-    link.deliver = lambda cell: None
-    for _ in range(5):
-        link.submit(_cell())
-    sim.run()
-    assert link.cells_carried == 5
 
 
 # ---------------------------------------------------------------- switch
@@ -147,27 +126,16 @@ def test_switch_preserves_cell_order_per_vci():
 # (one heap entry for hop and wire).  The reference is the unfused hop it
 # replaced: a callback at that instant which then submits.  Instants are
 # compared with ==, not approx: the fusion must land on the same floats.
+# The contract on any link is tests/hw/test_link.py; these are the
+# arrival shapes of a cell switch.
 
 CT = OC3_SONET.cell_time_us
 
 
-def _egress_instants(arrivals, fused, buffer_cells=None, forward_us=ASX200_FORWARD_US):
-    sim = Simulator()
-    link = CellLink(sim, OC3_SONET, propagation_us=0.5, buffer_cells=buffer_cells)
-    delivered = []
-    link.deliver = lambda cell: delivered.append((cell.vci, sim.now))
-
-    def arrive(index):
-        cell = _cell(vci=index)
-        if fused:
-            link.submit(cell, sim.now + forward_us)
-        else:
-            sim.call_in(forward_us, link.submit, cell)
-
-    for index, at in enumerate(arrivals):
-        sim.call_at(at, arrive, index)
-    sim.run()
-    return delivered, link.cells_dropped, link.cells_carried, sim.events_processed
+def _egress_instants(arrivals, fused, buffer=None):
+    return egress_instants(
+        lambda sim: CellLink(sim, OC3_SONET, propagation_us=0.5, buffer=buffer),
+        [(at, _cell(vci=index)) for index, at in enumerate(arrivals)], fused)
 
 
 def _back_to_back(n):
@@ -184,20 +152,20 @@ def _back_to_back(n):
     [i * 3.7 + (i % 3) * 0.11 for i in range(30)],           # gaps shorter and longer than a cell
     [0.1, 0.2, 50.0, 50.1, 50.1 + CT, 200.0, 200.0 + 2 * CT],  # idle gaps
 ], ids=["back-to-back", "bursts", "irregular", "idle-gaps"])
-@pytest.mark.parametrize("buffer_cells", [None, 2], ids=["unbounded", "finite"])
-def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(arrivals, buffer_cells):
-    fused = _egress_instants(arrivals, True, buffer_cells)
-    unfused = _egress_instants(arrivals, False, buffer_cells)
+@pytest.mark.parametrize("buffer", [None, 2], ids=["unbounded", "finite"])
+def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(arrivals, buffer):
+    fused = _egress_instants(arrivals, True, buffer)
+    unfused = _egress_instants(arrivals, False, buffer)
     assert fused[:3] == unfused[:3]
-    if buffer_cells is None:
+    if buffer is None:
         assert fused[3] == unfused[3] - len(arrivals)  # the point: a heap entry less per cell
 
 
 def test_fused_hop_into_a_finite_buffer_drops_what_the_unfused_hop_drops():
     # one cell on the wire plus two queued: each burst of six overflows
     bursts = [0.0] * 6 + [1.0] * 6 + [40.0] * 6
-    fused = _egress_instants(bursts, True, buffer_cells=2)
-    assert fused[:3] == _egress_instants(bursts, False, buffer_cells=2)[:3]
+    fused = _egress_instants(bursts, True, buffer=2)
+    assert fused[:3] == _egress_instants(bursts, False, buffer=2)[:3]
     assert (fused[1], fused[2]) == (3 + 6 + 3, 6)
 
 
@@ -219,16 +187,3 @@ def test_switch_hop_is_one_heap_entry_and_lands_on_the_unfused_floats():
         busy = busy + TAXI_140.cell_time_us
         expected.append(leaves + (busy + 0.0 + TAXI_140.framer_latency_us - leaves))
     assert arrivals == expected
-
-
-def test_deliver_swapped_mid_flight_is_honoured_at_fire_time():
-    """A trunk blackholed (or a fault stage attached) while the cell is
-    still inside the fused hop must still catch it."""
-    sim = Simulator()
-    link = CellLink(sim, OC3_SONET, propagation_us=0.5)
-    link.deliver = lambda cell: pytest.fail("the fibre was yanked before delivery")
-    link.submit(_cell(), sim.now + ASX200_FORWARD_US)
-    blackholed = []
-    sim.call_in(ASX200_FORWARD_US / 2, setattr, link, "deliver", blackholed.append)
-    sim.run()
-    assert len(blackholed) == 1 and link.cells_carried == 1

@@ -1,7 +1,7 @@
 """ATM send completions run ahead of the wire — today's depth, pinned.
 
 A host uplink is a :class:`~repro.atm.phy.CellLink` with
-``buffer_cells=None``: the i960 hands it a cell every ~0.35 µs while
+``buffer=None``: the i960 hands it a cell every ~0.35 µs while
 TAXI-140 serialises one every ~3.03 µs, so a stream's sends complete
 long before their cells leave, and the difference stands in an output
 queue the PCA-200 does not have.  The link's registry gauges show it:
@@ -47,7 +47,7 @@ def test_uplink_depth_at_the_last_send_completion():
     assert len(completed_at) == MESSAGES
     last_completion, gauges = completed_at[-1]
     assert gauges["queued"] == gauges["in_flight"] == PINNED_DEPTH
-    assert gauges["cells_dropped"] == 0
+    assert gauges["dropped"] == 0
     # the queue only grows while the stream lasts ...
     depths = [g["queued"] for _t, g in completed_at]
     assert depths == sorted(depths)

@@ -50,18 +50,18 @@ def _fe_counts(cluster):
     dropped = (sum(nic.rx_overflow_drops + nic.rx_crc_drops for nic in nics)
                + sum(switch.unknown_mac_drops
                      for switch in network.leaf_switches + network.spine_switches)
-               + network.frames_blackholed)
+               + total(network, "blackholed"))
     return sent, taken, dropped
 
 
 def _atm_counts(cluster):
     backends = [host.backend for host in cluster.hosts]
     fabric = cluster.network
-    sent = sum(backend.tx_link.cells_carried for backend in backends)
+    sent = sum(backend.tx_link.carried for backend in backends)
     taken = sum(backend.collective_cells_received for backend in backends)
     dropped = (sum(switch.unknown_vci_drops for switch in fabric.switches)
-               + sum(backend.tx_link.cells_dropped for backend in backends)
-               + fabric.cells_blackholed)
+               + sum(backend.tx_link.dropped for backend in backends)
+               + total(fabric, "blackholed"))
     return sent, taken, dropped
 
 

@@ -62,7 +62,6 @@ NEVER_CLOSES = {
     **dict.fromkeys((
         "atm/test_unet_atm.py", "atm/test_signaling.py", "atm/test_vc_interleaving.py",
         "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
-        "integration/test_finite_buffers.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
         "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.ethernet import DuplexLink, EthernetFrame, SharedMedium, SimplexChannel, wire_time_us
+from repro.ethernet import DuplexLink, EthernetFrame, SharedMedium, wire_time_us
+from repro.ethernet.frames import CUT_THROUGH_BYTES
+from repro.hw.bus import Link
 from repro.sim import RngRegistry, Simulator
+from tests.hw.test_link import egress_instants
 
 
 def _frame(payload=b"x" * 40, dst=2, src=1):
@@ -102,25 +105,11 @@ def test_contention_degrades_aggregate_efficiency():
     assert t8 > 4 * t2 * 0.9
 
 
-def test_simplex_channel_orders_and_delays():
-    sim = Simulator()
-    chan = SimplexChannel(sim, propagation_us=1.0)
-    seen = []
-    chan.deliver = lambda f: seen.append((f.payload, sim.now))
-    f1, f2 = _frame(b"a" * 100), _frame(b"b" * 100)
-    chan.submit(f1)
-    chan.submit(f2)
-    sim.run()
-    assert [p for p, _t in seen] == [b"a" * 100, b"b" * 100]
-    assert seen[0][1] == pytest.approx(wire_time_us(f1) + 1.0)
-    assert seen[1][1] == pytest.approx(2 * wire_time_us(f1) + 1.0)
-
-
 def test_simplex_submit_returns_end_of_wire_and_schedules_no_wait():
     """``submit`` hands back the end-of-wire instant instead of building
     a Timeout nobody but a sending NIC wants: one heap entry per frame."""
     sim = Simulator()
-    chan = SimplexChannel(sim)
+    chan = Link(sim, 100.0, 0.5, "fe")
     chan.deliver = lambda f: None
     sim.run(until=5.0)
     first = chan.submit(_frame())
@@ -151,7 +140,7 @@ def test_duplex_transmit_sleeps_until_end_of_wire():
 def test_dropped_frame_costs_the_sender_no_wire_time():
     sim = Simulator()
     link = DuplexLink(sim)
-    link.uplink.buffer_frames = 0
+    link.uplink.buffer = 0
     link.uplink.deliver = lambda f: None
     link.uplink.submit(_frame(b"x" * 1400))   # on the wire; no slot behind it
     done = []
@@ -162,12 +151,12 @@ def test_dropped_frame_costs_the_sender_no_wire_time():
 
     sim.process(tx())
     sim.run()
-    assert link.uplink.frames_dropped == 1 and done == [0.0]
+    assert link.uplink.dropped == 1 and done == [0.0]
 
 
 def test_deliver_at_header_mode():
     sim = Simulator()
-    chan = SimplexChannel(sim, propagation_us=0.0, deliver_at_header=True)
+    chan = Link(sim, 100.0, 0.0, "cut-through", header_bytes=CUT_THROUGH_BYTES)
     arrivals = []
     chan.deliver = lambda f: arrivals.append(sim.now)
     big = _frame(b"x" * 1400)
@@ -181,31 +170,19 @@ def test_deliver_at_header_mode():
 
 
 # ------------------------------------------------- the fused switch hop
-# Same contract as the ATM one (tests/atm/test_phy_switch.py): a frame
-# submitted *as of* now + latency is delivered at the very float the
-# unfused hop — a callback at that instant which then submits — reached.
+# The contract on any link is tests/hw/test_link.py: a frame submitted
+# *as of* now + latency is delivered at the very float the unfused hop —
+# a callback at that instant which then submits — reached.  These are a
+# frame switch's shapes: cut-through, and mixed frame sizes.
 
-def _egress_instants(arrivals, fused, latency_us=4.0, **channel):
-    sim = Simulator()
-    chan = SimplexChannel(sim, propagation_us=0.5, **channel)
-    delivered = []
-    chan.deliver = lambda frame: delivered.append((len(frame.payload), sim.now))
-
-    def arrive(size):
-        frame = _frame(b"x" * size)
-        if fused:
-            chan.submit(frame, sim.now + latency_us)
-        else:
-            sim.call_in(latency_us, chan.submit, frame)
-
-    for at, size in arrivals:
-        sim.call_at(at, arrive, size)
-    sim.run()
-    return delivered, chan.frames_dropped, chan.frames_carried, sim.events_processed
+def _egress_instants(arrivals, fused, **channel):
+    return egress_instants(
+        lambda sim: Link(sim, 100.0, 0.5, "fe", **channel),
+        [(at, _frame(b"x" * size)) for at, size in arrivals], fused, latency_us=4.0)
 
 
 @pytest.mark.parametrize("channel", [
-    {}, {"deliver_at_header": True}, {"buffer_frames": 1},
+    {}, {"header_bytes": CUT_THROUGH_BYTES}, {"buffer": 1},
 ], ids=["store-and-forward", "cut-through", "finite"])
 def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(channel):
     wire = wire_time_us(_frame(b"x" * 40))
@@ -215,18 +192,7 @@ def test_fused_hop_delivers_at_the_instants_of_the_unfused_hop(channel):
     fused = _egress_instants(arrivals, True, **channel)
     unfused = _egress_instants(arrivals, False, **channel)
     assert fused[:3] == unfused[:3]
-    if "buffer_frames" in channel:
+    if "buffer" in channel:
         assert fused[1] >= 2  # the burst of four overflows one on the wire plus one queued
     else:
         assert fused[3] == unfused[3] - len(arrivals)  # a heap entry less per frame
-
-
-def test_channel_deliver_swapped_mid_flight_is_honoured_at_fire_time():
-    sim = Simulator()
-    chan = SimplexChannel(sim)
-    chan.deliver = lambda frame: pytest.fail("the trunk went down before delivery")
-    chan.submit(_frame(), sim.now + 4.0)
-    blackholed = []
-    sim.call_in(2.0, setattr, chan, "deliver", blackholed.append)
-    sim.run()
-    assert len(blackholed) == 1 and chan.frames_carried == 1

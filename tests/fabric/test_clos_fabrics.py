@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.ethernet import EthernetFrame
 from repro.fabric import ClosAtmFabric, ClosFeNetwork, MixedFabric
 from repro.hw import PENTIUM_120, SPARCSTATION_20
 from repro.sim import Simulator
+from repro.telemetry import total
 
 
 def _transfer(sim, src, dst, channel, payload):
@@ -96,7 +98,7 @@ def test_fe_clos_delivers_across_leaves():
     assert msg.data == payload
     assert network.hops_between(ep0, ep3) == 3
     assert network.hops_between(ep0, ep1) == 1
-    assert network.frames_dropped == 0
+    assert total(network, "dropped") == 0
 
 
 def test_fe_clos_static_programming_spreads_spines():
@@ -113,9 +115,23 @@ def test_fe_clos_static_programming_spreads_spines():
 
     sim.process(tx())
     sim.run()
-    up = [network.trunk_channels[("up", 0, spine)].frames_carried
+    up = [network.trunk_link(0, network.leaves + spine).carried
           for spine in range(2)]
     assert all(count > 0 for count in up), f"a trunk sat idle: {up}"
+
+
+def test_fe_clos_counts_a_trunk_drop_once(closing):
+    """A trunk is a leaf's or a spine's egress port, so the fabric-wide
+    drop count sees each of its overflows once."""
+    _sim, network, _endpoints = _fe_clos()
+    closing(network)
+    trunk = network.trunk_link(0, network.leaves)  # leaf 0 -> spine 0
+    trunk.buffer = 1  # one frame on the wire plus one queued
+    for _ in range(6):
+        trunk.submit(EthernetFrame(dst_mac=1, src_mac=2, dst_port=1, src_port=1,
+                                   payload=bytes(1000)))
+    assert trunk.dropped == 4
+    assert total(network, "dropped") == 4
 
 
 def test_fe_clos_learning_mode_requires_single_spine():

@@ -8,16 +8,17 @@ from repro.core import EndpointConfig
 from repro.ethernet import EthernetSwitch, BAY_28115, SwitchedNetwork
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
+from repro.telemetry import total
 
 CONFIG = EndpointConfig(num_buffers=256, buffer_size=2048,
                         send_queue_depth=128, recv_queue_depth=256)
 
 
-def test_fe_switch_incast_overflows_small_buffers():
+def test_fe_switch_incast_overflows_small_buffers(closing):
     sim = Simulator()
-    net = SwitchedNetwork(sim)
+    net = closing(SwitchedNetwork(sim))
     # rebuild the switch with tiny egress buffers
-    net.switch = EthernetSwitch(sim, BAY_28115, output_buffer_frames=2)
+    net.switch = EthernetSwitch(sim, BAY_28115, output_buffer=2)
     hosts = [net.add_host(f"h{i}", PENTIUM_120) for i in range(4)]
     endpoints = [h.create_endpoint(config=CONFIG, rx_buffers=64) for h in hosts]
     ams = [AmEndpoint(i, endpoints[i], config=AmConfig(retransmit_timeout_us=500.0))
@@ -41,17 +42,17 @@ def test_fe_switch_incast_overflows_small_buffers():
         sim.process(blast(ams[i], i)())
     sim.run()
     # three senders into one egress port with 2-frame buffers: drops
-    assert net.switch.frames_dropped > 0
+    assert total(net.switch, "dropped") > 0
     # ... which the AM layer repaired: every message exactly once
     for src in (1, 2, 3):
         got = sorted(v for s, v in received if s == src)
         assert got == list(range(12))
 
 
-def test_atm_switch_incast_overflows_small_buffers():
+def test_atm_switch_incast_overflows_small_buffers(closing):
     sim = Simulator()
-    net = AtmNetwork(sim)
-    net.switch.output_buffer_cells = 16
+    net = closing(AtmNetwork(sim))
+    net.switch.output_buffer = 16
     hosts = [net.add_host(f"h{i}", PENTIUM_120) for i in range(4)]
     endpoints = [h.create_endpoint(config=CONFIG, rx_buffers=64) for h in hosts]
     ams = [AmEndpoint(i, endpoints[i], config=AmConfig(retransmit_timeout_us=800.0))
@@ -73,15 +74,15 @@ def test_atm_switch_incast_overflows_small_buffers():
     for i in range(1, 4):
         sim.process(blast(ams[i])())
     sim.run(until=200_000.0)
-    assert net.switch.cells_dropped > 0
+    assert total(net.switch, "dropped") > 0
     for src in (1, 2, 3):
         got = sorted(v for s, v in received if s == src)
         assert got == list(range(8))
 
 
-def test_unbounded_buffers_never_drop():
+def test_unbounded_buffers_never_drop(closing):
     sim = Simulator()
-    net = SwitchedNetwork(sim)
+    net = closing(SwitchedNetwork(sim))
     h1 = net.add_host("h1", PENTIUM_120)
     h2 = net.add_host("h2", PENTIUM_120)
     ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=64)
@@ -98,4 +99,4 @@ def test_unbounded_buffers_never_drop():
 
     sim.process(tx())
     sim.run_until_complete(sim.process(rx()))
-    assert net.switch.frames_dropped == 0
+    assert total(net.switch, "dropped") == 0

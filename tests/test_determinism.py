@@ -782,3 +782,42 @@ def test_counter_lint_catches_a_planted_method_and_spares_declarations():
     spared = planted.replace("def counters", "def forward").replace(
         "def stats(self)", "def take(self)")
     assert not list(_counter_methods_in(here, source=spared))
+
+
+# ---------------------------------------------------------- one serialiser
+#: the one class that serialises units onto a wire (``repro.hw.bus``)
+SERIALISERS = {"Link"}
+
+
+def _busy_until_classes_in(path: pathlib.Path, source=None):
+    """Every class whose methods touch a ``_busy_until`` attribute: a
+    private busy-until clock, i.e. a second wire model."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(inner, ast.Attribute) and inner.attr == "_busy_until"
+                for inner in ast.walk(node)):
+            yield node.name
+
+
+def test_one_class_keeps_a_busy_until_clock():
+    """Both NICs sit on one kind of wire, and one ``Link`` models it; a
+    class that keeps its own ``_busy_until`` is a second link model."""
+    found = {name for path in sorted(SRC_ROOT.rglob("*.py"))
+             for name in _busy_until_classes_in(path)}
+    assert found == SERIALISERS, (
+        f"serialise through repro.hw.bus.Link instead: {sorted(found - SERIALISERS)}")
+
+
+def test_serialiser_lint_catches_a_planted_clock_and_spares_the_rest():
+    planted = ("class CellPipe:\n"
+               "    def submit(self, cell):\n"
+               "        start = max(self._busy_until, self.sim.now)\n"
+               "class Switch:\n"
+               "    def on_cell(self, cell):\n"
+               "        self.ports[0].submit(cell)\n")
+    here = pathlib.Path("planted.py")
+    assert list(_busy_until_classes_in(here, source=planted)) == ["CellPipe"]
+    spared = planted.replace("self._busy_until", "self.busy_until")
+    assert not list(_busy_until_classes_in(here, source=spared))

@@ -45,6 +45,17 @@ def test_microbenchmarks_load_no_numpy_no_am_and_no_splitc():
                        "repro.splitc", "repro.am")
 
 
+#: ``repro`` modules a two-host ping-pong may load: the budget CI's
+#: perfbench-smoke job gates, held here so the suite fails first
+PING_PONG_IMPORT_BUDGET = 44
+
+
+def test_a_two_host_ping_pong_stays_within_the_import_budget():
+    loaded = _loaded_after("import repro.analysis.microbench")
+    ours = [name for name in loaded if name.split(".")[0] == "repro"]
+    assert len(ours) <= PING_PONG_IMPORT_BUDGET, sorted(ours)
+
+
 def test_live_data_path_loads_no_fault_injector_and_no_conformance_harness():
     loaded = _loaded_after("import repro.live.am, repro.live.backend, repro.live.transport")
     assert "repro.live.backend" in loaded and "repro.am.core" in loaded
