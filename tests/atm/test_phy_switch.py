@@ -34,6 +34,18 @@ def test_taxi_effective_rates():
     assert TAXI_140.max_payload_mbps == pytest.approx(126.8, rel=0.01)
 
 
+def test_link_serializes_cells_back_to_back():
+    sim = Simulator()
+    link = CellLink(sim, TAXI_140, propagation_us=0.0)
+    arrivals = []
+    link.deliver = lambda cell: arrivals.append(sim.now)
+    link.submit(_cell())
+    link.submit(_cell())
+    sim.run()
+    assert arrivals[0] == pytest.approx(TAXI_140.cell_time_us)
+    assert arrivals[1] - arrivals[0] == pytest.approx(TAXI_140.cell_time_us)
+
+
 def test_link_propagation_and_framer_latency():
     sim = Simulator()
     link = CellLink(sim, OC3_SONET, propagation_us=1.0)
@@ -43,6 +55,16 @@ def test_link_propagation_and_framer_latency():
     sim.run()
     expected = OC3_SONET.cell_time_us + 1.0 + OC3_SONET.framer_latency_us
     assert arrivals == [pytest.approx(expected)]
+
+
+def test_link_counts_cells():
+    sim = Simulator()
+    link = CellLink(sim, TAXI_140)
+    link.deliver = lambda cell: None
+    for _ in range(5):
+        link.submit(_cell())
+    sim.run()
+    assert link.cells_carried == 5
 
 
 # ---------------------------------------------------------------- switch
