@@ -47,7 +47,7 @@ class AmEndpoint(AmCore):
 
     def __init__(self, node_id: int, user_endpoint: UserEndpoint, config: Optional[AmConfig] = None,
                  rng: Optional[random.Random] = None) -> None:
-        super().__init__(node_id, user_endpoint, user_endpoint.host.backend, config, rng)
+        super().__init__(node_id, user_endpoint, config, rng)
         self.sim: Simulator = user_endpoint.sim
         self.sim.process(self._dispatch_loop(), name=f"am{node_id}.dispatch")
         if self.config.credit_flow:

@@ -430,11 +430,19 @@ class AmCore:
                 "restarts", "abandoned_sends")
     PARTS = ("peers",)
 
-    def __init__(self, node_id: int, user, backend, config: Optional[AmConfig] = None,
+    def __init__(self, node_id: int, user, config: Optional[AmConfig] = None,
                  rng: Optional[random.Random] = None) -> None:
         self.node = node_id
         self.user = user
-        self._backend = backend
+        #: the host NI's event stream: every transition is an ``"am"``
+        #: record, its step the kind (grant, credit_stall, tx, ack_tx,
+        #: ack_rx, rexmit, timeout, dispatch, reply, dup_rx, ecn_mark,
+        #: ecn_echo, ecn_backoff, plus the recovery kinds reconnect,
+        #: reconnected, stale_epoch, abandon, peer_dead, peer_alive,
+        #: peer_restart), its info carrying ``node`` (this endpoint) and
+        #: ``peer``; the conformance probe diffs substrates on it without
+        #: reaching into private state
+        self.trace = user.backend.trace
         self.config = config or AmConfig()
         #: deterministic per-endpoint stream for retransmission jitter,
         #: seeded by the first backed-off timeout that draws from it
@@ -455,16 +463,6 @@ class AmCore:
         self.replies_sent = 0
         self.acks_sent = 0
         self.requests_delivered = 0
-        #: optional observable-event hook ``observer(kind, fields)``.
-        #: Kinds: grant, credit_stall, tx, rexmit, timeout, dispatch,
-        #: reply, dup_rx, ecn_mark, ecn_echo, ecn_backoff, plus the
-        #: recovery kinds reconnect, reconnected, stale_epoch, abandon,
-        #: peer_dead, peer_alive, peer_restart.  Every ``fields`` dict
-        #: carries ``node`` (this endpoint), ``peer`` and ``t`` (driver
-        #: time); the conformance checker consumes these to diff
-        #: substrates against the reference model without reaching into
-        #: private state.
-        self.observer: Optional[Callable[[str, Dict], None]] = None
         self._running = True
         #: this endpoint's incarnation (stamped into every packet when
         #: the recovery extension is on; restarts increment it)
@@ -485,7 +483,7 @@ class AmCore:
                     + (CREDIT_SIZE if self.config.credit_flow else 0)
                     + (EPOCH_SIZE if self.config.recovery else 0)
                     + (SACK_SIZE if self.config.ack_mode == "sack" else 0))
-        return self._backend.max_pdu - overhead
+        return self.user.backend.max_pdu - overhead
 
     def connect_peer(self, node_id: int, channel_id: int) -> None:
         if node_id in self._peers_by_node:
@@ -732,11 +730,9 @@ class AmCore:
 
     # ------------------------------------------------------- introspection
     def _observe(self, kind: str, peer: PeerState, **fields) -> None:
-        if self.observer is not None:
-            fields["node"] = self.node
-            fields["peer"] = peer.node
-            fields["t"] = self._now()
-            self.observer(kind, fields)
+        if self.trace.listeners:
+            self.trace.record(self._now(), 0.0, "am", kind, **fields,
+                              node=self.node, peer=peer.node)
 
     @property
     def peers(self) -> Dict[int, PeerState]:
@@ -856,6 +852,8 @@ class AmCore:
         it for acknowledgement when ``track``, and return the wire bytes
         the driver hands to U-Net."""
         self._restamp(peer, packet)
+        if self.trace.listeners:
+            self._observe("ack_tx", peer, ack=packet.ack, ptype=packet.type)
         peer.ack_deadline = None  # this packet carries the ack
         peer.deliveries_since_ack = 0
         if track:
@@ -895,6 +893,8 @@ class AmCore:
         if cfg.recovery and not self._fence(peer, packet):
             return None  # fenced: a dead incarnation's traffic
         if ack_epoch_applies(packet.epoch, peer.remote_epoch):
+            if self.trace.listeners:
+                self._observe("ack_rx", peer, ack=packet.ack, ptype=packet.type)
             self._process_ack(peer, packet.ack)
             if cfg.ack_mode == "sack" and packet.sack_bits is not None:
                 self._process_sack(peer, packet.ack, packet.sack_bits)

@@ -15,6 +15,7 @@ from typing import List
 from .. import networks
 from ..hw.cpu import PENTIUM_120, CpuModel
 from ..sim import Simulator, Timeline, TraceRecord, TraceRecorder
+from ..sim.trace import EVENTS
 from .microbench import two_host_rig
 from .timelines import TRACED_ENDPOINT
 
@@ -24,20 +25,20 @@ __all__ = ["trace_journey", "render_journey"]
 def trace_journey(substrate: str = "fe", size: int = 40, cpu: CpuModel = PENTIUM_120) -> Timeline:
     """One instrumented one-way transfer; returns the merged timeline.
 
-    ``substrate`` names a row of :mod:`repro.networks` whose hosts take
-    a ``trace`` — ``"fe"`` (Bay 28115 switch), ``"atm"`` (ASX-200).
+    ``substrate`` names a row of :mod:`repro.networks` whose hosts
+    carry one NI (``"fe"`` is the Bay 28115 switch, ``"atm"`` the
+    ASX-200).  Both hosts' streams feed one recording; the instants of
+    the layers above the NI (:data:`~repro.sim.trace.EVENTS`) are not
+    steps of the journey.
     """
     row = networks.get(substrate)
     agent = row.ni.agent
     trace = TraceRecorder()
     rig = two_host_rig(row.build(Simulator()), cpu, names=("src", "dst"),
-                       config=TRACED_ENDPOINT, rx_buffers=16, trace=trace)
+                       config=TRACED_ENDPOINT, rx_buffers=16)
     sim, ep1, ep2, ch1 = rig.sim, rig.ep1, rig.ep2, rig.ch1
     for endpoint in (ep1, ep2):
-        # a DC21140 records its own DMA and wire steps; the PCA-200's
-        # are the firmware's, already on ``trace``
-        for nic in getattr(endpoint.backend, "nics", ()):
-            nic.trace = trace
+        endpoint.backend.trace.subscribe(trace.records.append)
 
     def tx():
         start = sim.now
@@ -55,7 +56,8 @@ def trace_journey(substrate: str = "fe", size: int = 40, cpu: CpuModel = PENTIUM
     with rig:
         sim.process(tx())
         sim.run_until_complete(sim.process(rx()))
-    records = sorted(trace.records, key=lambda r: (r.start, r.end))
+    records = sorted((r for r in trace.records if r.category not in EVENTS),
+                     key=lambda r: (r.start, r.end))
     merged: List[TraceRecord] = [
         TraceRecord(r.start, r.duration, "journey",
                     r.step if ":" in r.step else _prefix(r, agent), dict(r.info))

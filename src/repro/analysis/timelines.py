@@ -26,7 +26,9 @@ def _traced_transfer(net, size: int, cpu: CpuModel, tx_category: str,
                      rx_category: str) -> Tuple[Timeline, Timeline]:
     """One traced ``size``-byte message across a fresh two-host ``net``."""
     trace = TraceRecorder()
-    with two_host_rig(net, cpu, config=TRACED_ENDPOINT, rx_buffers=16, trace=trace) as rig:
+    with two_host_rig(net, cpu, config=TRACED_ENDPOINT, rx_buffers=16) as rig:
+        for user in (rig.ep1, rig.ep2):
+            user.backend.trace.subscribe(trace.records.append)
         rig.sim.process(rig.ep1.send(rig.ch1, bytes(size)))
         rig.sim.run_until_complete(rig.sim.process(rig.ep2.recv()))
     tx_span = trace.last_span(tx_category)

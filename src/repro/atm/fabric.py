@@ -26,7 +26,7 @@ from ..core.channels import AtmTag, connect_pair
 from ..core.errors import ChannelError, NoPathError
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
-from ..sim import Discarded, Simulator, TraceRecorder
+from ..sim import Discarded, Simulator
 from .phy import OC3_SONET, AtmPhy, CellLink
 from .switch import ASX200_FORWARD_US, AtmSwitch
 from .unet_atm import AtmTimings, UNetAtmBackend
@@ -145,7 +145,6 @@ class AtmFabric(SimulatedNetwork):
         timings: Optional[AtmTimings] = None,
         bus: BusModel = PCI_BUS,
         propagation_us: float = 0.5,
-        trace: Optional[TraceRecorder] = None,
     ) -> Host:
         """Attach a new workstation to the next free port of ``switch``.
 
@@ -155,8 +154,7 @@ class AtmFabric(SimulatedNetwork):
         """
         if not 0 <= switch < len(self.switches):
             raise ValueError(f"no such switch {switch}")
-        backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus,
-                                 trace=trace)
+        backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus)
         uplink = CellLink(self.sim, phy, propagation_us, name=f"{name}->sw{switch}")
         uplink.deliver = self.switches[switch].on_cell
         backend.tx_link = uplink

@@ -33,7 +33,7 @@ from ..core.descriptors import RecvDescriptor
 from ..core.endpoint import Endpoint
 from ..core.errors import ChannelError
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
-from ..sim import Event, Simulator, Store, TraceRecorder
+from ..sim import Event, Simulator, Store
 from .cells import (
     AAL5_MAX_PDU,
     SINGLE_CELL_MAX_PAYLOAD,
@@ -124,11 +124,9 @@ class UNetAtmBackend(UNetBackend):
         name: str,
         timings: Optional[AtmTimings] = None,
         bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         super().__init__(sim, name)
         self.timings = timings or AtmTimings()
-        self.trace = trace or TraceRecorder(enabled=False)
         self.dma = DmaEngine(sim, bus, name=f"{name}.dma")
         #: egress cell link toward the switch (set by the network builder)
         self.tx_link: Optional[CellLink] = None

@@ -559,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     pat.add_argument("--size", type=int, default=40)
     pat.set_defaults(func=_cmd_atm_timeline)
     pj = sub.add_parser("journey", help=_EXPERIMENTS["journey"])
-    pj.add_argument("--substrate", default="fe", choices=("fe", "atm"))
+    pj.add_argument("--substrate", default="fe", choices=("fe",) + tuple(
+        name for name, row in networks.NETWORKS.items() if len(row.nis) == 1))
     pj.add_argument("--size", type=int, default=40)
     pj.set_defaults(func=_cmd_journey)
     p5 = sub.add_parser("fig5", help=_EXPERIMENTS["fig5"])

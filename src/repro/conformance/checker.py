@@ -240,10 +240,8 @@ class CaseRig:
         self.am0, self.am1 = am0, am1
         self.probe = ObservationProbe(name, requester_node=0,
                                       config_window=am0.config.window)
-        for am, backend in ((am0, backend0), (am1, backend1)):
-            self.probe.attach_am(am)
-            self.probe.attach_endpoint(am.user.endpoint)
-            self.probe.attach_demux(backend.demux)
+        self.probe.attach(backend0)
+        self.probe.attach(backend1)
         # the scripted stage at node 1 sees the request path, the one at
         # node 0 the reply path — keyed by packet identity, not arrival
         # index
@@ -333,7 +331,6 @@ def run_substrate(case: ConformanceCase, substrate: str,
         am1.connect_peer(0, ch1)
 
         rig = CaseRig(case, substrate, am0, am1, h0.backend, h1.backend)
-        rig.probe.attach_trace(h1.backend.trace)
         pipelines = [
             attach_pipeline(h1.backend, rig.fwd_stages, prefix="conformance.fwd"),
             attach_pipeline(h0.backend, [rig.rev_stage], prefix="conformance.rev"),

@@ -1,11 +1,10 @@
 """Observation probe: AM-level observable traces from a live run.
 
-The probe subscribes to the observable-event hooks the core layers
-expose (``AmEndpoint.observer``, ``Endpoint.note_drop``'s observer,
-``DemuxTable.observer``, and optionally a substrate's
-:class:`~repro.sim.trace.TraceRecorder`) and condenses one run into an
-:class:`ObservedTrace` — the exact shape the differential checker diffs
-against the reference model.
+The probe subscribes to each NI's event stream (``backend.trace``, a
+:class:`~repro.sim.trace.TraceRecorder`: the AM endpoint's transitions,
+the endpoints' and the demux table's drops, the NI's own steps) and
+condenses one run into an :class:`ObservedTrace` — the exact shape the
+differential checker diffs against the reference model.
 
 It also checks *online protocol invariants* that hold on every
 conforming implementation regardless of timing:
@@ -102,19 +101,9 @@ class ObservationProbe:
         self._ecn_marks = 0
         self._ecn_echoes = 0
 
-    # -------------------------------------------------------------- attach
-    def attach_am(self, am) -> None:
-        am.observer = self._on_am
-
-    def attach_endpoint(self, endpoint) -> None:
-        endpoint.observer = self._on_drop
-
-    def attach_demux(self, demux) -> None:
-        demux.observer = self._on_unknown_tag
-
-    def attach_trace(self, recorder) -> None:
-        """Stream a substrate's step trace into the context ring."""
-        recorder.subscribe(self._on_trace)
+    def attach(self, backend) -> None:
+        """Watch everything on ``backend``'s host."""
+        backend.trace.subscribe(self._on_record)
 
     # -------------------------------------------------------------- events
     def _violate(self, message: str) -> None:
@@ -122,7 +111,7 @@ class ObservationProbe:
             self.violations.append(message)
 
     def _on_am(self, kind: str, fields: dict) -> None:
-        self.events.append((kind, dict(fields)))
+        self.events.append((kind, fields))
         node = fields["node"]
         if kind == "grant":
             credit = fields["remote_credit"]
@@ -177,21 +166,15 @@ class ObservationProbe:
             # which conformance cases never schedule)
             self.abandoned.append(fields["seq"])
 
-    def _on_drop(self, kind: str, endpoint) -> None:
-        self.drop_classes[kind] = self.drop_classes.get(kind, 0) + 1
-        self.events.append(("drop", {"class": kind, "endpoint": endpoint.id,
-                                     "t": endpoint.sim.now}))
-
-    def _on_unknown_tag(self, rx_tag) -> None:
-        self.drop_classes["unknown_tag_drops"] = (
-            self.drop_classes.get("unknown_tag_drops", 0) + 1
-        )
-        self.events.append(("drop", {"class": "unknown_tag_drops", "tag": repr(rx_tag)}))
-
-    def _on_trace(self, record) -> None:
-        self.substrate_steps.append(
-            f"{record.start:10.1f}us {record.category}: {record.step}"
-        )
+    def _on_record(self, record) -> None:
+        category, kind = record.category, record.step
+        if category == "am":
+            self._on_am(kind, dict(record.info, t=record.start))
+        elif category == "drop":
+            self.drop_classes[kind] = self.drop_classes.get(kind, 0) + 1
+            self.events.append(("drop", {"class": kind, **record.info, "t": record.start}))
+        else:
+            self.substrate_steps.append(f"{record.start:10.1f}us {category}: {kind}")
 
     # -------------------------------------------------------------- result
     def finish(self, completed: bool, completion_time_us: float,

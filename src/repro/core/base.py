@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 from typing import Any, List, Optional, Tuple
 
-from ..sim import Discarded, Simulator
+from ..sim import Discarded, Simulator, TraceRecorder
 from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig, drop_stats
 from .errors import AdmissionRejected, EndpointError
 from .mux import DemuxTable
@@ -48,9 +48,14 @@ class UNetBackend(abc.ABC):
         self.name = name
         self.endpoints: List[Endpoint] = []
         self._next_endpoint_id = 0
+        #: this host's one event stream (:mod:`repro.sim.trace`): the NI's
+        #: steps and its controllers', its endpoints' deliveries and drops,
+        #: its demux table's unknown tags and the AM endpoint above it
+        self.trace = TraceRecorder(enabled=False)
         #: incoming tag -> (endpoint, channel); rows are installed by the
         #: network's channel service (:func:`repro.core.channels.connect_pair`)
         self.demux = DemuxTable(name=f"{name}.demux")
+        self.demux.trace, self.demux.sim = self.trace, sim
         #: optional :class:`~repro.core.tenancy.AdmissionController`;
         #: when set, ``create_endpoint`` may refuse with a typed
         #: :class:`~repro.core.errors.AdmissionRejected` error
@@ -81,6 +86,7 @@ class UNetBackend(abc.ABC):
                 raise
         endpoint = Endpoint(self.sim, self._next_endpoint_id, config or EndpointConfig(),
                             owner=owner, tenant=tenant, qos=qos)
+        endpoint.trace = self.trace
         self._next_endpoint_id += 1
         self.endpoints.append(endpoint)
         return endpoint

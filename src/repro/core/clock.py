@@ -19,7 +19,7 @@ it — so time flows through an explicit :class:`Clock` object instead:
 the substrate-independent core touches on the data path (``sim.now``),
 letting the live backend reuse :class:`~repro.core.endpoint.Endpoint`
 verbatim — same descriptor validation, same drop accounting, same
-observer hooks — without dragging in the event engine.
+event stream — without dragging in the event engine.
 """
 
 from __future__ import annotations

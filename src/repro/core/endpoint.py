@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hw.memory import Buffer, BufferArea
-from ..sim import BoundedRing, Event, Simulator
+from ..sim import BoundedRing, Event, Simulator, TraceRecorder
 from .descriptors import RecvDescriptor, SendDescriptor
 from .errors import EndpointError, InvalidDescriptorError, ProtectionError
 
@@ -116,10 +116,9 @@ class Endpoint:
         #: misbehaving process cannot consume service time that other
         #: endpoints need
         self.quarantined = False
-        #: optional observable-event hook ``observer(kind, endpoint)``,
-        #: invoked on every counted drop (kind is a ``DROP_COUNTERS``
-        #: name); used by the conformance checker to build per-run traces
-        self.observer: Optional[Callable[[str, "Endpoint"], None]] = None
+        #: where deliveries and drops are recorded: the serving NI's
+        #: stream (set by ``create_endpoint``); a bare endpoint's own
+        self.trace = TraceRecorder(enabled=False)
         #: set by :meth:`release`: the buffer area, queues and channels
         #: went back to the system; only the counters are left
         self.closed = False
@@ -246,6 +245,9 @@ class Endpoint:
             return False
         self.messages_received += 1
         self.bytes_received += descriptor.length
+        if self.trace.listeners:
+            self.trace.record(self.sim.now, 0.0, "endpoint", "deliver", endpoint=self.id,
+                              channel=descriptor.channel_id, length=descriptor.length)
         if len(self.recv_queue) == 1:
             self._wake_receivers()
         return True
@@ -273,14 +275,14 @@ class Endpoint:
 
         All layers that shed a message destined for this endpoint funnel
         through here (``deliver`` for a full receive queue, the serving
-        backend for no-buffer and quarantine sheds), so the observer hook
-        sees every drop exactly once with its classification.
+        backend for no-buffer and quarantine sheds), so the stream sees
+        every drop exactly once, as a ``"drop"`` record named by its class.
         """
         if kind not in self._OWN_DROPS:
             raise ValueError(f"unknown drop class {kind!r}; expected one of {self._OWN_DROPS}")
         setattr(self, kind, getattr(self, kind) + 1)
-        if self.observer is not None:
-            self.observer(kind, self)
+        if self.trace.listeners:
+            self.trace.record(self.sim.now, 0.0, "drop", kind, endpoint=self.id)
 
     @property
     def recv_queue_occupancy(self) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from ..sim import TraceRecorder
 from .endpoint import Endpoint
 
 __all__ = ["DemuxTable"]
@@ -41,9 +42,11 @@ class DemuxTable:
         #: live row count per tenant name (untenanted rows under "")
         self._rows_by_tenant: Dict[str, int] = {}
         self.unknown_tag_drops = 0
-        #: optional hook ``observer(rx_tag)`` fired on unknown-tag drops
-        #: (the one drop class no endpoint can own); see conformance
-        self.observer = None
+        #: the owning NI's stream and simulator, whose clock stamps an
+        #: unknown-tag drop (``UNetBackend`` sets both); a bare table's
+        #: stream is its own
+        self.trace = TraceRecorder(enabled=False)
+        self.sim = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -94,8 +97,8 @@ class DemuxTable:
         entry = self._rows.get(rx_tag)
         if entry is None:
             self.unknown_tag_drops += 1
-            if self.observer is not None:
-                self.observer(rx_tag)
+            if self.trace.listeners:
+                self.trace.record(self.sim.now, 0.0, "drop", "unknown_tag_drops", tag=rx_tag)
         return entry
 
     # ---------------------------------------------------------- accounting

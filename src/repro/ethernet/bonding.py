@@ -64,6 +64,7 @@ class DualNicFeBackend(UNetFeBackend):
         super().__init__(sim, name, cpu, macs[0], timings=timings, nic_timings=nic_timings, bus=bus)
         self.macs = macs
         self.nic_b = Dc21140(sim, macs[1], bus=bus, timings=nic_timings, name=f"{name}.nicB")
+        self.nic_b.trace = self.trace
         self.nic_b.interrupt = self._interrupt
         self.nic_b.on_tx_space = self._tx_space_available
         self.nics.append(self.nic_b)

@@ -106,7 +106,8 @@ class Dc21140:
         self.rx_overflow_drops = 0
         self.rx_crc_drops = 0
         self.tx_collision_drops = 0
-        #: optional step tracing (the end-to-end journey tracer uses it)
+        #: where its steps are recorded: the host NI's stream (the backend
+        #: sets it); a bare chip's own
         self.trace = TraceRecorder(enabled=False)
         sim.process(self._tx_engine(), name=f"{name}.tx")
         sim.process(self._tx_wire(), name=f"{name}.txwire")

@@ -16,7 +16,7 @@ from ..core.base import SimulatedNetwork
 from ..core.channels import EthernetTag, connect_pair
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
-from ..sim import RngRegistry, Simulator, TraceRecorder
+from ..sim import RngRegistry, Simulator
 from .dc21140 import NicTimings
 from .medium import SharedMedium
 from .switch import BAY_28115, FN100, EthernetSwitch, SwitchModel
@@ -54,7 +54,6 @@ class _FeNetworkBase(SimulatedNetwork):
         timings: Optional[FeTimings] = None,
         nic_timings: Optional[NicTimings] = None,
         bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
         **where,
     ) -> Host:
         """Attach a workstation; ``where`` places it in the topology (a
@@ -67,7 +66,6 @@ class _FeNetworkBase(SimulatedNetwork):
             timings=timings,
             nic_timings=nic_timings,
             bus=bus,
-            trace=trace,
         )
         self._next_mac += 1
         self._attach(backend, **where)

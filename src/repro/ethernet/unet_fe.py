@@ -26,7 +26,7 @@ from ..core.endpoint import Endpoint
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
 from ..hw.interrupts import InterruptController
-from ..sim import Resource, Simulator, TraceRecorder
+from ..sim import Resource, Simulator
 from .dc21140 import Dc21140, NicTimings, TxRingDescriptor
 from .frames import COLLECTIVE_PORT, UNET_FE_MAX_PDU, EthernetFrame, FrameWire, MacAddress
 from .ip import (
@@ -105,7 +105,6 @@ class UNetFeBackend(UNetBackend):
         timings: Optional[FeTimings] = None,
         nic_timings: Optional[NicTimings] = None,
         bus: BusModel = PCI_BUS,
-        trace: Optional[TraceRecorder] = None,
         ip_address: Optional[int] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -115,8 +114,8 @@ class UNetFeBackend(UNetBackend):
         self.cpu = cpu
         self.mac = mac
         self.timings = timings or FeTimings.for_cpu(cpu)
-        self.trace = trace or TraceRecorder(enabled=False)
         self.nic = Dc21140(sim, mac, bus=bus, timings=nic_timings, name=f"{name}.nic")
+        self.nic.trace = self.trace
         self.nic.interrupt = self._interrupt
         #: all controllers this kernel services (Beowulf-style bonding
         #: appends a second one; see ethernet.bonding)

@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".scripted": ("ScheduledFault", "ScriptedStage"),
     ".fabric": (
         "FabricFaultInjector", "Partition", "SpineFailure", "TrunkDown",
-        "TrunkFlap", "fabric_stage_from_dict",
+        "TrunkFlap",
     ),
     ".fabricsoak": (
         "FABRIC_ARTIFACT", "FABRIC_SCENARIOS", "FabricScenario",

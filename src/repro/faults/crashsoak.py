@@ -159,8 +159,8 @@ CRASH_SCENARIOS: Dict[str, CrashScenario] = {
 
 class _FateLedger:
     """Shared fate bookkeeping: seq->id mapping at the sender, delivery
-    counting at the receiver, abandon/recovery events off the sender's
-    observer stream."""
+    counting at the receiver, abandon/recovery events off the sender
+    host's event stream."""
 
     def __init__(self) -> None:
         self.seq_to_id: Dict[int, int] = {}
@@ -170,9 +170,10 @@ class _FateLedger:
         self.recovery_times: List[float] = []
         self.integrity_failures: List[int] = []
 
-    def on_sender_event(self, kind: str, fields: dict) -> None:
+    def on_sender_event(self, record) -> None:
+        kind = record.step if record.category == "am" else None
         if kind == "abandon":
-            mid = self.seq_to_id.pop(fields["seq"], None)
+            mid = self.seq_to_id.pop(record.info["seq"], None)
             if mid is not None:
                 self.abandoned_ids.append(mid)
         elif kind == "peer_restart":
@@ -181,7 +182,7 @@ class _FateLedger:
             self.seq_to_id.clear()
             if len(self.recovery_times) < len(self.crash_times):
                 start = self.crash_times[len(self.recovery_times)]
-                self.recovery_times.append(fields["t"] - start)
+                self.recovery_times.append(record.start - start)
 
     def deliver(self, i: int, data: bytes, expected_size: int) -> None:
         self.delivery_counts[i] = self.delivery_counts.get(i, 0) + 1
@@ -273,7 +274,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
 
     ledger = _FateLedger()
-    am0.observer = ledger.on_sender_event
+    h0.backend.trace.subscribe(ledger.on_sender_event)
 
     def handler(ctx) -> None:
         ledger.deliver(ctx.args[0], ctx.data, scenario.payload_bytes)
@@ -360,7 +361,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         am1 = LiveAm(1, ep1, config=config)
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
-        am0.observer = ledger.on_sender_event
+        n0.trace.subscribe(ledger.on_sender_event)
 
         def handler(ctx) -> None:
             ledger.deliver(ctx.args[0], ctx.data, scenario.payload_bytes)
@@ -461,7 +462,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         peer.wire_parent(user)
         am = LiveAm(0, user, config)
         am.connect_peer(1, 0)
-        am.observer = ledger.on_sender_event
+        backend.trace.subscribe(ledger.on_sender_event)
 
         def pump() -> None:
             backend.service()

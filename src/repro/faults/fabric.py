@@ -5,19 +5,17 @@ by wire content; the stages here address *fabric elements* by topology
 index, so one schedule kills the same spine or partitions the same
 leaves on any same-shape fabric — ``atm-clos``, ``fe-clos``, or either
 side of the mixed fabric — and two runs of the same schedule are
-bit-identical.  Each stage is a frozen dataclass (``to_dict`` /
-``from_dict`` round-trip, like :class:`~repro.faults.scripted.ScheduledFault`)
-that expands into a list of timed trunk up/down *transitions*; the
-:class:`FabricFaultInjector` schedules those on the simulator and
-drives the fabric's ``set_trunk_state``, which blackholes in-flight
-traffic and re-programs routes — VC failover on ATM, static MAC
-re-learn on FE.
+bit-identical.  Each stage is a frozen dataclass that expands into a
+list of timed trunk up/down *transitions*; the
+:class:`FabricFaultInjector` schedules those on the simulator and drives
+the fabric's ``set_trunk_state``, which blackholes in-flight traffic and
+re-programs routes — VC failover on ATM, static MAC re-learn on FE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "TrunkDown",
@@ -25,7 +23,6 @@ __all__ = [
     "SpineFailure",
     "Partition",
     "FabricFaultInjector",
-    "fabric_stage_from_dict",
 ]
 
 #: one trunk state change: (time_us, switch_a, switch_b, up)
@@ -46,7 +43,6 @@ class TrunkDown:
     at_us: float
     restore_us: float = 0.0
     side: str = ""
-    kind = "trunk-down"
 
     def __post_init__(self) -> None:
         _check_side(self.side)
@@ -63,17 +59,6 @@ class TrunkDown:
             out.append((self.restore_us, self.a, self.b, True))
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b,
-                "at_us": self.at_us, "restore_us": self.restore_us,
-                "side": self.side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrunkDown":
-        return cls(a=int(d["a"]), b=int(d["b"]), at_us=float(d["at_us"]),
-                   restore_us=float(d.get("restore_us", 0.0)),
-                   side=d.get("side", ""))
-
 
 @dataclass(frozen=True)
 class TrunkFlap:
@@ -86,7 +71,6 @@ class TrunkFlap:
     down_us: float
     cycles: int = 1
     side: str = ""
-    kind = "trunk-flap"
 
     def __post_init__(self) -> None:
         _check_side(self.side)
@@ -105,20 +89,6 @@ class TrunkFlap:
             out.append((t0 + self.down_us, self.a, self.b, True))
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b,
-                "start_us": self.start_us, "period_us": self.period_us,
-                "down_us": self.down_us, "cycles": self.cycles,
-                "side": self.side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrunkFlap":
-        return cls(a=int(d["a"]), b=int(d["b"]),
-                   start_us=float(d["start_us"]),
-                   period_us=float(d["period_us"]),
-                   down_us=float(d["down_us"]), cycles=int(d.get("cycles", 1)),
-                   side=d.get("side", ""))
-
 
 @dataclass(frozen=True)
 class SpineFailure:
@@ -128,7 +98,6 @@ class SpineFailure:
     at_us: float
     restore_us: float = 0.0
     side: str = ""
-    kind = "spine-failure"
 
     def __post_init__(self) -> None:
         _check_side(self.side)
@@ -149,16 +118,6 @@ class SpineFailure:
                        for leaf in range(leaves))
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "spine": self.spine, "at_us": self.at_us,
-                "restore_us": self.restore_us, "side": self.side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpineFailure":
-        return cls(spine=int(d["spine"]), at_us=float(d["at_us"]),
-                   restore_us=float(d.get("restore_us", 0.0)),
-                   side=d.get("side", ""))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -176,7 +135,6 @@ class Partition:
     at_us: float = 0.0
     heal_us: float = 0.0
     side: str = ""
-    kind = "partition"
 
     def __post_init__(self) -> None:
         _check_side(self.side)
@@ -202,31 +160,6 @@ class Partition:
         if self.heal_us:
             out.extend((self.heal_us, a, b, True) for a, b in cut)
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "leaves": list(self.leaves),
-                "spines": list(self.spines), "at_us": self.at_us,
-                "heal_us": self.heal_us, "side": self.side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Partition":
-        return cls(leaves=tuple(d["leaves"]),
-                   spines=tuple(d.get("spines", ())),
-                   at_us=float(d["at_us"]), heal_us=float(d.get("heal_us", 0.0)),
-                   side=d.get("side", ""))
-
-
-_STAGE_KINDS = {cls.kind: cls for cls in (TrunkDown, TrunkFlap, SpineFailure,
-                                          Partition)}
-
-
-def fabric_stage_from_dict(d: dict):
-    """Rebuild any fabric fault stage from its ``to_dict`` form."""
-    try:
-        cls = _STAGE_KINDS[d["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown fabric fault kind {d.get('kind')!r}")
-    return cls.from_dict(d)
 
 
 def _clos_shape_of(topology) -> Tuple[int, int]:

@@ -58,7 +58,7 @@ class LiveAm(AmCore):
     def __init__(self, node_id: int, user: LiveUserEndpoint,
                  config: Optional[AmConfig] = None,
                  rng: Optional[random.Random] = None) -> None:
-        super().__init__(node_id, user, user.backend, config, rng)
+        super().__init__(node_id, user, config, rng)
         self.clock = user.backend.clock
         #: the core's time hook, bound straight to the injected clock
         self._now = self.clock.now_us
@@ -185,7 +185,7 @@ class LiveAm(AmCore):
             if pump is not None:
                 pump()
             else:
-                self._backend.service()
+                self.user.backend.service()
                 self.service()
 
     def _send_reply(self, dest: int, req_seq: int, args, data: bytes) -> None:
@@ -206,7 +206,7 @@ class LiveAm(AmCore):
         retry budget is the live stand-in for the simulated endpoint's
         wait on send-queue space.
         """
-        backend = self._backend
+        backend = self.user.backend
         if backend.closed:
             return  # teardown race: an armed timer fired after close()
         for attempt in range(_SEND_RETRIES):
@@ -229,7 +229,7 @@ class LiveAm(AmCore):
         Returns the number of AM packets consumed.  Call this (plus the
         backend's ``service``) from the application's doorbell loop.
         """
-        if self._backend.closed:
+        if self.user.backend.closed:
             return 0  # teardown: never touch a closed transport
         consumed = 0
         for _ in range(max_messages):

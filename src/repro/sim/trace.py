@@ -1,17 +1,25 @@
-"""Timeline tracing.
+"""Timeline tracing: one event stream per NI.
 
 The paper's Figures 3 and 4 are *step timelines*: each step of the U-Net/FE
 trap and interrupt handlers is labelled with its duration.  Device models
 record steps into a :class:`TraceRecorder`; the analysis layer turns a
 recorded span into the same step/duration breakdown the figures show.
+
+The layers above the NI record *instants* (duration 0) onto the same
+stream, under the categories of :data:`EVENTS`: ``"am"`` (an Active
+Messages transition; the step is its kind), ``"drop"`` (the step is the
+``DROP_COUNTERS`` class) and ``"endpoint"`` (``deliver``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["TraceRecord", "TraceRecorder", "Timeline", "TimelineStep"]
+__all__ = ["EVENTS", "TraceRecord", "TraceRecorder", "Timeline", "TimelineStep"]
+
+#: the categories of instants, as opposed to the steps of a handler
+EVENTS = ("am", "drop", "endpoint")
 
 
 @dataclass(frozen=True)
@@ -30,34 +38,32 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Accumulates :class:`TraceRecord` entries; cheap to disable.
+    """One stream of :class:`TraceRecord` events, free when nobody listens.
 
-    Subscribers see every record as it happens — even when ``enabled``
-    is False, so an observer (e.g. the conformance checker's probe) can
-    stream substrate steps without paying for an unbounded buffer.
+    Every NI owns one (``UNetBackend.trace``) and everything on its host
+    records onto it: the NI's handler steps, its controllers, its
+    endpoints' deliveries and drops, its demux table's unknown tags and
+    the Active Messages endpoint above it.  A consumer subscribes;
+    ``enabled=True`` keeps the records too (``records.append`` is then
+    the first listener).  With no listener :meth:`record` returns at
+    once, and a per-packet site that must build its fields first guards
+    with ``if trace.listeners:``.
     """
 
     def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self._listeners: List[Any] = []
+        self.listeners: List[Callable[[TraceRecord], Any]] = (
+            [self.records.append] if enabled else [])
 
-    def subscribe(self, listener) -> None:
+    def subscribe(self, listener: Callable[[TraceRecord], Any]) -> None:
         """Call ``listener(record)`` for every future record."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+        self.listeners.append(listener)
 
     def record(self, start: float, duration: float, category: str, step: str, **info: Any) -> None:
-        if not self.enabled and not self._listeners:
-            return
-        rec = TraceRecord(start, duration, category, step, dict(info))
-        if self.enabled:
-            self.records.append(rec)
-        for listener in self._listeners:
-            listener(rec)
+        if self.listeners:
+            rec = TraceRecord(start, duration, category, step, info)
+            for listener in self.listeners:
+                listener(rec)
 
     def clear(self) -> None:
         self.records.clear()
@@ -79,23 +85,6 @@ class TraceRecorder:
             current.append(record)
         if current:
             yield Timeline(category, current)
-
-    def to_chrome_events(self, pid: int = 1, tid: int = 1) -> List[Dict[str, Any]]:
-        """Chrome trace-event dicts for everything recorded
-        (load the JSON-dumped list via chrome://tracing)."""
-        return [
-            {
-                "name": record.step,
-                "cat": record.category,
-                "ph": "X",
-                "ts": record.start,
-                "dur": record.duration,
-                "pid": pid,
-                "tid": tid,
-                "args": dict(record.info),
-            }
-            for record in self.records
-        ]
 
     def last_span(self, category: str) -> Optional["Timeline"]:
         result = None

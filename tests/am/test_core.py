@@ -12,6 +12,7 @@ from repro.am.core import AmConfig, AmCore, PeerState
 from repro.am.protocol import (TYPE_ACK, TYPE_HELLO, TYPE_HELLO_ACK, TYPE_REPLY,
                                TYPE_REQUEST, Packet, decode, encode)
 from repro.core.errors import PeerUnavailableError, StaleEpochError
+from repro.sim import TraceRecorder
 
 
 class _Queue(list):
@@ -28,20 +29,24 @@ class _Endpoint:
         self.drops[kind] = self.drops.get(kind, 0) + 1
 
 
+class _Backend:
+    max_pdu = 1500
+
+    def __init__(self):
+        self.trace = TraceRecorder(enabled=False)
+
+
 class _User:
     def __init__(self):
         self.endpoint = _Endpoint()
-
-
-class _Backend:
-    max_pdu = 1500
+        self.backend = _Backend()
 
 
 class FakeAm(AmCore):
     """The smallest possible driver: every hook records its call."""
 
     def __init__(self, config=None, node_id=0):
-        super().__init__(node_id, _User(), _Backend(), config)
+        super().__init__(node_id, _User(), config)
         self.now = 0.0
         self.sent = []          # (peer node, ptype) control packets
         self.rexmits = []       # (peer node, seq or None) requested
@@ -49,7 +54,7 @@ class FakeAm(AmCore):
         self.rpc_failed = {}
         self.opened = []
         self.events = []
-        self.observer = lambda kind, fields: self.events.append((kind, fields))
+        self.trace.subscribe(lambda r: self.events.append((r.step, r.info)))
         self.connect_peer(1, 7)
         self.peer = self._peers_by_node[1]
 

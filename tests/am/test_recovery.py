@@ -28,14 +28,14 @@ RECOVERY = dict(recovery=True, window=4, ack_every=1,
                 retransmit_timeout_us=800.0, hello_retry_us=500.0)
 
 
-def _pair(substrate="ethernet", **overrides):
+def _pair(closing, substrate="ethernet", **overrides):
     sim = Simulator()
     if substrate == "atm":
         from repro.atm import AtmNetwork
 
-        net = AtmNetwork(sim)
+        net = closing(AtmNetwork(sim))
     else:
-        net = SwitchedNetwork(sim)
+        net = closing(SwitchedNetwork(sim))
     h0 = net.add_host("n0", PENTIUM_120)
     h1 = net.add_host("n1", PENTIUM_120)
     ep0 = h0.create_endpoint(config=CONFIG, rx_buffers=48)
@@ -50,16 +50,19 @@ def _pair(substrate="ethernet", **overrides):
 
 
 class _SenderLedger:
-    """seq -> message-id fate tracking, as the soak harness keeps it."""
+    """seq -> message-id fate tracking, as the soak harness keeps it, off
+    the sender host's event stream."""
 
-    def __init__(self):
+    def __init__(self, am):
         self.seq_to_id = {}
         self.abandoned = set()
         self.restarts_seen = 0
+        am.trace.subscribe(self.observe)
 
-    def observe(self, kind, fields):
+    def observe(self, record):
+        kind = record.step if record.category == "am" else None
         if kind == "abandon":
-            i = self.seq_to_id.pop(fields["seq"], None)
+            i = self.seq_to_id.pop(record.info["seq"], None)
             if i is not None:
                 self.abandoned.add(i)
         elif kind == "peer_restart":
@@ -68,8 +71,8 @@ class _SenderLedger:
             self.restarts_seen += 1
 
 
-def test_crash_requires_recovery_config():
-    sim, am0, am1, _ep0, _ep1 = _pair()
+def test_crash_requires_recovery_config(closing):
+    sim, am0, am1, _ep0, _ep1 = _pair(closing)
     am1.config = AmConfig()  # classic framing, recovery off
     with pytest.raises(AmError):
         am1.crash()
@@ -77,20 +80,19 @@ def test_crash_requires_recovery_config():
         am1.restart()
 
 
-def test_crashed_incarnation_refuses_to_send():
-    sim, am0, am1, _ep0, _ep1 = _pair()
+def test_crashed_incarnation_refuses_to_send(closing):
+    sim, am0, am1, _ep0, _ep1 = _pair(closing)
     am1.crash()
     with pytest.raises(StaleEpochError):
         next(am1.request(0, 1, args=(0,)))
 
 
 @pytest.mark.parametrize("substrate", ["atm", "ethernet"])
-def test_crash_restart_exactly_once_with_fates(substrate):
-    sim, am0, am1, ep0, ep1 = _pair(substrate)
+def test_crash_restart_exactly_once_with_fates(closing, substrate):
+    sim, am0, am1, ep0, ep1 = _pair(closing, substrate)
     counts = Counter()
     am1.register_handler(1, lambda ctx: counts.update([ctx.args[0]]))
-    ledger = _SenderLedger()
-    am0.observer = ledger.observe
+    ledger = _SenderLedger(am0)
 
     sent = []
 
@@ -121,26 +123,25 @@ def test_crash_restart_exactly_once_with_fates(substrate):
     assert am0._peers_by_node[1].remote_epoch == 1
 
 
-def test_stale_retransmission_is_fenced():
+def test_stale_retransmission_is_fenced(closing):
     """A retransmission that outlives its victim carries the dead
     incarnation's epoch echo and must be dropped as ``stale_epoch``,
     never dispatched by the new incarnation."""
-    sim, am0, am1, ep0, ep1 = _pair(window=1)
+    sim, am0, am1, ep0, ep1 = _pair(closing, window=1)
     counts = Counter()
     am1.register_handler(1, lambda ctx: counts.update([ctx.args[0]]))
-    ledger = _SenderLedger()
+    ledger = _SenderLedger(am0)
     armed = []
 
-    def observe(kind, fields):
-        ledger.observe(kind, fields)
+    def restart_on_timeout(record):
         # restart the victim exactly when the sender's retransmit timer
         # fires: the retransmission that follows is already stamped with
         # the dead incarnation's epoch and lands on the fresh one
-        if kind == "timeout" and armed and am1.crashed:
+        if record.step == "timeout" and armed and am1.crashed:
             armed.clear()
             am1.restart()
 
-    am0.observer = observe
+    am0.trace.subscribe(restart_on_timeout)
 
     def tx():
         for i in range(8):
@@ -163,8 +164,8 @@ def test_stale_retransmission_is_fenced():
     assert stats["stale_epoch_drops"] >= 1
 
 
-def test_peer_death_health_verdict_and_recovery():
-    sim, am0, am1, ep0, ep1 = _pair(retransmit_timeout_us=400.0,
+def test_peer_death_health_verdict_and_recovery(closing):
+    sim, am0, am1, ep0, ep1 = _pair(closing, retransmit_timeout_us=400.0,
                                     dead_after_timeouts=3)
     counts = Counter()
     am1.register_handler(1, lambda ctx: counts.update([ctx.args[0]]))
@@ -209,15 +210,14 @@ def test_peer_death_health_verdict_and_recovery():
     assert done and counts[99] == 1
 
 
-def test_blocked_sender_wakes_on_peer_restart():
+def test_blocked_sender_wakes_on_peer_restart(closing):
     """Regression: with a full window at restart time, the reconnect
     plan abandons the old window and must wake the blocked sender —
     otherwise it waits forever for an ack that can never come."""
-    sim, am0, am1, _ep0, _ep1 = _pair(window=1, dead_after_timeouts=50)
+    sim, am0, am1, _ep0, _ep1 = _pair(closing, window=1, dead_after_timeouts=50)
     counts = Counter()
     am1.register_handler(1, lambda ctx: counts.update([ctx.args[0]]))
-    ledger = _SenderLedger()
-    am0.observer = ledger.observe
+    ledger = _SenderLedger(am0)
 
     am1.crash()  # the receiver is dead before the first send
     done = []

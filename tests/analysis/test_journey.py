@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import networks
 from repro.analysis import render_journey, trace_journey
 
 
@@ -55,6 +56,20 @@ def test_multicell_atm_journey():
     labels = " | ".join(step.label for step in timeline.steps())
     assert "allocate buffer from free queue" in labels
     assert "check hardware CRC" in labels
+
+
+@pytest.mark.parametrize("row", ["fe-hub", "fe-switch", "fe-beowulf", "fe-clos",
+                                 "atm", "atm-clos"])
+def test_every_one_ni_row_has_a_journey(row):
+    steps = trace_journey(row, 40).steps()
+    agent = networks.get(row).ni.agent
+    labels = [step.label for step in steps]
+    assert labels[0].startswith("src app") and labels[-1].startswith("dst app")
+    assert any(label.startswith(f"src {agent}: ") for label in labels)
+    assert any(label.startswith(f"dst {agent}: ") for label in labels)
+    assert [step.offset for step in steps] == sorted(step.offset for step in steps)
+    # the instants of the layers above the NI are not steps
+    assert not [label for label in labels if label.startswith(("endpoint:", "am:", "drop:"))]
 
 
 def test_unknown_substrate_rejected():

@@ -23,10 +23,10 @@ fires the fixed 4 000 µs RTO.  Nodes 1 and 2 took their acks before
 that check.  A fix (RTO or ack policy) moves ``splitc-apps``' simulated
 figures, so it waits for the round's one re-baseline (ROADMAP item 3).
 
-The timeline needs hooks the system does not yet offer: when an ack is
-sent and when it is processed are silent transitions (``_prepare`` and
-``_process_ack`` are wrapped here), as is a PDU reaching an endpoint
-(``deliver``).  They are the requirements list of ROADMAP item 2(c).
+The timeline is read off each host's event stream (``backend.trace``):
+the AM sends, dispatches, timeouts and the acks sent and taken
+(``tx``, ``dispatch``, ``timeout``, ``ack_tx``, ``ack_rx``), and the
+endpoint's ``deliver``.
 """
 
 import pytest
@@ -49,45 +49,31 @@ def _watch_first_pass(cluster):
     rows = {node: {} for node in (1, 2, 3)}
     am0 = cluster.ams[0]
 
-    def observer(node):
-        def seen(kind, fields):
-            if node in rows and fields["peer"] == 0:
-                if kind == "tx" and fields["seq"] == 1:
-                    rows[node].setdefault("send", fields["t"])
+    def watch(node):
+        def seen(record):
+            kind, f, t = record.step, record.info, record.start
+            if record.category == "endpoint":
+                if node == 0 and f["length"] > 16_000:
+                    sender = am0._peers_by_channel[f["channel"]].node
+                    rows[sender].setdefault("delivered", t)
+            elif record.category != "am":
+                return
+            elif node in rows and f["peer"] == 0:
+                if kind == "tx" and f["seq"] == 1:
+                    rows[node].setdefault("send", t)
                 elif kind == "timeout":
-                    rows[node].setdefault("rto_fired", fields["t"])
-            elif node == 0 and kind == "dispatch" and fields["seq"] == 1:
-                rows[fields["peer"]].setdefault("dispatch", fields["t"])
+                    rows[node].setdefault("rto_fired", t)
+                elif kind == "ack_rx" and f["ack"] >= 2:
+                    rows[node].setdefault("ack_processed", t)
+            elif node == 0 and kind == "dispatch" and f["seq"] == 1:
+                rows[f["peer"]].setdefault("dispatch", t)
+            elif (node == 0 and kind == "ack_tx" and f["ack"] >= 2
+                  and "dispatch" in rows[f["peer"]]):
+                rows[f["peer"]].setdefault("ack_sent", t)
         return seen
 
     for am in cluster.ams:
-        am.observer = observer(am.node)
-        prepare, process_ack = am._prepare, am._process_ack
-
-        def ack_sent(peer, packet, track, am=am, prepare=prepare):
-            wire = prepare(peer, packet, track)  # stamps the piggybacked ack
-            if am.node == 0 and packet.ack >= 2 and "dispatch" in rows[peer.node]:
-                rows[peer.node].setdefault("ack_sent", am._now())
-            return wire
-
-        def ack_taken(peer, ack, am=am, process_ack=process_ack):
-            process_ack(peer, ack)
-            if am.node in rows and peer.node == 0 and ack >= 2:
-                rows[am.node].setdefault("ack_processed", am._now())
-
-        am._prepare, am._process_ack = ack_sent, ack_taken
-
-    endpoint = cluster.endpoints[0].endpoint
-    deliver = endpoint.deliver
-
-    def delivered(descriptor):
-        taken = deliver(descriptor)
-        if descriptor.length > 16_000:
-            sender = am0._peers_by_channel[descriptor.channel_id].node
-            rows[sender].setdefault("delivered", cluster.sim.now)
-        return taken
-
-    endpoint.deliver = delivered
+        am.trace.subscribe(watch(am.node))
     return rows
 
 

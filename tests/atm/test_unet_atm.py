@@ -284,7 +284,6 @@ def _collective_pair():
     a = net.add_host("a", SPARCSTATION_20).backend
     b = net.add_host("b", SPARCSTATION_20).backend
     vci_ab, _vci_ba = net.connect_collective(a, b)
-    a.trace = TraceRecorder()
     return sim, a, b, vci_ab
 
 
@@ -293,6 +292,8 @@ def test_collective_sends_are_serialised_through_the_i960():
     pays ``collective_op_us`` then ``tx_per_cell_us`` per cell, traced at
     the instants the firmware loop traced them, and arrive in order."""
     sim, a, b, vci = _collective_pair()
+    trace = TraceRecorder()
+    a.trace.subscribe(trace.records.append)
     got = []
     b.register_collective(lambda payload: got.append((sim.now, payload)), vci)
     payloads = [b"one", b"2" * 100, b"three"]  # 1, 3 and 1 cells
@@ -306,7 +307,7 @@ def test_collective_sends_are_serialised_through_the_i960():
     begins = [start,
               start + t.collective_op_us + t.tx_per_cell_us,
               start + 2 * t.collective_op_us + 4 * t.tx_per_cell_us]
-    steps = [(r.start, r.duration, r.step) for r in a.trace.by_category(ATM_TX_TRACE)]
+    steps = [(r.start, r.duration, r.step) for r in trace.by_category(ATM_TX_TRACE)]
     assert [step for _s, _d, step in steps] == ["collective engine send"] * 3
     assert [s for s, _d, _step in steps] == pytest.approx(begins)
     assert {d for _s, d, _step in steps} == {t.collective_op_us}

@@ -204,10 +204,7 @@ def test_nic_barrier_trace_is_byte_identical(substrate):
     sim, engines = build(substrate, 7)
     trace = TraceRecorder()
     for engine in engines:
-        backend = engine.adapter.backend
-        backend.trace = trace
-        if substrate == "fe":
-            backend.nic.trace = trace
+        engine.adapter.backend.trace.subscribe(trace.records.append)
 
     def program(engine):
         yield from engine.barrier()

@@ -64,7 +64,7 @@ NEVER_CLOSES = {
         "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
-        "am/test_am.py", "am/test_credit.py", "am/test_recovery.py",
+        "am/test_am.py", "am/test_credit.py",
         "apps/test_matmul_prefetch.py",
     ), _AM_BY_HAND),
     "integration/test_am_loss_properties.py": _MANY_RIGS,

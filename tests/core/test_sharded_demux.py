@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core import Endpoint, EndpointConfig
 from repro.core.endpoint import DROP_COUNTERS
 from repro.core.mux import DemuxTable
+from repro.ethernet import HubNetwork
 from repro.sim import Simulator
 from repro.telemetry import read
 
@@ -53,13 +54,18 @@ def test_duplicate_tag_is_refused():
     assert len(demux) == 1
 
 
-def test_unknown_tag_counts_and_fires_observer():
-    demux = DemuxTable()
+def test_unknown_tag_counts_and_is_recorded_on_its_nis_stream(two_hosts):
+    rig = two_hosts(HubNetwork(Simulator()))
+    backend = rig.ep1.backend
     seen = []
-    demux.observer = seen.append
-    assert demux.lookup("nobody") is None
-    assert demux.unknown_tag_drops == 1
-    assert seen == ["nobody"]
+    backend.trace.subscribe(seen.append)
+    rig.sim.run(until=7.0)
+    assert backend.demux.lookup("nobody") is None
+    assert backend.demux.unknown_tag_drops == backend.unknown_tag_drops == 1
+    assert [(r.start, r.category, r.step, r.info) for r in seen] == [
+        (7.0, "drop", "unknown_tag_drops", {"tag": "nobody"})]
+    # a bare table counts the drop and records nothing anywhere
+    assert DemuxTable().lookup("nobody") is None
 
 
 def test_unregister_endpoint_touches_only_its_own_rows():

@@ -248,7 +248,8 @@ def test_encapsulating_trap_traces_each_step_where_it_ran(routed_pair):
     """Header set-up, encapsulation and ring set-up sleep as one wake;
     each is still recorded at the instant the step-by-step trap reached."""
     sim, net, ep1, ep2, ch1, ch2 = routed_pair(cross=False)
-    trace = ep1.host.backend.trace = TraceRecorder()
+    trace = TraceRecorder()
+    ep1.backend.trace.subscribe(trace.records.append)
     _transfer(sim, ep1, ep2, ch1, b"")
     assert [(r.start, r.duration, r.step) for r in trace.by_category(TX_TRACE)] == [
         (0.3, 0.6, "trap entry overhead"),

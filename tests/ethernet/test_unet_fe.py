@@ -12,7 +12,10 @@ def build_pair(two_hosts):
     def build(kind="hub", rx_buffers=16, trace=None, config=None):
         sim = Simulator()
         net = HubNetwork(sim) if kind == "hub" else SwitchedNetwork(sim, model=kind)
-        rig = two_hosts(net, config=config, rx_buffers=rx_buffers, trace=trace)
+        rig = two_hosts(net, config=config, rx_buffers=rx_buffers)
+        if trace is not None:  # both hosts' streams, as the figures record them
+            for user in (rig.ep1, rig.ep2):
+                user.backend.trace.subscribe(trace.records.append)
         return sim, net, rig.ep1, rig.ep2, rig.ch1, rig.ch2
 
     return build

@@ -110,7 +110,7 @@ def test_credit_gate_blocks_at_zero_and_counts_one_stall_per_episode():
     cluster, am0, am1, pump = _pair(clock, config=AmConfig(credit_flow=True))
     try:
         events = []
-        am0.observer = lambda kind, fields: events.append(kind)
+        am0.trace.subscribe(lambda record: events.append(record.step))
         peer = am0._peers_by_node[1]
         peer.remote_credit = 0  # the spec gate: <= 0 blocks
         assert am0.start_request(1, 1, args=(0,)) is None
@@ -205,7 +205,8 @@ def test_an_rto_expiry_computes_its_timeout_once():
     try:
         am0._rng = rng = _CountingRandom()
         timeouts = []
-        am0.observer = lambda kind, f: kind == "timeout" and timeouts.append(f["rto_us"])
+        am0.trace.subscribe(
+            lambda r: r.step == "timeout" and timeouts.append(r.info["rto_us"]))
         assert am0.start_request(1, 1, args=(0,)) is not None
         am0._peers_by_node[1].backoff = 1     # jitter only applies backed off
         clock.advance(config.rto_max_us)

@@ -821,3 +821,50 @@ def test_serialiser_lint_catches_a_planted_clock_and_spares_the_rest():
     assert list(_busy_until_classes_in(here, source=planted)) == ["CellPipe"]
     spared = planted.replace("self._busy_until", "self.busy_until")
     assert not list(_busy_until_classes_in(here, source=spared))
+
+
+# ------------------------------------------ one event stream, no hook slots
+def _observer_assignments_in(path: pathlib.Path, source=None):
+    """Every assignment to an ``observer`` attribute: a single-slot hook
+    beside the NI's event stream (``backend.trace``)."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(inner, ast.Attribute) and inner.attr == "observer"
+               for target in targets for inner in ast.walk(target)):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_every_layer_reports_through_the_stream():
+    """Whatever a layer does is a record on its host's ``backend.trace``
+    and a consumer subscribes; an ``observer`` slot is a second,
+    single-consumer channel beside it."""
+    offenders = [f"{path.relative_to(SRC_ROOT).parent / hit}"
+                 for path in sorted(SRC_ROOT.rglob("*.py"))
+                 for hit in _observer_assignments_in(path)]
+    assert not offenders, (
+        "assigns an observer attribute (record onto backend.trace and "
+        f"subscribe instead): {offenders}")
+
+
+def test_observer_lint_catches_planted_hooks_and_spares_subscriptions():
+    planted = ("class Am:\n"
+               "    def __init__(self):\n"
+               "        self.observer: object = None\n"
+               "def wire(am, probe, demux):\n"
+               "    am.observer = probe.on_am\n"
+               "    demux.trace, demux.observer = am.trace, probe.on_tag\n"
+               "    am.trace.subscribe(probe.on_record)\n"
+               "    observer = probe.on_record\n"
+               "    return am.observer\n")
+    here = pathlib.Path("planted.py")
+    assert sorted(_observer_assignments_in(here, source=planted)) == [
+        "planted.py:3", "planted.py:5", "planted.py:6"]
+    spared = planted.replace(".observer", ".on_event")
+    assert not list(_observer_assignments_in(here, source=spared))

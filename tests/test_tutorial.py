@@ -50,5 +50,9 @@ def test_tutorial_outputs_match_prose():
         "[(1.05, 'free ring'), (1.9700000000000002, 'free queue entry'), "
         "(2.39, 'return from trap')] 2"]
     assert outputs[5].strip().startswith("9")  # ~91 us on FN100
-    assert "42" in outputs[6]
-    assert "[4000, 4000, 4000, 4000]" in outputs[7]
+    # one stream per host: every layer below the application, one delivery
+    assert outputs[6].splitlines() == [
+        "['endpoint', 'nic', 'unet_fe.rx', 'unet_fe.tx']",
+        "[('deliver', {'endpoint': 0, 'channel': 0, 'length': 40})]"]
+    assert "42" in outputs[7]
+    assert "[4000, 4000, 4000, 4000]" in outputs[8]
