@@ -11,7 +11,6 @@ accumulates the CRC in hardware).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import List
 
 __all__ = [
@@ -56,23 +55,37 @@ class Aal5LengthError(Aal5Error):
     """Trailer length field inconsistent with the received cells."""
 
 
-@dataclass
 class Cell:
-    """One ATM cell on the wire."""
+    """One ATM cell on the wire: built per 48 bytes carried, so slotted by
+    hand (``dataclass(slots=True)`` needs Python 3.10); it validates,
+    compares, refuses to hash and prints as a dataclass would."""
 
-    vci: int
-    payload: bytes
-    #: AAL5 end-of-PDU flag (PTI bit)
-    last: bool = False
-    #: set by fault injection to model wire corruption; the payload bytes
-    #: are already corrupted when this is set (the flag only aids tests)
-    corrupted: bool = False
+    __slots__ = ("vci", "payload", "last", "corrupted")
     #: every cell is the same size on the wire (a class constant, not a field)
     wire_bytes = CELL_SIZE
 
-    def __post_init__(self) -> None:
-        if len(self.payload) != CELL_PAYLOAD_SIZE:
-            raise ValueError(f"cell payload must be {CELL_PAYLOAD_SIZE} bytes, got {len(self.payload)}")
+    def __init__(self, vci: int, payload: bytes, last: bool = False, corrupted: bool = False) -> None:
+        if len(payload) != CELL_PAYLOAD_SIZE:
+            raise ValueError(f"cell payload must be {CELL_PAYLOAD_SIZE} bytes, got {len(payload)}")
+        self.vci = vci
+        self.payload = payload
+        #: AAL5 end-of-PDU flag (PTI bit)
+        self.last = last
+        #: set by fault injection to model wire corruption; the payload bytes
+        #: are already corrupted when this is set (the flag only aids tests)
+        self.corrupted = corrupted
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vci, self.payload, self.last, self.corrupted)
+                == (other.vci, other.payload, other.last, other.corrupted))
+
+    __hash__ = None  # mutable and compared by value
+
+    def __repr__(self) -> str:
+        return (f"Cell(vci={self.vci!r}, payload={self.payload!r}, last={self.last!r}, "
+                f"corrupted={self.corrupted!r})")
 
 
 def cells_for_pdu(payload_len: int) -> int:
@@ -103,12 +116,9 @@ def aal5_segment(payload: bytes, vci: int) -> List[Cell]:
     head = payload + bytes(pad) + b"\x00\x00" + len(payload).to_bytes(2, "big")
     crc = zlib.crc32(head) & 0xFFFFFFFF
     body = head + crc.to_bytes(4, "big")
-    cells = []
-    n_cells = len(body) // CELL_PAYLOAD_SIZE
-    for i in range(n_cells):
-        chunk = body[i * CELL_PAYLOAD_SIZE : (i + 1) * CELL_PAYLOAD_SIZE]
-        cells.append(Cell(vci=vci, payload=chunk, last=(i == n_cells - 1)))
-    return cells
+    last = len(body) - CELL_PAYLOAD_SIZE
+    return [Cell(vci, body[i : i + CELL_PAYLOAD_SIZE], i == last)
+            for i in range(0, len(body), CELL_PAYLOAD_SIZE)]
 
 
 def aal5_reassemble(cells: List[Cell]) -> bytes:

@@ -76,4 +76,4 @@ class AtmSwitch:
         # as of the instant it leaves the fabric: hop and egress wire are one
         # heap entry — the switch fabric is the hottest path in fat-tree sweeps
         self.cells_forwarded += 1
-        self.ports[port].submit(cell, self.sim.now + self.forward_us)
+        self.ports[port].submit(cell, self.sim._now + self.forward_us)

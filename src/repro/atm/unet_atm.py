@@ -36,6 +36,7 @@ from ..hw.bus import PCI_BUS, BusModel, DmaEngine
 from ..sim import Event, Simulator, Store
 from .cells import (
     AAL5_MAX_PDU,
+    CELL_PAYLOAD_SIZE,
     SINGLE_CELL_MAX_PAYLOAD,
     Aal5Error,
     Cell,
@@ -244,33 +245,40 @@ class UNetAtmBackend(UNetBackend):
             idle.succeed()
 
     def _rx_firmware(self) -> Generator:
-        # per-cell waits are yielded here, not through _step/_timed_dma: one frame per wake
-        t = self.timings
-        sim, fifo = self.sim, self._rx_fifo
+        # per-cell waits are yielded here, not through _step/_timed_dma, and
+        # what every cell reads is read once: one frame per wake
+        sim, fifo, trace, dma = self.sim, self._rx_fifo, self.trace, self.dma
+        reassembly, collective, lookup = self._reassembly, self._collective_vcis, self.demux.lookup
+        # cells are DMAed into the host buffer in 96-byte PCI bursts
+        # (Section 4.2.2), i.e. two cells per transfer
+        per_cell_us, burst = self.timings.rx_per_cell_us, 2 * CELL_PAYLOAD_SIZE
         while True:
             if not fifo:
                 self._rx_idle = sim.event()
                 yield self._rx_idle
             cell = fifo.popleft()
-            is_first = self._reassembly.get(cell.vci) is None
-            start = sim.now
-            yield t.rx_per_cell_us
-            self.trace.record(start, t.rx_per_cell_us, ATM_RX_TRACE, "pop cell, VCI table lookup",
-                              begin=is_first)
+            vci = cell.vci
+            is_first = reassembly.get(vci) is None
+            start = sim._now
+            yield per_cell_us
+            if trace.listeners:
+                trace.record(start, per_cell_us, ATM_RX_TRACE, "pop cell, VCI table lookup",
+                             begin=is_first)
             # reserved VCIs first: a collective cell is not an unknown tag
-            handler = self._collective_vcis.get(cell.vci)
+            handler = collective.get(vci)
             if handler is not None:
                 yield from self._rx_collective(cell, handler)
                 continue
-            target = self.demux.lookup(cell.vci)
+            target = lookup(vci)
             if target is None:
+                reassembly.pop(vci, None)  # its endpoint went mid-PDU, its buffers with it
                 continue
             endpoint, channel_id = target
             if endpoint.quarantined:
                 # containment: drop the cell right after the VCI lookup so
                 # a misbehaving endpoint stops consuming i960 service time
                 # (no buffer allocation, no DMA); one drop counted per PDU
-                state = self._reassembly.pop(cell.vci, None)
+                state = reassembly.pop(vci, None)
                 if state is not None:
                     for idx in state.buffer_indices:
                         endpoint.free_queue.try_push(idx)
@@ -278,15 +286,14 @@ class UNetAtmBackend(UNetBackend):
                     self.quarantine_drops += 1
                     endpoint.note_drop("quarantine_drops")
                 continue
-            state = self._reassembly.get(cell.vci)
-            if state is None and cell.last and self.single_cell_fast_path:
-                yield from self._rx_single_cell(cell, endpoint, channel_id)
-                continue
+            state = reassembly.get(vci)
             if state is None:
-                state = _Reassembly()
-                self._reassembly[cell.vci] = state
+                if cell.last and self.single_cell_fast_path:
+                    yield from self._rx_single_cell(cell, endpoint, channel_id)
+                    continue
+                state = reassembly[vci] = _Reassembly()
                 yield from self._step(ATM_RX_TRACE, "allocate buffer from free queue",
-                                      t.rx_buffer_alloc_us)
+                                      self.timings.rx_buffer_alloc_us)
                 taken = endpoint.take_free_buffer()
                 if taken is None:
                     state.dropping = True
@@ -296,15 +303,14 @@ class UNetAtmBackend(UNetBackend):
                     state.buffer_indices.append(taken)
             if not state.dropping:
                 state.cells.append(cell)
-                # cells are DMAed into the host buffer in 96-byte PCI
-                # bursts (Section 4.2.2), i.e. two cells per transfer
                 if len(state.cells) % 2 == 0 or cell.last:
-                    start = sim.now
-                    yield from self.dma.transfer(2 * len(cell.payload))
-                    self.trace.record(start, sim.now - start, ATM_RX_TRACE,
-                                      "DMA cell burst into buffer")
+                    start = sim._now
+                    yield from dma.transfer(burst)
+                    if trace.listeners:
+                        trace.record(start, sim._now - start, ATM_RX_TRACE,
+                                     "DMA cell burst into buffer")
             if cell.last:
-                del self._reassembly[cell.vci]
+                del reassembly[vci]
                 if not state.dropping:
                     yield from self._rx_complete(state, endpoint, channel_id)
 

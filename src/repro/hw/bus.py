@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..sim import Resource, Simulator
+from ..sim import Lane, Resource, Simulator, engine
 
 __all__ = ["BusModel", "PCI_BUS", "SBUS", "DmaEngine", "Link"]
 
@@ -98,7 +98,7 @@ class DmaEngine:
         # zero-delay hop after its last wake, i.e. behind whatever else was
         # already due at that instant.  The hop can order nothing when the
         # instant is otherwise empty, so it is taken only when it is not.
-        if self.sim.peek() <= self.sim.now:
+        if self.sim.peek() <= self.sim._now:
             yield 0.0
 
 
@@ -114,9 +114,9 @@ class Link:
     The link is *analytic*: instead of a pump process blocking on a store
     (roughly six kernel events per unit), ``submit`` computes the
     serialization window from a running busy-until clock and schedules
-    one delivery callback — on a :class:`~repro.sim.Lane`, deliveries
-    being FIFO in time, so the units queued behind a slow wire cost the
-    heap one entry, not one each.  ``deliver`` and ``up`` are read when a
+    one delivery on its :class:`_DeliveryLane`, deliveries being FIFO in
+    time, so the units queued behind a slow wire cost the heap one entry,
+    not one each.  ``deliver`` and ``up`` are read when a
     delivery fires: a fault stage that swaps ``deliver`` keeps working,
     and a unit arriving on a link that is down (a yanked fibre, a failed
     trunk) is counted in ``blackholed`` instead of delivered.
@@ -156,7 +156,7 @@ class Link:
         self._busy_until = 0.0
         self._unit_us = 0.0  # the last unit's wire time: what ``queued`` counts in
         self._pending = 0
-        self._deliveries = sim.lane()  # busy-until only grows: so do delivery instants
+        self._deliveries = _DeliveryLane(sim)  # busy-until only grows: so do delivery instants
         self.carried = 0
         self.dropped = 0
         self.blackholed = 0
@@ -172,7 +172,7 @@ class Link:
         queue slot frees at that unit's end-of-wire time.
         """
         sim = self.sim
-        now = sim.now if when is None else when
+        now = sim._now if when is None else when
         if self.buffer is not None:
             if when is not None:
                 # how full a finite buffer is at ``when`` is known only then
@@ -215,10 +215,32 @@ class Link:
     def _serialized_one(self) -> None:
         self._pending -= 1
 
-    def _deliver_one(self, unit) -> None:
+    def _deliver_one(self, unit) -> None:  # a delivery that broke its lane's order
         if not self.up:
             self.blackholed += 1
             return
         self.carried += 1
         if self.deliver is not None:
             self.deliver(unit)
+
+
+class _DeliveryLane(Lane):
+    """A :class:`~repro.sim.Lane` of one link's ``_deliver_one`` calls
+    whose head, when it fires, runs the delivery in its own frame: one
+    frame per hop, not two.  Dispatch is :class:`Lane`'s, push for push."""
+
+    __slots__ = ()
+
+    def _fire(self, unit) -> None:
+        link = self._fn.__self__  # the link whose ``_deliver_one`` this lane runs
+        if self._held:
+            when, seq, self._head.args = self._held.popleft()
+            engine.heapq.heappush(self._sim._queue, (when, engine.NORMAL, seq, self._head))
+        else:
+            self._fn = self._head = self._held = None
+        if not link.up:
+            link.blackholed += 1
+            return
+        link.carried += 1
+        if link.deliver is not None:
+            link.deliver(unit)

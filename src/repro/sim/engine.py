@@ -163,9 +163,9 @@ class Simulator:
                 process._abandon()
             processes += len(batch)
         entries = len(self._queue)
-        for entry in self._queue:  # an armed lane is reachable through its head
+        for entry in self._queue:  # an armed lane (of any Lane class) is reachable through its head
             lane = getattr(getattr(entry[3], "fn", None), "__self__", None)
-            if type(lane) is Lane and lane._head is entry[3]:
+            if isinstance(lane, Lane) and lane._head is entry[3]:
                 entries += len(lane._held or ())
                 lane._fn = lane._head = lane._held = None
         self._discarded = Discarded(processes, entries)

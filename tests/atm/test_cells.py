@@ -16,6 +16,7 @@ from repro.atm import (
     aal5_segment,
     cells_for_pdu,
 )
+from repro.atm.cells import CELL_SIZE
 
 
 def test_cell_payload_must_be_48_bytes():
@@ -24,6 +25,22 @@ def test_cell_payload_must_be_48_bytes():
         Cell(vci=32, payload=bytes(47))
     with pytest.raises(ValueError):
         Cell(vci=32, payload=bytes(53))
+
+
+def test_cell_compares_its_four_fields_and_is_unhashable():
+    cell = Cell(32, bytes(48), True)
+    assert cell == Cell(vci=32, payload=bytes(48), last=True, corrupted=False)
+    assert all(cell != other for other in (
+        Cell(33, bytes(48), True), Cell(32, b"\x01" + bytes(47), True),
+        Cell(32, bytes(48)), Cell(32, bytes(48), True, corrupted=True)))
+    assert cell != (32, bytes(48), True, False)
+    with pytest.raises(TypeError):
+        hash(cell)
+    assert repr(Cell(7, bytes(48))) == (
+        f"Cell(vci=7, payload={bytes(48)!r}, last=False, corrupted=False)")
+    assert cell.wire_bytes == Cell.wire_bytes == CELL_SIZE
+    with pytest.raises(AttributeError):
+        cell.hop = 1  # slotted: a cell carries its four fields and nothing else
 
 
 def test_cells_for_pdu_boundaries():

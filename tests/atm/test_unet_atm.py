@@ -11,9 +11,10 @@ from repro.sim import Simulator, TraceRecorder
 from tests.heap_census import heap_census
 
 
-def build_pair(phy=None, rx_buffers=16, config=None):
-    sim = Simulator()
-    net = AtmNetwork(sim)
+def build_pair(closing, phy=None, rx_buffers=16, config=None):
+    """A two-host rig; ``closing`` (the fixture) closes its network when the test ends."""
+    net = closing(AtmNetwork(Simulator()))
+    sim = net.sim
     kwargs = {} if phy is None else {"phy": phy}
     h1 = net.add_host("h1", SPARCSTATION_20, **kwargs)
     h2 = net.add_host("h2", SPARCSTATION_20, **kwargs)
@@ -35,8 +36,8 @@ def transfer(sim, src, dst, channel, payload):
     return sim.run_until_complete(sim.process(rx()))
 
 
-def test_small_message_delivered_inline():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_small_message_delivered_inline(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     msg = transfer(sim, ep1, ep2, ch1, b"ping")
     assert msg.data == b"ping"
     assert msg.channel_id == ch2
@@ -44,16 +45,16 @@ def test_small_message_delivered_inline():
     assert len(ep2.endpoint.free_queue) == 16
 
 
-def test_single_cell_boundary_uses_fast_path():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_single_cell_boundary_uses_fast_path(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     payload = b"x" * SINGLE_CELL_MAX_PAYLOAD
     msg = transfer(sim, ep1, ep2, ch1, payload)
     assert msg.data == payload
     assert len(ep2.endpoint.free_queue) == 16  # still no buffer consumed
 
 
-def test_multi_cell_message_uses_free_buffer_and_recycles():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_multi_cell_message_uses_free_buffer_and_recycles(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     payload = bytes(range(256)) * 4  # 1024 bytes
     msg = transfer(sim, ep1, ep2, ch1, payload)
     assert msg.data == payload
@@ -61,11 +62,11 @@ def test_multi_cell_message_uses_free_buffer_and_recycles():
     assert len(ep2.endpoint.free_queue) == 16
 
 
-def test_multi_cell_latency_discontinuity():
+def test_multi_cell_latency_discontinuity(closing):
     """Figure 5: >40-byte messages lose the single-cell fast path."""
 
     def rtt_for(size):
-        sim, net, ep1, ep2, ch1, ch2 = build_pair()
+        sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
 
         def ponger():
             while True:
@@ -87,16 +88,16 @@ def test_multi_cell_latency_discontinuity():
     assert rtt_for(44) - rtt_for(40) > 15.0  # sharp jump past one cell
 
 
-def test_large_message_spans_multiple_buffers():
+def test_large_message_spans_multiple_buffers(closing):
     config = EndpointConfig(num_buffers=64, buffer_size=512)
-    sim, net, ep1, ep2, ch1, ch2 = build_pair(config=config, rx_buffers=32)
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing, config=config, rx_buffers=32)
     payload = bytes((i * 13) % 256 for i in range(2000))  # needs 4 buffers
     msg = transfer(sim, ep1, ep2, ch1, payload)
     assert msg.data == payload
 
 
-def test_message_too_large_rejected():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_message_too_large_rejected(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
 
     def tx():
         yield from ep1.send(ch1, bytes(70_000))
@@ -105,8 +106,8 @@ def test_message_too_large_rejected():
         sim.run_until_complete(sim.process(tx()))
 
 
-def test_no_free_buffers_drops_multicell_message():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=0)
+def test_no_free_buffers_drops_multicell_message(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing, rx_buffers=0)
     backend2 = ep2.host.backend
 
     def tx():
@@ -120,8 +121,8 @@ def test_no_free_buffers_drops_multicell_message():
     assert ep2.endpoint.recv_queue.is_empty
 
 
-def test_corrupted_cell_dropped_by_crc():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_corrupted_cell_dropped_by_crc(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     backend2 = ep2.host.backend
 
     # corrupt every cell in flight on the switch->h2 link
@@ -145,16 +146,35 @@ def test_corrupted_cell_dropped_by_crc():
     assert len(ep2.endpoint.free_queue) == 16
 
 
-def test_unknown_vci_counted():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_unknown_vci_counted(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     backend2 = ep2.host.backend
     backend2.on_cell(Cell(vci=999, payload=bytes(48), last=True))
     sim.run()
     assert backend2.demux.unknown_tag_drops == 1
 
 
-def test_many_messages_in_order():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=32)
+def test_endpoint_destroyed_mid_pdu_leaves_no_reassembly_state(closing):
+    """A PDU's receiver destroyed after four of its 32 cells: the firmware
+    forgets the VCI's reassembly (it named a buffer of the released
+    area) at the next cell whose lookup misses, and the other 28 cells
+    are unknown tags, counted as before."""
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
+    backend2 = ep2.host.backend
+    sim.process(ep1.send(ch1, bytes(1498)))
+    while not any(len(state.cells) == 4 for state in backend2._reassembly.values()):
+        sim.step()
+    backend2.destroy_endpoint(ep2.endpoint)
+    sim.run()
+    assert backend2._reassembly == {}
+    assert backend2.demux.unknown_tag_drops == cells_for_pdu(1498) - 4 == 28
+    assert backend2.drop_stats() == dict.fromkeys(backend2.drop_stats(), 0) | {
+        "unknown_tag_drops": 28}
+    assert backend2.pdus_received == 0
+
+
+def test_many_messages_in_order(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing, rx_buffers=32)
     payloads = [bytes([i]) * (10 + i * 37) for i in range(12)]
     received = []
 
@@ -172,8 +192,8 @@ def test_many_messages_in_order():
     assert received == payloads
 
 
-def test_bidirectional_traffic():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_bidirectional_traffic(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     out = {}
 
     def side(name, ep, ch, greeting):
@@ -190,9 +210,9 @@ def test_bidirectional_traffic():
     assert out == {"a": b"from-b", "b": b"from-a"}
 
 
-def test_three_hosts_demux_isolation():
-    sim = Simulator()
-    net = AtmNetwork(sim)
+def test_three_hosts_demux_isolation(closing):
+    net = closing(AtmNetwork(Simulator()))
+    sim = net.sim
     hosts = [net.add_host(f"h{i}", SPARCSTATION_20) for i in range(3)]
     eps = [h.create_endpoint() for h in hosts]
     ch01, ch10 = net.connect(eps[0], eps[1])
@@ -218,9 +238,9 @@ def test_three_hosts_demux_isolation():
     assert got == {1: b"to-1", 2: b"to-2"}
 
 
-def test_fast_path_ablation_slows_small_messages():
+def test_fast_path_ablation_slows_small_messages(closing):
     def rtt(fast):
-        sim, net, ep1, ep2, ch1, ch2 = build_pair(rx_buffers=8)
+        sim, net, ep1, ep2, ch1, ch2 = build_pair(closing, rx_buffers=8)
         for host in (ep1.host, ep2.host):
             host.backend.single_cell_fast_path = fast
 
@@ -244,8 +264,8 @@ def test_fast_path_ablation_slows_small_messages():
     assert rtt(fast=False) > rtt(fast=True) + 10.0
 
 
-def test_send_statistics():
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+def test_send_statistics(closing):
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     transfer(sim, ep1, ep2, ch1, b"stats")
     backend1 = ep1.host.backend
     assert backend1.pdus_sent == 1
@@ -254,11 +274,11 @@ def test_send_statistics():
     assert ep2.endpoint.messages_received == 1
 
 
-def test_recv_queue_overflow_drops_and_recycles():
+def test_recv_queue_overflow_drops_and_recycles(closing):
     """A full receive queue drops the message (Section 3.1: U-Net has no
     flow control) and returns its buffers to the free queue."""
     config = EndpointConfig(num_buffers=64, buffer_size=2048, recv_queue_depth=2)
-    sim, net, ep1, ep2, ch1, ch2 = build_pair(config=config, rx_buffers=16)
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing, config=config, rx_buffers=16)
     backend2 = ep2.host.backend
 
     def tx():
@@ -278,20 +298,20 @@ def test_recv_queue_overflow_drops_and_recycles():
 # ------------------------------------------------------ collective engine
 
 
-def _collective_pair():
-    sim = Simulator()
-    net = AtmNetwork(sim)
+def _collective_pair(closing):
+    net = closing(AtmNetwork(Simulator()))
+    sim = net.sim
     a = net.add_host("a", SPARCSTATION_20).backend
     b = net.add_host("b", SPARCSTATION_20).backend
     vci_ab, _vci_ba = net.connect_collective(a, b)
     return sim, a, b, vci_ab
 
 
-def test_collective_sends_are_serialised_through_the_i960():
+def test_collective_sends_are_serialised_through_the_i960(closing):
     """Three packets handed over at once leave one after the other: each
     pays ``collective_op_us`` then ``tx_per_cell_us`` per cell, traced at
     the instants the firmware loop traced them, and arrive in order."""
-    sim, a, b, vci = _collective_pair()
+    sim, a, b, vci = _collective_pair(closing)
     trace = TraceRecorder()
     a.trace.subscribe(trace.records.append)
     got = []
@@ -321,12 +341,12 @@ def test_collective_sends_are_serialised_through_the_i960():
     assert not a._collective_tx_busy and not a._collective_txq
 
 
-def test_collective_send_shares_the_uplink_with_host_traffic():
+def test_collective_send_shares_the_uplink_with_host_traffic(closing):
     """The engine and ``_tx_firmware`` share ``tx_link``, and the SAR
     hardware segments one PDU at a time: a collective packet offered
     while a host PDU is being segmented enters the uplink FIFO after
     that PDU's last cell, not between its cells.  Neither is lost."""
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
+    sim, net, ep1, ep2, ch1, ch2 = build_pair(closing)
     a, b = ep1.host.backend, ep2.host.backend
     vci, _back = net.connect_collective(a, b)
     got, arrivals = [], []

@@ -60,7 +60,7 @@ NEVER_CLOSES = {
         "core/test_health.py", "core/test_tenancy.py", "core/test_cluster_health.py",
     ), _BARE_KERNEL),
     **dict.fromkeys((
-        "atm/test_unet_atm.py", "atm/test_signaling.py", "atm/test_vc_interleaving.py",
+        "atm/test_signaling.py", "atm/test_vc_interleaving.py",
         "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
@@ -123,7 +123,7 @@ def _note_lane(watch, lane):
 
 
 _record_built(Simulator, _count_sim)
-_record_built(Lane, _note_lane)
+_record_built(Lane, _note_lane)  # every lane class runs it: a link's delivery lane too
 for _cls in _NETWORK_ROOTS:
     _record_built(_cls, _note_network)
 

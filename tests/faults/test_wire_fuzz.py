@@ -37,11 +37,10 @@ from repro.ethernet.ip import IP_ENCAP_OVERHEAD, IpHeaderError, build_ipv4_udp, 
 from repro.live.backend import FRAME_HEADER_SIZE, DatagramWire
 from repro.sim import Simulator
 
-_random_cells = st.lists(
-    st.builds(Cell, vci=st.integers(0, 2),
-              payload=st.binary(min_size=CELL_PAYLOAD_SIZE, max_size=CELL_PAYLOAD_SIZE),
-              last=st.booleans()),
-    max_size=6)
+_random_cell = st.builds(Cell, vci=st.integers(0, 2),
+                         payload=st.binary(min_size=CELL_PAYLOAD_SIZE, max_size=CELL_PAYLOAD_SIZE),
+                         last=st.booleans())
+_random_cells = st.lists(_random_cell, max_size=6)
 
 
 @st.composite
@@ -66,6 +65,11 @@ _cells = st.one_of(_random_cells, _damaged_pdus())
 _EDITS = st.sampled_from([mark_ce, bytes, lambda raw: raw + b"!"])
 
 
+def _valid_pdu(cells):
+    return (all(type(cell) is Cell and len(cell.payload) == CELL_PAYLOAD_SIZE for cell in cells)
+            and [cell.last for cell in cells] == [False] * (len(cells) - 1) + [True])
+
+
 @settings(max_examples=300, deadline=None)
 @given(cells=_cells)
 def test_aal5_reassemble_returns_bytes_or_raises_aal5_error(cells):
@@ -87,7 +91,24 @@ def test_cell_wire_rewrite_never_raises(cells, edit):
         assert out is cells  # damaged, or nothing to edit: passed untouched
         return
     assert aal5_reassemble(out) == edited  # re-framed with a valid CRC
-    assert {cell.vci for cell in out} == {cells[0].vci}
+    assert {cell.vci for cell in out} == {cells[0].vci} and _valid_pdu(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=_random_cell, seed=st.integers(0, 2**32 - 1))
+def test_cell_wire_corrupt_flips_one_byte_and_flags_the_cell(cell, seed):
+    out = CellWire.corrupt(cell, random.Random(seed))
+    assert type(out) is Cell and out.corrupted
+    assert [a ^ b for a, b in zip(cell.payload, out.payload) if a != b] == [0xFF]
+    assert out == Cell(cell.vci, out.payload, cell.last, corrupted=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cell_wire_forge_is_a_one_cell_pdu_on_an_unsignalled_vci(seed):
+    cell = CellWire.forge(None, random.Random(seed))
+    assert _valid_pdu([cell]) and not cell.corrupted
+    assert 0x8000 <= cell.vci < 0x9000 and CellWire.pdu(cell) == (cell.vci, True)
 
 
 _frames = st.builds(

@@ -21,6 +21,8 @@ A :class:`~repro.sim.Lane` call is counted where it takes its ``_seq`` —
 at ``Lane.call_at``, under the kind of the function it will run, zero-delay
 judged then — not when its turn for the heap comes: the counts are those
 of plain ``call_at``, whatever is still held when the run ends included.
+A lane is known by class membership (a link's delivery lane is a ``Lane``
+subclass), its re-pushed head by being its lane's ``_head``.
 ``peak_length`` is the other half: how long the heap really got.
 """
 
@@ -35,6 +37,11 @@ from repro.sim import engine, events
 
 _DIGITS = re.compile(r"\d+")
 _LANE_CALL_AT = engine.Lane.call_at
+
+
+def _is_lane_head(item) -> bool:
+    lane = getattr(getattr(item, "fn", None), "__self__", None)
+    return isinstance(lane, engine.Lane) and lane._head is item
 
 
 def _kind(priority, item) -> str:
@@ -74,10 +81,9 @@ class HeapCensus:
         heapq.heappush(queue, entry)
         if queue is self.sim._queue:
             self.peak_length = max(self.peak_length, len(queue))
-            kind = _kind(entry[1], entry[3])
             # a lane's pushes were counted when the call was scheduled
-            if not self._in_lane_call and kind != "call:Lane._fire":
-                self._count(kind, entry[0])
+            if not self._in_lane_call and not _is_lane_head(entry[3]):
+                self._count(_kind(entry[1], entry[3]), entry[0])
 
     def _lane_call_at(self, lane, when, fn, *args) -> None:
         if lane._sim is not self.sim:

@@ -9,6 +9,7 @@ with ``==`` where the model promises the same float, ``approx`` where it
 only promises the arithmetic.
 """
 
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,7 @@ import pytest
 from repro.atm import ASX200_FORWARD_US, OC3_SONET, Cell, CellLink
 from repro.ethernet import EthernetFrame, wire_time_us
 from repro.hw.bus import Link
-from repro.sim import Simulator
+from repro.sim import Simulator, engine
 
 
 @dataclass(frozen=True)
@@ -179,3 +180,19 @@ def test_a_link_that_is_down_blackholes_what_arrives_and_delivers_again_when_up(
     link.submit(wire.unit(3))
     sim.run()
     assert len(got) == 1 and (link.carried, link.blackholed) == (1, 3)
+
+
+def test_the_delivery_lane_pushes_through_the_kernels_heapq(wire, sim, monkeypatch):
+    """A link's lane arms and re-arms its head through ``engine.heapq``,
+    the name the heap census wraps: a private ``import heapq`` would hide
+    the re-arms from its ``peak_length``."""
+    real, pushes = engine.heapq, []
+    monkeypatch.setattr(engine, "heapq", types.SimpleNamespace(
+        heappush=lambda queue, entry: (pushes.append(entry[0]), real.heappush(queue, entry)),
+        heappop=real.heappop))
+    link = wire.build(sim, 0.5, None)
+    link.deliver = lambda unit: None
+    for i in range(3):
+        link.submit(wire.unit(i))
+    sim.run()
+    assert link.carried == 3 and len(pushes) == 3  # one arm, two re-arms
