@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..core.api import Host, UserEndpoint
-from ..core.base import SimulatedNetwork
+from ..core.base import TrunkedFabric
 from ..core.channels import AtmTag, connect_pair
 from ..core.errors import ChannelError, NoPathError
 from ..hw.bus import PCI_BUS, BusModel
@@ -52,16 +52,15 @@ class _VcRoute:
     path: List[int] = field(default_factory=list)
 
 
-class AtmFabric(SimulatedNetwork):
+class AtmFabric(TrunkedFabric):
     """ATM switches joined per a declarative topology, with network-wide VCs.
 
     Hosts attach to any switch; :meth:`connect` sets up a duplex virtual
     circuit whose VCI is programmed hop by hop along a shortest switch
-    path, rotating across parallel paths connection by connection.
+    path, rotating across parallel paths connection by connection.  The
+    trunks, ports and host placement are :class:`TrunkedFabric`'s; this
+    class is the signaling plane.
     """
-
-    COUNTERS = ("reroutes",)
-    PARTS = ("switches", "hosts")
 
     def __init__(
         self,
@@ -78,49 +77,24 @@ class AtmFabric(SimulatedNetwork):
             from ..fabric.topology import linear_topology
 
             topology = linear_topology(switches)
-        self.sim = sim
-        self.topology = topology
-        self.switches: List[AtmSwitch] = [
-            AtmSwitch(sim, name=f"asx200-{i}", forward_us=forward_us)
-            for i in range(topology.num_switches)
-        ]
-        self._next_port: List[int] = [0] * topology.num_switches
-        #: (switch, neighbour) -> port on ``switch`` whose egress trunk
-        #: leads to ``neighbour``
-        self._trunk_port: Dict[Tuple[int, int], int] = {}
-        self._trunk_links: Dict[Tuple[int, int], CellLink] = {}
-        self._host_port: Dict[UNetAtmBackend, Tuple[int, int]] = {}
+        self._trunk_phy = trunk_phy
+        self._trunk_propagation_us = trunk_propagation_us
+        #: NIC -> the port of its switch whose egress fiber leads to it
+        self._host_port: Dict[UNetAtmBackend, int] = {}
         self._next_vci = FIRST_USER_VCI
         self._path_key = 0
-        self.hosts: List[Host] = []
         #: vci -> signaling record enabling failover re-programming
         self._vc_routes: Dict[int, _VcRoute] = {}
         #: VCs whose endpoints are currently partitioned (retried on heal)
         self._stranded: Set[int] = set()
-        self.reroutes = 0
-        for a, b in topology.trunks:
-            self._join(a, b, trunk_phy, trunk_propagation_us)
+        super().__init__(sim, topology, [
+            AtmSwitch(sim, name=f"asx200-{i}", forward_us=forward_us)
+            for i in range(topology.num_switches)
+        ])
 
-    def _allocate_port(self, switch_index: int) -> int:
-        port = self._next_port[switch_index]
-        self._next_port[switch_index] += 1
-        return port
-
-    def _join(self, a: int, b: int, phy: AtmPhy, propagation_us: float) -> None:
-        """Duplex trunk between switches ``a`` and ``b``."""
-        toward_b = CellLink(self.sim, phy, propagation_us, name=f"trunk{a}->{b}")
-        toward_b.deliver = self.switches[b].on_cell
-        port_a = self._allocate_port(a)
-        self.switches[a].attach_port(port_a, toward_b)
-        self._trunk_port[(a, b)] = port_a
-        self._trunk_links[(a, b)] = toward_b
-
-        toward_a = CellLink(self.sim, phy, propagation_us, name=f"trunk{b}->{a}")
-        toward_a.deliver = self.switches[a].on_cell
-        port_b = self._allocate_port(b)
-        self.switches[b].attach_port(port_b, toward_a)
-        self._trunk_port[(b, a)] = port_b
-        self._trunk_links[(b, a)] = toward_a
+    def _trunk(self, a: int, b: int) -> CellLink:
+        return CellLink(self.sim, self._trunk_phy, self._trunk_propagation_us,
+                        name=f"trunk{a}->{b}")
 
     def close(self) -> Discarded:
         """End the machine; the signaling plane forgets every VC."""
@@ -131,39 +105,34 @@ class AtmFabric(SimulatedNetwork):
             switch.clear_routes()
         return discarded
 
-    def trunk_link(self, a: int, b: int) -> CellLink:
-        """The egress trunk from switch ``a`` toward adjacent ``b``
-        (fault injection and tests interpose on its ``deliver``)."""
-        return self._trunk_links[(a, b)]
-
     def add_host(
         self,
         name: str,
         cpu: CpuModel,
-        switch: int = 0,
+        switch: Optional[int] = None,
         phy: AtmPhy = OC3_SONET,
         timings: Optional[AtmTimings] = None,
         bus: BusModel = PCI_BUS,
         propagation_us: float = 0.5,
     ) -> Host:
-        """Attach a new workstation to the next free port of ``switch``.
+        """Attach a new workstation to the next free port of ``switch``
+        (by default the next leaf with a free seat).
 
         ``phy`` sets both directions of the host's fiber (the paper's
         bandwidth test received on a 140 Mb/s TAXI link; pass
         ``TAXI_140`` for that configuration).
         """
-        if not 0 <= switch < len(self.switches):
-            raise ValueError(f"no such switch {switch}")
+        switch = self._place(switch)
         backend = UNetAtmBackend(self.sim, name=f"{name}.pca200", timings=timings, bus=bus)
         uplink = CellLink(self.sim, phy, propagation_us, name=f"{name}->sw{switch}")
-        uplink.deliver = self.switches[switch].on_cell
         backend.tx_link = uplink
         downlink = CellLink(self.sim, phy, propagation_us, name=f"sw{switch}->{name}")
         # late-bound so fault injectors can interpose on on_cell
         downlink.deliver = lambda cell: backend.on_cell(cell)
-        port = self._allocate_port(switch)
-        self.switches[switch].attach_port(port, downlink)
-        self._host_port[backend] = (switch, port)
+        port = self.switches[switch].attach_egress(downlink)
+        uplink.deliver = self.switches[switch].ingress(port)
+        self._host_port[backend] = port
+        self._switch_of[backend] = switch
         host = Host(self.sim, name, cpu, backend)
         self.hosts.append(host)
         return host
@@ -194,8 +163,8 @@ class AtmFabric(SimulatedNetwork):
         """
         if backend_a not in self._host_port or backend_b not in self._host_port:
             raise ChannelError("both hosts must be attached to the fabric")
-        switch_a, port_a = self._host_port[backend_a]
-        switch_b, port_b = self._host_port[backend_b]
+        switch_a, port_a = self._switch_of[backend_a], self._host_port[backend_a]
+        switch_b, port_b = self._switch_of[backend_b], self._host_port[backend_b]
         key = self._path_key
         path = self.topology.path(switch_a, switch_b, key=key)
         self._path_key += 1
@@ -225,35 +194,19 @@ class AtmFabric(SimulatedNetwork):
         backend_a.register_collective(on_a, vci_ba)
         return vci_ab, vci_ba
 
-    def hops_between(self, a: UserEndpoint, b: UserEndpoint) -> int:
-        """Number of switches a message between a and b traverses."""
-        switch_a, _ = self._host_port[a.backend]
-        switch_b, _ = self._host_port[b.backend]
-        return self.topology.hops(switch_a, switch_b)
-
     # ------------------------------------------------------------ failover
-    def set_trunk_state(self, a: int, b: int, up: bool) -> bool:
-        """Fail (``up=False``) or restore the duplex trunk ``a — b``.
-
-        Going down, both directional links go down and blackhole their
-        in-flight cells (each counts its ``blackholed``, as a yanked
-        fiber would), and the signaling plane re-programs every VC whose
-        path crossed the trunk along a surviving shortest path — keeping the
-        VC's original spreading key, so re-keying stays deterministic.
-        VCs with no surviving path are *stranded* and re-programmed when
-        a trunk comes back.  Returns True when the state changed.
-        """
-        if not self.topology.set_trunk(a, b, up):
-            return False
-        self._trunk_links[(a, b)].up = self._trunk_links[(b, a)].up = up
+    def _reroute(self, a: int, b: int, up: bool) -> None:
+        """Re-program every VC whose path crossed a failed trunk along a
+        surviving shortest path, keeping the VC's original spreading key
+        so re-keying stays deterministic.  VCs with no surviving path are
+        *stranded* and re-programmed when a trunk comes back."""
         if up:
-            for vci in sorted(self._stranded):
-                self._reprogram(vci)
+            vcis = sorted(self._stranded)
         else:
-            for vci in sorted(self._vc_routes):
-                if _uses_trunk(self._vc_routes[vci].path, a, b):
-                    self._reprogram(vci)
-        return True
+            vcis = [vci for vci in sorted(self._vc_routes)
+                    if _uses_trunk(self._vc_routes[vci].path, a, b)]
+        for vci in vcis:
+            self._reprogram(vci)
 
     def _reprogram(self, vci: int) -> None:
         route = self._vc_routes[vci]
@@ -267,13 +220,6 @@ class AtmFabric(SimulatedNetwork):
         route.path = list(path)
         self._stranded.discard(vci)
         self.reroutes += 1
-
-    def backends_reachable(self, backend_a: UNetAtmBackend,
-                           backend_b: UNetAtmBackend) -> bool:
-        """Whether a live switch path joins the two attached NICs."""
-        switch_a, _ = self._host_port[backend_a]
-        switch_b, _ = self._host_port[backend_b]
-        return self.topology.connected(switch_a, switch_b)
 
 
 def _uses_trunk(path: List[int], a: int, b: int) -> bool:

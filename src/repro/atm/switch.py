@@ -37,21 +37,29 @@ class AtmSwitch:
         self.sim = sim
         self.name = name
         self.forward_us = forward_us
-        #: if set, attach_port caps each egress queue at this many cells
+        #: if set, attach_egress caps each egress queue at this many cells
         self.output_buffer = output_buffer
-        #: output ports by number; each is the egress CellLink toward a host
+        #: output ports by number; each is the egress CellLink toward a
+        #: host or a trunk peer
         self.ports: Dict[int, CellLink] = {}
         #: VCI -> output port routing table (programmed by signaling)
         self._routes: Dict[int, int] = {}
         self.cells_forwarded = 0
         self.unknown_vci_drops = 0
 
-    def attach_port(self, port: int, egress: CellLink) -> None:
-        if port in self.ports:
-            raise ValueError(f"{self.name}: port {port} already attached")
+    def attach_egress(self, egress: CellLink) -> int:
+        """Connect an egress link (toward a host or a far switch); returns
+        its port number, the next free one."""
         if self.output_buffer is not None:
             egress.buffer = self.output_buffer
+        port = len(self.ports)
         self.ports[port] = egress
+        return port
+
+    def ingress(self, port: int):
+        """The cell-arrival callback of ``port``'s ingress link: routing
+        is by VCI alone, so every port shares the bound :meth:`on_cell`."""
+        return self.on_cell
 
     def program_route(self, vci: int, port: int) -> None:
         """Signaling-plane: route cells on ``vci`` out of ``port``."""

@@ -116,19 +116,21 @@ class CollectiveAborted(CollectiveError):
         self.epoch = epoch
 
 
+#: host -> NIC descriptor store announcing a collective op
+DOORBELL_US = 0.5
+#: give up (loudly) after this many retransmits of one packet
+MAX_RETRIES = 50
+#: suspect the peer to the membership layer after this many
+#: retransmits (liveness timeout = LIVENESS_RETRIES * rto_us)
+LIVENESS_RETRIES = 8
+
+
 @dataclass
 class CollectiveConfig:
     """Engine knobs (one per node; all nodes should agree)."""
 
-    #: host -> NIC descriptor store announcing a collective op
-    doorbell_us: float = 0.5
     #: per-edge retransmit timer
     rto_us: float = 2000.0
-    #: give up (loudly) after this many retransmits of one packet
-    max_retries: int = 50
-    #: suspect the peer to the membership layer after this many
-    #: retransmits (liveness timeout = liveness_retries * rto_us)
-    liveness_retries: int = 8
 
 
 class _GenWindow:
@@ -287,7 +289,7 @@ class NicCollectiveEngine:
     def barrier(self) -> Generator:
         """Host side of one barrier; completes when the root released it."""
         self._check_usable()
-        yield self.config.doorbell_us
+        yield DOORBELL_US
         self._check_usable()
         gen = self._barrier_gen
         self._barrier_gen = next_gen(gen)
@@ -306,7 +308,7 @@ class NicCollectiveEngine:
     def broadcast(self, data: Optional[bytes] = None) -> Generator:
         """Host side of one broadcast; returns the payload everywhere."""
         self._check_usable()
-        yield self.config.doorbell_us
+        yield DOORBELL_US
         self._check_usable()
         gen = self._bcast_gen
         self._bcast_gen = next_gen(gen)
@@ -332,7 +334,7 @@ class NicCollectiveEngine:
     def allreduce(self, data: bytes, op: str = "sum", dtype: str = "i") -> Generator:
         """Host side of one allreduce; returns the combined payload."""
         self._check_usable()
-        yield self.config.doorbell_us
+        yield DOORBELL_US
         self._check_usable()
         if op not in REDUCE_OPS:
             raise CollectiveError(f"unknown reduce op {op!r} (use {REDUCE_OPS})")
@@ -504,7 +506,7 @@ class NicCollectiveEngine:
         entry[1] += 1
         peer = key[0]
         if self.group is not None:
-            if entry[1] >= self.config.liveness_retries and peer not in self._suspected:
+            if entry[1] >= LIVENESS_RETRIES and peer not in self._suspected:
                 # liveness timeout: hand the evidence to the membership
                 # layer, which heals (peer dead), aborts (partitioned),
                 # or lets us keep retrying (transient, reroute coming)
@@ -512,15 +514,15 @@ class NicCollectiveEngine:
                 self.group.suspect(self.node, peer)
                 if self._unacked.get(key) is not entry:
                     return  # the heal/abort already rewired this edge
-            if entry[1] > self.config.max_retries:
+            if entry[1] > MAX_RETRIES:
                 # last resort against an undiagnosed black hole: force
                 # the membership decision rather than retry forever
                 self.group.suspect(self.node, peer, exhausted=True)
                 return
-        elif entry[1] > self.config.max_retries:
+        elif entry[1] > MAX_RETRIES:
             raise CollectiveError(
                 f"node {self.node}: no ACK from node {peer} for kind {key[1]} "
-                f"generation {key[2]} after {self.config.max_retries} retransmits"
+                f"generation {key[2]} after {MAX_RETRIES} retransmits"
             )
         self.retransmissions += 1
         self._xmit(peer, entry[0])

@@ -14,7 +14,7 @@ once; DESIGN §2 lists what a new substrate has to add.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim import Discarded, Simulator, TraceRecorder
 from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig, drop_stats
@@ -22,7 +22,7 @@ from .errors import AdmissionRejected, EndpointError
 from .mux import DemuxTable
 from .tenancy import qos_class
 
-__all__ = ["UNetBackend", "Closing", "SimulatedNetwork"]
+__all__ = ["UNetBackend", "Closing", "SimulatedNetwork", "TrunkedFabric"]
 
 
 class UNetBackend(abc.ABC):
@@ -182,3 +182,93 @@ class SimulatedNetwork(Closing):
         for host in self.hosts:
             host.backend.close()
         return discarded
+
+
+class TrunkedFabric(SimulatedNetwork):
+    """Switches joined by duplex trunks per a :class:`~repro.fabric.
+    topology.Topology`, hosts on its leaves: the skeleton both NIs grow
+    past one switch on.
+
+    What Section 4.4.3 says differs (ATM sets up virtual circuits
+    network-wide, FE programs flat MAC tables) is a subclass's signaling
+    plane: ``_trunk(a, b)`` builds the link from switch ``a`` toward
+    ``b``, and ``_reroute(a, b, up)`` re-programs the routes a trunk's
+    change touched.  A switch offers ``attach_egress(link) -> port`` and
+    ``ingress(port)``, the callback a link into that port delivers to.
+    """
+
+    COUNTERS = ("reroutes",)
+    PARTS = ("switches", "hosts")
+    #: a leaf's host seats (a Clos builder sets it before ``__init__``);
+    #: None: unlimited, and a host not placed goes on switch 0
+    hosts_per_leaf: Optional[int] = None
+
+    def __init__(self, sim: Simulator, topology: Any, switches: List[Any]) -> None:
+        if self.hosts_per_leaf is not None and self.hosts_per_leaf < 1:
+            raise ValueError("need at least one host per leaf")
+        self.sim = sim
+        self.topology = topology
+        self.switches = switches
+        self.hosts: List[Any] = []
+        self.reroutes = 0
+        #: (switch, neighbour) -> port on ``switch`` whose egress trunk
+        #: leads to ``neighbour``, and that trunk: trunk ports come first,
+        #: in topology order, then host ports
+        self._trunk_port: Dict[Tuple[int, int], int] = {}
+        self._trunk_links: Dict[Tuple[int, int], Any] = {}
+        #: attached NIC -> the switch it hangs off
+        self._switch_of: Dict[Any, int] = {}
+        for a, b in topology.trunks:
+            pair = ((a, b), (b, a))
+            for x, y in pair:
+                link = self._trunk_links[(x, y)] = self._trunk(x, y)
+                self._trunk_port[(x, y)] = switches[x].attach_egress(link)
+            for x, y in pair:
+                self._trunk_links[(x, y)].deliver = switches[y].ingress(self._trunk_port[(y, x)])
+
+    @property
+    def leaves(self) -> int:
+        return self.topology.leaves
+
+    @property
+    def spines(self) -> int:
+        return self.topology.spines
+
+    def trunk_link(self, a: int, b: int):
+        """The egress trunk from switch ``a`` toward adjacent ``b`` (on a
+        Clos a leaf is its own index, a spine ``leaves + spine``); fault
+        injection and tests interpose on its ``deliver``."""
+        return self._trunk_links[(a, b)]
+
+    def _place(self, switch: Optional[int]) -> int:
+        """The leaf a new host goes on: ``switch``, or the next free seat
+        filling leaves left to right.  Refuses (``ValueError``) before
+        anything is built."""
+        if switch is None:
+            switch = len(self.hosts) // self.hosts_per_leaf if self.hosts_per_leaf else 0
+        if not 0 <= switch < self.leaves:
+            raise ValueError(f"no such leaf {switch} (leaves 0..{self.leaves - 1}, "
+                             f"{self.hosts_per_leaf or 'any number of'} hosts each)")
+        return switch
+
+    def set_trunk_state(self, a: int, b: int, up: bool) -> bool:
+        """Fail (``up=False``) or restore the duplex trunk ``a — b``.
+
+        Both directional links go down together and blackhole the units
+        in flight on them (each counts its ``blackholed``, as a yanked
+        fiber would); then the signaling plane re-programs what crossed
+        the trunk.  Returns True when the state changed."""
+        if not self.topology.set_trunk(a, b, up):
+            return False
+        self._trunk_links[(a, b)].up = self._trunk_links[(b, a)].up = up
+        self._reroute(a, b, up)
+        return True
+
+    def backends_reachable(self, backend_a, backend_b) -> bool:
+        """Whether a live switch path joins the two attached NICs."""
+        return self.topology.connected(self._switch_of[backend_a],
+                                       self._switch_of[backend_b])
+
+    def hops_between(self, a, b) -> int:
+        """Switches a message between endpoints ``a`` and ``b`` traverses."""
+        return self.topology.hops(self._switch_of[a.backend], self._switch_of[b.backend])

@@ -9,7 +9,7 @@ both hosts (Section 4.3.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
 from ..core.base import SimulatedNetwork
@@ -40,7 +40,8 @@ def connect_fe_channel(a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
 
 class _FeNetworkBase(SimulatedNetwork):
     """Host bookkeeping every U-Net/FE topology shares; a topology adds
-    ``_attach(backend, **where)``, which cables one NIC into it."""
+    ``_attach(backend, **where)``, which cables one NIC into it, and may
+    check ``where`` in ``_where`` before any NIC is built."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -57,7 +58,9 @@ class _FeNetworkBase(SimulatedNetwork):
         **where,
     ) -> Host:
         """Attach a workstation; ``where`` places it in the topology (a
-        Clos ``leaf``, a routed ``segment``, the link's ``propagation_us``)."""
+        Clos ``leaf``, a routed ``segment``, the link's ``propagation_us``).
+        A refused placement raises before anything is built."""
+        where = self._where(**where)
         backend = UNetFeBackend(
             self.sim,
             name=f"{name}.unet_fe",
@@ -72,6 +75,10 @@ class _FeNetworkBase(SimulatedNetwork):
         host = Host(self.sim, name, cpu, backend)
         self.hosts.append(host)
         return host
+
+    def _where(self, **where) -> Dict[str, Any]:
+        """Check a placement; returns the keywords ``_attach`` takes."""
+        return where
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         return connect_fe_channel(a, b)
@@ -136,9 +143,12 @@ class RoutedFeNetwork(_FeNetworkBase):
         self._segment_of = {}
         self._next_udp = {}
 
-    def _attach(self, backend: UNetFeBackend, segment: int = 0) -> None:
+    def _where(self, segment: int = 0) -> Dict[str, Any]:
         if not 0 <= segment < len(self.switches):
             raise ValueError(f"no such segment {segment}")
+        return {"segment": segment}
+
+    def _attach(self, backend: UNetFeBackend, segment: int) -> None:
         self._hosts_per_segment[segment] += 1
         backend.ip_address = (10 << 24) | (segment << 8) | self._hosts_per_segment[segment]
         backend.attach(self.switches[segment].attach(backend.mac))

@@ -9,12 +9,8 @@ network-wide" property of Section 4.4.3 at fat-tree scale.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..atm.fabric import AtmFabric
 from ..atm.phy import OC3_SONET, AtmPhy
-from ..core.api import Host
-from ..hw.cpu import CpuModel
 from ..sim import Simulator
 from .topology import clos_topology
 
@@ -22,7 +18,9 @@ __all__ = ["ClosAtmFabric"]
 
 
 class ClosAtmFabric(AtmFabric):
-    """Hosts on a leaf/spine ATM fabric with network-wide VCs."""
+    """Hosts on a leaf/spine ATM fabric with network-wide VCs; hosts fill
+    the leaves left to right unless ``add_host(switch=)`` names a leaf
+    (spines carry only trunks)."""
 
     def __init__(
         self,
@@ -33,36 +31,10 @@ class ClosAtmFabric(AtmFabric):
         trunk_phy: AtmPhy = OC3_SONET,
         trunk_propagation_us: float = 2.0,
     ) -> None:
-        if hosts_per_leaf < 1:
-            raise ValueError("need at least one host per leaf")
+        self.hosts_per_leaf = hosts_per_leaf
         super().__init__(
             sim,
             trunk_phy=trunk_phy,
             trunk_propagation_us=trunk_propagation_us,
             topology=clos_topology(leaves, spines),
         )
-        self.hosts_per_leaf = hosts_per_leaf
-        self._host_count = 0
-
-    @property
-    def leaves(self) -> int:
-        return self.topology.leaves
-
-    @property
-    def spines(self) -> int:
-        return self.topology.spines
-
-    def add_host(self, name: str, cpu: CpuModel, switch: Optional[int] = None,
-                 **kwargs) -> Host:
-        """Attach a host; defaults to filling leaves left to right.
-
-        ``switch``, when given, must be a leaf index — spines carry only
-        trunks.
-        """
-        if switch is None:
-            switch = self._host_count // self.hosts_per_leaf
-        if not 0 <= switch < self.leaves:
-            raise ValueError(f"no such leaf {switch} "
-                             f"(cluster is full at {self.leaves * self.hosts_per_leaf} hosts)")
-        self._host_count += 1
-        return super().add_host(name, cpu, switch=switch, **kwargs)

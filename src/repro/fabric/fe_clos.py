@@ -25,21 +25,23 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.api import UserEndpoint
+from ..core.base import TrunkedFabric
 from ..core.errors import NoPathError
 from ..ethernet.network import _FeNetworkBase
 from ..ethernet.switch import BAY_28115, EthernetSwitch, SwitchModel
 from ..hw.bus import Link
 from ..sim import Simulator
-from .topology import clos_topology, leaves_for
+from .topology import clos_topology
 
 __all__ = ["ClosFeNetwork"]
 
 
-class ClosFeNetwork(_FeNetworkBase):
-    """Hosts on a leaf/spine Fast Ethernet fabric (full duplex links)."""
+class ClosFeNetwork(_FeNetworkBase, TrunkedFabric):
+    """Hosts on a leaf/spine Fast Ethernet fabric (full duplex links).
 
-    COUNTERS = ("reroutes",)
-    PARTS = ("leaf_switches", "spine_switches", "hosts")
+    The trunks, ports and host placement are :class:`TrunkedFabric`'s
+    (a leaf is its own topology index, a spine ``leaves + spine``); this
+    class is the MAC-programming plane."""
 
     def __init__(
         self,
@@ -52,87 +54,42 @@ class ClosFeNetwork(_FeNetworkBase):
         trunk_propagation_us: float = 2.0,
         learning: bool = False,
     ) -> None:
-        super().__init__(sim)
-        if hosts_per_leaf < 1:
-            raise ValueError("need at least one host per leaf")
+        _FeNetworkBase.__init__(self, sim)
         if learning and spines != 1:
             raise ValueError("learning mode floods; a multi-spine Clos has loops "
                              "(use spines=1 for the spanning-tree-pruned shape)")
-        self.topology = clos_topology(leaves, spines)
         self.hosts_per_leaf = hosts_per_leaf
         self.learning = learning
-        # auto-size the port count; the paper's products are too small
-        # for a fabric role but their latency model still applies
-        leaf_model = _sized(model, spines + hosts_per_leaf)
-        spine_model = _sized(model, leaves)
-        self.leaf_switches: List[EthernetSwitch] = [
-            EthernetSwitch(sim, leaf_model, rate_mbps=rate_mbps, learning=learning)
-            for _ in range(leaves)
-        ]
-        self.spine_switches: List[EthernetSwitch] = [
-            EthernetSwitch(sim, spine_model, rate_mbps=rate_mbps, learning=learning)
-            for _ in range(spines)
-        ]
-        #: (leaf, spine) -> leaf port toward that spine, and vice versa
-        self._leaf_uplink: Dict[Tuple[int, int], int] = {}
-        self._spine_downlink: Dict[Tuple[int, int], int] = {}
-        #: trunk links by (from, to) topology switch index: a leaf is its
-        #: own index, a spine ``leaves + spine``
-        self._trunk_links: Dict[Tuple[int, int], Link] = {}
-        for leaf in range(leaves):
-            for spine in range(spines):
-                self._join(leaf, spine, rate_mbps, trunk_propagation_us)
-        self._leaf_of_backend: Dict[object, int] = {}
-        self._host_count = 0
+        self._rate_mbps = rate_mbps
+        self._trunk_propagation_us = trunk_propagation_us
         #: every statically-programmed host: (mac, leaf, host_index)
         self._mac_programs: List[Tuple[int, int, int]] = []
         #: (mac, source leaf) -> spine its MAC entry currently routes via
         self._via: Dict[Tuple[int, int], int] = {}
-        self.reroutes = 0
+        # auto-size the port count; the paper's products are too small
+        # for a fabric role but their latency model still applies
+        leaf_model = _sized(model, spines + hosts_per_leaf)
+        spine_model = _sized(model, leaves)
+        TrunkedFabric.__init__(self, sim, clos_topology(leaves, spines), [
+            EthernetSwitch(sim, leaf_model if i < leaves else spine_model,
+                           rate_mbps=rate_mbps, learning=learning)
+            for i in range(leaves + spines)
+        ])
 
-    def _join(self, leaf: int, spine: int, rate_mbps: float, propagation_us: float) -> None:
-        leaf_sw = self.leaf_switches[leaf]
-        spine_sw = self.spine_switches[spine]
-        up = Link(self.sim, rate_mbps, propagation_us, f"trunk.l{leaf}->s{spine}",
-                  header_bytes=spine_sw.model.ingress_header_bytes)
-        down = Link(self.sim, rate_mbps, propagation_us, f"trunk.s{spine}->l{leaf}",
-                    header_bytes=leaf_sw.model.ingress_header_bytes)
-        leaf_port = leaf_sw.attach_egress(up)
-        spine_port = spine_sw.attach_egress(down)
-        up.deliver = spine_sw.ingress(spine_port)
-        down.deliver = leaf_sw.ingress(leaf_port)
-        self._leaf_uplink[(leaf, spine)] = leaf_port
-        self._spine_downlink[(spine, leaf)] = spine_port
-        self._trunk_links[(leaf, self.leaves + spine)] = up
-        self._trunk_links[(self.leaves + spine, leaf)] = down
+    def _trunk(self, a: int, b: int) -> Link:
+        return Link(self.sim, self._rate_mbps, self._trunk_propagation_us, f"trunk{a}->{b}",
+                    header_bytes=self.switches[b].model.ingress_header_bytes)
 
-    @property
-    def leaves(self) -> int:
-        return self.topology.leaves
+    def _where(self, leaf: Optional[int] = None, propagation_us: float = 0.5):
+        return {"leaf": self._place(leaf), "propagation_us": propagation_us}
 
-    @property
-    def spines(self) -> int:
-        return self.topology.spines
-
-    def trunk_link(self, a: int, b: int) -> Link:
-        """The egress trunk from topology switch ``a`` toward adjacent
-        ``b`` (a leaf is its own index, a spine ``leaves + spine``)."""
-        return self._trunk_links[(a, b)]
-
-    def _attach(self, backend, leaf: Optional[int] = None,
-                propagation_us: float = 0.5) -> None:
-        """Cable a NIC to ``leaf``; defaults to filling leaves left to right."""
-        if leaf is None:
-            leaf = self._host_count // self.hosts_per_leaf
-        if not 0 <= leaf < self.leaves:
-            raise ValueError(f"no such leaf {leaf} "
-                             f"(cluster is full at {self.leaves * self.hosts_per_leaf} hosts)")
-        backend.attach(self.leaf_switches[leaf].attach(backend.mac,
-                                                       propagation_us=propagation_us))
+    def _attach(self, backend, leaf: int, propagation_us: float) -> None:
+        """Cable a NIC to ``leaf`` (:meth:`_where` chose it)."""
+        backend.attach(self.switches[leaf].attach(backend.mac,
+                                                  propagation_us=propagation_us))
         if not self.learning:
-            self._program_fabric(backend.mac, leaf, self._host_count)
-        self._leaf_of_backend[backend] = leaf
-        self._host_count += 1
+            self._program_fabric(backend.mac, leaf, len(self.hosts))
+        self._switch_of[backend] = leaf
 
     def _program_fabric(self, mac: int, leaf: int, host_index: int) -> None:
         """Signaling plane: one loop-free path to ``mac`` from everywhere.
@@ -140,22 +97,22 @@ class ClosFeNetwork(_FeNetworkBase):
         The host's leaf knows it directly (programmed by ``attach``);
         spines point at that leaf; other leaves point at a spine chosen
         per host among the *live* trunks, spreading destinations across
-        parallel paths.  Re-run by :meth:`set_trunk_state` — the static
+        parallel paths.  Re-run by :meth:`_reroute` — the static
         analogue of MAC re-learning after a topology change.
         """
         self._mac_programs.append((mac, leaf, host_index))
-        for spine, switch in enumerate(self.spine_switches):
-            switch.program_mac(mac, self._spine_downlink[(spine, leaf)])
+        for spine in range(self.leaves, self.leaves + self.spines):
+            self.switches[spine].program_mac(mac, self._trunk_port[(spine, leaf)])
         self._program_leaves(mac, leaf, host_index)
 
     def _program_leaves(self, mac: int, leaf: int, host_index: int) -> None:
         topo = self.topology
-        for other, switch in enumerate(self.leaf_switches):
+        spines = range(self.leaves, self.leaves + self.spines)
+        for other in range(self.leaves):
             if other == leaf:
                 continue
-            candidates = [s for s in range(self.spines)
-                          if topo.trunk_up(other, self.leaves + s)
-                          and topo.trunk_up(leaf, self.leaves + s)]
+            candidates = [s for s in spines
+                          if topo.trunk_up(other, s) and topo.trunk_up(leaf, s)]
             if not candidates:
                 # partitioned pair: leave the stale entry; frames die in
                 # the blackholed trunk until a path returns
@@ -163,46 +120,23 @@ class ClosFeNetwork(_FeNetworkBase):
             via = candidates[host_index % len(candidates)]
             previous = self._via.get((mac, other))
             if previous != via:
-                switch.program_mac(mac, self._leaf_uplink[(other, via)])
+                self.switches[other].program_mac(mac, self._trunk_port[(other, via)])
                 self._via[(mac, other)] = via
                 if previous is not None:
                     self.reroutes += 1
 
-    # ------------------------------------------------------------ failover
-    def set_trunk_state(self, a: int, b: int, up: bool) -> bool:
-        """Fail or restore the trunk between topology switches ``a`` and
-        ``b`` (one a leaf index, the other ``leaves + spine``).  Both
-        trunk links blackhole in-flight frames while down and every
-        destination MAC is re-spread across surviving spines.  Returns
-        True when the state changed."""
-        if not self.topology.set_trunk(a, b, up):
-            return False
-        self._trunk_links[(a, b)].up = self._trunk_links[(b, a)].up = up
+    def _reroute(self, a: int, b: int, up: bool) -> None:
+        """Re-spread every destination MAC across the surviving spines."""
         for mac, host_leaf, host_index in self._mac_programs:
             self._program_leaves(mac, host_leaf, host_index)
-        return True
-
-    def backends_reachable(self, backend_a, backend_b) -> bool:
-        """Whether a live switch path joins the two attached NICs."""
-        leaf_a = self._leaf_of_backend[backend_a]
-        leaf_b = self._leaf_of_backend[backend_b]
-        return self.topology.connected(leaf_a, leaf_b)
 
     def connect(self, a: UserEndpoint, b: UserEndpoint) -> Tuple[int, int]:
         """Duplex channel; refuses (typed) when the leaves are partitioned."""
-        leaf_a = self._leaf_of_backend[a.host.backend]
-        leaf_b = self._leaf_of_backend[b.host.backend]
+        leaf_a, leaf_b = self._switch_of[a.backend], self._switch_of[b.backend]
         if not self.topology.connected(leaf_a, leaf_b):
-            raise NoPathError(
-                f"leaves {leaf_a} and {leaf_b} are partitioned",
-                src=leaf_a, dst=leaf_b)
+            raise NoPathError(f"leaves {leaf_a} and {leaf_b} are partitioned",
+                              src=leaf_a, dst=leaf_b)
         return super().connect(a, b)
-
-    def hops_between(self, a: UserEndpoint, b: UserEndpoint) -> int:
-        """Switches a frame between ``a`` and ``b`` traverses (1 or 3)."""
-        leaf_a = self._leaf_of_backend[a.host.backend]
-        leaf_b = self._leaf_of_backend[b.host.backend]
-        return 1 if leaf_a == leaf_b else 3
 
 
 def _sized(model: SwitchModel, needed: int) -> SwitchModel:

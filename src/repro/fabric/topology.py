@@ -44,6 +44,11 @@ class Topology:
             raise ValueError("need at least one switch")
         self.num_switches = num_switches
         self.name = name
+        #: hosts attach to switches ``0..leaves-1``: every switch of a
+        #: plain graph; :func:`clos_topology` narrows it to the leaf row
+        self.leaves = num_switches
+        #: switches past the leaves carry only trunks (none in a plain graph)
+        self.spines = 0
         self.trunks: List[Tuple[int, int]] = []
         self._adj: Dict[int, List[int]] = {i: [] for i in range(num_switches)}
         for a, b in trunks:
@@ -177,8 +182,7 @@ def clos_topology(leaves: int, spines: int) -> Topology:
         raise ValueError("need at least one leaf and one spine")
     trunks = [(leaf, leaves + spine) for leaf in range(leaves) for spine in range(spines)]
     topo = Topology(leaves + spines, trunks, name=f"clos-{leaves}x{spines}")
-    topo.leaves = leaves          # type: ignore[attr-defined]
-    topo.spines = spines          # type: ignore[attr-defined]
+    topo.leaves, topo.spines = leaves, spines
     return topo
 
 

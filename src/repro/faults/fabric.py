@@ -163,12 +163,10 @@ class Partition:
 
 
 def _clos_shape_of(topology) -> Tuple[int, int]:
-    leaves = getattr(topology, "leaves", None)
-    spines = getattr(topology, "spines", None)
-    if leaves is None or spines is None:
+    if not topology.spines:
         raise ValueError(
             f"topology {topology.name!r} is not a Clos (no leaf/spine shape)")
-    return leaves, spines
+    return topology.leaves, topology.spines
 
 
 class FabricFaultInjector:

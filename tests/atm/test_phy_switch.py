@@ -74,8 +74,8 @@ def _switch_with_two_ports(sim):
     switch = AtmSwitch(sim)
     out0 = CellLink(sim, TAXI_140, propagation_us=0.0, name="out0")
     out1 = CellLink(sim, TAXI_140, propagation_us=0.0, name="out1")
-    switch.attach_port(0, out0)
-    switch.attach_port(1, out1)
+    assert switch.attach_egress(out0) == 0
+    assert switch.attach_egress(out1) == 1
     return switch, out0, out1
 
 
@@ -121,13 +121,6 @@ def test_switch_route_to_missing_port_rejected():
     switch, _, _ = _switch_with_two_ports(sim)
     with pytest.raises(ValueError):
         switch.program_route(100, 7)
-
-
-def test_switch_duplicate_port_rejected():
-    sim = Simulator()
-    switch, out0, _ = _switch_with_two_ports(sim)
-    with pytest.raises(ValueError):
-        switch.attach_port(0, out0)
 
 
 def test_switch_preserves_cell_order_per_vci():

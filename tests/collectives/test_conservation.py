@@ -49,7 +49,7 @@ def _fe_counts(cluster):
     taken = sum(nic.frames_received + nic.collective_frames_received for nic in nics)
     dropped = (sum(nic.rx_overflow_drops + nic.rx_crc_drops for nic in nics)
                + sum(switch.unknown_mac_drops
-                     for switch in network.leaf_switches + network.spine_switches)
+                     for switch in network.switches)
                + total(network, "blackholed"))
     return sent, taken, dropped
 

@@ -69,7 +69,6 @@ NEVER_CLOSES = {
     ), _AM_BY_HAND),
     "integration/test_am_loss_properties.py": _MANY_RIGS,
     **dict.fromkeys((
-        "atm/test_fabric.py", "fabric/test_clos_fabrics.py", "fabric/test_fault_tolerance.py",
         "collectives/test_engine.py", "collectives/test_healing.py",
     ), _FABRIC_BY_HAND),
     "analysis/test_analysis.py": "measures on FIGURE5/6_CONFIGS rigs the way the frozen "

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import NoPathError
 from repro.ethernet.frames import UNET_FE_MAX_PDU
-from repro.fabric import ClosAtmFabric, ClosFeNetwork, MixedFabric
+from repro.fabric import MixedFabric
 from repro.fabric.topology import Topology, clos_topology
 from repro.hw import PENTIUM_120, SPARCSTATION_20
 from repro.sim import Simulator
@@ -69,74 +69,13 @@ def test_shortest_paths_respects_and_isolates_the_limit_cap():
     assert capped == topo.shortest_paths(0, 1)[:3]
 
 
-# ------------------------------------------------------------------ ATM Clos
-def test_atm_vcs_reroute_around_a_failed_trunk():
-    sim = Simulator()
-    fabric = ClosAtmFabric(sim, leaves=2, spines=2, hosts_per_leaf=2)
-    eps = []
-    for i in range(4):
-        host = fabric.add_host(f"h{i}", SPARCSTATION_20)
-        eps.append(host.create_endpoint(rx_buffers=16))
-    ch, _ = fabric.connect(eps[0], eps[2])  # cross-leaf VC
-    payload = bytes(range(200))
-    assert _transfer(sim, eps[0], eps[2], ch, payload).data == payload
-    # fail one leaf-0 uplink: every VC that crossed it is re-programmed
-    # onto the surviving spine and traffic keeps flowing
-    fabric.set_trunk_state(0, 2, False)
-    fabric.set_trunk_state(0, 3, False)
-    fabric.set_trunk_state(0, 2, True)  # leave exactly one spine up
-    assert fabric.reroutes >= 1
-    assert _transfer(sim, eps[0], eps[2], ch, payload).data == payload
-    assert fabric.backends_reachable(eps[0].host.backend,
-                                     eps[2].host.backend)
-
-
-def test_atm_connect_across_a_cut_raises_no_path():
-    sim = Simulator()
-    fabric = ClosAtmFabric(sim, leaves=2, spines=2, hosts_per_leaf=2)
-    eps = []
-    for i in range(4):
-        host = fabric.add_host(f"h{i}", SPARCSTATION_20)
-        eps.append(host.create_endpoint(rx_buffers=16))
-    fabric.set_trunk_state(0, 2, False)
-    fabric.set_trunk_state(0, 3, False)
-    assert not fabric.backends_reachable(eps[0].host.backend,
-                                         eps[2].host.backend)
-    with pytest.raises(NoPathError):
-        fabric.connect(eps[0], eps[2])
-
-
-# ------------------------------------------------------------------- FE Clos
-def test_fe_macs_relearn_across_surviving_spines():
-    sim = Simulator()
-    fabric = ClosFeNetwork(sim, leaves=2, spines=2, hosts_per_leaf=2)
-    eps = []
-    for i in range(4):
-        host = fabric.add_host(f"h{i}", PENTIUM_120)
-        eps.append(host.create_endpoint(rx_buffers=16))
-    ch, _ = fabric.connect(eps[0], eps[2])
-    payload = b"x" * 512
-    assert _transfer(sim, eps[0], eps[2], ch, payload).data == payload
-    fabric.set_trunk_state(0, 2, False)
-    assert fabric.reroutes >= 1  # MACs re-spread over the live spine
-    assert _transfer(sim, eps[0], eps[2], ch, payload).data == payload
-    # full cut: frames blackhole instead of wedging the switch, and the
-    # connect plane refuses with the typed error
-    fabric.set_trunk_state(0, 3, False)
-    with pytest.raises(NoPathError):
-        fabric.connect(eps[0], eps[3])
-    # heal: delivery resumes on the restored trunk
-    fabric.set_trunk_state(0, 2, True)
-    assert _transfer(sim, eps[0], eps[2], ch, payload).data == payload
-
-
 # -------------------------------------------------------------------- mixed
-def test_mixed_mtu_cap_survives_atm_leg_failover():
+def test_mixed_mtu_cap_survives_atm_leg_failover(closing):
     """The relay's path-MTU discipline is not route-dependent: after the
     ATM leg fails over to another spine, an ATM-side sender still sees
     the FE frame cap and a cap-sized message still crosses the splice."""
     sim = Simulator()
-    fabric = MixedFabric(sim, hosts_per_leaf=2)
+    fabric = closing(MixedFabric(sim, hosts_per_leaf=2))
     atm_host = fabric.add_host("a0", SPARCSTATION_20, side="atm")
     fe_host = fabric.add_host("f0", PENTIUM_120, side="fe")
     atm_ep = atm_host.create_endpoint(rx_buffers=16)

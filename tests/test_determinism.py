@@ -823,6 +823,65 @@ def test_serialiser_lint_catches_a_planted_clock_and_spares_the_rest():
     assert not list(_busy_until_classes_in(here, source=spared))
 
 
+# ------------------------------------------------ one class fails a trunk
+#: the one class that takes a link down: both fabrics' ``set_trunk_state``
+TRUNK_SWITCHERS = {"TrunkedFabric"}
+
+
+def _up_assigners_in(path: pathlib.Path, source=None):
+    """Every class (``<module>`` for a plain function) with a function
+    that assigns a link's ``up``, ``Link.__init__`` apart: a second place
+    where a trunk fails."""
+    tree = ast.parse(source if source is not None
+                     else path.read_text(encoding="utf-8"))
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(node.name, fn) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append(("<module>", node))
+    for owner, function in functions:
+        if (owner, function.name) == ("Link", "__init__"):
+            continue
+        if any(isinstance(inner, ast.Attribute) and inner.attr == "up"
+               for node in ast.walk(function)
+               if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+               for target in getattr(node, "targets", None) or [node.target]
+               for inner in ast.walk(target)):
+            yield owner
+
+
+def test_one_class_fails_a_trunk():
+    """A trunk goes down in ``TrunkedFabric.set_trunk_state``, which
+    fails both directions together and hands the change to the fabric's
+    signaling plane; a class that flips ``up`` itself is a second one."""
+    found = {name for path in sorted(SRC_ROOT.rglob("*.py"))
+             for name in _up_assigners_in(path)}
+    assert found == TRUNK_SWITCHERS, (
+        f"fail trunks through TrunkedFabric.set_trunk_state instead: "
+        f"{sorted(found - TRUNK_SWITCHERS)}")
+
+
+def test_trunk_lint_catches_a_planted_flip_and_spares_the_rest():
+    planted = ("class Link:\n"
+               "    def __init__(self):\n"
+               "        self.up = True\n"
+               "class TrunkedFabric:\n"
+               "    def set_trunk_state(self, a, b, up):\n"
+               "        self._links[(a, b)].up = self._links[(b, a)].up = up\n"
+               "class ClosFabric(TrunkedFabric):\n"
+               "    def cut(self, a, b):\n"
+               "        self._links[(a, b)].up = False\n"
+               "def yank(link):\n"
+               "    link.up: bool = False\n")
+    here = pathlib.Path("planted.py")
+    assert sorted(_up_assigners_in(here, source=planted)) == [
+        "<module>", "ClosFabric", "TrunkedFabric"]
+    spared = planted.replace("].up = False", "].down = True").replace(
+        "link.up:", "link.down:")
+    assert list(_up_assigners_in(here, source=spared)) == ["TrunkedFabric"]
+
+
 # ------------------------------------------ one event stream, no hook slots
 def _observer_assignments_in(path: pathlib.Path, source=None):
     """Every assignment to an ``observer`` attribute: a single-slot hook
