@@ -116,6 +116,8 @@ def aal5_segment(payload: bytes, vci: int) -> List[Cell]:
     head = payload + bytes(pad) + b"\x00\x00" + len(payload).to_bytes(2, "big")
     crc = zlib.crc32(head) & 0xFFFFFFFF
     body = head + crc.to_bytes(4, "big")
+    if len(body) == CELL_PAYLOAD_SIZE:
+        return [Cell(vci, body, True)]
     last = len(body) - CELL_PAYLOAD_SIZE
     return [Cell(vci, body[i : i + CELL_PAYLOAD_SIZE], i == last)
             for i in range(0, len(body), CELL_PAYLOAD_SIZE)]
@@ -127,6 +129,20 @@ def aal5_reassemble(cells: List[Cell]) -> bytes:
     Raises :class:`Aal5LengthError` or :class:`Aal5CrcError` on damage —
     the same checks the PCA-200's hardware CRC unit performs.
     """
+    if len(cells) == 1:
+        # the checks below in their order, less the ones one cell cannot
+        # fail: a 48-byte body's length field is at most 40 in range, and
+        # every such length takes one cell
+        cell = cells[0]
+        if not cell.last:
+            raise Aal5Error("end-of-PDU flag misplaced")
+        body = cell.payload
+        length = int.from_bytes(body[-6:-4], "big")
+        if length > len(body) - AAL5_TRAILER_SIZE:
+            raise Aal5LengthError(f"trailer length {length} exceeds received {len(body)} bytes")
+        if (zlib.crc32(body[:-4]) & 0xFFFFFFFF) != int.from_bytes(body[-4:], "big"):
+            raise Aal5CrcError("AAL5 CRC-32 mismatch")
+        return body[:length]
     if not cells:
         raise Aal5Error("no cells to reassemble")
     if not cells[-1].last or any(c.last for c in cells[:-1]):

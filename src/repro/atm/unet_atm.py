@@ -249,12 +249,13 @@ class UNetAtmBackend(UNetBackend):
         # what every cell reads is read once: one frame per wake
         sim, fifo, trace, dma = self.sim, self._rx_fifo, self.trace, self.dma
         reassembly, collective, lookup = self._reassembly, self._collective_vcis, self.demux.lookup
+        collective_reasm, collective_op_us = self._collective_reasm, self.timings.collective_op_us
         # cells are DMAed into the host buffer in 96-byte PCI bursts
         # (Section 4.2.2), i.e. two cells per transfer
         per_cell_us, burst = self.timings.rx_per_cell_us, 2 * CELL_PAYLOAD_SIZE
         while True:
             if not fifo:
-                self._rx_idle = sim.event()
+                self._rx_idle = Event(sim)
                 yield self._rx_idle
             cell = fifo.popleft()
             vci = cell.vci
@@ -267,7 +268,24 @@ class UNetAtmBackend(UNetBackend):
             # reserved VCIs first: a collective cell is not an unknown tag
             handler = collective.get(vci)
             if handler is not None:
-                yield from self._rx_collective(cell, handler)
+                # reassembled and combined in firmware: no buffer, no DMA, no host
+                cells = collective_reasm.setdefault(vci, [])
+                cells.append(cell)
+                self.collective_cells_received += 1
+                if not cell.last:
+                    continue
+                del collective_reasm[vci]
+                start = sim._now
+                yield collective_op_us
+                if trace.listeners:
+                    trace.record(start, collective_op_us, ATM_RX_TRACE,
+                                 "collective engine combine", begin=False)
+                try:
+                    payload = aal5_reassemble(cells)
+                except Aal5Error:
+                    self.crc_errors += 1
+                    continue
+                handler(payload)
                 continue
             target = lookup(vci)
             if target is None:
@@ -338,12 +356,13 @@ class UNetAtmBackend(UNetBackend):
         if self._collective_tx_busy:
             vci, payload = self._collective_txq.popleft()
             self.sim.call_in(self.timings.collective_op_us, self._collective_tx_segment,
-                             self.sim.now, aal5_segment(payload, vci=vci))
+                             self.sim._now, aal5_segment(payload, vci=vci))
 
     def _collective_tx_segment(self, op_start: float, cells: List[Cell]) -> None:
         t = self.timings
-        self.trace.record(op_start, t.collective_op_us, ATM_TX_TRACE, "collective engine send",
-                          begin=False)
+        if self.trace.listeners:
+            self.trace.record(op_start, t.collective_op_us, ATM_TX_TRACE, "collective engine send",
+                              begin=False)
         self.sim.call_in(t.tx_per_cell_us, self._collective_tx_cell, cells, 0)
 
     def _collective_tx_cell(self, cells: List[Cell], index: int) -> None:
@@ -353,22 +372,6 @@ class UNetAtmBackend(UNetBackend):
             self.sim.call_in(self.timings.tx_per_cell_us, self._collective_tx_cell, cells, index + 1)
         else:
             self._collective_tx_next()
-
-    def _rx_collective(self, cell: Cell, handler: Callable[[bytes], None]) -> Generator:
-        cells = self._collective_reasm.setdefault(cell.vci, [])
-        cells.append(cell)
-        self.collective_cells_received += 1
-        if not cell.last:
-            return
-        del self._collective_reasm[cell.vci]
-        yield from self._step(ATM_RX_TRACE, "collective engine combine",
-                              self.timings.collective_op_us)
-        try:
-            payload = aal5_reassemble(cells)
-        except Aal5Error:
-            self.crc_errors += 1
-            return
-        handler(payload)
 
     def _rx_single_cell(self, cell: Cell, endpoint: Endpoint, channel_id: int) -> Generator:
         """Fast path: the whole message lands in the receive descriptor."""

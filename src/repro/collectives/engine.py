@@ -154,10 +154,12 @@ class _GenWindow:
         """Record ``gen``; False if it was already in the window."""
         if self.seen(gen):
             return False
-        self.ahead.add(gen)
-        while next_gen(self.floor) in self.ahead:
-            self.floor = next_gen(self.floor)
-            self.ahead.discard(self.floor)
+        ahead = self.ahead
+        ahead.add(gen)
+        step = (self.floor + 1) % GEN_MOD  # next_gen, once per step
+        while step in ahead:
+            ahead.discard(step)
+            self.floor, step = step, (step + 1) % GEN_MOD
         return True
 
 
@@ -413,7 +415,7 @@ class NicCollectiveEngine:
         state = self._barrier_state.get(gen)
         if state is None or self.node not in state.arrived:
             return
-        if any(child not in state.arrived for child in self.children):
+        if not state.arrived.issuperset(self.children):
             return
         if self.parent is None:
             self._barrier_release(gen)
@@ -467,7 +469,7 @@ class NicCollectiveEngine:
         state = self._reduce_state.get(gen)
         if state is None or state.sent_up or self.node not in state.contrib:
             return
-        if any(child not in state.contrib for child in self.children):
+        if not state.contrib.keys() >= set(self.children):
             return
         combined = _combine(state.contrib, state.op, state.dtype)
         if self.parent is None:
@@ -495,7 +497,7 @@ class NicCollectiveEngine:
         packet = _HEADER.pack(kind, meta, gen, self.node, self.epoch) + payload
         self._unacked[key] = [packet, 0]
         self._xmit(peer, packet)
-        self._rto_timers.call_at(self.sim.now + self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim._now + self.config.rto_us, self._retransmit, key)
 
     def _retransmit(self, key: Tuple[int, int, int]) -> None:
         if self.crashed:
@@ -526,7 +528,7 @@ class NicCollectiveEngine:
             )
         self.retransmissions += 1
         self._xmit(peer, entry[0])
-        self._rto_timers.call_at(self.sim.now + self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim._now + self.config.rto_us, self._retransmit, key)
 
     def _xmit(self, peer: int, packet: bytes) -> None:
         self.packets_sent += 1

@@ -113,7 +113,8 @@ class Dc21140:
         sim.process(self._tx_wire(), name=f"{name}.txwire")
 
     def _span(self, label: str, start: float) -> None:
-        self.trace.record(start, self.sim.now - start, "nic", f"{self.name}: {label}")
+        if self.trace.listeners:
+            self.trace.record(start, self.sim._now - start, "nic", f"{self.name}: {label}")
 
     def attach(self, attachment: Attachment) -> None:
         self.attachment = attachment
@@ -160,12 +161,14 @@ class Dc21140:
                 pass
 
     def _tx_wire(self):
+        sim = self.sim
         while True:
             descriptor = yield self._tx_fifo.get()
             try:
-                t0 = self.sim.now
+                t0 = sim._now
                 yield from self.attachment.transmit(descriptor.frame)
-                if self.sim.peek() <= self.sim.now:
+                queue = sim._queue
+                if queue and queue[0][0] <= sim._now:
                     yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
                 self._span("serialize frame onto the wire", t0)
                 self.frames_sent += 1

@@ -83,8 +83,10 @@ class EthernetFrame:
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes of medium occupancy, including preamble, CRC and the IFG."""
-        return ETH_PREAMBLE_BYTES + self.frame_bytes + ETH_CRC_SIZE + ETH_IFG_BYTES
+        """Bytes of medium occupancy: ``frame_bytes`` plus preamble, CRC
+        and the IFG, in one expression (every link a frame crosses reads it)."""
+        return (ETH_PREAMBLE_BYTES + ETH_HEADER_SIZE + ETH_CRC_SIZE + ETH_IFG_BYTES
+                + max(ETH_MIN_PAYLOAD, UNET_FE_HEADER_SIZE + len(self.payload)))
 
 
 def wire_time_us(frame: EthernetFrame, rate_mbps: float = 100.0) -> float:

@@ -201,7 +201,7 @@ class DuplexLink(Attachment):
 
     def transmit(self, frame: EthernetFrame):
         # full duplex: the only wait is our own uplink serialization
-        yield self.uplink.submit(frame) - self.sim.now
+        yield self.uplink.submit(frame) - self.sim._now
 
     def set_receiver(self, receive: Callable[[EthernetFrame], None]) -> None:
         self.downlink.deliver = receive

@@ -12,6 +12,7 @@ latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict
 
 from ..hw.bus import Link
@@ -112,7 +113,7 @@ class EthernetSwitch:
 
     def ingress(self, port: int):
         """The frame-arrival callback of ``port``'s ingress link."""
-        return lambda frame: self._on_frame(frame, port)
+        return partial(self._on_frame, port)
 
     def program_mac(self, mac: MacAddress, port: int) -> None:
         """Statically program a forwarding entry (fabric signaling plane)."""
@@ -124,7 +125,7 @@ class EthernetSwitch:
         """True once the bridge has a forwarding entry for ``mac``."""
         return mac in self._mac_table
 
-    def _on_frame(self, frame: EthernetFrame, ingress_port: int) -> None:
+    def _on_frame(self, ingress_port: int, frame: EthernetFrame) -> None:
         if self.learning:
             # transparent bridging: remember where the sender lives
             self._mac_table[frame.src_mac] = ingress_port
@@ -138,7 +139,7 @@ class EthernetSwitch:
                 return
             # unknown destination: flood every other port
             self.frames_flooded += 1
-            leaves_at = self.sim.now + self.model.latency_us
+            leaves_at = self.sim._now + self.model.latency_us
             for port, link in self.ports.items():
                 if port != ingress_port:
                     link.submit(frame, leaves_at)
@@ -151,4 +152,4 @@ class EthernetSwitch:
         # link takes the frame as of the instant the lookup ends: hop
         # and egress wire are one heap entry, which keeps big fabrics cheap.
         self.frames_forwarded += 1
-        self.ports[egress_port].submit(frame, self.sim.now + self.model.latency_us)
+        self.ports[egress_port].submit(frame, self.sim._now + self.model.latency_us)

@@ -1,5 +1,7 @@
 """Tests for ATM cells and AAL5 segmentation/reassembly."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,3 +145,48 @@ def test_property_single_bit_corruption_always_detected(payload, flip_byte):
     cells[target] = Cell(vci=99, payload=bytes(body), last=cells[target].last, corrupted=True)
     with pytest.raises(Aal5Error):
         aal5_reassemble(cells)
+
+
+def _single_cell_body(payload):
+    """The AAL5 body of a one-cell PDU, built by hand: payload, pad, UU and
+    CPI, the length, and the CRC-32 over everything before it."""
+    head = (payload + bytes(SINGLE_CELL_MAX_PAYLOAD - len(payload)) + b"\x00\x00"
+            + len(payload).to_bytes(2, "big"))
+    return head + zlib.crc32(head).to_bytes(4, "big")
+
+
+def test_every_single_cell_payload_round_trips_as_one_whole_cell():
+    for size in range(SINGLE_CELL_MAX_PAYLOAD + 1):
+        payload = bytes((i * 11 + size) % 256 for i in range(size))
+        cells = aal5_segment(payload, vci=33)
+        assert cells == [Cell(33, _single_cell_body(payload), True)]
+        assert aal5_reassemble(cells) == payload
+
+
+def test_single_cell_damage_raises_and_never_returns_bytes():
+    for size in (0, 1, 20, SINGLE_CELL_MAX_PAYLOAD):
+        body = _single_cell_body(b"q" * size)
+        for pos in range(CELL_PAYLOAD_SIZE):
+            damaged = bytearray(body)
+            damaged[pos] ^= 0xFF
+            with pytest.raises((Aal5CrcError, Aal5LengthError)):
+                aal5_reassemble([Cell(34, bytes(damaged), True)])
+
+
+def test_single_cell_without_end_of_pdu_flag_is_misplaced():
+    cell = aal5_segment(b"hi", vci=35)[0]
+    cell.last = False
+    with pytest.raises(Aal5Error, match="^end-of-PDU flag misplaced$") as caught:
+        aal5_reassemble([cell])
+    assert type(caught.value) is Aal5Error
+
+
+def test_single_cell_length_field_past_the_cell_is_a_length_error():
+    """Every length a one-cell body cannot carry, with a valid CRC, so only
+    the length check can refuse it: the message is the general path's."""
+    for length in range(SINGLE_CELL_MAX_PAYLOAD + 1, AAL5_MAX_PDU + 1):
+        head = bytes(42) + length.to_bytes(2, "big")
+        cell = Cell(36, head + zlib.crc32(head).to_bytes(4, "big"), True)
+        with pytest.raises(Aal5LengthError) as caught:
+            aal5_reassemble([cell])
+        assert str(caught.value) == f"trailer length {length} exceeds received 48 bytes"

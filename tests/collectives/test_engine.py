@@ -17,17 +17,15 @@ from repro.hw import PENTIUM_120, SPARCSTATION_20
 from repro.sim import Simulator, TraceRecorder
 
 
-def build(substrate, n, fanout=2):
+def build(closing, substrate, n, fanout=2):
+    """``n`` hosts with their engines, on a network closed when the test ends."""
     sim = Simulator()
     if substrate == "atm":
-        net = AtmNetwork(sim)
-        hosts = [net.add_host(f"n{i}", SPARCSTATION_20) for i in range(n)]
-        engines = wire_collectives(net, hosts, fanout=fanout)
+        net, cpu = closing(AtmNetwork(sim)), SPARCSTATION_20
     else:
-        net = SwitchedNetwork(sim)
-        hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(n)]
-        engines = wire_collectives(net, hosts, fanout=fanout)
-    return sim, engines
+        net, cpu = closing(SwitchedNetwork(sim)), PENTIUM_120
+    hosts = [net.add_host(f"n{i}", cpu) for i in range(n)]
+    return sim, wire_collectives(net, hosts, fanout=fanout)
 
 
 def run_on_all(sim, engines, make_program):
@@ -37,8 +35,8 @@ def run_on_all(sim, engines, make_program):
 
 
 @pytest.mark.parametrize("substrate", ["atm", "fe"])
-def test_barrier_completes_everywhere(substrate):
-    sim, engines = build(substrate, 7)
+def test_barrier_completes_everywhere(closing, substrate):
+    sim, engines = build(closing, substrate, 7)
 
     def program(engine):
         for _ in range(3):
@@ -50,9 +48,9 @@ def test_barrier_completes_everywhere(substrate):
 
 
 @pytest.mark.parametrize("substrate", ["atm", "fe"])
-def test_barrier_holds_back_early_arrivals(substrate):
+def test_barrier_holds_back_early_arrivals(closing, substrate):
     """No node may pass the barrier before the last one enters it."""
-    sim, engines = build(substrate, 5)
+    sim, engines = build(closing, substrate, 5)
     entered = {}
     released = {}
 
@@ -69,8 +67,8 @@ def test_barrier_holds_back_early_arrivals(substrate):
 
 
 @pytest.mark.parametrize("substrate", ["atm", "fe"])
-def test_broadcast_delivers_root_payload(substrate):
-    sim, engines = build(substrate, 6, fanout=3)
+def test_broadcast_delivers_root_payload(closing, substrate):
+    sim, engines = build(closing, substrate, 6, fanout=3)
     payload = bytes(range(48))
 
     def program(engine):
@@ -88,9 +86,9 @@ def test_broadcast_delivers_root_payload(substrate):
 @pytest.mark.parametrize("op,expected", [
     ("sum", np.sum), ("max", np.max), ("min", np.min),
 ])
-def test_allreduce_combines(substrate, op, expected):
+def test_allreduce_combines(closing, substrate, op, expected):
     n = 6
-    sim, engines = build(substrate, n)
+    sim, engines = build(closing, substrate, n)
     inputs = {node: np.array([node * 3 - 5, node + 100], dtype=np.int32)
               for node in range(n)}
 
@@ -106,8 +104,8 @@ def test_allreduce_combines(substrate, op, expected):
         assert np.array_equal(got, reference)
 
 
-def test_single_node_collectives_are_local():
-    sim, engines = build("atm", 1)
+def test_single_node_collectives_are_local(closing):
+    sim, engines = build(closing, "atm", 1)
 
     def program(engine):
         yield from engine.barrier()
@@ -122,8 +120,8 @@ def test_single_node_collectives_are_local():
     assert engines[0].packets_sent == 0  # nothing crosses the wire
 
 
-def test_oversize_payload_is_refused():
-    sim, engines = build("fe", 2)
+def test_oversize_payload_is_refused(closing):
+    sim, engines = build(closing, "fe", 2)
 
     def program(engine):
         if engine.node == 0:
@@ -134,8 +132,8 @@ def test_oversize_payload_is_refused():
         sim.run_until_complete(process, limit=1e9)
 
 
-def test_root_broadcast_requires_data():
-    sim, engines = build("atm", 3)
+def test_root_broadcast_requires_data(closing):
+    sim, engines = build(closing, "atm", 3)
 
     def program(engine):
         yield from engine.broadcast()  # root with no payload
@@ -146,10 +144,10 @@ def test_root_broadcast_requires_data():
 
 
 @pytest.mark.parametrize("substrate", ["atm", "fe"])
-def test_interleaved_collectives_do_not_cross_talk(substrate):
+def test_interleaved_collectives_do_not_cross_talk(closing, substrate):
     """barrier / broadcast / reduce generations are independent tracks."""
     n = 5
-    sim, engines = build(substrate, n)
+    sim, engines = build(closing, substrate, n)
 
     def program(engine):
         yield from engine.barrier()
@@ -171,11 +169,11 @@ def test_interleaved_collectives_do_not_cross_talk(substrate):
     assert all(engine.retransmissions == 0 for engine in engines)
 
 
-def test_atm_collective_cells_are_not_unknown_tags():
+def test_atm_collective_cells_are_not_unknown_tags(closing):
     """Reserved VCIs are checked before the demux table, so a lossless
     NIC barrier books no ``unknown_tag_drops`` (it used to book one per
     collective cell, and one per VCI registered)."""
-    sim, engines = build("atm", 16, fanout=4)
+    sim, engines = build(closing, "atm", 16, fanout=4)
 
     def program(engine):
         yield from engine.barrier()
@@ -200,8 +198,8 @@ NIC_BARRIER_TRACE = {
 
 
 @pytest.mark.parametrize("substrate", ["atm", "fe"])
-def test_nic_barrier_trace_is_byte_identical(substrate):
-    sim, engines = build(substrate, 7)
+def test_nic_barrier_trace_is_byte_identical(closing, substrate):
+    sim, engines = build(closing, substrate, 7)
     trace = TraceRecorder()
     for engine in engines:
         engine.adapter.backend.trace.subscribe(trace.records.append)

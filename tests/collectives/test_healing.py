@@ -14,10 +14,10 @@ from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
-def _cluster(leaves=4, spines=2, per_leaf=4, fanout=4):
+def _cluster(closing, leaves=4, spines=2, per_leaf=4, fanout=4):
     sim = Simulator()
-    fabric = ClosAtmFabric(sim, leaves=leaves, spines=spines,
-                           hosts_per_leaf=per_leaf)
+    fabric = closing(ClosAtmFabric(sim, leaves=leaves, spines=spines,
+                                   hosts_per_leaf=per_leaf))
     hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
              for i in range(leaves * per_leaf)]
     engines, group = wire_collectives(fabric, hosts, fanout=fanout,
@@ -43,8 +43,8 @@ def _drive(sim, engines, log, node, rounds, gap_us=200.0):
     return sim.process(run(), name=f"healing.n{node}")
 
 
-def test_crash_heals_to_survivor_sums_without_duplicates():
-    sim, fabric, hosts, engines, group = _cluster()
+def test_crash_heals_to_survivor_sums_without_duplicates(closing):
+    sim, fabric, hosts, engines, group = _cluster(closing)
     nodes = len(engines)
     victim = 5
     log = {}
@@ -77,8 +77,8 @@ def test_crash_heals_to_survivor_sums_without_duplicates():
     assert sum(e.reduces_completed for e in engines) == completions
 
 
-def test_partition_aborts_every_member_then_resumes():
-    sim, fabric, hosts, engines, group = _cluster()
+def test_partition_aborts_every_member_then_resumes(closing):
+    sim, fabric, hosts, engines, group = _cluster(closing)
     nodes = len(engines)
     aborted_at = {}
 
@@ -128,10 +128,10 @@ def test_partition_aborts_every_member_then_resumes():
             sum(_contribution(n, rnd) for n in range(nodes))}
 
 
-def test_stale_epoch_traffic_is_fenced_not_replayed():
+def test_stale_epoch_traffic_is_fenced_not_replayed(closing):
     """After a heal, packets stamped with the dead epoch are dropped at
     the NIC (counted), never folded into a live round's sum."""
-    sim, fabric, hosts, engines, group = _cluster()
+    sim, fabric, hosts, engines, group = _cluster(closing)
     nodes = len(engines)
     victim = 2
     log = {}
@@ -159,7 +159,7 @@ def test_stale_epoch_traffic_is_fenced_not_replayed():
             if n != victim} == {1}
 
 
-def test_fe_clos_healing_holds_no_peer_address_it_has_not_wired():
+def test_fe_clos_healing_holds_no_peer_address_it_has_not_wired(closing):
     """MACs are flat, but the healing group no longer pre-addresses the
     full mesh: an adapter knows its tree neighbours, and after a heal
     the neighbours the re-ranked tree gave it — wired lazily, by the
@@ -168,7 +168,7 @@ def test_fe_clos_healing_holds_no_peer_address_it_has_not_wired():
     from repro.fabric import ClosFeNetwork
 
     sim = Simulator()
-    net = ClosFeNetwork(sim, leaves=4, spines=2, hosts_per_leaf=4)
+    net = closing(ClosFeNetwork(sim, leaves=4, spines=2, hosts_per_leaf=4))
     hosts = [net.add_host(f"n{i}", PENTIUM_120) for i in range(16)]
     engines, group = wire_collectives(net, hosts, fanout=4, healing=True)
 

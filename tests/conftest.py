@@ -44,8 +44,6 @@ _AM_BY_HAND = ("wires AmEndpoints onto a hand-built network and inspects their p
                "state after the run; the rig helper returns no network to close")
 _MANY_RIGS = ("a property or fuzz test building one rig per example inside the test body; "
               "to be wrapped in ``with`` when the strategies are next touched")
-_FABRIC_BY_HAND = ("builds fabrics and collective engines by hand to reach trunk links and "
-                   "engine internals; needs a fixture that owns the fabric")
 
 #: test modules (paths under ``tests/``) whose tests build simulators and
 #: leave them to the garbage collector, each with why that is still so
@@ -68,9 +66,6 @@ NEVER_CLOSES = {
         "apps/test_matmul_prefetch.py",
     ), _AM_BY_HAND),
     "integration/test_am_loss_properties.py": _MANY_RIGS,
-    **dict.fromkeys((
-        "collectives/test_engine.py", "collectives/test_healing.py",
-    ), _FABRIC_BY_HAND),
     "analysis/test_analysis.py": "measures on FIGURE5/6_CONFIGS rigs the way the frozen "
                                  "perfbench workloads do: built, measured, dropped unclosed",
     "integration/test_determinism.py": "same: repeats measure_rtt on unclosed FIGURE5 rigs, "

@@ -8,12 +8,15 @@ Behind the stages, the AM receive path decodes with
 ``am.protocol.decode``, U-Net/FE's IP encapsulation parses with
 ``ethernet.ip.parse_ipv4_udp`` and a NIC collective engine takes its
 packets in ``on_packet``.  Each must succeed or fail with its typed
-error — never raise anything else — on any bytes.  The frame and
+error — never raise anything else — on any bytes; a one-cell PDU, which
+``aal5_reassemble`` checks on its own branch, must fail with the class
+and message the general checks give.  The frame and
 datagram wires keep ``CellWire``'s contract: ``rewrite`` never raises,
 and a PDU the edit refuses passes untouched.
 """
 
 import random
+import zlib
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -21,8 +24,12 @@ from hypothesis import strategies as st
 
 from repro.am.protocol import HEADER_SIZE, Packet, decode, mark_ce, peek_type_seq
 from repro.atm.cells import (
+    AAL5_MAX_PDU,
     CELL_PAYLOAD_SIZE,
+    SINGLE_CELL_MAX_PAYLOAD,
+    Aal5CrcError,
     Aal5Error,
+    Aal5LengthError,
     Cell,
     CellWire,
     aal5_reassemble,
@@ -109,6 +116,59 @@ def test_cell_wire_forge_is_a_one_cell_pdu_on_an_unsignalled_vci(seed):
     cell = CellWire.forge(None, random.Random(seed))
     assert _valid_pdu([cell]) and not cell.corrupted
     assert 0x8000 <= cell.vci < 0x9000 and CellWire.pdu(cell) == (cell.vci, True)
+
+
+_one_cell_payloads = st.binary(max_size=SINGLE_CELL_MAX_PAYLOAD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_one_cell_payloads, vci=st.integers(0, 0xFFFF))
+def test_single_cell_pdu_round_trips_in_one_whole_cell(payload, vci):
+    cells = aal5_segment(payload, vci)
+    assert _valid_pdu(cells) and len(cells) == 1
+    assert cells[0].payload[:len(payload)] == payload
+    assert aal5_reassemble(cells) == payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_one_cell_payloads, pos=st.integers(0, CELL_PAYLOAD_SIZE - 1),
+       mask=st.integers(1, 255))
+def test_single_cell_with_a_flipped_byte_raises_a_typed_error(payload, pos, mask):
+    cell = aal5_segment(payload, vci=7)[0]
+    body = bytearray(cell.payload)
+    body[pos] ^= mask
+    try:
+        got = aal5_reassemble([Cell(7, bytes(body), True)])
+    except (Aal5CrcError, Aal5LengthError):
+        return
+    raise AssertionError(f"damaged single cell reassembled to {got!r}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_one_cell_payloads)
+def test_single_cell_without_its_flag_is_misplaced(payload):
+    cell = aal5_segment(payload, vci=7)[0]
+    cell.last = False
+    try:
+        aal5_reassemble([cell])
+    except Aal5Error as exc:
+        assert type(exc) is Aal5Error and str(exc) == "end-of-PDU flag misplaced"
+    else:
+        raise AssertionError("a cell without the end-of-PDU flag reassembled")
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.integers(SINGLE_CELL_MAX_PAYLOAD + 1, AAL5_MAX_PDU), fill=st.binary(
+    min_size=SINGLE_CELL_MAX_PAYLOAD + 2, max_size=SINGLE_CELL_MAX_PAYLOAD + 2))
+def test_single_cell_length_past_the_cell_is_a_length_error(length, fill):
+    head = fill + length.to_bytes(2, "big")
+    cell = Cell(7, head + zlib.crc32(head).to_bytes(4, "big"), True)  # CRC valid
+    try:
+        aal5_reassemble([cell])
+    except Aal5LengthError as exc:
+        assert str(exc) == f"trailer length {length} exceeds received 48 bytes"
+    else:
+        raise AssertionError(f"length field {length} accepted in one cell")
 
 
 _frames = st.builds(
