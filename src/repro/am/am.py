@@ -12,7 +12,6 @@ generators; an rpc completes through an :class:`~repro.sim.Event`.
 
 from __future__ import annotations
 
-import random
 from typing import Generator, List, Optional
 
 from ..core.api import UserEndpoint
@@ -45,9 +44,9 @@ class _SimPeer(PeerState):
 class AmEndpoint(AmCore):
     """An Active Messages endpoint bound to one simulated U-Net endpoint."""
 
-    def __init__(self, node_id: int, user_endpoint: UserEndpoint, config: Optional[AmConfig] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        super().__init__(node_id, user_endpoint, config, rng)
+    def __init__(self, node_id: int, user_endpoint: UserEndpoint,
+                 config: Optional[AmConfig] = None) -> None:
+        super().__init__(node_id, user_endpoint, config)
         self.sim: Simulator = user_endpoint.sim
         self.sim.process(self._dispatch_loop(), name=f"am{node_id}.dispatch")
         if self.config.credit_flow:

@@ -38,12 +38,11 @@ class BulkReceiver:
         self,
         am: AmEndpoint,
         on_complete: Callable[[int, int, bytes], None],
-        handler_id: int = BULK_FRAGMENT_HANDLER,
     ) -> None:
         self.am = am
         self.on_complete = on_complete
         self._incoming: Dict[Tuple[int, int], _IncomingTransfer] = {}
-        am.register_handler(handler_id, self._on_fragment)
+        am.register_handler(BULK_FRAGMENT_HANDLER, self._on_fragment)
 
     def _on_fragment(self, ctx: RequestContext) -> Optional[Generator]:
         tag, offset, total, flags = ctx.args
@@ -65,9 +64,8 @@ class BulkReceiver:
 class BulkSender:
     """Sends bulk blocks from one AM endpoint."""
 
-    def __init__(self, am: AmEndpoint, handler_id: int = BULK_FRAGMENT_HANDLER) -> None:
+    def __init__(self, am: AmEndpoint) -> None:
         self.am = am
-        self.handler_id = handler_id
         self._next_tag = 0
 
     def send(self, dest: int, data: bytes, want_reply: bool = True) -> Generator:
@@ -88,7 +86,7 @@ class BulkSender:
             flags = 1 if (is_last and want_reply) else 0
             args = (tag, offset, total, flags)
             if is_last and want_reply:
-                yield from self.am.rpc(dest, self.handler_id, args, chunk)
+                yield from self.am.rpc(dest, BULK_FRAGMENT_HANDLER, args, chunk)
             else:
-                yield from self.am.request(dest, self.handler_id, args, chunk)
+                yield from self.am.request(dest, BULK_FRAGMENT_HANDLER, args, chunk)
         return tag

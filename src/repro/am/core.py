@@ -430,8 +430,7 @@ class AmCore:
                 "restarts", "abandoned_sends")
     PARTS = ("peers",)
 
-    def __init__(self, node_id: int, user, config: Optional[AmConfig] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, node_id: int, user, config: Optional[AmConfig] = None) -> None:
         self.node = node_id
         self.user = user
         #: the host NI's event stream: every transition is an ``"am"``
@@ -446,7 +445,7 @@ class AmCore:
         self.config = config or AmConfig()
         #: deterministic per-endpoint stream for retransmission jitter,
         #: seeded by the first backed-off timeout that draws from it
-        self._rng = rng
+        self._rng: Optional[random.Random] = None
         self._peers_by_node: Dict[int, PeerState] = {}
         self._peers_by_channel: Dict[int, PeerState] = {}
         #: on-demand channel establishment: called with a node id the

@@ -112,7 +112,7 @@ def measure_rtt(setup: MicrobenchSetup, size: int, rounds: int = 5) -> float:
     return sim.run_until_complete(sim.process(pinger(), name="pinger"))
 
 
-def measure_send_overhead(setup: MicrobenchSetup, size: int = 40, sends: int = 20) -> float:
+def measure_send_overhead(setup: MicrobenchSetup, size: int = 40) -> float:
     """Host-processor time consumed per send, measured in the simulator.
 
     The sending process's elapsed time per ``send()`` call *is* the host
@@ -125,9 +125,9 @@ def measure_send_overhead(setup: MicrobenchSetup, size: int = 40, sends: int = 2
 
     def sender():
         t0 = sim.now
-        for _ in range(sends):
+        for _ in range(20):
             yield from setup.ep1.send(setup.ch1, payload)
-        return (sim.now - t0) / sends
+        return (sim.now - t0) / 20
 
     return sim.run_until_complete(sim.process(sender(), name="overhead"))
 
@@ -170,23 +170,23 @@ FIGURE6_CONFIGS: Dict[str, Callable[[], MicrobenchSetup]] = {
 }
 
 
-def rtt_of(config: str, size: int, rounds: int = 5) -> float:
+def rtt_of(config: str, size: int) -> float:
     """RTT us of one Figure-5 configuration, on a rig built and closed here."""
     with FIGURE5_CONFIGS[config]() as setup:
-        return measure_rtt(setup, size, rounds)
+        return measure_rtt(setup, size)
 
 
-def bandwidth_of(config: str, size: int, messages: int = 60) -> float:
+def bandwidth_of(config: str, size: int) -> float:
     """Mb/s of one Figure-6 configuration, on a rig built and closed here."""
     with FIGURE6_CONFIGS[config]() as setup:
-        return measure_bandwidth(setup, size, messages)
+        return measure_bandwidth(setup, size)
 
 
-def rtt_series(config: str, sizes: List[int], rounds: int = 5) -> List[Tuple[int, float]]:
+def rtt_series(config: str, sizes: List[int]) -> List[Tuple[int, float]]:
     """(size, RTT us) points for one Figure-5 series."""
-    return [(size, rtt_of(config, size, rounds)) for size in sizes]
+    return [(size, rtt_of(config, size)) for size in sizes]
 
 
-def bandwidth_series(config: str, sizes: List[int], messages: int = 60) -> List[Tuple[int, float]]:
+def bandwidth_series(config: str, sizes: List[int]) -> List[Tuple[int, float]]:
     """(size, Mb/s) points for one Figure-6 series."""
-    return [(size, bandwidth_of(config, size, messages)) for size in sizes]
+    return [(size, bandwidth_of(config, size)) for size in sizes]

@@ -48,13 +48,13 @@ def _numeric(cell: str) -> bool:
 
 def ascii_plot(
     series: Dict[str, List[Tuple[float, float]]],
-    width: int = 70,
-    height: int = 18,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
-    """Multi-series ASCII scatter/line plot (one glyph per series)."""
+    """Multi-series ASCII scatter/line plot (one glyph per series), 70
+    columns by 18 rows."""
+    width, height = 70, 18
     glyphs = "*o+x#@%&"
     points = [(x, y) for pts in series.values() for x, y in pts]
     if not points:
@@ -86,8 +86,7 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def format_comparison(rows: Sequence[Tuple[str, float, float]], label_a: str = "paper",
-                      label_b: str = "measured", title: str = "") -> str:
+def format_comparison(rows: Sequence[Tuple[str, float, float]], title: str = "") -> str:
     """Side-by-side paper-vs-measured table with relative deviation."""
     table_rows = []
     for name, paper, measured in rows:
@@ -96,4 +95,4 @@ def format_comparison(rows: Sequence[Tuple[str, float, float]], label_a: str = "
         else:
             deviation = "n/a"
         table_rows.append((name, f"{paper:.1f}", f"{measured:.1f}", deviation))
-    return format_table(("experiment", label_a, label_b, "dev"), table_rows, title=title)
+    return format_table(("experiment", "paper", "measured", "dev"), table_rows, title=title)

@@ -93,25 +93,21 @@ def table1(keys_per_node: int = PAPER_KEYS_PER_NODE) -> List[Table1Entry]:
     return entries
 
 
-def table1_des(
-    keys_per_node: int = 2048,
-    node_counts: Tuple[int, ...] = (2, 4),
-    mm_blocks: int = 4,
-    mm_block_size: int = 16,
-) -> List[Table1Entry]:
+def table1_des(keys_per_node: int = 2048) -> List[Table1Entry]:
     """Table 1 measured in the event-level simulator at reduced scale.
 
     Complements the analytic full-scale :func:`table1`: same benchmarks,
-    same clusters, every message simulated.  Key counts and the matrix
-    size are scaled down to keep pure-Python event processing tractable
-    (see DESIGN.md); use it to sanity-check orderings, not absolutes.
+    same clusters, every message simulated, on 2 and 4 nodes.  Key counts
+    and the matrix size (4 x 4 blocks of 16) are scaled down to keep
+    pure-Python event processing tractable (see DESIGN.md); use it to
+    sanity-check orderings, not absolutes.
     """
     from ..apps import run_matmul, run_radix_sort, run_sample_sort
     from ..splitc import Cluster
 
     runners = [
-        (f"mm {mm_blocks * mm_block_size}^2 (scaled)",
-         lambda cl: run_matmul(cl, MatmulConfig(blocks=mm_blocks, block_size=mm_block_size))),
+        ("mm 64^2 (scaled)",
+         lambda cl: run_matmul(cl, MatmulConfig(blocks=4, block_size=16))),
         (f"ssortsm{keys_per_node}",
          lambda cl: run_sample_sort(cl, SampleConfig(keys_per_node, True))),
         (f"ssortlg{keys_per_node}",
@@ -123,7 +119,7 @@ def table1_des(
     ]
     entries = []
     for name, runner in runners:
-        for n in node_counts:
+        for n in (2, 4):
             for substrate, label in (("fe-switch", "FE"), ("atm", "ATM")):
                 cluster = Cluster(n, substrate=substrate)
                 result = runner(cluster)

@@ -56,11 +56,10 @@ def line_chart_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 440,
     subtitle: str = "",
 ) -> str:
-    """Render a multi-series line chart as an SVG document string."""
+    """Render a multi-series line chart as a 720 x 440 SVG document string."""
+    width, height = 720, 440
     if not series:
         raise ValueError("no series to plot")
     if len(series) > len(SERIES_COLORS):

@@ -57,9 +57,9 @@ def atm_trace_transfer(size: int, cpu: CpuModel = PENTIUM_120) -> Tuple[Timeline
     return _traced_transfer(AtmNetwork(Simulator()), size, cpu, ATM_TX_TRACE, ATM_RX_TRACE)
 
 
-def figure3_timeline(size: int = 40) -> Timeline:
+def figure3_timeline() -> Timeline:
     """The Figure-3 transmit timeline (40-byte message, 4.2 us)."""
-    tx_span, _rx = trace_transfer(size)
+    tx_span, _rx = trace_transfer(40)
     return tx_span
 
 

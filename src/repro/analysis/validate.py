@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .microbench import bandwidth_of, rtt_of
+from .microbench import FIGURE5_CONFIGS, bandwidth_of, measure_rtt
 from .report import format_table
 from .timelines import figure3_timeline, figure4_timeline
 
@@ -38,12 +38,13 @@ class Claim:
         return (self.measured - self.paper) / self.paper if self.paper else 0.0
 
 
-def validate_reproduction(rounds: int = 4) -> List[Claim]:
+def validate_reproduction() -> List[Claim]:
     """Measure every headline number; returns the list of claims."""
     claims: List[Claim] = []
 
     def rtt(config: str, size: int) -> float:
-        return rtt_of(config, size, rounds)
+        with FIGURE5_CONFIGS[config]() as setup:
+            return measure_rtt(setup, size, 4)
 
     claims.append(Claim("FE hub 40B RTT (us)", 57.0, rtt("hub", 40), 0.10))
     claims.append(Claim("FE FN100 40B RTT (us)", 91.0, rtt("fn100", 40), 0.10))

@@ -191,9 +191,9 @@ def run_radix_sort(cluster: Cluster, cfg: RadixConfig) -> SortResult:
     )
 
 
-def verify_sorted(cluster: Cluster, array_name: str = "rx_src", expected_multiset=None) -> bool:
+def verify_sorted(cluster: Cluster, expected_multiset=None) -> bool:
     """Global sorted order + multiset preservation across node slices."""
-    pieces = [rt.local(array_name).copy() for rt in cluster.runtimes]
+    pieces = [rt.local("rx_src").copy() for rt in cluster.runtimes]
     merged = np.concatenate(pieces)
     if np.any(np.diff(merged.astype(np.int64)) < 0):
         return False

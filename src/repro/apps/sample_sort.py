@@ -32,13 +32,14 @@ H_SS_APPEND = 0x41
 #: receive head-room factor over the expected keys_per_node (sample sort
 #: balances only approximately)
 RECV_SLACK = 3
+#: splitter candidates each node contributes
+OVERSAMPLING = 32
 
 
 @dataclass(frozen=True)
 class SampleConfig:
     keys_per_node: int
     small_messages: bool
-    oversampling: int = 32
     seed: int = 11
 
 
@@ -53,7 +54,7 @@ def sample_program(cfg: SampleConfig):
     def program(rt: SplitCRuntime):
         n = rt.nprocs
         kpn = cfg.keys_per_node
-        samples_per_node = min(cfg.oversampling, kpn)
+        samples_per_node = min(OVERSAMPLING, kpn)
         keys = rt.all_spread_malloc("ss_keys", kpn, np.uint32)
         recv = rt.all_spread_malloc("ss_recv", max(16, RECV_SLACK * kpn), np.uint32)
         count_arr = rt.all_spread_malloc("ss_count", 1, np.int64)

@@ -32,13 +32,13 @@ class AtmSwitch:
         sim: Simulator,
         name: str = "asx200",
         forward_us: float = ASX200_FORWARD_US,
-        output_buffer: int = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.forward_us = forward_us
-        #: if set, attach_egress caps each egress queue at this many cells
-        self.output_buffer = output_buffer
+        #: if set before ports attach, attach_egress caps each egress
+        #: queue at this many cells (a finite-buffer test sets it)
+        self.output_buffer: Optional[int] = None
         #: output ports by number; each is the egress CellLink toward a
         #: host or a trunk peer
         self.ports: Dict[int, CellLink] = {}

@@ -308,6 +308,12 @@ def _cmd_soak(args) -> int:
     options = {flag: getattr(args, flag)
                for flag in ("mode", "policy", "credit", "seed")
                if getattr(args, flag) is not None}
+    for scenario in scenarios:
+        flag = suite.refuses(scenario, options)
+        if flag:
+            print(f"the {args.suite} suite's {scenario.name} scenario does not "
+                  f"honour {flag}", file=sys.stderr)
+            return 2
     clock = WallClock()
     results, sim_wall_us = [], 0.0
     for scenario in scenarios:

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".bench": ("render_collectives_bench", "run_collectives_bench"),
     ".adapters": ("CollectiveAdapter", "wire_collectives"),
     ".engine": (
-        "REDUCE_DTYPES", "REDUCE_OPS", "CollectiveAborted", "CollectiveConfig",
+        "REDUCE_DTYPES", "REDUCE_OPS", "RTO_US", "CollectiveAborted",
         "CollectiveError", "NicCollectiveEngine",
     ),
     ".membership": ("CollectiveGroup",),

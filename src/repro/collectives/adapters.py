@@ -18,9 +18,9 @@ tree and returns them in node order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from .engine import CollectiveConfig, NicCollectiveEngine
+from .engine import NicCollectiveEngine
 from .membership import CollectiveGroup
 from .tree import KAryTree
 
@@ -44,7 +44,6 @@ def wire_collectives(
     network,
     hosts: Sequence,
     fanout: int = 4,
-    config: Optional[CollectiveConfig] = None,
     healing: bool = False,
 ):
     """One engine per host; each tree edge is one ``collective_edge``.
@@ -59,7 +58,7 @@ def wire_collectives(
     sim = network.sim
     adapters = [CollectiveAdapter(host.backend) for host in hosts]
     engines = [
-        NicCollectiveEngine(sim, node, tree, adapters[node], config)
+        NicCollectiveEngine(sim, node, tree, adapters[node])
         for node in range(len(hosts))
     ]
 

@@ -117,7 +117,6 @@ def _run_point(substrate: str, mode: str, nodes: int,
 
 
 def run_collectives_bench(node_counts: Sequence[int] = NODE_COUNTS,
-                          substrates: Sequence[str] = SUBSTRATES,
                           barrier_iters: int = BARRIER_ITERS,
                           reduce_iters: int = REDUCE_ITERS,
                           progress: Optional[Callable[[str], None]] = None,
@@ -127,7 +126,7 @@ def run_collectives_bench(node_counts: Sequence[int] = NODE_COUNTS,
     points: List[Dict] = []
     skipped: List[Dict] = []
     engine: List[Dict] = []
-    for substrate in substrates:
+    for substrate in SUBSTRATES:
         for nodes in node_counts:
             for mode in MODES:
                 barrier_ok, why = point_support(substrate, mode, nodes, "barrier")
@@ -167,7 +166,7 @@ def run_collectives_bench(node_counts: Sequence[int] = NODE_COUNTS,
     return {
         "format": ARTIFACT.format,
         "node_counts": list(node_counts),
-        "substrates": list(substrates),
+        "substrates": list(SUBSTRATES),
         "points": points,
         "skipped": skipped,
         "speedups": speedups,

@@ -39,7 +39,6 @@ hang.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..core.errors import UNetError
@@ -47,7 +46,7 @@ from ..sim import Simulator
 from .tree import GEN_MOD, KAryTree, gen_after, next_gen
 
 __all__ = [
-    "CollectiveConfig",
+    "RTO_US",
     "CollectiveError",
     "CollectiveAborted",
     "NicCollectiveEngine",
@@ -121,16 +120,10 @@ DOORBELL_US = 0.5
 #: give up (loudly) after this many retransmits of one packet
 MAX_RETRIES = 50
 #: suspect the peer to the membership layer after this many
-#: retransmits (liveness timeout = LIVENESS_RETRIES * rto_us)
+#: retransmits (liveness timeout = LIVENESS_RETRIES * RTO_US)
 LIVENESS_RETRIES = 8
-
-
-@dataclass
-class CollectiveConfig:
-    """Engine knobs (one per node; all nodes should agree)."""
-
-    #: per-edge retransmit timer
-    rto_us: float = 2000.0
+#: per-edge retransmit timer
+RTO_US = 2000.0
 
 
 class _GenWindow:
@@ -227,13 +220,11 @@ class NicCollectiveEngine:
         node: int,
         tree: KAryTree,
         adapter,
-        config: Optional[CollectiveConfig] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.tree = tree
         self.adapter = adapter
-        self.config = config or CollectiveConfig()
         self.parent = tree.parent(node)
         self.children = tree.children(node)
         # barrier
@@ -497,7 +488,7 @@ class NicCollectiveEngine:
         packet = _HEADER.pack(kind, meta, gen, self.node, self.epoch) + payload
         self._unacked[key] = [packet, 0]
         self._xmit(peer, packet)
-        self._rto_timers.call_at(self.sim._now + self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim._now + RTO_US, self._retransmit, key)
 
     def _retransmit(self, key: Tuple[int, int, int]) -> None:
         if self.crashed:
@@ -528,7 +519,7 @@ class NicCollectiveEngine:
             )
         self.retransmissions += 1
         self._xmit(peer, entry[0])
-        self._rto_timers.call_at(self.sim._now + self.config.rto_us, self._retransmit, key)
+        self._rto_timers.call_at(self.sim._now + RTO_US, self._retransmit, key)
 
     def _xmit(self, peer: int, packet: bytes) -> None:
         self.packets_sent += 1

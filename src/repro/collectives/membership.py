@@ -41,11 +41,9 @@ HEAL_DELAY_US = 100.0
 class CollectiveGroup:
     """Membership authority over one set of collective engines.
 
-    ``is_dead(node)`` supplies liveness evidence (defaults to the
-    engine's own crash flag; the cluster health plane's incarnation
-    evidence plugs in here), ``reachable(i, j)`` supplies fabric
-    reachability (defaults to always-true), and ``wire_edge(i, j)``
-    creates a missing tree edge through the network's
+    Liveness evidence is each engine's own crash flag, ``reachable(i, j)``
+    supplies fabric reachability (defaults to always-true), and
+    ``wire_edge(i, j)`` creates a missing tree edge through the network's
     ``collective_edge`` (and does nothing for one already wired).
     """
 
@@ -55,16 +53,12 @@ class CollectiveGroup:
         engines: Sequence[NicCollectiveEngine],
         *,
         wire_edge: Callable[[int, int], None],
-        is_dead: Optional[Callable[[int], bool]] = None,
         reachable: Optional[Callable[[int, int], bool]] = None,
-        heal_delay_us: float = HEAL_DELAY_US,
     ) -> None:
         self.sim = sim
         self.engines = list(engines)
-        self._is_dead = is_dead or (lambda node: self.engines[node].crashed)
         self._reachable = reachable or (lambda a, b: True)
         self._wire_edge = wire_edge
-        self.heal_delay_us = heal_delay_us
         self.epoch = 0
         self.dead: Set[int] = set()
         self.aborted = False
@@ -76,6 +70,9 @@ class CollectiveGroup:
         self.abort_times: List[float] = []
 
     # ------------------------------------------------------------ evidence
+    def _is_dead(self, node: int) -> bool:
+        return self.engines[node].crashed
+
     def live(self) -> List[int]:
         return [e.node for e in self.engines
                 if e.node not in self.dead and not self._is_dead(e.node)]
@@ -89,7 +86,7 @@ class CollectiveGroup:
         if self._is_dead(peer):
             if not self._heal_pending:
                 self._heal_pending = True
-                self.sim.call_in(self.heal_delay_us, self._heal)
+                self.sim.call_in(HEAL_DELAY_US, self._heal)
             return
         if not self._reachable(reporter, peer) or self._split():
             self._abort(f"nodes {reporter} and {peer} are partitioned")

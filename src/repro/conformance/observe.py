@@ -39,6 +39,9 @@ from ..am.protocol import TYPE_REQUEST
 
 __all__ = ["ObservedTrace", "ObservationProbe"]
 
+#: most recent events and substrate steps a trace keeps for its report
+TAIL = 48
+
 
 @dataclass
 class ObservedTrace:
@@ -81,7 +84,7 @@ class ObservedTrace:
 class ObservationProbe:
     """Collects observable events from one differential run."""
 
-    def __init__(self, substrate: str, requester_node: int = 0, tail: int = 48,
+    def __init__(self, substrate: str, requester_node: int = 0,
                  config_window: Optional[int] = None) -> None:
         self.substrate = substrate
         self.requester_node = requester_node
@@ -94,8 +97,8 @@ class ObservationProbe:
         self.replies: List[int] = []
         self.abandoned: List[int] = []
         self.drop_classes: Dict[str, int] = {}
-        self.events: Deque[tuple] = deque(maxlen=tail)
-        self.substrate_steps: Deque[str] = deque(maxlen=tail)
+        self.events: Deque[tuple] = deque(maxlen=TAIL)
+        self.substrate_steps: Deque[str] = deque(maxlen=TAIL)
         self._last_dispatch_seq: Optional[int] = None
         self._dispatched_ids: set = set()
         self._ecn_marks = 0

@@ -49,8 +49,8 @@ class ManualClock(Clock):
     just instantly — under test.
     """
 
-    def __init__(self, start_us: float = 0.0) -> None:
-        self._now_us = float(start_us)
+    def __init__(self) -> None:
+        self._now_us = 0.0
         self.sleeps = 0
 
     def now_us(self) -> float:
@@ -88,7 +88,7 @@ class ClockShim:
             f"live code tried to create simulation event {name!r}; "
             "live endpoints are polled, not waited on")
 
-    def timeout(self, delay: float, name: str = ""):  # pragma: no cover - defensive
+    def timeout(self, delay: float):  # pragma: no cover - defensive
         raise RuntimeError("live code cannot schedule simulated timeouts")
 
     def process(self, generator, name: str = ""):  # pragma: no cover - defensive

@@ -116,9 +116,9 @@ class BeowulfNetwork(SimulatedNetwork):
 
     PARTS = ("medium_a", "medium_b", "hosts")
 
-    def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:
+    def __init__(self, sim: Simulator, rate_mbps: float = 100.0) -> None:
         self.sim = sim
-        registry = rng or RngRegistry()
+        registry = RngRegistry()
         self.medium_a = SharedMedium(sim, rate_mbps=rate_mbps, rng=registry)
         self.medium_b = SharedMedium(sim, rate_mbps=rate_mbps, rng=registry)
         self.hosts: List[Host] = []

@@ -22,6 +22,9 @@ from .medium import Attachment, ExcessiveCollisions
 
 __all__ = ["Dc21140", "NicTimings", "TxRingDescriptor", "RxRingBuffer"]
 
+#: descriptors in each of the transmit and receive rings
+RING_SIZE = 64
+
 
 @dataclass
 class NicTimings:
@@ -73,8 +76,6 @@ class Dc21140:
         mac: MacAddress,
         bus: BusModel = PCI_BUS,
         timings: Optional[NicTimings] = None,
-        tx_ring_size: int = 64,
-        rx_ring_size: int = 64,
         name: str = "dc21140",
     ) -> None:
         self.sim = sim
@@ -84,10 +85,9 @@ class Dc21140:
         self.dma = DmaEngine(sim, bus, name=f"{name}.dma")
         self.attachment: Optional[Attachment] = None
         #: host-memory transmit ring (kernel pushes, chip pops)
-        self.tx_ring: BoundedRing[TxRingDescriptor] = BoundedRing(tx_ring_size, name=f"{name}.txring")
+        self.tx_ring: BoundedRing[TxRingDescriptor] = BoundedRing(RING_SIZE, name=f"{name}.txring")
         #: filled receive buffers awaiting the kernel's interrupt handler
-        self.rx_ring: BoundedRing[RxRingBuffer] = BoundedRing(rx_ring_size, name=f"{name}.rxring")
-        self.rx_ring_capacity = rx_ring_size
+        self.rx_ring: BoundedRing[RxRingBuffer] = BoundedRing(RING_SIZE, name=f"{name}.rxring")
         #: kernel installs this to be interrupted on receive
         self.interrupt: Optional[Callable[[], None]] = None
         #: collective engine handler: frames on COLLECTIVE_PORT are

@@ -171,20 +171,19 @@ class IpRouter:
 
     COUNTERS = ("packets_forwarded", "drops_no_route", "drops_bad_header", "drops_ttl")
 
-    def __init__(self, sim: Simulator, forward_us: float = 55.0, name: str = "router") -> None:
+    def __init__(self, sim: Simulator, forward_us: float = 55.0) -> None:
         self.sim = sim
         self.forward_us = forward_us
-        self.name = name
         self._ports: Dict[int, _RouterPort] = {}
         self._links: Dict[int, object] = {}
         #: static ARP: IP -> (port index, MAC)
         self._arp: Dict[int, Tuple[int, MacAddress]] = {}
-        self._work: Store = Store(sim, name=f"{name}.queue")
+        self._work: Store = Store(sim, name="router.queue")
         self.packets_forwarded = 0
         self.drops_no_route = 0
         self.drops_bad_header = 0
         self.drops_ttl = 0
-        sim.process(self._forwarding_engine(), name=f"{name}.cpu")
+        sim.process(self._forwarding_engine(), name="router.cpu")
 
     def attach_segment(self, switch: EthernetSwitch, mac: MacAddress, network: int, mask: int) -> None:
         """Connect one router port to ``switch`` serving ``network``."""

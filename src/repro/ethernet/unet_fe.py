@@ -105,12 +105,12 @@ class UNetFeBackend(UNetBackend):
         timings: Optional[FeTimings] = None,
         nic_timings: Optional[NicTimings] = None,
         bus: BusModel = PCI_BUS,
-        ip_address: Optional[int] = None,
     ) -> None:
         super().__init__(sim, name)
         #: host IP address when the interface runs IPv4-encapsulated
-        #: channels (Section 4.4.3's multi-switch/router proposal)
-        self.ip_address = ip_address
+        #: channels (Section 4.4.3's multi-switch/router proposal); the
+        #: routed topology assigns it as it attaches the host
+        self.ip_address: Optional[int] = None
         self.cpu = cpu
         self.mac = mac
         self.timings = timings or FeTimings.for_cpu(cpu)

@@ -61,6 +61,10 @@ __all__ = [
 _SIM_CONFIG = dict(recovery=True, window=4, ack_every=1)
 
 
+#: bytes per stream message
+PAYLOAD_BYTES = 120
+
+
 @dataclass
 class CrashScenario:
     """One reproducible kill/restart soak."""
@@ -71,7 +75,6 @@ class CrashScenario:
     #: sockets), "sigkill" (real peer process, real SIGKILL)
     substrate: str
     messages: int = 48
-    payload_bytes: int = 120
     #: kill/restart cycles, spread evenly across the stream
     crashes: int = 3
     #: how long the receiver stays dead before restarting; must stay
@@ -277,7 +280,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     h0.backend.trace.subscribe(ledger.on_sender_event)
 
     def handler(ctx) -> None:
-        ledger.deliver(ctx.args[0], ctx.data, scenario.payload_bytes)
+        ledger.deliver(ctx.args[0], ctx.data, PAYLOAD_BYTES)
 
     am1.register_handler(1, handler)
 
@@ -286,7 +289,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     def traffic():
         try:
             for i in range(scenario.messages):
-                data = stream_payload(i, scenario.payload_bytes)
+                data = stream_payload(i, PAYLOAD_BYTES)
                 seq = yield from am0.request(1, 1, args=(i,), data=data)
                 ledger.seq_to_id[seq] = i
                 sent_ids.append(i)
@@ -364,7 +367,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         n0.trace.subscribe(ledger.on_sender_event)
 
         def handler(ctx) -> None:
-            ledger.deliver(ctx.args[0], ctx.data, scenario.payload_bytes)
+            ledger.deliver(ctx.args[0], ctx.data, PAYLOAD_BYTES)
 
         am1.register_handler(1, handler)
         targets = scenario.crash_targets()
@@ -396,7 +399,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                 if remaining <= 0:
                     completed = False
                     break
-                data = stream_payload(i, scenario.payload_bytes)
+                data = stream_payload(i, PAYLOAD_BYTES)
                 seq = am0.request(1, 1, args=(i,), data=data,
                                   pump=pump, limit_us=remaining)
                 ledger.seq_to_id[seq] = i
@@ -487,12 +490,12 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                 if progress is not None:
                     progress(f"{scenario.name}: SIGKILL #{crash_idx} "
                              f"(pid reaped) before id {i}")
-            data = stream_payload(i, scenario.payload_bytes)
+            data = stream_payload(i, PAYLOAD_BYTES)
             sent_ids.append(i)
             try:
                 args, echoed = am.rpc(1, 1, args=(i,), data=data, pump=pump,
                                       limit_us=max(0.0, deadline - clock.now_us()))
-                ledger.deliver(args[0], echoed, scenario.payload_bytes)
+                ledger.deliver(args[0], echoed, PAYLOAD_BYTES)
             except UNetError:
                 ledger.abandoned_ids.append(i)
                 if peer.proc is not None and peer.proc.poll() is not None:

@@ -76,8 +76,6 @@ class FabricScenario:
     leaves: int
     spines: int
     hosts_per_leaf: int
-    #: collective tree fanout
-    fanout: int = 4
     #: allreduce rounds each node drives (ignored by partition flows,
     #: which loop until the abort lands)
     rounds: int = 4
@@ -221,8 +219,7 @@ def _build(scenario: FabricScenario):
                                        hosts_per_leaf=scenario.hosts_per_leaf)
     hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
              for i in range(scenario.nodes)]
-    engines, group = wire_collectives(fabric, hosts, fanout=scenario.fanout,
-                                      healing=True)
+    engines, group = wire_collectives(fabric, hosts, healing=True)
     return fabric, hosts, engines, group
 
 
@@ -415,7 +412,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
     if scenario.crash_node is not None:
         fault_final = crash_time[0] if crash_time else scenario.crash_at_us
     elif injector.fired:
-        fault_final = max(t for t, _, _, _, _ in injector.fired)
+        fault_final = max(t for t, _, _, _ in injector.fired)
     else:
         fault_final = 0.0
     complete_rounds = {rnd: cells for rnd, cells in by_round.items()

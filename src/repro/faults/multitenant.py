@@ -99,6 +99,36 @@ _QOS_PATTERN = (
 )
 
 
+#: back-to-back messages per tenant per period (the incast burst)
+BURST = 8
+#: drain capacity over the expected accepted rate (>1 keeps queues
+#: clear between bursts; the per-burst queue overrun is the overload)
+DRAIN_HEADROOM = 1.3
+#: fits the single-cell AAL5 fast path (40B = one cell minus the
+#: trailer) and Fast Ethernet's inline-descriptor path alike, so no
+#: run depends on receive-buffer stocking
+PAYLOAD_BYTES = 40
+#: every k-th delivery is echoed for an RTT sample
+ECHO_EVERY = 8
+#: receive-queue depths per tier: gold absorbs a full burst,
+#: best-effort drops most of one — the receiver-paced QoS knob
+QUEUE_DEPTH = {QOS_GOLD: 16, QOS_SILVER: 6, QOS_BEST_EFFORT: 3}
+#: admission: per-host endpoint capacity as a fraction of arrivals,
+#: with a slice reserved for the paid (non-preemptable) tiers
+CAPACITY_FRAC = 0.9
+RESERVED_FRACTION = 0.12
+#: aggregator escalation: consecutive polls in ``shed`` before a
+#: wedged paid-tier tenant is latched (see ClusterHealthAggregator)
+ESCALATE_SHED_AFTER = 4
+QUORUM = 1
+#: verdict floors: healthy gold per-tenant goodput over best-effort's,
+#: and churn goodput over the no-churn baseline's
+MIN_GOLD_BE_RATIO = 2.0
+MIN_GOODPUT_RATIO = 0.8
+#: drain-out periods after the last burst
+TAIL_PERIODS = 2
+
+
 @dataclass
 class MultitenantScenario:
     """One reproducible multi-tenant churn schedule."""
@@ -110,30 +140,10 @@ class MultitenantScenario:
     tenants: int = 500
     rx_hosts: int = 2
     sender_hosts: int = 4
-    #: back-to-back messages per tenant per period (the incast burst)
-    burst: int = 8
     #: number of burst periods the senders run
     periods: int = 8
     send_period_us: float = 8_000.0
     drain_period_us: float = 1_000.0
-    #: drain capacity over the expected accepted rate (>1 keeps queues
-    #: clear between bursts; the per-burst queue overrun is the overload)
-    drain_headroom: float = 1.3
-    #: fits the single-cell AAL5 fast path (40B = one cell minus the
-    #: trailer) and Fast Ethernet's inline-descriptor path alike, so no
-    #: run depends on receive-buffer stocking
-    payload_bytes: int = 40
-    #: every k-th delivery is echoed for an RTT sample (0 disables)
-    echo_every: int = 8
-    #: receive-queue depths per tier: gold absorbs a full burst,
-    #: best-effort drops most of one — the receiver-paced QoS knob
-    gold_depth: int = 16
-    silver_depth: int = 6
-    be_depth: int = 3
-    #: admission: per-host endpoint capacity as a fraction of arrivals,
-    #: with a slice reserved for the paid (non-preemptable) tiers
-    capacity_frac: float = 0.9
-    reserved_fraction: float = 0.12
     misbehave_frac: float = 0.05
     crash_frac: float = 0.04
     #: churn starts this many periods in (after the population settles)
@@ -141,27 +151,12 @@ class MultitenantScenario:
     crash_downtime_periods: int = 3
     check_period_us: float = 500.0
     poll_period_us: float = 1_000.0
-    #: aggregator escalation: consecutive polls in ``shed`` before a
-    #: wedged paid-tier tenant is latched (see ClusterHealthAggregator)
-    escalate_shed_after: int = 4
-    quorum: int = 1
-    min_gold_be_ratio: float = 2.0
-    min_goodput_ratio: float = 0.8
-    #: drain-out periods after the last burst
-    tail_periods: int = 2
     #: hard wall bound for the live pump loop
     time_limit_us: float = 30_000_000.0
 
     @property
     def duration_us(self) -> float:
-        return (self.periods + self.tail_periods) * self.send_period_us
-
-    def queue_depth(self, qos: str) -> int:
-        if qos == QOS_GOLD:
-            return self.gold_depth
-        if qos == QOS_SILVER:
-            return self.silver_depth
-        return self.be_depth
+        return (self.periods + TAIL_PERIODS) * self.send_period_us
 
 
 MULTITENANT_SCENARIOS: Dict[str, MultitenantScenario] = {
@@ -259,11 +254,11 @@ def _payload(index: int, seq: int, now_us: float, size: int) -> bytes:
     return head.ljust(size, b"\x00")
 
 
-def _rx_config(scenario: MultitenantScenario, qos: str) -> EndpointConfig:
+def _rx_config(qos: str) -> EndpointConfig:
     # payloads are inline (<= SMALL_MESSAGE_MAX), so the buffer area only
     # backs echo sends; the receive-queue depth is the QoS knob
     return EndpointConfig(num_buffers=8, buffer_size=64, send_queue_depth=16,
-                          recv_queue_depth=scenario.queue_depth(qos),
+                          recv_queue_depth=QUEUE_DEPTH[qos],
                           free_queue_depth=8)
 
 
@@ -283,10 +278,10 @@ def _health_config(scenario: MultitenantScenario, qos: str) -> HealthConfig:
         min_unhealthy_checks=3)
 
 
-def _admission_config(scenario: MultitenantScenario, arrivals: int) -> AdmissionConfig:
+def _admission_config(arrivals: int) -> AdmissionConfig:
     return AdmissionConfig(
-        max_endpoints=max(1, int(scenario.capacity_frac * arrivals)),
-        reserved_fraction=scenario.reserved_fraction)
+        max_endpoints=max(1, int(CAPACITY_FRAC * arrivals)),
+        reserved_fraction=RESERVED_FRACTION)
 
 
 def _pick_churn(scenario: MultitenantScenario, tenants: Sequence[_Tenant],
@@ -327,7 +322,7 @@ def _apply_churn_event(kind: str, tenant: _Tenant, now: float,
         aggregator.note_incarnation(tenant.tenant, tenant.incarnation)
 
 
-def _set_budget(scenario: MultitenantScenario, host: _HostState) -> None:
+def _set_budget(host: _HostState) -> None:
     """Drain capacity from the *admitted* population: one pass clears a
     whole burst's accepted load (each burst clipped by queue depth), so
     queues sit full only between a burst and the next drain pass.  The
@@ -335,13 +330,13 @@ def _set_budget(scenario: MultitenantScenario, host: _HostState) -> None:
     — not in service starvation; a queue that *stays* full is therefore
     a wedged receiver, which is exactly what the watchdog keys on."""
     accepted = sum(
-        min(scenario.burst, scenario.queue_depth(qos)) * len(tens)
+        min(BURST, QUEUE_DEPTH[qos]) * len(tens)
         for qos, tens in host.by_class.items())
-    host.budget = max(1, int(math.ceil(accepted * scenario.drain_headroom)))
+    host.budget = max(1, int(math.ceil(accepted * DRAIN_HEADROOM)))
 
 
-def _drain_pass(scenario: MultitenantScenario, host: _HostState,
-                now: float, echoes: List[Tuple[_Tenant, bytes]]) -> int:
+def _drain_pass(host: _HostState, now: float,
+                echoes: List[Tuple[_Tenant, bytes]]) -> int:
     """One QoS-aware service pass: classes in priority order, round-robin
     within a class, skipping wedged receivers (their queue is the
     detection signal).  Returns messages served."""
@@ -374,7 +369,7 @@ def _drain_pass(scenario: MultitenantScenario, host: _HostState,
                     t.delivered_after_restart += 1
                     if t.recovered_at is None:
                         t.recovered_at = now
-                if scenario.echo_every and t.delivered % scenario.echo_every == 0:
+                if t.delivered % ECHO_EVERY == 0:
                     echoes.append((t, msg.data[:_HEADER.size]))
         host.rr[qos] = (start + 1) % n
     return served
@@ -401,15 +396,15 @@ def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
     """
     registry = RngRegistry(seed)
     aggregator = ClusterHealthAggregator(
-        quorum=scenario.quorum,
-        escalate_shed_after=scenario.escalate_shed_after)
+        quorum=QUORUM,
+        escalate_shed_after=ESCALATE_SHED_AFTER)
 
     hosts: List[_HostState] = []
     arrivals_per_host = int(math.ceil(scenario.tenants / scenario.rx_hosts))
     for i in range(scenario.rx_hosts):
         backend, create_endpoint = add_node(f"rx{i}")
         backend.admission = AdmissionController(
-            _admission_config(scenario, arrivals_per_host))
+            _admission_config(arrivals_per_host))
         monitor = HealthMonitor(
             backend.sim, HealthConfig(policy=POLICY_BACKPRESSURE,
                                       check_period_us=scenario.check_period_us),
@@ -428,7 +423,7 @@ def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
         tenants.append(t)
         try:
             t.user = host.create_endpoint(
-                config=_rx_config(scenario, qos), rx_buffers=2,
+                config=_rx_config(qos), rx_buffers=2,
                 tenant=t.tenant, qos=qos)
         except AdmissionRejected:
             t.fate = FATE_REJECTED
@@ -442,7 +437,7 @@ def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
         aggregator.note_incarnation(t.tenant, t.incarnation)
 
     for host in hosts:
-        _set_budget(scenario, host)
+        _set_budget(host)
     return aggregator, hosts, tenants, _pick_churn(scenario, tenants, registry)
 
 
@@ -480,9 +475,9 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
             if delay > 0:
                 yield delay
             for t in tens:
-                for _k in range(scenario.burst):
+                for _k in range(BURST):
                     payload = _payload(t.index, t.sent, sim.now,
-                                       scenario.payload_bytes)
+                                       PAYLOAD_BYTES)
                     yield from t.tx_user.send(t.ch_tx, payload)
                     t.sent += 1
             poll_echoes(tens)
@@ -494,7 +489,7 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
         while True:
             yield scenario.drain_period_us
             echoes: List[Tuple[_Tenant, bytes]] = []
-            _drain_pass(scenario, host, sim.now, echoes)
+            _drain_pass(host, sim.now, echoes)
             for t, data in echoes:
                 try:
                     yield from t.user.send(t.ch_rx, data)
@@ -565,9 +560,9 @@ def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
                 ev_i += 1
             if burst_idx < scenario.periods and now >= t0 + burst_idx * scenario.send_period_us:
                 for n, t in enumerate(admitted):
-                    for _k in range(scenario.burst):
+                    for _k in range(BURST):
                         payload = _payload(t.index, t.sent, clock.now_us(),
-                                           scenario.payload_bytes)
+                                           PAYLOAD_BYTES)
                         try:
                             t.tx_user.send(t.ch_tx, payload)
                         except EndpointError:
@@ -580,7 +575,7 @@ def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
                 next_drain += scenario.drain_period_us
                 echoes: List[Tuple[_Tenant, bytes]] = []
                 for host in hosts:
-                    _drain_pass(scenario, host, now - t0, echoes)
+                    _drain_pass(host, now - t0, echoes)
                 for t, data in echoes:
                     try:
                         t.user.send(t.ch_rx, data)
@@ -763,10 +758,10 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
         }
     gold_gp = classes[QOS_GOLD]["per_tenant_goodput_mbps"]
     be_gp = classes[QOS_BEST_EFFORT]["per_tenant_goodput_mbps"]
-    if be_gp > 0.0 and gold_gp < scenario.min_gold_be_ratio * be_gp:
+    if be_gp > 0.0 and gold_gp < MIN_GOLD_BE_RATIO * be_gp:
         violations.append(
             f"qos: healthy gold per-tenant goodput {gold_gp:.3f} Mbps < "
-            f"{scenario.min_gold_be_ratio:.1f}x best-effort {be_gp:.3f} Mbps")
+            f"{MIN_GOLD_BE_RATIO:.1f}x best-effort {be_gp:.3f} Mbps")
 
     delivered_bytes = outcome.delivered_bytes()
     goodput = _goodput_mbps(delivered_bytes, duration)
@@ -774,11 +769,11 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
                         if baseline_bytes is not None else 0.0)
     ratio = (delivered_bytes / baseline_bytes
              if baseline_bytes else 1.0)
-    if baseline_bytes is not None and ratio < scenario.min_goodput_ratio:
+    if baseline_bytes is not None and ratio < MIN_GOODPUT_RATIO:
         violations.append(
             f"aggregate: churn goodput {goodput:.3f} Mbps is "
             f"{ratio:.2f}x the no-churn baseline "
-            f"(floor {scenario.min_goodput_ratio:.2f}x)")
+            f"(floor {MIN_GOODPUT_RATIO:.2f}x)")
 
     fates = {FATE_HEALTHY: 0, FATE_MISBEHAVED: 0, FATE_CRASHED: 0,
              FATE_REJECTED: 0}
@@ -859,12 +854,12 @@ def _run_once(scenario: MultitenantScenario, seed: int) -> _Outcome:
     return _run_sim(scenario, seed)
 
 
-def run_multitenant(scenario: MultitenantScenario, seed: int = DEFAULT_SEED,
-                    baseline: bool = True) -> MultitenantResult:
-    """Run ``scenario`` (plus, by default, the same schedule with churn
-    disabled as the goodput baseline) and evaluate every invariant."""
+def run_multitenant(scenario: MultitenantScenario,
+                    seed: int = DEFAULT_SEED) -> MultitenantResult:
+    """Run ``scenario`` (plus the same schedule with churn disabled as the
+    goodput baseline) and evaluate every invariant."""
     quiet = None
-    if baseline and (scenario.misbehave_frac or scenario.crash_frac):
+    if scenario.misbehave_frac or scenario.crash_frac:
         quiet = _run_once(replace(scenario, misbehave_frac=0.0, crash_frac=0.0),
                           seed)
     outcome = _run_once(scenario, seed)

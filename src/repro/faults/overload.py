@@ -76,9 +76,8 @@ class OverloadScenario:
     #: AM messages per healthy sender
     messages: int = 24
     payload_bytes: int = 200
+    #: blasters send back to back, at wire speed
     blaster_payload_bytes: int = 384
-    #: pause between blaster sends (0 = wire speed)
-    blaster_gap_us: float = 0.0
     #: receiver host CPU speed relative to the 120 MHz Pentium: the
     #: kernel service path is the contended resource, so the receiver is
     #: deliberately under-powered relative to its senders
@@ -212,7 +211,6 @@ def run_overload(
     policy: str = POLICY_DROP,
     credit: bool = False,
     seed: int = 0x0E12,
-    health_config: Optional[HealthConfig] = None,
 ) -> OverloadResult:
     """Run ``scenario`` once under ``policy`` (and optionally credit flow)."""
     from ..ethernet import SwitchedNetwork
@@ -224,7 +222,7 @@ def run_overload(
     rx_cpu = (PENTIUM_120 if scenario.receiver_cpu_factor == 1.0
               else PENTIUM_120.scaled(scenario.receiver_cpu_factor))
     rx_host = net.add_host("rx", rx_cpu)
-    monitor = HealthMonitor(sim, health_config or HealthConfig(policy=policy),
+    monitor = HealthMonitor(sim, HealthConfig(policy=policy),
                             name="rx.health")
 
     am_config = AmConfig(credit_flow=credit)
@@ -287,7 +285,6 @@ def run_overload(
                 yield from sick_user.recv()
 
         sim.process(sick_consumer(), name="overload.sick-consumer")
-        gap_rng = registry.stream("overload.blaster")
         for j in range(scenario.blasters):
             host = net.add_host(f"b{j}", PENTIUM_120)
             user = host.create_endpoint(rx_buffers=8)
@@ -297,9 +294,6 @@ def run_overload(
             def blaster(user=user, channel=ch_b, payload=payload):
                 while not blaster_stop[0]:
                     yield from user.send(channel, payload)
-                    if scenario.blaster_gap_us > 0.0:
-                        # jitter de-phases the blasters
-                        yield scenario.blaster_gap_us * (0.9 + 0.2 * gap_rng.random())
 
             sim.process(blaster(), name=f"overload.blaster{j}")
 
@@ -362,23 +356,18 @@ def run_overload(
     )
 
 
-def compare_policies(
-    scenario: OverloadScenario,
-    seed: int = 0x0E12,
-    policies: Sequence[str] = POLICIES,
-) -> List[OverloadResult]:
+def compare_policies(scenario: OverloadScenario,
+                     seed: int = 0x0E12) -> List[OverloadResult]:
     """The same scenario and seed under each containment policy."""
-    return [run_overload(scenario, policy=policy, seed=seed) for policy in policies]
+    return [run_overload(scenario, policy=policy, seed=seed) for policy in POLICIES]
 
 
-def compare_credit(
-    scenario: OverloadScenario,
-    seed: int = 0x0E12,
-    policy: str = POLICY_DROP,
-) -> Tuple[OverloadResult, OverloadResult]:
-    """The same scenario and seed, fixed vs receiver-credit senders."""
-    return (run_overload(scenario, policy=policy, credit=False, seed=seed),
-            run_overload(scenario, policy=policy, credit=True, seed=seed))
+def compare_credit(scenario: OverloadScenario,
+                   seed: int = 0x0E12) -> Tuple[OverloadResult, OverloadResult]:
+    """The same scenario and seed under ``drop``, fixed vs receiver-credit
+    senders."""
+    return (run_overload(scenario, credit=False, seed=seed),
+            run_overload(scenario, credit=True, seed=seed))
 
 
 def render_overload_table(results: Sequence[OverloadResult]) -> str:
@@ -432,6 +421,20 @@ def render_endpoint_table(result: OverloadResult) -> str:
     )
 
 
+def _refuses(scenario: OverloadScenario, given) -> str:
+    """The flag ``scenario`` would ignore under ``given``, or ``""``."""
+    policy = given.get("policy", "compare")
+    if scenario.shared_receiver:
+        # the incast shape always runs its own drop vs drop+credit pair
+        if policy != "compare":
+            return f"--policy {policy}"
+        if given.get("credit"):
+            return "--credit"
+    elif given.get("credit") and policy == "compare":
+        return "--credit without a single --policy"
+    return ""
+
+
 def _run_suite(scenario: OverloadScenario, progress, policy: str = "compare",
                credit: bool = False,
                seed: int = DEFAULT_SEED) -> Sequence[OverloadResult]:
@@ -458,5 +461,6 @@ SUITE = Suite(
     stats=lambda results: "\n".join("\n" + render_endpoint_table(r)
                                     for r in results),
     overrides=frozenset({"messages", "policy", "credit", "seed"}),
+    refuses=_refuses,
     passed=_contained_ok,
 )

@@ -351,17 +351,15 @@ class NicStall(LinkPerturbation):
     stream_name = "stall"
     COUNTERS = ("stalled",)
 
-    def __init__(self, period_us: float = 10_000.0, stall_us: float = 300.0,
-                 offset_us: float = 0.0) -> None:
+    def __init__(self, period_us: float = 10_000.0, stall_us: float = 300.0) -> None:
         super().__init__()
         if period_us <= 0.0 or not 0.0 <= stall_us < period_us:
             raise ValueError("need period_us > 0 and 0 <= stall_us < period_us")
         self.period_us = period_us
         self.stall_us = stall_us
-        self.offset_us = offset_us
 
     def process(self, pdu, now: float, emit: Emit) -> None:
-        phase = (now - self.offset_us) % self.period_us
+        phase = now % self.period_us
         if phase < self.stall_us:
             self.stalled += 1
             emit(pdu, self.stall_us - phase)

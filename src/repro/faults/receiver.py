@@ -260,12 +260,11 @@ class MisbehavingSender:
     ABUSES = ("bad_buffer_index", "bad_length", "bad_channel", "bad_donation")
     COUNTERS = ("attempts", "contained", "uncontained", "by_kind")
 
-    def __init__(self, user: UserEndpoint, channel_id: int,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, user: UserEndpoint, channel_id: int) -> None:
         self.user = user
         self.endpoint = user.endpoint
         self.channel_id = channel_id
-        self.rng = rng or random.Random(0xBAD5EED)
+        self.rng = random.Random(0xBAD5EED)
         self.attempts = 0
         self.contained = 0
         self.uncontained = 0
@@ -310,8 +309,7 @@ class MisbehavingSender:
         return False
 
 
-def forge_unknown_traffic(backend, count: int = 1,
-                          rng: Optional[random.Random] = None) -> int:
+def forge_unknown_traffic(backend, count: int = 1) -> int:
     """Land ``count`` wire PDUs at ``backend`` carrying tags nobody
     registered, as a compromised or misconfigured peer would.
 
@@ -322,7 +320,7 @@ def forge_unknown_traffic(backend, count: int = 1,
     it; returns the number of PDUs injected (delivery is asynchronous —
     run the sim, then check the demux counter).
     """
-    rng = rng or random.Random(0xF0F6ED)
+    rng = random.Random(0xF0F6ED)
     (owner, attr), *_rails = backend.rx_fault_hooks()
     deliver = getattr(owner, attr)
     for _ in range(count):

@@ -2,7 +2,7 @@
 
 Each scenario attaches a perturbation pipeline to both ends of a
 two-host network (either substrate) and pushes a stream of Active
-Messages requests — every ``rpc_every``-th one a round-trip RPC — while
+Messages requests — every ``RPC_EVERY``-th one a round-trip RPC — while
 checking the delivery invariants the layers above depend on:
 
 * **exactly-once dispatch** — every request id handled once, no dupes;
@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+#: bytes per message
+PAYLOAD_BYTES = 200
+#: every k-th message is a full RPC round trip
+RPC_EVERY = 5
+
+
 @dataclass
 class SoakScenario:
     """One reproducible chaos scenario."""
@@ -65,11 +71,6 @@ class SoakScenario:
     perturbations: Callable[[], List[LinkPerturbation]]
     substrate: str = "ethernet"
     messages: int = 60
-    payload_bytes: int = 200
-    #: every k-th message is a full RPC round trip (0 disables)
-    rpc_every: int = 5
-    #: perturb both directions (data path and ack/reply path)
-    both_directions: bool = True
     time_limit_us: float = 60_000_000.0
 
 
@@ -159,9 +160,8 @@ def run_scenario(
     # ack/reply path; separate prefixes give every stage its own stream
     pipelines.append(attach_pipeline(h1.backend, scenario.perturbations(),
                                      rng=registry, prefix="faults.fwd"))
-    if scenario.both_directions:
-        pipelines.append(attach_pipeline(h0.backend, scenario.perturbations(),
-                                         rng=registry, prefix="faults.rev"))
+    pipelines.append(attach_pipeline(h0.backend, scenario.perturbations(),
+                                     rng=registry, prefix="faults.rev"))
 
     delivered: List[int] = []
     integrity_failures: List[int] = []
@@ -169,7 +169,7 @@ def run_scenario(
     def handler(ctx) -> None:
         i = ctx.args[0]
         delivered.append(i)
-        if ctx.data != stream_payload(i, scenario.payload_bytes):
+        if ctx.data != stream_payload(i, PAYLOAD_BYTES):
             integrity_failures.append(i)
 
     def rpc_handler(ctx):
@@ -183,8 +183,8 @@ def run_scenario(
 
     def traffic():
         for i in range(scenario.messages):
-            data = stream_payload(i, scenario.payload_bytes)
-            if scenario.rpc_every and i % scenario.rpc_every == scenario.rpc_every - 1:
+            data = stream_payload(i, PAYLOAD_BYTES)
+            if i % RPC_EVERY == RPC_EVERY - 1:
                 args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
                 if args[0] != i * 2 + 1:
                     rpc_errors.append(f"rpc {i} returned {args[0]}")
@@ -248,17 +248,14 @@ def _run_suite(scenario: SoakScenario, progress=None, mode: str = "compare",
             for m in (_CONFIGS if mode == "compare" else (mode,))]
 
 
-def compare_reliability(
-    scenarios: Sequence[SoakScenario],
-    seed: int = DEFAULT_SEED,
-) -> List[SoakResult]:
+def compare_reliability(scenarios: Sequence[SoakScenario]) -> List[SoakResult]:
     """Run each scenario under the fixed baseline and the adaptive stack.
 
-    Identical seeds feed both runs, so the two reliability stacks face
+    The default seed feeds both runs, so the two reliability stacks face
     byte-identical fault patterns (until their own behaviour diverges
     the arrival sequence, which is the point of the comparison).
     """
-    return [r for scenario in scenarios for r in _run_suite(scenario, seed=seed)]
+    return [r for scenario in scenarios for r in _run_suite(scenario)]
 
 
 def wins(fixed: SoakResult, adaptive: SoakResult) -> List[str]:

@@ -20,7 +20,6 @@ appearing in ``rpc_results``.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..am.core import AmConfig, AmCore, AmError, PeerState, RequestContext
@@ -33,6 +32,8 @@ __all__ = ["LiveAm", "LiveRequestContext"]
 #: bounded busy-retry of a transport-backpressured send before giving up
 _SEND_RETRIES = 400
 _SEND_RETRY_SLEEP_US = 25.0
+#: AM packets one :meth:`LiveAm.service` pass consumes at most
+_SERVICE_BATCH = 64
 
 #: live handlers get the core's context; ``reply`` sends synchronously
 LiveRequestContext = RequestContext
@@ -56,9 +57,8 @@ class LiveAm(AmCore):
     """An Active Messages endpoint bound to one live U-Net endpoint."""
 
     def __init__(self, node_id: int, user: LiveUserEndpoint,
-                 config: Optional[AmConfig] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        super().__init__(node_id, user, config, rng)
+                 config: Optional[AmConfig] = None) -> None:
+        super().__init__(node_id, user, config)
         self.clock = user.backend.clock
         #: the core's time hook, bound straight to the injected clock
         self._now = self.clock.now_us
@@ -223,7 +223,7 @@ class LiveAm(AmCore):
             f"{_SEND_RETRIES} retries sending to node {peer.node}")
 
     # ------------------------------------------------------------ receiving
-    def service(self, max_messages: int = 64) -> int:
+    def service(self) -> int:
         """One polling pass: dispatch ingress, then run the timers.
 
         Returns the number of AM packets consumed.  Call this (plus the
@@ -232,7 +232,7 @@ class LiveAm(AmCore):
         if self.user.backend.closed:
             return 0  # teardown: never touch a closed transport
         consumed = 0
-        for _ in range(max_messages):
+        for _ in range(_SERVICE_BATCH):
             message = self.user.poll()
             if message is None:
                 break

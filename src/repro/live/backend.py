@@ -64,6 +64,8 @@ POOL_SLOTS = RECV_BATCH
 #: longest an event-mode cluster parks in epoll before re-polling; short
 #: enough that AM retransmission timers still fire close to on time
 _EVENT_WAIT_US = 500.0
+#: busy-poll mode's pause after a pass that moved no data
+_IDLE_SLEEP_US = 50.0
 
 
 class LiveTag:
@@ -162,9 +164,9 @@ class LiveBackend(UNetBackend):
         return self._tx_pool is not None
 
     def create_user_endpoint(self, config: Optional[EndpointConfig] = None,
-                             rx_buffers: int = 32, owner: str = "",
+                             rx_buffers: int = 32,
                              tenant: str = "", qos: str = "") -> "LiveUserEndpoint":
-        endpoint = self.create_endpoint(config, owner=owner or self.name,
+        endpoint = self.create_endpoint(config, owner=self.name,
                                         tenant=tenant, qos=qos)
         user = LiveUserEndpoint(self, endpoint)
         user.donate_rx_buffers(rx_buffers)
@@ -609,8 +611,7 @@ class LiveCluster(Closing):
         """Service every node once; returns datagrams delivered."""
         return sum(node.service() for node in self.nodes)
 
-    def run_until(self, predicate: Callable[[], bool], limit_us: float,
-                  idle_sleep_us: float = 50.0) -> bool:
+    def run_until(self, predicate: Callable[[], bool], limit_us: float) -> bool:
         """Pump the cluster until ``predicate()`` or the wall deadline.
 
         Sleeps briefly only when a full pass moved no data, so the loop
@@ -629,8 +630,8 @@ class LiveCluster(Closing):
                                         for node in self.nodes)
                     self._doorbell.wait_us(
                         min(_EVENT_WAIT_US, deadline - self.clock.now_us()))
-                elif idle_sleep_us > 0:
-                    self.clock.sleep_us(idle_sleep_us)
+                else:
+                    self.clock.sleep_us(_IDLE_SLEEP_US)
         return predicate()
 
     def wait_readable(self, timeout_us: float) -> int:

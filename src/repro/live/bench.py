@@ -53,6 +53,10 @@ BANDWIDTH_SIZES = (16, 64, 128, 256, 512, 1024, 1498, 4000)
 #: hard wall ceiling per benchmark phase; a wedged transport must fail
 #: the phase, not hang the rig
 _PHASE_LIMIT_US = 30_000_000.0
+#: untimed round trips before each size's samples
+_RTT_WARMUP = 8
+#: payload bytes of every incast message
+_INCAST_SIZE = 512
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -67,7 +71,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 # ------------------------------------------------------------------ plumbing
 def _make_pair(transport_kind: str, clock: WallClock,
-               config: Optional[AmConfig] = None,
                doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> Tuple[LiveCluster, LiveAm, LiveAm, Callable[[], None]]:
     """Two fresh nodes, one channel, AM endpoints, and their pump."""
     cluster = LiveCluster(lambda name: make_transport(transport_kind, name),
@@ -79,8 +82,8 @@ def _make_pair(transport_kind: str, clock: WallClock,
     ep0 = n0.create_user_endpoint(config=ep_cfg, rx_buffers=48)
     ep1 = n1.create_user_endpoint(config=ep_cfg, rx_buffers=48)
     ch0, ch1 = cluster.connect(ep0, ep1)
-    am0 = LiveAm(0, ep0, config=config or AmConfig())
-    am1 = LiveAm(1, ep1, config=config or AmConfig())
+    am0 = LiveAm(0, ep0, config=AmConfig())
+    am1 = LiveAm(1, ep1, config=AmConfig())
     am0.connect_peer(1, ch0)
     am1.connect_peer(0, ch1)
 
@@ -99,7 +102,7 @@ def _syscalls(cluster: LiveCluster) -> int:
 
 # ------------------------------------------------------- round-trip latency
 def bench_round_trip(transport_kind: str, sizes: Sequence[int] = RTT_SIZES,
-                     samples: int = 40, warmup: int = 8,
+                     samples: int = 40,
                      doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> List[Dict]:
     """Figure 5's shape on the wall clock: AM echo RPC per size."""
     rows: List[Dict] = []
@@ -111,7 +114,7 @@ def bench_round_trip(transport_kind: str, sizes: Sequence[int] = RTT_SIZES,
             am1.register_handler(1, lambda ctx: ctx.reply(args=(ctx.args[0],),
                                                           data=ctx.data))
             payload = bytes(i % 256 for i in range(size))
-            for i in range(warmup):
+            for i in range(_RTT_WARMUP):
                 am0.rpc(1, 1, args=(i,), data=payload, pump=pump,
                         limit_us=_PHASE_LIMIT_US)
             base_syscalls = _syscalls(cluster)
@@ -189,7 +192,7 @@ def bench_bandwidth(transport_kind: str,
 
 # ------------------------------------------------------------------ incast
 def bench_incast(transport_kind: str, senders: int = 4,
-                 messages_per_sender: int = 100, size: int = 512,
+                 messages_per_sender: int = 100,
                  doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> Dict:
     """N senders into one credit-gated receiver: the live overload shape.
 
@@ -231,7 +234,7 @@ def bench_incast(transport_kind: str, senders: int = 4,
             for am in sender_ams:
                 am.service()
 
-        payload = bytes(i % 256 for i in range(size))
+        payload = bytes(i % 256 for i in range(_INCAST_SIZE))
         sent = [0] * senders
         total = senders * messages_per_sender
         base_syscalls = _syscalls(cluster)
@@ -260,10 +263,10 @@ def bench_incast(transport_kind: str, senders: int = 4,
         return {
             "senders": senders,
             "messages_per_sender": messages_per_sender,
-            "size": size,
+            "size": _INCAST_SIZE,
             "delivered": received[0],
             "elapsed_us": elapsed_us,
-            "goodput_mbps": received[0] * size * 8 / elapsed_us,
+            "goodput_mbps": received[0] * _INCAST_SIZE * 8 / elapsed_us,
             "credit_stalls": stalls,
             "rexmit": rexmit,
             "recv_queue_drops": drops["recv_queue_drops"],

@@ -134,10 +134,10 @@ _RECEIVED = struct.Struct(f"={_FLAGS_AT}xi{_LEN_AT - _FLAGS_AT - 4}xI"
 class MmsgBatch:
     """Preallocated scratch for one socket's mmsg calls."""
 
-    def __init__(self, max_batch: int = MMSG_MAX_BATCH) -> None:
+    def __init__(self) -> None:
         if not mmsg_available():
             raise RuntimeError("sendmmsg/recvmmsg are not available here")
-        self.max_batch = max_batch
+        self.max_batch = max_batch = MMSG_MAX_BATCH
         self._headers = (_mmsghdr * max_batch)()
         self._iovecs = (_iovec * max_batch)()
         self._names = [ctypes.create_string_buffer(_SOCKADDR_MAX)

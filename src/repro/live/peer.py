@@ -33,7 +33,7 @@ import os
 import signal
 import subprocess
 import sys
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..am.am import AmConfig
 from ..core.channels import register_channel
@@ -47,6 +47,9 @@ __all__ = ["PeerProcess", "PEER_PORT", "peer_am_config"]
 
 #: the fixed U-Net port both sides use (first allocate_port() result)
 PEER_PORT = 1
+#: the parent's AM node id, and the one channel each side opens
+_PARENT_NODE = 0
+_CHANNEL = 0
 
 #: child safety cap: an orphaned child exits on its own after this long
 _CHILD_LIFETIME_US = 60_000_000.0
@@ -69,12 +72,11 @@ def peer_am_config(**overrides) -> AmConfig:
 
 
 # --------------------------------------------------------------------- child
-def _child_main(argv: Optional[List[str]] = None) -> int:
+def _child_main() -> int:
     import argparse
 
     parser = argparse.ArgumentParser(prog="repro.live.peer")
     parser.add_argument("--node", type=int, required=True)
-    parser.add_argument("--parent-node", type=int, required=True)
     parser.add_argument("--parent-host", required=True)
     parser.add_argument("--parent-port", type=int, required=True)
     parser.add_argument("--epoch", type=int, default=0)
@@ -85,7 +87,7 @@ def _child_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--dead-after", type=int, default=4)
     parser.add_argument("--hello-retry-us", type=float, default=20_000.0)
     parser.add_argument("--lifetime-us", type=float, default=_CHILD_LIFETIME_US)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     clock = WallClock()
     backend = LiveBackend(UdpLoopbackTransport(name=f"peer{args.node}"),
@@ -95,18 +97,18 @@ def _child_main(argv: Optional[List[str]] = None) -> int:
     port = backend.allocate_port()
     from .backend import LiveTag  # local import keeps module surface tidy
 
-    register_channel(user.endpoint, 0,
+    register_channel(user.endpoint, _CHANNEL,
                      LiveTag((args.parent_host, args.parent_port), PEER_PORT,
                              args.node, port),
-                     peer=f"n{args.parent_node}")
-    backend.demux.register((port, args.parent_node, PEER_PORT),
-                           user.endpoint, 0)
+                     peer=f"n{_PARENT_NODE}")
+    backend.demux.register((port, _PARENT_NODE, PEER_PORT),
+                           user.endpoint, _CHANNEL)
     config = peer_am_config(epoch=args.epoch,
                             retransmit_timeout_us=args.rto_us,
                             dead_after_timeouts=args.dead_after,
                             hello_retry_us=args.hello_retry_us)
     am = LiveAm(args.node, user, config)
-    am.connect_peer(args.parent_node, 0)
+    am.connect_peer(_PARENT_NODE, _CHANNEL)
 
     def echo(ctx: LiveRequestContext) -> None:
         ctx.reply(args=ctx.args, data=ctx.data)
@@ -136,11 +138,10 @@ class PeerProcess:
     """Parent-side lifecycle of one killable live AM peer process."""
 
     def __init__(self, parent_address: Tuple[str, int], node: int = 1,
-                 parent_node: int = 0, rto_us: float = 30_000.0,
-                 dead_after: int = 4, hello_retry_us: float = 20_000.0) -> None:
+                 rto_us: float = 30_000.0, dead_after: int = 4,
+                 hello_retry_us: float = 20_000.0) -> None:
         self.parent_address = parent_address
         self.node = node
-        self.parent_node = parent_node
         self.rto_us = rto_us
         self.dead_after = dead_after
         self.hello_retry_us = hello_retry_us
@@ -164,7 +165,6 @@ class PeerProcess:
         host, port = self.parent_address
         cmd = [sys.executable, "-m", "repro.live.peer",
                "--node", str(self.node),
-               "--parent-node", str(self.parent_node),
                "--parent-host", host,
                "--parent-port", str(port),
                "--epoch", str(self.epoch),
@@ -221,7 +221,7 @@ class PeerProcess:
         self.stop()
 
     # -- parent wiring -----------------------------------------------------
-    def wire_parent(self, user: LiveUserEndpoint, channel_id: int = 0) -> None:
+    def wire_parent(self, user: LiveUserEndpoint) -> None:
         """Create the parent's channel + demux row toward the child."""
         from .backend import LiveTag
 
@@ -229,14 +229,14 @@ class PeerProcess:
             raise UNetError("spawn() the peer before wiring the parent")
         backend = user.backend
         port = backend.allocate_port()
-        register_channel(user.endpoint, channel_id,
+        register_channel(user.endpoint, _CHANNEL,
                          LiveTag(self.address, PEER_PORT,
-                                 self.parent_node, port),
+                                 _PARENT_NODE, port),
                          peer=f"peer{self.node}")
         backend.demux.register((port, self.node, PEER_PORT),
-                               user.endpoint, channel_id)
+                               user.endpoint, _CHANNEL)
 
-    def retarget(self, user: LiveUserEndpoint, channel_id: int = 0) -> None:
+    def retarget(self, user: LiveUserEndpoint) -> None:
         """Point the parent's existing channel at the respawned socket.
 
         The demux triple is unchanged (same nodes, same U-Net ports), so
@@ -244,9 +244,9 @@ class PeerProcess:
         """
         if self.address is None:
             raise UNetError("no live peer address to retarget to")
-        binding = user.endpoint.channels.get(channel_id)
+        binding = user.endpoint.channels.get(_CHANNEL)
         if binding is None:
-            raise UNetError(f"parent has no channel {channel_id}")
+            raise UNetError(f"parent has no channel {_CHANNEL}")
         binding.tag.dest_address = self.address
 
     # -- internals ---------------------------------------------------------

@@ -350,7 +350,7 @@ class LiveTransport:
         else:
             self.tx_hint = max(1, accepted + 1)
 
-    def recv_batch_into(self, pool, max_datagrams: int = RECV_BATCH) -> List:
+    def recv_batch_into(self, pool) -> List:
         """Drain datagrams directly into ``pool`` slices (zero-copy RX).
 
         Returns the filled :class:`~repro.live.bufpool.PooledSlice`
@@ -366,7 +366,7 @@ class LiveTransport:
         batch = self._rx_batch()
         if batch is None:
             out: List = []
-            for _ in range(max_datagrams):
+            for _ in range(RECV_BATCH):
                 slice_ = pool.try_alloc()
                 if slice_ is None:
                     break
@@ -393,7 +393,7 @@ class LiveTransport:
                 self.rx_bytes += nbytes
                 out.append(slice_)
             return out
-        slices = pool.take(min(max_datagrams, batch.max_batch, self.rx_hint))
+        slices = pool.take(min(RECV_BATCH, batch.max_batch, self.rx_hint))
         if not slices:
             return slices
         want = len(slices)
@@ -441,14 +441,6 @@ class LiveTransport:
             return 0.0
         return (self.tx_syscalls + self.rx_syscalls) / messages
 
-    def _configure(self, sock: socket.socket,
-                   sndbuf: Optional[int], rcvbuf: Optional[int]) -> None:
-        sock.setblocking(False)
-        if sndbuf is not None:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
-        if rcvbuf is not None:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
-
 
 class UnixDgramTransport(LiveTransport):
     """AF_UNIX SOCK_DGRAM: the same-host, SHM-like backend."""
@@ -456,9 +448,7 @@ class UnixDgramTransport(LiveTransport):
     kind = "unix"
     family = getattr(socket, "AF_UNIX", None)
 
-    def __init__(self, name: str = "node", sndbuf: Optional[int] = None,
-                 rcvbuf: Optional[int] = None,
-                 use_mmsg: Optional[bool] = None) -> None:
+    def __init__(self, name: str = "node", use_mmsg: Optional[bool] = None) -> None:
         super().__init__(use_mmsg=use_mmsg)
         if not hasattr(socket, "AF_UNIX"):
             raise TransportError("AF_UNIX is not available on this platform")
@@ -467,7 +457,7 @@ class UnixDgramTransport(LiveTransport):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
         try:
             sock.bind(self.path)
-            self._configure(sock, sndbuf, rcvbuf)
+            sock.setblocking(False)
         except OSError:
             sock.close()
             raise
@@ -492,14 +482,12 @@ class UdpLoopbackTransport(LiveTransport):
     kind = "udp"
     family = socket.AF_INET
 
-    def __init__(self, name: str = "node", sndbuf: Optional[int] = None,
-                 rcvbuf: Optional[int] = None,
-                 use_mmsg: Optional[bool] = None) -> None:
+    def __init__(self, name: str = "node", use_mmsg: Optional[bool] = None) -> None:
         super().__init__(use_mmsg=use_mmsg)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.bind(("127.0.0.1", 0))
-            self._configure(sock, sndbuf, rcvbuf)
+            sock.setblocking(False)
         except OSError as exc:
             sock.close()
             raise TransportError(f"cannot bind UDP loopback: {exc}") from exc

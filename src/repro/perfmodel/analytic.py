@@ -17,9 +17,9 @@ from typing import List, Sequence
 
 from ..apps.matmul import MatmulConfig
 from ..apps.radix_sort import RadixConfig
-from ..apps.sample_sort import SampleConfig
+from ..apps.sample_sort import OVERSAMPLING, SampleConfig
 from ..hw.cpu import CpuModel
-from ..splitc.costs import DEFAULT_COSTS, KernelCosts
+from ..splitc.costs import DEFAULT_COSTS
 from .loggp import StageCosts
 from .phases import (
     PhaseTimes,
@@ -84,7 +84,6 @@ def project_radix(
     n: int,
     costs_net: StageCosts,
     cpus: Sequence[CpuModel],
-    kernel: KernelCosts = DEFAULT_COSTS,
     substrate: str = "",
 ) -> Projection:
     """Analytic time for one radix-sort run."""
@@ -94,8 +93,8 @@ def project_radix(
     net_us = 0.0
     for _pass in range(cfg.passes):
         # local histogram + rank computation
-        cpu_us += _max_int_time(cpus, kernel.radix_pass_ops(kpn, buckets))
-        cpu_us += _max_int_time(cpus, kernel.radix_rank_ops * kpn + 2 * buckets * n)
+        cpu_us += _max_int_time(cpus, DEFAULT_COSTS.radix_pass_ops(kpn, buckets))
+        cpu_us += _max_int_time(cpus, DEFAULT_COSTS.radix_rank_ops * kpn + 2 * buckets * n)
         # histogram allgather: each node stores its histogram to each peer
         hist_bytes = buckets * 8
         packets, _ = fragment_messages(hist_bytes, costs_net.max_data)
@@ -112,7 +111,7 @@ def project_radix(
                 costs_net, n, packets, min(bytes_per_peer, costs_net.max_data)
             ).net_us
         # receiver-side indexed scatter of the incoming (pos, key) pairs
-        cpu_us += _max_int_time(cpus, kernel.scatter_ops_per_pair * remote_keys)
+        cpu_us += _max_int_time(cpus, DEFAULT_COSTS.scatter_ops_per_pair * remote_keys)
         # self keys move by memcpy
         cpu_us += _max_int_time(cpus, 2 * kpn / n)
         # store sync + barrier + dst->src copy
@@ -128,23 +127,22 @@ def project_sample(
     n: int,
     costs_net: StageCosts,
     cpus: Sequence[CpuModel],
-    kernel: KernelCosts = DEFAULT_COSTS,
     substrate: str = "",
 ) -> Projection:
     """Analytic time for one sample-sort run."""
     kpn = cfg.keys_per_node
-    s = min(cfg.oversampling, kpn)
+    s = min(OVERSAMPLING, kpn)
     cpu_us = 0.0
     net_us = 0.0
     # sampling and gather on node 0
-    cpu_us += _max_int_time(cpus, kernel.sample_select_ops * s)
+    cpu_us += _max_int_time(cpus, DEFAULT_COSTS.sample_select_ops * s)
     net_us += gather_time(costs_net, n, s * 4).net_us
     # splitter selection on node 0 (node 0's own CPU)
-    cpu_us += cpus[0].int_op_time(kernel.local_sort_ops(s * n))
+    cpu_us += cpus[0].int_op_time(DEFAULT_COSTS.local_sort_ops(s * n))
     net_us += broadcast_time(costs_net, n, max(1, (n - 1) * 4)).net_us
     net_us += barrier_time(costs_net, n).net_us
     # partition
-    cpu_us += _max_int_time(cpus, kernel.partition_ops(kpn, n - 1))
+    cpu_us += _max_int_time(cpus, DEFAULT_COSTS.partition_ops(kpn, n - 1))
     # single key-distribution phase
     remote_keys = kpn * (n - 1) / n
     if cfg.small_messages:
@@ -160,7 +158,7 @@ def project_sample(
     cpu_us += _max_copy_time(cpus, int(kpn / n) * 4)
     net_us += all_to_all_time(costs_net, n, 1, 0).net_us
     # final local sort, with receive imbalance
-    cpu_us += _max_int_time(cpus, kernel.local_sort_ops(int(kpn * SAMPLE_IMBALANCE)))
+    cpu_us += _max_int_time(cpus, DEFAULT_COSTS.local_sort_ops(int(kpn * SAMPLE_IMBALANCE)))
     net_us += barrier_time(costs_net, n).net_us
     name = "ssortsm" if cfg.small_messages else "ssortlg"
     return Projection(name, n, substrate, cpu_us, net_us)
@@ -171,7 +169,6 @@ def project_matmul(
     n: int,
     costs_net: StageCosts,
     cpus: Sequence[CpuModel],
-    kernel: KernelCosts = DEFAULT_COSTS,
     substrate: str = "",
 ) -> Projection:
     """Analytic time for one blocked matrix multiply."""
@@ -185,7 +182,7 @@ def project_matmul(
     local_copy = _max_copy_time(cpus, block_bytes)
     per_step_net = 2 * (remote_fraction * fetch.net_us)
     per_step_cpu_copy = 2 * (1 - remote_fraction) * local_copy
-    flops = kernel.matmul_flops(b, b, b)
+    flops = DEFAULT_COSTS.matmul_flops(b, b, b)
     steps = owned_max * cfg.blocks
     cpu_us = steps * (_max_flop_time(cpus, flops) + per_step_cpu_copy)
     net_us = steps * per_step_net + barrier_time(costs_net, n).net_us

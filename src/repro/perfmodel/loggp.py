@@ -67,14 +67,13 @@ def fe_stage_costs(
     cpu: CpuModel,
     timings: FeTimings = None,
     nic: NicTimings = None,
-    am: AmConfig = None,
     switch: SwitchModel = BAY_28115,
     bus: BusModel = PCI_BUS,
 ) -> StageCosts:
     """Stage costs of U-Net/FE on ``cpu`` through ``switch``."""
     t = timings or FeTimings.for_cpu(cpu)
     nt = nic or NicTimings()
-    ac = am or AmConfig()
+    ac = AmConfig()
     max_data = 1498 - HEADER_SIZE
 
     def packet(m: int) -> int:
@@ -132,13 +131,12 @@ def fe_stage_costs(
 def atm_stage_costs(
     cpu: CpuModel,
     timings: AtmTimings = None,
-    am: AmConfig = None,
     phy: AtmPhy = TAXI_140,
     bus: BusModel = PCI_BUS,
 ) -> StageCosts:
     """Stage costs of U-Net/ATM on ``cpu`` through the ASX-200."""
     t = timings or AtmTimings()
-    ac = am or AmConfig()
+    ac = AmConfig()
     max_data = 65535 - HEADER_SIZE
 
     def packet(m: int) -> int:

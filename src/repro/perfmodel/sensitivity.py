@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from ..hw.cpu import PENTIUM_120, SPARCSTATION_20, CpuModel
 from ..networks import atm_cluster_cpus, fe_cluster_cpus
-from ..splitc.costs import DEFAULT_COSTS, KernelCosts
 from .analytic import Projection
 from .loggp import StageCosts, atm_stage_costs, fe_stage_costs
 
@@ -36,38 +35,31 @@ def projection_gap(
     cfg,
     n: int,
     atm_int_factor: float = 1.0,
-    kernel: KernelCosts = DEFAULT_COSTS,
 ) -> float:
     """FE minus ATM projected seconds (positive: ATM wins)."""
-    fe = project(cfg, n, fe_stage_costs(PENTIUM_120), fe_cluster_cpus(n), kernel=kernel)
+    fe = project(cfg, n, fe_stage_costs(PENTIUM_120), fe_cluster_cpus(n))
     atm_cpus = scaled_int_cpus(atm_cluster_cpus(n), atm_int_factor)
-    atm = project(cfg, n, atm_stage_costs(SPARCSTATION_20), atm_cpus, kernel=kernel)
+    atm = project(cfg, n, atm_stage_costs(SPARCSTATION_20), atm_cpus)
     return fe.total_s - atm.total_s
 
 
-def int_ratio_flip_point(
-    project: Callable[..., Projection],
-    cfg,
-    n: int,
-    lo: float = 0.5,
-    hi: float = 2.0,
-    iterations: int = 40,
-) -> float:
+def int_ratio_flip_point(project: Callable[..., Projection], cfg, n: int) -> float:
     """The SPARC integer-rate multiplier at which FE and ATM tie.
 
     Returns the factor f such that scaling every SPARC node's integer
     throughput by f makes the two clusters' projected times equal;
     > 1 means our model currently favours FE, < 1 means it favours ATM.
     Returns ``float('inf')`` / ``float('-inf')`` if no crossing exists
-    in [lo, hi].
+    in [0.5, 2.0].
     """
+    lo, hi = 0.5, 2.0
     gap_lo = projection_gap(project, cfg, n, lo)
     gap_hi = projection_gap(project, cfg, n, hi)
     if gap_lo > 0 and gap_hi > 0:
         return float("-inf")  # ATM wins across the whole range
     if gap_lo < 0 and gap_hi < 0:
         return float("inf")  # FE wins across the whole range
-    for _ in range(iterations):
+    for _ in range(40):
         mid = (lo + hi) / 2
         if projection_gap(project, cfg, n, mid) < 0:
             # FE ahead: SPARC needs to be faster

@@ -113,7 +113,7 @@ class Event:
         return self._value
 
     # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
@@ -122,10 +122,10 @@ class Event:
         self._value = value
         sim = self.sim
         sim._seq += 1
-        heappush(sim._queue, (sim._now, priority, sim._seq, self))
+        heappush(sim._queue, (sim._now, NORMAL, sim._seq, self))
         return self
 
-    def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception raised at the yield site."""
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
@@ -136,7 +136,7 @@ class Event:
         self._value = exc
         sim = self.sim
         sim._seq += 1
-        heappush(sim._queue, (sim._now, priority, sim._seq, self))
+        heappush(sim._queue, (sim._now, NORMAL, sim._seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -155,7 +155,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL) -> None:
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative Timeout delay: {delay}")
         # Event.__init__ flattened, born triggered: this runs once per wait.
@@ -167,7 +167,7 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         sim._seq += 1
-        heappush(sim._queue, (sim._now + delay, priority, sim._seq, self))
+        heappush(sim._queue, (sim._now + delay, NORMAL, sim._seq, self))
 
     @property
     def name(self) -> str:

@@ -19,7 +19,6 @@ from ..core.base import Closing
 from ..core.endpoint import EndpointConfig
 from ..hw.cpu import CpuModel
 from ..sim import Discarded, Simulator
-from .costs import DEFAULT_COSTS, KernelCosts
 from .runtime import SplitCRuntime
 
 __all__ = ["Cluster", "ENDPOINT_CONFIG"]
@@ -66,11 +65,9 @@ class Cluster(Closing):
         substrate: str = "fe-switch",
         cpus: Optional[Sequence[CpuModel]] = None,
         am_config: Optional[AmConfig] = None,
-        costs: KernelCosts = DEFAULT_COSTS,
         sim: Optional[Simulator] = None,
         collectives: str = "host",
         lazy_channels: bool = True,
-        endpoint_config: Optional[EndpointConfig] = None,
     ) -> None:
         if n < 1:
             raise ValueError("cluster needs at least one node")
@@ -96,8 +93,7 @@ class Cluster(Closing):
                 f"collectives='nic' is not supported on substrate {substrate!r} "
                 "(the engine cannot span the mixed relay or bonded rails)"
             )
-        if endpoint_config is None:
-            endpoint_config = ENDPOINT_CONFIG if n <= LEAN_THRESHOLD else _lean_endpoint_config(n)
+        endpoint_config = ENDPOINT_CONFIG if n <= LEAN_THRESHOLD else _lean_endpoint_config(n)
         host_kwargs = row.cluster_host()
         self.hosts: List[Host] = [
             self.network.add_host(f"node{i}", self.cpus[i], **host_kwargs) for i in range(n)
@@ -123,7 +119,7 @@ class Cluster(Closing):
 
             self.collective_engines = wire_collectives(self.network, self.hosts)
         self.runtimes: List[SplitCRuntime] = [
-            SplitCRuntime(i, n, self.ams[i], self.cpus[i], costs=costs) for i in range(n)
+            SplitCRuntime(i, n, self.ams[i], self.cpus[i]) for i in range(n)
         ]
         for runtime, engine in zip(self.runtimes, self.collective_engines):
             runtime.use_nic_collectives(engine)

@@ -25,7 +25,7 @@ from ..am.am import AmConfig, AmEndpoint, RequestContext
 from ..collectives.engine import reduce_wire_dtype
 from ..hw.cpu import CpuModel
 from ..sim import Event, Simulator
-from .costs import DEFAULT_COSTS, KernelCosts
+from .costs import DEFAULT_COSTS
 from .memory import GlobalHeap
 
 __all__ = ["SplitCRuntime", "SplitCError"]
@@ -59,13 +59,12 @@ class SplitCRuntime:
         nprocs: int,
         am: AmEndpoint,
         cpu: CpuModel,
-        costs: KernelCosts = DEFAULT_COSTS,
     ) -> None:
         self.node = node
         self.nprocs = nprocs
         self.am = am
         self.cpu = cpu
-        self.costs = costs
+        self.costs = DEFAULT_COSTS
         self.sim: Simulator = am.sim
         self.heap = GlobalHeap(node)
         # split-phase store accounting: stores are counted per epoch

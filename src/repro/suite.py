@@ -57,6 +57,10 @@ class Suite:
     #: which of ``messages`` / ``mode`` / ``policy`` / ``credit`` / ``seed``
     #: this suite honours
     overrides: FrozenSet[str] = frozenset()
+    #: ``refuses(scenario, given) -> flag``: an honoured flag that this one
+    #: scenario would still ignore under the other ``given`` overrides
+    #: (``""`` when it honours them all)
+    refuses: Callable[[Any, Mapping[str, Any]], str] = lambda scenario, given: ""
     #: ``stats(results) -> str``: what ``--stats`` adds (None: not honoured)
     stats: Optional[Callable[[Sequence], str]] = None
     #: what ``--output`` writes (None: not honoured), and

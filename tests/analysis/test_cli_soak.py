@@ -101,3 +101,21 @@ def test_a_failing_run_prints_its_violations_and_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(soak.SCENARIOS, "bursty", impossible)
     assert main(["soak", "--scenario", "bursty", "--mode", "fixed"]) == 1
     assert "!! bursty[fixed]: termination:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (["--scenario", "incast", "--policy", "quarantine"], "--policy quarantine"),
+    (["--scenario", "stalled", "--credit"], "--credit"),
+])
+def test_an_overload_flag_the_scenario_would_ignore_is_an_error(flags, refused, tmp_path,
+                                                                monkeypatch, capsys):
+    """The incast shape always runs drop vs drop+credit, and ``--credit``
+    has no single policy to ride under ``compare``: each is exit 2 naming
+    the scenario and the flag, with nothing run and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["soak", "--suite", "overload", "--messages", "8"] + flags) == 2
+    captured = capsys.readouterr()
+    assert f"overload suite's {flags[1]} scenario" in captured.err
+    assert refused in captured.err
+    assert not captured.out
+    assert not list(tmp_path.iterdir())

@@ -19,14 +19,14 @@ not lost.
 
 import pytest
 
-from repro.collectives import CollectiveConfig
+from repro.collectives import RTO_US
 from repro.splitc import Cluster
 from repro.telemetry import total
 
 NODES = 16
 #: the last ACK has crossed the fabric and every per-edge retransmit
 #: timer has fired and found its packet acknowledged
-SETTLE_US = 2 * CollectiveConfig().rto_us
+SETTLE_US = 2 * RTO_US
 
 
 def _nic_barrier(substrate, settle_us=SETTLE_US):

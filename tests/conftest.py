@@ -59,7 +59,6 @@ NEVER_CLOSES = {
     ), _BARE_KERNEL),
     **dict.fromkeys((
         "atm/test_signaling.py", "atm/test_vc_interleaving.py",
-        "ethernet/test_bonding.py", "ethernet/test_deferred_service.py",
     ), _RIG_BY_HAND),
     **dict.fromkeys((
         "am/test_am.py", "am/test_credit.py",

@@ -1,7 +1,5 @@
 """Tests for Beowulf-style dual-NIC channel bonding (Section 2.2)."""
 
-import pytest
-
 from repro.core import EndpointConfig
 from repro.ethernet import BeowulfNetwork, HubNetwork
 from repro.hw import PENTIUM_120
@@ -11,9 +9,10 @@ CONFIG = EndpointConfig(num_buffers=256, buffer_size=2048,
                         send_queue_depth=128, recv_queue_depth=256)
 
 
-def _pair():
+def _pair(closing):
+    """Two bonded hosts on a network closed when the test ends."""
     sim = Simulator()
-    net = BeowulfNetwork(sim)
+    net = closing(BeowulfNetwork(sim))
     h1 = net.add_host("h1", PENTIUM_120)
     h2 = net.add_host("h2", PENTIUM_120)
     ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=64)
@@ -22,8 +21,8 @@ def _pair():
     return sim, net, ep1, ep2, ch1, ch2
 
 
-def test_bonded_messages_arrive_in_order():
-    sim, net, ep1, ep2, ch1, ch2 = _pair()
+def test_bonded_messages_arrive_in_order(closing):
+    sim, net, ep1, ep2, ch1, ch2 = _pair(closing)
     received = []
 
     def tx():
@@ -40,8 +39,8 @@ def test_bonded_messages_arrive_in_order():
     assert received == list(range(16))
 
 
-def test_traffic_stripes_across_both_rails():
-    sim, net, ep1, ep2, ch1, ch2 = _pair()
+def test_traffic_stripes_across_both_rails(closing):
+    sim, net, ep1, ep2, ch1, ch2 = _pair(closing)
 
     def tx():
         for i in range(10):
@@ -57,10 +56,10 @@ def test_traffic_stripes_across_both_rails():
     assert net.medium_b.frames_carried == 5
 
 
-def test_bonding_roughly_doubles_bandwidth():
+def test_bonding_roughly_doubles_bandwidth(closing):
     def goodput(net_factory):
         sim = Simulator()
-        net = net_factory(sim)
+        net = closing(net_factory(sim))
         h1 = net.add_host("h1", PENTIUM_120)
         h2 = net.add_host("h2", PENTIUM_120)
         ep1 = h1.create_endpoint(config=CONFIG, rx_buffers=64)
@@ -87,10 +86,10 @@ def test_bonding_roughly_doubles_bandwidth():
     assert dual > 1.8 * single
 
 
-def test_bonded_am_traffic_reliable_despite_rail_skew():
+def test_bonded_am_traffic_reliable_despite_rail_skew(closing):
     from repro.am import AmEndpoint
 
-    sim, net, ep1, ep2, ch1, ch2 = _pair()
+    sim, net, ep1, ep2, ch1, ch2 = _pair(closing)
     am1, am2 = AmEndpoint(0, ep1), AmEndpoint(1, ep2)
     am1.connect_peer(1, ch1)
     am2.connect_peer(0, ch2)
@@ -108,8 +107,8 @@ def test_bonded_am_traffic_reliable_despite_rail_skew():
     assert seen == list(range(30))
 
 
-def test_bidirectional_bonded():
-    sim, net, ep1, ep2, ch1, ch2 = _pair()
+def test_bidirectional_bonded(closing):
+    sim, net, ep1, ep2, ch1, ch2 = _pair(closing)
     out = {}
 
     def side(tag, ep, ch):
@@ -126,12 +125,12 @@ def test_bidirectional_bonded():
     assert out == {"a": b"b", "b": b"a"}
 
 
-def test_ooo_buffering_eliminates_rail_skew_retransmissions():
+def test_ooo_buffering_eliminates_rail_skew_retransmissions(closing):
     """With selective-repeat-style buffering the bonded rails' reordering
     costs nothing: no retransmissions, no duplicates, in-order delivery."""
     from repro.am import AmConfig, AmEndpoint
 
-    sim, net, ep1, ep2, ch1, ch2 = _pair()
+    sim, net, ep1, ep2, ch1, ch2 = _pair(closing)
     cfg = AmConfig(ooo_buffering=True)
     am1, am2 = AmEndpoint(0, ep1, config=cfg), AmEndpoint(1, ep2, config=cfg)
     am1.connect_peer(1, ch1)

@@ -1,18 +1,16 @@
 """The kernel's deferred send-queue service when the device ring fills."""
 
-import pytest
-
 from repro.core import EndpointConfig
 from repro.ethernet import HubNetwork
-from repro.ethernet.dc21140 import NicTimings
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
 
 
-def _pair_with_tiny_tx_ring(ring_size=4):
-    """Hosts whose NIC TX ring holds only a few frames."""
+def _pair_with_tiny_tx_ring(closing, ring_size):
+    """Hosts whose NIC TX ring holds only a few frames, on a hub closed
+    when the test ends."""
     sim = Simulator()
-    net = HubNetwork(sim)
+    net = closing(HubNetwork(sim))
     h1 = net.add_host("h1", PENTIUM_120)
     h2 = net.add_host("h2", PENTIUM_120)
     # shrink h1's device ring after construction
@@ -25,8 +23,8 @@ def _pair_with_tiny_tx_ring(ring_size=4):
     return sim, ep1, ep2, ch1, ch2
 
 
-def test_burst_larger_than_tx_ring_all_delivered():
-    sim, ep1, ep2, ch1, ch2 = _pair_with_tiny_tx_ring(ring_size=4)
+def test_burst_larger_than_tx_ring_all_delivered(closing):
+    sim, ep1, ep2, ch1, ch2 = _pair_with_tiny_tx_ring(closing, ring_size=4)
     n = 20
     received = []
 
@@ -47,8 +45,8 @@ def test_burst_larger_than_tx_ring_all_delivered():
     assert received == list(range(n))
 
 
-def test_deferred_service_marks_and_clears():
-    sim, ep1, ep2, ch1, ch2 = _pair_with_tiny_tx_ring(ring_size=2)
+def test_deferred_service_marks_and_clears(closing):
+    sim, ep1, ep2, ch1, ch2 = _pair_with_tiny_tx_ring(closing, ring_size=2)
     backend1 = ep1.host.backend
     n = 10
     received = []
@@ -72,11 +70,11 @@ def test_deferred_service_marks_and_clears():
     assert backend1.nic.tx_ring.is_empty
 
 
-def test_send_queue_backpressure_blocks_application():
+def test_send_queue_backpressure_blocks_application(closing):
     """With both the device ring and U-Net send queue tiny, the
     application-visible send() must block, not crash."""
     sim = Simulator()
-    net = HubNetwork(sim)
+    net = closing(HubNetwork(sim))
     h1 = net.add_host("h1", PENTIUM_120)
     h2 = net.add_host("h2", PENTIUM_120)
     h1.backend.nic.tx_ring.capacity = 2
