@@ -27,7 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from .. import networks
 from ..am import AmEndpoint
@@ -52,8 +52,8 @@ __all__ = ["Divergence", "CaseReport", "CaseRig", "run_substrate", "run_case",
 #: wall-clock ones, ``networks.LIVE``, join a run by name
 SUBSTRATES = ("atm", "ethernet")
 
-#: wall-clock drain after the workload completes, so tail
-#: retransmissions and acks settle before counters are read
+#: drain after the workload completes, so tail retransmissions and
+#: acks settle before counters are read
 _DRAIN_US = 1_000_000.0
 
 
@@ -222,22 +222,36 @@ def inject_bug(name: Optional[str]):
 
 # ------------------------------------------------------------------- running
 class CaseRig:
-    """What one case execution shares on every substrate.
+    """One case execution, whatever the clock.
 
-    Given the two AM endpoints and their backends, however the substrate
-    built them: attach the observation probe, build the content-addressed
-    fault stages (the runner installs them at its substrate's ingress),
-    register the payload-checking handler, and — once the runner's
-    traffic loop is over — reduce what was observed to the
-    :class:`ObservedTrace`.  What stays with each runner is how time
-    advances: a generator the simulator schedules, or a pump loop
-    against the wall clock.
+    Builds the case's two nodes through the substrate's
+    ``add_node(name) -> (backend, create_endpoint)`` and ``connect``,
+    with ``am_class`` endpoints on them; attaches the observation probe,
+    builds the content-addressed fault stages (the runner installs them
+    at its substrate's ingress) and registers the payload-checking
+    handlers; drives the case's traffic as one process (:meth:`drive`);
+    and reduces what was observed to the :class:`ObservedTrace`.  A
+    runner only supplies the substrate and runs the process: on a
+    simulator, or on a live cluster's wall-clock runner.
     """
 
-    def __init__(self, case: ConformanceCase, name: str, am0, am1,
-                 backend0, backend1) -> None:
+    def __init__(self, case: ConformanceCase, name: str, add_node: Callable,
+                 connect: Callable, am_class) -> None:
         self.case = case
-        self.am0, self.am1 = am0, am1
+        (backend0, create0), (backend1, create1) = add_node("n0"), add_node("n1")
+        self.backend0, self.backend1 = backend0, backend1
+        ep0 = create0(config=EndpointConfig(num_buffers=64, buffer_size=2048,
+                                            send_queue_depth=64, recv_queue_depth=64),
+                      rx_buffers=32)
+        ep1 = create1(config=EndpointConfig(num_buffers=case.rx_buffers + 24,
+                                            buffer_size=2048, send_queue_depth=64,
+                                            recv_queue_depth=case.recv_queue_depth),
+                      rx_buffers=case.rx_buffers)
+        ch0, ch1 = connect(ep0, ep1)
+        self.am0 = am0 = am_class(0, ep0, config=case.am_config(receiver=False))
+        self.am1 = am1 = am_class(1, ep1, config=case.am_config(receiver=True))
+        am0.connect_peer(1, ch0)
+        am1.connect_peer(0, ch1)
         self.probe = ObservationProbe(name, requester_node=0,
                                       config_window=am0.config.window)
         self.probe.attach(backend0)
@@ -256,6 +270,7 @@ class CaseRig:
         self.integrity_failures: List[int] = []
         self.rpc_errors: List[str] = []
         am1.register_handler(1, self.check_payload)
+        am1.register_handler(2, self._echo_rpc)
 
     @property
     def fwd_stages(self) -> list:
@@ -270,6 +285,10 @@ class CaseRig:
                 or len(ctx.data) != self.case.messages[i].size):
             self.integrity_failures.append(i)
 
+    def _echo_rpc(self, ctx):
+        self.check_payload(ctx)
+        return ctx.reply(args=(ctx.args[0] * 2 + 1,))
+
     def check_reply(self, i: int, args) -> None:
         if args[0] != i * 2 + 1:
             self.rpc_errors.append(f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
@@ -282,7 +301,32 @@ class CaseRig:
             return False
         return handshake_settled(self.am0, self.am1)
 
-    def finish(self, completed: bool, completion: float) -> ObservedTrace:
+    def drive(self, sim, request: Callable, rpc: Callable) -> Generator:
+        """Process: the case's traffic from node 0.  ``request`` and
+        ``rpc`` are node 0's ``(dest, handler, args, data)`` processes.
+        Returns the completion time, or None when the sender declared
+        the peer dead and refused the remaining sends — an outcome the
+        diff reports, not a harness failure."""
+        try:
+            for i, message in enumerate(self.case.messages):
+                data = stream_payload(i, message.size)
+                if message.rpc:
+                    args, _d = yield from rpc(1, 2, (i,), data)
+                    self.check_reply(i, args)
+                else:
+                    yield from request(1, 1, (i,), data)
+        except UNetError:
+            return None
+        while self.case.lifecycle and not self.settled():
+            yield 200.0
+        return sim.now
+
+    @staticmethod
+    def completed(process) -> bool:
+        return bool(process.triggered) and process.ok and process.value is not None
+
+    def finish(self, process, limit_us: float) -> ObservedTrace:
+        completed = self.completed(process)
         probe = self.probe
         for line in self.rpc_errors:
             probe.violations.append(f"rpc: {line}")
@@ -290,7 +334,7 @@ class CaseRig:
             probe.violations.append(
                 f"integrity: corrupted payload reached the handler for ids "
                 f"{sorted(set(self.integrity_failures))[:8]}")
-        trace = probe.finish(completed, completion,
+        trace = probe.finish(completed, process.value if completed else limit_us,
                              fired=self.fwd_stage.fired + self.rev_stage.fired,
                              snapshots={"am0": self.am0.snapshot(),
                                         "am1": self.am1.snapshot()},
@@ -315,65 +359,27 @@ def run_substrate(case: ConformanceCase, substrate: str,
     with inject_bug(bug):
         sim = Simulator()
         net = networks.get(substrate).build(sim)
-        h0 = net.add_host("n0", PENTIUM_120)
-        h1 = net.add_host("n1", PENTIUM_120)
-        sender_cfg = EndpointConfig(num_buffers=64, buffer_size=2048,
-                                    send_queue_depth=64, recv_queue_depth=64)
-        receiver_cfg = EndpointConfig(num_buffers=case.rx_buffers + 24, buffer_size=2048,
-                                      send_queue_depth=64,
-                                      recv_queue_depth=case.recv_queue_depth)
-        ep0 = h0.create_endpoint(config=sender_cfg, rx_buffers=32)
-        ep1 = h1.create_endpoint(config=receiver_cfg, rx_buffers=case.rx_buffers)
-        ch0, ch1 = net.connect(ep0, ep1)
-        am0 = AmEndpoint(0, ep0, config=case.am_config(receiver=False))
-        am1 = AmEndpoint(1, ep1, config=case.am_config(receiver=True))
-        am0.connect_peer(1, ch0)
-        am1.connect_peer(0, ch1)
 
-        rig = CaseRig(case, substrate, am0, am1, h0.backend, h1.backend)
+        def add_node(name: str):
+            host = net.add_host(name, PENTIUM_120)
+            return host.backend, host.create_endpoint
+
+        rig = CaseRig(case, substrate, add_node, net.connect, AmEndpoint)
+        am0, am1 = rig.am0, rig.am1
         pipelines = [
-            attach_pipeline(h1.backend, rig.fwd_stages, prefix="conformance.fwd"),
-            attach_pipeline(h0.backend, [rig.rev_stage], prefix="conformance.rev"),
+            attach_pipeline(rig.backend1, rig.fwd_stages, prefix="conformance.fwd"),
+            attach_pipeline(rig.backend0, [rig.rev_stage], prefix="conformance.rev"),
         ]
-
-        def rpc_handler(ctx):
-            rig.check_payload(ctx)
-            yield from ctx.reply(args=(ctx.args[0] * 2 + 1,))
-
-        am1.register_handler(2, rpc_handler)
-
-        aborted: List[str] = []
-
-        def traffic():
-            try:
-                for i, message in enumerate(case.messages):
-                    data = stream_payload(i, message.size)
-                    if message.rpc:
-                        args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
-                        rig.check_reply(i, args)
-                    else:
-                        yield from am0.request(1, 1, args=(i,), data=data)
-            except UNetError as exc:
-                # the sender declared the peer dead: the remaining sends
-                # are refused and the run did not complete — an outcome
-                # the diff reports, not a harness failure
-                aborted.append(str(exc))
-                return sim.now
-            while case.lifecycle and not rig.settled():
-                yield 200.0
-            return sim.now
-
         with net:
-            process = sim.process(traffic(), name="conformance.traffic")
+            process = sim.process(rig.drive(sim, am0.request, am0.rpc),
+                                  name="conformance.traffic")
             sim.run(until=case.time_limit_us)
-            completed = bool(process.triggered) and process.ok and not aborted
-            completion = process.value if completed else case.time_limit_us
-            if completed:
+            if rig.completed(process):
                 am0.shutdown()
                 am1.shutdown()
                 sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
 
-        trace = rig.finish(completed, completion)
+        trace = rig.finish(process, case.time_limit_us)
         for pipeline in pipelines:
             pipeline.restore()
         return trace

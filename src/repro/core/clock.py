@@ -19,7 +19,8 @@ it — so time flows through an explicit :class:`Clock` object instead:
 the substrate-independent core touches on the data path (``sim.now``),
 letting the live backend reuse :class:`~repro.core.endpoint.Endpoint`
 verbatim — same descriptor validation, same drop accounting, same
-event stream — without dragging in the event engine.
+event stream — without an event engine per node: a live run's
+processes share its cluster's one wall-clock runner.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ class ClockShim:
 
     Exposes exactly the surface the core data-path classes touch
     (``sim.now`` for timestamps and activity tracking).  The blocking
-    primitives (``event()``/``timeout()``/``process()``) raise: live
-    endpoints are *polled*, never waited on, so any attempt to block
+    primitives (``event()``/``timeout()``/``process()``) raise: a live
+    endpoint is polled, and a process that waits on one runs on its
+    cluster's wall-clock runner (``LiveCluster.sim``, ``run``,
+    ``poll``), never on a backend's shim — so an attempt to block
     through the shim is a layering bug worth failing loudly on.
     """
 
@@ -85,11 +88,13 @@ class ClockShim:
 
     def event(self, name: str = ""):  # pragma: no cover - defensive
         raise RuntimeError(
-            f"live code tried to create simulation event {name!r}; "
-            "live endpoints are polled, not waited on")
+            f"live code tried to create simulation event {name!r} on a "
+            "backend's clock shim; processes run on LiveCluster.sim")
 
     def timeout(self, delay: float):  # pragma: no cover - defensive
-        raise RuntimeError("live code cannot schedule simulated timeouts")
+        raise RuntimeError("live code cannot schedule simulated timeouts "
+                           "on a backend's clock shim")
 
     def process(self, generator, name: str = ""):  # pragma: no cover - defensive
-        raise RuntimeError("live code cannot spawn simulation processes")
+        raise RuntimeError("live code cannot spawn processes on a backend's "
+                           "clock shim; they run on LiveCluster.sim")

@@ -29,11 +29,12 @@ traffic before any buffer allocation, copy, or DMA work happens.
 
 Multi-tenant additions: :meth:`HealthMonitor.watch` accepts a
 per-endpoint :class:`HealthConfig` (QoS tiers carry different policies),
-:meth:`HealthMonitor.step` exposes one sampling pass so the live
-substrate — whose :class:`~repro.core.clock.ClockShim` cannot host a
-watchdog process — can drive the monitor from its polling loop
-(``manual=True``), and :meth:`HealthMonitor.quarantine` lets a cluster
-controller latch an endpoint directly (coordinated quarantine).
+:meth:`HealthMonitor.quarantine` lets a cluster controller latch an
+endpoint directly (coordinated quarantine), and :meth:`HealthMonitor.step`
+exposes one sampling pass, which a test steps by hand (``manual=True``).
+The watchdog is a process on whatever simulator the monitor is given —
+on the live substrate, the cluster's wall-clock runner's
+(``LiveCluster.sim``).
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ class HealthMonitor:
     monitor process starts lazily with the first one.
 
     With ``manual=True`` no simulation process is spawned: the owner
-    calls :meth:`step` from its own loop.  This is how the live
-    substrate runs the watchdog — its clock shim refuses to host
-    processes, and live endpoints are polled, never waited on.
+    calls :meth:`step` itself, which is how a test steps a monitor by
+    hand.  A live run gives the monitor its cluster's runner
+    (``LiveCluster.sim``), where the watchdog runs as on a simulator.
     """
 
     def __init__(self, sim: Simulator, config: Optional[HealthConfig] = None,
@@ -326,9 +327,9 @@ class HealthMonitor:
     def step(self) -> None:
         """One sampling + classification pass over every record.
 
-        The simulated watchdog process calls this every
-        ``check_period_us``; a live owner calls it from its polling
-        loop (``manual=True``)."""
+        The watchdog process calls this every ``check_period_us``; a
+        test stepping the monitor by hand calls it itself
+        (``manual=True``)."""
         for record in list(self._records.values()):
             record.sample(self._config_for(record).ewma_alpha)
             self._classify(record)

@@ -34,7 +34,8 @@ archive the message-fate accounting of every soak run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import networks
 from ..am import AmConfig
@@ -259,7 +260,6 @@ def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
     )
 
 
-# ------------------------------------------------------------ sim substrates
 def run_crash_scenario(scenario: CrashScenario,
                        progress=None) -> CrashSoakResult:
     """Run one kill/restart soak and account for every message's fate."""
@@ -270,27 +270,25 @@ def run_crash_scenario(scenario: CrashScenario,
     return _run_sim_crash(scenario, progress=progress)
 
 
-def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
-    (h0, h1), (am0, am1) = build_am_star(
-        net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
-
+def _drive(scenario: CrashScenario, sim, am0, am1, sender_backend, request,
+           progress) -> Callable[..., CrashSoakResult]:
+    """One kill/restart soak on either clock: the sender's request
+    stream and the receiver's kill/restart schedule as two processes on
+    ``sim`` (a simulator, or a live cluster's wall-clock runner's), and
+    the fate ledger that judges them.  ``request`` is node 0's
+    ``(dest, handler, args, data)`` process.  Returns the run's
+    ``result(substrate, limit, backends, sim_events)``."""
     ledger = _FateLedger()
-    h0.backend.trace.subscribe(ledger.on_sender_event)
-
-    def handler(ctx) -> None:
-        ledger.deliver(ctx.args[0], ctx.data, PAYLOAD_BYTES)
-
-    am1.register_handler(1, handler)
-
+    sender_backend.trace.subscribe(ledger.on_sender_event)
+    am1.register_handler(
+        1, lambda ctx: ledger.deliver(ctx.args[0], ctx.data, PAYLOAD_BYTES))
     sent_ids: List[int] = []
 
     def traffic():
         try:
             for i in range(scenario.messages):
                 data = stream_payload(i, PAYLOAD_BYTES)
-                seq = yield from am0.request(1, 1, args=(i,), data=data)
+                seq = yield from request(1, 1, (i,), data)
                 ledger.seq_to_id[seq] = i
                 sent_ids.append(i)
         except UNetError:
@@ -325,20 +323,32 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
             yield scenario.downtime_us
             am1.restart()
 
+    process = sim.process(traffic(), name="crashsoak.traffic")
+    sim.process(chaos(), name="crashsoak.chaos")
+
+    def result(substrate: str, limit: str, backends: Sequence,
+               sim_events: int) -> CrashSoakResult:
+        completed = bool(process.triggered) and process.ok
+        return _crash_result(
+            scenario, substrate, ledger, sent_ids, completed, limit, am0,
+            am1.restarts, backends,
+            process.value if completed else scenario.time_limit_us, sim_events)
+
+    return result
+
+
+def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
+    sim = Simulator()
+    net = networks.get(scenario.substrate).build(sim)
+    (h0, h1), (am0, am1) = build_am_star(
+        net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
+    result = _drive(scenario, sim, am0, am1, h0.backend, am0.request, progress)
     with net:
-        process = sim.process(traffic(), name="crashsoak.traffic")
-        sim.process(chaos(), name="crashsoak.chaos")
         sim.run(until=scenario.time_limit_us)
-    completed = bool(process.triggered) and process.ok
-    completion = process.value if completed else scenario.time_limit_us
-
-    return _crash_result(
-        scenario, scenario.substrate, ledger, sent_ids, completed,
-        f"t={scenario.time_limit_us:.0f}us", am0, am1.restarts,
-        (h0.backend, h1.backend), completion, sim.events_processed)
+    return result(scenario.substrate, f"t={scenario.time_limit_us:.0f}us",
+                  (h0.backend, h1.backend), sim.events_processed)
 
 
-# ----------------------------------------------------------- live (sockets)
 def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     from ..live.am import LiveAm
     from ..live.backend import LiveCluster
@@ -346,15 +356,10 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     from ..live.transport import available_transport_kinds, make_transport
 
     kind = (available_transport_kinds() or ["udp"])[0]
-    clock = WallClock()
     config = AmConfig(recovery=True, window=4, ack_every=1,
                       retransmit_timeout_us=20_000.0, dead_after_timeouts=6,
                       hello_retry_us=10_000.0)
-    ledger = _FateLedger()
-    sent_ids: List[int] = []
-    state = {"crash_idx": 0, "restart_at": None}
-
-    with LiveCluster(lambda name: make_transport(kind, name), clock) as cluster:
+    with LiveCluster(lambda name: make_transport(kind, name), WallClock()) as cluster:
         n0 = cluster.add_node("n0")
         n1 = cluster.add_node("n1")
         ep0 = n0.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
@@ -364,66 +369,13 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
         am1 = LiveAm(1, ep1, config=config)
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
-        n0.trace.subscribe(ledger.on_sender_event)
-
-        def handler(ctx) -> None:
-            ledger.deliver(ctx.args[0], ctx.data, PAYLOAD_BYTES)
-
-        am1.register_handler(1, handler)
-        targets = scenario.crash_targets()
-
-        def pump() -> None:
-            cluster.step()
-            am0.service()
-            am1.service()
-            if state["restart_at"] is not None:
-                if clock.now_us() >= state["restart_at"]:
-                    state["restart_at"] = None
-                    am1.restart()
-            elif state["crash_idx"] < scenario.crashes:
-                target = targets[state["crash_idx"]]
-                if ledger.fated() >= target:
-                    state["crash_idx"] += 1
-                    ledger.crash_times.append(clock.now_us())
-                    am1.crash()
-                    state["restart_at"] = clock.now_us() + scenario.downtime_us
-                    if progress is not None:
-                        progress(f"{scenario.name}: kill #{state['crash_idx']} "
-                                 f"({target} fated)")
-
-        deadline = clock.now_us() + scenario.time_limit_us
-        completed = True
-        try:
-            for i in range(scenario.messages):
-                remaining = deadline - clock.now_us()
-                if remaining <= 0:
-                    completed = False
-                    break
-                data = stream_payload(i, PAYLOAD_BYTES)
-                seq = am0.request(1, 1, args=(i,), data=data,
-                                  pump=pump, limit_us=remaining)
-                ledger.seq_to_id[seq] = i
-                sent_ids.append(i)
-        except UNetError:
-            completed = False
-
-        def settled() -> bool:
-            if state["crash_idx"] < scenario.crashes or state["restart_at"] is not None:
-                return False
-            return handshake_settled(am0, am1) and not am1.crashed
-
-        if completed:
-            while clock.now_us() < deadline and not settled():
-                pump()
-            completed = settled()
-        completion = clock.now_us() if completed else scenario.time_limit_us
-        am0.shutdown()
-        am1.shutdown()
-
-        return _crash_result(
-            scenario, f"live-{kind}", ledger, sent_ids, completed,
-            "the wall-clock limit", am0, am1.restarts,
-            (n0, n1), completion)
+        sim = cluster.sim
+        result = _drive(scenario, sim, am0, am1, n0,
+                        lambda *a: cluster.poll(partial(am0.start_request, *a)),
+                        progress)
+        cluster.run(sim.now + scenario.time_limit_us, (am0, am1))
+        # the live runner's engine events are not simulated ones
+        return result(f"live-{kind}", "the wall-clock limit", (n0, n1), 0)
 
 
 # --------------------------------------------------------- real peer process

@@ -135,7 +135,8 @@ class MultitenantScenario:
 
     name: str
     description: str
-    #: "ethernet" | "atm" (simulated) or "live" (real sockets)
+    #: "ethernet" | "atm" (simulated) or "live" (real sockets, the same
+    #: processes on a live cluster's wall-clock runner)
     substrate: str = "ethernet"
     tenants: int = 500
     rx_hosts: int = 2
@@ -151,8 +152,6 @@ class MultitenantScenario:
     crash_downtime_periods: int = 3
     check_period_us: float = 500.0
     poll_period_us: float = 1_000.0
-    #: hard wall bound for the live pump loop
-    time_limit_us: float = 30_000_000.0
 
     @property
     def duration_us(self) -> float:
@@ -240,8 +239,6 @@ class _Outcome:
     hosts: List[_HostState]
     aggregator: ClusterHealthAggregator
     duration_us: float
-    now: float
-    completed: bool
     #: events the simulator processed (zero for live runs)
     sim_events: int = 0
 
@@ -381,17 +378,16 @@ def _record_echo(t: _Tenant, data: bytes, now: float) -> None:
 
 
 # ------------------------------------------------------------------ population
-def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
-              connect: Callable, manual: bool):
+def _populate(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
+              connect: Callable):
     """Build one run's population, on any substrate.
 
-    Receive hosts with admission control and a health monitor each,
-    sender hosts, then every tenant in index order — admitted (endpoint
-    pair, channel pair, health record) or refused — and the churn fates
-    drawn over the admitted.  ``add_node(name)`` attaches a host and
-    returns ``(backend, create_endpoint)``; ``connect`` is the network's
-    channel service; ``manual`` says whether the runner steps the health
-    monitors itself (wall clock) or the simulator does.  Returns
+    Receive hosts with admission control and a health monitor on
+    ``sim`` each, sender hosts, then every tenant in index order —
+    admitted (endpoint pair, channel pair, health record) or refused —
+    and the churn fates drawn over the admitted.  ``add_node(name)``
+    attaches a host and returns ``(backend, create_endpoint)``;
+    ``connect`` is the network's channel service.  Returns
     ``(aggregator, hosts, tenants, events)``.
     """
     registry = RngRegistry(seed)
@@ -406,9 +402,9 @@ def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
         backend.admission = AdmissionController(
             _admission_config(arrivals_per_host))
         monitor = HealthMonitor(
-            backend.sim, HealthConfig(policy=POLICY_BACKPRESSURE,
-                                      check_period_us=scenario.check_period_us),
-            name=f"rx{i}.health", manual=manual)
+            sim, HealthConfig(policy=POLICY_BACKPRESSURE,
+                              check_period_us=scenario.check_period_us),
+            name=f"rx{i}.health")
         aggregator.attach_host(f"rx{i}", monitor)
         hosts.append(_HostState(name=f"rx{i}", backend=backend,
                                 admission=backend.admission, monitor=monitor,
@@ -441,19 +437,15 @@ def _populate(scenario: MultitenantScenario, seed: int, add_node: Callable,
     return aggregator, hosts, tenants, _pick_churn(scenario, tenants, registry)
 
 
-# ------------------------------------------------------------------ simulation
-def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
-    from ..hw import PENTIUM_120
-
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
-
-    def add_node(name: str):
-        host = net.add_host(name, PENTIUM_120)
-        return host.backend, host.create_endpoint
-
+def _drive(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
+           connect: Callable, send: Callable) -> _Outcome:
+    """One churn run on either clock: the population (:func:`_populate`)
+    and its processes on ``sim`` — a pacer per sender host, a QoS drain
+    per receive host, the churn schedule and the cluster controller.
+    ``send(user, channel, payload)`` is the substrate's send process.
+    Returns the outcome the processes fill in as ``sim`` runs."""
     aggregator, hosts, tenants, events = _populate(
-        scenario, seed, add_node, net.connect, manual=False)
+        scenario, seed, sim, add_node, connect)
     t_end = scenario.duration_us
 
     by_sender: Dict[int, List[_Tenant]] = {}
@@ -478,7 +470,7 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
                 for _k in range(BURST):
                     payload = _payload(t.index, t.sent, sim.now,
                                        PAYLOAD_BYTES)
-                    yield from t.tx_user.send(t.ch_tx, payload)
+                    yield from send(t.tx_user, t.ch_tx, payload)
                     t.sent += 1
             poll_echoes(tens)
         while sim.now < t_end:
@@ -492,7 +484,7 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
             _drain_pass(host, sim.now, echoes)
             for t, data in echoes:
                 try:
-                    yield from t.user.send(t.ch_rx, data)
+                    yield from send(t.user, t.ch_rx, data)
                 except EndpointError:
                     pass
 
@@ -514,95 +506,50 @@ def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
     if events:
         sim.process(churn(), name="multitenant.churn")
     sim.process(controller(), name="multitenant.controller")
-
-    with net:
-        sim.run(until=t_end)
     return _Outcome(tenants=tenants, hosts=hosts, aggregator=aggregator,
-                    duration_us=t_end, now=sim.now, completed=True,
-                    sim_events=sim.events_processed)
+                    duration_us=t_end)
 
 
-# ------------------------------------------------------------------ live
+def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
+    from ..hw import PENTIUM_120
+
+    sim = Simulator()
+    net = networks.get(scenario.substrate).build(sim)
+
+    def add_node(name: str):
+        host = net.add_host(name, PENTIUM_120)
+        return host.backend, host.create_endpoint
+
+    outcome = _drive(scenario, seed, sim, add_node, net.connect,
+                     lambda user, channel, payload: user.send(channel, payload))
+    with net:
+        sim.run(until=outcome.duration_us)
+    return replace(outcome, sim_events=sim.events_processed)
+
+
 def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
     from ..live.backend import LiveCluster
     from ..live.clock import WallClock
     from ..live.transport import available_transport_kinds, make_transport
 
     kind = (available_transport_kinds() or ["udp"])[0]
-    clock = WallClock()
-
-    with LiveCluster(lambda name: make_transport(kind, name), clock) as cluster:
+    with LiveCluster(lambda name: make_transport(kind, name), WallClock()) as cluster:
         def add_node(name: str):
             node = cluster.add_node(name)
             return node, node.create_user_endpoint
 
-        aggregator, hosts, tenants, events = _populate(
-            scenario, seed, add_node, cluster.connect, manual=True)
-        admitted = [t for t in tenants if t.admitted]
+        def send(user, channel: int, payload: bytes):
+            def attempt():
+                try:
+                    user.send(channel, payload)
+                except EndpointError:
+                    return None  # transport backpressure: retry after a pump
+                return True
+            return cluster.poll(attempt)
 
-        t0 = clock.now_us()
-        t_end = t0 + scenario.duration_us
-        t_hard = t0 + scenario.time_limit_us
-        burst_idx = 0
-        next_drain = t0 + scenario.drain_period_us
-        next_check = t0 + scenario.check_period_us
-        next_poll = t0 + scenario.poll_period_us
-        ev_i = 0
-
-        while True:
-            moved = cluster.step()
-            now = clock.now_us()
-            if now >= t_end or now >= t_hard:
-                break
-            while ev_i < len(events) and t0 + events[ev_i][0] <= now:
-                _when, kind_, tenant_ = events[ev_i]
-                _apply_churn_event(kind_, tenant_, now - t0, aggregator)
-                ev_i += 1
-            if burst_idx < scenario.periods and now >= t0 + burst_idx * scenario.send_period_us:
-                for n, t in enumerate(admitted):
-                    for _k in range(BURST):
-                        payload = _payload(t.index, t.sent, clock.now_us(),
-                                           PAYLOAD_BYTES)
-                        try:
-                            t.tx_user.send(t.ch_tx, payload)
-                        except EndpointError:
-                            break  # transport backpressure: shed the rest
-                        t.sent += 1
-                    if n % 8 == 7:
-                        cluster.step()  # keep socket buffers drained
-                burst_idx += 1
-            if now >= next_drain:
-                next_drain += scenario.drain_period_us
-                echoes: List[Tuple[_Tenant, bytes]] = []
-                for host in hosts:
-                    _drain_pass(host, now - t0, echoes)
-                for t, data in echoes:
-                    try:
-                        t.user.send(t.ch_rx, data)
-                    except EndpointError:
-                        pass
-                for t in admitted:
-                    while True:
-                        msg = t.tx_user.poll()
-                        if msg is None:
-                            break
-                        _record_echo(t, msg.data, clock.now_us())
-            if now >= next_check:
-                next_check += scenario.check_period_us
-                for host in hosts:
-                    host.monitor.step()
-            if now >= next_poll:
-                next_poll += scenario.poll_period_us
-                aggregator.poll()
-            if moved == 0:
-                clock.sleep_us(200.0)
-
-        # health timestamps are absolute wall times, so SLO math
-        # (shed_time of still-open episodes) needs the wall "now"
-        completed = clock.now_us() < t_hard
-        return _Outcome(tenants=tenants, hosts=hosts, aggregator=aggregator,
-                        duration_us=scenario.duration_us,
-                        now=clock.now_us(), completed=completed)
+        outcome = _drive(scenario, seed, cluster.sim, add_node, cluster.connect, send)
+        cluster.run(outcome.duration_us, ())
+        return outcome
 
 
 # ------------------------------------------------------------------ evaluation
@@ -675,10 +622,14 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
     tenants = outcome.tenants
     duration = outcome.duration_us
     violations: List[str] = []
-    if not outcome.completed:
+    # the run is over when every admitted tenant's pacer got its whole
+    # schedule out: a send still waiting at the end is a hung run
+    quota = scenario.periods * BURST
+    short = [t.tenant for t in tenants if t.admitted and t.sent < quota]
+    if short:
         violations.append(
-            f"termination: run exceeded the wall limit "
-            f"{scenario.time_limit_us:.0f}us")
+            f"termination: {len(short)} admitted tenant(s) sent fewer than "
+            f"{quota} messages by t={duration:.0f}us (first {short[:4]})")
 
     # drop conservation per host: every NI/kernel-counted drop must be
     # attributed to exactly one tenant endpoint (isolation of accounting)
@@ -811,7 +762,7 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
             "delivered": t.delivered,
             "goodput_mbps": _goodput_mbps(t.delivered_bytes, duration),
             "p99_rtt_us": _p99(t.rtt_samples),
-            "quarantine_us": (t.record.shed_time(outcome.now)
+            "quarantine_us": (t.record.shed_time(duration)
                               if t.record is not None else 0.0),
             "recv_queue_drops": stats["recv_queue_drops"],
             "no_buffer_drops": stats["no_buffer_drops"],
@@ -823,7 +774,7 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
         scenario=scenario.name,
         substrate=scenario.substrate,
         seed=seed,
-        completed=outcome.completed,
+        completed=not short,
         duration_us=duration,
         tenants=len(tenants),
         admitted=sum(1 for t in tenants if t.admitted),

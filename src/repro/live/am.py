@@ -16,6 +16,13 @@ and credit-refresh deadlines against the injected
 :class:`~repro.core.clock.Clock`.  Handlers are plain calls, a packet
 reaches U-Net through a bounded busy-retry, and an rpc completes by
 appearing in ``rpc_results``.
+
+A workload still blocks as it does on a simulator: it is a process on
+a :class:`~repro.live.backend.LiveCluster`'s wall-clock runner, which
+services the endpoints between passes and turns each polled call into a
+wait (``yield from cluster.poll(partial(am.start_request, ...))``).
+The blocking ``rpc(..., pump=)`` stays for the wall-time benchmarks,
+which time one call at a time in their own pump loop.
 """
 
 from __future__ import annotations
@@ -149,15 +156,6 @@ class LiveAm(AmCore):
         if reason is not None:
             raise PeerUnavailableError(reason, peer=dest, seq=seq)
         return self.rpc_results.pop((dest, seq), None)
-
-    def request(self, dest: int, handler: int, args=(), data: bytes = b"",
-                pump: Optional[Callable[[], None]] = None,
-                limit_us: float = 5_000_000.0) -> int:
-        """Blocking convenience: poll until the request is admitted."""
-        return self._poll(
-            lambda: self.start_request(dest, handler, args=args, data=data),
-            pump, self._now() + limit_us,
-            "request to node %d not admitted within %.0fus", dest, limit_us)
 
     def rpc(self, dest: int, handler: int, args=(), data: bytes = b"",
             pump: Optional[Callable[[], None]] = None,

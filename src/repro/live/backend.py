@@ -28,8 +28,9 @@ boundary, exactly as the NI firmware does.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.api import UserEndpointBase
 from ..core.base import Closing, UNetBackend
@@ -38,6 +39,7 @@ from ..core.clock import Clock, ClockShim
 from ..core.descriptors import RecvDescriptor, SendDescriptor, SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint, EndpointConfig
 from ..core.errors import EndpointError, MessageTooLarge
+from ..sim import Simulator
 from .bufpool import BufferPool, PooledSlice
 from .doorbell import DEFAULT_DOORBELL_MODE, EventDoorbell, validate_doorbell_mode
 from .transport import LiveTransport, RECV_BATCH
@@ -565,7 +567,9 @@ class LiveCluster(Closing):
     The cluster is the live stand-in for a simulated network object:
     it creates nodes (one transport socket each), wires channels (tags
     plus demux rows on both sides — the OS-mediated channel service),
-    and pumps every node's doorbell loop from :meth:`step`.
+    and pumps every node's doorbell loop from :meth:`step`.  Its
+    wall-clock runner (:attr:`sim`, :meth:`run`, :meth:`poll`) runs the
+    very process bodies a simulated network runs.
     """
 
     PARTS = ("nodes",)
@@ -582,6 +586,9 @@ class LiveCluster(Closing):
         self._doorbell = (EventDoorbell()
                           if self.doorbell_mode == "event" else None)
         self.nodes: List[LiveBackend] = []
+        self._sim: Optional[Simulator] = None
+        #: what every :meth:`poll` waiter sleeps on until the next pump
+        self._pumped = None
 
     def add_node(self, name: Optional[str] = None) -> LiveBackend:
         node_id = len(self.nodes)
@@ -611,36 +618,74 @@ class LiveCluster(Closing):
         """Service every node once; returns datagrams delivered."""
         return sum(node.service() for node in self.nodes)
 
-    def run_until(self, predicate: Callable[[], bool], limit_us: float) -> bool:
-        """Pump the cluster until ``predicate()`` or the wall deadline.
+    # -- the wall-clock runner -----------------------------------------------
+    @property
+    def sim(self) -> Simulator:
+        """The simulator :meth:`run` drives, built on first use with its
+        clock at this cluster's: a process yields a delay, or a
+        :meth:`poll`, exactly as it would on a simulated network."""
+        if self._sim is None:
+            self._sim = Simulator(start_time=self.clock.now_us())
+        return self._sim
 
-        Sleeps briefly only when a full pass moved no data, so the loop
-        busy-polls under load (the doorbell model) without pinning a
-        CPU while idle.
+    def poll(self, attempt: Callable[[], Any]) -> Generator:
+        """Process: call ``attempt()`` now and once after every pump
+        until it returns something other than None, and return that.
+
+        The process form of every polled live call: AM admission
+        (``LiveAm.start_request``), an rpc reply (``rpc_result``), a
+        send the transport pushes back on.  A waiter sleeps on the next
+        pump's event, never on a delay: a delay would retry many times
+        inside one ``sim.run`` and starve the AM timers that
+        :meth:`run` services between passes.
         """
-        deadline = self.clock.now_us() + limit_us
-        while self.clock.now_us() < deadline:
-            if predicate():
-                return True
-            if self.step() == 0:
-                if self._doorbell is not None:
-                    # interrupt-analogue: park until a socket is
-                    # readable (or a short timeout keeps AM timers live)
-                    self._doorbell.sync(node.transport.sock
-                                        for node in self.nodes)
-                    self._doorbell.wait_us(
-                        min(_EVENT_WAIT_US, deadline - self.clock.now_us()))
-                else:
-                    self.clock.sleep_us(_IDLE_SLEEP_US)
-        return predicate()
+        while True:
+            result = attempt()
+            if result is not None:
+                return result
+            if self._pumped is None:
+                self._pumped = self.sim.event(name="live.pump")
+            yield self._pumped
 
-    def wait_readable(self, timeout_us: float) -> int:
-        """Event-mode idle wait for external pump loops; returns the
-        number of readable sockets (0 on timeout or in other modes)."""
-        if self._doorbell is None:
-            return 0
-        self._doorbell.sync(node.transport.sock for node in self.nodes)
-        return self._doorbell.wait_us(timeout_us)
+    def run(self, until_us: float, ams: Sequence) -> None:
+        """Run :attr:`sim`'s processes against the wall clock.
+
+        Each pass pumps every node and every AM endpoint in ``ams``,
+        wakes every :meth:`poll` waiter, then runs the simulator up to
+        the clock's reading, so a yielded delay becomes a wall wait.
+        Returns once the clock passes ``until_us`` or nothing is left
+        waiting.  A pass that moved no data parks (event mode) or sleeps
+        briefly, so the loop busy-polls under load without pinning a CPU
+        while idle, and never past the next process's wake-up.
+        """
+        sim = self.sim
+        while True:
+            moved = self.step()
+            for am in ams:
+                moved += am.service()
+            pumped, self._pumped = self._pumped, None
+            if pumped is not None:
+                pumped.succeed()
+            now = self.clock.now_us()
+            sim.run(until=min(now, until_us))
+            if now >= until_us or (self._pumped is None and sim.peek() == math.inf):
+                return
+            if not moved:
+                limit = min(until_us, sim.peek()) - now
+                if self._doorbell is not None:
+                    # interrupt-analogue: park until a socket is readable
+                    # (or a short timeout keeps AM timers live)
+                    self._doorbell.sync(node.transport.sock for node in self.nodes)
+                    self._doorbell.wait_us(min(_EVENT_WAIT_US, limit))
+                else:
+                    self.clock.sleep_us(min(_IDLE_SLEEP_US, limit))
+
+    def run_until(self, predicate: Callable[[], bool], limit_us: float) -> bool:
+        """Run until ``predicate()`` holds (checked after every pump) or
+        ``limit_us`` of wall time passes; returns ``predicate()``."""
+        self.sim.process(self.poll(lambda: predicate() or None))
+        self.run(self.clock.now_us() + limit_us, ())
+        return predicate()
 
     def close(self) -> None:
         """Close every node's transport, even when one close raises.
@@ -659,5 +704,7 @@ class LiveCluster(Closing):
                     first_error = exc
         if self._doorbell is not None:
             self._doorbell.close()
+        if self._sim is not None:
+            self._sim.close()
         if first_error is not None:
             raise first_error

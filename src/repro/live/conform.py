@@ -1,12 +1,15 @@
 """Conformance execution on the live U-Net/OS substrate.
 
-``run_live_case`` drives the *same* workload and content-addressed
-fault schedule the simulated substrates run — faults applied at the
-live framing layer by a :class:`~repro.faults.scripted.ScriptedStage`
-reading :class:`~repro.live.backend.DatagramWire` — and returns the
-same :class:`~repro.conformance.observe.ObservedTrace` shape, so the
-differential checker can diff ATM vs FE vs reference model vs wall
-clock in one report.
+``run_live_case`` runs the *same* workload process
+(:meth:`~repro.conformance.checker.CaseRig.drive`) and content-addressed
+fault schedule the simulated substrates run — the process on the live
+cluster's wall-clock runner, the faults applied at the live framing
+layer by a :class:`~repro.faults.scripted.ScriptedStage` reading
+:class:`~repro.live.backend.DatagramWire` — and returns the same
+:class:`~repro.conformance.observe.ObservedTrace`, so the differential
+checker can diff ATM vs FE vs reference model vs wall clock in one
+report.  What is its own is the rig: sockets, endpoints, ``LiveAm``
+and the drain that lets tail acks settle before the timers stop.
 
 A live name relaxes timing: retransmission counts depend on when the
 OS scheduler ran the doorbell loop, so the checker compares them only
@@ -25,14 +28,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-from ..am.am import AmError
 from ..conformance.checker import CaseRig, SubstrateUnavailable, inject_bug
 from ..conformance.observe import ObservedTrace
 from ..conformance.schedule import ConformanceCase
-from ..core import EndpointConfig
-from ..core.errors import UNetError
 from ..faults.crash import ChainedStage
-from ..faults.stream import stream_payload
 from .am import LiveAm
 from .backend import LiveCluster
 from .clock import WallClock
@@ -59,83 +58,37 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
     here: the parity matrix diffs every mode against the reference
     model and demands zero semantic divergence.
     """
-    clock = WallClock()
-    limit_us = min(case.time_limit_us, WALL_LIMIT_US)
     with inject_bug(bug), LiveCluster(
-            lambda name: make_transport(transport_kind, name), clock,
+            lambda name: make_transport(transport_kind, name), WallClock(),
             doorbell_mode=doorbell_mode) as cluster:
-        n0 = cluster.add_node("n0")
-        n1 = cluster.add_node("n1")
-        sender_cfg = EndpointConfig(num_buffers=64, buffer_size=2048,
-                                    send_queue_depth=64, recv_queue_depth=64)
-        receiver_cfg = EndpointConfig(num_buffers=case.rx_buffers + 24,
-                                      buffer_size=2048, send_queue_depth=64,
-                                      recv_queue_depth=case.recv_queue_depth)
-        ep0 = n0.create_user_endpoint(config=sender_cfg, rx_buffers=32)
-        ep1 = n1.create_user_endpoint(config=receiver_cfg,
-                                      rx_buffers=case.rx_buffers)
-        ch0, ch1 = cluster.connect(ep0, ep1)
-        am0 = LiveAm(0, ep0, config=case.am_config(receiver=False))
-        am1 = LiveAm(1, ep1, config=case.am_config(receiver=True))
-        am0.connect_peer(1, ch0)
-        am1.connect_peer(0, ch1)
+        def add_node(name: str):
+            node = cluster.add_node(name)
+            return node, node.create_user_endpoint
 
-        rig = CaseRig(case, f"live-{transport_kind}", am0, am1, n0, n1)
+        rig = CaseRig(case, f"live-{transport_kind}", add_node, cluster.connect, LiveAm)
+        am0, am1 = rig.am0, rig.am1
         # one ingress slot on the live backend: chain node 1's stages
-        n1.install_ingress_stage(ChainedStage(*rig.fwd_stages))
-        n0.install_ingress_stage(rig.rev_stage)
+        rig.backend1.install_ingress_stage(ChainedStage(*rig.fwd_stages))
+        rig.backend0.install_ingress_stage(rig.rev_stage)
 
-        def rpc_handler(ctx) -> None:
-            rig.check_payload(ctx)
-            ctx.reply(args=(ctx.args[0] * 2 + 1,))
+        def rpc(dest, handler, args, data):
+            seq = yield from cluster.poll(partial(am0.start_rpc, dest, handler, args, data))
+            return (yield from cluster.poll(partial(am0.rpc_result, dest, seq)))
 
-        am1.register_handler(2, rpc_handler)
-
-        def pump() -> None:
-            moved = cluster.step()
-            am0.service()
-            am1.service()
-            if not moved and doorbell_mode == "event":
-                # park on epoll instead of spinning: the event doorbell
-                # wakes us the moment either socket turns readable
-                cluster.wait_readable(500.0)
-
-        deadline = clock.now_us() + limit_us
-        completed = True
-        try:
-            for i, message in enumerate(case.messages):
-                remaining = deadline - clock.now_us()
-                if remaining <= 0:
-                    raise AmError("wall-clock limit reached")
-                data = stream_payload(i, message.size)
-                if message.rpc:
-                    args, _d = am0.rpc(1, 2, args=(i,), data=data,
-                                       pump=pump, limit_us=remaining)
-                    rig.check_reply(i, args)
-                else:
-                    am0.request(1, 1, args=(i,), data=data,
-                                pump=pump, limit_us=remaining)
-        except (AmError, UNetError):
-            # wall-clock limit, or the sender declared the peer dead and
-            # refused the remaining sends: either way, incomplete
-            completed = False
-
-        if completed and case.lifecycle:
-            while clock.now_us() < deadline and not rig.settled():
-                pump()
-            completed = rig.settled()
-        completion = clock.now_us() if completed else limit_us
-        if completed:
-            drain_deadline = min(deadline, clock.now_us() + _DRAIN_US)
-            while clock.now_us() < drain_deadline:
-                if am0.idle and am1.idle:
-                    break
-                pump()
+        sim, ams = cluster.sim, (am0, am1)
+        limit_us = min(case.time_limit_us, WALL_LIMIT_US)
+        deadline = sim.now + limit_us
+        process = sim.process(rig.drive(
+            sim, lambda *a: cluster.poll(partial(am0.start_request, *a)), rpc))
+        cluster.run(deadline, ams)
+        if rig.completed(process):
+            # tail acks settle before the timers stop, then one last pass
+            sim.process(cluster.poll(lambda: (am0.idle and am1.idle) or None))
+            cluster.run(min(deadline, sim.now + _DRAIN_US), ams)
             am0.shutdown()
             am1.shutdown()
-            pump()
-
-        return rig.finish(completed, completion)
+            cluster.run(sim.now, ams)
+        return rig.finish(process, limit_us)
 
 
 # ----------------------------------------------------------------- lookup

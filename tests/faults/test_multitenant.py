@@ -172,3 +172,23 @@ def test_live_churn_smoke():
     assert result.violations == []
     assert result.admitted + result.rejected == 16
     assert _validate_run(result.to_payload()) == []
+    # the wall-clock runner's engine events are not simulated ones
+    assert result.sim_events == 0
+
+
+def test_a_send_that_never_succeeds_is_a_termination_violation(monkeypatch):
+    """The termination verdict comes from the run: a pacer stuck on a
+    send at the end leaves its tenants short of their schedule."""
+    from repro.core.api import UserEndpoint
+
+    def never_succeeds(self, channel_id, payload, kick=True):
+        yield self.sim.event()  # nothing ever triggers it
+
+    monkeypatch.setattr(UserEndpoint, "send", never_succeeds)
+    scenario = dataclasses.replace(
+        MULTITENANT_SCENARIOS["churn-bench"], name="stuck-send", tenants=10,
+        periods=2, misbehave_frac=0.0, crash_frac=0.0)
+    result = run_multitenant(scenario, seed=7)
+    assert not result.completed and not result.ok
+    assert result.violations[0].startswith(
+        f"termination: {result.admitted} admitted tenant(s) sent fewer than 16 ")
