@@ -11,14 +11,15 @@ duplicate-ack fast retransmit, across the chaos soak scenarios.
 import pytest
 
 from repro.analysis import format_table
-from repro.faults import SCENARIOS, compare_reliability, wins
+from repro.faults import SCENARIOS, wins
+from repro.faults.soak import SUITE
 
 SOAK_SCENARIOS = ("bursty", "reorder", "flap", "combined")
 
 
 @pytest.fixture(scope="module")
 def results():
-    return compare_reliability([SCENARIOS[name] for name in SOAK_SCENARIOS])
+    return [r for name in SOAK_SCENARIOS for r in SUITE.grid(SCENARIOS[name])]
 
 
 def test_reliability_ablation_table(results, emit):

@@ -161,11 +161,6 @@ class UNetAtmBackend(UNetBackend):
             return min(AAL5_MAX_PDU, self.max_pdu_cap)
         return AAL5_MAX_PDU
 
-    @property
-    def host_send_overhead_us(self) -> float:
-        # descriptor push is charged by the API layer; the doorbell here.
-        return self.timings.host_doorbell_us
-
     def close(self) -> None:
         super().close()
         self._rx_fifo.clear()

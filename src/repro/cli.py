@@ -305,20 +305,21 @@ def _cmd_soak(args) -> int:
             print("--messages must be positive", file=sys.stderr)
             return 2
         scenarios = [dataclasses.replace(s, messages=args.messages) for s in scenarios]
-    options = {flag: getattr(args, flag)
-               for flag in ("mode", "policy", "credit", "seed")
-               if getattr(args, flag) is not None}
+    mode = None if args.mode == "compare" else args.mode
+    if mode is not None and args.output:
+        print("--output writes every mode of the grid; drop --mode", file=sys.stderr)
+        return 2
     for scenario in scenarios:
-        flag = suite.refuses(scenario, options)
-        if flag:
-            print(f"the {args.suite} suite's {scenario.name} scenario does not "
-                  f"honour {flag}", file=sys.stderr)
+        if mode is not None and mode not in suite.modes(scenario):
+            print(f"the {args.suite} suite's {scenario.name} scenario has no mode "
+                  f"{mode!r}; choose from {list(suite.modes(scenario))}", file=sys.stderr)
             return 2
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     clock = WallClock()
     results, sim_wall_us = [], 0.0
     for scenario in scenarios:
         started = clock.now_us()
-        batch = suite.run(scenario, lambda m: print(f"  {m}"), **options)
+        batch = suite.grid(scenario, mode, seed, lambda m: print(f"  {m}"))
         if any(r.sim_events for r in batch):  # live runs have no engine to rate
             sim_wall_us += clock.now_us() - started
         results.extend(batch)
@@ -330,14 +331,13 @@ def _cmd_soak(args) -> int:
         print(engine_rate_line(sum(r.sim_events for r in results),
                                sim_wall_us / 1e6))
     for r in results:
-        mode = getattr(r, "mode", None)
+        label = getattr(r, "mode", None)
         for violation in r.violations:
-            print(f"  !! {r.scenario}{f'[{mode}]' if mode else ''}: {violation}")
+            print(f"  !! {r.scenario}{f'[{label}]' if label else ''}: {violation}")
     if args.stats:
         print(suite.stats(results))
     if args.output:
-        suite.artifact.write(
-            args.output, suite.payload(results, options.get("seed", DEFAULT_SEED)))
+        suite.artifact.write(args.output, suite.payload(results, seed))
         print(f"wrote {args.output}")
     return 0 if suite.passed(results) else 1
 
@@ -621,14 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scenario name (repeatable; default: every scenario of the suite)")
     # every override defaults to None, so the driver can tell "given" from
     # "absent" and refuse the ones the chosen suite does not honour
-    pk.add_argument("--mode", choices=("compare", "adaptive", "fixed"),
-                    help="chaos suite: compare (the default) runs each scenario "
-                         "under both reliability stacks")
-    pk.add_argument("--policy", choices=("compare", "drop", "backpressure", "quarantine"),
-                    help="overload suite: containment policy (compare, the "
-                         "default, runs all three)")
-    pk.add_argument("--credit", action="store_true", default=None,
-                    help="overload suite: AM receiver-credit flow on single-policy runs")
+    pk.add_argument("--mode",
+                    help="run each scenario under this one of its modes "
+                         "(default: compare, every mode on one seed): chaos "
+                         "fixed|adaptive; overload drop|backpressure|quarantine, "
+                         "incast drop|drop+credit; transport gbn|sack|ecn")
     pk.add_argument("--messages", type=int,
                     help="override messages per scenario (default: each scenario's own)")
     pk.add_argument("--seed", type=int, help="fault-pattern master seed (default 0xC0FFEE)")

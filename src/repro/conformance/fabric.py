@@ -8,6 +8,7 @@ round can sum the full membership or the post-crash survivors, nothing
 else.  ``run_fabric_case`` drives a seeded node-crash soak
 (:mod:`~repro.faults.fabricsoak`) and holds every completed round to
 that oracle, plus the agreement, exactly-once, and termination checks.
+Even seeds run on the ATM fat tree, odd ones on the Fast Ethernet one.
 
 The named bug the harness must catch:
 
@@ -92,6 +93,7 @@ class FabricCaseReport:
 
     seed: int
     bug: Optional[str]
+    fabric: str
     crash_node: int
     crash_at_us: float
     ok: bool
@@ -109,16 +111,18 @@ def run_fabric_case(seed: int, bug: Optional[str] = None) -> FabricCaseReport:
     # where heal-reroot is observable (see the module docstring)
     crash_node = 1 + seed % 12
     crash_at_us = 150.0 + 40.0 * (seed % 7)
+    fabric = ("atm-clos", "fe-clos")[seed % 2]
     scenario = FabricScenario(
         name=f"heal-case-{seed}",
         description="conformance healing case",
-        fabric="atm-clos", leaves=4, spines=2, hosts_per_leaf=4,
+        fabric=fabric, leaves=4, spines=2, hosts_per_leaf=4,
         rounds=3, crash_node=crash_node, crash_at_us=crash_at_us)
     with inject_fabric_bug(bug):
         result = run_fabric_scenario(scenario, seed=seed)
     return FabricCaseReport(
         seed=seed,
         bug=bug,
+        fabric=fabric,
         crash_node=crash_node,
         crash_at_us=crash_at_us,
         ok=result.ok,
@@ -130,7 +134,7 @@ def run_fabric_case(seed: int, bug: Optional[str] = None) -> FabricCaseReport:
 
 def render_fabric_case(report: FabricCaseReport, context: bool = True) -> str:
     verdict = "ok" if report.ok else "DIVERGED"
-    lines = [f"fabric case seed={report.seed} "
+    lines = [f"fabric case seed={report.seed} on {report.fabric} "
              f"(crash node {report.crash_node} at "
              f"t={report.crash_at_us:.0f}us"
              + (f", bug={report.bug}" if report.bug else "")

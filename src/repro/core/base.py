@@ -136,11 +136,6 @@ class UNetBackend(abc.ABC):
 
     # -- instrumentation -----------------------------------------------------
     @property
-    def host_send_overhead_us(self) -> float:
-        """Host-processor time consumed per small-message send (Section 4.4)."""
-        raise NotImplementedError
-
-    @property
     def unknown_tag_drops(self) -> int:
         """Arrivals the demux table found no row for."""
         return self.demux.unknown_tag_drops

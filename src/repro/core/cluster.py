@@ -93,9 +93,6 @@ class ClusterHealthAggregator:
         """Register one host's monitor (idempotent per name)."""
         self._monitors[host] = monitor
 
-    def detach_host(self, host: str) -> None:
-        self._monitors.pop(host, None)
-
     def hosts(self) -> List[str]:
         return sorted(self._monitors)
 

@@ -289,11 +289,6 @@ class Endpoint:
         """Receive-queue fill fraction (0.0 empty .. 1.0 full)."""
         return len(self.recv_queue) / self.recv_queue.capacity
 
-    @property
-    def free_buffer_level(self) -> float:
-        """Free-queue fill fraction relative to its capacity."""
-        return len(self.free_queue) / self.free_queue.capacity
-
     drop_stats = drop_stats
 
     def _wake_receivers(self) -> None:

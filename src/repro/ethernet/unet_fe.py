@@ -142,20 +142,6 @@ class UNetFeBackend(UNetBackend):
         # encapsulation headers shrink the usable PDU
         return UNET_FE_IP_MAX_PDU if self.ip_address is not None else UNET_FE_MAX_PDU
 
-    @property
-    def host_send_overhead_us(self) -> float:
-        t = self.timings
-        return (
-            self.cpu.trap_entry_us
-            + t.check_send_params_us
-            + t.ethernet_header_setup_us
-            + t.ring_descriptor_setup_us
-            + t.issue_poll_demand_us
-            + t.free_ring_descriptor_us
-            + t.free_send_queue_entry_us
-            + self.cpu.trap_return_us
-        )
-
     def allocate_port(self) -> int:
         port = self._next_port
         self._next_port += 1

@@ -24,8 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".overload": (
         "OVERLOAD_SCENARIOS", "OverloadResult", "OverloadScenario",
-        "compare_credit", "compare_policies", "render_endpoint_table",
-        "render_overload_table", "run_overload",
+        "render_endpoint_table", "render_overload_table", "run_overload",
     ),
     ".crash": (
         "ChainedStage", "CrashFault", "EndpointLifecycle", "LifecycleFault",
@@ -54,8 +53,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "run_transport",
     ),
     ".soak": (
-        "SCENARIOS", "SoakResult", "SoakScenario", "adaptive_config",
-        "compare_reliability", "fixed_config", "render_comparison",
+        "SCENARIOS", "SoakResult", "SoakScenario", "render_comparison",
         "render_soak_table", "run_scenario", "wins",
     ),
 })

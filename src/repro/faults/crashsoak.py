@@ -542,7 +542,7 @@ CRASH_ARTIFACT = Artifact(
 
 SUITE = Suite(
     scenarios=CRASH_SCENARIOS,
-    run=lambda scenario, progress: [run_crash_scenario(scenario, progress)],
+    run=lambda scenario, mode, seed, progress: run_crash_scenario(scenario, progress),
     render=render_crash_table,
     overrides=frozenset({"messages"}),
     artifact=CRASH_ARTIFACT,

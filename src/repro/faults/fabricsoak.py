@@ -470,12 +470,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
     return result
 
 
-def _run_suite(scenario: FabricScenario, progress,
-               seed: int = DEFAULT_SEED) -> List[FabricSoakResult]:
-    progress(f"{scenario.name}...")
-    return [run_fabric_scenario(scenario, seed=seed, progress=progress)]
-
-
 # ------------------------------------------------------------------ report
 _ROW_SCHEMA = {
     "completed": bool, "rounds_completed": int, "recovery_us": float,
@@ -553,7 +547,8 @@ def render_fabric_table(results: Sequence[FabricSoakResult]) -> str:
 
 SUITE = Suite(
     scenarios=FABRIC_SCENARIOS,
-    run=_run_suite,
+    run=lambda scenario, mode, seed, progress: run_fabric_scenario(
+        scenario, seed=seed, progress=progress),
     render=render_fabric_table,
     overrides=frozenset({"seed"}),
     artifact=FABRIC_ARTIFACT,

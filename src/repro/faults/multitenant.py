@@ -923,17 +923,15 @@ def multitenant_payload(results: Sequence[MultitenantResult]) -> dict:
     return {"format": _FORMAT, "runs": [r.to_payload() for r in results]}
 
 
-def _run_suite(scenario: MultitenantScenario, progress,
-               seed: int = DEFAULT_SEED) -> List[MultitenantResult]:
+def _run_one(scenario: MultitenantScenario, mode, seed: int,
+             progress) -> Optional[MultitenantResult]:
     if scenario.substrate == "live":
         from ..live import available_transport_kinds
 
         if not available_transport_kinds():
             progress(f"{scenario.name}: skipped (no live transport on this machine)")
-            return []
-    progress(f"{scenario.name}: {scenario.tenants} tenants on "
-             f"{scenario.substrate} ...")
-    return [run_multitenant(scenario, seed=seed)]
+            return None
+    return run_multitenant(scenario, seed=seed)
 
 
 def _render_hosts(results: Sequence[MultitenantResult]) -> str:
@@ -944,7 +942,7 @@ def _render_hosts(results: Sequence[MultitenantResult]) -> str:
 
 SUITE = Suite(
     scenarios=MULTITENANT_SCENARIOS,
-    run=_run_suite,
+    run=_run_one,
     render=render_multitenant_table,
     stats=_render_hosts,
     overrides=frozenset({"seed"}),

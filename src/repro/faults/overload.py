@@ -6,7 +6,7 @@ one cluster around one deliberately under-powered receiver host and
 measure how far one misbehaving endpoint's damage spreads:
 
 * **incast** — N Active Messages senders share one receiver endpoint
-  with shallow queues.  Run fixed vs credit (``compare_credit``): with
+  with shallow queues.  Run ``drop`` vs ``drop+credit``: with
   receiver credit the senders stall on advertisements instead of
   overrunning the queues, so drops and retransmissions collapse.
 * **sick-endpoint scenarios** — healthy AM pairs share the receiver
@@ -15,9 +15,9 @@ measure how far one misbehaving endpoint's damage spreads:
   U-Net traffic.  Under the paper's status-quo ``drop`` policy the
   kernel burns its service time on traffic it will throw away, the
   device ring overflows, and the *healthy* endpoints starve.  Run the
-  same seed under ``backpressure``/``quarantine`` (``compare_policies``)
-  and the health watchdog sheds the sick endpoint at the demux step,
-  giving the healthy endpoints their kernel back.
+  same seed under ``backpressure``/``quarantine`` and the health
+  watchdog sheds the sick endpoint at the demux step, giving the healthy
+  endpoints their kernel back.
 
 Every run checks the PR-1 delivery invariants on the healthy streams
 (exactly-once dispatch, per-channel FIFO, termination) and reports the
@@ -39,7 +39,7 @@ from ..core.health import (
     HealthMonitor,
 )
 from ..sim import RngRegistry, Simulator
-from ..suite import DEFAULT_SEED, Suite
+from ..suite import Suite
 from ..telemetry import read, total
 from .receiver import LeakyReceiver, SlowReceiver, StalledReceiver
 from .stream import check_delivery
@@ -49,8 +49,6 @@ __all__ = [
     "OverloadResult",
     "OVERLOAD_SCENARIOS",
     "run_overload",
-    "compare_policies",
-    "compare_credit",
     "render_overload_table",
     "render_endpoint_table",
 ]
@@ -356,20 +354,6 @@ def run_overload(
     )
 
 
-def compare_policies(scenario: OverloadScenario,
-                     seed: int = 0x0E12) -> List[OverloadResult]:
-    """The same scenario and seed under each containment policy."""
-    return [run_overload(scenario, policy=policy, seed=seed) for policy in POLICIES]
-
-
-def compare_credit(scenario: OverloadScenario,
-                   seed: int = 0x0E12) -> Tuple[OverloadResult, OverloadResult]:
-    """The same scenario and seed under ``drop``, fixed vs receiver-credit
-    senders."""
-    return (run_overload(scenario, credit=False, seed=seed),
-            run_overload(scenario, credit=True, seed=seed))
-
-
 def render_overload_table(results: Sequence[OverloadResult]) -> str:
     """One row per run, via the standard report table."""
     from ..analysis.report import format_table
@@ -421,29 +405,16 @@ def render_endpoint_table(result: OverloadResult) -> str:
     )
 
 
-def _refuses(scenario: OverloadScenario, given) -> str:
-    """The flag ``scenario`` would ignore under ``given``, or ``""``."""
-    policy = given.get("policy", "compare")
-    if scenario.shared_receiver:
-        # the incast shape always runs its own drop vs drop+credit pair
-        if policy != "compare":
-            return f"--policy {policy}"
-        if given.get("credit"):
-            return "--credit"
-    elif given.get("credit") and policy == "compare":
-        return "--credit without a single --policy"
-    return ""
+def _modes(scenario: OverloadScenario) -> Tuple[str, ...]:
+    # the incast shape is the fixed-vs-credit demonstration, a sick
+    # endpoint the containment-policy one
+    return ("drop", "drop+credit") if scenario.shared_receiver else POLICIES
 
 
-def _run_suite(scenario: OverloadScenario, progress, policy: str = "compare",
-               credit: bool = False,
-               seed: int = DEFAULT_SEED) -> Sequence[OverloadResult]:
-    if scenario.shared_receiver:
-        # the incast shape is the fixed-vs-credit demonstration
-        return compare_credit(scenario, seed=seed)
-    if policy == "compare":
-        return compare_policies(scenario, seed=seed)
-    return [run_overload(scenario, policy=policy, credit=credit, seed=seed)]
+def _run_mode(scenario: OverloadScenario, mode: str, seed: int,
+              progress) -> OverloadResult:
+    policy, _, credit = mode.partition("+")
+    return run_overload(scenario, policy=policy, credit=bool(credit), seed=seed)
 
 
 def _contained_ok(results: Sequence[OverloadResult]) -> bool:
@@ -456,11 +427,11 @@ def _contained_ok(results: Sequence[OverloadResult]) -> bool:
 
 SUITE = Suite(
     scenarios=OVERLOAD_SCENARIOS,
-    run=_run_suite,
+    run=_run_mode,
     render=render_overload_table,
+    modes=_modes,
     stats=lambda results: "\n".join("\n" + render_endpoint_table(r)
                                     for r in results),
-    overrides=frozenset({"messages", "policy", "credit", "seed"}),
-    refuses=_refuses,
+    overrides=frozenset({"messages", "seed"}),
     passed=_contained_ok,
 )

@@ -13,9 +13,9 @@ checking the delivery invariants the layers above depend on:
 
 Results carry the reliability-layer counters (retransmissions,
 timeouts, fast retransmits, RTO estimate) plus the fault pipeline's own
-stage statistics, and :func:`compare_reliability` runs the same
-scenario under the fixed-RTO baseline and the adaptive stack so the
-robustness win is measurable, not anecdotal.
+stage statistics, and the suite runs every scenario under each of
+:data:`MODES` — the fixed-RTO baseline and the adaptive stack — on one
+seed, so the robustness win is measurable, not anecdotal.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "SoakResult",
     "SCENARIOS",
     "run_scenario",
-    "compare_reliability",
     "render_soak_table",
     "render_comparison",
 ]
@@ -143,16 +142,21 @@ SCENARIOS: Dict[str, SoakScenario] = {
 }
 
 
-def run_scenario(
-    scenario: SoakScenario,
-    config: Optional[AmConfig] = None,
-    seed: int = DEFAULT_SEED,
-    mode: str = "fixed",
-) -> SoakResult:
-    """Run ``scenario`` once under ``config`` and check every invariant."""
+#: the reliability stacks a scenario is compared under: today's static
+#: 4 ms RTO and window, and the full adaptive stack
+MODES: Dict[str, Callable[[], AmConfig]] = {
+    "fixed": AmConfig,
+    "adaptive": AmConfig.adaptive,
+}
+
+
+def run_scenario(scenario: SoakScenario, mode: str = "fixed",
+                 seed: int = DEFAULT_SEED) -> SoakResult:
+    """Run ``scenario`` once under ``MODES[mode]`` and check every invariant."""
     sim = Simulator()
     net = networks.get(scenario.substrate).build(sim)
-    (h0, h1), (am0, am1) = build_am_star(net, ("n0", "n1"), sink=1, config=config)
+    (h0, h1), (am0, am1) = build_am_star(net, ("n0", "n1"), sink=1,
+                                         config=MODES[mode]())
 
     registry = RngRegistry(seed)
     pipelines = []
@@ -229,35 +233,6 @@ def run_scenario(
     )
 
 
-def fixed_config() -> AmConfig:
-    """The baseline: today's static 4 ms RTO, static window."""
-    return AmConfig()
-
-
-def adaptive_config() -> AmConfig:
-    """The full adaptive stack under soak."""
-    return AmConfig.adaptive()
-
-
-_CONFIGS = {"fixed": fixed_config, "adaptive": adaptive_config}
-
-
-def _run_suite(scenario: SoakScenario, progress=None, mode: str = "compare",
-               seed: int = DEFAULT_SEED) -> List[SoakResult]:
-    return [run_scenario(scenario, config=_CONFIGS[m](), seed=seed, mode=m)
-            for m in (_CONFIGS if mode == "compare" else (mode,))]
-
-
-def compare_reliability(scenarios: Sequence[SoakScenario]) -> List[SoakResult]:
-    """Run each scenario under the fixed baseline and the adaptive stack.
-
-    The default seed feeds both runs, so the two reliability stacks face
-    byte-identical fault patterns (until their own behaviour diverges
-    the arrival sequence, which is the point of the comparison).
-    """
-    return [r for scenario in scenarios for r in _run_suite(scenario)]
-
-
 def wins(fixed: SoakResult, adaptive: SoakResult) -> List[str]:
     """Robustness metrics on which the adaptive stack beat the baseline."""
     better: List[str] = []
@@ -317,9 +292,10 @@ def render_comparison(results: Sequence[SoakResult]) -> str:
 
 SUITE = Suite(
     scenarios=SCENARIOS,
-    run=_run_suite,
+    run=lambda scenario, mode, seed, progress: run_scenario(scenario, mode, seed),
     render=render_comparison,
+    modes=lambda scenario: tuple(MODES),
     stats=render_fault_stats,
-    overrides=frozenset({"messages", "mode", "seed"}),
+    overrides=frozenset({"messages", "seed"}),
     skipped_by_default=("bursty-atm",),
 )

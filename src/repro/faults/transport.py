@@ -303,18 +303,6 @@ def run_transport(scenario: TransportScenario, mode: str,
     )
 
 
-def _run_suite(scenario: TransportScenario, progress,
-               seed: int = DEFAULT_SEED) -> List[TransportResult]:
-    """Every mode on one seed, so the three transports face byte-identical
-    fault patterns (until their own behaviour diverges the arrival
-    sequence — the point of the test)."""
-    results: List[TransportResult] = []
-    for mode in TRANSPORT_MODES:
-        progress(f"{scenario.name} under {mode}...")
-        results.append(run_transport(scenario, mode, seed=seed))
-    return results
-
-
 # ------------------------------------------------------------------ report
 _ROW_SCHEMA = {
     "completed": bool, "delivered": int, "messages": int,
@@ -418,8 +406,9 @@ def render_transport_table(results: Sequence[TransportResult]) -> str:
 
 SUITE = Suite(
     scenarios=TRANSPORT_SCENARIOS,
-    run=_run_suite,
+    run=lambda scenario, mode, seed, progress: run_transport(scenario, mode, seed=seed),
     render=render_transport_table,
+    modes=lambda scenario: TRANSPORT_MODES,
     stats=render_fault_stats,
     overrides=frozenset({"seed"}),
     artifact=TRANSPORT_ARTIFACT,

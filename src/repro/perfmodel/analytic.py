@@ -62,11 +62,6 @@ class Projection:
         return self.cpu_us / self.total_us if self.total_us else 0.0
 
 
-def _slowest(cpus: Sequence[CpuModel]):
-    """Compute phases finish at the slowest node (barriers synchronize)."""
-    return cpus
-
-
 def _max_int_time(cpus: Sequence[CpuModel], ops: float) -> float:
     return max(cpu.int_op_time(ops) for cpu in cpus)
 

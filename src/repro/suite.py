@@ -5,8 +5,8 @@ its own module; :data:`SUITES` names those modules and
 :func:`load_suite` imports one on first use, so ``python -m repro soak``
 is a table lookup plus one driver (``cli._cmd_soak``) that owns
 everything the suites used to repeat: scenario resolution, override
-validation, progress, the wall-clock measurement, the violations print,
-the artifact write and the exit code.
+validation, the scenario x mode grid, progress, the wall-clock
+measurement, the violations print, the artifact write and the exit code.
 
 :func:`artifacts` walks the same table (plus the two bench rigs, which
 write a snapshot without being a soak) so ``bench --compare`` and the
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, FrozenSet, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .artifact import Artifact
 
@@ -29,7 +30,7 @@ DEFAULT_SEED = 0xC0FFEE
 
 #: every ``repro soak`` flag a suite may or may not honour; one given to
 #: a suite that does not honour it is a usage error, never a no-op
-OVERRIDES = ("messages", "mode", "policy", "credit", "seed", "stats", "output")
+OVERRIDES = ("messages", "mode", "seed", "stats", "output")
 
 
 def _all_ok(results: Sequence) -> bool:
@@ -41,26 +42,24 @@ class Suite:
     """One soak suite, as the driver sees it.
 
     A result is any object with ``scenario``, ``ok``, ``violations`` and
-    ``sim_events`` (0 when no simulator ran); a ``mode`` attribute, when
-    present, labels the run within its scenario.
+    ``sim_events`` (0 when no simulator ran); a suite with a mode axis
+    gives it a ``mode`` too, the label of the run within its scenario.
     """
 
     #: name -> scenario record (a dataclass; ``--messages`` replaces its
     #: ``messages`` field)
     scenarios: Mapping[str, Any]
-    #: ``run(scenario, progress, **given) -> results`` for one scenario;
-    #: ``given`` carries whichever of ``mode`` / ``policy`` / ``credit`` /
-    #: ``seed`` the command line set (``seed`` defaults to DEFAULT_SEED)
-    run: Callable[..., Sequence]
+    #: ``run(scenario, mode, seed, progress) -> result``: one run (``mode``
+    #: is None on a suite with no mode axis), or None when the scenario
+    #: needs what the host lacks (a live transport)
+    run: Callable[[Any, Optional[str], int, Callable[[str], None]], Any]
     #: ``render(results) -> str``: the suite's table
     render: Callable[[Sequence], str]
-    #: which of ``messages`` / ``mode`` / ``policy`` / ``credit`` / ``seed``
-    #: this suite honours
+    #: ``modes(scenario) -> labels``: the configurations one scenario is
+    #: compared under (None: the suite has no mode axis)
+    modes: Optional[Callable[[Any], Tuple[str, ...]]] = None
+    #: which of ``messages`` / ``seed`` this suite honours
     overrides: FrozenSet[str] = frozenset()
-    #: ``refuses(scenario, given) -> flag``: an honoured flag that this one
-    #: scenario would still ignore under the other ``given`` overrides
-    #: (``""`` when it honours them all)
-    refuses: Callable[[Any, Mapping[str, Any]], str] = lambda scenario, given: ""
     #: ``stats(results) -> str``: what ``--stats`` adds (None: not honoured)
     stats: Optional[Callable[[Sequence], str]] = None
     #: what ``--output`` writes (None: not honoured), and
@@ -74,11 +73,34 @@ class Suite:
 
     def honours(self, flag: str) -> bool:
         """Whether ``flag`` (one of :data:`OVERRIDES`) means anything here."""
+        if flag == "mode":
+            return self.modes is not None
         if flag == "stats":
             return self.stats is not None
         if flag == "output":
             return self.artifact is not None
         return flag in self.overrides
+
+    def grid(self, scenario: Any, mode: Optional[str] = None,
+             seed: int = DEFAULT_SEED,
+             progress: Callable[[str], None] = lambda message: None) -> List:
+        """``scenario`` under one declared ``mode``, or under every mode.
+
+        Every run takes the same seed, so the modes face byte-identical
+        fault patterns until their own behaviour diverges the arrival
+        sequence, which is the point of comparing them.
+        """
+        if mode is not None:
+            modes: Sequence[Optional[str]] = (mode,)
+        else:
+            modes = self.modes(scenario) if self.modes is not None else (None,)
+        results = []
+        for label in modes:
+            progress(f"{scenario.name} under {label}..." if label else f"{scenario.name}...")
+            result = self.run(scenario, label, seed, progress)
+            if result is not None:
+                results.append(result)
+        return results
 
 
 #: suite name -> the module whose ``SUITE`` declares it

@@ -27,8 +27,6 @@ CHEAP = {
 FLAG_ARGS = {
     "messages": ["--messages", "5"],
     "mode": ["--mode", "fixed"],
-    "policy": ["--policy", "drop"],
-    "credit": ["--credit"],
     "seed": ["--seed", "3"],
     "stats": ["--stats"],
     "output": ["--output", "unwanted.json"],
@@ -103,19 +101,29 @@ def test_a_failing_run_prints_its_violations_and_exits_1(capsys, monkeypatch):
     assert "!! bursty[fixed]: termination:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags, refused", [
-    (["--scenario", "incast", "--policy", "quarantine"], "--policy quarantine"),
-    (["--scenario", "stalled", "--credit"], "--credit"),
+@pytest.mark.parametrize("scenario, mode", [
+    ("incast", "quarantine"),
+    ("stalled", "drop+credit"),
 ])
-def test_an_overload_flag_the_scenario_would_ignore_is_an_error(flags, refused, tmp_path,
-                                                                monkeypatch, capsys):
-    """The incast shape always runs drop vs drop+credit, and ``--credit``
-    has no single policy to ride under ``compare``: each is exit 2 naming
-    the scenario and the flag, with nothing run and nothing written."""
+def test_an_undeclared_mode_is_an_error(scenario, mode, tmp_path, monkeypatch, capsys):
+    """The incast shape runs drop vs drop+credit, a sick endpoint the
+    three containment policies: a mode outside a scenario's own is exit 2
+    naming the scenario and the mode, with nothing run and nothing written."""
     monkeypatch.chdir(tmp_path)
-    assert main(["soak", "--suite", "overload", "--messages", "8"] + flags) == 2
+    assert main(["soak", "--suite", "overload", "--messages", "8",
+                 "--scenario", scenario, "--mode", mode]) == 2
     captured = capsys.readouterr()
-    assert f"overload suite's {flags[1]} scenario" in captured.err
-    assert refused in captured.err
+    assert f"overload suite's {scenario} scenario has no mode {mode!r}" in captured.err
+    assert not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_with_a_single_mode_is_an_error(tmp_path, capsys):
+    """An artifact is the whole grid, so ``--output`` refuses ``--mode``."""
+    out_path = tmp_path / "transport.json"
+    assert main(["soak", "--suite", "transport", "--scenario", "reorder",
+                 "--mode", "sack", "--output", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "--output" in captured.err and "--mode" in captured.err
     assert not captured.out
     assert not list(tmp_path.iterdir())

@@ -24,6 +24,7 @@ def test_seeds_vary_the_victim_and_schedule():
     reports = [run_fabric_case(seed) for seed in range(6)]
     assert len({r.crash_node for r in reports}) > 1
     assert len({r.crash_at_us for r in reports}) > 1
+    assert [r.fabric for r in reports[:2]] == ["atm-clos", "fe-clos"]
 
 
 def test_heal_reroot_bug_is_caught():
@@ -47,7 +48,7 @@ def test_unknown_bug_is_rejected():
 def test_render_names_the_case_and_verdict():
     report = run_fabric_case(0)
     text = render_fabric_case(report)
-    assert "seed=0" in text and "ok" in text
+    assert "seed=0 on atm-clos" in text and "ok" in text
     bad = run_fabric_case(0, bug="heal-reroot")
     text = render_fabric_case(bad, context=False)
     assert "DIVERGED" in text and "bug=heal-reroot" in text

@@ -209,9 +209,3 @@ def test_in_order_stream(build_pair):
     sim.process(tx())
     sim.run_until_complete(sim.process(rx()))
     assert received == payloads
-
-
-def test_host_send_overhead_reported(build_pair):
-    sim, net, ep1, ep2, ch1, ch2 = build_pair()
-    # Section 4.4: approximately 4.2 us of processor overhead per send
-    assert ep1.host.backend.host_send_overhead_us == pytest.approx(4.2, abs=0.05)

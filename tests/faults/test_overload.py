@@ -11,17 +11,19 @@ import pytest
 
 from repro.faults import (
     OVERLOAD_SCENARIOS,
-    compare_credit,
-    compare_policies,
     render_endpoint_table,
     render_overload_table,
     run_overload,
 )
+from repro.faults.overload import SUITE
+
+#: the seed every containment figure below was measured on
+SEED = 0x0E12
 
 
 @pytest.fixture(scope="module")
 def stalled_results():
-    return compare_policies(OVERLOAD_SCENARIOS["stalled"])
+    return SUITE.grid(OVERLOAD_SCENARIOS["stalled"], seed=SEED)
 
 
 def test_drop_baseline_suffers_under_incast(stalled_results):
@@ -65,7 +67,7 @@ def test_other_sick_scenarios_contained_by_quarantine(name):
 
 
 def test_incast_credit_beats_fixed_senders():
-    fixed, credit = compare_credit(OVERLOAD_SCENARIOS["incast"])
+    fixed, credit = SUITE.grid(OVERLOAD_SCENARIOS["incast"], seed=SEED)
     assert fixed.ok and credit.ok
     assert credit.credit_stalls > 0
     assert fixed.credit_stalls == 0

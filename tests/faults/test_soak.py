@@ -8,22 +8,19 @@ from repro.faults import (
     SCENARIOS,
     SoakScenario,
     UniformLoss,
-    adaptive_config,
-    compare_reliability,
-    fixed_config,
     render_comparison,
     render_soak_table,
     run_scenario,
     wins,
 )
-from repro.faults.soak import RPC_EVERY
+from repro.faults.soak import RPC_EVERY, SUITE
 
 REQUIRED = ("bursty", "reorder", "flap", "combined")
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return compare_reliability([SCENARIOS[name] for name in REQUIRED])
+    return [r for name in REQUIRED for r in SUITE.grid(SCENARIOS[name])]
 
 
 def test_every_required_scenario_holds_invariants(comparison):
@@ -55,8 +52,8 @@ def test_fault_stats_recorded_per_pipeline(comparison):
 
 def test_soak_is_deterministic_per_seed():
     scenario = SCENARIOS["bursty"]
-    a = run_scenario(scenario, config=adaptive_config(), seed=42, mode="adaptive")
-    b = run_scenario(scenario, config=adaptive_config(), seed=42, mode="adaptive")
+    a = run_scenario(scenario, "adaptive", seed=42)
+    b = run_scenario(scenario, "adaptive", seed=42)
     assert (a.completion_time_us, a.retransmissions, a.timeouts, a.fast_retransmits,
             a.acks_sent) == (b.completion_time_us, b.retransmissions, b.timeouts,
                              b.fast_retransmits, b.acks_sent)
@@ -64,7 +61,7 @@ def test_soak_is_deterministic_per_seed():
 
 def test_atm_substrate_scenario():
     scenario = dataclasses.replace(SCENARIOS["bursty-atm"], messages=30)
-    r = run_scenario(scenario, config=adaptive_config(), mode="adaptive")
+    r = run_scenario(scenario, "adaptive")
     assert r.ok, r.violations
     assert r.retransmissions > 0  # faults actually hit the cell path
 
@@ -73,7 +70,7 @@ def test_termination_violation_is_detected():
     # a time limit too short for even the clean path must be reported
     # as a termination violation, not silently pass
     impossible = dataclasses.replace(SCENARIOS["bursty"], time_limit_us=50.0)
-    r = run_scenario(impossible, config=fixed_config())
+    r = run_scenario(impossible)
     assert not r.completed
     assert not r.ok
     assert any("termination" in v for v in r.violations)

@@ -47,19 +47,14 @@ def _each(category, owner, *params):
 
 #: ``module:qualname.param`` -> reason category (module docstring)
 KEPT = {
-    # set where the walk cannot see: ``Suite.run(scenario, progress,
-    # **given)``, the conformance ``runner(name)(case, bug=...)`` table,
+    # set where the walk cannot see: the conformance
+    # ``runner(name)(case, bug=...)`` table,
     # ``add_host(**where)``, ``make_transport(kind, name, **kwargs)``
     # and an event's callback list
     **_each(SET_UNSEEN, "repro.conformance.checker:run_substrate", "bug"),
     **_each(SET_UNSEEN, "repro.live.conform:run_live_case", "bug"),
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
-    **_each(SET_UNSEEN, "repro.faults.fabricsoak:_run_suite", "seed"),
-    **_each(SET_UNSEEN, "repro.faults.multitenant:_run_suite", "seed"),
-    **_each(SET_UNSEEN, "repro.faults.overload:_run_suite", "credit", "policy", "seed"),
-    **_each(SET_UNSEEN, "repro.faults.soak:_run_suite", "mode", "progress", "seed"),
-    **_each(SET_UNSEEN, "repro.faults.transport:_run_suite", "seed"),
     **_each(SET_UNSEEN, "repro.live.transport:UdpLoopbackTransport.__init__", "use_mmsg"),
     **_each(SET_UNSEEN, "repro.live.transport:UnixDgramTransport.__init__", "use_mmsg"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
