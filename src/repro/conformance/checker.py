@@ -226,13 +226,14 @@ class CaseRig:
 
     Builds the case's two nodes through the substrate's
     ``add_node(name) -> (backend, create_endpoint)`` and ``connect``,
-    with ``am_class`` endpoints on them; attaches the observation probe,
-    builds the content-addressed fault stages (the runner installs them
-    at its substrate's ingress) and registers the payload-checking
-    handlers; drives the case's traffic as one process (:meth:`drive`);
-    and reduces what was observed to the :class:`ObservedTrace`.  A
-    runner only supplies the substrate and runs the process: on a
-    simulator, or on a live cluster's wall-clock runner.
+    with ``am_class`` endpoints on them; attaches the observation probe
+    and the content-addressed fault pipelines (at each backend's
+    delivery hook, the same on either clock) and registers the
+    payload-checking handlers; drives the case's traffic as one process
+    (:meth:`drive`); and reduces what was observed to the
+    :class:`ObservedTrace`, restoring the hooks.  A runner only
+    supplies the substrate and runs the process: on a simulator, or on
+    a live cluster's wall-clock runner.
     """
 
     def __init__(self, case: ConformanceCase, name: str, add_node: Callable,
@@ -258,26 +259,26 @@ class CaseRig:
         self.probe.attach(backend1)
         # the scripted stage at node 1 sees the request path, the one at
         # node 0 the reply path — keyed by packet identity, not arrival
-        # index
+        # index.  Lifecycle triggers ride after the scripted stage: a
+        # scripted drop never reaches the victim, so it must not fire a
+        # crash either
         self.fwd_stage = ScriptedStage(case.fwd_faults(), backend1.wire)
         self.rev_stage = ScriptedStage(case.rev_faults(), backend0.wire)
         self.fwd_events = case.fwd_lifecycle()
         self.fwd_life = None
+        fwd = [self.fwd_stage]
         if self.fwd_events:
             lifecycle = EndpointLifecycle(crash=am1.crash, restart=am1.restart)
             self.fwd_life = LifecycleStage(self.fwd_events, backend1.wire,
                                            lifecycle.fire)
+            fwd.append(self.fwd_life)
+        self.pipelines = (
+            attach_pipeline(backend1, fwd, prefix="conformance.fwd"),
+            attach_pipeline(backend0, [self.rev_stage], prefix="conformance.rev"))
         self.integrity_failures: List[int] = []
         self.rpc_errors: List[str] = []
         am1.register_handler(1, self.check_payload)
         am1.register_handler(2, self._echo_rpc)
-
-    @property
-    def fwd_stages(self) -> list:
-        """Node 1's ingress stages, in order: lifecycle triggers ride
-        after the scripted stage, because a scripted drop never reaches
-        the victim and so must not fire a crash either."""
-        return [s for s in (self.fwd_stage, self.fwd_life) if s is not None]
 
     def check_payload(self, ctx) -> None:
         i = ctx.args[0]
@@ -326,6 +327,8 @@ class CaseRig:
         return bool(process.triggered) and process.ok and process.value is not None
 
     def finish(self, process, limit_us: float) -> ObservedTrace:
+        for pipeline in self.pipelines:
+            pipeline.restore()
         completed = self.completed(process)
         probe = self.probe
         for line in self.rpc_errors:
@@ -366,10 +369,6 @@ def run_substrate(case: ConformanceCase, substrate: str,
 
         rig = CaseRig(case, substrate, add_node, net.connect, AmEndpoint)
         am0, am1 = rig.am0, rig.am1
-        pipelines = [
-            attach_pipeline(rig.backend1, rig.fwd_stages, prefix="conformance.fwd"),
-            attach_pipeline(rig.backend0, [rig.rev_stage], prefix="conformance.rev"),
-        ]
         with net:
             process = sim.process(rig.drive(sim, am0.request, am0.rpc),
                                   name="conformance.traffic")
@@ -379,10 +378,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
                 am1.shutdown()
                 sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
 
-        trace = rig.finish(process, case.time_limit_us)
-        for pipeline in pipelines:
-            pipeline.restore()
-        return trace
+        return rig.finish(process, case.time_limit_us)
 
 
 # ------------------------------------------------------------------- diffing

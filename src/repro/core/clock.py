@@ -16,16 +16,20 @@ it — so time flows through an explicit :class:`Clock` object instead:
   allowlists.
 
 :class:`ClockShim` adapts a :class:`Clock` to the tiny ``sim`` surface
-the substrate-independent core touches on the data path (``sim.now``),
-letting the live backend reuse :class:`~repro.core.endpoint.Endpoint`
-verbatim — same descriptor validation, same drop accounting, same
-event stream — without an event engine per node: a live run's
+the substrate-independent core touches on the data path (``sim.now``,
+and ``sim.call_in`` for a fault pipeline's delays), letting the live
+backend reuse :class:`~repro.core.endpoint.Endpoint` and the fault
+pipeline verbatim — same descriptor validation, same drop accounting,
+same event stream — without an event engine per node: a live run's
 processes share its cluster's one wall-clock runner.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
+from typing import Callable, List, Tuple
 
 __all__ = ["Clock", "ManualClock", "ClockShim"]
 
@@ -71,20 +75,39 @@ class ClockShim:
     """Duck-typed stand-in for a :class:`~repro.sim.engine.Simulator`.
 
     Exposes exactly the surface the core data-path classes touch
-    (``sim.now`` for timestamps and activity tracking).  The blocking
-    primitives (``event()``/``timeout()``/``process()``) raise: a live
-    endpoint is polled, and a process that waits on one runs on its
-    cluster's wall-clock runner (``LiveCluster.sim``, ``run``,
-    ``poll``), never on a backend's shim — so an attempt to block
-    through the shim is a layering bug worth failing loudly on.
+    (``sim.now`` for timestamps and activity tracking, ``sim.call_in``
+    for a PDU a fault stage delays, run by the backend's service pass
+    through :meth:`fire_due`).  The blocking primitives
+    (``event()``/``timeout()``/``process()``) raise: a live endpoint is
+    polled, and a process that waits on one runs on its cluster's
+    wall-clock runner (``LiveCluster.sim``, ``run``, ``poll``), never on
+    a backend's shim — so an attempt to block through the shim is a
+    layering bug worth failing loudly on.
     """
 
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
+        #: (due_us, order, fn, args) — calls waiting for :meth:`fire_due`
+        self._due: List[Tuple[float, int, Callable, tuple]] = []
+        self._order = itertools.count()
 
     @property
     def now(self) -> float:
         return self.clock.now_us()
+
+    def call_in(self, delay: float, fn: Callable, *args) -> None:
+        """Call ``fn(*args)`` from the first :meth:`fire_due` at least
+        ``delay`` us from now; equal due times fire in call order."""
+        heapq.heappush(self._due, (self.clock.now_us() + delay, next(self._order), fn, args))
+
+    def fire_due(self) -> int:
+        """Make every call whose time has come; returns how many."""
+        fired = 0
+        while self._due and self._due[0][0] <= self.clock.now_us():
+            _when, _order, fn, args = heapq.heappop(self._due)
+            fn(*args)
+            fired += 1
+        return fired
 
     def event(self, name: str = ""):  # pragma: no cover - defensive
         raise RuntimeError(

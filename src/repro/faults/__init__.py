@@ -3,10 +3,10 @@
 The paper's U-Net "offers no retransmission or flow control" (Section
 3.1); everything above it must earn its reliability.  This package
 supplies the adversary: perturbation models (:mod:`~repro.faults.perturb`)
-composed into pipelines attached to either substrate's delivery hook
-(:mod:`~repro.faults.inject`), endpoint-level faults — receivers that
-stall, lag, or leak, and senders that post garbage descriptors
-(:mod:`~repro.faults.receiver`) — and soak harnesses that drive
+composed into pipelines attached to the delivery hook of any substrate,
+the live one included (:mod:`~repro.faults.inject`); endpoint-level
+faults — receivers that stall, lag, or leak, and senders that post
+garbage descriptors (:mod:`~repro.faults.receiver`); and soak harnesses that drive
 traffic through named scenarios while checking delivery invariants:
 wire chaos (:mod:`~repro.faults.soak`), service-capacity overload
 (:mod:`~repro.faults.overload`), and multi-tenant churn with QoS
@@ -27,8 +27,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "render_endpoint_table", "render_overload_table", "run_overload",
     ),
     ".crash": (
-        "ChainedStage", "CrashFault", "EndpointLifecycle", "LifecycleFault",
-        "LifecycleStage", "RestartFault",
+        "CrashFault", "EndpointLifecycle", "LifecycleFault", "LifecycleStage",
+        "RestartFault",
     ),
     ".scripted": ("ScheduledFault", "ScriptedStage"),
     ".fabric": (

@@ -38,7 +38,7 @@ from .perturb import Emit
 from .scripted import OccurrenceTracker
 
 __all__ = ["LifecycleFault", "CrashFault", "RestartFault",
-           "EndpointLifecycle", "LifecycleStage", "ChainedStage"]
+           "EndpointLifecycle", "LifecycleStage"]
 
 _KINDS = ("crash", "restart")
 
@@ -126,7 +126,9 @@ class LifecycleStage(OccurrenceTracker):
     first unit of the addressed PDU (where its AM header rides).
 
     It never perturbs a PDU, but it is a pipeline stage like any other,
-    so it slots into the same pipelines and ingress hooks.
+    so it rides the same pipelines on every substrate — after any
+    scripted stage, because a dropped transmission never reaches the
+    victim and so must not fire a trigger either.
     """
 
     def __init__(self, events: Sequence[LifecycleFault], wire,
@@ -142,33 +144,3 @@ class LifecycleStage(OccurrenceTracker):
         if first and event is not None:
             self._fire(event, now)
         emit(unit, 0.0)
-
-
-class ChainedStage:
-    """Compose stages into one ``process(pdu, now, emit)`` hook.
-
-    The live backend exposes a single ingress-stage slot; a conformance
-    crash case needs both its scripted wire faults *and* its lifecycle
-    triggers there.  Delays accumulate left to right, and a stage that
-    swallows a PDU (scripted ``drop``) naturally stops the chain for it
-    — a dropped transmission never reaches the victim, so it must not
-    fire a lifecycle trigger either.
-    """
-
-    def __init__(self, *stages) -> None:
-        self.stages = [stage for stage in stages if stage is not None]
-
-    def process(self, pdu, now: float, emit: Emit) -> None:
-        def run(index: int, item, offset: float) -> None:
-            if index == len(self.stages):
-                emit(item, offset)
-                return
-            self.stages[index].process(
-                item, now + offset,
-                lambda nxt, delay=0.0: run(index + 1, nxt, offset + delay))
-        run(0, pdu, 0.0)
-
-    def reset(self) -> None:
-        for stage in self.stages:
-            if hasattr(stage, "reset"):
-                stage.reset()

@@ -1,9 +1,10 @@
 """Attach perturbation pipelines to the substrates' delivery hooks.
 
-Both substrates late-bind their ingress callback precisely so that
+Every substrate late-binds its ingress callback precisely so that
 fault machinery can interpose: the DC21140 receives frames through
-``nic._on_frame`` and the PCA-200 receives cells through
-``backend.on_cell``.  A :class:`PerturbationPipeline` swaps such a hook
+``nic._on_frame``, the PCA-200 receives cells through
+``backend.on_cell`` and U-Net/OS receives datagrams through
+``backend._deliver``.  A :class:`PerturbationPipeline` swaps such a hook
 for a chain of :class:`~repro.faults.perturb.LinkPerturbation` stages
 and puts it back on :meth:`~PerturbationPipeline.restore` — also
 available as a context manager, so tests can scope faults to a block::
@@ -14,7 +15,9 @@ available as a context manager, so tests can scope faults to a block::
 
 Which hooks a backend exposes is its ``rx_fault_hooks()``; what its
 PDUs look like is its ``wire``, which the pipeline hands to its stages.
-One pipeline class serves every substrate.
+One pipeline class serves every substrate.  The swap and its undo are
+:class:`Interposer`'s, which the endpoint faults of
+:mod:`repro.faults.receiver` share.
 """
 
 from __future__ import annotations
@@ -25,18 +28,67 @@ from ..sim.rng import RngRegistry
 from ..telemetry import read
 from .perturb import LinkPerturbation, PerturbationContext
 
-__all__ = ["PerturbationPipeline", "attach_pipeline"]
+__all__ = ["Interposer", "PerturbationPipeline", "attach_pipeline"]
 
 
-class PerturbationPipeline:
+class Interposer:
+    """Replaces attributes for as long as it is attached.
+
+    A subclass names what it swaps in :meth:`_hook_points`; attach
+    happens in the constructor, :meth:`restore` (or leaving the
+    ``with`` block) puts the originals back — an instance override is
+    dropped where the original was a plain method — and then runs
+    :meth:`_on_restore`.  Both are idempotent.
+    """
+
+    def __init__(self) -> None:
+        self._saved: Optional[List[Tuple[object, str, object, bool]]] = None
+        self.attach()
+
+    def _hook_points(self) -> List[Tuple[object, str, object]]:
+        """``(owner, attribute, replacement)`` triples to interpose."""
+        raise NotImplementedError
+
+    def _on_restore(self) -> None:
+        """Subclass hook: undo side effects beyond the swap."""
+
+    @property
+    def attached(self) -> bool:
+        return self._saved is not None
+
+    def attach(self) -> "Interposer":
+        if self._saved is None:
+            self._saved = []
+            for owner, attr, replacement in self._hook_points():
+                self._saved.append((owner, attr, getattr(owner, attr), attr in vars(owner)))
+                setattr(owner, attr, replacement)
+        return self
+
+    def restore(self) -> None:
+        if self._saved is None:
+            return
+        for owner, attr, original, shadowed in self._saved:
+            if shadowed:
+                setattr(owner, attr, original)
+            else:
+                delattr(owner, attr)
+        self._saved = None
+        self._on_restore()
+
+    def __enter__(self) -> "Interposer":
+        return self.attach()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.restore()
+
+
+class PerturbationPipeline(Interposer):
     """A chain of perturbation stages interposed on delivery hooks.
 
     The backend says where the hooks live (``rx_fault_hooks()``) and
-    what its PDUs are (``wire``).  Attach happens in the constructor;
-    :meth:`restore` (or leaving the ``with`` block) puts the original
-    hooks back.  Stage order is pipeline order: a PDU surviving stage
-    *i* feeds stage *i+1*; delays accumulate and are paid once at the
-    end, preserving each stage's view of arrival time.
+    what its PDUs are (``wire``).  Stage order is pipeline order: a PDU
+    surviving stage *i* feeds stage *i+1*; delays accumulate and are
+    paid once at the end, preserving each stage's view of arrival time.
     """
 
     def __init__(
@@ -55,44 +107,14 @@ class PerturbationPipeline:
             stage.attach(ctx)
         self.injected = 0
         self.delivered = 0
-        self._saved: Optional[List[Tuple[object, str, object, bool]]] = None
-        self.attach()
+        super().__init__()
 
-    # ------------------------------------------------------------ lifecycle
-    @property
-    def attached(self) -> bool:
-        return self._saved is not None
-
-    def attach(self) -> "PerturbationPipeline":
-        """Interpose on every hook point — one per controller, so bonded
-        dual-NIC hosts are perturbed on both rails (idempotent)."""
-        if self._saved is not None:
-            return self
-        self._saved = []
-        for owner, attr in self.backend.rx_fault_hooks():
-            original = getattr(owner, attr)
-            shadowed = attr in vars(owner)
-            setattr(owner, attr, lambda pdu, _deliver=original: self._inject(pdu, _deliver))
-            self._saved.append((owner, attr, original, shadowed))
-        return self
-
-    def restore(self) -> None:
-        """Put the original delivery hooks back (idempotent)."""
-        if self._saved is None:
-            return
-        for owner, attr, original, shadowed in self._saved:
-            if shadowed:
-                setattr(owner, attr, original)
-            else:
-                # the hook was a plain method: drop our instance override
-                delattr(owner, attr)
-        self._saved = None
-
-    def __enter__(self) -> "PerturbationPipeline":
-        return self.attach()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.restore()
+    def _hook_points(self):
+        """Every hook point — one per controller, so bonded dual-NIC
+        hosts are perturbed on both rails."""
+        return [(owner, attr,
+                 lambda pdu, _deliver=getattr(owner, attr): self._inject(pdu, _deliver))
+                for owner, attr in self.backend.rx_fault_hooks()]
 
     # ------------------------------------------------------------- datapath
     def _inject(self, pdu, deliver) -> None:

@@ -21,8 +21,9 @@ misbehaving endpoint's own queues:
   protection boundary, plus :func:`forge_unknown_traffic` to land
   wire traffic carrying tags nobody registered.
 
-All interposers follow the pipeline idiom: attach in the constructor,
-``restore()`` (or leave the ``with`` block) to put the endpoint back.
+The receiver faults are :class:`~repro.faults.inject.Interposer`
+subclasses, like the pipelines: attach in the constructor, ``restore()`` (or leave
+the ``with`` block) to put the endpoint back.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Generator, List, Optional, Tuple
 from ..core.api import UserEndpoint
 from ..core.descriptors import SendDescriptor
 from ..core.errors import UNetError
+from .inject import Interposer
 
 __all__ = [
     "ReceiverFault",
@@ -44,13 +46,12 @@ __all__ = [
 ]
 
 
-class ReceiverFault:
+class ReceiverFault(Interposer):
     """Base interposer over one endpoint's application-side methods.
 
     Subclasses declare replacement methods via :meth:`_hook_points`
-    and what they count in ``COUNTERS`` (:mod:`repro.telemetry`);
-    attach/restore follow the fault-pipeline idiom (idempotent, context
-    manager), so tests can scope a sick receiver to a block.
+    and what they count in ``COUNTERS`` (:mod:`repro.telemetry`), so
+    tests can scope a sick receiver to a ``with`` block.
     """
 
     COUNTERS: Tuple[str, ...] = ()
@@ -59,45 +60,7 @@ class ReceiverFault:
         self.user = user
         self.endpoint = user.endpoint
         self.sim = user.sim
-        self._saved: Optional[List[Tuple[object, str, object, bool]]] = None
-        self.attach()
-
-    def _hook_points(self) -> List[Tuple[object, str, object]]:
-        """``(owner, attribute, replacement)`` triples to interpose."""
-        raise NotImplementedError
-
-    @property
-    def attached(self) -> bool:
-        return self._saved is not None
-
-    def attach(self) -> "ReceiverFault":
-        if self._saved is None:
-            self._saved = []
-            for owner, attr, replacement in self._hook_points():
-                original = getattr(owner, attr)
-                self._saved.append((owner, attr, original, attr in vars(owner)))
-                setattr(owner, attr, replacement)
-        return self
-
-    def restore(self) -> None:
-        if self._saved is None:
-            return
-        for owner, attr, original, shadowed in self._saved:
-            if shadowed:
-                setattr(owner, attr, original)
-            else:
-                delattr(owner, attr)
-        self._saved = None
-        self._on_restore()
-
-    def _on_restore(self) -> None:
-        """Subclass hook: undo side effects beyond the method swap."""
-
-    def __enter__(self) -> "ReceiverFault":
-        return self.attach()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.restore()
+        super().__init__()
 
 
 class SlowReceiver(ReceiverFault):

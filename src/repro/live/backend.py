@@ -27,7 +27,6 @@ boundary, exactly as the NI firmware does.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
@@ -89,8 +88,9 @@ class LiveTag:
 class DatagramWire:
     """U-Net/OS's wire as the fault layer sees it (``backend.wire``):
     every datagram is a whole PDU, the frame header then one AM packet.
-    No pipeline attaches here (the ingress slot takes a stage directly),
-    so nothing corrupts or forges a datagram."""
+    A pipeline attaches at ``LiveBackend._deliver`` as on every
+    substrate, but this wire declares no ``corrupt`` or ``forge``:
+    ``Corrupt`` and ``forge_unknown_traffic`` stay simulated-only."""
 
     @staticmethod
     def pdu(raw: bytes):
@@ -145,12 +145,6 @@ class LiveBackend(UNetBackend):
             self._tx_pool = None
             self._rx_pool = None
         self._next_port = 1
-        #: optional ingress fault stage (conformance schedules interpose
-        #: here, at the framing layer): ``process(raw, now_us, emit)``
-        self._ingress_stage = None
-        #: (due_us, tiebreak, raw) — datagrams a fault stage delayed
-        self._held: List[Tuple[float, int, bytes]] = []
-        self._held_count = 0
         self.closed = False
 
     # -- endpoint lifecycle ------------------------------------------------
@@ -162,7 +156,7 @@ class LiveBackend(UNetBackend):
     def defer_kick(self) -> bool:
         """Batched mode rings the doorbell per service pass, not per
         send: producers enqueue with ``kick=False`` and the next pass
-        flushes a whole batch in one ``sendmmsg``."""
+        flushes each destination's batch in one ``sendmmsg``."""
         return self._tx_pool is not None
 
     def create_user_endpoint(self, config: Optional[EndpointConfig] = None,
@@ -230,9 +224,10 @@ class LiveBackend(UNetBackend):
         slice_.length = offset
 
     def _kick_batched(self, endpoint: Endpoint) -> int:
-        """Batched doorbell: compose a queue prefix into the TX pool,
-        flush it in one ``send_many``, pop exactly what the kernel
-        accepted.  Identical backpressure contract to the scalar loop —
+        """Batched doorbell: compose the queue prefix bound for the head's
+        destination into the TX pool, flush it in one ``send_many_to``,
+        pop exactly what the kernel accepted, then go on with the next
+        destination.  Identical backpressure contract to the scalar loop —
         the unaccepted tail stays queued, FIFO order intact."""
         pool = self._tx_pool
         sent = 0
@@ -240,24 +235,26 @@ class LiveBackend(UNetBackend):
             head = endpoint.send_queue.peek()
             if head is None:
                 break
-            if endpoint.channels.get(head.channel_id) is None:
+            binding = endpoint.channels.get(head.channel_id)
+            if binding is None:
                 # validated at post_send; a vanished channel means teardown
                 endpoint.take_send_descriptor()
                 continue
+            dest = binding.tag.dest_address
             descriptors = endpoint.send_queue.peek_many(
                 min(POOL_SLOTS, self.transport.tx_hint))
             slices = pool.take(len(descriptors))
-            batch: List[Tuple[object, PooledSlice]] = []
+            batch: List[PooledSlice] = []
             bindings = []
             for descriptor, slice_ in zip(descriptors, slices):
                 binding = endpoint.channels.get(descriptor.channel_id)
-                if binding is None:
-                    break  # flush up to here; it becomes the head next pass
+                if binding is None or binding.tag.dest_address != dest:
+                    break  # flush up to here; it becomes the head next round
                 self._compose_frame(endpoint, descriptor, binding.tag, slice_)
-                batch.append((binding.tag.dest_address, slice_))
+                batch.append(slice_)
                 bindings.append(binding)
             try:
-                accepted = self.transport.send_many(batch) if batch else 0
+                accepted = self.transport.send_many_to(dest, batch) if batch else 0
             finally:
                 pool.give_back(slices)
             for binding in bindings[:accepted]:
@@ -269,36 +266,32 @@ class LiveBackend(UNetBackend):
         return sent
 
     def service(self) -> int:
-        """One doorbell-loop pass: egress drain, ingress drain, held
-        (fault-delayed) datagrams whose deadline passed.  Returns the
-        number of datagrams delivered toward endpoints."""
+        """One doorbell-loop pass: egress drain, ingress drain, then what
+        a fault stage delayed and is now due (``sim.fire_due``).  Returns
+        the number of datagrams that arrived — "something moved"."""
         if self.closed:
             return 0
         for endpoint in self.endpoints:
             if not endpoint.send_queue.is_empty:
                 self.kick(endpoint)
-        delivered = 0
-        now = self.clock.now_us()
+        deliver = self._deliver
         if self._rx_pool is not None:
+            # a fault pipeline on ``_deliver`` may hold a datagram past
+            # this pass: it gets bytes, so a recycled slot cannot alias it
+            hooked = "_deliver" in vars(self)
             slices = self.transport.recv_batch_into(self._rx_pool)
             try:
                 for slice_ in slices:
-                    if self._ingress_stage is None:
-                        delivered += self._deliver(slice_.payload())
-                    else:
-                        # a fault stage may hold the datagram past this
-                        # pass; materialize so the recycled slot can't
-                        # alias what the stage is still holding
-                        delivered += self._ingress(bytes(slice_.payload()), now)
+                    deliver(bytes(slice_.payload()) if hooked else slice_.payload())
             finally:
                 self._rx_pool.give_back(slices)
+            arrived = len(slices)
         else:
-            for raw in self.transport.recv_batch():
-                delivered += self._ingress(raw, now)
-        while self._held and self._held[0][0] <= self.clock.now_us():
-            _due, _n, raw = heapq.heappop(self._held)
-            delivered += self._deliver(raw)
-        return delivered
+            datagrams = self.transport.recv_batch()
+            for raw in datagrams:
+                deliver(raw)
+            arrived = len(datagrams)
+        return arrived + self.sim.fire_due()
 
     def service_fast(self, on_message) -> int:
         """Fast-path doorbell pass: batched ingress delivered as
@@ -350,41 +343,27 @@ class LiveBackend(UNetBackend):
             pool.give_back(slices)
         return delivered
 
-    def install_ingress_stage(self, stage) -> None:
-        """Interpose a fault stage at the framing layer (ingress side)."""
-        self._ingress_stage = stage
+    def rx_fault_hooks(self):
+        """Delivery hook points a fault pipeline may interpose on: every
+        datagram, from either service path's drain, funnels through
+        :meth:`_deliver`."""
+        return [(self, "_deliver")]
 
-    def _ingress(self, raw: bytes, now: float) -> int:
-        if self._ingress_stage is None:
-            return self._deliver(raw)
-        delivered = 0
-
-        def emit(pdu, delay_us: float = 0.0) -> None:
-            nonlocal delivered
-            if delay_us <= 0.0:
-                delivered += self._deliver(pdu)
-            else:
-                self._held_count += 1
-                heapq.heappush(self._held, (now + delay_us, self._held_count, pdu))
-
-        self._ingress_stage.process(raw, now, emit)
-        return delivered
-
-    def _deliver(self, raw) -> int:
+    def _deliver(self, raw) -> None:
         """Demux one datagram (``bytes`` or a pool-slice ``memoryview``)
         to its endpoint's receive queue."""
         if len(raw) < FRAME_HEADER_SIZE:
-            return 0
+            return
         dst_port, src_node, src_port = struct.unpack_from(FRAME_HEADER, raw, 0)
         payload = raw[FRAME_HEADER_SIZE:]
         entry = self.demux.lookup((dst_port, src_node, src_port))
         if entry is None:
-            return 0  # unknown tag: counted by the demux table
+            return  # unknown tag: counted by the demux table
         endpoint, channel_id = entry
         if endpoint.quarantined:
             self.quarantine_drops += 1
             endpoint.note_drop("quarantine_drops")
-            return 0
+            return
         if len(payload) <= SMALL_MESSAGE_MAX:
             # inline descriptors own their bytes (the slice is recycled
             # after this call); bytes(bytes) is free for the scalar path
@@ -402,7 +381,7 @@ class LiveBackend(UNetBackend):
                         endpoint.donate_free_buffer(idx)
                     self.no_buffer_drops += 1
                     endpoint.note_drop("no_buffer_drops")
-                    return 0
+                    return
                 indices.append(index)
             segments = []
             for k, index in enumerate(indices):
@@ -418,8 +397,6 @@ class LiveBackend(UNetBackend):
             for index, _length in descriptor.segments:
                 endpoint.donate_free_buffer(index)
             self.recv_queue_drops += 1
-            return 0
-        return 1
 
     def close(self) -> None:
         """Idempotent teardown: the socket FD is released exactly once,
@@ -433,7 +410,6 @@ class LiveBackend(UNetBackend):
             self.transport.close()
         finally:
             super().close()
-            self._held.clear()
 
 
 class LiveUserEndpoint(UserEndpointBase):
@@ -615,7 +591,7 @@ class LiveCluster(Closing):
             (port_a, node_b.node_id, port_b), (port_b, node_a.node_id, port_a))
 
     def step(self) -> int:
-        """Service every node once; returns datagrams delivered."""
+        """Service every node once; returns datagrams that arrived."""
         return sum(node.service() for node in self.nodes)
 
     # -- the wall-clock runner -----------------------------------------------

@@ -3,8 +3,8 @@
 ``run_live_case`` runs the *same* workload process
 (:meth:`~repro.conformance.checker.CaseRig.drive`) and content-addressed
 fault schedule the simulated substrates run — the process on the live
-cluster's wall-clock runner, the faults applied at the live framing
-layer by a :class:`~repro.faults.scripted.ScriptedStage` reading
+cluster's wall-clock runner, the faults attached by the rig at the live
+framing layer (``LiveBackend._deliver``), the stages reading
 :class:`~repro.live.backend.DatagramWire` — and returns the same
 :class:`~repro.conformance.observe.ObservedTrace`, so the differential
 checker can diff ATM vs FE vs reference model vs wall clock in one
@@ -31,7 +31,6 @@ from typing import Callable, Optional
 from ..conformance.checker import CaseRig, SubstrateUnavailable, inject_bug
 from ..conformance.observe import ObservedTrace
 from ..conformance.schedule import ConformanceCase
-from ..faults.crash import ChainedStage
 from .am import LiveAm
 from .backend import LiveCluster
 from .clock import WallClock
@@ -67,9 +66,6 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
 
         rig = CaseRig(case, f"live-{transport_kind}", add_node, cluster.connect, LiveAm)
         am0, am1 = rig.am0, rig.am1
-        # one ingress slot on the live backend: chain node 1's stages
-        rig.backend1.install_ingress_stage(ChainedStage(*rig.fwd_stages))
-        rig.backend0.install_ingress_stage(rig.rev_stage)
 
         def rpc(dest, handler, args, data):
             seq = yield from cluster.poll(partial(am0.start_rpc, dest, handler, args, data))

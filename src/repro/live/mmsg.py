@@ -167,11 +167,11 @@ class MmsgBatch:
         self._rx_armed = 0  # slots already pointed at msg_name=NULL
 
     # -- slot state ------------------------------------------------------------
-    def _named(self, names: Sequence[bytes]) -> None:
-        """Slot ``i`` carries sockaddr ``names[i]``; a slot is re-armed
+    def _named(self, name: bytes, count: int) -> None:
+        """Slots ``0..count-1`` carry sockaddr ``name``; a slot is re-armed
         (after a receive or a connected send) only where it changed."""
         slot_name = self._slot_name
-        for i, name in enumerate(names):
+        for i in range(count):
             if slot_name[i] != name:
                 self._names[i].raw = name
                 hdr = self._headers[i].msg_hdr
@@ -232,34 +232,23 @@ class MmsgBatch:
             raise OSError(err, f"sendmmsg failed: errno {err}")
         return sent
 
-    def sendmmsg(self, fd: int,
-                 msgs: Sequence[Tuple[bytes, object]]) -> int:
-        """Send ``[(packed_sockaddr, payload), ...]`` in one syscall.
-
-        Returns how many the kernel accepted (0..len).  Raises OSError
-        with the kernel errno when not even the first one went —
-        EAGAIN/ECONNREFUSED dispositions are the *caller's* policy, the
-        same as for a scalar ``sendto``.
-        """
-        msgs = msgs[:self.max_batch]
-        self._named([name for name, _payload in msgs])
-        return self._send(fd, [payload for _name, payload in msgs], len(msgs))
-
     def sendmmsg_same(self, fd: int, name: Optional[bytes],
                       payloads: Sequence) -> int:
-        """:meth:`sendmmsg` with every datagram bound for ``name``.
+        """Send ``payloads`` to the packed sockaddr ``name`` in one syscall.
 
-        The single-destination shape of a channel burst: no
-        ``(dest, payload)`` pairs are built.  ``name=None`` sends on a
-        connected socket — msg_name NULL, the same slot state receives
-        use, so the arming bookkeeping is shared and steady-state bursts
-        store nothing.
+        Returns how many the kernel accepted (0..len, at most
+        ``max_batch``).  Raises OSError with the kernel errno when not
+        even the first one went — EAGAIN/ECONNREFUSED dispositions are
+        the *caller's* policy, the same as for a scalar ``sendto``.
+        ``name=None`` sends on a connected socket — msg_name NULL, the
+        same slot state receives use, so the arming bookkeeping is
+        shared and steady-state bursts store nothing.
         """
         count = min(len(payloads), self.max_batch)
         if name is None:
             self._unnamed(count)
         else:
-            self._named([name] * count)
+            self._named(name, count)
         return self._send(fd, payloads, count)
 
     # -- ingress -------------------------------------------------------------

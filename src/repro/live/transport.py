@@ -233,70 +233,18 @@ class LiveTransport:
         fn = getattr(payload, "payload", None)
         return fn() if fn is not None else payload
 
-    def send_many(self, msgs: List[Tuple[object, object]]) -> int:
-        """Send ``[(dest, payload), ...]``; payloads are ``bytes`` or
+    def send_many_to(self, dest, payloads: List) -> int:
+        """Send ``payloads`` to ``dest``; each is ``bytes`` or a
         :class:`~repro.live.bufpool.PooledSlice`.
 
         Returns how many datagrams were *disposed of* — accepted by the
         kernel or charged to a gone peer, exactly matching the scalar
         :meth:`send` contract per message.  Stops at the first
         would-block so the caller keeps the tail queued; the remainder
-        is untouched and retries on the next doorbell pass.
-        """
-        if self.sock is None:
-            raise TransportError(f"{self.kind} transport is closed")
-        if self.connected_peer is not None:
-            # pinned pairwise socket: every dest is the peer by
-            # construction, and sendmsg wants msg_name NULL
-            return self.send_many_to(self.connected_peer,
-                                     [payload for _dest, payload in msgs])
-        batch = self._tx_batch()
-        if batch is None:
-            accepted = 0
-            for dest, payload in msgs:
-                if not self.send(dest, self._sendable(payload)):
-                    break
-                accepted += 1
-            self._update_tx_hint(accepted, len(msgs))
-            return accepted
-        accepted = 0
-        fd = self.sock.fileno()
-        while accepted < len(msgs):
-            window = [(self._packed_dest(dest), payload)
-                      for dest, payload in msgs[accepted:accepted + batch.max_batch]]
-            self.tx_syscalls += 1
-            try:
-                sent = batch.sendmmsg(fd, window)
-            except OSError as exc:
-                if exc.errno in _WOULD_BLOCK:
-                    self.tx_would_block += 1
-                    break
-                if exc.errno in _PEER_GONE:
-                    # head datagram charged-and-dropped, like scalar send
-                    self.tx_peer_gone += 1
-                    accepted += 1
-                    continue
-                raise
-            if sent == 0:
-                break
-            self.tx_bytes += batch.sent_bytes(sent)
-            self.tx_datagrams += sent
-            accepted += sent
-            if sent < len(window):
-                # a partial acceptance means the next send would block;
-                # treat it as backpressure instead of burning a syscall
-                # (and a full ctypes refill) to hear EAGAIN firsthand
-                break
-        self._update_tx_hint(accepted, len(msgs))
-        return accepted
-
-    def send_many_to(self, dest, payloads: List) -> int:
-        """:meth:`send_many` specialized to one destination.
-
-        U-Net channels are point-to-point, so a burst on one channel is
-        the common case — packing the sockaddr once and skipping the
-        per-message ``(dest, payload)`` pairing is measurably cheaper
-        in the hot loop.  Same contract as :meth:`send_many`.
+        is untouched and retries on the next doorbell pass.  One
+        destination per call: U-Net channels are point-to-point, so the
+        sockaddr is packed once, and a caller whose queue mixes
+        destinations flushes it one destination's prefix at a time.
         """
         if self.sock is None:
             raise TransportError(f"{self.kind} transport is closed")
@@ -336,7 +284,10 @@ class LiveTransport:
             self.tx_datagrams += sent
             accepted += sent
             if sent < len(window):
-                break  # partial acceptance == backpressure (see send_many)
+                # a partial acceptance means the next send would block;
+                # treat it as backpressure instead of burning a syscall
+                # (and a full ctypes refill) to hear EAGAIN firsthand
+                break
         self._update_tx_hint(accepted, total)
         return accepted
 
@@ -519,9 +470,9 @@ def available_transport_kinds() -> Tuple[str, ...]:
     return tuple(k for k in TRANSPORT_KINDS if transport_available(k))
 
 
-def make_transport(kind: str, name: str = "node", **kwargs) -> LiveTransport:
+def make_transport(kind: str, name: str, use_mmsg: Optional[bool] = None) -> LiveTransport:
     if kind == "unix":
-        return UnixDgramTransport(name=name, **kwargs)
+        return UnixDgramTransport(name, use_mmsg)
     if kind == "udp":
-        return UdpLoopbackTransport(name=name, **kwargs)
+        return UdpLoopbackTransport(name, use_mmsg)
     raise TransportError(f"unknown transport kind {kind!r}; choose from {TRANSPORT_KINDS}")

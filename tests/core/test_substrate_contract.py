@@ -95,12 +95,8 @@ class _Pair:
 
     def intercept(self, host, stage):
         """Run ``stage`` on every unit arriving at ``host``, where the
-        fault layer interposes: a pipeline, or the live ingress slot."""
-        backend = self.backends[host]
-        if self.live:
-            backend.install_ingress_stage(stage)
-        else:
-            attach_pipeline(backend, [stage])
+        fault layer interposes: a pipeline on its delivery hook."""
+        attach_pipeline(self.backends[host], [stage])
 
 
 @pytest.fixture(params=SUBSTRATES)

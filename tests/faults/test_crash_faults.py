@@ -1,10 +1,9 @@
-"""Content-addressed lifecycle faults: triggers, ordering, composition."""
+"""Content-addressed lifecycle faults: triggers and ordering."""
 
 import pytest
 
 from repro.am.protocol import TYPE_ACK, TYPE_HELLO, TYPE_REQUEST, Packet, encode
 from repro.faults.crash import (
-    ChainedStage,
     CrashFault,
     EndpointLifecycle,
     LifecycleFault,
@@ -124,63 +123,3 @@ def test_endpoint_lifecycle_maps_kinds_to_actions():
     assert calls == ["crash", "restart"]
     assert life.applied_keys() == [("crash", 2, 0), ("restart", 2, 1)]
     assert [t for _f, t in life.applied] == [5.0, 9.0]
-
-
-# ------------------------------------------------------------ ChainedStage
-class _Delay:
-    def __init__(self, delay):
-        self.delay = delay
-        self.resets = 0
-
-    def process(self, pdu, now, emit):
-        emit(pdu, self.delay)
-
-    def reset(self):
-        self.resets += 1
-
-
-class _DropSeq:
-    """Swallow data packets with the given seq (a scripted 'drop')."""
-
-    def __init__(self, seq):
-        self.seq = seq
-
-    def process(self, pdu, now, emit):
-        from repro.am.protocol import peek_type_seq
-
-        peeked = peek_type_seq(DatagramWire.head(pdu))
-        if peeked is not None and peeked[1] == self.seq:
-            return  # dropped: the chain stops here
-        emit(pdu, 0.0)
-
-
-def test_chain_accumulates_delays():
-    out = []
-    chain = ChainedStage(_Delay(2.0), _Delay(3.0))
-    chain.process(b"x", 10.0, lambda pdu, delay: out.append((pdu, delay)))
-    assert out == [(b"x", 5.0)]
-
-
-def test_chain_drop_stops_lifecycle_trigger():
-    """A transmission the wire swallowed never reached the victim, so it
-    must not fire the lifecycle trigger either — scripted faults chain
-    ahead of lifecycle stages for exactly this reason."""
-    fired = []
-    life = _stage([CrashFault("fwd", 1)],
-                  lambda fault, now: fired.append(fault))
-    chain = ChainedStage(_DropSeq(1), life)
-    out = []
-    emit = lambda pdu, delay: out.append(pdu)
-
-    chain.process(_wire(TYPE_REQUEST, 1), 0.0, emit)   # dropped occurrence 0
-    assert fired == [] and out == []
-    chain.process(_wire(TYPE_REQUEST, 0), 1.0, emit)   # unrelated traffic
-    assert fired == [] and len(out) == 1
-
-
-def test_chain_skips_none_and_resets_children():
-    delay = _Delay(1.0)
-    chain = ChainedStage(delay, None)
-    assert chain.stages == [delay]
-    chain.reset()
-    assert delay.resets == 1

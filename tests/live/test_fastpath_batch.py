@@ -54,8 +54,8 @@ def test_round_trip_and_accounting_match_across_paths(both_paths):
     rx, tx = _pair(use_mmsg=both_paths)
     with rx, tx:
         # 8 datagrams: under max_dgram_qlen, so every send must land
-        msgs = [(rx.address, b"m%03d" % i) for i in range(8)]
-        accepted = tx.send_many(msgs)
+        msgs = [b"m%03d" % i for i in range(8)]
+        accepted = tx.send_many_to(rx.address, msgs)
         assert accepted == 8
         pool = BufferPool(16, 64)
         got = []
@@ -64,7 +64,7 @@ def test_round_trip_and_accounting_match_across_paths(both_paths):
             got.extend(bytes(s.payload()) for s in batch)
             for s in batch:
                 pool.free(s)
-        assert got == [m for _, m in msgs]
+        assert got == msgs
         assert rx.rx_datagrams == 8 and tx.tx_datagrams == 8
         assert pool.free_count == 16
 
@@ -82,7 +82,7 @@ def test_partial_drain_leaves_the_rest_in_the_kernel(both_paths):
     datagrams survive in the kernel buffer for the next pass."""
     rx, tx = _pair(use_mmsg=both_paths)
     with rx, tx:
-        assert tx.send_many([(rx.address, b"x%d" % i) for i in range(6)]) == 6
+        assert tx.send_many_to(rx.address, [b"x%d" % i for i in range(6)]) == 6
         pool = BufferPool(2, 64)
         first = rx.recv_batch_into(pool)
         assert [bytes(s.payload()) for s in first] == [b"x0", b"x1"]
@@ -124,7 +124,7 @@ def test_oversize_datagram_at_slot_n_is_dropped_and_charged(both_paths):
 
 
 def test_send_backpressure_stops_at_the_boundary(both_paths):
-    """Flooding a tiny receive queue: send_many reports the accepted
+    """Flooding a tiny receive queue: send_many_to reports the accepted
     prefix, charges ``tx_would_block``, and the tail is untouched —
     identical disposition to the scalar send contract."""
     rx, tx = _pair(use_mmsg=both_paths)
@@ -132,7 +132,7 @@ def test_send_backpressure_stops_at_the_boundary(both_paths):
         payload = b"y" * 512
         total_sent = 0
         for _ in range(80):  # default unix dgram queue caps well below this
-            accepted = tx.send_many([(rx.address, payload)] * 8)
+            accepted = tx.send_many_to(rx.address, [payload] * 8)
             total_sent += accepted
             if accepted == 0:  # a partial batch isn't charged — EAGAIN is
                 break
@@ -151,13 +151,21 @@ def test_send_backpressure_stops_at_the_boundary(both_paths):
         assert seen == total_sent
 
 
-def test_send_many_to_matches_send_many(both_paths):
-    """The single-destination shape is an optimization, not a fork:
-    same acceptance, same accounting."""
+def test_send_many_to_sends_pool_slices_and_bytes_alike(both_paths):
+    """The batched doorbell hands ``send_many_to`` TX-pool slices, a
+    caller may hand it ``bytes``: each is sent for its valid length,
+    with the same acceptance and accounting."""
     rx, tx = _pair(use_mmsg=both_paths)
     with rx, tx:
-        payloads = [b"z%02d" % i for i in range(8)]
-        assert tx.send_many_to(rx.address, payloads) == 8
+        payloads = [b"z%02d" % i * (i + 1) for i in range(8)]
+        tx_pool = BufferPool(8, 64)
+        slices = tx_pool.take(4)
+        for slice_, data in zip(slices, payloads[::2]):
+            slice_.view[:len(data)] = data
+            slice_.length = len(data)
+        mixed = [item for pair in zip(slices, payloads[1::2]) for item in pair]
+        assert tx.send_many_to(rx.address, mixed) == 8
+        tx_pool.give_back(slices)
         assert tx.tx_datagrams == 8
         assert tx.tx_bytes == sum(len(p) for p in payloads)
         pool = BufferPool(16, 64)
@@ -327,18 +335,18 @@ def test_fast_path_apis_require_batched_mode():
 @mmsg_only
 @settings(max_examples=40, deadline=None)
 @given(rounds=st.lists(st.tuples(
-    st.sampled_from(["two-dest", "same-none", "same-name"]), st.integers(0, 1),
-    st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["bytes", "pool-a", "pool-b"]),
+    st.sampled_from(["same-none", "same-name"]), st.integers(0, 1),
+    st.lists(st.tuples(st.sampled_from(["bytes", "pool-a", "pool-b"]),
                        st.binary(max_size=48)), min_size=1, max_size=4)),
     min_size=1, max_size=12))
 def test_one_batch_stays_coherent_across_every_call_shape(rounds):
     """One :class:`MmsgBatch` driven through every call shape in turn —
-    ``sendmmsg`` to two destinations, ``sendmmsg_same`` on a connected
-    socket (no sockaddr) and to a name, ``recvmmsg`` into slices of two
-    pools and a plain buffer — with payloads from two pools and ``bytes``
-    of varying lengths.  The batch caches each slot's sockaddr, base and
-    length; every datagram must still arrive intact at the socket it
-    was sent to."""
+    ``sendmmsg_same`` on a connected socket (no sockaddr) and to either
+    of two names, ``recvmmsg`` into slices of two pools and a plain
+    buffer — with payloads from two pools and ``bytes`` of varying
+    lengths.  The batch caches each slot's sockaddr, base and length;
+    every datagram must still arrive intact at the socket it was sent
+    to."""
     import socket
     from collections import deque
 
@@ -354,7 +362,7 @@ def test_one_batch_stays_coherent_across_every_call_shape(rounds):
         expected = (deque(), deque())
         for shape, dest, msgs in rounds:
             payloads, lent = [], []
-            for _dest, kind, data in msgs:
+            for kind, data in msgs:
                 if kind == "bytes":
                     payloads.append(data)
                     continue
@@ -363,19 +371,13 @@ def test_one_batch_stays_coherent_across_every_call_shape(rounds):
                 slice_.length = len(data)
                 payloads.append(slice_)
                 lent.append(slice_)
-            if shape == "two-dest":
-                sent = batch.sendmmsg(tx.sock.fileno(), [
-                    (names[d], payload) for (d, _k, _b), payload in zip(msgs, payloads)])
-                targets = [d for d, _k, _b in msgs]
-            elif shape == "same-none":
+            if shape == "same-none":
                 sent = batch.sendmmsg_same(conn.sock.fileno(), None, payloads)
-                targets = [0] * len(msgs)
+                dest = 0
             else:
                 sent = batch.sendmmsg_same(tx.sock.fileno(), names[dest], payloads)
-                targets = [dest] * len(msgs)
             assert sent == len(msgs)
-            for target, (_d, _k, data) in zip(targets, msgs):
-                expected[target].append(data)
+            expected[dest].extend(data for _k, data in msgs)
             for slice_ in lent:
                 slice_.pool.free(slice_)
             for index, sock in enumerate(dests):  # drain on the same batch

@@ -49,14 +49,11 @@ def _each(category, owner, *params):
 KEPT = {
     # set where the walk cannot see: the conformance
     # ``runner(name)(case, bug=...)`` table,
-    # ``add_host(**where)``, ``make_transport(kind, name, **kwargs)``
-    # and an event's callback list
+    # ``add_host(**where)`` and an event's callback list
     **_each(SET_UNSEEN, "repro.conformance.checker:run_substrate", "bug"),
     **_each(SET_UNSEEN, "repro.live.conform:run_live_case", "bug"),
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
-    **_each(SET_UNSEEN, "repro.live.transport:UdpLoopbackTransport.__init__", "use_mmsg"),
-    **_each(SET_UNSEEN, "repro.live.transport:UnixDgramTransport.__init__", "use_mmsg"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
     # which CPU, NI timings, bus, PHY, switch, link rate or delay a device
     # is built with: the selectors a new network generation sets from a row
