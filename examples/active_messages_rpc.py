@@ -2,14 +2,14 @@
 """A distributed key-value store over Active Messages over U-Net/ATM.
 
 Demonstrates the programming model the paper's Split-C stack is built
-on: registered handlers, request/reply RPC, one-way requests, and bulk
-transfers — all running over the simulated PCA-200 ATM fabric with real
-AAL5 cells on the (virtual) wire.
+on: registered handlers, request/reply RPC, and one-way requests (a big
+value goes as a stream of them) — all running over the simulated
+PCA-200 ATM fabric with real AAL5 cells on the (virtual) wire.
 
 Run:  python examples/active_messages_rpc.py
 """
 
-from repro.am import AmEndpoint, BulkReceiver, BulkSender
+from repro.am import AmEndpoint
 from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
 from repro.hw import SPARCSTATION_20
@@ -17,6 +17,10 @@ from repro.sim import Simulator
 
 H_PUT = 1
 H_GET = 2
+H_APPEND = 3
+H_SIZE = 4
+
+BLOB = bytes(range(256)) * 256
 
 
 def main() -> None:
@@ -48,12 +52,19 @@ def main() -> None:
         value = store.get(key, b"")
         yield from ctx.reply(args=(key, len(value)), data=value)
 
+    def on_append(ctx):
+        key, offset = ctx.args[0], ctx.args[1]
+        value = store.setdefault(key, bytearray())
+        value[offset : offset + len(ctx.data)] = ctx.data
+
+    def on_size(ctx):
+        key = ctx.args[0]
+        yield from ctx.reply(args=(key, len(store.get(key, b""))))
+
     server.register_handler(H_PUT, on_put)
     server.register_handler(H_GET, on_get)
-
-    # bulk path for big values
-    blobs = {}
-    BulkReceiver(server, lambda src, tag, data: blobs.update({tag: data}))
+    server.register_handler(H_APPEND, on_append)
+    server.register_handler(H_SIZE, on_size)
 
     # ---- client program -----------------------------------------------
     def client_program():
@@ -66,20 +77,21 @@ def main() -> None:
         args, data = yield from client.rpc(0, H_GET, args=(99,))
         print(f"GET key=99 -> {data!r} (miss, {sim.now - t0:.1f} us)")
 
-        # stream a 64 KB value with the bulk-transfer machinery
-        sender = BulkSender(client)
-        blob = bytes(range(256)) * 256
+        # stream a 64 KB value as one-way appends, one packet each; AM
+        # delivers in order, so the size rpc behind them sees them all
         t0 = sim.now
-        tag = yield from sender.send(0, blob)
-        megabits = len(blob) * 8 / (sim.now - t0)
-        print(f"bulk PUT of {len(blob)} bytes in {(sim.now - t0) / 1000:.2f} ms "
+        for offset in range(0, len(BLOB), client.max_data):
+            yield from client.request(0, H_APPEND, args=(8, offset),
+                                      data=BLOB[offset : offset + client.max_data])
+        args, _ = yield from client.rpc(0, H_SIZE, args=(8,))
+        megabits = args[1] * 8 / (sim.now - t0)
+        print(f"streamed PUT of {args[1]} bytes in {(sim.now - t0) / 1000:.2f} ms "
               f"({megabits:.0f} Mb/s over the simulated OC-3 link)")
-        return tag
 
     with network:  # closed on the way out; counters stay readable
-        tag = sim.run_until_complete(sim.process(client_program()))
-    assert blobs[tag] == bytes(range(256)) * 256
-    print("bulk blob verified at the server")
+        sim.run_until_complete(sim.process(client_program()))
+    assert store[8] == BLOB
+    print("streamed blob verified at the server")
     print(f"AM stats: client sent {client.requests_sent} requests, "
           f"server delivered {server.requests_delivered}, acks {server.acks_sent + client.acks_sent}")
 

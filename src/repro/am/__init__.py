@@ -1,7 +1,6 @@
 """Active Messages: reliable, flow-controlled RPC over U-Net."""
 
 from .am import AmConfig, AmEndpoint, AmError, RequestContext
-from .bulk import BULK_FRAGMENT_HANDLER, BulkReceiver, BulkSender
 from .protocol import (
     EPOCH_MOD,
     HEADER_SIZE,
@@ -25,9 +24,6 @@ __all__ = [
     "AmEndpoint",
     "AmError",
     "RequestContext",
-    "BulkSender",
-    "BulkReceiver",
-    "BULK_FRAGMENT_HANDLER",
     "Packet",
     "encode",
     "decode",

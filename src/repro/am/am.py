@@ -16,7 +16,8 @@ from typing import Generator, List, Optional
 
 from ..core.api import UserEndpoint
 from ..sim import Event, Resource, Simulator
-from .core import AmConfig, AmCore, AmError, PeerState, RequestContext
+from .core import (ACK_DELAY_US, CREDIT_UPDATE_US, AmConfig, AmCore, AmError, PeerState,
+                   RequestContext)
 from .protocol import TYPE_ACK, TYPE_HELLO, TYPE_REPLY, TYPE_REQUEST, Packet
 
 __all__ = ["AmConfig", "AmEndpoint", "RequestContext", "AmError"]
@@ -185,7 +186,7 @@ class AmEndpoint(AmCore):
             self._note_delivery(peer)
 
     def _delayed_ack(self, peer: _SimPeer) -> Generator:
-        yield self.config.ack_delay_us
+        yield ACK_DELAY_US
         if peer.ack_deadline is not None and self._running:
             yield from self._transmit(peer, Packet(type=TYPE_ACK), track=False)
 
@@ -202,7 +203,7 @@ class AmEndpoint(AmCore):
     def _credit_refresh_loop(self) -> Generator:
         """Re-advertise when capacity changed and no traffic carried it."""
         while self._running:
-            yield self.config.credit_update_us
+            yield CREDIT_UPDATE_US
             if not self._running:
                 break
             for peer in list(self._peers_by_node.values()):

@@ -97,7 +97,6 @@ from .protocol import (
     decode,
     encode,
     seq_add,
-    seq_lt,
 )
 from .spec import (
     ack_epoch_applies,
@@ -121,6 +120,17 @@ class AmError(Exception):
     """Active Messages protocol/usage error."""
 
 
+#: send an explicit ACK if no reverse traffic carried one by then
+ACK_DELAY_US = 60.0
+#: random extra fraction added to backed-off RTOs so that peers sharing
+#: a medium do not phase-lock their retransmissions
+BACKOFF_JITTER = 0.1
+#: AIMD never shrinks the effective window below this
+MIN_WINDOW = 1
+#: period of the background credit refresh (``credit_flow``)
+CREDIT_UPDATE_US = 400.0
+
+
 @dataclass
 class AmConfig:
     """Tunables of the reliability/flow-control machinery."""
@@ -129,17 +139,11 @@ class AmConfig:
     window: int = 16
     #: retransmit the window after this long without an acknowledgement
     retransmit_timeout_us: float = 4000.0
-    #: send an explicit ACK if no reverse traffic carried one by then
-    ack_delay_us: float = 60.0
-    #: ... or after this many unacknowledged deliveries
+    #: send an explicit ACK after this many unacknowledged deliveries
+    #: (or :data:`ACK_DELAY_US` after the first)
     ack_every: int = 8
     #: per-message handler-dispatch CPU cost at the receiver
     dispatch_overhead_us: float = 1.0
-    #: buffer out-of-order arrivals (up to one window) instead of
-    #: dropping them: turns go-back-N into selective-repeat-style
-    #: recovery.  Off by default (classic AM); essential for striped
-    #: paths that reorder, e.g. Beowulf dual-NIC bonding.
-    ooo_buffering: bool = False
 
     # -- adaptive reliability (all off by default: the fixed-RTO, ----------
     # -- static-window protocol above reproduces the paper's numbers) ------
@@ -153,14 +157,9 @@ class AmConfig:
     rto_max_us: float = 60_000.0
     #: RTO multiplier per consecutive timeout (exponential backoff)
     backoff_factor: float = 2.0
-    #: random extra fraction added to backed-off RTOs so that peers
-    #: sharing a medium do not phase-lock their retransmissions
-    backoff_jitter: float = 0.1
     #: AIMD window adaptation: halve the effective window on timeout,
     #: grow it additively (one packet per window's worth of clean acks)
     adaptive_window: bool = False
-    #: AIMD never shrinks the effective window below this
-    min_window: int = 1
     #: retransmit the window head after `dup_ack_threshold` duplicate
     #: cumulative acks instead of waiting out the RTO
     fast_retransmit: bool = False
@@ -173,8 +172,6 @@ class AmConfig:
     #: Advertisements piggyback on every packet (two extra wire bytes) and
     #: are refreshed periodically when they change.
     credit_flow: bool = False
-    #: period of the background credit refresh
-    credit_update_us: float = 400.0
 
     # -- crash recovery (off by default: endpoints live forever and the ----
     # -- classic wire bytes are untouched) ---------------------------------
@@ -195,12 +192,9 @@ class AmConfig:
     #: acknowledgment scheme: ``"gbn"`` (classic cumulative-only
     #: go-back-N) or ``"sack"`` (cumulative ack + bitmap over the
     #: receive horizon, receiver-side reorder buffer, sender scoreboard
-    #: with selective retransmit of holes only)
-    ack_mode: str = "gbn"
-    #: SACK receive horizon: how far past the cumulative ack the
-    #: receiver promises to buffer out-of-order arrivals.  Bounded by
+    #: with selective retransmit of holes only).  The receive horizon is
     #: the 32-bit wire bitmap; the window may never exceed it.
-    sack_horizon: int = 32
+    ack_mode: str = "gbn"
     #: congestion signal: ``"loss"`` (classic: timeouts shrink the AIMD
     #: window) or ``"ecn"`` (queues mark packets instead of dropping,
     #: receivers echo marks, senders back off before loss; requires
@@ -223,7 +217,7 @@ class AmConfig:
         if not 0 < self.window < SEQ_MOD // 2:
             raise ConfigError("window must be positive and below half the sequence space",
                               knob="window")
-        for knob in ("retransmit_timeout_us", "ack_delay_us", "dispatch_overhead_us"):
+        for knob in ("retransmit_timeout_us", "dispatch_overhead_us"):
             value = getattr(self, knob)
             if not value > 0:
                 raise ConfigError(f"{knob} must be positive, got {value!r}", knob=knob)
@@ -231,14 +225,8 @@ class AmConfig:
             raise ConfigError("need 0 < rto_min_us <= rto_max_us", knob="rto_min_us")
         if self.backoff_factor < 1.0:
             raise ConfigError("backoff_factor must be >= 1", knob="backoff_factor")
-        if self.backoff_jitter < 0.0:
-            raise ConfigError("backoff_jitter must be >= 0", knob="backoff_jitter")
-        if not 0 < self.min_window <= self.window:
-            raise ConfigError("need 0 < min_window <= window", knob="min_window")
         if self.dup_ack_threshold < 1:
             raise ConfigError("dup_ack_threshold must be >= 1", knob="dup_ack_threshold")
-        if not self.credit_update_us > 0:
-            raise ConfigError("credit_update_us must be positive", knob="credit_update_us")
         if not 0 <= self.epoch < EPOCH_MOD:
             raise ConfigError(f"epoch must be in [0, {EPOCH_MOD}), got {self.epoch!r}",
                               knob="epoch")
@@ -252,24 +240,16 @@ class AmConfig:
         if self.congestion not in ("loss", "ecn"):
             raise ConfigError(f"congestion must be 'loss' or 'ecn', got {self.congestion!r}",
                               knob="congestion")
-        if not 1 <= self.sack_horizon <= SACK_BITMAP_BITS:
-            raise ConfigError(
-                f"sack_horizon must be in [1, {SACK_BITMAP_BITS}] (the wire bitmap "
-                f"width), got {self.sack_horizon!r}", knob="sack_horizon")
         if self.ack_mode == "sack":
-            if self.window > self.sack_horizon:
+            if self.window > SACK_BITMAP_BITS:
                 raise ConfigError(
-                    "window must not exceed sack_horizon: the receiver only "
-                    "promises to buffer one horizon of reordering", knob="window")
+                    f"window must not exceed the {SACK_BITMAP_BITS}-packet SACK "
+                    "horizon: the receiver only promises to buffer one horizon "
+                    "of reordering", knob="window")
             if self.fast_retransmit:
                 raise ConfigError(
                     "fast_retransmit is the go-back-N dup-ack heuristic; the "
                     "SACK scoreboard subsumes it", knob="fast_retransmit")
-            if self.ooo_buffering:
-                raise ConfigError(
-                    "ooo_buffering is the go-back-N reorder option; "
-                    "ack_mode='sack' brings its own bounded reorder buffer",
-                    knob="ooo_buffering")
             if self.recovery:
                 raise ConfigError(
                     "recovery with ack_mode='sack' is not supported: the "
@@ -705,8 +685,7 @@ class AmCore:
         """The SACK bitmap this receiver advertises to ``peer``;
         healthy = :func:`repro.am.spec.sack_block` over the reorder
         buffer."""
-        return sack_block(peer.expected_seq, peer.ooo_held,
-                          self.config.sack_horizon)
+        return sack_block(peer.expected_seq, peer.ooo_held, SACK_BITMAP_BITS)
 
     def _sack_plan(self, outstanding, ack: int, bits: int):
         """Seam for scoreboard interpretation of a SACK block; healthy =
@@ -760,7 +739,7 @@ class AmCore:
         """The flow-control window currently in force for ``peer``."""
         if not self.config.adaptive_window:
             return self.config.window
-        return max(self.config.min_window, min(self.config.window, int(peer.cwnd)))
+        return max(MIN_WINDOW, min(self.config.window, int(peer.cwnd)))
 
     def _gate(self, peer: PeerState) -> Optional[str]:
         """Admission of one new request: None = granted; otherwise what
@@ -917,21 +896,14 @@ class AmCore:
         if packet.seq == peer.expected_seq:
             self._note_ce(peer, packet)
             return peer, packet
-        if cfg.ack_mode == "sack":
-            held = (packet.seq not in peer.ooo_held and reorder_admit(
-                peer.expected_seq, packet.seq, cfg.sack_horizon) == "hold")
-            if held:
-                # buffer within the promised horizon; the SACK block on
-                # the ack we send next reports it
-                peer.ooo_held[packet.seq] = packet
-                self._note_ce(peer, packet)
+        held = cfg.ack_mode == "sack" and packet.seq not in peer.ooo_held and reorder_admit(
+            peer.expected_seq, packet.seq, SACK_BITMAP_BITS) == "hold"
+        if held:
+            # buffer within the promised horizon; the SACK block on the
+            # ack we send next reports it
+            peer.ooo_held[packet.seq] = packet
+            self._note_ce(peer, packet)
         else:
-            held = (cfg.ooo_buffering and seq_lt(peer.expected_seq, packet.seq)
-                    and (packet.seq - peer.expected_seq) % SEQ_MOD <= cfg.window * 2)
-            if held:
-                # hold the future packet; deliver once the hole fills
-                peer.ooo_held.setdefault(packet.seq, packet)
-        if not held:
             # go-back-N: duplicates and holes both trigger a re-ack
             peer.duplicates += 1
             self._observe("dup_rx", peer, seq=packet.seq, expected=peer.expected_seq)
@@ -1059,7 +1031,7 @@ class AmCore:
 
     def _halve_window(self, peer: PeerState) -> None:
         """AIMD multiplicative decrease."""
-        peer.cwnd = max(float(self.config.min_window), peer.cwnd / 2.0)
+        peer.cwnd = max(float(MIN_WINDOW), peer.cwnd / 2.0)
 
     def _ecn_backoff(self, peer: PeerState, ack: int) -> None:
         """A congestion echo arrived: halve the AIMD window, at most
@@ -1120,7 +1092,7 @@ class AmCore:
         elif peer.deliveries_since_ack >= cfg.ack_every:
             self._send_now(peer, TYPE_ACK)
         elif peer.ack_deadline is None:
-            peer.ack_deadline = self._now() + cfg.ack_delay_us
+            peer.ack_deadline = self._now() + ACK_DELAY_US
             self._arm_delayed_ack(peer)
 
     # ---------------------------------------------------------- retransmit
@@ -1133,11 +1105,10 @@ class AmCore:
         rto = peer.rto_us if peer.srtt is not None else cfg.retransmit_timeout_us
         if peer.backoff:
             rto *= cfg.backoff_factor ** peer.backoff
-            if cfg.backoff_jitter > 0.0:
-                # jitter de-phases peers that share a medium
-                if self._rng is None:
-                    self._rng = random.Random(0x5EED ^ self.node)
-                rto *= 1.0 + cfg.backoff_jitter * self._rng.random()
+            # jitter de-phases peers that share a medium
+            if self._rng is None:
+                self._rng = random.Random(0x5EED ^ self.node)
+            rto *= 1.0 + BACKOFF_JITTER * self._rng.random()
         return min(max(rto, cfg.rto_min_us), cfg.rto_max_us)
 
     def _rto_expired(self, peer: PeerState, rto: float) -> bool:

@@ -112,8 +112,8 @@ def measure_rtt(setup: MicrobenchSetup, size: int, rounds: int = 5) -> float:
     return sim.run_until_complete(sim.process(pinger(), name="pinger"))
 
 
-def measure_send_overhead(setup: MicrobenchSetup, size: int = 40) -> float:
-    """Host-processor time consumed per send, measured in the simulator.
+def measure_send_overhead(setup: MicrobenchSetup) -> float:
+    """Host-processor time consumed per 40-byte send, measured in the DES.
 
     The sending process's elapsed time per ``send()`` call *is* the host
     overhead (compose copy + descriptor push + doorbell/trap): the NIC
@@ -121,7 +121,7 @@ def measure_send_overhead(setup: MicrobenchSetup, size: int = 40) -> float:
     4.4 comparison (FE ~4.2 us trap + user costs vs ATM ~1.5 us).
     """
     sim = setup.sim
-    payload = bytes(size)
+    payload = bytes(40)
 
     def sender():
         t0 = sim.now

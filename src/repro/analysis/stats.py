@@ -11,11 +11,21 @@ recv_queue_drops`` or ``ams/3/peers/0/retransmissions``.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import math
+from typing import Any, Dict, Sequence
 
 from ..telemetry import collect
 
-__all__ = ["cluster_stats", "render_stats"]
+__all__ = ["cluster_stats", "render_stats", "percentile"]
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``samples`` (q in 0..100): the
+    smallest sample with at least ``q`` % of them at or below it."""
+    if not samples:
+        raise ValueError("no samples")
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
 
 
 def cluster_stats(cluster: Any) -> Dict[str, Any]:

@@ -40,11 +40,10 @@ OVERSAMPLING = 32
 class SampleConfig:
     keys_per_node: int
     small_messages: bool
-    seed: int = 11
 
 
 def initial_keys(cfg: SampleConfig, node: int) -> np.ndarray:
-    rng = np.random.RandomState(cfg.seed * 1000 + node)
+    rng = np.random.RandomState(11 * 1000 + node)  # one fixed input per node
     return rng.randint(0, 2**32, size=cfg.keys_per_node, dtype=np.uint32)
 
 

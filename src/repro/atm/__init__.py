@@ -3,7 +3,6 @@
 from .cells import (
     AAL5_MAX_PDU,
     AAL5_TRAILER_SIZE,
-    CELL_HEADER_SIZE,
     CELL_PAYLOAD_SIZE,
     CELL_SIZE,
     SINGLE_CELL_MAX_PAYLOAD,
@@ -30,7 +29,6 @@ __all__ = [
     "Aal5CrcError",
     "Aal5LengthError",
     "CELL_SIZE",
-    "CELL_HEADER_SIZE",
     "CELL_PAYLOAD_SIZE",
     "AAL5_TRAILER_SIZE",
     "AAL5_MAX_PDU",

@@ -19,7 +19,6 @@ __all__ = [
     "Aal5CrcError",
     "Aal5LengthError",
     "CELL_SIZE",
-    "CELL_HEADER_SIZE",
     "CELL_PAYLOAD_SIZE",
     "AAL5_TRAILER_SIZE",
     "AAL5_MAX_PDU",
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 CELL_SIZE = 53
-CELL_HEADER_SIZE = 5
 CELL_PAYLOAD_SIZE = 48
 AAL5_TRAILER_SIZE = 8
 #: AAL5 length field is 16 bits -> 65535-byte maximum PDU ("the maximum

@@ -71,9 +71,6 @@ class AtmSwitch:
         """Signaling-plane: tear every VC down (the fabric is closing)."""
         self._routes.clear()
 
-    def route_for(self, vci: int) -> Optional[int]:
-        return self._routes.get(vci)
-
     def on_cell(self, cell: Cell) -> None:
         """Ingress: called by the delivering CellLink."""
         port = self._routes.get(cell.vci)

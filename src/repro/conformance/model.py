@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..am.protocol import SACK_BITMAP_BITS
 from ..am.spec import (ecn_backoff_allowed, reorder_admit, sack_block,
                        sack_retransmit_plan)
 from .observe import ObservedTrace
@@ -148,7 +149,7 @@ def run_reference(case: ConformanceCase) -> ObservedTrace:
     credit_flow = config.credit_flow
     sack_mode = config.ack_mode == "sack"
     ecn_mode = config.congestion == "ecn"
-    horizon = config.sack_horizon
+    horizon = SACK_BITMAP_BITS
     consume_period = max(1, round(case.dispatch_overhead_us / TICK_US))
 
     if ecn_mode and any(f.action == "mark" and

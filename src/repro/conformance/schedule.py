@@ -124,10 +124,6 @@ class ConformanceCase:
     def fwd_lifecycle(self) -> List[LifecycleFault]:
         return [e for e in self.lifecycle if e.direction == "fwd"]
 
-    @property
-    def has_crash(self) -> bool:
-        return bool(self.lifecycle)
-
     def overrun_possible(self) -> bool:
         """Can the sender legally outrun the receiver's capacity?
 

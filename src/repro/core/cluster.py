@@ -176,16 +176,6 @@ class ClusterHealthAggregator:
             self.coordinated_releases += 1
         return released
 
-    def release_tenant(self, tenant: str) -> int:
-        """Operator action: lift the tenant's latches cluster-wide."""
-        released = 0
-        for monitor, record in self._tenant_records(tenant):
-            if record.state == STATE_QUARANTINED:
-                monitor.release(record.endpoint)
-                released += 1
-        self.cluster_quarantined.discard(tenant)
-        return released
-
     # ------------------------------------------------------------- reporting
     def report(self) -> dict:
         """Cluster-level summary (host views + coordination counters)."""
@@ -196,17 +186,6 @@ class ClusterHealthAggregator:
             "coordinated_quarantines": self.coordinated_quarantines,
             "coordinated_releases": self.coordinated_releases,
         }
-
-    def quarantined_hosts(self, tenant: str) -> List[str]:
-        """Hosts where ``tenant`` currently has a quarantined endpoint."""
-        out = []
-        for host, monitor in self._monitors.items():
-            for record in monitor.records():
-                if (record.endpoint.tenant == tenant
-                        and record.state == STATE_QUARANTINED):
-                    out.append(host)
-                    break
-        return sorted(out)
 
 
 # --------------------------------------------------------------- partitions

@@ -63,8 +63,8 @@ class PeerUnavailableError(UNetError):
 class AdmissionRejected(EndpointError):
     """Endpoint creation refused by admission control.
 
-    The host is at capacity for the requesting tenant's QoS class (or
-    the tenant hit its own endpoint quota).  Raised at creation time —
+    The host is at capacity for the requesting tenant's QoS class.
+    Raised at creation time —
     before any endpoint state exists — so the backend, not an endpoint,
     owns the matching ``admission_rejected_drops`` counter."""
 

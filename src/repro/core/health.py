@@ -78,6 +78,11 @@ STATE_QUARANTINED = "quarantined"
 #: the state surfaces the condition in telemetry and reports)
 STATE_PEER_DEAD = "peer_dead"
 
+#: receive-queue occupancy EWMA that counts as overload ...
+OCCUPANCY_HIGH = 0.9
+#: ... and the level a ``backpressure`` endpoint must drain back to
+OCCUPANCY_LOW = 0.5
+
 
 @dataclass
 class HealthConfig:
@@ -89,15 +94,14 @@ class HealthConfig:
     #: EWMA weight given to the newest sample (both estimators)
     ewma_alpha: float = 0.4
     #: enter overload when the drop-rate EWMA (service drops per check
-    #: period: recv-queue + no-buffer) crosses this ...
+    #: period: recv-queue + no-buffer) crosses this, or the receive-queue
+    #: occupancy EWMA crosses :data:`OCCUPANCY_HIGH`
     drop_rate_high: float = 2.0
-    #: ... or the receive-queue occupancy EWMA crosses this
-    occupancy_high: float = 0.9
     #: consecutive bad samples required before the policy fires
     min_unhealthy_checks: int = 2
-    #: ``backpressure`` exit thresholds (hysteresis below the entry ones)
+    #: ``backpressure`` exit threshold (hysteresis below the entry one;
+    #: occupancy must also fall to :data:`OCCUPANCY_LOW`)
     drop_rate_low: float = 0.25
-    occupancy_low: float = 0.5
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -110,8 +114,6 @@ class HealthConfig:
             raise ValueError("min_unhealthy_checks must be >= 1")
         if not 0.0 <= self.drop_rate_low <= self.drop_rate_high:
             raise ValueError("need 0 <= drop_rate_low <= drop_rate_high")
-        if not 0.0 <= self.occupancy_low <= self.occupancy_high:
-            raise ValueError("need 0 <= occupancy_low <= occupancy_high")
 
 
 class EndpointHealth:
@@ -224,9 +226,6 @@ class HealthMonitor:
             self._running = True
             self.sim.process(self._watchdog(), name=f"{self.name}.watchdog")
         return record
-
-    def unwatch(self, endpoint: Endpoint) -> None:
-        self._records.pop(endpoint.id, None)
 
     def stop(self) -> None:
         """Stop the watchdog process (endpoints keep their last state)."""
@@ -345,11 +344,11 @@ class HealthMonitor:
         if record.state == STATE_QUARANTINED:
             return  # latched: only release()/note_epoch_advance() exits
         overloaded = (record.drop_ewma >= cfg.drop_rate_high
-                      or record.occupancy_ewma >= cfg.occupancy_high)
+                      or record.occupancy_ewma >= OCCUPANCY_HIGH)
         baseline = STATE_PEER_DEAD if record.dead_peers else STATE_HEALTHY
         if record.state == STATE_SHED:
             if (record.drop_ewma <= cfg.drop_rate_low
-                    and record.occupancy_ewma <= cfg.occupancy_low):
+                    and record.occupancy_ewma <= OCCUPANCY_LOW):
                 self._close_shed_episode(record)
                 record.endpoint.quarantined = False
                 record.state = baseline

@@ -13,10 +13,10 @@ self-relieving backpressure).
 
 :class:`AdmissionController` guards endpoint creation: a host has a
 finite endpoint capacity (real NIs have finite demux/doorbell
-resources), a slice of which is reserved for the paid classes, and each
-tenant has its own quota.  Refusal is a *typed* error raised in the
-caller's own system call (:class:`~repro.core.errors.AdmissionRejected`)
-and counted under the shared drop vocabulary as
+resources), a slice of which is reserved for the paid classes.
+Refusal is a *typed* error raised in the caller's own system call
+(:class:`~repro.core.errors.AdmissionRejected`) and counted under the
+shared drop vocabulary as
 ``admission_rejected_drops`` — owned by the backend, since no endpoint
 exists to own it.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .endpoint import EndpointConfig
 from .errors import AdmissionRejected
 from .health import POLICIES, POLICY_BACKPRESSURE, POLICY_QUARANTINE, HealthConfig
 
@@ -76,14 +75,6 @@ class QosClass:
         if self.health_policy not in POLICIES:
             raise ValueError(f"unknown health policy {self.health_policy!r}")
 
-    def endpoint_config(self, buffer_size: int = 2048) -> EndpointConfig:
-        """Endpoint sizing for this tier."""
-        return EndpointConfig(
-            num_buffers=self.num_buffers,
-            buffer_size=buffer_size,
-            recv_queue_depth=self.recv_queue_depth,
-        )
-
     def health_config(self, **overrides) -> HealthConfig:
         """Watchdog defaults for this tier (overrides win)."""
         kwargs = dict(policy=self.health_policy)
@@ -117,8 +108,6 @@ class AdmissionConfig:
 
     #: hard endpoint capacity of the host (demux/doorbell resources)
     max_endpoints: int = 1024
-    #: per-tenant endpoint quota (0 disables the per-tenant check)
-    max_per_tenant: int = 0
     #: fraction of capacity reserved for non-preemptable (paid) classes:
     #: preemptable tenants are refused once occupancy crosses
     #: ``(1 - reserved_fraction) * max_endpoints``
@@ -127,8 +116,6 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         if self.max_endpoints < 1:
             raise ValueError("max_endpoints must be >= 1")
-        if self.max_per_tenant < 0:
-            raise ValueError("max_per_tenant must be >= 0")
         if not 0.0 <= self.reserved_fraction < 1.0:
             raise ValueError("reserved_fraction must be in [0, 1)")
 
@@ -173,8 +160,6 @@ class AdmissionController:
         if qos.preemptable and self.occupancy >= cfg.preemptable_limit:
             self._reject(tenant, qos,
                          "remaining capacity reserved for paid classes")
-        if cfg.max_per_tenant and self._per_tenant.get(tenant, 0) >= cfg.max_per_tenant:
-            self._reject(tenant, qos, "tenant endpoint quota exhausted")
         self.occupancy += 1
         self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + 1
         self.admitted += 1
@@ -189,9 +174,6 @@ class AdmissionController:
             self._per_tenant.pop(tenant, None)
         else:
             self._per_tenant[tenant] = held - 1
-
-    def tenant_endpoints(self, tenant: str) -> int:
-        return self._per_tenant.get(tenant, 0)
 
     @property
     def max_endpoints(self) -> int:

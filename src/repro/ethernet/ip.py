@@ -41,7 +41,7 @@ IP_ENCAP_OVERHEAD = IPV4_HEADER_SIZE + UDP_HEADER_SIZE
 #: encapsulation shrinks the largest U-Net PDU accordingly
 UNET_FE_IP_MAX_PDU = ETH_MAX_PAYLOAD - UNET_FE_HEADER_SIZE - IP_ENCAP_OVERHEAD
 
-_DEFAULT_TTL = 64
+_TTL = 64
 _PROTO_UDP = 17
 
 
@@ -73,7 +73,6 @@ def build_ipv4_udp(
     src_port: int,
     dst_port: int,
     payload: bytes,
-    ttl: int = _DEFAULT_TTL,
 ) -> bytes:
     """An IPv4+UDP datagram around ``payload``, checksummed for real."""
     total_length = IPV4_HEADER_SIZE + UDP_HEADER_SIZE + len(payload)
@@ -84,7 +83,7 @@ def build_ipv4_udp(
         total_length,
         0,  # identification
         0,  # flags/fragment offset (U-Net never IP-fragments)
-        ttl,
+        _TTL,
         _PROTO_UDP,
         0,  # checksum placeholder
         src_ip.to_bytes(4, "big"),

@@ -16,7 +16,7 @@ from ..core.base import SimulatedNetwork
 from ..core.channels import EthernetTag, connect_pair
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
-from ..sim import RngRegistry, Simulator
+from ..sim import Simulator
 from .dc21140 import NicTimings
 from .medium import SharedMedium
 from .switch import BAY_28115, FN100, EthernetSwitch, SwitchModel
@@ -99,9 +99,9 @@ class HubNetwork(_FeNetworkBase):
 
     PARTS = ("medium", "hosts")
 
-    def __init__(self, sim: Simulator, rate_mbps: float = 100.0, rng: Optional[RngRegistry] = None) -> None:
+    def __init__(self, sim: Simulator, rate_mbps: float = 100.0) -> None:
         super().__init__(sim)
-        self.medium = SharedMedium(sim, rate_mbps=rate_mbps, rng=rng)
+        self.medium = SharedMedium(sim, rate_mbps=rate_mbps)
 
     def _attach(self, backend: UNetFeBackend) -> None:
         backend.attach(self.medium.attach())

@@ -52,7 +52,7 @@ FN100 = SwitchModel(name="Cabletron-FN100", ports=8, latency_us=10.0, store_and_
 class EthernetSwitch:
     """A learning-free (statically configured) output-queued switch."""
 
-    COUNTERS = ("frames_forwarded", "frames_flooded", "unknown_mac_drops")
+    COUNTERS = ("frames_forwarded", "unknown_mac_drops")
     PARTS = ("ports",)
 
     def __init__(
@@ -61,23 +61,17 @@ class EthernetSwitch:
         model: SwitchModel,
         rate_mbps: float = 100.0,
         output_buffer: int = None,
-        learning: bool = False,
     ) -> None:
         self.sim = sim
         self.model = model
         self.rate_mbps = rate_mbps
         #: if set, each egress port queues at most this many frames
         self.output_buffer = output_buffer
-        #: transparent-bridge mode: learn source MACs from traffic and
-        #: flood unknown destinations, instead of the static table the
-        #: topology builders program
-        self.learning = learning
         #: output ports by number; each is the egress Link toward a
         #: station or a trunk peer
         self.ports: Dict[int, Link] = {}
         self._mac_table: Dict[MacAddress, int] = {}
         self.frames_forwarded = 0
-        self.frames_flooded = 0
         self.unknown_mac_drops = 0
 
     def attach(self, mac: MacAddress, propagation_us: float = 0.5) -> DuplexLink:
@@ -90,8 +84,7 @@ class EthernetSwitch:
             uplink_header_bytes=self.model.ingress_header_bytes,
         )
         port = self.attach_egress(link.downlink)
-        if not self.learning:
-            self._mac_table[mac] = port
+        self._mac_table[mac] = port
         # frames the station sends arrive at the switch through its uplink
         link.uplink.deliver = self.ingress(port)
         return link
@@ -121,28 +114,10 @@ class EthernetSwitch:
             raise ValueError(f"{self.model.name}: no such port {port}")
         self._mac_table[mac] = port
 
-    def knows(self, mac: MacAddress) -> bool:
-        """True once the bridge has a forwarding entry for ``mac``."""
-        return mac in self._mac_table
-
     def _on_frame(self, ingress_port: int, frame: EthernetFrame) -> None:
-        if self.learning:
-            # transparent bridging: remember where the sender lives
-            self._mac_table[frame.src_mac] = ingress_port
         egress_port = self._mac_table.get(frame.dst_mac)
-        if egress_port == ingress_port:
+        if egress_port is None or egress_port == ingress_port:
             self.unknown_mac_drops += 1
-            return
-        if egress_port is None:
-            if not self.learning:
-                self.unknown_mac_drops += 1
-                return
-            # unknown destination: flood every other port
-            self.frames_flooded += 1
-            leaves_at = self.sim._now + self.model.latency_us
-            for port, link in self.ports.items():
-                if port != ingress_port:
-                    link.submit(frame, leaves_at)
             return
         # cut-through switches receive the frame at header time (the
         # ingress link is configured to deliver early); store-and-

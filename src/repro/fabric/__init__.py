@@ -8,7 +8,7 @@ switch models along it:
 * :class:`ClosAtmFabric` — leaf/spine ASX-200s, VCs programmed hop by
   hop network-wide, successive connections rotated across spines;
 * :class:`ClosFeNetwork` — leaf/spine Fast Ethernet switches with a
-  statically programmed (or, single-spine, learning) flat MAC space;
+  statically programmed flat MAC space;
 * :class:`MixedFabric` — one of each, bridged by a dual-homed relay.
 
 All three expose the ``add_host``/``connect`` surface
@@ -19,7 +19,7 @@ cluster substrates ``atm-clos``, ``fe-clos``, and ``mixed``.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".topology": ("Topology", "linear_topology", "clos_topology", "leaves_for"),
+    ".topology": ("Topology", "linear_topology", "clos_topology"),
     ".atm_clos": ("ClosAtmFabric",),
     ".fe_clos": ("ClosFeNetwork",),
     ".mixed": ("MixedFabric",),

@@ -6,17 +6,10 @@ address space and scales it with a leaf/spine fabric: hosts attach to
 leaf switches, every leaf trunks to every spine, and frames cross at
 most leaf → spine → leaf.
 
-Two forwarding regimes:
-
-* **static** (default, any spine count) — the fabric's signaling plane
-  programs every switch's MAC table when a host is added.  Destination
-  hosts are spread round-robin across spines, so parallel trunks all
-  carry traffic while each destination has exactly one loop-free path
-  from every leaf.
-* **learning** (``learning=True``, requires ``spines == 1``) — switches
-  transparently bridge: they learn source MACs across the trunks and
-  flood unknown destinations.  A multi-spine Clos has physical loops, so
-  learning mode models the spanning-tree-pruned single-spine tree.
+The fabric's signaling plane programs every switch's MAC table when a
+host is added.  Destination hosts are spread round-robin across spines,
+so parallel trunks all carry traffic while each destination has exactly
+one loop-free path from every leaf.
 """
 
 from __future__ import annotations
@@ -52,14 +45,9 @@ class ClosFeNetwork(_FeNetworkBase, TrunkedFabric):
         model: SwitchModel = BAY_28115,
         rate_mbps: float = 100.0,
         trunk_propagation_us: float = 2.0,
-        learning: bool = False,
     ) -> None:
         _FeNetworkBase.__init__(self, sim)
-        if learning and spines != 1:
-            raise ValueError("learning mode floods; a multi-spine Clos has loops "
-                             "(use spines=1 for the spanning-tree-pruned shape)")
         self.hosts_per_leaf = hosts_per_leaf
-        self.learning = learning
         self._rate_mbps = rate_mbps
         self._trunk_propagation_us = trunk_propagation_us
         #: every statically-programmed host: (mac, leaf, host_index)
@@ -72,7 +60,7 @@ class ClosFeNetwork(_FeNetworkBase, TrunkedFabric):
         spine_model = _sized(model, leaves)
         TrunkedFabric.__init__(self, sim, clos_topology(leaves, spines), [
             EthernetSwitch(sim, leaf_model if i < leaves else spine_model,
-                           rate_mbps=rate_mbps, learning=learning)
+                           rate_mbps=rate_mbps)
             for i in range(leaves + spines)
         ])
 
@@ -87,8 +75,7 @@ class ClosFeNetwork(_FeNetworkBase, TrunkedFabric):
         """Cable a NIC to ``leaf`` (:meth:`_where` chose it)."""
         backend.attach(self.switches[leaf].attach(backend.mac,
                                                   propagation_us=propagation_us))
-        if not self.learning:
-            self._program_fabric(backend.mac, leaf, len(self.hosts))
+        self._program_fabric(backend.mac, leaf, len(self.hosts))
         self._switch_of[backend] = leaf
 
     def _program_fabric(self, mac: int, leaf: int, host_index: int) -> None:

@@ -16,7 +16,7 @@ path-MTU rule, applied at channel setup rather than discovered.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.api import Host, UserEndpoint
 from ..core.base import SimulatedNetwork
@@ -80,16 +80,13 @@ class MixedFabric(SimulatedNetwork):
         host.backend.max_pdu_cap = UNET_FE_MAX_PDU
         return host
 
-    def add_host(self, name: str, cpu: CpuModel, side: Optional[str] = None) -> Host:
-        """Attach a host; sides alternate ATM/FE unless ``side`` is given."""
-        if side is None:
-            side = "atm" if self._host_count % 2 == 0 else "fe"
+    def add_host(self, name: str, cpu: CpuModel) -> Host:
+        """Attach a host; sides alternate ATM, FE, ATM, ..."""
+        side = "atm" if self._host_count % 2 == 0 else "fe"
         if side == "atm":
             host = self._attach_atm_host(name, cpu)
-        elif side == "fe":
-            host = self.fe.add_host(name, cpu)
         else:
-            raise ValueError(f"unknown side {side!r} (atm, fe)")
+            host = self.fe.add_host(name, cpu)
         self._side_of[host.backend] = side
         self._host_count += 1
         self.hosts.append(host)

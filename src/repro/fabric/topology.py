@@ -31,7 +31,6 @@ __all__ = [
     "Topology",
     "linear_topology",
     "clos_topology",
-    "leaves_for",
 ]
 
 
@@ -99,11 +98,6 @@ class Topology:
                 self._down.add(key)
             self._path_cache.clear()
         return changed
-
-    @property
-    def down_trunks(self) -> List[Tuple[int, int]]:
-        """The currently-failed trunks, sorted (normalized a < b)."""
-        return sorted(self._down)
 
     def _live_neighbours(self, switch: int) -> List[int]:
         if not self._down:
@@ -184,10 +178,3 @@ def clos_topology(leaves: int, spines: int) -> Topology:
     topo = Topology(leaves + spines, trunks, name=f"clos-{leaves}x{spines}")
     topo.leaves, topo.spines = leaves, spines
     return topo
-
-
-def leaves_for(hosts: int, hosts_per_leaf: int) -> int:
-    """How many leaf switches a cluster of ``hosts`` needs."""
-    if hosts < 1 or hosts_per_leaf < 1:
-        raise ValueError("need at least one host and one host per leaf")
-    return (hosts + hosts_per_leaf - 1) // hosts_per_leaf

@@ -32,8 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".scripted": ("ScheduledFault", "ScriptedStage"),
     ".fabric": (
-        "FabricFaultInjector", "Partition", "SpineFailure", "TrunkDown",
-        "TrunkFlap",
+        "FabricFaultInjector", "Partition", "SpineFailure", "TrunkFlap",
     ),
     ".fabricsoak": (
         "FABRIC_ARTIFACT", "FABRIC_SCENARIOS", "FabricScenario",

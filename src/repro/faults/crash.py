@@ -116,10 +116,6 @@ class EndpointLifecycle:
             action()
         self.applied.append((fault, now))
 
-    def applied_keys(self) -> List[Tuple[str, int, int]]:
-        """``(kind, seq, occurrence)`` of every applied fault, in order."""
-        return [(f.kind, f.seq, f.occurrence) for f, _t in self.applied]
-
 
 class LifecycleStage(OccurrenceTracker):
     """The scripted stage's occurrence tracking, firing a callback on the

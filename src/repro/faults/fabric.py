@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 __all__ = [
-    "TrunkDown",
     "TrunkFlap",
     "SpineFailure",
     "Partition",
@@ -27,30 +26,6 @@ __all__ = [
 
 #: one trunk state change: (time_us, switch_a, switch_b, up)
 Transition = Tuple[float, int, int, bool]
-
-
-@dataclass(frozen=True)
-class TrunkDown:
-    """One trunk fails at ``at_us``; restored at ``restore_us`` (0 = never)."""
-
-    a: int
-    b: int
-    at_us: float
-    restore_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("a trunk joins two distinct switches")
-        if self.at_us < 0:
-            raise ValueError("at_us must be non-negative")
-        if self.restore_us and self.restore_us <= self.at_us:
-            raise ValueError("restore_us must follow at_us")
-
-    def transitions(self, topology) -> List[Transition]:
-        out: List[Transition] = [(self.at_us, self.a, self.b, False)]
-        if self.restore_us:
-            out.append((self.restore_us, self.a, self.b, True))
-        return out
 
 
 @dataclass(frozen=True)
@@ -83,29 +58,21 @@ class TrunkFlap:
 
 @dataclass(frozen=True)
 class SpineFailure:
-    """A whole spine switch dies: every trunk it terminates goes down."""
+    """A whole spine switch dies for good: every trunk it terminates goes down."""
 
     spine: int
     at_us: float
-    restore_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.spine < 0 or self.at_us < 0:
             raise ValueError("spine and at_us must be non-negative")
-        if self.restore_us and self.restore_us <= self.at_us:
-            raise ValueError("restore_us must follow at_us")
 
     def transitions(self, topology) -> List[Transition]:
         leaves, spines = _clos_shape_of(topology)
         if self.spine >= spines:
             raise ValueError(f"no spine {self.spine} in {topology.name}")
         switch = leaves + self.spine
-        out: List[Transition] = [
-            (self.at_us, leaf, switch, False) for leaf in range(leaves)]
-        if self.restore_us:
-            out.extend((self.restore_us, leaf, switch, True)
-                       for leaf in range(leaves))
-        return out
+        return [(self.at_us, leaf, switch, False) for leaf in range(leaves)]
 
 
 @dataclass(frozen=True)

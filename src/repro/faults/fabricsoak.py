@@ -63,6 +63,8 @@ __all__ = [
 #: post-resume rounds log under this offset so their expected values
 #: never collide with drifted pre-abort generation indices
 _POST_ROUND_BASE = 1000
+#: simulated time a scenario gets before it counts as not completed
+TIME_LIMIT_US = 10_000_000.0
 
 
 @dataclass
@@ -92,7 +94,6 @@ class FabricScenario:
     post_rounds: int = 2
     #: earliest sim time the coordinator may call resume (past the heal)
     resume_at_us: float = 0.0
-    time_limit_us: float = 10_000_000.0
 
     @property
     def nodes(self) -> int:
@@ -355,7 +356,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
         sim.process(coordinator(), name="fabricsoak.coordinator")
 
     with fabric:
-        sim.run(until=scenario.time_limit_us)
+        sim.run(until=TIME_LIMIT_US)
 
     # ---------------------------------------------------------- verdicts
     expected_live = [n for n in range(nodes) if n != scenario.crash_node]
@@ -375,7 +376,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
                               "fault")
     if not done:
         violations.insert(0, f"termination: soak incomplete at "
-                             f"t={scenario.time_limit_us:.0f}us")
+                             f"t={TIME_LIMIT_US:.0f}us")
 
     by_round: Dict[int, Dict[int, Tuple[float, float, int]]] = {}
     for node, entries in log.items():

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import networks
+from ..analysis.stats import percentile
 from ..artifact import Artifact
 from ..core import EndpointConfig
 from ..core.cluster import ClusterHealthAggregator
@@ -270,9 +271,7 @@ def _health_config(scenario: MultitenantScenario, qos: str) -> HealthConfig:
     # wedged receiver; the drop-rate trigger is effectively disabled
     return qos_class(qos).health_config(
         check_period_us=scenario.check_period_us,
-        drop_rate_high=1e9, drop_rate_low=1.0,
-        occupancy_high=0.9, occupancy_low=0.5,
-        min_unhealthy_checks=3)
+        drop_rate_high=1e9, drop_rate_low=1.0, min_unhealthy_checks=3)
 
 
 def _admission_config(arrivals: int) -> AdmissionConfig:
@@ -553,13 +552,6 @@ def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
 
 
 # ------------------------------------------------------------------ evaluation
-def _p99(samples: Sequence[float]) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return float(ordered[max(0, int(math.ceil(0.99 * len(ordered))) - 1)])
-
-
 def _goodput_mbps(delivered_bytes: int, duration_us: float) -> float:
     if duration_us <= 0.0:
         return 0.0
@@ -761,7 +753,7 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
             "sent": t.sent,
             "delivered": t.delivered,
             "goodput_mbps": _goodput_mbps(t.delivered_bytes, duration),
-            "p99_rtt_us": _p99(t.rtt_samples),
+            "p99_rtt_us": float(percentile(t.rtt_samples, 99)) if t.rtt_samples else 0.0,
             "quarantine_us": (t.record.shed_time(duration)
                               if t.record is not None else 0.0),
             "recv_queue_drops": stats["recv_queue_drops"],

@@ -23,7 +23,7 @@ defers (and thereby may reorder) it.  The pipeline owns scheduling.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..am.protocol import mark_ce
 from ..sim.rng import RngRegistry
@@ -44,6 +44,9 @@ __all__ = [
 
 #: ``emit(pdu, delay_us)`` — forward ``pdu`` to the next stage
 Emit = Callable[[object, float], None]
+
+#: how far behind its original a :class:`Duplicate` copy arrives
+DUPLICATE_DELAY_US = 5.0
 
 
 class PerturbationContext:
@@ -118,8 +121,8 @@ class UniformLoss(LinkPerturbation):
 class GilbertElliott(LinkPerturbation):
     """Bursty loss: the two-state Gilbert–Elliott channel.
 
-    The link sits in a *good* state (loss ``loss_good``, usually ~0) and
-    occasionally enters a *bad* burst state (loss ``loss_bad``, high).
+    The link sits in a lossless *good* state and occasionally enters a
+    *bad* burst state (loss ``loss_bad``, high).
     Per-PDU transition probabilities ``p_good_to_bad``/``p_bad_to_good``
     set burst frequency and mean burst length (1/p_bad_to_good PDUs).
     """
@@ -131,17 +134,15 @@ class GilbertElliott(LinkPerturbation):
         self,
         p_good_to_bad: float = 0.02,
         p_bad_to_good: float = 0.25,
-        loss_good: float = 0.0,
         loss_bad: float = 0.75,
     ) -> None:
         super().__init__()
         for name, p in (("p_good_to_bad", p_good_to_bad), ("p_bad_to_good", p_bad_to_good),
-                        ("loss_good", loss_good), ("loss_bad", loss_bad)):
+                        ("loss_bad", loss_bad)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
         self.p_good_to_bad = p_good_to_bad
         self.p_bad_to_good = p_bad_to_good
-        self.loss_good = loss_good
         self.loss_bad = loss_bad
 
     def reset(self) -> None:
@@ -149,8 +150,8 @@ class GilbertElliott(LinkPerturbation):
         self.bad = False
 
     def process(self, pdu, now: float, emit: Emit) -> None:
-        loss = self.loss_bad if self.bad else self.loss_good
-        drop = self.rng.random() < loss
+        # the good state draws too (and never drops): one draw per PDU
+        drop = self.rng.random() < (self.loss_bad if self.bad else 0.0)
         # state transition after the loss draw: bursts span whole PDUs
         if self.bad:
             if self.rng.random() < self.p_bad_to_good:
@@ -229,37 +230,29 @@ class DelayJitter(LinkPerturbation):
 
 
 class Duplicate(LinkPerturbation):
-    """Deliver a fraction of PDUs more than once, slightly apart."""
+    """Deliver a fraction of PDUs twice, :data:`DUPLICATE_DELAY_US` apart."""
 
     stream_name = "dup"
     COUNTERS = ("duplicated",)
 
-    def __init__(self, rate: float = 0.02, copies: int = 1, delay_us: float = 5.0) -> None:
+    def __init__(self, rate: float = 0.02) -> None:
         super().__init__()
         if not 0.0 <= rate <= 1.0:
             raise ValueError("duplicate rate must be within [0, 1]")
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
-        if delay_us < 0.0:
-            raise ValueError("delay_us must be >= 0")
         self.rate = rate
-        self.copies = copies
-        self.delay_us = delay_us
 
     def process(self, pdu, now: float, emit: Emit) -> None:
         emit(pdu, 0.0)
         if self.rng.random() < self.rate:
             self.duplicated += 1
-            for copy in range(1, self.copies + 1):
-                emit(pdu, self.delay_us * copy)
+            emit(pdu, DUPLICATE_DELAY_US)
 
 
 class LinkFlap(LinkPerturbation):
-    """Periodic (or scheduled) link up/down cycles; PDUs die while down.
+    """Periodic link up/down cycles; PDUs die while down.
 
-    Either give ``up_us``/``down_us`` for a repeating cycle starting up
-    at ``offset_us``, or an explicit ``schedule`` of absolute
-    ``(down_start_us, down_end_us)`` outage windows.
+    The link is up for ``up_us``, then down for ``down_us``, over and
+    over, starting up at ``offset_us``.
     """
 
     stream_name = "flap"
@@ -270,19 +263,15 @@ class LinkFlap(LinkPerturbation):
         up_us: float = 5000.0,
         down_us: float = 500.0,
         offset_us: float = 0.0,
-        schedule: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> None:
         super().__init__()
-        if schedule is None and (up_us <= 0.0 or down_us < 0.0):
+        if up_us <= 0.0 or down_us < 0.0:
             raise ValueError("need up_us > 0 and down_us >= 0")
         self.up_us = up_us
         self.down_us = down_us
         self.offset_us = offset_us
-        self.schedule = list(schedule) if schedule is not None else None
 
     def is_down(self, now: float) -> bool:
-        if self.schedule is not None:
-            return any(start <= now < end for start, end in self.schedule)
         phase = (now - self.offset_us) % (self.up_us + self.down_us)
         return phase >= self.up_us
 

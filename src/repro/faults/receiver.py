@@ -272,20 +272,16 @@ class MisbehavingSender:
         return False
 
 
-def forge_unknown_traffic(backend, count: int = 1) -> int:
-    """Land ``count`` wire PDUs at ``backend`` carrying tags nobody
+def forge_unknown_traffic(backend) -> None:
+    """Land one wire PDU at ``backend`` carrying a tag nobody
     registered, as a compromised or misconfigured peer would.
 
-    The NI/kernel must demultiplex them to nowhere: once the simulator
-    services the receive path they are counted by the demux table as
-    ``unknown_tag_drops`` and never cross a protection boundary.  The
-    backend's ``wire`` forges each PDU and its first delivery hook lands
-    it; returns the number of PDUs injected (delivery is asynchronous —
-    run the sim, then check the demux counter).
+    The NI/kernel must demultiplex it to nowhere: once the simulator
+    services the receive path it is counted by the demux table as
+    ``unknown_tag_drops`` and never crosses a protection boundary.  The
+    backend's ``wire`` forges the PDU and its first delivery hook lands
+    it (delivery is asynchronous — run the sim, then check the demux
+    counter).
     """
-    rng = random.Random(0xF0F6ED)
     (owner, attr), *_rails = backend.rx_fault_hooks()
-    deliver = getattr(owner, attr)
-    for _ in range(count):
-        deliver(backend.wire.forge(backend, rng))
-    return count
+    getattr(owner, attr)(backend.wire.forge(backend, random.Random(0xF0F6ED)))

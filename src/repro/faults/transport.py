@@ -88,6 +88,10 @@ TRANSPORT_MODES: Dict[str, Callable[[], AmConfig]] = {
 
 
 # --------------------------------------------------------------- scenarios
+#: simulated time a scenario gets before it counts as not completed
+TIME_LIMIT_US = 60_000_000.0
+
+
 @dataclass
 class TransportScenario:
     """One reproducible transport-ablation scenario."""
@@ -103,7 +107,6 @@ class TransportScenario:
     #: messages per sender
     messages: int = 80
     payload_bytes: int = 400
-    time_limit_us: float = 60_000_000.0
 
 
 def _ge_stages() -> List[LinkPerturbation]:
@@ -255,19 +258,19 @@ def run_transport(scenario: TransportScenario, mode: str,
     with net:
         processes = [sim.process(traffic(s, am), name=f"transport.src{s}")
                      for s, am in enumerate(sender_ams)]
-        sim.run(until=scenario.time_limit_us)
+        sim.run(until=TIME_LIMIT_US)
         completed = all(p.triggered for p in processes)
-        elapsed_us = max(done_at) if completed and done_at else scenario.time_limit_us
+        elapsed_us = max(done_at) if completed and done_at else TIME_LIMIT_US
         if completed:
             # drain the retransmission tail so the delivery checks see it all
             for am in sender_ams:
                 am.shutdown()
             sink_am.shutdown()
-            sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
+            sim.run(until=min(TIME_LIMIT_US, sim.now + 2_000_000.0))
 
     got = sum(len(ids) for ids in delivered.values())
     violations = check_delivery(delivered, scenario.messages, completed,
-                                scenario.time_limit_us, integrity_failures)
+                                TIME_LIMIT_US, integrity_failures)
 
     queues = [stage for stage in fwd.stages if isinstance(stage, BottleneckQueue)]
     worst_stall = 0.0

@@ -62,25 +62,21 @@ SBUS = BusModel(
 
 
 class DmaEngine:
-    """A DMA master on a shared bus.
+    """A DMA master on its bus.
 
-    Transfers from different devices on the same bus serialize through a
-    shared :class:`~repro.sim.Resource`, modelling bus arbitration.
+    Its transfers serialize through one :class:`~repro.sim.Resource`,
+    modelling bus arbitration.
     """
 
     COUNTERS = ("bytes_transferred", "transfers")
 
-    def __init__(self, sim: Simulator, bus: BusModel, shared_bus: Resource = None, name: str = "dma") -> None:
+    def __init__(self, sim: Simulator, bus: BusModel, name: str = "dma") -> None:
         self.sim = sim
         self.bus = bus
         self.name = name
-        self._bus_resource = shared_bus or Resource(sim, capacity=1, name=f"{bus.name}-arb")
+        self._bus_resource = Resource(sim, capacity=1, name=f"{bus.name}-arb")
         self.bytes_transferred = 0
         self.transfers = 0
-
-    @property
-    def bus_resource(self) -> Resource:
-        return self._bus_resource
 
     def transfer(self, nbytes: int):
         """Sub-step (enter with ``yield from``): acquire the bus and move

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..am.core import AmConfig, AmCore, AmError, PeerState, RequestContext
+from ..am.core import CREDIT_UPDATE_US, AmConfig, AmCore, AmError, PeerState, RequestContext
 from ..am.protocol import TYPE_ACK, TYPE_HELLO, TYPE_REPLY, TYPE_REQUEST, Packet
 from ..core.errors import EndpointError, PeerUnavailableError
 from .backend import LiveUserEndpoint
@@ -75,7 +75,7 @@ class LiveAm(AmCore):
         #: PeerUnavailableError by rpc_result
         self._rpc_failed: Dict[Tuple[int, int], str] = {}
         now = self._now()
-        self._next_credit_refresh = now + self.config.credit_update_us
+        self._next_credit_refresh = now + CREDIT_UPDATE_US
 
     # -------------------------------------------------------- driver hooks
     def _new_peer(self, node_id: int, channel_id: int) -> _LivePeer:
@@ -273,7 +273,7 @@ class LiveAm(AmCore):
                 if now - peer.last_progress >= rto and self._rto_expired(peer, rto):
                     self._retransmit_now(peer)
         if cfg.credit_flow and now >= self._next_credit_refresh:
-            self._next_credit_refresh = now + cfg.credit_update_us
+            self._next_credit_refresh = now + CREDIT_UPDATE_US
             for peer in self._peers_by_node.values():
                 if self._credit_stale(peer):
                     self._send_now(peer, TYPE_ACK)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..am.am import AmConfig
+from ..analysis.stats import percentile
 from ..artifact import Artifact, Headline
 from ..core import EndpointConfig
 from .am import LiveAm
@@ -42,7 +43,6 @@ __all__ = [
     "bench_burst",
     "run_bench",
     "render_bench",
-    "percentile",
 ]
 
 #: Figure 5's sweep, minus nothing: the live rig walks the same sizes
@@ -58,15 +58,6 @@ _RTT_WARMUP = 8
 #: payload bytes of every incast message
 _INCAST_SIZE = 512
 
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``samples`` (q in 0..100)."""
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * len(ordered) + 0.5)) - 1))
-    return ordered[rank]
 
 
 # ------------------------------------------------------------------ plumbing

@@ -170,8 +170,8 @@ class LiveTransport:
         self.tx_bytes += len(payload)
         return True
 
-    def recv_batch(self, max_datagrams: int = RECV_BATCH) -> List[bytes]:
-        """Drain up to ``max_datagrams`` datagrams without blocking.
+    def recv_batch(self) -> List[bytes]:
+        """Drain up to :data:`RECV_BATCH` datagrams without blocking.
 
         A partial drain is normal: the remainder stays in the kernel
         buffer for the next pass, so a slow consumer backpressures the
@@ -180,7 +180,7 @@ class LiveTransport:
         if self.sock is None:
             return []
         out: List[bytes] = []
-        for _ in range(max_datagrams):
+        for _ in range(RECV_BATCH):
             self.rx_syscalls += 1
             try:
                 raw, _addr = self.sock.recvfrom(65536)

@@ -22,7 +22,6 @@ from ..hw.cpu import CpuModel
 from ..splitc.costs import DEFAULT_COSTS
 from .loggp import StageCosts
 from .phases import (
-    PhaseTimes,
     all_to_all_time,
     barrier_time,
     broadcast_time,
@@ -56,10 +55,6 @@ class Projection:
     @property
     def total_s(self) -> float:
         return self.total_us / 1e6
-
-    @property
-    def cpu_fraction(self) -> float:
-        return self.cpu_us / self.total_us if self.total_us else 0.0
 
 
 def _max_int_time(cpus: Sequence[CpuModel], ops: float) -> float:

@@ -30,14 +30,10 @@ def fragment_messages(total_bytes: int, max_data: int) -> Tuple[int, int]:
 
 @dataclass
 class PhaseTimes:
-    """One phase's contribution, split the way Figure 7 needs."""
+    """One phase's contribution: network time only (a node's compute is
+    the projection's own term, Figure 7's other half)."""
 
     net_us: float
-    cpu_us: float = 0.0
-
-    @property
-    def total_us(self) -> float:
-        return self.net_us + self.cpu_us
 
 
 def _per_message_stage_costs(costs: StageCosts, m: int) -> Tuple[float, float, float]:

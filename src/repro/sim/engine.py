@@ -179,9 +179,9 @@ class Simulator:
         """A fresh, untriggered event."""
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event that fires ``delay`` microseconds from now."""
-        return Timeout(self, delay, value=value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Register ``generator`` as a simulation process."""

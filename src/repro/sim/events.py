@@ -33,15 +33,7 @@ NORMAL = 1
 
 
 class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
+    """Raised inside a process that another process interrupted."""
 
 
 class StopProcess(Exception):
@@ -150,18 +142,18 @@ class Timeout(Event):
 
     A process that only sleeps should ``yield delay`` instead, which costs
     a heap entry and no object; a ``Timeout`` is for a wait that is stored,
-    combined (``any_of``) or carries a value.
+    combined (``any_of``) or handed around.
     """
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative Timeout delay: {delay}")
         # Event.__init__ flattened, born triggered: this runs once per wait.
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._triggered = True
         self._processed = False
@@ -204,7 +196,7 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._alive
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(self) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
         if not self._alive:
             return
@@ -222,7 +214,7 @@ class Process(Event):
         interrupt_event = Event(self.sim, name="interrupt")
         interrupt_event._triggered = True
         interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
+        interrupt_event._value = Interrupt()
         # Interrupts do not propagate as process failures; they are thrown in.
         interrupt_event.callbacks.append(self._resume)
         sim = self.sim

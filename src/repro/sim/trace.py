@@ -125,25 +125,6 @@ class Timeline:
         base = self.start
         return [TimelineStep(r.step, r.duration, r.start - base) for r in self.records]
 
-    def to_chrome_events(self, pid: int = 1, tid: int = 1) -> List[Dict[str, Any]]:
-        """Chrome trace-event dicts (load via chrome://tracing).
-
-        Timestamps are microseconds, matching the simulation clock.
-        """
-        return [
-            {
-                "name": record.step,
-                "cat": record.category,
-                "ph": "X",
-                "ts": record.start,
-                "dur": record.duration,
-                "pid": pid,
-                "tid": tid,
-                "args": dict(record.info),
-            }
-            for record in self.records
-        ]
-
     def render(self, title: str = "", width: int = 60) -> str:
         """ASCII rendering in the style of the paper's figures."""
         lines = []

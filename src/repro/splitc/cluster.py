@@ -10,14 +10,13 @@ Reproduces the paper's two experimental platforms (Section 5):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, List, Optional
 
 from .. import networks
-from ..am.am import AmConfig, AmEndpoint
+from ..am.am import AmEndpoint
 from ..core.api import Host, UserEndpoint
 from ..core.base import Closing
 from ..core.endpoint import EndpointConfig
-from ..hw.cpu import CpuModel
 from ..sim import Discarded, Simulator
 from .runtime import SplitCRuntime
 
@@ -63,11 +62,8 @@ class Cluster(Closing):
         self,
         n: int,
         substrate: str = "fe-switch",
-        cpus: Optional[Sequence[CpuModel]] = None,
-        am_config: Optional[AmConfig] = None,
         sim: Optional[Simulator] = None,
         collectives: str = "host",
-        lazy_channels: bool = True,
     ) -> None:
         if n < 1:
             raise ValueError("cluster needs at least one node")
@@ -75,17 +71,13 @@ class Cluster(Closing):
             raise ValueError(f"unknown collectives mode {collectives!r} (host, nic)")
         row = networks.get(substrate)
         row.check_hosts(n)
-        if cpus is None:
-            cpus = row.ni.cpus(n)
-        if len(cpus) != n:
-            raise ValueError("need one CpuModel per node")
         # every refusal that needs no machine is above: nothing is built
         # that a failed constructor would leave behind unclosed
         self.n = n
         self.substrate = row.name
         self.collectives = collectives
         self.sim = sim or Simulator()
-        self.cpus = list(cpus)
+        self.cpus = row.ni.cpus(n)
         self.network = row.build(self.sim, n)
         if collectives == "nic" and not hasattr(self.network, "collective_edge"):
             self.network.close()
@@ -102,17 +94,12 @@ class Cluster(Closing):
             host.create_endpoint(config=endpoint_config, rx_buffers=RX_BUFFERS) for host in self.hosts
         ]
         self.ams: List[AmEndpoint] = [
-            AmEndpoint(i, self.endpoints[i], config=am_config) for i in range(n)
+            AmEndpoint(i, self.endpoints[i]) for i in range(n)
         ]
         self._connected_pairs: set = set()
-        if lazy_channels:
-            # channels come up on first use: O(active pairs), not O(N^2)
-            for i, am in enumerate(self.ams):
-                am.peer_resolver = self._make_resolver(i)
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    self._ensure_channel(i, j)
+        # channels come up on first use: O(active pairs), not O(N^2)
+        for i, am in enumerate(self.ams):
+            am.peer_resolver = self._make_resolver(i)
         self.collective_engines = []
         if collectives == "nic":
             from ..collectives import wire_collectives

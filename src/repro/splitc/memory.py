@@ -73,10 +73,6 @@ class GlobalHeap:
             raise HeapError("read overruns array")
         return view[byte_offset : byte_offset + nbytes].tobytes()
 
-    def add_bytes(self, name_id: int, elem_offset: int, data: bytes) -> None:
-        """Element-wise accumulate (wire-side of a reduction fragment)."""
-        self.combine_bytes(name_id, elem_offset, data, op="sum")
-
     def combine_bytes(self, name_id: int, elem_offset: int, data: bytes, op: str) -> None:
         """Element-wise combine (wire-side of a reduction fragment)."""
         array = self.array_by_id(name_id)

@@ -30,7 +30,7 @@ from .memory import GlobalHeap
 
 __all__ = ["SplitCRuntime", "SplitCError"]
 
-# runtime handler ids (0xB0 is reserved by repro.am.bulk)
+# runtime handler ids
 H_STORE = 0x10
 H_ADD = 0x11
 H_ANNOUNCE = 0x12
@@ -293,18 +293,19 @@ class SplitCRuntime:
             yield from self.counted_request(node, handler_id, data=data[offset : offset + max_data])
 
     # ------------------------------------------------------------ data ops
-    def get(self, node: int, name: str, start: int, count: int = 1) -> Generator:
-        """Process: blocking read of ``count`` elements from a peer (or
-        local) spread array; returns an ndarray copy."""
+    def get(self, node: int, name: str, start: int) -> Generator:
+        """Process: blocking read of one element from a peer (or local)
+        spread array; returns a one-element ndarray copy (a block is
+        :meth:`bulk_get`'s)."""
         array_local = self.heap.array(name)
         itemsize = array_local.itemsize
         self.gets_issued += 1
         if node == self.node:
             yield from self.compute(int_ops=4)
-            return array_local[start : start + count].copy()
+            return array_local[start : start + 1].copy()
         name_id = self.heap.name_id(name)
         _args, data = yield from self._comm(
-            self.am.rpc(node, H_GET_SMALL, args=(name_id, start * itemsize, count * itemsize))
+            self.am.rpc(node, H_GET_SMALL, args=(name_id, start * itemsize, itemsize))
         )
         return np.frombuffer(data, dtype=array_local.dtype).copy()
 
@@ -525,10 +526,6 @@ class SplitCRuntime:
             if peer != self.node:
                 yield from self.store_array(peer, name, self.node * width, values)
         yield from self.all_store_sync()
-
-    def all_reduce_sum(self, name: str) -> Generator:
-        """Process: element-wise global sum of spread array ``name``."""
-        yield from self.all_reduce(name, op="sum")
 
     def all_reduce(self, name: str, op: str = "sum") -> Generator:
         """Process: element-wise global reduction (sum/max/min) of spread

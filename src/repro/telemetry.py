@@ -27,7 +27,7 @@ def read(obj) -> Dict[str, Any]:
     return {name: getattr(obj, name) for name in type(obj).COUNTERS}
 
 
-def collect(root, prefix: str = "") -> Dict[str, Any]:
+def collect(root) -> Dict[str, Any]:
     """Every counter at or below ``root``, keyed by its path of parts.
 
     ``root`` is a declared object, or a list or dict of them: list
@@ -35,7 +35,7 @@ def collect(root, prefix: str = "") -> Dict[str, Any]:
     declares nothing (an attachment with no counters, a part not built
     yet) contributes nothing."""
     out: Dict[str, Any] = {}
-    _walk(root, prefix, out)
+    _walk(root, "", out)
     return out
 
 

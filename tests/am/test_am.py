@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.am import AmConfig, AmEndpoint, AmError, BulkReceiver, BulkSender
+from repro.am import AmConfig, AmEndpoint, AmError
+from repro.am.core import ACK_DELAY_US
 from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
 from repro.ethernet import HubNetwork
@@ -77,7 +78,7 @@ def test_many_requests_in_order():
 
 
 def test_window_blocks_sender():
-    config = AmConfig(window=2, ack_every=100, ack_delay_us=500.0)
+    config = AmConfig(window=2, ack_every=100)
     sim, am0, am1 = build_am_pair(config=config)
     am1.register_handler(1, lambda ctx: None)
     progress = []
@@ -90,9 +91,9 @@ def test_window_blocks_sender():
     sim.process(tx())
     sim.run()
     assert len(progress) == 6
-    # with a window of 2 and acks delayed 500us, the third send had to
+    # with a window of 2 and only delayed acks, the third send had to
     # wait for the first delayed ack
-    assert progress[2][1] > 400.0
+    assert progress[2][1] - progress[1][1] > ACK_DELAY_US
 
 
 def test_reliability_recovers_from_receive_drops():
@@ -153,9 +154,9 @@ def test_reliability_recovers_from_injected_loss():
 
 
 def test_duplicate_suppression():
-    sim, am0, am1 = build_am_pair(config=AmConfig(retransmit_timeout_us=200.0, ack_delay_us=5000.0, ack_every=1000))
-    # acks essentially disabled -> sender will retransmit; receiver must
-    # not deliver duplicates
+    sim, am0, am1 = build_am_pair(config=AmConfig(retransmit_timeout_us=20.0, ack_every=1000))
+    # the retransmit timer fires long before the delayed ack can come
+    # back -> sender retransmits; receiver must not deliver duplicates
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
 
@@ -216,51 +217,6 @@ def test_bidirectional_rpc_concurrent():
     assert results["b"] == [100, 101, 102, 103, 104]
 
 
-@pytest.mark.parametrize("substrate", ["ethernet", "atm"])
-def test_bulk_transfer_roundtrip(substrate):
-    sim, am0, am1 = build_am_pair(substrate)
-    received = {}
-    BulkReceiver(am1, lambda src, tag, data: received.update({tag: (src, data)}))
-    sender = BulkSender(am0)
-    blob = bytes((i * 31) % 256 for i in range(10_000))
-
-    def tx():
-        tag = yield from sender.send(1, blob)
-        return tag
-
-    tag = sim.run_until_complete(sim.process(tx()))
-    assert received[tag] == (0, blob)
-
-
-def test_bulk_transfer_empty_block():
-    sim, am0, am1 = build_am_pair()
-    received = {}
-    BulkReceiver(am1, lambda src, tag, data: received.update({tag: data}))
-    sender = BulkSender(am0)
-
-    def tx():
-        return (yield from sender.send(1, b""))
-
-    tag = sim.run_until_complete(sim.process(tx()))
-    assert received[tag] == b""
-
-
-def test_bulk_without_reply_completes_early():
-    sim, am0, am1 = build_am_pair()
-    received = {}
-    BulkReceiver(am1, lambda src, tag, data: received.update({tag: data}))
-    sender = BulkSender(am0)
-    blob = b"q" * 5000
-
-    def tx():
-        tag = yield from sender.send(1, blob, want_reply=False)
-        return (tag, sim.now)
-
-    tag, t_done = sim.run_until_complete(sim.process(tx()))
-    sim.run()
-    assert received[tag] == blob
-
-
 def test_am_statistics():
     sim, am0, am1 = build_am_pair()
     am1.register_handler(1, lambda ctx: ctx.reply())
@@ -276,13 +232,12 @@ def test_am_statistics():
     assert am1.replies_sent >= 1
 
 
-def test_ooo_buffering_reassembles_reordered_stream():
-    """Artificially swap adjacent frames: buffering delivers in order
-    without any retransmission."""
-    sim, am0, am1 = build_am_pair(config=AmConfig(ooo_buffering=True))
+def _swapped_stream(config):
+    """Ten requests whose frames the receiving NIC sees pairwise swapped;
+    returns (what was dispatched, the sender's retransmissions)."""
+    sim, am0, am1 = build_am_pair(config=config)
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
-
     backend1 = am1.user.host.backend
     original = backend1.nic._on_frame
     held = []
@@ -306,35 +261,19 @@ def test_ooo_buffering_reassembles_reordered_stream():
     sim.run(until=100_000.0)
     backend1.nic._on_frame = original
     sim.run()
-    assert seen == list(range(10))
-    assert am0._peers_by_node[1].retransmissions == 0
+    return seen, am0._peers_by_node[1].retransmissions
 
 
-def test_without_ooo_buffering_reorder_costs_retransmissions():
-    sim, am0, am1 = build_am_pair(config=AmConfig(retransmit_timeout_us=200.0))
-    seen = []
-    am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))
-    backend1 = am1.user.host.backend
-    original = backend1.nic._on_frame
-    held = []
-
-    def swapper(frame):
-        if len(held) == 0 and frame.payload:
-            held.append(frame)
-            return
-        original(frame)
-        if held:
-            original(held.pop())
-
-    backend1.nic._on_frame = swapper
-
-    def tx():
-        for i in range(10):
-            yield from am0.request(1, 1, args=(i,))
-
-    sim.process(tx())
-    sim.run(until=100_000.0)
-    backend1.nic._on_frame = original
-    sim.run()
+def test_go_back_n_reorder_costs_retransmissions():
+    seen, retransmissions = _swapped_stream(AmConfig(retransmit_timeout_us=200.0))
     assert seen == list(range(10))  # still exactly-once in-order ...
-    assert am0._peers_by_node[1].retransmissions > 0  # ... but paid for
+    assert retransmissions > 0  # ... but paid for
+
+
+def test_sack_reassembles_reordered_stream():
+    """SACK's reorder buffer holds the early frame of each swapped pair:
+    in-order delivery, and fewer retransmissions than go-back-N's."""
+    seen, sack = _swapped_stream(AmConfig(retransmit_timeout_us=200.0, ack_mode="sack"))
+    _seen, gbn = _swapped_stream(AmConfig(retransmit_timeout_us=200.0))
+    assert seen == list(range(10))
+    assert sack < gbn

@@ -8,7 +8,7 @@ microseconds of test time.
 
 import pytest
 
-from repro.am.core import AmConfig, AmCore, PeerState
+from repro.am.core import ACK_DELAY_US, MIN_WINDOW, AmConfig, AmCore, PeerState
 from repro.am.protocol import (TYPE_ACK, TYPE_HELLO, TYPE_HELLO_ACK, TYPE_REPLY,
                                TYPE_REQUEST, Packet, decode, encode)
 from repro.core.errors import PeerUnavailableError, StaleEpochError
@@ -123,7 +123,7 @@ def test_aimd_grows_one_packet_per_window_of_clean_acks():
 @pytest.mark.parametrize("signal", ["timeout", "fast-retransmit", "ecn"])
 def test_aimd_halves_on_every_congestion_signal(signal):
     am = FakeAm(AmConfig(adaptive_window=True, fast_retransmit=True,
-                         congestion="ecn", min_window=2))
+                         congestion="ecn"))
     am.send(3)
     if signal == "timeout":
         assert am._rto_expired(am.peer, 4000.0)
@@ -133,9 +133,9 @@ def test_aimd_halves_on_every_congestion_signal(signal):
     else:
         am._ecn_backoff(am.peer, 0)
     assert am.peer.cwnd == 8.0
-    am.peer.cwnd = 2.5
+    am.peer.cwnd = 1.5
     am._halve_window(am.peer)
-    assert am.peer.cwnd == 2.0           # never below min_window
+    assert am.peer.cwnd == MIN_WINDOW    # never below it
 
 
 def test_ecn_backs_off_at_most_once_per_round():
@@ -151,7 +151,7 @@ def test_ecn_backs_off_at_most_once_per_round():
 
 
 def test_each_sack_hole_goes_once_per_round_and_is_rearmed_by_an_rto():
-    am = FakeAm(AmConfig(ack_mode="sack", window=8, sack_horizon=8))
+    am = FakeAm(AmConfig(ack_mode="sack", window=8))
     am.send(5)                           # seqs 0..4 outstanding
     bits = 0b1010                        # receiver holds 2 and 4 (ack=0)
     am._process_sack(am.peer, 0, bits)
@@ -165,7 +165,7 @@ def test_each_sack_hole_goes_once_per_round_and_is_rearmed_by_an_rto():
 
 
 def test_retransmission_skips_sacked_packets():
-    am = FakeAm(AmConfig(ack_mode="sack", window=8, sack_horizon=8))
+    am = FakeAm(AmConfig(ack_mode="sack", window=8))
     am.send(3)
     am.peer.sacked = {0}
     assert decode(am._rexmit_wire(am.peer)).seq == 1     # first unSACKed
@@ -252,7 +252,7 @@ def test_receive_delivers_in_order_and_acks_by_policy():
         assert am._accept(peer, packet) is None
         am._note_delivery(peer)
     assert got == [0, 1]
-    assert am.peer.ack_deadline == am.config.ack_delay_us   # armed at t=0 ...
+    assert am.peer.ack_deadline == ACK_DELAY_US   # armed at t=0 ...
     assert am.sent == [(1, TYPE_ACK)]                        # ... then ack_every hit
     dup = encode(Packet(type=TYPE_REQUEST, handler=1, seq=0, args=(0,)))
     assert am._receive(7, dup) is None and am.peer.duplicates == 1

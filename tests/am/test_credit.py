@@ -55,10 +55,9 @@ def test_credit_word_costs_exactly_two_bytes_and_round_trips():
 
 
 def test_config_defaults_off_and_validates():
-    config = AmConfig()
-    assert not config.credit_flow
+    assert not AmConfig().credit_flow
     with pytest.raises(ValueError):
-        AmConfig(credit_update_us=0.0)
+        AmConfig(credit_flow=True, congestion="ecn", adaptive_window=True)
 
 
 def test_max_data_shrinks_by_credit_word_when_enabled():
@@ -139,8 +138,8 @@ def test_refresh_loop_unsticks_a_stalled_sender():
     # refresh can re-open the window after the receiver drains
     rx_config = EndpointConfig(num_buffers=32, buffer_size=2048,
                                send_queue_depth=16, recv_queue_depth=4)
-    config = AmConfig(credit_flow=True, credit_update_us=150.0,
-                      dispatch_overhead_us=60.0, retransmit_timeout_us=8000.0)
+    config = AmConfig(credit_flow=True, dispatch_overhead_us=60.0,
+                      retransmit_timeout_us=8000.0)
     sim, am0, am1 = build_pair(config=config, rx_config=rx_config, rx_buffers=8)
     seen = []
     am1.register_handler(1, lambda ctx: seen.append(ctx.args[0]))

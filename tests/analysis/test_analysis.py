@@ -156,8 +156,8 @@ def test_send_overhead_measured_in_des():
     """Section 4.4 processor-overhead asymmetry, measured end to end."""
     from repro.analysis import measure_send_overhead
 
-    fe = measure_send_overhead(setup_fe_hub(), 40)
-    atm = measure_send_overhead(setup_atm(), 40)
+    fe = measure_send_overhead(setup_fe_hub())
+    atm = measure_send_overhead(setup_atm())
     # FE: trap 4.2 + compose/push ~1.1 ; ATM: doorbell path ~1.5
     assert fe == pytest.approx(5.3, abs=0.4)
     assert atm == pytest.approx(1.5, abs=0.3)

@@ -109,21 +109,6 @@ def test_cell_loss_recovered_by_am(pair):
     assert seen == list(range(15))
 
 
-def test_chrome_trace_export():
-    from repro.analysis import trace_transfer
-
-    tx_span, rx_span = trace_transfer(40)
-    events = tx_span.to_chrome_events(pid=7, tid=3)
-    assert len(events) == len(tx_span.records)
-    first = events[0]
-    assert first["ph"] == "X"
-    assert first["pid"] == 7 and first["tid"] == 3
-    assert first["name"].startswith("trap entry")
-    import json
-
-    json.dumps(events)  # must be serializable
-
-
 def test_corrupted_frames_dropped_by_nic_crc_and_recovered(pair):
     from repro.am import AmConfig
 

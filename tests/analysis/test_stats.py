@@ -107,11 +107,11 @@ def test_collect_keys_every_part_by_its_path():
 
     switch = Switch()
     switch.ports[1].backlog.append("cell")
-    assert collect(switch, "sw0/") == {
-        "sw0/forwarded": 3,
-        "sw0/ports/0/carried": 0, "sw0/ports/0/queued": 0,
-        "sw0/ports/1/carried": 0, "sw0/ports/1/queued": 1,
-        "sw0/trunks/up/carried": 0, "sw0/trunks/up/queued": 0,
+    assert collect(switch) == {
+        "forwarded": 3,
+        "ports/0/carried": 0, "ports/0/queued": 0,
+        "ports/1/carried": 0, "ports/1/queued": 1,
+        "trunks/up/carried": 0, "trunks/up/queued": 0,
     }
     assert total(switch, "queued") == 1
     assert read(switch) == {"forwarded": 3}

@@ -32,7 +32,7 @@ def test_crash_cases_are_divergence_free(seed):
 
 def test_crash_case_shape_and_round_trip():
     case = generate_case(MIDSTREAM_SEED, "crash")
-    assert case.has_crash
+    assert case.lifecycle
     assert len(case.lifecycle) == 2  # one crash, one restart
     kinds = [e.kind for e in case.lifecycle]
     assert kinds == ["crash", "restart"]

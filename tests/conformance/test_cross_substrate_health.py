@@ -26,9 +26,8 @@ from repro.sim import Simulator
 
 CHECK_US = 100.0
 FLOOD = 80
-_HEALTH_KW = dict(check_period_us=CHECK_US, ewma_alpha=0.5,
+_HEALTH_KW = dict(check_period_us=CHECK_US,
                   drop_rate_high=2.0, drop_rate_low=0.25,
-                  occupancy_high=0.9, occupancy_low=0.5,
                   min_unhealthy_checks=2)
 
 

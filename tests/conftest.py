@@ -53,7 +53,7 @@ NEVER_CLOSES = {
         "sim/test_properties.py", "sim/test_queues.py", "sim/test_store_machine.py",
         "hw/test_bus_memory_interrupts.py", "atm/test_phy_switch.py",
         "ethernet/test_medium.py", "ethernet/test_switch_nic.py",
-        "ethernet/test_collision_limits.py", "ethernet/test_learning_switch.py",
+        "ethernet/test_collision_limits.py",
         "core/test_descriptors_endpoint.py", "core/test_sharded_demux.py",
         "core/test_health.py", "core/test_tenancy.py", "core/test_cluster_health.py",
     ), _BARE_KERNEL),

@@ -25,7 +25,6 @@ from repro.sim import Simulator
 
 _CONFIG = HealthConfig(policy=POLICY_BACKPRESSURE, check_period_us=100.0,
                        ewma_alpha=1.0, drop_rate_high=1e9, drop_rate_low=1.0,
-                       occupancy_high=0.9, occupancy_low=0.5,
                        min_unhealthy_checks=2)
 
 
@@ -105,12 +104,11 @@ def test_quorum_gates_coordinated_quarantine():
     for name in ("h0", "h1", "h2"):
         assert monitors[name].health_of(endpoints[name]["evil"]).state == STATE_QUARANTINED
         assert monitors[name].health_of(endpoints[name]["good"]).state == STATE_HEALTHY
-    assert agg.quarantined_hosts("evil") == ["h0", "h1", "h2"]
     agg.poll()  # idempotent: no double counting
     assert agg.coordinated_quarantines == 1
 
 
-def test_report_and_release_tenant():
+def test_report_lists_the_cluster_quarantine():
     sim = Simulator()
     agg = ClusterHealthAggregator(quorum=1)
     m0, eps0 = _host(sim, "h0", ["ta"])
@@ -121,9 +119,6 @@ def test_report_and_release_tenant():
     assert report["cluster_quarantined"] == ["ta"]
     assert report["coordinated_quarantines"] == 1
     assert [v["host"] for v in report["hosts"]] == ["h0"]
-    assert agg.release_tenant("ta") == 1
-    assert m0.health_of(eps0["ta"]).state == STATE_HEALTHY
-    assert not agg.cluster_quarantined
 
 
 # ------------------------------------------------------------ escalation

@@ -16,9 +16,8 @@ from repro.core.health import (
 )
 from repro.sim import Simulator
 
-CONFIG_KW = dict(check_period_us=100.0, ewma_alpha=0.5,
+CONFIG_KW = dict(check_period_us=100.0,
                  drop_rate_high=2.0, drop_rate_low=0.25,
-                 occupancy_high=0.9, occupancy_low=0.5,
                  min_unhealthy_checks=2)
 
 
@@ -53,8 +52,6 @@ def test_config_rejects_bad_values():
         HealthConfig(min_unhealthy_checks=0)
     with pytest.raises(ValueError):
         HealthConfig(drop_rate_low=5.0, drop_rate_high=2.0)
-    with pytest.raises(ValueError):
-        HealthConfig(occupancy_low=0.95, occupancy_high=0.9)
 
 
 # ---------------------------------------------------------------- policies
@@ -162,10 +159,10 @@ def test_watch_is_idempotent_and_report_has_drop_vocabulary():
         assert counter in row
 
 
-def test_health_of_and_unwatch():
+def test_health_of_knows_watched_endpoints_only():
     sim, ep, monitor, record = _setup("drop")
     assert monitor.health_of(ep) is record
-    monitor.unwatch(ep)
-    assert monitor.health_of(ep) is None
+    other = Endpoint(sim, 1, EndpointConfig(num_buffers=8, buffer_size=256), owner="test")
+    assert monitor.health_of(other) is None
     monitor.stop()
     sim.run()

@@ -61,8 +61,10 @@ def test_ttl_decrement_preserves_validity():
 
 
 def test_ttl_expiry():
-    datagram = build_ipv4_udp(IP_A, IP_B, 1, 2, b"x", ttl=1)
-    with pytest.raises(IpHeaderError):
+    datagram = build_ipv4_udp(IP_A, IP_B, 1, 2, b"x")
+    for _ in range(63):                  # 64 hops' worth of routers ...
+        datagram = _decrement_ttl(datagram)
+    with pytest.raises(IpHeaderError):   # ... and the 64th refuses it
         _decrement_ttl(datagram)
 
 

@@ -78,6 +78,22 @@ def test_switch_drops_unknown_destination():
     assert switch.unknown_mac_drops == 1
 
 
+def test_frame_back_to_ingress_port_dropped():
+    sim = Simulator()
+    switch, link1, _link2 = _two_station_switch(sim, BAY_28115)
+    got1 = []
+    link1.set_receiver(got1.append)
+
+    def tx():
+        # a self-addressed frame toward its own port is filtered
+        yield from link1.transmit(_frame(dst=1, src=1))
+
+    sim.process(tx())
+    sim.run()
+    assert switch.unknown_mac_drops == 1
+    assert not got1 and switch.frames_forwarded == 0
+
+
 def test_switch_port_limit():
     sim = Simulator()
     switch = EthernetSwitch(sim, FN100)  # 8 ports

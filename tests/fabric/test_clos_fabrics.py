@@ -120,25 +120,13 @@ def test_fe_clos_counts_a_trunk_drop_once(closing):
     assert total(network, "dropped") == 4
 
 
-def test_fe_clos_learning_mode_requires_single_spine(closing):
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        ClosFeNetwork(sim, leaves=2, spines=2, learning=True)
-    sim.close()
-    # the spanning-tree-pruned shape works and delivers
-    sim, network, (ep0, ep1, ep2, ep3) = _fe_clos(closing, spines=1, learning=True)
-    ch, _ = network.connect(ep0, ep2)
-    msg = _transfer(sim, ep0, ep2, ch, b"learned")
-    assert msg.data == b"learned"
-
-
 # -------------------------------------------------------------- mixed fabric
 def test_mixed_fabric_native_and_spliced_channels(closing):
     sim = Simulator()
     fabric = closing(MixedFabric(sim, hosts_per_leaf=2))
-    atm_a = fabric.add_host("a0", SPARCSTATION_20, side="atm")
-    atm_b = fabric.add_host("a1", SPARCSTATION_20, side="atm")
-    fe_a = fabric.add_host("f0", PENTIUM_120, side="fe")
+    atm_a = fabric.add_host("a0", SPARCSTATION_20)   # sides alternate: ATM,
+    fe_a = fabric.add_host("f0", PENTIUM_120)        # FE,
+    atm_b = fabric.add_host("a1", SPARCSTATION_20)   # ATM
     ep_atm_a = atm_a.create_endpoint(rx_buffers=16)
     ep_atm_b = atm_b.create_endpoint(rx_buffers=16)
     ep_fe_a = fe_a.create_endpoint(rx_buffers=16)
@@ -161,6 +149,6 @@ def test_mixed_fabric_caps_atm_pdu_at_fe_mtu(closing):
 
     sim = Simulator()
     fabric = closing(MixedFabric(sim, hosts_per_leaf=2))
-    atm_host = fabric.add_host("a0", SPARCSTATION_20, side="atm")
+    atm_host = fabric.add_host("a0", SPARCSTATION_20)  # the first host is ATM-side
     # path-MTU rule: an ATM-side host must not emit what FE cannot carry
     assert atm_host.backend.max_pdu == UNET_FE_MAX_PDU

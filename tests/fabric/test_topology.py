@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.fabric.topology import (
     Topology,
     clos_topology,
-    leaves_for,
     linear_topology,
 )
 
@@ -55,14 +54,6 @@ def test_malformed_topologies_are_rejected():
         Topology(2, [(0, 1), (1, 0)])  # duplicate trunk
     with pytest.raises(ValueError):
         clos_topology(0, 2)
-
-
-def test_leaves_for_rounds_up():
-    assert leaves_for(256, 16) == 16
-    assert leaves_for(17, 16) == 2
-    assert leaves_for(1, 16) == 1
-    with pytest.raises(ValueError):
-        leaves_for(0, 16)
 
 
 @given(leaves=st.integers(min_value=1, max_value=8),

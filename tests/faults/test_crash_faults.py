@@ -121,5 +121,6 @@ def test_endpoint_lifecycle_maps_kinds_to_actions():
     life.fire(CrashFault("fwd", 2), 5.0)
     life.fire(RestartFault("fwd", 2, 1), 9.0)
     assert calls == ["crash", "restart"]
-    assert life.applied_keys() == [("crash", 2, 0), ("restart", 2, 1)]
+    assert [(f.kind, f.seq, f.occurrence) for f, _t in life.applied] == [
+        ("crash", 2, 0), ("restart", 2, 1)]
     assert [t for _f, t in life.applied] == [5.0, 9.0]

@@ -6,21 +6,19 @@ and the injector counts what changed and what was already so."""
 import pytest
 
 from repro import networks
-from repro.faults.fabric import (FabricFaultInjector, Partition, SpineFailure, TrunkDown,
-                                 TrunkFlap)
+from repro.faults.fabric import FabricFaultInjector, Partition, SpineFailure, TrunkFlap
 from repro.sim import Simulator
 
 #: stages -> ({trunk: [(instant, up after it), ...]}, applied, redundant)
 CASES = {
-    "trunk-down": ([TrunkDown(0, 2, at_us=10.0, restore_us=30.0)],
-                   {(0, 2): [(10.0, False), (30.0, True)]}, 2, 0),
     "trunk-flap": ([TrunkFlap(1, 3, start_us=10.0, period_us=20.0, down_us=5.0, cycles=2)],
                    {(1, 3): [(10.0, False), (15.0, True), (30.0, False), (35.0, True)]}, 4, 0),
-    # the trunk-down fells a trunk the spine failure already took
-    "spine-failure": ([SpineFailure(0, at_us=10.0, restore_us=20.0), TrunkDown(1, 2, at_us=10.0)],
-                      {(0, 2): [(10.0, False), (20.0, True)],
-                       (1, 2): [(10.0, False), (20.0, True)],
-                       (0, 3): []}, 4, 1),
+    # the partition fells a trunk the spine failure already took
+    "spine-failure": ([SpineFailure(0, at_us=10.0), Partition(leaves=(1,), at_us=10.0)],
+                      {(0, 2): [(10.0, False)],
+                       (1, 2): [(10.0, False)],
+                       (1, 3): [(10.0, False)],
+                       (0, 3): []}, 3, 1),
     # leaf 0 alone on one side: both its uplinks are cut, leaf 1's are not
     "partition": ([Partition(leaves=(0,), at_us=10.0, heal_us=20.0)],
                   {(0, 2): [(10.0, False), (20.0, True)],

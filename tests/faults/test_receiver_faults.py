@@ -212,9 +212,9 @@ def test_forged_unknown_tags_count_at_the_demux_table(substrate, build_pair):
     sim, sender, receiver, ch = build_pair(substrate)
     backend = receiver.host.backend
     before = backend.demux.unknown_tag_drops
-    injected = forge_unknown_traffic(backend, count=5)
+    for _ in range(5):
+        forge_unknown_traffic(backend)
     sim.run(until=1_000.0)
-    assert injected == 5
     assert backend.demux.unknown_tag_drops == before + 5
     assert read(backend)["unknown_tag_drops"] == before + 5
     # nothing crossed a protection boundary into a real endpoint

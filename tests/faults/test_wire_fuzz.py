@@ -265,7 +265,7 @@ def _mutated(draw, valid: bytes) -> bytes:
 def _datagrams(draw):
     valid = build_ipv4_udp(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
                            draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)),
-                           draw(st.binary(max_size=64)), ttl=draw(st.integers(0, 255)))
+                           draw(st.binary(max_size=64)))
     return _mutated(draw, valid)
 
 

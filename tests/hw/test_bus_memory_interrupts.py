@@ -42,22 +42,6 @@ def test_dma_engine_serializes_on_shared_bus():
     assert dma.bytes_transferred == 1920
 
 
-def test_dma_engines_share_bus_resource():
-    sim = Simulator()
-    nic = DmaEngine(sim, PCI_BUS, name="nic")
-    disk = DmaEngine(sim, PCI_BUS, shared_bus=nic.bus_resource, name="disk")
-    order = []
-
-    def xfer(engine, tag):
-        yield sim.process(engine.transfer(960))
-        order.append((tag, sim.now))
-
-    sim.process(xfer(nic, "nic"))
-    sim.process(xfer(disk, "disk"))
-    sim.run()
-    assert order[1][1] == pytest.approx(2 * PCI_BUS.transfer_time(960))
-
-
 def test_uncontended_dma_inline_is_one_heap_entry():
     sim = Simulator()
     dma = DmaEngine(sim, PCI_BUS)
@@ -89,7 +73,7 @@ def test_contended_dma_inline_waits_its_turn():
     sim.run()
     t_single = PCI_BUS.transfer_time(960)
     assert done == [("rx", t_single), ("tx", t_single + t_single)]
-    assert dma.bus_resource.in_use == 0
+    assert dma._bus_resource.in_use == 0
 
 
 def test_dma_caller_resumes_behind_peers_due_at_the_same_instant():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import measure_bandwidth, measure_rtt, setup_atm, setup_fe_hub
 from repro.apps import RadixConfig, run_radix_sort
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.splitc import Cluster
 
 
@@ -39,7 +39,7 @@ def test_event_counts_identical_across_runs():
         from repro.ethernet import HubNetwork
         from repro.hw import PENTIUM_120
 
-        net = HubNetwork(sim, rng=RngRegistry(99))
+        net = HubNetwork(sim)
         h1 = net.add_host("h1", PENTIUM_120)
         h2 = net.add_host("h2", PENTIUM_120)
         ep1 = h1.create_endpoint(rx_buffers=8)
@@ -65,12 +65,12 @@ def test_event_counts_identical_across_runs():
 def test_contended_hub_with_same_seed_repeats():
     """Even collision resolution (randomized backoff) is reproducible."""
 
-    def run(seed):
+    def run():
         sim = Simulator()
         from repro.ethernet import HubNetwork
         from repro.hw import PENTIUM_120
 
-        net = HubNetwork(sim, rng=RngRegistry(seed))
+        net = HubNetwork(sim)
         hosts = [net.add_host(f"h{i}", PENTIUM_120) for i in range(3)]
         eps = [h.create_endpoint(rx_buffers=8) for h in hosts]
         ch01, ch10 = net.connect(eps[0], eps[1])
@@ -88,6 +88,6 @@ def test_contended_hub_with_same_seed_repeats():
         sim.run()
         return sim.now, net.medium.collisions
 
-    assert run(7) == run(7)
-    # and a different seed genuinely changes the backoff outcome
-    assert run(7) != run(8) or run(7)[1] == 0
+    first = run()
+    assert first[1] > 0  # the backoff RNG really was drawn
+    assert run() == first

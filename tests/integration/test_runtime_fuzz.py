@@ -37,7 +37,7 @@ def test_random_op_sequences_never_deadlock(nodes, script, substrate):
             if kind == "put":
                 yield from rt.put(peer, "fuzz", offset, np.array([b % 2**32], dtype=np.uint32))
             elif kind == "get":
-                yield from rt.get(peer, "fuzz", offset, 1 + b % 4)
+                yield from rt.get(peer, "fuzz", offset + b % 4)
             elif kind == "store":
                 yield from rt.store_array(peer, "fuzz", offset,
                                           np.array([b % 2**32], dtype=np.uint32))

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.live import run_bench
-from repro.live.bench import ARTIFACT, percentile
+from repro.analysis.stats import percentile
+from repro.live.bench import ARTIFACT
 
 from .conftest import require
 
@@ -17,6 +18,10 @@ def test_percentile_is_nearest_rank():
     assert percentile(samples, 50) == 20.0
     assert percentile(samples, 99) == 40.0
     assert percentile([5.0], 50) == 5.0
+    # ranks are ceil(q/100 * n), not rounded: q/100 * n exactly on an
+    # integer names that sample, never the next one up
+    assert percentile([float(i) for i in range(1, 11)], 50) == 5.0
+    assert percentile([float(i) for i in range(1, 101)], 99) == 99.0
     with pytest.raises(ValueError):
         percentile([], 50)
 

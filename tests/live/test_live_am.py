@@ -9,6 +9,7 @@ assert exactly when things fire.
 import pytest
 
 from repro.am.am import AmConfig
+from repro.am.core import ACK_DELAY_US, BACKOFF_JITTER, CREDIT_UPDATE_US
 from repro.core.clock import ManualClock
 from repro.live import LiveAm, LiveCluster, make_transport
 
@@ -69,7 +70,7 @@ def test_delayed_ack_fires_exactly_at_its_deadline():
         acks_before = am1.acks_sent
 
         # one microsecond short of the deadline: nothing fires
-        clock.advance(am1.config.ack_delay_us - 1.0)
+        clock.advance(ACK_DELAY_US - 1.0)
         am1.service()
         assert am1.acks_sent == acks_before
 
@@ -139,7 +140,7 @@ def test_window_gate_refuses_admission_when_full():
         am1.register_handler(1, lambda ctx: None)
         for _ in range(4):
             pump()
-            clock.advance(am1.config.ack_delay_us + 1)
+            clock.advance(ACK_DELAY_US + 1)
         assert am0.start_request(1, 1, args=(2,)) is not None
     finally:
         cluster.close()
@@ -154,13 +155,13 @@ def test_credit_refresh_advertises_when_local_room_changes():
         assert am0.start_request(1, 1, args=(0,)) is not None
         for _ in range(3):
             pump()
-            clock.advance(config.ack_delay_us + 1)
+            clock.advance(ACK_DELAY_US + 1)
         peer01 = am1._peers_by_node[0]
         assert peer01.last_advertised is not None
         # force a stale advertisement, then cross the refresh deadline
         peer01.last_advertised = 0
         acks = am1.acks_sent
-        clock.advance(config.credit_update_us + 1)
+        clock.advance(CREDIT_UPDATE_US + 1)
         am1.service()
         assert am1.acks_sent == acks + 1
     finally:
@@ -200,7 +201,7 @@ class _CountingRandom:
 
 def test_an_rto_expiry_computes_its_timeout_once():
     clock = ManualClock()
-    config = AmConfig(adaptive_rto=True, backoff_jitter=0.5)
+    config = AmConfig(adaptive_rto=True)
     cluster, am0, am1, pump = _pair(clock, config=config)
     try:
         am0._rng = rng = _CountingRandom()
@@ -214,7 +215,7 @@ def test_an_rto_expiry_computes_its_timeout_once():
         assert len(rng.draws) == 1            # one draw per expiry, not two
         # ... and the observation reports the very threshold that expired
         expected = config.retransmit_timeout_us * config.backoff_factor * (
-            1.0 + config.backoff_jitter * rng.draws[0])
+            1.0 + BACKOFF_JITTER * rng.draws[0])
         assert timeouts == [expected]
     finally:
         cluster.close()
@@ -223,7 +224,7 @@ def test_an_rto_expiry_computes_its_timeout_once():
 def test_expiry_backs_off_and_halves_the_window_before_the_starvation_verdict():
     clock = ManualClock()
     config = AmConfig(recovery=True, adaptive_rto=True, adaptive_window=True,
-                      backoff_jitter=0.0, dead_after_timeouts=1)
+                      dead_after_timeouts=1)
     cluster, am0, am1, pump = _pair(clock, config=config)
     try:
         assert am0.start_request(1, 1, args=(0,)) is not None

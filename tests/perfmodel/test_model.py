@@ -170,4 +170,4 @@ def test_projection_time_components_positive():
     proj = project_sample(SampleConfig(1000, False), 4, FE, _fe(4))
     assert proj.cpu_us > 0 and proj.net_us > 0
     assert proj.total_us == proj.cpu_us + proj.net_us
-    assert 0 < proj.cpu_fraction < 1
+    assert 0 < proj.cpu_us < proj.total_us

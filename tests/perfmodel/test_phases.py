@@ -54,13 +54,6 @@ def test_fetch_latency_floor_for_tiny_blocks():
     assert t > FE.latency(16)
 
 
-def test_phase_times_total():
-    from repro.perfmodel import PhaseTimes
-
-    p = PhaseTimes(net_us=10.0, cpu_us=5.0)
-    assert p.total_us == 15.0
-
-
 def test_stage_costs_fe_wire_includes_switch():
     from repro.ethernet.switch import FN100
     fe_fn100 = fe_stage_costs(PENTIUM_120, switch=FN100)

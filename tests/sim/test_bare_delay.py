@@ -19,16 +19,16 @@ def test_interrupt_during_bare_delay_raises_at_the_yield():
         try:
             yield 100.0
             log.append(("overslept", sim.now))
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
         yield 500.0  # still asleep when the stale t=100 entry pops
         log.append(("woke", sim.now))
         return "done"
 
     victim = sim.process(sleeper())
-    sim.call_in(3.0, victim.interrupt, "up")
+    sim.call_in(3.0, victim.interrupt)
     sim.run()
-    assert log == [("interrupted", 3.0, "up"), ("woke", 503.0)]
+    assert log == [("interrupted", 3.0), ("woke", 503.0)]
     assert victim.value == "done"
 
 
@@ -53,21 +53,21 @@ def test_stale_wake_entry_still_counts_as_one_dispatch():
 
 def test_interrupted_process_can_be_interrupted_again():
     sim = Simulator()
-    causes = []
+    caught = []
 
     def sleeper():
         for _ in range(3):
             try:
                 yield 50.0
-            except Interrupt as intr:
-                causes.append((sim.now, intr.cause))
+            except Interrupt:
+                caught.append(sim.now)
         return sim.now
 
     victim = sim.process(sleeper())
-    sim.call_in(10.0, victim.interrupt, "a")
-    sim.call_in(20.0, victim.interrupt, "b")
+    sim.call_in(10.0, victim.interrupt)
+    sim.call_in(20.0, victim.interrupt)
     assert sim.run_until_complete(victim) == 70.0
-    assert causes == [(10.0, "a"), (20.0, "b")]
+    assert caught == [10.0, 20.0]
 
 
 def test_int_delay_sleeps():

@@ -36,13 +36,6 @@ def test_bad_node_count():
         Cluster(0)
 
 
-def test_mismatched_cpu_list():
-    from repro.hw import PENTIUM_120
-
-    with pytest.raises(ValueError):
-        Cluster(3, cpus=[PENTIUM_120])
-
-
 def test_runtime_operation_counters():
     cl = Cluster(3, substrate="fe-switch")
 
@@ -50,7 +43,7 @@ def test_runtime_operation_counters():
         arr = rt.all_spread_malloc("a", 8, np.uint32)
         yield from rt.barrier()
         peer = (rt.node + 1) % rt.nprocs
-        yield from rt.get(peer, "a", 0, 2)
+        yield from rt.get(peer, "a", 0)
         yield from rt.put(peer, "a", 0, np.array([1], dtype=np.uint32))
         yield from rt.bulk_get(peer, "a", 0, 4, "a", 4)
         yield from rt.all_store_sync()
@@ -65,13 +58,6 @@ def test_runtime_operation_counters():
         assert stats[f"runtimes/{node}/puts_issued"] == 1
         assert stats[f"runtimes/{node}/fetches_issued"] == 1
         assert stats[f"runtimes/{node}/syncs_completed"] == 1
-
-
-def test_custom_am_config_plumbed():
-    from repro.am import AmConfig
-
-    with Cluster(2, substrate="fe-switch", am_config=AmConfig(window=5)) as cl:
-        assert all(am.config.window == 5 for am in cl.ams)
 
 
 def test_beowulf_substrate_runs_splitc():

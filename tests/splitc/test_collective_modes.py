@@ -67,8 +67,7 @@ def test_lazy_channels_only_connect_used_pairs():
     cluster.run(program)
     # all_store_sync announces to every peer, so the mesh fills; the
     # point of laziness is *when*: nothing is connected up front
-    with Cluster(6, substrate="fe-switch", lazy_channels=False) as eager:
-        assert len(eager._connected_pairs) == 15
+    assert len(cluster._connected_pairs) == 15
     with Cluster(6, substrate="fe-switch") as lazy:
         assert len(lazy._connected_pairs) == 0
 

@@ -63,17 +63,17 @@ def test_add_bytes_accumulates():
     heap = GlobalHeap(0)
     arr = heap.allocate("hist", 4, np.uint64)
     arr[:] = [1, 2, 3, 4]
-    heap.add_bytes(0, 0, np.array([10, 10, 10, 10], dtype=np.uint64).tobytes())
+    heap.combine_bytes(0, 0, np.array([10, 10, 10, 10], dtype=np.uint64).tobytes(), op="sum")
     assert list(arr) == [11, 12, 13, 14]
 
 
 def test_add_bytes_with_offset():
     heap = GlobalHeap(0)
     arr = heap.allocate("hist", 4, np.uint64)
-    heap.add_bytes(0, 2, np.array([5], dtype=np.uint64).tobytes())
+    heap.combine_bytes(0, 2, np.array([5], dtype=np.uint64).tobytes(), op="sum")
     assert list(arr) == [0, 0, 5, 0]
     with pytest.raises(HeapError):
-        heap.add_bytes(0, 4, np.array([5], dtype=np.uint64).tobytes())
+        heap.combine_bytes(0, 4, np.array([5], dtype=np.uint64).tobytes(), op="sum")
 
 
 # ---------------------------------------------------------------- costs

@@ -94,7 +94,9 @@ def test_get_put_remote():
         arr[:] = np.arange(8, dtype=np.uint32) + 100 * (rt.node + 1)
         yield from rt.barrier()
         peer = 1 - rt.node
-        values = yield from rt.get(peer, "a", 2, 3)
+        values = []
+        for i in (2, 3, 4):
+            values.extend((yield from rt.get(peer, "a", i)))
         yield from rt.put(peer, "a", 0, np.array([9999], dtype=np.uint32))
         yield from rt.barrier()
         return (list(map(int, values)), int(arr[0]))
@@ -129,7 +131,7 @@ def test_all_reduce_sum():
         hist = rt.all_spread_malloc("h", 16, np.uint64)
         hist[:] = rt.node + 1
         yield from rt.barrier()
-        yield from rt.all_reduce_sum("h")
+        yield from rt.all_reduce("h")
         return int(hist[7])
 
     assert cl.run(program) == [10, 10, 10, 10]  # 1+2+3+4
@@ -185,7 +187,7 @@ def test_single_node_cluster_collectives_are_noops():
         arr[:] = 5
         yield from rt.barrier()
         yield from rt.all_store_sync()
-        yield from rt.all_reduce_sum("x")
+        yield from rt.all_reduce("x")
         return int(arr[0])
 
     assert cl.run(program) == [5]

@@ -2,9 +2,10 @@
 
 Every defaulted parameter and every defaulted dataclass / NamedTuple
 field in ``src/repro`` doubles the configurations a test must cover, so
-each one must be set somewhere: by a call in ``src``, ``tests``,
-``benchmarks``, ``examples`` or ``perfbench``.  The census below is an
-AST walk over those five trees.  A call names its target by the last
+each one must be set somewhere by a workload: by a call in ``src``,
+``benchmarks`` or ``perfbench``.  Tests and examples are not callers: a
+knob only they turn is still one nothing needs.  The census below is an
+AST walk over those three trees.  A call names its target by the last
 component of what it calls (``f(...)``, ``x.f(...)``, ``Cls(...)``,
 ``super().__init__(...)``, ``partial(f, ...)``), and sets a parameter by
 keyword or by position; ``replace(obj, field=...)`` sets that field on
@@ -24,7 +25,11 @@ registry — and the kinds of default that stay on purpose are named in
 3. fields of calibration records;
 4. state dataclasses whose defaults are initial state;
 5. the experiment configs that soaks and tests compare;
-6. signatures perfbench calls or reads.
+6. signatures perfbench calls or reads;
+7. test seams: kept only where a test substitutes a fake or a shorter
+   run (a hand-stepped monitor, fewer sizes or iterations, a smaller
+   PDU), or reaches a state a workload reaches but a test cannot afford
+   to drive (a 128-node-deep tree on a few nodes, a missed deadline).
 """
 
 import ast
@@ -36,9 +41,10 @@ import repro
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 REPO_ROOT = SRC_ROOT.parents[1]
-CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perfbench")
+CALLER_TREES = ("src", "benchmarks", "perfbench")
 
-SET_UNSEEN, DEVICE_MODEL, CALIBRATION, INITIAL_STATE, EXPERIMENT, PERFBENCH = range(1, 7)
+(SET_UNSEEN, DEVICE_MODEL, CALIBRATION, INITIAL_STATE, EXPERIMENT, PERFBENCH,
+ TEST_SEAM) = range(1, 8)
 
 
 def _each(category, owner, *params):
@@ -55,6 +61,20 @@ KEPT = {
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
+    # ``networks.Network.build``'s ``cls(sim, **self.shape(n))``
+    **_each(SET_UNSEEN, "repro.fabric.atm_clos:ClosAtmFabric.__init__", "leaves", "spines"),
+    **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork.__init__", "leaves", "spines"),
+    **_each(SET_UNSEEN, "repro.fabric.mixed:MixedFabric.__init__", "hosts_per_leaf"),
+    # ``AmConfig.adaptive``'s ``cls(**overrides)``, and ``live/peer.py``'s
+    # child, which starts a respawned incarnation at its parent's epoch
+    # through ``peer_am_config(**overrides)``
+    **_each(SET_UNSEEN, "repro.am.core:AmConfig", "epoch", "fast_retransmit"),
+    # the multitenant soak's ``QosClass.health_config(**overrides)``
+    **_each(SET_UNSEEN, "repro.core.health:HealthConfig",
+            "drop_rate_high", "drop_rate_low", "min_unhealthy_checks"),
+    # the multitenant soak's live ``create_endpoint`` callback
+    # (``LiveCluster.add_node(...).create_user_endpoint``)
+    **_each(SET_UNSEEN, "repro.live.backend:LiveBackend.create_user_endpoint", "qos", "tenant"),
     # which CPU, NI timings, bus, PHY, switch, link rate or delay a device
     # is built with: the selectors a new network generation sets from a row
     **_each(DEVICE_MODEL, "repro.analysis.journey:trace_journey", "cpu"),
@@ -89,7 +109,13 @@ KEPT = {
     **_each(DEVICE_MODEL, "repro.fabric.fe_clos:ClosFeNetwork.__init__",
             "model", "rate_mbps", "trunk_propagation_us"),
     **_each(DEVICE_MODEL, "repro.perfmodel.loggp:atm_stage_costs", "bus", "phy", "timings"),
-    **_each(DEVICE_MODEL, "repro.perfmodel.loggp:fe_stage_costs", "bus", "nic", "timings"),
+    **_each(DEVICE_MODEL, "repro.perfmodel.loggp:fe_stage_costs",
+            "bus", "nic", "switch", "timings"),
+    # FIFO depths (None = unbounded): bounding the ATM host uplink FIFO
+    # is their first workload (ROADMAP item 3(i))
+    **_each(DEVICE_MODEL, "repro.atm.phy:CellLink.__init__", "buffer"),
+    **_each(DEVICE_MODEL, "repro.hw.bus:Link.__init__", "buffer"),
+    **_each(DEVICE_MODEL, "repro.ethernet.switch:EthernetSwitch.__init__", "output_buffer"),
     # one calibrated cost per field
     **_each(CALIBRATION, "repro.atm.unet_atm:AtmTimings",
             "collective_op_us", "rx_buffer_alloc_us", "rx_last_cell_us", "rx_per_cell_us",
@@ -124,6 +150,22 @@ KEPT = {
     # the AM stack the soaks and the conformance cases compare
     **_each(EXPERIMENT, "repro.am.core:AmConfig",
             "backoff_factor", "dup_ack_threshold", "rto_max_us", "rto_min_us"),
+    # a shorter run: fewer sizes, samples, iterations or checks
+    **_each(TEST_SEAM, "repro.collectives.bench:run_collectives_bench",
+            "barrier_iters", "reduce_iters"),
+    **_each(TEST_SEAM, "repro.live.bench:bench_bandwidth", "sizes"),
+    **_each(TEST_SEAM, "repro.live.bench:bench_round_trip", "sizes"),
+    **_each(TEST_SEAM, "repro.live.bench:run_bench", "bw_sizes", "rtt_sizes"),
+    **_each(TEST_SEAM, "repro.core.health:HealthConfig", "ewma_alpha"),
+    # a fake: a hand-stepped watchdog, an instrumented simulator, a PDU
+    # cap small enough for the framing fuzz to cover
+    **_each(TEST_SEAM, "repro.core.health:HealthMonitor.__init__", "manual"),
+    **_each(TEST_SEAM, "repro.splitc.cluster:Cluster.__init__", "sim"),
+    **_each(TEST_SEAM, "repro.live.backend:LiveCluster.__init__", "max_pdu"),
+    # a state a workload reaches that a test cannot afford to drive:
+    # a deep collective tree on a handful of nodes, a missed deadline
+    **_each(TEST_SEAM, "repro.collectives.adapters:wire_collectives", "fanout"),
+    **_each(TEST_SEAM, "repro.faults.soak:SoakScenario", "time_limit_us"),
 }
 
 
@@ -447,17 +489,30 @@ def outer(y, depth=3):
 def caller():
     Knobs(used=5)
     return outer(1)
+
+def tested(x, scale=2):
+    return x * scale
+"""
+
+_PLANTED_TEST = """
+from repro._planted import tested
+
+def test_tested():
+    assert tested(1, scale=3) == 3
 """
 
 
-def test_lint_catches_a_planted_offender():
-    """An unset field, an unset parameter, and one set only by a forward
-    of an unset parameter are all flagged; the set field is not."""
-    c = _Census({"repro._planted": ast.parse(_PLANTED)})
-    c.scan(c.trees["repro._planted"], "repro._planted")
-    found = offenders(c)
+def test_lint_catches_a_planted_offender(tmp_path):
+    """An unset field, an unset parameter, one set only by a forward of
+    an unset parameter, and one only a test sets are all flagged; the
+    field a workload sets is not."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "_planted.py").write_text(_PLANTED, encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_planted.py").write_text(_PLANTED_TEST, encoding="utf-8")
+    found = offenders(census(tmp_path))
     assert found == ["repro._planted:Knobs.unused", "repro._planted:inner.depth",
-                     "repro._planted:outer.depth"]
+                     "repro._planted:outer.depth", "repro._planted:tested.scale"]
 
 
 def test_kept_allowlist_is_exact():
@@ -467,6 +522,6 @@ def test_kept_allowlist_is_exact():
     c = _tree_census()
     unset = c.unset()
     assert set(KEPT.values()) <= {SET_UNSEEN, DEVICE_MODEL, CALIBRATION, INITIAL_STATE,
-                                  EXPERIMENT, PERFBENCH}
+                                  EXPERIMENT, PERFBENCH, TEST_SEAM}
     assert not KEPT.keys() - c.knobs, "KEPT names knobs that are gone"
     assert not KEPT.keys() - unset, "KEPT names knobs some call now sets"
