@@ -55,11 +55,15 @@ def test_time_knobs_must_be_positive(knob, value):
     {"rto_min_us": 0.0},
     {"rto_min_us": 5000.0, "rto_max_us": 100.0},
     {"backoff_factor": 0.5},
-    {"dup_ack_threshold": 0},
 ])
 def test_adaptive_knob_validation(kwargs):
     with pytest.raises(ValueError):
         AmConfig(**kwargs)
+
+
+def test_dup_ack_threshold_must_be_at_least_one():
+    with pytest.raises(ValueError, match="dup_ack_threshold"):
+        AmConfig(dup_ack_threshold=0)
 
 
 def test_adaptive_classmethod_enables_the_full_stack():
