@@ -375,7 +375,7 @@ class PeerState:
 class RequestContext:
     """Handed to request handlers; lets them reply to the requester."""
 
-    __slots__ = ("am", "src_node", "args", "data", "_req_seq", "replied")
+    __slots__ = ("am", "src_node", "args", "data", "_req_seq")
 
     def __init__(self, am: "AmCore", src_node: int, args, data: bytes, req_seq: int) -> None:
         self.am = am
@@ -383,13 +383,11 @@ class RequestContext:
         self.args = args
         self.data = data
         self._req_seq = req_seq
-        self.replied = False
 
     def reply(self, args=(), data: bytes = b""):
         """Send the reply for this request.  On the simulated endpoint
         this returns a process body to ``yield from`` (or return from the
         handler); on the live endpoint the reply is already sent."""
-        self.replied = True
         return self.am._send_reply(self.src_node, self._req_seq, args, data)
 
 
@@ -450,9 +448,6 @@ class AmCore:
         self.restarts = 0
         #: sends abandoned under the at-most-once contract, all peers
         self.abandoned_sends = 0
-        #: optional HealthMonitor fed peer_dead/peer_alive verdicts by
-        #: the liveness detector (see attach_health)
-        self.health = None
 
     # ------------------------------------------------------------- set-up
     @property
@@ -479,12 +474,6 @@ class AmCore:
     def shutdown(self) -> None:
         """Stop background activity so the run can drain."""
         self._running = False
-
-    def attach_health(self, monitor) -> None:
-        """Feed the liveness detector's peer_dead/peer_alive verdicts
-        into a :class:`~repro.core.health.HealthMonitor`."""
-        self.health = monitor
-        monitor.watch(self.user.endpoint)
 
     def _peer(self, node: int) -> PeerState:
         peer = self._peers_by_node.get(node)
@@ -554,13 +543,6 @@ class AmCore:
         self.epoch = (self.epoch + 1) % EPOCH_MOD
         self.restarts += 1
         self._crashed = False
-        if self.health is not None:
-            # the restart is a local (syscall-level) event the host's
-            # monitor is entitled to see: a quarantine latch earned by
-            # the dead incarnation converts back into a live evaluation.
-            # Without this the latch is unescapable — the shed endpoint
-            # never receives the traffic that could prove it recovered.
-            self.health.note_epoch_advance(self.user.endpoint)
         for node, old in list(self._peers_by_node.items()):
             fresh = self._new_peer(old.node, old.channel)
             fresh.reconnecting = True
@@ -601,16 +583,12 @@ class AmCore:
         self._abandon(peer, list(peer.unacked), reason)
         self._fail_waiters(peer, PeerUnavailableError(
             f"node {peer.node} declared dead: {reason}", peer=peer.node))
-        if self.health is not None:
-            self.health.report_peer_dead(self.user.endpoint, peer.node)
 
     def _mark_alive(self, peer: PeerState) -> None:
         peer.starved_timeouts = 0
         if not peer.alive:
             peer.alive = True
             self._observe("peer_alive", peer)
-            if self.health is not None:
-                self.health.report_peer_alive(self.user.endpoint, peer.node)
 
     def _peer_restarted(self, peer: PeerState, new_epoch: int,
                         horizon: int) -> None:
@@ -650,12 +628,6 @@ class AmCore:
         # anything and hang for good
         self._window_opened(peer)
         self._credit_opened(peer)
-        if self.health is not None:
-            # a restart proves a fresh incarnation is talking: a
-            # quarantine latch earned by the dead one must be
-            # re-evaluated, not carried over (the watchdog re-latches
-            # if the new process still misbehaves)
-            self.health.note_epoch_advance(self.user.endpoint)
         self._observe("peer_restart", peer, epoch=new_epoch, horizon=horizon)
 
     # -- patchable spec seams (the conformance bug library targets these) --

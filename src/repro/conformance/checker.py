@@ -240,7 +240,6 @@ class CaseRig:
                  connect: Callable, am_class) -> None:
         self.case = case
         (backend0, create0), (backend1, create1) = add_node("n0"), add_node("n1")
-        self.backend0, self.backend1 = backend0, backend1
         ep0 = create0(config=EndpointConfig(num_buffers=64, buffer_size=2048,
                                             send_queue_depth=64, recv_queue_depth=64),
                       rx_buffers=32)

@@ -52,7 +52,6 @@ class ShrinkResult:
     report: CaseReport
     original_size: int
     attempts: int = 0
-    accepted: int = 0
     trail: List[str] = field(default_factory=list)
 
     @property
@@ -208,7 +207,6 @@ def shrink_case(report: CaseReport,
             if _divergence_kinds(candidate_report) & target_kinds:
                 result.case = candidate
                 result.report = candidate_report
-                result.accepted += 1
                 result.trail.append(description)
                 if progress is not None:
                     progress(f"shrunk to size {candidate.size}: {description}")

@@ -8,7 +8,7 @@ from .api import Host, ReceivedMessage, UserEndpoint
 from .base import Closing, SimulatedNetwork, UNetBackend
 from .channels import AtmTag, ChannelBinding, EthernetTag, lookup_channel, register_channel
 from .clock import Clock, ClockShim, ManualClock
-from .cluster import ClusterHealthAggregator, HostView
+from .cluster import ClusterHealthAggregator
 from .descriptors import SMALL_MESSAGE_MAX, RecvDescriptor, SendDescriptor
 from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig
 from .errors import (
@@ -72,7 +72,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "ClusterHealthAggregator",
-    "HostView",
     "HealthConfig",
     "HealthMonitor",
     "EndpointHealth",

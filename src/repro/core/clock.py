@@ -56,13 +56,11 @@ class ManualClock(Clock):
 
     def __init__(self) -> None:
         self._now_us = 0.0
-        self.sleeps = 0
 
     def now_us(self) -> float:
         return self._now_us
 
     def sleep_us(self, us: float) -> None:
-        self.sleeps += 1
         self.advance(us)
 
     def advance(self, us: float) -> None:

@@ -6,8 +6,8 @@ host B, which keeps burning service time on the same tenant's traffic.
 This module adds the controller tier — deliberately tiny, in the spirit
 of the paper's "keep the shared path cheap": hosts register their
 monitors, :meth:`ClusterHealthAggregator.poll` merges the per-endpoint
-verdicts into per-host views and a per-tenant cluster verdict, and two
-coordinated actions fall out:
+verdicts into a per-tenant cluster verdict, and two coordinated actions
+fall out:
 
 * **coordinated quarantine** — when a tenant is quarantined on at least
   ``quorum`` hosts by local evidence, the aggregator latches the
@@ -33,30 +33,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .errors import ClusterPartitionError
 from .health import STATE_QUARANTINED, STATE_SHED, EndpointHealth, HealthMonitor
 
-__all__ = ["HostView", "ClusterHealthAggregator", "ClusterPartitionMonitor",
+__all__ = ["ClusterHealthAggregator", "ClusterPartitionMonitor",
            "MODE_NORMAL", "MODE_DEGRADED", "MODE_ISOLATED"]
-
-
-class HostView:
-    """One host's merged health verdict (a poll-time snapshot)."""
-
-    __slots__ = ("host", "endpoints", "states", "quarantined_tenants")
-
-    def __init__(self, host: str) -> None:
-        self.host = host
-        self.endpoints = 0
-        #: state name -> endpoint count
-        self.states: Dict[str, int] = {}
-        #: tenants with at least one locally quarantined endpoint
-        self.quarantined_tenants: set = set()
-
-    def as_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "endpoints": self.endpoints,
-            "states": dict(self.states),
-            "quarantined_tenants": sorted(self.quarantined_tenants),
-        }
 
 
 class ClusterHealthAggregator:
@@ -93,9 +71,6 @@ class ClusterHealthAggregator:
         """Register one host's monitor (idempotent per name)."""
         self._monitors[host] = monitor
 
-    def hosts(self) -> List[str]:
-        return sorted(self._monitors)
-
     # -------------------------------------------------------------- internals
     def _tenant_records(self, tenant: str) -> List[Tuple[HealthMonitor, EndpointHealth]]:
         out = []
@@ -106,13 +81,12 @@ class ClusterHealthAggregator:
         return out
 
     # ------------------------------------------------------------------ poll
-    def poll(self) -> Dict[str, HostView]:
-        """One gossip/controller round: snapshot every host, then apply
-        coordinated quarantine to tenants past the quorum."""
-        views: Dict[str, HostView] = {}
+    def poll(self) -> None:
+        """One gossip/controller round: escalate endpoints that stay
+        shed, then apply coordinated quarantine to tenants past the
+        quorum."""
         locally_quarantined: Dict[str, set] = {}
         for host, monitor in self._monitors.items():
-            view = HostView(host)
             for record in monitor.records():
                 if self.escalate_shed_after is not None:
                     key = (host, record.endpoint.id)
@@ -124,16 +98,11 @@ class ClusterHealthAggregator:
                             self.escalations += 1
                     else:
                         self._shed_streak.pop(key, None)
-                view.endpoints += 1
-                view.states[record.state] = view.states.get(record.state, 0) + 1
                 if record.state == STATE_QUARANTINED and record.endpoint.tenant:
-                    view.quarantined_tenants.add(record.endpoint.tenant)
                     locally_quarantined.setdefault(record.endpoint.tenant, set()).add(host)
-            views[host] = view
         for tenant, hosts in locally_quarantined.items():
             if len(hosts) >= self.quorum and tenant not in self.cluster_quarantined:
                 self._quarantine_everywhere(tenant)
-        return views
 
     def _quarantine_everywhere(self, tenant: str) -> None:
         self.cluster_quarantined.add(tenant)
@@ -175,17 +144,6 @@ class ClusterHealthAggregator:
         if released:
             self.coordinated_releases += 1
         return released
-
-    # ------------------------------------------------------------- reporting
-    def report(self) -> dict:
-        """Cluster-level summary (host views + coordination counters)."""
-        views = self.poll()
-        return {
-            "hosts": [views[host].as_dict() for host in sorted(views)],
-            "cluster_quarantined": sorted(self.cluster_quarantined),
-            "coordinated_quarantines": self.coordinated_quarantines,
-            "coordinated_releases": self.coordinated_releases,
-        }
 
 
 # --------------------------------------------------------------- partitions

@@ -86,10 +86,6 @@ class Endpoint:
         )
         #: registered channels (channel_id -> backend-specific tag record)
         self.channels = {}
-        #: most recent send-queue activity, used by the i960's adaptive
-        #: polling ("endpoints with recent activity are polled more
-        #: frequently", Section 4.2.2)
-        self.last_send_activity = -1.0
         #: optional application signal handler, invoked (once per
         #: empty->non-empty transition) when messages arrive
         self._signal_handler: Optional[Callable[["Endpoint"], None]] = None
@@ -169,7 +165,6 @@ class Endpoint:
                     f"[0, {self.buffers.buffer_size}]"
                 )
         self.send_queue.push(descriptor)
-        self.last_send_activity = self.sim.now
 
     def wait_send_queue_space(self) -> Event:
         """Event that fires when the send queue has (or gets) room."""

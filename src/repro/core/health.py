@@ -55,7 +55,6 @@ __all__ = [
     "STATE_OVERLOADED",
     "STATE_SHED",
     "STATE_QUARANTINED",
-    "STATE_PEER_DEAD",
     "HealthConfig",
     "EndpointHealth",
     "HealthMonitor",
@@ -73,10 +72,6 @@ STATE_OVERLOADED = "overloaded"
 STATE_SHED = "shed"
 #: shed under the ``quarantine`` policy (latched until release)
 STATE_QUARANTINED = "quarantined"
-#: verdict fed by the AM liveness detector: one or more of this
-#: endpoint's peers is dead (the endpoint itself is served normally;
-#: the state surfaces the condition in telemetry and reports)
-STATE_PEER_DEAD = "peer_dead"
 
 #: receive-queue occupancy EWMA that counts as overload ...
 OCCUPANCY_HIGH = 0.9
@@ -133,7 +128,6 @@ class EndpointHealth:
         "shed_episodes",
         "shed_time_us",
         "recovered_at",
-        "dead_peers",
         "_last_service_drops",
     )
 
@@ -154,8 +148,6 @@ class EndpointHealth:
         #: (the SLO "quarantine time"; see :meth:`shed_time`)
         self.shed_time_us = 0.0
         self.recovered_at: Optional[float] = None
-        #: peer nodes the AM liveness detector has declared dead
-        self.dead_peers: set = set()
         self._last_service_drops = self._service_drops()
 
     def _service_drops(self) -> int:
@@ -261,7 +253,7 @@ class HealthMonitor:
             return
         self._close_shed_episode(record)
         endpoint.quarantined = False
-        record.state = STATE_PEER_DEAD if record.dead_peers else STATE_HEALTHY
+        record.state = STATE_HEALTHY
         record.unhealthy_checks = 0
         record.drop_ewma = 0.0
         record.occupancy_ewma = 0.0
@@ -301,27 +293,6 @@ class HealthMonitor:
         record.occupancy_ewma = 0.0
         return False
 
-    # ------------------------------------------------------ peer liveness
-    def report_peer_dead(self, endpoint: Endpoint, peer_node) -> None:
-        """Verdict from the AM liveness detector: ``endpoint`` has lost
-        its peer ``peer_node`` (ack starvation or missed heartbeats).
-        The endpoint itself keeps being served — the state is a signal,
-        not a containment action — but overload states take precedence
-        in ``state`` if both conditions hold."""
-        record = self.health_of(endpoint) or self.watch(endpoint)
-        record.dead_peers.add(peer_node)
-        if record.state == STATE_HEALTHY:
-            record.state = STATE_PEER_DEAD
-
-    def report_peer_alive(self, endpoint: Endpoint, peer_node) -> None:
-        """The peer came back (its HELLO arrived): clear the verdict."""
-        record = self.health_of(endpoint)
-        if record is None:
-            return
-        record.dead_peers.discard(peer_node)
-        if record.state == STATE_PEER_DEAD and not record.dead_peers:
-            record.state = STATE_HEALTHY
-
     # -------------------------------------------------------------- watchdog
     def step(self) -> None:
         """One sampling + classification pass over every record.
@@ -345,20 +316,19 @@ class HealthMonitor:
             return  # latched: only release()/note_epoch_advance() exits
         overloaded = (record.drop_ewma >= cfg.drop_rate_high
                       or record.occupancy_ewma >= OCCUPANCY_HIGH)
-        baseline = STATE_PEER_DEAD if record.dead_peers else STATE_HEALTHY
         if record.state == STATE_SHED:
             if (record.drop_ewma <= cfg.drop_rate_low
                     and record.occupancy_ewma <= OCCUPANCY_LOW):
                 self._close_shed_episode(record)
                 record.endpoint.quarantined = False
-                record.state = baseline
+                record.state = STATE_HEALTHY
                 record.unhealthy_checks = 0
                 record.recovered_at = self.sim.now
             return
         if not overloaded:
             record.unhealthy_checks = 0
             if record.state == STATE_OVERLOADED:
-                record.state = baseline
+                record.state = STATE_HEALTHY
             return
         record.unhealthy_checks += 1
         if record.unhealthy_checks < cfg.min_unhealthy_checks:
@@ -379,6 +349,5 @@ class HealthMonitor:
             record = self._records[key]
             ep = record.endpoint
             rows.append(dict(endpoint=ep.id, owner=ep.owner, tenant=ep.tenant,
-                             qos=ep.qos, **read(ep), **read(record),
-                             dead_peers=sorted(record.dead_peers)))
+                             qos=ep.qos, **read(ep), **read(record)))
         return rows

@@ -3,13 +3,10 @@
 The paper's U-Net multiplexes many user-level applications onto one NI;
 this module adds the policy layer a *population* of tenants needs.  A
 :class:`QosClass` bundles what a tenant's service tier means in U-Net
-terms: endpoint sizing (receive-queue depth and buffer count — the
-receiver-paced knobs that decide who drops first under overload), a
-per-tenant credit budget for the AM layer's credit-carrying flow
-control, a drain weight for QoS-aware service order, and the
-:class:`~repro.core.health.HealthConfig` policy defaults the watchdog
+terms: the :class:`~repro.core.health.HealthConfig` policy the watchdog
 applies (best-effort tenants are quarantined outright; paid tiers get
-self-relieving backpressure).
+self-relieving backpressure) and whether admission may refuse the tier
+to protect the paid ones.
 
 :class:`AdmissionController` guards endpoint creation: a host has a
 finite endpoint capacity (real NIs have finite demux/doorbell
@@ -50,28 +47,12 @@ class QosClass:
     """What one service tier means, in U-Net terms."""
 
     name: str
-    #: AM credit window granted to each of the tenant's channels
-    credit_budget: int
-    #: receive-queue depth — the receiver-paced knob that decides who
-    #: drops first when the host is overloaded
-    recv_queue_depth: int
-    #: buffers in the endpoint's communication segment
-    num_buffers: int
-    #: relative drain weight for QoS-aware service order (a weight-4
-    #: class is drained 4x as often as a weight-1 class under pressure)
-    drain_weight: int
     #: containment policy the health watchdog applies by default
     health_policy: str = POLICY_BACKPRESSURE
     #: True when admission may refuse this class to protect paid tiers
     preemptable: bool = False
 
     def __post_init__(self) -> None:
-        if self.credit_budget < 1:
-            raise ValueError("credit_budget must be >= 1")
-        if self.recv_queue_depth < 1 or self.num_buffers < 1:
-            raise ValueError("endpoint sizing must be >= 1")
-        if self.drain_weight < 1:
-            raise ValueError("drain_weight must be >= 1")
         if self.health_policy not in POLICIES:
             raise ValueError(f"unknown health policy {self.health_policy!r}")
 
@@ -84,16 +65,10 @@ class QosClass:
 
 #: the three stock tiers; hosts may register their own
 QOS_CLASSES: Dict[str, QosClass] = {
-    QOS_GOLD: QosClass(
-        name=QOS_GOLD, credit_budget=16, recv_queue_depth=128,
-        num_buffers=128, drain_weight=4, health_policy=POLICY_BACKPRESSURE),
-    QOS_SILVER: QosClass(
-        name=QOS_SILVER, credit_budget=8, recv_queue_depth=64,
-        num_buffers=64, drain_weight=2, health_policy=POLICY_BACKPRESSURE),
-    QOS_BEST_EFFORT: QosClass(
-        name=QOS_BEST_EFFORT, credit_budget=4, recv_queue_depth=32,
-        num_buffers=32, drain_weight=1, health_policy=POLICY_QUARANTINE,
-        preemptable=True),
+    QOS_GOLD: QosClass(name=QOS_GOLD, health_policy=POLICY_BACKPRESSURE),
+    QOS_SILVER: QosClass(name=QOS_SILVER, health_policy=POLICY_BACKPRESSURE),
+    QOS_BEST_EFFORT: QosClass(name=QOS_BEST_EFFORT, health_policy=POLICY_QUARANTINE,
+                              preemptable=True),
 }
 
 

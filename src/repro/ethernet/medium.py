@@ -62,10 +62,9 @@ class Attachment:
 
 
 class _ActiveTx:
-    __slots__ = ("station", "collision", "start")
+    __slots__ = ("collision", "start")
 
-    def __init__(self, station: "HubAttachment", collision: Event, start: float) -> None:
-        self.station = station
+    def __init__(self, collision: Event, start: float) -> None:
         self.collision = collision
         self.start = start
 
@@ -128,7 +127,7 @@ class SharedMedium:
             yield IFG_US
             if self.busy and not self._in_blind_window():
                 continue
-            tx = _ActiveTx(station, self.sim.event(name="collision"), self.sim.now)
+            tx = _ActiveTx(self.sim.event(name="collision"), self.sim.now)
             self._active.append(tx)
             if len(self._active) > 1:
                 # starts within the blind window: everyone active collides

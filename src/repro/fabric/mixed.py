@@ -53,11 +53,11 @@ class MixedFabric(SimulatedNetwork):
         self._side_of: Dict[object, str] = {}
         self._host_count = 0
         # the relay: one host (and endpoint) per fabric, spliced below
-        self._relay_atm_host = self._attach_atm_host("relay.atm", PENTIUM_120)
-        self._relay_fe_host = self.fe.add_host("relay.fe", PENTIUM_120)
-        self.relay_atm = self._relay_atm_host.create_endpoint(
+        relay_atm_host = self._attach_atm_host("relay.atm", PENTIUM_120)
+        relay_fe_host = self.fe.add_host("relay.fe", PENTIUM_120)
+        self.relay_atm = relay_atm_host.create_endpoint(
             config=_RELAY_CONFIG, rx_buffers=128)
-        self.relay_fe = self._relay_fe_host.create_endpoint(
+        self.relay_fe = relay_fe_host.create_endpoint(
             config=_RELAY_CONFIG, rx_buffers=128)
         self._atm_to_fe: Dict[int, int] = {}
         self._fe_to_atm: Dict[int, int] = {}
@@ -112,33 +112,6 @@ class MixedFabric(SimulatedNetwork):
         self._atm_to_fe[relay_in] = relay_out
         self._fe_to_atm[relay_out] = relay_in
         return ch_a, ch_b
-
-    def set_trunk_state(self, side: str, a: int, b: int, up: bool) -> bool:
-        """Fail or restore a trunk on one substrate of the mixed fabric.
-
-        Native channels on the touched side re-route exactly as on a
-        standalone Clos; spliced cross-substrate channels survive any
-        single-side failure that leaves the relay reachable, because each
-        leg fails over independently."""
-        if side == "atm":
-            return self.atm.set_trunk_state(a, b, up)
-        if side == "fe":
-            return self.fe.set_trunk_state(a, b, up)
-        raise ValueError(f"unknown side {side!r} (atm, fe)")
-
-    def backends_reachable(self, backend_a, backend_b) -> bool:
-        """Whether a live path (possibly through the relay) joins two hosts."""
-        side_a = self._side_of[backend_a]
-        side_b = self._side_of[backend_b]
-        if side_a == side_b:
-            network = self.atm if side_a == "atm" else self.fe
-            return network.backends_reachable(backend_a, backend_b)
-        atm_backend, fe_backend = ((backend_a, backend_b) if side_a == "atm"
-                                   else (backend_b, backend_a))
-        return (self.atm.backends_reachable(atm_backend,
-                                            self._relay_atm_host.backend)
-                and self.fe.backends_reachable(fe_backend,
-                                               self._relay_fe_host.backend))
 
     def _relay_loop(self, src: UserEndpoint, dst: UserEndpoint,
                     mapping: Dict[int, int]):

@@ -261,8 +261,9 @@ def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
 
 
 def run_crash_scenario(scenario: CrashScenario,
-                       progress=None) -> CrashSoakResult:
-    """Run one kill/restart soak and account for every message's fate."""
+                       progress=None) -> Optional[CrashSoakResult]:
+    """Run one kill/restart soak and account for every message's fate;
+    None when a wall-clock scenario finds no transport it can run on."""
     if scenario.substrate == "live":
         return _run_live_crash(scenario, progress=progress)
     if scenario.substrate == "sigkill":
@@ -349,13 +350,23 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                   (h0.backend, h1.backend), sim.events_processed)
 
 
-def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
+def _skipped(scenario: CrashScenario, progress) -> None:
+    if progress is not None:
+        progress(f"{scenario.name}: skipped (no live transport on this machine)")
+    return None
+
+
+def _run_live_crash(scenario: CrashScenario,
+                    progress=None) -> Optional[CrashSoakResult]:
     from ..live.am import LiveAm
     from ..live.backend import LiveCluster
     from ..live.clock import WallClock
     from ..live.transport import available_transport_kinds, make_transport
 
-    kind = (available_transport_kinds() or ["udp"])[0]
+    kinds = available_transport_kinds()
+    if not kinds:
+        return _skipped(scenario, progress)
+    kind = kinds[0]
     config = AmConfig(recovery=True, window=4, ack_every=1,
                       retransmit_timeout_us=20_000.0, dead_after_timeouts=6,
                       hello_retry_us=10_000.0)
@@ -379,7 +390,7 @@ def _run_live_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
 
 
 # --------------------------------------------------------- real peer process
-def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
+def _run_sigkill(scenario: CrashScenario, progress=None) -> Optional[CrashSoakResult]:
     """SIGKILL a real child process mid-stream and respawn it.
 
     The parent counts fates from its side of the wire: a delivered id
@@ -395,8 +406,10 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     from ..live.backend import LiveBackend
     from ..live.clock import WallClock
     from ..live.peer import PeerProcess, peer_am_config
-    from ..live.transport import UdpLoopbackTransport
+    from ..live.transport import UdpLoopbackTransport, transport_available
 
+    if not transport_available("udp"):  # the child speaks UDP
+        return _skipped(scenario, progress)
     clock = WallClock()
     backend = LiveBackend(UdpLoopbackTransport(name="crashsoak-parent"), clock,
                           node_id=0, node_name="parent")

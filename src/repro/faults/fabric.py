@@ -141,7 +141,6 @@ class FabricFaultInjector:
             schedule.extend(stage.transitions(fabric.topology))
         # deterministic order: time, then switch pair, downs first
         schedule.sort()
-        self.schedule = schedule
         for at, a, b, up in schedule:
             delay = at - sim.now
             if delay < 0:

@@ -531,7 +531,7 @@ def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
     from ..live.clock import WallClock
     from ..live.transport import available_transport_kinds, make_transport
 
-    kind = (available_transport_kinds() or ["udp"])[0]
+    kind = available_transport_kinds()[0]
     with LiveCluster(lambda name: make_transport(kind, name), WallClock()) as cluster:
         def add_node(name: str):
             node = cluster.add_node(name)

@@ -40,8 +40,6 @@ class InterruptController:
         self._pending = False
         self._running = False
         self._rerun = False
-        self.interrupts_asserted = 0
-        self.handler_runs = 0
 
     @property
     def busy(self) -> bool:
@@ -52,7 +50,6 @@ class InterruptController:
 
         Coalesced if a handler run is already pending or in progress.
         """
-        self.interrupts_asserted += 1
         if self._running:
             self._rerun = True
             return
@@ -67,7 +64,6 @@ class InterruptController:
         self._running = True
         while True:
             self._rerun = False
-            self.handler_runs += 1
             yield from self.handler_factory()
             if self.sim.peek() <= self.sim.now:
                 yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)

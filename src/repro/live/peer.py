@@ -150,7 +150,6 @@ class PeerProcess:
         self.proc: Optional[subprocess.Popen] = None
         self.address: Optional[Tuple[str, int]] = None
         self.kills = 0
-        self.spawns = 0
 
     # -- lifecycle ---------------------------------------------------------
     def spawn(self, restart: bool = False) -> Tuple[str, int]:
@@ -184,7 +183,6 @@ class PeerProcess:
         if not ready.startswith("READY "):
             raise UNetError(f"peer process said {ready!r}, expected READY")
         self.epoch = int(ready.split()[1])
-        self.spawns += 1
         return self.address
 
     def kill(self) -> None:

@@ -121,8 +121,6 @@ class BoundedRing(Generic[T]):
         self.name = name
         self._items: Deque[T] = deque()
         self._nonempty_hooks: List[Callable[["BoundedRing[T]"], None]] = []
-        self.pushed_total = 0
-        self.dropped_total = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -145,16 +143,14 @@ class BoundedRing(Generic[T]):
             raise RingFullError(f"{self.name} is full (capacity {self.capacity})")
         was_empty = not self._items
         self._items.append(item)
-        self.pushed_total += 1
         if was_empty:
             hooks, self._nonempty_hooks = self._nonempty_hooks, []
             for hook in hooks:
                 hook(self)
 
     def try_push(self, item: T) -> bool:
-        """Append ``item`` if space allows; counts a drop otherwise."""
+        """Append ``item`` if space allows; False (nothing queued) otherwise."""
         if self.is_full:
-            self.dropped_total += 1
             return False
         self.push(item)
         return True

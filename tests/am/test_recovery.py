@@ -4,8 +4,8 @@ Kill the receiver mid-stream, bring it back as a new incarnation, and
 check the delivery contract the recovery extension promises: at-most-once
 dispatch (zero duplicates), every send accounted for (delivered or
 abandoned, possibly both — never neither), stale-incarnation traffic
-fenced, and the sender's liveness verdicts surfaced through the
-:class:`~repro.core.health.HealthMonitor`.
+fenced, and the sender's liveness verdicts surfaced on its event
+stream (``peer_dead`` / ``peer_alive`` records).
 """
 
 from collections import Counter
@@ -16,7 +16,6 @@ from repro.am import AmConfig, AmEndpoint
 from repro.am.am import AmError
 from repro.core import EndpointConfig
 from repro.core.errors import PeerUnavailableError, StaleEpochError, UNetError
-from repro.core.health import STATE_HEALTHY, STATE_PEER_DEAD, HealthMonitor
 from repro.ethernet import SwitchedNetwork
 from repro.hw import PENTIUM_120
 from repro.sim import Simulator
@@ -169,9 +168,12 @@ def test_peer_death_health_verdict_and_recovery(closing):
                                     dead_after_timeouts=3)
     counts = Counter()
     am1.register_handler(1, lambda ctx: counts.update([ctx.args[0]]))
-    monitor = HealthMonitor(sim)
-    am0.attach_health(monitor)
-    record = monitor.watch(ep0.endpoint)
+    events = []
+    ep0.host.backend.trace.subscribe(events.append)
+
+    def verdicts():
+        return [(r.step, r.info["peer"]) for r in events
+                if r.category == "am" and r.step in ("peer_dead", "peer_alive")]
 
     failures = []
 
@@ -189,7 +191,7 @@ def test_peer_death_health_verdict_and_recovery(closing):
     # ack starvation declared the peer dead: sends refused, typed error
     assert failures and isinstance(failures[0], PeerUnavailableError)
     assert not am0._peers_by_node[1].alive
-    assert record.state == STATE_PEER_DEAD
+    assert verdicts() == [("peer_dead", 1)]
     assert ep0.endpoint.drop_stats()["peer_dead_drops"] >= 1
 
     am1.restart()
@@ -197,7 +199,7 @@ def test_peer_death_health_verdict_and_recovery(closing):
 
     # the new incarnation's HELLO clears the verdict end to end
     assert am0._peers_by_node[1].alive
-    assert record.state == STATE_HEALTHY
+    assert verdicts() == [("peer_dead", 1), ("peer_alive", 1)]
 
     done = []
 

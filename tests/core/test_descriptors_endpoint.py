@@ -60,19 +60,6 @@ def test_post_send_requires_registered_channel():
         ep.post_send(SendDescriptor(channel_id=9, segments=[(0, 10)]))
 
 
-def test_post_send_records_activity_time():
-    sim, ep = _endpoint()
-    register_channel(ep, 0, tag="t")
-
-    def proc():
-        yield sim.timeout(12.0)
-        ep.post_send(SendDescriptor(channel_id=0, segments=[(0, 10)]))
-
-    sim.process(proc())
-    sim.run()
-    assert ep.last_send_activity == 12.0
-
-
 def test_donate_free_buffer_validates_index():
     sim, ep = _endpoint(num_buffers=4)
     ep.donate_free_buffer(0)
@@ -220,5 +207,6 @@ def test_demux_table_unknown_counts():
     assert table.unknown_tag_drops == 1
     with pytest.raises(KeyError):
         table.register("tag", ep, 1)
-    table.unregister("tag")
+    assert table.unregister_endpoint(ep) == 1
     assert table.lookup("tag") is None
+    assert table.unknown_tag_drops == 2

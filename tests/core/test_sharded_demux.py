@@ -1,12 +1,11 @@
 """Unit + property tests for the demux table and its reverse index.
 
 One flat dict routes every arriving tag; the reverse index (endpoint ->
-its tags) and the per-tenant row counts scale teardown to churning
-tenant populations.  Over any sequence of registrations, per-tag
-removals, endpoint teardowns, and lookups the table must never misroute
-a tag, leak a slot (``len`` / per-tenant accounting out of sync with the
-live rows), or double-free (a second teardown finding rows the first
-should have removed).
+its tags) scales teardown to churning tenant populations.  Over any
+sequence of registrations, endpoint teardowns and lookups the table must
+never misroute a tag, leak a slot (``len`` or a teardown out of sync
+with the live rows), or double-free (a second teardown finding rows the
+first should have removed).
 """
 
 import pytest
@@ -24,11 +23,9 @@ _TINY = EndpointConfig(num_buffers=2, buffer_size=32,
                        send_queue_depth=2, recv_queue_depth=2)
 
 
-def _endpoints(count, tenants=5):
+def _endpoints(count):
     sim = Simulator()
-    return [Endpoint(sim, i, _TINY, owner=f"ep{i}",
-                     tenant=f"t{i % tenants:02d}", qos="best_effort")
-            for i in range(count)]
+    return [Endpoint(sim, i, _TINY, owner=f"ep{i}") for i in range(count)]
 
 
 # ------------------------------------------------------------------ unit
@@ -75,30 +72,13 @@ def test_unregister_endpoint_touches_only_its_own_rows():
         demux.register(tag, ep0 if tag % 2 else ep1, tag)
     assert demux.unregister_endpoint(ep0) == 4
     assert len(demux) == 4
-    assert demux.endpoint_rows(ep0) == 0
-    assert demux.endpoint_rows(ep1) == 4
-    for tag in range(0, 8, 2):  # ep1's rows survive and still route
+    for tag in range(1, 8, 2):  # ep0's rows are gone ...
+        assert demux.lookup(tag) is None
+    for tag in range(0, 8, 2):  # ... and ep1's survive and still route
         assert demux.lookup(tag) == (ep1, tag)
     # double-free: a second teardown finds nothing to remove
     assert demux.unregister_endpoint(ep0) == 0
     assert len(demux) == 4
-
-
-def test_tenant_rows_accounting_tracks_churn():
-    eps = _endpoints(4, tenants=2)  # t00, t01, t00, t01
-    demux = DemuxTable()
-    for i, ep in enumerate(eps):
-        demux.register(i, ep, 0)
-        demux.register(100 + i, ep, 1)
-    assert demux.tenant_rows() == {"t00": 4, "t01": 4}
-    demux.unregister(0)
-    assert demux.tenant_rows() == {"t00": 3, "t01": 4}
-    demux.unregister_endpoint(eps[1])
-    assert demux.tenant_rows() == {"t00": 3, "t01": 2}
-    for ep in eps:
-        demux.unregister_endpoint(ep)
-    assert demux.tenant_rows() == {}
-    assert len(demux) == 0
 
 
 def test_drop_stats_speaks_the_shared_vocabulary():
@@ -112,7 +92,7 @@ def test_drop_stats_speaks_the_shared_vocabulary():
 # ------------------------------------------------------------ properties
 
 _OPS = st.lists(
-    st.tuples(st.sampled_from(["reg", "unreg", "teardown", "lookup"]),
+    st.tuples(st.sampled_from(["reg", "teardown", "lookup"]),
               st.integers(min_value=0, max_value=11),     # endpoint index
               st.integers(min_value=0, max_value=40)),    # tag
     max_size=120)
@@ -121,9 +101,9 @@ _OPS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_OPS)
 def test_sharded_demux_matches_the_flat_model(ops):
-    """Any op sequence: the table routes, counts, and accounts exactly
+    """Any op sequence: the table routes, counts and tears down exactly
     like a plain dict model — no misroute, no leak, no double-free."""
-    eps = _endpoints(12, tenants=4)
+    eps = _endpoints(12)
     demux = DemuxTable()
     model = {}
     misses = 0
@@ -136,9 +116,6 @@ def test_sharded_demux_matches_the_flat_model(ops):
             else:
                 demux.register(tag, ep, idx)
                 model[tag] = (ep, idx)
-        elif op == "unreg":
-            demux.unregister(tag)
-            model.pop(tag, None)
         elif op == "teardown":
             expected = sum(1 for e, _c in model.values() if e is ep)
             assert demux.unregister_endpoint(ep) == expected
@@ -150,21 +127,17 @@ def test_sharded_demux_matches_the_flat_model(ops):
             else:
                 assert entry is None
                 misses += 1
-    # no leaked or phantom slots anywhere in the accounting
+    # no leaked or phantom slots
     assert len(demux) == len(model)
     assert demux.unknown_tag_drops == misses
-    expected_tenants = {}
-    for ep, _ch in model.values():
-        expected_tenants[ep.tenant] = expected_tenants.get(ep.tenant, 0) + 1
-    assert demux.tenant_rows() == expected_tenants
+    # the reverse index agrees with the rows: each teardown removes
+    # exactly its endpoint's rows, and they stop routing; a second
+    # pass is a no-op
     for ep in eps:
-        assert demux.endpoint_rows(ep) == sum(
-            1 for e, _c in model.values() if e is ep)
-    # full teardown drains the table; a second pass is a no-op
-    for ep in eps:
-        demux.unregister_endpoint(ep)
+        mine = [t for t, (e, _c) in model.items() if e is ep]
+        assert demux.unregister_endpoint(ep) == len(mine)
+        assert all(demux.lookup(t) is None for t in mine)
     assert len(demux) == 0
-    assert demux.tenant_rows() == {}
     assert all(demux.unregister_endpoint(ep) == 0 for ep in eps)
 
 
@@ -175,7 +148,7 @@ def test_sharded_and_flat_tables_agree(pairs):
     """Differential check of reverse-index teardown against a scan of
     every row, the way the table tore endpoints down before it had an
     index."""
-    eps = _endpoints(8, tenants=3)
+    eps = _endpoints(8)
     demux, rows = DemuxTable(), {}
     for idx, tag in pairs:
         if tag not in rows:

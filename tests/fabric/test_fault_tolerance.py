@@ -85,9 +85,6 @@ def test_mixed_mtu_cap_survives_atm_leg_failover(closing):
     assert _transfer(sim, atm_ep, fe_ep, ch_a, payload).data == payload
     # fail the ATM leaf-0 uplink to spine 2; the ATM leg of the spliced
     # channel re-routes via spine 3 while the FE leg is untouched
-    assert fabric.set_trunk_state("atm", 0, 2, False)
+    assert fabric.atm.set_trunk_state(0, 2, False)
     assert atm_host.backend.max_pdu == UNET_FE_MAX_PDU  # cap unchanged
     assert _transfer(sim, atm_ep, fe_ep, ch_a, payload).data == payload
-    assert fabric.backends_reachable(atm_host.backend, fe_host.backend)
-    with pytest.raises(ValueError):
-        fabric.set_trunk_state("token-ring", 0, 2, False)

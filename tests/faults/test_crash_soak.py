@@ -8,6 +8,7 @@ import pytest
 from repro.faults.crashsoak import (
     CRASH_ARTIFACT,
     CRASH_SCENARIOS,
+    SUITE,
     crash_payload,
     render_crash_table,
     run_crash_scenario,
@@ -92,3 +93,13 @@ def test_kills_arm_on_stream_progress_not_dispatches(name):
         dataclasses.replace(CRASH_SCENARIOS[name], messages=24))
     assert result.ok, result.violations
     assert result.restarts == 3
+
+
+@pytest.mark.parametrize("name", ["live-kill", "sigkill"])
+def test_wall_clock_scenarios_skip_without_a_transport(name, monkeypatch):
+    """A host with no live transport skips both wall-clock scenarios,
+    with one progress line each, instead of dying in the rig."""
+    monkeypatch.setattr("repro.live.transport.transport_available", lambda kind: False)
+    lines = []
+    assert SUITE.grid(CRASH_SCENARIOS[name], progress=lines.append) == []
+    assert lines == [f"{name}...", f"{name}: skipped (no live transport on this machine)"]

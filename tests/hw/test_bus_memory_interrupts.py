@@ -192,7 +192,6 @@ def test_interrupt_entry_latency_charged():
     ctl.assert_irq()
     sim.run()
     assert runs == [pytest.approx(PENTIUM_120.interrupt_entry_us)]
-    assert ctl.handler_runs == 1
 
 
 def test_interrupts_coalesce_while_pending():
@@ -208,7 +207,6 @@ def test_interrupts_coalesce_while_pending():
     ctl.assert_irq()  # still pending: coalesced
     sim.run()
     assert len(runs) == 1
-    assert ctl.interrupts_asserted == 2
 
 
 def test_interrupt_during_handler_triggers_rerun():

@@ -136,8 +136,7 @@ KEPT = {
     # a counter, a flag or a log that starts empty
     **_each(INITIAL_STATE, "repro.conformance.observe:ObservedTrace",
             "credit_stalls", "dup_rx", "timeouts"),
-    **_each(INITIAL_STATE, "repro.conformance.shrink:ShrinkResult",
-            "accepted", "attempts", "trail"),
+    **_each(INITIAL_STATE, "repro.conformance.shrink:ShrinkResult", "attempts", "trail"),
     **_each(INITIAL_STATE, "repro.core.channels:ChannelBinding",
             "messages_received", "messages_sent"),
     **_each(INITIAL_STATE, "repro.core.descriptors:RecvDescriptor", "timestamp"),
