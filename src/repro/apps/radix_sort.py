@@ -132,8 +132,9 @@ def radix_program(cfg: RadixConfig):
             digits = ((src >> np.uint32(shift)) & np.uint32(cfg.buckets - 1)).astype(np.int64)
             local_hist = np.bincount(digits, minlength=cfg.buckets).astype(np.uint64)
             yield from rt.compute(int_ops=rt.costs.radix_pass_ops(kpn, cfg.buckets))
-            # allgather per-node histograms (the 'global histogram' step)
-            hist_all[:] = 0
+            # allgather per-node histograms (the 'global histogram' step);
+            # a peer's slice may already be here, so nothing writes
+            # rx_hist before the call (all_gather's contract)
             yield from rt.all_gather("rx_hist", local_hist)
             # rank computation: keys are globally ordered by (bucket,
             # node, local order) — the stable counting-sort invariant

@@ -8,7 +8,9 @@ the live one included (:mod:`~repro.faults.inject`); endpoint-level
 faults — receivers that stall, lag, or leak, and senders that post
 garbage descriptors (:mod:`~repro.faults.receiver`); and soak harnesses that drive
 traffic through named scenarios while checking delivery invariants:
-wire chaos (:mod:`~repro.faults.soak`), service-capacity overload
+wire chaos (:mod:`~repro.faults.soak`) and the transport ablation
+(:mod:`~repro.faults.transport`), two mode tables over one stream runner
+(:mod:`~repro.faults.stream`), service-capacity overload
 (:mod:`~repro.faults.overload`), and multi-tenant churn with QoS
 isolation (:mod:`~repro.faults.multitenant`).
 """
@@ -46,13 +48,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MULTITENANT_ARTIFACT", "MULTITENANT_SCENARIOS", "MultitenantResult",
         "MultitenantScenario", "render_multitenant_table", "run_multitenant",
     ),
+    ".stream": ("StreamResult", "StreamScenario", "run_stream"),
     ".transport": (
         "TRANSPORT_ARTIFACT", "TRANSPORT_MODES", "TRANSPORT_SCENARIOS",
-        "TransportResult", "TransportScenario", "render_transport_table",
-        "run_transport",
+        "render_transport_table",
     ),
     ".soak": (
-        "SCENARIOS", "SoakResult", "SoakScenario", "render_comparison",
-        "render_soak_table", "run_scenario", "wins",
+        "SCENARIOS", "render_comparison", "render_soak_table", "wins",
     ),
 })

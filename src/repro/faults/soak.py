@@ -3,7 +3,8 @@
 Each scenario attaches a perturbation pipeline to both ends of a
 two-host network (either substrate) and pushes a stream of Active
 Messages requests — every ``RPC_EVERY``-th one a round-trip RPC — while
-checking the delivery invariants the layers above depend on:
+:func:`~repro.faults.stream.run_stream` checks the delivery invariants
+the layers above depend on:
 
 * **exactly-once dispatch** — every request id handled once, no dupes;
 * **FIFO per channel** — ids arrive in send order;
@@ -15,19 +16,18 @@ Results carry the reliability-layer counters (retransmissions,
 timeouts, fast retransmits, RTO estimate) plus the fault pipeline's own
 stage statistics, and the suite runs every scenario under each of
 :data:`MODES` — the fixed-RTO baseline and the adaptive stack — on one
-seed, so the robustness win is measurable, not anecdotal.
+seed, so the robustness win is measurable, not anecdotal.  This module
+is only the rows, the modes and the report: the transport ablation
+(:mod:`~repro.faults.transport`) is another mode table over the same
+runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from .. import networks
 from ..am import AmConfig
-from ..sim import RngRegistry, Simulator
-from ..suite import DEFAULT_SEED, Suite
-from .inject import attach_pipeline
+from ..suite import Suite
 from .perturb import (
     DelayJitter,
     Duplicate,
@@ -37,18 +37,12 @@ from .perturb import (
     NicStall,
     Reorder,
 )
-from .stream import (
-    build_am_star,
-    check_delivery,
-    render_fault_stats,
-    stream_payload,
-)
+from .stream import StreamResult, StreamScenario, render_fault_stats, run_stream
 
 __all__ = [
-    "SoakScenario",
-    "SoakResult",
     "SCENARIOS",
-    "run_scenario",
+    "MODES",
+    "wins",
     "render_soak_table",
     "render_comparison",
 ]
@@ -58,44 +52,6 @@ __all__ = [
 PAYLOAD_BYTES = 200
 #: every k-th message is a full RPC round trip
 RPC_EVERY = 5
-
-
-@dataclass
-class SoakScenario:
-    """One reproducible chaos scenario."""
-
-    name: str
-    description: str
-    #: builds a fresh stage list per attached pipeline (state is per-link)
-    perturbations: Callable[[], List[LinkPerturbation]]
-    substrate: str = "ethernet"
-    messages: int = 60
-    time_limit_us: float = 60_000_000.0
-
-
-@dataclass
-class SoakResult:
-    """Outcome and counters of one scenario run."""
-
-    scenario: str
-    mode: str
-    completed: bool
-    violations: List[str]
-    completion_time_us: float
-    retransmissions: int
-    timeouts: int
-    fast_retransmits: int
-    duplicates: int
-    acks_sent: int
-    rtt_samples: int
-    srtt_us: Optional[float]
-    fault_stats: Dict[str, dict] = field(default_factory=dict)
-    #: events the simulator processed (exact; the driver times the run)
-    sim_events: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.completed and not self.violations
 
 
 def _burst_stages() -> List[LinkPerturbation]:
@@ -127,17 +83,19 @@ def _combined_stages() -> List[LinkPerturbation]:
     ]
 
 
-SCENARIOS: Dict[str, SoakScenario] = {
-    scenario.name: scenario
-    for scenario in (
-        SoakScenario("bursty", "Gilbert-Elliott bursty loss", _burst_stages),
-        SoakScenario("reorder", "random reordering (striped-path style)", _reorder_stages),
-        SoakScenario("jitter", "delay jitter + duplication", _jitter_stages),
-        SoakScenario("flap", "periodic link up/down flapping", _flap_stages),
-        SoakScenario("stall", "periodic NIC delivery stalls", _stall_stages),
-        SoakScenario("combined", "bursty loss + reorder + jitter + flap", _combined_stages),
-        SoakScenario("bursty-atm", "Gilbert-Elliott bursty cell loss on ATM",
-                     _burst_stages, substrate="atm"),
+#: every chaos row perturbs both directions with the same stages
+SCENARIOS: Dict[str, StreamScenario] = {
+    name: StreamScenario(name, description, stages, rev_stages=stages,
+                         substrate=substrate, messages=60,
+                         payload_bytes=PAYLOAD_BYTES, rpc_every=RPC_EVERY)
+    for name, description, stages, substrate in (
+        ("bursty", "Gilbert-Elliott bursty loss", _burst_stages, "ethernet"),
+        ("reorder", "random reordering (striped-path style)", _reorder_stages, "ethernet"),
+        ("jitter", "delay jitter + duplication", _jitter_stages, "ethernet"),
+        ("flap", "periodic link up/down flapping", _flap_stages, "ethernet"),
+        ("stall", "periodic NIC delivery stalls", _stall_stages, "ethernet"),
+        ("combined", "bursty loss + reorder + jitter + flap", _combined_stages, "ethernet"),
+        ("bursty-atm", "Gilbert-Elliott bursty cell loss on ATM", _burst_stages, "atm"),
     )
 }
 
@@ -150,107 +108,24 @@ MODES: Dict[str, Callable[[], AmConfig]] = {
 }
 
 
-def run_scenario(scenario: SoakScenario, mode: str = "fixed",
-                 seed: int = DEFAULT_SEED) -> SoakResult:
-    """Run ``scenario`` once under ``MODES[mode]`` and check every invariant."""
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
-    (h0, h1), (am0, am1) = build_am_star(net, ("n0", "n1"), sink=1,
-                                         config=MODES[mode]())
-
-    registry = RngRegistry(seed)
-    pipelines = []
-    # the pipeline at h1 perturbs the request path, the one at h0 the
-    # ack/reply path; separate prefixes give every stage its own stream
-    pipelines.append(attach_pipeline(h1.backend, scenario.perturbations(),
-                                     rng=registry, prefix="faults.fwd"))
-    pipelines.append(attach_pipeline(h0.backend, scenario.perturbations(),
-                                     rng=registry, prefix="faults.rev"))
-
-    delivered: List[int] = []
-    integrity_failures: List[int] = []
-
-    def handler(ctx) -> None:
-        i = ctx.args[0]
-        delivered.append(i)
-        if ctx.data != stream_payload(i, PAYLOAD_BYTES):
-            integrity_failures.append(i)
-
-    def rpc_handler(ctx):
-        handler(ctx)
-        yield from ctx.reply(args=(ctx.args[0] * 2 + 1,))
-
-    am1.register_handler(1, handler)
-    am1.register_handler(2, rpc_handler)
-
-    rpc_errors: List[str] = []
-
-    def traffic():
-        for i in range(scenario.messages):
-            data = stream_payload(i, PAYLOAD_BYTES)
-            if i % RPC_EVERY == RPC_EVERY - 1:
-                args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
-                if args[0] != i * 2 + 1:
-                    rpc_errors.append(f"rpc {i} returned {args[0]}")
-            else:
-                yield from am0.request(1, 1, args=(i,), data=data)
-        return sim.now
-
-    with net:
-        process = sim.process(traffic(), name="soak.traffic")
-        sim.run(until=scenario.time_limit_us)
-        completed = bool(process.triggered)
-        send_done_us = process.value if completed and process.ok else scenario.time_limit_us
-        if completed:
-            # drain retransmissions of the tail so delivery checks see it all
-            am0.shutdown()
-            am1.shutdown()
-            sim.run(until=min(scenario.time_limit_us, sim.now + 2_000_000.0))
-
-    violations = check_delivery({0: delivered}, scenario.messages, completed,
-                                scenario.time_limit_us, integrity_failures)
-    violations.extend(rpc_errors)
-
-    peer = am0.peers[1]
-    fault_stats = {f"pipeline{i}": p.stats() for i, p in enumerate(pipelines)}
-    for pipeline in pipelines:
-        pipeline.restore()
-    return SoakResult(
-        scenario=scenario.name,
-        mode=mode,
-        completed=completed,
-        violations=violations,
-        completion_time_us=send_done_us,
-        retransmissions=peer.retransmissions,
-        timeouts=peer.timeouts,
-        fast_retransmits=peer.fast_retransmits,
-        duplicates=am1.peers[0].duplicates,
-        acks_sent=am0.acks_sent + am1.acks_sent,
-        rtt_samples=peer.rtt_samples,
-        srtt_us=peer.srtt,
-        fault_stats=fault_stats,
-        sim_events=sim.events_processed,
-    )
-
-
-def wins(fixed: SoakResult, adaptive: SoakResult) -> List[str]:
+def wins(fixed: StreamResult, adaptive: StreamResult) -> List[str]:
     """Robustness metrics on which the adaptive stack beat the baseline."""
     better: List[str] = []
     if adaptive.completed and not fixed.completed:
         better.append("completed where baseline did not")
-    if adaptive.completion_time_us < fixed.completion_time_us:
+    if adaptive.elapsed_us < fixed.elapsed_us:
         better.append(
-            f"completion time {adaptive.completion_time_us / 1000.0:.2f} ms"
-            f" < {fixed.completion_time_us / 1000.0:.2f} ms"
+            f"completion time {adaptive.elapsed_us / 1000.0:.2f} ms"
+            f" < {fixed.elapsed_us / 1000.0:.2f} ms"
         )
-    if adaptive.retransmissions < fixed.retransmissions:
-        better.append(f"retransmissions {adaptive.retransmissions} < {fixed.retransmissions}")
-    if adaptive.duplicates < fixed.duplicates:
-        better.append(f"spurious deliveries {adaptive.duplicates} < {fixed.duplicates}")
+    if adaptive.rexmit < fixed.rexmit:
+        better.append(f"retransmissions {adaptive.rexmit} < {fixed.rexmit}")
+    if adaptive.dup_rx < fixed.dup_rx:
+        better.append(f"spurious deliveries {adaptive.dup_rx} < {fixed.dup_rx}")
     return better
 
 
-def render_soak_table(results: Sequence[SoakResult]) -> str:
+def render_soak_table(results: Sequence[StreamResult]) -> str:
     """One row per run, via the standard report table."""
     from ..analysis.report import format_table
 
@@ -260,11 +135,11 @@ def render_soak_table(results: Sequence[SoakResult]) -> str:
             r.scenario,
             r.mode,
             "ok" if r.ok else "FAIL",
-            r.completion_time_us / 1000.0,
-            r.retransmissions,
+            r.elapsed_us / 1000.0,
+            r.rexmit,
             r.timeouts,
             r.fast_retransmits,
-            r.duplicates,
+            r.dup_rx,
             f"{r.srtt_us:.0f}" if r.srtt_us is not None else "-",
         ])
     return format_table(
@@ -275,7 +150,7 @@ def render_soak_table(results: Sequence[SoakResult]) -> str:
     )
 
 
-def render_comparison(results: Sequence[SoakResult]) -> str:
+def render_comparison(results: Sequence[StreamResult]) -> str:
     """The soak table plus per-scenario adaptive-vs-fixed verdicts."""
     lines = [render_soak_table(results)]
     by_key = {(r.scenario, r.mode): r for r in results}
@@ -292,7 +167,8 @@ def render_comparison(results: Sequence[SoakResult]) -> str:
 
 SUITE = Suite(
     scenarios=SCENARIOS,
-    run=lambda scenario, mode, seed, progress: run_scenario(scenario, mode, seed),
+    run=lambda scenario, mode, seed, progress: run_stream(
+        scenario, mode, MODES[mode](), seed),
     render=render_comparison,
     modes=lambda scenario: tuple(MODES),
     stats=render_fault_stats,

@@ -28,35 +28,26 @@ so the emitted ``BENCH_transport.json`` is byte-reproducible and CI
 regenerates and diffs it.  The delivery invariants (exactly-once,
 per-channel FIFO, payload integrity, termination) are asserted on
 every run: a transport that wins goodput by breaking delivery loses.
+The runs themselves are :func:`~repro.faults.stream.run_stream`'s, the
+chaos soak's runner: this module is the rows, the modes, the artifact
+and the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from .. import networks
-from ..am import AmConfig, AmEndpoint
+from ..am import AmConfig
 from ..artifact import Artifact, Headline
-from ..sim import RngRegistry, Simulator
-from ..suite import DEFAULT_SEED, Suite
-from ..telemetry import total
-from .inject import attach_pipeline
+from ..suite import Suite
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
-from .stream import (
-    build_am_star,
-    check_delivery,
-    render_fault_stats,
-    stream_payload,
-)
+from .stream import StreamResult, StreamScenario, render_fault_stats, run_stream
 
 __all__ = [
     "TRANSPORT_ARTIFACT",
     "TRANSPORT_MODES",
     "TRANSPORT_SCENARIOS",
-    "TransportScenario",
-    "TransportResult",
-    "run_transport",
+    "transport_row",
     "transport_payload",
     "render_transport_table",
 ]
@@ -88,27 +79,6 @@ TRANSPORT_MODES: Dict[str, Callable[[], AmConfig]] = {
 
 
 # --------------------------------------------------------------- scenarios
-#: simulated time a scenario gets before it counts as not completed
-TIME_LIMIT_US = 60_000_000.0
-
-
-@dataclass
-class TransportScenario:
-    """One reproducible transport-ablation scenario."""
-
-    name: str
-    description: str
-    #: fresh forward-path stages (request direction, attached at the sink)
-    fwd_stages: Callable[[], List[LinkPerturbation]]
-    #: fresh reverse-path stages (ack direction, attached at each sender)
-    rev_stages: Optional[Callable[[], List[LinkPerturbation]]] = None
-    #: concurrent senders into the one sink (1 = a plain stream)
-    senders: int = 1
-    #: messages per sender
-    messages: int = 80
-    payload_bytes: int = 400
-
-
 def _ge_stages() -> List[LinkPerturbation]:
     # long-ish bad states that eat several back-to-back packets: the
     # burst opens a run of holes, which is exactly where hole-only
@@ -136,174 +106,18 @@ def _bottleneck_stages() -> List[LinkPerturbation]:
     return [BottleneckQueue(service_us=60.0, capacity=24, mark_threshold=6)]
 
 
-TRANSPORT_SCENARIOS: Dict[str, TransportScenario] = {
+TRANSPORT_SCENARIOS: Dict[str, StreamScenario] = {
     scenario.name: scenario
     for scenario in (
-        TransportScenario(
-            "ge-bursty",
-            "Gilbert-Elliott bursty loss, both directions",
-            _ge_stages, rev_stages=_ge_ack_stages,
-            messages=80, payload_bytes=400),
-        TransportScenario(
-            "reorder",
-            "striped-path reordering (no loss)",
-            _reorder_stages, rev_stages=None,
-            messages=80, payload_bytes=400),
-        TransportScenario(
-            "incast-bottleneck",
-            "4-to-1 incast through an ECN-marking bottleneck queue",
-            _bottleneck_stages, rev_stages=None,
-            senders=4, messages=40, payload_bytes=400),
+        StreamScenario("ge-bursty", "Gilbert-Elliott bursty loss, both directions",
+                       _ge_stages, rev_stages=_ge_ack_stages),
+        StreamScenario("reorder", "striped-path reordering (no loss)",
+                       _reorder_stages),
+        StreamScenario("incast-bottleneck",
+                       "4-to-1 incast through an ECN-marking bottleneck queue",
+                       _bottleneck_stages, senders=4, messages=40),
     )
 }
-
-
-# ----------------------------------------------------------------- running
-@dataclass
-class TransportResult:
-    """Outcome and counters of one (scenario, mode) run."""
-
-    scenario: str
-    mode: str
-    completed: bool
-    violations: List[str]
-    elapsed_us: float
-    delivered: int
-    messages: int
-    goodput_mbps: float
-    #: recovery-time snapshot: the longest sim-time gap between
-    #: consecutive sink deliveries (run start counts as the first
-    #: reference point) — how long the worst loss burst stalled the flow
-    worst_stall_us: float
-    rexmit: int
-    timeouts: int
-    dup_rx: int
-    ecn_marks: int
-    ecn_echoes: int
-    ecn_backoffs: int
-    queue_marked: int = 0
-    queue_dropped: int = 0
-    fault_stats: Dict[str, dict] = field(default_factory=dict)
-    #: events the simulator processed (exact; the driver times the run)
-    sim_events: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.completed and not self.violations
-
-    def to_row(self) -> dict:
-        return {
-            "completed": self.completed,
-            "delivered": self.delivered,
-            "messages": self.messages,
-            "elapsed_ms": round(self.elapsed_us / 1000.0, 3),
-            "goodput_mbps": round(self.goodput_mbps, 4),
-            "worst_stall_us": round(self.worst_stall_us, 3),
-            "rexmit": self.rexmit,
-            "timeouts": self.timeouts,
-            "dup_rx": self.dup_rx,
-            "ecn_marks": self.ecn_marks,
-            "ecn_echoes": self.ecn_echoes,
-            "ecn_backoffs": self.ecn_backoffs,
-            "queue_marked": self.queue_marked,
-            "queue_dropped": self.queue_dropped,
-            "violations": len(self.violations),
-        }
-
-
-def run_transport(scenario: TransportScenario, mode: str,
-                  seed: int = DEFAULT_SEED) -> TransportResult:
-    """Run ``scenario`` once under transport ``mode``, invariants checked."""
-    if mode not in TRANSPORT_MODES:
-        raise ValueError(f"unknown transport mode {mode!r}; "
-                         f"choose from {sorted(TRANSPORT_MODES)}")
-    sim = Simulator()
-    names = ["sink"] + [f"src{s}" for s in range(scenario.senders)]
-    net = networks.get("ethernet").build(sim)
-    (sink_host, *sender_hosts), (sink_am, *sender_ams) = build_am_star(
-        net, names, sink=0, config=TRANSPORT_MODES[mode]())
-
-    registry = RngRegistry(seed)
-    # one forward pipeline at the sink: with several senders it *is*
-    # the shared uplink, which is the whole point of the incast shape
-    fwd = attach_pipeline(sink_host.backend, scenario.fwd_stages(),
-                          rng=registry, prefix="faults.fwd")
-    pipelines = [fwd]
-    if scenario.rev_stages is not None:
-        pipelines += [attach_pipeline(host.backend, scenario.rev_stages(),
-                                      rng=registry, prefix=f"faults.rev{s}")
-                      for s, host in enumerate(sender_hosts)]
-
-    delivered: Dict[int, List[int]] = {s: [] for s in range(scenario.senders)}
-    integrity_failures: List[tuple] = []
-    delivery_times: List[float] = []
-
-    def handler(ctx) -> None:
-        s, i = ctx.args[0], ctx.args[1]
-        delivered[s].append(i)
-        delivery_times.append(sim.now)
-        if ctx.data != stream_payload(i, scenario.payload_bytes, sender=s):
-            integrity_failures.append((s, i))
-
-    sink_am.register_handler(1, handler)
-
-    done_at: List[float] = []
-
-    def traffic(s: int, am: AmEndpoint):
-        for i in range(scenario.messages):
-            yield from am.request(0, 1, args=(s, i), data=stream_payload(
-                i, scenario.payload_bytes, sender=s))
-        done_at.append(sim.now)
-
-    with net:
-        processes = [sim.process(traffic(s, am), name=f"transport.src{s}")
-                     for s, am in enumerate(sender_ams)]
-        sim.run(until=TIME_LIMIT_US)
-        completed = all(p.triggered for p in processes)
-        elapsed_us = max(done_at) if completed and done_at else TIME_LIMIT_US
-        if completed:
-            # drain the retransmission tail so the delivery checks see it all
-            for am in sender_ams:
-                am.shutdown()
-            sink_am.shutdown()
-            sim.run(until=min(TIME_LIMIT_US, sim.now + 2_000_000.0))
-
-    got = sum(len(ids) for ids in delivered.values())
-    violations = check_delivery(delivered, scenario.messages, completed,
-                                TIME_LIMIT_US, integrity_failures)
-
-    queues = [stage for stage in fwd.stages if isinstance(stage, BottleneckQueue)]
-    worst_stall = 0.0
-    prev_t = 0.0
-    for t in delivery_times:
-        worst_stall = max(worst_stall, t - prev_t)
-        prev_t = t
-    fault_stats = {f"pipeline{i}": p.stats() for i, p in enumerate(pipelines)}
-    for pipeline in pipelines:
-        pipeline.restore()
-    return TransportResult(
-        scenario=scenario.name,
-        mode=mode,
-        completed=completed,
-        violations=violations,
-        elapsed_us=elapsed_us,
-        delivered=got,
-        messages=scenario.senders * scenario.messages,
-        # bits per microsecond == megabits per second; goodput counts
-        # payload bytes actually dispatched, not wire traffic
-        goodput_mbps=got * scenario.payload_bytes * 8 / max(1.0, elapsed_us),
-        worst_stall_us=worst_stall,
-        rexmit=total(sender_ams, "retransmissions"),
-        timeouts=total(sender_ams, "timeouts"),
-        dup_rx=total(sink_am, "duplicates"),
-        ecn_marks=total(sink_am, "ecn_marks"),
-        ecn_echoes=total(sink_am, "ecn_echoes"),
-        ecn_backoffs=total(sender_ams, "ecn_backoffs"),
-        queue_marked=total(queues, "marked"),
-        queue_dropped=total(queues, "dropped"),
-        fault_stats=fault_stats,
-        sim_events=sim.events_processed,
-    )
 
 
 # ------------------------------------------------------------------ report
@@ -315,6 +129,27 @@ _ROW_SCHEMA = {
     "ecn_backoffs": int, "queue_marked": int, "queue_dropped": int,
     "violations": int,
 }
+
+
+def transport_row(r: StreamResult) -> dict:
+    """One (scenario, mode) run as its ``BENCH_transport.json`` row."""
+    return {
+        "completed": r.completed,
+        "delivered": r.delivered,
+        "messages": r.messages,
+        "elapsed_ms": round(r.elapsed_us / 1000.0, 3),
+        "goodput_mbps": round(r.goodput_mbps, 4),
+        "worst_stall_us": round(r.worst_stall_us, 3),
+        "rexmit": r.rexmit,
+        "timeouts": r.timeouts,
+        "dup_rx": r.dup_rx,
+        "ecn_marks": r.ecn_marks,
+        "ecn_echoes": r.ecn_echoes,
+        "ecn_backoffs": r.ecn_backoffs,
+        "queue_marked": r.queue_marked,
+        "queue_dropped": r.queue_dropped,
+        "violations": len(r.violations),
+    }
 
 
 def _headlines(payload: dict) -> List[Headline]:
@@ -344,9 +179,9 @@ TRANSPORT_ARTIFACT = Artifact(
 )
 
 
-def transport_payload(results: Sequence[TransportResult], seed: int) -> dict:
+def transport_payload(results: Sequence[StreamResult], seed: int) -> dict:
     """Assemble the BENCH_transport payload from a full suite run."""
-    by_scenario: Dict[str, Dict[str, TransportResult]] = {}
+    by_scenario: Dict[str, Dict[str, StreamResult]] = {}
     for r in results:
         by_scenario.setdefault(r.scenario, {})[r.mode] = r
     scenarios = []
@@ -362,13 +197,13 @@ def transport_payload(results: Sequence[TransportResult], seed: int) -> dict:
             "senders": scenario.senders,
             "messages_per_sender": scenario.messages,
             "payload_bytes": scenario.payload_bytes,
-            "modes": {mode: modes[mode].to_row() for mode in TRANSPORT_MODES},
+            "modes": {mode: transport_row(modes[mode]) for mode in TRANSPORT_MODES},
         })
     return {"format": TRANSPORT_ARTIFACT.format, "seed": seed,
             "scenarios": scenarios}
 
 
-def render_transport_table(results: Sequence[TransportResult]) -> str:
+def render_transport_table(results: Sequence[StreamResult]) -> str:
     """One row per (scenario, mode) plus the per-scenario verdicts."""
     from ..analysis.report import format_table
 
@@ -409,7 +244,8 @@ def render_transport_table(results: Sequence[TransportResult]) -> str:
 
 SUITE = Suite(
     scenarios=TRANSPORT_SCENARIOS,
-    run=lambda scenario, mode, seed, progress: run_transport(scenario, mode, seed=seed),
+    run=lambda scenario, mode, seed, progress: run_stream(
+        scenario, mode, TRANSPORT_MODES[mode](), seed),
     render=render_transport_table,
     modes=lambda scenario: TRANSPORT_MODES,
     stats=render_fault_stats,

@@ -516,7 +516,13 @@ class SplitCRuntime:
     def all_gather(self, name: str, values: np.ndarray) -> Generator:
         """Process: every node contributes ``values``; afterwards the
         spread array ``name`` holds slot ``i * len(values)`` onward from
-        node ``i``, on every node (linear all-gather over stores)."""
+        node ``i``, on every node (linear all-gather over stores).
+
+        There is no entry fence: a peer that reaches its call first may
+        store its slice here before the local call starts.  So nothing
+        may write ``name`` between the last fence (``barrier`` /
+        ``all_store_sync``) and the call; every slot is written by the
+        gather anyway, so there is nothing to clear."""
         array = self.heap.array(name)
         width = len(values)
         if width * self.nprocs > len(array):

@@ -6,14 +6,15 @@ import pytest
 
 from repro.faults import (
     SCENARIOS,
-    SoakScenario,
+    StreamScenario,
     UniformLoss,
     render_comparison,
     render_soak_table,
-    run_scenario,
+    run_stream,
     wins,
 )
-from repro.faults.soak import RPC_EVERY, SUITE
+from repro.faults.soak import MODES, RPC_EVERY, SUITE
+from repro.suite import DEFAULT_SEED
 
 REQUIRED = ("bursty", "reorder", "flap", "combined")
 
@@ -52,25 +53,25 @@ def test_fault_stats_recorded_per_pipeline(comparison):
 
 def test_soak_is_deterministic_per_seed():
     scenario = SCENARIOS["bursty"]
-    a = run_scenario(scenario, "adaptive", seed=42)
-    b = run_scenario(scenario, "adaptive", seed=42)
-    assert (a.completion_time_us, a.retransmissions, a.timeouts, a.fast_retransmits,
-            a.acks_sent) == (b.completion_time_us, b.retransmissions, b.timeouts,
+    a = run_stream(scenario, "adaptive", MODES["adaptive"](), seed=42)
+    b = run_stream(scenario, "adaptive", MODES["adaptive"](), seed=42)
+    assert (a.elapsed_us, a.rexmit, a.timeouts, a.fast_retransmits,
+            a.acks_sent) == (b.elapsed_us, b.rexmit, b.timeouts,
                              b.fast_retransmits, b.acks_sent)
 
 
 def test_atm_substrate_scenario():
     scenario = dataclasses.replace(SCENARIOS["bursty-atm"], messages=30)
-    r = run_scenario(scenario, "adaptive")
+    r = run_stream(scenario, "adaptive", MODES["adaptive"](), DEFAULT_SEED)
     assert r.ok, r.violations
-    assert r.retransmissions > 0  # faults actually hit the cell path
+    assert r.rexmit > 0  # faults actually hit the cell path
 
 
 def test_termination_violation_is_detected():
     # a time limit too short for even the clean path must be reported
     # as a termination violation, not silently pass
     impossible = dataclasses.replace(SCENARIOS["bursty"], time_limit_us=50.0)
-    r = run_scenario(impossible)
+    r = run_stream(impossible, "fixed", MODES["fixed"](), DEFAULT_SEED)
     assert not r.completed
     assert not r.ok
     assert any("termination" in v for v in r.violations)
@@ -78,7 +79,7 @@ def test_termination_violation_is_detected():
 
 def test_pipelines_detached_after_run():
     # a second, fault-free run right after a soak must see a clean link;
-    # run_scenario builds fresh hosts, so instead check restore directly
+    # run_stream builds fresh hosts, so instead check restore directly
     from repro.ethernet import SwitchedNetwork
     from repro.hw import PENTIUM_120
     from repro.sim import Simulator
@@ -113,7 +114,7 @@ def test_scenario_catalogue_is_complete():
     for name in ("bursty", "reorder", "jitter", "flap", "stall", "combined", "bursty-atm"):
         assert name in SCENARIOS
         scenario = SCENARIOS[name]
-        assert isinstance(scenario, SoakScenario)
-        stages = scenario.perturbations()
+        assert isinstance(scenario, StreamScenario)
+        stages = scenario.fwd_stages()
         assert stages and all(hasattr(s, "process") for s in stages)
     assert SCENARIOS["bursty-atm"].substrate == "atm"

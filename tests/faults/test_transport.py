@@ -14,29 +14,31 @@ import json
 
 import pytest
 
+from repro.faults.stream import run_stream
 from repro.faults.transport import (
     TRANSPORT_ARTIFACT,
     TRANSPORT_MODES,
     TRANSPORT_SCENARIOS,
     render_transport_table,
-    run_transport,
     transport_payload,
+    transport_row,
 )
 
 SEED = 0xC0FFEE
 
 
+def _run(name, mode):
+    return run_stream(TRANSPORT_SCENARIOS[name], mode, TRANSPORT_MODES[mode](), SEED)
+
+
 @pytest.fixture(scope="module")
 def ge_results():
-    return {mode: run_transport(TRANSPORT_SCENARIOS["ge-bursty"], mode,
-                                seed=SEED)
-            for mode in ("gbn", "sack")}
+    return {mode: _run("ge-bursty", mode) for mode in ("gbn", "sack")}
 
 
 @pytest.fixture(scope="module")
 def incast_results():
-    return {mode: run_transport(TRANSPORT_SCENARIOS["incast-bottleneck"],
-                                mode, seed=SEED)
+    return {mode: _run("incast-bottleneck", mode)
             for mode in TRANSPORT_MODES}
 
 
@@ -91,10 +93,9 @@ def test_ecn_backs_off_and_outlives_loss_feedback_on_incast(incast_results):
 
 
 def test_suite_is_deterministic_and_schema_valid(ge_results):
-    again = run_transport(TRANSPORT_SCENARIOS["ge-bursty"], "sack", seed=SEED)
-    assert again.to_row() == ge_results["sack"].to_row()
-    results = list(ge_results.values()) + [
-        run_transport(TRANSPORT_SCENARIOS["ge-bursty"], "ecn", seed=SEED)]
+    again = _run("ge-bursty", "sack")
+    assert transport_row(again) == transport_row(ge_results["sack"])
+    results = list(ge_results.values()) + [_run("ge-bursty", "ecn")]
     payload = transport_payload(results, SEED)
     assert TRANSPORT_ARTIFACT.validate(payload) == []
     assert payload["format"] == TRANSPORT_ARTIFACT.format
@@ -102,8 +103,7 @@ def test_suite_is_deterministic_and_schema_valid(ge_results):
 
 def test_partial_mode_set_is_refused():
     with pytest.raises(ValueError, match="missing modes"):
-        transport_payload([run_transport(TRANSPORT_SCENARIOS["reorder"],
-                                         "sack", seed=SEED)], SEED)
+        transport_payload([_run("reorder", "sack")], SEED)
 
 
 def test_schema_rejects_shape_drift():

@@ -94,3 +94,21 @@ def test_skewed_key_distribution_sample_sort():
         assert np.array_equal(np.sort(merged), np.sort(original_keys))
     finally:
         ss.initial_keys = original
+
+
+@pytest.mark.parametrize("substrate,keys,small", [
+    ("fe-switch", 4000, False),
+    ("atm", 16384, False),
+    ("fe-switch", 4096, True),
+])
+def test_radix_histogram_gather_survives_an_early_peer(substrate, keys, small):
+    """A peer that leaves the previous fence first stores its histogram
+    before the local node reaches ``all_gather``; nothing may wipe it.
+    At these three 2-node points a local write to the gather array
+    between the fence and the call loses that histogram, and the sort
+    comes out wrong."""
+    cfg = RadixConfig(keys_per_node=keys, small_messages=small)
+    cluster = Cluster(2, substrate=substrate)
+    run_radix_sort(cluster, cfg)
+    original = np.concatenate([initial_keys(cfg, i) for i in range(2)])
+    assert verify_sorted(cluster, expected_multiset=original)

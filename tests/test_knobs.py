@@ -164,7 +164,7 @@ KEPT = {
     # a state a workload reaches that a test cannot afford to drive:
     # a deep collective tree on a handful of nodes, a missed deadline
     **_each(TEST_SEAM, "repro.collectives.adapters:wire_collectives", "fanout"),
-    **_each(TEST_SEAM, "repro.faults.soak:SoakScenario", "time_limit_us"),
+    **_each(TEST_SEAM, "repro.faults.stream:StreamScenario", "time_limit_us"),
 }
 
 
