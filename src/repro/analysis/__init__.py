@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".stats": ("cluster_stats", "render_stats"),
     ".splitc_bench": (
         "BENCHMARKS", "PAPER_KEYS_PER_NODE", "Table1Entry", "figure7",
-        "table1", "table1_des", "table2",
+        "run_des", "table1", "table1_des", "table2",
     ),
     ".timelines": (
         "atm_trace_transfer", "figure3_timeline", "figure4_timeline",

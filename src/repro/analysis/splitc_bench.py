@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..apps import PAPER_MM_128, PAPER_MM_16, MatmulConfig, RadixConfig, SampleConfig
+from ..apps import (PAPER_MM_128, PAPER_MM_16, AppResult, MatmulConfig, RadixConfig,
+                    SampleConfig, run_matmul, run_radix_sort, run_sample_sort)
 from ..hw.cpu import PENTIUM_120, SPARCSTATION_20
 from ..perfmodel import (
     Projection,
@@ -28,6 +29,7 @@ __all__ = [
     "PAPER_KEYS_PER_NODE",
     "table1",
     "table1_des",
+    "run_des",
     "table2",
     "figure7",
     "Table1Entry",
@@ -93,6 +95,17 @@ def table1(keys_per_node: int = PAPER_KEYS_PER_NODE) -> List[Table1Entry]:
     return entries
 
 
+def run_des(benchmark: str, cluster, keys_per_node: int, mm: MatmulConfig) -> AppResult:
+    """Run ``repro splitc``'s ``benchmark`` (``rsortsm`` ... ``mm``) on
+    ``cluster``; the result is checked (see :mod:`repro.apps`)."""
+    if benchmark == "mm":
+        return run_matmul(cluster, mm)
+    small = benchmark.endswith("sm")
+    if benchmark.startswith("rsort"):
+        return run_radix_sort(cluster, RadixConfig(keys_per_node, small))
+    return run_sample_sort(cluster, SampleConfig(keys_per_node, small))
+
+
 def table1_des(keys_per_node: int = 2048) -> List[Table1Entry]:
     """Table 1 measured in the event-level simulator at reduced scale.
 
@@ -102,35 +115,23 @@ def table1_des(keys_per_node: int = 2048) -> List[Table1Entry]:
     pure-Python event processing tractable (see DESIGN.md); use it to
     sanity-check orderings, not absolutes.
     """
-    from ..apps import run_matmul, run_radix_sort, run_sample_sort
     from ..splitc import Cluster
 
-    runners = [
-        ("mm 64^2 (scaled)",
-         lambda cl: run_matmul(cl, MatmulConfig(blocks=4, block_size=16))),
-        (f"ssortsm{keys_per_node}",
-         lambda cl: run_sample_sort(cl, SampleConfig(keys_per_node, True))),
-        (f"ssortlg{keys_per_node}",
-         lambda cl: run_sample_sort(cl, SampleConfig(keys_per_node, False))),
-        (f"rsortsm{keys_per_node}",
-         lambda cl: run_radix_sort(cl, RadixConfig(keys_per_node, True))),
-        (f"rsortlg{keys_per_node}",
-         lambda cl: run_radix_sort(cl, RadixConfig(keys_per_node, False))),
-    ]
+    scaled_mm = MatmulConfig(blocks=4, block_size=16)
     entries = []
-    for name, runner in runners:
+    for benchmark in ("mm", "ssortsm", "ssortlg", "rsortsm", "rsortlg"):
+        name = "mm 64^2 (scaled)" if benchmark == "mm" else f"{benchmark}{keys_per_node}"
         for n in (2, 4):
             for substrate, label in (("fe-switch", "FE"), ("atm", "ATM")):
-                cluster = Cluster(n, substrate=substrate)
-                result = runner(cluster)
-                breakdown = cluster.time_breakdown()
+                result = run_des(benchmark, Cluster(n, substrate=substrate),
+                                 keys_per_node, scaled_mm)
                 entries.append(Table1Entry(
                     benchmark=name,
                     nodes=n,
                     substrate=label,
-                    seconds=result.elapsed_us / 1e6,
-                    cpu_seconds=sum(b["cpu_us"] for b in breakdown) / n / 1e6,
-                    net_seconds=sum(b["net_us"] for b in breakdown) / n / 1e6,
+                    seconds=result.elapsed_s,
+                    cpu_seconds=sum(result.per_node_cpu_us) / n / 1e6,
+                    net_seconds=sum(result.per_node_net_us) / n / 1e6,
                 ))
     return entries
 

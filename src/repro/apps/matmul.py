@@ -14,14 +14,14 @@ blocks it needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from ..splitc.cluster import Cluster
 from ..splitc.runtime import SplitCRuntime
+from .runner import AppResult, run_checked
 
-__all__ = ["MatmulConfig", "MatmulResult", "run_matmul", "PAPER_MM_128", "PAPER_MM_16"]
+__all__ = ["MatmulConfig", "run_matmul", "PAPER_MM_128", "PAPER_MM_16"]
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,6 @@ class MatmulConfig:
 #: the paper's two configurations
 PAPER_MM_128 = MatmulConfig(blocks=8, block_size=128)
 PAPER_MM_16 = MatmulConfig(blocks=16, block_size=16)
-
-
-@dataclass
-class MatmulResult:
-    elapsed_us: float
-    per_node_cpu_us: List[float]
-    per_node_net_us: List[float]
-    config: MatmulConfig
-    nprocs: int
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.elapsed_us / 1e6
 
 
 def _block_of(matrix: np.ndarray, cfg: MatmulConfig, bi: int, bj: int) -> np.ndarray:
@@ -154,21 +141,13 @@ def matmul_program(cfg: MatmulConfig):
     return program
 
 
-def run_matmul(cluster: Cluster, cfg: MatmulConfig) -> MatmulResult:
-    """Run the benchmark on ``cluster`` and collect timings."""
-    start = cluster.sim.now
-    cluster.run(matmul_program(cfg))
-    breakdown = cluster.time_breakdown()
-    return MatmulResult(
-        elapsed_us=cluster.sim.now - start,
-        per_node_cpu_us=[b["cpu_us"] for b in breakdown],
-        per_node_net_us=[b["net_us"] for b in breakdown],
-        config=cfg,
-        nprocs=cluster.n,
-    )
+def run_matmul(cluster: Cluster, cfg: MatmulConfig) -> AppResult:
+    return run_checked(cluster, matmul_program(cfg),
+                       lambda cluster: _verify_matmul(cluster, cfg),
+                       "the product of the reference matrices")
 
 
-def verify_matmul(cluster: Cluster, cfg: MatmulConfig) -> bool:
+def _verify_matmul(cluster: Cluster, cfg: MatmulConfig) -> bool:
     """Check every C block against the numpy reference product."""
     a_full, b_full = reference_matrices(cfg)
     c_ref = a_full @ b_full

@@ -21,14 +21,14 @@ Two variants, as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from ..splitc.cluster import Cluster
 from ..splitc.runtime import SplitCRuntime
+from .runner import AppResult, run_checked, sorted_permutation
 
-__all__ = ["RadixConfig", "SortResult", "run_radix_sort", "verify_sorted"]
+__all__ = ["RadixConfig", "run_radix_sort", "verify_sorted"]
 
 #: app-level AM handler: scatter (position, key) pairs into the dest array
 H_RADIX_SCATTER = 0x40
@@ -50,19 +50,6 @@ class RadixConfig:
     @property
     def buckets(self) -> int:
         return 1 << self.radix_bits
-
-
-@dataclass
-class SortResult:
-    elapsed_us: float
-    per_node_cpu_us: List[float]
-    per_node_net_us: List[float]
-    nprocs: int
-    keys_per_node: int
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.elapsed_us / 1e6
 
 
 def initial_keys(cfg: RadixConfig, node: int) -> np.ndarray:
@@ -179,26 +166,14 @@ def _send_small(rt: SplitCRuntime, peer: int, keys: np.ndarray, offsets: np.ndar
         yield from rt.counted_request(peer, H_RADIX_SCATTER, args=args)
 
 
-def run_radix_sort(cluster: Cluster, cfg: RadixConfig) -> SortResult:
-    start = cluster.sim.now
-    cluster.run(radix_program(cfg))
-    breakdown = cluster.time_breakdown()
-    return SortResult(
-        elapsed_us=cluster.sim.now - start,
-        per_node_cpu_us=[b["cpu_us"] for b in breakdown],
-        per_node_net_us=[b["net_us"] for b in breakdown],
-        nprocs=cluster.n,
-        keys_per_node=cfg.keys_per_node,
-    )
+def run_radix_sort(cluster: Cluster, cfg: RadixConfig) -> AppResult:
+    return run_checked(cluster, radix_program(cfg),
+                       lambda cluster: verify_sorted(cluster, np.concatenate(
+                           [initial_keys(cfg, i) for i in range(cluster.n)])),
+                       "the input keys in sorted order")
 
 
 def verify_sorted(cluster: Cluster, expected_multiset=None) -> bool:
     """Global sorted order + multiset preservation across node slices."""
-    pieces = [rt.local("rx_src").copy() for rt in cluster.runtimes]
-    merged = np.concatenate(pieces)
-    if np.any(np.diff(merged.astype(np.int64)) < 0):
-        return False
-    if expected_multiset is not None:
-        if not np.array_equal(np.sort(merged), np.sort(expected_multiset)):
-            return False
-    return True
+    merged = np.concatenate([rt.local("rx_src") for rt in cluster.runtimes])
+    return sorted_permutation(merged, expected_multiset)

@@ -16,15 +16,15 @@ variant transmits a single bulk message per destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from ..splitc.cluster import Cluster
 from ..splitc.runtime import SplitCRuntime
-from .radix_sort import NO_KEY, SortResult
+from .radix_sort import NO_KEY
+from .runner import AppResult, run_checked, sorted_permutation
 
-__all__ = ["SampleConfig", "run_sample_sort", "verify_sample_sorted"]
+__all__ = ["SampleConfig", "run_sample_sort"]
 
 #: app-level AM handler: append keys to the destination's receive area
 H_SS_APPEND = 0x41
@@ -133,27 +133,15 @@ def sample_program(cfg: SampleConfig):
     return program
 
 
-def run_sample_sort(cluster: Cluster, cfg: SampleConfig) -> SortResult:
-    start = cluster.sim.now
-    cluster.run(sample_program(cfg))
-    breakdown = cluster.time_breakdown()
-    return SortResult(
-        elapsed_us=cluster.sim.now - start,
-        per_node_cpu_us=[b["cpu_us"] for b in breakdown],
-        per_node_net_us=[b["net_us"] for b in breakdown],
-        nprocs=cluster.n,
-        keys_per_node=cfg.keys_per_node,
-    )
+def run_sample_sort(cluster: Cluster, cfg: SampleConfig) -> AppResult:
+    return run_checked(cluster, sample_program(cfg),
+                       lambda cluster: _verify_sample_sorted(cluster, cfg),
+                       "the input keys in sorted order")
 
 
-def verify_sample_sorted(cluster: Cluster, cfg: SampleConfig) -> bool:
+def _verify_sample_sorted(cluster: Cluster, cfg: SampleConfig) -> bool:
     """Check the distributed result is a sorted permutation of the input."""
-    pieces = []
-    for rt in cluster.runtimes:
-        received = int(rt.local("ss_count")[0])
-        pieces.append(rt.local("ss_recv")[:received].copy())
-    merged = np.concatenate(pieces)
-    if np.any(np.diff(merged.astype(np.int64)) < 0):
-        return False
-    original = np.concatenate([initial_keys(cfg, i) for i in range(cluster.n)])
-    return np.array_equal(np.sort(merged), np.sort(original))
+    merged = np.concatenate([rt.local("ss_recv")[: int(rt.local("ss_count")[0])]
+                             for rt in cluster.runtimes])
+    return sorted_permutation(
+        merged, np.concatenate([initial_keys(cfg, i) for i in range(cluster.n)]))

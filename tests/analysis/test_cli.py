@@ -111,6 +111,26 @@ def test_splitc_unknown_benchmark():
     assert main(["splitc", "quicksort"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--nodes", "--keys", "--blocks", "--block-size"])
+def test_splitc_refuses_a_non_positive_size(flag, capsys):
+    benchmark = "mm" if flag.startswith("--block") else "ssortsm"
+    assert main(["splitc", benchmark, flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{flag} must be at least 1\n"
+
+
+def test_splitc_exits_1_on_a_wrong_answer(capsys, monkeypatch):
+    from tests.apps.test_benchmarks import plant_wrong_answer
+
+    from repro.apps import radix_sort
+
+    plant_wrong_answer(radix_sort, "radix_program", "rx_src", monkeypatch)
+    assert main(["splitc", "rsortlg", "--nodes", "2", "--keys", "64"]) == 1
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert captured.err.startswith("rsortlg on 2-node fe-switch: the heap does not hold")
+
+
 def test_splitc_stats_flag(capsys):
     assert main(["splitc", "ssortlg", "--nodes", "2", "--keys", "128",
                  "--substrate", "atm", "--stats"]) == 0

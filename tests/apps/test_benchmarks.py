@@ -1,4 +1,7 @@
-"""Correctness tests for the Split-C benchmark suite (small scales)."""
+"""Correctness tests for the Split-C benchmark suite (small scales).
+
+Every ``run_*`` checks its own answer and raises ``WrongResult`` on a
+wrong one, so a run that returns is a run that verified."""
 
 import numpy as np
 import pytest
@@ -7,15 +10,47 @@ from repro.apps import (
     MatmulConfig,
     RadixConfig,
     SampleConfig,
+    WrongResult,
+    matmul,
+    radix_sort,
     run_matmul,
     run_radix_sort,
     run_sample_sort,
-    verify_matmul,
-    verify_sample_sorted,
-    verify_sorted,
+    sample_sort,
 )
 from repro.apps.radix_sort import initial_keys as radix_keys
 from repro.splitc import Cluster
+
+
+def plant_wrong_answer(module, factory: str, array: str, monkeypatch) -> None:
+    """Wrap ``module.factory``'s program so that, once it has finished,
+    node 0 bumps element 0 of ``array``: a wrong answer the runner must
+    find in the heap."""
+    original = getattr(module, factory)
+
+    def wrapped_factory(cfg):
+        program = original(cfg)
+
+        def wrapped(rt):
+            result = yield from program(rt)
+            if rt.node == 0:
+                rt.local(array)[0] += 1
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(module, factory, wrapped_factory)
+
+
+@pytest.mark.parametrize("module,factory,array,run,cfg", [
+    (radix_sort, "radix_program", "rx_src", run_radix_sort, RadixConfig(64, False, radix_bits=8)),
+    (sample_sort, "sample_program", "ss_recv", run_sample_sort, SampleConfig(64, False)),
+    (matmul, "matmul_program", "mm_c", run_matmul, MatmulConfig(blocks=2, block_size=4)),
+], ids=["radix", "sample", "matmul"])
+def test_a_wrong_answer_raises(module, factory, array, run, cfg, monkeypatch):
+    plant_wrong_answer(module, factory, array, monkeypatch)
+    with pytest.raises(WrongResult, match="2-node fe-switch: the heap does not hold"):
+        run(Cluster(2, substrate="fe-switch"), cfg)
 
 
 # ---------------------------------------------------------------- matmul
@@ -26,16 +61,14 @@ def test_matmul_correct(substrate):
     cl = Cluster(4, substrate=substrate)
     cfg = MatmulConfig(blocks=4, block_size=8)
     result = run_matmul(cl, cfg)
-    assert verify_matmul(cl, cfg)
     assert result.elapsed_us > 0
-    assert result.nprocs == 4
+    assert len(result.per_node_cpu_us) == 4
 
 
 def test_matmul_single_node():
     cl = Cluster(1, substrate="fe-switch")
     cfg = MatmulConfig(blocks=2, block_size=4)
     run_matmul(cl, cfg)
-    assert verify_matmul(cl, cfg)
 
 
 def test_matmul_uneven_block_ownership():
@@ -43,7 +76,6 @@ def test_matmul_uneven_block_ownership():
     cl = Cluster(3, substrate="fe-switch")
     cfg = MatmulConfig(blocks=2, block_size=4)
     run_matmul(cl, cfg)
-    assert verify_matmul(cl, cfg)
 
 
 def test_matmul_larger_blocks_than_packets():
@@ -51,7 +83,6 @@ def test_matmul_larger_blocks_than_packets():
     cl = Cluster(2, substrate="fe-switch")
     cfg = MatmulConfig(blocks=2, block_size=16)
     run_matmul(cl, cfg)
-    assert verify_matmul(cl, cfg)
 
 
 def test_matmul_time_scales_down_with_nodes():
@@ -71,8 +102,6 @@ def test_radix_sorts_correctly(substrate, small):
     cfg = RadixConfig(keys_per_node=256, small_messages=small, radix_bits=8)
     cl = Cluster(n, substrate=substrate)
     result = run_radix_sort(cl, cfg)
-    original = np.concatenate([radix_keys(cfg, i) for i in range(n)])
-    assert verify_sorted(cl, expected_multiset=original)
     assert result.elapsed_us > 0
 
 
@@ -93,8 +122,6 @@ def test_radix_odd_key_counts():
     n = 2
     cl = Cluster(n, substrate="fe-switch")
     run_radix_sort(cl, cfg)
-    original = np.concatenate([radix_keys(cfg, i) for i in range(n)])
-    assert verify_sorted(cl, expected_multiset=original)
 
 
 def test_radix_deterministic_inputs():
@@ -117,7 +144,6 @@ def test_sample_sorts_correctly(substrate, small):
     cfg = SampleConfig(keys_per_node=300, small_messages=small)
     cl = Cluster(3, substrate=substrate)
     result = run_sample_sort(cl, cfg)
-    assert verify_sample_sorted(cl, cfg)
     assert result.elapsed_us > 0
 
 
@@ -125,7 +151,6 @@ def test_sample_sort_two_nodes_hub():
     cfg = SampleConfig(keys_per_node=128, small_messages=True)
     cl = Cluster(2, substrate="fe-hub")
     run_sample_sort(cl, cfg)
-    assert verify_sample_sorted(cl, cfg)
 
 
 def test_sample_receive_counts_cover_all_keys():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import MatmulConfig, run_matmul, verify_matmul
+from repro.apps import MatmulConfig, run_matmul
 from repro.splitc import Cluster
 
 
@@ -10,8 +10,7 @@ from repro.splitc import Cluster
 def test_prefetch_produces_correct_product(substrate):
     cfg = MatmulConfig(blocks=4, block_size=8, prefetch=True)
     cluster = Cluster(3, substrate=substrate)
-    run_matmul(cluster, cfg)
-    assert verify_matmul(cluster, cfg)
+    run_matmul(cluster, cfg)  # raises WrongResult on a wrong product
 
 
 def test_prefetch_is_faster_than_blocking():
@@ -25,8 +24,7 @@ def test_prefetch_is_faster_than_blocking():
 def test_prefetch_single_node():
     cfg = MatmulConfig(blocks=2, block_size=4, prefetch=True)
     cluster = Cluster(1, substrate="fe-switch")
-    run_matmul(cluster, cfg)
-    assert verify_matmul(cluster, cfg)
+    run_matmul(cluster, cfg)  # raises WrongResult on a wrong product
 
 
 def test_prefetch_same_result_as_blocking():

@@ -40,7 +40,9 @@ def test_active_messages_rpc(capsys):
 
 def test_parallel_sort(capsys):
     out = _run("parallel_sort.py", capsys)
-    assert out.count("True") == 4  # all four configurations verified
+    # all four configurations ran; a wrong sort would have raised
+    assert out.count(" msgs ") == 4
+    assert "checked" in out
 
 
 def test_beyond_one_switch(capsys):

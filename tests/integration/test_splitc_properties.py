@@ -10,10 +10,7 @@ from repro.apps import (
     SampleConfig,
     run_radix_sort,
     run_sample_sort,
-    verify_sample_sorted,
-    verify_sorted,
 )
-from repro.apps.radix_sort import initial_keys
 from repro.splitc import Cluster
 
 
@@ -27,9 +24,7 @@ from repro.splitc import Cluster
 def test_radix_sort_random_scales(nodes, keys, small, seed):
     cfg = RadixConfig(keys_per_node=keys, small_messages=small, radix_bits=8, seed=seed)
     cluster = Cluster(nodes, substrate="fe-switch")
-    run_radix_sort(cluster, cfg)
-    original = np.concatenate([initial_keys(cfg, i) for i in range(nodes)])
-    assert verify_sorted(cluster, expected_multiset=original)
+    run_radix_sort(cluster, cfg)  # raises WrongResult on a wrong sort
 
 
 @given(
@@ -41,8 +36,7 @@ def test_radix_sort_random_scales(nodes, keys, small, seed):
 def test_sample_sort_random_scales(nodes, keys, small):
     cfg = SampleConfig(keys_per_node=keys, small_messages=small)
     cluster = Cluster(nodes, substrate="atm")
-    run_sample_sort(cluster, cfg)
-    assert verify_sample_sorted(cluster, cfg)
+    run_sample_sort(cluster, cfg)  # raises WrongResult on a wrong sort
 
 
 @given(seed=st.integers(1, 1000))
@@ -83,15 +77,8 @@ def test_skewed_key_distribution_sample_sort():
 
     ss.initial_keys = skewed
     try:
+        # the runner checks against the skewed keys: WrongResult if lost
         run_sample_sort(cluster, cfg)
-        pieces = []
-        for rt in cluster.runtimes:
-            received = int(rt.local("ss_count")[0])
-            pieces.append(rt.local("ss_recv")[:received].copy())
-        merged = np.concatenate(pieces)
-        assert np.all(np.diff(merged.astype(np.int64)) >= 0)
-        original_keys = np.concatenate([skewed(cfg, i) for i in range(4)])
-        assert np.array_equal(np.sort(merged), np.sort(original_keys))
     finally:
         ss.initial_keys = original
 
@@ -109,6 +96,4 @@ def test_radix_histogram_gather_survives_an_early_peer(substrate, keys, small):
     comes out wrong."""
     cfg = RadixConfig(keys_per_node=keys, small_messages=small)
     cluster = Cluster(2, substrate=substrate)
-    run_radix_sort(cluster, cfg)
-    original = np.concatenate([initial_keys(cfg, i) for i in range(2)])
-    assert verify_sorted(cluster, expected_multiset=original)
+    run_radix_sort(cluster, cfg)  # raises WrongResult on a wrong sort

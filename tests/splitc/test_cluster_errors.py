@@ -61,14 +61,11 @@ def test_runtime_operation_counters():
 
 
 def test_beowulf_substrate_runs_splitc():
-    from repro.apps import RadixConfig, run_radix_sort, verify_sorted
-    from repro.apps.radix_sort import initial_keys
+    from repro.apps import RadixConfig, run_radix_sort
 
     cfg = RadixConfig(keys_per_node=256, small_messages=False, radix_bits=8)
     cl = Cluster(3, substrate="fe-beowulf")
-    run_radix_sort(cl, cfg)
-    original = np.concatenate([initial_keys(cfg, i) for i in range(3)])
-    assert verify_sorted(cl, expected_multiset=original)
+    run_radix_sort(cl, cfg)  # raises WrongResult on a wrong sort
     # frames really used both rails
     assert cl.network.medium_a.frames_carried > 0
     assert cl.network.medium_b.frames_carried > 0
