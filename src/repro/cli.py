@@ -358,6 +358,12 @@ def _cmd_bench(args) -> int:
         print(engine_rate_line(sum(e["sim_events"] for e in payload["engine"]),
                                wall_s))
         output = "BENCH_collectives.json"
+    elif args.host:
+        from .analysis.hostcost import ARTIFACT, render_host_bench, run_host_bench
+
+        payload = run_host_bench(progress=lambda m: print(f"  {m}"))
+        print(render_host_bench(payload))
+        output = "BENCH_host.json"
     elif not args.live:
         print("the simulated figures live under `fig5` / `fig6`; pass --live "
               "to run the wall-clock rig on real sockets", file=sys.stderr)
@@ -649,6 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the deterministic collective-latency sweep "
                          "(host vs NIC trees on fat-tree clusters) instead "
                          "of the live rig")
+    pn.add_argument("--host", action="store_true",
+                    help="count calls into src/repro and heap entries per op "
+                         "on the simulated rows (exact, diffable) and write "
+                         "BENCH_host.json")
     pn.add_argument("--nodes", type=int, nargs="+", default=None,
                     help="node counts for --collectives (default 8 32 128 256)")
     pn.add_argument("--compare", nargs=2, metavar=("BASELINE", "CANDIDATE"),

@@ -114,7 +114,7 @@ SUITES = {
 }
 
 #: modules that declare an ``ARTIFACT`` without being a soak suite
-_BENCH_RIGS = ("repro.live.bench", "repro.collectives.bench")
+_BENCH_RIGS = ("repro.live.bench", "repro.collectives.bench", "repro.analysis.hostcost")
 
 
 def load_suite(name: str) -> Suite:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.splitc import Cluster
-from tests.sim.test_host_calls import count_calls, per_function
+from repro.analysis.hostcost import count_calls, per_function
 
 NODES = 32
 ROUNDS = 4

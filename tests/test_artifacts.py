@@ -25,6 +25,7 @@ COMMITTED = {
     "repro-bench-transport/1": "BENCH_transport.json",
     "repro-bench-fabric/1": "BENCH_fabric.json",
     "repro-multitenant-soak/1": "BENCH_multitenant.json",
+    "repro-bench-host/1": "BENCH_host.json",
 }
 
 
