@@ -88,6 +88,9 @@ class SplitCRuntime:
         # fetch (split-phase bulk get) state
         self._next_fetch_tag = 0
         self._fetch_events: Dict[int, Event] = {}
+        #: fetch tag -> byte offset of its destination slice; the owner's
+        #: H_STOREs carry the tag and count their offsets from 0
+        self._fetch_bases: Dict[int, int] = {}
         #: NIC-resident collective engine (None = host-coordinated)
         self.nic_collectives = None
         # time accounting (Figure 7's cpu/net split)
@@ -138,7 +141,10 @@ class SplitCRuntime:
         am.register_handler(H_PUT_SMALL, self._h_put_small)
 
     def _h_store(self, ctx: RequestContext) -> Generator:
-        name_id, byte_offset, _a2, _a3 = ctx.args
+        name_id, byte_offset, fetch, _a3 = ctx.args
+        if fetch:
+            # part of a bulk_get's reply: offset within its destination slice
+            byte_offset += self._fetch_bases[fetch - 1]
         yield self.cpu.copy_time(len(ctx.data))
         self.heap.write_bytes(name_id, byte_offset, ctx.data)
         self._count_store(ctx.src_node)
@@ -245,11 +251,13 @@ class SplitCRuntime:
         max_data = self.am.max_data
         for offset in range(0, max(1, len(data)), max_data):
             chunk = data[offset : offset + max_data]
-            yield from self.am.request(requester, H_STORE, args=(dst_name_id, offset), data=chunk)
+            yield from self.am.request(requester, H_STORE, args=(dst_name_id, offset, tag + 1),
+                                       data=chunk)
             self._note_store_sent(requester)
         yield from self.am.request(requester, H_FETCH_DONE, args=(tag,))
 
     def _h_fetch_done(self, ctx: RequestContext) -> None:
+        self._fetch_bases.pop(ctx.args[0], None)
         event = self._fetch_events.pop(ctx.args[0], None)
         if event is not None:
             event.succeed()
@@ -413,6 +421,7 @@ class SplitCRuntime:
         self._next_fetch_tag = (self._next_fetch_tag + 1) % (1 << 15)
         event = self.sim.event(name=f"sc{self.node}.fetch{tag}")
         self._fetch_events[tag] = event
+        self._fetch_bases[tag] = dst_elem * dst_array.itemsize
         name_id = self.heap.name_id(src_name)
         dst_id = self.heap.name_id(dst_name)
         packed = (tag << 16) | dst_id

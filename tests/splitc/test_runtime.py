@@ -124,6 +124,30 @@ def test_bulk_get_large_block():
     assert cl.run(program) == [True, True]
 
 
+@pytest.mark.parametrize("substrate", ["fe-switch", "atm"])
+def test_bulk_get_lands_at_its_destination_element(substrate):
+    """A remote fetch into ``d[4:8]`` fills ``d[4:8]``: the owner's
+    stores carry the fetch tag, and the requester adds the destination
+    offset it recorded for that tag (the offsets on the wire count from
+    the start of the fetched block)."""
+    cl = Cluster(2, substrate=substrate)
+
+    def program(rt):
+        src = rt.all_spread_malloc("src", 4, np.float64)
+        dst = rt.all_spread_malloc("d", 8, np.float64)
+        src[:] = np.arange(4) + 10.0 * (rt.node + 1)
+        dst[:] = -1.0
+        yield from rt.barrier()
+        if rt.node == 0:
+            yield from rt.bulk_get(1, "src", 0, 4, "d", 4)
+        yield from rt.barrier()
+        return [float(x) for x in rt.local("d")]
+
+    fetched, untouched = cl.run(program)
+    assert fetched == [-1.0] * 4 + [20.0, 21.0, 22.0, 23.0]
+    assert untouched == [-1.0] * 8
+
+
 def test_all_reduce_sum():
     cl = Cluster(4, substrate="fe-switch")
 
