@@ -719,7 +719,8 @@ class AmCore:
         ``"credit"`` — by blocking (simulated) or retrying (polled).
         The driver books the credit stall: how often a stalled sender
         re-asks is its business, not the protocol's."""
-        if self.config.recovery:
+        cfg = self.config
+        if cfg.recovery:
             if not peer.alive:
                 raise PeerUnavailableError(
                     f"node {peer.node} is dead; send refused", peer=peer.node)
@@ -727,16 +728,17 @@ class AmCore:
                 # behind the HELLO handshake: the channel has no
                 # established numbering to send on yet
                 return "hello"
-        if len(peer.unacked) >= self._effective_window(peer):
+        window = cfg.window if not cfg.adaptive_window else self._effective_window(peer)
+        if len(peer.unacked) >= window:
             return "window"
-        if self._credit_blocked(peer):
+        if cfg.credit_flow and self._credit_blocked(peer):
             # the peer has no receive capacity for us: stall (do not
             # burn its service time with packets it must drop) until
             # an advertisement says the pressure is off
             return "credit"
-        self._observe("grant", peer, unacked=len(peer.unacked),
-                      window=self._effective_window(peer),
-                      remote_credit=peer.remote_credit)
+        if self.trace.listeners:
+            self._observe("grant", peer, unacked=len(peer.unacked), window=window,
+                          remote_credit=peer.remote_credit)
         return None
 
     def _note_credit_stall(self, peer: PeerState) -> None:
@@ -748,7 +750,7 @@ class AmCore:
         """The next packet of ``peer``'s reliable stream."""
         packet = Packet(type=ptype, handler=handler, seq=peer.next_seq,
                         req_seq=req_seq, args=tuple(args), data=data)
-        peer.next_seq = seq_add(peer.next_seq, 1)
+        peer.next_seq = (peer.next_seq + 1) % SEQ_MOD
         if ptype == TYPE_REQUEST:
             self.requests_sent += 1
         else:
@@ -809,10 +811,12 @@ class AmCore:
         if track:
             peer.unacked[packet.seq] = packet
             peer.sent_at[packet.seq] = peer.last_progress = self._now()
-            # observed pre-spend: remote_credit is what the gate saw
-            self._observe("tx", peer, seq=packet.seq, ptype=packet.type,
-                          unacked=len(peer.unacked), window=self._effective_window(peer),
-                          remote_credit=peer.remote_credit)
+            if self.trace.listeners:
+                # observed pre-spend: remote_credit is what the gate saw
+                self._observe("tx", peer, seq=packet.seq, ptype=packet.type,
+                              unacked=len(peer.unacked),
+                              window=self._effective_window(peer),
+                              remote_credit=peer.remote_credit)
             if self.config.credit_flow and peer.remote_credit is not None:
                 # conservative spend between advertisements; the next
                 # absolute advertisement overwrites any drift.  Replies
@@ -824,14 +828,17 @@ class AmCore:
         return encode(packet)
 
     # ------------------------------------------------------------ receiving
-    def _receive(self, channel_id: int, raw: bytes) -> Optional[Tuple[PeerState, Packet]]:
+    def _receive(self, channel_id: int, raw: bytes,
+                 now: Optional[float] = None) -> Optional[Tuple[PeerState, Packet]]:
         """Classify one arrived message: fence, then ack/SACK/ECN/credit
         processing, then the handshake and control types, then in-order /
         hold / duplicate.  Returns ``(peer, packet)`` when ``packet`` is
         the next in-order one — the driver then feeds it and every
         buffered successor to :meth:`_accept` and calls
         :meth:`_note_delivery` — and None when the message was absorbed
-        here."""
+        here.  ``now`` is the driver's clock reading for the arrival, if
+        it took one (a polled driver reads once per pass); without it the
+        ack processing reads ``_now()``."""
         try:
             packet = decode(raw)
         except ValueError:
@@ -845,7 +852,7 @@ class AmCore:
         if ack_epoch_applies(packet.epoch, peer.remote_epoch):
             if self.trace.listeners:
                 self._observe("ack_rx", peer, ack=packet.ack, ptype=packet.type)
-            self._process_ack(peer, packet.ack)
+            self._process_ack(peer, packet.ack, now)
             if cfg.ack_mode == "sack" and packet.sack_bits is not None:
                 self._process_sack(peer, packet.ack, packet.sack_bits)
             if cfg.congestion == "ecn" and packet.ece:
@@ -866,7 +873,8 @@ class AmCore:
         if packet.type == TYPE_ACK:
             return None
         if packet.seq == peer.expected_seq:
-            self._note_ce(peer, packet)
+            if cfg.congestion == "ecn":
+                self._note_ce(peer, packet)
             return peer, packet
         held = cfg.ack_mode == "sack" and packet.seq not in peer.ooo_held and reorder_admit(
             peer.expected_seq, packet.seq, SACK_BITMAP_BITS) == "hold"
@@ -874,7 +882,8 @@ class AmCore:
             # buffer within the promised horizon; the SACK block on the
             # ack we send next reports it
             peer.ooo_held[packet.seq] = packet
-            self._note_ce(peer, packet)
+            if cfg.congestion == "ecn":
+                self._note_ce(peer, packet)
         else:
             # go-back-N: duplicates and holes both trigger a re-ack
             peer.duplicates += 1
@@ -913,24 +922,26 @@ class AmCore:
         handler, complete a reply's rpc.  Returns what the handler
         returned — on the simulated endpoint possibly a generator the
         driver must run to completion before accepting the next packet."""
-        peer.expected_seq = seq_add(peer.expected_seq, 1)
+        peer.expected_seq = (peer.expected_seq + 1) % SEQ_MOD
         if packet.type == TYPE_REQUEST:
             self.requests_delivered += 1
-            self._observe("dispatch", peer, seq=packet.seq, handler=packet.handler,
-                          msg=packet.args[0])
+            if self.trace.listeners:
+                self._observe("dispatch", peer, seq=packet.seq, handler=packet.handler,
+                              msg=packet.args[0])
             fn = self._handlers.get(packet.handler)
             if fn is not None:
                 return fn(RequestContext(self, peer.node, packet.args, packet.data,
                                          packet.seq))
         elif packet.type == TYPE_REPLY:
-            self._observe("reply", peer, seq=packet.seq, req_seq=packet.req_seq)
+            if self.trace.listeners:
+                self._observe("reply", peer, seq=packet.seq, req_seq=packet.req_seq)
             key = (peer.node, packet.req_seq)
             token = self._rpc_pending.pop(key, None)
             if token is not None:
                 self._rpc_complete(key, token, (packet.args, packet.data))
         return None
 
-    def _process_ack(self, peer: PeerState, ack: int) -> None:
+    def _process_ack(self, peer: PeerState, ack: int, now: Optional[float] = None) -> None:
         cfg = self.config
         acked = self._acked_seqs(peer, ack)
         if not acked:
@@ -947,7 +958,8 @@ class AmCore:
             return
         peer.last_ack = ack
         peer.dup_acks = 0
-        now = self._now()
+        if now is None:
+            now = self._now()
         if cfg.adaptive_rto:
             # Karn's rule: sample only packets that were never retransmitted
             sample = None
@@ -992,10 +1004,11 @@ class AmCore:
             self._retransmit_now(peer, seq)
 
     def _note_ce(self, peer: PeerState, packet: Packet) -> None:
-        """Account an accepted data packet's congestion mark: it will be
-        echoed on the next outbound packets to the peer, one echo per
-        mark (duplicates are never counted — their first copy was)."""
-        if self.config.congestion != "ecn" or not packet.ce:
+        """Account an accepted data packet's congestion mark (``ecn``
+        congestion only): it will be echoed on the next outbound packets
+        to the peer, one echo per mark (duplicates are never counted —
+        their first copy was)."""
+        if not packet.ce:
             return
         peer.ecn_marks += 1
         peer.pending_echoes += 1
@@ -1051,7 +1064,8 @@ class AmCore:
         self._retransmit_now(peer)
 
     def _note_delivery(self, peer: PeerState, out_of_order: bool = False) -> None:
-        """Ack policy after a delivery (or an out-of-order arrival)."""
+        """Ack policy after a delivery (or an out-of-order arrival).  The
+        delayed ack's deadline counts from now, after the handlers ran."""
         cfg = self.config
         peer.deliveries_since_ack += 1
         if out_of_order and (cfg.fast_retransmit or cfg.ack_mode == "sack"):

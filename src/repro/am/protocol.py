@@ -48,7 +48,6 @@ of a mark back to the sender, which backs off before loss occurs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
@@ -84,7 +83,10 @@ __all__ = [
 
 #: type, handler, seq, ack, req_seq, 4 word args, data length
 _HEADER_FMT = "!BBHHH4IH"
-HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: compiled once: every packet encoded and decoded goes through it
+_HEADER = struct.Struct(_HEADER_FMT)
+HEADER_SIZE = _HEADER.size
+_WORD = 0xFFFFFFFF
 
 TYPE_REQUEST = 1
 TYPE_REPLY = 2
@@ -160,40 +162,63 @@ def epoch_newer(a: int, b: int) -> bool:
     return seq_lt(b % EPOCH_MOD, a % EPOCH_MOD)
 
 
-@dataclass
 class Packet:
-    """One Active Messages packet."""
+    """One Active Messages packet.
 
-    type: int
-    handler: int = 0
-    seq: int = 0
-    #: cumulative acknowledgement: the next sequence number expected
-    ack: int = 0
-    #: for replies: the sequence number of the request being answered
-    req_seq: int = 0
-    args: Tuple[int, int, int, int] = (0, 0, 0, 0)
-    data: bytes = b""
-    #: receive-capacity advertisement (credit extension); None = absent
-    credit: Optional[int] = None
-    #: sender incarnation epoch (recovery extension); None = absent,
-    #: semantically equivalent to epoch 0 (the first incarnation)
-    epoch: Optional[int] = None
-    #: echo of the destination's incarnation epoch as the sender knows
-    #: it ("this packet is addressed to incarnation E"); only on the
-    #: wire when ``epoch`` is, as the second half of the epoch field
-    peer_epoch: Optional[int] = None
-    #: SACK bitmap over the receive horizon (bit i acknowledges
-    #: ``ack + 1 + i``); None = no SACK block on the wire
-    sack_bits: Optional[int] = None
-    #: congestion experienced: set in flight by a congested queue
-    ce: bool = False
-    #: echo of a congestion mark from receiver back to sender
-    ece: bool = False
+    Built for every packet sent and received, so slotted by hand (as
+    ``atm.cells.Cell`` is): it takes the same keywords with the same
+    defaults, pads ``args`` to four words, compares by value and prints
+    as a dataclass would."""
 
-    def __post_init__(self) -> None:
-        if len(self.args) != 4:
-            args = tuple(self.args) + (0,) * (4 - len(self.args))
-            self.args = args[:4]
+    __slots__ = ("type", "handler", "seq", "ack", "req_seq", "args", "data", "credit",
+                 "epoch", "peer_epoch", "sack_bits", "ce", "ece")
+
+    def __init__(self, type: int, handler: int = 0, seq: int = 0, ack: int = 0,
+                 req_seq: int = 0, args: Tuple[int, ...] = (0, 0, 0, 0), data: bytes = b"",
+                 credit: Optional[int] = None, epoch: Optional[int] = None,
+                 peer_epoch: Optional[int] = None, sack_bits: Optional[int] = None,
+                 ce: bool = False, ece: bool = False) -> None:
+        if len(args) != 4:
+            args = (tuple(args) + (0,) * (4 - len(args)))[:4]
+        self.type = type
+        self.handler = handler
+        self.seq = seq
+        #: cumulative acknowledgement: the next sequence number expected
+        self.ack = ack
+        #: for replies: the sequence number of the request being answered
+        self.req_seq = req_seq
+        self.args = args
+        self.data = data
+        #: receive-capacity advertisement (credit extension); None = absent
+        self.credit = credit
+        #: sender incarnation epoch (recovery extension); None = absent,
+        #: semantically equivalent to epoch 0 (the first incarnation)
+        self.epoch = epoch
+        #: echo of the destination's incarnation epoch as the sender knows
+        #: it ("this packet is addressed to incarnation E"); only on the
+        #: wire when ``epoch`` is, as the second half of the epoch field
+        self.peer_epoch = peer_epoch
+        #: SACK bitmap over the receive horizon (bit i acknowledges
+        #: ``ack + 1 + i``); None = no SACK block on the wire
+        self.sack_bits = sack_bits
+        #: congestion experienced: set in flight by a congested queue
+        self.ce = ce
+        #: echo of a congestion mark from receiver back to sender
+        self.ece = ece
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable and compared by value
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Packet({fields})"
 
 
 def encode(packet: Packet) -> bytes:
@@ -230,34 +255,26 @@ def encode(packet: Packet) -> bytes:
     5
     """
     wire_type = packet.type
-    credit = b""
+    tail = b""
     if packet.credit is not None:
         wire_type |= CREDIT_FLAG
-        credit = struct.pack("!H", min(max(packet.credit, 0), MAX_CREDIT))
-    epoch = b""
+        tail = struct.pack("!H", min(max(packet.credit, 0), MAX_CREDIT))
     if packet.epoch is not None:
         wire_type |= EPOCH_FLAG
-        epoch = struct.pack("!HH", packet.epoch % EPOCH_MOD,
+        tail += struct.pack("!HH", packet.epoch % EPOCH_MOD,
                             (packet.peer_epoch or 0) % EPOCH_MOD)
-    sack = b""
     if packet.sack_bits is not None:
         wire_type |= SACK_FLAG
-        sack = struct.pack("!BI", SACK_VERSION, packet.sack_bits & 0xFFFFFFFF)
+        tail += struct.pack("!BI", SACK_VERSION, packet.sack_bits & _WORD)
     if packet.ce:
         wire_type |= ECN_CE_FLAG
     if packet.ece:
         wire_type |= ECN_ECHO_FLAG
-    header = struct.pack(
-        _HEADER_FMT,
-        wire_type,
-        packet.handler,
-        packet.seq,
-        packet.ack,
-        packet.req_seq,
-        *(a & 0xFFFFFFFF for a in packet.args),
-        len(packet.data),
-    )
-    return header + credit + epoch + sack + packet.data
+    a0, a1, a2, a3 = packet.args
+    data = packet.data
+    return _HEADER.pack(wire_type, packet.handler, packet.seq, packet.ack, packet.req_seq,
+                        a0 & _WORD, a1 & _WORD, a2 & _WORD, a3 & _WORD,
+                        len(data)) + tail + data
 
 
 def mark_ce(raw: bytes) -> bytes:
@@ -299,9 +316,7 @@ def decode(raw: bytes) -> Packet:
     """Parse a wire message back into a :class:`Packet`."""
     if len(raw) < HEADER_SIZE:
         raise ValueError(f"short AM packet: {len(raw)} bytes")
-    ptype, handler, seq, ack, req_seq, a0, a1, a2, a3, dlen = struct.unpack(
-        _HEADER_FMT, raw[:HEADER_SIZE]
-    )
+    ptype, handler, seq, ack, req_seq, a0, a1, a2, a3, dlen = _HEADER.unpack_from(raw)
     offset = HEADER_SIZE
     credit: Optional[int] = None
     if ptype & CREDIT_FLAG:

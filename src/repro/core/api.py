@@ -13,6 +13,7 @@ from collections import deque
 from typing import Deque, Generator, List, Optional, Tuple
 
 from ..hw.cpu import CpuModel
+from ..hw.memory import Buffer
 from ..sim import Simulator
 from .base import UNetBackend
 from .channels import lookup_channel
@@ -94,9 +95,9 @@ class UserEndpointBase:
         self.endpoint = endpoint
         #: the owning host's name (what the peer's channel binding records)
         self.name = name
-        #: sends the NI has not finished, oldest first; a send queue
-        #: completes in the order it was posted
-        self._tx_inflight: Deque[Tuple[SendDescriptor, List[int]]] = deque()
+        #: sends the NI has not finished, oldest first, with the buffers
+        #: each holds; a send queue completes in the order it was posted
+        self._tx_inflight: Deque[Tuple[SendDescriptor, List[Buffer]]] = deque()
         self._closed = False
 
     @property
@@ -116,10 +117,10 @@ class UserEndpointBase:
 
     def _reclaim_completed(self) -> None:
         """Free buffers of sends the NI has finished transmitting."""
-        inflight, buffers = self._tx_inflight, self.endpoint.buffers
+        inflight, area = self._tx_inflight, self.endpoint.buffers
         while inflight and inflight[0][0].completed:
-            for idx in inflight.popleft()[1]:
-                buffers.free(buffers.buffer(idx))
+            for buf in inflight.popleft()[1]:
+                area.free(buf)
 
     def donate_rx_buffers(self, count: int) -> None:
         """Allocate ``count`` buffers and push them onto the free queue."""
@@ -137,9 +138,12 @@ class UserEndpointBase:
         return self._consume(descriptor)
 
     def _consume(self, descriptor: RecvDescriptor) -> ReceivedMessage:
-        data = self.endpoint.read_message(descriptor)
-        self.endpoint.recycle(descriptor)
-        binding = self.endpoint.channels.get(descriptor.channel_id)
+        endpoint = self.endpoint
+        data = descriptor.inline
+        if data is None:
+            data = endpoint.read_message(descriptor)
+        endpoint.recycle(descriptor)
+        binding = endpoint.channels.get(descriptor.channel_id)
         if binding is not None:
             binding.messages_received += 1
         return ReceivedMessage(descriptor.channel_id, data, descriptor.timestamp)
@@ -184,7 +188,7 @@ class UserEndpoint(UserEndpointBase):
         self.endpoint.post_send(descriptor)
         self.endpoint.messages_sent += 1
         self.endpoint.bytes_sent += len(payload)
-        self._tx_inflight.append((descriptor, [buf.index for buf, _l in buffers]))
+        self._tx_inflight.append((descriptor, [buf for buf, _l in buffers]))
         if kick:
             yield from backend.kick(self.endpoint)
 

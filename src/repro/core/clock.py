@@ -85,8 +85,9 @@ class ClockShim:
 
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        #: (due_us, order, fn, args) — calls waiting for :meth:`fire_due`
-        self._due: List[Tuple[float, int, Callable, tuple]] = []
+        #: (due_us, order, fn, args) — calls waiting for :meth:`fire_due`;
+        #: a service pass calls it only when this holds something
+        self.due: List[Tuple[float, int, Callable, tuple]] = []
         self._order = itertools.count()
 
     @property
@@ -96,13 +97,14 @@ class ClockShim:
     def call_in(self, delay: float, fn: Callable, *args) -> None:
         """Call ``fn(*args)`` from the first :meth:`fire_due` at least
         ``delay`` us from now; equal due times fire in call order."""
-        heapq.heappush(self._due, (self.clock.now_us() + delay, next(self._order), fn, args))
+        heapq.heappush(self.due, (self.clock.now_us() + delay, next(self._order), fn, args))
 
     def fire_due(self) -> int:
         """Make every call whose time has come; returns how many."""
         fired = 0
-        while self._due and self._due[0][0] <= self.clock.now_us():
-            _when, _order, fn, args = heapq.heappop(self._due)
+        due = self.due
+        while due and due[0][0] <= self.clock.now_us():
+            _when, _order, fn, args = heapq.heappop(due)
             fn(*args)
             fired += 1
         return fired

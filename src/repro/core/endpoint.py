@@ -178,7 +178,8 @@ class Endpoint:
     def take_send_descriptor(self) -> Optional[SendDescriptor]:
         """NI/kernel side: pop the next send descriptor, waking any
         application process blocked on a full send queue."""
-        descriptor = self.send_queue.try_pop()
+        queue = self.send_queue.items
+        descriptor = queue.popleft() if queue else None
         if descriptor is not None and self._send_space_waiters:
             waiters, self._send_space_waiters = self._send_space_waiters, []
             for event in waiters:
@@ -199,7 +200,8 @@ class Endpoint:
 
     def poll_receive(self) -> Optional[RecvDescriptor]:
         """Non-blocking receive-queue check."""
-        return self.recv_queue.try_pop()
+        queue = self.recv_queue.items
+        return queue.popleft() if queue else None
 
     def wait_receive(self) -> Event:
         """Event that fires when the receive queue is (or becomes) non-empty.
@@ -215,11 +217,19 @@ class Endpoint:
         return event
 
     def read_message(self, descriptor: RecvDescriptor) -> bytes:
-        """Assemble a received message's payload bytes."""
-        if descriptor.is_inline:
+        """Assemble a received message's payload bytes: the inline copy,
+        or a slice of the buffer area per segment."""
+        if descriptor.inline is not None:
             return descriptor.inline
-        parts = [self.buffers.buffer(idx).read(length) for idx, length in descriptor.segments]
-        return b"".join(parts)
+        area = self.buffers
+        storage, size, count = area.storage, area.buffer_size, area.num_buffers
+        parts = []
+        for idx, length in descriptor.segments:
+            if not (0 <= idx < count and 0 <= length <= size):
+                area.buffer(idx).read(length)  # raises the area's own error
+            offset = idx * size
+            parts.append(storage[offset:offset + length])
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def recycle(self, descriptor: RecvDescriptor) -> None:
         """Return a consumed message's buffers to the free queue."""
@@ -243,7 +253,8 @@ class Endpoint:
         if self.trace.listeners:
             self.trace.record(self.sim.now, 0.0, "endpoint", "deliver", endpoint=self.id,
                               channel=descriptor.channel_id, length=descriptor.length)
-        if len(self.recv_queue) == 1:
+        if ((self._recv_waiters or self._signal_handler is not None)
+                and len(self.recv_queue.items) == 1):
             self._wake_receivers()
         return True
 

@@ -50,7 +50,7 @@ class Buffer:
             raise BufferAreaError(
                 f"write of {len(data)} bytes at {at} overruns buffer of {self.size}"
             )
-        self.area._storage[self.offset + at : self.offset + at + len(data)] = data
+        self.area.storage[self.offset + at : self.offset + at + len(data)] = data
         self.length = max(self.length, at + len(data))
 
     def append(self, data: bytes) -> None:
@@ -62,7 +62,7 @@ class Buffer:
         n = self.length if nbytes is None else nbytes
         if n < 0 or n > self.size:
             raise BufferAreaError(f"read of {n} bytes from buffer of {self.size}")
-        return self.area._storage[self.offset : self.offset + n]
+        return self.area.storage[self.offset : self.offset + n]
 
     def view(self, nbytes: Optional[int] = None) -> memoryview:
         """Like :meth:`read` but zero-copy: a memoryview into the pinned
@@ -87,7 +87,11 @@ class BufferArea:
             raise ValueError("num_buffers and buffer_size must be positive")
         self.num_buffers = num_buffers
         self.buffer_size = buffer_size
-        self._storage = mmap.mmap(-1, num_buffers * buffer_size, **_MAP_FLAGS)
+        #: the area's bytes; buffer ``i`` is ``storage[i * buffer_size:]``.
+        #: Paths that already hold a validated (index, length) pair copy in
+        #: and out by slice here, without a :class:`Buffer` call per copy
+        self.storage: Optional[mmap.mmap] = mmap.mmap(-1, num_buffers * buffer_size,
+                                                      **_MAP_FLAGS)
         self._buffers = [Buffer(self, i) for i in range(num_buffers)]
         self._free: List[int] = list(range(num_buffers))
         self._allocated = [False] * num_buffers
@@ -99,7 +103,7 @@ class BufferArea:
         zero-copy access; the export pins the storage, which is the
         point — buffer areas are pinned memory)."""
         if self._view is None:
-            self._view = memoryview(self._storage)
+            self._view = memoryview(self.storage)
         return self._view
 
     def close(self) -> None:
@@ -112,9 +116,9 @@ class BufferArea:
         that holder lets go — the pages outlive the area, the area does
         not wait for them.
         """
-        if self._storage is None:
+        if self.storage is None:
             return
-        storage, self._storage = self._storage, None
+        storage, self.storage = self.storage, None
         self._view = None
         self.num_buffers = 0
         self._buffers = []
@@ -127,7 +131,7 @@ class BufferArea:
 
     @property
     def closed(self) -> bool:
-        return self._storage is None
+        return self.storage is None
 
     @property
     def total_bytes(self) -> int:
@@ -147,14 +151,17 @@ class BufferArea:
         """Take a buffer from the free pool."""
         if not self._free:
             raise BufferAreaError("buffer area exhausted")
+        return self.try_alloc()
+
+    def try_alloc(self) -> Optional[Buffer]:
+        """Take a buffer from the free pool; None when it is empty."""
+        if not self._free:
+            return None
         index = self._free.pop()
         self._allocated[index] = True
         buf = self._buffers[index]
-        buf.clear()
+        buf.length = 0
         return buf
-
-    def try_alloc(self) -> Optional[Buffer]:
-        return self.alloc() if self._free else None
 
     def free(self, buf: Buffer) -> None:
         """Return ``buf`` to the free pool."""

@@ -76,6 +76,9 @@ class LiveAm(AmCore):
         self._rpc_failed: Dict[Tuple[int, int], str] = {}
         now = self._now()
         self._next_credit_refresh = now + CREDIT_UPDATE_US
+        #: :attr:`max_data` once: a live node's PDU and the config are
+        #: fixed when the endpoint is made
+        self._max_data = self.max_data
 
     # -------------------------------------------------------- driver hooks
     def _new_peer(self, node_id: int, channel_id: int) -> _LivePeer:
@@ -117,11 +120,12 @@ class LiveAm(AmCore):
         caller services the world and retries (the polled analogue of
         blocking).
         """
-        self._check_incarnation()
-        peer = self._peer(dest)
-        if len(data) > self.max_data:
+        if self._crashed:
+            self._check_incarnation()
+        peer = self._peers_by_node.get(dest) or self._peer(dest)
+        if len(data) > self._max_data:
             raise AmError(f"data block of {len(data)} bytes exceeds "
-                          f"packet maximum {self.max_data}")
+                          f"packet maximum {self._max_data}")
         why = self._gate(peer)
         if why is not None:
             if why == "credit" and not peer.stalled:
@@ -189,7 +193,7 @@ class LiveAm(AmCore):
     def _send_reply(self, dest: int, req_seq: int, args, data: bytes) -> None:
         # replies bypass the request window (deadlock avoidance) but are
         # still sequenced, tracked, and retransmitted
-        peer = self._peer(dest)
+        peer = self._peers_by_node.get(dest) or self._peer(dest)
         self._transmit(peer, self._sequenced(peer, TYPE_REPLY, 0, req_seq, args, data),
                        track=True)
 
@@ -229,8 +233,12 @@ class LiveAm(AmCore):
         """
         if self.user.backend.closed:
             return 0  # teardown: never touch a closed transport
+        # one clock reading per pass: the acks that arrive in it are
+        # processed, and its deadlines scanned, at this time
+        now = self._now()
         consumed = 0
-        for _ in range(_SERVICE_BATCH):
+        ready = self.user.endpoint.recv_queue.items
+        while ready and consumed < _SERVICE_BATCH:
             message = self.user.poll()
             if message is None:
                 break
@@ -243,7 +251,8 @@ class LiveAm(AmCore):
             # never engages
             if self.config.dispatch_overhead_us > 1.0:
                 self.clock.sleep_us(self.config.dispatch_overhead_us)
-            arrival = self._receive(message.channel_id, message.data)
+                now = self._now()
+            arrival = self._receive(message.channel_id, message.data, now)
             if arrival is not None:
                 peer, packet = arrival
                 # deliver it, then any buffered successors it unblocked
@@ -251,16 +260,17 @@ class LiveAm(AmCore):
                     self._accept(peer, packet)
                     packet = peer.ooo_held.pop(peer.expected_seq, None)
                 self._note_delivery(peer)
-        self._run_timers()
+        self._run_timers(now)
         return consumed
 
-    def _run_timers(self) -> None:
+    def _run_timers(self, now: float) -> None:
         """Scan every deadline a simulated endpoint would have a process
-        sleeping on."""
+        sleeping on, at this pass's clock reading ``now``."""
         if not self._running or self._crashed:
             return
-        now = self._now()
         cfg = self.config
+        # a fixed RTO is the config's; an estimated one is asked per peer
+        fixed_rto = None if cfg.adaptive_rto else cfg.retransmit_timeout_us
         for peer in self._peers_by_node.values():
             if cfg.recovery and peer.reconnecting and now >= peer.next_hello_at:
                 self._start_hello(peer)
@@ -269,7 +279,7 @@ class LiveAm(AmCore):
             if peer.ack_deadline is not None and now >= peer.ack_deadline:
                 self._send_now(peer, TYPE_ACK)
             if peer.unacked:
-                rto = self._current_rto(peer)
+                rto = fixed_rto if fixed_rto is not None else self._current_rto(peer)
                 if now - peer.last_progress >= rto and self._rto_expired(peer, rto):
                     self._retransmit_now(peer)
         if cfg.credit_flow and now >= self._next_credit_refresh:

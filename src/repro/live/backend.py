@@ -38,7 +38,7 @@ from ..core.clock import Clock, ClockShim
 from ..core.descriptors import RecvDescriptor, SendDescriptor, SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint, EndpointConfig
 from ..core.errors import EndpointError, MessageTooLarge
-from ..sim import Simulator
+from ..sim import RingFullError, Simulator
 from .bufpool import BufferPool, PooledSlice
 from .doorbell import DEFAULT_DOORBELL_MODE, EventDoorbell, validate_doorbell_mode
 from .transport import LiveTransport, RECV_BATCH
@@ -72,13 +72,16 @@ _IDLE_SLEEP_US = 50.0
 class LiveTag:
     """Message tag of one live channel (the EthernetTag analogue)."""
 
-    __slots__ = ("dest_address", "dst_port", "src_node", "src_port")
+    __slots__ = ("dest_address", "dst_port", "src_node", "src_port", "header")
 
     def __init__(self, dest_address, dst_port: int, src_node: int, src_port: int) -> None:
         self.dest_address = dest_address
         self.dst_port = dst_port
         self.src_node = src_node
         self.src_port = src_port
+        #: the frame header every datagram on this channel carries,
+        #: packed once when the channel is made
+        self.header = _FRAME_STRUCT.pack(dst_port, src_node, src_port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<LiveTag dst={self.dest_address!r}:{self.dst_port} "
@@ -124,6 +127,9 @@ class LiveBackend(UNetBackend):
 
     wire = DatagramWire
     PARTS = UNetBackend.PARTS + ("transport",)
+    #: largest message one datagram carries: fixed when the node is made,
+    #: so a plain attribute where the base class declares a property
+    max_pdu = DEFAULT_MAX_PDU
 
     def __init__(self, transport: LiveTransport, clock: Clock,
                  node_id: int = 0, node_name: str = "n0",
@@ -133,7 +139,7 @@ class LiveBackend(UNetBackend):
         self.transport = transport
         self.clock = clock
         self.node_id = node_id
-        self._max_pdu = max_pdu
+        self.max_pdu = max_pdu
         self.doorbell_mode = validate_doorbell_mode(doorbell_mode)
         #: zero-copy frame pools, only in batched mode — the busy-poll
         #: and event data paths stay byte-for-byte the PR-4 baseline
@@ -144,20 +150,14 @@ class LiveBackend(UNetBackend):
         else:
             self._tx_pool = None
             self._rx_pool = None
+        #: batched mode rings the doorbell per service pass, not per
+        #: send: producers enqueue with ``kick=False`` and the next pass
+        #: flushes each destination's batch in one ``sendmmsg``
+        self.defer_kick = self._tx_pool is not None
         self._next_port = 1
         self.closed = False
 
     # -- endpoint lifecycle ------------------------------------------------
-    @property
-    def max_pdu(self) -> int:
-        return self._max_pdu
-
-    @property
-    def defer_kick(self) -> bool:
-        """Batched mode rings the doorbell per service pass, not per
-        send: producers enqueue with ``kick=False`` and the next pass
-        flushes each destination's batch in one ``sendmmsg``."""
-        return self._tx_pool is not None
 
     def create_user_endpoint(self, config: Optional[EndpointConfig] = None,
                              rx_buffers: int = 32,
@@ -184,23 +184,29 @@ class LiveBackend(UNetBackend):
             return 0  # teardown: queued descriptors die with the node
         if self._tx_pool is not None:
             return self._kick_batched(endpoint)
+        queue, channels = endpoint.send_queue.items, endpoint.channels
+        storage, size = endpoint.buffers.storage, endpoint.buffers.buffer_size
+        send = self.transport.send
         sent = 0
-        while True:
-            descriptor = endpoint.send_queue.peek()
-            if descriptor is None:
-                break
-            binding = endpoint.channels.get(descriptor.channel_id)
+        while queue:
+            descriptor = queue[0]
+            binding = channels.get(descriptor.channel_id)
             if binding is None:
                 # validated at post_send; a vanished channel means teardown
                 endpoint.take_send_descriptor()
                 continue
             tag: LiveTag = binding.tag
-            payload = b"".join(
-                endpoint.buffers.buffer(idx).read(length)
-                for idx, length in descriptor.segments)
-            frame = struct.pack(FRAME_HEADER, tag.dst_port, tag.src_node,
-                                tag.src_port) + payload
-            if not self.transport.send(tag.dest_address, frame):
+            # post_send checked every (index, length): copy straight out
+            # of the area, behind the channel's packed header
+            segments = descriptor.segments
+            if len(segments) == 1:
+                index, length = segments[0]
+                frame = tag.header + storage[index * size:index * size + length]
+            else:
+                frame = tag.header + b"".join(
+                    storage[index * size:index * size + length]
+                    for index, length in segments)
+            if not send(tag.dest_address, frame):
                 break  # backpressure: retry on the next doorbell pass
             endpoint.take_send_descriptor()
             endpoint.send_completed(descriptor)
@@ -210,16 +216,17 @@ class LiveBackend(UNetBackend):
 
     def _compose_frame(self, endpoint: Endpoint, descriptor: SendDescriptor,
                        tag: LiveTag, slice_: PooledSlice) -> None:
-        """Frame ``descriptor`` into ``slice_`` without allocating: pack
-        the header in place, copy payload straight between the two
-        pinned areas."""
-        _FRAME_STRUCT.pack_into(slice_.view, 0, tag.dst_port,
-                                tag.src_node, tag.src_port)
+        """Frame ``descriptor`` into ``slice_`` without allocating: the
+        channel's header, then the payload copied straight between the
+        two pinned areas."""
+        view = slice_.view
+        view[:FRAME_HEADER_SIZE] = tag.header
+        area = endpoint.buffers.storage_view
+        size = endpoint.buffers.buffer_size
         offset = FRAME_HEADER_SIZE
         for idx, length in descriptor.segments:
             if length:
-                slice_.view[offset:offset + length] = \
-                    endpoint.buffers.buffer(idx).view(length)
+                view[offset:offset + length] = area[idx * size:idx * size + length]
                 offset += length
         slice_.length = offset
 
@@ -272,7 +279,7 @@ class LiveBackend(UNetBackend):
         if self.closed:
             return 0
         for endpoint in self.endpoints:
-            if not endpoint.send_queue.is_empty:
+            if endpoint.send_queue.items:
                 self.kick(endpoint)
         deliver = self._deliver
         if self._rx_pool is not None:
@@ -291,7 +298,7 @@ class LiveBackend(UNetBackend):
             for raw in datagrams:
                 deliver(raw)
             arrived = len(datagrams)
-        return arrived + self.sim.fire_due()
+        return arrived + (self.sim.fire_due() if self.sim.due else 0)
 
     def service_fast(self, on_message) -> int:
         """Fast-path doorbell pass: batched ingress delivered as
@@ -314,7 +321,7 @@ class LiveBackend(UNetBackend):
                 f"{self.name}: service_fast requires doorbell_mode="
                 f"'batched' (got {self.doorbell_mode!r})")
         for endpoint in self.endpoints:
-            if not endpoint.send_queue.is_empty:
+            if endpoint.send_queue.items:
                 self.kick(endpoint)
         delivered = 0
         pool = self._rx_pool
@@ -354,9 +361,7 @@ class LiveBackend(UNetBackend):
         to its endpoint's receive queue."""
         if len(raw) < FRAME_HEADER_SIZE:
             return
-        dst_port, src_node, src_port = struct.unpack_from(FRAME_HEADER, raw, 0)
-        payload = raw[FRAME_HEADER_SIZE:]
-        entry = self.demux.lookup((dst_port, src_node, src_port))
+        entry = self.demux.lookup(_FRAME_STRUCT.unpack_from(raw))
         if entry is None:
             return  # unknown tag: counted by the demux table
         endpoint, channel_id = entry
@@ -364,34 +369,33 @@ class LiveBackend(UNetBackend):
             self.quarantine_drops += 1
             endpoint.note_drop("quarantine_drops")
             return
-        if len(payload) <= SMALL_MESSAGE_MAX:
+        length = len(raw) - FRAME_HEADER_SIZE
+        if length <= SMALL_MESSAGE_MAX:
             # inline descriptors own their bytes (the slice is recycled
             # after this call); bytes(bytes) is free for the scalar path
-            descriptor = RecvDescriptor(channel_id=channel_id,
-                                        length=len(payload),
-                                        inline=bytes(payload))
+            descriptor = RecvDescriptor(channel_id, length,
+                                        inline=bytes(raw[FRAME_HEADER_SIZE:]))
         else:
-            size = endpoint.buffers.buffer_size
-            needed = (len(payload) + size - 1) // size
-            indices: List[int] = []
-            for _ in range(needed):
-                index = endpoint.take_free_buffer()
-                if index is None:
-                    for idx in indices:  # partial claim: give them back
-                        endpoint.donate_free_buffer(idx)
-                    self.no_buffer_drops += 1
-                    endpoint.note_drop("no_buffer_drops")
-                    return
-                indices.append(index)
+            area = endpoint.buffers
+            size = area.buffer_size
+            free = endpoint.free_queue.items
+            needed = -(-length // size)
+            if len(free) < needed:
+                self.no_buffer_drops += 1
+                endpoint.note_drop("no_buffer_drops")
+                return
+            # donate_free_buffer checked every index on the free queue:
+            # copy straight into the area
+            storage = area.storage
             segments = []
-            for k, index in enumerate(indices):
-                chunk = payload[k * size:(k + 1) * size]
-                buf = endpoint.buffers.buffer(index)
-                buf.clear()
-                buf.write(chunk)
+            start = FRAME_HEADER_SIZE
+            for _ in range(needed):
+                index = free.popleft()
+                chunk = raw[start:start + size]
+                storage[index * size:index * size + len(chunk)] = chunk
                 segments.append((index, len(chunk)))
-            descriptor = RecvDescriptor(channel_id=channel_id,
-                                        length=len(payload), segments=segments)
+                start += size
+            descriptor = RecvDescriptor(channel_id, length, segments=segments)
         if not endpoint.deliver(descriptor):
             # receive queue full: recycle the buffers we just claimed
             for index, _length in descriptor.segments:
@@ -428,29 +432,44 @@ class LiveUserEndpoint(UserEndpointBase):
     def send(self, channel_id: int, payload: bytes, kick: bool = True) -> None:
         if self._closed:
             raise EndpointError(f"endpoint {self.endpoint.id} is closed")
-        if len(payload) > self.backend.max_pdu:
-            raise MessageTooLarge(
-                f"{len(payload)} bytes > max PDU {self.backend.max_pdu}")
-        lookup_channel(self.endpoint, channel_id)  # protection check
-        self._reclaim_completed()
-        buffers = self._compose_buffers(payload)
-        descriptor = SendDescriptor(
-            channel_id=channel_id,
-            segments=[(buf.index, length) for buf, length in buffers])
-        if self.endpoint.send_queue.is_full:
-            self.backend.kick(self.endpoint)  # drain in our own context
-        if self.endpoint.send_queue.is_full:
-            for buf, _length in buffers:
-                self.endpoint.buffers.free(buf)
-            raise EndpointError(
-                f"endpoint {self.endpoint.id}: send queue full "
-                f"(transport backpressure)")
-        self.endpoint.post_send(descriptor)
-        self.endpoint.messages_sent += 1
-        self.endpoint.bytes_sent += len(payload)
-        self._tx_inflight.append((descriptor, [buf.index for buf, _l in buffers]))
+        backend, endpoint = self.backend, self.endpoint
+        if len(payload) > backend.max_pdu:
+            raise MessageTooLarge(f"{len(payload)} bytes > max PDU {backend.max_pdu}")
+        if channel_id not in endpoint.channels:
+            lookup_channel(endpoint, channel_id)  # protection check: raises
+        inflight = self._tx_inflight
+        if inflight and inflight[0][0].completed:
+            self._reclaim_completed()
+        area = endpoint.buffers
+        size, length = area.buffer_size, len(payload)
+        buffers, segments = [], []
+        for start in range(0, max(length, 1), size):
+            chunk = payload[start:start + size]
+            buf = area.try_alloc() or self._alloc_tx_buffer()
+            # the compose copy, straight into the area: a chunk is sized
+            # to its buffer, so it cannot overrun it
+            area.storage[buf.offset:buf.offset + len(chunk)] = chunk
+            buf.length = len(chunk)
+            buffers.append(buf)
+            segments.append((buf.index, len(chunk)))
+        descriptor = SendDescriptor(channel_id, segments)
+        try:
+            endpoint.post_send(descriptor)
+        except RingFullError:
+            backend.kick(endpoint)  # drain in our own context
+            try:
+                endpoint.post_send(descriptor)
+            except RingFullError:
+                for buf in buffers:
+                    area.free(buf)
+                raise EndpointError(
+                    f"endpoint {endpoint.id}: send queue full "
+                    f"(transport backpressure)") from None
+        endpoint.messages_sent += 1
+        endpoint.bytes_sent += length
+        inflight.append((descriptor, buffers))
         if kick:
-            self.backend.kick(self.endpoint)
+            backend.kick(endpoint)
 
     def kick(self) -> None:
         self.backend.kick(self.endpoint)
@@ -480,8 +499,8 @@ class LiveUserEndpoint(UserEndpointBase):
             raise MessageTooLarge(f"{longest} bytes > max PDU {max_pdu}")
         binding = lookup_channel(self.endpoint, channel_id)  # protection
         tag: LiveTag = binding.tag
-        # one channel means one header for the whole burst: pack it once
-        header = _FRAME_STRUCT.pack(tag.dst_port, tag.src_node, tag.src_port)
+        # one channel means one header for the whole burst
+        header = tag.header
         dest = tag.dest_address
         transport = self.backend.transport
         hdr = FRAME_HEADER_SIZE
@@ -511,26 +530,12 @@ class LiveUserEndpoint(UserEndpointBase):
         binding.messages_sent += sent
         return sent
 
-    def _compose_buffers(self, payload: bytes):
-        size = self.endpoint.buffers.buffer_size
-        if not payload:
-            return [(self._alloc_tx_buffer(), 0)]
-        buffers = []
-        for start in range(0, len(payload), size):
-            chunk = payload[start:start + size]
-            buf = self._alloc_tx_buffer()
-            buf.write(chunk)
-            buffers.append((buf, len(chunk)))
-        return buffers
-
     def _alloc_tx_buffer(self):
+        """The area is out of buffers: live sends complete at kick time,
+        so one kick and one reclaim pass is the whole backpressure story."""
+        self.backend.kick(self.endpoint)
+        self._reclaim_completed()
         buf = self.endpoint.buffers.try_alloc()
-        if buf is None:
-            # live sends complete at kick time, so one reclaim pass is
-            # the whole backpressure story
-            self.backend.kick(self.endpoint)
-            self._reclaim_completed()
-            buf = self.endpoint.buffers.try_alloc()
         if buf is None:
             raise EndpointError(
                 f"endpoint {self.endpoint.id}: buffer area exhausted")

@@ -180,10 +180,12 @@ class LiveTransport:
         if self.sock is None:
             return []
         out: List[bytes] = []
+        # the sender's address is in the frame header: recv, not recvfrom
+        recv = self.sock.recv
         for _ in range(RECV_BATCH):
             self.rx_syscalls += 1
             try:
-                raw, _addr = self.sock.recvfrom(65536)
+                raw = recv(65536)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError as exc:

@@ -112,6 +112,13 @@ class BoundedRing(Generic[T]):
     whoever holds the CPU, and are *polled* by their consumer.  The
     ``on_nonempty`` hooks let a consumer model sleep until producers push
     (e.g. the U-Net receive-queue ``select()``/signal upcall path).
+
+    :attr:`items` is the ring's memory, oldest entry first.  A poller
+    reads and pops it directly (``if ring.items``, ``ring.items[0]``,
+    ``ring.items.popleft()``), as firmware reads a descriptor ring: the
+    per-packet paths test and take entries without a call per look.
+    Producers go through :meth:`push` / :meth:`try_push`, which hold the
+    capacity and fire the hooks.
     """
 
     def __init__(self, capacity: int, name: str = "ring") -> None:
@@ -119,52 +126,58 @@ class BoundedRing(Generic[T]):
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self.name = name
-        self._items: Deque[T] = deque()
+        self.items: Deque[T] = deque()
         self._nonempty_hooks: List[Callable[["BoundedRing[T]"], None]] = []
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def is_empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self.items) >= self.capacity
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self._items)
+        return self.capacity - len(self.items)
 
     def push(self, item: T) -> None:
         """Append ``item``; raises :class:`RingFullError` when full."""
-        if self.is_full:
+        items = self.items
+        if len(items) >= self.capacity:
             raise RingFullError(f"{self.name} is full (capacity {self.capacity})")
-        was_empty = not self._items
-        self._items.append(item)
-        if was_empty:
-            hooks, self._nonempty_hooks = self._nonempty_hooks, []
-            for hook in hooks:
-                hook(self)
+        items.append(item)
+        if self._nonempty_hooks and len(items) == 1:
+            self._run_hooks()
 
     def try_push(self, item: T) -> bool:
         """Append ``item`` if space allows; False (nothing queued) otherwise."""
-        if self.is_full:
+        items = self.items
+        if len(items) >= self.capacity:
             return False
-        self.push(item)
+        items.append(item)
+        if self._nonempty_hooks and len(items) == 1:
+            self._run_hooks()
         return True
 
+    def _run_hooks(self) -> None:
+        hooks, self._nonempty_hooks = self._nonempty_hooks, []
+        for hook in hooks:
+            hook(self)
+
     def pop(self) -> T:
-        if not self._items:
+        if not self.items:
             raise RingEmptyError(f"{self.name} is empty")
-        return self._items.popleft()
+        return self.items.popleft()
 
     def try_pop(self) -> Optional[T]:
-        return self._items.popleft() if self._items else None
+        return self.items.popleft() if self.items else None
 
     def peek(self) -> Optional[T]:
-        return self._items[0] if self._items else None
+        return self.items[0] if self.items else None
 
     def peek_many(self, n: int) -> List[T]:
         """The first ``n`` items, oldest first, without popping.
@@ -173,13 +186,13 @@ class BoundedRing(Generic[T]):
         and then pop exactly as many entries as the device accepted —
         the tail stays queued under backpressure, FIFO order intact.
         """
-        return list(islice(self._items, n))
+        return list(islice(self.items, n))
 
     def drain(self) -> List[T]:
         """Pop everything currently queued (the 'consume all pending
         messages in a single upcall' amortization from §3.1)."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self.items)
+        self.items.clear()
         return items
 
     def on_nonempty(self, hook: Callable[["BoundedRing[T]"], None]) -> None:
@@ -187,7 +200,7 @@ class BoundedRing(Generic[T]):
 
         If the ring already holds items the hook runs immediately.
         """
-        if self._items:
+        if self.items:
             hook(self)
         else:
             self._nonempty_hooks.append(hook)

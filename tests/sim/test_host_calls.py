@@ -22,8 +22,10 @@ MESSAGES = 50
 #: before the slotted ``Cell`` (no ``__post_init__``), the link lane that
 #: delivers in its own frame (no ``Link._deliver_one`` behind each fire)
 #: and the ``sim._now`` reads and guarded records of the cell path;
-#: 659.86 before the firmware's idle wait built its ``Event`` directly
-CALLS_PER_MESSAGE = 656.56
+#: 659.86 before the firmware's idle wait built its ``Event`` directly;
+#: 656.56 before the slotted ``RecvDescriptor`` / ``Packet``, the
+#: single-check ring pushes and the guarded AM records
+CALLS_PER_MESSAGE = 641.92
 
 def test_python_calls_per_atm_message_are_pinned():
     with FIGURE6_CONFIGS["atm"]() as setup:

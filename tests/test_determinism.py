@@ -490,7 +490,7 @@ def test_mirror_lint_catches_a_planted_twin_and_spares_the_hooks():
 #: schedules vs. a polled call).  Everything that never waits lives
 #: once, on ``core/api.py::UserEndpointBase``.
 ENDPOINT_MIRROR_ALLOWLIST = {
-    "__init__", "send", "kick", "_compose_buffers", "_alloc_tx_buffer",
+    "__init__", "send", "kick", "_alloc_tx_buffer",
 }
 #: what ``core/base.py::UNetBackend`` owns: no substrate re-spells the
 #: endpoint lifecycle or the drop vocabulary

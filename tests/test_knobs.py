@@ -139,8 +139,6 @@ KEPT = {
     **_each(INITIAL_STATE, "repro.conformance.shrink:ShrinkResult", "attempts", "trail"),
     **_each(INITIAL_STATE, "repro.core.channels:ChannelBinding",
             "messages_received", "messages_sent"),
-    **_each(INITIAL_STATE, "repro.core.descriptors:RecvDescriptor", "timestamp"),
-    **_each(INITIAL_STATE, "repro.core.descriptors:SendDescriptor", "completed"),
     **_each(INITIAL_STATE, "repro.faults.multitenant:_HostState", "budget", "by_class", "rr"),
     **_each(INITIAL_STATE, "repro.faults.multitenant:_Tenant",
             "ch_rx", "ch_tx", "delivered", "delivered_after_restart", "delivered_bytes",

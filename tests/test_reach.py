@@ -54,6 +54,12 @@ KEPT = {
     "repro.sim.queues:BoundedRing.free_slots": "queue API: room left in a ring",
     "repro.sim.queues:BoundedRing.on_nonempty": "queue API: wake a consumer on a push",
     "repro.sim.queues:Resource.in_use": "queue API: slots a resource has granted",
+    "repro.hw.memory:BufferArea.alloc":
+        "buffer-area API: take a buffer or raise (the data paths poll try_alloc)",
+    "repro.live.bufpool:BufferPool.alloc":
+        "pool API: take a slice or raise (the data paths poll try_alloc)",
+    "repro.core.descriptors:RecvDescriptor.is_inline":
+        "Section 3.1: whether a message rides in its descriptor",
     # what a caller catching a typed error, or tearing down a seam, reads
     "repro.core.errors:knob": "ConfigError names the knob a caller got wrong",
     "repro.core.errors:component": "ClusterPartitionError names the minority side",
