@@ -33,7 +33,7 @@ import repro
 from ..artifact import Artifact
 
 __all__ = ["ARTIFACT", "count_calls", "per_function", "by_package",
-           "nic_round_program", "run_host_bench", "render_host_bench"]
+           "run_host_bench", "render_host_bench"]
 
 _SRC = os.path.dirname(repro.__file__) + os.sep
 
@@ -100,7 +100,7 @@ NIC_ROUNDS = 4
 NIC_COUNTED_ROUNDS = 1 + 2 * NIC_ROUNDS
 
 
-def nic_round_program(runtime):
+def _nic_round_program(runtime):
     """SPMD body of the NIC-collective row: a warm-up barrier, then
     :data:`NIC_ROUNDS` barriers and :data:`NIC_ROUNDS` all-reduces of
     the node ids; returns the reduced sum."""
@@ -151,7 +151,7 @@ def _nic_round(substrate: str) -> Tuple[CallCounts, int, int]:
 
     cluster = Cluster(NIC_NODES, substrate=substrate, collectives="nic")
     sums: List[int] = []
-    counts = count_calls(lambda: sums.extend(cluster.run(nic_round_program)))
+    counts = count_calls(lambda: sums.extend(cluster.run(_nic_round_program)))
     if sums != [sum(range(NIC_NODES))] * NIC_NODES:
         raise AssertionError(f"{substrate}: all-reduce gave {sums[:4]}..., "
                              f"expected {sum(range(NIC_NODES))} on every node")
