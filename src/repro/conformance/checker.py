@@ -1,8 +1,13 @@
 """The differential checker: one case, three executions, one verdict.
 
 ``run_case`` drives an identical workload and fault schedule through
-the ATM substrate, the FE substrate, and the reference model, then
-diffs the AM-level observable traces:
+the reference model and each named substrate — by default the ATM and
+FE ones; any ``networks.LIVE`` name adds U-Net/OS on real sockets —
+then diffs the AM-level observable traces.  Every substrate runs
+through one rig, :func:`run_substrate`, on whatever
+``networks.build(name)`` returns: the same :class:`CaseRig` and traffic
+process on a simulator or on a live cluster's wall-clock runner.  The
+diff covers:
 
 * **deliveries** — dispatch order and RPC completions compared exactly
   (go-back-N semantics are timing-independent);
@@ -30,7 +35,6 @@ from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from .. import networks
-from ..am import AmEndpoint
 from ..am.core import AmCore, handshake_settled
 from ..core import EndpointConfig
 from ..core.errors import UNetError
@@ -38,7 +42,7 @@ from ..faults.crash import EndpointLifecycle, LifecycleStage
 from ..faults.inject import attach_pipeline
 from ..faults.scripted import ScriptedStage
 from ..faults.stream import stream_payload
-from ..sim import Simulator
+from ..networks import SubstrateUnavailable
 from ..telemetry import total
 from .model import run_reference
 from .observe import ObservationProbe, ObservedTrace
@@ -224,32 +228,34 @@ def inject_bug(name: Optional[str]):
 class CaseRig:
     """One case execution, whatever the clock.
 
-    Builds the case's two nodes through the substrate's
-    ``add_node(name) -> (backend, create_endpoint)`` and ``connect``,
-    with ``am_class`` endpoints on them; attaches the observation probe
-    and the content-addressed fault pipelines (at each backend's
-    delivery hook, the same on either clock) and registers the
-    payload-checking handlers; drives the case's traffic as one process
-    (:meth:`drive`); and reduces what was observed to the
-    :class:`ObservedTrace`, restoring the hooks.  A runner only
-    supplies the substrate and runs the process: on a simulator, or on
-    a live cluster's wall-clock runner.
+    Builds the case's two hosts on ``net`` (a simulated network or a
+    live cluster: :func:`repro.networks.build`), with the network's AM
+    driver on them; attaches the observation probe and the
+    content-addressed fault pipelines (at each backend's delivery hook,
+    the same on either clock) and registers the payload-checking
+    handlers; drives the case's traffic as one process (:meth:`drive`);
+    and reduces what was observed to the :class:`ObservedTrace`,
+    restoring the hooks.
     """
 
-    def __init__(self, case: ConformanceCase, name: str, add_node: Callable,
-                 connect: Callable, am_class) -> None:
+    def __init__(self, case: ConformanceCase, name: str, net) -> None:
+        from ..hw import PENTIUM_120
+
         self.case = case
-        (backend0, create0), (backend1, create1) = add_node("n0"), add_node("n1")
-        ep0 = create0(config=EndpointConfig(num_buffers=64, buffer_size=2048,
-                                            send_queue_depth=64, recv_queue_depth=64),
-                      rx_buffers=32)
-        ep1 = create1(config=EndpointConfig(num_buffers=case.rx_buffers + 24,
-                                            buffer_size=2048, send_queue_depth=64,
-                                            recv_queue_depth=case.recv_queue_depth),
-                      rx_buffers=case.rx_buffers)
-        ch0, ch1 = connect(ep0, ep1)
-        self.am0 = am0 = am_class(0, ep0, config=case.am_config(receiver=False))
-        self.am1 = am1 = am_class(1, ep1, config=case.am_config(receiver=True))
+        host0, host1 = net.add_host("n0", PENTIUM_120), net.add_host("n1", PENTIUM_120)
+        backend0, backend1 = host0.backend, host1.backend
+        ep0 = host0.create_endpoint(
+            config=EndpointConfig(num_buffers=64, buffer_size=2048,
+                                  send_queue_depth=64, recv_queue_depth=64),
+            rx_buffers=32)
+        ep1 = host1.create_endpoint(
+            config=EndpointConfig(num_buffers=case.rx_buffers + 24, buffer_size=2048,
+                                  send_queue_depth=64,
+                                  recv_queue_depth=case.recv_queue_depth),
+            rx_buffers=case.rx_buffers)
+        ch0, ch1 = net.connect(ep0, ep1)
+        self.am0 = am0 = net.am_class(0, ep0, config=case.am_config(receiver=False))
+        self.am1 = am1 = net.am_class(1, ep1, config=case.am_config(receiver=True))
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
         self.probe = ObservationProbe(name, requester_node=0,
@@ -301,9 +307,8 @@ class CaseRig:
             return False
         return handshake_settled(self.am0, self.am1)
 
-    def drive(self, sim, request: Callable, rpc: Callable) -> Generator:
-        """Process: the case's traffic from node 0.  ``request`` and
-        ``rpc`` are node 0's ``(dest, handler, args, data)`` processes.
+    def drive(self, net) -> Generator:
+        """Process: the case's traffic from node 0, on ``net``'s clock.
         Returns the completion time, or None when the sender declared
         the peer dead and refused the remaining sends — an outcome the
         diff reports, not a harness failure."""
@@ -311,15 +316,15 @@ class CaseRig:
             for i, message in enumerate(self.case.messages):
                 data = stream_payload(i, message.size)
                 if message.rpc:
-                    args, _d = yield from rpc(1, 2, (i,), data)
+                    args, _d = yield from net.rpc(self.am0, 1, 2, (i,), data)
                     self.check_reply(i, args)
                 else:
-                    yield from request(1, 1, (i,), data)
+                    yield from net.request(self.am0, 1, 1, (i,), data)
         except UNetError:
             return None
         while self.case.lifecycle and not self.settled():
             yield 200.0
-        return sim.now
+        return net.sim.now
 
     @staticmethod
     def completed(process) -> bool:
@@ -355,28 +360,21 @@ class CaseRig:
 
 def run_substrate(case: ConformanceCase, substrate: str,
                   bug: Optional[str] = None) -> ObservedTrace:
-    """Run ``case`` on one simulated substrate and collect its observable trace."""
-    from ..hw import PENTIUM_120
+    """Run ``case`` on one substrate and collect its observable trace.
 
-    with inject_bug(bug):
-        sim = Simulator()
-        net = networks.get(substrate).build(sim)
-
-        def add_node(name: str):
-            host = net.add_host(name, PENTIUM_120)
-            return host.backend, host.create_endpoint
-
-        rig = CaseRig(case, substrate, add_node, net.connect, AmEndpoint)
-        am0, am1 = rig.am0, rig.am1
-        with net:
-            process = sim.process(rig.drive(sim, am0.request, am0.rpc),
-                                  name="conformance.traffic")
-            sim.run(until=case.time_limit_us)
-            if rig.completed(process):
-                am0.shutdown()
-                am1.shutdown()
-                sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
-
+    The same rig on either clock: the traffic process runs to the case's
+    time limit on the network's simulator or on the live cluster's
+    wall-clock runner, and a completed run settles before the trace is
+    read (:meth:`~repro.core.base.SimulatedNetwork.settle`; a live
+    cluster lets tail acks land before its timers stop)."""
+    with inject_bug(bug), networks.build(substrate) as net:
+        rig = CaseRig(case, substrate, net)
+        sim, ams = net.sim, (rig.am0, rig.am1)
+        deadline = sim.now + case.time_limit_us
+        process = sim.process(rig.drive(net), name="conformance.traffic")
+        net.run(deadline, ams)
+        if rig.completed(process):
+            net.settle(ams, min(deadline, sim.now + _DRAIN_US))
         return rig.finish(process, case.time_limit_us)
 
 
@@ -564,10 +562,6 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
     return out
 
 
-class SubstrateUnavailable(RuntimeError):
-    """A named substrate exists but cannot run on this machine."""
-
-
 def runner(name: str) -> Callable:
     """The ``(case, bug=None) -> ObservedTrace`` runner of substrate ``name``.
 
@@ -576,14 +570,12 @@ def runner(name: str) -> Callable:
     here when this machine lacks its transport: a replay must fail
     loudly, not re-verify on whatever subset happens to work.
     """
-    if name in SUBSTRATES:
-        return partial(run_substrate, substrate=name)
     if name in networks.LIVE:
-        from ..live.conform import live_runner
-
-        return live_runner(*networks.LIVE[name])
-    raise ValueError(f"unknown substrate {name!r}; "
-                     f"choose from {SUBSTRATES + tuple(networks.LIVE)}")
+        networks.LIVE[name].transport_kind()
+    elif name not in SUBSTRATES:
+        raise ValueError(f"unknown substrate {name!r}; "
+                         f"choose from {SUBSTRATES + tuple(networks.LIVE)}")
+    return partial(run_substrate, substrate=name)
 
 
 def run_case(case: ConformanceCase, substrates: Sequence[str] = SUBSTRATES,

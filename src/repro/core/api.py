@@ -35,12 +35,11 @@ SELECT_WAKEUP_US = 3.5
 class ReceivedMessage:
     """A message handed to the application."""
 
-    __slots__ = ("channel_id", "data", "timestamp")
+    __slots__ = ("channel_id", "data")
 
-    def __init__(self, channel_id: int, data: bytes, timestamp: float) -> None:
+    def __init__(self, channel_id: int, data: bytes) -> None:
         self.channel_id = channel_id
         self.data = data
-        self.timestamp = timestamp
 
     def __len__(self) -> int:
         return len(self.data)
@@ -146,7 +145,7 @@ class UserEndpointBase:
         binding = endpoint.channels.get(descriptor.channel_id)
         if binding is not None:
             binding.messages_received += 1
-        return ReceivedMessage(descriptor.channel_id, data, descriptor.timestamp)
+        return ReceivedMessage(descriptor.channel_id, data)
 
 
 class UserEndpoint(UserEndpointBase):

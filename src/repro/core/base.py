@@ -14,7 +14,7 @@ once; DESIGN §2 lists what a new substrate has to add.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..sim import Discarded, Simulator, TraceRecorder
 from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig, drop_stats
@@ -160,6 +160,11 @@ class SimulatedNetwork(Closing):
     runs on :attr:`sim`, lists its :attr:`hosts`, and is the object
     whose :meth:`close` ends the machine — ``with HubNetwork(sim) as
     net:`` closes it on the way out.
+
+    Beside ``add_host`` and ``connect`` it offers a rig what a
+    :class:`~repro.live.backend.LiveCluster` offers, so one rig runs on
+    either clock: the AM driver, the request / rpc / send processes, a
+    run to a limit and the settle after it.
     """
 
     sim: Simulator
@@ -167,6 +172,50 @@ class SimulatedNetwork(Closing):
     #: its telemetry parts (:mod:`repro.telemetry`): the devices that
     #: stand between the hosts — switches, media, routers — then the hosts
     PARTS: Tuple[str, ...]
+    @property
+    def am_class(self) -> type:
+        """The AM driver its hosts run: :class:`~repro.am.AmEndpoint`."""
+        from ..am import AmEndpoint
+
+        return AmEndpoint
+
+    @staticmethod
+    def am_timers(config):
+        """``config`` with the AM timers this clock needs: unchanged, the
+        protocol's defaults are sized for simulated time."""
+        return config
+
+    @staticmethod
+    def request(am, dest: int, handler: int, args, data: bytes) -> Generator:
+        """Process: one AM request from ``am``; returns its sequence number."""
+        return am.request(dest, handler, args, data)
+
+    @staticmethod
+    def rpc(am, dest: int, handler: int, args, data: bytes) -> Generator:
+        """Process: one AM rpc from ``am``; returns the reply's ``(args, data)``."""
+        return am.rpc(dest, handler, args, data)
+
+    @staticmethod
+    def send(user, channel: int, payload: bytes) -> Generator:
+        """Process: one raw U-Net send on ``user``'s ``channel``."""
+        return user.send(channel, payload)
+
+    def run(self, until_us: float, ams: Sequence) -> None:
+        """Run the simulator to ``until_us``; the AM endpoints ``ams``
+        run as its processes already."""
+        self.sim.run(until=until_us)
+
+    def settle(self, ams: Sequence, until_us: float) -> None:
+        """After a workload: stop the AM endpoints' timers, then let what
+        is in flight land until ``until_us``."""
+        for am in ams:
+            am.shutdown()
+        self.sim.run(until=until_us)
+
+    @property
+    def simulated_events(self) -> int:
+        """Events its simulator has processed."""
+        return self.sim.events_processed
 
     def close(self) -> Discarded:
         """Close the simulator (parked firmware and receivers end where

@@ -75,7 +75,7 @@ class RecvDescriptor:
     is populated.  Slotted by hand like :class:`SendDescriptor`.
     """
 
-    __slots__ = ("channel_id", "length", "inline", "segments", "timestamp")
+    __slots__ = ("channel_id", "length", "inline", "segments")
 
     def __init__(self, channel_id: int, length: int, inline: Optional[bytes] = None,
                  segments: Optional[List[Tuple[int, int]]] = None) -> None:
@@ -94,8 +94,6 @@ class RecvDescriptor:
         self.inline = inline
         #: (buffer_index, length) pairs for buffer-borne messages
         self.segments = segments
-        #: time at which the descriptor was enqueued
-        self.timestamp = 0.0
 
     @property
     def is_inline(self) -> bool:
@@ -104,13 +102,11 @@ class RecvDescriptor:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.channel_id, self.length, self.inline, self.segments, self.timestamp)
-                == (other.channel_id, other.length, other.inline, other.segments,
-                    other.timestamp))
+        return ((self.channel_id, self.length, self.inline, self.segments)
+                == (other.channel_id, other.length, other.inline, other.segments))
 
     __hash__ = None  # mutable and compared by value
 
     def __repr__(self) -> str:
         return (f"RecvDescriptor(channel_id={self.channel_id!r}, length={self.length!r}, "
-                f"inline={self.inline!r}, segments={self.segments!r}, "
-                f"timestamp={self.timestamp!r})")
+                f"inline={self.inline!r}, segments={self.segments!r})")

@@ -244,7 +244,6 @@ class Endpoint:
         U-Net itself provides no flow control or retransmission; that is
         left to the protocols above (Section 3.1).
         """
-        descriptor.timestamp = self.sim.now
         if self.closed or not self.recv_queue.try_push(descriptor):
             self.note_drop("recv_queue_drops")
             return False

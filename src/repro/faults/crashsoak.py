@@ -8,7 +8,7 @@ receiver is killed and restarted repeatedly, on each substrate —
 * ``atm-kill`` / ``fe-kill``: the simulated NIs, receiver crashed via
   ``AmEndpoint.crash()`` / ``restart()`` mid-stream;
 * ``live-kill``: U-Net/OS over real sockets, the in-process crash twin
-  on a wall clock;
+  on a wall clock (any ``networks.LIVE`` row runs it the same way);
 * ``sigkill``: the real thing — a peer *process* (``repro.live.peer``)
   killed with SIGKILL and respawned as the next incarnation.
 
@@ -34,7 +34,6 @@ archive the message-fate accounting of every soak run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import networks
@@ -42,7 +41,7 @@ from ..am import AmConfig
 from ..am.core import handshake_settled
 from ..artifact import Artifact
 from ..core.errors import UNetError
-from ..sim import Simulator
+from ..networks import SubstrateUnavailable
 from ..suite import Suite
 from ..telemetry import total
 from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
@@ -58,8 +57,9 @@ __all__ = [
 ]
 
 #: ack-per-dispatch so an ack *implies* dispatch: the abandoned set is
-#: then exactly the sends whose delivery the sender cannot prove
-_SIM_CONFIG = dict(recovery=True, window=4, ack_every=1)
+#: then exactly the sends whose delivery the sender cannot prove; a
+#: network sets the AM timers its clock needs (``am_timers``)
+_AM_CONFIG = AmConfig(recovery=True, window=4, ack_every=1)
 
 
 #: bytes per stream message
@@ -72,8 +72,9 @@ class CrashScenario:
 
     name: str
     description: str
-    #: "atm" | "ethernet" (simulated), "live" (in-process over real
-    #: sockets), "sigkill" (real peer process, real SIGKILL)
+    #: a network name (``networks.build``: simulated, or a ``LIVE`` row
+    #: in-process over real sockets), or "sigkill" (real peer process,
+    #: real SIGKILL)
     substrate: str
     messages: int = 48
     #: kill/restart cycles, spread evenly across the stream
@@ -107,8 +108,8 @@ class CrashSoakResult:
     peer_dead_drops: int = 0
     retransmissions: int = 0
     completion_time_us: float = 0.0
-    #: events the simulator processed (zero for the live/sigkill
-    #: substrates, which have no simulator)
+    #: events the simulator processed (zero for the live and sigkill
+    #: substrates, which simulate nothing)
     sim_events: int = 0
 
     @property
@@ -261,24 +262,30 @@ def _crash_result(scenario: CrashScenario, substrate: str, ledger: _FateLedger,
 
 
 def run_crash_scenario(scenario: CrashScenario,
-                       progress=None) -> Optional[CrashSoakResult]:
-    """Run one kill/restart soak and account for every message's fate;
-    None when a wall-clock scenario finds no transport it can run on."""
-    if scenario.substrate == "live":
-        return _run_live_crash(scenario, progress=progress)
+                       progress=None) -> CrashSoakResult:
+    """Run one kill/restart soak and account for every message's fate.
+
+    One rig for every network name, simulated or live; raises
+    :class:`~repro.networks.SubstrateUnavailable` when a wall-clock
+    scenario finds no transport it can run on."""
     if scenario.substrate == "sigkill":
         return _run_sigkill(scenario, progress=progress)
-    return _run_sim_crash(scenario, progress=progress)
+    with networks.build(scenario.substrate) as net:
+        (h0, h1), (am0, am1) = build_am_star(
+            net, ("n0", "n1"), sink=1, config=net.am_timers(_AM_CONFIG))
+        result = _drive(scenario, net, am0, am1, h0.backend, progress)
+        net.run(net.sim.now + scenario.time_limit_us, (am0, am1))
+        return result((h0.backend, h1.backend), net.simulated_events)
 
 
-def _drive(scenario: CrashScenario, sim, am0, am1, sender_backend, request,
+def _drive(scenario: CrashScenario, net, am0, am1, sender_backend,
            progress) -> Callable[..., CrashSoakResult]:
-    """One kill/restart soak on either clock: the sender's request
+    """One kill/restart soak on ``net``'s clock: the sender's request
     stream and the receiver's kill/restart schedule as two processes on
-    ``sim`` (a simulator, or a live cluster's wall-clock runner's), and
-    the fate ledger that judges them.  ``request`` is node 0's
-    ``(dest, handler, args, data)`` process.  Returns the run's
-    ``result(substrate, limit, backends, sim_events)``."""
+    ``net.sim`` (a simulator, or a live cluster's wall-clock runner's),
+    and the fate ledger that judges them.  Returns the run's
+    ``result(backends, sim_events)``."""
+    sim = net.sim
     ledger = _FateLedger()
     sender_backend.trace.subscribe(ledger.on_sender_event)
     am1.register_handler(
@@ -289,7 +296,7 @@ def _drive(scenario: CrashScenario, sim, am0, am1, sender_backend, request,
         try:
             for i in range(scenario.messages):
                 data = stream_payload(i, PAYLOAD_BYTES)
-                seq = yield from request(1, 1, (i,), data)
+                seq = yield from net.request(am0, 1, 1, (i,), data)
                 ledger.seq_to_id[seq] = i
                 sent_ids.append(i)
         except UNetError:
@@ -327,70 +334,18 @@ def _drive(scenario: CrashScenario, sim, am0, am1, sender_backend, request,
     process = sim.process(traffic(), name="crashsoak.traffic")
     sim.process(chaos(), name="crashsoak.chaos")
 
-    def result(substrate: str, limit: str, backends: Sequence,
-               sim_events: int) -> CrashSoakResult:
+    def result(backends: Sequence, sim_events: int) -> CrashSoakResult:
         completed = bool(process.triggered) and process.ok
         return _crash_result(
-            scenario, substrate, ledger, sent_ids, completed, limit, am0,
-            am1.restarts, backends,
+            scenario, scenario.substrate, ledger, sent_ids, completed,
+            f"t={scenario.time_limit_us:.0f}us", am0, am1.restarts, backends,
             process.value if completed else scenario.time_limit_us, sim_events)
 
     return result
 
 
-def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
-    (h0, h1), (am0, am1) = build_am_star(
-        net, ("n0", "n1"), sink=1, config=AmConfig(**_SIM_CONFIG))
-    result = _drive(scenario, sim, am0, am1, h0.backend, am0.request, progress)
-    with net:
-        sim.run(until=scenario.time_limit_us)
-    return result(scenario.substrate, f"t={scenario.time_limit_us:.0f}us",
-                  (h0.backend, h1.backend), sim.events_processed)
-
-
-def _skipped(scenario: CrashScenario, progress) -> None:
-    if progress is not None:
-        progress(f"{scenario.name}: skipped (no live transport on this machine)")
-    return None
-
-
-def _run_live_crash(scenario: CrashScenario,
-                    progress=None) -> Optional[CrashSoakResult]:
-    from ..live.am import LiveAm
-    from ..live.backend import LiveCluster
-    from ..live.clock import WallClock
-    from ..live.transport import available_transport_kinds, make_transport
-
-    kinds = available_transport_kinds()
-    if not kinds:
-        return _skipped(scenario, progress)
-    kind = kinds[0]
-    config = AmConfig(recovery=True, window=4, ack_every=1,
-                      retransmit_timeout_us=20_000.0, dead_after_timeouts=6,
-                      hello_retry_us=10_000.0)
-    with LiveCluster(lambda name: make_transport(kind, name), WallClock()) as cluster:
-        n0 = cluster.add_node("n0")
-        n1 = cluster.add_node("n1")
-        ep0 = n0.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
-        ep1 = n1.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
-        ch0, ch1 = cluster.connect(ep0, ep1)
-        am0 = LiveAm(0, ep0, config=config)
-        am1 = LiveAm(1, ep1, config=config)
-        am0.connect_peer(1, ch0)
-        am1.connect_peer(0, ch1)
-        sim = cluster.sim
-        result = _drive(scenario, sim, am0, am1, n0,
-                        lambda *a: cluster.poll(partial(am0.start_request, *a)),
-                        progress)
-        cluster.run(sim.now + scenario.time_limit_us, (am0, am1))
-        # the live runner's engine events are not simulated ones
-        return result(f"live-{kind}", "the wall-clock limit", (n0, n1), 0)
-
-
 # --------------------------------------------------------- real peer process
-def _run_sigkill(scenario: CrashScenario, progress=None) -> Optional[CrashSoakResult]:
+def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     """SIGKILL a real child process mid-stream and respawn it.
 
     The parent counts fates from its side of the wire: a delivered id
@@ -409,7 +364,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> Optional[CrashSoakRe
     from ..live.transport import UdpLoopbackTransport, transport_available
 
     if not transport_available("udp"):  # the child speaks UDP
-        return _skipped(scenario, progress)
+        raise SubstrateUnavailable("the sigkill peer needs the udp live transport")
     clock = WallClock()
     backend = LiveBackend(UdpLoopbackTransport(name="crashsoak-parent"), clock,
                           node_id=0, node_name="parent")

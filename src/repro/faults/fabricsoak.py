@@ -44,6 +44,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import networks
 from ..artifact import Artifact, Headline
 from ..sim import Simulator
 from ..suite import DEFAULT_SEED, Suite
@@ -208,16 +209,12 @@ def _contribution(seed: int, node: int, rnd: int) -> int:
 
 def _build(scenario: FabricScenario):
     from ..collectives import wire_collectives
-    from ..fabric import ClosAtmFabric, ClosFeNetwork
     from ..hw import PENTIUM_120
 
-    builders = {"atm-clos": ClosAtmFabric, "fe-clos": ClosFeNetwork}
-    if scenario.fabric not in builders:
-        raise ValueError(f"unknown fabric {scenario.fabric!r} "
-                         f"(atm-clos, fe-clos)")
-    fabric = builders[scenario.fabric](Simulator(), leaves=scenario.leaves,
-                                       spines=scenario.spines,
-                                       hosts_per_leaf=scenario.hosts_per_leaf)
+    # the row's class at the scenario's own shape, not the row's n-host one
+    fabric = networks.get(scenario.fabric).cls(Simulator(), leaves=scenario.leaves,
+                                               spines=scenario.spines,
+                                               hosts_per_leaf=scenario.hosts_per_leaf)
     hosts = [fabric.add_host(f"n{i}", PENTIUM_120)
              for i in range(scenario.nodes)]
     engines, group = wire_collectives(fabric, hosts, healing=True)

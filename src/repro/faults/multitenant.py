@@ -67,7 +67,7 @@ from ..core.tenancy import (
     AdmissionController,
     qos_class,
 )
-from ..sim import RngRegistry, Simulator
+from ..sim import RngRegistry
 from ..suite import DEFAULT_SEED, Suite
 from ..telemetry import read
 
@@ -136,8 +136,9 @@ class MultitenantScenario:
 
     name: str
     description: str
-    #: "ethernet" | "atm" (simulated) or "live" (real sockets, the same
-    #: processes on a live cluster's wall-clock runner)
+    #: a network name (``networks.build``): simulated, or a ``LIVE`` row
+    #: (real sockets, the same processes on a live cluster's wall-clock
+    #: runner)
     substrate: str = "ethernet"
     tenants: int = 500
     rx_hosts: int = 2
@@ -184,7 +185,7 @@ MULTITENANT_SCENARIOS: Dict[str, MultitenantScenario] = {
 # --------------------------------------------------------------------- tenants
 @dataclass
 class _Tenant:
-    """Bookkeeping for one tenant (shared by the sim and live runners)."""
+    """Bookkeeping for one tenant, on any network."""
 
     index: int
     tenant: str
@@ -377,18 +378,18 @@ def _record_echo(t: _Tenant, data: bytes, now: float) -> None:
 
 
 # ------------------------------------------------------------------ population
-def _populate(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
-              connect: Callable):
-    """Build one run's population, on any substrate.
+def _populate(scenario: MultitenantScenario, seed: int, net):
+    """Build one run's population on ``net``, a simulated network or a
+    live cluster.
 
     Receive hosts with admission control and a health monitor on
-    ``sim`` each, sender hosts, then every tenant in index order —
+    ``net.sim`` each, sender hosts, then every tenant in index order —
     admitted (endpoint pair, channel pair, health record) or refused —
-    and the churn fates drawn over the admitted.  ``add_node(name)``
-    attaches a host and returns ``(backend, create_endpoint)``;
-    ``connect`` is the network's channel service.  Returns
+    and the churn fates drawn over the admitted.  Returns
     ``(aggregator, hosts, tenants, events)``.
     """
+    from ..hw import PENTIUM_120
+
     registry = RngRegistry(seed)
     aggregator = ClusterHealthAggregator(
         quorum=QUORUM,
@@ -397,18 +398,20 @@ def _populate(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
     hosts: List[_HostState] = []
     arrivals_per_host = int(math.ceil(scenario.tenants / scenario.rx_hosts))
     for i in range(scenario.rx_hosts):
-        backend, create_endpoint = add_node(f"rx{i}")
+        host = net.add_host(f"rx{i}", PENTIUM_120)
+        backend = host.backend
         backend.admission = AdmissionController(
             _admission_config(arrivals_per_host))
         monitor = HealthMonitor(
-            sim, HealthConfig(policy=POLICY_BACKPRESSURE,
-                              check_period_us=scenario.check_period_us),
+            net.sim, HealthConfig(policy=POLICY_BACKPRESSURE,
+                                  check_period_us=scenario.check_period_us),
             name=f"rx{i}.health")
         aggregator.attach_host(f"rx{i}", monitor)
         hosts.append(_HostState(name=f"rx{i}", backend=backend,
                                 admission=backend.admission, monitor=monitor,
-                                create_endpoint=create_endpoint))
-    senders = [add_node(f"tx{i}")[1] for i in range(scenario.sender_hosts)]
+                                create_endpoint=host.create_endpoint))
+    senders = [net.add_host(f"tx{i}", PENTIUM_120).create_endpoint
+               for i in range(scenario.sender_hosts)]
 
     tenants: List[_Tenant] = []
     for i in range(scenario.tenants):
@@ -425,7 +428,7 @@ def _populate(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
             continue
         t.tx_user = senders[i % scenario.sender_hosts](
             config=_TX_CONFIG, rx_buffers=0)
-        t.ch_rx, t.ch_tx = connect(t.user, t.tx_user)
+        t.ch_rx, t.ch_tx = net.connect(t.user, t.tx_user)
         t.record = host.monitor.watch(t.user.endpoint,
                                       config=_health_config(scenario, qos))
         host.add(t)
@@ -436,16 +439,13 @@ def _populate(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
     return aggregator, hosts, tenants, _pick_churn(scenario, tenants, registry)
 
 
-def _drive(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
-           connect: Callable, send: Callable) -> _Outcome:
-    """One churn run on either clock: the population (:func:`_populate`)
-    and its processes on ``sim`` — a pacer per sender host, a QoS drain
-    per receive host, the churn schedule and the cluster controller.
-    ``send(user, channel, payload)`` is the substrate's send process.
-    Returns the outcome the processes fill in as ``sim`` runs."""
-    aggregator, hosts, tenants, events = _populate(
-        scenario, seed, sim, add_node, connect)
-    t_end = scenario.duration_us
+def _drive(scenario: MultitenantScenario, seed: int, net) -> _Outcome:
+    """One churn run on ``net``'s clock: the population (:func:`_populate`)
+    and its processes on ``net.sim`` — a pacer per sender host, a QoS
+    drain per receive host, the churn schedule and the cluster
+    controller.  Returns the outcome the processes fill in as it runs."""
+    aggregator, hosts, tenants, events = _populate(scenario, seed, net)
+    sim, send, t_end = net.sim, net.send, scenario.duration_us
 
     by_sender: Dict[int, List[_Tenant]] = {}
     for t in tenants:
@@ -509,46 +509,12 @@ def _drive(scenario: MultitenantScenario, seed: int, sim, add_node: Callable,
                     duration_us=t_end)
 
 
-def _run_sim(scenario: MultitenantScenario, seed: int) -> _Outcome:
-    from ..hw import PENTIUM_120
-
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
-
-    def add_node(name: str):
-        host = net.add_host(name, PENTIUM_120)
-        return host.backend, host.create_endpoint
-
-    outcome = _drive(scenario, seed, sim, add_node, net.connect,
-                     lambda user, channel, payload: user.send(channel, payload))
-    with net:
-        sim.run(until=outcome.duration_us)
-    return replace(outcome, sim_events=sim.events_processed)
-
-
-def _run_live(scenario: MultitenantScenario, seed: int) -> _Outcome:
-    from ..live.backend import LiveCluster
-    from ..live.clock import WallClock
-    from ..live.transport import available_transport_kinds, make_transport
-
-    kind = available_transport_kinds()[0]
-    with LiveCluster(lambda name: make_transport(kind, name), WallClock()) as cluster:
-        def add_node(name: str):
-            node = cluster.add_node(name)
-            return node, node.create_user_endpoint
-
-        def send(user, channel: int, payload: bytes):
-            def attempt():
-                try:
-                    user.send(channel, payload)
-                except EndpointError:
-                    return None  # transport backpressure: retry after a pump
-                return True
-            return cluster.poll(attempt)
-
-        outcome = _drive(scenario, seed, cluster.sim, add_node, cluster.connect, send)
-        cluster.run(outcome.duration_us, ())
-        return outcome
+def _run_once(scenario: MultitenantScenario, seed: int) -> _Outcome:
+    """One churn run on the scenario's network, simulated or live."""
+    with networks.build(scenario.substrate) as net:
+        outcome = _drive(scenario, seed, net)
+        net.run(outcome.duration_us, ())
+        return replace(outcome, sim_events=net.simulated_events)
 
 
 # ------------------------------------------------------------------ evaluation
@@ -791,12 +757,6 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
     )
 
 
-def _run_once(scenario: MultitenantScenario, seed: int) -> _Outcome:
-    if scenario.substrate == "live":
-        return _run_live(scenario, seed)
-    return _run_sim(scenario, seed)
-
-
 def run_multitenant(scenario: MultitenantScenario,
                     seed: int = DEFAULT_SEED) -> MultitenantResult:
     """Run ``scenario`` (plus the same schedule with churn disabled as the
@@ -915,17 +875,6 @@ def multitenant_payload(results: Sequence[MultitenantResult]) -> dict:
     return {"format": _FORMAT, "runs": [r.to_payload() for r in results]}
 
 
-def _run_one(scenario: MultitenantScenario, mode, seed: int,
-             progress) -> Optional[MultitenantResult]:
-    if scenario.substrate == "live":
-        from ..live import available_transport_kinds
-
-        if not available_transport_kinds():
-            progress(f"{scenario.name}: skipped (no live transport on this machine)")
-            return None
-    return run_multitenant(scenario, seed=seed)
-
-
 def _render_hosts(results: Sequence[MultitenantResult]) -> str:
     return "\n".join(f"\n{r.scenario} hosts:\n"
                      + "\n".join(f"  {host}" for host in r.hosts)
@@ -934,7 +883,7 @@ def _render_hosts(results: Sequence[MultitenantResult]) -> str:
 
 SUITE = Suite(
     scenarios=MULTITENANT_SCENARIOS,
-    run=_run_one,
+    run=lambda scenario, mode, seed, progress: run_multitenant(scenario, seed),
     render=render_multitenant_table,
     stats=_render_hosts,
     overrides=frozenset({"seed"}),

@@ -3,8 +3,8 @@
 The chaos, crash and transport soaks all push numbered request streams
 from sender nodes into one sink node and hold the result to the same
 delivery contract.  This module is the one copy of what they share:
-:func:`build_am_star` builds the hosts, endpoints and connected
-:class:`~repro.am.AmEndpoint` objects, and :func:`check_delivery` is the
+:func:`build_am_star` builds the hosts, endpoints and connected AM
+endpoints (the network's driver), and :func:`check_delivery` is the
 termination / exactly-once / FIFO / integrity verdict (the overload
 soak, which builds its own lopsided cluster, shares only the verdict).
 
@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .. import networks
 from ..am import AmConfig, AmEndpoint
 from ..core import EndpointConfig
-from ..sim import RngRegistry, Simulator
+from ..sim import RngRegistry
 from ..telemetry import total
 from .inject import attach_pipeline
 from .perturb import BottleneckQueue, LinkPerturbation
@@ -102,16 +102,17 @@ class StreamResult:
 
 
 def build_am_star(net, names: Sequence[str], sink: int,
-                  config: Optional[AmConfig]) -> Tuple[list, List[AmEndpoint]]:
-    """One host and one AM endpoint per name on ``net`` (which the caller
-    built and closes), node id = position, every other node connected to
-    node ``sink``; returns ``(hosts, ams)``."""
+                  config: Optional[AmConfig]) -> Tuple[list, list]:
+    """One host and one of the network's AM endpoints per name on ``net``
+    (which the caller built and closes; a simulated network or a live
+    cluster), node id = position, every other node connected to node
+    ``sink``; returns ``(hosts, ams)``."""
     from ..hw import PENTIUM_120
 
     hosts = [net.add_host(name, PENTIUM_120) for name in names]
     endpoints = [host.create_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
                  for host in hosts]
-    ams = [AmEndpoint(node, endpoint, config=config)
+    ams = [net.am_class(node, endpoint, config=config)
            for node, endpoint in enumerate(endpoints)]
     for node, endpoint in enumerate(endpoints):
         if node != sink:
@@ -172,8 +173,8 @@ def run_stream(scenario: StreamScenario, mode: str, config: AmConfig,
                seed: int) -> StreamResult:
     """Run ``scenario`` once with every endpoint under ``config`` (the
     suite's ``mode``), and check the delivery contract."""
-    sim = Simulator()
-    net = networks.get(scenario.substrate).build(sim)
+    net = networks.build(scenario.substrate)
+    sim = net.sim
     names = ["sink"] + [f"src{s}" for s in range(scenario.senders)]
     (sink_host, *sender_hosts), (sink_am, *sender_ams) = build_am_star(
         net, names, sink=0, config=config)

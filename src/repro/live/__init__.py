@@ -10,9 +10,11 @@ the drop-accounting vocabulary, and the Active Messages wire protocol
 are shared with the simulated substrates; only time is real.
 
 Importing this package loads none of it: each export's home submodule
-is imported on first use.  The ``live*`` conformance substrates are the
-rows of ``repro.networks.LIVE``; ``repro.conformance.checker.runner``
-resolves one through :func:`repro.live.conform.live_runner`.
+is imported on first use.  The ``live*`` substrates are the rows of
+``repro.networks.LIVE``: ``repro.networks.build(name)`` makes one a
+:class:`~repro.live.backend.LiveCluster`, which offers a rig the surface
+a simulated network does, so the conformance checker and the crash and
+multi-tenant soaks run one rig on every name.
 """
 
 from .._lazy import lazy_exports
@@ -29,7 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".bufpool": ("BufferPool", "PooledSlice", "PoolExhausted"),
     ".clock": ("WallClock",),
-    ".conform": ("live_runner", "run_live_case"),
     ".doorbell": ("DEFAULT_DOORBELL_MODE", "DOORBELL_MODES", "EventDoorbell"),
     ".mmsg": ("mmsg_available", "mmsg_path"),
     ".transport": (

@@ -6,7 +6,7 @@ single datagram socket (:mod:`repro.live.transport`), a
 are the *same* :class:`~repro.core.endpoint.Endpoint` objects the
 simulated substrates serve (same buffer areas, same bounded
 send/recv/free rings, same descriptor validation, same drop
-vocabulary), timestamped through the :class:`~repro.core.clock.ClockShim`.
+vocabulary), clocked through the :class:`~repro.core.clock.ClockShim`.
 
 The fast-trap analogue is the **polling doorbell loop**: where U-Net/FE
 trapped into the kernel to drain the send queue and U-Net/ATM had the
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.api import UserEndpointBase
 from ..core.base import Closing, UNetBackend
@@ -542,6 +544,14 @@ class LiveUserEndpoint(UserEndpointBase):
         return buf
 
 
+class LiveHost(NamedTuple):
+    """A live node as a rig holds a simulated :class:`~repro.core.api.Host`."""
+
+    backend: LiveBackend
+    #: the application-side endpoint constructor
+    create_endpoint: Callable[..., LiveUserEndpoint]
+
+
 class LiveCluster(Closing):
     """N live nodes in one process, serviced by one polling loop.
 
@@ -550,10 +560,17 @@ class LiveCluster(Closing):
     plus demux rows on both sides — the OS-mediated channel service),
     and pumps every node's doorbell loop from :meth:`step`.  Its
     wall-clock runner (:attr:`sim`, :meth:`run`, :meth:`poll`) runs the
-    very process bodies a simulated network runs.
+    very process bodies a simulated network runs, and it offers a rig
+    the surface a :class:`~repro.core.base.SimulatedNetwork` does
+    (:meth:`add_host`, :attr:`am_class`, :meth:`request`, :meth:`rpc`,
+    :meth:`send`, :meth:`settle`).  What differs with the clock is
+    declared here: :meth:`am_timers`, :meth:`settle`, and no simulated
+    events.
     """
 
     PARTS = ("nodes",)
+    #: the runner's engine events stand for wall time, not a simulation
+    simulated_events = 0
 
     def __init__(self, make_transport: Callable[[str], LiveTransport],
                  clock: Clock, max_pdu: int = DEFAULT_MAX_PDU,
@@ -580,6 +597,28 @@ class LiveCluster(Closing):
                               doorbell_mode=self.doorbell_mode)
         self.nodes.append(backend)
         return backend
+
+    def add_host(self, name: str, cpu: Any) -> LiveHost:
+        """A node as a rig adds a simulated host; ``cpu`` is not modelled
+        (a live node runs on this machine's)."""
+        node = self.add_node(name)
+        return LiveHost(node, node.create_user_endpoint)
+
+    @property
+    def am_class(self) -> type:
+        """The AM driver its nodes run: :class:`~repro.live.am.LiveAm`."""
+        from .am import LiveAm
+
+        return LiveAm
+
+    @staticmethod
+    def am_timers(config):
+        """``config`` with the AM timers of a wall-clock run: the OS
+        scheduler's jitter is milliseconds, so retransmission and HELLO
+        retry wait that long, and a peer is dead only after six silent
+        RTOs."""
+        return replace(config, retransmit_timeout_us=20_000.0, dead_after_timeouts=6,
+                       hello_retry_us=10_000.0)
 
     def connect(self, a: LiveUserEndpoint, b: LiveUserEndpoint) -> Tuple[int, int]:
         """Create the channel pair between two live endpoints.
@@ -627,6 +666,37 @@ class LiveCluster(Closing):
             if self._pumped is None:
                 self._pumped = self.sim.event(name="live.pump")
             yield self._pumped
+
+    def request(self, am, dest: int, handler: int, args, data: bytes) -> Generator:
+        """Process: one AM request from ``am``, admitted when the window,
+        the credit gate and any handshake allow; returns its sequence."""
+        return self.poll(partial(am.start_request, dest, handler, args, data))
+
+    def rpc(self, am, dest: int, handler: int, args, data: bytes) -> Generator:
+        """Process: one AM rpc from ``am``; returns the reply's ``(args, data)``."""
+        seq = yield from self.poll(partial(am.start_rpc, dest, handler, args, data))
+        return (yield from self.poll(partial(am.rpc_result, dest, seq)))
+
+    def send(self, user: LiveUserEndpoint, channel: int, payload: bytes) -> Generator:
+        """Process: one raw U-Net send, retried after a pump while the
+        transport pushes back."""
+        def attempt():
+            try:
+                user.send(channel, payload)
+            except EndpointError:
+                return None
+            return True
+        return self.poll(attempt)
+
+    def settle(self, ams: Sequence, until_us: float) -> None:
+        """After a workload: tail acks land while the AM timers still run
+        (a datagram lost on the wall clock needs its retransmission), up
+        to ``until_us``; then the timers stop and one last pass runs."""
+        self.sim.process(self.poll(lambda: all(am.idle for am in ams) or None))
+        self.run(until_us, ams)
+        for am in ams:
+            am.shutdown()
+        self.run(self.sim.now, ams)
 
     def run(self, until_us: float, ams: Sequence) -> None:
         """Run :attr:`sim`'s processes against the wall clock.

@@ -10,8 +10,13 @@ Section-5 cluster's CPUs, who runs U-Net on it, how many channels one
 host can hold.  ``Cluster``, the soaks' and the conformance checker's
 two-host rigs, the journey tracer, the collectives grid and the CLI all
 look a name up here; none of them compares substrate strings.
-:data:`LIVE` names the wall-clock substrates the conformance checker
-runs beside the simulated ones: every substrate name is declared here.
+:data:`LIVE` names the wall-clock substrates, U-Net/OS on real sockets:
+every substrate name is declared here, and :func:`build` builds any of
+them.  A simulated network and a live cluster offer a rig the same
+surface (``add_host``, ``connect``, ``am_class``, the ``request`` /
+``rpc`` / ``send`` processes, ``run``, ``settle``, ``with``), so the
+conformance checker and the crash and multi-tenant soaks each keep one
+rig for every name.
 
 Adding a network generation (Gigabit, 10G) is one row plus one timings
 record for its NI/link/switch models — the shape of a NED
@@ -22,16 +27,21 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .hw.cpu import PENTIUM_90, PENTIUM_120, SPARCSTATION_10, SPARCSTATION_20, CpuModel
 
-__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "LIVE", "TooManyHosts", "names",
-           "get", "fe_cluster_cpus", "atm_cluster_cpus", "clos_shape"]
+__all__ = ["Interface", "Network", "FE", "ATM", "NETWORKS", "Live", "LIVE", "TooManyHosts",
+           "SubstrateUnavailable", "names", "get", "build", "fe_cluster_cpus",
+           "atm_cluster_cpus", "clos_shape"]
 
 
 class TooManyHosts(ValueError):
     """A row was asked for more hosts than its devices have ports."""
+
+
+class SubstrateUnavailable(RuntimeError):
+    """A named substrate exists but cannot run on this machine."""
 
 
 def fe_cluster_cpus(n: int) -> List[CpuModel]:
@@ -124,11 +134,16 @@ class Network:
             raise TooManyHosts(f"substrate {self.name!r} holds at most "
                                f"{self.max_hosts} hosts, not {n}")
 
+    @property
+    def cls(self) -> type:
+        """The class that builds this network, imported on first use."""
+        module, _, name = self.factory.partition(":")
+        return getattr(importlib.import_module(module), name)
+
     def build(self, sim, n: int = 2):
         """A fresh network of this kind on ``sim``, sized for ``n`` hosts."""
         self.check_hosts(n)
-        module, _, cls = self.factory.partition(":")
-        return getattr(importlib.import_module(module), cls)(sim, **self.shape(n))
+        return self.cls(sim, **self.shape(n))
 
 
 NETWORKS: Dict[str, Network] = {row.name: row for row in (
@@ -155,14 +170,46 @@ NETWORKS: Dict[str, Network] = {row.name: row for row in (
 
 _BY_ALIAS = {alias: row for row in NETWORKS.values() for alias in row.aliases}
 
-#: U-Net/OS on real sockets: name -> (transport kind, doorbell mode);
-#: None is the best transport on this machine, or the default doorbell
-LIVE: Dict[str, Tuple[Optional[str], Optional[str]]] = {
-    "live": (None, None),
-    "live-unix": ("unix", None),
-    "live-udp": ("udp", None),
-    "live-batched": (None, "batched"),
-    "live-event": (None, "event"),
+class Live(NamedTuple):
+    """One wall-clock row: U-Net/OS on real sockets."""
+
+    #: transport kind; None is the best one on this machine (unix before udp)
+    transport: Optional[str]
+    #: doorbell mode; None is the default
+    doorbell: Optional[str]
+
+    def transport_kind(self) -> str:
+        """The transport this row runs on here; :class:`SubstrateUnavailable`
+        where this machine has none of that kind (or none at all)."""
+        from .live.transport import available_transport_kinds
+
+        kinds = available_transport_kinds()
+        kind = self.transport or (kinds[0] if kinds else None)
+        if kind not in kinds:
+            raise SubstrateUnavailable(
+                f"this machine has no {kind or 'local'} live transport "
+                f"(available: {list(kinds) or 'none'})")
+        return kind
+
+    def build(self):
+        """A fresh :class:`~repro.live.backend.LiveCluster` on the wall
+        clock, with this row's transport and doorbell."""
+        from .live.backend import LiveCluster
+        from .live.clock import WallClock
+        from .live.doorbell import DEFAULT_DOORBELL_MODE
+        from .live.transport import make_transport
+
+        kind = self.transport_kind()
+        return LiveCluster(lambda name: make_transport(kind, name), WallClock(),
+                           doorbell_mode=self.doorbell or DEFAULT_DOORBELL_MODE)
+
+
+LIVE: Dict[str, Live] = {
+    "live": Live(None, None),
+    "live-unix": Live("unix", None),
+    "live-udp": Live("udp", None),
+    "live-batched": Live(None, "batched"),
+    "live-event": Live(None, "event"),
 }
 
 
@@ -178,3 +225,15 @@ def get(name: str) -> Network:
         raise ValueError(f"unknown substrate {name!r}; choose from {names()} "
                          f"(aliases: {', '.join(sorted(_BY_ALIAS))})")
     return row
+
+
+def build(name: str):
+    """The network called ``name``, fresh, for its caller to close
+    (``with``): a :data:`NETWORKS` row (or alias) for two hosts on a new
+    simulator, or a :data:`LIVE` row's cluster — which raises
+    :class:`SubstrateUnavailable` where this machine lacks its transport."""
+    if name in LIVE:
+        return LIVE[name].build()
+    from .sim import Simulator
+
+    return get(name).build(Simulator())

@@ -21,6 +21,7 @@ from typing import (Any, Callable, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .artifact import Artifact
+from .networks import SubstrateUnavailable
 
 __all__ = ["DEFAULT_SEED", "OVERRIDES", "SUITES", "Suite", "artifacts",
            "load_suite"]
@@ -50,8 +51,9 @@ class Suite:
     #: ``messages`` field)
     scenarios: Mapping[str, Any]
     #: ``run(scenario, mode, seed, progress) -> result``: one run (``mode``
-    #: is None on a suite with no mode axis), or None when the scenario
-    #: needs what the host lacks (a live transport)
+    #: is None on a suite with no mode axis); it raises
+    #: :class:`~repro.networks.SubstrateUnavailable` when the scenario
+    #: needs what the host lacks (a live transport), and the grid skips it
     run: Callable[[Any, Optional[str], int, Callable[[str], None]], Any]
     #: ``render(results) -> str``: the suite's table
     render: Callable[[Sequence], str]
@@ -97,9 +99,10 @@ class Suite:
         results = []
         for label in modes:
             progress(f"{scenario.name} under {label}..." if label else f"{scenario.name}...")
-            result = self.run(scenario, label, seed, progress)
-            if result is not None:
-                results.append(result)
+            try:
+                results.append(self.run(scenario, label, seed, progress))
+            except SubstrateUnavailable:
+                progress(f"{scenario.name}: skipped (no live transport on this machine)")
         return results
 
 

@@ -121,7 +121,6 @@ def test_received_message_metadata(build_pair):
     msg = sim.run_until_complete(sim.process(rx()))
     assert len(msg) == 4
     assert msg.channel_id == ch2
-    assert msg.timestamp > 0
 
 
 def test_kick_flag_defers_transmission(build_pair):

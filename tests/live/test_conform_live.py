@@ -6,10 +6,11 @@ import pytest
 
 from repro import networks
 from repro.conformance import (
-    BUGS, SubstrateUnavailable, generate_case, inject_bug, load_artifact_meta, run_case, runner,
+    BUGS, SubstrateUnavailable, generate_case, inject_bug, load_artifact_meta, run_case,
+    run_substrate, runner,
 )
 from repro.faults.scripted import ScheduledFault, ScriptedStage
-from repro.live import FRAME_HEADER_SIZE, available_transport_kinds, live_runner, run_live_case
+from repro.live import FRAME_HEADER_SIZE, available_transport_kinds
 from repro.live.backend import DatagramWire
 
 from .conftest import require
@@ -26,7 +27,7 @@ def test_live_case_matches_the_simulated_substrates():
 
 def test_live_trace_has_the_semantic_observables():
     case = generate_case(1, "fixed", n_messages=3)
-    trace = run_live_case(case, "unix")
+    trace = run_substrate(case, "live-unix")
     assert trace.completed
     assert len(trace.dispatched) == 3
     assert not trace.violations
@@ -39,7 +40,7 @@ def test_scripted_fault_schedule_fires_on_the_live_wire():
     case = generate_case(3, "fixed", n_messages=4)
     case.faults = [ScheduledFault(direction="fwd", seq=1, occurrence=0,
                                   action="drop")]
-    trace = run_live_case(case, "unix")
+    trace = run_substrate(case, "live-unix")
     assert trace.completed
     assert [f.action for f in trace.fired] == ["drop"]
     assert trace.rexmit >= 1
@@ -101,8 +102,10 @@ def test_every_live_name_resolves_to_a_runner_here():
         if kind is None or kind in kinds:
             assert callable(runner(name)), name
     assert runner("atm").keywords == {"substrate": "atm"}
-    assert runner("live-unix").keywords["transport_kind"] == "unix"
-    assert runner("live-batched").keywords["doorbell_mode"] == "batched"
+    assert runner("live-unix").keywords == {"substrate": "live-unix"}
+    assert networks.LIVE["live-unix"].transport_kind() == "unix"
+    with networks.build("live-batched") as net:
+        assert net.doorbell_mode == "batched"
 
 
 def test_a_live_name_relaxes_timing_and_a_simulated_one_does_not(monkeypatch):
@@ -118,12 +121,12 @@ def test_a_live_name_relaxes_timing_and_a_simulated_one_does_not(monkeypatch):
 
 
 def test_unavailable_substrate_fails_loudly(monkeypatch):
-    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ("unix",))
+    monkeypatch.setattr("repro.live.transport.available_transport_kinds", lambda: ("unix",))
     with pytest.raises(SubstrateUnavailable, match="udp"):
         runner("live-udp")
-    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ())
+    monkeypatch.setattr("repro.live.transport.available_transport_kinds", lambda: ())
     with pytest.raises(SubstrateUnavailable):
-        live_runner(None, None)
+        networks.build("live")
     with pytest.raises(ValueError, match="never-registered"):
         runner("never-registered")
 
@@ -154,7 +157,7 @@ def test_replay_artifacts_record_their_substrate_set(tmp_path):
 def test_replay_refuses_a_substrate_this_machine_cannot_run(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
-    monkeypatch.setattr("repro.live.conform.available_transport_kinds", lambda: ("unix",))
+    monkeypatch.setattr("repro.live.transport.available_transport_kinds", lambda: ("unix",))
     path = tmp_path / "artifact.json"
     for recorded in (["atm", "live-udp"], ["atm", "token-ring"]):
         path.write_text(json.dumps({"format": "repro-conformance-case/1",

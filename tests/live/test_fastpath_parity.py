@@ -12,8 +12,8 @@ regression this harness exists to catch.
 
 import pytest
 
-from repro.conformance import generate_case, run_case
-from repro.live import run_live_case
+from repro import networks
+from repro.conformance import generate_case, run_case, run_substrate
 
 from .conftest import require
 
@@ -51,8 +51,8 @@ def test_modes_agree_with_each_other(preset):
     byte-identical across doorbell modes — no reference model in the
     loop to absorb a shared bias."""
     case = generate_case(7, preset, n_messages=4)
-    traces = {mode: run_live_case(case, "unix", doorbell_mode=mode)
-              for mode in MODE_SUBSTRATES}
+    traces = {mode: run_substrate(case, substrate)
+              for mode, substrate in MODE_SUBSTRATES.items()}
     semantics = {
         mode: (trace.completed, list(trace.dispatched),
                sorted(trace.replies), dict(trace.drop_classes),
@@ -75,8 +75,8 @@ def test_fault_schedule_fires_identically_in_batched_mode():
     case = generate_case(5, "fixed", n_messages=4)
     case.faults = [ScheduledFault(direction="fwd", seq=1, occurrence=0,
                                   action="drop")]
-    for mode in MODE_SUBSTRATES:
-        trace = run_live_case(case, "unix", doorbell_mode=mode)
+    for mode, substrate in MODE_SUBSTRATES.items():
+        trace = run_substrate(case, substrate)
         assert trace.completed, f"{mode}: case did not complete"
         assert [f.action for f in trace.fired] == ["drop"], (
             f"{mode}: fault schedule fired {trace.fired}")
@@ -96,7 +96,6 @@ def test_injected_bug_is_caught_in_every_mode():
 
 
 def test_batched_and_event_substrates_resolve_to_their_doorbell():
-    from repro.conformance import runner
-
     for mode, name in MODE_SUBSTRATES.items():
-        assert runner(name).keywords["doorbell_mode"] == mode
+        with networks.build(name) as net:
+            assert net.doorbell_mode == mode

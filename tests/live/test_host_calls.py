@@ -36,9 +36,9 @@ OPS = 200
 #: ``defer_kick`` property frames, slotted descriptors and ``Packet``, a
 #: precompiled AM header, direct buffer-area slices and one clock
 #: reading per service pass (15 clock reads per RPC before, 13 after)
-CALLS_PER_RPC = 132.0
+CALLS_PER_RPC = 128.0
 #: calls into ``src/repro`` per scalar 256-byte message (63.0 before)
-CALLS_PER_SCALAR_MESSAGE = 29.0
+CALLS_PER_SCALAR_MESSAGE = 27.0
 
 
 def _am_pair(clock):

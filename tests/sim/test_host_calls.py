@@ -25,7 +25,7 @@ MESSAGES = 50
 #: 659.86 before the firmware's idle wait built its ``Event`` directly;
 #: 656.56 before the slotted ``RecvDescriptor`` / ``Packet``, the
 #: single-check ring pushes and the guarded AM records
-CALLS_PER_MESSAGE = 641.92
+CALLS_PER_MESSAGE = 640.92
 
 def test_python_calls_per_atm_message_are_pinned():
     with FIGURE6_CONFIGS["atm"]() as setup:

@@ -62,11 +62,18 @@ def test_live_data_path_loads_no_fault_injector_and_no_conformance_harness():
     assert not _strays(loaded, "repro.faults", "repro.conformance")
 
 
+def test_the_one_rig_per_suite_loads_no_live_code_until_a_live_name_is_built():
+    loaded = _loaded_after("import repro.networks, repro.conformance.checker, "
+                           "repro.faults.crashsoak, repro.faults.multitenant")
+    assert "repro.faults.multitenant" in loaded
+    assert not _strays(loaded, "repro.live")
+
+
 def test_a_live_substrate_resolves_by_name_from_a_cold_interpreter():
-    out = run_cold("from repro.conformance.checker import runner\n"
-                   "run = runner('live-batched')\n"
-                   "print(run.func.__module__, run.keywords['doorbell_mode'])")
-    assert out.split() == ["repro.live.conform", "batched"]
+    out = run_cold("from repro import networks\n"
+                   "with networks.build('live-batched') as net:\n"
+                   "    print(type(net).__module__, net.doorbell_mode)")
+    assert out.split() == ["repro.live.backend", "batched"]
 
 
 # ------------------------------------------------------------------- parity

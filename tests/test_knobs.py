@@ -57,7 +57,6 @@ KEPT = {
     # ``runner(name)(case, bug=...)`` table,
     # ``add_host(**where)`` and an event's callback list
     **_each(SET_UNSEEN, "repro.conformance.checker:run_substrate", "bug"),
-    **_each(SET_UNSEEN, "repro.live.conform:run_live_case", "bug"),
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),

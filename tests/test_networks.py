@@ -125,9 +125,7 @@ LADDER = re.compile(r'substrate (==|in) |startswith\("(fe|atm)')
 #: a live name other than bare "live", which is also a package and a word
 LIVE_NAME = re.compile("|".join(re.escape(name) for name in networks.LIVE if name != "live"))
 RUNNER_DISPATCH = {
-    ("faults/crashsoak.py", 'if scenario.substrate == "live":'),
     ("faults/crashsoak.py", 'if scenario.substrate == "sigkill":'),
-    ("faults/multitenant.py", 'if scenario.substrate == "live":'),
 }
 
 
