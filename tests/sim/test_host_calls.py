@@ -1,22 +1,32 @@
-"""Host cost of the ATM cell path, as Python calls per message, pinned.
+"""Host cost of the ATM cell path and the U-Net/FE trap/interrupt path,
+as Python calls per op, pinned.
 
 Wall time on a shared runner swings by tens of percent; the number of
-Python frames a run enters does not.  This streams 50 messages of 1 498
-bytes (32 cells each) over the Fig 6 ATM rig and counts the calls whose
-code lives in ``src/repro`` with :func:`repro.analysis.hostcost.count_calls`
-(its docstring has the counting rules; ``BENCH_host.json`` is written by
-the same counter).
+Python frames a run enters does not.  The ATM pin streams 50 messages of
+1 498 bytes (32 cells each) over the Fig 6 ATM rig; the FE pin runs 20
+40-byte round trips through ``measure_rtt`` on the Fig 5 hub rig, as
+``BENCH_host.json``'s ``fig5-pingpong/hub`` row does.  Both count the
+calls whose code lives in ``src/repro`` with
+:func:`repro.analysis.hostcost.count_calls` (its docstring has the
+counting rules; ``BENCH_host.json`` is written by the same counter).
 
-The pin is a ceiling: it may only fall.  A frame put back on the
-per-cell path (a delivery that calls through a helper again, a dataclass
-``__post_init__``) fails here, and the failure prints the per-function
-table, so the frame names itself.  ``-s`` prints the count.
+A pin is a ceiling: it may only fall.  A frame put back on the per-cell
+or per-step path (a delivery that calls through a helper again, a
+dataclass ``__post_init__``, a wait entered through a sub-generator)
+fails here, and the failure prints the per-function table, so the frame
+names itself.  ``-s`` prints the counts.
 """
 
 from repro.analysis.hostcost import count_calls, per_function
-from repro.analysis.microbench import FIGURE6_CONFIGS, measure_bandwidth
+from repro.analysis.microbench import (
+    FIGURE5_CONFIGS,
+    FIGURE6_CONFIGS,
+    measure_bandwidth,
+    measure_rtt,
+)
 
 MESSAGES = 50
+ROUND_TRIPS = 20
 
 #: calls into ``src/repro`` per 1 498-byte message (32 cells).  885.86
 #: before the slotted ``Cell`` (no ``__post_init__``), the link lane that
@@ -27,6 +37,10 @@ MESSAGES = 50
 #: single-check ring pushes and the guarded AM records
 CALLS_PER_MESSAGE = 640.92
 
+#: calls into ``src/repro`` per 40-byte round trip on the hub
+CALLS_PER_HUB_ROUND_TRIP = 523.75
+
+
 def test_python_calls_per_atm_message_are_pinned():
     with FIGURE6_CONFIGS["atm"]() as setup:
         counts = count_calls(lambda: measure_bandwidth(setup, 1498, messages=MESSAGES))
@@ -35,3 +49,13 @@ def test_python_calls_per_atm_message_are_pinned():
     assert per_message <= CALLS_PER_MESSAGE, (
         f"{per_message} calls per message, ceiling {CALLS_PER_MESSAGE}; per function:\n"
         f"{per_function(counts, MESSAGES)}")
+
+
+def test_python_calls_per_fe_hub_round_trip_are_pinned():
+    with FIGURE5_CONFIGS["hub"]() as setup:
+        counts = count_calls(lambda: measure_rtt(setup, 40, rounds=ROUND_TRIPS))
+    per_trip = sum(counts.values()) / ROUND_TRIPS
+    print(f"fig5-hub-40B-x{ROUND_TRIPS}: {per_trip} calls into src/repro per round trip")
+    assert per_trip <= CALLS_PER_HUB_ROUND_TRIP, (
+        f"{per_trip} calls per round trip, ceiling {CALLS_PER_HUB_ROUND_TRIP}; per function:\n"
+        f"{per_function(counts, ROUND_TRIPS)}")
