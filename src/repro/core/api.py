@@ -167,29 +167,42 @@ class UserEndpoint(UserEndpointBase):
         under a single trap (Section 4.3.2 services the whole queue per
         trap) by kicking once at the end via :meth:`kick`.
         """
-        backend = self.backend
+        backend, endpoint = self.backend, self.endpoint
         if self._closed:
-            raise EndpointError(f"endpoint {self.endpoint.id} is closed")
-        if len(payload) > backend.max_pdu:
-            raise MessageTooLarge(f"{len(payload)} bytes > max PDU {backend.max_pdu}")
-        lookup_channel(self.endpoint, channel_id)  # protection check
-        self._reclaim_completed()
-        buffers = yield from self._compose_buffers(payload)
-        descriptor = SendDescriptor(
-            channel_id=channel_id,
-            segments=[(buf.index, length) for buf, length in buffers],
-        )
+            raise EndpointError(f"endpoint {endpoint.id} is closed")
+        length = len(payload)
+        if length > backend.max_pdu:
+            raise MessageTooLarge(f"{length} bytes > max PDU {backend.max_pdu}")
+        if channel_id not in endpoint.channels:
+            lookup_channel(endpoint, channel_id)  # protection check: raises
+        inflight = self._tx_inflight
+        if inflight and inflight[0][0].completed:
+            self._reclaim_completed()
+        area = endpoint.buffers
+        buf = area.try_alloc() if length <= area.buffer_size else None
+        if buf is not None:
+            # one buffer, free now: the compose copy straight into the area
+            area.storage[buf.offset:buf.offset + length] = payload
+            buf.length = length
+            held, segments = [buf], [(buf.index, length)]
+        else:
+            buffers = yield from self._compose_buffers(payload)
+            held = [buf for buf, _l in buffers]
+            segments = [(buf.index, chunk) for buf, chunk in buffers]
+        descriptor = SendDescriptor(channel_id, segments)
         # the copy, then the push: one wake at the sum the two sleeps reach
-        yield self.sim.until(self.sim.now + self.host.cpu.copy_time(len(payload)) + DESCRIPTOR_PUSH_US)
-        while self.endpoint.send_queue.is_full:
+        # (``Simulator.until`` without the call)
+        yield (self.sim._now + self.host.cpu.copy_time(length) + DESCRIPTOR_PUSH_US,)
+        send_queue = endpoint.send_queue
+        while len(send_queue.items) >= send_queue.capacity:
             # backpressure: wait for the NI/kernel to drain the queue
-            yield self.endpoint.wait_send_queue_space()
-        self.endpoint.post_send(descriptor)
-        self.endpoint.messages_sent += 1
-        self.endpoint.bytes_sent += len(payload)
-        self._tx_inflight.append((descriptor, [buf for buf, _l in buffers]))
+            yield endpoint.wait_send_queue_space()
+        endpoint.post_send(descriptor)
+        endpoint.messages_sent += 1
+        endpoint.bytes_sent += length
+        inflight.append((descriptor, held))
         if kick:
-            yield from backend.kick(self.endpoint)
+            yield from backend.kick(endpoint)
 
     def kick(self) -> Generator:
         """Explicitly notify the backend of pending send descriptors."""
@@ -197,7 +210,8 @@ class UserEndpoint(UserEndpointBase):
 
     def _compose_buffers(self, payload: bytes):
         """Process: split ``payload`` across as many buffers as it needs,
-        blocking while the buffer area is exhausted by in-flight sends."""
+        blocking while the buffer area is exhausted by in-flight sends
+        (what :meth:`send` falls back to when one free buffer will not do)."""
         size = self.endpoint.buffers.buffer_size
         if not payload:
             buf = yield from self._alloc_tx_buffer()
@@ -229,12 +243,13 @@ class UserEndpoint(UserEndpointBase):
     # -- receiving ---------------------------------------------------------
     def recv(self) -> Generator:
         """Process: block until a message arrives, then consume it."""
+        endpoint = self.endpoint
         while True:
-            blocked = self.endpoint.recv_queue.is_empty
-            yield self.endpoint.wait_receive()
+            blocked = not endpoint.recv_queue.items
+            yield endpoint.wait_receive()
             if blocked:
                 yield SELECT_WAKEUP_US
-            descriptor = self.endpoint.poll_receive()
+            descriptor = endpoint.poll_receive()
             if descriptor is not None:
                 yield DESCRIPTOR_POP_US
                 return self._consume(descriptor)

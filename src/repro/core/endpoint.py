@@ -89,6 +89,10 @@ class Endpoint:
         #: optional application signal handler, invoked (once per
         #: empty->non-empty transition) when messages arrive
         self._signal_handler: Optional[Callable[["Endpoint"], None]] = None
+        # the names of the waits below, built once, not per wait
+        self._wait_sq_name = f"ep{endpoint_id}.wait_sq"
+        self._wait_recv_name = f"ep{endpoint_id}.wait_recv"
+        self._wait_send_name = f"ep{endpoint_id}.wait_send"
         self._recv_waiters: List[Event] = []
         self._send_complete_waiters: List[Event] = []
         self._send_space_waiters: List[Event] = []
@@ -168,7 +172,7 @@ class Endpoint:
 
     def wait_send_queue_space(self) -> Event:
         """Event that fires when the send queue has (or gets) room."""
-        event = self.sim.event(name=f"ep{self.id}.wait_sq")
+        event = Event(self.sim, self._wait_sq_name)
         if not self.send_queue.is_full:
             event.succeed()
         else:
@@ -209,8 +213,8 @@ class Endpoint:
         Models blocking in ``select()``.  The caller must then
         :meth:`poll_receive`; a fired event does not consume the message.
         """
-        event = self.sim.event(name=f"ep{self.id}.wait_recv")
-        if not self.recv_queue.is_empty:
+        event = Event(self.sim, self._wait_recv_name)
+        if self.recv_queue.items:
             event.succeed()
         else:
             self._recv_waiters.append(event)
@@ -266,7 +270,7 @@ class Endpoint:
 
     def wait_send_complete(self) -> Event:
         """Event that fires at the next send completion."""
-        event = self.sim.event(name=f"ep{self.id}.wait_send")
+        event = Event(self.sim, self._wait_send_name)
         self._send_complete_waiters.append(event)
         return event
 

@@ -20,20 +20,18 @@ small-message traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
 from ..core.base import SimulatedNetwork
 from ..core.channels import connect_pair
-from ..core.descriptors import SMALL_MESSAGE_MAX
-from ..core.endpoint import Endpoint
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
 from ..sim import RngRegistry, Simulator
-from .dc21140 import Dc21140, NicTimings, TxRingDescriptor
+from .dc21140 import Dc21140, NicTimings
 from .frames import EthernetFrame
 from .medium import SharedMedium
-from .unet_fe import TX_TRACE, FeTimings, UNetFeBackend
+from .unet_fe import FeTimings, UNetFeBackend
 
 __all__ = ["BondedTag", "DualNicFeBackend", "BeowulfNetwork"]
 
@@ -65,7 +63,7 @@ class DualNicFeBackend(UNetFeBackend):
         self.macs = macs
         self.nic_b = Dc21140(sim, macs[1], bus=bus, timings=nic_timings, name=f"{name}.nicB")
         self.nic_b.trace = self.trace
-        self.nic_b.interrupt = self._interrupt
+        self.nic_b.interrupt = self._irq.assert_irq
         self.nic_b.on_tx_space = self._tx_space_available
         self.nics.append(self.nic_b)
         self._rail = 0
@@ -74,41 +72,16 @@ class DualNicFeBackend(UNetFeBackend):
         self.nic.attach(attachment_a)
         self.nic_b.attach(attachment_b)
 
-    def _service_send(self, endpoint: Endpoint, descriptor) -> Generator:
-        binding = endpoint.channels.get(descriptor.channel_id)
-        if binding is None or not isinstance(binding.tag, BondedTag):
-            yield from super()._service_send(endpoint, descriptor)
-            return
-        t = self.timings
-        yield from self._step(TX_TRACE, "check U-Net send parameters", t.check_send_params_us)
-        tag: BondedTag = binding.tag
-        payload = b"".join(
-            endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
-        )
+    def _frame_for(self, tag, payload: bytes) -> Tuple[EthernetFrame, Dc21140, bool]:
+        """A bonded channel's sends alternate rails, each polled as soon
+        as its frame is on its ring."""
+        if not isinstance(tag, BondedTag):
+            return super()._frame_for(tag, payload)
         rail = self._rail
-        self._rail = 1 - self._rail
-        frame = EthernetFrame(
-            dst_mac=tag.dst_macs[rail],
-            src_mac=tag.src_macs[rail],
-            dst_port=tag.dst_port,
-            src_port=tag.src_port,
-            payload=payload,
-        )
-        # header and ring-descriptor set-up: nothing is seen between them, one wake
-        start = self.sim.now
-        ring_start = start + t.ethernet_header_setup_us
-        yield self.sim.until(ring_start + t.ring_descriptor_setup_us)
-        self.trace.record(start, t.ethernet_header_setup_us, TX_TRACE, "Ethernet header set-up")
-        self.trace.record(ring_start, t.ring_descriptor_setup_us, TX_TRACE, "device send ring descriptor set-up")
-
-        def complete(d=descriptor, ep=endpoint):
-            ep.send_completed(d)
-
-        nic = self.nics[rail]
-        nic.tx_ring.push(TxRingDescriptor(frame=frame, on_complete=complete))
-        nic.poll_demand()
-        binding.messages_sent += 1
-        self.messages_sent += 1
+        self._rail = 1 - rail
+        return EthernetFrame(dst_mac=tag.dst_macs[rail], src_mac=tag.src_macs[rail],
+                             dst_port=tag.dst_port, src_port=tag.src_port,
+                             payload=payload), self.nics[rail], True
 
 
 class BeowulfNetwork(SimulatedNetwork):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
-from ..sim import BoundedRing, Simulator, Store, TraceRecorder
+from ..sim import BoundedRing, Process, Simulator, Store, TraceRecorder
 from .frames import COLLECTIVE_PORT, ETH_HEADER_SIZE, EthernetFrame, MacAddress
 from .medium import Attachment, ExcessiveCollisions
 
@@ -109,12 +109,14 @@ class Dc21140:
         #: where its steps are recorded: the host NI's stream (the backend
         #: sets it); a bare chip's own
         self.trace = TraceRecorder(enabled=False)
+        self._rx_name = f"{name}.rx"  # one receive process per frame: named once
         sim.process(self._tx_engine(), name=f"{name}.tx")
         sim.process(self._tx_wire(), name=f"{name}.txwire")
 
     def _span(self, label: str, start: float) -> None:
-        if self.trace.listeners:
-            self.trace.record(start, self.sim._now - start, "nic", f"{self.name}: {label}")
+        """Record a step that began at ``start``; the engines call it only
+        under ``if self.trace.listeners:``."""
+        self.trace.record(start, self.sim._now - start, "nic", f"{self.name}: {label}")
 
     def attach(self, attachment: Attachment) -> None:
         self.attachment = attachment
@@ -128,25 +130,40 @@ class Dc21140:
             self._poll_demand.try_put(True)
 
     def _tx_engine(self):
-        t = self.timings
+        sim, t, dma = self.sim, self.timings, self.dma
+        ring, arbiter = self.tx_ring.items, dma.arbiter
         while True:
             yield self._poll_demand.get()
             self._tx_running = True
-            while True:
-                was_full = self.tx_ring.is_full
-                descriptor = self.tx_ring.try_pop()
-                if descriptor is None:
-                    break
+            while ring:
+                was_full = len(ring) >= self.tx_ring.capacity
+                descriptor = ring.popleft()
                 if was_full and self.on_tx_space is not None:
                     self.on_tx_space()
-                t0 = self.sim.now
+                t0 = sim._now
                 yield t.tx_descriptor_fetch_us
-                self._span("fetch TX descriptor", t0)
-                # DMA the kernel header buffer + the user data buffer
+                if self.trace.listeners:
+                    self._span("fetch TX descriptor", t0)
+                # DMA the kernel header buffer + the user data buffer:
+                # DmaEngine.transfer's steps, in this frame
                 frame_bytes = ETH_HEADER_SIZE + len(descriptor.frame.payload)
-                t0 = self.sim.now
-                yield from self.dma.transfer(frame_bytes)
-                self._span("DMA frame into FIFO", t0)
+                t0 = sim._now
+                if arbiter.in_use < arbiter.capacity:
+                    arbiter.in_use += 1
+                else:
+                    yield arbiter.acquire()
+                yield dma.bus.transfer_time(frame_bytes)
+                dma.bytes_transferred += frame_bytes
+                dma.transfers += 1
+                if arbiter.waiters:
+                    arbiter.waiters.popleft().succeed()
+                else:
+                    arbiter.in_use -= 1
+                queue = sim._queue
+                if queue and queue[0][0] <= sim._now:
+                    yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
+                if self.trace.listeners:
+                    self._span("DMA frame into FIFO", t0)
                 yield t.tx_fifo_threshold_us
                 # the frame now sits in the chip FIFO: the host buffers are
                 # no longer needed even though the wire may lag behind
@@ -170,7 +187,8 @@ class Dc21140:
                 queue = sim._queue
                 if queue and queue[0][0] <= sim._now:
                     yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
-                self._span("serialize frame onto the wire", t0)
+                if self.trace.listeners:
+                    self._span("serialize frame onto the wire", t0)
                 self.frames_sent += 1
             except ExcessiveCollisions:
                 self.tx_collision_drops += 1
@@ -187,7 +205,7 @@ class Dc21140:
             self.collective_frames_received += 1
             self.sim.call_in(self.timings.collective_op_us, self._collective_deliver, frame)
             return
-        self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
+        Process(self.sim, self._rx_frame(frame), self._rx_name)
 
     # ---------------------------------------------------- collective engine
     # A what-if extension (the DC21140 itself has no programmable core):
@@ -209,20 +227,38 @@ class Dc21140:
             self._tx_fifo.put(descriptor)  # full: queue behind the frames already waiting
 
     def _rx_frame(self, frame: EthernetFrame):
-        t = self.timings
-        if self.rx_ring.is_full:
+        if len(self.rx_ring.items) >= self.rx_ring.capacity:
             self.rx_overflow_drops += 1
             return
-        t0 = self.sim.now
+        sim, t, dma = self.sim, self.timings, self.dma
+        t0 = sim._now
         yield t.rx_dma_start_us
-        yield from self.dma.transfer(ETH_HEADER_SIZE + len(frame.payload))
-        self._span("DMA frame into host ring buffer", t0)
+        # DmaEngine.transfer's steps, in this frame (as in _tx_engine)
+        frame_bytes = ETH_HEADER_SIZE + len(frame.payload)
+        arbiter = dma.arbiter
+        if arbiter.in_use < arbiter.capacity:
+            arbiter.in_use += 1
+        else:
+            yield arbiter.acquire()
+        yield dma.bus.transfer_time(frame_bytes)
+        dma.bytes_transferred += frame_bytes
+        dma.transfers += 1
+        if arbiter.waiters:
+            arbiter.waiters.popleft().succeed()
+        else:
+            arbiter.in_use -= 1
+        queue = sim._queue
+        if queue and queue[0][0] <= sim._now:
+            yield 0.0
+        if self.trace.listeners:
+            self._span("DMA frame into host ring buffer", t0)
         if not self.rx_ring.try_push(RxRingBuffer(frame=frame)):
             self.rx_overflow_drops += 1
             return
         self.frames_received += 1
-        t0 = self.sim.now
+        t0 = sim._now
         yield t.rx_interrupt_delay_us
-        self._span("raise receive interrupt", t0)
+        if self.trace.listeners:
+            self._span("raise receive interrupt", t0)
         if self.interrupt is not None:
             self.interrupt()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hw.bus import Link
-from ..sim import Event, Simulator
+from ..sim import AnyOf, Event, Simulator, Timeout
 from ..sim.rng import RngRegistry
 from .frames import EthernetFrame, wire_time_us
 
@@ -96,16 +96,9 @@ class SharedMedium:
         self.stations.append(station)
         return station
 
-    @property
-    def busy(self) -> bool:
-        return bool(self._active)
-
     def _wait_idle(self) -> Event:
-        event = self.sim.event(name="medium.idle")
-        if not self.busy:
-            event.succeed()
-        else:
-            self._idle_waiters.append(event)
+        event = Event(self.sim, "medium.idle")
+        self._idle_waiters.append(event)
         return event
 
     def _gone_idle(self) -> None:
@@ -114,31 +107,29 @@ class SharedMedium:
             for event in waiters:
                 event.succeed()
 
-    def _in_blind_window(self) -> bool:
-        """True when an active transmission is too young to be sensed."""
-        return any(self.sim.now - tx.start < COLLISION_WINDOW_US for tx in self._active)
-
     def _transmit(self, station: "HubAttachment", frame: EthernetFrame):
+        sim, active = self.sim, self._active
         attempts = 0
         while True:
-            # carrier sense, then wait the inter-frame gap
-            while self.busy and not self._in_blind_window():
+            # carrier sense, then wait the inter-frame gap; a transmission
+            # younger than the blind window is not sensed yet
+            while active and all(sim._now - tx.start >= COLLISION_WINDOW_US for tx in active):
                 yield self._wait_idle()
             yield IFG_US
-            if self.busy and not self._in_blind_window():
+            if active and all(sim._now - tx.start >= COLLISION_WINDOW_US for tx in active):
                 continue
-            tx = _ActiveTx(self.sim.event(name="collision"), self.sim.now)
-            self._active.append(tx)
-            if len(self._active) > 1:
+            tx = _ActiveTx(Event(sim, "collision"), sim._now)
+            active.append(tx)
+            if len(active) > 1:
                 # starts within the blind window: everyone active collides
                 self.collisions += 1
-                for active in list(self._active):
-                    if not active.collision.triggered:
-                        active.collision.succeed()
-            finish = self.sim.timeout(wire_time_us(frame, self.rate_mbps))
-            yield self.sim.any_of([finish, tx.collision])
-            if tx.collision.triggered:
-                self._active.remove(tx)
+                for other in list(active):
+                    if not other.collision._triggered:
+                        other.collision.succeed()
+            finish = Timeout(sim, wire_time_us(frame, self.rate_mbps))
+            yield AnyOf(sim, [finish, tx.collision])
+            if tx.collision._triggered:
+                active.remove(tx)
                 self._gone_idle()
                 yield JAM_US
                 attempts += 1
@@ -149,7 +140,7 @@ class SharedMedium:
                 yield backoff_slots * SLOT_TIME_US
                 continue
             # success: broadcast to every other station
-            self._active.remove(tx)
+            active.remove(tx)
             self._gone_idle()
             self.frames_carried += 1
             for other in self.stations:
@@ -166,7 +157,7 @@ class HubAttachment(Attachment):
         self.receive: Optional[Callable[[EthernetFrame], None]] = None
 
     def transmit(self, frame: EthernetFrame):
-        yield from self.medium._transmit(self, frame)
+        return self.medium._transmit(self, frame)  # the CSMA/CD process itself: no frame of ours per wait
 
     def set_receiver(self, receive: Callable[[EthernetFrame], None]) -> None:
         self.receive = receive

@@ -17,10 +17,10 @@ regenerates the two timeline figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from functools import partial
+from typing import Generator, Optional, Tuple
 
 from ..core.base import UNetBackend
-from ..core.channels import EthernetTag
 from ..core.descriptors import SMALL_MESSAGE_MAX, RecvDescriptor
 from ..core.endpoint import Endpoint
 from ..hw.bus import PCI_BUS, BusModel
@@ -116,7 +116,6 @@ class UNetFeBackend(UNetBackend):
         self.timings = timings or FeTimings.for_cpu(cpu)
         self.nic = Dc21140(sim, mac, bus=bus, timings=nic_timings, name=f"{name}.nic")
         self.nic.trace = self.trace
-        self.nic.interrupt = self._interrupt
         #: all controllers this kernel services (Beowulf-style bonding
         #: appends a second one; see ethernet.bonding)
         self.nics = [self.nic]
@@ -124,6 +123,7 @@ class UNetFeBackend(UNetBackend):
         #: handlers serialize on it
         self.kernel_cpu = Resource(sim, capacity=1, name=f"{name}.cpu")
         self._irq = InterruptController(sim, cpu, self._rx_handler, name=f"{name}.irq")
+        self.nic.interrupt = self._irq.assert_irq
         #: endpoints whose send queues could not be fully serviced
         #: because the device ring filled; drained on TX-done
         self._deferred_service: set = set()
@@ -184,18 +184,27 @@ class UNetFeBackend(UNetBackend):
         return [(nic, "_on_frame") for nic in self.nics]
 
     # ------------------------------------------------------------- transmit
+    # Both kernel paths spend one frame per modelled step: each step is a
+    # bare wait in the path's own generator (``yield duration``, or
+    # ``yield (instant,)``, which is ``Simulator.until(instant)`` without
+    # the call), then its record, built only for a listener.
     def kick(self, endpoint: Endpoint) -> Generator:
         """The fast trap: service the endpoint's entire send queue."""
-        t = self.timings
-        if not self.kernel_cpu.try_acquire():
-            yield self.kernel_cpu.acquire()
+        sim, t, cpu, trace = self.sim, self.timings, self.cpu, self.trace
+        kernel = self.kernel_cpu
+        if kernel.in_use < kernel.capacity:
+            kernel.in_use += 1
+        else:
+            yield kernel.acquire()
         try:
-            start = self.sim.now
-            yield self.cpu.trap_entry_us
-            self.trace.record(start, self.cpu.trap_entry_us, TX_TRACE, "trap entry overhead", begin=True)
+            start = sim._now
+            yield cpu.trap_entry_us
+            if trace.listeners:
+                trace.record(start, cpu.trap_entry_us, TX_TRACE, "trap entry overhead", begin=True)
             serviced = 0
+            tx_ring = self.nic.tx_ring
             while True:
-                if self.nic.tx_ring.is_full:
+                if len(tx_ring.items) >= tx_ring.capacity:
                     # device ring exhausted: leave the rest on the U-Net
                     # send queue; the TX-done path resumes service
                     self._deferred_service.add(endpoint.id)
@@ -203,75 +212,86 @@ class UNetFeBackend(UNetBackend):
                 descriptor = endpoint.take_send_descriptor()
                 if descriptor is None:
                     break
-                yield from self._service_send(endpoint, descriptor)
                 serviced += 1
+                start = sim._now
+                yield t.check_send_params_us
+                if trace.listeners:
+                    trace.record(start, t.check_send_params_us, TX_TRACE, "check U-Net send parameters")
+                binding = endpoint.channels.get(descriptor.channel_id)
+                if binding is None:
+                    continue  # protection: drop silently, as hardware would
+                # the segments, validated by post_send, straight from the area
+                storage, size = endpoint.buffers.storage, endpoint.buffers.buffer_size
+                segments = descriptor.segments
+                if len(segments) == 1:
+                    idx, length = segments[0]
+                    payload = storage[idx * size:idx * size + length]
+                else:
+                    payload = b"".join(storage[idx * size:idx * size + length]
+                                       for idx, length in segments)
+                frame, nic, poll_now = self._frame_for(binding.tag, payload)
+                # header set-up (and encapsulation), then the ring descriptor:
+                # nothing is seen between them, so one wake at the sum they reach
+                start = sim._now
+                ring_start = header_end = start + t.ethernet_header_setup_us
+                encapsulated = frame.dst_port == 0
+                if encapsulated:
+                    ring_start = header_end + t.ip_encap_us
+                yield (ring_start + t.ring_descriptor_setup_us,)
+                if trace.listeners:
+                    trace.record(start, t.ethernet_header_setup_us, TX_TRACE, "Ethernet header set-up")
+                    if encapsulated:
+                        trace.record(header_end, t.ip_encap_us, TX_TRACE, "IPv4/UDP encapsulation")
+                    trace.record(ring_start, t.ring_descriptor_setup_us, TX_TRACE,
+                                 "device send ring descriptor set-up")
+                nic.tx_ring.push(TxRingDescriptor(frame=frame,
+                                                  on_complete=partial(endpoint.send_completed, descriptor)))
+                if poll_now:
+                    nic.poll_demand()
+                binding.messages_sent += 1
+                self.messages_sent += 1
             if serviced:
-                yield from self._step(TX_TRACE, "issue poll demand to DC21140", t.issue_poll_demand_us)
+                start = sim._now
+                yield t.issue_poll_demand_us
+                if trace.listeners:
+                    trace.record(start, t.issue_poll_demand_us, TX_TRACE, "issue poll demand to DC21140")
                 self.nic.poll_demand()
                 # steady state: each trap also reclaims the rings entries
                 # of previously transmitted messages (Fig. 3 steps 6-7);
                 # nothing is seen between them and the return: one wake
-                start = self.sim.now
+                start = sim._now
                 entry_start = start + t.free_ring_descriptor_us
                 return_start = entry_start + t.free_send_queue_entry_us
-                yield self.sim.until(return_start + self.cpu.trap_return_us)
-                self.trace.record(start, t.free_ring_descriptor_us, TX_TRACE,
-                                  "free send ring descriptor of previous message")
-                self.trace.record(entry_start, t.free_send_queue_entry_us, TX_TRACE,
-                                  "free U-Net send queue entry of previous message")
-                self.trace.record(return_start, self.cpu.trap_return_us, TX_TRACE, "return from trap")
+                yield (return_start + cpu.trap_return_us,)
+                if trace.listeners:
+                    trace.record(start, t.free_ring_descriptor_us, TX_TRACE,
+                                 "free send ring descriptor of previous message")
+                    trace.record(entry_start, t.free_send_queue_entry_us, TX_TRACE,
+                                 "free U-Net send queue entry of previous message")
+                    trace.record(return_start, cpu.trap_return_us, TX_TRACE, "return from trap")
             else:
-                yield from self._step(TX_TRACE, "return from trap", self.cpu.trap_return_us)
+                start = sim._now
+                yield cpu.trap_return_us
+                if trace.listeners:
+                    trace.record(start, cpu.trap_return_us, TX_TRACE, "return from trap")
         finally:
-            self.kernel_cpu.release()
+            if kernel.waiters:
+                kernel.waiters.popleft().succeed()
+            else:
+                kernel.in_use -= 1
 
-    def _service_send(self, endpoint: Endpoint, descriptor) -> Generator:
-        t = self.timings
-        yield from self._step(TX_TRACE, "check U-Net send parameters", t.check_send_params_us)
-        binding = endpoint.channels.get(descriptor.channel_id)
-        if binding is None:
-            return  # protection: drop silently, as hardware would
-        payload = b"".join(
-            endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
-        )
-        # header set-up (and encapsulation), then the ring descriptor:
-        # nothing is seen between them, so one wake at the sum they reach
-        start = self.sim.now
-        ring_start = header_end = start + t.ethernet_header_setup_us
-        encapsulated = isinstance(binding.tag, IpTag)
-        if encapsulated:
-            tag: IpTag = binding.tag
-            ring_start = header_end + t.ip_encap_us
-            datagram = build_ipv4_udp(tag.src_ip, tag.dst_ip, tag.src_udp, tag.dst_udp, payload)
+    def _frame_for(self, tag, payload: bytes) -> Tuple[EthernetFrame, Dc21140, bool]:
+        """A send on a channel tagged ``tag``: the frame carrying
+        ``payload``, the controller whose ring takes it, and whether to
+        poll that controller as soon as it is pushed (the trap's own poll
+        demand, after the last descriptor, goes to :attr:`nic`)."""
+        if isinstance(tag, IpTag):
             # U-Net port 0 marks IP-encapsulated traffic on the wire
-            frame = EthernetFrame(
-                dst_mac=tag.next_hop_mac,
-                src_mac=self.mac,
-                dst_port=0,
-                src_port=0,
-                payload=datagram,
-            )
-        else:
-            eth_tag: EthernetTag = binding.tag
-            frame = EthernetFrame(
-                dst_mac=eth_tag.dst_mac,
-                src_mac=eth_tag.src_mac,
-                dst_port=eth_tag.dst_port,
-                src_port=eth_tag.src_port,
-                payload=payload,
-            )
-        yield self.sim.until(ring_start + t.ring_descriptor_setup_us)
-        self.trace.record(start, t.ethernet_header_setup_us, TX_TRACE, "Ethernet header set-up")
-        if encapsulated:
-            self.trace.record(header_end, t.ip_encap_us, TX_TRACE, "IPv4/UDP encapsulation")
-        self.trace.record(ring_start, t.ring_descriptor_setup_us, TX_TRACE, "device send ring descriptor set-up")
-
-        def complete(d=descriptor, ep=endpoint):
-            ep.send_completed(d)
-
-        self.nic.tx_ring.push(TxRingDescriptor(frame=frame, on_complete=complete))
-        binding.messages_sent += 1
-        self.messages_sent += 1
+            datagram = build_ipv4_udp(tag.src_ip, tag.dst_ip, tag.src_udp, tag.dst_udp, payload)
+            return EthernetFrame(dst_mac=tag.next_hop_mac, src_mac=self.mac,
+                                 dst_port=0, src_port=0, payload=datagram), self.nic, False
+        return EthernetFrame(dst_mac=tag.dst_mac, src_mac=tag.src_mac, dst_port=tag.dst_port,
+                             src_port=tag.src_port, payload=payload), self.nic, False
 
     def _tx_space_available(self) -> None:
         """TX-done: resume servicing send queues the ring cut short."""
@@ -283,47 +303,52 @@ class UNetFeBackend(UNetBackend):
             if endpoint is not None and not endpoint.send_queue.is_empty:
                 self.sim.process(self.kick(endpoint), name=f"{self.name}.txdone-service")
 
-    def _step(self, category: str, label: str, duration: float) -> Generator:
-        start = self.sim.now
-        yield duration
-        self.trace.record(start, duration, category, label)
-
     # -------------------------------------------------------------- receive
-    def _interrupt(self) -> None:
-        self._irq.assert_irq()
-
     def _rx_handler(self) -> Generator:
         """The kernel receive interrupt routine (Figure 4)."""
-        t = self.timings
-        if not self.kernel_cpu.try_acquire():
-            yield self.kernel_cpu.acquire()
+        sim, t, cpu, trace = self.sim, self.timings, self.cpu, self.trace
+        kernel = self.kernel_cpu
+        if kernel.in_use < kernel.capacity:
+            kernel.in_use += 1
+        else:
+            yield kernel.acquire()
         try:
-            self.trace.record(self.sim.now - self.cpu.interrupt_entry_us, self.cpu.interrupt_entry_us,
-                              RX_TRACE, "interrupt handler entry", begin=True)
+            if trace.listeners:
+                trace.record(sim._now - cpu.interrupt_entry_us, cpu.interrupt_entry_us,
+                             RX_TRACE, "interrupt handler entry", begin=True)
+            nics = self.nics
             while True:
-                yield from self._step(RX_TRACE, "poll device recv ring", t.poll_recv_ring_us)
-                slot = None
-                for nic in self.nics:
-                    slot = nic.rx_ring.try_pop()
-                    if slot is not None:
+                start = sim._now
+                yield t.poll_recv_ring_us
+                if trace.listeners:
+                    trace.record(start, t.poll_recv_ring_us, RX_TRACE, "poll device recv ring")
+                for nic in nics:
+                    ring = nic.rx_ring.items
+                    if ring:
+                        frame = ring.popleft().frame
                         break
-                if slot is None:
+                else:
                     break
-                frame = slot.frame
                 payload = frame.payload
                 if frame.dst_port == 0:
                     # IPv4-encapsulated traffic (port 0 marker)
-                    yield from self._step(RX_TRACE, "IPv4/UDP validation", t.ip_parse_us)
+                    start = sim._now
+                    yield t.ip_parse_us
+                    if trace.listeners:
+                        trace.record(start, t.ip_parse_us, RX_TRACE, "IPv4/UDP validation")
                     try:
                         src_ip, dst_ip, src_udp, dst_udp, _ttl, payload = parse_ipv4_udp(payload)
                     except IpHeaderError:
                         self.ip_header_drops += 1
                         continue
-                    yield from self._step(RX_TRACE, "demux to correct endpoint", t.demux_us)
-                    target = self.demux.lookup((src_ip, src_udp, dst_udp))
+                    key = (src_ip, src_udp, dst_udp)
                 else:
-                    yield from self._step(RX_TRACE, "demux to correct endpoint", t.demux_us)
-                    target = self.demux.lookup((frame.src_mac, frame.src_port, frame.dst_port))
+                    key = (frame.src_mac, frame.src_port, frame.dst_port)
+                start = sim._now
+                yield t.demux_us
+                if trace.listeners:
+                    trace.record(start, t.demux_us, RX_TRACE, "demux to correct endpoint")
+                target = self.demux.lookup(key)
                 if target is None:
                     continue
                 endpoint, channel_id = target
@@ -333,53 +358,77 @@ class UNetFeBackend(UNetBackend):
                     self.quarantine_drops += 1
                     endpoint.note_drop("quarantine_drops")
                     continue
-                yield from self._deliver_payload(endpoint, channel_id, payload)
-                yield from self._step(RX_TRACE, "bump device recv ring", t.bump_recv_ring_us)
-            self.trace.record(self.sim.now, self.cpu.interrupt_return_us, RX_TRACE, "return from interrupt")
+                length = len(payload)
+                if self.small_message_optimization and length <= SMALL_MESSAGE_MAX:
+                    # the descriptor set-up and the copy into it: one wake
+                    copy_us = t.copy_fixed_us + cpu.copy_time(length)
+                    start = sim._now
+                    copy_start = start + t.alloc_init_recv_descriptor_us
+                    yield (copy_start + copy_us,)
+                    if trace.listeners:
+                        trace.record(start, t.alloc_init_recv_descriptor_us, RX_TRACE,
+                                     "alloc+init U-Net recv descr")
+                        trace.record(copy_start, copy_us, RX_TRACE, f"copy {length} byte message")
+                    descriptor = RecvDescriptor(channel_id, length, payload)
+                else:
+                    descriptor = yield from self._copy_to_buffers(endpoint, channel_id, payload)
+                if descriptor is not None:
+                    if endpoint.deliver(descriptor):
+                        self.messages_received += 1
+                    else:
+                        self.recv_queue_drops += 1
+                        for idx, _l in descriptor.segments:
+                            endpoint.free_queue.try_push(idx)
+                start = sim._now
+                yield t.bump_recv_ring_us
+                if trace.listeners:
+                    trace.record(start, t.bump_recv_ring_us, RX_TRACE, "bump device recv ring")
+            if trace.listeners:
+                trace.record(sim._now, cpu.interrupt_return_us, RX_TRACE, "return from interrupt")
         finally:
-            self.kernel_cpu.release()
+            if kernel.waiters:
+                kernel.waiters.popleft().succeed()
+            else:
+                kernel.in_use -= 1
 
-    def _deliver_payload(self, endpoint: Endpoint, channel_id: int, payload: bytes) -> Generator:
-        t = self.timings
-        if self.small_message_optimization and len(payload) <= SMALL_MESSAGE_MAX:
-            # the descriptor set-up and the copy into it: one wake
-            copy_us = t.copy_fixed_us + self.cpu.copy_time(len(payload))
-            start = self.sim.now
-            copy_start = start + t.alloc_init_recv_descriptor_us
-            yield self.sim.until(copy_start + copy_us)
-            self.trace.record(start, t.alloc_init_recv_descriptor_us, RX_TRACE, "alloc+init U-Net recv descr")
-            self.trace.record(copy_start, copy_us, RX_TRACE, f"copy {len(payload)} byte message")
-            descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), inline=payload)
-        else:
-            yield from self._step(RX_TRACE, "alloc+init U-Net recv descr", t.alloc_init_recv_descriptor_us)
-            segments = []
-            offset = 0
-            size = endpoint.buffers.buffer_size
-            while offset < len(payload):
-                yield from self._step(RX_TRACE, "allocate U-Net recv buffer", t.alloc_unet_buffer_us)
-                index = endpoint.take_free_buffer()
-                if index is None:
-                    self.no_buffer_drops += 1
-                    endpoint.note_drop("no_buffer_drops")
-                    for idx, _l in segments:
-                        endpoint.free_queue.try_push(idx)
-                    return
-                chunk = payload[offset : offset + size]
-                copy_us = t.copy_fixed_us + self.cpu.copy_time(len(chunk))
-                yield from self._step(RX_TRACE, f"copy {len(chunk)} byte message", copy_us)
-                if endpoint.closed:
-                    endpoint.note_drop("recv_queue_drops")  # destroyed mid-copy: its buffers are gone
-                    self.recv_queue_drops += 1
-                    return
-                buf = endpoint.buffers.buffer(index)
-                buf.clear()
-                buf.write(chunk)
-                segments.append((index, len(chunk)))
-                offset += len(chunk)
-            descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), segments=segments)
-        if not endpoint.deliver(descriptor):
-            self.recv_queue_drops += 1
-            for idx, _l in descriptor.segments:
-                endpoint.free_queue.try_push(idx)
-        else:
-            self.messages_received += 1
+    def _copy_to_buffers(self, endpoint: Endpoint, channel_id: int, payload: bytes) -> Generator:
+        """Sub-step of the handler for a message the small-message path
+        does not take: one receive buffer per ``buffer_size`` chunk, from
+        the free queue.  Returns the descriptor, or None when it dropped
+        the message."""
+        sim, t, cpu, trace = self.sim, self.timings, self.cpu, self.trace
+        start = sim._now
+        yield t.alloc_init_recv_descriptor_us
+        if trace.listeners:
+            trace.record(start, t.alloc_init_recv_descriptor_us, RX_TRACE, "alloc+init U-Net recv descr")
+        segments = []
+        offset = 0
+        size = endpoint.buffers.buffer_size
+        while offset < len(payload):
+            start = sim._now
+            yield t.alloc_unet_buffer_us
+            if trace.listeners:
+                trace.record(start, t.alloc_unet_buffer_us, RX_TRACE, "allocate U-Net recv buffer")
+            index = endpoint.take_free_buffer()
+            if index is None:
+                self.no_buffer_drops += 1
+                endpoint.note_drop("no_buffer_drops")
+                for idx, _l in segments:
+                    endpoint.free_queue.try_push(idx)
+                return None
+            chunk = payload[offset : offset + size]
+            copy_us = t.copy_fixed_us + cpu.copy_time(len(chunk))
+            start = sim._now
+            yield copy_us
+            if trace.listeners:
+                trace.record(start, copy_us, RX_TRACE, f"copy {len(chunk)} byte message")
+            if endpoint.closed:
+                endpoint.note_drop("recv_queue_drops")  # destroyed mid-copy: its buffers are gone
+                self.recv_queue_drops += 1
+                return None
+            buf = endpoint.buffers.buffer(index)
+            buf.clear()
+            buf.write(chunk)
+            segments.append((index, len(chunk)))
+            offset += len(chunk)
+        return RecvDescriptor(channel_id=channel_id, length=len(payload), segments=segments)

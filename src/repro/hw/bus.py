@@ -65,7 +65,10 @@ class DmaEngine:
     """A DMA master on its bus.
 
     Its transfers serialize through one :class:`~repro.sim.Resource`,
-    modelling bus arbitration.
+    :attr:`arbiter`, modelling bus arbitration.  A device whose engine
+    runs the transfer's steps in its own frame (the DC21140's) takes and
+    gives back the arbiter and counts the transfer as :meth:`transfer`
+    does.
     """
 
     COUNTERS = ("bytes_transferred", "transfers")
@@ -74,7 +77,7 @@ class DmaEngine:
         self.sim = sim
         self.bus = bus
         self.name = name
-        self._bus_resource = Resource(sim, capacity=1, name=f"{bus.name}-arb")
+        self.arbiter = Resource(sim, capacity=1, name=f"{bus.name}-arb")
         self.bytes_transferred = 0
         self.transfers = 0
 
@@ -82,19 +85,27 @@ class DmaEngine:
         """Sub-step (enter with ``yield from``): acquire the bus and move
         ``nbytes`` across it.  An idle bus costs the one heap entry of the
         transfer itself; only a contended one waits on an Event."""
-        if not self._bus_resource.try_acquire():
-            yield self._bus_resource.acquire()
+        arbiter = self.arbiter
+        if arbiter.in_use < arbiter.capacity:
+            arbiter.in_use += 1
+        else:
+            yield arbiter.acquire()
         try:
             yield self.bus.transfer_time(nbytes)
             self.bytes_transferred += max(0, nbytes)
             self.transfers += 1
         finally:
-            self._bus_resource.release()
+            if arbiter.waiters:
+                arbiter.waiters.popleft().succeed()
+            else:
+                arbiter.in_use -= 1
         # A sub-step that used to be a nested Process resumed its caller one
         # zero-delay hop after its last wake, i.e. behind whatever else was
         # already due at that instant.  The hop can order nothing when the
         # instant is otherwise empty, so it is taken only when it is not.
-        if self.sim.peek() <= self.sim._now:
+        sim = self.sim
+        queue = sim._queue
+        if queue and queue[0][0] <= sim._now:
             yield 0.0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
-from ..sim import Simulator
+from ..sim import Process, Simulator
 from .cpu import CpuModel
 
 __all__ = ["InterruptController"]
@@ -37,6 +37,7 @@ class InterruptController:
         self.cpu = cpu
         self.handler_factory = handler_factory
         self.name = name
+        self._dispatch_name = f"{name}-dispatch"  # one process per dispatch: named once
         self._pending = False
         self._running = False
         self._rerun = False
@@ -56,16 +57,18 @@ class InterruptController:
         if self._pending:
             return
         self._pending = True
-        self.sim.process(self._dispatch(), name=f"{self.name}-dispatch")
+        Process(self.sim, self._dispatch(), self._dispatch_name)
 
     def _dispatch(self) -> Generator:
+        sim = self.sim
         yield self.cpu.interrupt_entry_us
         self._pending = False
         self._running = True
         while True:
             self._rerun = False
             yield from self.handler_factory()
-            if self.sim.peek() <= self.sim.now:
+            queue = sim._queue
+            if queue and queue[0][0] <= sim._now:
                 yield 0.0  # queue behind same-instant peers (see DmaEngine.transfer)
             if not self._rerun:
                 break

@@ -182,7 +182,14 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator, name: Optional[str] = None) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        # Event.__init__ flattened, as in Timeout: one per process started
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self.name = name or getattr(generator, "__name__", "process")
         self.generator = generator
         self._target: Any = None
         self._alive = True

@@ -51,8 +51,11 @@ class Store(Generic[T]):
     def put(self, item: T) -> Event:
         """Event that fires once ``item`` has been deposited."""
         event = Event(self.sim, self._put_name)
-        if not self.is_full:
-            self._deposit(item)
+        if self.capacity is None or len(self._items) < self.capacity:
+            if self._getters:
+                self._getters.popleft().succeed(item)
+            else:
+                self._items.append(item)
             event.succeed()
         else:
             self._putters.append((event, item))
@@ -60,9 +63,12 @@ class Store(Generic[T]):
 
     def try_put(self, item: T) -> bool:
         """Non-blocking put; returns False when full."""
-        if self.is_full:
+        if self.capacity is not None and len(self._items) >= self.capacity:
             return False
-        self._deposit(item)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
         return True
 
     def get(self) -> Event:
@@ -70,7 +76,8 @@ class Store(Generic[T]):
         event = Event(self.sim, self._get_name)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
+            if self._putters:
+                self._admit_putter()
         else:
             self._getters.append(event)
         return event
@@ -80,7 +87,8 @@ class Store(Generic[T]):
         if not self._items:
             return None
         item = self._items.popleft()
-        self._admit_putter()
+        if self._putters:
+            self._admit_putter()
         return item
 
     def _deposit(self, item: T) -> None:
@@ -207,7 +215,15 @@ class BoundedRing(Generic[T]):
 
 
 class Resource:
-    """Counted resource with FIFO queued acquisition."""
+    """Counted resource with FIFO queued acquisition.
+
+    :attr:`in_use` and :attr:`waiters` are its state, as :attr:`BoundedRing.items`
+    is a ring's: a per-packet path takes a free unit with ``if r.in_use <
+    r.capacity: r.in_use += 1`` (else ``yield r.acquire()``) and gives it
+    back by succeeding the first waiter, or, with none, ``r.in_use -= 1``
+    (what :meth:`release` does, less the idle check), without a call per
+    step.
+    """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
         if capacity <= 0:
@@ -216,36 +232,35 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._acquire_name = f"{name}.acquire"
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
+        #: units held
+        self.in_use = 0
+        #: acquisitions waiting for a unit, oldest first
+        self.waiters: Deque[Event] = deque()
 
     @property
     def queued(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
     def try_acquire(self) -> bool:
         """Take a free unit on the spot (no Event, no heap entry); False when none is free."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if self.in_use < self.capacity:
+            self.in_use += 1
             return True
         return False
 
     def acquire(self) -> Event:
         event = Event(self.sim, self._acquire_name)
-        if self.try_acquire():
+        if self.in_use < self.capacity:
+            self.in_use += 1
             event.succeed()
         else:
-            self._waiters.append(event)
+            self.waiters.append(event)
         return event
 
     def release(self) -> None:
-        if self._in_use <= 0:
+        if self.in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name}")
-        if self._waiters:
-            self._waiters.popleft().succeed()
+        if self.waiters:
+            self.waiters.popleft().succeed()
         else:
-            self._in_use -= 1
+            self.in_use -= 1

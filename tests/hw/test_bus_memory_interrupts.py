@@ -73,7 +73,7 @@ def test_contended_dma_inline_waits_its_turn():
     sim.run()
     t_single = PCI_BUS.transfer_time(960)
     assert done == [("rx", t_single), ("tx", t_single + t_single)]
-    assert dma._bus_resource.in_use == 0
+    assert dma.arbiter.in_use == 0
 
 
 def test_dma_caller_resumes_behind_peers_due_at_the_same_instant():

@@ -34,11 +34,18 @@ ROUND_TRIPS = 20
 #: and the ``sim._now`` reads and guarded records of the cell path;
 #: 659.86 before the firmware's idle wait built its ``Event`` directly;
 #: 656.56 before the slotted ``RecvDescriptor`` / ``Packet``, the
-#: single-check ring pushes and the guarded AM records
-CALLS_PER_MESSAGE = 640.92
+#: single-check ring pushes and the guarded AM records; 640.92 before
+#: ``UserEndpoint.send`` composed a one-buffer payload itself and the
+#: DMA sub-step read the arbiter and the heap head directly
+CALLS_PER_MESSAGE = 576.38
 
-#: calls into ``src/repro`` per 40-byte round trip on the hub
-CALLS_PER_HUB_ROUND_TRIP = 523.75
+#: calls into ``src/repro`` per 40-byte round trip on the hub.  523.75
+#: before the trap and the interrupt handler slept each step in their
+#: own frame (no ``_step`` / ``_service_send`` / ``_deliver_payload``
+#: sub-generators, records built only for a listener, ``sim._now``),
+#: the DC21140 ran its DMA steps inline and the hub station handed out
+#: the CSMA/CD process itself
+CALLS_PER_HUB_ROUND_TRIP = 299.4
 
 
 def test_python_calls_per_atm_message_are_pinned():
