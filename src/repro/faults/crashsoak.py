@@ -440,7 +440,11 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
 
 # ---------------------------------------------------------------- reporting
 def render_crash_table(results: Sequence[CrashSoakResult]) -> str:
-    header = (f"{'scenario':<12} {'substrate':<10} {'sent':>5} {'deliv':>6} "
+    # the name columns are as wide as their widest entry: a row's columns
+    # start where the header's do
+    name = max([12] + [len(r.scenario) for r in results])
+    substrate = max([10] + [len(r.substrate) for r in results])
+    header = (f"{'scenario':<{name}} {'substrate':<{substrate}} {'sent':>5} {'deliv':>6} "
               f"{'dup':>4} {'aband':>6} {'kills':>6} {'recovery(ms)':>14} "
               f"{'stale':>6} {'ok':>4}")
     lines = [header, "-" * len(header)]
@@ -451,7 +455,7 @@ def render_crash_table(results: Sequence[CrashSoakResult]) -> str:
         else:
             rec = "-"
         lines.append(
-            f"{r.scenario:<12} {r.substrate:<10} {r.sent:>5} {r.delivered:>6} "
+            f"{r.scenario:<{name}} {r.substrate:<{substrate}} {r.sent:>5} {r.delivered:>6} "
             f"{r.duplicated:>4} {r.abandoned:>6} {r.restarts:>6} {rec:>14} "
             f"{r.stale_epoch_drops:>6} {'yes' if r.ok else 'NO':>4}")
     for r in results:

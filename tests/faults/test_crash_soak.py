@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,24 @@ def test_render_crash_table():
     assert "atm" in table
     assert "recovery(ms)" in table
     assert "recovery mean" in table
+
+
+def test_crash_table_rows_line_up_with_the_header():
+    """The name columns are as wide as the widest name: ``sigkill-udp``
+    (11) and ``live-batched`` (12) used to push their rows one or two
+    columns right of a 10-wide substrate header."""
+    result = run_crash_scenario(_reduced("atm-kill", messages=12, crashes=1))
+    rows = [dataclasses.replace(result, substrate=substrate, scenario=scenario)
+            for scenario, substrate in (("atm-kill", "atm"), ("sigkill", "sigkill-udp"),
+                                        ("live-kill", "live-batched"))]
+    header, _rule, *lines = render_crash_table(rows).splitlines()[:5]
+    spans = [m.span() for m in re.finditer(r"\S+", header)]
+    for line in lines:
+        fields = [m.span() for m in re.finditer(r"\S+", line)]
+        assert len(fields) == len(spans), line
+        # scenario and substrate are left-aligned, the numbers right-aligned
+        assert [f[0] for f in fields[:2]] == [s[0] for s in spans[:2]], (header, line)
+        assert [f[1] for f in fields[2:]] == [s[1] for s in spans[2:]], (header, line)
 
 
 @pytest.mark.parametrize("name", ["atm-kill", "fe-kill"])
