@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import networks
 from ..analysis.stats import percentile
-from ..artifact import Artifact
+from ..artifact import Artifact, Headline
 from ..core import EndpointConfig
 from ..core.cluster import ClusterHealthAggregator
 from ..core.errors import AdmissionRejected, EndpointError
@@ -861,11 +861,31 @@ _RUN_SCHEMA = {
 }
 
 
+def _headlines(payload: dict) -> List[Headline]:
+    """Per run: aggregate goodput, the healthy gold / best-effort
+    per-tenant goodput ratio (0 when best-effort delivered nothing) and
+    the messages every tenant lost."""
+    headlines: List[Headline] = []
+    for run in payload["runs"]:
+        name = f"{run['scenario']}[{run['substrate']}]"
+        gold = run["classes"][QOS_GOLD]["per_tenant_goodput_mbps"]
+        best_effort = run["classes"][QOS_BEST_EFFORT]["per_tenant_goodput_mbps"]
+        drops = sum(row["recv_queue_drops"] + row["no_buffer_drops"] + row["quarantine_drops"]
+                    for row in run["tenant_rows"])
+        headlines += [
+            (f"{name}.goodput_mbps", "higher", run["aggregate"]["goodput_mbps"]),
+            (f"{name}.gold_be_ratio", "higher", gold / best_effort if best_effort else 0.0),
+            (f"{name}.drops", "lower", drops),
+        ]
+    return headlines
+
+
 #: CI telemetry for full runs; the ``churn-bench`` run at seed 7 is
 #: committed as ``BENCH_multitenant.json`` and gated with ``diff``
 MULTITENANT_ARTIFACT = Artifact(
     format=_FORMAT,
     schema={"runs": [_RUN_SCHEMA]},
+    headlines=_headlines,
     non_empty=("runs",),
 )
 

@@ -1,6 +1,7 @@
 """``bench --compare``: headline-metric regression gating."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.analysis.benchcmp import (
     render_compare,
 )
 from repro.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _live_payload(p50=100.0, goodput=50.0, incast=40.0):
@@ -179,3 +182,26 @@ def test_cli_compare_refuses_a_file_it_cannot_compare_in_one_line(
     (line,) = captured.err.splitlines()
     assert line.startswith(f"{bad}: ") and complaint in line
     assert "repro-bench-transport/1" in line and "repro-bench-live/2" in line
+
+
+# -------------------------------------------------- committed multi-tenant
+def test_cli_compares_the_committed_multitenant_snapshot_with_itself(capsys):
+    """``BENCH_multitenant.json`` declares headlines, so the comparison CI
+    runs before its ``diff`` names what moved (it exited 2 before)."""
+    snapshot = str(ROOT / "BENCH_multitenant.json")
+    assert main(["bench", "--compare", snapshot, snapshot]) == 0
+    out = capsys.readouterr().out
+    for metric in ("goodput_mbps", "gold_be_ratio", "drops"):
+        assert f"churn-bench[ethernet].{metric}" in out
+
+
+def test_cli_names_the_multitenant_row_that_moved(tmp_path, capsys):
+    payload = json.loads((ROOT / "BENCH_multitenant.json").read_text())
+    payload["runs"][0]["aggregate"]["goodput_mbps"] /= 2
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(payload))
+    assert main(["bench", "--compare", str(ROOT / "BENCH_multitenant.json"),
+                 str(moved)]) == 1
+    problems = [line for line in capsys.readouterr().out.splitlines() if "!!" in line]
+    assert len(problems) == 1
+    assert "churn-bench[ethernet].goodput_mbps: regressed" in problems[0]
