@@ -51,11 +51,7 @@ class Store(Generic[T]):
     def put(self, item: T) -> Event:
         """Event that fires once ``item`` has been deposited."""
         event = Event(self.sim, self._put_name)
-        if self.capacity is None or len(self._items) < self.capacity:
-            if self._getters:
-                self._getters.popleft().succeed(item)
-            else:
-                self._items.append(item)
+        if self.try_put(item):
             event.succeed()
         else:
             self._putters.append((event, item))
@@ -91,16 +87,10 @@ class Store(Generic[T]):
             self._admit_putter()
         return item
 
-    def _deposit(self, item: T) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
     def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            putter, item = self._putters.popleft()
-            self._deposit(item)
+        putter, item = self._putters[0]
+        if self.try_put(item):
+            self._putters.popleft()
             putter.succeed()
 
 
