@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hw.bus import Link
-from ..sim import AnyOf, Event, Simulator, Timeout
+from ..sim import Event, Simulator
 from ..sim.rng import RngRegistry
 from .frames import EthernetFrame, wire_time_us
 
@@ -126,8 +126,8 @@ class SharedMedium:
                 for other in list(active):
                     if not other.collision._triggered:
                         other.collision.succeed()
-            finish = Timeout(sim, wire_time_us(frame, self.rate_mbps))
-            yield AnyOf(sim, [finish, tx.collision])
+            finish = sim.timeout(wire_time_us(frame, self.rate_mbps))
+            yield sim.any_of([finish, tx.collision])
             if tx.collision._triggered:
                 active.remove(tx)
                 self._gone_idle()

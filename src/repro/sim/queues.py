@@ -44,10 +44,6 @@ class Store(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
     def put(self, item: T) -> Event:
         """Event that fires once ``item`` has been deposited."""
         event = Event(self.sim, self._put_name)
@@ -240,8 +236,7 @@ class Resource:
 
     def acquire(self) -> Event:
         event = Event(self.sim, self._acquire_name)
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if self.try_acquire():
             event.succeed()
         else:
             self.waiters.append(event)

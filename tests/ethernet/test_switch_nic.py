@@ -260,7 +260,7 @@ def test_full_tx_fifo_still_back_pressures_collective_sends():
         nic1.send_collective(_collective_frame(dst=2, src=1, payload=bytes([i]) * 16))
     sim.run(until=nic1.timings.collective_op_us)
     # one on the wire, two staged, two held back by the full FIFO
-    assert len(nic1._tx_fifo) == 2 and nic1._tx_fifo.is_full
+    assert len(nic1._tx_fifo) == 2 == nic1._tx_fifo.capacity
     assert len(nic1._tx_fifo._putters) == 2
     sim.run()
     assert [payload[0] for _when, payload in arrivals] == [0, 1, 2, 3, 4]

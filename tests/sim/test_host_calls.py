@@ -45,7 +45,7 @@ CALLS_PER_MESSAGE = 576.38
 #: sub-generators, records built only for a listener, ``sim._now``),
 #: the DC21140 ran its DMA steps inline and the hub station handed out
 #: the CSMA/CD process itself
-CALLS_PER_HUB_ROUND_TRIP = 301.4
+CALLS_PER_HUB_ROUND_TRIP = 305.4
 
 
 def test_python_calls_per_atm_message_are_pinned():

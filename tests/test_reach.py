@@ -50,12 +50,9 @@ KEPT = {
     "repro.core.base:TrunkedFabric.hops_between": "fabric contract: switch hops of a route",
     # kernel and queue API
     "repro.sim.engine:Simulator.all_of": "kernel API: wait for every event of a list",
-    "repro.sim.engine:Simulator.any_of": "kernel API: wait for the first event of a list",
     "repro.sim.events:Process.is_alive": "kernel API: whether a process has finished",
     "repro.sim.queues:BoundedRing.free_slots": "queue API: room left in a ring",
     "repro.sim.queues:BoundedRing.on_nonempty": "queue API: wake a consumer on a push",
-    "repro.sim.queues:Resource.try_acquire":
-        "queue API: take a free unit or say no (the per-step paths test in_use)",
     "repro.hw.memory:BufferArea.alloc":
         "buffer-area API: take a buffer or raise (the data paths poll try_alloc)",
     "repro.live.bufpool:BufferPool.alloc":
