@@ -89,10 +89,9 @@ class Endpoint:
         #: optional application signal handler, invoked (once per
         #: empty->non-empty transition) when messages arrive
         self._signal_handler: Optional[Callable[["Endpoint"], None]] = None
-        # the names of the waits below, built once, not per wait
-        self._wait_sq_name = f"ep{endpoint_id}.wait_sq"
+        # the name of the per-message receive wait, built once (one
+        # attribute: past 30 an instance dict stops sharing its keys)
         self._wait_recv_name = f"ep{endpoint_id}.wait_recv"
-        self._wait_send_name = f"ep{endpoint_id}.wait_send"
         self._recv_waiters: List[Event] = []
         self._send_complete_waiters: List[Event] = []
         self._send_space_waiters: List[Event] = []
@@ -172,7 +171,7 @@ class Endpoint:
 
     def wait_send_queue_space(self) -> Event:
         """Event that fires when the send queue has (or gets) room."""
-        event = Event(self.sim, self._wait_sq_name)
+        event = self.sim.event(name=f"ep{self.id}.wait_sq")
         if not self.send_queue.is_full:
             event.succeed()
         else:
@@ -270,7 +269,7 @@ class Endpoint:
 
     def wait_send_complete(self) -> Event:
         """Event that fires at the next send completion."""
-        event = Event(self.sim, self._wait_send_name)
+        event = self.sim.event(name=f"ep{self.id}.wait_send")
         self._send_complete_waiters.append(event)
         return event
 
