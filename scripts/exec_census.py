@@ -75,7 +75,7 @@ COMMANDS = [
     "{py} -m repro bench --collectives --output {out}/collectives.json",
     "{py} -m repro bench --host --output {out}/host.json",
     *(f"{{py}} -m repro bench --live --doorbell {mode} {_SMALL_LIVE}"
-      for mode in ("busy-poll", "event", "batched")),
+      for mode in ("busy-poll", "batched")),
     f"{{py}} -m repro bench --live --transport udp {_SMALL_LIVE}",
     "{py} -m repro conformance --seeds 6",
     "{py} -m repro conformance --config fabric --seeds 8",

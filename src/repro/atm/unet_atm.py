@@ -296,7 +296,6 @@ class UNetAtmBackend(UNetBackend):
                     for idx in state.buffer_indices:
                         endpoint.free_queue.try_push(idx)
                 if cell.last:
-                    self.quarantine_drops += 1
                     endpoint.note_drop("quarantine_drops")
                 continue
             state = reassembly.get(vci)
@@ -310,7 +309,6 @@ class UNetAtmBackend(UNetBackend):
                 taken = endpoint.take_free_buffer()
                 if taken is None:
                     state.dropping = True
-                    self.no_buffer_drops += 1
                     endpoint.note_drop("no_buffer_drops")
                 else:
                     state.buffer_indices.append(taken)
@@ -381,9 +379,7 @@ class UNetAtmBackend(UNetBackend):
         yield from self._timed_dma(ATM_RX_TRACE, "DMA message into receive descriptor",
                                    DESCRIPTOR_DMA_BYTES + len(payload))
         descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), inline=payload)
-        if not endpoint.deliver(descriptor):
-            self.recv_queue_drops += 1
-        else:
+        if endpoint.deliver(descriptor):  # a full queue is booked by deliver
             self.pdus_received += 1
 
     def _rx_complete(self, state: _Reassembly, endpoint: Endpoint, channel_id: int) -> Generator:
@@ -393,7 +389,6 @@ class UNetAtmBackend(UNetBackend):
                               t.rx_last_cell_us)
         if endpoint.closed:
             endpoint.note_drop("recv_queue_drops")  # destroyed mid-PDU: its buffers are gone
-            self.recv_queue_drops += 1
             return
         try:
             payload = aal5_reassemble(state.cells)
@@ -414,7 +409,6 @@ class UNetAtmBackend(UNetBackend):
                                       t.rx_buffer_alloc_us)
                 idx = endpoint.take_free_buffer()
                 if idx is None:
-                    self.no_buffer_drops += 1
                     endpoint.note_drop("no_buffer_drops")
                     for used_idx, _len in segments:
                         endpoint.free_queue.try_push(used_idx)
@@ -433,7 +427,6 @@ class UNetAtmBackend(UNetBackend):
                                    DESCRIPTOR_DMA_BYTES)
         descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), segments=segments)
         if not endpoint.deliver(descriptor):
-            self.recv_queue_drops += 1
             for idx, _length in segments:
                 endpoint.free_queue.try_push(idx)
         else:

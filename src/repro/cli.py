@@ -369,6 +369,12 @@ def _cmd_bench(args) -> int:
               "to run the wall-clock rig on real sockets", file=sys.stderr)
         return 2
     else:
+        if args.doorbell == "event":
+            print("bench --live --doorbell event would time busy-polling: the "
+                  "timed AM phases pump the doorbell loop by hand and never "
+                  "park in epoll; choose busy-poll or batched, which change "
+                  "the data path", file=sys.stderr)
+            return 2
         from .live import available_transport_kinds, render_bench, run_bench
         from .live.bench import ARTIFACT
 
@@ -646,9 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="payload bytes for the burst fast-path A/B")
     pn.add_argument("--doorbell", default="busy-poll",
                     choices=("busy-poll", "event", "batched"),
-                    help="doorbell discipline for the AM-level phases "
-                         "(the burst A/B always compares per-syscall vs "
-                         "batched)")
+                    help="doorbell discipline for the AM-level phases: "
+                         "busy-poll or batched (event is refused: the timed "
+                         "phases pump by hand and never park; the burst A/B "
+                         "always compares per-syscall vs batched)")
     pn.add_argument("--skip-missing", action="store_true",
                     help="exit 0 (not 2) when no live transport exists here")
     pn.add_argument("--collectives", action="store_true",

@@ -7,7 +7,7 @@ Substrate bindings live with their hardware models:
 from .api import Host, ReceivedMessage, UserEndpoint
 from .base import Closing, SimulatedNetwork, UNetBackend
 from .channels import AtmTag, ChannelBinding, EthernetTag, lookup_channel, register_channel
-from .clock import Clock, ClockShim, ManualClock
+from .clock import Clock, ManualClock
 from .cluster import ClusterHealthAggregator
 from .descriptors import SMALL_MESSAGE_MAX, RecvDescriptor, SendDescriptor
 from .endpoint import DROP_COUNTERS, Endpoint, EndpointConfig
@@ -43,7 +43,6 @@ from .tenancy import (
 
 __all__ = [
     "Clock",
-    "ClockShim",
     "ManualClock",
     "Host",
     "UserEndpoint",

@@ -24,6 +24,18 @@ from .tenancy import qos_class
 
 __all__ = ["UNetBackend", "Closing", "SimulatedNetwork", "TrunkedFabric"]
 
+#: the receive-path drop classes only an endpoint books
+#: (:meth:`Endpoint.note_drop`, :meth:`Endpoint.deliver`), even where the
+#: backend's receive path is what sheds the message
+_ENDPOINT_BOOKED = ("recv_queue_drops", "no_buffer_drops", "quarantine_drops")
+
+
+def _endpoint_sum(name: str) -> property:
+    """Drop class ``name`` read on a backend: the sum over the endpoints
+    it serves and those it destroyed, in-flight traffic included."""
+    return property(lambda backend: sum(
+        getattr(endpoint, name) for endpoint in backend.endpoints + backend._destroyed))
+
 
 class UNetBackend(abc.ABC):
     """What a substrate must provide to host U-Net endpoints."""
@@ -34,19 +46,25 @@ class UNetBackend(abc.ABC):
     #: one.  It is all the fault layer knows of the format.
     wire: type
 
-    COUNTERS = DROP_COUNTERS
+    #: the drop classes booked here; the rest are the endpoints' alone,
+    #: so a report that walks both layers counts each drop once
+    COUNTERS = tuple(name for name in DROP_COUNTERS if name not in _ENDPOINT_BOOKED)
     PARTS = ("endpoints",)
-    #: the classes the protocol above books on an endpoint
-    #: (:meth:`Endpoint.note_drop`) read zero here on every substrate, so
-    #: a report that merges both layers counts each drop once
+    #: the classes the protocol above books on an endpoint read zero here
     stale_epoch_drops = peer_dead_drops = 0
+    #: ``drop_stats()`` reads the receive path's classes off the endpoints
+    recv_queue_drops = _endpoint_sum("recv_queue_drops")
+    no_buffer_drops = _endpoint_sum("no_buffer_drops")
+    quarantine_drops = _endpoint_sum("quarantine_drops")
 
     def __init__(self, sim: Simulator, name: str) -> None:
-        #: the simulator — or, on a wall-clock substrate, the
-        #: :class:`~repro.core.clock.ClockShim` standing in for it
+        #: the simulator; a live node's is its cluster's runner
+        #: (``LiveCluster.sim``), which a wall clock drives
         self.sim = sim
         self.name = name
         self.endpoints: List[Endpoint] = []
+        #: endpoints torn down, whose drops still count toward this NI's
+        self._destroyed: List[Endpoint] = []
         self._next_endpoint_id = 0
         #: this host's one event stream (:mod:`repro.sim.trace`): the NI's
         #: steps and its controllers', its endpoints' deliveries and drops,
@@ -63,10 +81,6 @@ class UNetBackend(abc.ABC):
         #: endpoint creations refused by admission control — counted on
         #: the backend because no endpoint exists to own the drop
         self.admission_rejected_drops = 0
-        # NI/kernel-level drop accounting (shared DROP_COUNTERS vocabulary)
-        self.recv_queue_drops = 0
-        self.no_buffer_drops = 0
-        self.quarantine_drops = 0
 
     # -- endpoint lifecycle (OS-mediated system calls) ---------------------
     def create_endpoint(self, config: Optional[EndpointConfig] = None, owner: str = "",
@@ -103,6 +117,7 @@ class UNetBackend(abc.ABC):
         if endpoint not in self.endpoints:
             raise EndpointError(f"endpoint {endpoint.id} does not belong to {self.name}")
         self.endpoints.remove(endpoint)
+        self._destroyed.append(endpoint)
         self.demux.unregister_endpoint(endpoint)
         endpoint.release()
         if self.admission is not None:

@@ -93,7 +93,7 @@ class UNetFeBackend(UNetBackend):
 
     wire = FrameWire
     collective_max_payload = UNET_FE_MAX_PDU
-    COUNTERS = UNetBackend.COUNTERS + ("messages_sent", "messages_received", "ip_header_drops")
+    COUNTERS = UNetBackend.COUNTERS + ("pdus_sent", "pdus_received", "ip_header_drops")
     PARTS = UNetBackend.PARTS + ("nics",)
 
     def __init__(
@@ -132,8 +132,8 @@ class UNetFeBackend(UNetBackend):
         self.small_message_optimization = True
         #: next U-Net port ID to hand out
         self._next_port = 1
-        self.messages_sent = 0
-        self.messages_received = 0
+        self.pdus_sent = 0
+        self.pdus_received = 0
         self.ip_header_drops = 0
 
     # ------------------------------------------------------------------ API
@@ -249,7 +249,7 @@ class UNetFeBackend(UNetBackend):
                 if poll_now:
                     nic.poll_demand()
                 binding.messages_sent += 1
-                self.messages_sent += 1
+                self.pdus_sent += 1
             if serviced:
                 start = sim._now
                 yield t.issue_poll_demand_us
@@ -355,7 +355,6 @@ class UNetFeBackend(UNetBackend):
                 if endpoint.quarantined:
                     # containment: shed before any alloc/copy work so a
                     # misbehaving endpoint stops consuming kernel time
-                    self.quarantine_drops += 1
                     endpoint.note_drop("quarantine_drops")
                     continue
                 length = len(payload)
@@ -374,9 +373,8 @@ class UNetFeBackend(UNetBackend):
                     descriptor = yield from self._copy_to_buffers(endpoint, channel_id, payload)
                 if descriptor is not None:
                     if endpoint.deliver(descriptor):
-                        self.messages_received += 1
+                        self.pdus_received += 1
                     else:
-                        self.recv_queue_drops += 1
                         for idx, _l in descriptor.segments:
                             endpoint.free_queue.try_push(idx)
                 start = sim._now
@@ -411,7 +409,6 @@ class UNetFeBackend(UNetBackend):
                 trace.record(start, t.alloc_unet_buffer_us, RX_TRACE, "allocate U-Net recv buffer")
             index = endpoint.take_free_buffer()
             if index is None:
-                self.no_buffer_drops += 1
                 endpoint.note_drop("no_buffer_drops")
                 for idx, _l in segments:
                     endpoint.free_queue.try_push(idx)
@@ -424,7 +421,6 @@ class UNetFeBackend(UNetBackend):
                 trace.record(start, copy_us, RX_TRACE, f"copy {len(chunk)} byte message")
             if endpoint.closed:
                 endpoint.note_drop("recv_queue_drops")  # destroyed mid-copy: its buffers are gone
-                self.recv_queue_drops += 1
                 return None
             buf = endpoint.buffers.buffer(index)
             buf.clear()

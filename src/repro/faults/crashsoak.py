@@ -41,7 +41,6 @@ from ..am import AmConfig
 from ..am.core import handshake_settled
 from ..artifact import Artifact
 from ..core.errors import UNetError
-from ..networks import SubstrateUnavailable
 from ..suite import Suite
 from ..telemetry import total
 from .stream import ENDPOINT_CONFIG, build_am_star, stream_payload
@@ -356,86 +355,70 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     with it), so the zero-duplicates contract is enforced on the fully
     observable substrates; this scenario proves the handshake and the
     fate accounting survive a real ``kill -9``.
-    """
-    from ..live.am import LiveAm
-    from ..live.backend import LiveBackend
-    from ..live.clock import WallClock
-    from ..live.peer import PeerProcess, peer_am_config
-    from ..live.transport import UdpLoopbackTransport, transport_available
 
-    if not transport_available("udp"):  # the child speaks UDP
-        raise SubstrateUnavailable("the sigkill peer needs the udp live transport")
-    clock = WallClock()
-    backend = LiveBackend(UdpLoopbackTransport(name="crashsoak-parent"), clock,
-                          node_id=0, node_name="parent")
-    user = backend.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
+    The parent is a one-node live cluster on the UDP transport (the
+    child speaks UDP), and its stream is one process on its runner.
+    """
+    from ..live.peer import PeerProcess, peer_am_config
+
     config = peer_am_config(retransmit_timeout_us=15_000.0,
                             dead_after_timeouts=3, hello_retry_us=10_000.0)
     ledger = _FateLedger()
     sent_ids: List[int] = []
     targets = scenario.crash_targets()
-    deadline = clock.now_us() + scenario.time_limit_us
-    completed = True
 
-    with PeerProcess(backend.transport.address, node=1,
-                     rto_us=config.retransmit_timeout_us,
-                     dead_after=config.dead_after_timeouts,
-                     hello_retry_us=config.hello_retry_us) as peer:
-        peer.spawn()
-        peer.wire_parent(user)
-        am = LiveAm(0, user, config)
-        am.connect_peer(1, 0)
-        backend.trace.subscribe(ledger.on_sender_event)
+    with networks.Live("udp", None).build() as net:
+        parent = net.add_node("parent")
+        user = parent.create_user_endpoint(config=ENDPOINT_CONFIG, rx_buffers=48)
+        with PeerProcess(parent.transport.address, node=1,
+                         rto_us=config.retransmit_timeout_us,
+                         dead_after=config.dead_after_timeouts,
+                         hello_retry_us=config.hello_retry_us) as peer:
+            peer.spawn()
+            peer.wire_parent(user)
+            am = net.am_class(0, user, config)
+            am.connect_peer(1, 0)
+            parent.trace.subscribe(ledger.on_sender_event)
+            sim = net.sim
 
-        def pump() -> None:
-            backend.service()
-            am.service()
+            def alive():
+                state = am.snapshot()[1]
+                return (state["alive"] and not state["reconnecting"]) or None
 
-        def wait_alive() -> bool:
-            while clock.now_us() < deadline:
-                pump()
-                if am.snapshot()[1]["alive"] and not am.snapshot()[1]["reconnecting"]:
-                    return True
-            return False
+            def traffic():
+                for i in range(scenario.messages):
+                    kills = len(ledger.crash_times)
+                    if kills < scenario.crashes and i == targets[kills]:
+                        ledger.crash_times.append(sim.now)
+                        peer.kill()
+                        if progress is not None:
+                            progress(f"{scenario.name}: SIGKILL #{kills + 1} "
+                                     f"(pid reaped) before id {i}")
+                    sent_ids.append(i)
+                    try:
+                        args, echoed = yield from net.rpc(
+                            am, 1, 1, (i,), stream_payload(i, PAYLOAD_BYTES))
+                        ledger.deliver(args[0], echoed, PAYLOAD_BYTES)
+                    except UNetError:
+                        ledger.abandoned_ids.append(i)
+                        if peer.proc is not None and peer.proc.poll() is not None:
+                            # the child really is dead: bring up the next
+                            # incarnation and wait for its HELLO to land
+                            peer.respawn()
+                            peer.retarget(user)
+                            yield from net.poll(alive)
+                # the last kill's handshake may still be settling
+                yield from net.poll(alive)
+                return sim.now
 
-        crash_idx = 0
-        for i in range(scenario.messages):
-            if clock.now_us() >= deadline:
-                completed = False
-                break
-            if crash_idx < scenario.crashes and i == targets[crash_idx]:
-                crash_idx += 1
-                ledger.crash_times.append(clock.now_us())
-                peer.kill()
-                if progress is not None:
-                    progress(f"{scenario.name}: SIGKILL #{crash_idx} "
-                             f"(pid reaped) before id {i}")
-            data = stream_payload(i, PAYLOAD_BYTES)
-            sent_ids.append(i)
-            try:
-                args, echoed = am.rpc(1, 1, args=(i,), data=data, pump=pump,
-                                      limit_us=max(0.0, deadline - clock.now_us()))
-                ledger.deliver(args[0], echoed, PAYLOAD_BYTES)
-            except UNetError:
-                ledger.abandoned_ids.append(i)
-                if peer.proc is not None and peer.proc.poll() is not None:
-                    # the child really is dead: bring up the next
-                    # incarnation and wait for its HELLO to land
-                    peer.respawn()
-                    peer.retarget(user)
-                    if not wait_alive():
-                        completed = False
-                        break
-        if completed and len(ledger.recovery_times) < len(ledger.crash_times):
-            # the last kill's handshake may still be settling
-            wait_alive()
-        completion = clock.now_us() if completed else scenario.time_limit_us
-        am.shutdown()
-        result = _crash_result(
-            scenario, "sigkill-udp", ledger, sent_ids, completed,
-            "the wall-clock limit", am, peer.kills, (backend,), completion)
-    backend.close()
-    return result
+            process = sim.process(traffic(), name="crashsoak.sigkill")
+            net.run(sim.now + scenario.time_limit_us, (am,))
+            completed = bool(process.triggered) and process.ok
+            am.shutdown()
+            return _crash_result(
+                scenario, "sigkill-udp", ledger, sent_ids, completed,
+                "the wall-clock limit", am, peer.kills, (parent,),
+                process.value if completed else scenario.time_limit_us)
 
 
 # ---------------------------------------------------------------- reporting

@@ -589,17 +589,9 @@ def _finalize(scenario: MultitenantScenario, seed: int, outcome: _Outcome,
             f"termination: {len(short)} admitted tenant(s) sent fewer than "
             f"{quota} messages by t={duration:.0f}us (first {short[:4]})")
 
-    # drop conservation per host: every NI/kernel-counted drop must be
-    # attributed to exactly one tenant endpoint (isolation of accounting)
+    # per host: no stray traffic, and admission counted what it refused
     for host in outcome.hosts:
         backend_stats = host.backend.drop_stats()
-        local = [t for t in tenants if t.host == host.name and t.admitted]
-        for key in ("recv_queue_drops", "no_buffer_drops", "quarantine_drops"):
-            attributed = sum(t.user.endpoint.drop_stats()[key] for t in local)
-            if backend_stats[key] != attributed:
-                violations.append(
-                    f"conservation: {host.name} {key} backend={backend_stats[key]}"
-                    f" != sum(endpoints)={attributed}")
         if backend_stats["unknown_tag_drops"]:
             violations.append(
                 f"conservation: {host.name} saw "

@@ -21,8 +21,12 @@ A workload still blocks as it does on a simulator: it is a process on
 a :class:`~repro.live.backend.LiveCluster`'s wall-clock runner, which
 services the endpoints between passes and turns each polled call into a
 wait (``yield from cluster.poll(partial(am.start_request, ...))``).
-The blocking ``rpc(..., pump=)`` stays for the wall-time benchmarks,
-which time one call at a time in their own pump loop.
+Every live workload runs that way, the killable peer process and the
+sigkill soak's parent included.  The blocking ``rpc(..., pump=)`` stays
+for the timed AM phases of :mod:`repro.live.bench` and the frozen
+perfbench, which time one call at a time in their own pump loop: on
+40-byte RPCs the runner's per-pass wake costs 12-20 % over a hand
+pump, which is what those rows time.
 """
 
 from __future__ import annotations

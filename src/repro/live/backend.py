@@ -6,7 +6,9 @@ single datagram socket (:mod:`repro.live.transport`), a
 are the *same* :class:`~repro.core.endpoint.Endpoint` objects the
 simulated substrates serve (same buffer areas, same bounded
 send/recv/free rings, same descriptor validation, same drop
-vocabulary), clocked through the :class:`~repro.core.clock.ClockShim`.
+vocabulary), on its cluster's one clock: the wall-clock runner's
+:class:`~repro.sim.engine.Simulator` (``LiveCluster.sim``), where a
+datagram a fault stage delays waits as an ordinary heap entry.
 
 The fast-trap analogue is the **polling doorbell loop**: where U-Net/FE
 trapped into the kernel to drain the send queue and U-Net/ATM had the
@@ -36,7 +38,7 @@ from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, S
 from ..core.api import UserEndpointBase
 from ..core.base import Closing, UNetBackend
 from ..core.channels import connect_pair, lookup_channel
-from ..core.clock import Clock, ClockShim
+from ..core.clock import Clock
 from ..core.descriptors import RecvDescriptor, SendDescriptor, SMALL_MESSAGE_MAX
 from ..core.endpoint import Endpoint, EndpointConfig
 from ..core.errors import EndpointError, MessageTooLarge
@@ -133,16 +135,15 @@ class LiveBackend(UNetBackend):
     #: so a plain attribute where the base class declares a property
     max_pdu = DEFAULT_MAX_PDU
 
-    def __init__(self, transport: LiveTransport, clock: Clock,
-                 node_id: int = 0, node_name: str = "n0",
-                 max_pdu: int = DEFAULT_MAX_PDU,
-                 doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> None:
-        super().__init__(ClockShim(clock), node_name)
+    def __init__(self, transport: LiveTransport, sim: Simulator, clock: Clock,
+                 node_id: int, node_name: str, max_pdu: int,
+                 doorbell_mode: str) -> None:
+        super().__init__(sim, node_name)
         self.transport = transport
         self.clock = clock
         self.node_id = node_id
         self.max_pdu = max_pdu
-        self.doorbell_mode = validate_doorbell_mode(doorbell_mode)
+        self.doorbell_mode = doorbell_mode
         #: zero-copy frame pools, only in batched mode — the busy-poll
         #: and event data paths stay byte-for-byte the PR-4 baseline
         slot = max_pdu + FRAME_HEADER_SIZE
@@ -275,14 +276,15 @@ class LiveBackend(UNetBackend):
         return sent
 
     def service(self) -> int:
-        """One doorbell-loop pass: egress drain, ingress drain, then what
-        a fault stage delayed and is now due (``sim.fire_due``).  Returns
-        the number of datagrams that arrived — "something moved"."""
+        """One doorbell-loop pass: egress drain, then ingress drain.
+        Returns the datagrams it sent plus those that arrived — what the
+        runner reads as "something moved"."""
         if self.closed:
             return 0
+        sent = 0
         for endpoint in self.endpoints:
             if endpoint.send_queue.items:
-                self.kick(endpoint)
+                sent += self.kick(endpoint)
         deliver = self._deliver
         if self._rx_pool is not None:
             # a fault pipeline on ``_deliver`` may hold a datagram past
@@ -300,7 +302,7 @@ class LiveBackend(UNetBackend):
             for raw in datagrams:
                 deliver(raw)
             arrived = len(datagrams)
-        return arrived + (self.sim.fire_due() if self.sim.due else 0)
+        return sent + arrived
 
     def service_fast(self, on_message) -> int:
         """Fast-path doorbell pass: batched ingress delivered as
@@ -342,7 +344,6 @@ class LiveBackend(UNetBackend):
                     if entry is not None:
                         endpoint, channel_id = entry
                         if endpoint.quarantined:
-                            self.quarantine_drops += 1
                             endpoint.note_drop("quarantine_drops")
                         else:
                             on_message(endpoint, channel_id, view[header:length])
@@ -368,7 +369,6 @@ class LiveBackend(UNetBackend):
             return  # unknown tag: counted by the demux table
         endpoint, channel_id = entry
         if endpoint.quarantined:
-            self.quarantine_drops += 1
             endpoint.note_drop("quarantine_drops")
             return
         length = len(raw) - FRAME_HEADER_SIZE
@@ -383,7 +383,6 @@ class LiveBackend(UNetBackend):
             free = endpoint.free_queue.items
             needed = -(-length // size)
             if len(free) < needed:
-                self.no_buffer_drops += 1
                 endpoint.note_drop("no_buffer_drops")
                 return
             # donate_free_buffer checked every index on the free queue:
@@ -399,10 +398,10 @@ class LiveBackend(UNetBackend):
                 start += size
             descriptor = RecvDescriptor(channel_id, length, segments=segments)
         if not endpoint.deliver(descriptor):
-            # receive queue full: recycle the buffers we just claimed
+            # receive queue full (booked by deliver): recycle the buffers
+            # we just claimed
             for index, _length in descriptor.segments:
                 endpoint.donate_free_buffer(index)
-            self.recv_queue_drops += 1
 
     def close(self) -> None:
         """Idempotent teardown: the socket FD is released exactly once,
@@ -584,17 +583,18 @@ class LiveCluster(Closing):
         self._doorbell = (EventDoorbell()
                           if self.doorbell_mode == "event" else None)
         self.nodes: List[LiveBackend] = []
-        self._sim: Optional[Simulator] = None
+        #: every node's one clock, which :meth:`run` drives against the
+        #: wall clock: a process yields a delay, or a :meth:`poll`, and a
+        #: fault stage delays a datagram, exactly as on a simulated network
+        self.sim = Simulator(start_time=clock.now_us())
         #: what every :meth:`poll` waiter sleeps on until the next pump
         self._pumped = None
 
     def add_node(self, name: Optional[str] = None) -> LiveBackend:
         node_id = len(self.nodes)
         node_name = name or f"n{node_id}"
-        backend = LiveBackend(self._make_transport(node_name), self.clock,
-                              node_id=node_id, node_name=node_name,
-                              max_pdu=self.max_pdu,
-                              doorbell_mode=self.doorbell_mode)
+        backend = LiveBackend(self._make_transport(node_name), self.sim, self.clock,
+                              node_id, node_name, self.max_pdu, self.doorbell_mode)
         self.nodes.append(backend)
         return backend
 
@@ -635,22 +635,15 @@ class LiveCluster(Closing):
             (port_a, node_b.node_id, port_b), (port_b, node_a.node_id, port_a))
 
     def step(self) -> int:
-        """Service every node once; returns datagrams that arrived."""
+        """Service every node once; returns the datagrams they sent and
+        received."""
         return sum(node.service() for node in self.nodes)
 
     # -- the wall-clock runner -----------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        """The simulator :meth:`run` drives, built on first use with its
-        clock at this cluster's: a process yields a delay, or a
-        :meth:`poll`, exactly as it would on a simulated network."""
-        if self._sim is None:
-            self._sim = Simulator(start_time=self.clock.now_us())
-        return self._sim
-
     def poll(self, attempt: Callable[[], Any]) -> Generator:
         """Process: call ``attempt()`` now and once after every pump
-        until it returns something other than None, and return that.
+        (at the start of the next pass) until it returns something other
+        than None, and return that.
 
         The process form of every polled live call: AM admission
         (``LiveAm.start_request``), an rpc reply (``rpc_result``), a
@@ -701,41 +694,46 @@ class LiveCluster(Closing):
     def run(self, until_us: float, ams: Sequence) -> None:
         """Run :attr:`sim`'s processes against the wall clock.
 
-        Each pass pumps every node and every AM endpoint in ``ams``,
-        wakes every :meth:`poll` waiter, then runs the simulator up to
-        the clock's reading, so a yielded delay becomes a wall wait.
-        Returns once the clock passes ``until_us`` or nothing is left
-        waiting.  A pass that moved no data parks (event mode) or sleeps
-        briefly, so the loop busy-polls under load without pinning a CPU
-        while idle, and never past the next process's wake-up.
+        A pass wakes every :meth:`poll` waiter, runs the simulator up to
+        the clock (a yielded delay or a delayed datagram falls due), then
+        pumps every node and every AM endpoint in ``ams``.  Returns once
+        the clock passes ``until_us`` or nothing is left waiting.  A pass
+        that moved nothing (no heap entry fired but the pump's own wake,
+        no datagram, no AM packet) parks (event mode) or sleeps briefly,
+        never past the next heap entry.
         """
-        sim = self.sim
+        sim, clock = self.sim, self.clock
         while True:
-            moved = self.step()
-            for am in ams:
-                moved += am.service()
+            now = clock.now_us()
             pumped, self._pumped = self._pumped, None
             if pumped is not None:
                 pumped.succeed()
-            now = self.clock.now_us()
+            fired = sim.events_processed + (pumped is not None)
             sim.run(until=min(now, until_us))
+            # the pumps stamp (a fault stage's delay) from their own start
+            sim.run(until=min(clock.now_us(), until_us))
+            moved = sim.events_processed - fired + self.step()
+            for am in ams:
+                moved += am.service()
             if now >= until_us or (self._pumped is None and sim.peek() == math.inf):
                 return
-            if not moved:
-                limit = min(until_us, sim.peek()) - now
-                if self._doorbell is not None:
-                    # interrupt-analogue: park until a socket is readable
-                    # (or a short timeout keeps AM timers live)
-                    self._doorbell.sync(node.transport.sock for node in self.nodes)
-                    self._doorbell.wait_us(min(_EVENT_WAIT_US, limit))
-                else:
-                    self.clock.sleep_us(min(_IDLE_SLEEP_US, limit))
+            limit = min(until_us, sim.peek()) - clock.now_us()
+            if moved or limit <= 0:
+                continue
+            if self._doorbell is not None:
+                # interrupt-analogue: park until a socket is readable
+                self._doorbell.sync(node.transport.sock for node in self.nodes)
+                self._doorbell.wait_us(min(_EVENT_WAIT_US, limit))
+            else:
+                clock.sleep_us(min(_IDLE_SLEEP_US, limit))
 
-    def run_until(self, predicate: Callable[[], bool], limit_us: float) -> bool:
-        """Run until ``predicate()`` holds (checked after every pump) or
-        ``limit_us`` of wall time passes; returns ``predicate()``."""
+    def run_until(self, predicate: Callable[[], bool], limit_us: float,
+                  ams: Sequence) -> bool:
+        """Run, servicing ``ams``, until ``predicate()`` holds (checked
+        after every pump) or ``limit_us`` of wall time passes; returns
+        ``predicate()``."""
         self.sim.process(self.poll(lambda: predicate() or None))
-        self.run(self.clock.now_us() + limit_us, ())
+        self.run(self.clock.now_us() + limit_us, ams)
         return predicate()
 
     def close(self) -> None:
@@ -755,7 +753,6 @@ class LiveCluster(Closing):
                     first_error = exc
         if self._doorbell is not None:
             self._doorbell.close()
-        if self._sim is not None:
-            self._sim.close()
+        self.sim.close()
         if first_error is not None:
             raise first_error

@@ -78,6 +78,10 @@ def _make_pair(transport_kind: str, clock: WallClock,
     am0.connect_peer(1, ch0)
     am1.connect_peer(0, ch1)
 
+    # the timed phases pump by hand, not on the cluster's runner: the
+    # runner's per-pass wake costs 12-20 % of a 40-byte RPC, which is
+    # what these rows time (so ``--doorbell event``, a runner-only mode,
+    # is refused)
     def pump() -> None:
         cluster.step()
         am0.service()

@@ -8,9 +8,10 @@ the floor, retransmission timers never fired, no destructor mercy — and
 then respawned as a fresh incarnation that must HELLO its way back in.
 
 Run as a module (``python -m repro.live.peer``) this file is the child:
-it binds a UDP loopback socket, wires one channel back to the parent,
-answers handler 1 with an echo reply, and prints two lines the parent
-harness reads::
+a one-node :class:`~repro.live.backend.LiveCluster` on a UDP loopback
+socket that wires one channel back to the parent, answers handler 1
+with an echo reply on the cluster's runner, and prints two lines the
+parent harness reads::
 
     ADDR <host> <port>
     READY <epoch>
@@ -39,7 +40,7 @@ from ..am.am import AmConfig
 from ..core.channels import register_channel
 from ..core.errors import UNetError
 from .am import LiveAm, LiveRequestContext
-from .backend import LiveBackend, LiveUserEndpoint
+from .backend import LiveCluster, LiveTag, LiveUserEndpoint
 from .clock import WallClock
 from .transport import UdpLoopbackTransport
 
@@ -53,8 +54,6 @@ _CHANNEL = 0
 
 #: child safety cap: an orphaned child exits on its own after this long
 _CHILD_LIFETIME_US = 60_000_000.0
-
-_IDLE_SLEEP_US = 200.0
 
 
 def peer_am_config(**overrides) -> AmConfig:
@@ -89,47 +88,37 @@ def _child_main() -> int:
     parser.add_argument("--lifetime-us", type=float, default=_CHILD_LIFETIME_US)
     args = parser.parse_args()
 
-    clock = WallClock()
-    backend = LiveBackend(UdpLoopbackTransport(name=f"peer{args.node}"),
-                          clock, node_id=args.node,
-                          node_name=f"peer{args.node}")
-    user = backend.create_user_endpoint(rx_buffers=32)
-    port = backend.allocate_port()
-    from .backend import LiveTag  # local import keeps module surface tidy
+    with LiveCluster(lambda name: UdpLoopbackTransport(name=name), WallClock()) as cluster:
+        backend = cluster.add_node(f"peer{args.node}")
+        user = backend.create_user_endpoint(rx_buffers=32)
+        port = backend.allocate_port()
+        register_channel(user.endpoint, _CHANNEL,
+                         LiveTag((args.parent_host, args.parent_port), PEER_PORT,
+                                 args.node, port),
+                         peer=f"n{_PARENT_NODE}")
+        backend.demux.register((port, _PARENT_NODE, PEER_PORT),
+                               user.endpoint, _CHANNEL)
+        config = peer_am_config(epoch=args.epoch,
+                                retransmit_timeout_us=args.rto_us,
+                                dead_after_timeouts=args.dead_after,
+                                hello_retry_us=args.hello_retry_us)
+        am = LiveAm(args.node, user, config)
+        am.connect_peer(_PARENT_NODE, _CHANNEL)
 
-    register_channel(user.endpoint, _CHANNEL,
-                     LiveTag((args.parent_host, args.parent_port), PEER_PORT,
-                             args.node, port),
-                     peer=f"n{_PARENT_NODE}")
-    backend.demux.register((port, _PARENT_NODE, PEER_PORT),
-                           user.endpoint, _CHANNEL)
-    config = peer_am_config(epoch=args.epoch,
-                            retransmit_timeout_us=args.rto_us,
-                            dead_after_timeouts=args.dead_after,
-                            hello_retry_us=args.hello_retry_us)
-    am = LiveAm(args.node, user, config)
-    am.connect_peer(_PARENT_NODE, _CHANNEL)
+        def echo(ctx: LiveRequestContext) -> None:
+            ctx.reply(args=ctx.args, data=ctx.data)
 
-    def echo(ctx: LiveRequestContext) -> None:
-        ctx.reply(args=ctx.args, data=ctx.data)
+        am.register_handler(1, echo)
 
-    am.register_handler(1, echo)
-
-    host, sockport = backend.transport.address
-    sys.stdout.write(f"ADDR {host} {sockport}\n")
-    sys.stdout.flush()
-    if args.restart:
-        am.restart()
-    sys.stdout.write(f"READY {am.epoch}\n")
-    sys.stdout.flush()
-
-    deadline = clock.now_us() + args.lifetime_us
-    while clock.now_us() < deadline:
-        moved = backend.service()
-        moved += am.service()
-        if moved == 0:
-            clock.sleep_us(_IDLE_SLEEP_US)
-    backend.close()
+        host, sockport = backend.transport.address
+        sys.stdout.write(f"ADDR {host} {sockport}\n")
+        sys.stdout.flush()
+        if args.restart:
+            am.restart()
+        sys.stdout.write(f"READY {am.epoch}\n")
+        sys.stdout.flush()
+        # serve on the cluster's runner until killed, or the lifetime ends
+        cluster.run_until(lambda: False, args.lifetime_us, (am,))
     return 0
 
 
@@ -221,8 +210,6 @@ class PeerProcess:
     # -- parent wiring -----------------------------------------------------
     def wire_parent(self, user: LiveUserEndpoint) -> None:
         """Create the parent's channel + demux row toward the child."""
-        from .backend import LiveTag
-
         if self.address is None:
             raise UNetError("spawn() the peer before wiring the parent")
         backend = user.backend

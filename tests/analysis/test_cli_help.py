@@ -51,6 +51,15 @@ def test_bench_without_live_points_at_the_simulated_figures(capsys):
     assert "--live" in err and "fig5" in err
 
 
+def test_bench_refuses_the_event_doorbell_it_would_not_use(tmp_path, monkeypatch, capsys):
+    """The timed AM phases pump by hand: event mode would time busy-polling."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--live", "--doorbell", "event"]) == 2
+    err = capsys.readouterr().err
+    assert "busy-polling" in err and "busy-poll or batched" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_script_entry_point_is_declared():
     import pathlib
     import re

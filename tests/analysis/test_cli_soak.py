@@ -77,6 +77,16 @@ def test_an_override_the_suite_does_not_honour_is_an_error(name, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_overload_refuses_a_seed_it_would_not_use(tmp_path, monkeypatch, capsys):
+    """The overload scenarios draw nothing at random, so ``--seed`` would
+    change nothing: exit 2 naming the suite and the flag."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["soak", "--suite", "overload", "--seed", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "overload" in err and "--seed" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_positive_messages_is_a_usage_error(capsys):
     assert main(["soak", "--messages", "0"]) == 2
     assert "positive" in capsys.readouterr().err

@@ -27,7 +27,7 @@ def test_cluster_stats_structure():
 def test_backend_stats_fe_counters():
     cluster = _run_small_cluster()
     stats = collect(cluster.hosts[0].backend)
-    assert stats["messages_sent"] > 0
+    assert stats["pdus_sent"] > 0
     assert stats["nics/0/frames_sent"] > 0
     assert stats["nics/0/dma/bytes_transferred"] > 0
     assert stats["nics/0/attachment/uplink/carried"] > 0

@@ -32,6 +32,7 @@ endpoint's ``deliver``.
 import pytest
 
 from repro.apps import RadixConfig, run_radix_sort
+from repro.core.base import UNetBackend
 from repro.core.endpoint import DROP_COUNTERS
 from repro.splitc import Cluster
 from repro.telemetry import collect, read, total
@@ -105,10 +106,13 @@ def test_no_drop_counter_anywhere_moves(runs, name, seed):
     counters = collect(cluster)
     drops = {key: value for key, value in counters.items()
              if "drop" in key.rpartition("/")[2]}
-    # every backend and endpoint speaks the whole vocabulary ...
+    # every endpoint speaks the whole vocabulary, and every backend the
+    # classes it books itself ...
     for backend in (host.backend for host in cluster.hosts):
-        assert set(DROP_COUNTERS) <= set(read(backend))
-    assert len(drops) > len(DROP_COUNTERS) * 2 * cluster.n
+        assert set(UNetBackend.COUNTERS) <= set(read(backend))
+        for endpoint in backend.endpoints:
+            assert set(DROP_COUNTERS) <= set(read(endpoint))
+    assert len(drops) > (len(DROP_COUNTERS) + len(UNetBackend.COUNTERS)) * cluster.n
     # ... and nothing, on any NI, endpoint, link or switch, was lost
     assert not any(drops.values()), {k: v for k, v in drops.items() if v}
 

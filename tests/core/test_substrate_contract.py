@@ -29,13 +29,14 @@ from repro.core import (
     EndpointConfig,
     EndpointError,
 )
+from repro.core.base import UNetBackend
 from repro.core.clock import ManualClock
 from repro.ethernet import SwitchedNetwork
 from repro.faults import LinkPerturbation, attach_pipeline
 from repro.hw import PENTIUM_120
 from repro.live.backend import LiveCluster
 from repro.sim import Simulator
-from repro.telemetry import collect
+from repro.telemetry import collect, total
 
 SUBSTRATES = ("atm", "ethernet", "live")
 CONFIG = EndpointConfig(num_buffers=16, buffer_size=256,
@@ -181,11 +182,32 @@ def test_the_registry_reads_one_drop_vocabulary_on_every_substrate(pair):
                 if key.rpartition("/")[2] in DROP_COUNTERS}
 
     assert set(drops(collect(pair.backends))) == {
-        f"{host}/{layer}{name}" for host in (0, 1)
-        for layer in ("", "endpoints/0/") for name in DROP_COUNTERS}
+        f"{host}/{name}" for host in (0, 1) for name in UNetBackend.COUNTERS} | {
+        f"{host}/endpoints/0/{name}" for host in (0, 1) for name in DROP_COUNTERS}
     reported = sum(sum(layer.drop_stats().values())
                    for backend in pair.backends for layer in (backend, *backend.endpoints))
     assert sum(drops(collect(pair.net)).values()) == reported == 1
+
+
+def test_each_receive_drop_is_counted_once(pair):
+    """A receive-path drop is booked on its endpoint alone: over the
+    whole network the registry's total of every drop class equals the
+    endpoints' sum, and the backend's ``drop_stats()`` reads that sum."""
+    a = pair.endpoint(0)
+    full, starved, fenced = (pair.endpoint(1, rx_buffers=0) for _ in range(3))
+    to_full, to_starved, to_fenced = (pair.net.connect(a, b)[0]
+                                      for b in (full, starved, fenced))
+    fenced.endpoint.quarantined = True
+    for _ in range(CONFIG.recv_queue_depth + 2):
+        pair.send(a, to_full, b"queued")     # the last two find the queue full
+    pair.send(a, to_starved, bytes(200))     # too big to ride inline, no buffer
+    pair.send(a, to_fenced, b"fenced")
+    forced = {"recv_queue_drops": 2, "no_buffer_drops": 1, "quarantine_drops": 1}
+    endpoints = [e for backend in pair.backends for e in backend.endpoints]
+    for name in DROP_COUNTERS:
+        booked = sum(e.drop_stats()[name] for e in endpoints)
+        assert total(pair.net, name) == booked == forced.get(name, 0), name
+    assert {name: pair.backends[1].drop_stats()[name] for name in forced} == forced
 
 
 class _MarkEachPdu(LinkPerturbation):

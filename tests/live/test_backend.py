@@ -34,7 +34,7 @@ def test_raw_round_trip_small_and_multi_buffer():
         big = bytes(i % 256 for i in range(3000))  # needs two 2 KB buffers
         a.send(ch_a, big)
         assert cluster.run_until(
-            lambda: len(b.endpoint.recv_queue) >= 2, limit_us=2_000_000)
+            lambda: len(b.endpoint.recv_queue) >= 2, limit_us=2_000_000, ams=())
         assert b.poll().data == b"ping"
         assert b.poll().data == big
 
@@ -59,7 +59,7 @@ def test_teardown_with_in_flight_datagrams_counts_unknown_tags():
             a.send(ch_a, b"in flight %d" % i)
         b.close()  # demux row gone; the datagrams are still in the kernel
         assert cluster.run_until(
-            lambda: node_b.demux.unknown_tag_drops >= 3, limit_us=2_000_000)
+            lambda: node_b.demux.unknown_tag_drops >= 3, limit_us=2_000_000, ams=())
         assert node_b.drop_stats()["unknown_tag_drops"] == 3
         # closing twice is fine; the endpoint stays closed
         b.close()
@@ -74,7 +74,7 @@ def test_full_receive_queue_drops_are_counted_and_buffers_recycled():
         for i in range(5):
             a.send(ch_a, bytes(100) + bytes([i]))  # buffer-borne (> 64B)
         assert cluster.run_until(
-            lambda: b.backend.recv_queue_drops >= 3, limit_us=2_000_000)
+            lambda: b.backend.recv_queue_drops >= 3, limit_us=2_000_000, ams=())
         assert len(b.endpoint.recv_queue) == 2
         assert b.backend.drop_stats()["recv_queue_drops"] == 3
         # dropped deliveries returned their claimed buffers to the pool
@@ -87,7 +87,7 @@ def test_no_buffer_drop_rolls_back_partial_multi_buffer_claims():
         a, b, ch_a, _ = _pair(cluster, rx_buffers=1)
         a.send(ch_a, bytes(3000))  # needs 2 buffers; only 1 donated
         assert cluster.run_until(
-            lambda: b.backend.no_buffer_drops >= 1, limit_us=2_000_000)
+            lambda: b.backend.no_buffer_drops >= 1, limit_us=2_000_000, ams=())
         # the partial claim was rolled back, not leaked
         assert len(b.endpoint.free_queue) == 1
         assert b.backend.drop_stats()["no_buffer_drops"] == 1

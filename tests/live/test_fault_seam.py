@@ -1,10 +1,11 @@
 """U-Net/OS's fault seam: the one pipeline, on ``LiveBackend._deliver``.
 
 A fault pipeline attaches to a live backend exactly as to a simulated
-one (``rx_fault_hooks``), and a delayed datagram waits on the backend's
-clock shim (``call_in``) until a service pass finds it due.  Everything
-runs on a :class:`ManualClock` over the socket-less mailbox transport of
-the substrate contract test, so the clock moves only when a test says.
+one (``rx_fault_hooks``), and a delayed datagram waits as an ordinary
+heap entry on the cluster's runner (``sim.call_in``) until the runner's
+clock reaches it.  Everything runs on a :class:`ManualClock` over the
+socket-less mailbox transport of the substrate contract test, so the
+clock moves only when a test says or the runner sleeps.
 """
 
 from repro.am.protocol import TYPE_REQUEST, Packet, decode, encode
@@ -51,6 +52,13 @@ def _request(seq, data):
     return encode(Packet(type=TYPE_REQUEST, handler=1, seq=seq, data=data))
 
 
+def _arrival(cluster, clock, user):
+    """Process: the next message ``user`` receives, and the clock's
+    reading when a pass found it."""
+    message = yield from cluster.poll(user.poll)
+    return message, clock.now_us()
+
+
 def test_a_delay_stage_holds_a_datagram_until_the_clock_passes_its_due_time():
     clock = ManualClock()
     cluster, node, a, b, channel = _rig(clock, "busy-poll")
@@ -59,13 +67,11 @@ def test_a_delay_stage_holds_a_datagram_until_the_clock_passes_its_due_time():
                               node.wire)
         with attach_pipeline(node, [stage]) as pipeline:
             a.send(channel, _request(1, b"late"))
-            assert node.service() == 1  # it arrived ...
-            assert b.poll() is None     # ... and the stage holds it
-            clock.advance(99.0)
-            assert node.service() == 0 and b.poll() is None
-            clock.advance(1.0)
-            assert node.service() == 1  # the pass fired what came due
-            assert decode(b.poll().data).data == b"late"
+            process = cluster.sim.process(_arrival(cluster, clock, b))
+            cluster.run(10_000.0, ())
+            message, at = process.value
+            assert decode(message.data).data == b"late"
+            assert at == 100.0  # held until it fell due, not a pass later
             assert (pipeline.injected, pipeline.delivered) == (1, 1)
         assert "_deliver" not in vars(node)  # restored to the plain method
 
@@ -79,16 +85,19 @@ def test_a_delayed_datagram_survives_the_reuse_of_its_pool_slot():
     with cluster:
         stage = ScriptedStage([ScheduledFault("fwd", 1, 0, "delay", delay_us=50.0)],
                               node.wire)
-        with attach_pipeline(node, [stage]):
-            a.send(channel, _request(1, b"A" * 32))
-            node.service()
-            a.send(channel, _request(2, b"B" * 32))  # lands in the same slot
-            node.service()
-            assert decode(b.poll().data).data == b"B" * 32
-            assert b.poll() is None
-            clock.advance(50.0)
-            node.service()
-            late = decode(b.poll().data)
+        with attach_pipeline(node, [stage]) as pipeline:
+            def sender():
+                a.send(channel, _request(1, b"A" * 32))
+                yield from cluster.poll(lambda: pipeline.injected or None)
+                a.send(channel, _request(2, b"B" * 32))  # lands in the same slot
+                first, _ = yield from _arrival(cluster, clock, b)
+                late, _ = yield from _arrival(cluster, clock, b)
+                return decode(first.data), decode(late.data)
+
+            process = cluster.sim.process(sender())
+            cluster.run(10_000.0, ())
+            first, late = process.value
+            assert first.data == b"B" * 32
             assert (late.seq, late.data) == (1, b"A" * 32)
         assert node._rx_pool.in_flight_count == 0
 

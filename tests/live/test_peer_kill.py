@@ -10,11 +10,11 @@ import os
 
 import pytest
 
+from repro import networks
 from repro.core import EndpointConfig
 from repro.core.errors import UNetError
-from repro.live import LiveAm, LiveBackend, LiveCluster, WallClock, make_transport
+from repro.live import LiveAm, LiveCluster, WallClock, make_transport
 from repro.live.peer import PeerProcess, peer_am_config
-from repro.live.transport import UdpLoopbackTransport
 
 from .conftest import require
 
@@ -24,15 +24,15 @@ CONFIG = EndpointConfig(num_buffers=64, buffer_size=2048,
 
 @require("udp")
 def test_peer_process_sigkill_respawn_recovers():
-    clock = WallClock()
-    backend = LiveBackend(UdpLoopbackTransport(name="test-peer-kill"), clock,
-                          node_id=0, node_name="parent")
-    try:
-        user = backend.create_user_endpoint(config=CONFIG, rx_buffers=32)
+    """The parent is a one-node cluster; each step of the story is a
+    process on its runner, as the sigkill soak drives it."""
+    with networks.build("live-udp") as cluster:
+        parent = cluster.add_node("parent")
+        user = parent.create_user_endpoint(config=CONFIG, rx_buffers=32)
         config = peer_am_config(retransmit_timeout_us=10_000.0,
                                 dead_after_timeouts=3,
                                 hello_retry_us=10_000.0)
-        with PeerProcess(backend.transport.address, node=1,
+        with PeerProcess(parent.transport.address, node=1,
                          rto_us=config.retransmit_timeout_us,
                          dead_after=config.dead_after_timeouts,
                          hello_retry_us=config.hello_retry_us) as peer:
@@ -41,44 +41,39 @@ def test_peer_process_sigkill_respawn_recovers():
             am = LiveAm(0, user, config)
             am.connect_peer(1, 0)
 
-            def pump() -> None:
-                backend.service()
-                am.service()
+            def run(body):
+                process = cluster.sim.process(body)
+                cluster.run(cluster.sim.now + 30_000_000.0, (am,))
+                assert process.triggered, "the runner stopped before the step ended"
+                if not process.ok:
+                    raise process.value
+                return process.value
 
-            deadline = clock.now_us() + 30_000_000.0
+            def settled():
+                snap = am.snapshot()[1]
+                return (snap["alive"] and not snap["reconnecting"]) or None
 
             # echo round trip against the real child process
-            args, data = am.rpc(1, 1, args=(7,), data=b"ping", pump=pump,
-                                limit_us=deadline - clock.now_us())
+            args, data = run(cluster.rpc(am, 1, 1, (7,), b"ping"))
             assert args[0] == 7 and data == b"ping"
 
             # SIGKILL: the rpc into the corpse fails with a typed error
             peer.kill()
             assert peer.proc.poll() is not None
             with pytest.raises(UNetError):
-                am.rpc(1, 1, args=(8,), data=b"x", pump=pump,
-                       limit_us=10_000_000.0)
+                run(cluster.rpc(am, 1, 1, (8,), b"x"))
             assert am.snapshot()[1]["alive"] is False
 
             # respawn as the next incarnation; HELLO re-establishes
             peer.respawn()
             peer.retarget(user)
-            while clock.now_us() < deadline:
-                pump()
-                snap = am.snapshot()[1]
-                if snap["alive"] and not snap["reconnecting"]:
-                    break
-            else:
-                pytest.fail("handshake with the respawned peer never settled")
+            assert run(cluster.poll(settled))
 
-            args, data = am.rpc(1, 1, args=(9,), data=b"back", pump=pump,
-                                limit_us=deadline - clock.now_us())
+            args, data = run(cluster.rpc(am, 1, 1, (9,), b"back"))
             assert args[0] == 9 and data == b"back"
             assert peer.kills == 1
             assert user.endpoint.drop_stats()["peer_dead_drops"] >= 1
             am.shutdown()
-    finally:
-        backend.close()
 
 
 def test_live_kill_soak_scenario_reduced(any_kind):

@@ -3,11 +3,18 @@
 A zero-node :class:`LiveCluster` needs no socket: its runner still
 pumps (nothing), wakes its ``poll`` waiters and runs its simulator up
 to the clock's reading, and an idle pass sleeps, which on a
-:class:`ManualClock` is what moves time.
+:class:`ManualClock` is what moves time.  The rules on what a pass
+moved run on two nodes over the socket-less mailbox transport.
 """
 
+from repro.am.protocol import decode
 from repro.core.clock import ManualClock
+from repro.faults import attach_pipeline
+from repro.faults.scripted import ScheduledFault, ScriptedStage
 from repro.live import LiveCluster
+from repro.live.backend import _IDLE_SLEEP_US
+
+from .test_fault_seam import _arrival, _request, _rig
 
 
 def _cluster(clock):
@@ -62,9 +69,9 @@ def test_poll_makes_exactly_one_attempt_per_pump():
         process = cluster.sim.process(cluster.poll(attempt))
         cluster.run(10_000.0, (pumps,))
         assert process.value == "done"
-        # the first attempt runs in the first pass's sim.run, after that
-        # pass's pump; every later one right after its own pump
-        assert attempts == [1, 2, 3, 4, 5]
+        # the first attempt runs in the first pass's sim.run, before any
+        # pump; every later one at the start of the pass after its pump
+        assert attempts == [0, 1, 2, 3, 4]
         assert pumps.passes == 5
 
 
@@ -89,7 +96,6 @@ def test_close_closes_the_simulator():
     clock = ManualClock()
     cluster = _cluster(clock)
     sim = cluster.sim
-    assert cluster.sim is sim  # built once, on first use
 
     def forever():
         yield sim.event()
@@ -97,3 +103,41 @@ def test_close_closes_the_simulator():
     sim.process(forever())
     cluster.close()
     assert sim.closed and sim.close().processes == 1
+
+
+def test_a_delayed_datagram_reaches_its_endpoint_when_it_falls_due():
+    """The delay is an ordinary heap entry: it bounds the idle sleep, so
+    the runner wakes on the due time itself, not on the next multiple of
+    ``_IDLE_SLEEP_US`` (no ``service()`` call here but the runner's)."""
+    delay = 2.6 * _IDLE_SLEEP_US
+    clock = ManualClock()
+    cluster, node, a, b, channel = _rig(clock, "busy-poll")
+    with cluster:
+        delivered = []
+        node.trace.subscribe(lambda r: r.step == "deliver" and delivered.append(clock.now_us()))
+        stage = ScriptedStage([ScheduledFault("fwd", 1, 0, "delay", delay_us=delay)],
+                              node.wire)
+        with attach_pipeline(node, [stage]):
+            a.send(channel, _request(1, b"late"))
+            process = cluster.sim.process(_arrival(cluster, clock, b))
+            cluster.run(10_000.0, ())
+        assert delivered == [delay]
+        assert process.value[1] == delay
+
+
+def test_a_pass_that_only_flushed_sends_does_not_sleep():
+    """A send queued without a kick (as a batched AM endpoint queues one)
+    goes out in the next pass's flush; that pass moved a datagram, so the
+    next one follows without an idle sleep."""
+    clock = ManualClock()
+    # node 0's endpoint receives: it is serviced before the flush
+    cluster, _node, receiver, sender, _channel = _rig(clock, "batched")
+    with cluster:
+        channel = next(iter(sender.endpoint.channels))
+        process = cluster.sim.process(_arrival(cluster, clock, receiver))
+        cluster.run(clock.now_us(), ())  # the waiter parks on the pump
+        sender.send(channel, _request(1, b"deferred"), kick=False)
+        cluster.run(10_000.0, ())
+        message, at = process.value
+        assert decode(message.data).data == b"deferred"
+        assert at == 0.0  # not _IDLE_SLEEP_US: no idle sleep in between

@@ -63,7 +63,6 @@ KEPT = {
     "repro.core.errors:knob": "ConfigError names the knob a caller got wrong",
     "repro.core.errors:component": "ClusterPartitionError names the minority side",
     "repro.faults.inject:Interposer.attached": "whether a fault is still hooked in",
-    "repro.live.backend:LiveCluster.run_until": "a bounded wait on the wall-clock runner",
 }
 
 
