@@ -201,3 +201,50 @@ def test_fe_clos_healing_holds_no_peer_address_it_has_not_wired(closing):
     healed = neighbours(KAryTree(15, fanout=4), survivors)
     for node in survivors:
         assert set(engines[node].adapter.address) == first[node] | healed[node]
+
+
+@pytest.mark.parametrize("fabric", ["atm-clos", "fe-clos"])
+def test_crash_mid_broadcast_delivers_each_generation_once(closing, fabric):
+    """An inner node dies with a broadcast in flight to it: after the
+    heal every survivor's host receives every generation exactly once,
+    carrying the root's payload — the orphaned subtree gets the lost
+    generation from the repair re-push, and the windows drop the copies
+    the re-push sends to nodes that already had it."""
+    from repro.fabric import ClosFeNetwork
+
+    sim = Simulator()
+    network = (ClosAtmFabric if fabric == "atm-clos" else ClosFeNetwork)(
+        sim, leaves=4, spines=2, hosts_per_leaf=4)
+    closing(network)
+    hosts = [network.add_host(f"n{i}", PENTIUM_120) for i in range(16)]
+    engines, group = wire_collectives(network, hosts, fanout=4, healing=True)
+    rounds, victim = 4, 1  # node 1 relays to nodes 5..8
+    payloads = [struct.pack("=q", 1000 + rnd) for rnd in range(rounds)]
+    received = {n: [] for n in range(16)}
+
+    def member(node):
+        for rnd in range(rounds):
+            data = payloads[rnd] if node == 0 else None
+            try:
+                received[node].append((yield from engines[node].broadcast(data)))
+            except CollectiveError:
+                return  # the victim's host died with its NIC
+            yield sim.timeout(200.0)
+
+    procs = [sim.process(member(n), name=f"bcast.n{n}") for n in range(16)]
+
+    def chaos():
+        # the root has sent its second payload: it is on the wire to node 1
+        while engines[0].broadcasts_completed < 2:
+            yield sim.timeout(1.0)
+        engines[victim].crash()
+    sim.process(chaos(), name="bcast.chaos")
+
+    sim.run(until=5_000_000.0)
+    assert received[victim] == payloads[:1]
+    assert len(group.heals) == 1 and not group.aborted
+    for node in range(16):
+        if node != victim:
+            assert procs[node].triggered
+            assert received[node] == payloads, node
+            assert engines[node].broadcasts_completed == rounds
