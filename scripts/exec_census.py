@@ -22,7 +22,10 @@ or CI; a full run takes tens of minutes.  Not fully profiled: a child
 killed by SIGKILL never writes its hits (``live/peer.py::_child_main``
 shows as never entered), and a wall-clock run slow enough under the
 profiler may fail — the exit code of every command is printed to
-stderr, so compare those between trees too.
+stderr, so compare those between trees too.  Code that runs only
+inside a ``hostcost.count_calls`` window (``bench --host``, the
+host-call pins) stays invisible: the window's own profiler replaces the
+hook while it counts, and sets it back after.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ COMMANDS = [
         "fe-hub", "fe-switch", "fe-beowulf", "fe-clos", "atm", "atm-clos", "mixed")),
     "{py} -m repro splitc rsortsm --substrate atm-clos --collectives nic",
     "{py} -m repro splitc rsortsm --substrate fe-clos --collectives nic",
+    *(f"{{py}} -m repro splitc ssortsm --nodes 4 --keys 4096 --substrate {row} "
+      "--collectives nic" for row in ("atm-clos", "fe-clos")),
     *(f"{{py}} -m repro splitc {app}" for app in ("rsortlg", "mm")),
     "{py} -m repro splitc ssortsm --keys 4096",
     "{py} -m repro splitc ssortlg --keys 4096",

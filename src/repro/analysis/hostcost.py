@@ -16,7 +16,10 @@ lives in ``src/repro``; code objects named ``<...>`` (comprehensions,
 generator expressions, lambdas) are skipped, because 3.12 inlines
 comprehensions and the count must be the same on every supported
 Python; the collector is run before and held off during the count, so
-no finaliser lands in it.  A generator resumed is a call too.
+no finaliser lands in it.  A generator resumed is a call too.  A
+profile hook set before the count (``sys.setprofile``, such as
+``scripts/exec_census.py``'s) is set again after it; the profiler
+replaces it for the count's duration.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import os
+import sys
 from collections import Counter
 from types import CodeType
 from typing import Callable, Dict, List, Tuple
@@ -49,6 +53,7 @@ def count_calls(run: Callable[[], object]) -> CallCounts:
     hook sees the same calls at six times the cost); its call count per
     code object is the number of ``call`` events the hook would see."""
     profiler = cProfile.Profile()
+    hook = sys.getprofile()
     gc.collect()
     gc.disable()
     profiler.enable()
@@ -56,6 +61,7 @@ def count_calls(run: Callable[[], object]) -> CallCounts:
         run()
     finally:
         profiler.disable()
+        sys.setprofile(hook)
         gc.enable()
     counts: CallCounts = Counter()
     for entry in profiler.getstats():

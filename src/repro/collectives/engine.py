@@ -39,7 +39,8 @@ hang.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import UNetError
 from ..sim import Simulator
@@ -156,28 +157,24 @@ class _GenWindow:
         return True
 
 
-class _BarrierState:
-    __slots__ = ("arrived", "event", "sent_up")
+class _State:
+    """One pending generation of one collective on this NIC: the
+    contributions combined so far (the host's own and its children's;
+    a barrier's are empty), the reduce op/dtype byte, the host's
+    waiting event and whether the subtree's value went up."""
 
-    def __init__(self) -> None:
-        self.arrived: Set[int] = set()
-        self.event = None
-        self.sent_up = False
-
-
-class _ReduceState:
-    __slots__ = ("contrib", "op", "dtype", "event", "sent_up")
+    __slots__ = ("contrib", "meta", "event", "sent_up")
 
     def __init__(self) -> None:
         self.contrib: Dict[int, bytes] = {}
-        self.op: Optional[str] = None
-        self.dtype: Optional[str] = None
+        self.meta: Optional[int] = None
         self.event = None
         self.sent_up = False
 
 
-def _combine(contrib: Dict[int, bytes], op: str, dtype: str) -> bytes:
-    """Elementwise reduction over the contributions, sorted by node id.
+def _combine(contrib: Dict[int, bytes], meta: int) -> bytes:
+    """Elementwise reduction over the contributions, sorted by node id,
+    with the op and dtype that the wire byte ``meta`` names.
 
     The sort makes the result a pure function of the *set* of
     contributions — independent of arrival order — which is what the
@@ -185,6 +182,7 @@ def _combine(contrib: Dict[int, bytes], op: str, dtype: str) -> bytes:
     """
     import numpy as np
 
+    dtype = REDUCE_DTYPES[meta >> 2]
     dt = np.dtype(dtype)
     arrays = []
     for node in sorted(contrib):
@@ -196,18 +194,57 @@ def _combine(contrib: Dict[int, bytes], op: str, dtype: str) -> bytes:
             )
         arrays.append(np.frombuffer(raw, dtype=dt))
     out = arrays[0].copy()
-    fn = {"sum": np.add, "max": np.maximum, "min": np.minimum}[op]
+    fn = (np.add, np.maximum, np.minimum)[meta & 0x3]
     for array in arrays[1:]:
         fn(out, array, out=out)
     return out.tobytes()
 
 
+class _Tree:
+    """One collective's k-ary tree protocol on this NIC.
+
+    Every collective is the same protocol: contributions combine up
+    (``up_kind``; None for broadcast, whose root starts the down phase)
+    and the result disseminates down (``down_kind``), one packet per
+    edge.  The record holds what is per collective: the host's
+    generation counter, the pending generations, the dedup window and
+    repair cache of the down packets, the down payloads the host has not
+    asked for yet, and the combine step (None: the barrier sends empty
+    packets up).
+    """
+
+    __slots__ = ("name", "up_kind", "down_kind", "combine", "counter", "gen",
+                 "states", "win", "cache", "stash")
+
+    def __init__(self, name: str, up_kind: Optional[int], down_kind: int,
+                 combine: Optional[Callable[[Dict[int, bytes], int], bytes]],
+                 counter: str) -> None:
+        self.name = name
+        self.up_kind = up_kind
+        self.down_kind = down_kind
+        self.combine = combine
+        #: the engine counter a completed host call bumps
+        self.counter = counter
+        #: the generation the host asks for next
+        self.gen = 0
+        self.states: Dict[int, _State] = {}
+        self.win = _GenWindow()
+        #: recently delivered down payloads, re-pushed along new edges
+        #: after a heal
+        self.cache: Dict[int, bytes] = {}
+        self.stash: Dict[int, bytes] = {}
+
+
 class NicCollectiveEngine:
     """One node's collective engine, resident on its NIC.
 
-    The host-facing generators (:meth:`barrier`, :meth:`broadcast`,
-    :meth:`allreduce`) charge one doorbell and then sleep on a simulation
-    event; everything else runs in NIC firmware via the adapter.
+    The host-facing generators — ``barrier()``, ``broadcast(data=None)``
+    (the root supplies the data) and ``allreduce(data, op="sum",
+    dtype="i")`` — each return the down payload (the broadcast data,
+    the combined reduce; empty for a barrier).  They charge one doorbell
+    and then sleep on a simulation event; everything else runs in NIC
+    firmware via the adapter.  The three are one entry, :meth:`_host`,
+    bound to each collective's :class:`_Tree` without a frame of its own.
     """
 
     COUNTERS = ("packets_sent", "packets_received", "retransmissions",
@@ -227,35 +264,26 @@ class NicCollectiveEngine:
         self.adapter = adapter
         self.parent = tree.parent(node)
         self.children = tree.children(node)
-        # barrier
-        self._barrier_gen = 0
-        self._barrier_state: Dict[int, _BarrierState] = {}
-        self._release_win = _GenWindow()
-        # broadcast
-        self._bcast_gen = 0
-        self._bcast_win = _GenWindow()
-        self._bcast_waiting: Dict[int, object] = {}
-        self._bcast_payloads: Dict[int, bytes] = {}
-        # reduce
-        self._reduce_gen = 0
-        self._reduce_state: Dict[int, _ReduceState] = {}
-        self._reduce_up_win = _GenWindow()
-        self._result_win = _GenWindow()
+        barrier = _Tree("barrier", ARRIVE, RELEASE, None, "barriers_completed")
+        reduce = _Tree("reduce", REDUCE_UP, RESULT, _combine, "reduces_completed")
+        bcast = _Tree("bcast", None, BCAST, None, "broadcasts_completed")
+        #: a heal re-drives pending states and re-pushes repairs in this order
+        self._trees = (barrier, reduce, bcast)
+        self._by_kind = {ARRIVE: barrier, RELEASE: barrier, REDUCE_UP: reduce,
+                         RESULT: reduce, BCAST: bcast}
+        self.barrier = partial(self._host, barrier)
+        self.broadcast = partial(self._host, bcast)
+        self.allreduce = partial(self._host, reduce)
         # per-edge reliability: (peer, kind, gen) -> [packet, attempts]
         self._unacked: Dict[Tuple[int, int, int], List] = {}
         self._rto_timers = sim.lane()  # one constant timeout: armed in expiry order
-        # fault tolerance: current tree epoch, liveness, repair caches
+        # fault tolerance: current tree epoch, liveness
         self.epoch = 0
         self.crashed = False
         #: the membership layer (a CollectiveGroup), if any is attached
         self.group = None
         self._abort_exc: Optional[CollectiveAborted] = None
         self._suspected: Set[int] = set()
-        #: recently released barrier generations (dict used as ordered set)
-        self._release_cache: Dict[int, None] = {}
-        #: recently delivered reduce results / broadcast payloads, by gen
-        self._result_cache: Dict[int, bytes] = {}
-        self._bcast_cache: Dict[int, bytes] = {}
         # statistics
         self.packets_sent = 0
         self.packets_received = 0
@@ -272,6 +300,11 @@ class NicCollectiveEngine:
         """Largest broadcast/reduce payload one packet carries."""
         return self.adapter.max_payload - _HEADER.size
 
+    @property
+    def pending(self) -> int:
+        """Generations in flight on this NIC, over every collective."""
+        return sum(len(tree.states) for tree in self._trees)
+
     def _check_usable(self) -> None:
         if self.crashed:
             raise CollectiveError(f"node {self.node}: NIC has crashed")
@@ -279,81 +312,51 @@ class NicCollectiveEngine:
             raise self._abort_exc
 
     # ------------------------------------------------------- host interface
-    def barrier(self) -> Generator:
-        """Host side of one barrier; completes when the root released it."""
+    def _host(self, tree: _Tree, data: Optional[bytes] = None, op: str = "sum",
+              dtype: str = "i") -> Generator:
+        """Host side of one collective: the host's contribution enters
+        the tree (a broadcast root's payload goes straight down), and
+        the call completes when the down payload reached this NIC."""
         self._check_usable()
         yield DOORBELL_US
         self._check_usable()
-        gen = self._barrier_gen
-        self._barrier_gen = next_gen(gen)
-        state = self._barrier_state.setdefault(gen, _BarrierState())
-        state.event = self.sim.event(name=f"barrier.{self.node}.{gen}")
-        state.arrived.add(self.node)
-        if self._release_win.seen(gen):
-            # theoretical straggler path: released before we asked
-            self._barrier_state.pop(gen, None)
-            state.event.succeed()
-        else:
-            self._barrier_try(gen)
-        yield state.event
-        self.barriers_completed += 1
-
-    def broadcast(self, data: Optional[bytes] = None) -> Generator:
-        """Host side of one broadcast; returns the payload everywhere."""
-        self._check_usable()
-        yield DOORBELL_US
-        self._check_usable()
-        gen = self._bcast_gen
-        self._bcast_gen = next_gen(gen)
-        if self.parent is None:
-            if data is None:
-                raise CollectiveError("broadcast root must supply the data")
+        meta = 0
+        if tree.combine is not None:
+            if op not in REDUCE_OPS:
+                raise CollectiveError(f"unknown reduce op {op!r} (use {REDUCE_OPS})")
+            wire_dtype = reduce_wire_dtype(dtype)
+            if wire_dtype is None:
+                raise CollectiveError(f"unsupported reduce dtype {dtype!r}")
+            meta = REDUCE_OPS.index(op) | (REDUCE_DTYPES.index(wire_dtype) << 2)
+        root = tree.up_kind is None and self.parent is None
+        if root and data is None:
+            raise CollectiveError("broadcast root must supply the data")
+        payload = b""
+        if data is not None:
             payload = bytes(data)
-            self._check_size(payload)
-            self._bcast_win.add(gen)
-            self._cache_put(self._bcast_cache, gen, payload)
-            for child in self.children:
-                self._send_reliable(child, BCAST, gen, 0, payload)
-            self.broadcasts_completed += 1
-            return payload
-        stashed = self._bcast_payloads.pop(gen, None)
-        if stashed is None:
-            event = self.sim.event(name=f"bcast.{self.node}.{gen}")
-            self._bcast_waiting[gen] = event
-            stashed = yield event
-        self.broadcasts_completed += 1
-        return stashed
-
-    def allreduce(self, data: bytes, op: str = "sum", dtype: str = "i") -> Generator:
-        """Host side of one allreduce; returns the combined payload."""
-        self._check_usable()
-        yield DOORBELL_US
-        self._check_usable()
-        if op not in REDUCE_OPS:
-            raise CollectiveError(f"unknown reduce op {op!r} (use {REDUCE_OPS})")
-        wire_dtype = reduce_wire_dtype(dtype)
-        if wire_dtype is None:
-            raise CollectiveError(f"unsupported reduce dtype {dtype!r}")
-        dtype = wire_dtype
-        payload = bytes(data)
-        self._check_size(payload)
-        gen = self._reduce_gen
-        self._reduce_gen = next_gen(gen)
-        state = self._reduce_state.setdefault(gen, _ReduceState())
-        state.op, state.dtype = op, dtype
-        state.contrib[self.node] = payload
-        state.event = self.sim.event(name=f"reduce.{self.node}.{gen}")
-        self._reduce_try(gen)
-        result = yield state.event
-        self.reduces_completed += 1
+            if len(payload) > self.max_data:
+                raise CollectiveError(
+                    f"collective payload of {len(payload)} bytes exceeds the "
+                    f"engine limit of {self.max_data}")
+        gen = tree.gen
+        tree.gen = next_gen(gen)
+        result = tree.stash.pop(gen, None)
+        if result is None:
+            if root:
+                self._down(tree, gen, payload)
+                result = payload
+            else:
+                state = tree.states.get(gen)
+                if state is None:
+                    state = tree.states[gen] = _State()
+                state.event = self.sim.event(name=f"{tree.name}.{self.node}.{gen}")
+                if tree.up_kind is not None:
+                    state.meta = meta
+                    state.contrib[self.node] = payload
+                    self._try(tree, gen)
+                result = yield state.event
+        setattr(self, tree.counter, getattr(self, tree.counter) + 1)
         return result
-
-    def _check_size(self, payload: bytes) -> None:
-        if len(payload) > self.max_data:
-            raise CollectiveError(
-                f"collective payload of {len(payload)} bytes exceeds the "
-                f"engine limit of {self.max_data}"
-            )
 
     # --------------------------------------------------- firmware: dispatch
     def on_packet(self, raw: bytes) -> None:
@@ -379,107 +382,62 @@ class NicCollectiveEngine:
         # every data packet is acked, even duplicates (the dup means our
         # previous ack was lost or is still in flight)
         self._xmit(src, _HEADER.pack(ACK, kind, gen, self.node, self.epoch))
-        if kind == ARRIVE:
-            self._on_arrive(gen, src)
-        elif kind == RELEASE:
-            self._barrier_release(gen)
-        elif kind == BCAST:
-            self._on_bcast(gen, payload)
-        elif kind == REDUCE_UP:
-            self._on_reduce_up(gen, src, meta, payload)
-        else:  # RESULT
-            self._deliver_result(gen, payload)
-
-    # ---------------------------------------------------- firmware: barrier
-    def _on_arrive(self, gen: int, src: int) -> None:
-        if self._release_win.seen(gen):
-            # already released: either a stale retransmit, or an orphan
-            # adopted by a heal re-driving a generation we finished —
-            # answer it directly so the orphan never waits on history
-            self._send_reliable(src, RELEASE, gen, 0, b"")
-            return
-        state = self._barrier_state.setdefault(gen, _BarrierState())
-        state.arrived.add(src)
-        self._barrier_try(gen)
-
-    def _barrier_try(self, gen: int) -> None:
-        state = self._barrier_state.get(gen)
-        if state is None or self.node not in state.arrived:
-            return
-        if not state.arrived.issuperset(self.children):
-            return
-        if self.parent is None:
-            self._barrier_release(gen)
-        elif not state.sent_up:
-            state.sent_up = True
-            self._send_reliable(self.parent, ARRIVE, gen, 0, b"")
-
-    def _barrier_release(self, gen: int) -> None:
-        if not self._release_win.add(gen):
-            return  # duplicate release
-        self._cache_put(self._release_cache, gen, None)
-        for child in self.children:
-            self._send_reliable(child, RELEASE, gen, 0, b"")
-        state = self._barrier_state.pop(gen, None)
-        if state is not None and state.event is not None:
-            state.event.succeed()
-
-    # -------------------------------------------------- firmware: broadcast
-    def _on_bcast(self, gen: int, payload: bytes) -> None:
-        if not self._bcast_win.add(gen):
-            return  # duplicate: delivered (at most) once to the host
-        self._cache_put(self._bcast_cache, gen, payload)
-        for child in self.children:
-            self._send_reliable(child, BCAST, gen, 0, payload)
-        event = self._bcast_waiting.pop(gen, None)
-        if event is not None:
-            event.succeed(payload)
+        tree = self._by_kind[kind]
+        if kind == tree.up_kind:
+            self._on_up(tree, gen, src, meta, payload)
         else:
-            self._bcast_payloads[gen] = payload
+            self._down(tree, gen, payload)
 
-    # ----------------------------------------------------- firmware: reduce
-    def _on_reduce_up(self, gen: int, src: int, meta: int, payload: bytes) -> None:
-        if self._result_win.seen(gen):
-            # result already out: a stale retransmit, or an orphan a heal
+    # ------------------------------------------------ firmware: the tree
+    def _on_up(self, tree: _Tree, gen: int, src: int, meta: int,
+               payload: bytes) -> None:
+        if tree.win.seen(gen):
+            # already came down: a stale retransmit, or an orphan a heal
             # re-parented under us re-offering a finished generation —
-            # answer with the cached result so it completes
-            cached = self._result_cache.get(gen)
+            # answer with the cached down packet so it completes
+            cached = tree.cache.get(gen)
             if cached is not None:
-                self._send_reliable(src, RESULT, gen, 0, cached)
+                self._send_reliable(src, tree.down_kind, gen, 0, cached)
             return
-        if meta & 0x3 >= len(REDUCE_OPS) or meta >> 2 >= len(REDUCE_DTYPES):
+        if tree.combine is not None and (
+                meta & 0x3 >= len(REDUCE_OPS) or meta >> 2 >= len(REDUCE_DTYPES)):
             raise CollectiveError(f"node {self.node}: unknown reduce op/dtype {meta:#04x}")
-        state = self._reduce_state.setdefault(gen, _ReduceState())
-        if state.op is None:
-            state.op = REDUCE_OPS[meta & 0x3]
-            state.dtype = REDUCE_DTYPES[meta >> 2]
+        state = tree.states.get(gen)
+        if state is None:
+            state = tree.states[gen] = _State()
+        if state.meta is None:
+            state.meta = meta
         state.contrib[src] = payload
-        self._reduce_try(gen)
+        self._try(tree, gen)
 
-    def _reduce_try(self, gen: int) -> None:
-        state = self._reduce_state.get(gen)
+    def _try(self, tree: _Tree, gen: int) -> None:
+        """Send the subtree's combined value up (at the root: start the
+        down phase) once the host and every child contributed."""
+        state = tree.states.get(gen)
         if state is None or state.sent_up or self.node not in state.contrib:
             return
         if not state.contrib.keys() >= set(self.children):
             return
-        combined = _combine(state.contrib, state.op, state.dtype)
+        combined = b"" if tree.combine is None else tree.combine(state.contrib, state.meta)
         if self.parent is None:
-            self._deliver_result(gen, combined)
+            self._down(tree, gen, combined)
         else:
-            meta = REDUCE_OPS.index(state.op) | (REDUCE_DTYPES.index(state.dtype) << 2)
             state.sent_up = True
-            self._reduce_up_win.add(gen)
-            self._send_reliable(self.parent, REDUCE_UP, gen, meta, combined)
+            self._send_reliable(self.parent, tree.up_kind, gen, state.meta, combined)
 
-    def _deliver_result(self, gen: int, payload: bytes) -> None:
-        if not self._result_win.add(gen):
-            return  # duplicate result
-        self._cache_put(self._result_cache, gen, payload)
+    def _down(self, tree: _Tree, gen: int, payload: bytes) -> None:
+        if not tree.win.add(gen):
+            return  # duplicate: delivered (at most) once to the host
+        self._cache_put(tree.cache, gen, payload)
         for child in self.children:
-            self._send_reliable(child, RESULT, gen, 0, payload)
-        state = self._reduce_state.pop(gen, None)
+            self._send_reliable(child, tree.down_kind, gen, 0, payload)
+        state = tree.states.pop(gen, None)
         if state is not None and state.event is not None:
             state.event.succeed(payload)
+        elif (gen - tree.gen) % GEN_MOD < GEN_MOD // 2:
+            # the host has not asked for it yet (a generation it has
+            # asked for and holds no state of was aborted: dropped)
+            tree.stash[gen] = payload
 
     # ----------------------------------------------- per-edge reliability
     def _send_reliable(self, peer: int, kind: int, gen: int, meta: int,
@@ -526,7 +484,7 @@ class NicCollectiveEngine:
         self.adapter.send(peer, packet)
 
     @staticmethod
-    def _cache_put(cache: Dict[int, object], gen: int, value) -> None:
+    def _cache_put(cache: Dict[int, bytes], gen: int, value: bytes) -> None:
         cache[gen] = value
         while len(cache) > _REPAIR_CACHE:
             cache.pop(next(iter(cache)))
@@ -570,20 +528,14 @@ class NicCollectiveEngine:
         self.children = [members[c] for c in shadow.children(me)]
         self._unacked.clear()
         self._suspected.clear()
-        for gen, state in sorted(self._barrier_state.items()):
-            state.arrived &= {self.node}
-            state.sent_up = False
-            self._barrier_try(gen)
-        for gen, state in sorted(self._reduce_state.items()):
-            own = state.contrib.get(self.node)
-            state.contrib = {} if own is None else {self.node: own}
-            state.sent_up = False
-            self._reduce_try(gen)
-        repairs = [(RELEASE, gen, b"") for gen in self._release_cache]
-        repairs += [(RESULT, gen, payload)
-                    for gen, payload in self._result_cache.items()]
-        repairs += [(BCAST, gen, payload)
-                    for gen, payload in self._bcast_cache.items()]
+        for tree in self._trees:
+            for gen, state in sorted(tree.states.items()):
+                own = state.contrib.get(self.node)
+                state.contrib = {} if own is None else {self.node: own}
+                state.sent_up = False
+                self._try(tree, gen)
+        repairs = [(tree.down_kind, gen, payload)
+                   for tree in self._trees for gen, payload in tree.cache.items()]
         neighbours = list(self.children)
         if self.parent is not None:
             neighbours.append(self.parent)
@@ -601,24 +553,20 @@ class NicCollectiveEngine:
         self.aborts += 1
         self._unacked.clear()
         self._suspected.clear()
-        for state in self._barrier_state.values():
-            if state.event is not None and not state.event.triggered:
-                state.event.fail(exc)
-        self._barrier_state.clear()
-        for event in self._bcast_waiting.values():
-            if not event.triggered:
-                event.fail(exc)
-        self._bcast_waiting.clear()
-        for state in self._reduce_state.values():
-            if state.event is not None and not state.event.triggered:
-                state.event.fail(exc)
-        self._reduce_state.clear()
+        for tree in self._trees:
+            for state in tree.states.values():
+                if state.event is not None and not state.event.triggered:
+                    state.event.fail(exc)
+            tree.states.clear()
 
-    def resume(self, barrier_gen: int, bcast_gen: int, reduce_gen: int) -> None:
-        """Clear an abort once the fabric healed; generation counters are
-        re-synced by the membership layer (aborts land between calls on
-        different members, so counters drift by one)."""
+    def resume(self, gens: Sequence[int]) -> None:
+        """Clear an abort once the fabric healed; each collective's
+        generation counter is re-synced by the membership layer (aborts
+        land between calls on different members, so counters drift by
+        one), and down payloads stashed for generations the host now
+        skips are dropped."""
         self._abort_exc = None
-        self._barrier_gen = barrier_gen
-        self._bcast_gen = bcast_gen
-        self._reduce_gen = reduce_gen
+        for tree, gen in zip(self._trees, gens):
+            tree.gen = gen
+            tree.stash = {g: payload for g, payload in tree.stash.items()
+                          if (g - gen) % GEN_MOD < GEN_MOD // 2}

@@ -160,12 +160,11 @@ class CollectiveGroup:
             raise CollectiveAborted("cannot resume: still partitioned",
                                     epoch=self.epoch)
         engines = [self.engines[n] for n in live]
-        barrier_gen = _max_gen(e._barrier_gen for e in engines)
-        bcast_gen = _max_gen(e._bcast_gen for e in engines)
-        reduce_gen = _max_gen(e._reduce_gen for e in engines)
+        gens = [_max_gen(tree.gen for tree in trees)
+                for trees in zip(*(e._trees for e in engines))]
         self.aborted = False
         for engine in engines:
-            engine.resume(barrier_gen, bcast_gen, reduce_gen)
+            engine.resume(gens)
         self._install(live)
         return live
 

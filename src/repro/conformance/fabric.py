@@ -53,18 +53,20 @@ FABRIC_BUGS: Dict[str, Dict[str, object]] = {
 
 
 def _buggy_install_epoch(orig):
+    from ..collectives.engine import REDUCE_UP
+
     def install_epoch(self, epoch, members):
-        stale = {gen: dict(state.contrib)
-                 for gen, state in self._reduce_state.items()}
+        tree = self._by_kind[REDUCE_UP]
+        stale = {gen: dict(state.contrib) for gen, state in tree.states.items()}
         orig(self, epoch, members)
         for gen, contrib in stale.items():
-            state = self._reduce_state.get(gen)
+            state = tree.states.get(gen)
             if state is None:
                 continue
             # the bug: resurrect subtree sums that belong to the old tree
             state.contrib.update(contrib)
             state.sent_up = False
-            self._reduce_try(gen)
+            self._try(tree, gen)
     return install_epoch
 
 

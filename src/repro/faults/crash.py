@@ -32,7 +32,7 @@ at an endpoint that is already gone.  Deterministic on every substrate.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from .perturb import Emit
 from .scripted import OccurrenceTracker
@@ -99,22 +99,18 @@ class EndpointLifecycle:
     ``crash`` and ``restart`` are zero-argument callables — bound
     methods of a simulated :class:`~repro.am.am.AmEndpoint`, a
     :class:`~repro.live.am.LiveAm`, or a subprocess harness that sends
-    ``SIGKILL`` and respawns.  Every application is logged with its
-    trigger time so a soak can measure recovery latency.
+    ``SIGKILL`` and respawns.
     """
 
     def __init__(self, crash: Optional[Callable[[], object]] = None,
                  restart: Optional[Callable[[], object]] = None) -> None:
         self._crash = crash
         self._restart = restart
-        #: (fault, fire-time) pairs in application order
-        self.applied: List[Tuple[LifecycleFault, float]] = []
 
     def fire(self, fault: LifecycleFault, now: float) -> None:
         action = self._crash if fault.kind == "crash" else self._restart
         if action is not None:
             action()
-        self.applied.append((fault, now))
 
 
 class LifecycleStage(OccurrenceTracker):

@@ -287,7 +287,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
             # victim that dies idle would only be noticed at the next
             # packet addressed to it — the interesting (and guaranteed
             # detectable) case is silence with traffic in flight
-            while not victim._reduce_state and not victim._barrier_state:
+            while not victim.pending:
                 yield 5.0
             victim.crash()
             crash_time.append(sim.now)

@@ -69,6 +69,10 @@ POOL_SLOTS = RECV_BATCH
 #: longest an event-mode cluster parks in epoll before re-polling; short
 #: enough that AM retransmission timers still fire close to on time
 _EVENT_WAIT_US = 500.0
+#: epoll counts its timeout in whole milliseconds (``selectors`` rounds
+#: a shorter one up), so event mode parks only when the next heap entry
+#: is at least this far away and otherwise sleeps as busy-poll does
+_EPOLL_GRAIN_US = 1000.0
 #: busy-poll mode's pause after a pass that moved no data
 _IDLE_SLEEP_US = 50.0
 
@@ -699,8 +703,9 @@ class LiveCluster(Closing):
         pumps every node and every AM endpoint in ``ams``.  Returns once
         the clock passes ``until_us`` or nothing is left waiting.  A pass
         that moved nothing (no heap entry fired but the pump's own wake,
-        no datagram, no AM packet) parks (event mode) or sleeps briefly,
-        never past the next heap entry.
+        no datagram, no AM packet) parks (event mode, with the next heap
+        entry at least a millisecond away) or sleeps briefly, never past
+        the next heap entry.
         """
         sim, clock = self.sim, self.clock
         while True:
@@ -720,7 +725,7 @@ class LiveCluster(Closing):
             limit = min(until_us, sim.peek()) - clock.now_us()
             if moved or limit <= 0:
                 continue
-            if self._doorbell is not None:
+            if self._doorbell is not None and limit >= _EPOLL_GRAIN_US:
                 # interrupt-analogue: park until a socket is readable
                 self._doorbell.sync(node.transport.sock for node in self.nodes)
                 self._doorbell.wait_us(min(_EVENT_WAIT_US, limit))

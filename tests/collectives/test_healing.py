@@ -52,8 +52,7 @@ def test_crash_heals_to_survivor_sums_without_duplicates(closing):
 
     def chaos():
         yield sim.timeout(250.0)
-        while not engines[victim]._reduce_state \
-                and not engines[victim]._barrier_state:
+        while not engines[victim].pending:
             yield sim.timeout(5.0)
         engines[victim].crash()
     sim.process(chaos(), name="healing.chaos")
@@ -140,8 +139,7 @@ def test_stale_epoch_traffic_is_fenced_not_replayed(closing):
 
     def chaos():
         yield sim.timeout(120.0)
-        while not engines[victim]._reduce_state \
-                and not engines[victim]._barrier_state:
+        while not engines[victim].pending:
             yield sim.timeout(5.0)
         engines[victim].crash()
     sim.process(chaos(), name="fence.chaos")

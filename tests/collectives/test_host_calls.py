@@ -24,10 +24,13 @@ COUNTED_ROUNDS = 1 + 2 * ROUNDS
 #: fabric -> (calls into ``src/repro`` per round, a ceiling; heap events,
 #: exact).  6 960.33 and 8 881.78 calls before the i960 combined a
 #: collective packet inline, the FE switch took frames through a
-#: ``partial`` and the DC21140 read the clock directly
+#: ``partial`` and the DC21140 read the clock directly; lowered by the
+#: 107.89 a round saved when the engine's three collectives became one
+#: tree protocol (5 562.67 and 6 503.67 measured before, 5 454.78 and
+#: 6 395.78 after)
 PINS = {
-    "atm-clos": (5576.89, 9223),
-    "fe-clos": (6939.22, 9800),
+    "atm-clos": (5469.00, 9223),
+    "fe-clos": (6831.33, 9800),
 }
 
 

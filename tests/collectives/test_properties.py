@@ -97,10 +97,9 @@ def test_reduce_result_is_arrival_order_independent(substrate, n, fanout, op, da
 def _seed_generation(engine, gen):
     """Start every per-op track of ``engine`` at generation ``gen``."""
     before = (gen - 1) % GEN_MOD
-    engine._barrier_gen = engine._bcast_gen = engine._reduce_gen = gen
-    for window in (engine._release_win, engine._bcast_win,
-                   engine._reduce_up_win, engine._result_win):
-        window.floor = before
+    for tree in engine._trees:
+        tree.gen = gen
+        tree.win.floor = before
 
 
 @given(
@@ -138,7 +137,7 @@ def test_collectives_survive_generation_wrap(start, rounds, substrate):
         assert engine.broadcasts_completed == rounds
         assert engine.reduces_completed == rounds
         # the counters did wrap during the run
-        assert engine._barrier_gen == (start + rounds) % GEN_MOD
+        assert [tree.gen for tree in engine._trees] == [(start + rounds) % GEN_MOD] * 3
 
 
 @given(start=st.integers(min_value=0, max_value=GEN_MOD - 1),

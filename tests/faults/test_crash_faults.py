@@ -121,6 +121,8 @@ def test_endpoint_lifecycle_maps_kinds_to_actions():
     life.fire(CrashFault("fwd", 2), 5.0)
     life.fire(RestartFault("fwd", 2, 1), 9.0)
     assert calls == ["crash", "restart"]
-    assert [(f.kind, f.seq, f.occurrence) for f, _t in life.applied] == [
-        ("crash", 2, 0), ("restart", 2, 1)]
-    assert [t for _f, t in life.applied] == [5.0, 9.0]
+    life.fire(RestartFault("fwd", 3, 1), 12.0)
+    assert calls == ["crash", "restart", "restart"]
+    EndpointLifecycle(crash=lambda: calls.append("crash")).fire(
+        RestartFault("fwd", 2, 1), 14.0)  # no restart action: nothing runs
+    assert calls == ["crash", "restart", "restart"]

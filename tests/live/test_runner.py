@@ -141,3 +141,49 @@ def test_a_pass_that_only_flushed_sends_does_not_sleep():
         message, at = process.value
         assert decode(message.data).data == b"deferred"
         assert at == 0.0  # not _IDLE_SLEEP_US: no idle sleep in between
+
+
+class _Doorbell:
+    """Stands in for the epoll doorbell: records the clock at every park,
+    and a park times out (no socket), taking its whole timeout."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.parked_at = []
+
+    def sync(self, socks):
+        list(socks)
+
+    def wait_us(self, timeout_us):
+        self.parked_at.append(self.clock.now_us())
+        self.clock.advance(timeout_us)
+        return 0
+
+    def close(self):
+        pass
+
+
+def test_event_mode_parks_only_when_the_next_entry_is_a_millisecond_away():
+    """epoll rounds a sub-millisecond timeout up to 1 ms, so a park with
+    the next heap entry closer than that would wake late: the runner
+    sleeps as busy-poll does instead."""
+    clock = ManualClock()
+    cluster = LiveCluster(None, clock, doorbell_mode="event")
+    cluster._doorbell.close()
+    cluster._doorbell = doorbell = _Doorbell(clock)
+    with cluster:
+        woke = []
+
+        def sleeper():
+            yield 200.0
+            woke.append(clock.now_us())
+            yield 3000.0
+            woke.append(clock.now_us())
+
+        cluster.sim.process(sleeper())
+        cluster.run(10_000.0, ())
+    assert woke == [200.0, 3200.0]
+    assert doorbell.parked_at, "a 3 ms gap parks"
+    for now in doorbell.parked_at:
+        due = 200.0 if now < 200.0 else 3200.0
+        assert due - now >= 1000.0, (now, doorbell.parked_at)

@@ -17,6 +17,8 @@ fails here, and the failure prints the per-function table, so the frame
 names itself.  ``-s`` prints the counts.
 """
 
+import sys
+
 from repro.analysis.hostcost import count_calls, per_function
 from repro.analysis.microbench import (
     FIGURE5_CONFIGS,
@@ -66,3 +68,28 @@ def test_python_calls_per_fe_hub_round_trip_are_pinned():
     assert per_trip <= CALLS_PER_HUB_ROUND_TRIP, (
         f"{per_trip} calls per round trip, ceiling {CALLS_PER_HUB_ROUND_TRIP}; per function:\n"
         f"{per_function(counts, ROUND_TRIPS)}")
+
+
+def test_count_calls_sets_back_the_profile_hook_it_found():
+    """The execution census profiles every workload through a
+    ``sys.setprofile`` hook; a count window inside one must hand the
+    hook back, or the rest of that run goes unrecorded."""
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_name)
+
+    def after_the_window():
+        pass
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        count_calls(lambda: None)
+        restored = sys.getprofile()
+        after_the_window()
+    finally:
+        sys.setprofile(previous)
+    assert restored is hook
+    assert "after_the_window" in seen

@@ -60,6 +60,11 @@ KEPT = {
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
+    # the collective engine's one host entry, which the Split-C runtime
+    # calls through the ``barrier`` / ``broadcast`` / ``allreduce``
+    # partials that bind it to each collective's tree
+    **_each(SET_UNSEEN, "repro.collectives.engine:NicCollectiveEngine._host",
+            "data", "op", "dtype"),
     # ``networks.Network.build``'s ``cls(sim, **self.shape(n))``
     **_each(SET_UNSEEN, "repro.fabric.atm_clos:ClosAtmFabric.__init__", "leaves", "spines"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork.__init__", "leaves", "spines"),

@@ -15,8 +15,11 @@ and examples are not callers, as in ``tests/test_knobs.py``.
    loaded (``x.name``), or named by a string (``getattr(x, "name")``, a
    ``COUNTERS`` or ``PARTS`` entry that ``repro.telemetry`` reads, a
    ctypes ``_fields_`` row).  An augmented assignment is a store, so a
-   counter only ever bumped is write-only; ``__slots__`` declares
-   storage and reads nothing.
+   counter only ever bumped is write-only; so is a collection whose
+   only loads are as the receiver of ``.add`` / ``.append`` /
+   ``.extend`` / ``.update`` / ``.discard`` / ``.clear`` in a statement
+   that discards the result.  ``__slots__`` declares storage and reads
+   nothing.
 
 Matching is by simple name, so a mention of ``report`` anywhere counts
 for every ``report``: the census finds only names nothing mentions at
@@ -66,6 +69,11 @@ KEPT = {
 }
 
 
+#: methods that only put into or take out of a collection: a load that
+#: is just their receiver, its result discarded, reads nothing
+_MUTATORS = frozenset({"add", "append", "extend", "update", "discard", "clear"})
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -76,6 +84,7 @@ class _Census:
         self.stored = {}        # attribute -> {module storing it}
         self.mentioned = set()  # names some file mentions
         self.read = set()       # attributes some load or string reads
+        self.filled = set()     # loads that only receive a mutator
 
     def define(self, module, tree):
         """The definitions and attribute stores of one ``src/repro`` module."""
@@ -98,9 +107,13 @@ class _Census:
             if isinstance(child, ast.Assign) and any(
                     getattr(target, "id", "") == "__slots__" for target in child.targets):
                 continue
+            if (isinstance(child, ast.Expr) and isinstance(child.value, ast.Call)
+                    and isinstance(child.value.func, ast.Attribute)
+                    and child.value.func.attr in _MUTATORS):
+                self.filled.add(child.value.func.value)
             if isinstance(child, ast.Attribute):
                 name = child.attr
-                if isinstance(child.ctx, ast.Load):
+                if isinstance(child.ctx, ast.Load) and child not in self.filled:
                     self.read.add(name)
             elif isinstance(child, ast.Name):
                 name = child.id
@@ -166,11 +179,14 @@ class Ring:
 
     def __init__(self):
         self.items = []
+        self.log = []
         self.pushes = 0
         self.bumped = 0
 
     def push(self, item):
         self.items.append(item)
+        self.log.append(item)
+        self.log.clear()
         self.pushes += 1
         self.bumped += 1
 
@@ -195,14 +211,15 @@ def test_ring():
     ring = Ring()
     assert ring.dead_helper() == 0
     assert ring.bumped == 0
+    assert ring.log == []
 """
 
 
 def test_lint_catches_a_planted_dead_helper_and_write_only_attribute(tmp_path):
-    """A helper only a test and an export list mention, and a counter
-    only ever bumped (its one reader a test), are flagged; what a
-    workload calls, a counter ``COUNTERS`` declares and a store some
-    code loads are not."""
+    """A helper only a test and an export list mention, a counter only
+    ever bumped and a list only ever appended to and cleared (their one
+    reader a test) are flagged; what a workload calls, a counter
+    ``COUNTERS`` declares and a list some code also reads are not."""
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "_planted.py").write_text(_PLANTED, encoding="utf-8")
     (tmp_path / "src" / "repro" / "__init__.py").write_text(
@@ -212,7 +229,8 @@ def test_lint_catches_a_planted_dead_helper_and_write_only_attribute(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_planted.py").write_text(_PLANTED_TEST, encoding="utf-8")
     c = census(tmp_path)
-    assert offenders(c) == ["repro._planted:Ring.dead_helper", "repro._planted:bumped"]
+    assert offenders(c) == ["repro._planted:Ring.dead_helper", "repro._planted:bumped",
+                            "repro._planted:log"]
 
 
 def test_kept_table_is_exact():
