@@ -28,13 +28,11 @@ the monitors' existing operator surface.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import ClusterPartitionError
 from .health import STATE_QUARANTINED, STATE_SHED, EndpointHealth, HealthMonitor
 
-__all__ = ["ClusterHealthAggregator", "ClusterPartitionMonitor",
-           "MODE_NORMAL", "MODE_DEGRADED", "MODE_ISOLATED"]
+__all__ = ["ClusterHealthAggregator"]
 
 
 class ClusterHealthAggregator:
@@ -145,123 +143,3 @@ class ClusterHealthAggregator:
             self.coordinated_releases += 1
         return released
 
-
-# --------------------------------------------------------------- partitions
-
-MODE_NORMAL = "normal"
-MODE_DEGRADED = "degraded"
-MODE_ISOLATED = "isolated"
-
-
-class ClusterPartitionMonitor:
-    """Partition detection over aggregated reachability evidence.
-
-    Hosts report which peers they can currently reach (fed from fabric
-    signaling, failed heartbeats, or collective liveness timeouts); the
-    monitor merges the reports into mutual-reachability components and
-    applies the classic split-brain policy:
-
-    * one component — every host runs ``normal``;
-    * several components — the **majority** side (largest component;
-      ties break toward the component holding the first member in sort
-      order, so the verdict is deterministic) runs ``degraded`` — it
-      keeps serving but knows peers are dark; every **minority** host is
-      ``isolated`` and must fail fast: :meth:`check` raises the typed
-      :class:`~repro.core.errors.ClusterPartitionError` there.
-
-    Partition and heal instants are recorded (via the injected ``clock``
-    callable, usually ``lambda: sim.now`` — no ambient time) and every
-    healed partition leaves a recovery snapshot in :attr:`recovery_log`.
-    """
-
-    COUNTERS = ("partitioned_at", "evaluations", "recovery_log")
-
-    def __init__(self, members: Iterable[str],
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        self.members: List[str] = sorted(members)
-        if len(self.members) < 2:
-            raise ValueError("a partition needs at least two members")
-        self._clock = clock or (lambda: 0.0)
-        #: host -> peers it currently claims to reach (None = all, the
-        #: optimistic default before any evidence arrives)
-        self._reach: Dict[str, Optional[set]] = {m: None for m in self.members}
-        self.partitioned_at: Optional[float] = None
-        #: healed partitions: {"partitioned_at", "healed_at",
-        #:  "recovery_us", "minority": [...]}
-        self.recovery_log: List[dict] = []
-        self._modes: Dict[str, str] = {m: MODE_NORMAL for m in self.members}
-        self._minority: List[str] = []
-        self.evaluations = 0
-
-    # ------------------------------------------------------------ evidence
-    def report_reachability(self, host: str, peers: Iterable[str]) -> None:
-        """``host`` claims it can currently reach exactly ``peers``."""
-        if host not in self._reach:
-            raise ValueError(f"unknown member {host!r}")
-        self._reach[host] = {p for p in peers if p in self._reach and p != host}
-        self.evaluate()
-
-    def _mutual(self, a: str, b: str) -> bool:
-        ra, rb = self._reach[a], self._reach[b]
-        return (ra is None or b in ra) and (rb is None or a in rb)
-
-    def _components(self) -> List[List[str]]:
-        remaining = set(self.members)
-        components: List[List[str]] = []
-        while remaining:
-            start = min(remaining)
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                here = frontier.pop()
-                for other in sorted(remaining - seen):
-                    if self._mutual(here, other):
-                        seen.add(other)
-                        frontier.append(other)
-            components.append(sorted(seen))
-            remaining -= seen
-        # majority first; ties break toward the earliest member
-        components.sort(key=lambda c: (-len(c), c[0]))
-        return components
-
-    # ------------------------------------------------------------ verdicts
-    def evaluate(self) -> List[List[str]]:
-        """Recompute components, update modes, record transitions."""
-        self.evaluations += 1
-        components = self._components()
-        if len(components) == 1:
-            if self.partitioned_at is not None:
-                healed_at = self._clock()
-                self.recovery_log.append({
-                    "partitioned_at": self.partitioned_at,
-                    "healed_at": healed_at,
-                    "recovery_us": healed_at - self.partitioned_at,
-                    "minority": list(self._minority),
-                })
-                self.partitioned_at = None
-            self._minority = []
-            self._modes = {m: MODE_NORMAL for m in self.members}
-            return components
-        if self.partitioned_at is None:
-            self.partitioned_at = self._clock()
-        majority = components[0]
-        self._minority = sorted(m for c in components[1:] for m in c)
-        self._modes = {m: MODE_DEGRADED for m in majority}
-        self._modes.update({m: MODE_ISOLATED for m in self._minority})
-        return components
-
-    def mode(self, host: str) -> str:
-        if host not in self._modes:
-            raise ValueError(f"unknown member {host!r}")
-        return self._modes[host]
-
-    def check(self, host: str) -> None:
-        """Fail fast on an isolated (minority-side) host."""
-        if self._modes[host] == MODE_ISOLATED:
-            component = [m for m in self.members
-                         if m == host
-                         or (self._modes[m] == MODE_ISOLATED
-                             and self._mutual(host, m))]
-            raise ClusterPartitionError(
-                f"host {host} is on the minority side of a partition",
-                host=host, component=component)

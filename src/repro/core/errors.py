@@ -14,7 +14,6 @@ __all__ = [
     "AdmissionRejected",
     "ConfigError",
     "NoPathError",
-    "ClusterPartitionError",
 ]
 
 
@@ -101,18 +100,6 @@ class NoPathError(ChannelError, ValueError):
         super().__init__(message)
         self.src = src
         self.dst = dst
-
-
-class ClusterPartitionError(UNetError):
-    """This host sits on the minority side of a cluster partition and
-    must fail fast rather than diverge.  The majority side keeps
-    running in degraded mode; see ``ClusterPartitionMonitor``."""
-
-    def __init__(self, message: str = "cluster partitioned", *,
-                 host: str = "", component: object = None) -> None:
-        super().__init__(message)
-        self.host = host
-        self.component = tuple(component) if component is not None else ()
 
 
 class StaleEpochError(UNetError):

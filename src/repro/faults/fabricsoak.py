@@ -17,9 +17,7 @@ the contract end to end:
   (both sides) raises the typed
   :class:`~repro.collectives.engine.CollectiveAborted` in bounded sim
   time — never a hang — signaling across the cut raises
-  :class:`~repro.core.errors.NoPathError`, the
-  :class:`~repro.core.cluster.ClusterPartitionMonitor` degrades the
-  majority and isolates the minority, and after the trunks heal
+  :class:`~repro.core.errors.NoPathError`, and after the trunks heal
   :meth:`CollectiveGroup.resume` re-opens the group and rounds complete
   again.
 * ``node-crash`` — the SIGKILL analogue: a NIC engine dies instantly
@@ -188,7 +186,7 @@ FABRIC_SCENARIOS: Dict[str, FabricScenario] = {
         FabricScenario(
             "partition-heal",
             "16-node ATM Clos partitioned at a leaf: typed abort on every "
-            "member, monitor degrades/isolates, resume after heal",
+            "member, no path across the cut, resume after heal",
             fabric="atm-clos", leaves=4, spines=2, hosts_per_leaf=4,
             stages=_partition_stages, expect_abort=True,
             post_rounds=2, resume_at_us=35_000.0),
@@ -226,9 +224,7 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
     """Run one fabric-fault soak and verify the fault-tolerance contract."""
     from ..collectives import CollectiveAborted
     from ..collectives.engine import CollectiveError
-    from ..core.cluster import (MODE_DEGRADED, MODE_ISOLATED,
-                                ClusterPartitionMonitor)
-    from ..core.errors import ClusterPartitionError, NoPathError
+    from ..core.errors import NoPathError
 
     fabric, hosts, engines, group = _build(scenario)
     sim = fabric.sim
@@ -297,56 +293,25 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
         sim.process(chaos(), name="fabricsoak.chaos")
 
     if scenario.expect_abort:
-        monitor = ClusterPartitionMonitor([h.name for h in hosts],
-                                          clock=lambda: sim.now)
-
-        def feed_monitor() -> None:
-            for i, host in enumerate(hosts):
-                monitor.report_reachability(host.name, [
-                    hosts[j].name for j in range(nodes)
-                    if j != i and fabric.backends_reachable(
-                        host.backend, hosts[j].backend)])
-
         def coordinator():
             while not group.aborted:
                 yield 100.0
             while len(abort_at) < nodes:
                 yield 100.0
             # every member saw the typed abort; the cut must also be
-            # visible to signaling and to the partition monitor
+            # visible to signaling
             try:
                 fabric.connect_collective(hosts[0].backend, hosts[-1].backend)
                 violations.append("partition: connect_collective across the "
                                   "cut did not raise NoPathError")
             except NoPathError:
                 pass
-            feed_monitor()
-            majority = [h.name for h in hosts[scenario.hosts_per_leaf:]]
-            minority = [h.name for h in hosts[:scenario.hosts_per_leaf]]
-            if any(monitor.mode(m) != MODE_DEGRADED for m in majority):
-                violations.append("partition: a majority member is not "
-                                  "degraded")
-            for m in minority:
-                if monitor.mode(m) != MODE_ISOLATED:
-                    violations.append(f"partition: minority member {m} is "
-                                      f"not isolated")
-                    continue
-                try:
-                    monitor.check(m)
-                    violations.append(f"partition: check({m}) did not raise "
-                                      f"ClusterPartitionError")
-                except ClusterPartitionError:
-                    pass
             if progress is not None:
                 progress(f"{scenario.name}: all {nodes} members aborted by "
                          f"t={sim.now:.0f}us")
             while sim.now < scenario.resume_at_us:
                 yield 200.0
             live = group.resume()
-            feed_monitor()
-            if monitor.mode(hosts[0].name) != "normal":
-                violations.append("partition: monitor did not return to "
-                                  "normal after the heal")
             for node in live:
                 post_processes[node] = sim.process(
                     post_driver(node), name=f"fabricsoak.post{node}")
@@ -459,12 +424,6 @@ def run_fabric_scenario(scenario: FabricScenario, seed: int = DEFAULT_SEED,
         transitions_applied=injector.transitions_applied,
         sim_events=sim.events_processed,
     )
-    if scenario.expect_abort and monitor.recovery_log:
-        # the monitor's own recovery view must agree with the group's
-        rec = monitor.recovery_log[-1]
-        if rec["recovery_us"] <= 0.0:
-            violations.append("recovery: partition monitor recorded a "
-                              "non-positive recovery time")
     return result
 
 

@@ -64,7 +64,6 @@ KEPT = {
         "Section 3.1: whether a message rides in its descriptor",
     # what a caller catching a typed error, or tearing down a seam, reads
     "repro.core.errors:knob": "ConfigError names the knob a caller got wrong",
-    "repro.core.errors:component": "ClusterPartitionError names the minority side",
     "repro.faults.inject:Interposer.attached": "whether a fault is still hooked in",
 }
 
