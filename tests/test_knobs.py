@@ -8,8 +8,11 @@ knob only they turn is still one nothing needs.  The census below is an
 AST walk over those three trees.  A call names its target by the last
 component of what it calls (``f(...)``, ``x.f(...)``, ``Cls(...)``,
 ``super().__init__(...)``, ``partial(f, ...)``), and sets a parameter by
-keyword or by position; ``replace(obj, field=...)`` sets that field on
-every dataclass that declares it.  An argument forwarded unchanged from
+keyword or by position; a call to an attribute that ``src/repro`` binds
+to a partial (``self.name = partial(self.method, a)``, then
+``obj.name(b, k=c)``) sets ``method``'s parameters past the bound ones;
+``replace(obj, field=...)`` sets that field on every dataclass that
+declares it.  An argument forwarded unchanged from
 a defaulted parameter of ``src/repro`` (``f(x=x)``) sets its target only
 if that parameter is itself set, so a default carried down a chain of
 calls is still one unturned knob.
@@ -60,11 +63,6 @@ KEPT = {
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
-    # the collective engine's one host entry, which the Split-C runtime
-    # calls through the ``barrier`` / ``broadcast`` / ``allreduce``
-    # partials that bind it to each collective's tree
-    **_each(SET_UNSEEN, "repro.collectives.engine:NicCollectiveEngine._host",
-            "data", "op", "dtype"),
     # ``networks.Network.build``'s ``cls(sim, **self.shape(n))``
     **_each(SET_UNSEEN, "repro.fabric.atm_clos:ClosAtmFabric.__init__", "leaves", "spines"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork.__init__", "leaves", "spines"),
@@ -232,6 +230,8 @@ class _Census:
         self.fields = {}          # field name -> [dataclass field knobs]
         self._ctor_cache = {}
         self.renames = {}         # ``attach_pipeline = PerturbationPipeline``
+        #: ``x.name = partial(x.method, a)``: name -> [(method, bound positionals)]
+        self.partials = {}
         for module, tree in modules.items():
             self.trees[module] = tree
             self._collect(module, tree.body, "")
@@ -239,6 +239,14 @@ class _Census:
                 if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
                         and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
                     self.renames[node.targets[0].id] = node.value.id
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Attribute)
+                        and isinstance(node.value, ast.Call)
+                        and _name(node.value.func) == "partial" and node.value.args):
+                    func, *bound = node.value.args
+                    self.partials.setdefault(node.targets[0].attr, []).append(
+                        (func, len(bound)))
 
     # -- definitions
     def _collect(self, module, body, prefix):
@@ -406,6 +414,12 @@ class _Census:
                 self._bind_param(d, name, value, fn_knobs)
             for kw in call.keywords:
                 self._bind_param(d, kw.arg, kw.value, fn_knobs)
+        if isinstance(call.func, ast.Attribute):
+            # the partial bound its own arguments where it was built
+            for func, bound in self.partials.get(call.func.attr, ()):
+                held = [ast.Constant(None)] * bound
+                self._call(ast.Call(func, held + list(call.args), call.keywords),
+                           aliases, cls, fn_knobs)
 
     def _bind_param(self, d, name, value, fn_knobs):
         if name in d.defaulted:
@@ -475,6 +489,7 @@ def test_no_option_nobody_sets():
 
 _PLANTED = """
 from dataclasses import dataclass
+from functools import partial
 
 @dataclass
 class Knobs:
@@ -493,6 +508,16 @@ def caller():
 
 def tested(x, scale=2):
     return x * scale
+
+class Engine:
+    def __init__(self):
+        self.scaled = partial(self._scale, 2)
+
+    def _scale(self, factor, x, offset=0, bias=0):
+        return factor * x + offset + bias
+
+def drive():
+    return Engine().scaled(1, offset=3)
 """
 
 _PLANTED_TEST = """
@@ -505,15 +530,17 @@ def test_tested():
 
 def test_lint_catches_a_planted_offender(tmp_path):
     """An unset field, an unset parameter, one set only by a forward of
-    an unset parameter, and one only a test sets are all flagged; the
-    field a workload sets is not."""
+    an unset parameter, one only a test sets and one a bound partial's
+    caller leaves unset are all flagged; the field a workload sets and
+    the parameter it sets through a bound partial are not."""
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "_planted.py").write_text(_PLANTED, encoding="utf-8")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_planted.py").write_text(_PLANTED_TEST, encoding="utf-8")
     found = offenders(census(tmp_path))
-    assert found == ["repro._planted:Knobs.unused", "repro._planted:inner.depth",
-                     "repro._planted:outer.depth", "repro._planted:tested.scale"]
+    assert found == ["repro._planted:Engine._scale.bias", "repro._planted:Knobs.unused",
+                     "repro._planted:inner.depth", "repro._planted:outer.depth",
+                     "repro._planted:tested.scale"]
 
 
 def test_kept_allowlist_is_exact():
