@@ -13,14 +13,7 @@ latency and bandwidth curves side by side, highlighting:
 Run:  python examples/atm_vs_ethernet.py
 """
 
-from repro.analysis import (
-    FIGURE5_CONFIGS,
-    FIGURE6_CONFIGS,
-    ascii_plot,
-    bandwidth_series,
-    format_table,
-    rtt_series,
-)
+from repro.analysis import FIGURE5_CONFIGS, FIGURE6_CONFIGS, FIGURES, ascii_plot, format_table
 
 LATENCY_SIZES = [0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498]
 BANDWIDTH_SIZES = [64, 256, 512, 1024, 1498]
@@ -28,9 +21,7 @@ BANDWIDTH_SIZES = [64, 256, 512, 1024, 1498]
 
 def main() -> None:
     print("=== Round-trip latency (us) — Figure 5 ===")
-    latency = {}
-    for name in FIGURE5_CONFIGS:
-        latency[name] = rtt_series(name, LATENCY_SIZES)
+    latency = FIGURES["fig5"].series(LATENCY_SIZES)
     rows = []
     for i, size in enumerate(LATENCY_SIZES):
         rows.append([size] + [latency[name][i][1] for name in FIGURE5_CONFIGS])
@@ -45,9 +36,7 @@ def main() -> None:
 
     print()
     print("=== One-way bandwidth (Mb/s) — Figure 6 ===")
-    bandwidth = {}
-    for name in FIGURE6_CONFIGS:
-        bandwidth[name] = bandwidth_series(name, BANDWIDTH_SIZES)
+    bandwidth = FIGURES["fig6"].series(BANDWIDTH_SIZES)
     rows = []
     for i, size in enumerate(BANDWIDTH_SIZES):
         rows.append([size] + [bandwidth[name][i][1] for name in FIGURE6_CONFIGS])

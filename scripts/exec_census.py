@@ -50,6 +50,7 @@ COMMANDS = [
     *(f"{{py}} -m repro {name}" for name in (
         "fig3", "fig4", "atm-timeline", "fig5", "fig7", "rtt", "bandwidth",
         "table1", "table2", "validate", "list")),
+    "{py} -m repro fig5 --svg {out}/fig5.svg",
     "{py} -m repro fig6 --svg {out}/fig6.svg",
     "{py} -m repro table1 --des",
     *(f"{{py}} -m repro journey --substrate {row}" for row in (

@@ -4,9 +4,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".microbench": (
-        "FIGURE5_CONFIGS", "FIGURE6_CONFIGS", "MicrobenchSetup",
-        "bandwidth_of", "bandwidth_series", "measure_bandwidth", "measure_rtt",
-        "measure_send_overhead", "rtt_of", "rtt_series", "setup_atm",
+        "FIGURE5_CONFIGS", "FIGURE6_CONFIGS", "FIGURES", "Figure", "MicrobenchSetup",
+        "bandwidth_of", "measure_bandwidth", "measure_rtt", "rtt_of", "setup_atm",
         "setup_fe_hub", "setup_fe_switch",
     ),
     ".benchcmp": (
@@ -24,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "trace_transfer",
     ),
     ".journey": ("render_journey", "trace_journey"),
-    ".svgfig": ("line_chart_svg", "save_figure5_svg", "save_figure6_svg"),
+    ".svgfig": ("line_chart_svg", "save_figure_svg"),
     ".validate": ("Claim", "render_validation", "validate_reproduction"),
 })

@@ -8,8 +8,8 @@ polls/blocks on its receive queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..atm.network import AtmNetwork
 from ..atm.phy import OC3_SONET, TAXI_140, AtmPhy
@@ -29,13 +29,12 @@ __all__ = [
     "setup_atm",
     "measure_rtt",
     "measure_bandwidth",
-    "measure_send_overhead",
     "rtt_of",
     "bandwidth_of",
-    "rtt_series",
-    "bandwidth_series",
     "FIGURE5_CONFIGS",
     "FIGURE6_CONFIGS",
+    "Figure",
+    "FIGURES",
 ]
 
 _ENDPOINT = EndpointConfig(num_buffers=256, buffer_size=2048, send_queue_depth=128, recv_queue_depth=256)
@@ -112,26 +111,6 @@ def measure_rtt(setup: MicrobenchSetup, size: int, rounds: int = 5) -> float:
     return sim.run_until_complete(sim.process(pinger(), name="pinger"))
 
 
-def measure_send_overhead(setup: MicrobenchSetup) -> float:
-    """Host-processor time consumed per 40-byte send, measured in the DES.
-
-    The sending process's elapsed time per ``send()`` call *is* the host
-    overhead (compose copy + descriptor push + doorbell/trap): the NIC
-    and wire work happens in other processes.  Reproduces the Section
-    4.4 comparison (FE ~4.2 us trap + user costs vs ATM ~1.5 us).
-    """
-    sim = setup.sim
-    payload = bytes(40)
-
-    def sender():
-        t0 = sim.now
-        for _ in range(20):
-            yield from setup.ep1.send(setup.ch1, payload)
-        return (sim.now - t0) / 20
-
-    return sim.run_until_complete(sim.process(sender(), name="overhead"))
-
-
 def measure_bandwidth(setup: MicrobenchSetup, size: int, messages: int = 60) -> float:
     """One-way application-level goodput in Mb/s for ``size``-byte messages."""
     sim = setup.sim
@@ -182,11 +161,29 @@ def bandwidth_of(config: str, size: int) -> float:
         return measure_bandwidth(setup, size)
 
 
-def rtt_series(config: str, sizes: List[int]) -> List[Tuple[int, float]]:
-    """(size, RTT us) points for one Figure-5 series."""
-    return [(size, rtt_of(config, size)) for size in sizes]
+class Figure(NamedTuple):
+    """One of the paper's two microbenchmark figures."""
+
+    title: str
+    configs: Dict[str, Callable[[], MicrobenchSetup]]
+    #: one point: (config, size) -> value, on a rig built and closed there
+    measure: Callable[[str, int], float]
+    #: what one point is called ("round-trip", "bandwidth")
+    quantity: str
+    unit: str
+    #: message sizes of the text table
+    sizes: Tuple[int, ...]
+
+    def series(self, sizes: Sequence[int]) -> Dict[str, List[Tuple[int, float]]]:
+        """(size, value) points per configuration."""
+        return {name: [(size, self.measure(name, size)) for size in sizes]
+                for name in self.configs}
 
 
-def bandwidth_series(config: str, sizes: List[int]) -> List[Tuple[int, float]]:
-    """(size, Mb/s) points for one Figure-6 series."""
-    return [(size, bandwidth_of(config, size)) for size in sizes]
+#: Figures 5 and 6, by the command that prints each
+FIGURES: Dict[str, Figure] = {
+    "fig5": Figure("Figure 5 - round-trip latency", FIGURE5_CONFIGS, rtt_of, "round-trip",
+                   "us", (0, 8, 16, 32, 40, 44, 64, 128, 256, 512, 1024, 1498)),
+    "fig6": Figure("Figure 6 - bandwidth", FIGURE6_CONFIGS, bandwidth_of, "bandwidth",
+                   "Mb/s", (16, 64, 128, 256, 512, 1024, 1498)),
+}

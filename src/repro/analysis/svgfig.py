@@ -15,9 +15,9 @@ layer):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["line_chart_svg", "save_figure5_svg", "save_figure6_svg"]
+__all__ = ["line_chart_svg", "save_figure_svg"]
 
 # validated categorical slots (light mode, surface #fcfcfb)
 SERIES_COLORS = ("#2a78d6", "#1baf7a", "#eda100", "#008300", "#4a3aa7")
@@ -182,43 +182,43 @@ def line_chart_svg(
     return "\n".join(parts)
 
 
-def save_figure5_svg(path: str, sizes: Optional[Sequence[int]] = None) -> str:
-    """Measure and render Figure 5 (RTT vs size) to ``path``."""
-    from .microbench import FIGURE5_CONFIGS, rtt_of
+class _Chart(NamedTuple):
+    sizes: Tuple[int, ...]
+    #: configurations the chart leaves out
+    skip: Tuple[str, ...]
+    title: str
+    subtitle: str
+    ylabel: str
 
-    sizes = list(sizes or (0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498))
-    series = {}
-    for name in FIGURE5_CONFIGS:
-        if name == "atm-taxi":
-            continue  # the paper's Figure 5 shows four configurations
-        series[name] = [(float(s), rtt_of(name, s)) for s in sizes]
+
+#: how each of :data:`~repro.analysis.microbench.FIGURES` is drawn
+_CHARTS = {
+    "fig5": _Chart((0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498),
+                   ("atm-taxi",),  # the paper's Figure 5 shows four configurations
+                   "Figure 5 — round-trip latency vs message size",
+                   "U-Net/FE (hub, Bay 28115, FN100) and U-Net/ATM (ASX-200, OC-3c)",
+                   "round-trip time (µs)"),
+    "fig6": _Chart((16, 64, 128, 256, 384, 512, 768, 1024, 1280, 1498), (),
+                   "Figure 6 — bandwidth vs message size",
+                   "FE saturates near the 100 Mb/s wire; ATM reaches ~118 Mb/s on TAXI",
+                   "bandwidth (Mb/s)"),
+}
+
+
+def save_figure_svg(figure: str, path: str, sizes: Optional[Sequence[int]] = None) -> str:
+    """Measure and render ``figure`` (``"fig5"`` or ``"fig6"``) to ``path``."""
+    from .microbench import FIGURES
+
+    fig, chart = FIGURES[figure], _CHARTS[figure]
+    sizes = list(sizes or chart.sizes)
+    series = {name: [(float(s), fig.measure(name, s)) for s in sizes]
+              for name in fig.configs if name not in chart.skip}
     svg = line_chart_svg(
         series,
-        title="Figure 5 — round-trip latency vs message size",
-        subtitle="U-Net/FE (hub, Bay 28115, FN100) and U-Net/ATM (ASX-200, OC-3c)",
+        title=chart.title,
+        subtitle=chart.subtitle,
         xlabel="message size (bytes)",
-        ylabel="round-trip time (µs)",
-    )
-    with open(path, "w") as f:
-        f.write(svg)
-    return path
-
-
-def save_figure6_svg(path: str, sizes: Optional[Sequence[int]] = None) -> str:
-    """Measure and render Figure 6 (bandwidth vs size) to ``path``."""
-    from .microbench import FIGURE6_CONFIGS, bandwidth_of
-
-    sizes = list(sizes or (16, 64, 128, 256, 384, 512, 768, 1024, 1280, 1498))
-    series = {
-        name: [(float(s), bandwidth_of(name, s)) for s in sizes]
-        for name in FIGURE6_CONFIGS
-    }
-    svg = line_chart_svg(
-        series,
-        title="Figure 6 — bandwidth vs message size",
-        subtitle="FE saturates near the 100 Mb/s wire; ATM reaches ~118 Mb/s on TAXI",
-        xlabel="message size (bytes)",
-        ylabel="bandwidth (Mb/s)",
+        ylabel=chart.ylabel,
     )
     with open(path, "w") as f:
         f.write(svg)

@@ -48,8 +48,6 @@ _EXPERIMENTS = {
 
 _SPLITC_BENCHMARKS = ("rsortsm", "rsortlg", "ssortsm", "ssortlg", "mm")
 
-_DEFAULT_FIG5_SIZES = [0, 8, 16, 32, 40, 44, 64, 128, 256, 512, 1024, 1498]
-_DEFAULT_FIG6_SIZES = [16, 64, 128, 256, 512, 1024, 1498]
 
 
 def _cmd_list(_args) -> int:
@@ -100,43 +98,24 @@ def _cmd_atm_timeline(args) -> int:
     return 0
 
 
-def _cmd_fig5(args) -> int:
-    from .analysis import FIGURE5_CONFIGS, ascii_plot, format_table, rtt_series
+def _cmd_figure(args) -> int:
+    from .analysis import FIGURES, ascii_plot, format_table
 
     if getattr(args, "svg", None):
-        from .analysis import save_figure5_svg
+        from .analysis import save_figure_svg
 
-        print(f"wrote {save_figure5_svg(args.svg, sizes=args.sizes)}")
+        print(f"wrote {save_figure_svg(args.figure, args.svg, sizes=args.sizes)}")
         return 0
-    sizes = args.sizes or _DEFAULT_FIG5_SIZES
-    series = {name: rtt_series(name, sizes) for name in FIGURE5_CONFIGS}
-    rows = [[size] + [series[name][i][1] for name in FIGURE5_CONFIGS]
+    fig = FIGURES[args.figure]
+    sizes = args.sizes or fig.sizes
+    series = fig.series(sizes)
+    rows = [[size] + [series[name][i][1] for name in fig.configs]
             for i, size in enumerate(sizes)]
-    print(format_table(["bytes"] + list(FIGURE5_CONFIGS), rows,
-                       title="Figure 5 - round-trip latency (us)"))
+    print(format_table(["bytes"] + list(fig.configs), rows,
+                       title=f"{fig.title} ({fig.unit})"))
     print()
-    print(ascii_plot({n: [(float(s), r) for s, r in pts] for n, pts in series.items()},
-                     xlabel="bytes", ylabel="us"))
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    from .analysis import FIGURE6_CONFIGS, ascii_plot, bandwidth_series, format_table
-
-    if getattr(args, "svg", None):
-        from .analysis import save_figure6_svg
-
-        print(f"wrote {save_figure6_svg(args.svg, sizes=args.sizes)}")
-        return 0
-    sizes = args.sizes or _DEFAULT_FIG6_SIZES
-    series = {name: bandwidth_series(name, sizes) for name in FIGURE6_CONFIGS}
-    rows = [[size] + [series[name][i][1] for name in FIGURE6_CONFIGS]
-            for i, size in enumerate(sizes)]
-    print(format_table(["bytes"] + list(FIGURE6_CONFIGS), rows,
-                       title="Figure 6 - bandwidth (Mb/s)"))
-    print()
-    print(ascii_plot({n: [(float(s), b) for s, b in pts] for n, pts in series.items()},
-                     xlabel="bytes", ylabel="Mb/s"))
+    print(ascii_plot({n: [(float(s), v) for s, v in pts] for n, pts in series.items()},
+                     xlabel="bytes", ylabel=fig.unit))
     return 0
 
 
@@ -200,25 +179,16 @@ def _cmd_fig7(args) -> int:
     return 0
 
 
-def _cmd_rtt(args) -> int:
-    from .analysis import FIGURE5_CONFIGS, rtt_of
+def _cmd_point(args) -> int:
+    """One point of Figure 5 (``rtt``) or Figure 6 (``bandwidth``)."""
+    from .analysis import FIGURES
 
-    if args.config not in FIGURE5_CONFIGS:
-        print(f"unknown config {args.config!r}; choose from {sorted(FIGURE5_CONFIGS)}", file=sys.stderr)
+    fig = FIGURES[args.figure]
+    if args.config not in fig.configs:
+        print(f"unknown config {args.config!r}; choose from {sorted(fig.configs)}", file=sys.stderr)
         return 2
-    rtt = rtt_of(args.config, args.size)
-    print(f"{args.config} {args.size}B round-trip: {rtt:.1f} us")
-    return 0
-
-
-def _cmd_bandwidth(args) -> int:
-    from .analysis import FIGURE6_CONFIGS, bandwidth_of
-
-    if args.config not in FIGURE6_CONFIGS:
-        print(f"unknown config {args.config!r}; choose from {sorted(FIGURE6_CONFIGS)}", file=sys.stderr)
-        return 2
-    bw = bandwidth_of(args.config, args.size)
-    print(f"{args.config} {args.size}B bandwidth: {bw:.1f} Mb/s")
+    value = fig.measure(args.config, args.size)
+    print(f"{args.config} {args.size}B {fig.quantity}: {value:.1f} {fig.unit}")
     return 0
 
 
@@ -496,14 +466,15 @@ def _cmd_conformance(args) -> int:
     if fabric_sweep and not (args.fail_fast and failures):
         fabric_bug = args.bug if args.bug in FABRIC_BUGS else None
         for seed in range(args.seed_base, args.seed_base + args.seeds):
-            report = run_fabric_case(seed, bug=fabric_bug)
+            scenario, result = run_fabric_case(seed, bug=fabric_bug)
             ran += 1
-            if report.ok:
+            if result.ok:
                 if args.verbose:
-                    print(render_fabric_case(report, context=False))
+                    print(render_fabric_case(seed, fabric_bug, scenario, result,
+                                             context=False))
                 continue
-            failures.append(report)
-            print(render_fabric_case(report))
+            failures.append(result)
+            print(render_fabric_case(seed, fabric_bug, scenario, result))
             if args.fail_fast:
                 break
     swept = list(configs) + (["fabric"] if fabric_sweep else [])
@@ -525,24 +496,19 @@ def _cmd_report(args) -> int:
     """Everything, in paper order."""
     banner = "=" * 72
     sections = [
-        ("Figure 3 - U-Net/FE transmit timeline", _cmd_fig3),
-        ("Figure 4 - U-Net/FE receive timelines", _cmd_fig4),
-        ("Figure 5 - round-trip latency", _cmd_fig5),
-        ("Figure 6 - bandwidth", _cmd_fig6),
-        ("Table 1 - Split-C execution times", _cmd_table1),
-        ("Table 2 - speedups", _cmd_table2),
-        ("Figure 7 - relative times, cpu/net split", _cmd_fig7),
+        ("Figure 3 - U-Net/FE transmit timeline", _cmd_fig3, None),
+        ("Figure 4 - U-Net/FE receive timelines", _cmd_fig4, None),
+        ("Figure 5 - round-trip latency", _cmd_figure, "fig5"),
+        ("Figure 6 - bandwidth", _cmd_figure, "fig6"),
+        ("Table 1 - Split-C execution times", _cmd_table1, None),
+        ("Table 2 - speedups", _cmd_table2, None),
+        ("Figure 7 - relative times, cpu/net split", _cmd_fig7, None),
     ]
-
-    class _Defaults:
-        sizes = None
-        keys = args.keys
-
-    for title, fn in sections:
+    for title, fn, figure in sections:
         print(banner)
         print(title)
         print(banner)
-        fn(_Defaults)
+        fn(argparse.Namespace(sizes=None, keys=args.keys, figure=figure))
         print()
     return 0
 
@@ -565,14 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
         name for name, row in networks.NETWORKS.items() if len(row.nis) == 1))
     pj.add_argument("--size", type=int, default=40)
     pj.set_defaults(func=_cmd_journey)
-    p5 = sub.add_parser("fig5", help=_EXPERIMENTS["fig5"])
-    p5.add_argument("--sizes", type=int, nargs="+")
-    p5.add_argument("--svg", metavar="FILE", help="write an SVG chart instead of text")
-    p5.set_defaults(func=_cmd_fig5)
-    p6 = sub.add_parser("fig6", help=_EXPERIMENTS["fig6"])
-    p6.add_argument("--sizes", type=int, nargs="+")
-    p6.add_argument("--svg", metavar="FILE", help="write an SVG chart instead of text")
-    p6.set_defaults(func=_cmd_fig6)
+    for name in ("fig5", "fig6"):
+        p = sub.add_parser(name, help=_EXPERIMENTS[name])
+        p.add_argument("--sizes", type=int, nargs="+")
+        p.add_argument("--svg", metavar="FILE", help="write an SVG chart instead of text")
+        p.set_defaults(func=_cmd_figure, figure=name)
     for name, fn in (("table1", _cmd_table1), ("table2", _cmd_table2), ("fig7", _cmd_fig7)):
         p = sub.add_parser(name, help=_EXPERIMENTS[name])
         p.add_argument("--keys", type=int, default=512 * 1024,
@@ -581,14 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--des", action="store_true",
                            help="measure in the event-level simulator at reduced scale")
         p.set_defaults(func=fn)
-    pr = sub.add_parser("rtt", help=_EXPERIMENTS["rtt"])
-    pr.add_argument("--config", default="hub")
-    pr.add_argument("--size", type=int, default=40)
-    pr.set_defaults(func=_cmd_rtt)
-    pb = sub.add_parser("bandwidth", help=_EXPERIMENTS["bandwidth"])
-    pb.add_argument("--config", default="hub")
-    pb.add_argument("--size", type=int, default=1498)
-    pb.set_defaults(func=_cmd_bandwidth)
+    for name, figure, size in (("rtt", "fig5", 40), ("bandwidth", "fig6", 1498)):
+        p = sub.add_parser(name, help=_EXPERIMENTS[name])
+        p.add_argument("--config", default="hub")
+        p.add_argument("--size", type=int, default=size)
+        p.set_defaults(func=_cmd_point, figure=figure)
     ps = sub.add_parser("splitc", help=_EXPERIMENTS["splitc"])
     ps.add_argument("benchmark", help=f"one of {', '.join(_SPLITC_BENCHMARKS)}")
     ps.add_argument("--nodes", type=int, default=4)

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "runner",
     ),
     ".fabric": (
-        "FABRIC_BUGS", "FabricCaseReport", "inject_fabric_bug",
+        "FABRIC_BUGS", "inject_fabric_bug",
         "render_fabric_case", "run_fabric_case",
     ),
     ".model": ("run_reference",),
@@ -30,7 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CONFIG_PRESETS", "ConformanceCase", "Message", "generate_case",
     ),
     ".shrink": (
-        "REPRODUCER", "ShrinkResult", "load_artifact", "load_artifact_meta",
+        "REPRODUCER", "ShrinkResult", "load_artifact_meta",
         "shrink_case",
     ),
 })

@@ -31,12 +31,13 @@ legally allows for the in-flight round).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..faults.fabricsoak import FabricScenario, FabricSoakResult
 
 __all__ = [
     "FABRIC_BUGS",
-    "FabricCaseReport",
     "inject_fabric_bug",
     "run_fabric_case",
     "render_fabric_case",
@@ -89,59 +90,33 @@ def inject_fabric_bug(name: Optional[str]):
         NicCollectiveEngine.install_epoch = orig
 
 
-@dataclass
-class FabricCaseReport:
-    """Verdict of one seeded fabric-healing case."""
-
-    seed: int
-    bug: Optional[str]
-    fabric: str
-    crash_node: int
-    crash_at_us: float
-    ok: bool
-    violations: List[str]
-    recovery_us: float
-    heals: int
-
-
-def run_fabric_case(seed: int, bug: Optional[str] = None) -> FabricCaseReport:
-    """One seeded node-crash healing case against the arithmetic oracle."""
+def run_fabric_case(seed: int, bug: Optional[str] = None
+                    ) -> Tuple["FabricScenario", "FabricSoakResult"]:
+    """One seeded node-crash healing case against the arithmetic oracle:
+    the scenario the seed drew and the soak's result on it."""
     from ..faults.fabricsoak import FabricScenario, run_fabric_scenario
 
     # victims 1..12 of a 16-node fanout-4 tree: removing any of them
     # shifts a node across an old subtree boundary, the configuration
     # where heal-reroot is observable (see the module docstring)
-    crash_node = 1 + seed % 12
-    crash_at_us = 150.0 + 40.0 * (seed % 7)
-    fabric = ("atm-clos", "fe-clos")[seed % 2]
     scenario = FabricScenario(
         name=f"heal-case-{seed}",
         description="conformance healing case",
-        fabric=fabric, leaves=4, spines=2, hosts_per_leaf=4,
-        rounds=3, crash_node=crash_node, crash_at_us=crash_at_us)
+        fabric=("atm-clos", "fe-clos")[seed % 2],
+        leaves=4, spines=2, hosts_per_leaf=4, rounds=3, crash_node=1 + seed % 12, crash_at_us=150.0 + 40.0 * (seed % 7))
     with inject_fabric_bug(bug):
-        result = run_fabric_scenario(scenario, seed=seed)
-    return FabricCaseReport(
-        seed=seed,
-        bug=bug,
-        fabric=fabric,
-        crash_node=crash_node,
-        crash_at_us=crash_at_us,
-        ok=result.ok,
-        violations=list(result.violations),
-        recovery_us=result.recovery_us,
-        heals=result.heals,
-    )
+        return scenario, run_fabric_scenario(scenario, seed=seed)
 
 
-def render_fabric_case(report: FabricCaseReport, context: bool = True) -> str:
-    verdict = "ok" if report.ok else "DIVERGED"
-    lines = [f"fabric case seed={report.seed} on {report.fabric} "
-             f"(crash node {report.crash_node} at "
-             f"t={report.crash_at_us:.0f}us"
-             + (f", bug={report.bug}" if report.bug else "")
+def render_fabric_case(seed: int, bug: Optional[str], scenario: "FabricScenario",
+                       result: "FabricSoakResult", context: bool = True) -> str:
+    verdict = "ok" if result.ok else "DIVERGED"
+    lines = [f"fabric case seed={seed} on {scenario.fabric} "
+             f"(crash node {scenario.crash_node} at "
+             f"t={scenario.crash_at_us:.0f}us"
+             + (f", bug={bug}" if bug else "")
              + f"): {verdict}"]
-    if context or not report.ok:
-        for violation in report.violations:
+    if context or not result.ok:
+        for violation in result.violations:
             lines.append(f"    {violation}")
     return "\n".join(lines)

@@ -36,8 +36,7 @@ from ..artifact import Artifact
 from .checker import SUBSTRATES, CaseReport, run_case
 from .schedule import ConformanceCase, Message
 
-__all__ = ["REPRODUCER", "ShrinkResult", "shrink_case", "load_artifact",
-           "load_artifact_meta"]
+__all__ = ["REPRODUCER", "ShrinkResult", "shrink_case", "load_artifact_meta"]
 
 #: stop exploring after this many candidate executions (each candidate
 #: is a full differential run; keep the budget bounded)
@@ -231,11 +230,6 @@ REPRODUCER = Artifact(
         "trail": [str],
     },
 )
-
-
-def load_artifact(path: str) -> ConformanceCase:
-    """Load the case out of a reproducer artifact (or a bare case dict)."""
-    return load_artifact_meta(path)["case"]
 
 
 def load_artifact_meta(path: str) -> dict:

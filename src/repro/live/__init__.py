@@ -32,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".bufpool": ("BufferPool", "PooledSlice", "PoolExhausted"),
     ".clock": ("WallClock",),
     ".doorbell": ("DEFAULT_DOORBELL_MODE", "DOORBELL_MODES", "EventDoorbell"),
-    ".mmsg": ("mmsg_available", "mmsg_path"),
+    ".mmsg": ("mmsg_available",),
     ".transport": (
         "TRANSPORT_KINDS", "LiveTransport", "TransportError",
         "UdpLoopbackTransport", "UnixDgramTransport",

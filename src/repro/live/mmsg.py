@@ -7,8 +7,7 @@ CPython never wrapped them, so this module reaches them through ctypes.
 Everything is probed at import: on platforms without the symbols (or
 without Linux struct layouts) :func:`mmsg_available` is False and the
 transport quietly uses its portable per-datagram loop — same semantics,
-more syscalls.  :func:`mmsg_path` reports which path is live so tests
-and CI can log (and ``skipif``) it explicitly.
+more syscalls.
 
 The hot-path contract: all ctypes arrays (headers, iovecs, sockaddr
 scratch) are preallocated once per :class:`MmsgBatch`; filling a slot
@@ -30,8 +29,7 @@ import struct
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["MMSG_MAX_BATCH", "mmsg_available", "mmsg_path", "MmsgBatch",
-           "pack_sockaddr"]
+__all__ = ["MMSG_MAX_BATCH", "mmsg_available", "MmsgBatch", "pack_sockaddr"]
 
 #: datagrams per sendmmsg/recvmmsg call (also the preallocation bound)
 MMSG_MAX_BATCH = 64
@@ -86,13 +84,6 @@ _SENDMMSG, _RECVMMSG = _load()
 def mmsg_available() -> bool:
     """True when the ctypes sendmmsg/recvmmsg path is usable here."""
     return _SENDMMSG is not None and _RECVMMSG is not None
-
-
-def mmsg_path() -> str:
-    """Human-readable name of the active batching path (CI log line)."""
-    if mmsg_available():
-        return "sendmmsg/recvmmsg (ctypes)"
-    return "portable sendto/recvmsg_into loop"
 
 
 def pack_sockaddr(family: int, address) -> bytes:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import line_chart_svg, save_figure5_svg, save_figure6_svg
+from repro.analysis import line_chart_svg, save_figure_svg
 from repro.analysis.svgfig import SERIES_COLORS
 
 
@@ -80,14 +80,14 @@ def test_direct_labels_do_not_collide():
 
 
 def test_save_figure5(tmp_path):
-    path = save_figure5_svg(str(tmp_path / "fig5.svg"), sizes=[40, 1498])
+    path = save_figure_svg("fig5", str(tmp_path / "fig5.svg"), sizes=[40, 1498])
     content = Path(path).read_text()
     assert "Figure 5" in content
     assert ">hub</text>" in content and ">atm</text>" in content
 
 
 def test_save_figure6(tmp_path):
-    path = save_figure6_svg(str(tmp_path / "fig6.svg"), sizes=[64, 1498])
+    path = save_figure_svg("fig6", str(tmp_path / "fig6.svg"), sizes=[64, 1498])
     content = Path(path).read_text()
     assert "Figure 6" in content
     assert "Mb/s" in content

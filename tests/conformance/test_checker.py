@@ -10,7 +10,7 @@ from repro.conformance import (
     ConformanceCase,
     Message,
     generate_case,
-    load_artifact,
+    load_artifact_meta,
     run_case,
     render_report,
     run_substrate,
@@ -115,7 +115,7 @@ def test_shrinker_minimizes_the_credit_bug_to_a_tiny_case(tmp_path):
     assert payload["shrunk_size"] == result.case.size
 
     # the artifact replays to the same divergence kind
-    replayed = load_artifact(str(path))
+    replayed = load_artifact_meta(str(path))["case"]
     assert replayed.to_dict() == result.case.to_dict()
     re_report = run_case(replayed, bug="credit-gate")
     assert "invariant:credit-gate" in {d.kind for d in re_report.divergences}

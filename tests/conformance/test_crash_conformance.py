@@ -9,7 +9,7 @@ import pytest
 from repro.conformance import (
     ConformanceCase,
     generate_case,
-    load_artifact,
+    load_artifact_meta,
     render_report,
     run_case,
     REPRODUCER,
@@ -97,7 +97,7 @@ def test_shrinker_minimizes_a_crash_schedule(tmp_path):
     assert payload["format"] == "repro-conformance-case/1"
     assert "stale-fence" in payload["divergence_kinds"]
 
-    replayed = load_artifact(str(path))
+    replayed = load_artifact_meta(str(path))["case"]
     assert replayed.to_dict() == result.case.to_dict()
     re_report = run_case(replayed, bug="epoch-fence")
     assert "stale-fence" in {d.kind for d in re_report.divergences}

@@ -7,7 +7,14 @@ provide one (the CI contract: skipped, never silently passed).
 
 import pytest
 
-from repro.live import available_transport_kinds, mmsg_path
+from repro.live import available_transport_kinds, mmsg_available
+
+
+def batching_path() -> str:
+    """Which batching path the live transports take on this machine."""
+    if mmsg_available():
+        return "sendmmsg/recvmmsg (ctypes)"
+    return "portable sendto/recvmsg_into loop"
 
 
 def pytest_report_header(config):
@@ -15,7 +22,7 @@ def pytest_report_header(config):
     so a green run on a non-Linux box is visibly a portable-path run,
     not a silent claim that the ctypes mmsg path was covered."""
     kinds = ", ".join(available_transport_kinds()) or "none"
-    return f"live substrate: transports [{kinds}], batching via {mmsg_path()}"
+    return f"live substrate: transports [{kinds}], batching via {batching_path()}"
 
 
 @pytest.fixture

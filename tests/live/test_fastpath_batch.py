@@ -20,10 +20,9 @@ from repro.live import (
     WallClock,
     make_transport,
     mmsg_available,
-    mmsg_path,
 )
 from repro.telemetry import read
-from .conftest import require
+from .conftest import batching_path, require
 
 pytestmark = require("unix")
 
@@ -31,7 +30,7 @@ pytestmark = require("unix")
 #: elsewhere these tests skip loudly instead of failing
 mmsg_only = pytest.mark.skipif(
     not mmsg_available(),
-    reason=f"no sendmmsg/recvmmsg here (active path: {mmsg_path()})")
+    reason=f"no sendmmsg/recvmmsg here (active path: {batching_path()})")
 
 
 def _pair(use_mmsg=None):
@@ -44,7 +43,7 @@ def _pair(use_mmsg=None):
 def both_paths(request):
     """Run a test on the ctypes path and the portable fallback."""
     if request.param == "mmsg" and not mmsg_available():
-        pytest.skip(f"no sendmmsg/recvmmsg here ({mmsg_path()})")
+        pytest.skip(f"no sendmmsg/recvmmsg here ({batching_path()})")
     return request.param == "mmsg"
 
 

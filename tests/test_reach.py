@@ -7,9 +7,11 @@ and examples are not callers, as in ``tests/test_knobs.py``.
 1. **Definitions.**  Every function, method or class defined in
    ``src/repro`` must be mentioned somewhere in those trees: as a name,
    as an attribute, or as a string naming it (``getattr(obj, "name")``,
-   a ``COUNTERS`` entry).  The package ``__init__`` files do not count:
-   their export tables name everything they re-export.  Dunder methods
-   are called by the interpreter and are not counted.
+   a ``COUNTERS`` entry, or the ``Class`` half of a ``"module:Class"``
+   factory string).  The package ``__init__`` files do not count: their
+   export tables name everything they re-export; nor does a module's own
+   ``__all__``.  Dunder methods are called by the interpreter and are
+   not counted.
 2. **Stored attributes.**  Every attribute ``src/repro`` assigns
    (``x.name = ...``, ``x.name += ...``) must be read in those trees:
    loaded (``x.name``), or named by a string (``getattr(x, "name")``, a
@@ -18,8 +20,8 @@ and examples are not callers, as in ``tests/test_knobs.py``.
    counter only ever bumped is write-only; so is a collection whose
    only loads are as the receiver of ``.add`` / ``.append`` /
    ``.extend`` / ``.update`` / ``.discard`` / ``.clear`` in a statement
-   that discards the result.  ``__slots__`` declares storage and reads
-   nothing.
+   that discards the result.  ``__slots__`` declares storage and
+   ``__all__`` exports; neither reads what it names.
 
 Matching is by simple name, so a mention of ``report`` anywhere counts
 for every ``report``: the census finds only names nothing mentions at
@@ -30,6 +32,7 @@ import ast
 import functools
 import gc
 import pathlib
+import re
 
 import repro
 
@@ -45,6 +48,19 @@ KEPT = {
     "repro.live.mmsg:argtypes": "ctypes reads a foreign function's argument types",
     "repro.live.mmsg:restype": "ctypes reads a foreign function's result type",
     "repro.live.mmsg:raw": "ctypes copies the stored bytes into the C buffer",
+    # what a test drives the system with, or prints when it fails
+    "repro.core.clock:ManualClock":
+        "the live tests step the live path on it, with no wall time and no socket",
+    "repro.analysis.hostcost:per_function":
+        "the host-call tests print the per-function table when a ceiling fails",
+    "repro.faults.perturb:UniformLoss":
+        "drives the loss-recovery checks (AM retransmission, collective repair)",
+    "repro.faults.perturb:Corrupt":
+        "drives the CRC drop checks (AAL5 on ATM, the DC21140's on FE)",
+    "repro.faults.receiver:MisbehavingSender":
+        "drives the check that invalid descriptors end in typed errors",
+    "repro.faults.receiver:forge_unknown_traffic":
+        "drives the unknown-tag drop check at the demux table",
     # the paper's API and the fabric contract
     "repro.core.api:UserEndpoint.recv_all":
         "Section 3.1: consume every pending message in one upcall",
@@ -67,6 +83,14 @@ KEPT = {
     "repro.faults.inject:Interposer.attached": "whether a fault is still hooked in",
 }
 
+
+#: a ``"package.module:Class"`` factory string, which names ``Class``
+_FACTORY = re.compile(r"[\w.]+:(\w+)")
+
+#: module-level names that declare rather than use: ``__slots__``
+#: declares storage and ``__all__`` exports, so neither mentions nor
+#: reads what it names
+_DECLARATIONS = frozenset({"__slots__", "__all__"})
 
 #: methods that only put into or take out of a collection: a load that
 #: is just their receiver, its result discarded, reads nothing
@@ -104,7 +128,7 @@ class _Census:
         mentions nothing (``mentions=False``)."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Assign) and any(
-                    getattr(target, "id", "") == "__slots__" for target in child.targets):
+                    getattr(target, "id", "") in _DECLARATIONS for target in child.targets):
                 continue
             if (isinstance(child, ast.Expr) and isinstance(child.value, ast.Call)
                     and isinstance(child.value.func, ast.Attribute)
@@ -119,6 +143,9 @@ class _Census:
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
                 name = child.value
                 self.read.add(name)
+                factory = _FACTORY.fullmatch(name)
+                if mentions and factory:
+                    self.mentioned.add(factory.group(1))
             else:
                 name = None
             if mentions and name is not None:
@@ -173,6 +200,9 @@ def test_every_definition_is_reached_and_every_store_is_read():
 
 
 _PLANTED = """
+__all__ = ["Ring", "Built", "fill", "exported_only"]
+
+
 class Ring:
     COUNTERS = ("pushes",)
 
@@ -193,14 +223,23 @@ class Ring:
         return len(self.items)
 
 
+class Built:
+    pass
+
+
 def fill(ring):
     ring.push(1)
+
+
+def exported_only():
+    return 0
 """
 
 _PLANTED_WORKLOAD = """
 from repro._planted import Ring, fill
 
 fill(Ring())
+FACTORY = "repro._planted:Built"
 """
 
 _PLANTED_TEST = """
@@ -215,10 +254,12 @@ def test_ring():
 
 
 def test_lint_catches_a_planted_dead_helper_and_write_only_attribute(tmp_path):
-    """A helper only a test and an export list mention, a counter only
-    ever bumped and a list only ever appended to and cleared (their one
-    reader a test) are flagged; what a workload calls, a counter
-    ``COUNTERS`` declares and a list some code also reads are not."""
+    """A helper only a test and an export list mention, one only its own
+    module's ``__all__`` names, a counter only ever bumped and a list
+    only ever appended to and cleared (their one reader a test) are
+    flagged; what a workload calls, a class a workload's factory string
+    names, a counter ``COUNTERS`` declares and a list some code also
+    reads are not."""
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "_planted.py").write_text(_PLANTED, encoding="utf-8")
     (tmp_path / "src" / "repro" / "__init__.py").write_text(
@@ -229,7 +270,7 @@ def test_lint_catches_a_planted_dead_helper_and_write_only_attribute(tmp_path):
     (tmp_path / "tests" / "test_planted.py").write_text(_PLANTED_TEST, encoding="utf-8")
     c = census(tmp_path)
     assert offenders(c) == ["repro._planted:Ring.dead_helper", "repro._planted:bumped",
-                            "repro._planted:log"]
+                            "repro._planted:exported_only", "repro._planted:log"]
 
 
 def test_kept_table_is_exact():
