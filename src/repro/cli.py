@@ -49,7 +49,6 @@ _EXPERIMENTS = {
 _SPLITC_BENCHMARKS = ("rsortsm", "rsortlg", "ssortsm", "ssortlg", "mm")
 
 
-
 def _cmd_list(_args) -> int:
     print("experiments:")
     for name, description in _EXPERIMENTS.items():

@@ -102,8 +102,8 @@ def run_fabric_case(seed: int, bug: Optional[str] = None
     scenario = FabricScenario(
         name=f"heal-case-{seed}",
         description="conformance healing case",
-        fabric=("atm-clos", "fe-clos")[seed % 2],
-        leaves=4, spines=2, hosts_per_leaf=4, rounds=3, crash_node=1 + seed % 12, crash_at_us=150.0 + 40.0 * (seed % 7))
+        fabric=("atm-clos", "fe-clos")[seed % 2], leaves=4, spines=2, hosts_per_leaf=4,
+        rounds=3, crash_node=1 + seed % 12, crash_at_us=150.0 + 40.0 * (seed % 7))
     with inject_fabric_bug(bug):
         return scenario, run_fabric_scenario(scenario, seed=seed)
 
