@@ -381,15 +381,14 @@ def _cmd_bench(args) -> int:
 def _cmd_conformance(args) -> int:
     """Differential conformance sweep / single-case replay."""
     from .conformance import (
-        BUGS, FABRIC_BUGS, REPRODUCER, SUBSTRATES, SubstrateUnavailable,
-        generate_case, load_artifact_meta, render_fabric_case, render_report,
-        run_case, run_fabric_case, runner, shrink_case,
+        BUGS, CONFIG_PRESETS, REPRODUCER, SUBSTRATES, SubstrateUnavailable,
+        check_substrate, generate_case, load_artifact_meta, render_report,
+        run_case, run_fabric_case, shrink_case,
     )
 
     substrates = tuple(args.substrate) if args.substrate else SUBSTRATES
-    if args.bug and args.bug not in BUGS and args.bug not in FABRIC_BUGS:
-        print(f"unknown bug {args.bug!r}; choose from "
-              f"{sorted(BUGS) + sorted(FABRIC_BUGS)}", file=sys.stderr)
+    if args.bug and args.bug not in BUGS:
+        print(f"unknown bug {args.bug!r}; choose from {sorted(BUGS)}", file=sys.stderr)
         return 2
 
     if args.replay:
@@ -401,7 +400,7 @@ def _cmd_conformance(args) -> int:
         bug = args.bug or meta["bug"]
         try:
             for name in replay_substrates:
-                runner(name)
+                check_substrate(name)
         except (SubstrateUnavailable, ValueError) as exc:
             print(f"replay refused: {exc}", file=sys.stderr)
             print(f"the artifact records its divergence against "
@@ -414,31 +413,25 @@ def _cmd_conformance(args) -> int:
 
     try:
         for name in substrates:
-            runner(name)
+            check_substrate(name)
     except (SubstrateUnavailable, ValueError) as exc:
         print(f"cannot sweep: {exc}", file=sys.stderr)
         return 2
 
-    configs = tuple(args.config) if args.config else ("fixed", "adaptive",
-                                                      "credit", "crash",
-                                                      "sack", "ecn")
-    # the fabric preset runs its own sim-only healing harness, not the
-    # AM-level differential loop
-    fabric_sweep = "fabric" in configs or (args.bug in FABRIC_BUGS)
-    configs = tuple(c for c in configs if c != "fabric")
+    configs = tuple(args.config) if args.config else tuple(CONFIG_PRESETS)
     if args.bug:
         # a bug only shows where its machinery is engaged
-        if args.bug in FABRIC_BUGS:
-            configs = ()
-        else:
-            fabric_sweep = False
-            configs = tuple(c for c in configs if c in BUGS[args.bug]["configs"]) or configs
+        engaged = BUGS[args.bug]["configs"]
+        configs = tuple(c for c in configs if c in engaged) or engaged
     failures = []
     ran = 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
         for config_name in configs:
-            case = generate_case(seed, config_name, n_messages=args.messages)
-            report = run_case(case, substrates=substrates, bug=args.bug)
+            if config_name == "fabric":
+                report = run_fabric_case(seed, bug=args.bug)
+            else:
+                case = generate_case(seed, config_name, n_messages=args.messages)
+                report = run_case(case, substrates=substrates, bug=args.bug)
             ran += 1
             if report.ok:
                 if args.verbose:
@@ -446,7 +439,7 @@ def _cmd_conformance(args) -> int:
                 continue
             failures.append(report)
             print(render_report(report))
-            if args.shrink:
+            if args.shrink and config_name != "fabric":
                 print(f"  shrinking (budget {args.budget} runs)...")
                 result = shrink_case(report, substrates=substrates, budget=args.budget,
                                      progress=lambda m: print(f"    {m}"))
@@ -462,23 +455,8 @@ def _cmd_conformance(args) -> int:
                 break
         if args.fail_fast and failures:
             break
-    if fabric_sweep and not (args.fail_fast and failures):
-        fabric_bug = args.bug if args.bug in FABRIC_BUGS else None
-        for seed in range(args.seed_base, args.seed_base + args.seeds):
-            scenario, result = run_fabric_case(seed, bug=fabric_bug)
-            ran += 1
-            if result.ok:
-                if args.verbose:
-                    print(render_fabric_case(seed, fabric_bug, scenario, result,
-                                             context=False))
-                continue
-            failures.append(result)
-            print(render_fabric_case(seed, fabric_bug, scenario, result))
-            if args.fail_fast:
-                break
-    swept = list(configs) + (["fabric"] if fabric_sweep else [])
     verdict = "no divergences" if not failures else f"{len(failures)} divergent case(s)"
-    print(f"conformance: {ran} differential runs over {swept} "
+    print(f"conformance: {ran} differential runs over {list(configs)} "
           f"on {list(substrates)}: {verdict}")
     return 0 if not failures else 1
 
@@ -639,6 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of generated cases per config preset")
     pc.add_argument("--seed-base", type=int, default=0, help="first seed of the sweep")
     pc.add_argument("--messages", type=int, default=12, help="workload length per case")
+    # conformance.CONFIG_PRESETS and fabric, spelled here so that parsing
+    # loads no harness
     pc.add_argument("--config", action="append",
                     choices=("fixed", "adaptive", "credit", "crash",
                              "sack", "ecn", "fabric"),

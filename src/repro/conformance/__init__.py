@@ -16,13 +16,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".checker": (
-        "BUGS", "CaseReport", "Divergence", "SUBSTRATES", "SubstrateUnavailable",
-        "diff_case", "inject_bug", "render_report", "run_case", "run_substrate",
-        "runner",
-    ),
-    ".fabric": (
-        "FABRIC_BUGS", "inject_fabric_bug",
-        "render_fabric_case", "run_fabric_case",
+        "BUGS", "CaseReport", "Divergence", "FabricReport", "SUBSTRATES",
+        "SubstrateUnavailable", "check_substrate", "diff_case", "inject_bug",
+        "render_report", "run_case", "run_fabric_case", "run_substrate",
     ),
     ".model": ("run_reference",),
     ".observe": ("ObservationProbe", "ObservedTrace"),

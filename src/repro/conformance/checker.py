@@ -22,20 +22,27 @@ diff covers:
 * **online invariants** — window gate, credit gate, and dispatch
   continuity, caught by the probe at the exact violating event.
 
-``inject_bug`` installs a deliberately broken state machine (e.g. the
-off-by-one credit gate) so the harness can prove it detects — and the
-shrinker can minimize — a real semantic regression.
+The ``fabric`` preset has no reference implementation; it has an
+arithmetic oracle instead.  :func:`run_fabric_case` drives a seeded
+node-crash soak of NIC collectives (:mod:`~repro.faults.fabricsoak`)
+whose every allreduce value must be the full or the survivor sum.
+
+``inject_bug`` installs any :data:`BUGS` row — a deliberately broken
+seam of the AM protocol core or of the NIC collective engine (e.g. the
+off-by-one credit gate, the stale-subtree heal) — so the harness can
+prove it detects, and the shrinker can minimize, a real semantic
+regression.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Union
 
 from .. import networks
 from ..am.core import AmCore, handshake_settled
+from ..collectives.engine import REDUCE_UP, NicCollectiveEngine
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..faults.crash import EndpointLifecycle, LifecycleStage
@@ -48,9 +55,12 @@ from .model import run_reference
 from .observe import ObservationProbe, ObservedTrace
 from .schedule import ConformanceCase
 
-__all__ = ["Divergence", "CaseReport", "CaseRig", "run_substrate", "run_case",
-           "diff_case", "render_report", "BUGS", "inject_bug", "SUBSTRATES",
-           "SubstrateUnavailable", "runner"]
+if TYPE_CHECKING:
+    from ..faults.fabricsoak import FabricScenario, FabricSoakResult
+
+__all__ = ["Divergence", "CaseReport", "CaseRig", "FabricReport", "run_substrate",
+           "run_case", "run_fabric_case", "diff_case", "render_report", "BUGS",
+           "inject_bug", "SUBSTRATES", "SubstrateUnavailable", "check_substrate"]
 
 #: the simulated (always-runnable) substrates and the default set; the
 #: wall-clock ones, ``networks.LIVE``, join a run by name
@@ -97,8 +107,9 @@ class CaseReport:
 
 
 # --------------------------------------------------------------- bug library
-# Every patch replaces one spec seam of the protocol core, so a single
-# entry breaks the simulated and the live driver alike.
+# Every patch replaces one spec seam of a class: an AM bug patches the
+# protocol core, so a single entry breaks the simulated and the live
+# driver alike; a fabric bug patches the NIC collective engine.
 def _buggy_credit_blocked(self, peer) -> bool:
     """The classic off-by-one: sends while remote credit is exactly 0."""
     return (self.config.credit_flow and peer.remote_credit is not None
@@ -157,11 +168,36 @@ def _buggy_ecn_echo(self, peer):
     return False  # BUG: spec drains one pending echo per outbound packet
 
 
-#: named, intentionally broken protocol variants the harness must catch
+_install_epoch = NicCollectiveEngine.install_epoch
+
+
+def _buggy_install_epoch(self, epoch, members) -> None:
+    """The classic tree-healing mistake: when the epoch installs the
+    re-ranked tree, pending reduce states keep the subtree sums
+    collected under the *old* tree instead of forgetting everything but
+    their own contribution.  A node the heal moved under a new parent
+    then contributes twice — once inside a stale subtree sum, once over
+    the new edge — and the root's total silently double-counts it."""
+    tree = self._by_kind[REDUCE_UP]
+    stale = {gen: dict(state.contrib) for gen, state in tree.states.items()}
+    _install_epoch(self, epoch, members)
+    for gen, contrib in stale.items():
+        state = tree.states.get(gen)
+        if state is None:
+            continue
+        state.contrib.update(contrib)  # BUG: spec keeps only its own
+        state.sent_up = False
+        self._try(tree, gen)
+
+
+#: named, intentionally broken protocol variants the harness must catch:
+#: the class a row patches, its seams, and the config presets where its
+#: machinery is engaged (a sweep with the bug runs exactly those)
 BUGS: Dict[str, dict] = {
     "credit-gate": {
         "description": "send admitted while remote credit is exactly 0 "
                        "(gate tests < 0 instead of <= 0)",
+        "cls": AmCore,
         "patches": {"_credit_blocked": _buggy_credit_blocked},
         "configs": ("credit",),
     },
@@ -169,6 +205,7 @@ BUGS: Dict[str, dict] = {
         "description": "cumulative ack off by one: the packet the receiver "
                        "is waiting for is treated as acknowledged, so a "
                        "dropped packet is never retransmitted",
+        "cls": AmCore,
         "patches": {"_acked_seqs": _buggy_acked_seqs},
         "configs": ("fixed", "adaptive", "credit"),
     },
@@ -176,6 +213,7 @@ BUGS: Dict[str, dict] = {
         "description": "epoch fence accepts traffic exactly one "
                        "incarnation stale, so a restarted receiver "
                        "processes the dead incarnation's retransmissions",
+        "cls": AmCore,
         "patches": {"_epoch_stale": _buggy_epoch_fence},
         "configs": ("crash",),
     },
@@ -183,6 +221,7 @@ BUGS: Dict[str, dict] = {
         "description": "reconnect plan neither completes nor abandons "
                        "outstanding sends, replaying them into the new "
                        "incarnation instead of honoring at-most-once",
+        "cls": AmCore,
         "patches": {"_reconnect_plan": _buggy_reconnect_plan},
         "configs": ("crash",),
     },
@@ -191,6 +230,7 @@ BUGS: Dict[str, dict] = {
                        "instead of ack+1+i): the sender marks the "
                        "receiver's missing packet as SACKed and starves "
                        "it of retransmission",
+        "cls": AmCore,
         "patches": {"_sack_plan": _buggy_sack_plan},
         "configs": ("sack",),
     },
@@ -198,30 +238,39 @@ BUGS: Dict[str, dict] = {
         "description": "congestion echoes are never sent: the receiver "
                        "notes CE marks but the sender never hears about "
                        "them and never backs off",
+        "cls": AmCore,
         "patches": {"_ecn_echo": _buggy_ecn_echo},
         "configs": ("ecn",),
+    },
+    "heal-reroot": {
+        "description": "epoch install keeps reduce contributions collected "
+                       "under the pre-heal tree; re-parented nodes are "
+                       "double-counted",
+        "cls": NicCollectiveEngine,
+        "patches": {"install_epoch": _buggy_install_epoch},
+        "configs": ("fabric",),
     },
 }
 
 
 @contextmanager
 def inject_bug(name: Optional[str]):
-    """Temporarily install a named bug into the protocol core, and so
-    into every driver built on it (simulated and live)."""
+    """Temporarily install a named bug into the class its row patches,
+    and so into every driver built on it (simulated and live)."""
     if name is None:
         yield
         return
     if name not in BUGS:
         raise ValueError(f"unknown bug {name!r}; choose from {sorted(BUGS)}")
-    patches = BUGS[name]["patches"]
-    saved = {attr: getattr(AmCore, attr) for attr in patches}
+    cls, patches = BUGS[name]["cls"], BUGS[name]["patches"]
+    saved = {attr: getattr(cls, attr) for attr in patches}
     try:
         for attr, fn in patches.items():
-            setattr(AmCore, attr, fn)
+            setattr(cls, attr, fn)
         yield
     finally:
         for attr, fn in saved.items():
-            setattr(AmCore, attr, fn)
+            setattr(cls, attr, fn)
 
 
 # ------------------------------------------------------------------- running
@@ -379,68 +428,6 @@ def run_substrate(case: ConformanceCase, substrate: str,
 
 
 # ------------------------------------------------------------------- diffing
-def _diff_crash(case: ConformanceCase, ref: ObservedTrace, obs: ObservedTrace,
-                name: str) -> List[Divergence]:
-    """The crash-recovery delivery contract, checked per substrate.
-
-    A message may legally be *both* dispatched and abandoned (it reached
-    the victim's handler an instant before the crash, but its ack died
-    with the incarnation — the sender cannot know, and at-most-once says
-    it must assume the worst).  What it may never be is neither.
-    """
-    out: List[Divergence] = []
-    ids = set(range(len(case.messages)))
-    fates = set(obs.dispatched) | set(obs.abandoned)
-    if fates != ids:
-        missing = sorted(ids - fates)
-        phantom = sorted(fates - ids)
-        out.append(Divergence(
-            "fate", name,
-            f"every send must resolve to dispatched or abandoned: "
-            f"unaccounted ids {missing}, phantom ids {phantom} "
-            f"(dispatched={sorted(set(obs.dispatched))}, "
-            f"abandoned={sorted(set(obs.abandoned))})"))
-    if obs.dispatched != sorted(set(obs.dispatched)):
-        out.append(Divergence(
-            "dispatch-order", name,
-            f"dispatches must be strictly increasing message ids across "
-            f"the incarnation boundary, got {obs.dispatched}"))
-    if obs.lifecycle_keys() != ref.lifecycle_keys():
-        out.append(Divergence(
-            "lifecycle-schedule", name,
-            f"lifecycle faults hit {obs.lifecycle_keys()} on the substrate "
-            f"but {ref.lifecycle_keys()} in the model — the kill schedule "
-            f"was not substrate-invariant"))
-    if obs.fired_keys(0) != ref.fired_keys(0):
-        out.append(Divergence(
-            "fired-schedule", name,
-            f"occurrence-0 faults hit {obs.fired_keys(0)} on the substrate "
-            f"but {ref.fired_keys(0)} in the model"))
-    allowed = (set(ref.drop_classes)
-               | {"stale_epoch_drops", "peer_dead_drops"})
-    if case.overrun_possible():
-        allowed |= {"recv_queue_drops", "no_buffer_drops"}
-    observed = {k for k, v in obs.drop_classes.items() if v}
-    illegal = observed - allowed
-    if illegal:
-        out.append(Divergence(
-            "drop-class", name,
-            f"drop classes {sorted(illegal)} observed but the recovery "
-            f"semantics allow only {sorted(allowed)}"))
-    ref_stale = ref.drop_classes.get("stale_epoch_drops", 0)
-    obs_stale = obs.drop_classes.get("stale_epoch_drops", 0)
-    if obs_stale < ref_stale:
-        # the retransmission that triggers the restart is stamped for
-        # the dead incarnation and must ALWAYS be fenced; fewer stale
-        # drops than the model means the fence let one through
-        out.append(Divergence(
-            "stale-fence", name,
-            f"only {obs_stale} stale-epoch fence drops observed; the "
-            f"reference run fences at least {ref_stale} (the restart "
-            f"trigger itself is always one of them)"))
-    return out
-
-
 def diff_case(case: ConformanceCase, ref: ObservedTrace,
               traces: Dict[str, ObservedTrace],
               relaxed: Sequence[str] = ()) -> List[Divergence]:
@@ -452,6 +439,13 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
     not part of the spec.  Everything semantic — termination, dispatch
     order, reply sets, drop classes, occurrence-0 fault hits, and the
     online invariants — is still compared exactly.
+
+    Crash cases diff on *invariants*, not the exact dispatch prefix:
+    which in-flight sends were already dispatched when the victim died
+    is honest timing, different on every substrate.  What is
+    substrate-invariant: each id resolves to a fate, nothing dispatches
+    twice or out of order, the lifecycle schedule lands on the same
+    packets, and the restart-triggering retransmission is always fenced.
     """
     relaxed = set(relaxed)
     crash = bool(case.lifecycle)
@@ -470,29 +464,47 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
                 f"by t={obs.completion_time_us:.0f}us)"))
             continue  # downstream diffs are noise on a hung run
         if crash:
-            # Crash cases diff on *invariants*, not the exact dispatch
-            # prefix: which in-flight sends were already dispatched when
-            # the victim died is honest timing, different on every
-            # substrate.  What is substrate-invariant: each id resolves
-            # to a fate, nothing dispatches twice or out of order, the
-            # lifecycle schedule lands on the same packets, and the
-            # restart-triggering retransmission is always fenced.
-            if obs.completed and ref.completed:
-                out.extend(_diff_crash(case, ref, obs, name))
-            continue
-        if obs.dispatched != ref.dispatched:
-            index = next((i for i, (a, b) in enumerate(zip(obs.dispatched, ref.dispatched))
-                          if a != b), min(len(obs.dispatched), len(ref.dispatched)))
-            out.append(Divergence(
-                "dispatch-order", name,
-                f"first mismatch at position {index}: substrate "
-                f"{obs.dispatched[index:index + 6]} vs reference "
-                f"{ref.dispatched[index:index + 6]}"))
-        if sorted(obs.replies) != sorted(ref.replies):
-            out.append(Divergence(
-                "reply-set", name,
-                f"substrate completed rpcs {sorted(obs.replies)} vs reference "
-                f"{sorted(ref.replies)}"))
+            if not obs.completed:
+                continue
+            # a message may legally be *both* dispatched and abandoned (it
+            # reached the victim's handler an instant before the crash,
+            # but its ack died with the incarnation — at-most-once says
+            # the sender must assume the worst); it may never be neither
+            ids = set(range(len(case.messages)))
+            fates = set(obs.dispatched) | set(obs.abandoned)
+            if fates != ids:
+                out.append(Divergence(
+                    "fate", name,
+                    f"every send must resolve to dispatched or abandoned: "
+                    f"unaccounted ids {sorted(ids - fates)}, phantom ids "
+                    f"{sorted(fates - ids)} "
+                    f"(dispatched={sorted(set(obs.dispatched))}, "
+                    f"abandoned={sorted(set(obs.abandoned))})"))
+            if obs.dispatched != sorted(set(obs.dispatched)):
+                out.append(Divergence(
+                    "dispatch-order", name,
+                    f"dispatches must be strictly increasing message ids across "
+                    f"the incarnation boundary, got {obs.dispatched}"))
+            if obs.lifecycle_keys() != ref.lifecycle_keys():
+                out.append(Divergence(
+                    "lifecycle-schedule", name,
+                    f"lifecycle faults hit {obs.lifecycle_keys()} on the substrate "
+                    f"but {ref.lifecycle_keys()} in the model — the kill schedule "
+                    f"was not substrate-invariant"))
+        else:
+            if obs.dispatched != ref.dispatched:
+                index = next((i for i, (a, b) in enumerate(zip(obs.dispatched, ref.dispatched))
+                              if a != b), min(len(obs.dispatched), len(ref.dispatched)))
+                out.append(Divergence(
+                    "dispatch-order", name,
+                    f"first mismatch at position {index}: substrate "
+                    f"{obs.dispatched[index:index + 6]} vs reference "
+                    f"{ref.dispatched[index:index + 6]}"))
+            if sorted(obs.replies) != sorted(ref.replies):
+                out.append(Divergence(
+                    "reply-set", name,
+                    f"substrate completed rpcs {sorted(obs.replies)} vs reference "
+                    f"{sorted(ref.replies)}"))
         if obs.fired_keys(0) != ref.fired_keys(0):
             out.append(Divergence(
                 "fired-schedule", name,
@@ -500,6 +512,8 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
                 f"but {ref.fired_keys(0)} in the model — the schedule was not "
                 f"substrate-invariant"))
         allowed = set(ref.drop_classes)
+        if crash:
+            allowed |= {"stale_epoch_drops", "peer_dead_drops"}
         if case.overrun_possible():
             allowed |= {"recv_queue_drops", "no_buffer_drops"}
         observed = {k for k, v in obs.drop_classes.items() if v}
@@ -510,6 +524,20 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
                 f"drop classes {sorted(illegal)} observed "
                 f"({ {k: obs.drop_classes[k] for k in sorted(illegal)} }) but the "
                 f"reference semantics allow only {sorted(allowed) or 'none'}"))
+        if crash:
+            ref_stale = ref.drop_classes.get("stale_epoch_drops", 0)
+            obs_stale = obs.drop_classes.get("stale_epoch_drops", 0)
+            if obs_stale < ref_stale:
+                # the retransmission that triggers the restart is stamped
+                # for the dead incarnation and must ALWAYS be fenced;
+                # fewer stale drops than the model means the fence let
+                # one through
+                out.append(Divergence(
+                    "stale-fence", name,
+                    f"only {obs_stale} stale-epoch fence drops observed; the "
+                    f"reference run fences at least {ref_stale} (the restart "
+                    f"trigger itself is always one of them)"))
+            continue
         if ecn:
             # marks are content-addressed (occurrence 0 only) and never
             # shed by a roomy receiver, so the simulated substrates must
@@ -562,8 +590,8 @@ def diff_case(case: ConformanceCase, ref: ObservedTrace,
     return out
 
 
-def runner(name: str) -> Callable:
-    """The ``(case, bug=None) -> ObservedTrace`` runner of substrate ``name``.
+def check_substrate(name: str) -> None:
+    """Refuse a substrate this machine cannot run.
 
     A :data:`SUBSTRATES` name runs in the simulator.  A ``networks.LIVE``
     name runs on real sockets, and raises :class:`SubstrateUnavailable`
@@ -575,7 +603,6 @@ def runner(name: str) -> Callable:
     elif name not in SUBSTRATES:
         raise ValueError(f"unknown substrate {name!r}; "
                          f"choose from {SUBSTRATES + tuple(networks.LIVE)}")
-    return partial(run_substrate, substrate=name)
 
 
 def run_case(case: ConformanceCase, substrates: Sequence[str] = SUBSTRATES,
@@ -585,16 +612,67 @@ def run_case(case: ConformanceCase, substrates: Sequence[str] = SUBSTRATES,
     A live name relaxes timing: its retransmission band is not diffed.
     """
     ref = run_reference(case)
-    traces = {name: runner(name)(case, bug=bug) for name in substrates}
+    traces = {name: run_substrate(case, name, bug=bug) for name in substrates}
     relaxed = [name for name in substrates if name in networks.LIVE]
     return CaseReport(case=case, ref=ref, traces=traces,
                       divergences=diff_case(case, ref, traces, relaxed=relaxed),
                       bug=bug)
 
 
+# ---------------------------------------------------------- the fabric preset
+@dataclass
+class FabricReport:
+    """One healing case: the scenario its seed drew and the soak's
+    verdict on it against the arithmetic oracle."""
+
+    seed: int
+    scenario: "FabricScenario"
+    result: "FabricSoakResult"
+    bug: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.result.ok
+
+
+def run_fabric_case(seed: int, bug: Optional[str] = None) -> FabricReport:
+    """One seeded node-crash healing case of the ``fabric`` preset.
+
+    Every allreduce value is fully determined by the members that
+    legally contributed: a round sums the full membership or the
+    post-crash survivors, nothing else.  The soak holds every completed
+    round to that oracle, plus agreement, exactly-once and termination.
+    Even seeds run on the ATM fat tree, odd ones on the FE one.
+
+    Victims are 1..12 of a 16-node fanout-4 tree: removing any of them
+    re-parents a node across an old subtree boundary, where keeping
+    stale subtree sums (``heal-reroot``) is observable.  A victim whose
+    removal only renumbers its own siblings reproduces the *full* sum,
+    which the at-most-once contract legally allows for the in-flight
+    round.
+    """
+    from ..faults.fabricsoak import FabricScenario, run_fabric_scenario
+
+    scenario = FabricScenario(
+        name=f"heal-case-{seed}",
+        description="conformance healing case",
+        fabric=("atm-clos", "fe-clos")[seed % 2], leaves=4, spines=2, hosts_per_leaf=4,
+        rounds=3, crash_node=1 + seed % 12, crash_at_us=150.0 + 40.0 * (seed % 7))
+    with inject_bug(bug):
+        return FabricReport(seed, scenario, run_fabric_scenario(scenario, seed=seed), bug)
+
+
 # ----------------------------------------------------------------- reporting
-def render_report(report: CaseReport, context: bool = True) -> str:
+def render_report(report: Union[CaseReport, FabricReport], context: bool = True) -> str:
     """Human-readable verdict, with full context on the first divergence."""
+    if isinstance(report, FabricReport):
+        scenario = report.scenario
+        return "\n".join(
+            [f"fabric case seed={report.seed} on {scenario.fabric} "
+             f"(crash node {scenario.crash_node} at t={scenario.crash_at_us:.0f}us"
+             + (f", bug={report.bug}" if report.bug else "")
+             + f"): {'ok' if report.ok else 'DIVERGED'}"]
+            + [f"    {violation}" for violation in report.result.violations])
     lines = [report.case.describe()]
     if report.bug:
         lines.append(f"  injected bug: {report.bug} — {BUGS[report.bug]['description']}")

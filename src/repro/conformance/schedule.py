@@ -12,8 +12,8 @@ failing cases replayable artifacts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Tuple
 
 from ..am import AmConfig
 from ..faults.crash import CrashFault, LifecycleFault, RestartFault
@@ -29,26 +29,36 @@ _SIZES = (0, 4, 12, 40, 64, 120, 200)
 
 _DELAYS_US = (80.0, 250.0, 600.0)
 
-#: receiver sizing per preset: (recv_queue_depth, rx_buffers,
-#: receiver dispatch_overhead_us).  The credit preset runs a shallow,
-#: slow receiver so the credit machine actually engages.
-CONFIG_PRESETS: Dict[str, dict] = {
-    "fixed": {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0},
-    "adaptive": {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0},
-    "credit": {"recv_queue_depth": 4, "rx_buffers": 6, "dispatch_overhead_us": 40.0},
+#: one row per preset: the AM configuration both sides run, and the
+#: receiver's sizing (``recv_queue_depth``, ``rx_buffers``, and the
+#: ``dispatch_overhead_us`` only the receiver pays)
+_ROOMY = {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0}
+CONFIG_PRESETS: Dict[str, Tuple[AmConfig, dict]] = {
+    "fixed": (AmConfig(), _ROOMY),
+    "adaptive": (AmConfig.adaptive(), _ROOMY),
+    # a shallow, slow receiver, so the credit machine actually engages
+    "credit": (AmConfig(credit_flow=True),
+               {"recv_queue_depth": 4, "rx_buffers": 6, "dispatch_overhead_us": 40.0}),
     # recovery on, window=1, ack-per-delivery: each send fully resolves
     # (dispatch + ack) before the next leaves, which pins the sender's
     # go-back-N head to the crash seq on every substrate — the invariant
     # that makes a lifecycle fault land on the same packet everywhere
     # (with a wider window, how far the receiver's dispatch loop lags
     # the wire at crash time decides the head, and that is pure timing)
-    "crash": {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0},
+    "crash": (AmConfig(recovery=True, window=1, ack_every=1), _ROOMY),
     # roomy receivers: the SACK/ECN contracts are about reordering and
     # congestion signaling, not receive-side shedding, so a clean run
     # must show zero drops
-    "sack": {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0},
-    "ecn": {"recv_queue_depth": 64, "rx_buffers": 32, "dispatch_overhead_us": 1.0},
+    "sack": (AmConfig(ack_mode="sack"), _ROOMY),
+    "ecn": (AmConfig(ack_mode="sack", congestion="ecn", adaptive_window=True), _ROOMY),
 }
+
+
+def _preset(config_name: str) -> Tuple[AmConfig, dict]:
+    if config_name not in CONFIG_PRESETS:
+        raise ValueError(f"unknown config preset {config_name!r}; "
+                         f"choose from {sorted(CONFIG_PRESETS)}")
+    return CONFIG_PRESETS[config_name]
 
 
 @dataclass(frozen=True)
@@ -97,23 +107,8 @@ class ConformanceCase:
 
     def am_config(self, receiver: bool = False) -> AmConfig:
         """The AM protocol configuration for one side of this case."""
-        kwargs = {}
-        if receiver:
-            kwargs["dispatch_overhead_us"] = self.dispatch_overhead_us
-        if self.config_name == "adaptive":
-            return AmConfig.adaptive(**kwargs)
-        if self.config_name == "credit":
-            return AmConfig(credit_flow=True, **kwargs)
-        if self.config_name == "fixed":
-            return AmConfig(**kwargs)
-        if self.config_name == "crash":
-            return AmConfig(recovery=True, window=1, ack_every=1, **kwargs)
-        if self.config_name == "sack":
-            return AmConfig(ack_mode="sack", **kwargs)
-        if self.config_name == "ecn":
-            return AmConfig(ack_mode="sack", congestion="ecn",
-                            adaptive_window=True, **kwargs)
-        raise ValueError(f"unknown config preset {self.config_name!r}")
+        am, _sizing = _preset(self.config_name)
+        return replace(am, dispatch_overhead_us=self.dispatch_overhead_us) if receiver else am
 
     def fwd_faults(self) -> List[ScheduledFault]:
         return [f for f in self.faults if f.direction == "fwd"]
@@ -180,9 +175,7 @@ def generate_case(seed: int, config_name: str = "fixed", n_messages: int = 12) -
     named stream), so a given (seed, config, n) names the same case
     forever — across substrates, machines, and shrinker re-runs.
     """
-    if config_name not in CONFIG_PRESETS:
-        raise ValueError(f"unknown config preset {config_name!r}; "
-                         f"choose from {sorted(CONFIG_PRESETS)}")
+    _am, sizing = _preset(config_name)
     if config_name == "crash":
         return _generate_crash_case(seed, n_messages)
     scoped = RngRegistry(seed).scoped(f"conformance.{config_name}")
@@ -234,9 +227,8 @@ def generate_case(seed: int, config_name: str = "fixed", n_messages: int = 12) -
             if fault not in faults:
                 faults.append(fault)
 
-    preset = CONFIG_PRESETS[config_name]
     return ConformanceCase(seed=seed, config_name=config_name, messages=messages,
-                           faults=faults, **preset)
+                           faults=faults, **sizing)
 
 
 def _generate_crash_case(seed: int, n_messages: int) -> ConformanceCase:
@@ -263,4 +255,4 @@ def _generate_crash_case(seed: int, n_messages: int) -> ConformanceCase:
     lifecycle = [CrashFault("fwd", crash_seq, 0),
                  RestartFault("fwd", crash_seq, restart_occurrence)]
     return ConformanceCase(seed=seed, config_name="crash", messages=messages,
-                           lifecycle=lifecycle, **CONFIG_PRESETS["crash"])
+                           lifecycle=lifecycle, **CONFIG_PRESETS["crash"][1])

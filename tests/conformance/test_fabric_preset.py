@@ -2,25 +2,21 @@
 
 import pytest
 
-from repro.conformance import (
-    FABRIC_BUGS,
-    inject_fabric_bug,
-    render_fabric_case,
-    run_fabric_case,
-)
+from repro.collectives.engine import NicCollectiveEngine
+from repro.conformance import BUGS, inject_bug, render_report, run_fabric_case
 
 
 def test_clean_cases_pass_the_oracle():
     for seed in range(4):
-        scenario, result = run_fabric_case(seed)
-        assert result.ok, (seed, result.violations)
-        assert result.heals == 1
-        assert result.recovery_us > 0.0
-        assert 1 <= scenario.crash_node <= 12
+        report = run_fabric_case(seed)
+        assert report.ok, (seed, report.result.violations)
+        assert report.result.heals == 1
+        assert report.result.recovery_us > 0.0
+        assert 1 <= report.scenario.crash_node <= 12
 
 
 def test_seeds_vary_the_victim_and_schedule():
-    scenarios = [run_fabric_case(seed)[0] for seed in range(6)]
+    scenarios = [run_fabric_case(seed).scenario for seed in range(6)]
     assert len({s.crash_node for s in scenarios}) > 1
     assert len({s.crash_at_us for s in scenarios}) > 1
     assert [s.fabric for s in scenarios[:2]] == ["atm-clos", "fe-clos"]
@@ -31,7 +27,7 @@ def test_heal_reroot_bug_is_caught():
     sum on every seed — victims are drawn so the re-ranked tree always
     re-parents someone across an old subtree boundary."""
     for seed in range(4):
-        _, result = run_fabric_case(seed, bug="heal-reroot")
+        result = run_fabric_case(seed, bug="heal-reroot").result
         assert not result.ok, f"seed {seed}: bug survived the oracle"
         assert any("exactness" in v or "agreement" in v
                    for v in result.violations), result.violations
@@ -39,15 +35,19 @@ def test_heal_reroot_bug_is_caught():
 
 def test_unknown_bug_is_rejected():
     with pytest.raises(ValueError):
-        with inject_fabric_bug("heal-typo"):
+        with inject_bug("heal-typo"):
             pass
-    assert "heal-reroot" in FABRIC_BUGS
+    row = BUGS["heal-reroot"]
+    assert row["cls"] is NicCollectiveEngine and row["configs"] == ("fabric",)
+    original = NicCollectiveEngine.install_epoch
+    with inject_bug("heal-reroot"):
+        assert NicCollectiveEngine.install_epoch is row["patches"]["install_epoch"]
+    assert NicCollectiveEngine.install_epoch is original
 
 
 def test_render_names_the_case_and_verdict():
-    text = render_fabric_case(0, None, *run_fabric_case(0))
+    text = render_report(run_fabric_case(0))
     assert "seed=0 on atm-clos" in text and "ok" in text
-    bad = run_fabric_case(0, bug="heal-reroot")
-    text = render_fabric_case(0, "heal-reroot", *bad, context=False)
+    text = render_report(run_fabric_case(0, bug="heal-reroot"), context=False)
     assert "DIVERGED" in text and "bug=heal-reroot" in text
     assert any(line for line in text.splitlines()[1:])  # violations shown

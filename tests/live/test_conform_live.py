@@ -6,8 +6,8 @@ import pytest
 
 from repro import networks
 from repro.conformance import (
-    BUGS, SubstrateUnavailable, generate_case, inject_bug, load_artifact_meta, run_case,
-    run_substrate, runner,
+    BUGS, SubstrateUnavailable, check_substrate, generate_case, inject_bug,
+    load_artifact_meta, run_case, run_substrate,
 )
 from repro.faults.scripted import ScheduledFault, ScriptedStage
 from repro.live import FRAME_HEADER_SIZE, available_transport_kinds
@@ -63,9 +63,12 @@ def test_the_one_bug_registry_reaches_the_live_driver():
     """Bugs patch the protocol core's seams, so the live driver sees
     every registered AM bug without a patch table of its own."""
     from repro.am import AmEndpoint
+    from repro.am.core import AmCore
     from repro.live import LiveAm
 
-    for name, entry in BUGS.items():
+    am_rows = {name: entry for name, entry in BUGS.items() if entry["cls"] is AmCore}
+    assert len(am_rows) >= 6
+    for name, entry in am_rows.items():
         for seam, broken in entry["patches"].items():
             assert seam not in vars(LiveAm) and seam not in vars(AmEndpoint), (
                 f"a driver overrides seam {seam}: bug {name} cannot reach it")
@@ -100,9 +103,8 @@ def test_every_live_name_resolves_to_a_runner_here():
     kinds = available_transport_kinds()
     for name, (kind, _mode) in networks.LIVE.items():
         if kind is None or kind in kinds:
-            assert callable(runner(name)), name
-    assert runner("atm").keywords == {"substrate": "atm"}
-    assert runner("live-unix").keywords == {"substrate": "live-unix"}
+            check_substrate(name)
+    check_substrate("atm")
     assert networks.LIVE["live-unix"].transport_kind() == "unix"
     with networks.build("live-batched") as net:
         assert net.doorbell_mode == "batched"
@@ -123,12 +125,12 @@ def test_a_live_name_relaxes_timing_and_a_simulated_one_does_not(monkeypatch):
 def test_unavailable_substrate_fails_loudly(monkeypatch):
     monkeypatch.setattr("repro.live.transport.available_transport_kinds", lambda: ("unix",))
     with pytest.raises(SubstrateUnavailable, match="udp"):
-        runner("live-udp")
+        check_substrate("live-udp")
     monkeypatch.setattr("repro.live.transport.available_transport_kinds", lambda: ())
     with pytest.raises(SubstrateUnavailable):
         networks.build("live")
     with pytest.raises(ValueError, match="never-registered"):
-        runner("never-registered")
+        check_substrate("never-registered")
 
 
 def test_replay_artifacts_record_their_substrate_set(tmp_path):

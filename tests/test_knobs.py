@@ -56,10 +56,8 @@ def _each(category, owner, *params):
 
 #: ``module:qualname.param`` -> reason category (module docstring)
 KEPT = {
-    # set where the walk cannot see: the conformance
-    # ``runner(name)(case, bug=...)`` table,
-    # ``add_host(**where)`` and an event's callback list
-    **_each(SET_UNSEEN, "repro.conformance.checker:run_substrate", "bug"),
+    # set where the walk cannot see: ``add_host(**where)`` and an
+    # event's callback list
     **_each(SET_UNSEEN, "repro.ethernet.network:RoutedFeNetwork._where", "segment"),
     **_each(SET_UNSEEN, "repro.fabric.fe_clos:ClosFeNetwork._where", "leaf", "propagation_us"),
     **_each(SET_UNSEEN, "repro.sim.events:Process._resume", "trigger"),
