@@ -183,7 +183,6 @@ def line_chart_svg(
 
 
 class _Chart(NamedTuple):
-    sizes: Tuple[int, ...]
     #: configurations the chart leaves out
     skip: Tuple[str, ...]
     title: str
@@ -193,12 +192,11 @@ class _Chart(NamedTuple):
 
 #: how each of :data:`~repro.analysis.microbench.FIGURES` is drawn
 _CHARTS = {
-    "fig5": _Chart((0, 16, 40, 44, 64, 128, 256, 512, 1024, 1498),
-                   ("atm-taxi",),  # the paper's Figure 5 shows four configurations
+    "fig5": _Chart(("atm-taxi",),  # the paper's Figure 5 shows four configurations
                    "Figure 5 — round-trip latency vs message size",
                    "U-Net/FE (hub, Bay 28115, FN100) and U-Net/ATM (ASX-200, OC-3c)",
                    "round-trip time (µs)"),
-    "fig6": _Chart((16, 64, 128, 256, 384, 512, 768, 1024, 1280, 1498), (),
+    "fig6": _Chart((),
                    "Figure 6 — bandwidth vs message size",
                    "FE saturates near the 100 Mb/s wire; ATM reaches ~118 Mb/s on TAXI",
                    "bandwidth (Mb/s)"),
@@ -206,11 +204,12 @@ _CHARTS = {
 
 
 def save_figure_svg(figure: str, path: str, sizes: Optional[Sequence[int]] = None) -> str:
-    """Measure and render ``figure`` (``"fig5"`` or ``"fig6"``) to ``path``."""
+    """Measure and render ``figure`` (``"fig5"`` or ``"fig6"``) to ``path``,
+    at the sizes of its text table unless ``sizes`` are given."""
     from .microbench import FIGURES
 
     fig, chart = FIGURES[figure], _CHARTS[figure]
-    sizes = list(sizes or chart.sizes)
+    sizes = list(sizes or fig.sizes)
     series = {name: [(float(s), fig.measure(name, s)) for s in sizes]
               for name in fig.configs if name not in chart.skip}
     svg = line_chart_svg(

@@ -8,6 +8,14 @@ hard the reliability layer had to work.  Divergence means one of the
 implementations has drifted from U-Net/AM semantics; the shrinker then
 minimizes the failing schedule to a replayable artifact.
 
+One harness: one preset table (``CONFIG_PRESETS``, each row the AM
+configuration and the receiver's sizing), one bug registry (``BUGS``,
+each row patching ``AmCore`` or ``NicCollectiveEngine``), one diff
+(``diff_case``).  The ``fabric`` preset holds seeded NIC-collective
+healing cases to an arithmetic oracle instead of a model
+(``run_fabric_case``); the CLI sweeps it in the same ``seed x config``
+loop as the AM presets.
+
 Entry points: :func:`generate_case` / :func:`run_case` /
 :func:`shrink_case`, or ``python -m repro conformance`` on the CLI.
 """

@@ -70,6 +70,13 @@ SUBSTRATES = ("atm", "ethernet")
 #: acks settle before counters are read
 _DRAIN_US = 1_000_000.0
 
+#: retransmission timeouts in a row without a dispatch after which an
+#: unfinished run is wedged and stops short of its time limit.  The
+#: longest dispatch-free stretch of any completing case in the CI sweeps
+#: (every preset on atm and ethernet, seeds 0-9) is 2.8 RTOs, so 64 is
+#: a margin of 23x, and above the 15 RTOs of one backoff to ``rto_max_us``
+_WEDGED_RTOS = 64
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -411,17 +418,26 @@ def run_substrate(case: ConformanceCase, substrate: str,
                   bug: Optional[str] = None) -> ObservedTrace:
     """Run ``case`` on one substrate and collect its observable trace.
 
-    The same rig on either clock: the traffic process runs to the case's
-    time limit on the network's simulator or on the live cluster's
-    wall-clock runner, and a completed run settles before the trace is
-    read (:meth:`~repro.core.base.SimulatedNetwork.settle`; a live
-    cluster lets tail acks land before its timers stop)."""
+    The same rig on either clock: the traffic process runs on the
+    network's simulator or on the live cluster's wall-clock runner, one
+    retransmission timeout at a time, until it ends, the case's time
+    limit passes, or it is wedged (no dispatch for :data:`_WEDGED_RTOS`
+    slices).  An ended run goes on to the time limit and a completed one
+    settles before the trace is read
+    (:meth:`~repro.core.base.SimulatedNetwork.settle`; a live cluster
+    lets tail acks land before its timers stop)."""
     with inject_bug(bug), networks.build(substrate) as net:
         rig = CaseRig(case, substrate, net)
         sim, ams = net.sim, (rig.am0, rig.am1)
         deadline = sim.now + case.time_limit_us
         process = sim.process(rig.drive(net), name="conformance.traffic")
-        net.run(deadline, ams)
+        rto, idle, dispatched = rig.am0.config.retransmit_timeout_us, 0, 0
+        while not process.triggered and sim.now < deadline and idle < _WEDGED_RTOS:
+            net.run(min(deadline, sim.now + rto), ams)
+            idle = idle + 1 if len(rig.probe.dispatched) == dispatched else 0
+            dispatched = len(rig.probe.dispatched)
+        if process.triggered:
+            net.run(deadline, ams)
         if rig.completed(process):
             net.settle(ams, min(deadline, sim.now + _DRAIN_US))
         return rig.finish(process, case.time_limit_us)

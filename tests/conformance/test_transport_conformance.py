@@ -93,9 +93,8 @@ def test_ecn_echo_drop_bug_is_caught():
 
 
 def test_transport_bugs_shrink_to_replayable_artifacts(tmp_path):
-    # tight budgets: the wedged-stream candidates of the sack bug each
-    # run to the case time limit, and the test pins *replayability* of
-    # the artifact, not how far the minimizer gets
+    # tight budgets: the test pins *replayability* of the artifact, not
+    # how far the minimizer gets
     for bug, config, budget in (("sack-bitmap-shift", "sack", 12),
                                 ("ecn-echo-drop", "ecn", 45)):
         report = _hunt(bug, config)
